@@ -50,7 +50,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated name=host:port pairs of cluster peers")
 	dataDir := flag.String("data-dir", "", "directory for the persistent store (WAL + segments + disk cache tier); empty keeps all state in memory")
 	noGroupCommit := flag.Bool("no-group-commit", false, "sync the write-ahead log once per record instead of batching fsyncs")
-	replication := flag.Int("replication", 3, "copies kept of each hard-state key in cluster mode (ring owner + successors, written synchronously); 1 keeps owner-only placement, negative restores the legacy broadcast model")
+	replication := flag.Int("replication", 3, "copies kept of each hard-state key in cluster mode (ring owner + successors, written synchronously); 1 keeps owner-only placement")
 	offloadThreshold := flag.Float64("offload-threshold", 0, "load score above which arriving requests are shed to the least-loaded replica of their site (cluster mode); 0 disables offload")
 	hedgeAfter := flag.Duration("hedge-after", 0, "latency budget for replicated hard-state reads: when the owner's EWMA round trip exceeds it the read is hedged to the next replica; 0 disables hedging")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "default time-to-live of distributed leases taken without an explicit TTL (Lease.acquire)")
@@ -60,6 +60,11 @@ func main() {
 	segmentSize := flag.Int64("segment-size", 256<<10, "segment size of the large-object tier")
 	largeCapacity := flag.Int64("large-capacity", 512<<20, "byte capacity of the large-object segment slab (LRU beyond it)")
 	flag.Parse()
+	if *replication < 0 {
+		log.Printf("nakikad: -replication %d: want at least 1", *replication)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := nakika.Config{
 		Name:                 *name,

@@ -155,7 +155,7 @@ func TestEdgeScriptHandlesDynamicRequestsAtEdge(t *testing.T) {
 	// The lease-guarded checkpoint runs at the edge: each request takes the
 	// per-site lease, bumps the counter under its fencing token, and
 	// releases, so repeat requests advance the count exactly once each.
-	// (This legacy bus-mode setup keeps fenced writes node-local; the
+	// (This shared-bus setup keeps fenced writes node-local; the
 	// cluster tests cover lease arbitration and fenced replication across
 	// nodes.)
 	for want := 1; want <= 2; want++ {

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -27,12 +25,10 @@ import (
 // the multiplexed TCP transport, and the pooled request hot path — only
 // exists below the layer the simulator replaces:
 //
-//   - codec: a state.Rec round trip through the binary wire codec vs the
-//     gob codec it replaced (the one-release compatibility baseline),
+//   - codec: a state.Rec round trip through the binary wire codec,
 //   - rpc: a two-process pair of real TCP transports (the server half is
 //     a re-exec of this binary, so the traffic crosses a process
-//     boundary) driven concurrently over the multiplexed connection and
-//     again over the legacy one-shot protocol,
+//     boundary) driven concurrently over the multiplexed connection,
 //   - proxy: the single-node warm proxy loop — the steady state a Na Kika
 //     edge server spends its life in — measuring req/s, allocs/op,
 //     bytes/op, and p50/p99 latency.
@@ -41,6 +37,11 @@ import (
 // regression gate tracks allocs/op and bytes/op hard; req/s and latency
 // are runner-dependent and are only soft-checked (a warning, never a CI
 // failure — see SoftMetrics).
+//
+// The gob codec and the one-shot TCP protocol these replaced are gone from
+// the tree; what they measured when PR 6 removed them from the data plane
+// stays in the JSON as constants (see the pr6 values below), so the file
+// still carries both sides of "194→5 allocs" and "1.38×".
 
 // CodecCost is the per-round-trip cost of one encode+decode pair.
 type CodecCost struct {
@@ -71,7 +72,8 @@ type ProxyThroughput struct {
 // ThroughputResult is the full experiment payload written to
 // BENCH_throughput.json.
 type ThroughputResult struct {
-	CodecBinary       CodecCost `json:"codec_binary"`
+	CodecBinary CodecCost `json:"codec_binary"`
+	// CodecGob and CodecAllocDropPct are historical (pr6CodecGob).
 	CodecGob          CodecCost `json:"codec_gob"`
 	CodecAllocDropPct float64   `json:"codec_alloc_drop_pct"`
 
@@ -83,16 +85,30 @@ type ThroughputResult struct {
 	ProxySeedAllocsPerOp float64 `json:"proxy_seed_allocs_per_op"`
 	ProxyAllocDropPct    float64 `json:"proxy_alloc_drop_pct"`
 
-	RPCMux     WireThroughput `json:"rpc_mux"`
-	RPCOneShot WireThroughput `json:"rpc_one_shot"`
-	// RPCMuxSpeedup is mux req/s over one-shot req/s (higher is better,
-	// archived only).
-	RPCMuxSpeedup float64 `json:"rpc_mux_speedup"`
+	RPCMux WireThroughput `json:"rpc_mux"`
+	// RPCOneShot and RPCMuxSpeedup are historical (pr6RPCOneShot).
+	RPCOneShot    WireThroughput `json:"rpc_one_shot"`
+	RPCMuxSpeedup float64        `json:"rpc_mux_speedup"`
 }
 
 // proxySeedAllocsPerOp: measured with the same loop at the last release
 // before this one (see ProxySeedAllocsPerOp).
 const proxySeedAllocsPerOp = 32
+
+// The PR 6 measurements of the paths that no longer exist, as committed in
+// bench/baseline/BENCH_throughput.json: a state.Rec round trip through
+// the gob encoder, the same RPC pair over one connection per exchange, and
+// the two ratios against the binary codec (5 allocs/op) and the mux
+// (54110 req/s) measured in the same run.
+var (
+	pr6CodecGob   = CodecCost{NsPerOp: 20425, AllocsPerOp: 194, BytesPerOp: 9344}
+	pr6RPCOneShot = WireThroughput{Requests: 78282, ReqPerSec: 39138.02973664723, P50: 180287, P99: 618255}
+)
+
+const (
+	pr6CodecAllocDropPct = 97.42268041237114
+	pr6RPCMuxSpeedup     = 1.3825428903493366
+)
 
 // benchRec is the representative payload every throughput phase ships: a
 // user-registration record the size the match service writes.
@@ -105,10 +121,14 @@ var benchRec = state.Rec{
 }
 
 // RunThroughput runs all three phases. loadDuration bounds each
-// wall-clock measurement loop (the RPC pair runs it twice, once per
-// protocol).
+// wall-clock measurement loop.
 func RunThroughput(loadDuration time.Duration) (ThroughputResult, error) {
-	var res ThroughputResult
+	res := ThroughputResult{
+		CodecGob:          pr6CodecGob,
+		CodecAllocDropPct: pr6CodecAllocDropPct,
+		RPCOneShot:        pr6RPCOneShot,
+		RPCMuxSpeedup:     pr6RPCMuxSpeedup,
+	}
 
 	res.CodecBinary = measureCodec(func() {
 		rec, err := state.DecodeRec(state.EncodeRec(benchRec))
@@ -116,17 +136,6 @@ func RunThroughput(loadDuration time.Duration) (ThroughputResult, error) {
 			panic(fmt.Sprintf("bench: binary rec round trip: %v", err))
 		}
 	})
-	res.CodecGob = measureCodec(func() {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(benchRec); err != nil {
-			panic(err)
-		}
-		var rec state.Rec
-		if err := gob.NewDecoder(&buf).Decode(&rec); err != nil || rec.Key != benchRec.Key {
-			panic(fmt.Sprintf("bench: gob rec round trip: %v", err))
-		}
-	})
-	res.CodecAllocDropPct = dropPct(res.CodecGob.AllocsPerOp, res.CodecBinary.AllocsPerOp)
 
 	proxy, err := runProxyLoop(loadDuration)
 	if err != nil {
@@ -136,12 +145,8 @@ func RunThroughput(loadDuration time.Duration) (ThroughputResult, error) {
 	res.ProxySeedAllocsPerOp = proxySeedAllocsPerOp
 	res.ProxyAllocDropPct = dropPct(proxySeedAllocsPerOp, proxy.AllocsPerOp)
 
-	res.RPCMux, res.RPCOneShot, err = runRPCPair(loadDuration)
-	if err != nil {
-		return res, err
-	}
-	if res.RPCOneShot.ReqPerSec > 0 {
-		res.RPCMuxSpeedup = res.RPCMux.ReqPerSec / res.RPCOneShot.ReqPerSec
+	if res.RPCMux, err = runRPCPair(loadDuration); err != nil {
+		return res, fmt.Errorf("bench: rpc pair: %w", err)
 	}
 	return res, nil
 }
@@ -302,27 +307,26 @@ func ServeRPCPeer() error {
 const rpcWorkers = 8
 
 // runRPCPair spawns the server half as a child process, then drives it
-// for d twice: over the multiplexed connection, and again with
-// DisableMux (the legacy connection-per-exchange protocol this release
-// replaced) as the baseline.
-func runRPCPair(d time.Duration) (mux, oneShot WireThroughput, err error) {
+// for d over the multiplexed connection.
+func runRPCPair(d time.Duration) (WireThroughput, error) {
+	var none WireThroughput
 	exe, err := os.Executable()
 	if err != nil {
-		return mux, oneShot, err
+		return none, err
 	}
 	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(), RPCPeerEnv+"=1")
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return mux, oneShot, err
+		return none, err
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return mux, oneShot, err
+		return none, err
 	}
 	if err := cmd.Start(); err != nil {
-		return mux, oneShot, err
+		return none, err
 	}
 	defer func() {
 		stdin.Close()
@@ -345,23 +349,15 @@ func runRPCPair(d time.Duration) (mux, oneShot WireThroughput, err error) {
 		}
 	}
 	if addr == "" {
-		return mux, oneShot, fmt.Errorf("bench: RPC peer never printed its address")
+		return none, fmt.Errorf("RPC peer never printed its address")
 	}
-
-	if mux, err = runRPCClient(addr, false, d); err != nil {
-		return mux, oneShot, fmt.Errorf("bench: mux client: %w", err)
-	}
-	if oneShot, err = runRPCClient(addr, true, d); err != nil {
-		return mux, oneShot, fmt.Errorf("bench: one-shot client: %w", err)
-	}
-	return mux, oneShot, nil
+	return runRPCClient(addr, d)
 }
 
 // runRPCClient hammers the server from rpcWorkers goroutines for d and
 // reports the merged throughput and latency percentiles.
-func runRPCClient(addr string, disableMux bool, d time.Duration) (WireThroughput, error) {
+func runRPCClient(addr string, d time.Duration) (WireThroughput, error) {
 	tr := transport.NewTCP()
-	tr.DisableMux = disableMux
 	tr.AddPeer("srv", addr)
 	defer tr.Close()
 
@@ -416,9 +412,9 @@ func FormatThroughput(r ThroughputResult) string {
 	fmt.Fprintf(&sb, "codec round trip (state.Rec):\n")
 	fmt.Fprintf(&sb, "  binary:   %8.0f ns/op  %6.1f allocs/op  %8.1f B/op\n",
 		r.CodecBinary.NsPerOp, r.CodecBinary.AllocsPerOp, r.CodecBinary.BytesPerOp)
-	fmt.Fprintf(&sb, "  gob:      %8.0f ns/op  %6.1f allocs/op  %8.1f B/op\n",
+	fmt.Fprintf(&sb, "  gob:      %8.0f ns/op  %6.1f allocs/op  %8.1f B/op  (historical: PR 6, codec since removed)\n",
 		r.CodecGob.NsPerOp, r.CodecGob.AllocsPerOp, r.CodecGob.BytesPerOp)
-	fmt.Fprintf(&sb, "  alloc reduction: %.1f%%\n", r.CodecAllocDropPct)
+	fmt.Fprintf(&sb, "  alloc reduction: %.1f%%  (historical: PR 6)\n", r.CodecAllocDropPct)
 	fmt.Fprintf(&sb, "warm proxy loop:\n")
 	fmt.Fprintf(&sb, "  %8.0f req/s  %6.1f allocs/op  %8.1f B/op  p50=%v p99=%v  (%d requests)\n",
 		r.Proxy.ReqPerSec, r.Proxy.AllocsPerOp, r.Proxy.BytesPerOp, r.Proxy.P50, r.Proxy.P99, r.Proxy.Requests)
@@ -427,8 +423,8 @@ func FormatThroughput(r ThroughputResult) string {
 	fmt.Fprintf(&sb, "two-process RPC pair (%d workers):\n", rpcWorkers)
 	fmt.Fprintf(&sb, "  mux:      %8.0f req/s  p50=%v p99=%v  (%d requests)\n",
 		r.RPCMux.ReqPerSec, r.RPCMux.P50, r.RPCMux.P99, r.RPCMux.Requests)
-	fmt.Fprintf(&sb, "  one-shot: %8.0f req/s  p50=%v p99=%v  (%d requests)\n",
+	fmt.Fprintf(&sb, "  one-shot: %8.0f req/s  p50=%v p99=%v  (%d requests)  (historical: PR 6, protocol since removed)\n",
 		r.RPCOneShot.ReqPerSec, r.RPCOneShot.P50, r.RPCOneShot.P99, r.RPCOneShot.Requests)
-	fmt.Fprintf(&sb, "  mux speedup: %.2fx\n", r.RPCMuxSpeedup)
+	fmt.Fprintf(&sb, "  mux speedup: %.2fx  (historical: PR 6)\n", r.RPCMuxSpeedup)
 	return sb.String()
 }

@@ -111,9 +111,9 @@ func encodeDiskEntry(key string, expires time.Time, resp *httpmsg.Response) ([]b
 	return append(out, payload...), nil
 }
 
-// decodeDiskEntry validates and parses one entry file. The response body
-// decode accepts both the binary codec and the gob encoding written by the
-// previous release, so entries on disk stay readable across the upgrade.
+// decodeDiskEntry validates and parses one entry file. A body that is not
+// in the httpmsg codec fails here like a bad checksum does, and the caller
+// drops the file.
 func decodeDiskEntry(data []byte) (key string, expires time.Time, resp *httpmsg.Response, err error) {
 	if len(data) < 4 {
 		return "", time.Time{}, nil, fmt.Errorf("cache: disk entry too short")

@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -134,6 +138,110 @@ func TestDiskExpiryAndCorruptionRejected(t *testing.T) {
 	}
 	if names, _ := fs.List(""); len(names) != 0 {
 		t.Error("corrupt file not deleted")
+	}
+}
+
+// frameDiskEntry builds an entry file with a valid checksum around an
+// arbitrary body, so the tests below reach the body decode.
+func frameDiskEntry(key string, expires time.Time, body []byte) []byte {
+	payload := binary.AppendUvarint(nil, uint64(len(key)))
+	payload = append(payload, key...)
+	payload = binary.BigEndian.AppendUint64(payload, uint64(expires.UnixNano()))
+	payload = append(payload, body...)
+	return append(binary.BigEndian.AppendUint32(nil, crc32.Checksum(payload, diskCRC)), payload...)
+}
+
+func writeFile(t *testing.T, fs store.FS, name string, data []byte) {
+	t.Helper()
+	w, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskDropsEntryWhoseBodyIsNotInTheCodec: a fresh, checksum-clean entry
+// whose body does not start with the magic byte — a gob stream from the
+// release that wrote gob, or anything else — is dropped at the boot scan and
+// at Get, never served.
+func TestDiskDropsEntryWhoseBodyIsNotInTheCodec(t *testing.T) {
+	now := time.Unix(1700000000, 0)
+	clock := func() time.Time { return now }
+	// A cacheable 200 as the gob encoder wrote it: the build with the gob arm
+	// served this entry.
+	gobBody, _ := hex.DecodeString("717f03010108526573706f6e736501ff800001080106537461747573010400010648656164657201ff84000104426f6479010a00010947656e657261746564010200010946726f6d43616368650102000103566961010c0001074665746368656401ff8600010653747265616d011000000017ff830401010648656164657201ff8400010c01ff8200000cff81020102ff8200010c000010ff850501010454696d6501ff8600000065ff8001fe019001020c436f6e74656e742d547970650109746578742f68746d6c0d43616368652d436f6e74726f6c010a6d61782d6167653d3630010f3c68746d6c3e68693c2f68746d6c3e0306656467652d31010f010000000edce5e80000000005000000")
+	for name, body := range map[string][]byte{"gob": gobBody, "text": []byte("<html>raw</html>"), "empty": nil} {
+		const key = "http://example.org/a"
+		bad := frameDiskEntry(key, now.Add(time.Minute), body)
+
+		fs := store.NewMemFS()
+		writeFile(t, fs, fileName(key), bad)
+		d, err := OpenDisk(fs, 0, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names, _ := fs.List(""); d.Len() != 0 || len(names) != 0 {
+			t.Errorf("%s body: boot scan kept the entry (%d indexed, files %v)", name, d.Len(), names)
+		}
+
+		d.Put(key, page("good"), now.Add(time.Minute))
+		writeFile(t, fs, fileName(key), bad)
+		if resp, _, ok := d.Get(key); ok {
+			t.Errorf("%s body: Get served %+v", name, resp)
+		}
+		if names, _ := fs.List(""); d.Len() != 0 || len(names) != 0 {
+			t.Errorf("%s body: Get kept the entry (%d indexed, files %v)", name, d.Len(), names)
+		}
+	}
+}
+
+// TestDiskEntryGolden pins the entry file to bytes captured from the build
+// that still had the gob arm: the same name and the same contents, and a
+// cache directory that build left behind rewarms this one without a refetch.
+func TestDiskEntryGolden(t *testing.T) {
+	const (
+		key        = "http://example.org/a"
+		goldenName = "6a2d6a47a2828fe021aefacd33629435.ent"
+		golden     = "7dee2fb814687474703a2f2f6578616d706c652e6f72672f6117979d0c2e71580000c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f"
+	)
+	now := time.Unix(1700000000, 0)
+	clock := func() time.Time { return now }
+	resp := &httpmsg.Response{
+		Status: 200,
+		Header: http.Header{"Content-Type": {"text/html"}, "Cache-Control": {"max-age=60"}},
+		Body:   []byte("<html>hi</html>"),
+		Via:    "edge-1", Fetched: time.Unix(1700000000, 5),
+	}
+	fs := store.NewMemFS()
+	d, err := OpenDisk(fs, 0, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Put(key, resp, now.Add(time.Minute))
+	data, err := store.ReadAll(fs, goldenName)
+	if err != nil {
+		names, _ := fs.List("")
+		t.Fatalf("entry file %s: %v (have %v)", goldenName, err, names)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Errorf("entry file = %s, want %s", got, golden)
+	}
+
+	old := store.NewMemFS()
+	raw, _ := hex.DecodeString(golden)
+	writeFile(t, old, goldenName, raw)
+	d2, err := OpenDisk(old, 0, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, expires, ok := d2.Get(key)
+	if !ok || string(got.Body) != "<html>hi</html>" || got.Via != "edge-1" || !expires.Equal(now.Add(time.Minute)) {
+		t.Errorf("captured entry reads back as %+v, expires %v, ok %v", got, expires, ok)
 	}
 }
 

@@ -43,10 +43,8 @@ type Config struct {
 	// tier intact, instead of empty-handed.
 	Persist bool
 	// Replication overrides every node's core.Config.ReplicationFactor:
-	// zero keeps the node default (successor replication with factor 3),
-	// a positive value sets the factor, and a negative value disables
-	// successor replication (the legacy bus-broadcast state model some
-	// scenarios pin).
+	// zero keeps the node default (successor replication with factor 3)
+	// and a positive value sets the factor.
 	Replication int
 	// OffloadThreshold enables load-aware request offload on every node
 	// (core.Config.OffloadThreshold); zero keeps it disabled.

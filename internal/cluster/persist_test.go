@@ -7,8 +7,24 @@ import (
 	"time"
 
 	"nakika/internal/core"
+	"nakika/internal/state"
 	"nakika/internal/store"
 )
+
+// keysOwnedBy returns the first n keys of the form prefix-NNNN whose ring
+// owner for site is the named node. With owner-only placement (replication
+// factor 1) those are exactly the keys that live on that node's disk and
+// nowhere else.
+func keysOwnedBy(c *Cluster, site, owner, prefix string, n int) []string {
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		key := fmt.Sprintf("%s-%04d", prefix, i)
+		if c.Ring.Successor(state.ReplicaKey(site, key)).Name == owner {
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}
 
 // runCrashRecoveryScenario is the persistence acceptance scenario: a
 // 5-node cluster where every node owns a preserved data directory. One
@@ -32,11 +48,10 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 	for i := 0; i < nPages; i++ {
 		origin.AddPage(pageURL(i), strings.Repeat(fmt.Sprintf("p%d-", i), 256), 600)
 	}
-	// Replication is disabled: this scenario pins the single-node
-	// persistence contract (a node recovers exactly its own disk), which
-	// successor replication would mask by routing writes to ring owners
-	// and serving reads from replicas.
-	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Persist: true, Replication: -1,
+	// Owner-only placement, and only keys the victim owns: this scenario
+	// pins the single-node persistence contract (a node recovers exactly
+	// its own disk), which replicas would mask by serving the reads.
+	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Persist: true, Replication: 1,
 		Mutate: func(i int, cfg *core.Config) {
 			cfg.Cache.MaxEntries = l1Cap
 			// A small compaction threshold makes the snapshot/truncate
@@ -81,18 +96,17 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 		t.Fatalf("origin fetched %d pages during warm, want %d", warmHits, nPages)
 	}
 
-	// Write burst with a crash scripted mid-burst: every StatePut is
-	// replicated over the simulated transport, so the burst itself
-	// advances the virtual clock into the scheduled crash. Writes issued
-	// after the crash must fail (the engine is gone); everything
-	// acknowledged before it must survive.
+	// Write burst with a crash scripted mid-burst. The victim owns every
+	// key, so a put is a local WAL append that sends nothing; each one is
+	// charged 100µs of virtual time, which is what carries the burst into
+	// the scheduled crash. Writes issued after the crash must fail (the
+	// engine is gone); everything acknowledged before it must survive.
 	if err := c.Schedule(fmt.Sprintf("at %s crash %s", c.Sim.Now()+10*time.Millisecond, victim)); err != nil {
 		t.Fatal(err)
 	}
 	var acked []string
 	burstVal := func(i int) string { return fmt.Sprintf("value-%04d-%s", i, strings.Repeat("x", 512)) }
-	for i := 0; i < maxPuts; i++ {
-		key := fmt.Sprintf("burst-%04d", i)
+	for i, key := range keysOwnedBy(c, site, victim, "burst", maxPuts) {
 		if err := node.StatePut(site, key, burstVal(i)); err != nil {
 			if err != store.ErrClosed {
 				t.Fatalf("write %d failed with %v, want ErrClosed after crash", i, err)
@@ -100,6 +114,7 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 			break
 		}
 		acked = append(acked, key)
+		c.Sim.Loop().AdvanceTo(c.Sim.Now() + 100*time.Microsecond)
 	}
 	if c.Live(victim) {
 		t.Fatal("crash never landed: burst too short for the schedule")
@@ -115,11 +130,15 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 	}
 
 	// Hard state recovers exactly: every acknowledged write is present
-	// with its value, and nothing unacknowledged appears.
+	// with its value, and nothing unacknowledged appears. The victim's own
+	// disk is the only place any of it can come from.
 	for i, key := range acked {
 		v, ok := node.StateGet(site, key)
 		if !ok || v != burstVal(i) {
 			t.Fatalf("acknowledged write %s lost or corrupt after recovery (ok=%v)", key, ok)
+		}
+		if holders := c.StateHolders(site, key); len(holders) != 1 || holders[0] != victim {
+			t.Fatalf("%s held by %v, want only %s", key, holders, victim)
 		}
 	}
 	if keys := node.StateKeys(site); len(keys) != len(acked) {
@@ -192,7 +211,9 @@ func TestCrashWithoutPersistStillLosesState(t *testing.T) {
 	origin := NewCountingOrigin()
 	url := "http://site.example.org/only.html"
 	origin.AddPage(url, "<html>only</html>", 600)
-	c, err := New(Config{N: 3, Seed: 11, Latency: time.Millisecond, TTL: time.Hour, Replication: -1}, origin)
+	// Owner-only placement and a key node-0 owns, so its store is the only
+	// copy there is.
+	c, err := New(Config{N: 3, Seed: 11, Latency: time.Millisecond, TTL: time.Hour, Replication: 1}, origin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +221,12 @@ func TestCrashWithoutPersistStillLosesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := c.NodeByName("node-0")
-	if err := node.StatePut("site.example.org", "k", "v"); err != nil {
+	key := keysOwnedBy(c, "site.example.org", "node-0", "k", 1)[0]
+	if err := node.StatePut("site.example.org", key, "v"); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := node.StateGet("site.example.org", key); !ok {
+		t.Fatal("write not readable before the crash")
 	}
 	c.Crash("node-0")
 	c.Restart("node-0")
@@ -211,7 +236,7 @@ func TestCrashWithoutPersistStillLosesState(t *testing.T) {
 	if got := node.Cache().Stats(); got.Entries != 0 {
 		t.Fatalf("crashed node kept %d cache entries", got.Entries)
 	}
-	if _, ok := node.StateGet("site.example.org", "k"); ok {
+	if _, ok := node.StateGet("site.example.org", key); ok {
 		t.Fatal("crashed node without persistence kept hard state")
 	}
 	// node-0 was the page's only holder, so the refetch must go back to

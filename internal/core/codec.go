@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"net/http"
-	"net/url"
-	"time"
 
 	"nakika/internal/httpmsg"
 	"nakika/internal/state"
@@ -12,10 +9,8 @@ import (
 )
 
 // Binary codecs for the core RPC payloads (replication forwards, handoff
-// range streams, offloaded requests), replacing the gob bodies the first
-// releases shipped. Encoders prefix wire.Magic; decoders sniff it and keep
-// accepting gob for one release so mixed-version rings upgrade cleanly (a
-// gob stream can never begin with the magic byte).
+// range streams, lease operations, offloaded requests). Encoders prefix
+// wire.Magic; decoders open their input with wire.Payload.
 
 // encodeRepForward renders a rep.put / rep.del / rep.get body.
 func encodeRepForward(req repForward) []byte {
@@ -27,16 +22,12 @@ func encodeRepForward(req repForward) []byte {
 	return buf
 }
 
-// decodeRepForward parses a rep forward body, accepting gob from old peers.
+// decodeRepForward parses a rep forward body.
 func decodeRepForward(payload []byte) (req repForward, err error) {
-	if len(payload) == 0 {
-		return repForward{}, fmt.Errorf("core: empty rep forward payload")
-	}
-	if payload[0] != wire.Magic {
-		err = gobDecode(payload, &req)
+	r, err := wire.Payload(payload)
+	if err != nil {
 		return
 	}
-	r := wire.Reader{Buf: payload, Off: 1}
 	if req.Site, err = r.String(); err != nil {
 		return
 	}
@@ -58,16 +49,12 @@ func encodeRepRangeReq(req repRangeReq) []byte {
 	return buf
 }
 
-// decodeRepRangeReq parses a rep.range request, accepting gob.
+// decodeRepRangeReq parses a rep.range request.
 func decodeRepRangeReq(payload []byte) (req repRangeReq, err error) {
-	if len(payload) == 0 {
-		return repRangeReq{}, fmt.Errorf("core: empty range request payload")
-	}
-	if payload[0] != wire.Magic {
-		err = gobDecode(payload, &req)
+	r, err := wire.Payload(payload)
+	if err != nil {
 		return
 	}
-	r := wire.Reader{Buf: payload, Off: 1}
 	if req.From, err = r.Uvarint(); err != nil {
 		return
 	}
@@ -102,16 +89,12 @@ func encodeRepRangeResp(resp repRangeResp) []byte {
 	return wire.AppendBool(buf, resp.More)
 }
 
-// decodeRepRangeResp parses one handoff chunk, accepting gob.
+// decodeRepRangeResp parses one handoff chunk.
 func decodeRepRangeResp(payload []byte) (resp repRangeResp, err error) {
-	if len(payload) == 0 {
-		return repRangeResp{}, fmt.Errorf("core: empty range response payload")
-	}
-	if payload[0] != wire.Magic {
-		err = gobDecode(payload, &resp)
+	r, err := wire.Payload(payload)
+	if err != nil {
 		return
 	}
-	r := wire.Reader{Buf: payload, Off: 1}
 	nrecs, err2 := r.Uvarint()
 	if err2 != nil {
 		err = err2
@@ -153,13 +136,12 @@ func encodeLeaseReq(req leaseReq) []byte {
 	return wire.AppendVarint(buf, req.TTL)
 }
 
-// decodeLeaseReq parses a lease operation body. Lease messages are new in
-// this release, so there is no gob grace path: the magic byte is required.
+// decodeLeaseReq parses a lease operation body.
 func decodeLeaseReq(payload []byte) (req leaseReq, err error) {
-	if len(payload) == 0 || payload[0] != wire.Magic {
-		return leaseReq{}, fmt.Errorf("core: malformed lease request payload")
+	r, err := wire.Payload(payload)
+	if err != nil {
+		return
 	}
-	r := wire.Reader{Buf: payload, Off: 1}
 	if req.Site, err = r.String(); err != nil {
 		return
 	}
@@ -196,13 +178,12 @@ func encodeLeaseFenced(req leaseFenced) []byte {
 	return state.AppendRec(buf, req.Rec)
 }
 
-// decodeLeaseFenced parses a fenced-write body (magic required; no gob
-// grace, like decodeLeaseReq).
+// decodeLeaseFenced parses a fenced-write body.
 func decodeLeaseFenced(payload []byte) (req leaseFenced, err error) {
-	if len(payload) == 0 || payload[0] != wire.Magic {
-		return leaseFenced{}, fmt.Errorf("core: malformed fenced write payload")
+	r, err := wire.Payload(payload)
+	if err != nil {
+		return
 	}
-	r := wire.Reader{Buf: payload, Off: 1}
 	if req.Guard, err = r.String(); err != nil {
 		return
 	}
@@ -216,52 +197,16 @@ func decodeLeaseFenced(payload []byte) (req leaseFenced, err error) {
 	return
 }
 
-// wireRequest is the legacy gob shape of an off.exec body; it survives only
-// as the grace decoder for requests sent by peers one release behind.
-type wireRequest struct {
-	Method   string
-	URL      string
-	Header   http.Header
-	Body     []byte
-	ClientIP string
-	Received time.Time
-}
-
 // encodeOffloadRequest renders an off.exec body from the pipeline request.
 func encodeOffloadRequest(req *httpmsg.Request) []byte {
 	return httpmsg.EncodeRequest(req)
 }
 
-// decodeOffloadRequest parses an off.exec body, accepting the legacy gob
-// wireRequest from old peers.
+// decodeOffloadRequest parses an off.exec body.
 func decodeOffloadRequest(payload []byte) (*httpmsg.Request, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("core: empty offload request payload")
-	}
-	var req *httpmsg.Request
-	if payload[0] == wire.Magic {
-		r := wire.Reader{Buf: payload, Off: 1}
-		var err error
-		if req, err = httpmsg.ReadRequest(&r); err != nil {
-			return nil, err
-		}
-	} else {
-		var w wireRequest
-		if err := gobDecode(payload, &w); err != nil {
-			return nil, fmt.Errorf("core: decode offloaded request: %w", err)
-		}
-		u, err := url.Parse(w.URL)
-		if err != nil {
-			return nil, fmt.Errorf("core: offloaded request url %q: %w", w.URL, err)
-		}
-		req = &httpmsg.Request{
-			Method:   w.Method,
-			URL:      u,
-			Header:   w.Header,
-			Body:     w.Body,
-			ClientIP: w.ClientIP,
-			Received: w.Received,
-		}
+	req, err := httpmsg.DecodeRequest(payload)
+	if err != nil {
+		return nil, err
 	}
 	if req.Header == nil {
 		req.Header = make(http.Header)

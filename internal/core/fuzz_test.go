@@ -8,10 +8,9 @@ import (
 )
 
 // FuzzRPCPayloads throws arbitrary bytes at every RPC body decoder on the
-// node's transport surface. Each decoder sniffs its first byte to pick
-// binary or legacy gob, and both arms must fail cleanly on garbage: no
-// panic, no unbounded allocation — a peer (or an attacker on the RPC
-// port) controls these bytes.
+// node's transport surface. Each must fail cleanly on garbage: no panic,
+// no unbounded allocation — a peer (or an attacker on the RPC port)
+// controls these bytes.
 func FuzzRPCPayloads(f *testing.F) {
 	f.Add(encodeRepForward(repForward{Site: "s", Key: "k", Value: "v"}))
 	f.Add(encodeRepRangeReq(repRangeReq{From: 1, To: 99, After: "user:a", Limit: 64}))
@@ -26,9 +25,7 @@ func FuzzRPCPayloads(f *testing.F) {
 		Guard: "\x00nk:lease:job", Holder: "node-1", Token: 7,
 		Rec: state.Rec{Site: "s", Key: "k", Ver: 3, Origin: "n1", Value: "v"},
 	}))
-	if gobForward, err := gobEncode(repForward{Site: "s", Key: "k", Value: "v"}); err == nil {
-		f.Add(gobForward) // legacy-arm seed: gob never starts with the magic byte
-	}
+	f.Add([]byte("\x32\x7f\x03\x01\x01\x0arepForward")) // how a gob stream begins: no magic byte
 	f.Add([]byte{0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -222,7 +222,7 @@ func (n *Node) ownerLeaseRelease(site, name, holder string, token uint64) (bool,
 // loop mirrors ownerPut.
 func (n *Node) ownerFencedPut(site, key, value, guard, holder string, token uint64) error {
 	if !n.repEnabled() {
-		// Single-node (or legacy bus) mode stores plain values — the same
+		// Single-node (or shared-bus) mode stores plain values — the same
 		// encoding StatePut uses there, so State.get reads fenced writes
 		// back. The backend's FencedPut is still one atomic admit + write +
 		// floor-raise; only the versioned LWW wrapper is skipped. Fenced

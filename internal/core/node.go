@@ -117,10 +117,9 @@ type Config struct {
 	// Directory locates peer nodes in-process; retained for embedding
 	// API compatibility (peer cache fetches now ride the Transport).
 	Directory *Directory
-	// Bus is the shared reliable messaging service for hard state
-	// replication. Nil with a Ring and Transport configured means a
-	// node-private bus whose updates are replicated over the transport;
-	// nil without them disables replication.
+	// Bus is the shared in-process reliable messaging service: nodes
+	// without a Ring replicate hard state over it, and State.propagate
+	// publishes on it. Nil leaves both off.
 	Bus *state.Bus
 	// ReplicationFactor is the number of copies kept of every hard-state
 	// key when a Ring and Transport are configured: the ring owner of the
@@ -128,8 +127,7 @@ type Config struct {
 	// synchronously, with reads failing over to the first live successor
 	// when the owner is dead (see internal/core/replication.go). Zero
 	// means the default of 3; 1 keeps owner-only placement (no replicas);
-	// negative disables successor replication entirely, restoring the
-	// legacy optimistic broadcast of state updates over the Bus.
+	// negative is an error.
 	ReplicationFactor int
 	// StateQuota is the per-site persistent storage quota in bytes.
 	StateQuota int64
@@ -303,7 +301,6 @@ type Node struct {
 	// engine across crash/recover cycles (nil without DataFS).
 	persistMu sync.Mutex
 	kvLog     *store.Log
-	ownBus    bool
 	// Successor-list replication state: the resolved factor (0 when
 	// disabled), one lock serializing versioned read-modify-write applies,
 	// and the flag overlay stabilization sets when churn calls for repair.
@@ -418,6 +415,9 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("core: node name is required")
 	}
+	if cfg.ReplicationFactor < 0 {
+		return nil, fmt.Errorf("core: replication factor %d: must be at least 1 (0 means the default of 3)", cfg.ReplicationFactor)
+	}
 	if cfg.Upstream == nil {
 		cfg.Upstream = &HTTPFetcher{}
 	}
@@ -504,20 +504,11 @@ func NewNode(cfg Config) (*Node, error) {
 	if n.tr == nil && cfg.Ring != nil {
 		n.tr = cfg.Ring.Transport
 	}
-	// Hard state replication: a shared Bus keeps the original direct-call
-	// semantics; otherwise, with peers reachable over the transport, each
-	// node runs a private bus whose updates are broadcast as state.update
-	// messages.
 	n.bus = cfg.Bus
-	if n.bus == nil && n.tr != nil && cfg.Ring != nil {
-		n.bus = state.NewBus()
-		n.bus.Remote = n.broadcastState
-		n.ownBus = true
-	}
-	// Successor-list replication of hard state: on by default (factor 3)
+	// Successor-list replication of hard state: on (factor 3 by default)
 	// whenever the node has an overlay position and a transport to push
-	// replicas over; a negative factor keeps the legacy bus broadcast.
-	if cfg.Ring != nil && n.tr != nil && cfg.ReplicationFactor >= 0 {
+	// replicas over.
+	if cfg.Ring != nil && n.tr != nil {
 		n.repFactor = cfg.ReplicationFactor
 		if n.repFactor == 0 {
 			n.repFactor = 3
@@ -533,15 +524,14 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if n.tr != nil {
 		// One registered name serves every subsystem: overlay routing and
-		// index RPCs, cooperative cache fetches, state replication, and
-		// successor-replication pushes/handoff.
+		// index RPCs, cooperative cache fetches, replication pushes and
+		// handoff, offload, leases, deploys and large-object segments.
 		// This replaces the overlay-only handler Ring.Join registered.
 		mux := transport.NewMux()
 		if n.overlay != nil {
 			mux.Route("ov.", n.overlay.ServeRPC)
 		}
 		mux.Route("cache.", n.serveCacheRPC)
-		mux.Route("state.", n.serveStateRPC)
 		mux.Route("rep.", n.serveRepRPC)
 		mux.Route("off.", n.serveOffloadRPC)
 		mux.Route("lease.", n.serveLeaseRPC)
@@ -589,13 +579,9 @@ func (n *Node) StoreStats() store.LogStats {
 	return kv.Stats()
 }
 
-// Shutdown flushes and closes the node's persistent store and stops its
-// private replication bus — the graceful path a SIGTERM takes. The node
-// must not serve requests afterwards.
+// Shutdown flushes and closes the node's persistent store — the graceful
+// path a SIGTERM takes. The node must not serve requests afterwards.
 func (n *Node) Shutdown() error {
-	if n.ownBus && n.bus != nil {
-		n.bus.Close()
-	}
 	n.cache.FlushToDisk()
 	n.persistMu.Lock()
 	kv := n.kvLog
@@ -1040,12 +1026,11 @@ func (n *Node) RepublishPending() int {
 }
 
 // ---------------------------------------------------------------------------
-// Peer RPC: cooperative cache fetches and state replication
+// Peer RPC: cooperative cache fetches
 // ---------------------------------------------------------------------------
 
 // encodeResponse and decodeResponse carry a cached response across the
-// transport: the httpmsg binary codec, with decode still accepting gob from
-// peers one release behind.
+// transport in the httpmsg binary codec.
 func encodeResponse(resp *httpmsg.Response) []byte {
 	return httpmsg.EncodeResponse(resp)
 }
@@ -1079,54 +1064,6 @@ func (n *Node) serveCacheRPC(from string, msg transport.Message) (transport.Mess
 		return transport.Message{Args: []string{"hit"}, Body: encodeResponse(resp)}, nil
 	default:
 		return transport.Message{}, fmt.Errorf("core: unknown cache message %q", msg.Type)
-	}
-}
-
-// broadcastState replicates one locally published state update to every
-// other ring member over the transport. Delivery is optimistic
-// (last-writer-wins, per the paper's default strategy): unreachable peers
-// simply miss the update. The fan-out is concurrent across peers — one
-// dead peer costs at most one call timeout, not a timeout per peer — but
-// each update completes before the next is sent, preserving per-peer
-// update order.
-func (n *Node) broadcastState(msg state.Message) {
-	if n.cfg.Ring == nil || n.tr == nil {
-		return
-	}
-	body := state.EncodeBusMessage(msg)
-	var wg sync.WaitGroup
-	for _, peer := range n.cfg.Ring.Nodes() {
-		if peer == n.cfg.Name {
-			continue
-		}
-		wg.Add(1)
-		go func(peer string) {
-			defer wg.Done()
-			_, _ = n.call(peer, transport.Message{Type: "state.update", Body: body})
-		}(peer)
-	}
-	wg.Wait()
-}
-
-// serveStateRPC applies replication updates received from peers.
-func (n *Node) serveStateRPC(from string, msg transport.Message) (transport.Message, error) {
-	switch msg.Type {
-	case "state.update":
-		m, err := state.DecodeBusMessage(msg.Body)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		if n.bus == nil {
-			return transport.Message{}, fmt.Errorf("core: no bus to apply state update")
-		}
-		// Touch the replica so a node that has never served the site still
-		// applies the update (the shared-bus mode attaches lazily too, but
-		// a remote update is an explicit signal the site is active).
-		n.replica(m.Site)
-		n.bus.Inject(m)
-		return transport.Message{}, nil
-	default:
-		return transport.Message{}, fmt.Errorf("core: unknown state message %q", msg.Type)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"nakika/internal/overlay"
 	"nakika/internal/resource"
 	"nakika/internal/state"
+	"nakika/internal/transport"
 )
 
 // memOrigin is an in-memory upstream serving scripts and content, counting
@@ -88,6 +89,15 @@ func TestNodeRequiresName(t *testing.T) {
 	}
 	if _, err := NewNode(Config{Name: "x", LocalNetworks: []string{"not-a-cidr"}}); err == nil {
 		t.Error("expected error for invalid local network")
+	}
+	// Successor lists are the only cross-node replication mode: there is no
+	// negative factor to ask for another one.
+	cfg := Config{Name: "x", Ring: overlay.NewRing(), Transport: transport.NewLocal(), ReplicationFactor: -1}
+	if _, err := NewNode(cfg); err == nil {
+		t.Error("expected error for a negative replication factor")
+	}
+	if members := cfg.Ring.Nodes(); len(members) != 0 {
+		t.Errorf("rejected node joined the ring: %v", members)
 	}
 }
 

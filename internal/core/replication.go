@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -65,24 +63,9 @@ type repRangeResp struct {
 	More bool
 }
 
-// gobEncode and gobDecode are the legacy payload codec: encode survives for
-// the mixed-version interop tests, decode backs the grace paths in codec.go
-// that accept payloads from peers one release behind.
-func gobEncode(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(b []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
-
 // repEnabled reports whether successor-list replication is active: it
-// needs the overlay for placement, the transport for pushes, and a
-// non-negative ReplicationFactor.
+// needs the overlay for placement and the transport for pushes (NewNode
+// resolves the factor only when it has both).
 func (n *Node) repEnabled() bool {
 	return n.overlay != nil && n.tr != nil && n.repFactor >= 1
 }

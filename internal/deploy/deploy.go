@@ -97,9 +97,7 @@ func (st *State) Add(b Bundle) {
 	}
 }
 
-// Encode serializes st into the binary record value. Deployment records are
-// new in this release, so — like the lease codec — there is no gob grace
-// path: Decode requires the magic byte.
+// Encode serializes st into the binary record value (magic byte first).
 func Encode(st State) string {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, wire.Magic)
@@ -117,10 +115,9 @@ func Encode(st State) string {
 // malformed input (arbitrary bytes can arrive over the wire or out of a
 // corrupted store); errors mean the value is not a deployment record.
 func Decode(s string) (State, error) {
-	r := wire.Reader{Buf: []byte(s)}
-	magic, err := r.Byte()
-	if err != nil || magic != wire.Magic {
-		return State{}, wire.ErrMalformed
+	r, err := wire.Payload([]byte(s))
+	if err != nil {
+		return State{}, err
 	}
 	var st State
 	if st.Active, err = r.Uvarint(); err != nil {
@@ -170,10 +167,9 @@ func EncodeSites(sites []string) string {
 
 // DecodeSites parses an index record value produced by EncodeSites.
 func DecodeSites(s string) ([]string, error) {
-	r := wire.Reader{Buf: []byte(s)}
-	magic, err := r.Byte()
-	if err != nil || magic != wire.Magic {
-		return nil, wire.ErrMalformed
+	r, err := wire.Payload([]byte(s))
+	if err != nil {
+		return nil, err
 	}
 	n, err := r.Uvarint()
 	if err != nil {

@@ -1,8 +1,6 @@
 package httpmsg
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -13,11 +11,8 @@ import (
 
 // Binary wire codecs for the two message types that cross the transport:
 // responses (cache.get and off.exec replies, disk-cache entries) and
-// requests (off.exec bodies). They replace the gob payloads those paths
-// shipped through their first releases; the Decode side sniffs wire.Magic
-// and keeps accepting gob for one release so mixed-version rings upgrade
-// cleanly. Encoders are append-style so callers can compose them into
-// pooled buffers.
+// requests (off.exec bodies). Encoders are append-style so callers can
+// compose them into pooled buffers.
 
 // AppendHeader appends h:
 //
@@ -143,21 +138,13 @@ func EncodeResponse(resp *Response) []byte {
 	return AppendResponse(buf, resp)
 }
 
-// DecodeResponse parses an EncodeResponse payload, still accepting the gob
-// encoding shipped by peers one release behind.
+// DecodeResponse parses an EncodeResponse payload.
 func DecodeResponse(payload []byte) (*Response, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("httpmsg: empty response payload")
+	r, err := wire.Payload(payload)
+	if err != nil {
+		return nil, err
 	}
-	if payload[0] == wire.Magic {
-		r := wire.Reader{Buf: payload, Off: 1}
-		return ReadResponse(&r)
-	}
-	var resp Response
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("httpmsg: decode response: %w", err)
-	}
-	return &resp, nil
+	return ReadResponse(&r)
 }
 
 // AppendRequest appends req's binary encoding (no magic byte):
@@ -217,10 +204,18 @@ func ReadRequest(r *wire.Reader) (*Request, error) {
 }
 
 // EncodeRequest renders req as a self-describing payload (magic byte
-// first). The gob grace decode for requests lives with the offload RPC
-// (internal/core), whose legacy payload was a core-private struct.
+// first).
 func EncodeRequest(req *Request) []byte {
 	buf := make([]byte, 0, 96+len(req.Body)+8*len(req.Header))
 	buf = append(buf, wire.Magic)
 	return AppendRequest(buf, req)
+}
+
+// DecodeRequest parses an EncodeRequest payload.
+func DecodeRequest(payload []byte) (*Request, error) {
+	r, err := wire.Payload(payload)
+	if err != nil {
+		return nil, err
+	}
+	return ReadRequest(&r)
 }

@@ -194,10 +194,10 @@ func EncodeManifest(m *Manifest) []byte {
 
 // DecodeManifest parses an EncodeManifest payload.
 func DecodeManifest(payload []byte) (*Manifest, error) {
-	if len(payload) == 0 || payload[0] != wire.Magic {
-		return nil, wire.ErrMalformed
+	r, err := wire.Payload(payload)
+	if err != nil {
+		return nil, err
 	}
-	r := wire.Reader{Buf: payload, Off: 1}
 	return ReadManifest(&r)
 }
 
@@ -236,10 +236,10 @@ func EncodeIndex(idx *Index) []byte {
 
 // DecodeIndex parses an EncodeIndex payload.
 func DecodeIndex(payload []byte) (*Index, error) {
-	if len(payload) == 0 || payload[0] != wire.Magic {
-		return nil, wire.ErrMalformed
+	r, err := wire.Payload(payload)
+	if err != nil {
+		return nil, err
 	}
-	r := wire.Reader{Buf: payload, Off: 1}
 	m, err := ReadManifest(&r)
 	if err != nil {
 		return nil, err

@@ -49,10 +49,10 @@ func Encode(rec Record) string {
 // including trailing garbage, so a truncated or corrupted stored value can
 // never be half-read as a valid lease.
 func Decode(s string) (Record, bool) {
-	if len(s) == 0 || s[0] != wire.Magic {
+	r, err := wire.Payload([]byte(s))
+	if err != nil {
 		return Record{}, false
 	}
-	r := wire.Reader{Buf: []byte(s), Off: 1}
 	rec, err := ReadRecord(&r)
 	if err != nil || r.Len() != 0 {
 		return Record{}, false

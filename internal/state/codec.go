@@ -1,21 +1,11 @@
 package state
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
+import "nakika/internal/wire"
 
-	"nakika/internal/wire"
-)
-
-// Binary wire codecs for the two state types that cross the transport:
-// versioned hard-state records (rep.store pushes, handoff streams, range
-// replies) and bus update messages (state.update broadcasts). Both replace
-// the gob payloads the replication paths shipped through their first
-// releases. Encoders are append-style so callers compose them into pooled
-// buffers; the self-describing Encode/Decode pairs prefix wire.Magic and the
-// decoders keep accepting gob for one release (a gob stream can never start
-// with the magic byte), so mixed-version rings upgrade cleanly.
+// Binary wire codec for versioned hard-state records, the one state type
+// that crosses the transport (rep.store pushes, handoff streams, range
+// replies). The encoder is append-style so callers compose it into pooled
+// buffers; the self-describing Encode/Decode pair prefixes wire.Magic.
 
 // AppendRec appends rec's binary encoding (no magic byte):
 //
@@ -59,71 +49,11 @@ func EncodeRec(rec Rec) []byte {
 	return AppendRec(buf, rec)
 }
 
-// DecodeRec parses an EncodeRec payload, still accepting the gob encoding
-// shipped by peers one release behind.
+// DecodeRec parses an EncodeRec payload.
 func DecodeRec(payload []byte) (Rec, error) {
-	if len(payload) == 0 {
-		return Rec{}, fmt.Errorf("state: empty record payload")
+	r, err := wire.Payload(payload)
+	if err != nil {
+		return Rec{}, err
 	}
-	if payload[0] == wire.Magic {
-		r := wire.Reader{Buf: payload, Off: 1}
-		return ReadRec(&r)
-	}
-	var rec Rec
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return Rec{}, fmt.Errorf("state: decode record: %w", err)
-	}
-	return rec, nil
-}
-
-// AppendBusMessage appends msg's binary encoding (no magic byte):
-//
-//	str(site) str(origin) str(payload) varint(seq) time(sent)
-func AppendBusMessage(buf []byte, msg Message) []byte {
-	buf = wire.AppendString(buf, msg.Site)
-	buf = wire.AppendString(buf, msg.Origin)
-	buf = wire.AppendString(buf, msg.Payload)
-	buf = wire.AppendVarint(buf, msg.Seq)
-	return wire.AppendTime(buf, msg.Sent)
-}
-
-// ReadBusMessage reads one AppendBusMessage-encoded message.
-func ReadBusMessage(r *wire.Reader) (msg Message, err error) {
-	if msg.Site, err = r.String(); err != nil {
-		return
-	}
-	if msg.Origin, err = r.String(); err != nil {
-		return
-	}
-	if msg.Payload, err = r.String(); err != nil {
-		return
-	}
-	if msg.Seq, err = r.Varint(); err != nil {
-		return
-	}
-	msg.Sent, err = r.Time()
-	return
-}
-
-// EncodeBusMessage renders one bus message as a self-describing payload.
-func EncodeBusMessage(msg Message) []byte {
-	buf := make([]byte, 0, 48+len(msg.Site)+len(msg.Origin)+len(msg.Payload))
-	buf = append(buf, wire.Magic)
-	return AppendBusMessage(buf, msg)
-}
-
-// DecodeBusMessage parses an EncodeBusMessage payload, still accepting gob.
-func DecodeBusMessage(payload []byte) (Message, error) {
-	if len(payload) == 0 {
-		return Message{}, fmt.Errorf("state: empty bus message payload")
-	}
-	if payload[0] == wire.Magic {
-		r := wire.Reader{Buf: payload, Off: 1}
-		return ReadBusMessage(&r)
-	}
-	var msg Message
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&msg); err != nil {
-		return Message{}, fmt.Errorf("state: decode bus message: %w", err)
-	}
-	return msg, nil
+	return ReadRec(&r)
 }

@@ -1,10 +1,8 @@
 package state
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/hex"
 	"testing"
-	"time"
 )
 
 func TestRecRoundTrip(t *testing.T) {
@@ -25,61 +23,38 @@ func TestRecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRecAcceptsGob(t *testing.T) {
-	rec := Rec{Site: "s", Key: "k", Ver: 3, Origin: "old-node", Value: "legacy"}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+// gobRec is Rec{Site: "example.org", Key: "user:alice", Ver: 7, Origin:
+// "edge-1", Value: "profile-v2"} as the gob encoder wrote it for the release
+// that shipped gob bodies.
+const gobRec = "497f0301010352656301ff80000106010453697465010c0001034b6579010c00010356657201060001064f726967696e010c00010644656c657465010200010556616c7565010c00000032ff80010b6578616d706c652e6f7267010a757365723a616c69636501070106656467652d31020a70726f66696c652d763200"
+
+// TestDecodeRecRejectsWhatIsNotARecord: there is one encoding, so a gob
+// stream, arbitrary bytes and every truncation are all errors, never a
+// panic and never a record.
+func TestDecodeRecRejectsWhatIsNotARecord(t *testing.T) {
+	gobBytes, err := hex.DecodeString(gobRec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRec(buf.Bytes())
-	if err != nil {
-		t.Fatalf("gob grace decode: %v", err)
-	}
-	if got != rec {
-		t.Fatalf("gob grace: got %+v want %+v", got, rec)
-	}
-}
-
-func TestDecodeRecMalformed(t *testing.T) {
-	cases := [][]byte{nil, {}, {0}, {0, 200}, {0, 5, 'a'}}
+	cases := [][]byte{nil, {}, {0}, {0, 200}, {0, 5, 'a'}, gobBytes, []byte("not a record"), {0xff, 0, 1, 2}}
 	for _, c := range cases {
-		if _, err := DecodeRec(c); err == nil {
-			t.Fatalf("DecodeRec(%v): expected error", c)
+		if rec, err := DecodeRec(c); err == nil {
+			t.Errorf("DecodeRec(% x) = %+v, want an error", c, rec)
 		}
 	}
 }
 
-func TestBusMessageRoundTrip(t *testing.T) {
-	msgs := []Message{
-		{},
-		{Site: "s.example", Origin: "n1", Payload: "put 1 1 kv", Seq: 42, Sent: time.Unix(0, 1754600000000000000)},
-		{Site: "s", Origin: "n2", Payload: "", Seq: -1},
+// TestRecGolden pins the record encoding to bytes captured from the build
+// that still had the gob arm: what that build pushes or streams in a
+// handoff, this one reads.
+func TestRecGolden(t *testing.T) {
+	const golden = "000b6578616d706c652e6f72670a757365723a616c6963650706656467652d31000a70726f66696c652d7632"
+	rec := Rec{Site: "example.org", Key: "user:alice", Value: "profile-v2", Ver: 7, Origin: "edge-1"}
+	if got := hex.EncodeToString(EncodeRec(rec)); got != golden {
+		t.Errorf("EncodeRec = %s, want %s", got, golden)
 	}
-	for _, msg := range msgs {
-		got, err := DecodeBusMessage(EncodeBusMessage(msg))
-		if err != nil {
-			t.Fatalf("DecodeBusMessage: %v", err)
-		}
-		if got.Site != msg.Site || got.Origin != msg.Origin || got.Payload != msg.Payload || got.Seq != msg.Seq {
-			t.Fatalf("round trip: got %+v want %+v", got, msg)
-		}
-		if got.Sent.UnixNano() != msg.Sent.UnixNano() && !(got.Sent.IsZero() && msg.Sent.IsZero()) {
-			t.Fatalf("Sent round trip: got %v want %v", got.Sent, msg.Sent)
-		}
-	}
-}
-
-func TestDecodeBusMessageAcceptsGob(t *testing.T) {
-	msg := Message{Site: "s", Origin: "old", Payload: "p", Seq: 9, Sent: time.Unix(100, 0)}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBusMessage(buf.Bytes())
-	if err != nil {
-		t.Fatalf("gob grace decode: %v", err)
-	}
-	if got.Site != msg.Site || got.Seq != msg.Seq || !got.Sent.Equal(msg.Sent) {
-		t.Fatalf("gob grace: got %+v want %+v", got, msg)
+	raw, _ := hex.DecodeString(golden)
+	if got, err := DecodeRec(raw); err != nil || got != rec {
+		t.Errorf("DecodeRec(golden) = %+v, %v", got, err)
 	}
 }

@@ -107,10 +107,11 @@ func DecodeVersioned(s string) (ver uint64, origin string, deleted bool, value s
 // GetVersioned reads the versioned record for (site, key) from the local
 // store. ok is false when the key is absent; tombstones are returned with
 // deleted=true (the caller decides whether a tombstone reads as a miss).
-// A raw value that predates replication (written while it was disabled)
-// reads as a version-0 record with no origin: legacy data stays readable
-// when replication is turned on, any replicated write supersedes it, and
-// repair migrates it to the key's replica set.
+// A raw value — what a single-node nakikad writes — reads as a version-0
+// record with no origin. That is a supported input, not a grace path: it is
+// how a data directory stays readable when -peers is added to the node that
+// wrote it. Any replicated write supersedes it, and repair migrates it to
+// the key's replica set.
 func (s *Store) GetVersioned(site, key string) (ver uint64, origin string, deleted bool, value string, ok bool) {
 	raw, found := s.Get(site, key)
 	if !found {
@@ -160,9 +161,9 @@ func (s *Store) KeysVersioned(site string) []string {
 // VersionedRecords scans the whole local store and returns every record
 // (tombstones included — repair and handoff must propagate them) for
 // which keep returns true. A nil keep returns everything. Raw
-// pre-replication values travel as version-0 records (see GetVersioned),
-// so repair migrates legacy data into the replica set. Records come out
-// in the engine's deterministic site-then-key order.
+// single-node values travel as version-0 records (see GetVersioned), so
+// repair migrates them into the replica set. Records come out in the
+// engine's deterministic site-then-key order.
 func (s *Store) VersionedRecords(keep func(site, key string) bool) []Rec {
 	var out []Rec
 	s.Backend().Range(func(site, key, raw string) bool {

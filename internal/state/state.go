@@ -120,12 +120,6 @@ type Handler func(msg Message)
 // default; SetAsync switches to buffered asynchronous delivery, in which
 // case Flush waits for the queue to drain.
 type Bus struct {
-	// Remote, when non-nil, is invoked (outside bus locks) for every
-	// locally published message, letting a node-private bus forward its
-	// updates over a transport. Remotely received messages are applied with
-	// Inject, which delivers locally without re-forwarding. Set before use.
-	Remote func(msg Message)
-
 	mu          sync.Mutex
 	subscribers map[string]map[string]Handler // site -> node name -> handler
 	seq         int64
@@ -133,7 +127,7 @@ type Bus struct {
 	async       bool
 	queue       chan Message
 	wg          sync.WaitGroup
-	senders     sync.WaitGroup // in-flight Publish/Inject enqueues
+	senders     sync.WaitGroup // in-flight Publish enqueues
 	closed      bool
 }
 
@@ -205,32 +199,7 @@ func (b *Bus) Publish(site, origin, payload string) int64 {
 		b.deliver(msg)
 	}
 	b.senders.Done()
-	if b.Remote != nil {
-		b.Remote(msg)
-	}
 	return msg.Seq
-}
-
-// Inject delivers a message received from another node's bus to local
-// subscribers only, without invoking Remote (no re-forwarding loops).
-func (b *Bus) Inject(msg Message) {
-	b.mu.Lock()
-	async := b.async
-	queue := b.queue
-	closed := b.closed
-	if !closed {
-		b.senders.Add(1)
-	}
-	b.mu.Unlock()
-	if closed {
-		return
-	}
-	if async {
-		queue <- msg
-	} else {
-		b.deliver(msg)
-	}
-	b.senders.Done()
 }
 
 // deliver invokes every subscriber for the message's site except the
@@ -266,7 +235,7 @@ func (b *Bus) Delivered() int64 {
 }
 
 // Close shuts down asynchronous delivery and waits for the queue to drain.
-// In-flight Publish/Inject enqueues finish before the queue is closed.
+// In-flight Publish enqueues finish before the queue is closed.
 func (b *Bus) Close() {
 	b.mu.Lock()
 	if b.closed {

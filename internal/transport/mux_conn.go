@@ -8,33 +8,29 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"nakika/internal/wire"
 )
 
-// Multiplexed connection protocol (wire protocol v2). Both sides still
-// exchange 4-byte length-prefixed frames (wire.go), but one persistent
-// connection per peer address carries many in-flight calls at once:
+// The TCP protocol. Both sides exchange 4-byte length-prefixed frames
+// (wire.go), and one persistent connection per peer address carries many
+// in-flight calls at once:
 //
 //	hello:    0x00 0xF1 "nkmux1"          client → server, first frame
 //	helloAck: 0x00 0xF2 "nkmux1"          server → client, first reply
-//	request:  0x00 0xF3 uvarint(id) <legacy request payload>
-//	reply:    0x00 0xF4 uvarint(id) <legacy reply payload>
+//	request:  0x00 0xF3 uvarint(id) <request payload>
+//	reply:    0x00 0xF4 uvarint(id) <reply payload>
 //
-// The leading 0x00 can never begin a legacy request payload (its first byte
-// is uvarint(len(from)) and callers are named nodes), so a server
-// distinguishes mux and legacy clients by the first frame alone: a hello
-// upgrades the connection to mux mode, anything else serves the legacy
-// one-exchange-per-acquisition loop. A legacy server answers the hello with
-// a "malformed frame" error reply and keeps the connection open — the new
-// client reads the non-ack, marks the peer legacy for a grace interval, and
-// parks the (still healthy) connection in the one-shot idle pool.
+// A server closes a connection whose first frame is not the hello without
+// dispatching anything, and a client treats any handshake reply but the ack
+// as a failed dial.
 //
-// Outbound frames on a mux connection are corked: concurrent senders append
-// complete frames to a shared buffer and a single writer goroutine flushes
-// each batch with one Write call, so a burst of replication pushes or
-// hedged reads costs one syscall, not one per call. The reader goroutine
-// demuxes replies to waiting callers by request ID; per-call timeouts
-// abandon only the call (the ID's eventual reply is dropped), never the
-// connection.
+// Outbound frames are corked: concurrent senders append complete frames to
+// a shared buffer and a single writer goroutine flushes each batch with one
+// Write call, so a burst of replication pushes or hedged reads costs one
+// syscall, not one per call. The reader goroutine demuxes replies to
+// waiting callers by request ID; per-call timeouts abandon only the call
+// (the ID's eventual reply is dropped), never the connection.
 const (
 	muxMagic    = 0x00
 	muxHello    = 0xF1
@@ -43,9 +39,8 @@ const (
 	muxReply    = 0xF4
 )
 
-// muxToken guards the hello/helloAck frames against payloads that happen to
-// begin 0x00: the handshake, the only point where the two protocols meet on
-// one connection, is unambiguous.
+// muxToken names the protocol in the hello/helloAck frames, so a stray
+// client of some other protocol is refused at the first frame.
 var muxToken = []byte("nkmux1")
 
 // maxCork bounds the corked-write buffer: a sender that would push the
@@ -90,26 +85,21 @@ func isMuxHelloAck(payload []byte) bool {
 // appendMuxHeader appends the request/reply mux header.
 func appendMuxHeader(buf []byte, kind byte, id uint64) []byte {
 	buf = append(buf, muxMagic, kind)
-	return binary.AppendUvarint(buf, id)
+	return wire.AppendUvarint(buf, id)
 }
 
-// parseMuxFrame splits a mux frame into kind, request ID, and the inner
-// legacy payload. ok is false for frames that are not mux-framed.
+// parseMuxFrame splits a request or reply frame into kind, request ID, and
+// the inner payload. ok is false for anything else.
 func parseMuxFrame(payload []byte) (kind byte, id uint64, inner []byte, ok bool) {
-	if len(payload) < 2 || payload[0] != muxMagic {
+	if len(payload) < 2 || payload[0] != muxMagic || (payload[1] != muxReq && payload[1] != muxReply) {
 		return 0, 0, nil, false
 	}
-	switch payload[1] {
-	case muxReq, muxReply:
-		v, n := binary.Uvarint(payload[2:])
-		if n <= 0 {
-			return 0, 0, nil, false
-		}
-		return payload[1], v, payload[2+n:], true
-	case muxHello, muxHelloAck:
-		return payload[1], 0, payload[2:], true
+	r := wire.Reader{Buf: payload, Off: 2}
+	id, err := r.Uvarint()
+	if err != nil {
+		return 0, 0, nil, false
 	}
-	return 0, 0, nil, false
+	return payload[1], id, payload[r.Off:], true
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 package transport
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -58,77 +62,120 @@ func TestMuxSharesOneConnection(t *testing.T) {
 	}
 }
 
-// TestMuxFallsBackToLegacyServer pins the mixed-version path: a server
-// running the previous protocol (emulated with DisableMux) refuses the
-// handshake, and the client transparently serves the peer over the legacy
-// one-shot pool — including reusing the connection the handshake rode on.
-func TestMuxFallsBackToLegacyServer(t *testing.T) {
-	ta, tb := NewTCP(), NewTCP()
-	defer ta.Close()
+// TestNonHelloFirstFrameClosesConn pins the check on outside input at the
+// door: a connection whose first frame is anything but the hello — here a
+// well-formed request payload for a registered node — is closed, and no
+// handler runs.
+func TestNonHelloFirstFrameClosesConn(t *testing.T) {
+	tb := NewTCP()
 	defer tb.Close()
-	tb.DisableMux = true
-	tb.Register("srv", echoHandler("srv"))
-	addrB, err := tb.Listen("127.0.0.1:0")
+	var handled atomic.Int64
+	tb.Register("srv", func(from string, msg Message) (Message, error) {
+		handled.Add(1)
+		return Message{}, nil
+	})
+	addr, err := tb.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta.AddPeer("srv", addrB.String())
-
-	for i := 0; i < 4; i++ {
-		reply, err := ta.Call("cli", "srv", Message{Type: "echo", Key: fmt.Sprintf("k%d", i)})
+	firstFrames := map[string][]byte{
+		"request payload": appendRequest(nil, "cli", "srv", Message{Type: "echo"}),
+		"mux request":     appendRequest(appendMuxHeader(nil, muxReq, 1), "cli", "srv", Message{Type: "echo"}),
+		"hello ack":       helloAckFrame(),
+		"empty":           {},
+	}
+	for name, first := range firstFrames {
+		conn, err := net.Dial("tcp", addr.String())
 		if err != nil {
-			t.Fatalf("call %d over legacy fallback: %v", i, err)
+			t.Fatal(err)
 		}
-		if reply.Key != fmt.Sprintf("k%d", i) {
-			t.Errorf("call %d reply = %+v", i, reply)
+		if err := writeFrame(conn, first); err != nil {
+			t.Fatal(err)
 		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if frame, err := readFrame(conn); err != io.EOF {
+			t.Errorf("%s: server answered %x, %v; want the connection closed", name, frame, err)
+		}
+		conn.Close()
 	}
-
-	// The refusal is remembered: the client stops offering the handshake
-	// for the grace interval instead of re-probing on every call.
-	ta.muxMu.Lock()
-	e := ta.mux[addrB.String()]
-	ta.muxMu.Unlock()
-	if e == nil {
-		t.Fatal("no mux entry recorded for legacy peer")
-	}
-	e.mu.Lock()
-	legacy := time.Now().Before(e.legacyUntil)
-	e.mu.Unlock()
-	if !legacy {
-		t.Error("legacy refusal not remembered")
-	}
-	// The handshake connection was parked in the one-shot pool, not leaked.
-	ta.mu.Lock()
-	pooled := len(ta.idle["srv"])
-	ta.mu.Unlock()
-	if pooled == 0 {
-		t.Error("handshake connection not parked in the idle pool")
+	if n := handled.Load(); n != 0 {
+		t.Errorf("handler ran %d times for connections that never said hello", n)
 	}
 }
 
-// TestMuxDisabledClientSpeaksLegacy pins the other direction: a client one
-// release behind (emulated with DisableMux) never offers the handshake, and
-// a current server serves its first non-hello frame over the legacy loop.
-func TestMuxDisabledClientSpeaksLegacy(t *testing.T) {
-	ta, tb := NewTCP(), NewTCP()
-	defer ta.Close()
-	defer tb.Close()
-	ta.DisableMux = true
-	tb.Register("srv", echoHandler("srv"))
-	addrB, err := tb.Listen("127.0.0.1:0")
+// fakeListener accepts connections, counts them, and hands each to serve.
+func fakeListener(t *testing.T, serve func(net.Conn)) (addr string, accepts *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta.AddPeer("srv", addrB.String())
-	for i := 0; i < 3; i++ {
-		reply, err := ta.Call("cli", "srv", Message{Type: "echo", Key: "legacy"})
-		if err != nil {
-			t.Fatalf("legacy client call %d: %v", i, err)
+	accepts = new(atomic.Int64)
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				serve(conn)
+			}()
 		}
-		if reply.Key != "legacy" {
-			t.Errorf("reply = %+v", reply)
+	}()
+	return ln.Addr().String(), accepts
+}
+
+// TestHandshakeRefusalIsDialFailure pins the client half: a peer that
+// answers the hello with anything but the ack is unreachable, behind the
+// same backoff gate as a refused connection.
+func TestHandshakeRefusalIsDialFailure(t *testing.T) {
+	addr, accepts := fakeListener(t, func(conn net.Conn) {
+		if _, err := readFrame(conn); err == nil {
+			_ = writeFrame(conn, appendReply(nil, Message{}, errors.New("what hello?")))
+			_, _ = readFrame(conn) // hold the connection until the client hangs up
 		}
+	})
+	tr := NewTCP()
+	defer tr.Close()
+	tr.AddPeer("odd", addr)
+	for i := 0; i < 2; i++ {
+		if _, err := tr.Call("cli", "odd", Message{}); !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("call %d to a peer that refuses the handshake = %v", i, err)
+		}
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Errorf("%d connections for two calls inside one backoff window, want 1", n)
+	}
+}
+
+// TestDialBackoffCountsFromTheFailure is the regression test for the gate
+// that never closed: a peer that accepts and then says nothing costs a full
+// DialTimeout per handshake, and a backoff counted from before the dial
+// had already run out when the failure came back, so every queued caller
+// dialed the black hole again.
+func TestDialBackoffCountsFromTheFailure(t *testing.T) {
+	hold := make(chan struct{})
+	defer close(hold)
+	addr, accepts := fakeListener(t, func(net.Conn) { <-hold })
+	tr := NewTCP()
+	defer tr.Close()
+	tr.DialTimeout = 50 * time.Millisecond
+	tr.AddPeer("hole", addr)
+	for i := 0; i < 2; i++ {
+		if _, err := tr.Call("cli", "hole", Message{}); !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("call %d to a black-holed peer = %v", i, err)
+		}
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Errorf("second call, issued as soon as the first failed, dialed again (%d accepts)", n)
 	}
 }
 
@@ -172,44 +219,6 @@ func TestMuxCallTimeoutLeavesConnUsable(t *testing.T) {
 	tb.mu.Unlock()
 	if conns != 1 {
 		t.Errorf("timeout should not kill the connection, server sees %d conns", conns)
-	}
-}
-
-// TestIdlePoolBounded pins the legacy pool bounds: overflow connections are
-// closed rather than parked, per peer and in total.
-func TestIdlePoolBounded(t *testing.T) {
-	tr := NewTCP()
-	park := func(name string) net.Conn {
-		a, b := net.Pipe()
-		t.Cleanup(func() { a.Close(); b.Close() })
-		tr.release(name, a)
-		return a
-	}
-	for i := 0; i < maxIdlePerPeer+3; i++ {
-		park("peer0")
-	}
-	tr.mu.Lock()
-	perPeer, total := len(tr.idle["peer0"]), tr.idleTotal
-	tr.mu.Unlock()
-	if perPeer != maxIdlePerPeer || total != maxIdlePerPeer {
-		t.Fatalf("per-peer pool = %d (total %d), want %d", perPeer, total, maxIdlePerPeer)
-	}
-	for p := 1; tr.idleTotal < maxIdleTotal; p++ {
-		for i := 0; i < maxIdlePerPeer && tr.idleTotal < maxIdleTotal; i++ {
-			park(fmt.Sprintf("peer%d", p))
-		}
-	}
-	overflow := park("peer-overflow")
-	tr.mu.Lock()
-	total = tr.idleTotal
-	pooledOverflow := len(tr.idle["peer-overflow"])
-	tr.mu.Unlock()
-	if total != maxIdleTotal || pooledOverflow != 0 {
-		t.Fatalf("total pool = %d (overflow pooled %d), want cap %d", total, pooledOverflow, maxIdleTotal)
-	}
-	// The overflow connection was closed, not leaked.
-	if _, err := overflow.Write([]byte("x")); err == nil {
-		t.Error("overflow connection should be closed")
 	}
 }
 
@@ -259,22 +268,79 @@ func TestMuxFrameHelpers(t *testing.T) {
 	if !isMuxHelloAck(helloAckFrame()) || isMuxHelloAck(helloFrame()) {
 		t.Error("helloAck frame classification broken")
 	}
-	// A legacy request payload must never classify as a hello: its first
-	// byte is uvarint(len(from)) which is nonzero for any named node.
-	legacy := encodeRequest("node-a", "node-b", Message{Type: "echo"})
-	if isMuxHello(legacy) {
-		t.Error("legacy request classified as mux hello")
-	}
 	frame := appendMuxHeader(nil, muxReq, 12345)
 	frame = append(frame, []byte("payload")...)
 	kind, id, inner, ok := parseMuxFrame(frame)
 	if !ok || kind != muxReq || id != 12345 || string(inner) != "payload" {
 		t.Errorf("parseMuxFrame = %v %v %q %v", kind, id, inner, ok)
 	}
-	if _, _, _, ok := parseMuxFrame([]byte{muxMagic}); ok {
-		t.Error("truncated frame should not parse")
+	for _, bad := range [][]byte{nil, {muxMagic}, {muxMagic, muxReq}, {muxMagic, 0x7f, 1}, helloFrame(),
+		appendRequest(nil, "node-a", "node-b", Message{Type: "echo"})} {
+		if _, _, _, ok := parseMuxFrame(bad); ok {
+			t.Errorf("parseMuxFrame(%x) should not parse as a request or reply", bad)
+		}
 	}
-	if _, _, _, ok := parseMuxFrame(legacy); ok {
-		t.Error("legacy payload should not parse as mux frame")
+}
+
+// TestWireGolden pins the bytes on the wire to literals captured from the
+// build before the one-shot protocol was removed, so a ring can be upgraded
+// node by node: the handshake, one request and one reply.
+func TestWireGolden(t *testing.T) {
+	msg := Message{Type: "rep.store", Key: "user:alice", Args: []string{"a1", ""}, Body: []byte("body")}
+	traced := msg
+	traced.Trace = 0xabc
+	reply := Message{Type: "rep.ok", Key: "user:alice", Args: []string{"x"}, Body: []byte("ok")}
+	cases := []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"hello", helloFrame(), "00f16e6b6d757831"},
+		{"ack", helloAckFrame(), "00f26e6b6d757831"},
+		{"request", appendRequest(appendMuxHeader(nil, muxReq, 300), "edge-1", "edge-2", msg),
+			"00f3ac0206656467652d3106656467652d32097265702e73746f72650a757365723a616c696365020261310004626f6479"},
+		{"traced request", appendRequest(appendMuxHeader(nil, muxReq, 300), "edge-1", "edge-2", traced),
+			"00f3ac0206656467652d3106656467652d32097265702e73746f72650a757365723a616c696365020261310004626f6479bc15"},
+		{"reply", appendReply(appendMuxHeader(nil, muxReply, 300), reply, nil),
+			"00f4ac0200067265702e6f6b0a757365723a616c696365010178026f6b"},
+		{"error reply", appendReply(appendMuxHeader(nil, muxReply, 300), Message{}, errors.New("boom")),
+			"00f4ac020104626f6f6d"},
 	}
+	for _, c := range cases {
+		if got := hex.EncodeToString(c.got); got != c.want {
+			t.Errorf("%s frame = %s, want %s", c.name, got, c.want)
+		}
+	}
+	// And the parent's bytes decode to the same messages.
+	raw, _ := hex.DecodeString(cases[3].want)
+	_, id, inner, ok := parseMuxFrame(raw)
+	from, to, got, err := decodeRequest(inner)
+	if !ok || id != 300 || err != nil || from != "edge-1" || to != "edge-2" || !reflect.DeepEqual(got, traced) {
+		t.Errorf("captured request decodes to %q %q %+v (id %d, ok %v, err %v)", from, to, got, id, ok, err)
+	}
+	raw, _ = hex.DecodeString(cases[4].want)
+	_, _, inner, _ = parseMuxFrame(raw)
+	if got, err := decodeReply(inner); err != nil || !reflect.DeepEqual(got, reply) {
+		t.Errorf("captured reply decodes to %+v, %v", got, err)
+	}
+}
+
+// FuzzMuxFrames feeds arbitrary bytes to everything that parses a frame
+// off the socket: none of it may panic or allocate past the frame.
+func FuzzMuxFrames(f *testing.F) {
+	f.Add(helloFrame())
+	f.Add(appendRequest(appendMuxHeader(nil, muxReq, 7), "a", "b", Message{Type: "rep.get", Key: "k", Args: []string{"x"}, Body: []byte("b"), Trace: 9}))
+	f.Add(appendReply(appendMuxHeader(nil, muxReply, 7), Message{Key: "k", Body: []byte("b")}, nil))
+	f.Add(appendReply(appendMuxHeader(nil, muxReply, 7), Message{}, errors.New("boom")))
+	f.Add([]byte{muxMagic, muxReq, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, _, inner, ok := parseMuxFrame(data); ok {
+			_, _, _, _ = decodeRequest(inner)
+			_, _ = decodeReply(inner)
+		}
+		_, _, _, _ = decodeRequest(data)
+		_, _ = decodeReply(data)
+		_, _ = isMuxHello(data), isMuxHelloAck(data)
+	})
 }

@@ -12,64 +12,38 @@ import (
 // local nodes' handlers on a listener, and an address book maps remote node
 // names to host:port addresses. Frames are length-prefixed (see wire.go).
 //
-// Calls ride one persistent multiplexed connection per peer address (wire
-// protocol v2, see mux_conn.go): many calls in flight at once, outbound
-// frames corked into batched writes, replies demuxed by request ID, and
-// reconnect-with-backoff when the connection dies. Peers that do not speak
-// the mux protocol (one release behind, or running with DisableMux) are
-// detected at the handshake and served by the legacy one-exchange-per-
-// acquisition path over a bounded idle-connection pool.
+// Calls ride one persistent multiplexed connection per peer address (see
+// mux_conn.go): many calls in flight at once, outbound frames corked into
+// batched writes, replies demuxed by request ID, and reconnect-with-backoff
+// when the connection dies.
 type TCP struct {
 	// DialTimeout bounds connection establishment (and the mux handshake);
 	// zero means 5s.
 	DialTimeout time.Duration
 	// CallTimeout bounds one request/reply exchange; zero means 30s.
 	CallTimeout time.Duration
-	// DisableMux forces the legacy one-shot protocol on both sides: the
-	// client never offers the mux handshake and the server ignores it,
-	// emulating a peer one release behind. The throughput bench uses it to
-	// measure the one-shot baseline; the interop tests use it to pin the
-	// mixed-version fallback.
-	DisableMux bool
 
-	mu        sync.RWMutex
-	handlers  map[string]Handler
-	peers     map[string]string // node name -> address
-	idle      map[string][]net.Conn
-	idleTotal int
-	accepted  map[net.Conn]struct{}
-	ln        net.Listener
-	closed    bool
-	wg        sync.WaitGroup
+	mu       sync.RWMutex
+	handlers map[string]Handler
+	peers    map[string]string // node name -> address
+	accepted map[net.Conn]struct{}
+	ln       net.Listener
+	closed   bool
+	wg       sync.WaitGroup
 
 	muxMu sync.Mutex
 	mux   map[string]*muxEntry // peer address -> persistent-connection state
 }
-
-// maxIdlePerPeer and maxIdleTotal bound the legacy idle-connection pool:
-// per-peer so one chatty peer cannot monopolize it, in total so wide
-// fan-out across many peers cannot grow the pool without limit. Overflow
-// connections are closed, not parked.
-const (
-	maxIdlePerPeer = 4
-	maxIdleTotal   = 64
-)
-
-// legacyRetryInterval is how long a peer that failed the mux handshake is
-// served over the legacy path before the handshake is offered again, so a
-// ring self-heals onto the mux protocol as peers upgrade.
-const legacyRetryInterval = time.Minute
 
 // maxDialBackoff caps reconnect backoff after repeated dial failures.
 const maxDialBackoff = 500 * time.Millisecond
 
 // muxEntry is the per-address persistent-connection state.
 type muxEntry struct {
-	mu          sync.Mutex
-	mc          *muxConn
-	legacyUntil time.Time // mux handshake refused until then
-	nextDialAt  time.Time // reconnect backoff gate
-	backoff     time.Duration
+	mu         sync.Mutex
+	mc         *muxConn
+	nextDialAt time.Time // reconnect backoff gate
+	backoff    time.Duration
 }
 
 // NewTCP returns a TCP transport with an empty address book.
@@ -77,7 +51,6 @@ func NewTCP() *TCP {
 	return &TCP{
 		handlers: make(map[string]Handler),
 		peers:    make(map[string]string),
-		idle:     make(map[string][]net.Conn),
 		accepted: make(map[net.Conn]struct{}),
 		mux:      make(map[string]*muxEntry),
 	}
@@ -157,15 +130,12 @@ func (t *TCP) Listen(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// Close stops the listener, closes pooled and multiplexed connections, and
+// Close stops the listener, closes accepted and dialed connections, and
 // waits for the serve goroutines to drain.
 func (t *TCP) Close() {
 	t.mu.Lock()
 	t.closed = true
 	ln := t.ln
-	idle := t.idle
-	t.idle = make(map[string][]net.Conn)
-	t.idleTotal = 0
 	accepted := make([]net.Conn, 0, len(t.accepted))
 	for c := range t.accepted {
 		accepted = append(accepted, c)
@@ -173,11 +143,6 @@ func (t *TCP) Close() {
 	t.mu.Unlock()
 	if ln != nil {
 		ln.Close()
-	}
-	for _, conns := range idle {
-		for _, c := range conns {
-			c.Close()
-		}
 	}
 	for _, c := range accepted {
 		c.Close()
@@ -203,40 +168,16 @@ func (t *TCP) Close() {
 // Server side
 // ---------------------------------------------------------------------------
 
-// serveConn handles one accepted connection. The first frame decides the
-// protocol: a mux hello upgrades the connection to the multiplexed serve
-// loop; anything else is served by the legacy one-exchange loop (old peers
-// never send a hello).
+// serveConn handles one accepted connection: the first frame must be the
+// hello, and anything else (a stray client, a port scan) closes the
+// connection before any handler can run.
 func (t *TCP) serveConn(conn net.Conn) {
 	defer conn.Close()
 	payload, err := readFrame(conn)
-	if err != nil {
+	if err != nil || !isMuxHello(payload) {
 		return
 	}
-	if !t.DisableMux && isMuxHello(payload) {
-		t.serveMux(conn)
-		return
-	}
-	for {
-		from, to, msg, err := decodeRequest(payload)
-		var reply Message
-		if err == nil {
-			t.mu.RLock()
-			h, ok := t.handlers[to]
-			t.mu.RUnlock()
-			if !ok {
-				err = fmt.Errorf("%w: %s", ErrUnknownNode, to)
-			} else {
-				reply, err = h(from, msg)
-			}
-		}
-		if werr := writeFrame(conn, encodeReply(reply, err)); werr != nil {
-			return
-		}
-		if payload, err = readFrame(conn); err != nil {
-			return
-		}
-	}
+	t.serveMux(conn)
 }
 
 // serveMux runs the server half of one multiplexed connection: requests
@@ -300,8 +241,13 @@ func (t *TCP) serveMuxRequest(w *corkedWriter, id uint64, payload []byte) {
 // ---------------------------------------------------------------------------
 
 // Call implements Transport: local names are served directly; remote names
-// go over the peer's multiplexed connection, falling back to the legacy
-// one-shot path for peers that do not speak the mux protocol.
+// go over the peer's multiplexed connection.
+//
+// Retry rule: a failure on a connection established by an earlier call (it
+// may have been dead since the peer restarted) retries on a fresh dial; a
+// failure on a freshly dialed connection reports the peer unreachable.
+// Timeouts never retry — the connection is healthy, the handler is just
+// slow, and a silent re-send could double a mutation.
 func (t *TCP) Call(from, to string, msg Message) (Message, error) {
 	t.mu.RLock()
 	h, local := t.handlers[to]
@@ -317,56 +263,28 @@ func (t *TCP) Call(from, to string, msg Message) (Message, error) {
 	if !remote {
 		return Message{}, fmt.Errorf("%w: %s", ErrUnknownNode, to)
 	}
-	if !t.DisableMux {
-		if reply, err, handled := t.callMux(from, to, addr, msg); handled {
-			return reply, err
-		}
-	}
-	return t.callOneShot(from, to, addr, msg)
-}
-
-// callMux issues one call over the peer's multiplexed connection.
-// handled=false means the peer does not speak mux (or refused the
-// handshake recently) and the caller should use the legacy path.
-//
-// Retry rule, mirroring the legacy pooled-connection semantics: a failure
-// on a connection established by an earlier call (it may have been dead
-// since the peer restarted) retries on a fresh dial; a failure on a
-// freshly dialed connection reports the peer unreachable. Timeouts never
-// retry — the connection is healthy, the handler is just slow, and a
-// silent re-send could double a mutation.
-func (t *TCP) callMux(from, to, addr string, msg Message) (Message, error, bool) {
 	for attempt := 0; attempt < 3; attempt++ {
-		mc, fresh, legacy, err := t.getMux(to, addr)
-		if legacy {
-			return Message{}, nil, false
-		}
+		mc, fresh, err := t.getMux(addr)
 		if err != nil {
-			return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err), true
+			return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
 		}
 		payload, err := mc.roundTrip(from, to, msg, t.callTimeout())
 		if err == nil {
-			reply, derr := decodeReply(payload)
-			return reply, derr, true
+			return decodeReply(payload)
 		}
-		if errors.Is(err, errCallTimeout) {
-			return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err), true
+		if errors.Is(err, errCallTimeout) || (fresh && err != errStaleConn) {
+			return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
 		}
-		if !fresh || err == errStaleConn {
-			continue
-		}
-		return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err), true
 	}
-	return Message{}, fmt.Errorf("%w: %s: connection kept dying", ErrUnreachable, to), true
+	return Message{}, fmt.Errorf("%w: %s: connection kept dying", ErrUnreachable, to)
 }
 
 // getMux returns the live multiplexed connection for addr, dialing and
 // handshaking a new one when necessary. fresh=true reports a connection
-// dialed by this call (a failure on it is terminal, not retryable);
-// legacy=true reports a peer that refused the mux handshake (grace
-// fallback). Dial failures are gated by reconnect backoff so a dead peer
+// dialed by this call (a failure on it is terminal, not retryable). Dial
+// and handshake failures are gated by reconnect backoff so a dead peer
 // costs at most one dial per backoff window, not one per call.
-func (t *TCP) getMux(to, addr string) (mc *muxConn, fresh, legacy bool, err error) {
+func (t *TCP) getMux(addr string) (mc *muxConn, fresh bool, err error) {
 	t.muxMu.Lock()
 	e := t.mux[addr]
 	if e == nil {
@@ -378,42 +296,19 @@ func (t *TCP) getMux(to, addr string) (mc *muxConn, fresh, legacy bool, err erro
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.mc != nil && e.mc.alive() {
-		return e.mc, false, false, nil
+		return e.mc, false, nil
 	}
 	e.mc = nil
-	now := time.Now()
-	if now.Before(e.legacyUntil) {
-		return nil, false, true, nil
+	if time.Now().Before(e.nextDialAt) {
+		return nil, false, fmt.Errorf("transport: dial backoff to %s", addr)
 	}
-	if now.Before(e.nextDialAt) {
-		return nil, false, false, fmt.Errorf("transport: dial backoff to %s", addr)
-	}
-	conn, err := net.DialTimeout("tcp", addr, t.dialTimeout())
+	conn, err := t.dialMux(addr)
 	if err != nil {
-		e.bumpBackoff(now)
-		return nil, false, false, err
-	}
-	// Handshake under the dial deadline: offer mux, read the verdict.
-	_ = conn.SetDeadline(now.Add(t.dialTimeout()))
-	if err := writeFrame(conn, helloFrame()); err != nil {
-		conn.Close()
-		e.bumpBackoff(now)
-		return nil, false, false, err
-	}
-	ack, err := readFrame(conn)
-	if err != nil {
-		conn.Close()
-		e.bumpBackoff(now)
-		return nil, false, false, err
-	}
-	_ = conn.SetDeadline(time.Time{})
-	if !isMuxHelloAck(ack) {
-		// A legacy server answered the hello with a one-shot error reply
-		// and keeps the connection open: remember the refusal and park the
-		// healthy connection for the fallback path.
-		e.legacyUntil = time.Now().Add(legacyRetryInterval)
-		t.release(to, conn)
-		return nil, false, true, nil
+		// The gate opens a backoff after the failure is known: a dial or
+		// handshake that ran into its timeout has used up more than any
+		// backoff counted from its start.
+		e.bumpBackoff(time.Now())
+		return nil, false, err
 	}
 	e.backoff = 0
 	e.nextDialAt = time.Time{}
@@ -422,7 +317,7 @@ func (t *TCP) getMux(to, addr string) (mc *muxConn, fresh, legacy bool, err erro
 	if t.closed {
 		t.mu.Unlock()
 		conn.Close()
-		return nil, false, false, errConnClosed
+		return nil, false, errConnClosed
 	}
 	t.mu.Unlock()
 	e.mc = mc
@@ -436,7 +331,30 @@ func (t *TCP) getMux(to, addr string) (mc *muxConn, fresh, legacy bool, err erro
 		mc.readLoop()
 		t.forgetMux(addr, mc)
 	}()
-	return mc, true, false, nil
+	return mc, true, nil
+}
+
+// dialMux connects to addr and completes the handshake, all under the dial
+// timeout.
+func (t *TCP) dialMux(addr string) (net.Conn, error) {
+	deadline := time.Now().Add(t.dialTimeout())
+	conn, err := net.DialTimeout("tcp", addr, t.dialTimeout())
+	if err != nil {
+		return nil, err
+	}
+	_ = conn.SetDeadline(deadline)
+	if err = writeFrame(conn, helloFrame()); err == nil {
+		var ack []byte
+		if ack, err = readFrame(conn); err == nil && !isMuxHelloAck(ack) {
+			err = errors.New("transport: peer refused the handshake")
+		}
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	_ = conn.SetDeadline(time.Time{})
+	return conn, nil
 }
 
 // bumpBackoff advances the reconnect backoff after a failed dial.
@@ -462,73 +380,4 @@ func (t *TCP) forgetMux(addr string, mc *muxConn) {
 		e.mc = nil
 	}
 	e.mu.Unlock()
-}
-
-// callOneShot is the legacy request path: acquire a pooled (or fresh)
-// connection, run one exchange, return the connection to the bounded pool.
-// Pooled connections may have died since they were parked (peer restart,
-// idle timeout); I/O failures on pooled conns are retried — the whole pool
-// may be stale, so retry until acquire dials fresh — and only a failure on
-// a freshly dialed connection reports the peer unreachable.
-func (t *TCP) callOneShot(from, to, addr string, msg Message) (Message, error) {
-	for {
-		conn, pooled, err := t.acquire(to, addr)
-		if err != nil {
-			return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
-		}
-		payload, err := t.exchange(conn, encodeRequest(from, to, msg))
-		if err != nil {
-			conn.Close()
-			if pooled {
-				continue
-			}
-			return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
-		}
-		t.release(to, conn)
-		return decodeReply(payload)
-	}
-}
-
-// exchange writes one request frame and reads the reply frame under the
-// call deadline.
-func (t *TCP) exchange(conn net.Conn, request []byte) ([]byte, error) {
-	_ = conn.SetDeadline(time.Now().Add(t.callTimeout()))
-	if err := writeFrame(conn, request); err != nil {
-		return nil, err
-	}
-	payload, err := readFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	_ = conn.SetDeadline(time.Time{})
-	return payload, nil
-}
-
-// acquire returns a pooled idle connection to the peer (pooled=true) or
-// dials a new one.
-func (t *TCP) acquire(name, addr string) (conn net.Conn, pooled bool, err error) {
-	t.mu.Lock()
-	if conns := t.idle[name]; len(conns) > 0 {
-		conn := conns[len(conns)-1]
-		t.idle[name] = conns[:len(conns)-1]
-		t.idleTotal--
-		t.mu.Unlock()
-		return conn, true, nil
-	}
-	t.mu.Unlock()
-	conn, err = net.DialTimeout("tcp", addr, t.dialTimeout())
-	return conn, false, err
-}
-
-// release returns a healthy connection to the idle pool, which is bounded
-// per peer and in total (overflow closes the connection).
-func (t *TCP) release(name string, conn net.Conn) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed || len(t.idle[name]) >= maxIdlePerPeer || t.idleTotal >= maxIdleTotal {
-		conn.Close()
-		return
-	}
-	t.idle[name] = append(t.idle[name], conn)
-	t.idleTotal++
 }

@@ -24,8 +24,8 @@ import (
 
 // Message is one request or reply between nodes. Type selects the operation
 // (namespaced by subsystem: "ov.lookup" overlay routing, "cache.get"
-// cooperative cache, "state.update" bus replication, "rep.put"/"rep.get"/
-// "rep.store"/"rep.range" successor-list replication of hard state), Key
+// cooperative cache, "rep.put"/"rep.get"/"rep.store"/"rep.range"
+// successor-list replication of hard state), Key
 // carries the primary argument, Args carries auxiliary strings, and Body
 // carries an opaque payload.
 type Message struct {
@@ -35,8 +35,7 @@ type Message struct {
 	Body []byte
 	// Trace is the originating request's cross-node trace id; zero means
 	// untraced. It rides every transport (the wire codec appends it only
-	// when set, so untraced traffic is byte-identical to the pre-trace
-	// protocol, and peers still running it ignore the trailing field).
+	// when set, so untraced traffic carries no bytes for it).
 	Trace uint64
 }
 

@@ -58,7 +58,7 @@ func TestMuxRoutesByPrefix(t *testing.T) {
 	if r, _ := m.Serve("a", Message{Type: "cache.get"}); r.Key != "cache" {
 		t.Errorf("cache.get routed to %q", r.Key)
 	}
-	if _, err := m.Serve("a", Message{Type: "state.update"}); err == nil {
+	if _, err := m.Serve("a", Message{Type: "nosuch.op"}); err == nil {
 		t.Error("unrouted prefix should error")
 	}
 }
@@ -72,7 +72,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		{Type: "lease.acquire", Trace: 1},
 	}
 	for i, msg := range cases {
-		from, to, got, err := decodeRequest(encodeRequest("alice", "bob", msg))
+		from, to, got, err := decodeRequest(appendRequest(nil, "alice", "bob", msg))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -80,7 +80,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			len(got.Args) != len(msg.Args) || string(got.Body) != string(msg.Body) || got.Trace != msg.Trace {
 			t.Errorf("case %d: round trip mismatch", i)
 		}
-		rep, err := decodeReply(encodeReply(msg, nil))
+		rep, err := decodeReply(appendReply(nil, msg, nil))
 		if err != nil {
 			t.Fatalf("case %d reply: %v", i, err)
 		}
@@ -89,7 +89,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Remote errors survive the wire.
-	if _, err := decodeReply(encodeReply(Message{}, fmt.Errorf("kaboom"))); err == nil || !IsRemote(err) || !strings.Contains(err.Error(), "kaboom") {
+	if _, err := decodeReply(appendReply(nil, Message{}, fmt.Errorf("kaboom"))); err == nil || !IsRemote(err) || !strings.Contains(err.Error(), "kaboom") {
 		t.Errorf("error reply = %v", err)
 	}
 	// Malformed frames fail cleanly rather than panicking.
@@ -99,19 +99,19 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireTraceIsOptionalTrailingField pins the compatibility contract:
-// an untraced frame is byte-identical to the pre-trace encoding, and a
-// pre-trace frame decodes with Trace zero.
+// TestWireTraceIsOptionalTrailingField pins the trace id's encoding: a
+// traced frame is the untraced frame plus a trailing field, and an untraced
+// frame decodes with Trace zero.
 func TestWireTraceIsOptionalTrailingField(t *testing.T) {
 	msg := Message{Type: "rep.get", Key: "k", Body: []byte("b")}
-	plain := encodeRequest("a", "b", msg)
+	plain := appendRequest(nil, "a", "b", msg)
 	msg.Trace = 7
-	traced := encodeRequest("a", "b", msg)
+	traced := appendRequest(nil, "a", "b", msg)
 	if len(traced) <= len(plain) || string(traced[:len(plain)]) != string(plain) {
 		t.Fatalf("traced frame is not plain frame + trailing field (%d vs %d bytes)", len(traced), len(plain))
 	}
 	if _, _, got, err := decodeRequest(plain); err != nil || got.Trace != 0 {
-		t.Fatalf("pre-trace frame: trace = %d, err = %v, want 0 and nil", got.Trace, err)
+		t.Fatalf("untraced frame: trace = %d, err = %v, want 0 and nil", got.Trace, err)
 	}
 }
 
@@ -214,8 +214,8 @@ func TestTCPRetriesStalePooledConn(t *testing.T) {
 	if _, err := ta.Call("cli", "srv", Message{Key: "warm"}); err != nil {
 		t.Fatal(err)
 	}
-	// Restart the peer on the same address: the pooled connection is now
-	// dead, but the next call must redial instead of reporting the healthy
+	// Restart the peer on the same address: the established connection is
+	// now dead, but the next call must redial instead of reporting the healthy
 	// peer unreachable.
 	tb.Close()
 	tb2 := NewTCP()

@@ -4,12 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"nakika/internal/wire"
 )
 
 // Wire format: every frame is a 4-byte big-endian length followed by that
-// many payload bytes. A request payload is
+// many payload bytes. The first frame each way is the handshake and every
+// later frame carries a mux header (mux_conn.go) in front of a request or
+// reply payload. A request payload is
 //
 //	str(from) str(to) str(type) str(key) uvarint(nargs) str(arg)... bytes(body)
+//	[uvarint(trace)]
 //
 // and a reply payload is
 //
@@ -17,122 +22,83 @@ import (
 //	ok:    str(type) str(key) uvarint(nargs) str(arg)... bytes(body)
 //	error: str(message)
 //
-// where str and bytes are uvarint-length-prefixed byte strings. The frame
-// cap bounds memory taken by a single message on either side.
+// where str and bytes are uvarint-length-prefixed byte strings
+// (internal/wire). The frame cap bounds memory taken by a single message on
+// either side.
 
 // maxFrame bounds a single wire frame (16 MiB): larger cache bodies are
 // refused rather than buffered.
 const maxFrame = 16 << 20
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf []byte, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-type wireReader struct {
-	buf []byte
-	off int
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("transport: malformed frame: bad uvarint")
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *wireReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.buf)-r.off) {
-		return nil, fmt.Errorf("transport: malformed frame: truncated field")
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
-}
-
-func (r *wireReader) string() (string, error) {
-	b, err := r.bytes()
-	return string(b), err
-}
-
-// appendRequest appends a request frame payload (without the frame length).
-func appendRequest(buf []byte, from, to string, msg Message) []byte {
-	buf = appendString(buf, from)
-	buf = appendString(buf, to)
-	buf = appendString(buf, msg.Type)
-	buf = appendString(buf, msg.Key)
-	buf = binary.AppendUvarint(buf, uint64(len(msg.Args)))
+// appendMessage appends the message fields a request and an ok reply share:
+//
+//	str(type) str(key) uvarint(nargs) str(arg)... bytes(body)
+func appendMessage(buf []byte, msg Message) []byte {
+	buf = wire.AppendString(buf, msg.Type)
+	buf = wire.AppendString(buf, msg.Key)
+	buf = wire.AppendUvarint(buf, uint64(len(msg.Args)))
 	for _, a := range msg.Args {
-		buf = appendString(buf, a)
+		buf = wire.AppendString(buf, a)
 	}
-	buf = appendBytes(buf, msg.Body)
-	// The trace id is a trailing optional field: absent when zero, so
-	// untraced frames stay byte-identical to the pre-trace protocol, and
-	// decoders that predate it (which stop after the body) skip it.
-	if msg.Trace != 0 {
-		buf = binary.AppendUvarint(buf, msg.Trace)
-	}
-	return buf
+	return wire.AppendBytes(buf, msg.Body)
 }
 
-// encodeRequest renders a request frame payload (without the frame length).
-func encodeRequest(from, to string, msg Message) []byte {
-	return appendRequest(make([]byte, 0, 64+len(msg.Key)+len(msg.Body)), from, to, msg)
-}
-
-// decodeRequest parses a request frame payload.
-func decodeRequest(payload []byte) (from, to string, msg Message, err error) {
-	r := &wireReader{buf: payload}
-	if from, err = r.string(); err != nil {
+// readMessage reads one appendMessage-encoded message; the body is copied
+// out of the frame.
+func readMessage(r *wire.Reader) (msg Message, err error) {
+	if msg.Type, err = r.String(); err != nil {
 		return
 	}
-	if to, err = r.string(); err != nil {
+	if msg.Key, err = r.String(); err != nil {
 		return
 	}
-	if msg.Type, err = r.string(); err != nil {
+	nargs, err := r.Uvarint()
+	if err != nil {
 		return
 	}
-	if msg.Key, err = r.string(); err != nil {
-		return
-	}
-	nargs, err2 := r.uvarint()
-	if err2 != nil {
-		err = err2
-		return
-	}
-	if nargs > uint64(len(payload)) { // cheap sanity bound before allocating
-		err = fmt.Errorf("transport: malformed frame: arg count %d", nargs)
-		return
+	if nargs > uint64(r.Len()) { // cheap sanity bound before allocating
+		return msg, wire.ErrMalformed
 	}
 	for i := uint64(0); i < nargs; i++ {
 		var a string
-		if a, err = r.string(); err != nil {
+		if a, err = r.String(); err != nil {
 			return
 		}
 		msg.Args = append(msg.Args, a)
 	}
-	var body []byte
-	if body, err = r.bytes(); err != nil {
+	msg.Body, err = r.CopyBytes()
+	return
+}
+
+// appendRequest appends a request frame payload (without the frame length).
+func appendRequest(buf []byte, from, to string, msg Message) []byte {
+	buf = wire.AppendString(buf, from)
+	buf = wire.AppendString(buf, to)
+	buf = appendMessage(buf, msg)
+	// The trace id is a trailing optional field: absent when zero, so an
+	// untraced frame carries no bytes for it.
+	if msg.Trace != 0 {
+		buf = wire.AppendUvarint(buf, msg.Trace)
+	}
+	return buf
+}
+
+// decodeRequest parses a request frame payload.
+func decodeRequest(payload []byte) (from, to string, msg Message, err error) {
+	r := wire.NewReader(payload)
+	if from, err = r.String(); err != nil {
 		return
 	}
-	if len(body) > 0 {
-		msg.Body = append([]byte(nil), body...)
+	if to, err = r.String(); err != nil {
+		return
+	}
+	if msg, err = readMessage(r); err != nil {
+		return
 	}
 	// Optional trailing trace id (see appendRequest). A malformed tail is
 	// ignored rather than rejected: the request itself decoded fine.
-	if r.off < len(payload) {
-		if tr, terr := r.uvarint(); terr == nil {
+	if r.Len() > 0 {
+		if tr, terr := r.Uvarint(); terr == nil {
 			msg.Trace = tr
 		}
 	}
@@ -143,65 +109,29 @@ func decodeRequest(payload []byte) (from, to string, msg Message, err error) {
 func appendReply(buf []byte, msg Message, remoteErr error) []byte {
 	if remoteErr != nil {
 		buf = append(buf, 1)
-		return appendString(buf, remoteErr.Error())
+		return wire.AppendString(buf, remoteErr.Error())
 	}
 	buf = append(buf, 0)
-	buf = appendString(buf, msg.Type)
-	buf = appendString(buf, msg.Key)
-	buf = binary.AppendUvarint(buf, uint64(len(msg.Args)))
-	for _, a := range msg.Args {
-		buf = appendString(buf, a)
-	}
-	buf = appendBytes(buf, msg.Body)
-	return buf
-}
-
-// encodeReply renders a reply frame payload.
-func encodeReply(msg Message, remoteErr error) []byte {
-	return appendReply(make([]byte, 0, 32+len(msg.Key)+len(msg.Body)), msg, remoteErr)
+	return appendMessage(buf, msg)
 }
 
 // decodeReply parses a reply frame payload.
 func decodeReply(payload []byte) (Message, error) {
-	if len(payload) == 0 {
-		return Message{}, fmt.Errorf("transport: malformed frame: empty reply")
+	r := wire.NewReader(payload)
+	status, err := r.Byte()
+	if err != nil {
+		return Message{}, err
 	}
-	r := &wireReader{buf: payload[1:]}
-	if payload[0] != 0 {
-		text, err := r.string()
+	if status != 0 {
+		text, err := r.String()
 		if err != nil {
 			return Message{}, err
 		}
 		return Message{}, remoteError{msg: text}
 	}
-	var msg Message
-	var err error
-	if msg.Type, err = r.string(); err != nil {
-		return Message{}, err
-	}
-	if msg.Key, err = r.string(); err != nil {
-		return Message{}, err
-	}
-	nargs, err := r.uvarint()
+	msg, err := readMessage(r)
 	if err != nil {
 		return Message{}, err
-	}
-	if nargs > uint64(len(payload)) {
-		return Message{}, fmt.Errorf("transport: malformed frame: arg count %d", nargs)
-	}
-	for i := uint64(0); i < nargs; i++ {
-		var a string
-		if a, err = r.string(); err != nil {
-			return Message{}, err
-		}
-		msg.Args = append(msg.Args, a)
-	}
-	body, err := r.bytes()
-	if err != nil {
-		return Message{}, err
-	}
-	if len(body) > 0 {
-		msg.Body = append([]byte(nil), body...)
 	}
 	return msg, nil
 }

@@ -1,15 +1,14 @@
 // Package wire provides the append-style binary encoding primitives shared
 // by the transport framing and the subsystem RPC codecs (replication,
-// offload, cooperative cache, state bus). The format is the one
-// internal/transport's wire codec established: uvarint-length-prefixed byte
-// strings and uvarint integers, written by appending to a caller-supplied
-// buffer so encoders compose without intermediate allocations, and read by a
-// bounds-checked Reader that never panics on malformed input.
+// offload, cooperative cache, leases, deploys, large objects):
+// uvarint-length-prefixed byte strings and uvarint integers, written by
+// appending to a caller-supplied buffer so encoders compose without
+// intermediate allocations, and read by a bounds-checked Reader that never
+// panics on malformed input.
 //
-// Payloads produced by these codecs start with the Magic byte (0x00), which
-// no gob stream can begin with (gob's first byte is a nonzero message
-// length): decoders sniff it to keep accepting gob-encoded payloads from
-// peers one release behind (see the package users' Decode* functions).
+// Self-describing payloads produced by these codecs start with the Magic
+// byte; Payload is the one place that checks it, so every Decode* function
+// in the package's users opens its input the same way.
 //
 // The package also owns the buffer pool the hot path encodes into: GetBuf
 // returns a zero-length buffer with capacity, PutBuf recycles it. Buffers
@@ -24,10 +23,9 @@ import (
 	"time"
 )
 
-// Magic is the first byte of every binary-codec payload. A gob stream never
-// starts with 0x00 (the first byte is the nonzero length of the first
-// message), so one sniff byte distinguishes the two encodings during the
-// one-release upgrade window.
+// Magic is the first byte of every self-describing payload. It is part of
+// the stored formats (WAL records, manifests, disk-cache entries), so it
+// stays even though it is the only encoding there is.
 const Magic byte = 0x00
 
 // ErrMalformed reports a truncated or corrupt binary payload.
@@ -91,6 +89,16 @@ type Reader struct {
 
 // NewReader returns a reader over buf.
 func NewReader(buf []byte) *Reader { return &Reader{Buf: buf} }
+
+// Payload opens a self-describing payload: it returns a reader positioned
+// after the Magic byte, or ErrMalformed when p is empty or does not start
+// with it.
+func Payload(p []byte) (Reader, error) {
+	if len(p) == 0 || p[0] != Magic {
+		return Reader{}, ErrMalformed
+	}
+	return Reader{Buf: p, Off: 1}, nil
+}
 
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.Buf) - r.Off }
