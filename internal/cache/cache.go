@@ -1,19 +1,19 @@
 // Package cache implements the edge node's expiration-based caches.
 //
-// Three caches from the paper's prototype are provided:
+// Two caches from the paper's prototype are provided, beside the
+// single-flight Group (flight.go) that their users coalesce misses through:
 //
 //   - Cache: the HTTP proxy cache holding complete responses keyed by
 //     request cache key, honouring the web's expiration-based consistency
 //     model (Section 3.3) with a configurable default TTL and LRU eviction.
 //     The cache is sharded by key hash so concurrent pipelines do not
 //     serialize on one lock, and response bodies are cloned outside the
-//     critical section.
-//   - Negative entries: the implementation "caches the fact that a site does
-//     not publish a policy script, thus avoiding repeated checks for the
-//     nakika.js resource" (Section 4).
+//     critical section. It owns the freshness decision (Expiry) for every
+//     tier of the node, the large-object tier included.
 //   - Memo: a small in-memory memoization cache used for parsed decision
 //     trees and reusable scripting contexts (the 4 microsecond / 3
-//     microsecond retrievals reported in Section 5.1).
+//     microsecond retrievals reported in Section 5.1). The pipeline's
+//     negative caching of missing nakika.js resources is a Memo.
 package cache
 
 import (
@@ -52,9 +52,6 @@ type Config struct {
 	// DefaultTTL is used when a response carries no freshness information;
 	// zero means 60 seconds.
 	DefaultTTL time.Duration
-	// NegativeTTL is used for negative entries (missing nakika.js); zero
-	// means 5 minutes.
-	NegativeTTL time.Duration
 	// Shards is the desired number of lock shards, rounded down to a power
 	// of two; zero means 16. The effective count is reduced so every shard
 	// keeps a useful slice of the entry and byte budgets (small caches
@@ -80,9 +77,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.DefaultTTL <= 0 {
 		out.DefaultTTL = 60 * time.Second
-	}
-	if out.NegativeTTL <= 0 {
-		out.NegativeTTL = 5 * time.Minute
 	}
 	if out.Shards <= 0 {
 		out.Shards = defaultShards
@@ -115,12 +109,11 @@ func shardCount(cfg Config) int {
 }
 
 type entry struct {
-	key      string
-	resp     *httpmsg.Response
-	expires  time.Time
-	negative bool
-	size     int64
-	elem     *list.Element
+	key     string
+	resp    *httpmsg.Response
+	expires time.Time
+	size    int64
+	elem    *list.Element
 }
 
 // shard is one independently locked slice of the cache.
@@ -196,11 +189,34 @@ func (c *Cache) shard(key string) *shard {
 	return c.shards[h&c.mask]
 }
 
+// Now returns the cache clock's time: the one clock every freshness
+// decision on the node is taken against.
+func (c *Cache) Now() time.Time { return c.cfg.Clock() }
+
+// Expiry returns the instant until which a shared cache may serve a response
+// that carried header h and was obtained at fetched: the header's own
+// freshness information, else the default TTL. Put and Refresh file entries
+// under it, and the large-object tier judges its manifests by it.
+func (c *Cache) Expiry(h http.Header, fetched time.Time) time.Time {
+	ttl := httpmsg.FreshFor(h, fetched)
+	if ttl <= 0 {
+		ttl = c.cfg.DefaultTTL
+	}
+	return fetched.Add(ttl)
+}
+
 // Get returns a cached response clone for key, or nil when absent or
-// expired. The clone protects cached bodies from mutation by pipeline
-// scripts; it is taken outside the shard lock (cached responses are
-// immutable once stored).
+// expired.
 func (c *Cache) Get(key string) *httpmsg.Response {
+	resp, _ := c.GetUntil(key)
+	return resp
+}
+
+// GetUntil is Get that also returns the entry's expiry, so a copy handed to
+// a peer keeps the holder's deadline. The clone protects cached bodies from
+// mutation by pipeline scripts; it is taken outside the shard lock (cached
+// responses are immutable once stored).
+func (c *Cache) GetUntil(key string) (*httpmsg.Response, time.Time) {
 	now := c.cfg.Clock()
 	sh := c.shard(key)
 	sh.mu.Lock()
@@ -215,46 +231,68 @@ func (c *Cache) Get(key string) *httpmsg.Response {
 		c.expired.Add(1)
 		return c.getL2(key)
 	}
-	if e.negative {
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		return nil
-	}
 	sh.lru.MoveToFront(e.elem)
-	cached := e.resp
+	cached, expires := e.resp, e.expires
 	sh.mu.Unlock()
 	c.hits.Add(1)
 	resp := cached.Clone()
 	resp.FromCache = true
-	return resp
+	return resp, expires
 }
 
 // getL2 consults the disk tier on a memory miss, promoting a hit back
 // into the memory LRU. The disk copy stays in place until it expires or
 // the disk budget evicts it, so the tier is inclusive: a later crash
 // still rewarms from it.
-func (c *Cache) getL2(key string) *httpmsg.Response {
+func (c *Cache) getL2(key string) (*httpmsg.Response, time.Time) {
 	d := c.l2.Load()
 	if d == nil {
 		c.misses.Add(1)
-		return nil
+		return nil, time.Time{}
 	}
 	resp, expires, ok := d.Get(key)
 	if !ok {
 		c.misses.Add(1)
-		return nil
+		return nil, time.Time{}
 	}
-	c.putEntry(key, resp, expires, false)
+	c.putEntry(key, resp, expires)
 	c.diskHits.Add(1)
 	out := resp.Clone()
 	out.FromCache = true
-	return out
+	return out, expires
 }
 
-// GetNegative reports whether key has a live negative entry (known-missing
-// resource).
-func (c *Cache) GetNegative(key string) bool {
-	now := c.cfg.Clock()
+// Put stores a response under key if it is cacheable, until the Expiry its
+// headers give it from now. It returns whether the response was stored.
+func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
+	if resp == nil {
+		return false
+	}
+	return c.PutUntil(key, resp, c.Expiry(resp.Header, c.cfg.Clock()))
+}
+
+// PutUntil is Put with the expiry decided by the caller: a copy fetched from
+// a peer's cache keeps the holder's deadline instead of starting a new one.
+// The stored clone is taken before the shard lock is acquired. Streamed
+// bodies never enter the whole-body cache — the large-object tier owns them
+// (storing one here would pin a lazy view, not bytes).
+func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) bool {
+	if resp == nil || resp.Stream != nil || !resp.Cacheable() {
+		return false
+	}
+	return c.putEntry(key, resp.Clone(), expires)
+}
+
+// Refresh revalidates the stored entry for key against a 304 Not Modified:
+// the entry's expiry moves to the 304's Expiry. The 304 itself is never
+// stored — it has no body, so storing it would later serve an empty page; it
+// only renews the 200 it validates. Returns whether a stored entry was
+// refreshed.
+func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
+	if resp == nil || resp.Status != http.StatusNotModified {
+		return false
+	}
+	expires := c.Expiry(resp.Header, c.cfg.Clock())
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -262,69 +300,13 @@ func (c *Cache) GetNegative(key string) bool {
 	if !ok {
 		return false
 	}
-	if now.After(e.expires) {
-		sh.removeLocked(e)
-		c.expired.Add(1)
-		return false
-	}
-	return e.negative
-}
-
-// Put stores a response under key if it is cacheable, using the response's
-// freshness information or the default TTL. The stored clone is taken before
-// the shard lock is acquired. It returns whether the response was stored.
-// Streamed bodies never enter the whole-body cache — the large-object tier
-// owns them (storing one here would pin a lazy view, not bytes).
-func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
-	if resp == nil || resp.Stream != nil || !resp.Cacheable() {
-		return false
-	}
-	now := c.cfg.Clock()
-	ttl := resp.FreshFor(now)
-	if ttl <= 0 {
-		ttl = c.cfg.DefaultTTL
-	}
-	return c.putEntry(key, resp.Clone(), now.Add(ttl), false)
-}
-
-// Refresh revalidates the stored entry for key against a 304 Not Modified:
-// the entry's expiry is extended by the 304's freshness information (or the
-// default TTL). The 304 itself is never stored — it has no body, so storing
-// it would later serve an empty page; it only renews the 200 it validates.
-// Returns whether a stored entry was refreshed.
-func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
-	if resp == nil || resp.Status != http.StatusNotModified {
-		return false
-	}
-	now := c.cfg.Clock()
-	ttl := resp.FreshFor(now)
-	if ttl <= 0 {
-		ttl = c.cfg.DefaultTTL
-	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok || e.negative || e.resp == nil {
-		return false
-	}
-	e.expires = now.Add(ttl)
+	e.expires = expires
 	sh.lru.MoveToFront(e.elem)
 	return true
 }
 
-// PutNegative records that key is known to be absent (for example a site
-// without a nakika.js policy script).
-func (c *Cache) PutNegative(key string) {
-	now := c.cfg.Clock()
-	c.putEntry(key, nil, now.Add(c.cfg.NegativeTTL), true)
-}
-
-func (c *Cache) putEntry(key string, resp *httpmsg.Response, expires time.Time, negative bool) bool {
-	var size int64
-	if resp != nil {
-		size = int64(len(resp.Body))
-	}
+func (c *Cache) putEntry(key string, resp *httpmsg.Response, expires time.Time) bool {
+	size := int64(len(resp.Body))
 	sh := c.shard(key)
 	if size > sh.maxBytes {
 		// The response cannot survive in this shard's byte budget: storing
@@ -332,7 +314,7 @@ func (c *Cache) putEntry(key string, resp *httpmsg.Response, expires time.Time, 
 		// so the node does not publish a copy it cannot hold.
 		return false
 	}
-	e := &entry{key: key, resp: resp, expires: expires, negative: negative, size: size}
+	e := &entry{key: key, resp: resp, expires: expires, size: size}
 	sh.mu.Lock()
 	if old, ok := sh.entries[key]; ok {
 		sh.removeLocked(old)
@@ -351,9 +333,8 @@ func (c *Cache) putEntry(key string, resp *httpmsg.Response, expires time.Time, 
 }
 
 // demote hands evicted-but-fresh entries to the disk tier, outside any
-// shard lock. Negative entries and responses a shared cache may not store
-// (Cache-Control: no-store / private never entered the cache, but the
-// tier re-checks) stay memory-only.
+// shard lock. Responses a shared cache may not store (Cache-Control:
+// no-store / private) never entered the cache, and the tier re-checks.
 func (c *Cache) demote(evicted []*entry) {
 	d := c.l2.Load()
 	if d == nil {
@@ -361,7 +342,7 @@ func (c *Cache) demote(evicted []*entry) {
 	}
 	now := c.cfg.Clock()
 	for _, e := range evicted {
-		if e.negative || e.resp == nil || !e.expires.After(now) {
+		if !e.expires.After(now) {
 			continue
 		}
 		d.Put(e.key, e.resp, e.expires)
@@ -369,7 +350,7 @@ func (c *Cache) demote(evicted []*entry) {
 	}
 }
 
-// FlushToDisk demotes every fresh, positive memory entry to the disk
+// FlushToDisk demotes every fresh memory entry to the disk
 // tier without evicting it — the graceful-shutdown path, so the next
 // boot rewarms the whole working set, not just what eviction happened to
 // demote. A no-op without an attached tier.
@@ -383,7 +364,7 @@ func (c *Cache) FlushToDisk() {
 		sh.mu.Lock()
 		fresh := make([]*entry, 0, len(sh.entries))
 		for _, e := range sh.entries {
-			if !e.negative && e.resp != nil && e.expires.After(now) {
+			if e.expires.After(now) {
 				fresh = append(fresh, e)
 			}
 		}
@@ -427,8 +408,8 @@ func (c *Cache) Clear() {
 	}
 }
 
-// Keys returns the currently cached keys (excluding negative entries), most
-// recently used first within each shard. Used by the cooperative cache index
+// Keys returns the currently cached keys, most recently used first within
+// each shard. Used by the cooperative cache index
 // publisher; with more than one shard the global ordering across shards is
 // approximate.
 func (c *Cache) Keys() []string {
@@ -436,17 +417,14 @@ func (c *Cache) Keys() []string {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			if !e.negative {
-				out = append(out, e.key)
-			}
+			out = append(out, el.Value.(*entry).key)
 		}
 		sh.mu.Unlock()
 	}
 	return out
 }
 
-// Len returns the number of entries (including negative entries).
+// Len returns the number of entries.
 func (c *Cache) Len() int {
 	n := 0
 	for _, sh := range c.shards {

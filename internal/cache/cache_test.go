@@ -115,26 +115,6 @@ func TestUncacheableNotStored(t *testing.T) {
 	}
 }
 
-func TestNegativeEntries(t *testing.T) {
-	clock := newFakeClock()
-	c := New(Config{NegativeTTL: time.Minute, Clock: clock.Now})
-	key := "GET http://example.org/nakika.js"
-	if c.GetNegative(key) {
-		t.Error("no negative entry expected yet")
-	}
-	c.PutNegative(key)
-	if !c.GetNegative(key) {
-		t.Error("negative entry should be visible")
-	}
-	if c.Get(key) != nil {
-		t.Error("negative entries must not satisfy Get")
-	}
-	clock.Advance(2 * time.Minute)
-	if c.GetNegative(key) {
-		t.Error("negative entry should expire")
-	}
-}
-
 func TestLRUEvictionByCount(t *testing.T) {
 	c := New(Config{MaxEntries: 3})
 	for i := 0; i < 3; i++ {
@@ -190,15 +170,9 @@ func TestKeys(t *testing.T) {
 	c := New(Config{})
 	c.Put("a", okResponse("1"))
 	c.Put("b", okResponse("2"))
-	c.PutNegative("neg")
 	keys := c.Keys()
 	if len(keys) != 2 {
-		t.Fatalf("keys = %v, want 2 positive entries", keys)
-	}
-	for _, k := range keys {
-		if k == "neg" {
-			t.Error("negative entries must not appear in Keys")
-		}
+		t.Fatalf("keys = %v, want 2 entries", keys)
 	}
 }
 

@@ -137,8 +137,8 @@ func decodeDiskEntry(data []byte) (key string, expires time.Time, resp *httpmsg.
 	return key, expires, r, nil
 }
 
-// Put demotes one entry to disk. Stale, negative, or uncacheable
-// responses never reach the disk tier; oversized entries are skipped.
+// Put demotes one entry to disk. Stale or uncacheable responses never
+// reach the disk tier; oversized entries are skipped.
 func (d *Disk) Put(key string, resp *httpmsg.Response, expires time.Time) {
 	if resp == nil || !resp.Cacheable() || !expires.After(d.clock()) {
 		return

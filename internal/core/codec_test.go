@@ -85,7 +85,7 @@ func TestRPCDecodersRejectWhatIsNotAPayload(t *testing.T) {
 		"repRangeReq":    func(b []byte) error { _, err := decodeRepRangeReq(b); return err },
 		"repRangeResp":   func(b []byte) error { _, err := decodeRepRangeResp(b); return err },
 		"offloadRequest": func(b []byte) error { _, err := decodeOffloadRequest(b); return err },
-		"response":       func(b []byte) error { _, err := decodeResponse(b); return err },
+		"response":       func(b []byte) error { _, err := httpmsg.DecodeResponse(b); return err },
 		"leaseReq":       func(b []byte) error { _, err := decodeLeaseReq(b); return err },
 		"leaseFenced":    func(b []byte) error { _, err := decodeLeaseFenced(b); return err },
 	}

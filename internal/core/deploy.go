@@ -8,7 +8,6 @@ import (
 	"nakika/internal/deploy"
 	"nakika/internal/metrics"
 	"nakika/internal/pipeline"
-	"nakika/internal/state"
 	"nakika/internal/transport"
 )
 
@@ -286,11 +285,7 @@ func (n *Node) deployGet(site string) (string, bool) {
 		}
 		return "", false
 	}
-	_, _, deleted, v, ok := n.store.GetVersioned(site, deploy.StateKey)
-	if !ok || deleted {
-		return "", false
-	}
-	return v, true
+	return n.localVersionedGet(site, deploy.StateKey)
 }
 
 // deployPut persists a record value under (site, deploy.StateKey): through
@@ -301,14 +296,7 @@ func (n *Node) deployPut(site, value string) error {
 	if n.repEnabled() {
 		return n.repPut(nil, site, deploy.StateKey, value)
 	}
-	n.repApplyMu.Lock()
-	defer n.repApplyMu.Unlock()
-	ver, _, _, _, _ := n.store.GetVersioned(site, deploy.StateKey)
-	_, err := n.store.PutVersioned(state.Rec{
-		Site: site, Key: deploy.StateKey, Ver: ver + 1, Origin: n.cfg.Name,
-		Value: value,
-	})
-	return err
+	return n.localVersionedPut(site, deploy.StateKey, value)
 }
 
 // indexAdd records site in the replicated deployment index so nodes

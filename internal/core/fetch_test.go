@@ -1,0 +1,329 @@
+package core
+
+import (
+	"bytes"
+	"encoding/hex"
+	"net/http"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"nakika/internal/httpmsg"
+	"nakika/internal/overlay"
+	"nakika/internal/transport"
+)
+
+// testClock is an injectable cache clock. It starts at wall time because
+// httpmsg.NewResponse stamps Fetched with time.Now(); only the advances are
+// simulated.
+type testClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newTestClock() *testClock { return &testClock{now: time.Now()} }
+
+func (c *testClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *testClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// TestCoalescingKeepsSelectingHeadersApart: a flight is shared only by
+// requests the origin would answer alike. A plain GET that arrives while a
+// Range (or conditional) request for the same URL is in flight must not be
+// handed that leader's 206 (or 304).
+func TestCoalescingKeepsSelectingHeadersApart(t *testing.T) {
+	const url = "http://site.example.org/page"
+	body := bytes.Repeat([]byte("0123456789"), 100)
+	for _, tc := range []struct {
+		name, header, value string
+		leaderStatus        int
+	}{
+		{"range leader", "Range", "bytes=0-9", http.StatusPartialContent},
+		{"conditional leader", "If-None-Match", `"v1"`, http.StatusNotModified},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			entered := make(chan struct{}, 2)
+			release := make(chan struct{})
+			origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
+				entered <- struct{}{}
+				<-release
+				switch {
+				case req.Header.Get("Range") != "":
+					resp := httpmsg.NewResponse(http.StatusPartialContent)
+					resp.Header.Set("Content-Range", "bytes 0-9/1000")
+					resp.Body = body[:10]
+					return resp, nil
+				case req.Header.Get("If-None-Match") == `"v1"`:
+					return httpmsg.NewResponse(http.StatusNotModified), nil
+				}
+				resp := httpmsg.NewResponse(200)
+				resp.Header.Set("Etag", `"v1"`)
+				resp.Body = append([]byte(nil), body...)
+				return resp, nil
+			})
+			n := newTestNodeUpstream(t, "edge-1", origin, nil)
+
+			type result struct {
+				resp *httpmsg.Response
+				err  error
+			}
+			fetch := func(req *httpmsg.Request, out chan<- result) {
+				resp, err := n.Fetch(req)
+				out <- result{resp, err}
+			}
+			leaderReq := httpmsg.MustRequest("GET", url)
+			leaderReq.Header.Set(tc.header, tc.value)
+			leaderOut, followerOut := make(chan result, 1), make(chan result, 1)
+			go fetch(leaderReq, leaderOut)
+			<-entered // the leader is at the origin, its flight is open
+			go fetch(httpmsg.MustRequest("GET", url), followerOut)
+			select {
+			case <-entered: // the follower went to the origin on its own
+			case <-time.After(2 * time.Second):
+				// It joined the leader's flight; the assertions below say so.
+			}
+			close(release)
+
+			if r := <-leaderOut; r.err != nil || r.resp.Status != tc.leaderStatus {
+				t.Errorf("leader: %+v, %v; want status %d", r.resp, r.err, tc.leaderStatus)
+			}
+			r := <-followerOut
+			if r.err != nil || r.resp.Status != 200 || !bytes.Equal(r.resp.Body, body) {
+				t.Fatalf("plain follower: status %d, %d body bytes, err %v; want 200 with the full body",
+					r.resp.Status, len(r.resp.Body), r.err)
+			}
+			if c := n.Stats().CoalescedFetches; c != 0 {
+				t.Errorf("coalesced = %d, want 0", c)
+			}
+		})
+	}
+}
+
+// TestPeerCopyExpiresWithTheHolders: a copy taken from a peer's cache keeps
+// the holder's deadline instead of starting a new lifetime at the moment it
+// was copied.
+func TestPeerCopyExpiresWithTheHolders(t *testing.T) {
+	const url = "http://heavy.example.org/clip"
+	origin := newMemOrigin()
+	origin.addText(url, "clip-bytes", 60)
+	clock := newTestClock()
+	ring := overlay.NewRing()
+	mutate := func(cfg *Config) {
+		cfg.Ring = ring
+		cfg.Cache.Clock = clock.Now
+	}
+	a := newTestNode(t, "edge-a", origin, mutate)
+	b := newTestNode(t, "edge-b", origin, mutate)
+	req := func() *httpmsg.Request { return httpmsg.MustRequest("GET", url) }
+	key := req().CacheKey()
+
+	if _, err := a.Fetch(req()); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(59 * time.Second)
+	resp, err := b.Fetch(req())
+	if err != nil || resp.Via != "edge-a" || b.Stats().PeerHits != 1 {
+		t.Fatalf("b did not fetch from its peer: %+v, %v", resp, err)
+	}
+	_, holderExpiry := a.Cache().GetUntil(key)
+	_, copyExpiry := b.Cache().GetUntil(key)
+	if !copyExpiry.Equal(holderExpiry) {
+		t.Errorf("copy expires %v, holder's %v", copyExpiry, holderExpiry)
+	}
+	clock.Advance(2 * time.Second) // 61 s after the origin fetch
+	if a.Cache().Get(key) != nil || b.Cache().Get(key) != nil {
+		t.Error("a max-age=60 object is still served 61 s after it left the origin")
+	}
+}
+
+// TestCacheGetReplyGolden pins the one reply that changed on the wire: it
+// gained the holder's expiry as a second argument. A reply without it, as
+// the previous build sends, is still stored, with a lifetime starting now.
+func TestCacheGetReplyGolden(t *testing.T) {
+	const (
+		key        = "GET http://example.org/a"
+		goldenBody = "00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000106656467652d31018a80d0e2c6bfce972f"
+	)
+	now := time.Unix(1780272000, 0)
+	ring := overlay.NewRing()
+	mutate := func(cfg *Config) {
+		cfg.Ring = ring
+		cfg.Cache.Clock = func() time.Time { return now }
+	}
+	holder := newTestNode(t, "edge-a", newMemOrigin(), mutate)
+	holder.Cache().Put(key, &httpmsg.Response{
+		Status: 200,
+		Header: http.Header{"Content-Type": {"text/html"}, "Cache-Control": {"max-age=60"}},
+		Body:   []byte("<html>hi</html>"),
+		Via:    "edge-1", Fetched: time.Unix(1700000000, 5),
+	})
+	reply, err := holder.serveCacheRPC("edge-b", transport.Message{Type: "cache.get", Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"hit", "1780272060000000000"}; !reflect.DeepEqual(reply.Args, want) {
+		t.Errorf("reply args = %q, want %q", reply.Args, want)
+	}
+	if got := hex.EncodeToString(reply.Body); got != goldenBody {
+		t.Errorf("reply body = %s, want %s", got, goldenBody)
+	}
+
+	// The previous build's reply: the same body, no expiry.
+	old := transport.NewLocal()
+	old.Register("edge-old", func(from string, msg transport.Message) (transport.Message, error) {
+		return transport.Message{Args: []string{"hit"}, Body: reply.Body}, nil
+	})
+	n := newTestNode(t, "edge-b", newMemOrigin(), func(cfg *Config) {
+		cfg.Transport = old
+		cfg.Cache.Clock = func() time.Time { return now }
+	})
+	resp, expires := n.peerFetch("edge-old", key)
+	if resp == nil || !expires.Equal(now.Add(60*time.Second)) {
+		t.Errorf("reply without an expiry: %+v expiring %v, want a copy expiring 60 s from now", resp, expires)
+	}
+}
+
+// TestBothTiersStoreAndExpireAlike is the differential check on the merged
+// decisions: for every header set, an object below LargeObjectThreshold (the
+// whole-body arm) and one above it (the tier arm) are stored exactly when
+// httpmsg.Storable says so, and stop being served at the same instant.
+func TestBothTiersStoreAndExpireAlike(t *testing.T) {
+	const threshold = 10_000
+	past := time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat)
+	for _, tc := range []struct {
+		name   string
+		header http.Header
+		ttl    time.Duration // 0: must not be stored
+	}{
+		{"no headers", http.Header{}, 60 * time.Second},
+		{"max-age", http.Header{"Cache-Control": {"max-age=30"}}, 30 * time.Second},
+		{"s-maxage first", http.Header{"Cache-Control": {"s-maxage=10, max-age=30"}}, 10 * time.Second},
+		{"s-maxage last", http.Header{"Cache-Control": {"max-age=30, s-maxage=10"}}, 10 * time.Second},
+		{"upper case", http.Header{"Cache-Control": {"MAX-AGE=30"}}, 30 * time.Second},
+		{"unknown directive naming private", http.Header{"Cache-Control": {"max-age=45, x-unprivate=1"}}, 45 * time.Second},
+		{"second header line", http.Header{"Cache-Control": {"max-age=30", "private"}}, 0},
+		{"no-store", http.Header{"Cache-Control": {"no-store"}}, 0},
+		{"private", http.Header{"Cache-Control": {"private, max-age=30"}}, 0},
+		{"no-cache", http.Header{"Cache-Control": {"No-Cache"}}, 0},
+		{"expires in the past", http.Header{"Expires": {past}}, 60 * time.Second},
+	} {
+		if got := httpmsg.Storable(200, tc.header); got != (tc.ttl > 0) {
+			t.Errorf("%s: Storable = %v, want %v", tc.name, got, tc.ttl > 0)
+			continue
+		}
+		for arm, size := range map[string]int{"whole-body": threshold / 2, "tier": threshold * 2} {
+			t.Run(tc.name+"/"+arm, func(t *testing.T) {
+				var fetches int
+				body := lobBody(size)
+				origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
+					fetches++
+					resp := httpmsg.NewResponse(200)
+					for k, vs := range tc.header {
+						resp.Header[k] = vs
+					}
+					resp.Body = append([]byte(nil), body...)
+					return resp, nil
+				})
+				clock := newTestClock()
+				n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+					lobConfig(4096, threshold)(cfg)
+					cfg.Cache.Clock = clock.Now
+				})
+				get := func() {
+					t.Helper()
+					resp, err := n.Fetch(httpmsg.MustRequest("GET", "http://site.example.org/obj"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := resp.Materialize(); err != nil || !bytes.Equal(resp.Body, body) {
+						t.Fatalf("body differs (%d bytes, want %d): %v", len(resp.Body), len(body), err)
+					}
+				}
+				get()
+				inCache := n.Cache().Len() == 1
+				inTier := n.LargeObject().Tier.Manifests == 1
+				if stored := tc.ttl > 0; inCache != (stored && arm == "whole-body") || inTier != (stored && arm == "tier") {
+					t.Fatalf("in whole-body cache %v, in tier %v", inCache, inTier)
+				}
+				if tc.ttl == 0 {
+					get()
+					if fetches != 2 {
+						t.Errorf("origin fetches = %d, want 2 (nothing may be kept)", fetches)
+					}
+					return
+				}
+				clock.Advance(tc.ttl)
+				get()
+				if fetches != 1 {
+					t.Fatalf("refetched at the instant of expiry: %d origin fetches", fetches)
+				}
+				clock.Advance(time.Nanosecond)
+				get()
+				if fetches != 2 {
+					t.Errorf("still served past its expiry: %d origin fetches, want 2", fetches)
+				}
+			})
+		}
+	}
+}
+
+// TestRevalidationToSmallerBodyIsFiledNotRefetched: a stale manifest whose
+// conditional GET comes back a 200 below the threshold has just fetched the
+// body to serve. It goes to the whole-body cache through the one store step:
+// one origin fetch, and the next request is a whole-body hit.
+func TestRevalidationToSmallerBodyIsFiledNotRefetched(t *testing.T) {
+	origin := &revalOrigin{url: "http://big.example.org/feed", body: lobBody(40_000), etag: `"v1"`, maxAge: 100}
+	clock := newTestClock()
+	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+		lobConfig(4096, 10_000)(cfg)
+		cfg.Cache.Clock = clock.Now
+	})
+	get := func() *httpmsg.Response {
+		t.Helper()
+		resp, err := n.Fetch(httpmsg.MustRequest("GET", origin.url))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	get()
+	if st := n.LargeObject(); st.Tier.Manifests != 1 {
+		t.Fatalf("cold fetch not ingested: %+v", st)
+	}
+	small := lobBody(2_000)
+	origin.mu.Lock()
+	origin.body, origin.etag = small, `"v2"`
+	origin.mu.Unlock()
+	clock.Advance(101 * time.Second)
+
+	if resp := get(); !bytes.Equal(resp.Body, small) {
+		t.Fatalf("revalidated body: %d bytes, want the new %d", len(resp.Body), len(small))
+	}
+	if origin.fullHits != 2 || origin.conditionals != 1 {
+		t.Errorf("after revalidation: %d full fetches, %d conditional; want 2 and 1 (the conditional GET is the second full fetch)",
+			origin.fullHits, origin.conditionals)
+	}
+	if st := n.LargeObject(); st.Tier.Manifests != 0 {
+		t.Errorf("dead manifest kept: %+v", st)
+	}
+	hits := n.Stats().Cache.Hits
+	if resp := get(); !bytes.Equal(resp.Body, small) || !resp.FromCache {
+		t.Errorf("next request: %d bytes, from cache %v", len(resp.Body), resp.FromCache)
+	}
+	if origin.fullHits != 2 || n.Stats().Cache.Hits != hits+1 {
+		t.Errorf("next request: %d full fetches (want 2), %d whole-body hits (want %d)",
+			origin.fullHits, n.Stats().Cache.Hits, hits+1)
+	}
+}

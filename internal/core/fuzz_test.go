@@ -33,7 +33,7 @@ func FuzzRPCPayloads(f *testing.F) {
 		_, _ = decodeRepRangeReq(data)
 		_, _ = decodeRepRangeResp(data)
 		_, _ = decodeOffloadRequest(data)
-		_, _ = decodeResponse(data)
+		_, _ = httpmsg.DecodeResponse(data)
 		_, _ = decodeLeaseReq(data)
 		_, _ = decodeLeaseFenced(data)
 	})

@@ -9,11 +9,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"nakika/internal/httpmsg"
 	"nakika/internal/largeobject"
-	"nakika/internal/state"
 	"nakika/internal/store"
 	"nakika/internal/transport"
 )
@@ -125,44 +123,21 @@ func (n *Node) lobTier() *largeobject.Tier {
 // Serving: manifest -> lazy streamed response
 // ---------------------------------------------------------------------------
 
-// lobNow returns the tier's notion of now: the cache clock when one is
-// injected (tests, simulated clusters), wall time otherwise.
-func (n *Node) lobNow() time.Time {
-	if n.cfg.Cache.Clock != nil {
-		return n.cfg.Cache.Clock()
-	}
-	return time.Now()
+// lobStale reports whether m must be revalidated before it is served again:
+// the cache's Expiry for the manifest's headers and fetch time, against the
+// cache clock — the decision cache.Put takes for a buffered entry.
+func (n *Node) lobStale(m *largeobject.Manifest) bool {
+	return n.cache.Now().After(n.cache.Expiry(m.Header, m.Fetched))
 }
 
-// lobFresh reports whether m may still be served without revalidation: the
-// manifest headers' freshness information (max-age/Expires) applied against
-// its fetch time, with the whole-body cache's default TTL as the fallback —
-// the same policy cache.Put uses for buffered entries.
-func (n *Node) lobFresh(m *largeobject.Manifest, now time.Time) bool {
-	probe := httpmsg.NewResponse(m.Status)
-	if m.Header != nil {
-		probe.Header = m.Header
-	}
-	ttl := probe.FreshFor(m.Fetched)
-	if ttl <= 0 {
-		ttl = n.cfg.Cache.DefaultTTL
-	}
-	if ttl <= 0 {
-		ttl = 60 * time.Second // cache.Config's zero-value default
-	}
-	return now.Before(m.Fetched.Add(ttl))
-}
-
-// lobServe builds a streamed response for key if the tier holds a fresh
-// manifest for it. Missing segments resolve lazily as the client reads:
-// slab, then a holder from the replicated index, then an origin Range
-// refetch — each verified against the manifest's content address.
+// lobServe is the tier's half of the chain's lookup step: a streamed
+// response for key if the tier holds a fresh manifest for it.
 //
-// A stale manifest is never served. With revalidate (the single-flight miss
-// path) it is revalidated against the origin with the stored validators;
-// without (the pre-flight fast path) the caller falls through to the flight,
-// so a stampede on an expired object still costs one conditional request.
-func (n *Node) lobServe(key string, revalidate bool) *httpmsg.Response {
+// A stale manifest is never served. The flight's leader revalidates it
+// against the origin with the stored validators; anyone else (the pre-flight
+// fast path) falls through to the flight, so a stampede on an expired object
+// still costs one conditional request.
+func (n *Node) lobServe(key string, leader bool) *httpmsg.Response {
 	t := n.lobTier()
 	if t == nil {
 		return nil
@@ -171,14 +146,20 @@ func (n *Node) lobServe(key string, revalidate bool) *httpmsg.Response {
 	if !ok {
 		return nil
 	}
-	if !n.lobFresh(m, n.lobNow()) {
-		if !revalidate {
+	if n.lobStale(m) {
+		if !leader {
 			return nil
 		}
-		if m = n.lobRevalidate(t, key, m); m == nil {
-			return nil
-		}
+		return n.lobRevalidate(t, key, m)
 	}
+	return n.lobStream(t, key, m)
+}
+
+// lobStream builds the streamed response for a manifest. Missing segments
+// resolve lazily as the client reads: slab, then a holder from the
+// replicated index, then an origin Range refetch — each verified against the
+// manifest's content address.
+func (n *Node) lobStream(t *largeobject.Tier, key string, m *largeobject.Manifest) *httpmsg.Response {
 	n.lobStreamed.Add(1)
 	resp := httpmsg.NewResponse(m.Status)
 	for k, vs := range m.Header {
@@ -191,12 +172,14 @@ func (n *Node) lobServe(key string, revalidate bool) *httpmsg.Response {
 }
 
 // lobRevalidate refreshes a stale manifest with a conditional origin GET on
-// the stored validators. A 304 renews the manifest — cache.Refresh semantics
-// at the tier: freshness extends, segment bodies are kept — while a changed
-// 200 is re-ingested in place when it still qualifies for the tier. Any
-// other outcome drops the manifest so the caller's miss path refetches.
-// Returns the manifest to serve, or nil.
-func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Manifest) *largeobject.Manifest {
+// the stored validators and returns the response to serve. A 304 renews the
+// manifest — cache.Refresh semantics at the tier: freshness extends, segment
+// bodies are kept. Anything else means the old segments are dead: the
+// manifest is dropped, and a 200 goes through the chain's store step like
+// any other origin reply (re-ingested if it still qualifies for the tier,
+// filed in the whole-body cache if it shrank below the threshold) and is
+// served. Nil sends the caller on down the chain to refetch.
+func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Manifest) *httpmsg.Response {
 	etag := m.Header.Get("Etag")
 	lastMod := m.Header.Get("Last-Modified")
 	_, url, ok := strings.Cut(m.Key, " ")
@@ -219,34 +202,24 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 	resp, err := n.cfg.Upstream.Do(req)
 	if err != nil {
 		// Origin unreachable: keep the manifest (its validators stay usable
-		// for the next attempt) but never serve stale — the caller's miss
-		// path surfaces the fetch error, as the whole-body cache would.
+		// for the next attempt) but never serve stale — the rest of the chain
+		// surfaces the fetch error, as the whole-body cache would.
 		return nil
 	}
-	switch resp.Status {
-	case http.StatusNotModified:
-		refreshed, ok := t.RefreshManifest(key, n.lobNow(), resp.Header)
+	if resp.Status == http.StatusNotModified {
+		refreshed, ok := t.RefreshManifest(key, n.cache.Now(), resp.Header)
 		if !ok {
 			return nil
 		}
 		n.publishLob(key, refreshed)
-		return refreshed
-	case http.StatusOK:
-		// Content changed under the validators: the old segments are dead.
-		// Re-ingest the new body in place when it still qualifies.
-		t.DeleteManifest(key)
-		if resp.Cacheable() && int64(len(resp.Body)) >= n.cfg.LargeObjectThreshold {
-			if m2, err := t.IngestBody(key, resp.Status, resp.Header, n.lobNow(), resp.Body); err == nil {
-				n.lobWhole.Add(1)
-				n.publishLob(key, m2)
-				return m2
-			}
-		}
-		return nil
-	default:
-		t.DeleteManifest(key)
+		return n.lobStream(t, key, refreshed)
+	}
+	t.DeleteManifest(key)
+	if resp.Status != http.StatusOK {
 		return nil
 	}
+	n.storeReply(key, resp)
+	return resp
 }
 
 // lobAdopt learns key's manifest from the replicated index record (written
@@ -264,7 +237,7 @@ func (n *Node) lobAdopt(key string) *httpmsg.Response {
 	if !ok || idx.Manifest == nil || !idx.Manifest.Complete() {
 		return nil
 	}
-	if !n.lobFresh(idx.Manifest, n.lobNow()) {
+	if n.lobStale(idx.Manifest) {
 		return nil
 	}
 	if err := t.PutManifest(idx.Manifest); err != nil {
@@ -272,31 +245,6 @@ func (n *Node) lobAdopt(key string) *httpmsg.Response {
 	}
 	n.lobAdopted.Add(1)
 	return n.lobServe(key, false)
-}
-
-// maybeIngestLob chunks an already-buffered 200 into the tier when it
-// crosses the size threshold, so subsequent requests stream it segment by
-// segment. The caller still returns the buffered response it has in hand.
-// The tier is a shared cache: responses the whole-body cache would refuse
-// (no-store, private, no-cache) are never ingested.
-func (n *Node) maybeIngestLob(key string, resp *httpmsg.Response) bool {
-	t := n.lobTier()
-	if t == nil || resp.Status != http.StatusOK || resp.Stream != nil || !resp.Cacheable() {
-		return false
-	}
-	if int64(len(resp.Body)) < n.cfg.LargeObjectThreshold {
-		return false
-	}
-	if !strings.HasPrefix(key, http.MethodGet+" ") {
-		return false
-	}
-	m, err := t.IngestBody(key, resp.Status, resp.Header, resp.Fetched, resp.Body)
-	if err != nil {
-		return false
-	}
-	n.lobWhole.Add(1)
-	n.publishLob(key, m)
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -320,17 +268,6 @@ type StreamHead struct {
 // are then chunked after the buffered fetch completes.
 type StreamFetcher interface {
 	DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, error)
-}
-
-// lobHeadCacheable applies Response.Cacheable's shared-cache rules to a
-// streaming head whose body has not been read yet, so uncacheable responses
-// (no-store, private, no-cache) are never ingested into the shared tier.
-func lobHeadCacheable(head StreamHead) bool {
-	probe := httpmsg.NewResponse(head.Status)
-	if head.Header != nil {
-		probe.Header = head.Header
-	}
-	return probe.Cacheable()
 }
 
 // DoStream implements StreamFetcher for the real HTTP client.
@@ -401,59 +338,53 @@ func (n *Node) lobIngestFor(key string) *lobIngest {
 	return n.lobIngests[key]
 }
 
-// lobStreamOrigin performs a cold origin fetch through the streaming
-// interface. It either takes over the fetch entirely (handled=true: the
-// returned response streams the object while a background goroutine ingests
-// it) or buffers small/non-200 responses into an ordinary response for the
-// normal miss path. handled=false means the caller should fetch itself.
-func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Response, bool, error) {
-	t := n.lobTier()
-	if t == nil || req.Method != http.MethodGet {
-		return nil, false, nil
-	}
+// lobStreamOrigin is the streaming half of the chain's origin step. When the
+// upstream can stream and the tier wants the reply (lobTakes, asked of the
+// head before a body byte is read), the returned response streams the object
+// while a background goroutine ingests it. A reply the tier does not want is
+// buffered and returned for the store step to file like any other. (nil,
+// nil) means the caller should fetch through Upstream.Do itself.
+func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Response, error) {
 	sf, ok := n.cfg.Upstream.(StreamFetcher)
-	if !ok {
-		return nil, false, nil
+	if !ok || n.lobTier() == nil || req.Method != http.MethodGet {
+		return nil, nil
 	}
 	head, body, err := sf.DoStream(req)
 	if err != nil {
 		// A failed streaming fetch is not fatal to the request: the caller
 		// falls back to the buffered Do path, which may succeed (and reports
 		// its own error if it does not).
-		return nil, false, nil
+		return nil, nil
 	}
-	if head.Status != http.StatusOK || head.Length < n.cfg.LargeObjectThreshold || !lobHeadCacheable(head) {
-		// Small object (or redirect/error/unknown length, or a response a
-		// shared cache must not store): buffer it and let the ordinary miss
-		// path classify it — cache.Put re-checks Cacheable on the full
-		// response, so no-store bodies pass through uncached.
+	t := n.lobTakes(key, head.Status, head.Header, head.Length)
+	if t == nil {
 		defer body.Close()
 		data, err := io.ReadAll(body)
 		if err != nil {
-			return nil, true, fmt.Errorf("core: read origin body: %w", err)
+			return nil, fmt.Errorf("core: read origin body: %w", err)
 		}
 		resp := httpmsg.NewResponse(head.Status)
 		if h := head.Header.Clone(); h != nil {
 			resp.Header = h
 		}
 		resp.Body = data
-		resp.Fetched = time.Now()
-		return resp, true, nil
+		return resp, nil
 	}
 
 	// Large object: install the (incomplete, memory-only) manifest, start
-	// the background ingest, and hand the client a stream that rides it.
+	// the background ingest, and hand the client a stream that rides it. The
+	// index record publishes when the ingest completes.
 	m := &largeobject.Manifest{
 		Key:      key,
 		Status:   head.Status,
 		Header:   head.Header.Clone(),
 		TotalLen: head.Length,
 		SegSize:  t.SegSize(),
-		Fetched:  time.Now(),
+		Fetched:  n.cache.Now(),
 	}
 	if err := t.PutManifest(m); err != nil {
 		body.Close()
-		return nil, true, err
+		return nil, err
 	}
 	ing := newLobIngest()
 	n.lobIngMu.Lock()
@@ -469,7 +400,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 	resp.Header = m.Header.Clone()
 	resp.Fetched = m.Fetched
 	resp.SetStream(t.NewStream(m, n.lobFetcher(key)))
-	return resp, true, nil
+	return resp, nil
 }
 
 // lobIngestLoop chunks the origin body into the tier. Segment ids become
@@ -538,9 +469,12 @@ func (n *Node) lobFetcher(key string) largeobject.Fetcher {
 				}
 			}
 		}
-		return n.segFlights.Do(key+"#"+strconv.Itoa(ord), func() ([]byte, error) {
+		// All callers share the returned bytes: segment buffers are
+		// read-only by contract (readers copy out of them).
+		data, _, _, err := n.segFlights.Do(key+"#"+strconv.Itoa(ord), func() ([]byte, error) {
 			return n.lobFetchSegment(key, ord)
 		})
+		return data, err
 	}
 }
 
@@ -680,9 +614,7 @@ func (n *Node) lobIndexGet(key string) (*largeobject.Index, bool) {
 	if n.repEnabled() {
 		raw, ok = n.repGet(nil, lobSite, lobStateKey(key))
 	} else {
-		var deleted bool
-		_, _, deleted, raw, ok = n.store.GetVersioned(lobSite, lobStateKey(key))
-		ok = ok && !deleted
+		raw, ok = n.localVersionedGet(lobSite, lobStateKey(key))
 	}
 	if !ok {
 		return nil, false
@@ -705,14 +637,7 @@ func (n *Node) lobIndexPut(key string, idx *largeobject.Index) error {
 	if n.repEnabled() {
 		return n.repPut(nil, lobSite, lobStateKey(key), value)
 	}
-	n.repApplyMu.Lock()
-	defer n.repApplyMu.Unlock()
-	ver, _, _, _, _ := n.store.GetVersioned(lobSite, lobStateKey(key))
-	_, err := n.store.PutVersioned(state.Rec{
-		Site: lobSite, Key: lobStateKey(key), Ver: ver + 1, Origin: n.cfg.Name,
-		Value: value,
-	})
-	return err
+	return n.localVersionedPut(lobSite, lobStateKey(key), value)
 }
 
 // publishLob merges this node into key's replicated index record: installs
@@ -759,53 +684,4 @@ func (n *Node) lobMaybeAnnounce(t *largeobject.Tier, key string) {
 	if t.Resident(m).Count() == m.NumSegments() {
 		n.publishLob(key, m)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Per-segment single-flight ([]byte results, unlike the response flights)
-// ---------------------------------------------------------------------------
-
-type segFlightGroup struct {
-	mu    sync.Mutex
-	calls map[string]*segFlightCall
-}
-
-type segFlightCall struct {
-	done chan struct{}
-	data []byte
-	err  error
-}
-
-// Do coalesces concurrent fetches of one (key, ordinal). All callers share
-// the returned bytes; segment buffers are read-only by contract (readers
-// copy out of them), so no per-waiter clone is needed.
-func (g *segFlightGroup) Do(key string, fn func() ([]byte, error)) ([]byte, error) {
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*segFlightCall)
-	}
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.data, c.err
-	}
-	c := &segFlightCall{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			c.err = errFlightPanic
-			g.mu.Lock()
-			delete(g.calls, key)
-			g.mu.Unlock()
-			close(c.done)
-			panic(r)
-		}
-		g.mu.Lock()
-		delete(g.calls, key)
-		g.mu.Unlock()
-		close(c.done)
-	}()
-	c.data, c.err = fn()
-	return c.data, c.err
 }

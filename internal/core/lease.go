@@ -101,8 +101,8 @@ func (n *Node) leaseTTL(ttl time.Duration) int64 {
 // store's fence floor survives the tombstone and keeps deposed
 // holderships fenced.
 func (n *Node) localLeaseRecord(site, name string) lease.Record {
-	_, _, deleted, value, ok := n.store.GetVersioned(site, lease.Key(name))
-	if !ok || deleted {
+	value, ok := n.localVersionedGet(site, lease.Key(name))
+	if !ok {
 		return lease.Record{}
 	}
 	rec, ok := lease.Decode(value)
@@ -115,8 +115,8 @@ func (n *Node) localLeaseRecord(site, name string) lease.Record {
 // LeaseRecord exposes the node's local copy of a lease record without any
 // routing — the harness uses it to check convergence.
 func (n *Node) LeaseRecord(site, name string) (lease.Record, bool) {
-	_, _, deleted, value, ok := n.store.GetVersioned(site, lease.Key(name))
-	if !ok || deleted {
+	value, ok := n.localVersionedGet(site, lease.Key(name))
+	if !ok {
 		return lease.Record{}, false
 	}
 	return lease.Decode(value)
@@ -130,14 +130,7 @@ func (n *Node) leaseStore(site, name string, rec lease.Record) error {
 	if n.repEnabled() {
 		return n.ownerPut(site, lease.Key(name), false, lease.Encode(rec))
 	}
-	n.repApplyMu.Lock()
-	defer n.repApplyMu.Unlock()
-	ver, _, _, _, _ := n.store.GetVersioned(site, lease.Key(name))
-	_, err := n.store.PutVersioned(state.Rec{
-		Site: site, Key: lease.Key(name), Ver: ver + 1, Origin: n.cfg.Name,
-		Value: lease.Encode(rec),
-	})
-	return err
+	return n.localVersionedPut(site, lease.Key(name), lease.Encode(rec))
 }
 
 // ---------------------------------------------------------------------------

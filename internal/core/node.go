@@ -292,7 +292,9 @@ type Node struct {
 	localNet []*net.IPNet
 	replicas map[string]*state.Replica
 	repMu    sync.Mutex
-	flights  flightGroup
+	// flights coalesces concurrent misses of one cacheable request (see
+	// internal/core/fetch.go).
+	flights cache.Group[*httpmsg.Response]
 	// pendingPub holds cache keys whose overlay publish failed (index owner
 	// partitioned or crashed); RepublishPending retries them after heal.
 	pubMu      sync.Mutex
@@ -401,7 +403,7 @@ type Node struct {
 	lobIngMu     sync.Mutex
 	lobIngests   map[string]*lobIngest
 	lobPubMu     sync.Mutex
-	segFlights   segFlightGroup
+	segFlights   cache.Group[[]byte]
 	lobStreamed  atomic.Int64
 	lobWhole     atomic.Int64
 	lobStreamIng atomic.Int64
@@ -858,212 +860,6 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if trace != nil && !trace.RanHandlers() {
 		req.Release()
-	}
-}
-
-// fetchWithCache is the pipeline's origin fetcher: local cache, then the
-// cooperative cache via the overlay, then the upstream origin. Successful
-// fetches are cached and published in the overlay index. Concurrent misses
-// of the same key are coalesced into a single origin/peer fetch whose
-// response fans out to every waiter (single-flight), so a cold-cache
-// stampede costs one upstream request instead of N.
-func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
-	key := req.CacheKey()
-	cacheable := req.Method == http.MethodGet || req.Method == http.MethodHead
-	if !cacheable {
-		n.originFetches.Add(1)
-		return n.cfg.Upstream.Do(req)
-	}
-
-	if resp := n.cache.Get(key); resp != nil {
-		n.cacheHits.Add(1)
-		return resp, nil
-	}
-	// Large objects live in the chunked tier, not the response cache: a
-	// resident fresh manifest serves a lazy stream whose segments resolve
-	// from the slab, a peer, or an origin Range refetch as the client reads.
-	// A stale manifest falls through to the single flight, where the leader
-	// revalidates it against the origin.
-	if resp := n.lobServe(key, false); resp != nil {
-		n.cacheHits.Add(1)
-		return resp, nil
-	}
-	resp, shared, err := n.flights.Do(key, func() (*httpmsg.Response, error) {
-		return n.fetchMiss(key, req)
-	})
-	if shared {
-		n.coalesced.Add(1)
-	}
-	return resp, err
-}
-
-// fetchMiss is the single-flight leader path for one cacheable key:
-// cooperative cache first, then the upstream origin.
-func (n *Node) fetchMiss(key string, req *httpmsg.Request) (*httpmsg.Response, error) {
-	// Re-check the local cache: a previous flight may have stored the key
-	// between this caller's miss and its flight winning the slot.
-	if resp := n.cache.Get(key); resp != nil {
-		n.cacheHits.Add(1)
-		return resp, nil
-	}
-	if resp := n.lobServe(key, true); resp != nil {
-		n.cacheHits.Add(1)
-		return resp, nil
-	}
-	// A replica's index record may carry the object's manifest even though
-	// this node has never seen a byte of it: adopt the manifest and stream,
-	// pulling segments from the advertised holders (or the origin, by
-	// Range) instead of refetching the whole body.
-	if resp := n.lobAdopt(key); resp != nil {
-		n.peerHits.Add(1)
-		return resp, nil
-	}
-	// Cooperative cache: ask the overlay who has a copy and fetch it from
-	// that peer's cache over the transport.
-	if n.overlay != nil && n.tr != nil {
-		holders, _ := n.overlay.Locate(key)
-		for _, holder := range holders {
-			if holder == n.cfg.Name {
-				continue
-			}
-			resp := n.peerFetch(holder, key)
-			if resp == nil {
-				continue
-			}
-			n.peerHits.Add(1)
-			resp.Via = holder
-			n.cache.Put(key, resp)
-			n.publish(key)
-			return resp, nil
-		}
-	}
-
-	n.originFetches.Add(1)
-	// Cold fetch: through the streaming path when the upstream supports it
-	// and the tier is on — a large 200 is then chunked into segments as it
-	// arrives, with the first byte reaching the client before the origin
-	// finishes sending. Otherwise the ordinary buffered fetch.
-	resp, handled, err := n.lobStreamOrigin(key, req)
-	if !handled {
-		resp, err = n.cfg.Upstream.Do(req)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if resp.Stream != nil {
-		// Streaming ingest in progress; the index record publishes when it
-		// completes. Nothing to cache — the tier owns the object.
-		return resp, nil
-	}
-	if resp.Status == http.StatusNotModified {
-		// A 304 is never cached as a body: it revalidates the stored 200,
-		// extending its freshness (the validator semantics the conditional
-		// request asked for).
-		n.cache.Refresh(key, resp)
-		return resp, nil
-	}
-	if n.maybeIngestLob(key, resp) {
-		// Chunked into the tier; later requests stream it. This response
-		// already has the body in memory, so return it as-is.
-		return resp, nil
-	}
-	if resp.Cacheable() {
-		if n.cache.Put(key, resp) && resp.Status == http.StatusOK {
-			// Only successful responses are announced in the cooperative
-			// index; error responses stay in the local cache only.
-			n.publish(key)
-		}
-	} else if resp.Status == http.StatusNotFound {
-		n.cache.PutNegative(key)
-	}
-	return resp, nil
-}
-
-func (n *Node) publish(key string) {
-	if n.overlay == nil {
-		return
-	}
-	// Publication failures are not fatal — the local cache still has the
-	// copy — but under partitions they would silently shrink the
-	// cooperative index, so failed publishes are remembered and retried by
-	// RepublishPending after the network heals.
-	if _, err := n.overlay.Publish(key); err != nil {
-		n.pubMu.Lock()
-		n.pendingPub[key] = struct{}{}
-		n.pubMu.Unlock()
-	}
-}
-
-// RepublishPending retries overlay publishes that failed while the index
-// owner was unreachable, dropping keys that have since left the local
-// cache. It returns the number of entries still pending afterwards.
-func (n *Node) RepublishPending() int {
-	if n.overlay == nil {
-		return 0
-	}
-	n.pubMu.Lock()
-	keys := make([]string, 0, len(n.pendingPub))
-	for k := range n.pendingPub {
-		keys = append(keys, k)
-	}
-	n.pubMu.Unlock()
-	for _, key := range keys {
-		if n.cache.Get(key) == nil {
-			n.pubMu.Lock()
-			delete(n.pendingPub, key)
-			n.pubMu.Unlock()
-			continue
-		}
-		if _, err := n.overlay.Publish(key); err == nil {
-			n.pubMu.Lock()
-			delete(n.pendingPub, key)
-			n.pubMu.Unlock()
-		}
-	}
-	n.pubMu.Lock()
-	defer n.pubMu.Unlock()
-	return len(n.pendingPub)
-}
-
-// ---------------------------------------------------------------------------
-// Peer RPC: cooperative cache fetches
-// ---------------------------------------------------------------------------
-
-// encodeResponse and decodeResponse carry a cached response across the
-// transport in the httpmsg binary codec.
-func encodeResponse(resp *httpmsg.Response) []byte {
-	return httpmsg.EncodeResponse(resp)
-}
-
-func decodeResponse(b []byte) (*httpmsg.Response, error) {
-	return httpmsg.DecodeResponse(b)
-}
-
-// peerFetch retrieves key from a peer's cache over the transport; nil means
-// the peer is unreachable, errored, or no longer holds the key.
-func (n *Node) peerFetch(holder, key string) *httpmsg.Response {
-	reply, err := n.call(holder, transport.Message{Type: "cache.get", Key: key})
-	if err != nil || len(reply.Args) == 0 || reply.Args[0] != "hit" {
-		return nil
-	}
-	resp, err := decodeResponse(reply.Body)
-	if err != nil {
-		return nil
-	}
-	return resp
-}
-
-// serveCacheRPC answers peers' cooperative-cache fetches.
-func (n *Node) serveCacheRPC(from string, msg transport.Message) (transport.Message, error) {
-	switch msg.Type {
-	case "cache.get":
-		resp := n.cache.Get(msg.Key)
-		if resp == nil {
-			return transport.Message{Args: []string{"miss"}}, nil
-		}
-		return transport.Message{Args: []string{"hit"}, Body: encodeResponse(resp)}, nil
-	default:
-		return transport.Message{}, fmt.Errorf("core: unknown cache message %q", msg.Type)
 	}
 }
 

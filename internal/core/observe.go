@@ -137,6 +137,8 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_generated_responses_total", "Responses generated by script handlers.", nil, cv(&n.generated))
 	r.CounterFunc("nakika_rejected_total", "Requests refused by admission control (server busy).", nil, cv(&n.rejected))
 	r.CounterFunc("nakika_errors_total", "Requests that failed with an error.", nil, cv(&n.errors))
+	r.CounterFunc("nakika_accesslog_dropped_total", "Access-log entries overwritten unposted because their site's buffer was full.", nil,
+		func() float64 { return float64(n.log.Dropped()) })
 
 	r.CounterFunc("nakika_cache_hits_total", "Proxy cache hits per tier.", metrics.Labels{"tier": "memory"},
 		func() float64 { return float64(n.cache.Stats().Hits) })

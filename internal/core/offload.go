@@ -217,7 +217,7 @@ func (n *Node) shedRequest(req *httpmsg.Request, depth int) (resp *httpmsg.Respo
 	if len(reply.Args) >= 2 && reply.Args[1] != "" {
 		executor = reply.Args[1]
 	}
-	out, decErr := decodeResponse(reply.Body)
+	out, decErr := httpmsg.DecodeResponse(reply.Body)
 	if decErr != nil {
 		// The peer did execute the request — a local rerun could double the
 		// pipeline's side effects, so a corrupt reply is an error, not a
@@ -264,7 +264,7 @@ func (n *Node) serveOffloadRPC(from string, msg transport.Message) (transport.Me
 		if err != nil {
 			return transport.Message{}, err
 		}
-		reply := transport.Message{Args: []string{loadview.FormatScore(n.meter.Score()), who}, Body: encodeResponse(resp)}
+		reply := transport.Message{Args: []string{loadview.FormatScore(n.meter.Score()), who}, Body: httpmsg.EncodeResponse(resp)}
 		// Recycle the staged request once the reply is encoded, unless a
 		// script handler saw it (same rule as ServeHTTP).
 		if trace == nil || !trace.RanHandlers() {

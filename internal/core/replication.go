@@ -378,6 +378,17 @@ func (n *Node) localVersionedGet(site, key string) (string, bool) {
 	return value, true
 }
 
+// localVersionedPut writes (site, key) to the local store as the next
+// version of whatever is there: how the node's own records (leases,
+// deployments, large-object indexes) are stored when replication is off.
+func (n *Node) localVersionedPut(site, key, value string) error {
+	n.repApplyMu.Lock()
+	defer n.repApplyMu.Unlock()
+	ver, _, _, _, _ := n.store.GetVersioned(site, key)
+	_, err := n.store.PutVersioned(state.Rec{Site: site, Key: key, Ver: ver + 1, Origin: n.cfg.Name, Value: value})
+	return err
+}
+
 // LocalStateRecord exposes the node's local copy of a replicated record
 // (version, value, liveness) without any routing — the harness uses it to
 // count replicas and check convergence.

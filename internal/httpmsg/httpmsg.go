@@ -308,51 +308,86 @@ func (r *Response) Size() int { return len(r.Body) }
 // Cache-control helpers (expiration-based consistency, Section 3.3)
 // ---------------------------------------------------------------------------
 
-// Cacheable reports whether the response may be stored by a shared cache.
-// 304 Not Modified is deliberately not cacheable as content: it carries no
-// body, so storing it would later serve an empty page. A 304 instead
-// revalidates the stored 200 entry (see cache.Refresh).
-func (r *Response) Cacheable() bool {
-	if r.Status != http.StatusOK &&
-		r.Status != http.StatusMovedPermanently && r.Status != http.StatusNotFound {
-		return false
-	}
-	cc := strings.ToLower(r.Header.Get("Cache-Control"))
-	if strings.Contains(cc, "no-store") || strings.Contains(cc, "private") || strings.Contains(cc, "no-cache") {
-		return false
-	}
-	return true
+// cacheControl is what a shared cache reads from a response's Cache-Control
+// header lines. The directive list is split once, token by token and without
+// regard to case, so Storable and FreshFor cannot disagree about what a
+// header says.
+type cacheControl struct {
+	// noStore is set by no-store, private and no-cache alike: this cache has
+	// no revalidate-before-every-use mode, so it stores none of them.
+	noStore bool
+	// maxAge and sMaxAge are -1 when the directive is absent or is not a
+	// whole number of seconds.
+	maxAge, sMaxAge time.Duration
 }
 
-// FreshFor returns how long the response may be served from cache without
-// revalidation, following max-age and Expires. The default TTL is applied by
-// the cache, not here; zero means "no explicit freshness information".
-func (r *Response) FreshFor(now time.Time) time.Duration {
-	cc := r.Header.Get("Cache-Control")
-	for _, directive := range strings.Split(cc, ",") {
-		directive = strings.TrimSpace(directive)
-		if strings.HasPrefix(directive, "max-age=") {
-			if secs, err := strconv.Atoi(strings.TrimPrefix(directive, "max-age=")); err == nil {
-				return time.Duration(secs) * time.Second
-			}
-		}
-		if strings.HasPrefix(directive, "s-maxage=") {
-			if secs, err := strconv.Atoi(strings.TrimPrefix(directive, "s-maxage=")); err == nil {
-				return time.Duration(secs) * time.Second
+func parseCacheControl(h http.Header) cacheControl {
+	cc := cacheControl{maxAge: -1, sMaxAge: -1}
+	for _, line := range h.Values("Cache-Control") {
+		for line != "" {
+			var directive string
+			directive, line, _ = strings.Cut(line, ",")
+			name, arg, _ := strings.Cut(strings.TrimSpace(directive), "=")
+			switch {
+			case strings.EqualFold(name, "no-store"), strings.EqualFold(name, "private"), strings.EqualFold(name, "no-cache"):
+				cc.noStore = true
+			case strings.EqualFold(name, "max-age"):
+				cc.maxAge = deltaSeconds(arg)
+			case strings.EqualFold(name, "s-maxage"):
+				cc.sMaxAge = deltaSeconds(arg)
 			}
 		}
 	}
-	if exp := r.Header.Get("Expires"); exp != "" {
-		if t, err := http.ParseTime(exp); err == nil {
-			d := t.Sub(now)
-			if d < 0 {
-				return 0
-			}
-			return d
+	return cc
+}
+
+func deltaSeconds(arg string) time.Duration {
+	secs, err := strconv.ParseUint(arg, 10, 31)
+	if err != nil {
+		return -1
+	}
+	return time.Duration(secs) * time.Second
+}
+
+// Storable reports whether a shared cache may store a response with this
+// status and these headers. It is the one storability rule: the whole-body
+// cache asks it of a buffered response, the large-object tier of a streaming
+// head whose body has not been read yet. 304 Not Modified is deliberately not
+// storable as content: it carries no body, so storing it would later serve an
+// empty page. A 304 instead revalidates the stored 200 (see cache.Refresh).
+func Storable(status int, h http.Header) bool {
+	if status != http.StatusOK && status != http.StatusMovedPermanently && status != http.StatusNotFound {
+		return false
+	}
+	return !parseCacheControl(h).noStore
+}
+
+// FreshFor returns how long a shared cache may serve a response carrying
+// these headers without revalidation: s-maxage, else max-age, else the time
+// left until Expires. Zero means "no explicit freshness information"; the
+// default TTL is applied by the cache (cache.Expiry), not here.
+func FreshFor(h http.Header, now time.Time) time.Duration {
+	cc := parseCacheControl(h)
+	if cc.sMaxAge >= 0 {
+		return cc.sMaxAge
+	}
+	if cc.maxAge >= 0 {
+		return cc.maxAge
+	}
+	if exp := h.Get("Expires"); exp != "" {
+		if t, err := http.ParseTime(exp); err == nil && t.After(now) {
+			return t.Sub(now)
 		}
 	}
 	return 0
 }
+
+// Cacheable reports whether the response may be stored by a shared cache.
+func (r *Response) Cacheable() bool { return Storable(r.Status, r.Header) }
+
+// FreshFor returns how long the response may be served from cache without
+// revalidation; zero means "no explicit freshness information".
+func (r *Response) FreshFor(now time.Time) time.Duration { return FreshFor(r.Header, now) }
 
 // SetMaxAge sets the Cache-Control max-age directive in seconds.
 func (r *Response) SetMaxAge(seconds int) {

@@ -225,6 +225,54 @@ func TestFreshFor(t *testing.T) {
 	}
 }
 
+// TestSharedCachePolicy is the table for the one policy function pair:
+// Storable and FreshFor read the same directive list, token by token and
+// without regard to case.
+func TestSharedCachePolicy(t *testing.T) {
+	now := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		name     string
+		status   int
+		header   http.Header
+		storable bool
+		fresh    time.Duration
+	}{
+		{"no headers", 200, http.Header{}, true, 0},
+		{"max-age", 200, http.Header{"Cache-Control": {"max-age=60"}}, true, time.Minute},
+		{"s-maxage wins when first", 200, http.Header{"Cache-Control": {"s-maxage=10, max-age=60"}}, true, 10 * time.Second},
+		{"s-maxage wins when last", 200, http.Header{"Cache-Control": {"max-age=60, s-maxage=10"}}, true, 10 * time.Second},
+		{"directive names in any case", 200, http.Header{"Cache-Control": {"Public, Max-Age=60"}}, true, time.Minute},
+		{"no-store in any case", 200, http.Header{"Cache-Control": {"NO-STORE"}}, false, 0},
+		{"private", 200, http.Header{"Cache-Control": {"max-age=60, private"}}, false, time.Minute},
+		{"no-cache", 200, http.Header{"Cache-Control": {"no-cache"}}, false, 0},
+		{"a token that contains private is not private", 200, http.Header{"Cache-Control": {"max-age=60, x-unprivate=1"}}, true, time.Minute},
+		{"a second header line counts", 200, http.Header{"Cache-Control": {"max-age=60", "no-store"}}, false, time.Minute},
+		{"unparsable max-age is ignored", 200, http.Header{"Cache-Control": {"max-age=soon"}}, true, 0},
+		{"negative max-age is ignored", 200, http.Header{"Cache-Control": {"max-age=-5"}, "Expires": {now.Add(90 * time.Second).Format(http.TimeFormat)}}, true, 90 * time.Second},
+		{"max-age beats Expires", 200, http.Header{"Cache-Control": {"max-age=60"}, "Expires": {now.Add(time.Hour).Format(http.TimeFormat)}}, true, time.Minute},
+		{"Expires ahead", 200, http.Header{"Expires": {now.Add(90 * time.Second).Format(http.TimeFormat)}}, true, 90 * time.Second},
+		{"Expires in the past", 200, http.Header{"Expires": {now.Add(-time.Hour).Format(http.TimeFormat)}}, true, 0},
+		{"Expires unparsable", 200, http.Header{"Expires": {"0"}}, true, 0},
+		{"301", 301, http.Header{}, true, 0},
+		{"404", 404, http.Header{}, true, 0},
+		{"404 no-store", 404, http.Header{"Cache-Control": {"no-store"}}, false, 0},
+		{"206", 206, http.Header{"Cache-Control": {"max-age=60"}}, false, time.Minute},
+		{"304", 304, http.Header{"Cache-Control": {"max-age=60"}}, false, time.Minute},
+		{"500", 500, http.Header{}, false, 0},
+	} {
+		if got := Storable(c.status, c.header); got != c.storable {
+			t.Errorf("%s: Storable = %v, want %v", c.name, got, c.storable)
+		}
+		if got := FreshFor(c.header, now); got != c.fresh {
+			t.Errorf("%s: FreshFor = %v, want %v", c.name, got, c.fresh)
+		}
+		r := &Response{Status: c.status, Header: c.header}
+		if r.Cacheable() != c.storable || r.FreshFor(now) != c.fresh {
+			t.Errorf("%s: the Response methods disagree with the functions", c.name)
+		}
+	}
+}
+
 func TestHTTPConversion(t *testing.T) {
 	// Round-trip through net/http types using a live test server.
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

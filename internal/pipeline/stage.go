@@ -226,15 +226,7 @@ type Loader struct {
 	// loads coalesces concurrent cold loads of one script URL so a stampede
 	// on a scripted site evaluates the script once instead of once per
 	// request.
-	loadMu sync.Mutex
-	loads  map[string]*loadFlight
-}
-
-// loadFlight is one in-progress stage load shared by concurrent callers.
-type loadFlight struct {
-	done chan struct{}
-	st   *Stage
-	err  error
+	loads cache.Group[*Stage]
 }
 
 // NewLoader returns a loader backed by host.
@@ -268,30 +260,10 @@ func (l *Loader) Load(scriptURL, site string) (*Stage, error) {
 	if st, ok := l.missing.Get(scriptURL); ok {
 		return st, nil
 	}
-	l.loadMu.Lock()
-	if l.loads == nil {
-		l.loads = make(map[string]*loadFlight)
-	}
-	if f, ok := l.loads[scriptURL]; ok {
-		l.loadMu.Unlock()
-		<-f.done
-		return f.st, f.err
-	}
-	f := &loadFlight{done: make(chan struct{})}
-	l.loads[scriptURL] = f
-	l.loadMu.Unlock()
-	// Complete the flight even if loadSlow panics, so the URL never wedges.
-	defer func() {
-		if f.st == nil && f.err == nil {
-			f.err = fmt.Errorf("pipeline: load of %s panicked", scriptURL)
-		}
-		l.loadMu.Lock()
-		delete(l.loads, scriptURL)
-		l.loadMu.Unlock()
-		close(f.done)
-	}()
-	f.st, f.err = l.loadSlow(scriptURL, site)
-	return f.st, f.err
+	st, _, _, err := l.loads.Do(scriptURL, func() (*Stage, error) {
+		return l.loadSlow(scriptURL, site)
+	})
+	return st, err
 }
 
 // loadSlow fetches and compiles a stage (the cold path behind Load's caches

@@ -272,17 +272,65 @@ type Poster func(site, postURL string, lines []string) error
 // posts those portions of the log to the specified URLs"). Entries are
 // buffered per site behind per-site locks: every proxied request appends a
 // line, so a single global lock here would serialize the whole request path.
+// Each buffer holds at most maxPendingLog entries: a site that configured no
+// post URL, or whose URL is down, loses its oldest entries instead of growing
+// the node's heap with every request it is served.
 type AccessLog struct {
-	mu     sync.RWMutex // guards the sites and urls maps, not the buffers
-	sites  map[string]*siteLog
-	urls   map[string]string
-	posted atomic.Int64
+	mu      sync.RWMutex // guards the sites and urls maps, not the buffers
+	sites   map[string]*siteLog
+	urls    map[string]string
+	posted  atomic.Int64
+	dropped atomic.Int64
 }
 
-// siteLog is one site's independently locked entry buffer.
+// maxPendingLog bounds one site's unposted entries (about 1 MiB of access
+// lines). A power of two times 16, so the doubling buffer lands on it.
+const maxPendingLog = 8192
+
+// siteLog is one site's independently locked entry buffer: a ring that
+// doubles until it holds maxPendingLog entries and then overwrites the
+// oldest.
 type siteLog struct {
-	mu      sync.Mutex
-	entries []LogEntry
+	mu    sync.Mutex
+	ring  []LogEntry
+	start int // index in ring of the oldest entry
+	count int
+	// removed counts the entries ever taken off the front, posted or
+	// overwritten: the sequence number of the oldest entry still held, by
+	// which Flush finds what is left of a batch it posted.
+	removed uint64
+}
+
+// push appends e, reporting whether the oldest entry was dropped for it.
+func (s *siteLog) push(e LogEntry) (dropped bool) {
+	if s.count == len(s.ring) {
+		if s.count == maxPendingLog {
+			s.pop(1)
+			dropped = true
+		} else {
+			s.ring = s.ordered(max(16, 2*s.count))
+			s.start = 0
+		}
+	}
+	s.ring[(s.start+s.count)%len(s.ring)] = e
+	s.count++
+	return dropped
+}
+
+// pop removes the k oldest entries.
+func (s *siteLog) pop(k int) {
+	s.start = (s.start + k) % len(s.ring)
+	s.count -= k
+	s.removed += uint64(k)
+}
+
+// ordered copies the held entries, oldest first, into a new slice of the
+// given length (at least count).
+func (s *siteLog) ordered(length int) []LogEntry {
+	out := make([]LogEntry, length)
+	k := copy(out, s.ring[s.start:min(s.start+s.count, len(s.ring))])
+	copy(out[k:], s.ring[:s.count-k])
+	return out
 }
 
 // NewAccessLog returns an empty access log.
@@ -316,12 +364,16 @@ func (l *AccessLog) SetPostURL(site, url string) {
 	l.urls[site] = url
 }
 
-// Append records a log entry for site.
+// Append records a log entry for site, dropping the site's oldest entry
+// when its buffer is full.
 func (l *AccessLog) Append(site, message string) {
 	s := l.site(site)
 	s.mu.Lock()
-	s.entries = append(s.entries, LogEntry{Time: time.Now(), Message: message})
+	dropped := s.push(LogEntry{Time: time.Now(), Message: message})
 	s.mu.Unlock()
+	if dropped {
+		l.dropped.Add(1)
+	}
 }
 
 // Pending returns the number of unposted entries for site.
@@ -329,11 +381,15 @@ func (l *AccessLog) Pending(site string) int {
 	s := l.site(site)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.count
 }
 
 // Posted returns the total number of entries successfully posted.
 func (l *AccessLog) Posted() int64 { return l.posted.Load() }
+
+// Dropped returns the total number of entries overwritten unposted because
+// their site's buffer was full.
+func (l *AccessLog) Dropped() int64 { return l.dropped.Load() }
 
 // Flush posts every site's accumulated entries to its configured URL using
 // post. Sites without a configured URL retain their entries. Entries are
@@ -343,7 +399,6 @@ func (l *AccessLog) Flush(post Poster) error {
 		site, url string
 		buf       *siteLog
 		lines     []string
-		count     int
 	}
 	l.mu.RLock()
 	var batches []batch
@@ -360,12 +415,12 @@ func (l *AccessLog) Flush(post Poster) error {
 	for i := range batches {
 		bt := &batches[i]
 		bt.buf.mu.Lock()
-		entries := bt.buf.entries
+		entries := bt.buf.ordered(bt.buf.count)
+		end := bt.buf.removed + uint64(len(entries))
 		bt.buf.mu.Unlock()
 		if len(entries) == 0 {
 			continue
 		}
-		bt.count = len(entries)
 		bt.lines = make([]string, len(entries))
 		for j, e := range entries {
 			bt.lines[j] = e.Time.UTC().Format(time.RFC3339) + " " + e.Message
@@ -377,11 +432,13 @@ func (l *AccessLog) Flush(post Poster) error {
 			continue
 		}
 		bt.buf.mu.Lock()
-		// Drop exactly the entries we posted; new entries appended since the
-		// snapshot stay queued.
-		bt.buf.entries = bt.buf.entries[bt.count:]
+		// Drop exactly the entries we posted (less any the buffer overwrote
+		// meanwhile); new entries appended since the snapshot stay queued.
+		if end > bt.buf.removed {
+			bt.buf.pop(int(end - bt.buf.removed))
+		}
 		bt.buf.mu.Unlock()
-		l.posted.Add(int64(bt.count))
+		l.posted.Add(int64(len(entries)))
 	}
 	return firstErr
 }

@@ -2,6 +2,7 @@ package state
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -350,6 +351,40 @@ func TestAccessLogRetriesOnFailure(t *testing.T) {
 	}
 	if l.Pending("site") != 0 || attempts != 1 {
 		t.Errorf("pending=%d attempts=%d", l.Pending("site"), attempts)
+	}
+}
+
+// TestAccessLogBounded: a site's buffer stops at maxPendingLog entries, the
+// oldest making way for the newest, and every entry lost is counted.
+func TestAccessLogBounded(t *testing.T) {
+	const overflow = 100
+	l := NewAccessLog()
+	for i := 0; i < maxPendingLog+overflow; i++ {
+		l.Append("site", strconv.Itoa(i))
+	}
+	if l.Pending("site") != maxPendingLog || l.Dropped() != overflow {
+		t.Fatalf("pending = %d, dropped = %d; want %d, %d", l.Pending("site"), l.Dropped(), maxPendingLog, overflow)
+	}
+	l.SetPostURL("site", "http://site/logs")
+	var lines []string
+	err := l.Flush(func(site, url string, batch []string) error {
+		lines = batch
+		// Entries that arrive during the post push out part of what is being
+		// posted; the rest of the posted batch is all Flush may remove.
+		for i := 0; i < overflow; i++ {
+			l.Append("site", "late")
+		}
+		return nil
+	})
+	if err != nil || len(lines) != maxPendingLog {
+		t.Fatalf("flushed %d lines, %v", len(lines), err)
+	}
+	if !strings.HasSuffix(lines[0], " "+strconv.Itoa(overflow)) || !strings.HasSuffix(lines[len(lines)-1], " "+strconv.Itoa(maxPendingLog+overflow-1)) {
+		t.Errorf("flushed %q ... %q: the newest %d entries should have survived, in order", lines[0], lines[len(lines)-1], maxPendingLog)
+	}
+	if l.Pending("site") != overflow || l.Dropped() != 2*overflow || l.Posted() != maxPendingLog {
+		t.Errorf("after flush: pending = %d, dropped = %d, posted = %d; want %d, %d, %d",
+			l.Pending("site"), l.Dropped(), l.Posted(), overflow, 2*overflow, maxPendingLog)
 	}
 }
 
