@@ -59,27 +59,7 @@ func BenchmarkCostBreakdown(b *testing.B) {
 	}
 }
 
-// --- Section 5.1 capacity and resource controls ----------------------------
-
-func BenchmarkCapacity_PlainProxy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunCapacity(4, false, 100*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Throughput, "req/s")
-	}
-}
-
-func BenchmarkCapacity_Match1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunCapacity(4, true, 100*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Throughput, "req/s")
-	}
-}
+// --- Section 5.1 resource controls ------------------------------------------
 
 func BenchmarkResourceControls_WithControls(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -104,9 +84,8 @@ func BenchmarkResourceControls_WithoutControls(b *testing.B) {
 // --- Section 5.2 / Figure 7: SIMM wide-area experiment ---------------------
 
 func benchmarkFigure7(b *testing.B, mode bench.SIMMMode, clients int) {
-	costs := bench.SIMMCosts{OriginRender: 3 * time.Millisecond, EdgeRender: 4 * time.Millisecond, StaticServe: 500 * time.Microsecond}
 	for i := 0; i < b.N; i++ {
-		res := bench.RunSIMM(mode, bench.SIMMParams{Clients: clients, Duration: 20 * time.Second, Costs: costs})
+		res := bench.RunSIMM(mode, bench.SIMMParams{Clients: clients, Duration: 20 * time.Second})
 		b.ReportMetric(res.HTML90th.Seconds(), "html-90th-s")
 		b.ReportMetric(res.VideoOKPct, "video-ok-%")
 	}
@@ -121,37 +100,6 @@ func BenchmarkFigure7_SingleServer_120(b *testing.B) {
 	benchmarkFigure7(b, bench.SIMMSingleServer, 120)
 }
 func BenchmarkFigure7_WarmCache_120(b *testing.B) { benchmarkFigure7(b, bench.SIMMWarmCache, 120) }
-
-// --- Section 5.2 local comparison ------------------------------------------
-
-func BenchmarkSIMMLocal_WithWAN(b *testing.B) {
-	costs := bench.SIMMCosts{OriginRender: 3 * time.Millisecond, EdgeRender: 4 * time.Millisecond, StaticServe: 500 * time.Microsecond}
-	for i := 0; i < b.N; i++ {
-		res := bench.RunSIMMLocal(160, 10*time.Second, costs, true)
-		b.ReportMetric(res[0].HTML90th.Seconds(), "single-90th-s")
-		b.ReportMetric(res[1].HTML90th.Seconds(), "nakika-90th-s")
-	}
-}
-
-// --- Section 5.3: SPECweb99-like hard state experiment ----------------------
-
-func BenchmarkHardState_PHPSingleServer(b *testing.B) {
-	costs := bench.SpecWebCosts{OriginDynamic: 20 * time.Millisecond, EdgeDynamic: 2 * time.Millisecond, StaticServe: 300 * time.Microsecond}
-	for i := 0; i < b.N; i++ {
-		res := bench.RunSpecWeb(true, 160, 30*time.Second, costs)
-		b.ReportMetric(res.Throughput, "req/s")
-		b.ReportMetric(res.MeanResponse.Seconds(), "mean-s")
-	}
-}
-
-func BenchmarkHardState_NaKika(b *testing.B) {
-	costs := bench.SpecWebCosts{OriginDynamic: 20 * time.Millisecond, EdgeDynamic: 2 * time.Millisecond, StaticServe: 300 * time.Microsecond}
-	for i := 0; i < b.N; i++ {
-		res := bench.RunSpecWeb(false, 160, 30*time.Second, costs)
-		b.ReportMetric(res.Throughput, "req/s")
-		b.ReportMetric(res.MeanResponse.Seconds(), "mean-s")
-	}
-}
 
 // --- Ablations (DESIGN.md Section 5) ---------------------------------------
 
@@ -290,12 +238,10 @@ func BenchmarkCooperativeCache(b *testing.B) {
 
 // Script interpreter throughput on the Figure 2 workload shape.
 func BenchmarkScriptPipelineStage(b *testing.B) {
-	res, err := bench.RunMicro(bench.ConfigMatch1, 1)
+	node, err := bench.NewConcurrentMatchNode()
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = res
-	node := mustMicroMatchNode(b)
 	req := MustRequest("GET", "http://static.example.org/index.html")
 	req.ClientIP = "10.0.0.1"
 	b.ResetTimer()
@@ -306,8 +252,8 @@ func BenchmarkScriptPipelineStage(b *testing.B) {
 	}
 }
 
-// --- Concurrency family: pooled stage contexts, sharded cache, ------------
-// --- single-flight origin fetches. Run with -cpu 1,2,4,8 to see scaling. ---
+// --- Concurrency family: pooled stage contexts, sharded cache. ------------
+// --- Run with -cpu 1,2,4,8 to see scaling. ---------------------------------
 
 func benchmarkConcurrentHandle(b *testing.B, build func() (*Node, error)) {
 	b.Helper()
@@ -344,48 +290,4 @@ func BenchmarkConcurrentProxyWarm(b *testing.B) {
 // existed every request serialized on the stage's single context mutex.
 func BenchmarkConcurrentMatch1(b *testing.B) {
 	benchmarkConcurrentHandle(b, bench.NewConcurrentMatchNode)
-}
-
-// BenchmarkConcurrentColdStampede releases 32 concurrent requests against
-// one cold key per iteration; single-flight keeps origin-fetches at 1.
-func BenchmarkConcurrentColdStampede(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunStampede(32, time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.OriginFetches != 1 {
-			b.Fatalf("stampede caused %d origin fetches, want 1", res.OriginFetches)
-		}
-		b.ReportMetric(float64(res.OriginFetches), "origin-fetches")
-	}
-}
-
-func mustMicroMatchNode(b *testing.B) *Node {
-	b.Helper()
-	origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
-		switch req.Path() {
-		case "/index.html":
-			r := NewHTMLResponse(200, "static page body")
-			r.SetMaxAge(600)
-			return r, nil
-		case "/nakika.js":
-			r := NewTextResponse(200, `
-				var p = new Policy();
-				p.url = [ "static.example.org" ];
-				p.onRequest = function() { };
-				p.onResponse = function() { };
-				p.register();
-			`)
-			r.SetMaxAge(600)
-			return r, nil
-		default:
-			return NewTextResponse(404, "none"), nil
-		}
-	})
-	node, err := NewNode(Config{Name: "bench-node", Upstream: origin})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return node
 }

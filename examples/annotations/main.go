@@ -11,8 +11,8 @@ import (
 	"log"
 
 	"nakika"
+	"nakika/internal/apps/extensions"
 	"nakika/internal/apps/simm"
-	"nakika/internal/bench"
 )
 
 func main() {
@@ -23,7 +23,7 @@ func main() {
 	origin := nakika.FetcherFunc(func(req *nakika.Request) (*nakika.Response, error) {
 		switch {
 		case req.Host() == "annotations.example.org" && req.Path() == "/nakika.js":
-			r := nakika.NewTextResponse(200, bench.AnnotationsScript)
+			r := nakika.NewTextResponse(200, extensions.AnnotationsScript)
 			r.SetMaxAge(300)
 			return r, nil
 		case req.Host() == simmHost && req.Path() == "/nakika.js":

@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"nakika"
-	"nakika/internal/bench"
+	"nakika/internal/apps/extensions"
 )
 
 const blacklist = `# Na Kika network blacklist
@@ -26,7 +26,7 @@ func main() {
 			r.SetMaxAge(300)
 			return r, nil
 		case req.Host() == "nakika.net" && req.Path() == "/clientwall.js":
-			r := nakika.NewTextResponse(200, bench.BlacklistScript)
+			r := nakika.NewTextResponse(200, extensions.BlacklistScript)
 			r.SetMaxAge(300)
 			return r, nil
 		case req.Path() == "/nakika.js" || req.Path() == "/serverwall.js":

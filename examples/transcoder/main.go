@@ -12,7 +12,7 @@ import (
 	"log"
 
 	"nakika"
-	"nakika/internal/bench"
+	"nakika/internal/apps/extensions"
 )
 
 func makePNG(w, h int) []byte {
@@ -43,7 +43,7 @@ func main() {
 			// The transcoding extension is deployed as an administrative
 			// stage here so it applies to every site; a site could equally
 			// schedule it from its own nakika.js.
-			r := nakika.NewTextResponse(200, bench.TranscoderScript)
+			r := nakika.NewTextResponse(200, extensions.TranscoderScript)
 			r.SetMaxAge(600)
 			return r, nil
 		default:

@@ -2,9 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"nakika/internal/core"
 	"nakika/internal/httpmsg"
@@ -13,9 +10,9 @@ import (
 // Concurrency benchmark harness: the helpers behind the repository-level
 // BenchmarkConcurrent* family. Where RunMicro measures single-request
 // latency (Table 2), these build nodes meant to be hammered from many
-// goroutines at once — warm proxy hits, warm Match-1 pipeline executions,
-// and cold-cache stampedes — so the request path's scalability (and any
-// future lock-contention regression) is measurable with `go test -bench
+// goroutines at once — warm proxy hits and warm Match-1 pipeline
+// executions — so the request path's scalability (and any future
+// lock-contention regression) is measurable with `go test -bench
 // BenchmarkConcurrent -cpu 1,8`.
 
 // NewConcurrentProxyNode returns a node primed for the warm proxy path: the
@@ -67,73 +64,3 @@ func ConcurrentRequest() *httpmsg.Request {
 
 // pageURL is the pre-parsed benchmark URL ConcurrentRequest copies from.
 var pageURL = *httpmsg.MustRequest("GET", "http://"+staticHost+"/index.html").URL
-
-// StampedeResult reports one cold-cache stampede round.
-type StampedeResult struct {
-	// Clients is how many concurrent requests hit the cold key.
-	Clients int
-	// OriginFetches is how many of them reached the origin (1 when
-	// single-flight coalescing works).
-	OriginFetches int64
-	// Elapsed is the wall-clock time for the whole fan-out.
-	Elapsed time.Duration
-}
-
-// RunStampede builds a cold node whose origin takes originDelay per fetch,
-// then releases clients concurrent requests for the same (cold) key and
-// reports how many origin fetches they caused. With single-flight
-// coalescing the answer stays 1 regardless of clients.
-func RunStampede(clients int, originDelay time.Duration) (StampedeResult, error) {
-	if clients <= 0 {
-		clients = 32
-	}
-	var originFetches atomic.Int64
-	origin := core.FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
-		switch req.Path() {
-		case "/index.html":
-			originFetches.Add(1)
-			if originDelay > 0 {
-				time.Sleep(originDelay)
-			}
-			resp := httpmsg.NewHTMLResponse(200, staticPage)
-			resp.SetMaxAge(600)
-			return resp, nil
-		default:
-			return httpmsg.NewTextResponse(404, "none"), nil
-		}
-	})
-	node, err := core.NewNode(core.Config{Name: "stampede", Region: "local", Upstream: origin})
-	if err != nil {
-		return StampedeResult{}, err
-	}
-	start := make(chan struct{})
-	errCh := make(chan error, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			resp, _, err := node.Handle(pageRequest())
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if resp.Status != 200 {
-				errCh <- fmt.Errorf("bench: stampede response %d", resp.Status)
-			}
-		}()
-	}
-	began := time.Now()
-	close(start)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return StampedeResult{}, err
-	}
-	return StampedeResult{
-		Clients:       clients,
-		OriginFetches: originFetches.Load(),
-		Elapsed:       time.Since(began),
-	}, nil
-}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"nakika/internal/apps/largefile"
 	"nakika/internal/core"
@@ -14,8 +13,7 @@ import (
 )
 
 // The large-object experiment: the chunked tier's end-to-end behaviour on a
-// single warm node, measured as deterministic fetch counts plus advisory
-// wall-clock streaming rates.
+// single warm node, measured as deterministic fetch counts.
 //
 // The fetch counters are exact: the experiment drives a known sequence of
 // requests single-threaded against an in-process origin and counts how many
@@ -24,7 +22,8 @@ import (
 // of the runner, so the regression gate tracks them hard. Several are
 // recorded as count+1 because the interesting value is zero ("warm ranges
 // never touch the origin") and the gate cannot ratio against a zero
-// baseline. The MB/s rates move with the machine and are soft-checked only.
+// baseline. The streaming rates are benchmark/'s large_range workload
+// (ttfb_p50_us, largeobject.ingest_mb_per_s, largeobject.range_read_mb_per_s).
 
 // Experiment geometry. 24 segments of 256 KiB; the eviction phase keeps a
 // slab of only 8 slots, so a warm sequential re-read must refetch evicted
@@ -34,6 +33,7 @@ const (
 	lobSegmentBytes = 256 << 10
 	lobThreshold    = 1 << 20
 	lobEvictSlots   = 8
+	lobWarmReads    = 8
 	lobRangeReads   = 32
 	lobRangeSpan    = 100_000
 )
@@ -48,15 +48,12 @@ type LargeObjectResult struct {
 	// ColdOriginFullFetches is how many full-body origin fetches the cold
 	// streamed fetch cost (1: the pull-through ingest shares one body with
 	// the client).
-	ColdOriginFullFetches int64         `json:"cold_origin_full_fetches"`
-	ColdTTFB              time.Duration `json:"cold_ttfb_ns"`
-	ColdMBPerSec          float64       `json:"cold_mb_per_sec"`
+	ColdOriginFullFetches int64 `json:"cold_origin_full_fetches"`
 
 	// WarmReads whole-body re-reads ran after ingest; they must all stream
 	// from resident segments, so the +1-encoded origin count gates at 1.
-	WarmReads              int     `json:"warm_reads"`
-	WarmOriginFetchesPlus1 int64   `json:"warm_origin_fetches_plus1"`
-	WarmMBPerSec           float64 `json:"warm_mb_per_sec"`
+	WarmReads              int   `json:"warm_reads"`
+	WarmOriginFetchesPlus1 int64 `json:"warm_origin_fetches_plus1"`
 
 	// RangeReads warm Range requests were served 206 from resident
 	// segments; again +1-encoded because the right answer is zero.
@@ -174,29 +171,25 @@ func lobBenchRequest() *httpmsg.Request {
 }
 
 // lobVerifyStream reads resp's body stream end to end, checking every byte
-// against the offset-derived content, and returns the time to first byte.
-func lobVerifyStream(resp *httpmsg.Response) (ttfb time.Duration, err error) {
+// against the offset-derived content.
+func lobVerifyStream(resp *httpmsg.Response) error {
 	if resp.Stream == nil {
-		return 0, fmt.Errorf("bench: response is not streamed")
+		return fmt.Errorf("bench: response is not streamed")
 	}
 	rc, err := resp.Stream.Range(0, resp.TotalLen())
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer rc.Close()
-	start := time.Now()
 	buf := make([]byte, 64<<10)
 	want := make([]byte, 64<<10)
 	off := int64(0)
 	for {
 		n, rerr := rc.Read(buf)
 		if n > 0 {
-			if off == 0 {
-				ttfb = time.Since(start)
-			}
 			largefile.Fill(want[:n], off)
 			if string(buf[:n]) != string(want[:n]) {
-				return ttfb, fmt.Errorf("bench: stream content mismatch at offset %d", off)
+				return fmt.Errorf("bench: stream content mismatch at offset %d", off)
 			}
 			off += int64(n)
 		}
@@ -204,19 +197,19 @@ func lobVerifyStream(resp *httpmsg.Response) (ttfb time.Duration, err error) {
 			break
 		}
 		if rerr != nil {
-			return ttfb, rerr
+			return rerr
 		}
 	}
 	if off != lobObjectBytes {
-		return ttfb, fmt.Errorf("bench: stream delivered %d of %d bytes", off, lobObjectBytes)
+		return fmt.Errorf("bench: stream delivered %d of %d bytes", off, lobObjectBytes)
 	}
-	return ttfb, nil
+	return nil
 }
 
-// RunLargeObject runs the experiment: a cold streamed ingest, warm
-// whole-body re-reads for up to loadDuration, a deterministic sweep of warm
-// Range requests, and the eviction phase on a slab smaller than the object.
-func RunLargeObject(loadDuration time.Duration) (LargeObjectResult, error) {
+// RunLargeObject runs the experiment: a cold streamed ingest, lobWarmReads
+// warm whole-body re-reads, a deterministic sweep of warm Range requests,
+// and the eviction phase on a slab smaller than the object.
+func RunLargeObject() (LargeObjectResult, error) {
 	res := LargeObjectResult{
 		ObjectBytes:       lobObjectBytes,
 		SegmentBytes:      lobSegmentBytes,
@@ -232,7 +225,6 @@ func RunLargeObject(loadDuration time.Duration) (LargeObjectResult, error) {
 		return res, err
 	}
 
-	coldStart := time.Now()
 	resp, _, err := node.Handle(lobBenchRequest())
 	if err != nil {
 		return res, fmt.Errorf("bench: cold fetch: %w", err)
@@ -240,13 +232,9 @@ func RunLargeObject(loadDuration time.Duration) (LargeObjectResult, error) {
 	if resp.Status != 200 {
 		return res, fmt.Errorf("bench: cold fetch status %d", resp.Status)
 	}
-	ttfb, err := lobVerifyStream(resp)
-	if err != nil {
+	if err := lobVerifyStream(resp); err != nil {
 		return res, fmt.Errorf("bench: cold fetch: %w", err)
 	}
-	coldElapsed := time.Since(coldStart)
-	res.ColdTTFB = ttfb
-	res.ColdMBPerSec = float64(lobObjectBytes) / (1 << 20) / coldElapsed.Seconds()
 	res.ColdOriginFullFetches = origin.fullHits.Load()
 	if st := node.LargeObject(); st.StreamIngests != 1 {
 		return res, fmt.Errorf("bench: cold fetch did not stream-ingest (stats %+v)", st)
@@ -254,9 +242,7 @@ func RunLargeObject(loadDuration time.Duration) (LargeObjectResult, error) {
 
 	// Warm whole-body re-reads: every one must be a streamed serve from
 	// resident segments with zero origin traffic.
-	warmStart := time.Now()
-	deadline := warmStart.Add(loadDuration)
-	for res.WarmReads == 0 || time.Now().Before(deadline) {
+	for ; res.WarmReads < lobWarmReads; res.WarmReads++ {
 		resp, trace, err := node.Handle(lobBenchRequest())
 		if err != nil {
 			return res, fmt.Errorf("bench: warm read: %w", err)
@@ -264,13 +250,10 @@ func RunLargeObject(loadDuration time.Duration) (LargeObjectResult, error) {
 		if trace == nil || !trace.Streamed {
 			return res, fmt.Errorf("bench: warm read was not a streamed serve")
 		}
-		if _, err := lobVerifyStream(resp); err != nil {
+		if err := lobVerifyStream(resp); err != nil {
 			return res, fmt.Errorf("bench: warm read: %w", err)
 		}
-		res.WarmReads++
 	}
-	warmElapsed := time.Since(warmStart)
-	res.WarmMBPerSec = float64(res.WarmReads) * float64(lobObjectBytes) / (1 << 20) / warmElapsed.Seconds()
 	res.WarmOriginFetchesPlus1 =
 		(origin.fullHits.Load() - res.ColdOriginFullFetches) + origin.rngHits.Load() + 1
 
@@ -328,7 +311,7 @@ func RunLargeObject(loadDuration time.Duration) (LargeObjectResult, error) {
 	if trace == nil || !trace.Streamed {
 		return res, fmt.Errorf("bench: eviction warm read was not a streamed serve")
 	}
-	if _, err := lobVerifyStream(resp); err != nil {
+	if err := lobVerifyStream(resp); err != nil {
 		return res, fmt.Errorf("bench: eviction warm read: %w", err)
 	}
 	res.EvictedFullRefetches = evOrigin.fullHits.Load() - evFull
@@ -347,10 +330,9 @@ func FormatLargeObject(r LargeObjectResult) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "object: %d MiB in %d segments of %d KiB\n",
 		r.ObjectBytes>>20, r.Segments, r.SegmentBytes>>10)
-	fmt.Fprintf(&sb, "cold streamed fetch:  %d origin full fetch(es), ttfb=%v, %.1f MB/s\n",
-		r.ColdOriginFullFetches, r.ColdTTFB, r.ColdMBPerSec)
-	fmt.Fprintf(&sb, "warm whole re-reads:  %d reads, %d origin fetches, %.1f MB/s\n",
-		r.WarmReads, r.WarmOriginFetchesPlus1-1, r.WarmMBPerSec)
+	fmt.Fprintf(&sb, "cold streamed fetch:  %d origin full fetch(es)\n", r.ColdOriginFullFetches)
+	fmt.Fprintf(&sb, "warm whole re-reads:  %d reads, %d origin fetches\n",
+		r.WarmReads, r.WarmOriginFetchesPlus1-1)
 	fmt.Fprintf(&sb, "warm range sweep:     %d reads (206), %d origin fetches\n",
 		r.RangeReads, r.WarmRangeOriginFetchesPlus1-1)
 	fmt.Fprintf(&sb, "eviction re-read:     %d-slot slab, %d ranged refetches, %d full refetches\n",

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"nakika/internal/core"
 )
@@ -17,25 +16,23 @@ import (
 // a build without the plane). The delta is the plane's whole price.
 //
 // Alloc counts are deterministic for a fixed Go toolchain, so both
-// sides' allocs/op and bytes/op are gated hard by the regression gate;
-// the req/s rates are runner-dependent and only soft-checked.
+// sides' allocs/op and bytes/op are gated hard by the regression gate.
+// What the plane costs in time is benchmark/'s
+// observe.handle_delta_ns_per_req.
 
 // MetricsCostResult is the experiment payload written to
 // BENCH_metrics.json.
 type MetricsCostResult struct {
 	// Enabled is the warm proxy loop with the observability plane on —
 	// the configuration every production node runs.
-	Enabled ProxyThroughput `json:"enabled"`
+	Enabled ProxyAllocs `json:"enabled"`
 	// Disabled is the same loop under Config.NoObserve.
-	Disabled ProxyThroughput `json:"disabled"`
+	Disabled ProxyAllocs `json:"disabled"`
 
 	// AllocsPerOpAdded and BytesPerOpAdded are the plane's per-request
 	// price (enabled minus disabled).
 	AllocsPerOpAdded float64 `json:"allocs_per_op_added"`
 	BytesPerOpAdded  float64 `json:"bytes_per_op_added"`
-	// ReqPerSecRatio is enabled req/s over disabled req/s (1.0 means the
-	// plane is free on the wall clock; archived only).
-	ReqPerSecRatio float64 `json:"req_per_sec_ratio"`
 }
 
 // observeBenchNode builds the warm proxy node the metrics experiment
@@ -56,12 +53,12 @@ func observeBenchNode(noObserve bool) (*core.Node, error) {
 }
 
 // RunMetricsCost measures the warm proxy loop with the observability
-// plane on and off; d bounds each wall-clock rate window.
-func RunMetricsCost(d time.Duration) (MetricsCostResult, error) {
+// plane on and off.
+func RunMetricsCost() (MetricsCostResult, error) {
 	var res MetricsCostResult
 	for _, side := range []struct {
 		noObserve bool
-		out       *ProxyThroughput
+		out       *ProxyAllocs
 	}{
 		{false, &res.Enabled},
 		{true, &res.Disabled},
@@ -70,15 +67,12 @@ func RunMetricsCost(d time.Duration) (MetricsCostResult, error) {
 		if err != nil {
 			return res, err
 		}
-		if *side.out, err = measureProxyLoop(node, d); err != nil {
+		if *side.out, err = measureProxyAllocs(node); err != nil {
 			return res, err
 		}
 	}
 	res.AllocsPerOpAdded = res.Enabled.AllocsPerOp - res.Disabled.AllocsPerOp
 	res.BytesPerOpAdded = res.Enabled.BytesPerOp - res.Disabled.BytesPerOp
-	if res.Disabled.ReqPerSec > 0 {
-		res.ReqPerSecRatio = res.Enabled.ReqPerSec / res.Disabled.ReqPerSec
-	}
 	return res, nil
 }
 
@@ -86,11 +80,8 @@ func RunMetricsCost(d time.Duration) (MetricsCostResult, error) {
 func FormatMetricsCost(r MetricsCostResult) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "warm proxy loop, observability plane on vs off:\n")
-	fmt.Fprintf(&sb, "  enabled:  %8.0f req/s  %6.1f allocs/op  %8.1f B/op  p50=%v p99=%v  (%d requests)\n",
-		r.Enabled.ReqPerSec, r.Enabled.AllocsPerOp, r.Enabled.BytesPerOp, r.Enabled.P50, r.Enabled.P99, r.Enabled.Requests)
-	fmt.Fprintf(&sb, "  disabled: %8.0f req/s  %6.1f allocs/op  %8.1f B/op  p50=%v p99=%v  (%d requests)\n",
-		r.Disabled.ReqPerSec, r.Disabled.AllocsPerOp, r.Disabled.BytesPerOp, r.Disabled.P50, r.Disabled.P99, r.Disabled.Requests)
-	fmt.Fprintf(&sb, "  plane cost: %+.1f allocs/op  %+.1f B/op  req/s ratio %.3f\n",
-		r.AllocsPerOpAdded, r.BytesPerOpAdded, r.ReqPerSecRatio)
+	fmt.Fprintf(&sb, "  enabled:  %6.1f allocs/op  %8.1f B/op\n", r.Enabled.AllocsPerOp, r.Enabled.BytesPerOp)
+	fmt.Fprintf(&sb, "  disabled: %6.1f allocs/op  %8.1f B/op\n", r.Disabled.AllocsPerOp, r.Disabled.BytesPerOp)
+	fmt.Fprintf(&sb, "  plane cost: %+.1f allocs/op  %+.1f B/op\n", r.AllocsPerOpAdded, r.BytesPerOpAdded)
 	return sb.String()
 }

@@ -1,8 +1,20 @@
-// Package bench implements the paper's evaluation harness: every table and
-// figure in Section 5 has a corresponding Run* function that drives the real
-// Na Kika implementation (and, for the wide-area experiments, composes the
-// measured costs through the simnet simulator). The cmd/nakika-bench tool
-// and the repository-root benchmarks call into this package.
+// Package bench has two jobs, and cmd/nakika-bench is its front end for
+// both.
+//
+// It reproduces the figures of the paper's Section 5 that no benchmark/
+// workload can show: Table 2 (RunTable2), the Section 5.1 cost breakdown
+// (RunBreakdown) and resource controls (RunResourceControls), Figure 7's
+// wide-area SIMM model on the simnet simulator (RunFigure7), and the
+// Section 5.4 extension sizes (Extensions).
+//
+// And it produces the deterministic counts CI gates against
+// bench/baseline/BENCH_*.json (TrackedMetrics, CompareBenchDirs): message
+// counts and virtual time for replication, offload and leases, allocations
+// per warm request for the data plane and the observability plane, origin
+// fetch counts for the large-object tier.
+//
+// Timing, throughput and per-layer cost are benchmark/'s job, not this
+// package's: nothing here that is gated reads the wall clock.
 package bench
 
 import (
@@ -14,6 +26,8 @@ import (
 
 	"nakika/internal/core"
 	"nakika/internal/httpmsg"
+	"nakika/internal/overlay"
+	"nakika/internal/policy"
 	"nakika/internal/resource"
 	"nakika/internal/script"
 )
@@ -155,6 +169,16 @@ func microNode(cfg MicroConfig) (*core.Node, error) {
 		ClientWallURL: "http://nakika.net/clientwall.js",
 		ServerWallURL: "http://nakika.net/serverwall.js",
 	}
+	if cfg == ConfigDHT {
+		// A ring of two, so a cold access asks the overlay who holds a copy
+		// (nobody does) before it goes to the origin.
+		nodeCfg.Ring = overlay.NewRing()
+		peerCfg := nodeCfg
+		peerCfg.Name += "-peer"
+		if _, err := core.NewNode(peerCfg); err != nil {
+			return nil, err
+		}
+	}
 	return core.NewNode(nodeCfg)
 }
 
@@ -167,7 +191,7 @@ func pageRequest() *httpmsg.Request {
 
 // fetchStatic performs one access in the Proxy/DHT configurations (no
 // pipeline, just cache + upstream), mirroring a plain proxy cache.
-func fetchStatic(node *core.Node, withDHT bool) error {
+func fetchStatic(node *core.Node) error {
 	resp, err := node.Fetch(pageRequest())
 	if err != nil {
 		return err
@@ -175,7 +199,6 @@ func fetchStatic(node *core.Node, withDHT bool) error {
 	if resp.Status != 200 || len(resp.Body) != googlePageBytes {
 		return fmt.Errorf("bench: unexpected response %d (%d bytes)", resp.Status, len(resp.Body))
 	}
-	_ = withDHT
 	return nil
 }
 
@@ -232,10 +255,8 @@ func RunMicro(cfg MicroConfig, iterations int) (MicroResult, error) {
 
 func runMicroAccess(node *core.Node, cfg MicroConfig) error {
 	switch cfg {
-	case ConfigProxy:
-		return fetchStatic(node, false)
-	case ConfigDHT:
-		return fetchStatic(node, true)
+	case ConfigProxy, ConfigDHT:
+		return fetchStatic(node)
 	default:
 		resp, _, err := node.Handle(pageRequest())
 		if err != nil {
@@ -277,6 +298,18 @@ type BreakdownResult struct {
 	PredicateEval   time.Duration // one predicate evaluation over 100 policies
 }
 
+// policyInputForBench converts a request into the predicate-evaluation input
+// (used when benchmarking the matcher in isolation).
+func policyInputForBench(req *httpmsg.Request) policy.Input {
+	return policy.Input{
+		Host:     req.Host(),
+		Path:     req.Path(),
+		ClientIP: req.ClientIP,
+		Method:   req.Method,
+		Header:   req.Header,
+	}
+}
+
 // RunBreakdown measures the instrumented cost breakdown.
 func RunBreakdown(iterations int) (BreakdownResult, error) {
 	if iterations <= 0 {
@@ -295,7 +328,7 @@ func RunBreakdown(iterations int) (BreakdownResult, error) {
 		if err != nil {
 			return out, err
 		}
-		if err := fetchStatic(n2, false); err != nil {
+		if err := fetchStatic(n2); err != nil {
 			return out, err
 		}
 	}
@@ -351,12 +384,12 @@ func RunBreakdown(iterations int) (BreakdownResult, error) {
 	out.ParseAndRun = time.Since(start) / time.Duration(iterations)
 
 	// Cache hit for the page.
-	if err := fetchStatic(node, false); err != nil {
+	if err := fetchStatic(node); err != nil {
 		return out, err
 	}
 	start = time.Now()
 	for i := 0; i < iterations; i++ {
-		if err := fetchStatic(node, false); err != nil {
+		if err := fetchStatic(node); err != nil {
 			return out, err
 		}
 	}
@@ -393,7 +426,7 @@ func RunBreakdown(iterations int) (BreakdownResult, error) {
 }
 
 // ---------------------------------------------------------------------------
-// E3 and E4: capacity and resource controls (Section 5.1)
+// E4: resource controls (Section 5.1)
 // ---------------------------------------------------------------------------
 
 // LoadResult reports a closed-loop load test.
@@ -406,21 +439,6 @@ type LoadResult struct {
 	Throughput   float64 // successful requests per second
 	RejectedPct  float64
 	TerminatePct float64
-}
-
-// RunCapacity drives a node with the given closed-loop client count for the
-// duration and reports throughput. When matchOne is true the node runs the
-// Match-1 scripting configuration; otherwise it is the plain proxy baseline.
-func RunCapacity(clients int, matchOne bool, duration time.Duration) (LoadResult, error) {
-	cfg := ConfigProxy
-	if matchOne {
-		cfg = ConfigMatch1
-	}
-	node, err := microNode(cfg)
-	if err != nil {
-		return LoadResult{}, err
-	}
-	return runClosedLoop(node, cfg, clients, duration, false)
 }
 
 // RunResourceControls reproduces the Section 5.1 resource-control
@@ -472,7 +490,7 @@ func RunResourceControls(clients int, withControls, withHog bool, duration time.
 			}
 		}()
 	}
-	res, err := runClosedLoop(node, ConfigMatch1, clients, duration, true)
+	res, err := runClosedLoop(node, clients, duration)
 	close(stop)
 	wg.Wait()
 	return res, err
@@ -542,7 +560,7 @@ func microResourceNode(withControls bool) (*core.Node, error) {
 
 // runClosedLoop runs clients concurrent loops issuing the static-page
 // request against node for the duration.
-func runClosedLoop(node *core.Node, cfg MicroConfig, clients int, duration time.Duration, countRejections bool) (LoadResult, error) {
+func runClosedLoop(node *core.Node, clients int, duration time.Duration) (LoadResult, error) {
 	if clients <= 0 {
 		clients = 1
 	}
@@ -561,16 +579,7 @@ func runClosedLoop(node *core.Node, cfg MicroConfig, clients int, duration time.
 				}
 				req := pageRequest()
 				req.ClientIP = fmt.Sprintf("10.0.%d.%d", c/250, c%250+1)
-				var err error
-				if cfg == ConfigProxy || cfg == ConfigDHT {
-					err = fetchStatic(node, cfg == ConfigDHT)
-					if err == nil {
-						completed.Add(1)
-					}
-					continue
-				}
-				resp, trace, herr := node.Handle(req)
-				err = herr
+				resp, trace, err := node.Handle(req)
 				if err != nil {
 					continue
 				}
@@ -601,6 +610,5 @@ func runClosedLoop(node *core.Node, cfg MicroConfig, clients int, duration time.
 		res.RejectedPct = float64(res.Rejected) / total * 100
 		res.TerminatePct = float64(res.Terminated) / total * 100
 	}
-	_ = countRejections
 	return res, nil
 }

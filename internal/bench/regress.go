@@ -94,8 +94,7 @@ func TrackedMetrics(experiment string, data json.RawMessage) (map[string]float64
 	case "throughput":
 		// Only the allocation counters are gated hard: for a fixed Go
 		// toolchain they are deterministic, so a >threshold change is a
-		// real hot-path regression. The wall-clock rates live in
-		// SoftMetrics instead.
+		// real hot-path regression.
 		var r ThroughputResult
 		if err := json.Unmarshal(data, &r); err != nil {
 			return nil, err
@@ -137,44 +136,6 @@ func TrackedMetrics(experiment string, data json.RawMessage) (map[string]float64
 			"warm_origin_fetches_plus1":       float64(r.WarmOriginFetchesPlus1),
 			"warm_range_origin_fetches_plus1": float64(r.WarmRangeOriginFetchesPlus1),
 			"evicted_range_refetches":         float64(r.EvictedRangeRefetches),
-		}, nil
-	default:
-		return nil, nil
-	}
-}
-
-// SoftMetrics extracts the higher-is-better wall-clock rates that are
-// compared softly: a drop past the threshold prints a warning in the CI
-// log but never fails the gate, because req/s on a shared runner moves
-// with the neighbors, not just the code.
-func SoftMetrics(experiment string, data json.RawMessage) (map[string]float64, error) {
-	switch experiment {
-	case "throughput":
-		var r ThroughputResult
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, err
-		}
-		return map[string]float64{
-			"proxy_req_per_sec":   r.Proxy.ReqPerSec,
-			"rpc_mux_req_per_sec": r.RPCMux.ReqPerSec,
-		}, nil
-	case "metrics":
-		var r MetricsCostResult
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, err
-		}
-		return map[string]float64{
-			"enabled_req_per_sec":  r.Enabled.ReqPerSec,
-			"disabled_req_per_sec": r.Disabled.ReqPerSec,
-		}, nil
-	case "largeobject":
-		var r LargeObjectResult
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, err
-		}
-		return map[string]float64{
-			"cold_mb_per_sec": r.ColdMBPerSec,
-			"warm_mb_per_sec": r.WarmMBPerSec,
 		}, nil
 	default:
 		return nil, nil
@@ -249,69 +210,6 @@ func CompareBenchDirs(baselineDir, freshDir string, threshold float64) ([]Regres
 		}
 	}
 	return regs, notes, nil
-}
-
-// CompareSoftDirs is the advisory counterpart of CompareBenchDirs for the
-// higher-is-better wall-clock rates: it returns one warning line per soft
-// metric that dropped more than threshold below its baseline. Callers
-// print the warnings and move on — soft misses never fail a run.
-func CompareSoftDirs(baselineDir, freshDir string, threshold float64) ([]string, error) {
-	basePaths, err := filepath.Glob(filepath.Join(baselineDir, "BENCH_*.json"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(basePaths)
-	loadSoft := func(path string) (map[string]float64, error) {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var rep rawReport
-		if err := json.Unmarshal(b, &rep); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return SoftMetrics(rep.Experiment, rep.Data)
-	}
-	var warnings []string
-	for _, bp := range basePaths {
-		name := filepath.Base(bp)
-		baseMetrics, err := loadSoft(bp)
-		if err != nil {
-			return nil, fmt.Errorf("baseline %s: %w", name, err)
-		}
-		if len(baseMetrics) == 0 {
-			continue
-		}
-		fp := filepath.Join(freshDir, name)
-		if _, err := os.Stat(fp); os.IsNotExist(err) {
-			continue
-		}
-		freshMetrics, err := loadSoft(fp)
-		if err != nil {
-			return nil, fmt.Errorf("fresh %s: %w", name, err)
-		}
-		keys := make([]string, 0, len(baseMetrics))
-		for k := range baseMetrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			base := baseMetrics[k]
-			if base == 0 {
-				continue
-			}
-			fresh, ok := freshMetrics[k]
-			if !ok {
-				continue
-			}
-			if fresh < base*(1-threshold) {
-				warnings = append(warnings, fmt.Sprintf(
-					"%s: %s dropped %.1f%% (baseline %.0f, now %.0f) — soft metric, not failing the gate",
-					name, k, (base-fresh)/base*100, base, fresh))
-			}
-		}
-	}
-	return warnings, nil
 }
 
 // FormatRegressions renders the gate's outcome for CI logs.

@@ -5,102 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"nakika/internal/apps/simm"
-	"nakika/internal/apps/specweb"
-	"nakika/internal/core"
-	"nakika/internal/httpmsg"
-	"nakika/internal/policy"
 	"nakika/internal/simnet"
-	"nakika/internal/state"
 )
-
-// policyInputForBench converts a request into the predicate-evaluation input
-// (used when benchmarking the matcher in isolation).
-func policyInputForBench(req *httpmsg.Request) policy.Input {
-	return policy.Input{
-		Host:     req.Host(),
-		Path:     req.Path(),
-		ClientIP: req.ClientIP,
-		Method:   req.Method,
-		Header:   req.Header,
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Cost calibration: measure real processing costs for the wide-area models
-// ---------------------------------------------------------------------------
-
-// SIMMCosts are the measured per-request processing costs fed into the
-// Figure 7 simulation.
-type SIMMCosts struct {
-	OriginRender time.Duration // origin-side personalization + XML→HTML rendering
-	EdgeRender   time.Duration // edge-side rendering through the real pipeline
-	StaticServe  time.Duration // serving a cached media file from the edge
-}
-
-// MeasureSIMMCosts drives the real SIMM origin and the real edge pipeline to
-// calibrate the simulation's service times.
-func MeasureSIMMCosts(iterations int) (SIMMCosts, error) {
-	if iterations <= 0 {
-		iterations = 20
-	}
-	var out SIMMCosts
-	origin := simm.NewOrigin(simm.Config{})
-	host := origin.Config().Host
-
-	// Origin-side rendering cost.
-	start := time.Now()
-	for i := 0; i < iterations; i++ {
-		req := httpmsg.MustRequest("GET", fmt.Sprintf("http://%s/module/%d/section/%d.html?student=s%d", host, 1+i%5, 1+i%8, i))
-		if _, err := origin.Do(req); err != nil {
-			return out, err
-		}
-	}
-	out.OriginRender = time.Since(start) / time.Duration(iterations)
-
-	// Edge-side rendering cost through the real pipeline (origin reachable
-	// with zero network cost; the simulator adds the WAN).
-	upstream := core.FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
-		if req.Path() == "/nakika.js" && req.Host() == host {
-			r := httpmsg.NewTextResponse(200, simm.EdgeScript(host))
-			r.SetMaxAge(600)
-			return r, nil
-		}
-		return origin.Do(req)
-	})
-	node, err := core.NewNode(core.Config{Name: "calibrate-edge", Upstream: upstream})
-	if err != nil {
-		return out, err
-	}
-	// Warm the stage cache, then measure.
-	warm := httpmsg.MustRequest("GET", "http://"+host+"/module/1/section/1.html?student=warm")
-	if _, _, err := node.Handle(warm); err != nil {
-		return out, err
-	}
-	start = time.Now()
-	for i := 0; i < iterations; i++ {
-		req := httpmsg.MustRequest("GET", fmt.Sprintf("http://%s/module/%d/section/%d.html?student=s%d", host, 1+i%5, 1+i%8, i))
-		req.ClientIP = "10.0.0.5"
-		if _, _, err := node.Handle(req); err != nil {
-			return out, err
-		}
-	}
-	out.EdgeRender = time.Since(start) / time.Duration(iterations)
-
-	// Cached media serving cost.
-	mediaReq := httpmsg.MustRequest("GET", "http://"+host+"/module/1/media/1.bin")
-	if _, _, err := node.Handle(mediaReq); err != nil {
-		return out, err
-	}
-	start = time.Now()
-	for i := 0; i < iterations; i++ {
-		if _, _, err := node.Handle(httpmsg.MustRequest("GET", "http://"+host+"/module/1/media/1.bin")); err != nil {
-			return out, err
-		}
-	}
-	out.StaticServe = time.Since(start) / time.Duration(iterations)
-	return out, nil
-}
 
 // ---------------------------------------------------------------------------
 // E5 / E6: SIMM wide-area experiment (Figure 7)
@@ -131,7 +37,6 @@ type SIMMResult struct {
 type SIMMParams struct {
 	Clients       int
 	Duration      time.Duration
-	Costs         SIMMCosts
 	Seed          int64
 	OriginServers int // origin worker pool; zero means 8
 	ProxyServers  int // per-proxy worker pool; zero means 16
@@ -157,11 +62,20 @@ func (p SIMMParams) defaults() SIMMParams {
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	if p.Costs.OriginRender == 0 {
-		p.Costs = SIMMCosts{OriginRender: 3 * time.Millisecond, EdgeRender: 4 * time.Millisecond, StaticServe: 500 * time.Microsecond}
-	}
 	return p
 }
+
+// Per-request service times of the model's stations. They are fixed, not
+// measured on the host, so that a run is a function of seed and duration
+// alone; against 40 ms links and an uplink that takes 65 ms to serialise one
+// media file, what the host would measure moves no printed digit. The real
+// edge render cost is benchmark/'s simm_render workload
+// (script.handler_us_per_req, node_cpu_us_per_req).
+const (
+	simmOriginRender = 3 * time.Millisecond   // origin-side personalization + XML→HTML rendering
+	simmEdgeRender   = 4 * time.Millisecond   // the same rendering by the site script at the edge
+	simmStaticServe  = 500 * time.Microsecond // serving a media file from a cache
+)
 
 // wan is the wide-area link between client regions and the origin
 // (PlanetLab-node-in-New-York stand-in): 40 ms one way, plus a per-project
@@ -192,10 +106,6 @@ func RunSIMM(mode SIMMMode, params SIMMParams) SIMMResult {
 		proxies[i] = sim.Station(fmt.Sprintf("proxy-%d", i), params.ProxyServers)
 	}
 
-	// The access log replayed by each client: 60% HTML, 40% media, matching
-	// the generated log mix.
-	isMedia := func(client, iter int, rng *rand.Rand) bool { return rng.Float64() < 0.4 }
-
 	// Cold-cache warm-up: each proxy tracks which objects it has cached.
 	type cacheKey struct {
 		proxy int
@@ -203,6 +113,8 @@ func RunSIMM(mode SIMMMode, params SIMMParams) SIMMResult {
 	}
 	cached := make(map[cacheKey]bool)
 
+	// The access log replayed by each client is 60% HTML, 40% media, matching
+	// the generated log mix.
 	sim.TagFn = func(client, iteration int) (string, int) {
 		// Deterministic per (client, iteration) tag consistent with the
 		// route: recomputed with the same hash below.
@@ -214,15 +126,14 @@ func RunSIMM(mode SIMMMode, params SIMMParams) SIMMResult {
 
 	route := func(client, iteration int, now time.Duration, rng *rand.Rand) []simnet.Visit {
 		media := (client*7919+iteration*104729)%10 < 4
-		_ = isMedia
 		obj := (client*31 + iteration*17) % 200 // working set of 200 objects
 		switch mode {
 		case SIMMSingleServer:
 			size := htmlBytes
-			svc := params.Costs.OriginRender
+			svc := simmOriginRender
 			if media {
 				size = mediaBytes
-				svc = params.Costs.StaticServe
+				svc = simmStaticServe
 			}
 			return []simnet.Visit{
 				{Delay: wan.TransferTime(300), Station: origin, Service: svc},
@@ -233,10 +144,10 @@ func RunSIMM(mode SIMMMode, params SIMMParams) SIMMResult {
 			proxyIdx := client % params.Proxies
 			proxy := proxies[proxyIdx]
 			size := htmlBytes
-			svc := params.Costs.EdgeRender
+			svc := simmEdgeRender
 			if media {
 				size = mediaBytes
-				svc = params.Costs.StaticServe
+				svc = simmStaticServe
 			}
 			// HTML rendering always needs the personalized XML from the
 			// origin (the paper keeps personalization central), but media is
@@ -254,7 +165,7 @@ func RunSIMM(mode SIMMMode, params SIMMParams) SIMMResult {
 				cached[key] = true
 				return []simnet.Visit{
 					{Delay: lan.TransferTime(300), Station: proxy, Service: svc},
-					{Delay: wan.TransferTime(300), Station: origin, Service: params.Costs.StaticServe},
+					{Delay: wan.TransferTime(300), Station: origin, Service: simmStaticServe},
 					{Station: uplink, Service: serialize(size)},
 					{Delay: wan.Latency},
 					{Delay: lan.TransferTime(size)},
@@ -265,7 +176,7 @@ func RunSIMM(mode SIMMMode, params SIMMParams) SIMMResult {
 			// is modest but still shared.
 			return []simnet.Visit{
 				{Delay: lan.TransferTime(300), Station: proxy, Service: svc},
-				{Delay: wan.TransferTime(300), Station: origin, Service: params.Costs.OriginRender / 2},
+				{Delay: wan.TransferTime(300), Station: origin, Service: simmOriginRender / 2},
 				{Station: uplink, Service: serialize(2 << 10)},
 				{Delay: wan.Latency},
 				{Delay: lan.TransferTime(size)},
@@ -292,237 +203,12 @@ func RunSIMM(mode SIMMMode, params SIMMParams) SIMMResult {
 
 // RunFigure7 runs the full Figure 7 sweep: 120/180/240 clients for each of
 // the three configurations.
-func RunFigure7(duration time.Duration, costs SIMMCosts) []SIMMResult {
+func RunFigure7(duration time.Duration) []SIMMResult {
 	var out []SIMMResult
 	for _, clients := range []int{120, 180, 240} {
 		for _, mode := range []SIMMMode{SIMMSingleServer, SIMMColdCache, SIMMWarmCache} {
-			out = append(out, RunSIMM(mode, SIMMParams{Clients: clients, Duration: duration, Costs: costs}))
+			out = append(out, RunSIMM(mode, SIMMParams{Clients: clients, Duration: duration}))
 		}
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// E5: SIMM local experiment (Section 5.2 prose)
-// ---------------------------------------------------------------------------
-
-// SIMMLocalResult reports the local (single proxy) comparison.
-type SIMMLocalResult struct {
-	Mode       string
-	HTML90th   time.Duration
-	VideoOKPct float64
-}
-
-// RunSIMMLocal compares the single server against a single Na Kika proxy,
-// both without and with an artificial 80 ms / 8 Mbps WAN between server and
-// clients (the paper's two local configurations).
-func RunSIMMLocal(clients int, duration time.Duration, costs SIMMCosts, withWAN bool) []SIMMLocalResult {
-	if clients <= 0 {
-		clients = 160
-	}
-	link := simnet.Link{Latency: 100 * time.Microsecond, Bandwidth: 12_500_000}
-	if withWAN {
-		link = simnet.Link{Latency: 80 * time.Millisecond, Bandwidth: 1_000_000}
-	}
-	run := func(single bool) SIMMLocalResult {
-		sim := simnet.New(7)
-		origin := sim.Station("origin", 8)
-		uplink := sim.Station("origin-uplink", 1)
-		serialize := func(bytes int) time.Duration {
-			return time.Duration(float64(bytes) / link.Bandwidth * float64(time.Second))
-		}
-		proxy := sim.Station("proxy", 16)
-		sim.TagFn = func(client, iteration int) (string, int) {
-			if (client*7919+iteration*104729)%10 < 4 {
-				return "video", mediaBytes
-			}
-			return "html", htmlBytes
-		}
-		route := func(client, iteration int, now time.Duration, rng *rand.Rand) []simnet.Visit {
-			media := (client*7919+iteration*104729)%10 < 4
-			size := htmlBytes
-			if media {
-				size = mediaBytes
-			}
-			if single {
-				svc := costs.OriginRender
-				if media {
-					svc = costs.StaticServe
-				}
-				return []simnet.Visit{
-					{Delay: link.TransferTime(300), Station: origin, Service: svc},
-					{Station: uplink, Service: serialize(size)},
-					{Delay: link.Latency},
-				}
-			}
-			// Proxy sits next to the clients; warm cache for media, XML
-			// fetched across the link for HTML.
-			if media {
-				return []simnet.Visit{
-					{Delay: lan.TransferTime(300), Station: proxy, Service: costs.StaticServe},
-					{Delay: lan.TransferTime(size)},
-				}
-			}
-			return []simnet.Visit{
-				{Delay: lan.TransferTime(300), Station: proxy, Service: costs.EdgeRender},
-				{Delay: link.TransferTime(300), Station: origin, Service: costs.OriginRender / 2},
-				{Station: uplink, Service: serialize(2 << 10)},
-				{Delay: link.Latency},
-				{Delay: lan.TransferTime(size)},
-			}
-		}
-		sim.SetClients(clients, 250*time.Millisecond, route)
-		results := sim.Run(duration)
-		name := "single-server"
-		if !single {
-			name = "nakika-proxy"
-		}
-		return SIMMLocalResult{
-			Mode:       name,
-			HTML90th:   simnet.Percentile(simnet.Latencies(results, "html"), 90),
-			VideoOKPct: simnet.FractionAbove(results, "video", 140_000/8) * 100,
-		}
-	}
-	return []SIMMLocalResult{run(true), run(false)}
-}
-
-// ---------------------------------------------------------------------------
-// E7: SPECweb99-like hard state experiment (Section 5.3)
-// ---------------------------------------------------------------------------
-
-// SpecWebResult reports the Section 5.3 comparison.
-type SpecWebResult struct {
-	Mode         string
-	MeanResponse time.Duration
-	Throughput   float64
-}
-
-// SpecWebCosts are the calibrated processing costs.
-type SpecWebCosts struct {
-	OriginDynamic time.Duration
-	EdgeDynamic   time.Duration
-	StaticServe   time.Duration
-}
-
-// MeasureSpecWebCosts calibrates the SPECweb costs by driving the real
-// origin and the real edge pipeline with replicated hard state.
-func MeasureSpecWebCosts(iterations int) (SpecWebCosts, error) {
-	if iterations <= 0 {
-		iterations = 20
-	}
-	var out SpecWebCosts
-	origin := specweb.NewOrigin(specweb.Config{})
-	host := origin.Config().Host
-	start := time.Now()
-	for i := 0; i < iterations; i++ {
-		if _, err := origin.Do(httpmsg.MustRequest("GET", fmt.Sprintf("http://%s/cgi-bin/profile?user=user-%d", host, i))); err != nil {
-			return out, err
-		}
-	}
-	// The paper's baseline is PHP: an interpreted runtime whose per-request
-	// cost is far higher than our in-process Go handler, so scale the
-	// measured cost by a PHP-interpreter factor (documented in DESIGN.md).
-	out.OriginDynamic = time.Since(start) / time.Duration(iterations) * 20
-
-	bus := state.NewBus()
-	upstream := core.FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
-		if req.Path() == "/nakika.js" && req.Host() == host {
-			r := httpmsg.NewTextResponse(200, specweb.EdgeScript(host))
-			r.SetMaxAge(600)
-			return r, nil
-		}
-		return origin.Do(req)
-	})
-	node, err := core.NewNode(core.Config{Name: "calibrate-specweb", Upstream: upstream, Bus: bus})
-	if err != nil {
-		return out, err
-	}
-	if _, _, err := node.Handle(httpmsg.MustRequest("GET", "http://"+host+"/cgi-bin/register?user=warm")); err != nil {
-		return out, err
-	}
-	start = time.Now()
-	for i := 0; i < iterations; i++ {
-		if _, _, err := node.Handle(httpmsg.MustRequest("GET", fmt.Sprintf("http://%s/cgi-bin/profile?user=warm", host))); err != nil {
-			return out, err
-		}
-	}
-	out.EdgeDynamic = time.Since(start) / time.Duration(iterations)
-
-	staticReq := httpmsg.MustRequest("GET", "http://"+host+"/file_set/dir/class1_1")
-	if _, _, err := node.Handle(staticReq); err != nil {
-		return out, err
-	}
-	start = time.Now()
-	for i := 0; i < iterations; i++ {
-		if _, _, err := node.Handle(httpmsg.MustRequest("GET", "http://"+host+"/file_set/dir/class1_1")); err != nil {
-			return out, err
-		}
-	}
-	out.StaticServe = time.Since(start) / time.Duration(iterations)
-	return out, nil
-}
-
-// RunSpecWeb simulates the Section 5.3 setup: 160 simultaneous connections
-// on the U.S. West Coast, the origin on the East Coast, either a single PHP
-// server (single=true) or five Na Kika nodes colocated with the clients.
-func RunSpecWeb(single bool, connections int, duration time.Duration, costs SpecWebCosts) SpecWebResult {
-	if connections <= 0 {
-		connections = 160
-	}
-	if costs.OriginDynamic == 0 {
-		costs = SpecWebCosts{OriginDynamic: 20 * time.Millisecond, EdgeDynamic: 2 * time.Millisecond, StaticServe: 300 * time.Microsecond}
-	}
-	coast := simnet.Link{Latency: 40 * time.Millisecond, Bandwidth: 1_250_000} // cross-country, ~10 Mbps
-	sim := simnet.New(11)
-	origin := sim.Station("php-origin", 8)
-	edges := make([]*simnet.Station, 5)
-	for i := range edges {
-		edges[i] = sim.Station(fmt.Sprintf("edge-%d", i), 16)
-	}
-	mix := specweb.GenerateMix(specweb.Config{}, 4096, 3)
-	route := func(client, iteration int, now time.Duration, rng *rand.Rand) []simnet.Visit {
-		r := mix[(client*131+iteration)%len(mix)]
-		if single {
-			svc := costs.StaticServe
-			if r.Kind != specweb.ReqStatic {
-				svc = costs.OriginDynamic
-			}
-			return []simnet.Visit{
-				{Delay: coast.TransferTime(400), Station: origin, Service: svc},
-				{Delay: coast.TransferTime(r.Bytes)},
-			}
-		}
-		edge := edges[client%len(edges)]
-		if r.Kind != specweb.ReqStatic {
-			// Handled entirely at the edge against replicated hard state.
-			return []simnet.Visit{
-				{Delay: lan.TransferTime(400), Station: edge, Service: costs.EdgeDynamic},
-				{Delay: lan.TransferTime(r.Bytes)},
-			}
-		}
-		// Static: mostly cached at the edge; 10% miss to the origin.
-		if rng.Float64() < 0.1 {
-			return []simnet.Visit{
-				{Delay: lan.TransferTime(400), Station: edge, Service: costs.StaticServe},
-				{Delay: coast.TransferTime(400), Station: origin, Service: costs.StaticServe},
-				{Delay: coast.TransferTime(r.Bytes)},
-				{Delay: lan.TransferTime(r.Bytes)},
-			}
-		}
-		return []simnet.Visit{
-			{Delay: lan.TransferTime(400), Station: edge, Service: costs.StaticServe},
-			{Delay: lan.TransferTime(r.Bytes)},
-		}
-	}
-	sim.SetClients(connections, 100*time.Millisecond, route)
-	results := sim.Run(duration)
-	name := "php-single-server"
-	if !single {
-		name = "nakika-5-nodes"
-	}
-	return SpecWebResult{
-		Mode:         name,
-		MeanResponse: simnet.Mean(simnet.Latencies(results, "")),
-		Throughput:   simnet.Throughput(results, duration),
-	}
 }

@@ -72,15 +72,17 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// scriptLiteral matches backquoted raw strings in the example programs,
-// which hold their embedded NKScript site scripts.
+// scriptLiteral matches backquoted raw strings in the example programs and
+// the applications, which hold their embedded NKScript site scripts.
 var scriptLiteral = regexp.MustCompile("(?s)`([^`]*)`")
 
-// fuzzSeeds extracts the NKScript sources embedded in examples/ as the
-// seed corpus.
+// fuzzSeeds extracts the NKScript sources embedded in examples/ and
+// internal/apps/ as the seed corpus.
 func fuzzSeeds(f *testing.F) []string {
 	f.Helper()
 	paths, _ := filepath.Glob("../../examples/*/main.go")
+	apps, _ := filepath.Glob("../apps/*/*.go")
+	paths = append(paths, apps...)
 	var out []string
 	for _, p := range paths {
 		b, err := os.ReadFile(p)
