@@ -29,8 +29,8 @@ import (
 // then the port closes with the rest of the process.
 
 // requiredSeries is the metric families every node's exposition must
-// cover: core request counters, both cache tiers, the store/WAL,
-// replication, offload/hedging, leases, and the load view.
+// cover: core request counters, both cache tiers, the large-object tier,
+// the store/WAL, replication, offload/hedging, leases, and the load view.
 var requiredSeries = []string{
 	"nakika_requests_total",
 	"nakika_fetches_total",
@@ -38,6 +38,9 @@ var requiredSeries = []string{
 	"nakika_cache_hits_total",
 	"nakika_cache_misses_total",
 	"nakika_cache_bytes",
+	"nakika_lob_streamed_total",
+	"nakika_lob_slab_hits_total",
+	"nakika_lob_slab_slots",
 	"nakika_store_wal_appends_total",
 	"nakika_store_fsync_batches_total",
 	"nakika_store_fence_rejects_total",

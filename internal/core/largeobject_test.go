@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"nakika/internal/httpmsg"
+	"nakika/internal/metrics"
 	"nakika/internal/overlay"
 	"nakika/internal/store"
 )
@@ -640,6 +642,58 @@ func TestStreamFetchErrorFallsBackToBuffered(t *testing.T) {
 	}
 	if st := n.LargeObject(); st.WholeIngests != 1 {
 		t.Errorf("whole ingests = %d, want 1 (buffered fallback still chunks)", st.WholeIngests)
+	}
+}
+
+// TestLargeObjectTierOnMetrics: the tier's counters reach /metrics as
+// scrape-time series — after one ingest and one warm range the slab hit
+// counter in the exposition is the one SlabStats reports — and the
+// exposition still parses.
+func TestLargeObjectTierOnMetrics(t *testing.T) {
+	body := lobBody(40_000)
+	origin := &rangeOrigin{url: "http://big.example.org/blob", body: body}
+	n := newTestNodeUpstream(t, "edge-1", origin, lobConfig(4096, 10_000))
+	if _, _, err := n.Handle(httpmsg.MustRequest("GET", "http://big.example.org/blob")); err != nil {
+		t.Fatal(err)
+	}
+	req := httpmsg.MustRequest("GET", "http://big.example.org/blob")
+	req.Header.Set("Range", "bytes=5000-9191")
+	resp, _, err := n.Handle(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readStream(t, resp, 5000, 9192); !bytes.Equal(got, body[5000:9192]) {
+		t.Fatal("warm range differs")
+	}
+
+	st := n.LargeObject()
+	if st.Tier.Slab.Hits == 0 {
+		t.Fatal("the warm range did not read the slab")
+	}
+	var sb strings.Builder
+	if err := n.Metrics().WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := metrics.ParseExposition(sb.String()); err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	for _, line := range []string{
+		fmt.Sprintf("nakika_lob_slab_hits_total %d\n", st.Tier.Slab.Hits),
+		fmt.Sprintf("nakika_lob_slab_misses_total %d\n", st.Tier.Slab.Misses),
+		fmt.Sprintf("nakika_lob_slab_puts_total %d\n", st.Tier.Slab.Puts),
+		"nakika_lob_slab_evictions_total 0\n",
+		fmt.Sprintf(`nakika_lob_slab_slots{state="used"} %d`+"\n", st.Tier.Slab.Used),
+		fmt.Sprintf(`nakika_lob_slab_slots{state="total"} %d`+"\n", st.Tier.Slab.Slots),
+		fmt.Sprintf("nakika_lob_streamed_total %d\n", st.StreamedServes),
+		`nakika_lob_ingests_total{mode="whole"} 1` + "\n",
+		`nakika_lob_ingests_total{mode="stream"} 0` + "\n",
+		"nakika_lob_adopted_total 0\n",
+		`nakika_lob_segment_fetches_total{source="peer"} 0` + "\n",
+		`nakika_lob_segment_fetches_total{source="origin"} 0` + "\n",
+	} {
+		if !strings.Contains(sb.String(), line) {
+			t.Errorf("exposition lacks %q", line)
+		}
 	}
 }
 

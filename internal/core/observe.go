@@ -122,7 +122,7 @@ func (n *Node) Traces() *nktrace.Ring { return n.ring }
 // buildRegistry registers every exported series. Counters over the
 // node's existing atomics are CounterFunc callbacks read at scrape time,
 // so exporting them costs the request path nothing; subsystem snapshots
-// (cache, store, resource) are taken per scrape.
+// (cache, large-object tier, store, resource) are taken per scrape.
 func (n *Node) buildRegistry() {
 	r := metrics.NewRegistry()
 	cv := func(c *atomic.Int64) func() float64 {
@@ -154,6 +154,25 @@ func (n *Node) buildRegistry() {
 		func() float64 { return float64(n.cache.Stats().Bytes) })
 	r.GaugeFunc("nakika_cache_bytes", "", metrics.Labels{"tier": "disk"},
 		func() float64 { return float64(n.cache.Stats().Disk.Bytes) })
+
+	r.CounterFunc("nakika_lob_streamed_total", "Responses served as lazy segment streams from the large-object tier.", nil, cv(&n.lobStreamed))
+	r.CounterFunc("nakika_lob_ingests_total", "Objects chunked into the large-object tier, by how the body arrived.", metrics.Labels{"mode": "stream"}, cv(&n.lobStreamIng))
+	r.CounterFunc("nakika_lob_ingests_total", "", metrics.Labels{"mode": "whole"}, cv(&n.lobWhole))
+	r.CounterFunc("nakika_lob_adopted_total", "Manifests learned from a replica's index record.", nil, cv(&n.lobAdopted))
+	r.CounterFunc("nakika_lob_segment_fetches_total", "Missing segment bodies pulled in, by source.", metrics.Labels{"source": "peer"}, cv(&n.lobSegPeer))
+	r.CounterFunc("nakika_lob_segment_fetches_total", "", metrics.Labels{"source": "origin"}, cv(&n.lobSegOrigin))
+	r.CounterFunc("nakika_lob_slab_hits_total", "Slab reads that returned a verified segment.", nil,
+		func() float64 { return float64(n.LargeObject().Tier.Slab.Hits) })
+	r.CounterFunc("nakika_lob_slab_misses_total", "Slab reads that found the segment absent or its slot corrupt.", nil,
+		func() float64 { return float64(n.LargeObject().Tier.Slab.Misses) })
+	r.CounterFunc("nakika_lob_slab_puts_total", "Segments written into slab slots.", nil,
+		func() float64 { return float64(n.LargeObject().Tier.Slab.Puts) })
+	r.CounterFunc("nakika_lob_slab_evictions_total", "Segments evicted from the slab to make room.", nil,
+		func() float64 { return float64(n.LargeObject().Tier.Slab.Evictions) })
+	r.GaugeFunc("nakika_lob_slab_slots", "Slab slots, occupied and in all.", metrics.Labels{"state": "used"},
+		func() float64 { return float64(n.LargeObject().Tier.Slab.Used) })
+	r.GaugeFunc("nakika_lob_slab_slots", "", metrics.Labels{"state": "total"},
+		func() float64 { return float64(n.LargeObject().Tier.Slab.Slots) })
 
 	r.CounterFunc("nakika_store_wal_appends_total", "Records appended to the hard-state WAL.", nil,
 		func() float64 { return float64(n.StoreStats().Appends) })

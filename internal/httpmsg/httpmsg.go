@@ -487,8 +487,9 @@ func bodyless(status int) bool {
 //     rather than advertising a zero-length body.
 //   - HEAD replies send the headers — with Content-Length describing the
 //     body that a GET would have returned — but no body.
-//   - Everything else sends Content-Length plus the body; streamed bodies
-//     are copied through in chunks and flushed so the first byte reaches the
+//   - Everything else sends Content-Length plus the body; a streamed body
+//     is copied piece by piece (a segment at a time when the stream is an
+//     io.WriterTo) and flushed after each, so the first byte reaches the
 //     client before the stream finishes.
 func (r *Response) WriteToMethod(w http.ResponseWriter, method string) error {
 	for k, vs := range r.Header {
@@ -518,24 +519,25 @@ func (r *Response) WriteToMethod(w http.ResponseWriter, method string) error {
 	}
 	defer rc.Close()
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 64*1024)
-	for {
-		n, rerr := rc.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return werr
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if rerr == io.EOF {
-			return nil
-		}
-		if rerr != nil {
-			return fmt.Errorf("httpmsg: read body stream: %w", rerr)
-		}
+	if _, err := io.Copy(flushWriter{w, flusher}, rc); err != nil {
+		return fmt.Errorf("httpmsg: copy body stream: %w", err)
 	}
+	return nil
+}
+
+// flushWriter flushes after every write, so each piece of a streamed body
+// is on its way to the client before the next is resolved.
+type flushWriter struct {
+	w io.Writer
+	f http.Flusher // nil when the ResponseWriter cannot flush
+}
+
+func (fw flushWriter) Write(p []byte) (int, error) {
+	n, err := fw.w.Write(p)
+	if fw.f != nil {
+		fw.f.Flush()
+	}
+	return n, err
 }
 
 // ToHTTPRequest converts a pipeline request to an outbound net/http request

@@ -73,8 +73,8 @@ func (r *Response) Materialize() error {
 		return fmt.Errorf("httpmsg: materialize body: %w", err)
 	}
 	defer rc.Close()
-	b, err := io.ReadAll(rc)
-	if err != nil {
+	b := make([]byte, to-from)
+	if _, err := io.ReadFull(rc, b); err != nil {
 		return fmt.Errorf("httpmsg: materialize body: %w", err)
 	}
 	r.Body = b

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // memStream is a BodyStream over an in-memory byte slice, for tests.
@@ -130,6 +131,135 @@ func TestWriteToMethodStreamed(t *testing.T) {
 	}
 	if got := rec2.Header().Get("Content-Length"); got != "1024" {
 		t.Errorf("HEAD Content-Length = %q", got)
+	}
+}
+
+// flushLog is a ResponseWriter that reports what has been written each time
+// it is flushed, so a test on another goroutine can watch bytes arrive.
+type flushLog struct {
+	header  http.Header
+	body    bytes.Buffer
+	flushed chan string // the whole body so far, at each Flush
+}
+
+func (w *flushLog) Header() http.Header         { return w.header }
+func (w *flushLog) WriteHeader(int)             {}
+func (w *flushLog) Write(p []byte) (int, error) { return w.body.Write(p) }
+func (w *flushLog) Flush()                      { w.flushed <- w.body.String() }
+
+// twoPiece yields "first piece, " and then, only once released, "second
+// piece": a stream whose second segment is not there yet.
+type twoPiece struct {
+	pieces  []string
+	release chan struct{}
+}
+
+func (r *twoPiece) Read(p []byte) (int, error) {
+	if len(r.pieces) == 0 {
+		return 0, io.EOF
+	}
+	if len(r.pieces) == 1 {
+		<-r.release
+	}
+	n := copy(p, r.pieces[0])
+	r.pieces = r.pieces[1:]
+	return n, nil
+}
+
+// twoPieceWriterTo is twoPiece for io.Copy's other arm, the one the
+// large-object range reader takes: it writes its pieces itself.
+type twoPieceWriterTo struct{ twoPiece }
+
+func (r *twoPieceWriterTo) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for len(r.pieces) > 0 {
+		if len(r.pieces) == 1 {
+			<-r.release
+		}
+		n, err := io.WriteString(w, r.pieces[0])
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+		r.pieces = r.pieces[1:]
+	}
+	return total, nil
+}
+
+type readerStream struct {
+	r   io.Reader
+	len int64
+}
+
+func (s readerStream) TotalLen() int64 { return s.len }
+func (s readerStream) Range(from, to int64) (io.ReadCloser, error) {
+	return io.NopCloser(s.r), nil
+}
+
+// TestWriteToMethodFlushesEachPiece: the first piece of a streamed body is
+// flushed to the client before the stream produces the second — the second
+// here blocks until the test has seen the first arrive, so a WriteToMethod
+// that buffered would deadlock. Both arms of io.Copy are held to it.
+func TestWriteToMethodFlushesEachPiece(t *testing.T) {
+	const first, second = "first piece, ", "second piece"
+	for name, reader := range map[string]func(twoPiece) io.Reader{
+		"Read":    func(p twoPiece) io.Reader { return &p },
+		"WriteTo": func(p twoPiece) io.Reader { return &twoPieceWriterTo{p} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			release := make(chan struct{})
+			resp := NewResponse(200)
+			resp.SetStream(readerStream{
+				r:   reader(twoPiece{pieces: []string{first, second}, release: release}),
+				len: int64(len(first + second)),
+			})
+			w := &flushLog{header: http.Header{}, flushed: make(chan string)}
+			done := make(chan error, 1)
+			go func() { done <- resp.WriteToMethod(w, "GET") }()
+
+			expect := func(want string) {
+				t.Helper()
+				select {
+				case got := <-w.flushed:
+					if got != want {
+						t.Fatalf("flushed %q, want %q", got, want)
+					}
+				case err := <-done:
+					t.Fatalf("WriteToMethod returned (%v) before flushing %q", err, want)
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%q never reached the client: the copy is not flushing per piece", want)
+				}
+			}
+			expect(first)
+			close(release)
+			expect(first + second)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestMaterializeReadsExactlyTheSpan: the body is the active range, read
+// into one buffer of that size, and a stream that ends short is an error
+// rather than a short body.
+func TestMaterializeReadsExactlyTheSpan(t *testing.T) {
+	resp := NewResponse(200)
+	resp.SetStream(readerStream{r: strings.NewReader("0123456789"), len: 10})
+	if err := resp.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if string(resp.Body) != "0123456789" || cap(resp.Body) != 10 || resp.Stream != nil {
+		t.Fatalf("body %q (cap %d), stream %v", resp.Body, cap(resp.Body), resp.Stream)
+	}
+
+	short := NewResponse(200)
+	short.SetStream(readerStream{r: strings.NewReader("01234"), len: 10})
+	if err := short.Materialize(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short stream: err = %v, want unexpected EOF", err)
+	}
+	if short.Body != nil || short.Stream == nil {
+		t.Fatal("a failed Materialize changed the response")
 	}
 }
 

@@ -30,6 +30,16 @@ type Slab struct {
 	tick  uint64
 
 	hits, misses, puts, evictions uint64
+
+	// bufs pools slot read buffers (*[]byte), each one maximal frame plus one
+	// byte long: a slot file that fills the buffer is longer than any frame
+	// Put writes and fails the read instead of growing it. A buffer is out
+	// of the pool only while one reader holds a view of it (or the boot
+	// scan is reading through it).
+	bufs sync.Pool
+	// onRelease, when set by a test, sees every buffer on its way back to
+	// the pool.
+	onRelease func(buf []byte)
 }
 
 type slotState struct {
@@ -43,6 +53,10 @@ type slotState struct {
 }
 
 var slabCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// frameHeaderMax bounds the bytes of a slot frame ahead of the data: the
+// checksum, the segment id and the longest length varint.
+const frameHeaderMax = 4 + SegIDLen + binary.MaxVarintLen64
 
 // NewSlab opens (or creates) a slab on fs with the given segment size and
 // total byte capacity, rescanning any surviving slot files. Capacity is
@@ -61,6 +75,10 @@ func NewSlab(fs store.FS, segSize, capacity int64) (*Slab, error) {
 		maxSlots: maxSlots,
 		bySeg:    make(map[SegID]int),
 	}
+	s.bufs.New = func() any {
+		buf := make([]byte, frameHeaderMax+segSize+1)
+		return &buf
+	}
 	if err := s.scan(); err != nil {
 		return nil, err
 	}
@@ -70,56 +88,46 @@ func NewSlab(fs store.FS, segSize, capacity int64) (*Slab, error) {
 func slotName(i int) string { return fmt.Sprintf("slot-%06d.seg", i) }
 
 // scan rebuilds the in-memory slot map from the slot files on fs, dropping
-// anything that fails its checksum (torn writes from a crash).
+// anything that fails its checksum (torn writes from a crash) and any slot
+// beyond maxSlots (the capacity was lowered since the files were written;
+// the segments come back by Range refetch). Every slot is read through one
+// pooled buffer.
 func (s *Slab) scan() error {
 	names, err := s.fs.List("slot-")
 	if err != nil {
 		return fmt.Errorf("largeobject: scan slab: %w", err)
 	}
-	inUse := make(map[int]bool, len(names))
+	s.slots = make([]slotState, s.maxSlots)
+	buf := s.bufs.Get().(*[]byte)
+	defer s.putBuf(buf)
 	for _, name := range names {
 		var ord int
 		if _, err := fmt.Sscanf(name, "slot-%06d.seg", &ord); err != nil || ord < 0 {
 			continue
 		}
-		id, data, err := s.readSlot(ord)
+		if ord >= s.maxSlots {
+			s.fs.Remove(name)
+			continue
+		}
+		id, data, err := s.readSlot(ord, *buf)
 		if err != nil || int64(len(data)) > s.segSize {
 			s.fs.Remove(name)
 			continue
 		}
-		if ord >= len(s.slots) {
-			grown := make([]slotState, ord+1)
-			copy(grown, s.slots)
-			s.slots = grown
-		}
 		s.slots[ord] = slotState{used: true, id: id, tick: s.tick}
 		s.bySeg[id] = ord
-		inUse[ord] = true
 		s.tick++
 	}
-	if len(s.slots) < s.maxSlots {
-		grown := make([]slotState, s.maxSlots)
-		copy(grown, s.slots)
-		s.slots = grown
-	}
 	for i := range s.slots {
-		if !inUse[i] {
+		if !s.slots[i].used {
 			s.free = append(s.free, i)
 		}
 	}
 	return nil
 }
 
-// frame is: u32be(crc over the rest) raw32(segID) uvarint(len) data
-func appendFrame(buf []byte, id SegID, data []byte) []byte {
-	payload := make([]byte, 0, SegIDLen+10+len(data))
-	payload = wire.AppendRaw(payload, id[:])
-	payload = wire.AppendUvarint(payload, uint64(len(data)))
-	payload = append(payload, data...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, slabCRC))
-	return append(buf, payload...)
-}
-
+// A slot frame is: u32be(crc over the rest) raw32(segID) uvarint(len) data.
+// parseFrame verifies one; data aliases raw.
 func parseFrame(raw []byte) (SegID, []byte, error) {
 	var id SegID
 	if len(raw) < 4+SegIDLen {
@@ -147,12 +155,14 @@ func parseFrame(raw []byte) (SegID, []byte, error) {
 	return id, data, nil
 }
 
-func (s *Slab) readSlot(ord int) (SegID, []byte, error) {
-	raw, err := store.ReadAll(s.fs, slotName(ord))
+// readSlot reads ord's slot file into buf and verifies the frame; the
+// returned data aliases buf.
+func (s *Slab) readSlot(ord int, buf []byte) (SegID, []byte, error) {
+	n, err := store.ReadInto(s.fs, slotName(ord), buf)
 	if err != nil {
 		return SegID{}, nil, err
 	}
-	return parseFrame(raw)
+	return parseFrame(buf[:n])
 }
 
 // Put stores data under its content address, evicting the least recently
@@ -210,13 +220,24 @@ func (s *Slab) Put(id SegID, data []byte) error {
 	return nil
 }
 
-// writeSlot writes one CRC-framed segment into ord's slot file.
+// writeSlot writes one CRC-framed segment into ord's slot file: the header
+// is built beside the data and the two are written in turn, so the segment
+// is never copied into a frame.
 func (s *Slab) writeSlot(ord int, id SegID, data []byte) error {
+	var hdr [frameHeaderMax]byte
+	copy(hdr[4:], id[:])
+	n := 4 + SegIDLen + binary.PutUvarint(hdr[4+SegIDLen:], uint64(len(data)))
+	sum := crc32.Update(crc32.Update(0, slabCRC, hdr[4:n]), slabCRC, data)
+	binary.BigEndian.PutUint32(hdr[:4], sum)
+
 	f, err := s.fs.Create(slotName(ord))
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(appendFrame(nil, id, data)); err != nil {
+	if _, err = f.Write(hdr[:n]); err == nil {
+		_, err = f.Write(data)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -252,9 +273,24 @@ func (s *Slab) allocate() (ord int, evicted, ok bool) {
 	return victim, true, true
 }
 
-// Get returns the segment's bytes if resident and intact. A corrupt slot is
-// dropped and reported as a miss.
+// Get returns the segment's bytes if resident and intact; the caller owns
+// them. A corrupt slot is dropped and reported as a miss.
 func (s *Slab) Get(id SegID) ([]byte, bool) {
+	data, release, ok := s.view(id)
+	if !ok {
+		return nil, false
+	}
+	out := make([]byte, len(data))
+	copy(out, data)
+	release()
+	return out, true
+}
+
+// view is Get without the copy: data aliases a pooled buffer that was read
+// and verified for this call alone, and is valid until release, which must
+// be called exactly once. Views must not be shared between goroutines or
+// outlive their reader; everything else takes Get's owned copy.
+func (s *Slab) view(id SegID) (data []byte, release func(), ok bool) {
 	s.mu.Lock()
 	ord, ok := s.bySeg[id]
 	if ok {
@@ -264,10 +300,12 @@ func (s *Slab) Get(id SegID) ([]byte, bool) {
 	s.mu.Unlock()
 	if !ok {
 		s.miss()
-		return nil, false
+		return nil, nil, false
 	}
-	gotID, data, err := s.readSlot(ord)
+	buf := s.bufs.Get().(*[]byte)
+	gotID, data, err := s.readSlot(ord, *buf)
 	if err != nil || gotID != id {
+		s.putBuf(buf)
 		s.mu.Lock()
 		if cur, ok := s.bySeg[id]; ok && cur == ord {
 			delete(s.bySeg, id)
@@ -276,14 +314,27 @@ func (s *Slab) Get(id SegID) ([]byte, bool) {
 		}
 		s.mu.Unlock()
 		s.miss()
-		return nil, false
+		return nil, nil, false
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
 	s.mu.Lock()
 	s.hits++
 	s.mu.Unlock()
-	return out, true
+	released := false
+	return data, func() {
+		if released {
+			panic("largeobject: slot buffer released twice")
+		}
+		released = true
+		s.putBuf(buf)
+	}, true
+}
+
+// putBuf is the one way a read buffer goes back to the pool.
+func (s *Slab) putBuf(buf *[]byte) {
+	if s.onRelease != nil {
+		s.onRelease(*buf)
+	}
+	s.bufs.Put(buf)
 }
 
 func (s *Slab) miss() {

@@ -165,7 +165,8 @@ func (t *Tier) DeleteManifest(key string) {
 // PutSegment stores one segment body in the slab.
 func (t *Tier) PutSegment(id SegID, data []byte) error { return t.slab.Put(id, data) }
 
-// GetSegment returns one segment body from the slab.
+// GetSegment returns one segment body from the slab, as a copy the caller
+// owns (safe to share between goroutines and to hand to the transport).
 func (t *Tier) GetSegment(id SegID) ([]byte, bool) { return t.slab.Get(id) }
 
 // HasSegment reports slab residency without touching LRU state.
@@ -264,69 +265,124 @@ func (ss *segStream) Range(from, to int64) (io.ReadCloser, error) {
 	return &segReader{ss: ss, pos: from, end: to}, nil
 }
 
-// segReader reads [pos, end), pulling one segment at a time.
+// segReader reads [pos, end), pulling one segment at a time. It is the only
+// holder of slab views: at most one at a time, released when the reader
+// moves to the next segment, reaches end and on Close. A reader is used by
+// one goroutine.
 type segReader struct {
 	ss       *segStream
 	pos, end int64
 	cur      []byte // bytes of the segment containing pos, full segment
+	release  func() // returns cur's pooled buffer; nil when cur is an owned slice
 	curOrd   int
 	closed   bool
 }
 
-func (r *segReader) Read(p []byte) (int, error) {
+// next returns the unread bytes of the segment containing pos, up to end,
+// loading the segment if it is not the current one.
+func (r *segReader) next() ([]byte, error) {
 	if r.closed {
-		return 0, fmt.Errorf("largeobject: read after close")
+		return nil, fmt.Errorf("largeobject: read after close")
 	}
 	if r.pos >= r.end {
-		return 0, io.EOF
+		return nil, io.EOF
 	}
 	ord := int(r.pos / r.ss.m.SegSize)
 	if r.cur == nil || ord != r.curOrd {
-		data, err := r.load(ord)
+		r.drop()
+		data, release, err := r.load(ord)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		r.cur, r.curOrd = data, ord
+		r.cur, r.release, r.curOrd = data, release, ord
 	}
 	segStart := int64(ord) * r.ss.m.SegSize
 	off := r.pos - segStart
 	avail := int64(len(r.cur)) - off
 	if avail <= 0 {
-		return 0, fmt.Errorf("largeobject: segment %d short: have %d bytes, need offset %d", ord, len(r.cur), off)
+		return nil, fmt.Errorf("largeobject: segment %d short: have %d bytes, need offset %d", ord, len(r.cur), off)
 	}
-	want := r.end - r.pos
-	if avail > want {
+	if want := r.end - r.pos; avail > want {
 		avail = want
 	}
-	n := copy(p, r.cur[off:off+avail])
+	return r.cur[off : off+avail], nil
+}
+
+// advance moves pos past n delivered bytes; the segment is let go as soon
+// as the range is finished.
+func (r *segReader) advance(n int) {
 	r.pos += int64(n)
+	if r.pos >= r.end {
+		r.drop()
+	}
+}
+
+// drop lets go of the current segment, returning a view's buffer.
+func (r *segReader) drop() {
+	if r.release != nil {
+		r.release()
+		r.release = nil
+	}
+	r.cur = nil
+}
+
+func (r *segReader) Read(p []byte) (int, error) {
+	chunk, err := r.next()
+	if err != nil {
+		return 0, err
+	}
+	n := copy(p, chunk)
+	r.advance(n)
 	return n, nil
 }
 
-// load returns segment ord's bytes: slab first (id known), then fetch.
-func (r *segReader) load(ord int) ([]byte, error) {
+// WriteTo implements io.WriterTo: each segment's share of the range goes to
+// w straight from the segment buffer in one Write, so io.Copy needs no
+// buffer of its own.
+func (r *segReader) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for {
+		chunk, err := r.next()
+		if err == io.EOF {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
+		n, err := w.Write(chunk)
+		total += int64(n)
+		r.advance(n)
+		if err != nil {
+			return total, err
+		}
+	}
+}
+
+// load returns segment ord's bytes: a slab view first (id known), then
+// fetch, whose bytes are an owned slice with no release.
+func (r *segReader) load(ord int) ([]byte, func(), error) {
 	m := r.ss.current()
 	if ord < len(m.Segments) {
-		if data, ok := r.ss.t.GetSegment(m.Segments[ord]); ok {
-			return data, nil
+		if data, release, ok := r.ss.t.slab.view(m.Segments[ord]); ok {
+			return data, release, nil
 		}
 	}
 	if r.ss.fetch == nil {
-		return nil, fmt.Errorf("largeobject: segment %d of %q not resident", ord, m.Key)
+		return nil, nil, fmt.Errorf("largeobject: segment %d of %q not resident", ord, m.Key)
 	}
 	data, err := r.ss.fetch(m, ord)
 	if err != nil {
-		return nil, fmt.Errorf("largeobject: fetch segment %d of %q: %w", ord, m.Key, err)
+		return nil, nil, fmt.Errorf("largeobject: fetch segment %d of %q: %w", ord, m.Key, err)
 	}
 	from, to := m.SegmentSpan(ord)
 	if int64(len(data)) != to-from {
-		return nil, fmt.Errorf("largeobject: segment %d of %q: fetched %d bytes, want %d", ord, m.Key, len(data), to-from)
+		return nil, nil, fmt.Errorf("largeobject: segment %d of %q: fetched %d bytes, want %d", ord, m.Key, len(data), to-from)
 	}
-	return data, nil
+	return data, nil, nil
 }
 
 func (r *segReader) Close() error {
 	r.closed = true
-	r.cur = nil
+	r.drop()
 	return nil
 }

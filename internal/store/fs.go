@@ -12,6 +12,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -55,13 +56,71 @@ type File interface {
 }
 
 // ReadAll reads the entire named file. A missing file returns os.ErrNotExist.
+// When the opened handle reports its size the buffer is allocated once, one
+// byte larger so the read that finds end-of-file needs no growth (the
+// os.ReadFile arrangement); the size is only a hint, and a file that grew
+// or shrank since is still returned exactly as read.
 func ReadAll(fs FS, name string) ([]byte, error) {
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	buf := make([]byte, max(sizeHint(f), 511)+1)
+	n := 0
+	for {
+		m, err := readToEOF(f, buf[n:])
+		n += m
+		if err != io.ErrShortBuffer {
+			return buf[:n], err
+		}
+		buf = append(buf, 0)
+		buf = buf[:cap(buf)]
+	}
+}
+
+// ReadInto reads the entire named file into buf and returns the number of
+// bytes read. It fails rather than grows: a file that does not end within
+// len(buf) bytes is io.ErrShortBuffer, so a caller that accepts files of up
+// to n bytes passes a buffer of n+1.
+func ReadInto(fs FS, name string, buf []byte) (int, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return readToEOF(f, buf)
+}
+
+// readToEOF reads f to end-of-file into buf with as few Reads as f needs;
+// io.ErrShortBuffer means buf filled before the file ended.
+func readToEOF(f io.Reader, buf []byte) (int, error) {
+	n := 0
+	for n < len(buf) {
+		m, err := f.Read(buf[n:])
+		n += m
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, io.ErrShortBuffer
+}
+
+// sizeHint returns the size an opened handle reports for itself, 0 when it
+// cannot say: a real file through Stat, MemFS's reader through its length.
+func sizeHint(f io.Reader) int {
+	switch f := f.(type) {
+	case interface{ Stat() (os.FileInfo, error) }:
+		if fi, err := f.Stat(); err == nil && fi.Size() < 1<<31 {
+			return int(fi.Size())
+		}
+	case interface{ Len() int }:
+		return f.Len()
+	}
+	return 0
 }
 
 // WriteAtomic writes data to name via a temporary file, sync, and rename,
@@ -332,9 +391,14 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: open %s: %w", name, os.ErrNotExist)
 	}
-	data := append([]byte(nil), f.data...)
-	return io.NopCloser(strings.NewReader(string(data))), nil
+	return memReader{bytes.NewReader(append([]byte(nil), f.data...))}, nil
 }
+
+// memReader is a read handle over a copy of the file as it was at Open; the
+// embedded reader's Len is the size hint ReadAll asks for.
+type memReader struct{ *bytes.Reader }
+
+func (memReader) Close() error { return nil }
 
 // List implements FS.
 func (m *MemFS) List(prefix string) ([]string, error) {
