@@ -38,6 +38,9 @@ var requiredSeries = []string{
 	"nakika_cache_hits_total",
 	"nakika_cache_misses_total",
 	"nakika_cache_bytes",
+	"nakika_cache_demotions_total",
+	"nakika_cache_disk_segments",
+	"nakika_cache_disk_live_bytes",
 	"nakika_lob_streamed_total",
 	"nakika_lob_slab_hits_total",
 	"nakika_lob_slab_slots",

@@ -195,14 +195,28 @@ func (c *Cache) Now() time.Time { return c.cfg.Clock() }
 
 // Expiry returns the instant until which a shared cache may serve a response
 // that carried header h and was obtained at fetched: the header's own
-// freshness information, else the default TTL. Put and Refresh file entries
-// under it, and the large-object tier judges its manifests by it.
+// freshness information, else the default TTL. A response whose headers say
+// it is stale already (max-age=0, an Expires that has passed) expires at
+// fetched, which no tier serves or stores. Put and Refresh file entries under
+// it, and the large-object tier judges its manifests by it.
 func (c *Cache) Expiry(h http.Header, fetched time.Time) time.Time {
-	ttl := httpmsg.FreshFor(h, fetched)
-	if ttl <= 0 {
+	ttl, ok := httpmsg.FreshFor(h, fetched)
+	if !ok {
 		ttl = c.cfg.DefaultTTL
 	}
-	return fetched.Add(ttl)
+	return fetched.Add(max(ttl, 0))
+}
+
+// expired is the one freshness predicate of both tiers: an entry is fresh
+// only while now is before its expiry (RFC 9111: while its age is less than
+// its freshness lifetime), so at the expiry instant itself it is stale.
+func expired(expires, now time.Time) bool { return !expires.After(now) }
+
+// Stale reports whether a response that carried header h and was obtained at
+// fetched is past its Expiry now, by the predicate the cache judges its own
+// entries with; the large-object tier asks it of its manifests.
+func (c *Cache) Stale(h http.Header, fetched time.Time) bool {
+	return expired(c.Expiry(h, fetched), c.cfg.Clock())
 }
 
 // Get returns a cached response clone for key, or nil when absent or
@@ -225,7 +239,7 @@ func (c *Cache) GetUntil(key string) (*httpmsg.Response, time.Time) {
 		sh.mu.Unlock()
 		return c.getL2(key)
 	}
-	if now.After(e.expires) {
+	if expired(e.expires, now) {
 		sh.removeLocked(e)
 		sh.mu.Unlock()
 		c.expired.Add(1)
@@ -262,8 +276,9 @@ func (c *Cache) getL2(key string) (*httpmsg.Response, time.Time) {
 	return out, expires
 }
 
-// Put stores a response under key if it is cacheable, until the Expiry its
-// headers give it from now. It returns whether the response was stored.
+// Put stores a response under key if it is cacheable and not stale on
+// arrival, until the Expiry its headers give it from now. It returns whether
+// the response was stored.
 func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 	if resp == nil {
 		return false
@@ -273,11 +288,13 @@ func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 
 // PutUntil is Put with the expiry decided by the caller: a copy fetched from
 // a peer's cache keeps the holder's deadline instead of starting a new one.
-// The stored clone is taken before the shard lock is acquired. Streamed
-// bodies never enter the whole-body cache — the large-object tier owns them
-// (storing one here would pin a lazy view, not bytes).
+// A response that is already past that deadline is reported unstored, so the
+// node neither holds nor publishes it. The stored clone is taken before the
+// shard lock is acquired. Streamed bodies never enter the whole-body cache —
+// the large-object tier owns them (storing one here would pin a lazy view,
+// not bytes).
 func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) bool {
-	if resp == nil || resp.Stream != nil || !resp.Cacheable() {
+	if resp == nil || resp.Stream != nil || !resp.Cacheable() || expired(expires, c.cfg.Clock()) {
 		return false
 	}
 	return c.putEntry(key, resp.Clone(), expires)
@@ -342,7 +359,7 @@ func (c *Cache) demote(evicted []*entry) {
 	}
 	now := c.cfg.Clock()
 	for _, e := range evicted {
-		if !e.expires.After(now) {
+		if expired(e.expires, now) {
 			continue
 		}
 		d.Put(e.key, e.resp, e.expires)
@@ -364,7 +381,7 @@ func (c *Cache) FlushToDisk() {
 		sh.mu.Lock()
 		fresh := make([]*entry, 0, len(sh.entries))
 		for _, e := range sh.entries {
-			if e.expires.After(now) {
+			if !expired(e.expires, now) {
 				fresh = append(fresh, e)
 			}
 		}

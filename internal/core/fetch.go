@@ -129,8 +129,9 @@ func (n *Node) peerCopy(key string) *httpmsg.Response {
 			continue
 		}
 		resp.Via = holder
-		n.cache.PutUntil(key, resp, expires)
-		n.publish(key)
+		if n.cache.PutUntil(key, resp, expires) {
+			n.publish(key)
+		}
 		return resp
 	}
 	return nil
@@ -165,11 +166,16 @@ func (n *Node) storeReply(key string, resp *httpmsg.Response) {
 // is on, and the reply is a 200 to a GET, storable by a shared cache, and at
 // least LargeObjectThreshold bytes long. length is the body's length when it
 // is buffered, the declared Content-Length (-1 unknown) when it is about to
-// stream.
+// stream. A reply that is stale on arrival is never served from the copy, so
+// it is taken only for what a conditional request can save: when it carries a
+// validator.
 func (n *Node) lobTakes(key string, status int, h http.Header, length int64) *largeobject.Tier {
 	t := n.lobTier()
 	if t == nil || status != http.StatusOK || length < n.cfg.LargeObjectThreshold ||
 		!strings.HasPrefix(key, http.MethodGet+" ") || !httpmsg.Storable(status, h) {
+		return nil
+	}
+	if n.cache.Stale(h, n.cache.Now()) && h.Get("Etag") == "" && h.Get("Last-Modified") == "" {
 		return nil
 	}
 	return t

@@ -3,14 +3,19 @@ package core
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"nakika/internal/cache"
 	"nakika/internal/httpmsg"
+	"nakika/internal/metrics"
 	"nakika/internal/overlay"
+	"nakika/internal/store"
 	"nakika/internal/transport"
 )
 
@@ -194,15 +199,20 @@ func TestCacheGetReplyGolden(t *testing.T) {
 
 // TestBothTiersStoreAndExpireAlike is the differential check on the merged
 // decisions: for every header set, an object below LargeObjectThreshold (the
-// whole-body arm) and one above it (the tier arm) are stored exactly when
-// httpmsg.Storable says so, and stop being served at the same instant.
+// whole-body arm) and one above it (the tier arm) are kept exactly when
+// httpmsg.Storable says so and the headers do not make the response stale on
+// arrival, and stop being served at the same instant: the expiry itself
+// (fresh only while age < lifetime), not a nanosecond after it.
 func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 	const threshold = 10_000
-	past := time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat)
+	// Every node's clock starts at base, a whole second, so an Expires header
+	// (one-second resolution) can name an instant exactly.
+	base := time.Unix(1_800_000_000, 0)
+	at := func(d time.Duration) string { return base.Add(d).UTC().Format(http.TimeFormat) }
 	for _, tc := range []struct {
 		name   string
 		header http.Header
-		ttl    time.Duration // 0: must not be stored
+		ttl    time.Duration // 0: must not be served a second time
 	}{
 		{"no headers", http.Header{}, 60 * time.Second},
 		{"max-age", http.Header{"Cache-Control": {"max-age=30"}}, 30 * time.Second},
@@ -210,14 +220,21 @@ func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 		{"s-maxage last", http.Header{"Cache-Control": {"max-age=30, s-maxage=10"}}, 10 * time.Second},
 		{"upper case", http.Header{"Cache-Control": {"MAX-AGE=30"}}, 30 * time.Second},
 		{"unknown directive naming private", http.Header{"Cache-Control": {"max-age=45, x-unprivate=1"}}, 45 * time.Second},
+		{"expires ahead", http.Header{"Expires": {at(90 * time.Second)}}, 90 * time.Second},
 		{"second header line", http.Header{"Cache-Control": {"max-age=30", "private"}}, 0},
 		{"no-store", http.Header{"Cache-Control": {"no-store"}}, 0},
 		{"private", http.Header{"Cache-Control": {"private, max-age=30"}}, 0},
 		{"no-cache", http.Header{"Cache-Control": {"No-Cache"}}, 0},
-		{"expires in the past", http.Header{"Expires": {past}}, 60 * time.Second},
+		// Storable, but stale on arrival: the default TTL is not for these.
+		{"max-age=0", http.Header{"Cache-Control": {"max-age=0"}}, 0},
+		{"s-maxage=0 over max-age", http.Header{"Cache-Control": {"max-age=60, s-maxage=0"}}, 0},
+		{"expires in the past", http.Header{"Expires": {at(-time.Hour)}}, 0},
+		{"expires now", http.Header{"Expires": {at(0)}}, 0},
+		{"max-age=0 with a validator", http.Header{"Cache-Control": {"max-age=0"}, "Etag": {`"v1"`}}, 0},
 	} {
-		if got := httpmsg.Storable(200, tc.header); got != (tc.ttl > 0) {
-			t.Errorf("%s: Storable = %v, want %v", tc.name, got, tc.ttl > 0)
+		storable := httpmsg.Storable(200, tc.header)
+		if tc.ttl > 0 && !storable {
+			t.Errorf("%s: Storable = false for a response the table expects kept", tc.name)
 			continue
 		}
 		for arm, size := range map[string]int{"whole-body": threshold / 2, "tier": threshold * 2} {
@@ -233,7 +250,7 @@ func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 					resp.Body = append([]byte(nil), body...)
 					return resp, nil
 				})
-				clock := newTestClock()
+				clock := &testClock{now: base}
 				n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 					lobConfig(4096, threshold)(cfg)
 					cfg.Cache.Clock = clock.Now
@@ -251,25 +268,30 @@ func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 				get()
 				inCache := n.Cache().Len() == 1
 				inTier := n.LargeObject().Tier.Manifests == 1
-				if stored := tc.ttl > 0; inCache != (stored && arm == "whole-body") || inTier != (stored && arm == "tier") {
+				// A storable reply that is stale on arrival leaves a manifest
+				// behind only when it has a validator to revalidate with; it
+				// is never served unrevalidated, which the second get shows
+				// (this origin answers a conditional request with a 200).
+				wantTier := arm == "tier" && (tc.ttl > 0 || (storable && tc.header.Get("Etag") != ""))
+				if inCache != (tc.ttl > 0 && arm == "whole-body") || inTier != wantTier {
 					t.Fatalf("in whole-body cache %v, in tier %v", inCache, inTier)
 				}
 				if tc.ttl == 0 {
 					get()
 					if fetches != 2 {
-						t.Errorf("origin fetches = %d, want 2 (nothing may be kept)", fetches)
+						t.Errorf("origin fetches = %d, want 2 (nothing may be served from a copy)", fetches)
 					}
 					return
 				}
-				clock.Advance(tc.ttl)
+				clock.Advance(tc.ttl - time.Nanosecond)
 				get()
 				if fetches != 1 {
-					t.Fatalf("refetched at the instant of expiry: %d origin fetches", fetches)
+					t.Fatalf("refetched a nanosecond before its expiry: %d origin fetches", fetches)
 				}
 				clock.Advance(time.Nanosecond)
 				get()
 				if fetches != 2 {
-					t.Errorf("still served past its expiry: %d origin fetches, want 2", fetches)
+					t.Errorf("still served at the instant of its expiry: %d origin fetches, want 2", fetches)
 				}
 			})
 		}
@@ -325,5 +347,77 @@ func TestRevalidationToSmallerBodyIsFiledNotRefetched(t *testing.T) {
 	if origin.fullHits != 2 || n.Stats().Cache.Hits != hits+1 {
 		t.Errorf("next request: %d full fetches (want 2), %d whole-body hits (want %d)",
 			origin.fullHits, n.Stats().Cache.Hits, hits+1)
+	}
+}
+
+// TestDiskTierOnMetricsAndShutdown: after demotions, promotions and a clean
+// re-demotion, the two nakika_cache_demotions_total series are the tier's own
+// Stores and Clean counters and the log gauges its Stats; Shutdown then
+// flushes what is not on disk yet and closes the tier, so a reopened tier
+// holds every page and nothing is written afterwards.
+func TestDiskTierOnMetricsAndShutdown(t *testing.T) {
+	origin := newMemOrigin()
+	urls := []string{"http://site.example.org/p1", "http://site.example.org/p2", "http://site.example.org/p3"}
+	for _, u := range urls {
+		origin.addText(u, "<html>"+u+"</html>", 600)
+	}
+	fs := store.NewMemFS()
+	n := newTestNode(t, "edge-1", origin, func(cfg *Config) {
+		cfg.DataFS = fs
+		cfg.Cache.MaxEntries = 2
+	})
+	get := func(u string) {
+		t.Helper()
+		if resp, err := n.Fetch(httpmsg.MustRequest("GET", u)); err != nil || resp.Status != 200 {
+			t.Fatalf("GET %s: %v, %v", u, resp, err)
+		}
+	}
+	for _, u := range append(urls, urls...) { // three cold fetches, then three disk hits
+		get(u)
+	}
+	st := n.Cache().Stats()
+	if st.Disk.Stores != 3 || st.Disk.Clean < 1 || st.DiskHits != 3 || st.Demotions != st.Disk.Stores+st.Disk.Clean {
+		t.Fatalf("cache stats %+v: want each page written once, at least one clean demotion, three disk hits", st)
+	}
+	var sb strings.Builder
+	if err := n.Metrics().WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := metrics.ParseExposition(sb.String()); err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	for _, line := range []string{
+		fmt.Sprintf(`nakika_cache_demotions_total{result="written"} %d`+"\n", st.Disk.Stores),
+		fmt.Sprintf(`nakika_cache_demotions_total{result="clean"} %d`+"\n", st.Disk.Clean),
+		"nakika_cache_disk_segments 1\n",
+		fmt.Sprintf("nakika_cache_disk_live_bytes %d\n", st.Disk.LiveBytes),
+		fmt.Sprintf(`nakika_cache_bytes{tier="disk"} %d`+"\n", st.Disk.Bytes),
+	} {
+		if !strings.Contains(sb.String(), line) {
+			t.Errorf("exposition lacks %q", line)
+		}
+	}
+
+	if err := n.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	after := n.Cache().Stats().Disk
+	if after.Stores != st.Disk.Stores || after.Clean != st.Disk.Clean+2 {
+		t.Errorf("the shutdown flush: %+v, want the two pages in memory found on disk already (before: %+v)", after, st.Disk)
+	}
+	writes := fs.Writes()
+	n.Cache().L2().Put("late", httpmsg.NewHTMLResponse(200, "late"), time.Now().Add(time.Hour))
+	if fs.Writes() != writes {
+		t.Error("the tier wrote after Shutdown")
+	}
+	re, err := cache.OpenDisk(store.Sub(fs, "cache"), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != len(urls) {
+		t.Errorf("a reopened tier holds %d entries, want %d", re.Len(), len(urls))
+	}
+	if got := origin.hitCount(urls[0]); got != 1 {
+		t.Errorf("origin fetches of %s = %d, want 1", urls[0], got)
 	}
 }

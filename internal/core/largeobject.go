@@ -125,9 +125,11 @@ func (n *Node) lobTier() *largeobject.Tier {
 
 // lobStale reports whether m must be revalidated before it is served again:
 // the cache's Expiry for the manifest's headers and fetch time, against the
-// cache clock — the decision cache.Put takes for a buffered entry.
+// cache clock and by the cache's own predicate — the decision cache.Put takes
+// for a buffered entry. A manifest whose headers made it stale on arrival is
+// therefore never served unrevalidated: it is kept for its validators alone.
 func (n *Node) lobStale(m *largeobject.Manifest) bool {
-	return n.cache.Now().After(n.cache.Expiry(m.Header, m.Fetched))
+	return n.cache.Stale(m.Header, m.Fetched)
 }
 
 // lobServe is the tier's half of the chain's lookup step: a streamed

@@ -5,6 +5,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -585,13 +586,17 @@ func (n *Node) StoreStats() store.LogStats {
 // path a SIGTERM takes. The node must not serve requests afterwards.
 func (n *Node) Shutdown() error {
 	n.cache.FlushToDisk()
+	var err error
+	if d := n.cache.L2(); d != nil {
+		err = d.Close()
+	}
 	n.persistMu.Lock()
 	kv := n.kvLog
 	n.persistMu.Unlock()
-	if kv == nil {
-		return nil
+	if kv != nil {
+		err = errors.Join(kv.Close(), err)
 	}
-	return kv.Close()
+	return err
 }
 
 // Crash simulates an abrupt process death for the fault-injection
@@ -604,6 +609,13 @@ func (n *Node) Crash() {
 		n.overlay.DropIndex()
 	}
 	n.cache.Clear()
+	// The disk tier is abandoned like the WAL below. It buffers nothing, so
+	// closing its segment handle loses what the process death would, which
+	// is nothing, and a request still in flight can no longer append to a
+	// log the recovered tier has taken over.
+	if d := n.cache.L2(); d != nil {
+		d.Close()
+	}
 	n.cache.SetL2(nil)
 	// The deployment table is soft state: a real crashed process loses its
 	// compiled stages and rebuilds them from the replicated records on the

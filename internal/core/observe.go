@@ -150,10 +150,18 @@ func (n *Node) buildRegistry() {
 		func() float64 { return float64(n.cache.Stats().Evictions) })
 	r.CounterFunc("nakika_cache_evictions_total", "", metrics.Labels{"tier": "disk"},
 		func() float64 { return float64(n.cache.Stats().Disk.Evictions) })
-	r.GaugeFunc("nakika_cache_bytes", "Cached body bytes per tier.", metrics.Labels{"tier": "memory"},
+	r.GaugeFunc("nakika_cache_bytes", "Bytes held per tier: cached bodies in memory, segment files on disk.", metrics.Labels{"tier": "memory"},
 		func() float64 { return float64(n.cache.Stats().Bytes) })
 	r.GaugeFunc("nakika_cache_bytes", "", metrics.Labels{"tier": "disk"},
 		func() float64 { return float64(n.cache.Stats().Disk.Bytes) })
+	r.CounterFunc("nakika_cache_demotions_total", "Entries handed to the disk tier: a record appended, or none because the one on disk was current.", metrics.Labels{"result": "written"},
+		func() float64 { return float64(n.cache.Stats().Disk.Stores) })
+	r.CounterFunc("nakika_cache_demotions_total", "", metrics.Labels{"result": "clean"},
+		func() float64 { return float64(n.cache.Stats().Disk.Clean) })
+	r.GaugeFunc("nakika_cache_disk_segments", "Segment files in the disk tier's log.", nil,
+		func() float64 { return float64(n.cache.Stats().Disk.Segments) })
+	r.GaugeFunc("nakika_cache_disk_live_bytes", "Bytes of disk-tier records the index points at; the disk tier's nakika_cache_bytes over this is the log's space amplification.", nil,
+		func() float64 { return float64(n.cache.Stats().Disk.LiveBytes) })
 
 	r.CounterFunc("nakika_lob_streamed_total", "Responses served as lazy segment streams from the large-object tier.", nil, cv(&n.lobStreamed))
 	r.CounterFunc("nakika_lob_ingests_total", "Objects chunked into the large-object tier, by how the body arrived.", metrics.Labels{"mode": "stream"}, cv(&n.lobStreamIng))

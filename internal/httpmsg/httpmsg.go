@@ -364,30 +364,36 @@ func Storable(status int, h http.Header) bool {
 
 // FreshFor returns how long a shared cache may serve a response carrying
 // these headers without revalidation: s-maxage, else max-age, else the time
-// left until Expires. Zero means "no explicit freshness information"; the
-// default TTL is applied by the cache (cache.Expiry), not here.
-func FreshFor(h http.Header, now time.Time) time.Duration {
+// left until Expires. ok is false when the headers carry no freshness
+// information at all — the default TTL is then applied by the cache
+// (cache.Expiry), not here. With ok true a duration of zero or less means
+// the response is stale on arrival (max-age=0, s-maxage=0, an Expires that
+// is not in the future or is not a date: RFC 9111 section 5.3 reads an
+// invalid Expires, "0" especially, as already expired) and must not be given
+// the default TTL.
+func FreshFor(h http.Header, now time.Time) (fresh time.Duration, ok bool) {
 	cc := parseCacheControl(h)
 	if cc.sMaxAge >= 0 {
-		return cc.sMaxAge
+		return cc.sMaxAge, true
 	}
 	if cc.maxAge >= 0 {
-		return cc.maxAge
+		return cc.maxAge, true
 	}
 	if exp := h.Get("Expires"); exp != "" {
-		if t, err := http.ParseTime(exp); err == nil && t.After(now) {
-			return t.Sub(now)
+		t, err := http.ParseTime(exp)
+		if err != nil {
+			return 0, true
 		}
+		return t.Sub(now), true
 	}
-	return 0
+	return 0, false
 }
 
 // Cacheable reports whether the response may be stored by a shared cache.
 func (r *Response) Cacheable() bool { return Storable(r.Status, r.Header) }
 
-// FreshFor returns how long the response may be served from cache without
-// revalidation; zero means "no explicit freshness information".
-func (r *Response) FreshFor(now time.Time) time.Duration { return FreshFor(r.Header, now) }
+// FreshFor is the package's FreshFor over the response's own headers.
+func (r *Response) FreshFor(now time.Time) (time.Duration, bool) { return FreshFor(r.Header, now) }
 
 // SetMaxAge sets the Cache-Control max-age directive in seconds.
 func (r *Response) SetMaxAge(seconds int) {

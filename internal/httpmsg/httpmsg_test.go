@@ -200,34 +200,35 @@ func TestCacheable(t *testing.T) {
 func TestFreshFor(t *testing.T) {
 	now := time.Now()
 	r := NewResponse(200)
-	if r.FreshFor(now) != 0 {
-		t.Error("no headers should mean zero freshness")
+	if d, ok := r.FreshFor(now); d != 0 || ok {
+		t.Errorf("no headers: FreshFor = %v, %v; want no freshness information", d, ok)
 	}
 	r.SetMaxAge(300)
-	if r.FreshFor(now) != 300*time.Second {
-		t.Errorf("max-age freshness = %v", r.FreshFor(now))
+	if d, ok := r.FreshFor(now); d != 300*time.Second || !ok {
+		t.Errorf("max-age freshness = %v, %v", d, ok)
 	}
 	r2 := NewResponse(200)
 	r2.SetAbsoluteExpiry(now.Add(90 * time.Second))
-	fresh := r2.FreshFor(now)
-	if fresh < 85*time.Second || fresh > 95*time.Second {
-		t.Errorf("Expires freshness = %v", fresh)
+	if fresh, ok := r2.FreshFor(now); !ok || fresh < 85*time.Second || fresh > 95*time.Second {
+		t.Errorf("Expires freshness = %v, %v", fresh, ok)
 	}
 	r3 := NewResponse(200)
 	r3.SetAbsoluteExpiry(now.Add(-10 * time.Second))
-	if r3.FreshFor(now) != 0 {
-		t.Error("expired response should have zero freshness")
+	if d, ok := r3.FreshFor(now); d > 0 || !ok {
+		t.Errorf("past Expires: FreshFor = %v, %v; want stale on arrival, not \"no information\"", d, ok)
 	}
 	r4 := NewResponse(200)
 	r4.Header.Set("Cache-Control", "public, s-maxage=120")
-	if r4.FreshFor(now) != 120*time.Second {
-		t.Errorf("s-maxage freshness = %v", r4.FreshFor(now))
+	if d, ok := r4.FreshFor(now); d != 120*time.Second || !ok {
+		t.Errorf("s-maxage freshness = %v, %v", d, ok)
 	}
 }
 
 // TestSharedCachePolicy is the table for the one policy function pair:
 // Storable and FreshFor read the same directive list, token by token and
-// without regard to case.
+// without regard to case. known separates "the headers say nothing" (the
+// cache applies its default TTL) from "the headers say it is stale already"
+// (fresh <= 0: the cache must not).
 func TestSharedCachePolicy(t *testing.T) {
 	now := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 	for _, c := range []struct {
@@ -236,38 +237,42 @@ func TestSharedCachePolicy(t *testing.T) {
 		header   http.Header
 		storable bool
 		fresh    time.Duration
+		known    bool
 	}{
-		{"no headers", 200, http.Header{}, true, 0},
-		{"max-age", 200, http.Header{"Cache-Control": {"max-age=60"}}, true, time.Minute},
-		{"s-maxage wins when first", 200, http.Header{"Cache-Control": {"s-maxage=10, max-age=60"}}, true, 10 * time.Second},
-		{"s-maxage wins when last", 200, http.Header{"Cache-Control": {"max-age=60, s-maxage=10"}}, true, 10 * time.Second},
-		{"directive names in any case", 200, http.Header{"Cache-Control": {"Public, Max-Age=60"}}, true, time.Minute},
-		{"no-store in any case", 200, http.Header{"Cache-Control": {"NO-STORE"}}, false, 0},
-		{"private", 200, http.Header{"Cache-Control": {"max-age=60, private"}}, false, time.Minute},
-		{"no-cache", 200, http.Header{"Cache-Control": {"no-cache"}}, false, 0},
-		{"a token that contains private is not private", 200, http.Header{"Cache-Control": {"max-age=60, x-unprivate=1"}}, true, time.Minute},
-		{"a second header line counts", 200, http.Header{"Cache-Control": {"max-age=60", "no-store"}}, false, time.Minute},
-		{"unparsable max-age is ignored", 200, http.Header{"Cache-Control": {"max-age=soon"}}, true, 0},
-		{"negative max-age is ignored", 200, http.Header{"Cache-Control": {"max-age=-5"}, "Expires": {now.Add(90 * time.Second).Format(http.TimeFormat)}}, true, 90 * time.Second},
-		{"max-age beats Expires", 200, http.Header{"Cache-Control": {"max-age=60"}, "Expires": {now.Add(time.Hour).Format(http.TimeFormat)}}, true, time.Minute},
-		{"Expires ahead", 200, http.Header{"Expires": {now.Add(90 * time.Second).Format(http.TimeFormat)}}, true, 90 * time.Second},
-		{"Expires in the past", 200, http.Header{"Expires": {now.Add(-time.Hour).Format(http.TimeFormat)}}, true, 0},
-		{"Expires unparsable", 200, http.Header{"Expires": {"0"}}, true, 0},
-		{"301", 301, http.Header{}, true, 0},
-		{"404", 404, http.Header{}, true, 0},
-		{"404 no-store", 404, http.Header{"Cache-Control": {"no-store"}}, false, 0},
-		{"206", 206, http.Header{"Cache-Control": {"max-age=60"}}, false, time.Minute},
-		{"304", 304, http.Header{"Cache-Control": {"max-age=60"}}, false, time.Minute},
-		{"500", 500, http.Header{}, false, 0},
+		{"no headers", 200, http.Header{}, true, 0, false},
+		{"max-age", 200, http.Header{"Cache-Control": {"max-age=60"}}, true, time.Minute, true},
+		{"s-maxage wins when first", 200, http.Header{"Cache-Control": {"s-maxage=10, max-age=60"}}, true, 10 * time.Second, true},
+		{"s-maxage wins when last", 200, http.Header{"Cache-Control": {"max-age=60, s-maxage=10"}}, true, 10 * time.Second, true},
+		{"directive names in any case", 200, http.Header{"Cache-Control": {"Public, Max-Age=60"}}, true, time.Minute, true},
+		{"no-store in any case", 200, http.Header{"Cache-Control": {"NO-STORE"}}, false, 0, false},
+		{"private", 200, http.Header{"Cache-Control": {"max-age=60, private"}}, false, time.Minute, true},
+		{"no-cache", 200, http.Header{"Cache-Control": {"no-cache"}}, false, 0, false},
+		{"a token that contains private is not private", 200, http.Header{"Cache-Control": {"max-age=60, x-unprivate=1"}}, true, time.Minute, true},
+		{"a second header line counts", 200, http.Header{"Cache-Control": {"max-age=60", "no-store"}}, false, time.Minute, true},
+		{"unparsable max-age is ignored", 200, http.Header{"Cache-Control": {"max-age=soon"}}, true, 0, false},
+		{"negative max-age is ignored", 200, http.Header{"Cache-Control": {"max-age=-5"}, "Expires": {now.Add(90 * time.Second).Format(http.TimeFormat)}}, true, 90 * time.Second, true},
+		{"max-age beats Expires", 200, http.Header{"Cache-Control": {"max-age=60"}, "Expires": {now.Add(time.Hour).Format(http.TimeFormat)}}, true, time.Minute, true},
+		{"Expires ahead", 200, http.Header{"Expires": {now.Add(90 * time.Second).Format(http.TimeFormat)}}, true, 90 * time.Second, true},
+		{"max-age=0 is stale on arrival", 200, http.Header{"Cache-Control": {"max-age=0"}}, true, 0, true},
+		{"s-maxage=0 beats max-age", 200, http.Header{"Cache-Control": {"max-age=60, s-maxage=0"}}, true, 0, true},
+		{"Expires in the past", 200, http.Header{"Expires": {now.Add(-time.Hour).Format(http.TimeFormat)}}, true, -time.Hour, true},
+		{"Expires now", 200, http.Header{"Expires": {now.Format(http.TimeFormat)}}, true, 0, true},
+		{"Expires unparsable is in the past", 200, http.Header{"Expires": {"0"}}, true, 0, true},
+		{"301", 301, http.Header{}, true, 0, false},
+		{"404", 404, http.Header{}, true, 0, false},
+		{"404 no-store", 404, http.Header{"Cache-Control": {"no-store"}}, false, 0, false},
+		{"206", 206, http.Header{"Cache-Control": {"max-age=60"}}, false, time.Minute, true},
+		{"304", 304, http.Header{"Cache-Control": {"max-age=60"}}, false, time.Minute, true},
+		{"500", 500, http.Header{}, false, 0, false},
 	} {
 		if got := Storable(c.status, c.header); got != c.storable {
 			t.Errorf("%s: Storable = %v, want %v", c.name, got, c.storable)
 		}
-		if got := FreshFor(c.header, now); got != c.fresh {
-			t.Errorf("%s: FreshFor = %v, want %v", c.name, got, c.fresh)
+		if got, known := FreshFor(c.header, now); got != c.fresh || known != c.known {
+			t.Errorf("%s: FreshFor = %v, %v; want %v, %v", c.name, got, known, c.fresh, c.known)
 		}
 		r := &Response{Status: c.status, Header: c.header}
-		if r.Cacheable() != c.storable || r.FreshFor(now) != c.fresh {
+		if got, known := r.FreshFor(now); r.Cacheable() != c.storable || got != c.fresh || known != c.known {
 			t.Errorf("%s: the Response methods disagree with the functions", c.name)
 		}
 	}
@@ -309,7 +314,7 @@ func TestHTTPConversion(t *testing.T) {
 	if resp.Status != 200 || string(resp.Body) != "origin content" {
 		t.Errorf("resp = %d %q", resp.Status, resp.Body)
 	}
-	if resp.FreshFor(time.Now()) != 60*time.Second {
+	if fresh, _ := resp.FreshFor(time.Now()); fresh != 60*time.Second {
 		t.Error("cache-control lost in conversion")
 	}
 }

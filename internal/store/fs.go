@@ -12,7 +12,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -391,14 +390,54 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: open %s: %w", name, os.ErrNotExist)
 	}
-	return memReader{bytes.NewReader(append([]byte(nil), f.data...))}, nil
+	return &memReader{fs: m, file: f}, nil
 }
 
-// memReader is a read handle over a copy of the file as it was at Open; the
-// embedded reader's Len is the size hint ReadAll asks for.
-type memReader struct{ *bytes.Reader }
+// memReader is a read handle on the file itself, not on a copy: like a
+// descriptor it sees bytes appended after Open, ends where a truncation
+// (DropUnsynced) left the file, and keeps reading a file that was removed
+// or renamed over. Every read is taken under the filesystem's lock and
+// bounded by the file's length at that moment.
+type memReader struct {
+	fs   *MemFS
+	file *memFile
+	off  int
+}
 
-func (memReader) Close() error { return nil }
+func (r *memReader) Read(p []byte) (int, error) {
+	n, err := r.ReadAt(p, int64(r.off))
+	r.off += n
+	if n > 0 {
+		err = nil
+	}
+	return n, err
+}
+
+// ReadAt implements io.ReaderAt.
+func (r *memReader) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("store: read at negative offset %d", off)
+	}
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	n := 0
+	if off < int64(len(r.file.data)) {
+		n = copy(p, r.file.data[off:])
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// Len returns the number of unread bytes: the size hint ReadAll asks for.
+func (r *memReader) Len() int {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	return max(len(r.file.data)-r.off, 0)
+}
+
+func (*memReader) Close() error { return nil }
 
 // List implements FS.
 func (m *MemFS) List(prefix string) ([]string, error) {

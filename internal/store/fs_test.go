@@ -148,3 +148,91 @@ func TestReadIntoFailsRatherThanGrows(t *testing.T) {
 		}
 	}
 }
+
+// TestMemFSReadHandleIsADescriptor: MemFS's read handle reads the file in
+// place, not a copy taken at Open, so it must answer like the *os.File that
+// DirFS hands out. Three cases, each with the handle opened first:
+//
+//   - bytes appended afterwards are read (a descriptor reads the live file);
+//   - a truncation afterwards — DropUnsynced, os.Truncate on the real file —
+//     ends the reads at the new length: ReadAt past it is io.EOF;
+//   - Remove afterwards changes nothing: the handle keeps the whole file,
+//     while a new Open fails with os.ErrNotExist.
+func TestMemFSReadHandleIsADescriptor(t *testing.T) {
+	dirRoot := t.TempDir()
+	dir, err := NewDirFS(dirRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemFS()
+	for name, c := range map[string]struct {
+		fs       FS
+		truncate func(t *testing.T)
+	}{
+		"MemFS": {mem, func(*testing.T) { mem.DropUnsynced() }},
+		"DirFS": {dir, func(t *testing.T) {
+			if err := os.Truncate(dirRoot+"/f", 5); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w, err := c.fs.OpenAppend("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if _, err := w.Write([]byte("01234")); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := c.fs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			ra, ok := r.(io.ReaderAt)
+			if !ok {
+				t.Fatal("the read handle has no ReadAt")
+			}
+			if got := sizeHint(r); got != 5 {
+				t.Errorf("size hint = %d, want 5", got)
+			}
+			head := make([]byte, 3)
+			if _, err := io.ReadFull(r, head); err != nil || string(head) != "012" {
+				t.Fatalf("first read: %q, %v", head, err)
+			}
+
+			if _, err := w.Write([]byte("56789")); err != nil {
+				t.Fatal(err)
+			}
+			at := make([]byte, 4)
+			if n, err := ra.ReadAt(at, 4); n != 4 || err != nil || string(at) != "4567" {
+				t.Errorf("ReadAt across the append: %q, n=%d, %v", at, n, err)
+			}
+			if n, err := ra.ReadAt(at, 8); n != 2 || err != io.EOF || string(at[:n]) != "89" {
+				t.Errorf("ReadAt over the end: %q, n=%d, %v; want the last two bytes and io.EOF", at[:n], n, err)
+			}
+
+			c.truncate(t) // back to the five bytes that were synced
+			if n, err := ra.ReadAt(at, 5); n != 0 || err != io.EOF {
+				t.Errorf("ReadAt past a truncation: n=%d, %v; want io.EOF", n, err)
+			}
+			if rest, err := io.ReadAll(r); err != nil || string(rest) != "34" {
+				t.Errorf("sequential read after the truncation: %q, %v; want the two bytes left", rest, err)
+			}
+
+			if err := c.fs.Remove("f"); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := ra.ReadAt(at, 0); n != 4 || err != nil || string(at) != "0123" {
+				t.Errorf("ReadAt after Remove: %q, n=%d, %v; want the file still readable", at, n, err)
+			}
+			if _, err := c.fs.Open("f"); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("a new Open after Remove: %v, want os.ErrNotExist", err)
+			}
+		})
+	}
+}

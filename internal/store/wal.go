@@ -11,19 +11,19 @@ import (
 // ErrClosed is returned by operations on a closed or abandoned engine.
 var ErrClosed = errors.New("store: closed")
 
-// maxRecord bounds a single record; a length field beyond it is treated as
+// MaxRecord bounds a single record; a length field beyond it is treated as
 // a torn/corrupt tail, not an allocation request.
-const maxRecord = 16 << 20
+const MaxRecord = 16 << 20
 
-// frameHeader is the per-record framing overhead: a 4-byte big-endian
+// FrameHeader is the per-record framing overhead: a 4-byte big-endian
 // payload length followed by a 4-byte CRC-32C of the payload.
-const frameHeader = 8
+const FrameHeader = 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendFrame appends one CRC-framed record to dst and returns it.
 func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
+	var hdr [FrameHeader]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 	dst = append(dst, hdr[:]...)
@@ -39,22 +39,22 @@ func AppendFrame(dst, payload []byte) []byte {
 func ReplayFrames(data []byte, fn func(payload []byte) error) (int, error) {
 	off := 0
 	for {
-		if len(data)-off < frameHeader {
+		if len(data)-off < FrameHeader {
 			return off, nil // torn or clean end mid-header
 		}
 		n := int(binary.BigEndian.Uint32(data[off : off+4]))
 		sum := binary.BigEndian.Uint32(data[off+4 : off+8])
-		if n > maxRecord || len(data)-off-frameHeader < n {
+		if n > MaxRecord || len(data)-off-FrameHeader < n {
 			return off, nil // torn length or torn payload
 		}
-		payload := data[off+frameHeader : off+frameHeader+n]
+		payload := data[off+FrameHeader : off+FrameHeader+n]
 		if crc32.Checksum(payload, crcTable) != sum {
 			return off, nil // corrupt payload
 		}
 		if err := fn(payload); err != nil {
 			return off, err
 		}
-		off += frameHeader + n
+		off += FrameHeader + n
 	}
 }
 
