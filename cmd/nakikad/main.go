@@ -49,7 +49,6 @@ func main() {
 	rpcAddr := flag.String("rpc", "", "TCP transport listen address for cluster traffic (empty: single-node)")
 	peers := flag.String("peers", "", "comma-separated name=host:port pairs of cluster peers")
 	dataDir := flag.String("data-dir", "", "directory for the persistent store (WAL + segments + disk cache tier); empty keeps all state in memory")
-	noGroupCommit := flag.Bool("no-group-commit", false, "sync the write-ahead log once per record instead of batching fsyncs")
 	replication := flag.Int("replication", 3, "copies kept of each hard-state key in cluster mode (ring owner + successors, written synchronously); 1 keeps owner-only placement")
 	offloadThreshold := flag.Float64("offload-threshold", 0, "load score above which arriving requests are shed to the least-loaded replica of their site (cluster mode); 0 disables offload")
 	hedgeAfter := flag.Duration("hedge-after", 0, "latency budget for replicated hard-state reads: when the owner's EWMA round trip exceeds it the read is hedged to the next replica; 0 disables hedging")
@@ -98,7 +97,6 @@ func main() {
 			log.Fatalf("nakikad: %v", err)
 		}
 		cfg.DataFS = fs
-		cfg.Persist.NoGroupCommit = *noGroupCommit
 	}
 
 	// Cluster mode: an overlay ring over the TCP wire transport. This

@@ -5,6 +5,7 @@ package e2e
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,6 +85,15 @@ func TestLeaseFencingSurvivesSigkillWithCleanWALs(t *testing.T) {
 		}
 		if body := jobGet(t, c, victim, fmt.Sprintf("op=step&seq=%d&token=%d", seq, token1)); body != fmt.Sprintf("step %d ok", seq) {
 			t.Fatalf("holder step %d = %q", seq, body)
+		}
+		if seq == 0 {
+			// The fenced write is placed like a plain write of its key, so
+			// State.get through another process reads it at once — long
+			// before a maintenance tick (5 s apart) could have repaired a
+			// write that landed on some other replica set.
+			if body := jobGet(t, c, other, "op=peek"); !strings.Contains(body, `"seq":"0"`) {
+				t.Fatalf("job:cursor through edge-%d after the first acknowledged step = %q", other, body)
+			}
 		}
 	}
 

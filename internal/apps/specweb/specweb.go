@@ -235,6 +235,9 @@ job.onRequest = function() {
 		}
 		return;
 	}
+	if (op == "peek") {
+		var cur = State.get("job:cursor"); Response.write(cur == null ? "none" : cur); return;
+	}
 	Request.terminate(400);
 };
 job.register();

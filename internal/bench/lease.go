@@ -114,23 +114,37 @@ func RunLease() (LeaseResult, error) {
 		return res, err
 	}
 
-	// Fenced writes under one holdership vs the same writes unfenced.
+	// Fenced writes under one holdership vs the same writes unfenced: the
+	// same keys in both arms, so the same owners and replica sets. A fenced
+	// write is placed exactly like a plain one, so it reads back through
+	// another node at once and costs the same messages — the fence
+	// admission rides the replicated write.
 	const writerJob = "writer"
 	token, ok := holder.LeaseAcquire(leaseBenchSite, writerJob, time.Hour)
 	if !ok {
 		return res, fmt.Errorf("bench: writer lease denied")
 	}
+	writeKey := func(i int) string { return fmt.Sprintf("write-%02d", i) }
 	res.FencedWriteMsgsPerOp, res.FencedWriteVirtualPerOp, err = leaseBenchMeasure(c, leaseBenchOps, func(i int) error {
-		return holder.FencedStatePut(leaseBenchSite, fmt.Sprintf("fenced-%02d", i), "v", writerJob, token)
+		return holder.FencedStatePut(leaseBenchSite, writeKey(i), "fenced", writerJob, token)
 	})
 	if err != nil {
 		return res, err
 	}
+	reader := c.NodeByName(pick(holderName))
+	for i := 0; i < leaseBenchOps; i++ {
+		if v, ok := reader.StateGet(leaseBenchSite, writeKey(i)); !ok || v != "fenced" {
+			return res, fmt.Errorf("bench: fenced write %s read back through %s = (%q, %v)", writeKey(i), reader.Name(), v, ok)
+		}
+	}
 	res.PlainWriteMsgsPerOp, res.PlainWriteVirtualPerOp, err = leaseBenchMeasure(c, leaseBenchOps, func(i int) error {
-		return holder.StatePut(leaseBenchSite, fmt.Sprintf("plain-%02d", i), "v")
+		return holder.StatePut(leaseBenchSite, writeKey(i), "plain")
 	})
 	if err != nil {
 		return res, err
+	}
+	if res.FencedWriteMsgsPerOp != res.PlainWriteMsgsPerOp {
+		return res, fmt.Errorf("bench: fenced writes cost %v msgs/op, the same writes unfenced %v", res.FencedWriteMsgsPerOp, res.PlainWriteMsgsPerOp)
 	}
 
 	// Crash-visible handover: the holder of a fresh lease is crashed and a

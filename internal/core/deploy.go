@@ -274,29 +274,20 @@ func (n *Node) deployRecord(site string) (deploy.State, bool) {
 	return deploy.State{}, false
 }
 
-// deployGet reads the raw record value under (site, deploy.StateKey) —
-// routed when replication is on, local otherwise. Replication RPCs do not
-// filter the internal namespace, so routed reads work for deploy records
-// exactly as for lease records.
+// deployGet reads the raw record value under (site, deploy.StateKey)
+// through the routed read every replicated record takes (local when
+// replication is off). Replication RPCs do not filter the internal
+// namespace, so routed reads work for deploy records exactly as for lease
+// records.
 func (n *Node) deployGet(site string) (string, bool) {
-	if n.repEnabled() {
-		if v, ok := n.repGet(nil, site, deploy.StateKey); ok {
-			return v, true
-		}
-		return "", false
-	}
-	return n.localVersionedGet(site, deploy.StateKey)
+	return n.repGet(nil, site, deploy.StateKey)
 }
 
-// deployPut persists a record value under (site, deploy.StateKey): through
-// the replicated owner write path when replication is on (durable locally
-// plus at least one replica before the deploy is acknowledged), a plain
-// versioned local write otherwise — same contract as lease storage.
+// deployPut persists a record value under (site, deploy.StateKey) through
+// the routed owner write: durable locally plus on at least one replica
+// before the deploy is acknowledged — same contract as lease storage.
 func (n *Node) deployPut(site, value string) error {
-	if n.repEnabled() {
-		return n.repPut(nil, site, deploy.StateKey, value)
-	}
-	return n.localVersionedPut(site, deploy.StateKey, value)
+	return n.repWrite(nil, site, deploy.StateKey, value, false)
 }
 
 // indexAdd records site in the replicated deployment index so nodes

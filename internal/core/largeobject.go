@@ -607,17 +607,10 @@ func (n *Node) serveLobRPC(from string, msg transport.Message) (transport.Messag
 // Replicated segment index (one hard-state record per object)
 // ---------------------------------------------------------------------------
 
-// lobIndexGet reads key's index record through the replicated read path
-// (owner-routed with failover) when replication is on, locally otherwise —
-// the same contract as deploy records.
+// lobIndexGet reads key's index record through the routed read (local when
+// replication is off) — the same contract as deploy records.
 func (n *Node) lobIndexGet(key string) (*largeobject.Index, bool) {
-	var raw string
-	var ok bool
-	if n.repEnabled() {
-		raw, ok = n.repGet(nil, lobSite, lobStateKey(key))
-	} else {
-		raw, ok = n.localVersionedGet(lobSite, lobStateKey(key))
-	}
+	raw, ok := n.repGet(nil, lobSite, lobStateKey(key))
 	if !ok {
 		return nil, false
 	}
@@ -632,14 +625,11 @@ func (n *Node) lobIndexGet(key string) (*largeobject.Index, bool) {
 	return idx, true
 }
 
-// lobIndexPut writes key's index record through the replicated owner write
-// path (durable on the owner plus its successors) when replication is on.
+// lobIndexPut writes key's index record through the routed owner write
+// (durable on the owner plus its successors when replication is on).
 func (n *Node) lobIndexPut(key string, idx *largeobject.Index) error {
 	value := base64.StdEncoding.EncodeToString(largeobject.EncodeIndex(idx))
-	if n.repEnabled() {
-		return n.repPut(nil, lobSite, lobStateKey(key), value)
-	}
-	return n.localVersionedPut(lobSite, lobStateKey(key), value)
+	return n.repWrite(nil, lobSite, lobStateKey(key), value, false)
 }
 
 // publishLob merges this node into key's replicated index record: installs

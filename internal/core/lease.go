@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"nakika/internal/lease"
@@ -95,25 +96,12 @@ func (n *Node) leaseTTL(ttl time.Duration) int64 {
 	return int64(ttl)
 }
 
-// localLeaseRecord reads the lease record from the local store. Missing
-// keys, tombstones, and undecodable values all read as the zero record —
-// a deleted lease starts over from token 1, which is safe because every
-// store's fence floor survives the tombstone and keeps deposed
-// holderships fenced.
-func (n *Node) localLeaseRecord(site, name string) lease.Record {
-	value, ok := n.localVersionedGet(site, lease.Key(name))
-	if !ok {
-		return lease.Record{}
-	}
-	rec, ok := lease.Decode(value)
-	if !ok {
-		return lease.Record{}
-	}
-	return rec
-}
-
 // LeaseRecord exposes the node's local copy of a lease record without any
-// routing — the harness uses it to check convergence.
+// routing — arbitration reads it at the acting owner, the harness uses it
+// to check convergence. Missing keys, tombstones, and undecodable values
+// all read as the zero record: a deleted lease starts over from token 1,
+// which is safe because every store's fence floor survives the tombstone
+// and keeps deposed holderships fenced.
 func (n *Node) LeaseRecord(site, name string) (lease.Record, bool) {
 	value, ok := n.localVersionedGet(site, lease.Key(name))
 	if !ok {
@@ -122,49 +110,51 @@ func (n *Node) LeaseRecord(site, name string) (lease.Record, bool) {
 	return lease.Decode(value)
 }
 
-// leaseStore persists a decided lease record: through the replicated
-// owner write path when replication is on (durable locally plus at least
-// one replica before the grant is acknowledged), a plain versioned local
-// write otherwise (single-node leases still work without an overlay).
-func (n *Node) leaseStore(site, name string, rec lease.Record) error {
-	if n.repEnabled() {
-		return n.ownerPut(site, lease.Key(name), false, lease.Encode(rec))
-	}
-	return n.localVersionedPut(site, lease.Key(name), lease.Encode(rec))
-}
-
 // ---------------------------------------------------------------------------
 // Owner-side arbitration
 // ---------------------------------------------------------------------------
 
-// ownerLeaseAcquire decides one acquire at the acting owner. leaseMu
+// arbitrate is the owner-side step every lease operation shares. leaseMu
 // serializes every arbitration on this node, so reading the record,
-// deciding, and storing the result is one atomic step with respect to
-// other lease operations (the replicated write inside takes the usual
-// replication locks underneath).
-func (n *Node) ownerLeaseAcquire(site, name, holder string, ttl int64) (lease.Record, lease.Outcome, error) {
+// deciding (decide wraps one of the pure lease functions) and storing the
+// result is one atomic step with respect to other lease operations. The
+// decided record goes through ownerWrite — durable locally plus on at
+// least one replica before it is acknowledged — so a decision that never
+// became durable-and-replicated was never issued: the caller sees the
+// error, not a lease. ok reports a decision made and stored.
+func (n *Node) arbitrate(site, name string, decide func(cur lease.Record, now int64) (lease.Record, bool)) (ok bool, err error) {
 	n.leaseMu.Lock()
 	defer n.leaseMu.Unlock()
-	cur := n.localLeaseRecord(site, name)
-	now := n.leaseNow()
-	rec, out := lease.Acquire(cur, holder, now, ttl, false)
-	if out == lease.Denied && n.overlay != nil && !n.overlay.Ping(cur.Holder) {
-		// Adaptive recovery: the lease looks held, but one probe of the
-		// recorded holder — issued only on a would-be denial, so the happy
-		// path never pays it — shows the holder dead. Depose it now
-		// instead of making the heir wait out the TTL.
-		rec, out = lease.Acquire(cur, holder, now, ttl, true)
+	cur, _ := n.LeaseRecord(site, name)
+	next, ok := decide(cur, n.leaseNow())
+	if !ok {
+		return false, nil
 	}
-	if out == lease.Denied {
-		n.leaseDenied.Add(1)
-		return cur, out, nil
-	}
-	if err := n.leaseStore(site, name, rec); err != nil {
-		// The grant never became durable-and-replicated, so it was never
-		// issued; the caller sees the error, not a lease.
-		return cur, out, err
+	err = n.ownerWrite(state.Rec{Site: site, Key: lease.Key(name), Value: lease.Encode(next)}, nil)
+	return err == nil, err
+}
+
+// ownerLeaseAcquire decides one acquire at the acting owner.
+func (n *Node) ownerLeaseAcquire(req leaseReq) (transport.Message, error) {
+	var rec lease.Record
+	var out lease.Outcome
+	_, err := n.arbitrate(req.Site, req.Name, func(cur lease.Record, now int64) (lease.Record, bool) {
+		rec, out = lease.Acquire(cur, req.Holder, now, req.TTL, false)
+		if out == lease.Denied && n.overlay != nil && !n.overlay.Ping(cur.Holder) {
+			// Adaptive recovery: the lease looks held, but one probe of the
+			// recorded holder — issued only on a would-be denial, so the happy
+			// path never pays it — shows the holder dead. Depose it now
+			// instead of making the heir wait out the TTL.
+			rec, out = lease.Acquire(cur, req.Holder, now, req.TTL, true)
+		}
+		return rec, out != lease.Denied
+	})
+	if err != nil {
+		return transport.Message{}, err
 	}
 	switch out {
+	case lease.Denied:
+		n.leaseDenied.Add(1)
 	case lease.Renewed:
 		n.leaseRenewed.Add(1)
 	case lease.CrashGrant:
@@ -176,169 +166,52 @@ func (n *Node) ownerLeaseAcquire(site, name, holder string, ttl int64) (lease.Re
 	default:
 		n.leaseAcquired.Add(1)
 	}
-	return rec, out, nil
+	return transport.Message{Args: []string{out.String(), strconv.FormatUint(rec.Token, 10)}}, nil
 }
 
-func (n *Node) ownerLeaseRenew(site, name, holder string, token uint64, ttl int64) (bool, error) {
-	n.leaseMu.Lock()
-	defer n.leaseMu.Unlock()
-	rec, ok := lease.Renew(n.localLeaseRecord(site, name), holder, token, n.leaseNow(), ttl)
-	if !ok {
-		return false, nil
-	}
-	if err := n.leaseStore(site, name, rec); err != nil {
-		return false, err
-	}
-	n.leaseRenewed.Add(1)
-	return true, nil
-}
-
-func (n *Node) ownerLeaseRelease(site, name, holder string, token uint64) (bool, error) {
-	n.leaseMu.Lock()
-	defer n.leaseMu.Unlock()
-	rec, ok := lease.Release(n.localLeaseRecord(site, name), holder, token)
-	if !ok {
-		return false, nil
-	}
-	if err := n.leaseStore(site, name, rec); err != nil {
-		return false, err
-	}
-	n.leaseReleased.Add(1)
-	return true, nil
-}
-
-// ownerFencedPut is the acting-owner path of a fenced write: assign the
-// next version, admit the write against the local fence floor, then push
-// record and fence together to the replica targets. Any replica whose
-// floor rejects the write means the holdership is deposed there — the
-// write is not acknowledged and the caller must stop writing. The rebase
-// loop mirrors ownerPut.
-func (n *Node) ownerFencedPut(site, key, value, guard, holder string, token uint64) error {
-	if !n.repEnabled() {
+// ownerFencedPut is the acting-owner path of a fenced write: ownerWrite
+// with the fence, so the write is admitted against the local fence floor
+// and record and fence travel together to the replica targets.
+func (n *Node) ownerFencedPut(req leaseFenced) error {
+	var err error
+	if n.repEnabled() {
+		err = n.ownerWrite(state.Rec{Site: req.Rec.Site, Key: req.Rec.Key, Value: req.Rec.Value}, &req)
+	} else {
 		// Single-node (or shared-bus) mode stores plain values — the same
 		// encoding StatePut uses there, so State.get reads fenced writes
 		// back. The backend's FencedPut is still one atomic admit + write +
 		// floor-raise; only the versioned LWW wrapper is skipped. Fenced
 		// writes stay node-local in this mode (the bus carries no fences).
 		n.repApplyMu.Lock()
-		err := n.store.Backend().FencedPut(site, key, value, guard, holder, token)
+		err = n.store.Backend().FencedPut(req.Rec.Site, req.Rec.Key, req.Rec.Value, req.Guard, req.Holder, req.Token)
 		n.repApplyMu.Unlock()
 		if err == store.ErrFencedStale {
-			n.leaseFenceRej.Add(1)
-			return ErrFenced
+			err = ErrFenced
 		}
-		if err != nil {
-			return err
-		}
+	}
+	switch err {
+	case nil:
 		n.leaseFenced.Add(1)
-		return nil
+	case ErrFenced:
+		n.leaseFenceRej.Add(1)
 	}
-	baseVer := uint64(0)
-	for attempt := 0; attempt < 3; attempt++ {
-		n.repApplyMu.Lock()
-		if curVer, _, _, _, ok := n.store.GetVersioned(site, key); ok && curVer > baseVer {
-			baseVer = curVer
-		}
-		rec := state.Rec{Site: site, Key: key, Ver: baseVer + 1, Origin: n.cfg.Name, Value: value}
-		_, err := n.store.FencedPutVersioned(rec, guard, holder, token)
-		n.repApplyMu.Unlock()
-		if err == store.ErrFencedStale {
-			n.leaseFenceRej.Add(1)
-			return ErrFenced
-		}
-		if err != nil {
-			return err
-		}
-		acks, attempts, staleVer, fenced := n.replicateFenced(rec, guard, holder, token)
-		switch {
-		case fenced:
-			// A replica's floor holds a newer holdership this owner has not
-			// heard of yet (it is the stale side of a healed split-brain).
-			// The local copy stays — that store's own admission sequence is
-			// still clean — but the write is not acknowledged: LWW repair
-			// from the newer holdership's records will supersede it.
-			n.leaseFenceRej.Add(1)
-			return ErrFenced
-		case staleVer >= rec.Ver:
-			baseVer = staleVer
-		case attempts == 0 || acks > 0:
-			n.leaseFenced.Add(1)
-			return nil
-		default:
-			return fmt.Errorf("core: fenced write %s/%s durable locally but none of %d replicas acknowledged", site, key, attempts)
-		}
-	}
-	return fmt.Errorf("core: fenced write %s/%s: replicas kept superseding the write", site, key)
-}
-
-// replicateFenced pushes one fenced record to the replica targets; beyond
-// replicate's accounting it reports whether any replica fenced the write
-// off.
-func (n *Node) replicateFenced(rec state.Rec, guard, holder string, token uint64) (acks, attempts int, staleVer uint64, fenced bool) {
-	targets := n.replicaTargets()
-	if len(targets) == 0 {
-		return 0, 0, 0, false
-	}
-	body := encodeLeaseFenced(leaseFenced{Guard: guard, Holder: holder, Token: token, Rec: rec})
-	for _, t := range targets {
-		attempts++
-		reply, err := n.call(t, transport.Message{Type: msgLeaseFStore, Body: body})
-		if err != nil {
-			continue
-		}
-		if len(reply.Args) > 0 {
-			switch reply.Args[0] {
-			case "fenced":
-				fenced = true
-				continue
-			case "stale":
-				if len(reply.Args) >= 2 {
-					var v uint64
-					if _, err := fmt.Sscanf(reply.Args[1], "%d", &v); err == nil && v > staleVer {
-						staleVer = v
-					}
-				}
-				continue
-			}
-		}
-		acks++
-		n.repPushes.Add(1)
-	}
-	return acks, attempts, staleVer, fenced
+	return err
 }
 
 // ---------------------------------------------------------------------------
 // Client API (vocab.Host lease methods and the harness entry points)
 // ---------------------------------------------------------------------------
 
-// leaseForward routes one lease operation to the record's acting owner,
-// failing over in successor order exactly like the replicated mutations.
-func (n *Node) leaseForward(act *trace.Act, site, name, msgType string, body []byte, local func() (transport.Message, error)) (transport.Message, error) {
-	rk := state.ReplicaKey(site, lease.Key(name))
-	avoid := make(map[string]bool)
-	var lastErr error
-	for attempt := 0; attempt < n.repFactor+1; attempt++ {
-		owner, _, err := n.overlay.LookupNameAvoid(rk, avoid)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		if owner == n.cfg.Name {
-			return local()
-		}
-		reply, err := n.callT(act, owner, transport.Message{Type: msgType, Body: body})
-		if err == nil {
-			return reply, nil
-		}
-		if transport.IsRemote(err) {
-			// The owner answered and refused (replication failure): that is
-			// the operation's result, not a routing problem. Denials and
-			// fencing travel as reply values, never as errors.
-			return transport.Message{}, err
-		}
-		avoid[owner] = true
-		lastErr = err
-	}
-	return transport.Message{}, fmt.Errorf("core: %s %s/%s: no reachable owner: %w", msgType, site, name, lastErr)
+// leaseCall routes one lease message to the acting owner of the record
+// (site, key) it operates on. The local arm is the RPC handler itself, so
+// the owner-side code of an operation exists once, whoever the owner is.
+// Denials and fencing travel as reply values, never as errors.
+func (n *Node) leaseCall(act *trace.Act, site, key, msgType string, body []byte) (transport.Message, error) {
+	msg := transport.Message{Type: msgType, Body: body}
+	reply, _, _, err := n.route(act, site, key, msg, func() (transport.Message, error) {
+		return n.serveLeaseRPC(n.cfg.Name, msg)
+	})
+	return reply, err
 }
 
 // LeaseAcquire takes (or renews) the named per-site lease for this node.
@@ -350,24 +223,8 @@ func (n *Node) LeaseAcquire(site, name string, ttl time.Duration) (uint64, bool)
 }
 
 func (n *Node) leaseAcquire(act *trace.Act, site, name string, ttl time.Duration) (uint64, bool) {
-	t := n.leaseTTL(ttl)
-	local := func() (transport.Message, error) {
-		rec, out, err := n.ownerLeaseAcquire(site, name, n.cfg.Name, t)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		return leaseAcquireReply(rec, out), nil
-	}
-	var token uint64
-	var ok bool
-	if !n.repEnabled() {
-		reply, err := local()
-		token, ok = parseLeaseAcquireReply(reply, err)
-	} else {
-		body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: n.cfg.Name, TTL: t})
-		reply, err := n.leaseForward(act, site, name, msgLeaseAcquire, body, local)
-		token, ok = parseLeaseAcquireReply(reply, err)
-	}
+	body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: n.cfg.Name, TTL: n.leaseTTL(ttl)})
+	token, ok := parseLeaseAcquireReply(n.leaseCall(act, site, lease.Key(name), msgLeaseAcquire, body))
 	act.RecordLeaseAcquire(ok, token)
 	return token, ok
 }
@@ -378,20 +235,9 @@ func (n *Node) LeaseRenew(site, name string, token uint64, ttl time.Duration) bo
 }
 
 func (n *Node) leaseRenew(act *trace.Act, site, name string, token uint64, ttl time.Duration) bool {
-	t := n.leaseTTL(ttl)
-	local := func() (transport.Message, error) {
-		ok, err := n.ownerLeaseRenew(site, name, n.cfg.Name, token, t)
-		return leaseBoolReply(ok), err
-	}
-	var ok bool
-	if !n.repEnabled() {
-		reply, err := local()
-		ok = err == nil && leaseReplyOK(reply)
-	} else {
-		body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: n.cfg.Name, Token: token, TTL: t})
-		reply, err := n.leaseForward(act, site, name, msgLeaseRenew, body, local)
-		ok = err == nil && leaseReplyOK(reply)
-	}
+	body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: n.cfg.Name, Token: token, TTL: n.leaseTTL(ttl)})
+	reply, err := n.leaseCall(act, site, lease.Key(name), msgLeaseRenew, body)
+	ok := err == nil && replyStatus(reply) == "ok"
 	act.RecordLeaseRenew(ok)
 	return ok
 }
@@ -402,19 +248,9 @@ func (n *Node) LeaseRelease(site, name string, token uint64) bool {
 }
 
 func (n *Node) leaseRelease(act *trace.Act, site, name string, token uint64) bool {
-	local := func() (transport.Message, error) {
-		ok, err := n.ownerLeaseRelease(site, name, n.cfg.Name, token)
-		return leaseBoolReply(ok), err
-	}
-	var ok bool
-	if !n.repEnabled() {
-		reply, err := local()
-		ok = err == nil && leaseReplyOK(reply)
-	} else {
-		body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: n.cfg.Name, Token: token})
-		reply, err := n.leaseForward(act, site, name, msgLeaseRelease, body, local)
-		ok = err == nil && leaseReplyOK(reply)
-	}
+	body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: n.cfg.Name, Token: token})
+	reply, err := n.leaseCall(act, site, lease.Key(name), msgLeaseRelease, body)
+	ok := err == nil && replyStatus(reply) == "ok"
 	if ok {
 		act.RecordLeaseRelease()
 	}
@@ -422,7 +258,8 @@ func (n *Node) leaseRelease(act *trace.Act, site, name string, token uint64) boo
 }
 
 // FencedStatePut writes site-partitioned hard state under the named
-// lease's fencing token: the write is routed to the key's acting owner,
+// lease's fencing token: the write is routed to the acting owner of the
+// data key — placed and read exactly like a plain write of that key —
 // admitted against the durable fence floors there and on every replica it
 // reaches, and rejected with ErrFenced anywhere a newer holdership has
 // already written. Scripts reach it as Lease.put.
@@ -434,40 +271,19 @@ func (n *Node) fencedStatePut(act *trace.Act, site, key, value, name string, tok
 	if state.IsInternalKey(key) {
 		return fmt.Errorf("core: key %q is in the reserved internal namespace", key)
 	}
-	guard := lease.Key(name)
-	local := func() (transport.Message, error) {
-		if err := n.ownerFencedPut(site, key, value, guard, n.cfg.Name, token); err != nil {
-			if err == ErrFenced {
-				return transport.Message{Args: []string{"fenced"}}, nil
-			}
-			return transport.Message{}, err
-		}
-		return transport.Message{Args: []string{"ok"}}, nil
-	}
-	var reply transport.Message
-	var err error
-	if !n.repEnabled() {
-		reply, err = local()
-	} else {
-		body := encodeLeaseFenced(leaseFenced{
-			Guard: guard, Holder: n.cfg.Name, Token: token,
-			Rec: state.Rec{Site: site, Key: key, Value: value},
-		})
-		reply, err = n.leaseForward(act, site, key, msgLeaseFPut, body, local)
-	}
+	reply, err := n.leaseCall(act, site, key, msgLeaseFPut, encodeLeaseFenced(leaseFenced{
+		Guard: lease.Key(name), Holder: n.cfg.Name, Token: token,
+		Rec: state.Rec{Site: site, Key: key, Value: value},
+	}))
 	if err != nil {
 		return err
 	}
-	if len(reply.Args) > 0 && reply.Args[0] == "fenced" {
-		act.RecordFencedPut(token, true)
+	fenced := replyStatus(reply) == "fenced"
+	act.RecordFencedPut(token, fenced)
+	if fenced {
 		return ErrFenced
 	}
-	act.RecordFencedPut(token, false)
 	return nil
-}
-
-func leaseAcquireReply(rec lease.Record, out lease.Outcome) transport.Message {
-	return transport.Message{Args: []string{out.String(), strconv.FormatUint(rec.Token, 10)}}
 }
 
 func parseLeaseAcquireReply(reply transport.Message, err error) (uint64, bool) {
@@ -481,15 +297,14 @@ func parseLeaseAcquireReply(reply transport.Message, err error) (uint64, bool) {
 	return token, true
 }
 
-func leaseBoolReply(ok bool) transport.Message {
-	if ok {
-		return transport.Message{Args: []string{"ok"}}
+// leaseBoolReply answers a renew or release, counting one that took
+// effect.
+func leaseBoolReply(ok bool, done *atomic.Int64) transport.Message {
+	if !ok {
+		return transport.Message{Args: []string{"no"}}
 	}
-	return transport.Message{Args: []string{"no"}}
-}
-
-func leaseReplyOK(reply transport.Message) bool {
-	return len(reply.Args) > 0 && reply.Args[0] == "ok"
+	done.Add(1)
+	return transport.Message{Args: []string{"ok"}}
 }
 
 // ---------------------------------------------------------------------------
@@ -501,71 +316,41 @@ func leaseReplyOK(reply transport.Message) bool {
 // does — the sender's tables may be fresher than ours under churn.
 func (n *Node) serveLeaseRPC(from string, msg transport.Message) (transport.Message, error) {
 	switch msg.Type {
-	case msgLeaseAcquire:
+	case msgLeaseAcquire, msgLeaseRenew, msgLeaseRelease:
 		req, err := decodeLeaseReq(msg.Body)
 		if err != nil {
 			return transport.Message{}, err
 		}
-		rec, out, err := n.ownerLeaseAcquire(req.Site, req.Name, req.Holder, req.TTL)
-		if err != nil {
-			return transport.Message{}, err
+		switch msg.Type {
+		case msgLeaseAcquire:
+			return n.ownerLeaseAcquire(req)
+		case msgLeaseRenew:
+			ok, err := n.arbitrate(req.Site, req.Name, func(cur lease.Record, now int64) (lease.Record, bool) {
+				return lease.Renew(cur, req.Holder, req.Token, now, req.TTL)
+			})
+			return leaseBoolReply(ok, &n.leaseRenewed), err
+		default:
+			ok, err := n.arbitrate(req.Site, req.Name, func(cur lease.Record, _ int64) (lease.Record, bool) {
+				return lease.Release(cur, req.Holder, req.Token)
+			})
+			return leaseBoolReply(ok, &n.leaseReleased), err
 		}
-		return leaseAcquireReply(rec, out), nil
-	case msgLeaseRenew:
-		req, err := decodeLeaseReq(msg.Body)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		ok, err := n.ownerLeaseRenew(req.Site, req.Name, req.Holder, req.Token, req.TTL)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		return leaseBoolReply(ok), nil
-	case msgLeaseRelease:
-		req, err := decodeLeaseReq(msg.Body)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		ok, err := n.ownerLeaseRelease(req.Site, req.Name, req.Holder, req.Token)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		return leaseBoolReply(ok), nil
-	case msgLeaseFPut:
+	case msgLeaseFPut, msgLeaseFStore:
 		req, err := decodeLeaseFenced(msg.Body)
 		if err != nil {
 			return transport.Message{}, err
 		}
-		if err := n.ownerFencedPut(req.Rec.Site, req.Rec.Key, req.Rec.Value, req.Guard, req.Holder, req.Token); err != nil {
-			if err == ErrFenced {
-				return transport.Message{Args: []string{"fenced"}}, nil
-			}
-			return transport.Message{}, err
+		if msg.Type == msgLeaseFStore {
+			return n.applyPush(req.Rec, &req)
 		}
-		return transport.Message{Args: []string{"ok"}}, nil
-	case msgLeaseFStore:
-		req, err := decodeLeaseFenced(msg.Body)
-		if err != nil {
-			return transport.Message{}, err
-		}
-		n.repApplyMu.Lock()
-		curVer, _, _, _, had := n.store.GetVersioned(req.Rec.Site, req.Rec.Key)
-		applied, err := n.store.FencedPutVersioned(req.Rec, req.Guard, req.Holder, req.Token)
-		n.repApplyMu.Unlock()
-		if err == store.ErrFencedStale {
+		switch err := n.ownerFencedPut(req); err {
+		case nil:
+			return transport.Message{Args: []string{"ok"}}, nil
+		case ErrFenced:
 			return transport.Message{Args: []string{"fenced"}}, nil
-		}
-		if err != nil {
+		default:
 			return transport.Message{}, err
 		}
-		if applied {
-			n.repApplied.Add(1)
-			return transport.Message{Args: []string{"applied"}}, nil
-		}
-		if !had {
-			curVer = 0
-		}
-		return transport.Message{Args: []string{"stale", fmt.Sprintf("%d", curVer)}}, nil
 	default:
 		return transport.Message{}, fmt.Errorf("core: unknown lease message %q", msg.Type)
 	}

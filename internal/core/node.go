@@ -33,8 +33,6 @@ import (
 // PersistConfig tunes the node's storage engine when a data filesystem is
 // configured.
 type PersistConfig struct {
-	// NoGroupCommit disables fsync batching on the hard-state log.
-	NoGroupCommit bool
 	// CompactBytes is the log size that triggers the snapshot/truncate
 	// cycle; zero means the engine default (4 MiB).
 	CompactBytes int64
@@ -554,9 +552,8 @@ func (n *Node) openStorage() (*store.Log, *cache.Disk, error) {
 		quota = 16 << 20
 	}
 	kv, err := store.OpenLog(store.Sub(n.cfg.DataFS, "state"), store.LogConfig{
-		Quota:         quota,
-		NoGroupCommit: n.cfg.Persist.NoGroupCommit,
-		CompactBytes:  n.cfg.Persist.CompactBytes,
+		Quota:        quota,
+		CompactBytes: n.cfg.Persist.CompactBytes,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: open state log: %w", err)
@@ -1008,7 +1005,7 @@ func (n *Node) statePut(act *nktrace.Act, site, key, value string) error {
 		return fmt.Errorf("core: key %q is in the reserved internal namespace", key)
 	}
 	if n.repEnabled() {
-		return n.repPut(act, site, key, value)
+		return n.repWrite(act, site, key, value, false)
 	}
 	r := n.replica(site)
 	if n.bus == nil {
@@ -1031,11 +1028,9 @@ func (n *Node) stateDelete(act *nktrace.Act, site, key string) {
 		return
 	}
 	if n.repEnabled() {
-		if err := n.repDelete(act, site, key); err != nil {
-			n.repApplyMu.Lock()
-			ver, _, _, _, _ := n.store.GetVersioned(site, key)
-			_, _ = n.store.PutVersioned(state.Rec{Site: site, Key: key, Ver: ver + 1, Origin: n.cfg.Name, Delete: true})
-			n.repApplyMu.Unlock()
+		if err := n.repWrite(act, site, key, "", true); err != nil {
+			// Best effort: the queued intent is what makes the delete happen.
+			_, _ = n.storeNext(state.Rec{Site: site, Key: key, Delete: true}, nil, 0)
 			n.delMu.Lock()
 			n.pendingDel[state.ReplicaKey(site, key)] = delIntent{site: site, key: key}
 			n.delMu.Unlock()

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"nakika/internal/overlay"
 	"nakika/internal/state"
+	"nakika/internal/store"
 	"nakika/internal/trace"
 	"nakika/internal/transport"
 )
@@ -30,6 +32,13 @@ import (
 // or it is partitioned from every successor) returns an error instead of
 // acknowledging: the write may exist locally but was never promised to
 // survive this node.
+//
+// Every operation on a replicated record — state puts, deletes and reads,
+// lease arbitration, fenced writes, deployment records, large-object
+// indexes — takes the one path written here: route finds the acting owner
+// and runs the operation there, ownerWrite makes the result durable on the
+// owner and pushes it with pushReplicas, applyPush stores it at each
+// replica. The record types are callers of that path, not copies of it.
 
 // Replication message types (the "rep." prefix is what transport.Mux
 // routes on).
@@ -115,77 +124,123 @@ func (n *Node) resolveActingOwner(rk string, probe func(string) bool) (string, e
 }
 
 // ---------------------------------------------------------------------------
-// Write path
+// Routing
 // ---------------------------------------------------------------------------
 
-// repPut routes one client put: executed locally when this node is the
-// acting owner, forwarded otherwise, failing over to successors while the
-// routed owner is unreachable.
-func (n *Node) repPut(act *trace.Act, site, key, value string) error {
-	return n.repForwardOp(act, site, key, msgRepPut, value, func() error {
-		return n.ownerPut(site, key, false, value)
-	})
-}
-
-// repDelete routes one client delete (a versioned tombstone write).
-func (n *Node) repDelete(act *trace.Act, site, key string) error {
-	return n.repForwardOp(act, site, key, msgRepDel, "", func() error {
-		return n.ownerPut(site, key, true, "")
-	})
-}
-
-// repForwardOp is the shared owner-routing loop for mutations.
-func (n *Node) repForwardOp(act *trace.Act, site, key, msgType, value string, local func() error) error {
+// route carries one operation on the record (site, key) to the pair's
+// acting owner: local runs it when that is this node — or when replication
+// is off, where every record is local — and msg is sent otherwise, failing
+// over in successor order while the routed owner is unreachable. An owner
+// that answers with an error (quota, replication failure) has given the
+// operation's result, not a routing problem, so only transport failures
+// move on to the next successor. The routing key is always the replica key
+// of the record being read or written. via names who answered; failedOver
+// reports that at least one candidate before it was unreachable.
+func (n *Node) route(act *trace.Act, site, key string, msg transport.Message, local func() (transport.Message, error)) (reply transport.Message, via string, failedOver bool, err error) {
+	if !n.repEnabled() {
+		reply, err = local()
+		return reply, n.cfg.Name, false, err
+	}
 	rk := state.ReplicaKey(site, key)
-	body := encodeRepForward(repForward{Site: site, Key: key, Value: value})
 	avoid := make(map[string]bool)
 	var lastErr error
 	for attempt := 0; attempt < n.repFactor+1; attempt++ {
 		owner, _, err := n.overlay.LookupNameAvoid(rk, avoid)
 		if err != nil {
-			return err
+			return transport.Message{}, "", false, err
 		}
 		if owner == n.cfg.Name {
-			return local()
+			reply, err := local()
+			return reply, owner, len(avoid) > 0, err
 		}
-		_, err = n.callT(act, owner, transport.Message{Type: msgType, Body: body})
-		if err == nil {
-			n.repForwarded.Add(1)
-			return nil
-		}
-		if transport.IsRemote(err) {
-			// The owner answered and refused (quota, replication failure):
-			// that is the operation's result, not a routing problem.
-			return err
+		reply, err := n.callT(act, owner, msg)
+		if err == nil || transport.IsRemote(err) {
+			return reply, owner, len(avoid) > 0, err
 		}
 		avoid[owner] = true
 		lastErr = err
 	}
-	return fmt.Errorf("core: %s %s/%s: no reachable owner: %w", msgType, site, key, lastErr)
+	return transport.Message{}, "", false, fmt.Errorf("core: %s %s/%s: no reachable owner: %w", msg.Type, site, key, lastErr)
 }
 
-// ownerPut is the acting-owner mutation path: assign the next version,
-// make the record durable locally, then push it to the replica targets.
-// When every replica turns out to hold a newer version (this node lost its
-// version history in a crash and is writing from an old base), the write
-// is re-issued above the newest version reported, so the client's intent
-// still wins last-writer-wins.
-func (n *Node) ownerPut(site, key string, deleted bool, value string) error {
-	baseVer := uint64(0)
+// replyStatus is the first argument of a reply ("hit", "applied", "stale",
+// "fenced", "ok", ...), or "" when there is none.
+func replyStatus(reply transport.Message) string {
+	if len(reply.Args) == 0 {
+		return ""
+	}
+	return reply.Args[0]
+}
+
+// ---------------------------------------------------------------------------
+// Write path
+// ---------------------------------------------------------------------------
+
+// repWrite routes one client put or delete (a versioned tombstone write)
+// to the acting owner's ownerWrite.
+func (n *Node) repWrite(act *trace.Act, site, key, value string, deleted bool) error {
+	msg := transport.Message{Type: msgRepPut, Body: encodeRepForward(repForward{Site: site, Key: key, Value: value})}
+	if deleted {
+		msg.Type = msgRepDel
+	}
+	_, via, _, err := n.route(act, site, key, msg, func() (transport.Message, error) {
+		return transport.Message{}, n.ownerWrite(state.Rec{Site: site, Key: key, Delete: deleted, Value: value}, nil)
+	})
+	if err == nil && via != n.cfg.Name {
+		n.repForwarded.Add(1)
+	}
+	return err
+}
+
+// storeRec stores rec in the local store under last-writer-wins: through
+// the store's fence floor when the write carries a fence (a holdership the
+// floor has deposed is ErrFenced and changes nothing), plainly otherwise.
+// The caller holds repApplyMu.
+func (n *Node) storeRec(rec state.Rec, fence *leaseFenced) (applied bool, err error) {
+	if fence == nil {
+		return n.store.PutVersioned(rec)
+	}
+	applied, err = n.store.FencedPutVersioned(rec, fence.Guard, fence.Holder, fence.Token)
+	if err == store.ErrFencedStale {
+		err = ErrFenced
+	}
+	return applied, err
+}
+
+// storeNext stores rec locally as this node's next version above both the
+// local copy and base, and returns it as stored.
+func (n *Node) storeNext(rec state.Rec, fence *leaseFenced, base uint64) (state.Rec, error) {
+	n.repApplyMu.Lock()
+	defer n.repApplyMu.Unlock()
+	if cur, _, _, _, ok := n.store.GetVersioned(rec.Site, rec.Key); ok && cur > base {
+		base = cur
+	}
+	rec.Ver, rec.Origin = base+1, n.cfg.Name
+	_, err := n.storeRec(rec, fence)
+	return rec, err
+}
+
+// ownerWrite is the acting-owner mutation path: assign the next version,
+// make the record durable locally (admitted against the local fence floor
+// when the write carries a fence), then push it to the replica targets.
+// With no targets — replication off, K=1, a ring of one — that is a local
+// versioned write. A fence floor that rejects the write, here or on any
+// replica it reaches, means the holdership is deposed: ErrFenced, never
+// acknowledged. (After a replica's rejection the local copy stays — this
+// store's own admission sequence is still clean — and last-writer-wins
+// repair from the newer holdership's records will supersede it.)
+func (n *Node) ownerWrite(rec state.Rec, fence *leaseFenced) error {
+	base := uint64(0)
 	for attempt := 0; attempt < 3; attempt++ {
-		n.repApplyMu.Lock()
-		if curVer, _, _, _, ok := n.store.GetVersioned(site, key); ok && curVer > baseVer {
-			baseVer = curVer
-		}
-		rec := state.Rec{Site: site, Key: key, Ver: baseVer + 1, Origin: n.cfg.Name, Delete: deleted, Value: value}
-		_, err := n.store.PutVersioned(rec)
-		n.repApplyMu.Unlock()
+		stored, err := n.storeNext(rec, fence, base)
 		if err != nil {
 			return err
 		}
-		acks, attempts, staleVer := n.replicate(rec)
+		acks, attempts, staleVer, fenced := n.pushReplicas(stored, fence)
 		switch {
-		case staleVer >= rec.Ver:
+		case fenced:
+			return ErrFenced
+		case staleVer >= stored.Ver:
 			// Some replica holds a record at or ahead of our version that
 			// our write did not supersede (we lost history in a crash, or
 			// lost a payload tie) — even if another replica acked. Without
@@ -193,85 +248,112 @@ func (n *Node) ownerPut(site, key string, deleted bool, value string) error {
 			// record over the just-acknowledged write, losing it to an
 			// older value; so rebase above the reported version and retry
 			// until the client's write wins everywhere.
-			baseVer = staleVer
+			base = staleVer
 		case attempts == 0 || acks > 0:
 			return nil
 		default:
-			return fmt.Errorf("core: write %s/%s durable locally but none of %d replicas acknowledged", site, key, attempts)
+			return fmt.Errorf("core: write %s/%s durable locally but none of %d replicas acknowledged", rec.Site, rec.Key, attempts)
 		}
 	}
-	return fmt.Errorf("core: write %s/%s: replicas kept superseding the write", site, key)
+	return fmt.Errorf("core: write %s/%s: replicas kept superseding the write", rec.Site, rec.Key)
 }
 
-// replicate pushes rec to this node's replica targets. It returns how many
-// replicas applied it, how many pushes were attempted, and the newest
-// version a replica reported when rejecting the record as stale.
-func (n *Node) replicate(rec state.Rec) (acks, attempts int, staleVer uint64) {
+// pushMsg builds the owner → replica push of one versioned record:
+// rep.store, or lease.fstore carrying the fence beside it.
+func pushMsg(rec state.Rec, fence *leaseFenced) transport.Message {
+	if fence == nil {
+		return transport.Message{Type: msgRepStore, Body: state.EncodeRec(rec)}
+	}
+	body := encodeLeaseFenced(leaseFenced{Guard: fence.Guard, Holder: fence.Holder, Token: fence.Token, Rec: rec})
+	return transport.Message{Type: msgLeaseFStore, Body: body}
+}
+
+// pushReplicas pushes rec to this node's replica targets. It returns how
+// many replicas applied it, how many pushes were attempted, the newest
+// version a replica reported when rejecting the record as stale, and
+// whether any replica's fence floor rejected it.
+func (n *Node) pushReplicas(rec state.Rec, fence *leaseFenced) (acks, attempts int, staleVer uint64, fenced bool) {
 	targets := n.replicaTargets()
 	if len(targets) == 0 {
-		return 0, 0, 0
+		return 0, 0, 0, false
 	}
-	body := state.EncodeRec(rec)
+	msg := pushMsg(rec, fence)
 	for _, t := range targets {
 		attempts++
-		reply, err := n.call(t, transport.Message{Type: msgRepStore, Body: body})
+		reply, err := n.call(t, msg)
 		if err != nil {
 			continue
 		}
-		if len(reply.Args) >= 2 && reply.Args[0] == "stale" {
-			var v uint64
-			if _, err := fmt.Sscanf(reply.Args[1], "%d", &v); err == nil && v > staleVer {
-				staleVer = v
+		switch replyStatus(reply) {
+		case "fenced":
+			fenced = true
+		case "stale":
+			if len(reply.Args) >= 2 {
+				if v, err := strconv.ParseUint(reply.Args[1], 10, 64); err == nil && v > staleVer {
+					staleVer = v
+				}
 			}
-			continue
+		default:
+			acks++
+			n.repPushes.Add(1)
 		}
-		acks++
-		n.repPushes.Add(1)
 	}
-	return acks, attempts, staleVer
+	return acks, attempts, staleVer, fenced
+}
+
+// applyPush is the replica side of a push (and of a handoff record): store
+// rec under last-writer-wins, through the fence when it carries one, and
+// answer "applied", "stale <version held> <its origin>" or "fenced".
+func (n *Node) applyPush(rec state.Rec, fence *leaseFenced) (transport.Message, error) {
+	n.repApplyMu.Lock()
+	curVer, curOrigin, _, _, _ := n.store.GetVersioned(rec.Site, rec.Key)
+	applied, err := n.storeRec(rec, fence)
+	n.repApplyMu.Unlock()
+	switch {
+	case err == ErrFenced:
+		return transport.Message{Args: []string{"fenced"}}, nil
+	case err != nil:
+		return transport.Message{}, err
+	case applied:
+		n.repApplied.Add(1)
+		return transport.Message{Args: []string{"applied"}}, nil
+	}
+	return transport.Message{Args: []string{"stale", strconv.FormatUint(curVer, 10), curOrigin}}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Read path
 // ---------------------------------------------------------------------------
 
-// repGet routes one client read to the acting owner, failing over in
-// successor order while the routed owner is unreachable. A reachable
-// owner's miss is authoritative; only transport failures fall through to
-// the next replica. With a hedge budget configured (Config.HedgeAfter),
-// a read whose owner is expected to be slow is hedged to the next replica
-// first — see hedgeRead.
-func (n *Node) repGet(act *trace.Act, site, key string) (string, bool) {
-	rk := state.ReplicaKey(site, key)
-	body := encodeRepForward(repForward{Site: site, Key: key})
-	if value, ok, answered := n.hedgeRead(act, rk, site, key, body); answered {
+// repGet routes one client read to the acting owner. A reachable owner's
+// miss is authoritative; only transport failures fall through to the next
+// replica. With a hedge budget configured (Config.HedgeAfter), a read
+// whose owner is expected to be slow is hedged to the next replica first —
+// see hedgeRead.
+func (n *Node) repGet(act *trace.Act, site, key string) (value string, ok bool) {
+	msg := transport.Message{Type: msgRepGet, Body: encodeRepForward(repForward{Site: site, Key: key})}
+	if value, ok, answered := n.hedgeRead(act, site, key, msg); answered {
 		return value, ok
 	}
-	avoid := make(map[string]bool)
-	for attempt := 0; attempt < n.repFactor+1; attempt++ {
-		owner, _, err := n.overlay.LookupNameAvoid(rk, avoid)
-		if err != nil {
-			return "", false
+	reply, via, failedOver, err := n.route(act, site, key, msg, func() (transport.Message, error) {
+		value, ok = n.localVersionedGet(site, key)
+		return transport.Message{}, nil
+	})
+	if err != nil || via == n.cfg.Name {
+		return value, ok
+	}
+	if failedOver {
+		n.repFailovers.Add(1)
+	}
+	return repGetReply(reply)
+}
+
+// repGetReply reads a rep.get reply: the record's value on a hit.
+func repGetReply(reply transport.Message) (string, bool) {
+	if replyStatus(reply) == "hit" {
+		if rec, err := state.DecodeRec(reply.Body); err == nil {
+			return rec.Value, true
 		}
-		if owner == n.cfg.Name {
-			return n.localVersionedGet(site, key)
-		}
-		reply, err := n.callT(act, owner, transport.Message{Type: msgRepGet, Body: body})
-		if err == nil {
-			if len(avoid) > 0 {
-				n.repFailovers.Add(1)
-			}
-			if len(reply.Args) > 0 && reply.Args[0] == "hit" {
-				if rec, err := state.DecodeRec(reply.Body); err == nil {
-					return rec.Value, true
-				}
-			}
-			return "", false
-		}
-		if transport.IsRemote(err) {
-			return "", false
-		}
-		avoid[owner] = true
 	}
 	return "", false
 }
@@ -296,10 +378,11 @@ func (n *Node) repGet(act *trace.Act, site, key string) (string, bool) {
 // recovered owner's estimate from the maintenance loops so reads return
 // to the owner instead of hedging forever. answered reports whether the
 // hedge produced an authoritative result.
-func (n *Node) hedgeRead(act *trace.Act, rk, site, key string, body []byte) (value string, ok, answered bool) {
-	if n.cfg.HedgeAfter <= 0 {
+func (n *Node) hedgeRead(act *trace.Act, site, key string, msg transport.Message) (value string, ok, answered bool) {
+	if n.cfg.HedgeAfter <= 0 || !n.repEnabled() {
 		return "", false, false
 	}
+	rk := state.ReplicaKey(site, key)
 	owner, _, err := n.overlay.LookupNameAvoid(rk, nil)
 	if err != nil || owner == n.cfg.Name {
 		return "", false, false
@@ -325,16 +408,15 @@ func (n *Node) hedgeRead(act *trace.Act, rk, site, key string, body []byte) (val
 		}
 		return "", false, false
 	}
-	reply, err := n.callT(act, alt, transport.Message{Type: msgRepGet, Body: body})
-	if err != nil || len(reply.Args) == 0 || reply.Args[0] != "hit" {
-		return "", false, false
-	}
-	rec, err := state.DecodeRec(reply.Body)
+	reply, err := n.callT(act, alt, msg)
 	if err != nil {
 		return "", false, false
 	}
-	n.hedgeHits.Add(1)
-	return rec.Value, true, true
+	if v, ok := repGetReply(reply); ok {
+		n.hedgeHits.Add(1)
+		return v, true, true
+	}
+	return "", false, false
 }
 
 // repKeys enumerates a site's live keys cluster-wide: the local holdings
@@ -376,17 +458,6 @@ func (n *Node) localVersionedGet(site, key string) (string, bool) {
 		return "", false
 	}
 	return value, true
-}
-
-// localVersionedPut writes (site, key) to the local store as the next
-// version of whatever is there: how the node's own records (leases,
-// deployments, large-object indexes) are stored when replication is off.
-func (n *Node) localVersionedPut(site, key, value string) error {
-	n.repApplyMu.Lock()
-	defer n.repApplyMu.Unlock()
-	ver, _, _, _, _ := n.store.GetVersioned(site, key)
-	_, err := n.store.PutVersioned(state.Rec{Site: site, Key: key, Ver: ver + 1, Origin: n.cfg.Name, Value: value})
-	return err
 }
 
 // LocalStateRecord exposes the node's local copy of a replicated record
@@ -434,7 +505,7 @@ func (n *Node) RepairReplication() int {
 		if err != nil {
 			continue
 		}
-		body := state.EncodeRec(rec)
+		msg := pushMsg(rec, nil)
 		targets := []string{owner}
 		if owner == n.cfg.Name {
 			targets = targets[:0]
@@ -445,7 +516,7 @@ func (n *Node) RepairReplication() int {
 			}
 		}
 		for _, t := range targets {
-			if _, err := n.call(t, transport.Message{Type: msgRepStore, Body: body}); err == nil {
+			if _, err := n.call(t, msg); err == nil {
 				pushed++
 				n.repPushes.Add(1)
 			}
@@ -488,7 +559,7 @@ func (n *Node) retryPendingDeletes() {
 		if !ok {
 			continue
 		}
-		if err := n.repDelete(nil, it.site, it.key); err == nil {
+		if err := n.repWrite(nil, it.site, it.key, "", true); err == nil {
 			n.delMu.Lock()
 			delete(n.pendingDel, rk)
 			n.delMu.Unlock()
@@ -553,12 +624,8 @@ func (n *Node) PullOwnedRange(chunk int) (int, error) {
 			return applied, err
 		}
 		for _, rec := range resp.Recs {
-			n.repApplyMu.Lock()
-			ok, err := n.store.PutVersioned(rec)
-			n.repApplyMu.Unlock()
-			if err == nil && ok {
+			if reply, err := n.applyPush(rec, nil); err == nil && replyStatus(reply) == "applied" {
 				applied++
-				n.repApplied.Add(1)
 			}
 			after = state.ReplicaKey(rec.Site, rec.Key)
 		}
@@ -585,10 +652,8 @@ func (n *Node) serveRepRPC(from string, msg transport.Message) (transport.Messag
 		}
 		// The sender routed here believing this node is the acting owner;
 		// accept the role (its tables may be fresher than ours under churn).
-		if msg.Type == msgRepDel {
-			return transport.Message{}, n.ownerPut(req.Site, req.Key, true, "")
-		}
-		return transport.Message{}, n.ownerPut(req.Site, req.Key, false, req.Value)
+		rec := state.Rec{Site: req.Site, Key: req.Key, Delete: msg.Type == msgRepDel, Value: req.Value}
+		return transport.Message{}, n.ownerWrite(rec, nil)
 	case msgRepGet:
 		req, err := decodeRepForward(msg.Body)
 		if err != nil {
@@ -605,21 +670,7 @@ func (n *Node) serveRepRPC(from string, msg transport.Message) (transport.Messag
 		if err != nil {
 			return transport.Message{}, err
 		}
-		n.repApplyMu.Lock()
-		curVer, curOrigin, _, _, had := n.store.GetVersioned(rec.Site, rec.Key)
-		applied, err := n.store.PutVersioned(rec)
-		n.repApplyMu.Unlock()
-		if err != nil {
-			return transport.Message{}, err
-		}
-		if applied {
-			n.repApplied.Add(1)
-			return transport.Message{Args: []string{"applied"}}, nil
-		}
-		if !had {
-			curVer, curOrigin = 0, ""
-		}
-		return transport.Message{Args: []string{"stale", fmt.Sprintf("%d", curVer), curOrigin}}, nil
+		return n.applyPush(rec, nil)
 	case msgRepKeys:
 		return transport.Message{Args: n.store.KeysVersioned(msg.Key)}, nil
 	case msgRepRange:

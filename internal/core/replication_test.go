@@ -1,0 +1,269 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"nakika/internal/httpmsg"
+	"nakika/internal/overlay"
+	"nakika/internal/state"
+	"nakika/internal/transport"
+)
+
+// sentLog wraps a transport and records every non-overlay RPC sent through
+// it as "<to> <type>", so a test can say exactly which messages an
+// operation cost and to whom.
+type sentLog struct {
+	transport.Transport
+	mu   sync.Mutex
+	sent []string
+}
+
+func (s *sentLog) Call(from, to string, msg transport.Message) (transport.Message, error) {
+	if !strings.HasPrefix(msg.Type, "ov.") {
+		s.mu.Lock()
+		s.sent = append(s.sent, to+" "+msg.Type)
+		s.mu.Unlock()
+	}
+	return s.Transport.Call(from, to, msg)
+}
+
+func (s *sentLog) take() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.sent
+	s.sent = nil
+	return out
+}
+
+// routeRing boots count nodes (edge-0..) with factor-3 replication on one
+// simulated network and returns them with the network and its send log.
+func routeRing(t *testing.T, count int, upstream Fetcher, mutate func(*Config)) ([]*Node, *transport.Sim, *sentLog) {
+	t.Helper()
+	sim := transport.NewSim(transport.SimConfig{Seed: 1})
+	log := &sentLog{Transport: sim}
+	ring := overlay.NewRing()
+	ring.Transport = log
+	nodes := make([]*Node, count)
+	for i := range nodes {
+		nodes[i] = newTestNodeUpstream(t, fmt.Sprintf("edge-%d", i), upstream, func(cfg *Config) {
+			cfg.Ring = ring
+			cfg.ReplicationFactor = 3
+			if mutate != nil {
+				mutate(cfg)
+			}
+		})
+	}
+	return nodes, sim, log
+}
+
+// successorOrder returns the nodes' names in ring order starting at the
+// owner of (site, key): the record's acting owner, then the candidates
+// failover walks through.
+func successorOrder(nodes []*Node, site, key string) []string {
+	start := uint64(overlay.HashID(state.ReplicaKey(site, key)))
+	names := make([]string, len(nodes))
+	for i, n := range nodes {
+		names[i] = n.Name()
+	}
+	sort.Slice(names, func(i, j int) bool {
+		return uint64(overlay.HashID(names[i]))-start < uint64(overlay.HashID(names[j]))-start
+	})
+	return names
+}
+
+// keyWithSelfAt returns a key of site whose successor order has self at
+// one of the given positions.
+func keyWithSelfAt(t *testing.T, nodes []*Node, site, self string, positions ...int) (string, []string) {
+	t.Helper()
+	for i := 0; i < 4096; i++ {
+		key := fmt.Sprintf("k-%d", i)
+		order := successorOrder(nodes, site, key)
+		for _, p := range positions {
+			if order[p] == self {
+				return key, order
+			}
+		}
+	}
+	t.Fatalf("no key puts %s at positions %v", self, positions)
+	return "", nil
+}
+
+// TestRoute pins the one owner-routing loop every replicated record type
+// goes through, once instead of per caller.
+func TestRoute(t *testing.T) {
+	const site = "route.example.org"
+	get := func(key string) transport.Message {
+		return transport.Message{Type: msgRepGet, Body: encodeRepForward(repForward{Site: site, Key: key})}
+	}
+	// run routes msg for key from edge-0 with a local arm that only records
+	// that it ran.
+	run := func(self *Node, key string, msg transport.Message) (via string, failedOver, ranLocal bool, err error) {
+		_, via, failedOver, err = self.route(nil, site, key, msg, func() (transport.Message, error) {
+			ranLocal = true
+			return transport.Message{}, nil
+		})
+		return via, failedOver, ranLocal, err
+	}
+
+	t.Run("owner is self", func(t *testing.T) {
+		nodes, _, log := routeRing(t, 6, &memOrigin{}, nil)
+		key, _ := keyWithSelfAt(t, nodes, site, "edge-0", 0)
+		via, failedOver, ranLocal, err := run(nodes[0], key, get(key))
+		if err != nil || via != "edge-0" || failedOver || !ranLocal {
+			t.Fatalf("route = (via %q, failedOver %v, local %v, err %v), want the local arm on edge-0", via, failedOver, ranLocal, err)
+		}
+		if sent := log.take(); len(sent) != 0 {
+			t.Fatalf("an operation this node owns sent %v", sent)
+		}
+	})
+
+	t.Run("owner is remote", func(t *testing.T) {
+		nodes, _, log := routeRing(t, 6, &memOrigin{}, nil)
+		key, order := keyWithSelfAt(t, nodes, site, "edge-0", 4, 5)
+		via, failedOver, ranLocal, err := run(nodes[0], key, get(key))
+		if err != nil || via != order[0] || failedOver || ranLocal {
+			t.Fatalf("route = (via %q, failedOver %v, local %v, err %v), want one answer from %s", via, failedOver, ranLocal, err, order[0])
+		}
+		if sent, want := log.take(), []string{order[0] + " " + msgRepGet}; !reflect.DeepEqual(sent, want) {
+			t.Fatalf("sent %v, want %v", sent, want)
+		}
+	})
+
+	t.Run("owner unreachable", func(t *testing.T) {
+		nodes, sim, log := routeRing(t, 6, &memOrigin{}, nil)
+		key, order := keyWithSelfAt(t, nodes, site, "edge-0", 4, 5)
+		sim.Crash(order[0])
+		via, failedOver, ranLocal, err := run(nodes[0], key, get(key))
+		if err != nil || via != order[1] || !failedOver || ranLocal {
+			t.Fatalf("route = (via %q, failedOver %v, local %v, err %v), want a failover to %s", via, failedOver, ranLocal, err, order[1])
+		}
+		if sent, want := log.take(), []string{order[0] + " " + msgRepGet, order[1] + " " + msgRepGet}; !reflect.DeepEqual(sent, want) {
+			t.Fatalf("sent %v, want %v", sent, want)
+		}
+	})
+
+	t.Run("owner refuses", func(t *testing.T) {
+		// A message the owner's handler rejects: the refusal is the
+		// operation's result, so no successor is asked.
+		nodes, _, log := routeRing(t, 6, &memOrigin{}, nil)
+		key, order := keyWithSelfAt(t, nodes, site, "edge-0", 4, 5)
+		via, failedOver, ranLocal, err := run(nodes[0], key, transport.Message{Type: "rep.bogus"})
+		if !transport.IsRemote(err) || via != order[0] || failedOver || ranLocal {
+			t.Fatalf("route = (via %q, failedOver %v, local %v, err %v), want %s's remote error as is", via, failedOver, ranLocal, err, order[0])
+		}
+		if sent, want := log.take(), []string{order[0] + " rep.bogus"}; !reflect.DeepEqual(sent, want) {
+			t.Fatalf("sent %v, want %v", sent, want)
+		}
+	})
+
+	t.Run("no candidate reachable", func(t *testing.T) {
+		nodes, sim, log := routeRing(t, 6, &memOrigin{}, nil)
+		key, order := keyWithSelfAt(t, nodes, site, "edge-0", 4, 5)
+		for _, n := range nodes[1:] {
+			sim.Crash(n.Name())
+		}
+		_, _, ranLocal, err := run(nodes[0], key, get(key))
+		if err == nil || ranLocal || transport.IsRemote(err) ||
+			!strings.Contains(err.Error(), msgRepGet) || !strings.Contains(err.Error(), site+"/"+key) {
+			t.Fatalf("route = (local %v, err %v), want an error naming %s and %s/%s", ranLocal, err, msgRepGet, site, key)
+		}
+		// Replication factor 3: four attempts, the owner first, each at a
+		// different candidate (which ones the overlay names once its own
+		// routing hops fail too is its business).
+		sent := log.take()
+		tried := make(map[string]bool)
+		for _, s := range sent {
+			tried[s] = true
+		}
+		if len(sent) != 4 || len(tried) != 4 || sent[0] != order[0]+" "+msgRepGet {
+			t.Fatalf("sent %v, want 4 attempts at distinct candidates starting with %s", sent, order[0])
+		}
+	})
+
+	t.Run("replication off", func(t *testing.T) {
+		// No overlay, so no replication: every record is local and the
+		// transport the node was given is never used, whatever the operation.
+		log := &sentLog{Transport: transport.NewLocal()}
+		n := newTestNodeUpstream(t, "edge-0", &memOrigin{}, func(cfg *Config) { cfg.Transport = log })
+		if _, _, ranLocal, err := run(n, "k", get("k")); err != nil || !ranLocal {
+			t.Fatalf("route = (local %v, err %v), want the local arm", ranLocal, err)
+		}
+		if err := n.StatePut(site, "k", "v1"); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := n.StateGet(site, "k"); !ok || v != "v1" {
+			t.Fatalf("get after put = (%q, %v)", v, ok)
+		}
+		n.StateDelete(site, "k")
+		if v, ok := n.StateGet(site, "k"); ok {
+			t.Fatalf("get after delete = %q", v)
+		}
+		token, ok := n.LeaseAcquire(site, "job", time.Minute)
+		if !ok || token != 1 {
+			t.Fatalf("acquire = (%d, %v), want (1, true)", token, ok)
+		}
+		if !n.LeaseRenew(site, "job", token, time.Minute) {
+			t.Fatal("renew refused")
+		}
+		if err := n.FencedStatePut(site, "k", "v2", "job", token); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := n.StateGet(site, "k"); !ok || v != "v2" {
+			t.Fatalf("get after fenced put = (%q, %v)", v, ok)
+		}
+		if !n.LeaseRelease(site, "job", token) {
+			t.Fatal("release refused")
+		}
+		if n.LeaseRenew(site, "job", token, time.Minute) {
+			t.Fatal("renew of a released lease accepted")
+		}
+		if st := n.Stats().Lease; st.Acquired != 1 || st.Renewed != 1 || st.Released != 1 || st.FencedWrites != 1 {
+			t.Fatalf("lease stats = %+v, want one of each", st)
+		}
+		if sent := log.take(); len(sent) != 0 {
+			t.Fatalf("a node without replication sent %v", sent)
+		}
+	})
+}
+
+// TestLobIndexLandsOnItsReplicaSet is the large-object row of the cluster
+// suite's TestRecordLandsOnItsReplicaSet (the index key helper is not
+// exported): straight after a node publishes an object's index record, the
+// record sits on the acting owner of its replica key plus that owner's two
+// successors, and a node outside that set reads it back.
+func TestLobIndexLandsOnItsReplicaSet(t *testing.T) {
+	const url = "http://big.example.org/iso"
+	origin := &rangeOrigin{url: url, body: lobBody(30_000)}
+	nodes, _, _ := routeRing(t, 8, origin, lobConfig(4096, 10_000))
+	if _, _, err := nodes[0].Handle(httpmsg.MustRequest("GET", url)); err != nil {
+		t.Fatal(err)
+	}
+	cacheKey := "GET " + url
+	order := successorOrder(nodes, lobSite, lobStateKey(cacheKey))
+	var holders []string
+	for _, n := range nodes {
+		if _, _, deleted, ok := n.LocalStateRecord(lobSite, lobStateKey(cacheKey)); ok && !deleted {
+			holders = append(holders, n.Name())
+		}
+	}
+	want := append([]string(nil), order[:3]...)
+	sort.Strings(want)
+	if !reflect.DeepEqual(holders, want) {
+		t.Fatalf("index record held by %v, want the owner and its two successors %v", holders, want)
+	}
+	for _, n := range nodes {
+		if n.Name() != order[3] {
+			continue
+		}
+		idx, ok := n.lobIndexGet(cacheKey)
+		if !ok || idx.Holders["edge-0"].Count() != 8 {
+			t.Fatalf("index read through %s = (%v, %v), want edge-0 holding 8 segments", n.Name(), idx, ok)
+		}
+	}
+}

@@ -11,9 +11,6 @@ import (
 type LogConfig struct {
 	// Quota is the per-site byte quota; zero or negative means unlimited.
 	Quota int64
-	// NoGroupCommit disables fsync batching: every record is written and
-	// synced alone. The persist benchmark's baseline.
-	NoGroupCommit bool
 	// CompactBytes triggers the snapshot/truncate cycle once the active
 	// log exceeds this many bytes; zero means 4 MiB, negative disables
 	// automatic compaction.
@@ -139,7 +136,7 @@ func OpenLog(fs FS, cfg LogConfig) (*Log, error) {
 
 	// Never append to a possibly-torn file: start a fresh WAL.
 	l.walSeq = maxSeq + 1
-	wal, err := openWAL(fs, walName(l.walSeq), 0, !cfg.NoGroupCommit)
+	wal, err := openWAL(fs, walName(l.walSeq), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -385,7 +382,7 @@ func (l *Log) maybeCompact() {
 		snap = AppendFrame(snap, encodeFence(site, guard, holder, token))
 		return true
 	})
-	wal, err := openWAL(l.fs, walName(newSeq), 0, !l.cfg.NoGroupCommit)
+	wal, err := openWAL(l.fs, walName(newSeq), 0)
 	if err != nil {
 		l.compacting = false
 		l.mu.Unlock()

@@ -236,9 +236,11 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	}
 }
 
-func TestNoGroupCommitSyncsPerRecord(t *testing.T) {
+func TestSequentialPutsSyncPerRecord(t *testing.T) {
+	// Group commit only batches writers that overlap: each of ten puts in
+	// sequence is durable before the next starts, so each pays its own sync.
 	fs := NewMemFS()
-	l, err := OpenLog(fs, LogConfig{NoGroupCommit: true})
+	l, err := OpenLog(fs, LogConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

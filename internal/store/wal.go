@@ -62,9 +62,7 @@ func ReplayFrames(data []byte, fn func(payload []byte) error) (int, error) {
 // commit: concurrent appenders enqueue records under the owner's lock (so
 // log order matches apply order), then wait for durability together — the
 // first waiter becomes the flusher, writes every pending record, and pays
-// one fsync for the whole batch. With batching disabled every record is
-// written and synced alone, the baseline the persist benchmark compares
-// against.
+// one fsync for the whole batch.
 type WAL struct {
 	fs   FS
 	name string
@@ -76,7 +74,6 @@ type WAL struct {
 	nextSeq  uint64   // seq assigned to the next enqueued record
 	durable  uint64   // all records with seq <= durable are synced
 	flushing bool
-	batch    bool
 	closed   bool
 	err      error // sticky write/sync error: the log is broken
 	size     int64 // bytes in the file (durable + in-flight writes)
@@ -86,7 +83,7 @@ type WAL struct {
 
 // openWAL opens name for appending (creating it if missing). size is the
 // current valid length of the file as determined by replay.
-func openWAL(fs FS, name string, size int64, batch bool) (*WAL, error) {
+func openWAL(fs FS, name string, size int64) (*WAL, error) {
 	f, err := fs.OpenAppend(name)
 	if err != nil {
 		return nil, fmt.Errorf("store: open wal %s: %w", name, err)
@@ -97,7 +94,7 @@ func openWAL(fs FS, name string, size int64, batch bool) (*WAL, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: sync wal dir %s: %w", name, err)
 	}
-	w := &WAL{fs: fs, name: name, f: f, batch: batch, size: size}
+	w := &WAL{fs: fs, name: name, f: f, size: size}
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
@@ -140,13 +137,10 @@ func (w *WAL) WaitDurable(seq uint64) error {
 }
 
 // flushLocked writes pending records and syncs; called with w.mu held, it
-// releases the lock around the IO. In batch mode the whole pending queue
-// goes out under a single sync; otherwise one record per sync.
+// releases the lock around the IO. The whole pending queue goes out under
+// a single sync.
 func (w *WAL) flushLocked() {
 	take := len(w.pending)
-	if !w.batch && take > 1 {
-		take = 1
-	}
 	if take == 0 {
 		return
 	}
