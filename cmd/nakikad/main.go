@@ -57,7 +57,7 @@ func main() {
 	noObserve := flag.Bool("no-observe", false, "disable the observability plane (metrics registry, request tracing, trace-id propagation)")
 	largeThreshold := flag.Int64("large-threshold", 1<<20, "response size in bytes at which bodies are chunked into the content-addressed large-object tier and served as streams; 0 disables the tier")
 	segmentSize := flag.Int64("segment-size", 256<<10, "segment size of the large-object tier")
-	largeCapacity := flag.Int64("large-capacity", 512<<20, "byte capacity of the large-object segment slab (LRU beyond it)")
+	largeCapacity := flag.Int64("large-capacity", 512<<20, "byte capacity of the large-object segment slab (oldest segments reclaimed beyond it, those in use carried forward)")
 	flag.Parse()
 	if *replication < 0 {
 		log.Printf("nakikad: -replication %d: want at least 1", *replication)

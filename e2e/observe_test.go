@@ -44,6 +44,9 @@ var requiredSeries = []string{
 	"nakika_lob_streamed_total",
 	"nakika_lob_slab_hits_total",
 	"nakika_lob_slab_slots",
+	"nakika_lob_slab_segments",
+	"nakika_lob_slab_bytes",
+	"nakika_lob_slab_live_bytes",
 	"nakika_store_wal_appends_total",
 	"nakika_store_fsync_batches_total",
 	"nakika_store_fence_rejects_total",

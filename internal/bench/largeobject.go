@@ -18,7 +18,7 @@ import (
 // The fetch counters are exact: the experiment drives a known sequence of
 // requests single-threaded against an in-process origin and counts how many
 // full-body and range fetches reach it. Those counts are properties of the
-// tier's algorithms (single-flight, manifest residency, LRU slot reuse), not
+// tier's algorithms (single-flight, manifest residency, oldest-first reclaim), not
 // of the runner, so the regression gate tracks them hard. Several are
 // recorded as count+1 because the interesting value is zero ("warm ranges
 // never touch the origin") and the gate cannot ratio against a zero
@@ -26,7 +26,7 @@ import (
 // (ttfb_p50_us, largeobject.ingest_mb_per_s, largeobject.range_read_mb_per_s).
 
 // Experiment geometry. 24 segments of 256 KiB; the eviction phase keeps a
-// slab of only 8 slots, so a warm sequential re-read must refetch evicted
+// slab with room for only 8, so a warm sequential re-read must refetch evicted
 // segments by ranged origin requests.
 const (
 	lobObjectBytes  = 6 << 20
@@ -63,7 +63,7 @@ type LargeObjectResult struct {
 	// The eviction phase: ingest through a slab smaller than the object,
 	// then re-read the whole object sequentially. Every evicted segment
 	// comes back as exactly one ranged origin refetch — the count is the
-	// LRU policy's sequential-scan cost and gates hard.
+	// reclaim rule's sequential-scan cost and gates hard.
 	EvictionSlabSlots     int   `json:"eviction_slab_slots"`
 	EvictedFullRefetches  int64 `json:"evicted_full_refetches"`
 	EvictedRangeRefetches int64 `json:"evicted_range_refetches"`

@@ -245,7 +245,8 @@ func TestExpiryInstantIsStaleInBothTiers(t *testing.T) {
 	now := time.Unix(1_800_000_000, 0)
 	clock := func() time.Time { return now }
 	expires := now.Add(time.Minute)
-	d := openDisk(t, store.NewMemFS(), 0, clock)
+	fs := store.NewMemFS()
+	d := openDisk(t, fs, 0, clock)
 	c := New(Config{Clock: clock})
 	c.PutUntil("k", page("v"), expires)
 	d.Put("k", page("v"), expires)
@@ -255,7 +256,7 @@ func TestExpiryInstantIsStaleInBothTiers(t *testing.T) {
 		t.Error("memory: not served a nanosecond before the expiry")
 	}
 	wantBody(t, d, "k", "v")
-	d2 := openDisk(t, d.fs, 0, clock)
+	d2 := openDisk(t, fs, 0, clock)
 	wantBody(t, d2, "k", "v")
 
 	now = expires
@@ -263,7 +264,7 @@ func TestExpiryInstantIsStaleInBothTiers(t *testing.T) {
 		t.Error("memory: served at the expiry instant")
 	}
 	wantMiss(t, d, "k")
-	if d3 := openDisk(t, d.fs, 0, clock); d3.Len() != 0 {
+	if d3 := openDisk(t, fs, 0, clock); d3.Len() != 0 {
 		t.Error("rescan: indexed an entry at its expiry instant")
 	}
 	if c.PutUntil("k2", page("v"), now) {
@@ -279,7 +280,7 @@ func TestExpiryInstantIsStaleInBothTiers(t *testing.T) {
 	now = expires
 	c2.Put("y", page("y")) // evicts x at its expiry instant
 	c2.FlushToDisk()
-	if _, ok := d.index["x"]; ok {
+	if _, ok := d.log.Lookup("x"); ok {
 		t.Error("an entry evicted at its expiry instant was demoted")
 	}
 }
@@ -313,6 +314,9 @@ func TestStaleOnArrivalIsNotStored(t *testing.T) {
 	}
 }
 
+// segName is the name the log gives its id'th segment file.
+func segName(id int) string { return fmt.Sprintf("seg-%010d.log", id) }
+
 // frameRecord builds one segment record with a valid frame around an
 // arbitrary body, so the tests below reach the body decode.
 func frameRecord(key string, expires time.Time, body []byte) []byte {
@@ -343,16 +347,29 @@ func TestDiskDropsEntryWhoseBodyIsNotInTheCodec(t *testing.T) {
 			t.Errorf("%s body: boot scan kept the entry (%d indexed, files %v)", name, d.Len(), names)
 		}
 
-		// The same record under a live index entry (put there by hand: the
-		// tier itself would never index it).
-		writeFile(t, fs, segName(1), bad)
-		d.index[key] = diskRef{seg: &segment{name: segName(1)}, n: uint32(len(bad)), expires: now.Add(time.Minute).UnixNano()}
-		if resp, _, ok := d.Get(key); ok {
-			t.Errorf("%s body: Get served %+v", name, resp)
-		}
-		if d.Len() != 0 {
-			t.Errorf("%s body: Get kept the entry (%d indexed)", name, d.Len())
-		}
+	}
+
+	// The same under a live index entry, which the tier itself would never
+	// make: the record of a good entry is replaced where it lies by one of the
+	// same length, checksum-clean, whose body has lost its magic byte.
+	const key = "http://example.org/a"
+	fs := store.NewMemFS()
+	d := openDisk(t, fs, 0, clock)
+	d.Put(key, page("<html>hi</html>"), now.Add(time.Minute))
+	wantBody(t, d, key, "<html>hi</html>")
+	good, _ := store.ReadAll(fs, segName(0))
+	body := append([]byte(nil), good[len(frameRecord(key, now, nil)):]...)
+	body[0] ^= 0xff
+	bad := frameRecord(key, now.Add(time.Minute), body)
+	if len(bad) != len(good) || bytes.Equal(bad, good) {
+		t.Fatalf("the substitute record is %d bytes, the original %d", len(bad), len(good))
+	}
+	writeFile(t, fs, segName(0), bad)
+	if resp, _, ok := d.Get(key); ok {
+		t.Errorf("Get served %+v from a record whose body is not in the codec", resp)
+	}
+	if d.Len() != 0 {
+		t.Errorf("Get kept the entry (%d indexed)", d.Len())
 	}
 }
 
@@ -666,7 +683,7 @@ func TestDiskConcurrentPutGetInvalidate(t *testing.T) {
 				if mode.churn && st.Evictions == 0 {
 					t.Errorf("no segment was reclaimed: %+v", st)
 				}
-				if st.Bytes > d.maxBytes {
+				if mode.maxBytes > 0 && st.Bytes > mode.maxBytes {
 					t.Errorf("over budget after the run: %+v", st)
 				}
 			})
@@ -779,6 +796,37 @@ func TestDiskCarriesUsedEntriesForward(t *testing.T) {
 	}
 }
 
+// TestDiskCarryForwardIsNotAnEviction: a full tier of eight records, one
+// segment each, and the oldest entry demoted again. Its record is aging, so
+// it is appended afresh, and that append reclaims the segment holding the old
+// record. Nothing was lost: all eight keys read, and no eviction is counted.
+func TestDiskCarryForwardIsNotAnEviction(t *testing.T) {
+	now := time.Now()
+	clock := func() time.Time { return now }
+	exp := now.Add(time.Hour)
+	body := func(i int) string { return strings.Repeat(strconv.Itoa(i), 1000) }
+	probe := openDisk(t, store.NewMemFS(), 0, clock)
+	probe.Put("k0", page(body(0)), exp)
+	record := probe.Stats().Bytes
+
+	d := openDisk(t, store.NewMemFS(), 8*record, clock)
+	for i := 0; i < 8; i++ {
+		d.Put("k"+strconv.Itoa(i), page(body(i)), exp)
+	}
+	d.Put("k0", page(body(0)), exp)
+	if st := d.Stats(); st.Stores != 9 || st.Clean != 0 || st.Entries != 8 || st.Segments != 8 || st.Evictions != 0 {
+		t.Errorf("after carrying k0 forward: %+v; want 9 stores, 8 entries in 8 segments, no eviction", st)
+	}
+	for i := 0; i < 8; i++ {
+		wantBody(t, d, "k"+strconv.Itoa(i), body(i))
+	}
+	d.Put("k8", page(body(8)), exp)
+	wantMiss(t, d, "k1")
+	if st := d.Stats(); st.Evictions != 1 {
+		t.Errorf("after a ninth key: %+v; want the one eviction", st)
+	}
+}
+
 // TestDiskTombstone: Invalidate then reopen does not resurrect the entry,
 // whether the tombstone shares a segment with the record or not; and a Put
 // after the Invalidate wins over the tombstone.
@@ -807,6 +855,20 @@ func TestDiskTombstone(t *testing.T) {
 	wantBody(t, d, "c", "c2")
 	if d.Len() != 1 {
 		t.Errorf("%d entries after the reopen, want 1", d.Len())
+	}
+
+	// A tombstone alone in its segment is kept while the segment with the
+	// record it buries is: it has to hold at the open after this one too.
+	fs = store.NewMemFS()
+	d = openDisk(t, fs, 0, clock)
+	d.Put("x", page("x1"), exp)
+	d.Put("y", page("y1"), exp)
+	d = openDisk(t, fs, 0, clock)
+	d.Invalidate("x")
+	for i := 0; i < 2; i++ {
+		d = openDisk(t, fs, 0, clock)
+		wantMiss(t, d, "x")
+		wantBody(t, d, "y", "y1")
 	}
 }
 
@@ -973,18 +1035,26 @@ func FuzzDiskSegment(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.mu.Lock()
-		keys := make([]string, 0, len(d.index))
-		for key := range d.index {
-			keys = append(keys, key)
-		}
-		d.mu.Unlock()
-		for _, key := range keys {
-			if _, _, ok := d.Get(key); !ok {
-				if _, still := d.index[key]; still {
-					t.Errorf("%q: a miss, and still indexed", key)
+		// Every key the open can have indexed is in one of the two files.
+		keys := make(map[string]bool)
+		for _, file := range [][]byte{good, data} {
+			store.ReplayFrames(file, func(p []byte) error {
+				if key, _, _, ok := splitDiskPayload(p); ok {
+					keys[string(key)] = true
 				}
+				return nil
+			})
+		}
+		hits := 0
+		for key := range keys {
+			if _, _, ok := d.Get(key); ok {
+				hits++
+			} else if _, still := d.log.Lookup(key); still {
+				t.Errorf("%q: a miss, and still indexed", key)
 			}
+		}
+		if hits != d.Len() {
+			t.Errorf("%d entries read back, %d indexed", hits, d.Len())
 		}
 		_, onDisk := diskUsage(t, fs)
 		if st := d.Stats(); st.Bytes != onDisk || st.Bytes > 1<<20 || st.LiveBytes > st.Bytes || st.LiveBytes < 0 {

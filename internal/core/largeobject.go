@@ -37,8 +37,9 @@ func lobStateKey(cacheKey string) string { return "\x00nk:lob:" + cacheKey }
 // segment ordinal. The reply is "hit" plus the raw segment bytes, or "miss".
 const msgLobSeg = "lob.seg"
 
-// Large-object defaults: segment size balances slab slot waste against
-// per-segment overhead; capacity bounds the slab's disk footprint.
+// Large-object defaults: segment size balances the waste of a short last
+// segment against per-segment overhead; capacity bounds the slab's disk
+// footprint.
 const (
 	defaultLobSegment  = 256 << 10
 	defaultLobCapacity = 512 << 20
@@ -182,6 +183,9 @@ func (n *Node) lobStream(t *largeobject.Tier, key string, m *largeobject.Manifes
 // filed in the whole-body cache if it shrank below the threshold) and is
 // served. Nil sends the caller on down the chain to refetch.
 func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Manifest) *httpmsg.Response {
+	// Counted once, by how it ends: failed unless a 304 or a 200 says otherwise.
+	result := &n.lobRevalFailed
+	defer func() { result.Add(1) }()
 	etag := m.Header.Get("Etag")
 	lastMod := m.Header.Get("Last-Modified")
 	_, url, ok := strings.Cut(m.Key, " ")
@@ -213,6 +217,7 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 		if !ok {
 			return nil
 		}
+		result = &n.lobRevalSame
 		n.publishLob(key, refreshed)
 		return n.lobStream(t, key, refreshed)
 	}
@@ -220,6 +225,7 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 	if resp.Status != http.StatusOK {
 		return nil
 	}
+	result = &n.lobRevalNew
 	n.storeReply(key, resp)
 	return resp
 }
@@ -457,6 +463,7 @@ func (n *Node) lobIngestLoop(t *largeobject.Tier, key string, m *largeobject.Man
 func (n *Node) lobFetcher(key string) largeobject.Fetcher {
 	return func(m *largeobject.Manifest, ord int) ([]byte, error) {
 		if ing := n.lobIngestFor(key); ing != nil {
+			n.lobIngWaits.Add(1)
 			if err := ing.waitFor(ord); err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"nakika/internal/httpmsg"
+	"nakika/internal/largeobject"
 	"nakika/internal/metrics"
 	"nakika/internal/overlay"
 	"nakika/internal/store"
@@ -290,6 +292,138 @@ func TestLargeObjectSurvivesCrash(t *testing.T) {
 	}
 	if full, rng, _ := origin.counts(); full != 1 || rng != 0 {
 		t.Errorf("origin hits = %d full, %d range; want 1, 0", full, rng)
+	}
+}
+
+// gatedOrigin streams its object up to gate bytes and then blocks until
+// release is closed. atGate is closed when the body first blocks, bodyClosed
+// when the reader of the first body lets go of it.
+type gatedOrigin struct {
+	streamRangeOrigin
+	gate                        int
+	atGate, release, bodyClosed chan struct{}
+	gateOnce, closeOnce         sync.Once
+}
+
+func newGatedOrigin(url string, body []byte, gate int) *gatedOrigin {
+	o := &gatedOrigin{gate: gate, atGate: make(chan struct{}), release: make(chan struct{}), bodyClosed: make(chan struct{})}
+	o.url, o.body = url, body
+	return o
+}
+
+func (o *gatedOrigin) DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, error) {
+	head, body, err := o.streamRangeOrigin.DoStream(req)
+	if err == nil && req.URL.String() == o.url && req.Header.Get("Range") == "" {
+		body = &gatedBody{o: o}
+	}
+	return head, body, err
+}
+
+type gatedBody struct {
+	o   *gatedOrigin
+	off int
+}
+
+func (b *gatedBody) Read(p []byte) (int, error) {
+	limit := len(b.o.body)
+	if b.off < b.o.gate {
+		limit = b.o.gate
+	} else {
+		b.o.gateOnce.Do(func() { close(b.o.atGate) })
+		<-b.o.release
+	}
+	n := copy(p, b.o.body[b.off:limit])
+	b.off += n
+	if n == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+func (b *gatedBody) Close() error {
+	b.o.closeOnce.Do(func() { close(b.o.bodyClosed) })
+	return nil
+}
+
+// lobFiles is every file under the node's lob/ directory with its length.
+func lobFiles(t *testing.T, fs store.FS) map[string]int {
+	t.Helper()
+	names, err := fs.List("lob/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]int)
+	for _, name := range names {
+		data, err := store.ReadAll(fs, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = len(data)
+	}
+	return files
+}
+
+// TestLargeObjectIngestOutlivingCrashStoresNothing: a streamed ingest whose
+// origin is still sending when the node crashes holds the dead tier. Crash
+// closed that tier's log, so once the origin sends the rest the ingest fails
+// at its next segment instead of writing into the directory the recovered
+// tier has taken over: the files under lob/ are exactly what they were. The
+// recovered node then fetches and serves the object as if for the first time.
+func TestLargeObjectIngestOutlivingCrashStoresNothing(t *testing.T) {
+	const url = "http://big.example.org/slow"
+	body := lobBody(40_000)
+	origin := newGatedOrigin(url, body, 3*4096+100)
+	fs := store.NewMemFS()
+	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+		lobConfig(4096, 10_000)(cfg)
+		cfg.DataFS = fs
+	})
+	resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-origin.atGate // three segments are in the tier, the fourth is on its way
+	if got := readStream(t, resp, 100, 3*4096); !bytes.Equal(got, body[100:3*4096]) {
+		t.Fatal("the ingested prefix reads back wrong")
+	}
+	atCrash := lobFiles(t, fs)
+	if len(atCrash) != 1 {
+		t.Fatalf("files under lob/ at the crash = %v, want the one log segment", atCrash)
+	}
+
+	n.Crash()
+	if err := n.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	close(origin.release)
+	<-origin.bodyClosed // the ingest has given up, or finished
+	if after := lobFiles(t, fs); !reflect.DeepEqual(after, atCrash) {
+		t.Fatalf("the ingest that outlived the crash changed lob/:\n at the crash %v\n afterwards   %v", atCrash, after)
+	}
+	if st := n.LargeObject().Tier; st.Manifests != 0 || st.Slab.Used != 3 {
+		t.Errorf("recovered tier: %+v; want the three segments and no manifest", st)
+	}
+
+	for i := 0; i < 2; i++ {
+		resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readStream(t, resp, 0, resp.TotalLen()); !bytes.Equal(got, body) {
+			t.Fatalf("read %d after the recovery differs from the object", i)
+		}
+	}
+	if _, _, streamed := origin.counts(); streamed != 2 {
+		t.Errorf("%d streamed origin fetches, want 2: the one the crash cut and one after it", streamed)
+	}
+	if err := n.Shutdown(); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	if _, ok := n.lobTier().GetSegment(largeobject.HashSegment(body[:4096])); !ok {
+		t.Error("a closed tier does not read")
+	}
+	if err := n.lobTier().PutSegment(largeobject.HashSegment([]byte("late")), []byte("late")); err == nil {
+		t.Error("a tier closed by Shutdown still stores")
 	}
 }
 
@@ -695,6 +829,129 @@ func TestLargeObjectTierOnMetrics(t *testing.T) {
 			t.Errorf("exposition lacks %q", line)
 		}
 	}
+}
+
+// TestLargeObjectLogOnMetrics: the slab's log is as visible as the disk
+// tier's — segment files, their bytes and the live share of them are the
+// numbers SlabStats reports and what lies under lob/ — and revalidations and
+// reads that waited on an ingest are counted.
+func TestLargeObjectLogOnMetrics(t *testing.T) {
+	exposition := func(n *Node) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := n.Metrics().WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := metrics.ParseExposition(sb.String()); err != nil {
+			t.Fatalf("exposition does not parse: %v", err)
+		}
+		return sb.String()
+	}
+	want := func(text string, lines ...string) {
+		t.Helper()
+		for _, line := range lines {
+			if !strings.Contains(text, line+"\n") {
+				t.Errorf("exposition lacks %q", line)
+			}
+		}
+	}
+
+	// A reader that gets ahead of a streamed ingest waits on it, segment by
+	// segment, instead of fetching.
+	const url = "http://big.example.org/gated"
+	body := lobBody(40_000)
+	origin := newGatedOrigin(url, body, 2*4096)
+	fs := store.NewMemFS()
+	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+		lobConfig(4096, 10_000)(cfg)
+		cfg.DataFS = fs
+	})
+	resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-origin.atGate
+	read := make(chan []byte)
+	go func() {
+		rc, err := resp.Stream.Range(0, resp.TotalLen())
+		if err != nil {
+			t.Error(err)
+		}
+		got, err := io.ReadAll(rc)
+		if err != nil {
+			t.Error(err)
+		}
+		read <- got
+	}()
+	for n.lobIngWaits.Load() == 0 { // the reader has reached the third segment
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(origin.release)
+	if got := <-read; !bytes.Equal(got, body) {
+		t.Fatal("the body read across the ingest differs")
+	}
+	<-origin.bodyClosed
+	st := n.LargeObject().Tier.Slab
+	files, onDisk := 0, 0
+	for name, size := range lobFiles(t, fs) {
+		if store.IsSegment(strings.TrimPrefix(name, "lob/")) {
+			files++
+			onDisk += size
+		}
+	}
+	if st.Segments != files || st.Bytes != int64(onDisk) || st.LiveBytes != st.Bytes || st.Used != 10 {
+		t.Errorf("slab stats %+v; under lob/ %d bytes in %d segment files", st, onDisk, files)
+	}
+	want(exposition(n),
+		fmt.Sprintf("nakika_lob_slab_segments %d", files),
+		fmt.Sprintf("nakika_lob_slab_bytes %d", onDisk),
+		fmt.Sprintf("nakika_lob_slab_live_bytes %d", onDisk),
+		fmt.Sprintf("nakika_lob_ingest_waits_total %d", n.lobIngWaits.Load()),
+		`nakika_lob_revalidations_total{result="not_modified"} 0`)
+
+	// Revalidations by how they ended: a 304, a new body, no usable answer.
+	now := time.Now()
+	var mu sync.Mutex
+	advance := func() {
+		mu.Lock()
+		now = now.Add(101 * time.Second)
+		mu.Unlock()
+	}
+	reval := &revalOrigin{url: "http://big.example.org/rss", body: lobBody(40_000), etag: `"v1"`, maxAge: 100}
+	n = newTestNodeUpstream(t, "edge-2", reval, func(cfg *Config) {
+		lobConfig(4096, 10_000)(cfg)
+		cfg.Cache.Clock = func() time.Time {
+			mu.Lock()
+			defer mu.Unlock()
+			return now
+		}
+	})
+	get := func() {
+		t.Helper()
+		if _, _, err := n.Handle(httpmsg.MustRequest("GET", reval.url)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get()
+	advance()
+	get() // 304
+	reval.mu.Lock()
+	reval.body, reval.etag = lobBody(52_000), `"v2"`
+	reval.mu.Unlock()
+	advance()
+	get() // 200, a new body
+	reval.mu.Lock()
+	reval.etag = "" // the next manifest has no validator to revalidate with
+	reval.mu.Unlock()
+	advance()
+	get() // 200 again, by the validators of "v2"
+	advance()
+	get() // nothing to ask with: dropped and refetched
+	want(exposition(n),
+		`nakika_lob_revalidations_total{result="not_modified"} 1`,
+		`nakika_lob_revalidations_total{result="replaced"} 2`,
+		`nakika_lob_revalidations_total{result="failed"} 1`,
+		"nakika_lob_ingest_waits_total 0")
 }
 
 // newTestNodeUpstream is newTestNode for upstreams that are not memOrigins.

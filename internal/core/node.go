@@ -136,10 +136,6 @@ type Config struct {
 	// Zero disables offload entirely — the request path is byte-identical to
 	// a build without the offload layer.
 	OffloadThreshold float64
-	// OffloadMaxDepth caps how many times one request may be forwarded
-	// before the holder must execute it locally (loop prevention under
-	// partitions and universally hot clusters); zero means 2.
-	OffloadMaxDepth int
 	// HedgeAfter is the latency budget for replicated hard-state reads:
 	// when the acting owner's expected round trip (a per-peer EWMA of RPC
 	// RTTs) exceeds it, the read is hedged to the next replica in successor
@@ -174,7 +170,8 @@ type Config struct {
 	// LargeObjectSegment is the tier's segment size; zero means 256 KiB.
 	LargeObjectSegment int64
 	// LargeObjectCapacity bounds the segment slab's byte footprint; zero
-	// means 512 MiB. Segments beyond it evict LRU.
+	// means 512 MiB. Beyond it the oldest segments are reclaimed first;
+	// those still being read are carried forward.
 	LargeObjectCapacity int64
 	// ClientHostLookup resolves client IPs to hostnames for client
 	// predicates.
@@ -185,9 +182,6 @@ type Config struct {
 	// build without the plane. The bench harness uses it to measure the
 	// plane's hot-path cost.
 	NoObserve bool
-	// TraceRingSize bounds the per-node ring of recent request samples
-	// behind /admin/traces; zero means trace.DefaultRingSize.
-	TraceRingSize int
 }
 
 // Stats aggregates node-level counters.
@@ -319,10 +313,9 @@ type Node struct {
 	// its view of peer loads (fed by gossip piggybacked on overlay
 	// maintenance and offload replies), and per-peer RTT estimates for
 	// hedge budgets.
-	meter    *loadview.Meter
-	view     *loadview.View
-	rtts     *loadview.RTT
-	offDepth int
+	meter *loadview.Meter
+	view  *loadview.View
+	rtts  *loadview.RTT
 	// cands caches per-site offload candidate sets; candGen is bumped by
 	// the overlay churn hook, and offloadCandidates rebuilds the map when
 	// its candMapGen trails it. wallStart anchors the monotonic fallback
@@ -409,6 +402,12 @@ type Node struct {
 	lobAdopted   atomic.Int64
 	lobSegPeer   atomic.Int64
 	lobSegOrigin atomic.Int64
+	// Revalidations of a stale manifest by how they ended (304, a new 200,
+	// no usable answer), and segment reads that waited on an ingest.
+	lobRevalSame   atomic.Int64
+	lobRevalNew    atomic.Int64
+	lobRevalFailed atomic.Int64
+	lobIngWaits    atomic.Int64
 }
 
 // NewNode builds a node from cfg.
@@ -481,7 +480,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if !cfg.NoObserve {
 		n.ids = nktrace.NewIDGen(cfg.Name)
-		n.ring = nktrace.NewRing(cfg.TraceRingSize)
+		n.ring = nktrace.NewRing(nktrace.DefaultRingSize)
 		n.buildRegistry()
 	}
 	// Load accounting is always on (it is a handful of atomic/mutex ops per
@@ -490,10 +489,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n.meter = loadview.NewMeter(cfg.LoadClock, cfg.LoadHalfLife)
 	n.view = loadview.NewView(cfg.LoadClock, cfg.LoadHalfLife)
 	n.rtts = loadview.NewRTT(0)
-	n.offDepth = cfg.OffloadMaxDepth
-	if n.offDepth <= 0 {
-		n.offDepth = 2
-	}
 	if cfg.Ring != nil {
 		n.overlay = cfg.Ring.Join(cfg.Name, cfg.Region)
 		n.overlay.SetLoadGossip(n.LoadScore, n.view.Observe)
@@ -587,6 +582,9 @@ func (n *Node) Shutdown() error {
 	if d := n.cache.L2(); d != nil {
 		err = d.Close()
 	}
+	if t := n.lobTier(); t != nil {
+		err = errors.Join(err, t.Close())
+	}
 	n.persistMu.Lock()
 	kv := n.kvLog
 	n.persistMu.Unlock()
@@ -622,9 +620,14 @@ func (n *Node) Crash() {
 	n.deployMu.Unlock()
 	// The large-object tier handle is abandoned mid-flight too: the
 	// manifest table and ingest trackers die with the process, while
-	// persisted manifests and slot files stay on the data filesystem for
-	// Recover to rescan (torn slots fail their checksum and are reclaimed).
+	// persisted manifests and log segments stay on the data filesystem for
+	// Recover to replay (a torn record fails its checksum and ends its
+	// segment's scan). Its log is closed like the disk tier's, and for the
+	// same reason: an ingest that outlives the crash stores nothing more.
 	n.lobMu.Lock()
+	if n.lob != nil {
+		n.lob.Close()
+	}
 	n.lob = nil
 	n.lobMu.Unlock()
 	n.lobIngMu.Lock()

@@ -169,18 +169,28 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_lob_adopted_total", "Manifests learned from a replica's index record.", nil, cv(&n.lobAdopted))
 	r.CounterFunc("nakika_lob_segment_fetches_total", "Missing segment bodies pulled in, by source.", metrics.Labels{"source": "peer"}, cv(&n.lobSegPeer))
 	r.CounterFunc("nakika_lob_segment_fetches_total", "", metrics.Labels{"source": "origin"}, cv(&n.lobSegOrigin))
+	r.CounterFunc("nakika_lob_revalidations_total", "Conditional origin requests for a stale manifest, by how they ended.", metrics.Labels{"result": "not_modified"}, cv(&n.lobRevalSame))
+	r.CounterFunc("nakika_lob_revalidations_total", "", metrics.Labels{"result": "replaced"}, cv(&n.lobRevalNew))
+	r.CounterFunc("nakika_lob_revalidations_total", "", metrics.Labels{"result": "failed"}, cv(&n.lobRevalFailed))
+	r.CounterFunc("nakika_lob_ingest_waits_total", "Segment reads that waited on an ingest still in flight instead of fetching.", nil, cv(&n.lobIngWaits))
 	r.CounterFunc("nakika_lob_slab_hits_total", "Slab reads that returned a verified segment.", nil,
 		func() float64 { return float64(n.LargeObject().Tier.Slab.Hits) })
-	r.CounterFunc("nakika_lob_slab_misses_total", "Slab reads that found the segment absent or its slot corrupt.", nil,
+	r.CounterFunc("nakika_lob_slab_misses_total", "Slab reads that found the segment absent or its record corrupt.", nil,
 		func() float64 { return float64(n.LargeObject().Tier.Slab.Misses) })
-	r.CounterFunc("nakika_lob_slab_puts_total", "Segments written into slab slots.", nil,
+	r.CounterFunc("nakika_lob_slab_puts_total", "Segment records appended to the slab's log: first stores and carries forward.", nil,
 		func() float64 { return float64(n.LargeObject().Tier.Slab.Puts) })
-	r.CounterFunc("nakika_lob_slab_evictions_total", "Segments evicted from the slab to make room.", nil,
+	r.CounterFunc("nakika_lob_slab_evictions_total", "Segments lost from the slab with a reclaimed log segment.", nil,
 		func() float64 { return float64(n.LargeObject().Tier.Slab.Evictions) })
-	r.GaugeFunc("nakika_lob_slab_slots", "Slab slots, occupied and in all.", metrics.Labels{"state": "used"},
+	r.GaugeFunc("nakika_lob_slab_slots", "Segments resident in the slab, and full segments its budget holds.", metrics.Labels{"state": "used"},
 		func() float64 { return float64(n.LargeObject().Tier.Slab.Used) })
 	r.GaugeFunc("nakika_lob_slab_slots", "", metrics.Labels{"state": "total"},
 		func() float64 { return float64(n.LargeObject().Tier.Slab.Slots) })
+	r.GaugeFunc("nakika_lob_slab_segments", "Segment files in the slab's log.", nil,
+		func() float64 { return float64(n.LargeObject().Tier.Slab.Segments) })
+	r.GaugeFunc("nakika_lob_slab_bytes", "Bytes the slab's log files occupy.", nil,
+		func() float64 { return float64(n.LargeObject().Tier.Slab.Bytes) })
+	r.GaugeFunc("nakika_lob_slab_live_bytes", "Bytes of slab records the index points at; nakika_lob_slab_bytes over this is the log's space amplification.", nil,
+		func() float64 { return float64(n.LargeObject().Tier.Slab.LiveBytes) })
 
 	r.CounterFunc("nakika_store_wal_appends_total", "Records appended to the hard-state WAL.", nil,
 		func() float64 { return float64(n.StoreStats().Appends) })

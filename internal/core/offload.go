@@ -40,6 +40,11 @@ import (
 // node that ultimately executed in Args[1].
 const msgOffExec = "off.exec"
 
+// offloadMaxDepth caps how many times one request may be forwarded before
+// the holder must execute it locally (loop prevention under partitions and
+// universally hot clusters).
+const offloadMaxDepth = 2
+
 // call sends one RPC to a peer through the node's transport, folding the
 // measured round trip into the per-peer RTT EWMA that hedge budgets are
 // compared against. Only completed round trips train the estimate — a
@@ -178,7 +183,7 @@ func (n *Node) shedRequest(req *httpmsg.Request, depth int) (resp *httpmsg.Respo
 	if local <= n.cfg.OffloadThreshold {
 		return nil, "", nil, false
 	}
-	if depth >= n.offDepth {
+	if depth >= offloadMaxDepth {
 		n.offDepthCap.Add(1)
 		return nil, "", nil, false
 	}
@@ -232,7 +237,7 @@ func (n *Node) shedRequest(req *httpmsg.Request, depth int) (resp *httpmsg.Respo
 // serveOffloadRPC executes requests peers shed to this node. A holder that
 // is itself over threshold may shed once more (the depth travels with the
 // request), but at the depth cap it must execute locally — that is what
-// bounds a request's worst case to offDepth forwards plus one execution.
+// bounds a request's worst case to offloadMaxDepth forwards plus one execution.
 func (n *Node) serveOffloadRPC(from string, msg transport.Message) (transport.Message, error) {
 	switch msg.Type {
 	case msgOffExec:

@@ -2,42 +2,29 @@ package largeobject
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"nakika/internal/store"
-	"nakika/internal/wire"
 )
 
-// Tests of the large-object byte path: the slot format is unchanged, a slab
-// view's buffer is never recycled under its reader, every way a slot can be
-// wrong is a miss that frees the slot and returns the buffer, and a warm
+// Tests of the large-object byte path: the record format is pinned, a slab
+// view's buffer is never recycled under its reader, every way a record can be
+// wrong is a miss that drops the entry and returns the buffer, and a warm
 // range read allocates next to nothing.
 
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
 
-// appendFrame is the slot writer as it stood before writeSlot stopped
-// copying the segment into a frame, kept verbatim as the format's oracle.
-func appendFrame(buf []byte, id SegID, data []byte) []byte {
-	payload := make([]byte, 0, SegIDLen+10+len(data))
-	payload = wire.AppendRaw(payload, id[:])
-	payload = wire.AppendUvarint(payload, uint64(len(data)))
-	payload = append(payload, data...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, slabCRC))
-	return append(buf, payload...)
-}
-
-func writeFile(t *testing.T, fs store.FS, name string, data []byte) {
+func writeFile(t testing.TB, fs store.FS, name string, data []byte) {
 	t.Helper()
 	f, err := fs.Create(name)
 	if err != nil {
@@ -51,18 +38,91 @@ func writeFile(t *testing.T, fs store.FS, name string, data []byte) {
 	}
 }
 
-// parentSlotHex is slot-000000.seg as the parent commit's writer left it for
-// goldenData in a fresh slab.
-const parentSlotHex = "9d571f86885e94ca5c43e3e5bc4667e22632b6e7fce50629619210dc416676c82bb75e3d126e61206b696b6120736c6f74206672616d65"
+// segRecord is the format's oracle: one log record for a segment is the WAL's
+// frame around the segment's id followed by its bytes.
+func segRecord(id SegID, data []byte) []byte {
+	return store.AppendFrame(nil, append(id[:], data...))
+}
+
+// diskUsage is what the slab's log files really occupy.
+func diskUsage(t testing.TB, fs store.FS) (files []string, bytes int64) {
+	t.Helper()
+	files, err := fs.List("seg-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		data, err := store.ReadAll(fs, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes += int64(len(data))
+	}
+	return files, bytes
+}
 
 var goldenData = []byte("na kika slot frame")
 
-// TestSlotFrameGolden: writeSlot's bytes on disk are the old writer's, for
-// an empty segment, a short one, one whose length needs a two-byte varint
-// and a full slot; and the literal captured at the parent pins both.
-func TestSlotFrameGolden(t *testing.T) {
-	const segSize = 512
-	for _, data := range [][]byte{goldenData, {}, testBody(300), testBody(segSize)} {
+// TestSlabSegmentGolden pins the record format and the carry-forward. In a
+// slab of two 18-byte slots (so every record is its own file) a put, a second
+// put and a put of the first again, which by then is aging, leave exactly
+// these two files: the first record was appended afresh and its old file
+// reclaimed, without an eviction. A reopen reads them back to that index. And
+// for an empty segment, a short one and one long enough to be written beside
+// its header instead of gathered with it, the file is the oracle's bytes.
+func TestSlabSegmentGolden(t *testing.T) {
+	golden := map[string]string{
+		"seg-0000000001.log": "00000032" + "48ca1089" + "9ccd65f35a29f7b15634022be5ef2ebf254681448548a1634916ea4438b23917" + "7365636f6e64207365676d656e7420313862",
+		"seg-0000000002.log": "00000032" + "c252bd17" + "885e94ca5c43e3e5bc4667e22632b6e7fce50629619210dc416676c82bb75e3d" + "6e61206b696b6120736c6f74206672616d65",
+	}
+	second := []byte("second segment 18b")
+	fs := store.NewMemFS()
+	slab, err := NewSlab(fs, int64(len(goldenData)), 2*int64(len(goldenData)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{goldenData, second, goldenData} {
+		if err := slab.Put(HashSegment(data), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, slab *Slab) {
+		t.Helper()
+		files, onDisk := diskUsage(t, fs)
+		if len(files) != len(golden) {
+			t.Fatalf("%s: files %v, want %d", when, files, len(golden))
+		}
+		for _, name := range files {
+			got, _ := store.ReadAll(fs, name)
+			if hex.EncodeToString(got) != golden[name] {
+				t.Errorf("%s: %s = %x\nwant %s", when, name, got, golden[name])
+			}
+		}
+		st := slab.Stats()
+		if st.Used != 2 || st.Segments != 2 || st.Bytes != onDisk || st.LiveBytes != onDisk || st.Evictions != 0 {
+			t.Errorf("%s: stats %+v, %d bytes on disk", when, st, onDisk)
+		}
+	}
+	check("after the puts", slab)
+	if st := slab.Stats(); st.Puts != 3 {
+		t.Errorf("%d records appended, want 3 (the carry-forward is one)", st.Puts)
+	}
+	if got := segRecord(HashSegment(goldenData), goldenData); hex.EncodeToString(got) != golden["seg-0000000002.log"] {
+		t.Errorf("the oracle writes %x", got)
+	}
+	reopened, err := NewSlab(fs, int64(len(goldenData)), 2*int64(len(goldenData)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after the reopen", reopened)
+	for _, data := range [][]byte{goldenData, second} {
+		if got, ok := reopened.Get(HashSegment(data)); !ok || !bytes.Equal(got, data) {
+			t.Errorf("after the reopen: %q reads back as %q, hit %v", data, got, ok)
+		}
+	}
+
+	const segSize = 128 << 10
+	for _, data := range [][]byte{{}, testBody(300), testBody(segSize)} {
 		fs := store.NewMemFS()
 		slab, err := NewSlab(fs, segSize, segSize)
 		if err != nil {
@@ -72,86 +132,142 @@ func TestSlotFrameGolden(t *testing.T) {
 		if err := slab.Put(id, data); err != nil {
 			t.Fatal(err)
 		}
-		got, err := store.ReadAll(fs, slotName(0))
-		if err != nil {
-			t.Fatal(err)
+		if got, _ := store.ReadAll(fs, "seg-0000000000.log"); !bytes.Equal(got, segRecord(id, data)) {
+			t.Fatalf("%d-byte segment: the file differs from the oracle's record", len(data))
 		}
-		if want := appendFrame(nil, id, data); !bytes.Equal(got, want) {
-			t.Fatalf("%d-byte segment: slot file differs from the old writer's\n got %x\nwant %x", len(data), got, want)
-		}
-		if bytes.Equal(data, goldenData) && hex.EncodeToString(got) != parentSlotHex {
-			t.Fatalf("slot file differs from the parent's bytes: %x", got)
+		if err := slab.Put(id, append(data, 0)); len(data) == segSize && err == nil {
+			t.Fatal("a segment one byte over the segment size was stored")
 		}
 	}
 }
 
-// TestParentSlabDirectoryIsServed: slot files written by the old writer (the
-// captured literal and the oracle) are rescanned and served, not discarded.
-func TestParentSlabDirectoryIsServed(t *testing.T) {
+// parentSlotHex is slot-000000.seg as the release that kept one file per
+// segment left it for goldenData in a fresh slab.
+const parentSlotHex = "9d571f86885e94ca5c43e3e5bc4667e22632b6e7fce50629619210dc416676c82bb75e3d126e61206b696b6120736c6f74206672616d65"
+
+// TestParentSlotFilesAreDiscarded: a lob/ directory of that release holds
+// slot files and manifests. The slot files are removed at the first open, not
+// read; the manifests are kept, so each segment comes back by one ranged
+// refetch the first time it is wanted; and the tier works from there.
+func TestParentSlotFilesAreDiscarded(t *testing.T) {
 	fs := store.NewMemFS()
 	parent, err := hex.DecodeString(parentSlotHex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := [][]byte{goldenData, testBody(64), testBody(17)}
-	writeFile(t, fs, slotName(0), parent)
-	for i, seg := range segs[1:] {
-		writeFile(t, fs, slotName(i+1), appendFrame(nil, HashSegment(seg), seg))
+	id := HashSegment(goldenData)
+	m := &Manifest{Key: "GET http://o/parent", Status: 200, TotalLen: int64(len(goldenData)), SegSize: 64, Segments: []SegID{id}}
+	writeFile(t, fs, "slot-000000.seg", parent)
+	writeFile(t, fs, "slot-000001.seg", []byte("torn"))
+	if err := store.WriteAtomic(fs, manifestName(m.Key), EncodeManifest(m)); err != nil {
+		t.Fatal(err)
 	}
-	slab, err := NewSlab(fs, 64, 4*64)
+	tier, err := OpenTier(fs, 64, 4*64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := slab.Stats(); st.Used != len(segs) {
-		t.Fatalf("rescan kept %d of %d parent slots", st.Used, len(segs))
+	if names, _ := fs.List(""); len(names) != 1 || names[0] != manifestName(m.Key) {
+		t.Fatalf("files after the open = %v, want the manifest alone", names)
 	}
-	for i, seg := range segs {
-		if got, ok := slab.Get(HashSegment(seg)); !ok || !bytes.Equal(got, seg) {
-			t.Fatalf("parent slot %d not served", i)
-		}
+	got, ok := tier.Manifest(m.Key)
+	if !ok || !got.Complete() || got.Segments[0] != id {
+		t.Fatalf("the parent's manifest reads back as %+v, found %v", got, ok)
+	}
+	if data, ok := tier.GetSegment(id); ok || tier.Resident(got).Count() != 0 {
+		t.Fatalf("a slot file was served: %q", data)
+	}
+	var fetched int
+	rc, err := tier.NewStream(got, func(m *Manifest, ord int) ([]byte, error) {
+		fetched++
+		return goldenData, tier.PutSegment(m.Segments[ord], goldenData)
+	}).Range(0, m.TotalLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil || !bytes.Equal(body, goldenData) || fetched != 1 {
+		t.Fatalf("first read: %q, %v, %d fetches; want the object after one refetch", body, err, fetched)
+	}
+	if data, ok := tier.GetSegment(id); !ok || !bytes.Equal(data, goldenData) {
+		t.Fatal("the refetched segment is not resident")
 	}
 }
 
-// FuzzSlabFrame: arbitrary bytes into parseFrame never panic, and anything
-// it accepts re-encodes to the same bytes. The one exception is a length
-// varint with padding, which binary.Uvarint reads and no writer produces:
-// that re-encodes shorter, to a frame that parses to the same segment.
-func FuzzSlabFrame(f *testing.F) {
-	f.Add(appendFrame(nil, HashSegment(goldenData), goldenData))
-	f.Add(appendFrame(nil, SegID{}, nil))
-	f.Add(appendFrame(nil, SegID{1}, testBody(200)))
-	f.Add(make([]byte, 4+SegIDLen))
-	f.Add(append(make([]byte, 4+SegIDLen), 0x80, 0x00))
-	f.Add([]byte{})
-	check := func(t *testing.T, raw []byte) {
-		id, data, err := parseFrame(raw)
-		if err != nil {
-			return
-		}
-		re := appendFrame(nil, id, data)
-		if len(re) > len(raw) || (len(re) == len(raw) && !bytes.Equal(re, raw)) {
-			t.Fatalf("accepted frame does not re-encode to itself\n raw %x\n re  %x", raw, re)
-		}
-		id2, data2, err := parseFrame(re)
-		if err != nil || id2 != id || !bytes.Equal(data2, data) {
-			t.Fatalf("re-encoded frame parses differently: %v", err)
+// FuzzSlabSegment hands NewSlab arbitrary bytes as a log segment file, beside
+// a well-formed one. The open never panics; whatever Get serves under an id
+// was framed under that id in one of the two files, and fits a segment; an id
+// that misses is not left indexed and nothing indexed is unreadable; the
+// stats are what is on disk, within budget; and the next Put works.
+func FuzzSlabSegment(f *testing.F) {
+	const segSize, slots = 64, 8
+	seedFS := store.NewMemFS()
+	slab, err := NewSlab(seedFS, segSize, slots*segSize)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, data := range [][]byte{goldenData, testBody(segSize), {}} {
+		if err := slab.Put(HashSegment(data), data); err != nil {
+			f.Fatal(err)
 		}
 	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		check(t, raw)
-		// The checksum turns almost every mutation away at the door; patch
-		// it so the fuzzer reaches the parser behind it as well.
-		if len(raw) >= 4 {
-			fixed := append([]byte(nil), raw...)
-			binary.BigEndian.PutUint32(fixed, crc32.Checksum(fixed[4:], slabCRC))
-			check(t, fixed)
+	good, _ := store.ReadAll(seedFS, "seg-0000000000.log")
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add(append(append([]byte(nil), good...), good...))
+	f.Add(segRecord(HashSegment(goldenData), []byte("another body under that id")))
+	f.Add(segRecord(SegID{1}, testBody(segSize+1)))
+	f.Add(store.AppendFrame(nil, make([]byte, SegIDLen-1)))
+	f.Add(store.AppendFrame(nil, nil))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := store.NewMemFS()
+		writeFile(t, fs, "seg-0000000003.log", good)
+		writeFile(t, fs, "seg-0000000004.log", data)
+		slab, err := NewSlab(fs, segSize, slots*segSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		framed := make(map[SegID][][]byte)
+		for _, file := range [][]byte{good, data} {
+			store.ReplayFrames(file, func(p []byte) error {
+				if len(p) >= SegIDLen {
+					framed[SegID(p)] = append(framed[SegID(p)], p[SegIDLen:])
+				}
+				return nil
+			})
+		}
+		hits := 0
+		for id, bodies := range framed {
+			got, ok := slab.Get(id)
+			if !ok {
+				if slab.Contains(id) {
+					t.Errorf("%v: a miss, and still indexed", id)
+				}
+				continue
+			}
+			hits++
+			if !slices.ContainsFunc(bodies, func(b []byte) bool { return bytes.Equal(b, got) }) || len(got) > segSize {
+				t.Errorf("%v: served %d bytes that were never framed under it", id, len(got))
+			}
+		}
+		_, onDisk := diskUsage(t, fs)
+		if st := slab.Stats(); st.Used != hits || st.Bytes != onDisk || st.Bytes > slots*(store.FrameHeader+SegIDLen+segSize) || st.LiveBytes > st.Bytes || st.LiveBytes < 0 {
+			t.Errorf("stats %+v, %d hits, %d bytes on disk", st, hits, onDisk)
+		}
+		after := []byte("after")
+		if err := slab.Put(HashSegment(after), after); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := slab.Get(HashSegment(after)); !ok || !bytes.Equal(got, after) {
+			t.Errorf("a segment put after the open reads back as %q, hit %v", got, ok)
 		}
 	})
 }
 
-// TestSlabHonoursLoweredCapacity: a data directory written with 8 slots and
-// reopened with room for 4 keeps 4 — the surplus files are removed at the
-// rescan and never re-filled — and every surviving segment still reads.
+// TestSlabHonoursLoweredCapacity: a data directory written with room for 8
+// segments and reopened with room for 4 keeps 4 — the oldest files are
+// reclaimed at the open — and every surviving segment still reads.
 func TestSlabHonoursLoweredCapacity(t *testing.T) {
 	const segSize = 64
 	fs := store.NewMemFS()
@@ -166,8 +282,8 @@ func TestSlabHonoursLoweredCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if names, _ := fs.List("slot-"); len(names) != 8 {
-		t.Fatalf("wrote %d slot files, want 8", len(names))
+	if st := slab.Stats(); st.Used != 8 || st.Slots != 8 {
+		t.Fatalf("wrote %d segments into %d slots, want 8 and 8", st.Used, st.Slots)
 	}
 
 	small, err := NewSlab(fs, segSize, 4*segSize)
@@ -180,14 +296,8 @@ func TestSlabHonoursLoweredCapacity(t *testing.T) {
 		if st.Slots != 4 || st.Used > 4 {
 			t.Fatalf("%s: %d slots, %d used; want 4 and at most 4", when, st.Slots, st.Used)
 		}
-		names, _ := fs.List("slot-")
-		if len(names) > 4 {
-			t.Fatalf("%s: slot files %v, want at most 4", when, names)
-		}
-		for _, name := range names {
-			if name >= slotName(4) {
-				t.Fatalf("%s: slot file %s is beyond the capacity", when, name)
-			}
+		if _, onDisk := diskUsage(t, fs); st.Bytes != onDisk || onDisk > 4*(store.FrameHeader+SegIDLen+segSize) {
+			t.Fatalf("%s: %d bytes on disk, stats %+v; want them equal and within 4 records", when, onDisk, st)
 		}
 	}
 	check("after reopen")
@@ -205,75 +315,80 @@ func TestSlabHonoursLoweredCapacity(t *testing.T) {
 	if survivors != small.Stats().Used || survivors == 0 {
 		t.Fatalf("%d survivors, %d slots used", survivors, small.Stats().Used)
 	}
-	// Bringing the lost segments back evicts; it does not grow the table.
+	// Bringing the lost segments back evicts; it does not grow the log.
 	for _, seg := range segs {
 		if err := small.Put(HashSegment(seg), seg); err != nil {
 			t.Fatal(err)
 		}
+		check("during refill")
 	}
-	check("after refill")
 }
 
-// TestSlabViewCorruption: each way a slot file can be wrong under a live
-// mapping is a miss that unmaps the segment, frees the slot and hands the
-// read buffer back, and the next Put reuses the slot.
+// TestSlabViewCorruption: each way a record can be wrong under a live index
+// entry is a miss that drops the entry and hands the read buffer back, the
+// next Put stores the segment again without evicting anything, and a reopen
+// over the bad file does not index the segment either.
 func TestSlabViewCorruption(t *testing.T) {
 	const segSize = 64
 	seg := testBody(segSize)
 	id := HashSegment(seg)
-	frame := appendFrame(nil, id, seg)
+	record := segRecord(id, seg)
 	other := bytes.Repeat([]byte("o"), segSize)
-	flipped := append([]byte(nil), frame...)
+	flipped := append([]byte(nil), record...)
 	flipped[len(flipped)-9] ^= 0x10
-	// A well-formed, checksummed frame that is one byte longer than any
-	// frame Put writes: it must fail on its length, without being grown into.
-	long := appendFrame(nil, id, testBody(frameHeaderMax+segSize+1-(4+SegIDLen+1)))
-	if len(long) != frameHeaderMax+segSize+1 {
-		t.Fatalf("over-long frame is %d bytes, want %d", len(long), frameHeaderMax+segSize+1)
-	}
+	// A well-formed, checksummed record that is one byte longer than any
+	// record Put writes: it must fail on its length, without being grown into.
+	long := segRecord(id, testBody(segSize+1))
 	for name, file := range map[string][]byte{
-		"flipped bit":    flipped,
-		"truncated":      frame[:len(frame)-5],
-		"empty":          {},
-		"one byte long":  long,
-		"wrong id":       appendFrame(nil, HashSegment(other), other),
-		"trailing bytes": append(append([]byte(nil), frame...), 0),
+		"flipped bit":   flipped,
+		"truncated":     record[:len(record)-5],
+		"empty":         {},
+		"one byte long": long,
+		"wrong id":      segRecord(HashSegment(other), other),
+		"shifted":       append([]byte{0}, record...),
 	} {
 		t.Run(name, func(t *testing.T) {
 			fs := store.NewMemFS()
-			slab, err := NewSlab(fs, segSize, segSize) // one slot
+			slab, err := NewSlab(fs, segSize, segSize) // room for one
 			if err != nil {
 				t.Fatal(err)
 			}
 			returned := 0
-			slab.onRelease = func([]byte) { returned++ }
+			slab.onRelease = func(buf []byte) {
+				if len(buf) != len(record) {
+					t.Errorf("read buffer is %d bytes, want one maximal record, %d", len(buf), len(record))
+				}
+				returned++
+			}
 			if err := slab.Put(id, seg); err != nil {
 				t.Fatal(err)
 			}
-			writeFile(t, fs, slotName(0), file)
+			writeFile(t, fs, "seg-0000000000.log", file)
 
 			if data, release, ok := slab.view(id); ok {
 				release()
-				t.Fatalf("view served %d bytes from a bad slot", len(data))
+				t.Fatalf("view served %d bytes from a bad record", len(data))
 			}
 			if returned != 1 {
 				t.Fatalf("read buffer returned %d times, want 1", returned)
 			}
 			st := slab.Stats()
 			if st.Used != 0 || st.Misses != 1 || st.Hits != 0 || slab.Contains(id) {
-				t.Fatalf("bad slot still mapped: %+v", st)
+				t.Fatalf("bad record still indexed: %+v", st)
+			}
+			bad := store.NewMemFS()
+			writeFile(t, bad, "seg-0000000000.log", file)
+			if re, err := NewSlab(bad, segSize, segSize); err != nil || re.Contains(id) {
+				t.Fatalf("a reopen over the bad file indexed the segment (%v)", err)
 			}
 			if err := slab.Put(id, seg); err != nil {
 				t.Fatal(err)
 			}
 			if st := slab.Stats(); st.Used != 1 || st.Evictions != 0 {
-				t.Fatalf("freed slot not reused: %+v", st)
-			}
-			if names, _ := fs.List("slot-"); len(names) != 1 || names[0] != slotName(0) {
-				t.Fatalf("slot files = %v", names)
+				t.Fatalf("segment not stored again: %+v", st)
 			}
 			if got, ok := slab.Get(id); !ok || !bytes.Equal(got, seg) {
-				t.Fatal("segment not served after the slot was rewritten")
+				t.Fatal("segment not served after it was stored again")
 			}
 		})
 	}

@@ -213,21 +213,21 @@ func TestSlabScanRebuildAndCorruption(t *testing.T) {
 	if err := slab.Put(id, data); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a second slot on "disk".
+	// Corrupt the second record on "disk" (a slab this small has one a file).
 	other := bytes.Repeat([]byte("t"), 64)
 	otherID := HashSegment(other)
 	if err := slab.Put(otherID, other); err != nil {
 		t.Fatal(err)
 	}
-	names, _ := fs.List("slot-")
+	names, _ := fs.List("seg-")
 	if len(names) != 2 {
-		t.Fatalf("slot files = %v", names)
+		t.Fatalf("segment files = %v", names)
 	}
 	f, _ := fs.Create(names[1])
 	f.Write([]byte("torn"))
 	f.Close()
 
-	// Reopen: intact slot survives, torn slot is reclaimed.
+	// Reopen: the intact record survives, the torn file is removed.
 	slab2, err := NewSlab(fs, 64, 4*64)
 	if err != nil {
 		t.Fatal(err)
@@ -237,10 +237,10 @@ func TestSlabScanRebuildAndCorruption(t *testing.T) {
 	got2, ok2 := slab2.Get(otherID)
 	surviving2 := ok2 && bytes.Equal(got2, other)
 	if !surviving && !surviving2 {
-		t.Fatal("both slots lost after rescan")
+		t.Fatal("both segments lost after rescan")
 	}
 	if slab2.Stats().Used != 1 {
-		t.Fatalf("used = %d, want 1 (torn slot reclaimed)", slab2.Stats().Used)
+		t.Fatalf("used = %d, want 1 (torn record dropped)", slab2.Stats().Used)
 	}
 }
 

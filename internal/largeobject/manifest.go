@@ -1,12 +1,12 @@
 // Package largeobject is the chunked large-object tier: responses above a
 // threshold are split into fixed-size content-addressed segments (SHA-256
-// ids) stored via fixed-size slot allocation on a store.FS, with a
-// per-object manifest (segment list + validators + total length) as the
-// cache entry. The design follows NDN-DPDK's disk-backed content store —
-// fixed-size slots over a block device, file-server workload — translated to
-// the narrow store.FS surface: one slot per file, CRC-framed, scan-rebuilt
-// at open, soft state (no fsync; a torn slot fails its checksum and is
-// reclaimed).
+// ids) stored as records of a store.SegLog on a store.FS, with a per-object
+// manifest (segment list + validators + total length) as the cache entry.
+// The design follows NDN-DPDK's disk-backed content store, which serves
+// every size from one structure: a segment is a large record in the log the
+// disk cache tier writes its entries to — CRC-framed, replayed at open,
+// reclaimed oldest first, soft state (no fsync; a torn record fails its
+// checksum and ends its segment's scan).
 //
 // The tier itself is node-local. Replication of hot-segment *indexes* (who
 // holds which segments of which object — not the bodies) rides the overlay's

@@ -32,7 +32,7 @@ type Tier struct {
 }
 
 // OpenTier opens (or creates) a tier on fs with the given segment size and
-// slab byte capacity, rescanning surviving manifests and slots.
+// slab byte capacity, rescanning surviving manifests and segments.
 func OpenTier(fs store.FS, segSize, capacity int64) (*Tier, error) {
 	slab, err := NewSlab(fs, segSize, capacity)
 	if err != nil {
@@ -62,6 +62,10 @@ func OpenTier(fs store.FS, segSize, capacity int64) (*Tier, error) {
 	}
 	return t, nil
 }
+
+// Close closes the slab's log: the tier stores no more segments. Manifests
+// are written whole, one file each, and hold nothing open.
+func (t *Tier) Close() error { return t.slab.Close() }
 
 // SegSize returns the tier's segment size.
 func (t *Tier) SegSize() int64 { return t.segSize }
@@ -154,7 +158,7 @@ func (t *Tier) RefreshManifest(key string, fetched time.Time, hdr http.Header) (
 }
 
 // DeleteManifest drops key's manifest from the table and disk. Its segments
-// age out of the slab by LRU.
+// age out of the slab with the log segments that hold them.
 func (t *Tier) DeleteManifest(key string) {
 	t.mu.Lock()
 	delete(t.manifests, key)
@@ -169,7 +173,7 @@ func (t *Tier) PutSegment(id SegID, data []byte) error { return t.slab.Put(id, d
 // owns (safe to share between goroutines and to hand to the transport).
 func (t *Tier) GetSegment(id SegID) ([]byte, bool) { return t.slab.Get(id) }
 
-// HasSegment reports slab residency without touching LRU state.
+// HasSegment reports slab residency without reading the segment.
 func (t *Tier) HasSegment(id SegID) bool { return t.slab.Contains(id) }
 
 // Resident returns the bitmap of m's segments currently in the slab.

@@ -78,19 +78,6 @@ func ReadAll(fs FS, name string) ([]byte, error) {
 	}
 }
 
-// ReadInto reads the entire named file into buf and returns the number of
-// bytes read. It fails rather than grows: a file that does not end within
-// len(buf) bytes is io.ErrShortBuffer, so a caller that accepts files of up
-// to n bytes passes a buffer of n+1.
-func ReadInto(fs FS, name string, buf []byte) (int, error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return readToEOF(f, buf)
-}
-
 // readToEOF reads f to end-of-file into buf with as few Reads as f needs;
 // io.ErrShortBuffer means buf filled before the file ended.
 func readToEOF(f io.Reader, buf []byte) (int, error) {

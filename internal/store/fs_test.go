@@ -43,7 +43,7 @@ func (b blindFS) Open(name string) (io.ReadCloser, error) {
 	return io.NopCloser(iotest.OneByteReader(rc)), nil
 }
 
-func mustWrite(t *testing.T, fs FS, name string, data []byte) {
+func mustWrite(t testing.TB, fs FS, name string, data []byte) {
 	t.Helper()
 	f, err := fs.Create(name)
 	if err != nil {
@@ -120,32 +120,6 @@ func TestReadAllAllocatesOnceWhenSized(t *testing.T) {
 	// top of these; open, stat and the one buffer stay under ten.
 	if perRun > 10 {
 		t.Fatalf("ReadAll of a sized file: %.0f allocations, want the one buffer and Open's few", perRun)
-	}
-}
-
-// TestReadIntoFailsRatherThanGrows: a file must end within the buffer. One
-// spare byte is how the caller learns that it did.
-func TestReadIntoFailsRatherThanGrows(t *testing.T) {
-	content := []byte("exactly twenty bytes")
-	mem := NewMemFS()
-	mustWrite(t, mem, "f", content)
-	mustWrite(t, mem, "empty", nil)
-	for name, fs := range map[string]FS{"MemFS": mem, "no size, byte at a time": blindFS{mem}} {
-		buf := make([]byte, len(content)+1)
-		if n, err := ReadInto(fs, "f", buf); err != nil || !bytes.Equal(buf[:n], content) {
-			t.Errorf("%s: a buffer one byte larger than the file: n=%d err=%v", name, n, err)
-		}
-		for _, size := range []int{len(content), len(content) - 1, 0} {
-			if _, err := ReadInto(fs, "f", buf[:size]); err != io.ErrShortBuffer {
-				t.Errorf("%s: %d-byte buffer for a %d-byte file: err = %v, want io.ErrShortBuffer", name, size, len(content), err)
-			}
-		}
-		if n, err := ReadInto(fs, "empty", buf[:1]); n != 0 || err != nil {
-			t.Errorf("%s: empty file: n=%d err=%v", name, n, err)
-		}
-		if _, err := ReadInto(fs, "missing", buf); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("%s: missing file: %v", name, err)
-		}
 	}
 }
 

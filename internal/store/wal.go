@@ -23,11 +23,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendFrame appends one CRC-framed record to dst and returns it.
 func AppendFrame(dst, payload []byte) []byte {
-	var hdr [FrameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	head := FrameHead(payload)
+	return append(append(dst, head[:]...), payload...)
 }
 
 // ReplayFrames scans the CRC-framed records in data, invoking fn for each
