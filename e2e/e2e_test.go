@@ -152,6 +152,48 @@ func waitServing(t *testing.T, nodeAddr, originHost string, deadline time.Durati
 	t.Fatalf("node %s never became ready: %v", nodeAddr, lastErr)
 }
 
+// waitOrigin polls the origin directly until it serves a static page. A
+// node whose first script fetch finds the origin not yet listening caches
+// the site script as missing for the life of the process and never runs
+// it (a lead under ROADMAP item 5), so nodes start only after this.
+func waitOrigin(t *testing.T, originHost string, deadline time.Duration) {
+	t.Helper()
+	client := &http.Client{Timeout: 2 * time.Second}
+	end := time.Now().Add(deadline)
+	for time.Now().Before(end) {
+		resp, err := client.Get("http://" + originHost + "/file_set/dir/class0_0")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == 200 {
+				return
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	t.Fatalf("origin %s never served", originHost)
+}
+
+// waitRegistering polls a node until one registration through it is acked
+// by the edge script: a node whose first RPC found a peer not yet listening
+// backs off redialling it, and until then State.put fails and the request
+// falls through to the origin. Serving a static page does not show that.
+// A stopgap, like the benchmark's readyProbe, until the node reports its
+// own readiness (ROADMAP item 5).
+func waitRegistering(t *testing.T, nodeAddr, originHost, user string, deadline time.Duration) {
+	t.Helper()
+	end := time.Now().Add(deadline)
+	var status int
+	var err error
+	for time.Now().Before(end) {
+		var body string
+		if status, body, err = proxyGet(nodeAddr, originHost, "/cgi-bin/register?user="+user); err == nil && edgeRegistered(status, body) {
+			return
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+	t.Fatalf("node %s never acked a registration: status %d, err %v", nodeAddr, status, err)
+}
+
 // edgeRegistered reports whether the body is the edge script's
 // acknowledgement: the script writes this body only after the replicated
 // State.put succeeded, while the origin's fallback page carries the
@@ -185,6 +227,7 @@ func TestClusterSurvivesSigkillWithZeroAckedWriteLoss(t *testing.T) {
 	}
 
 	spawn(t, dir, "origin", originBin, "-app", "specweb", "-listen", originHost, "-host", originHost)
+	waitOrigin(t, originHost, 30*time.Second)
 
 	nodeArgs := func(i int) []string {
 		var peers []string
@@ -214,6 +257,9 @@ func TestClusterSurvivesSigkillWithZeroAckedWriteLoss(t *testing.T) {
 	}
 	for i := 0; i < nodes; i++ {
 		waitServing(t, httpAddr[i], originHost, 30*time.Second)
+	}
+	for i := 0; i < nodes; i++ {
+		waitRegistering(t, httpAddr[i], originHost, fmt.Sprintf("e2e-ready-%d", i), 30*time.Second)
 	}
 
 	// The registration burst, rotating over all nodes; node 2 is SIGKILLed

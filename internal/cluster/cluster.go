@@ -214,14 +214,16 @@ func (c *Cluster) Crash(name string) {
 	}
 }
 
-// Restart brings a crashed node back. In Persist mode it recovers from
-// its preserved data directory (hard state replayed from the log, disk
-// cache rescanned); otherwise it returns empty-handed, as before. Either
-// way the node is marked for resync: the next StabilizeAll streams the
-// key range it owns back from its successors, catching it up on the
-// writes it missed while dead. (Restart may run from inside the simulated
-// network's event loop, where sending messages is forbidden, so the
-// handoff itself is deferred to StabilizeAll.)
+// Restart brings a crashed node back through Node.Recover. In Persist mode
+// it recovers from its preserved data directory (hard state replayed from
+// the log, disk cache rescanned); otherwise its engines reopen on a fresh
+// in-memory filesystem and it comes back empty-handed. A crashed node
+// refuses writes until Restart, in both modes. Either way the node is
+// marked for resync: the next StabilizeAll streams the key range it owns
+// back from its successors, catching it up on the writes it missed while
+// dead. (Restart may run from inside the simulated network's event loop,
+// where sending messages is forbidden, so the handoff itself is deferred
+// to StabilizeAll.)
 func (c *Cluster) Restart(name string) {
 	c.Sim.Restart(name)
 	if n := c.nodes[name]; n != nil {

@@ -428,7 +428,7 @@ func TestRecoveredOwnerRebasesAboveReplicas(t *testing.T) {
 	// value sorts below the old one, so the payload tie-break cannot accept
 	// it and the replicas must report it stale, forcing the rebase.
 	c.Crash(owner)
-	c.Sim.Restart(owner)
+	c.Restart(owner)
 	if err := on.StatePut(repSite, key, "again"); err != nil {
 		t.Fatalf("write from history-less owner must rebase, not fail: %v", err)
 	}
@@ -476,7 +476,7 @@ func TestAckedWriteSurvivesMixedStaleAcks(t *testing.T) {
 	// client writes a value that loses the payload tie at the reissued
 	// version: replica one reports it stale while replica two accepts it.
 	c.Crash(owner)
-	c.Sim.Restart(owner)
+	c.Restart(owner)
 	if err := on.StatePut(repSite, key, "aaa-new"); err != nil {
 		t.Fatalf("reissued write must rebase and succeed: %v", err)
 	}

@@ -82,10 +82,8 @@ func (n *Node) LargeObject() LargeObjectStats {
 // lobEnabled reports whether the node runs a large-object tier.
 func (n *Node) lobEnabled() bool { return n.cfg.LargeObjectThreshold > 0 }
 
-// openLob opens the tier: on the data filesystem under lob/ when the node
-// persists, else on a private in-memory filesystem (segments and manifests
-// then die with the process, like the memory cache).
-func (n *Node) openLob() error {
+// openLob opens the tier on fs (see openStorage).
+func (n *Node) openLob(fs store.FS) error {
 	if !n.lobEnabled() {
 		return nil
 	}
@@ -96,12 +94,6 @@ func (n *Node) openLob() error {
 	capacity := n.cfg.LargeObjectCapacity
 	if capacity <= 0 {
 		capacity = defaultLobCapacity
-	}
-	var fs store.FS
-	if n.cfg.DataFS != nil {
-		fs = store.Sub(n.cfg.DataFS, "lob")
-	} else {
-		fs = store.NewMemFS()
 	}
 	t, err := largeobject.OpenTier(fs, segSize, capacity)
 	if err != nil {

@@ -427,6 +427,95 @@ func TestLargeObjectIngestOutlivingCrashStoresNothing(t *testing.T) {
 	}
 }
 
+// firstGated gates only the first full streamed fetch of its object; every
+// later one streams the whole body at once.
+type firstGated struct {
+	*gatedOrigin
+	mu    sync.Mutex
+	calls int
+}
+
+func (o *firstGated) DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, error) {
+	o.mu.Lock()
+	if req.URL.String() == o.url && req.Header.Get("Range") == "" {
+		o.calls++
+	}
+	first := o.calls == 1
+	o.mu.Unlock()
+	if first {
+		return o.gatedOrigin.DoStream(req)
+	}
+	return o.streamRangeOrigin.DoStream(req)
+}
+
+// manifestFiles counts the manifest files under the node's lob/ directory.
+func manifestFiles(t *testing.T, fs store.FS) int {
+	t.Helper()
+	n := 0
+	for name := range lobFiles(t, fs) {
+		if strings.HasPrefix(name, "lob/man-") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLargeObjectDeadIngestLeavesRecoveredManifest: an ingest that outlives
+// a crash fails at its next segment on the dead tier and drops its manifest
+// there. The dead tier was closed by Crash, so that drop removes no file —
+// in particular not the manifest file the recovered tier wrote for the same
+// object meanwhile. The proof is one more crash: the object then serves from
+// lob/ with no further full origin fetch.
+func TestLargeObjectDeadIngestLeavesRecoveredManifest(t *testing.T) {
+	const url = "http://big.example.org/twice"
+	body := lobBody(40_000)
+	origin := &firstGated{gatedOrigin: newGatedOrigin(url, body, 3*4096+100)}
+	fs := store.NewMemFS()
+	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+		lobConfig(4096, 10_000)(cfg)
+		cfg.DataFS = fs
+	})
+	fetch := func(what string) {
+		t.Helper()
+		resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readStream(t, resp, 0, resp.TotalLen()); !bytes.Equal(got, body) {
+			t.Fatalf("%s: body differs from the object", what)
+		}
+	}
+	if _, _, err := n.Handle(httpmsg.MustRequest("GET", url)); err != nil {
+		t.Fatal(err)
+	}
+	<-origin.atGate // three segments in, the fourth on its way
+
+	n.Crash()
+	if err := n.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	fetch("the recovered node's own ingest")
+	if got := manifestFiles(t, fs); got != 1 {
+		t.Fatalf("manifest files under lob/ after the recovered ingest = %d, want 1", got)
+	}
+	close(origin.release)
+	<-origin.bodyClosed // the dead ingest has given up
+	if got := manifestFiles(t, fs); got != 1 {
+		t.Fatalf("manifest files under lob/ after the dead ingest ended = %d, want 1", got)
+	}
+
+	full, ranged, streamed := origin.counts()
+	n.Crash()
+	if err := n.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	fetch("after the second recovery")
+	if f, r, s := origin.counts(); f != full || r != ranged || s != streamed {
+		t.Errorf("origin fetches after the second recovery = %d full, %d range, %d streamed; want %d, %d, %d",
+			f, r, s, full, ranged, streamed)
+	}
+}
+
 // TestLargeObjectEvictedSegmentsRefetchByRange: a slab too small for the
 // object evicts segments; readers transparently refill them with origin
 // Range fetches — never a second full-body fetch.

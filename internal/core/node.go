@@ -30,14 +30,11 @@ import (
 	"nakika/internal/transport"
 )
 
-// PersistConfig tunes the node's storage engine when a data filesystem is
-// configured.
+// PersistConfig tunes the node's hard-state log.
 type PersistConfig struct {
 	// CompactBytes is the log size that triggers the snapshot/truncate
 	// cycle; zero means the engine default (4 MiB).
 	CompactBytes int64
-	// DiskCacheBytes bounds the cache's disk tier; zero means 1 GiB.
-	DiskCacheBytes int64
 }
 
 // Fetcher retrieves a resource from an upstream server. The default fetcher
@@ -89,11 +86,6 @@ type Config struct {
 	// ScriptLimits bounds every stage's scripting context; zero values mean
 	// 50M steps and 64 MiB of heap.
 	ScriptLimits script.Limits
-	// StageContextPool bounds each stage's pool of ready scripting contexts
-	// (concurrent handler executions per stage); zero means one per
-	// schedulable CPU. Forking a pool context is charged to the owning
-	// site's memory budget.
-	StageContextPool int
 	// Resources configures the congestion controller; EnableResources turns
 	// it on (off matches the paper's "without resource controls" baseline).
 	Resources       resource.Config
@@ -128,8 +120,6 @@ type Config struct {
 	// means the default of 3; 1 keeps owner-only placement (no replicas);
 	// negative is an error.
 	ReplicationFactor int
-	// StateQuota is the per-site persistent storage quota in bytes.
-	StateQuota int64
 	// OffloadThreshold is the load score above which an arriving request is
 	// shed to the least-loaded live replica of its site instead of executing
 	// locally (see internal/core/offload.go for the load score definition).
@@ -151,15 +141,15 @@ type Config struct {
 	// LoadHalfLife is the decay half-life of the load score's work
 	// component; zero means the loadview default (2s).
 	LoadHalfLife time.Duration
-	// DataFS, when non-nil, roots the node's persistent storage engine:
-	// hard state is backed by a write-ahead log with snapshot compaction
-	// (acknowledged writes survive a crash), and fresh cache entries
-	// evicted from memory demote to a disk tier the node rewarms from
-	// after restart. Nil keeps everything in memory, the seed behaviour.
-	// cmd/nakikad builds a DirFS from -data-dir; the cluster harness
-	// injects per-node in-memory filesystems.
+	// DataFS, when non-nil, is the node's data directory: the hard-state
+	// log and the large-object tier on it survive a crash (acknowledged
+	// writes are replayed), and fresh cache entries evicted from memory
+	// demote to a disk tier the node rewarms from after restart. Nil runs
+	// the same log and tier on a private in-memory filesystem that dies
+	// with the process, and no disk tier. cmd/nakikad builds a DirFS from
+	// -data-dir; the cluster harness injects per-node in-memory filesystems.
 	DataFS store.FS
-	// Persist tunes the storage engine; zero values mean defaults.
+	// Persist tunes the hard-state log; zero values mean defaults.
 	Persist PersistConfig
 	// LargeObjectThreshold, when positive, enables the chunked large-object
 	// tier: 200 responses at least this many bytes long are split into
@@ -173,9 +163,6 @@ type Config struct {
 	// means 512 MiB. Beyond it the oldest segments are reclaimed first;
 	// those still being read are carried forward.
 	LargeObjectCapacity int64
-	// ClientHostLookup resolves client IPs to hostnames for client
-	// predicates.
-	ClientHostLookup func(ip string) string
 	// NoObserve disables the node's observability plane: no metrics
 	// registry, no request latency histogram, no trace ids minted, and no
 	// samples recorded — requests and RPC frames are byte-identical to a
@@ -292,10 +279,6 @@ type Node struct {
 	// partitioned or crashed); RepublishPending retries them after heal.
 	pubMu      sync.Mutex
 	pendingPub map[string]struct{}
-	// persistMu guards kvLog, the handle to the persistent hard-state
-	// engine across crash/recover cycles (nil without DataFS).
-	persistMu sync.Mutex
-	kvLog     *store.Log
 	// Successor-list replication state: the resolved factor (0 when
 	// disabled), one lock serializing versioned read-modify-write applies,
 	// and the flag overlay stabilization sets when churn calls for repair.
@@ -436,22 +419,14 @@ func NewNode(cfg Config) (*Node, error) {
 		pendingDel: make(map[string]delIntent),
 		deployed:   make(map[string]*deployActive),
 	}
-	cacheCfg := cfg.Cache
-	if cfg.DataFS != nil {
-		kv, disk, err := n.openStorage()
-		if err != nil {
-			return nil, err
-		}
-		n.kvLog = kv
-		n.store = state.NewStoreBacked(kv)
-		cacheCfg.L2 = disk
-	} else {
-		n.store = state.NewStore(cfg.StateQuota)
-	}
-	n.cache = cache.New(cacheCfg)
-	if err := n.openLob(); err != nil {
+	kv, disk, err := n.openStorage()
+	if err != nil {
 		return nil, err
 	}
+	n.store = state.NewStoreBacked(kv)
+	cacheCfg := cfg.Cache
+	cacheCfg.L2 = disk
+	n.cache = cache.New(cacheCfg)
 	for _, cidr := range cfg.LocalNetworks {
 		_, ipnet, err := net.ParseCIDR(cidr)
 		if err != nil {
@@ -462,18 +437,16 @@ func NewNode(cfg Config) (*Node, error) {
 	n.res = resource.NewManager(cfg.Resources)
 	n.res.SetEnabled(cfg.EnableResources)
 	n.loader = pipeline.NewLoader(hostAdapter{n}, cfg.ScriptLimits)
-	n.loader.ContextPoolSize = cfg.StageContextPool
 	n.loader.ForkCharge = func(site string, heapBytes int64) {
 		n.res.Charge(site, resource.Memory, float64(heapBytes))
 	}
 	n.executor = &pipeline.Executor{
-		Loader:           n.loader,
-		Host:             hostAdapter{n},
-		FetchOrigin:      n.fetchWithCache,
-		ClientWallURL:    cfg.ClientWallURL,
-		ServerWallURL:    cfg.ServerWallURL,
-		ClientHostLookup: cfg.ClientHostLookup,
-		SiteDeployment:   n.siteDeployment,
+		Loader:         n.loader,
+		Host:           hostAdapter{n},
+		FetchOrigin:    n.fetchWithCache,
+		ClientWallURL:  cfg.ClientWallURL,
+		ServerWallURL:  cfg.ServerWallURL,
+		SiteDeployment: n.siteDeployment,
 	}
 	if cfg.EnableResources {
 		n.executor.Resources = n.res
@@ -538,43 +511,46 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// openStorage opens (or reopens after a crash) the persistent engines
-// rooted in cfg.DataFS: the hard-state log under state/ and the disk
-// cache tier under cache/.
+// openStorage opens (or reopens after a crash) the node's engines on one
+// filesystem: cfg.DataFS, or a fresh in-memory one when the node has no data
+// directory, which is why such a node comes back from a crash empty-handed.
+// The hard-state log lives under state/, the large-object tier under lob/,
+// and the disk cache tier under cache/. The disk tier alone needs a data
+// directory: on a MemFS it would hold the memory cache's evictions in RAM a
+// second time.
 func (n *Node) openStorage() (*store.Log, *cache.Disk, error) {
-	quota := n.cfg.StateQuota
-	if quota <= 0 {
-		quota = 16 << 20
+	fs := n.cfg.DataFS
+	if fs == nil {
+		fs = store.NewMemFS()
 	}
-	kv, err := store.OpenLog(store.Sub(n.cfg.DataFS, "state"), store.LogConfig{
-		Quota:        quota,
+	kv, err := store.OpenLog(store.Sub(fs, "state"), store.LogConfig{
+		Quota:        state.DefaultQuota,
 		CompactBytes: n.cfg.Persist.CompactBytes,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: open state log: %w", err)
 	}
-	clock := n.cfg.Cache.Clock
-	disk, err := cache.OpenDisk(store.Sub(n.cfg.DataFS, "cache"), n.cfg.Persist.DiskCacheBytes, clock)
+	var disk *cache.Disk
+	if n.cfg.DataFS != nil {
+		// Zero bytes: the tier's 1 GiB default.
+		if disk, err = cache.OpenDisk(store.Sub(fs, "cache"), 0, n.cfg.Cache.Clock); err != nil {
+			err = fmt.Errorf("core: open disk cache: %w", err)
+		}
+	}
+	if err == nil {
+		err = n.openLob(store.Sub(fs, "lob"))
+	}
 	if err != nil {
 		kv.Close()
-		return nil, nil, fmt.Errorf("core: open disk cache: %w", err)
+		return nil, nil, err
 	}
 	return kv, disk, nil
 }
 
-// StoreStats returns the persistent engine's counters (zero without a
-// data filesystem).
-func (n *Node) StoreStats() store.LogStats {
-	n.persistMu.Lock()
-	kv := n.kvLog
-	n.persistMu.Unlock()
-	if kv == nil {
-		return store.LogStats{}
-	}
-	return kv.Stats()
-}
+// StoreStats returns the hard-state log's counters.
+func (n *Node) StoreStats() store.LogStats { return n.store.Backend().Stats() }
 
-// Shutdown flushes and closes the node's persistent store — the graceful
+// Shutdown flushes and closes the node's engines — the graceful
 // path a SIGTERM takes. The node must not serve requests afterwards.
 func (n *Node) Shutdown() error {
 	n.cache.FlushToDisk()
@@ -585,13 +561,7 @@ func (n *Node) Shutdown() error {
 	if t := n.lobTier(); t != nil {
 		err = errors.Join(err, t.Close())
 	}
-	n.persistMu.Lock()
-	kv := n.kvLog
-	n.persistMu.Unlock()
-	if kv != nil {
-		err = errors.Join(kv.Close(), err)
-	}
-	return err
+	return errors.Join(n.store.Backend().Close(), err)
 }
 
 // Crash simulates an abrupt process death for the fault-injection
@@ -636,46 +606,23 @@ func (n *Node) Crash() {
 	}
 	n.lobIngests = nil
 	n.lobIngMu.Unlock()
-	n.persistMu.Lock()
-	kv := n.kvLog
-	n.persistMu.Unlock()
-	if kv != nil {
-		kv.Abandon()
-		return
-	}
-	// Without persistence the process death takes the hard state with it:
-	// swap in an empty in-memory engine so a restarted node really does
-	// come back empty-handed.
-	quota := n.cfg.StateQuota
-	if quota <= 0 {
-		quota = 16 << 20
-	}
-	n.store.SetBackend(store.NewMem(quota))
+	// Until Recover the abandoned log refuses every write with ErrClosed.
+	n.store.Backend().Abandon()
 }
 
-// Recover reopens the persistent engines from the node's data filesystem
-// after a Crash: hard state is rebuilt by replaying the log (recovering
-// exactly the acknowledged writes), and the disk cache tier is rescanned
-// so the node rewarms without touching the origin. Without a data
-// filesystem it is a no-op — the node restarts empty-handed, the seed
-// behaviour.
+// Recover reopens the node's engines after a Crash (see openStorage). With
+// a data filesystem hard state is rebuilt by replaying the log (recovering
+// exactly the acknowledged writes), and the disk cache tier and the
+// large-object tier are rescanned so the node rewarms without touching the
+// origin; without one the node comes back empty-handed.
 func (n *Node) Recover() error {
-	if n.cfg.DataFS == nil {
-		// The large-object tier still reopens (on a fresh in-memory
-		// filesystem): an in-memory node comes back with the tier enabled
-		// but empty, like its memory cache.
-		return n.openLob()
-	}
 	kv, disk, err := n.openStorage()
 	if err != nil {
 		return err
 	}
-	n.persistMu.Lock()
-	n.kvLog = kv
-	n.persistMu.Unlock()
 	n.store.SetBackend(kv)
 	n.cache.SetL2(disk)
-	return n.openLob()
+	return nil
 }
 
 // Name returns the node's name.

@@ -29,6 +29,12 @@ type Tier struct {
 
 	mu        sync.Mutex
 	manifests map[string]*Manifest
+
+	// files is held shared by every manifest file write and removal and
+	// exclusively by Close, so once Close returns the tier changes no file:
+	// after a crash its directory belongs to the tier that reopened it.
+	files  sync.RWMutex
+	closed bool
 }
 
 // OpenTier opens (or creates) a tier on fs with the given segment size and
@@ -63,9 +69,29 @@ func OpenTier(fs store.FS, segSize, capacity int64) (*Tier, error) {
 	return t, nil
 }
 
-// Close closes the slab's log: the tier stores no more segments. Manifests
-// are written whole, one file each, and hold nothing open.
-func (t *Tier) Close() error { return t.slab.Close() }
+// Close closes the slab's log: the tier stores no more segments, and writes
+// or removes no more manifest files.
+func (t *Tier) Close() error {
+	t.files.Lock()
+	t.closed = true
+	t.files.Unlock()
+	return t.slab.Close()
+}
+
+// file runs op on the tier's directory unless the tier is closed.
+func (t *Tier) file(op func() error) error {
+	t.files.RLock()
+	defer t.files.RUnlock()
+	if t.closed {
+		return store.ErrClosed
+	}
+	return op()
+}
+
+// writeManifest persists a complete manifest atomically, one file per key.
+func (t *Tier) writeManifest(m *Manifest) error {
+	return t.file(func() error { return store.WriteAtomic(t.fs, manifestName(m.Key), EncodeManifest(m)) })
+}
 
 // SegSize returns the tier's segment size.
 func (t *Tier) SegSize() int64 { return t.segSize }
@@ -100,7 +126,7 @@ func (t *Tier) PutManifest(m *Manifest) error {
 	if !cp.Complete() {
 		return nil
 	}
-	return store.WriteAtomic(t.fs, manifestName(cp.Key), EncodeManifest(cp))
+	return t.writeManifest(cp)
 }
 
 // AppendSegment records id as the next ingested segment of key's manifest,
@@ -122,7 +148,7 @@ func (t *Tier) AppendSegment(key string, ord int, id SegID) (*Manifest, error) {
 	t.manifests[key] = cp
 	t.mu.Unlock()
 	if cp.Complete() {
-		return cp, store.WriteAtomic(t.fs, manifestName(key), EncodeManifest(cp))
+		return cp, t.writeManifest(cp)
 	}
 	return cp, nil
 }
@@ -152,7 +178,7 @@ func (t *Tier) RefreshManifest(key string, fetched time.Time, hdr http.Header) (
 	if cp.Complete() {
 		// Persisting the renewed expiry is best-effort; a crash costs at
 		// most one extra revalidation at recovery.
-		store.WriteAtomic(t.fs, manifestName(key), EncodeManifest(cp))
+		t.writeManifest(cp)
 	}
 	return cp, true
 }
@@ -163,7 +189,7 @@ func (t *Tier) DeleteManifest(key string) {
 	t.mu.Lock()
 	delete(t.manifests, key)
 	t.mu.Unlock()
-	t.fs.Remove(manifestName(key))
+	t.file(func() error { return t.fs.Remove(manifestName(key)) })
 }
 
 // PutSegment stores one segment body in the slab.

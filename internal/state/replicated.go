@@ -11,8 +11,8 @@ import (
 // streamed by handoff all converge by last-writer-wins no matter how often
 // or in what order they are applied. The version layer lives here, below
 // the transport: a record is (version, origin, tombstone?, value), encoded
-// into the plain string value the store.KV engines already persist — the
-// WAL, snapshots, and crash recovery carry versions for free.
+// into the plain string value the store.Log already persists — the WAL,
+// snapshots, and crash recovery carry versions for free.
 //
 // Ordering is (Ver, Origin): higher version wins; equal versions break the
 // tie by origin node name, so two acting owners racing across a partition

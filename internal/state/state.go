@@ -26,44 +26,51 @@ import (
 // be exceeded by a put.
 var ErrQuotaExceeded = store.ErrQuotaExceeded
 
+// DefaultQuota is the per-site byte quota on a node's hard state: the
+// paper's resource constraint on persistent storage.
+const DefaultQuota = 16 << 20
+
 // Store is a per-node key-value store partitioned by site, with per-site
 // byte quotas enforcing the paper's resource constraints on persistent
-// storage. Storage itself is delegated to a store.KV engine: in-memory by
-// default (nothing survives the process, the seed behaviour), or the
-// log-structured persistent engine when the node is given a data
-// directory — in which case every acknowledged put is on disk before Put
-// returns, and a crashed node recovers its hard state exactly by replay.
+// storage. Storage itself is one store.Log: on the node's data directory,
+// where every acknowledged put is on disk before Put returns and a crashed
+// node recovers its hard state exactly by replay, or on a private
+// in-memory filesystem, where the same writes die with the process.
 type Store struct {
 	mu sync.RWMutex
-	kv store.KV
+	kv *store.Log
 }
 
-// NewStore returns an in-memory store with the given per-site quota in
-// bytes (zero means 16 MiB).
+// NewStore returns a store on a fresh in-memory log with the given per-site
+// quota in bytes (zero means DefaultQuota).
 func NewStore(perSiteQuota int64) *Store {
 	if perSiteQuota <= 0 {
-		perSiteQuota = 16 << 20
+		perSiteQuota = DefaultQuota
 	}
-	return &Store{kv: store.NewMem(perSiteQuota)}
-}
-
-// NewStoreBacked returns a store over an already-opened KV engine (which
-// enforces its own quota).
-func NewStoreBacked(kv store.KV) *Store {
+	kv, err := store.OpenLog(store.NewMemFS(), store.LogConfig{Quota: perSiteQuota})
+	if err != nil {
+		panic(err) // an empty MemFS cannot fail to open
+	}
 	return &Store{kv: kv}
 }
 
-// Backend returns the current KV engine.
-func (s *Store) Backend() store.KV {
+// NewStoreBacked returns a store over an already-opened log (which enforces
+// its own quota).
+func NewStoreBacked(kv *store.Log) *Store {
+	return &Store{kv: kv}
+}
+
+// Backend returns the current log.
+func (s *Store) Backend() *store.Log {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.kv
 }
 
-// SetBackend swaps the KV engine in place. Replicas hold the Store, not
-// the engine, so a node recovering from a simulated crash can reopen its
-// log and swap it in without rewiring subscribers.
-func (s *Store) SetBackend(kv store.KV) {
+// SetBackend swaps the log in place. Replicas hold the Store, not the log,
+// so a node recovering from a crash can reopen its log and swap it in
+// without rewiring subscribers.
+func (s *Store) SetBackend(kv *store.Log) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.kv = kv
@@ -74,16 +81,16 @@ func (s *Store) Get(site, key string) (string, bool) {
 	return s.Backend().Get(site, key)
 }
 
-// Put stores value under key in site's partition, enforcing the quota.
-// With a persistent backend, Put returns only once the write is durable.
+// Put stores value under key in site's partition, enforcing the quota; it
+// returns once the write is durable.
 func (s *Store) Put(site, key, value string) error {
 	return s.Backend().Put(site, key, value)
 }
 
 // Delete removes key from site's partition. Durability errors are not
-// surfaced here (the vocabulary API is void); a persistent engine whose
-// WAL fails abandons itself fail-stop, so a delete can never be silently
-// half-applied across a restart while the engine keeps serving.
+// surfaced here (the vocabulary API is void); a log whose WAL fails
+// abandons itself fail-stop, so a delete can never be silently half-applied
+// across a restart while the engine keeps serving.
 func (s *Store) Delete(site, key string) {
 	s.Backend().Delete(site, key)
 }

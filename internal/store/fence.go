@@ -1,10 +1,11 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+
+	"nakika/internal/wire"
 )
 
 // ErrFencedStale is returned by FencedPut and RaiseFence when the write's
@@ -73,48 +74,8 @@ func (t *table) rangeFences(fn func(site, guard, holder string, token uint64) bo
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Mem
-// ---------------------------------------------------------------------------
-
-// FenceToken implements KV.
-func (m *Mem) FenceToken(site, guard string) (uint64, string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := m.t.fence(site, guard)
-	return f.token, f.holder
-}
-
-// RaiseFence implements KV.
-func (m *Mem) RaiseFence(site, guard, holder string, token uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.t.fenceAdmits(site, guard, holder, token) {
-		return ErrFencedStale
-	}
-	m.t.raiseFence(site, guard, holder, token)
-	return nil
-}
-
-// FencedPut implements KV.
-func (m *Mem) FencedPut(site, key, value, guard, holder string, token uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.t.fenceAdmits(site, guard, holder, token) {
-		return ErrFencedStale
-	}
-	if err := m.t.put(site, key, value, m.quota); err != nil {
-		return err
-	}
-	m.t.raiseFence(site, guard, holder, token)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Log
-// ---------------------------------------------------------------------------
-
-// FenceToken implements KV.
+// FenceToken returns the guard's durable fence floor: the largest fencing
+// token ever admitted here and the holder it was issued to.
 func (l *Log) FenceToken(site, guard string) (uint64, string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -122,9 +83,10 @@ func (l *Log) FenceToken(site, guard string) (uint64, string) {
 	return f.token, f.holder
 }
 
-// RaiseFence implements KV: the floor raise is a WAL record of its own (op
-// 'F'), so a floor advanced without a value write — a fenced write whose
-// value lost the LWW race — still survives a crash.
+// RaiseFence lifts the guard's floor to (token, holder) without writing a
+// value, for a fenced write admitted by the fence but superseded in the LWW
+// order; it returns ErrFencedStale when the pair is below the floor. The
+// raise is a WAL record of its own (op 'F'), so it survives a crash.
 func (l *Log) RaiseFence(site, guard, holder string, token uint64) error {
 	l.mu.Lock()
 	if l.closed {
@@ -157,10 +119,12 @@ func (l *Log) RaiseFence(site, guard, holder string, token uint64) error {
 	return nil
 }
 
-// FencedPut implements KV: one WAL record (op 'G') raises the guard's floor
-// and writes the value atomically, so recovery can never observe the value
-// without the floor that admitted it — and the log itself becomes an audit
-// trail of which holdership wrote what, in admission order.
+// FencedPut writes key=value and raises the guard's floor to (token,
+// holder) in one WAL record (op 'G'), so recovery can never observe the
+// value without the floor that admitted it — and the log itself becomes an
+// audit trail of which holdership wrote what, in admission order. It
+// returns ErrFencedStale when the pair is below the floor: the write comes
+// from a deposed holdership and must not land.
 func (l *Log) FencedPut(site, key, value, guard, holder string, token uint64) error {
 	l.mu.Lock()
 	if l.closed {
@@ -193,36 +157,8 @@ func (l *Log) FencedPut(site, key, value, guard, holder string, token uint64) er
 }
 
 // ---------------------------------------------------------------------------
-// Record codec for the fencing ops, and the exported WAL audit surface
+// The exported WAL audit surface
 // ---------------------------------------------------------------------------
-
-func encodeFencedPut(site, key, value, guard, holder string, token uint64) []byte {
-	b := make([]byte, 0, 1+6*binary.MaxVarintLen64+len(site)+len(key)+len(value)+len(guard)+len(holder))
-	b = append(b, opFencedPut)
-	b = appendString(b, site)
-	b = appendString(b, key)
-	b = appendString(b, value)
-	b = appendString(b, guard)
-	b = appendString(b, holder)
-	return binary.AppendUvarint(b, token)
-}
-
-func encodeFence(site, guard, holder string, token uint64) []byte {
-	b := make([]byte, 0, 1+4*binary.MaxVarintLen64+len(site)+len(guard)+len(holder))
-	b = append(b, opFence)
-	b = appendString(b, site)
-	b = appendString(b, guard)
-	b = appendString(b, holder)
-	return binary.AppendUvarint(b, token)
-}
-
-func takeUvarint(b []byte) (uint64, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return 0, nil, fmt.Errorf("store: truncated uvarint in record")
-	}
-	return n, b[sz:], nil
-}
 
 // LogRecord is one decoded WAL/snapshot record. Op is one of 'P' (put),
 // 'D' (delete), 'G' (fenced put: value write plus floor raise), or 'F'
@@ -246,51 +182,37 @@ func DecodeLogRecord(payload []byte) (LogRecord, error) {
 	if len(payload) < 1 {
 		return rec, fmt.Errorf("store: empty record")
 	}
-	op, rest := payload[0], payload[1:]
-	rec.Op = op
+	rec.Op = payload[0]
+	r := wire.Reader{Buf: payload, Off: 1}
 	var err error
-	switch op {
+	str := func() (s string) {
+		if err == nil {
+			s, err = r.String()
+		}
+		return s
+	}
+	switch rec.Op {
 	case opPut, opDelete, opFencedPut:
-		if rec.Site, rest, err = takeString(rest); err != nil {
-			return rec, err
+		rec.Site, rec.Key = str(), str()
+		if rec.Op != opDelete {
+			rec.Value = str()
 		}
-		if rec.Key, rest, err = takeString(rest); err != nil {
-			return rec, err
-		}
-		if op != opDelete {
-			if rec.Value, rest, err = takeString(rest); err != nil {
-				return rec, err
-			}
-		}
-		if op == opFencedPut {
-			if rec.Guard, rest, err = takeString(rest); err != nil {
-				return rec, err
-			}
-			if rec.Holder, rest, err = takeString(rest); err != nil {
-				return rec, err
-			}
-			if rec.Token, rest, err = takeUvarint(rest); err != nil {
-				return rec, err
-			}
+		if rec.Op == opFencedPut {
+			rec.Guard, rec.Holder = str(), str()
 		}
 	case opFence:
-		if rec.Site, rest, err = takeString(rest); err != nil {
-			return rec, err
-		}
-		if rec.Guard, rest, err = takeString(rest); err != nil {
-			return rec, err
-		}
-		if rec.Holder, rest, err = takeString(rest); err != nil {
-			return rec, err
-		}
-		if rec.Token, rest, err = takeUvarint(rest); err != nil {
-			return rec, err
-		}
+		rec.Site, rec.Guard, rec.Holder = str(), str(), str()
 	default:
-		return rec, fmt.Errorf("store: unknown record op %q", op)
+		return rec, fmt.Errorf("store: unknown record op %q", rec.Op)
 	}
-	if len(rest) != 0 {
-		return rec, fmt.Errorf("store: %d trailing bytes in record", len(rest))
+	if err == nil && (rec.Op == opFencedPut || rec.Op == opFence) {
+		rec.Token, err = r.Uvarint()
+	}
+	if err != nil {
+		return rec, fmt.Errorf("store: truncated record: %w", err)
+	}
+	if r.Len() != 0 {
+		return rec, fmt.Errorf("store: %d trailing bytes in record", r.Len())
 	}
 	return rec, nil
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMemFenceAdmission(t *testing.T) {
-	m := NewMem(0)
+	m := memLog(t, 0)
 
 	// Token zero is never admitted, even against an empty floor.
 	if err := m.FencedPut("s", "k", "v", "lock", "node-a", 0); err != ErrFencedStale {
@@ -62,7 +62,7 @@ func TestMemFenceAdmission(t *testing.T) {
 }
 
 func TestLogFenceQuotaFailureLeavesFloor(t *testing.T) {
-	m := NewMem(8)
+	m := memLog(t, 8)
 	if err := m.FencedPut("s", "key-too-big", "a value far over quota", "lock", "node-a", 1); err != ErrQuotaExceeded {
 		t.Fatalf("err = %v", err)
 	}

@@ -1,9 +1,10 @@
 // Package store is the node's log-structured persistence engine: an
 // append-only write-ahead log with CRC-framed records and fsync batching
 // (group commit), compacted snapshot segments, and an in-memory index
-// rebuilt by replay, exposed through the narrow KV interface that hard
-// state runs on. A purely in-memory KV keeps every existing test running
-// unchanged; persistence is opt-in by handing a node a data filesystem.
+// rebuilt by replay — the one engine hard state runs on. A node with a data
+// directory runs it on a DirFS; every other node runs it on a private
+// MemFS, so nothing survives that process but every write takes the same
+// path.
 //
 // The engine never trusts the tail of a log file: a crash can leave a torn
 // final record, and recovery stops cleanly at the last complete,

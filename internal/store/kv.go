@@ -3,48 +3,17 @@ package store
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
-	"sync"
+
+	"nakika/internal/wire"
 )
 
 // ErrQuotaExceeded is returned when a site's byte quota would be exceeded
 // by a put.
 var ErrQuotaExceeded = errors.New("store: site storage quota exceeded")
 
-// KV is the narrow storage interface hard state runs on: a site-partitioned
-// key-value map with per-site byte quotas. Mem keeps it purely in memory
-// (the seed behaviour, used by every existing test); Log adds a write-ahead
-// log and snapshot segments so the map survives a crash.
-type KV interface {
-	Get(site, key string) (string, bool)
-	Put(site, key, value string) error
-	Delete(site, key string) error
-	Keys(site string) []string
-	Bytes(site string) int64
-	// Range visits every pair; iteration stops when fn returns false.
-	Range(fn func(site, key, value string) bool)
-	// FenceToken returns the guard's durable fence floor: the largest
-	// fencing token ever admitted here and the holder it was issued to.
-	FenceToken(site, guard string) (uint64, string)
-	// RaiseFence lifts the guard's floor to (token, holder) without
-	// writing a value — used when a fenced write is admitted by the fence
-	// but superseded in the LWW order, so the floor must still advance.
-	// Returns ErrFencedStale when (token, holder) is below the floor.
-	RaiseFence(site, guard, holder string, token uint64) error
-	// FencedPut writes key=value and raises the guard's floor to
-	// (token, holder) atomically (one WAL record in the persistent
-	// engine). Returns ErrFencedStale when the pair is below the floor:
-	// the write comes from a deposed holdership and must not land.
-	FencedPut(site, key, value, guard, holder string, token uint64) error
-	// Sync makes every acknowledged write durable (no-op in memory).
-	Sync() error
-	// Close flushes and releases the engine.
-	Close() error
-}
-
-// table is the in-memory index shared by both engines, with quota-checked
-// mutation. Callers hold their own lock.
+// table is the Log's in-memory index, with quota-checked mutation. The Log
+// holds its lock.
 type table struct {
 	data   map[string]map[string]string
 	bytes  map[string]int64
@@ -126,79 +95,13 @@ func (t *table) rangeAll(fn func(site, key, value string) bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Mem: the in-memory KV
-// ---------------------------------------------------------------------------
-
-// Mem is the in-memory KV engine. It is what NewStore always used: nothing
-// survives the process, and Sync/Close are no-ops.
-type Mem struct {
-	mu    sync.Mutex
-	t     *table
-	quota int64
-}
-
-// NewMem returns an empty in-memory KV with the given per-site quota in
-// bytes (zero or negative means unlimited).
-func NewMem(quota int64) *Mem {
-	return &Mem{t: newTable(), quota: quota}
-}
-
-// Get implements KV.
-func (m *Mem) Get(site, key string) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.t.get(site, key)
-}
-
-// Put implements KV.
-func (m *Mem) Put(site, key, value string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.t.put(site, key, value, m.quota)
-}
-
-// Delete implements KV.
-func (m *Mem) Delete(site, key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.t.del(site, key)
-	return nil
-}
-
-// Keys implements KV.
-func (m *Mem) Keys(site string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.t.keys(site)
-}
-
-// Bytes implements KV.
-func (m *Mem) Bytes(site string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.t.bytes[site]
-}
-
-// Range implements KV.
-func (m *Mem) Range(fn func(site, key, value string) bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.t.rangeAll(fn)
-}
-
-// Sync implements KV.
-func (m *Mem) Sync() error { return nil }
-
-// Close implements KV.
-func (m *Mem) Close() error { return nil }
-
-// ---------------------------------------------------------------------------
 // Record codec
 // ---------------------------------------------------------------------------
 
 // Record ops. A log record is one mutation: op byte, then uvarint-length-
-// prefixed site, key, and (for puts) value; the fencing ops carry the
-// guard, holder, and token after those (see fence.go).
+// prefixed site, key, and (for puts) value; a fenced put adds guard and
+// holder, a fence raise carries site, guard and holder alone, and both end
+// with the uvarint token (see fence.go).
 const (
 	opPut       = 'P'
 	opDelete    = 'D'
@@ -206,42 +109,33 @@ const (
 	opFence     = 'F'
 )
 
+// encodeRecord lays out one record payload: the op byte, each field as a
+// length-prefixed string, then the token for the fencing ops.
+func encodeRecord(op byte, token uint64, fields ...string) []byte {
+	n := 1 + binary.MaxVarintLen64
+	for _, f := range fields {
+		n += binary.MaxVarintLen32 + len(f)
+	}
+	b := append(make([]byte, 0, n), op)
+	for _, f := range fields {
+		b = wire.AppendString(b, f)
+	}
+	if op == opFencedPut || op == opFence {
+		b = wire.AppendUvarint(b, token)
+	}
+	return b
+}
+
 func encodePut(site, key, value string) []byte {
-	b := make([]byte, 0, 1+3*binary.MaxVarintLen32+len(site)+len(key)+len(value))
-	b = append(b, opPut)
-	b = appendString(b, site)
-	b = appendString(b, key)
-	b = appendString(b, value)
-	return b
+	return encodeRecord(opPut, 0, site, key, value)
 }
 
-func encodeDelete(site, key string) []byte {
-	b := make([]byte, 0, 1+2*binary.MaxVarintLen32+len(site)+len(key))
-	b = append(b, opDelete)
-	b = appendString(b, site)
-	b = appendString(b, key)
-	return b
+func encodeDelete(site, key string) []byte { return encodeRecord(opDelete, 0, site, key) }
+
+func encodeFencedPut(site, key, value, guard, holder string, token uint64) []byte {
+	return encodeRecord(opFencedPut, token, site, key, value, guard, holder)
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func takeString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)-sz) {
-		return "", nil, fmt.Errorf("store: truncated string in record")
-	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
-}
-
-// decodeRecord parses one record payload into the plain-op fields; see
-// DecodeLogRecord (fence.go) for the full record including fencing fields.
-func decodeRecord(payload []byte) (op byte, site, key, value string, err error) {
-	rec, err := DecodeLogRecord(payload)
-	if err != nil {
-		return 0, "", "", "", err
-	}
-	return rec.Op, rec.Site, rec.Key, rec.Value, nil
+func encodeFence(site, guard, holder string, token uint64) []byte {
+	return encodeRecord(opFence, token, site, guard, holder)
 }

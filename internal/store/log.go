@@ -39,11 +39,13 @@ type LogStats struct {
 	FenceRejects int64
 }
 
-// Log is the persistent KV engine: every mutation is appended to a CRC-
-// framed write-ahead log before it is acknowledged, the full map lives in
-// an in-memory index rebuilt by replay at open, and a snapshot/truncate
-// cycle bounds the log (the active WAL rolls to a fresh file, the whole
-// index is written as a snapshot segment, and older files are deleted).
+// Log is the hard-state engine: a site-partitioned key-value map with
+// per-site byte quotas and durable fence floors. Every mutation is appended
+// to a CRC-framed write-ahead log before it is acknowledged, the full map
+// lives in an in-memory index rebuilt by replay at open, and a
+// snapshot/truncate cycle bounds the log (the active WAL rolls to a fresh
+// file, the whole index is written as a snapshot segment, and older files
+// are deleted).
 //
 // Recovery never appends to an existing log file: a crash can leave a torn
 // tail, so each open starts a fresh WAL file and replays every older one,
@@ -204,17 +206,18 @@ func (l *Log) applyFrames(data []byte) int {
 	return n
 }
 
-// Get implements KV.
+// Get returns the value stored under key in site's partition.
 func (l *Log) Get(site, key string) (string, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.t.get(site, key)
 }
 
-// Put implements KV: the mutation is applied to the index and enqueued in
-// the WAL under one lock (so log order matches apply order), then the
-// caller waits for group commit to make it durable before it is
-// acknowledged.
+// Put stores key=value, refused with ErrQuotaExceeded before anything is
+// logged when the site's quota would be exceeded. The mutation is applied
+// to the index and enqueued in the WAL under one lock (so log order matches
+// apply order), then the caller waits for group commit to make it durable
+// before it is acknowledged.
 func (l *Log) Put(site, key, value string) error {
 	l.mu.Lock()
 	if l.closed {
@@ -252,7 +255,7 @@ func (l *Log) failStop(err error) {
 	l.Abandon()
 }
 
-// Delete implements KV.
+// Delete removes key from site's partition.
 func (l *Log) Delete(site, key string) error {
 	l.mu.Lock()
 	if l.closed {
@@ -275,28 +278,28 @@ func (l *Log) Delete(site, key string) error {
 	return nil
 }
 
-// Keys implements KV.
+// Keys returns site's keys, sorted.
 func (l *Log) Keys(site string) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.t.keys(site)
 }
 
-// Bytes implements KV.
+// Bytes returns the bytes site's keys and values occupy.
 func (l *Log) Bytes(site string) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.t.bytes[site]
 }
 
-// Range implements KV.
+// Range visits every pair in order; iteration stops when fn returns false.
 func (l *Log) Range(fn func(site, key, value string) bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.t.rangeAll(fn)
 }
 
-// Sync implements KV: it flushes every pending WAL record durably.
+// Sync flushes every pending WAL record durably.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	if l.closed {
@@ -308,8 +311,7 @@ func (l *Log) Sync() error {
 	return wal.Sync()
 }
 
-// Close implements KV: pending records are flushed and the engine refuses
-// further writes.
+// Close flushes pending records; the engine refuses further writes.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {

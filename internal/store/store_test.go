@@ -23,7 +23,7 @@ func reopen(t *testing.T, fs FS, l *Log, cfg LogConfig) *Log {
 }
 
 func TestMemQuota(t *testing.T) {
-	m := NewMem(10)
+	m := memLog(t, 10)
 	if err := m.Put("s", "k", "12345"); err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,10 @@ import (
 // controls.
 type Node = core.Node
 
-// Config configures an edge node. The concurrency of the request path is
-// tunable: Config.StageContextPool bounds how many handler executions may
-// run in parallel per stage (zero means one per CPU), and
-// Config.Cache.Shards sets the proxy cache's lock-shard fan-out (zero means
-// 16, rounded to a power of two and collapsed for small caches).
+// Config configures an edge node. Config.Cache.Shards sets the proxy
+// cache's lock-shard fan-out (zero means 16, rounded to a power of two and
+// collapsed for small caches); each stage runs at most one handler per CPU
+// at a time.
 type Config = core.Config
 
 // Fetcher retrieves resources from upstream origin servers.
@@ -82,8 +81,9 @@ func NewRedirector(ring *Ring) *Redirector { return overlay.NewRedirector(ring) 
 // NewBus returns a synchronous replication message bus.
 func NewBus() *Bus { return state.NewBus() }
 
-// FS is the filesystem abstraction the persistent store runs on; set
-// Config.DataFS to enable persistence (hard-state WAL + disk cache tier).
+// FS is the filesystem abstraction the node's storage runs on; set
+// Config.DataFS to make it durable (hard-state WAL, large-object tier and
+// disk cache tier survive a restart).
 type FS = store.FS
 
 // NewDirFS roots an FS at a real directory (cmd/nakikad's -data-dir).
