@@ -67,8 +67,8 @@ func splitDiskPayload(p []byte) (key []byte, expires int64, body []byte, ok bool
 }
 
 // OpenDisk opens (or initializes) a disk tier rooted at fs, holding at most
-// maxBytes of segment files (zero means 1 GiB). Every file that is not a
-// segment is removed — the one-file-per-entry layout of earlier releases
+// maxBytes of segment files (zero means 1 GiB). The log removes every file
+// that is not a segment — the one-file-per-entry layout of earlier releases
 // included: the tier is soft state and refills from peers and the origin.
 // At the replay an expired record or a tombstone deletes the entry, and so
 // does a record whose body is not in the codec. No file is created until the
@@ -79,15 +79,6 @@ func OpenDisk(fs store.FS, maxBytes int64, clock func() time.Time) (*Disk, error
 	}
 	if clock == nil {
 		clock = time.Now
-	}
-	names, err := fs.List("")
-	if err != nil {
-		return nil, fmt.Errorf("cache: scan disk tier: %w", err)
-	}
-	for _, name := range names {
-		if !store.IsSegment(name) {
-			fs.Remove(name)
-		}
 	}
 	now := clock()
 	log, err := store.OpenSegLog(fs, maxBytes, func(p []byte) (string, int64, bool, bool) {

@@ -18,6 +18,7 @@ import (
 	"nakika/internal/metrics"
 	"nakika/internal/overlay"
 	"nakika/internal/store"
+	"nakika/internal/wire"
 )
 
 // lobBody builds the deterministic large-object payload the tests serve.
@@ -263,8 +264,9 @@ func TestLargeObjectPeerSegments(t *testing.T) {
 	}
 }
 
-// TestLargeObjectSurvivesCrash: persisted manifests and slot files are
-// rescanned on recovery, so the object serves again without origin traffic.
+// TestLargeObjectSurvivesCrash: the slab's log — segments and manifest
+// records — is replayed on recovery, so the object serves again without
+// origin traffic.
 func TestLargeObjectSurvivesCrash(t *testing.T) {
 	body := lobBody(30_000)
 	origin := &rangeOrigin{url: "http://big.example.org/db", body: body}
@@ -292,6 +294,81 @@ func TestLargeObjectSurvivesCrash(t *testing.T) {
 	}
 	if full, rng, _ := origin.counts(); full != 1 || rng != 0 {
 		t.Errorf("origin hits = %d full, %d range; want 1, 0", full, rng)
+	}
+}
+
+// TestLargeObjectParentDataDirectory: a data directory of the release that
+// kept one manifest file per object beside the slab's log — state/ with the
+// object's index record, and lob/ holding segment records and man-*.man
+// files — opens cleanly: the segments are indexed, the manifest files are
+// removed, and the object is re-adopted from its replicated index record and
+// served from the slab with no origin fetch.
+func TestLargeObjectParentDataDirectory(t *testing.T) {
+	const url = "http://big.example.org/parent"
+	body := lobBody(30_000)
+	origin := &rangeOrigin{url: url, body: body}
+	fs := store.NewMemFS()
+	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+		lobConfig(4096, 10_000)(cfg)
+		cfg.DataFS = fs
+	})
+	if _, _, err := n.Handle(httpmsg.MustRequest("GET", url)); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := n.lobTier().Manifest("GET " + url)
+	if !ok {
+		t.Fatal("the object was not ingested")
+	}
+	n.Crash()
+
+	// Rewrite lob/ the way that release left it: the same segment records,
+	// no manifest record, and the manifest in a file of its own.
+	for name := range lobFiles(t, fs) {
+		fs.Remove(name)
+	}
+	lob := store.Sub(fs, "lob")
+	slab, err := largeobject.NewSlab(lob, 4096, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ord := range m.Segments {
+		from, to := m.SegmentSpan(ord)
+		if err := slab.Put(m.Segments[ord], body[from:to]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slab.Close()
+	for _, name := range []string{"man-9c1d0e7f2a6b5c4d3e2f1a0b.man", "man-9c1d0e7f2a6b5c4d3e2f1a0b.man.tmp"} {
+		f, err := lob.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(largeobject.AppendManifest([]byte{wire.Magic}, m))
+		f.Close()
+	}
+
+	if err := n.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for name := range lobFiles(t, fs) {
+		if !store.IsSegment(strings.TrimPrefix(name, "lob/")) {
+			t.Errorf("%s survived the open", name)
+		}
+	}
+	if st := n.LargeObject().Tier; st.Manifests != 0 || st.Slab.Used != len(m.Segments) {
+		t.Errorf("reopened tier: %+v; want the %d segments indexed and no manifest", st, len(m.Segments))
+	}
+	full, ranged, _ := origin.counts()
+	resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readStream(t, resp, 0, resp.TotalLen()); !bytes.Equal(got, body) {
+		t.Fatal("the object differs after the open")
+	}
+	if f, r, _ := origin.counts(); f != full || r != ranged || n.LargeObject().Adopted != 1 {
+		t.Errorf("origin fetches after the open: %d full, %d range (%d, %d before), %d adopted; want none and one adoption",
+			f, r, full, ranged, n.LargeObject().Adopted)
 	}
 }
 
@@ -448,24 +525,13 @@ func (o *firstGated) DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, 
 	return o.streamRangeOrigin.DoStream(req)
 }
 
-// manifestFiles counts the manifest files under the node's lob/ directory.
-func manifestFiles(t *testing.T, fs store.FS) int {
-	t.Helper()
-	n := 0
-	for name := range lobFiles(t, fs) {
-		if strings.HasPrefix(name, "lob/man-") {
-			n++
-		}
-	}
-	return n
-}
-
 // TestLargeObjectDeadIngestLeavesRecoveredManifest: an ingest that outlives
 // a crash fails at its next segment on the dead tier and drops its manifest
-// there. The dead tier was closed by Crash, so that drop removes no file —
-// in particular not the manifest file the recovered tier wrote for the same
-// object meanwhile. The proof is one more crash: the object then serves from
-// lob/ with no further full origin fetch.
+// there. The dead tier's log was closed by Crash, so that drop appends no
+// tombstone — lob/ is byte for byte what the recovered tier left, manifest
+// record included, after it wrote its own copy of the same object. The proof
+// is one more crash: the object then serves from lob/ with no further origin
+// fetch.
 func TestLargeObjectDeadIngestLeavesRecoveredManifest(t *testing.T) {
 	const url = "http://big.example.org/twice"
 	body := lobBody(40_000)
@@ -495,19 +561,20 @@ func TestLargeObjectDeadIngestLeavesRecoveredManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetch("the recovered node's own ingest")
-	if got := manifestFiles(t, fs); got != 1 {
-		t.Fatalf("manifest files under lob/ after the recovered ingest = %d, want 1", got)
-	}
+	before := lobFiles(t, fs)
 	close(origin.release)
 	<-origin.bodyClosed // the dead ingest has given up
-	if got := manifestFiles(t, fs); got != 1 {
-		t.Fatalf("manifest files under lob/ after the dead ingest ended = %d, want 1", got)
+	if after := lobFiles(t, fs); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the dead ingest changed lob/:\n before %v\n after  %v", before, after)
 	}
 
 	full, ranged, streamed := origin.counts()
 	n.Crash()
 	if err := n.Recover(); err != nil {
 		t.Fatal(err)
+	}
+	if st := n.LargeObject().Tier; st.Manifests != 1 {
+		t.Fatalf("the second recovery restored %d manifests, want 1", st.Manifests)
 	}
 	fetch("after the second recovery")
 	if f, r, s := origin.counts(); f != full || r != ranged || s != streamed {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"net/http"
 	"runtime"
 	"slices"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"nakika/internal/store"
+	"nakika/internal/wire"
 )
 
 // Tests of the large-object byte path: the record format is pinned, a slab
@@ -145,9 +147,13 @@ func TestSlabSegmentGolden(t *testing.T) {
 // segment left it for goldenData in a fresh slab.
 const parentSlotHex = "9d571f86885e94ca5c43e3e5bc4667e22632b6e7fce50629619210dc416676c82bb75e3d126e61206b696b6120736c6f74206672616d65"
 
+// parentManifestName is the file that release wrote a complete manifest to.
+const parentManifestName = "man-5d4c6e0ab1f9a4e03c7f5a21.man"
+
 // TestParentSlotFilesAreDiscarded: a lob/ directory of that release holds
-// slot files and manifests. The slot files are removed at the first open, not
-// read; the manifests are kept, so each segment comes back by one ranged
+// slot files and manifest files. Both are removed at the first open, not
+// read; the object comes back as the node re-adopts its manifest from the
+// replicated index (or refetches it once), each segment by one ranged
 // refetch the first time it is wanted; and the tier works from there.
 func TestParentSlotFilesAreDiscarded(t *testing.T) {
 	fs := store.NewMemFS()
@@ -159,20 +165,22 @@ func TestParentSlotFilesAreDiscarded(t *testing.T) {
 	m := &Manifest{Key: "GET http://o/parent", Status: 200, TotalLen: int64(len(goldenData)), SegSize: 64, Segments: []SegID{id}}
 	writeFile(t, fs, "slot-000000.seg", parent)
 	writeFile(t, fs, "slot-000001.seg", []byte("torn"))
-	if err := store.WriteAtomic(fs, manifestName(m.Key), EncodeManifest(m)); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, fs, parentManifestName, AppendManifest([]byte{wire.Magic}, m))
+	writeFile(t, fs, parentManifestName+".tmp", AppendManifest([]byte{wire.Magic}, m)[:9])
 	tier, err := OpenTier(fs, 64, 4*64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names, _ := fs.List(""); len(names) != 1 || names[0] != manifestName(m.Key) {
-		t.Fatalf("files after the open = %v, want the manifest alone", names)
+	if names, _ := fs.List(""); len(names) != 0 {
+		t.Fatalf("files after the open = %v, want none", names)
 	}
-	got, ok := tier.Manifest(m.Key)
-	if !ok || !got.Complete() || got.Segments[0] != id {
-		t.Fatalf("the parent's manifest reads back as %+v, found %v", got, ok)
+	if got, ok := tier.Manifest(m.Key); ok {
+		t.Fatalf("the parent's manifest file was read: %+v", got)
 	}
+	if err := tier.PutManifest(m); err != nil { // adopted from the replicated index
+		t.Fatal(err)
+	}
+	got, _ := tier.Manifest(m.Key)
 	if data, ok := tier.GetSegment(id); ok || tier.Resident(got).Count() != 0 {
 		t.Fatalf("a slot file was served: %q", data)
 	}
@@ -198,7 +206,10 @@ func TestParentSlotFilesAreDiscarded(t *testing.T) {
 // a well-formed one. The open never panics; whatever Get serves under an id
 // was framed under that id in one of the two files, and fits a segment; an id
 // that misses is not left indexed and nothing indexed is unreadable; the
-// stats are what is on disk, within budget; and the next Put works.
+// stats are what is on disk, within budget; and the next Put works. OpenTier
+// over the same two files never panics either, and every manifest it
+// restores is complete, re-encodes to what it decoded from, and is the one
+// its log indexes.
 func FuzzSlabSegment(f *testing.F) {
 	const segSize, slots = 64, 8
 	seedFS := store.NewMemFS()
@@ -220,7 +231,31 @@ func FuzzSlabSegment(f *testing.F) {
 	f.Add(store.AppendFrame(nil, make([]byte, SegIDLen-1)))
 	f.Add(store.AppendFrame(nil, nil))
 	f.Add([]byte{})
+	manifest := &Manifest{Key: "GET http://o/fuzz", Status: 200, Header: http.Header{"Etag": {`"f"`}},
+		TotalLen: segSize + 5, SegSize: segSize, Segments: []SegID{HashSegment(goldenData), HashSegment([]byte("tail!"))}}
+	record := store.AppendFrame(nil, appendManifestRecord(nil, manifest.Key, manifest))
+	tombstone := store.AppendFrame(nil, appendManifestRecord(nil, manifest.Key, nil))
+	f.Add(record)
+	f.Add(tombstone)
+	f.Add(append(append([]byte(nil), record...), tombstone...))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		tierFS := store.NewMemFS()
+		writeFile(t, tierFS, "seg-0000000003.log", good)
+		writeFile(t, tierFS, "seg-0000000004.log", data)
+		tier, err := OpenTier(tierFS, segSize, slots*segSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, m := range tier.manifests {
+			re, err := decodeManifest(AppendManifest(nil, m))
+			if err != nil || m.Key != key || !m.Complete() || !bytes.Equal(AppendManifest(nil, re), AppendManifest(nil, m)) {
+				t.Errorf("%q: restored %+v, which does not re-encode (%v)", key, m, err)
+			}
+			if _, ok := tier.slab.log.Lookup(manifestKey(key)); !ok {
+				t.Errorf("%q: restored, but its record is not indexed", key)
+			}
+		}
+
 		fs := store.NewMemFS()
 		writeFile(t, fs, "seg-0000000003.log", good)
 		writeFile(t, fs, "seg-0000000004.log", data)

@@ -35,7 +35,7 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	if !m.Complete() {
 		t.Fatal("manifest should be complete")
 	}
-	dec, err := DecodeManifest(EncodeManifest(m))
+	dec, err := decodeManifest(AppendManifest(nil, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +57,17 @@ func TestManifestGeometry(t *testing.T) {
 }
 
 func TestManifestDecodeRejectsGarbage(t *testing.T) {
-	good := EncodeManifest(&Manifest{Key: "k", Status: 200, TotalLen: 8, SegSize: 4,
+	good := AppendManifest(nil, &Manifest{Key: "k", Status: 200, TotalLen: 8, SegSize: 4,
 		Segments: []SegID{HashSegment([]byte("a")), HashSegment([]byte("b"))}})
 	for i := range good {
-		if _, err := DecodeManifest(good[:i]); err == nil {
+		if _, err := decodeManifest(good[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
 	// More segment ids than the geometry allows must be rejected.
 	bad := &Manifest{Key: "k", Status: 200, TotalLen: 4, SegSize: 4,
 		Segments: []SegID{{1}, {2}, {3}}}
-	if _, err := DecodeManifest(EncodeManifest(bad)); err == nil {
+	if _, err := decodeManifest(AppendManifest(nil, bad)); err == nil {
 		t.Fatal("oversized segment list accepted")
 	}
 }
@@ -354,6 +354,121 @@ func TestTierRefreshManifest(t *testing.T) {
 	}
 	if _, ok := tier.RefreshManifest("GET http://x/none", renewed, nil); ok {
 		t.Fatal("refresh of a missing manifest reported ok")
+	}
+}
+
+// TestTierReopenTable: a reopen restores a manifest when, and only when, its
+// key's last word in the log is a complete manifest, and restores that one;
+// a second reopen agrees with the first. A manifest that is read while its
+// record ages is carried forward through more than a budget of other appends;
+// one that is not read is reclaimed with its segment file. Either way lob/
+// holds log segments and nothing else.
+func TestTierReopenTable(t *testing.T) {
+	const (
+		segSize  = 64
+		capacity = 8 * segSize
+		key      = "GET http://o/table"
+	)
+	fetched := time.Unix(0, 1754600000000000000).UTC()
+	renewed := fetched.Add(time.Hour)
+	body := testBody(3*segSize - 10)
+	ingest := func(t *testing.T, tier *Tier) {
+		t.Helper()
+		if _, err := tier.IngestBody(key, 200, http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=5"}}, fetched, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// churn appends more than two budgets of other segments, reading key's
+	// manifest after each one when read is set.
+	churn := func(t *testing.T, tier *Tier, read bool) {
+		t.Helper()
+		for i := 0; i < 2*(capacity/segSize+1)+4; i++ {
+			seg := bytes.Repeat([]byte{byte(i)}, segSize)
+			if err := tier.PutSegment(HashSegment(seg), seg); err != nil {
+				t.Fatal(err)
+			}
+			if read {
+				if _, ok := tier.Manifest(key); !ok {
+					t.Fatal("the manifest left the table")
+				}
+			}
+		}
+		if st := tier.Stats().Slab; st.Evictions == 0 {
+			t.Fatalf("the churn reclaimed nothing: %+v", st)
+		}
+	}
+	for _, row := range []struct {
+		name   string
+		act    func(t *testing.T, tier *Tier)
+		wantCC string // the restored manifest's Cache-Control; "" wants none restored
+		wantAt time.Time
+	}{
+		{"complete", ingest, "max-age=5", fetched},
+		{"refreshed", func(t *testing.T, tier *Tier) {
+			ingest(t, tier)
+			if _, ok := tier.RefreshManifest(key, renewed, http.Header{"Cache-Control": {"max-age=90"}}); !ok {
+				t.Fatal("refresh missed the manifest")
+			}
+		}, "max-age=90", renewed},
+		{"deleted", func(t *testing.T, tier *Tier) {
+			ingest(t, tier)
+			tier.DeleteManifest(key)
+		}, "", time.Time{}},
+		{"incomplete", func(t *testing.T, tier *Tier) {
+			if err := tier.PutManifest(&Manifest{Key: key, Status: 200, TotalLen: int64(len(body)), SegSize: segSize}); err != nil {
+				t.Fatal(err)
+			}
+		}, "", time.Time{}},
+		{"re-ingest in flight", func(t *testing.T, tier *Tier) {
+			ingest(t, tier)
+			if err := tier.PutManifest(&Manifest{Key: key, Status: 200, TotalLen: int64(len(body)), SegSize: segSize}); err != nil {
+				t.Fatal(err)
+			}
+		}, "", time.Time{}},
+		{"served while aging", func(t *testing.T, tier *Tier) {
+			ingest(t, tier)
+			churn(t, tier, true)
+		}, "max-age=5", fetched},
+		{"not served", func(t *testing.T, tier *Tier) {
+			ingest(t, tier)
+			churn(t, tier, false)
+		}, "", time.Time{}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			fs := store.NewMemFS()
+			tier, err := OpenTier(fs, segSize, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.act(t, tier)
+			tier.Close()
+			for reopen := 1; reopen <= 2; reopen++ {
+				tier, err := OpenTier(fs, segSize, capacity)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, ok := tier.Manifest(key)
+				switch {
+				case row.wantCC == "" && ok:
+					t.Fatalf("reopen %d: %+v restored, want none", reopen, m)
+				case row.wantCC == "":
+				case !ok:
+					t.Fatalf("reopen %d: no manifest restored", reopen)
+				case !m.Complete() || !m.Fetched.Equal(row.wantAt) || m.Header.Get("Cache-Control") != row.wantCC || m.Header.Get("Etag") != `"v1"`:
+					t.Fatalf("reopen %d: restored %+v, want Fetched %v and Cache-Control %q", reopen, m, row.wantAt, row.wantCC)
+				}
+				if n := tier.Stats().Manifests; n > 1 || (n == 1) != ok {
+					t.Fatalf("reopen %d: %d manifests in the table", reopen, n)
+				}
+				names, _ := fs.List("")
+				for _, name := range names {
+					if !store.IsSegment(name) {
+						t.Fatalf("reopen %d: %s beside the log", reopen, name)
+					}
+				}
+				tier.Close()
+			}
+		})
 	}
 }
 

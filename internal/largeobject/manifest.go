@@ -6,7 +6,9 @@
 // every size from one structure: a segment is a large record in the log the
 // disk cache tier writes its entries to — CRC-framed, replayed at open,
 // reclaimed oldest first, soft state (no fsync; a torn record fails its
-// checksum and ends its segment's scan).
+// checksum and ends its segment's scan) — and a complete manifest is a small
+// record of the same log, superseded when it is refreshed and tombstoned
+// when it is dropped. The tier's directory holds that log and nothing else.
 //
 // The tier itself is node-local. Replication of hot-segment *indexes* (who
 // holds which segments of which object — not the bodies) rides the overlay's
@@ -183,22 +185,6 @@ func ReadManifest(r *wire.Reader) (*Manifest, error) {
 		return nil, wire.ErrMalformed
 	}
 	return m, nil
-}
-
-// EncodeManifest renders m as a self-describing payload (magic byte first).
-func EncodeManifest(m *Manifest) []byte {
-	buf := make([]byte, 0, 128+len(m.Segments)*SegIDLen+16*len(m.Header))
-	buf = append(buf, wire.Magic)
-	return AppendManifest(buf, m)
-}
-
-// DecodeManifest parses an EncodeManifest payload.
-func DecodeManifest(payload []byte) (*Manifest, error) {
-	r, err := wire.Payload(payload)
-	if err != nil {
-		return nil, err
-	}
-	return ReadManifest(&r)
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"nakika/internal/store"
+	"nakika/internal/wire"
 )
 
 // Slab stores segments as records of a store.SegLog, the log the disk cache
@@ -13,6 +14,9 @@ import (
 // slab's own is the content address as key, the pooled read buffers and its
 // counters. Segments are soft state: nothing is fsynced, and a torn or
 // corrupt record simply fails verification and is a miss.
+//
+// A tier's complete manifests are records of the same log, under the
+// reserved id manifestID, which Put refuses: a manifest by construction.
 //
 // Space is reclaimed oldest segment file first. A segment that is read, or
 // put again, while its record is aging is appended afresh from the bytes in
@@ -34,22 +38,58 @@ type Slab struct {
 	onRelease func(buf []byte)
 }
 
+// manifestID stands where a segment record has its content address.
+var manifestID SegID
+
+// manifestKey is the log key of key's manifest record: the reserved id, then
+// the cache key, so it is longer than any segment's key.
+func manifestKey(key string) string { return string(manifestID[:]) + key }
+
+// appendManifestRecord appends the payload of key's manifest record: m's
+// encoding after the key, or nothing after it (a tombstone) when m is nil.
+func appendManifestRecord(buf []byte, key string, m *Manifest) []byte {
+	buf = wire.AppendString(append(buf, manifestID[:]...), key)
+	if m == nil {
+		return buf
+	}
+	return AppendManifest(buf, m)
+}
+
+// readManifestRecord is appendManifestRecord's inverse; ok is false when the
+// key cannot be read. m is nil for a tombstone, and for anything after the
+// key that is not a complete manifest of that key: either deletes the key.
+func readManifestRecord(p []byte) (key string, m *Manifest, ok bool) {
+	r := wire.Reader{Buf: p, Off: SegIDLen}
+	key, err := r.String()
+	if err != nil || key == "" {
+		return "", nil, false
+	}
+	if r.Len() == 0 {
+		return key, nil, true
+	}
+	m, err = ReadManifest(&r)
+	if err != nil || r.Len() != 0 || m.Key != key || !m.Complete() {
+		return key, nil, true
+	}
+	return key, m, true
+}
+
 // NewSlab opens (or creates) a slab on fs with the given segment size and
 // total byte capacity, replaying any surviving log segments. Capacity is
 // rounded down to whole segments, minimum one, and the log's budget is that
-// many maximal records. Slot files (slot-NNNNNN.seg) of the release that kept
-// one file per segment are removed, not read: their segments come back by
-// ranged refetch. Every other file on fs is left alone.
+// many maximal records. The log removes every other file on fs, such as the
+// slot and manifest files of earlier releases.
 func NewSlab(fs store.FS, segSize, capacity int64) (*Slab, error) {
+	s, _, err := openSlab(fs, segSize, capacity, 0)
+	return s, err
+}
+
+// openSlab is NewSlab with spare maximal records of room beside the
+// segments' (a tier's, for its manifest records), also returning the
+// complete manifests the replay found, by key.
+func openSlab(fs store.FS, segSize, capacity, spare int64) (*Slab, map[string]*Manifest, error) {
 	if segSize <= 0 {
-		return nil, fmt.Errorf("largeobject: segment size %d", segSize)
-	}
-	old, err := fs.List("slot-")
-	if err != nil {
-		return nil, fmt.Errorf("largeobject: scan slab: %w", err)
-	}
-	for _, name := range old {
-		fs.Remove(name)
+		return nil, nil, fmt.Errorf("largeobject: segment size %d", segSize)
 	}
 	s := &Slab{segSize: segSize, slots: int(max(capacity/segSize, 1))}
 	recMax := store.FrameHeader + SegIDLen + segSize
@@ -57,24 +97,50 @@ func NewSlab(fs store.FS, segSize, capacity int64) (*Slab, error) {
 		buf := make([]byte, recMax)
 		return &buf
 	}
-	s.log, err = store.OpenSegLog(fs, int64(s.slots)*recMax, func(p []byte) (string, int64, bool, bool) {
-		if len(p) < SegIDLen || int64(len(p)) > SegIDLen+segSize {
+	manifests := make(map[string]*Manifest)
+	var err error
+	s.log, err = store.OpenSegLog(fs, (int64(s.slots)+spare)*recMax, func(p []byte) (string, int64, bool, bool) {
+		if len(p) < SegIDLen {
 			return "", 0, false, false
 		}
-		return string(p[:SegIDLen]), 0, true, true
+		if SegID(p) != manifestID {
+			if int64(len(p)) > SegIDLen+segSize {
+				return "", 0, false, false
+			}
+			return string(p[:SegIDLen]), 0, true, true
+		}
+		key, m, ok := readManifestRecord(p)
+		if !ok {
+			return "", 0, false, false
+		}
+		if m != nil {
+			manifests[key] = m
+		} else {
+			delete(manifests, key)
+		}
+		return manifestKey(key), 0, m != nil, true
 	})
 	if err != nil {
-		return nil, fmt.Errorf("largeobject: scan slab: %w", err)
+		return nil, nil, fmt.Errorf("largeobject: scan slab: %w", err)
 	}
-	return s, nil
+	for key := range manifests {
+		if _, ok := s.log.Lookup(manifestKey(key)); !ok {
+			delete(manifests, key) // reclaimed at the open
+		}
+	}
+	return s, manifests, nil
 }
 
 // Put stores data under its content address; the oldest segments make room.
-// Storing a segment larger than the slab's segment size is an error; storing
-// an already resident segment writes nothing unless its record is aging.
+// Storing a segment larger than the slab's segment size, or under the
+// reserved id, is an error; storing an already resident segment writes
+// nothing unless its record is aging.
 func (s *Slab) Put(id SegID, data []byte) error {
 	if int64(len(data)) > s.segSize {
 		return fmt.Errorf("largeobject: segment %v len %d exceeds segment size %d", id, len(data), s.segSize)
+	}
+	if id == manifestID {
+		return fmt.Errorf("largeobject: segment id %v is reserved", id)
 	}
 	key := string(id[:])
 	s.mu.Lock()
@@ -92,6 +158,33 @@ func (s *Slab) write(key string, head [store.FrameHeader]byte, parts ...[]byte) 
 	}
 	s.puts++
 	return nil
+}
+
+// putManifest appends key's manifest record: complete manifest m, or a
+// tombstone when m is nil. An append that fails tombstones the key instead,
+// so an older manifest the caller's table has left does not come back.
+func (s *Slab) putManifest(key string, m *Manifest) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var err error
+	if m != nil {
+		p := appendManifestRecord(nil, key, m)
+		if err = s.log.Append(manifestKey(key), 0, store.FrameHead(p), p); err == nil {
+			return nil
+		}
+		err = fmt.Errorf("largeobject: write manifest: %w", err)
+	}
+	p := appendManifestRecord(nil, key, nil)
+	s.log.Tombstone(manifestKey(key), store.FrameHead(p), p)
+	return err
+}
+
+// manifestAging reports whether key's manifest record is indexed and aging.
+func (s *Slab) manifestAging(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ref, ok := s.log.Lookup(manifestKey(key))
+	return ok && s.log.Aging(ref)
 }
 
 // Get returns the segment's bytes if resident and intact; the caller owns
@@ -179,7 +272,7 @@ func (s *Slab) Resident(m *Manifest) BitSet {
 }
 
 // Close closes the log. The slab still serves what it holds afterwards but
-// stores nothing more.
+// stores nothing more: no segment, no manifest record, no tombstone.
 func (s *Slab) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -187,8 +280,9 @@ func (s *Slab) Close() error {
 }
 
 // SlabStats is a point-in-time snapshot of slab telemetry beside its log's:
-// Slots is how many full segments the budget holds, Used the segments
-// resident, Puts the records appended (first stores and carries forward).
+// Slots is how many full segments the capacity holds, Used the segments
+// resident (not manifests), Puts the segment records appended (first stores
+// and carries forward).
 type SlabStats struct {
 	Slots, Used        int
 	Hits, Misses, Puts uint64
@@ -200,5 +294,6 @@ func (s *Slab) Stats() SlabStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	log := s.log.Stats()
-	return SlabStats{Slots: s.slots, Used: log.Entries, Hits: s.hits, Misses: s.misses, Puts: s.puts, SegLogStats: log}
+	used := s.log.Count(func(key string) bool { return len(key) == SegIDLen })
+	return SlabStats{Slots: s.slots, Used: used, Hits: s.hits, Misses: s.misses, Puts: s.puts, SegLogStats: log}
 }

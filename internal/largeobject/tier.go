@@ -1,7 +1,6 @@
 package largeobject
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,99 +12,55 @@ import (
 )
 
 // Tier is the node-local chunked large-object store: a manifest table over
-// a segment slab. Complete manifests are persisted (atomically, one file per
-// object) and rescanned at open; manifests still being ingested live only in
-// memory — after a crash the object is simply refetched or adopted from a
-// replica's index record, which is cheaper than recovering torn ingests.
-// Segment bodies are soft state in the slab.
+// a segment slab. A complete manifest is a record of the slab's log, appended
+// when it completes or is refreshed and tombstoned when it is dropped, under
+// the table's lock, so the log's last word on a key is the table's and the
+// open's replay rebuilds the table. Manifests still being ingested live only
+// in memory — after a crash the object is simply refetched or adopted from a
+// replica's index record, which is cheaper than recovering torn ingests. Like
+// a segment, a manifest record is carried forward when read while aging and
+// otherwise reclaimed.
 //
 // Manifests handed out by the tier are shared and must be treated as
 // immutable; every update goes through PutManifest/AppendSegment, which
 // replace the stored value wholesale.
 type Tier struct {
-	fs      store.FS
 	slab    *Slab
 	segSize int64
 
+	// mu guards the table and is held across the slab calls that append or
+	// tombstone a manifest record, so it is always taken before the slab's.
 	mu        sync.Mutex
 	manifests map[string]*Manifest
-
-	// files is held shared by every manifest file write and removal and
-	// exclusively by Close, so once Close returns the tier changes no file:
-	// after a crash its directory belongs to the tier that reopened it.
-	files  sync.RWMutex
-	closed bool
 }
 
 // OpenTier opens (or creates) a tier on fs with the given segment size and
-// slab byte capacity, rescanning surviving manifests and segments.
+// slab byte capacity, replaying the surviving segments and manifests. The
+// log has one maximal record's room for manifests beside the segments'.
 func OpenTier(fs store.FS, segSize, capacity int64) (*Tier, error) {
-	slab, err := NewSlab(fs, segSize, capacity)
+	slab, manifests, err := openSlab(fs, segSize, capacity, 1)
 	if err != nil {
 		return nil, err
 	}
-	t := &Tier{
-		fs:        fs,
-		slab:      slab,
-		segSize:   segSize,
-		manifests: make(map[string]*Manifest),
-	}
-	names, err := fs.List("man-")
-	if err != nil {
-		return nil, fmt.Errorf("largeobject: scan manifests: %w", err)
-	}
-	for _, name := range names {
-		raw, err := store.ReadAll(fs, name)
-		if err != nil {
-			continue
-		}
-		m, err := DecodeManifest(raw)
-		if err != nil || !m.Complete() {
-			fs.Remove(name)
-			continue
-		}
-		t.manifests[m.Key] = m
-	}
-	return t, nil
+	return &Tier{slab: slab, segSize: segSize, manifests: manifests}, nil
 }
 
-// Close closes the slab's log: the tier stores no more segments, and writes
-// or removes no more manifest files.
-func (t *Tier) Close() error {
-	t.files.Lock()
-	t.closed = true
-	t.files.Unlock()
-	return t.slab.Close()
-}
-
-// file runs op on the tier's directory unless the tier is closed.
-func (t *Tier) file(op func() error) error {
-	t.files.RLock()
-	defer t.files.RUnlock()
-	if t.closed {
-		return store.ErrClosed
-	}
-	return op()
-}
-
-// writeManifest persists a complete manifest atomically, one file per key.
-func (t *Tier) writeManifest(m *Manifest) error {
-	return t.file(func() error { return store.WriteAtomic(t.fs, manifestName(m.Key), EncodeManifest(m)) })
-}
+// Close closes the slab's log, so after a crash nothing but the tier that
+// reopened the directory writes to it.
+func (t *Tier) Close() error { return t.slab.Close() }
 
 // SegSize returns the tier's segment size.
 func (t *Tier) SegSize() int64 { return t.segSize }
 
-func manifestName(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return fmt.Sprintf("man-%x.man", sum[:12])
-}
-
-// Manifest returns the current manifest for key, shared (do not mutate).
+// Manifest returns the current manifest for key, shared (do not mutate). A
+// manifest read while its record is aging is appended afresh.
 func (t *Tier) Manifest(key string) (*Manifest, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m, ok := t.manifests[key]
+	if ok && m.Complete() && t.slab.manifestAging(key) {
+		t.slab.putManifest(key, m) // carried forward; on failure the key's record is dropped
+	}
 	return m, ok
 }
 
@@ -116,17 +71,19 @@ func (t *Tier) Len() int {
 	return len(t.manifests)
 }
 
-// PutManifest installs m (a private clone is stored). Complete manifests are
-// persisted atomically; incomplete ones stay memory-only.
+// PutManifest installs m (a private clone is stored). A complete manifest is
+// appended to the log; an incomplete one stays memory-only, and the key's
+// record, if any, is dropped.
 func (t *Tier) PutManifest(m *Manifest) error {
 	cp := m.Clone()
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.manifests[cp.Key] = cp
-	t.mu.Unlock()
 	if !cp.Complete() {
+		t.slab.putManifest(cp.Key, nil)
 		return nil
 	}
-	return t.writeManifest(cp)
+	return t.slab.putManifest(cp.Key, cp)
 }
 
 // AppendSegment records id as the next ingested segment of key's manifest,
@@ -134,21 +91,19 @@ func (t *Tier) PutManifest(m *Manifest) error {
 // segment ordinal (concurrent ingests race benignly).
 func (t *Tier) AppendSegment(key string, ord int, id SegID) (*Manifest, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	m, ok := t.manifests[key]
 	if !ok {
-		t.mu.Unlock()
 		return nil, fmt.Errorf("largeobject: append segment: no manifest for %q", key)
 	}
 	if ord != len(m.Segments) {
-		t.mu.Unlock()
 		return m, nil
 	}
 	cp := m.Clone()
 	cp.Segments = append(cp.Segments, id)
 	t.manifests[key] = cp
-	t.mu.Unlock()
 	if cp.Complete() {
-		return cp, t.writeManifest(cp)
+		return cp, t.slab.putManifest(key, cp)
 	}
 	return cp, nil
 }
@@ -160,9 +115,9 @@ func (t *Tier) AppendSegment(key string, ord int, id SegID) (*Manifest, error) {
 // manifest, or false when key has no manifest.
 func (t *Tier) RefreshManifest(key string, fetched time.Time, hdr http.Header) (*Manifest, bool) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	m, ok := t.manifests[key]
 	if !ok {
-		t.mu.Unlock()
 		return nil, false
 	}
 	cp := m.Clone()
@@ -174,22 +129,22 @@ func (t *Tier) RefreshManifest(key string, fetched time.Time, hdr http.Header) (
 		cp.Header[k] = append([]string(nil), vs...)
 	}
 	t.manifests[key] = cp
-	t.mu.Unlock()
 	if cp.Complete() {
-		// Persisting the renewed expiry is best-effort; a crash costs at
-		// most one extra revalidation at recovery.
-		t.writeManifest(cp)
+		// Recording the renewed expiry is best-effort; if the record cannot
+		// be appended the key's is dropped, and a crash costs one refetch.
+		t.slab.putManifest(key, cp)
 	}
 	return cp, true
 }
 
-// DeleteManifest drops key's manifest from the table and disk. Its segments
-// age out of the slab with the log segments that hold them.
+// DeleteManifest drops key's manifest from the table and tombstones its
+// record. Its segments age out of the slab with the log segments that hold
+// them.
 func (t *Tier) DeleteManifest(key string) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	delete(t.manifests, key)
-	t.mu.Unlock()
-	t.file(func() error { return t.fs.Remove(manifestName(key)) })
+	t.slab.putManifest(key, nil)
 }
 
 // PutSegment stores one segment body in the slab.
@@ -199,14 +154,11 @@ func (t *Tier) PutSegment(id SegID, data []byte) error { return t.slab.Put(id, d
 // owns (safe to share between goroutines and to hand to the transport).
 func (t *Tier) GetSegment(id SegID) ([]byte, bool) { return t.slab.Get(id) }
 
-// HasSegment reports slab residency without reading the segment.
-func (t *Tier) HasSegment(id SegID) bool { return t.slab.Contains(id) }
-
 // Resident returns the bitmap of m's segments currently in the slab.
 func (t *Tier) Resident(m *Manifest) BitSet { return t.slab.Resident(m) }
 
 // IngestBody chunks a complete body into the tier: every segment is hashed
-// and stored, and the complete manifest is installed and persisted. Used for
+// and stored, and the complete manifest is installed and appended. Used for
 // whole bodies already in memory; streaming ingest drives AppendSegment
 // instead.
 func (t *Tier) IngestBody(key string, status int, header http.Header, fetched time.Time, body []byte) (*Manifest, error) {

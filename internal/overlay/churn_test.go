@@ -43,7 +43,7 @@ func verifyConverged(t *testing.T, r *Ring, label string) {
 	if n < 2 {
 		return
 	}
-	k := r.succListLen()
+	k := succListLen
 	if k > n-1 {
 		k = n - 1
 	}

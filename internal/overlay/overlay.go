@@ -245,9 +245,6 @@ type Ring struct {
 	// direct-call transport; replace it (before the first Join) to run the
 	// overlay over TCP or the fault-injecting simulated network.
 	Transport transport.Transport
-	// SuccListLen is the successor-list length (fault tolerance of routing
-	// under churn); zero means 4.
-	SuccListLen int
 	// ManualMaintenance, when set, stops the ring from rebuilding every
 	// node's routing tables on membership changes: a joining node is seeded
 	// with correct tables, but existing nodes only learn about joins,
@@ -277,13 +274,6 @@ func (r *Ring) ttl() time.Duration {
 		return r.DefaultTTL
 	}
 	return 60 * time.Second
-}
-
-func (r *Ring) succListLen() int {
-	if r.SuccListLen > 0 {
-		return r.SuccListLen
-	}
-	return 4
 }
 
 // Join adds a node with the given name and region to the overlay and

@@ -11,6 +11,10 @@ import (
 // idBits is the routing identifier width: fingers[b] targets ID + 2^b.
 const idBits = 64
 
+// succListLen is the successor-list length: how many successive node
+// failures routing survives under churn.
+const succListLen = 4
+
 // maxLookupHops bounds an iterative lookup; a converged ring resolves in
 // O(log n) hops, so hitting this means routing state is badly broken.
 const maxLookupHops = 96
@@ -69,7 +73,7 @@ func (r *Ring) tablesFor(id ID) (pred ref, succs []ref, fingers []ref) {
 			break
 		}
 	}
-	k := r.succListLen()
+	k := succListLen
 	if k > n-1 {
 		k = n - 1
 	}
@@ -598,7 +602,7 @@ func (n *Node) Stabilize() {
 			continue
 		}
 		newSuccs = append(newSuccs, ref{name: name, id: HashID(name)})
-		if len(newSuccs) >= r.succListLen() {
+		if len(newSuccs) >= succListLen {
 			break
 		}
 	}

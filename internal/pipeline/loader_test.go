@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -62,5 +63,57 @@ func TestLoaderStampedeCompilesOnce(t *testing.T) {
 	}
 	if len(h.fetches) != 1 {
 		t.Errorf("script fetched %d times, want 1", len(h.fetches))
+	}
+}
+
+// firstAnswerHost gives the first fetch first's answer, and serves every
+// later one from the script host.
+type firstAnswerHost struct {
+	*scriptHost
+	first func() (*httpmsg.Response, error)
+}
+
+func (h *firstAnswerHost) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
+	if first := h.first; first != nil {
+		h.first = nil
+		return first()
+	}
+	return h.scriptHost.Fetch(req)
+}
+
+// TestLoaderRemembersOnlyNoScript: a node that boots before its origin sees
+// its first nakika.js fetch fail. That is not an answer: the load serves no
+// stage, remembers nothing, and the next load fetches and compiles the
+// script. The same goes for a 5xx. A 404 is an answer — the site has no
+// script — and is remembered without a second fetch.
+func TestLoaderRemembersOnlyNoScript(t *testing.T) {
+	const url = "http://late.example.org/nakika.js"
+	for _, c := range []struct {
+		name    string
+		first   func() (*httpmsg.Response, error)
+		retried bool
+	}{
+		{"fetch error", func() (*httpmsg.Response, error) { return nil, errors.New("dial tcp: connection refused") }, true},
+		{"503", func() (*httpmsg.Response, error) { return httpmsg.NewTextResponse(503, "origin starting"), nil }, true},
+		{"404", func() (*httpmsg.Response, error) { return httpmsg.NewTextResponse(404, "not found"), nil }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := &firstAnswerHost{scriptHost: newScriptHost(), first: c.first}
+			h.scripts[url] = `var p = new Policy(); p.onResponse = function() {}; p.register();`
+			l := NewLoader(h, script.Limits{})
+			if st, err := l.Load(url, "late.example.org"); err != nil || !st.Empty {
+				t.Fatalf("first load: %+v, %v; want the empty stage", st, err)
+			}
+			st, err := l.Load(url, "late.example.org")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.retried && (st.Empty || len(h.fetches) != 1) {
+				t.Errorf("second load: empty %v after %d fetches of the served script; want it compiled", st.Empty, len(h.fetches))
+			}
+			if !c.retried && (!st.Empty || len(h.fetches) != 0) {
+				t.Errorf("second load: empty %v after %d more fetches; want the remembered empty stage", st.Empty, len(h.fetches))
+			}
+		})
 	}
 }

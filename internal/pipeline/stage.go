@@ -239,19 +239,16 @@ func NewLoader(host vocab.Host, limits script.Limits) *Loader {
 	}
 }
 
-// InvalidateStage drops the cached stage for scriptURL so the next load
-// re-fetches and re-evaluates it; the node calls this when a cached script
-// response expires.
+// InvalidateStage drops the cached stage for scriptURL, or the remembered
+// absence of one, so the next load re-fetches and re-evaluates it.
 func (l *Loader) InvalidateStage(scriptURL string) {
 	l.stages.Delete(scriptURL)
 	l.missing.Delete(scriptURL)
 }
 
-// CachedStages returns the number of cached stages (diagnostics).
-func (l *Loader) CachedStages() int { return l.stages.Len() }
-
-// Load returns the stage for scriptURL, charging it to site. Missing scripts
-// (404 or fetch failure) yield an Empty stage that is negatively cached.
+// Load returns the stage for scriptURL, charging it to site. A script the
+// origin says is not there (a non-200 answer below 500) yields an Empty stage
+// that is negatively cached; a failed fetch or a 5xx yields one that is not.
 // Concurrent cold loads of the same URL coalesce into one fetch+compile.
 func (l *Loader) Load(scriptURL, site string) (*Stage, error) {
 	if st, ok := l.stages.Get(scriptURL); ok {
@@ -284,7 +281,12 @@ func (l *Loader) loadSlow(scriptURL, site string) (*Stage, error) {
 		return nil, fmt.Errorf("pipeline: stage url %q: %w", scriptURL, err)
 	}
 	resp, err := l.Host.Fetch(req)
-	if err != nil || resp == nil || resp.Status != 200 {
+	if err != nil || resp == nil || resp.Status >= 500 {
+		// No answer (the origin may not be up yet): no stage this time, and
+		// nothing remembered, so the next load asks again.
+		return &Stage{URL: scriptURL, Site: site, Empty: true}, nil
+	}
+	if resp.Status != 200 {
 		return l.cacheEmpty(scriptURL, site), nil
 	}
 	st, err := l.compile(scriptURL, site, string(resp.Body))

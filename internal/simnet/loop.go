@@ -6,16 +6,15 @@ import (
 	"time"
 )
 
-// Loop is a reusable discrete-event agenda with a virtual clock, factored
-// out of Simulation so other subsystems (the fault-injecting transport, the
-// cluster harness's fault schedules) can run on the same event-loop
-// machinery. Events are executed in (time, insertion) order; callbacks run
+// Loop is a reusable discrete-event agenda with a virtual clock: Simulation
+// runs on it, and so do other subsystems (the fault-injecting transport, the
+// cluster harness's fault schedules). Events are executed in (time,
+// insertion) order, the insertion count being the loop's own; callbacks run
 // without the loop lock held, so they may schedule further events.
 //
-// Unlike Simulation, a Loop may be driven incrementally from many
-// goroutines: AdvanceTo serializes event execution behind a run lock, so at
-// most one callback executes at a time and the virtual clock never moves
-// backwards.
+// A Loop may be driven incrementally from many goroutines: AdvanceTo
+// serializes event execution behind a run lock, so at most one callback
+// executes at a time and the virtual clock never moves backwards.
 type Loop struct {
 	mu     sync.Mutex // guards now, agenda, seq
 	runMu  sync.Mutex // serializes event execution

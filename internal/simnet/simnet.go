@@ -12,7 +12,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 	"time"
@@ -92,8 +91,8 @@ type Simulation struct {
 	route    Route
 	rng      *rand.Rand
 
-	now     time.Duration
-	events  eventQueue
+	loop    *Loop
+	now     time.Duration // the loop's clock while an event runs
 	results []JobResult
 	// TagFn, when non-nil, labels each job result (for example "html" or
 	// "video") so experiments can split distributions.
@@ -123,15 +122,6 @@ func (s *Simulation) SetClients(count int, think time.Duration, route Route) {
 	s.route = route
 }
 
-// event types
-type eventKind int
-
-const (
-	evJobStart   eventKind = iota
-	evVisitReady           // network delay done; join station queue (or finish)
-	evServiceDone
-)
-
 type jobVisit struct {
 	client    int
 	iteration int
@@ -140,47 +130,36 @@ type jobVisit struct {
 	idx       int
 }
 
-type event struct {
-	at   time.Duration
-	kind eventKind
-	jv   *jobVisit
-	st   *Station
-	seq  int
+// at schedules fn on the simulation's agenda at virtual time t; the
+// simulation's clock reads t while fn runs.
+func (s *Simulation) at(t time.Duration, fn func()) {
+	s.loop.At(t, func(now time.Duration) {
+		s.now = now
+		fn()
+	})
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+// startJob schedules jv's start at virtual time t: its route is drawn then.
+func (s *Simulation) startJob(t time.Duration, jv *jobVisit) {
+	s.at(t, func() {
+		jv.start = s.now
+		jv.visits = s.route(jv.client, jv.iteration, s.now, s.rng)
+		jv.idx = 0
+		s.advance(jv)
+	})
 }
 
-var eventSeq int
-
-func (s *Simulation) schedule(at time.Duration, kind eventKind, jv *jobVisit, st *Station) {
-	eventSeq++
-	heap.Push(&s.events, &event{at: at, kind: kind, jv: jv, st: st, seq: eventSeq})
+// serve schedules the end of jv's service at st.
+func (s *Simulation) serve(jv *jobVisit, st *Station) {
+	s.at(s.now+jv.visits[jv.idx].Service, func() { s.finishService(jv, st) })
 }
 
 // Run executes the simulation for the given virtual duration and returns
 // the completed job results.
 func (s *Simulation) Run(duration time.Duration) []JobResult {
 	s.now = 0
-	s.events = s.events[:0]
+	s.loop = NewLoop()
 	s.results = s.results[:0]
-	heap.Init(&s.events)
 	// Stagger client start times across one think interval to avoid a
 	// synchronized stampede at t=0.
 	for c := 0; c < s.clients; c++ {
@@ -190,28 +169,9 @@ func (s *Simulation) Run(duration time.Duration) []JobResult {
 		} else {
 			offset = time.Duration(s.rng.Int63n(int64(10 * time.Millisecond)))
 		}
-		jv := &jobVisit{client: c, iteration: 0}
-		s.schedule(offset, evJobStart, jv, nil)
+		s.startJob(offset, &jobVisit{client: c, iteration: 0})
 	}
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*event)
-		if e.at > duration {
-			break
-		}
-		s.now = e.at
-		switch e.kind {
-		case evJobStart:
-			jv := e.jv
-			jv.start = s.now
-			jv.visits = s.route(jv.client, jv.iteration, s.now, s.rng)
-			jv.idx = 0
-			s.advance(jv)
-		case evVisitReady:
-			s.arriveAtStation(e.jv, e.st)
-		case evServiceDone:
-			s.finishService(e.jv, e.st)
-		}
-	}
+	s.loop.AdvanceTo(duration)
 	return append([]JobResult(nil), s.results...)
 }
 
@@ -223,14 +183,12 @@ func (s *Simulation) advance(jv *jobVisit) {
 		return
 	}
 	v := jv.visits[jv.idx]
-	ready := s.now + v.Delay
-	if v.Station == nil {
+	st := v.Station
+	if st == nil {
 		// Pure delay visit.
 		jv.idx++
-		s.schedule(ready, evVisitReady, jv, nil)
-		return
 	}
-	s.schedule(ready, evVisitReady, jv, v.Station)
+	s.at(s.now+v.Delay, func() { s.arriveAtStation(jv, st) })
 }
 
 func (s *Simulation) arriveAtStation(jv *jobVisit, st *Station) {
@@ -242,8 +200,7 @@ func (s *Simulation) arriveAtStation(jv *jobVisit, st *Station) {
 	st.accumulate(s.now)
 	if st.busy < st.Servers {
 		st.busy++
-		v := jv.visits[jv.idx]
-		s.schedule(s.now+v.Service, evServiceDone, jv, st)
+		s.serve(jv, st)
 	} else {
 		st.queue = append(st.queue, jv)
 	}
@@ -257,8 +214,7 @@ func (s *Simulation) finishService(jv *jobVisit, st *Station) {
 		next := st.queue[0]
 		st.queue = st.queue[1:]
 		st.busy++
-		v := next.visits[next.idx]
-		s.schedule(s.now+v.Service, evServiceDone, next, st)
+		s.serve(next, st)
 	}
 	jv.idx++
 	s.advance(jv)
@@ -266,16 +222,9 @@ func (s *Simulation) finishService(jv *jobVisit, st *Station) {
 
 func (st *Station) accumulate(now time.Duration) {
 	if now > st.lastEvent {
-		st.busyTime += time.Duration(st.busy) * (now - st.lastEvent) / time.Duration(maxInt(st.Servers, 1))
+		st.busyTime += time.Duration(st.busy) * (now - st.lastEvent) / time.Duration(max(st.Servers, 1))
 		st.lastEvent = now
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (s *Simulation) completeJob(jv *jobVisit) {
@@ -285,8 +234,7 @@ func (s *Simulation) completeJob(jv *jobVisit) {
 	}
 	s.results = append(s.results, res)
 	// Closed loop: think, then next job.
-	next := &jobVisit{client: jv.client, iteration: jv.iteration + 1}
-	s.schedule(s.now+s.think, evJobStart, next, nil)
+	s.startJob(s.now+s.think, &jobVisit{client: jv.client, iteration: jv.iteration + 1})
 }
 
 // StationStats returns utilization and completion counts for every station,

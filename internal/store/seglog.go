@@ -110,8 +110,8 @@ func parseSegName(name string) (uint64, bool) {
 	return id, err == nil
 }
 
-// IsSegment reports whether name is one a SegLog gives its files. A log
-// leaves every other file in its directory to its owner.
+// IsSegment reports whether name is one a SegLog gives its files. A log owns
+// its directory: it removes every other file there when it opens.
 func IsSegment(name string) bool {
 	_, ok := parseSegName(name)
 	return ok
@@ -137,10 +137,12 @@ func FrameHead(parts ...[]byte) (head [FrameHeader]byte) {
 // skipped). A later record supersedes an earlier one under the same key, a
 // dead one deletes it, and a segment's scan stops at its first torn or
 // corrupt frame, keeping what came before. The oldest segments left with no
-// live record are removed. No file is created until the first Append.
+// live record are removed, and so is every file on fs that is not a segment:
+// the log owns its directory, and what an earlier layout left there is soft
+// state too. No file is created until the first Append.
 func OpenSegLog(fs FS, budget int64, parse func(payload []byte) (key string, word int64, live, ok bool)) (*SegLog, error) {
 	l := &SegLog{fs: fs, budget: budget, segTarget: min(maxSegment, budget/8), index: make(map[string]SegRef)}
-	names, err := fs.List(segPrefix)
+	names, err := fs.List("")
 	if err != nil {
 		return nil, fmt.Errorf("store: scan segment log: %w", err)
 	}
@@ -148,6 +150,7 @@ func OpenSegLog(fs FS, budget int64, parse func(payload []byte) (key string, wor
 	for _, name := range names { // sorted, and ids are zero-padded: oldest first
 		id, ok := parseSegName(name)
 		if !ok {
+			fs.Remove(name) // one that cannot be removed now is tried at the next open
 			continue
 		}
 		l.nextID = max(l.nextID, id+1)
@@ -391,6 +394,18 @@ func (l *SegLog) Read(ref SegRef, buf []byte) ([]byte, error) {
 func (l *SegLog) Close() error {
 	l.closed = true
 	return l.seal()
+}
+
+// Count returns how many indexed keys match: what an owner that keeps two
+// kinds of record in one log uses to count one of them.
+func (l *SegLog) Count(match func(key string) bool) int {
+	n := 0
+	for key := range l.index {
+		if match(key) {
+			n++
+		}
+	}
+	return n
 }
 
 // Stats returns a snapshot of the log.

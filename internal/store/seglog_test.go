@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -355,11 +354,13 @@ func TestSegLogCarryForwardIsNotAnEviction(t *testing.T) {
 	}
 }
 
-// TestSegLogLeavesForeignFilesAlone: the slab shares its directory with the
-// manifests, so whatever is not a segment is the owner's, through the open,
-// appends, reclaim and a reopen. Nothing is created before the first append,
-// on any FS, and the log never calls Sync, Create or Rename.
-func TestSegLogLeavesForeignFilesAlone(t *testing.T) {
+// TestSegLogRemovesForeignFiles: the log owns its directory, so whatever is
+// not a segment — an earlier release's manifests, slot files or temporaries,
+// names that only look like segments — is removed at the open, and the
+// segments work on through appends, reclaim and a reopen. Nothing is created
+// before the first append, on any FS, and the log never calls Sync, Create or
+// Rename.
+func TestSegLogRemovesForeignFiles(t *testing.T) {
 	dir, err := NewDirFS(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -380,6 +381,9 @@ func TestSegLogLeavesForeignFilesAlone(t *testing.T) {
 			mustWrite(t, fs.FS, f, []byte("not the log's"))
 		}
 		l = openSegLog(t, fs, 2<<10)
+		if names, _ := fs.List(""); len(names) != 0 {
+			t.Errorf("%s: files %v after the open, want %v removed", name, names, foreign)
+		}
 		for i := 0; i < 60; i++ {
 			logPut(l, "k"+strconv.Itoa(i), logBody("k", i, 100))
 		}
@@ -391,8 +395,13 @@ func TestSegLogLeavesForeignFilesAlone(t *testing.T) {
 				others = append(others, n)
 			}
 		}
-		if !reflect.DeepEqual(others, foreign) || l.Stats().Evictions == 0 {
-			t.Errorf("%s: files that are not segments = %v, want %v untouched (stats %+v)", name, others, foreign, l.Stats())
+		if len(others) != 0 || len(names) == 0 || l.Stats().Evictions == 0 {
+			t.Errorf("%s: files %v, of which %v are not segments; want segments only (stats %+v)", name, names, others, l.Stats())
+		}
+		for i := 0; i < 60; i++ {
+			if _, ok := l.Lookup("k" + strconv.Itoa(i)); ok {
+				wantLogBody(t, l, "k"+strconv.Itoa(i), logBody("k", i, 100))
+			}
 		}
 		if fs.forbidden != 0 {
 			t.Errorf("%s: the log called Sync, Create or Rename %d times", name, fs.forbidden)
