@@ -10,14 +10,11 @@
 package nakika
 
 import (
-	"fmt"
-	"net/http"
 	"testing"
 	"time"
 
 	"nakika/internal/bench"
 	"nakika/internal/httpmsg"
-	"nakika/internal/policy"
 	"nakika/internal/script"
 )
 
@@ -102,41 +99,6 @@ func BenchmarkFigure7_SingleServer_120(b *testing.B) {
 func BenchmarkFigure7_WarmCache_120(b *testing.B) { benchmarkFigure7(b, bench.SIMMWarmCache, 120) }
 
 // --- Ablations (DESIGN.md Section 5) ---------------------------------------
-
-// Decision tree vs. linear scan over 100 policies.
-func buildAblationPolicies(n int) []*policy.Policy {
-	out := make([]*policy.Policy, 0, n+1)
-	for i := 0; i < n; i++ {
-		out = append(out, &policy.Policy{URLs: []string{fmt.Sprintf("site-%d.example.net/path", i)}})
-	}
-	out = append(out, &policy.Policy{URLs: []string{"target.example.org/app"}})
-	return out
-}
-
-var ablationInput = policy.Input{Host: "target.example.org", Path: "/app/page.html", Method: "GET", Header: http.Header{}}
-
-func BenchmarkPolicyMatch_Tree(b *testing.B) {
-	tree := policy.NewTree(buildAblationPolicies(100))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tree.Match(ablationInput) == nil {
-			b.Fatal("no match")
-		}
-	}
-}
-
-func BenchmarkPolicyMatch_Linear(b *testing.B) {
-	set := &policy.Set{}
-	for _, p := range buildAblationPolicies(100) {
-		set.Add(p)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if set.Match(ablationInput) == nil {
-			b.Fatal("no match")
-		}
-	}
-}
 
 // Script context reuse vs. fresh context per request.
 func BenchmarkContextReuse_Fresh(b *testing.B) {
@@ -238,7 +200,7 @@ func BenchmarkCooperativeCache(b *testing.B) {
 
 // Script interpreter throughput on the Figure 2 workload shape.
 func BenchmarkScriptPipelineStage(b *testing.B) {
-	node, err := bench.NewConcurrentMatchNode()
+	node, err := bench.NewConcurrentNode(bench.ConfigMatch1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,9 +217,9 @@ func BenchmarkScriptPipelineStage(b *testing.B) {
 // --- Concurrency family: pooled stage contexts, sharded cache. ------------
 // --- Run with -cpu 1,2,4,8 to see scaling. ---------------------------------
 
-func benchmarkConcurrentHandle(b *testing.B, build func() (*Node, error)) {
+func benchmarkConcurrentHandle(b *testing.B, cfg bench.MicroConfig) {
 	b.Helper()
-	node, err := build()
+	node, err := bench.NewConcurrentNode(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,12 +244,12 @@ func benchmarkConcurrentHandle(b *testing.B, build func() (*Node, error)) {
 // script handlers. Throughput should scale with -cpu since no request takes
 // a global lock.
 func BenchmarkConcurrentProxyWarm(b *testing.B) {
-	benchmarkConcurrentHandle(b, bench.NewConcurrentProxyNode)
+	benchmarkConcurrentHandle(b, bench.ConfigProxy)
 }
 
 // BenchmarkConcurrentMatch1 adds one matching policy whose onRequest and
 // onResponse handlers execute in pooled per-stage contexts; before the pool
 // existed every request serialized on the stage's single context mutex.
 func BenchmarkConcurrentMatch1(b *testing.B) {
-	benchmarkConcurrentHandle(b, bench.NewConcurrentMatchNode)
+	benchmarkConcurrentHandle(b, bench.ConfigMatch1)
 }

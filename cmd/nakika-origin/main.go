@@ -10,8 +10,10 @@ package main
 
 import (
 	"flag"
+	"io"
 	"log"
 	"net/http"
+	"sync"
 
 	"nakika/internal/apps/largefile"
 	"nakika/internal/apps/simm"
@@ -19,6 +21,9 @@ import (
 	"nakika/internal/core"
 	"nakika/internal/httpmsg"
 )
+
+// logSinkPath is where the origin collects POSTed access-log lines.
+const logSinkPath = "/nakika-log"
 
 func main() {
 	app := flag.String("app", "simm", "application to serve: simm, specweb, or largefile")
@@ -51,7 +56,34 @@ func main() {
 		log.Fatalf("nakika-origin: unknown app %q", *app)
 	}
 
+	// The access-log sink: a site script that names this path with
+	// Log.postTo has edge nodes POST the site's log lines here, and a GET
+	// returns every line received so far.
+	var sinkMu sync.Mutex
+	var sink []byte
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == logSinkPath {
+			if r.Method == http.MethodPost {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				sinkMu.Lock()
+				sink = append(append(sink, body...), '\n')
+				sinkMu.Unlock()
+				return
+			}
+			sinkMu.Lock()
+			lines := append([]byte(nil), sink...)
+			sinkMu.Unlock()
+			w.Header().Set("Content-Type", "text/plain")
+			w.Header().Set("Cache-Control", "no-store")
+			if _, err := w.Write(lines); err != nil {
+				log.Printf("nakika-origin: write: %v", err)
+			}
+			return
+		}
 		if r.URL.Path == "/nakika.js" {
 			w.Header().Set("Content-Type", "application/javascript")
 			w.Header().Set("Cache-Control", "max-age=300")

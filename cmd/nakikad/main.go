@@ -141,15 +141,11 @@ func main() {
 		log.Printf("nakikad: cluster transport on %s (%d peers)", addr, peerCount)
 	}
 
-	// Background loops: congestion control, access-log flushing, and (in
-	// cluster mode) retries of cooperative-cache publishes that failed
-	// while a peer was unreachable.
-	go func() {
-		for {
-			time.Sleep(250 * time.Millisecond)
-			node.Resources().ControlOnce()
-		}
-	}()
+	// Background loops: congestion control (every control interval, until
+	// shutdown), access-log flushing, and (in cluster mode) retries of
+	// cooperative-cache publishes that failed while a peer was unreachable.
+	control, stopControl := context.WithCancel(context.Background())
+	go node.Resources().Run(control)
 	go func() {
 		for {
 			time.Sleep(time.Minute)
@@ -250,8 +246,21 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("nakikad: %v", err)
 	}
+	stopControl()
 	if tcp != nil {
 		tcp.Close()
+	}
+	// Post what the access log still holds, so a restart loses no lines; an
+	// origin that does not answer in time keeps them from holding up the exit.
+	flushed := make(chan error, 1)
+	go func() { flushed <- node.FlushLogs() }()
+	select {
+	case err := <-flushed:
+		if err != nil {
+			log.Printf("nakikad: log flush: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		log.Printf("nakikad: log flush: no answer in 5s")
 	}
 	if err := node.Shutdown(); err != nil {
 		log.Fatalf("nakikad: store shutdown: %v", err)

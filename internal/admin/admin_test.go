@@ -29,7 +29,7 @@ func (f *fakeNode) LoadScore() float64         { return 1.5 }
 
 func newFakeNode() *fakeNode {
 	reg := metrics.NewRegistry()
-	reg.NewCounter("nakika_requests_total", "Requests.", nil).Add(7)
+	reg.CounterFunc("nakika_requests_total", "Requests.", nil, func() float64 { return 7 })
 	ring := trace.NewRing(8)
 	for i, elapsed := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 2 * time.Millisecond} {
 		s := &trace.Sample{TraceID: uint64(i + 1), Node: "test-node", Method: "GET", Elapsed: elapsed, Status: 200}

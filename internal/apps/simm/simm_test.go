@@ -6,7 +6,6 @@ import (
 
 	"nakika/internal/core"
 	"nakika/internal/httpmsg"
-	"nakika/internal/pipeline"
 	"nakika/internal/script"
 )
 
@@ -154,8 +153,5 @@ func TestEdgeScriptRendersOnNode(t *testing.T) {
 func TestEdgeScriptParses(t *testing.T) {
 	if _, err := script.Parse(EdgeScript("simms.med.nyu.edu"), "nakika.js"); err != nil {
 		t.Fatalf("edge script does not parse: %v", err)
-	}
-	if pipeline.SiteOf("http://"+Config{}.Defaults().Host+"/nakika.js") != "simms.med.nyu.edu" {
-		t.Error("site extraction mismatch")
 	}
 }

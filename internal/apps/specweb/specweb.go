@@ -12,7 +12,6 @@ package specweb
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 
@@ -27,9 +26,6 @@ type Config struct {
 	// size classes); StaticPerClass files exist per class.
 	StaticClasses  int
 	StaticPerClass int
-	// DynamicFraction is the fraction of requests that are dynamic (the
-	// paper uses 0.8).
-	DynamicFraction float64
 	// Users is the size of the registered-user population.
 	Users int
 }
@@ -44,9 +40,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.StaticPerClass <= 0 {
 		c.StaticPerClass = 9
-	}
-	if c.DynamicFraction <= 0 {
-		c.DynamicFraction = 0.8
 	}
 	if c.Users <= 0 {
 		c.Users = 1000
@@ -86,13 +79,6 @@ func NewOrigin(cfg Config) *Origin {
 
 // Config returns the effective configuration.
 func (o *Origin) Config() Config { return o.cfg }
-
-// UserCount returns the number of registered users (tests).
-func (o *Origin) UserCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.users)
-}
 
 // Do implements core.Fetcher.
 //
@@ -242,69 +228,4 @@ job.onRequest = function() {
 };
 job.register();
 `
-}
-
-// ---------------------------------------------------------------------------
-// Request mix generator
-// ---------------------------------------------------------------------------
-
-// RequestKind labels a generated request.
-type RequestKind int
-
-// Request kinds.
-const (
-	ReqStatic RequestKind = iota
-	ReqRegister
-	ReqProfile
-)
-
-// GeneratedRequest is one request in the SPECweb-like mix.
-type GeneratedRequest struct {
-	Kind  RequestKind
-	URL   string
-	Bytes int
-}
-
-// GenerateMix produces n requests with the configured dynamic fraction:
-// dynamic requests split between profile reads (common) and registrations
-// (rare), static requests follow SPECweb99's Zipf-ish class popularity
-// (small files much more popular than large ones).
-func GenerateMix(cfg Config, n int, seed int64) []GeneratedRequest {
-	cfg = cfg.Defaults()
-	rnd := rand.New(rand.NewSource(seed))
-	out := make([]GeneratedRequest, 0, n)
-	for i := 0; i < n; i++ {
-		if rnd.Float64() < cfg.DynamicFraction {
-			user := fmt.Sprintf("user-%d", rnd.Intn(cfg.Users))
-			if rnd.Float64() < 0.15 {
-				out = append(out, GeneratedRequest{Kind: ReqRegister, URL: fmt.Sprintf("http://%s/cgi-bin/register?user=%s", cfg.Host, user), Bytes: 600})
-			} else {
-				out = append(out, GeneratedRequest{Kind: ReqProfile, URL: fmt.Sprintf("http://%s/cgi-bin/profile?user=%s", cfg.Host, user), Bytes: 600})
-			}
-			continue
-		}
-		// Static class popularity: 35/50/14/1 percent, the SPECweb99 split.
-		r := rnd.Float64()
-		class := 0
-		switch {
-		case r < 0.35:
-			class = 0
-		case r < 0.85:
-			class = 1
-		case r < 0.99:
-			class = 2
-		default:
-			class = 3
-		}
-		if class >= cfg.StaticClasses {
-			class = cfg.StaticClasses - 1
-		}
-		k := rnd.Intn(cfg.StaticPerClass)
-		out = append(out, GeneratedRequest{
-			Kind:  ReqStatic,
-			URL:   fmt.Sprintf("http://%s/file_set/dir/class%d_%d", cfg.Host, class, k),
-			Bytes: classSizes[class],
-		})
-	}
-	return out
 }

@@ -11,6 +11,13 @@ import (
 	"nakika/internal/state"
 )
 
+// userCount returns the number of registered users.
+func (o *Origin) userCount() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.users)
+}
+
 func TestOriginStaticFiles(t *testing.T) {
 	o := NewOrigin(Config{})
 	resp, err := o.Do(httpmsg.MustRequest("GET", "http://specweb.example.org/file_set/dir/class1_3"))
@@ -30,7 +37,7 @@ func TestOriginStaticFiles(t *testing.T) {
 
 func TestOriginDynamicRegistrationAndProfile(t *testing.T) {
 	o := NewOrigin(Config{Users: 10})
-	before := o.UserCount()
+	before := o.userCount()
 	reg, err := o.Do(httpmsg.MustRequest("GET", "http://specweb.example.org/cgi-bin/register?user=newbie"))
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +48,7 @@ func TestOriginDynamicRegistrationAndProfile(t *testing.T) {
 	if reg.Cacheable() {
 		t.Error("dynamic responses must not be cacheable")
 	}
-	if o.UserCount() != before+1 {
+	if o.userCount() != before+1 {
 		t.Error("registration should add a user")
 	}
 	prof, _ := o.Do(httpmsg.MustRequest("GET", "http://specweb.example.org/cgi-bin/profile?user=newbie"))
@@ -55,36 +62,6 @@ func TestOriginDynamicRegistrationAndProfile(t *testing.T) {
 	bad, _ := o.Do(httpmsg.MustRequest("GET", "http://specweb.example.org/cgi-bin/register"))
 	if bad.Status != 400 {
 		t.Errorf("register without user = %d", bad.Status)
-	}
-}
-
-func TestGenerateMix(t *testing.T) {
-	cfg := Config{}.Defaults()
-	mix := GenerateMix(cfg, 2000, 5)
-	if len(mix) != 2000 {
-		t.Fatalf("mix length = %d", len(mix))
-	}
-	dynamic, static := 0, 0
-	for _, r := range mix {
-		if r.Kind == ReqStatic {
-			static++
-		} else {
-			dynamic++
-		}
-		if r.URL == "" || r.Bytes <= 0 {
-			t.Fatalf("malformed request %+v", r)
-		}
-	}
-	frac := float64(dynamic) / float64(len(mix))
-	if frac < 0.75 || frac > 0.85 {
-		t.Errorf("dynamic fraction = %.2f, want ~0.8", frac)
-	}
-	// Deterministic per seed.
-	again := GenerateMix(cfg, 2000, 5)
-	for i := range mix {
-		if mix[i] != again[i] {
-			t.Fatal("mix should be deterministic per seed")
-		}
 	}
 }
 
@@ -148,7 +125,7 @@ func TestEdgeScriptHandlesDynamicRequestsAtEdge(t *testing.T) {
 		t.Errorf("static via edge: %d %d bytes", st.Status, len(st.Body))
 	}
 	_ = originDynamicBefore
-	if origin.UserCount() != (Config{}).Defaults().Users {
+	if origin.userCount() != (Config{}).Defaults().Users {
 		t.Error("edge-handled registrations must not touch the origin's user table")
 	}
 

@@ -8,7 +8,7 @@ import "testing"
 // staging, trace buffers, and header cloning were pooled/flattened, so
 // the budget is half that. Measured: 14 allocs/op.
 func TestWarmProxyHitAllocBudget(t *testing.T) {
-	node, err := NewConcurrentProxyNode()
+	node, err := NewConcurrentNode(ConfigProxy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,22 +15,14 @@ import (
 // lock-contention regression) is measurable with `go test -bench
 // BenchmarkConcurrent -cpu 1,8`.
 
-// NewConcurrentProxyNode returns a node primed for the warm proxy path: the
-// static page and the (absent) stage scripts are already cached, so every
-// subsequent Handle is pure pipeline + cache work with no origin traffic.
-func NewConcurrentProxyNode() (*core.Node, error) {
-	node, err := microNode(ConfigProxy)
-	if err != nil {
-		return nil, err
-	}
-	return node, warmNode(node)
-}
-
-// NewConcurrentMatchNode is NewConcurrentProxyNode with the Match-1 site
-// script loaded: each request executes one onRequest and one onResponse
-// handler in a pooled stage context.
-func NewConcurrentMatchNode() (*core.Node, error) {
-	node, err := microNode(ConfigMatch1)
+// NewConcurrentNode returns a node of the given micro-benchmark
+// configuration primed for the warm path: the static page and the stage
+// scripts are already cached, so every subsequent Handle is pure pipeline +
+// cache work with no origin traffic. With ConfigProxy the stage scripts are
+// absent; with ConfigMatch1 each request executes one onRequest and one
+// onResponse handler in a pooled stage context.
+func NewConcurrentNode(cfg MicroConfig) (*core.Node, error) {
+	node, err := microNode(cfg)
 	if err != nil {
 		return nil, err
 	}

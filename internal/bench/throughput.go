@@ -62,7 +62,7 @@ func RunThroughput() (ThroughputResult, error) {
 			panic(fmt.Sprintf("bench: binary rec round trip: %v", err))
 		}
 	})
-	node, err := NewConcurrentProxyNode()
+	node, err := NewConcurrentNode(ConfigProxy)
 	if err != nil {
 		return res, err
 	}

@@ -171,10 +171,6 @@ func (c *Cache) L2() *Disk { return c.l2.Load() }
 // node swaps tiers across simulated crash/restart cycles.
 func (c *Cache) SetL2(d *Disk) { c.l2.Store(d) }
 
-// ShardCount returns the effective number of lock shards (diagnostics,
-// tests).
-func (c *Cache) ShardCount() int { return len(c.shards) }
-
 // shard returns the shard owning key (FNV-1a over the key).
 func (c *Cache) shard(key string) *shard {
 	const (
@@ -425,22 +421,6 @@ func (c *Cache) Clear() {
 	}
 }
 
-// Keys returns the currently cached keys, most recently used first within
-// each shard. Used by the cooperative cache index
-// publisher; with more than one shard the global ordering across shards is
-// approximate.
-func (c *Cache) Keys() []string {
-	var out []string
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			out = append(out, el.Value.(*entry).key)
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // Len returns the number of entries.
 func (c *Cache) Len() int {
 	n := 0
@@ -502,60 +482,31 @@ func (sh *shard) evictLocked() []*entry {
 // Memo: generic memoization cache for decision trees and script contexts
 // ---------------------------------------------------------------------------
 
-// Memo is a small concurrency-safe memoization cache with per-entry expiry.
-// Unlike Cache it stores arbitrary values (parsed decision trees, pooled
-// scripting contexts) and does not clone them. Reads take a shared lock so
-// the loader's stage lookups (three per request) scale across cores.
+// Memo is a small concurrency-safe memoization cache. Unlike Cache it
+// stores arbitrary values (parsed decision trees, pooled scripting contexts)
+// and does not clone them; entries live until evicted. Reads take a shared
+// lock so the loader's stage lookups (three per request) scale across cores.
 type Memo[T any] struct {
 	mu      sync.RWMutex
-	ttl     time.Duration
-	clock   func() time.Time
 	maxSize int
-	items   map[string]memoItem[T]
+	items   map[string]T
 }
 
-type memoItem[T any] struct {
-	value   T
-	expires time.Time
-}
-
-// NewMemo returns a memo cache whose entries live for ttl (zero means no
-// expiry) and holds at most maxSize entries (zero means 1024).
-func NewMemo[T any](ttl time.Duration, maxSize int) *Memo[T] {
+// NewMemo returns a memo cache holding at most maxSize entries (zero means
+// 1024).
+func NewMemo[T any](maxSize int) *Memo[T] {
 	if maxSize <= 0 {
 		maxSize = 1024
 	}
-	return &Memo[T]{ttl: ttl, clock: time.Now, maxSize: maxSize, items: make(map[string]memoItem[T])}
+	return &Memo[T]{maxSize: maxSize, items: make(map[string]T)}
 }
 
-// SetClock overrides the time source; used in tests.
-func (m *Memo[T]) SetClock(clock func() time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.clock = clock
-}
-
-// Get returns the memoized value for key and whether it was present and
-// fresh.
+// Get returns the memoized value for key and whether it was present.
 func (m *Memo[T]) Get(key string) (T, bool) {
-	var zero T
 	m.mu.RLock()
-	it, ok := m.items[key]
-	expired := ok && !it.expires.IsZero() && m.clock().After(it.expires)
-	m.mu.RUnlock()
-	if !ok {
-		return zero, false
-	}
-	if expired {
-		m.mu.Lock()
-		// Re-check under the write lock: the entry may have been replaced.
-		if cur, still := m.items[key]; still && !cur.expires.IsZero() && m.clock().After(cur.expires) {
-			delete(m.items, key)
-		}
-		m.mu.Unlock()
-		return zero, false
-	}
-	return it.value, true
+	defer m.mu.RUnlock()
+	v, ok := m.items[key]
+	return v, ok
 }
 
 // Put stores value under key.
@@ -570,23 +521,5 @@ func (m *Memo[T]) Put(key string, value T) {
 			break
 		}
 	}
-	var exp time.Time
-	if m.ttl > 0 {
-		exp = m.clock().Add(m.ttl)
-	}
-	m.items[key] = memoItem[T]{value: value, expires: exp}
-}
-
-// Delete removes key.
-func (m *Memo[T]) Delete(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.items, key)
-}
-
-// Len returns the number of memoized entries.
-func (m *Memo[T]) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.items)
+	m.items[key] = value
 }

@@ -166,16 +166,6 @@ func TestInvalidateAndClear(t *testing.T) {
 	}
 }
 
-func TestKeys(t *testing.T) {
-	c := New(Config{})
-	c.Put("a", okResponse("1"))
-	c.Put("b", okResponse("2"))
-	keys := c.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("keys = %v, want 2 entries", keys)
-	}
-}
-
 func TestOverwrite(t *testing.T) {
 	c := New(Config{})
 	c.Put("k", okResponse("old"))
@@ -214,7 +204,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestMemo(t *testing.T) {
-	m := NewMemo[string](0, 0)
+	m := NewMemo[string](0)
 	if _, ok := m.Get("x"); ok {
 		t.Error("unexpected hit")
 	}
@@ -222,33 +212,15 @@ func TestMemo(t *testing.T) {
 	if v, ok := m.Get("x"); !ok || v != "decision-tree" {
 		t.Errorf("got %q %v", v, ok)
 	}
-	m.Delete("x")
-	if _, ok := m.Get("x"); ok {
-		t.Error("entry should be deleted")
-	}
-}
-
-func TestMemoExpiry(t *testing.T) {
-	clock := newFakeClock()
-	m := NewMemo[int](time.Minute, 0)
-	m.SetClock(clock.Now)
-	m.Put("k", 42)
-	if v, ok := m.Get("k"); !ok || v != 42 {
-		t.Fatal("expected fresh hit")
-	}
-	clock.Advance(2 * time.Minute)
-	if _, ok := m.Get("k"); ok {
-		t.Error("expected expiry")
-	}
 }
 
 func TestMemoBounded(t *testing.T) {
-	m := NewMemo[int](0, 4)
+	m := NewMemo[int](4)
 	for i := 0; i < 100; i++ {
 		m.Put(fmt.Sprintf("k%d", i), i)
 	}
-	if m.Len() > 5 {
-		t.Errorf("memo grew to %d entries, want bounded", m.Len())
+	if len(m.items) > 5 {
+		t.Errorf("memo grew to %d entries, want bounded", len(m.items))
 	}
 }
 

@@ -30,8 +30,8 @@ func newDiskCache(t *testing.T, fs store.FS, maxEntries int, clock func() time.T
 		t.Fatal(err)
 	}
 	c := New(Config{MaxEntries: maxEntries, DefaultTTL: time.Hour, Clock: clock, L2: d})
-	if c.ShardCount() != 1 {
-		t.Fatalf("want 1 shard for exact LRU, got %d", c.ShardCount())
+	if len(c.shards) != 1 {
+		t.Fatalf("want 1 shard for exact LRU, got %d", len(c.shards))
 	}
 	return c, d
 }

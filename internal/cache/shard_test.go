@@ -10,30 +10,30 @@ import (
 func TestShardCountDefaults(t *testing.T) {
 	// Production-sized budgets get the full default shard fan-out.
 	c := New(Config{})
-	if c.ShardCount() != defaultShards {
-		t.Errorf("default shards = %d, want %d", c.ShardCount(), defaultShards)
+	if len(c.shards) != defaultShards {
+		t.Errorf("default shards = %d, want %d", len(c.shards), defaultShards)
 	}
 	// Small caches collapse to one shard to keep exact global LRU order.
 	small := New(Config{MaxEntries: 8})
-	if small.ShardCount() != 1 {
-		t.Errorf("small cache shards = %d, want 1", small.ShardCount())
+	if len(small.shards) != 1 {
+		t.Errorf("small cache shards = %d, want 1", len(small.shards))
 	}
 	// A byte budget too small to split also collapses.
 	tiny := New(Config{MaxBytes: 100, MaxEntries: 100_000})
-	if tiny.ShardCount() != 1 {
-		t.Errorf("tiny-bytes cache shards = %d, want 1", tiny.ShardCount())
+	if len(tiny.shards) != 1 {
+		t.Errorf("tiny-bytes cache shards = %d, want 1", len(tiny.shards))
 	}
 	// Requested counts round down to a power of two.
 	c3 := New(Config{Shards: 3})
-	if c3.ShardCount() != 2 {
-		t.Errorf("Shards:3 → %d, want 2", c3.ShardCount())
+	if len(c3.shards) != 2 {
+		t.Errorf("Shards:3 → %d, want 2", len(c3.shards))
 	}
 }
 
 func TestShardedEntriesDistributeAndBound(t *testing.T) {
 	c := New(Config{MaxEntries: 4096, MaxBytes: 256 << 20, Shards: 8})
-	if c.ShardCount() != 8 {
-		t.Fatalf("shards = %d, want 8", c.ShardCount())
+	if len(c.shards) != 8 {
+		t.Fatalf("shards = %d, want 8", len(c.shards))
 	}
 	for i := 0; i < 2000; i++ {
 		c.Put(fmt.Sprintf("GET http://site-%d.example.org/", i), okResponse("body"))
@@ -78,8 +78,8 @@ func TestShardedNeverExceedsGlobalLimits(t *testing.T) {
 // self-evicted (which would make the node publish a copy it cannot hold).
 func TestOversizedEntryRejected(t *testing.T) {
 	c := New(Config{MaxBytes: 64 << 20, MaxEntries: 4096, Shards: 16})
-	if c.ShardCount() != 16 {
-		t.Fatalf("shards = %d, want 16", c.ShardCount())
+	if len(c.shards) != 16 {
+		t.Fatalf("shards = %d, want 16", len(c.shards))
 	}
 	perShard := int64(64<<20) / 16
 	big := okResponse(strings.Repeat("x", int(perShard)+1))

@@ -54,10 +54,6 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Persist: true, Replication: 1,
 		Mutate: func(i int, cfg *core.Config) {
 			cfg.Cache.MaxEntries = l1Cap
-			// A small compaction threshold makes the snapshot/truncate
-			// cycle run mid-burst, so recovery exercises snapshot + WAL
-			// replay, not just a single log file.
-			cfg.Persist.CompactBytes = 4 << 10
 		}}, origin)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -103,7 +104,7 @@ func TestRecordLandsOnItsReplicaSet(t *testing.T) {
 			name:   "lease grant",
 			record: func(i int) (string, string) { return repSite, lease.Key(fmt.Sprintf("placed-job-%d", i)) },
 			write: func(t *testing.T, c *Cluster, w *core.Node, site, key string) {
-				name, _ := lease.Name(key)
+				name := strings.TrimPrefix(key, lease.KeyPrefix)
 				if token, ok := w.LeaseAcquire(site, name, time.Hour); !ok || token != 1 {
 					t.Fatalf("acquire %s through %s = (%d, %v), want (1, true)", name, w.Name(), token, ok)
 				}
@@ -112,7 +113,7 @@ func TestRecordLandsOnItsReplicaSet(t *testing.T) {
 				// Both nodes sit outside the record's replica set: the
 				// holder's renewal and the other's denial are decided on the
 				// record the grant left at the owner.
-				name, _ := lease.Name(key)
+				name := strings.TrimPrefix(key, lease.KeyPrefix)
 				if token, ok := out.LeaseAcquire(site, name, time.Hour); ok {
 					t.Fatalf("acquire %s through %s granted token %d over a live holder", name, out.Name(), token)
 				}

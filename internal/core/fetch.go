@@ -25,11 +25,16 @@ import (
 
 // fetchWithCache is the pipeline's origin fetcher and the entry to the
 // chain. Only GET and HEAD are cacheable; everything else goes straight to
-// the origin.
+// the origin, and an unsafe method the origin accepts invalidates what the
+// cache holds for its URI.
 func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 	if req.Method != http.MethodGet && req.Method != http.MethodHead {
 		n.originFetches.Add(1)
-		return n.cfg.Upstream.Do(req)
+		resp, err := n.cfg.Upstream.Do(req)
+		if err == nil && resp.Status < 400 && req.Method != http.MethodOptions && req.Method != http.MethodTrace {
+			n.invalidate(req)
+		}
+		return resp, err
 	}
 	key := req.CacheKey()
 	if resp := n.lookup(key, false); resp != nil {
@@ -51,6 +56,17 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 		resp = resp.Clone()
 	}
 	return resp, err
+}
+
+// invalidate drops the whole-body cache's copies, in memory and on disk, of
+// the URI a request with an unsafe method changed (RFC 9111 §4.4): the
+// responses stored for GET and HEAD of it. The large-object tier is not
+// consulted: its index is replicated hard state, which a local drop would
+// not reach.
+func (n *Node) invalidate(req *httpmsg.Request) {
+	target := strings.TrimPrefix(req.CacheKey(), req.Method+" ")
+	n.cache.Invalidate(http.MethodGet + " " + target)
+	n.cache.Invalidate(http.MethodHead + " " + target)
 }
 
 // flightKey names the flight a miss joins: the cache key plus the request

@@ -421,3 +421,39 @@ func TestDiskTierOnMetricsAndShutdown(t *testing.T) {
 		t.Errorf("origin fetches of %s = %d, want 1", urls[0], got)
 	}
 }
+
+// TestUnsafeMethodInvalidatesStoredCopies: a POST the origin accepts drops
+// what the cache holds for its URI, in memory and on disk (RFC 9111 §4.4), so
+// the next GET goes back to the origin; a safe method leaves the copy alone.
+func TestUnsafeMethodInvalidatesStoredCopies(t *testing.T) {
+	origin := newMemOrigin()
+	onDisk, inMemory, kept := "http://site.example.org/p1", "http://site.example.org/p2", "http://site.example.org/p3"
+	for _, u := range []string{onDisk, inMemory, kept} {
+		origin.addText(u, "<html>"+u+"</html>", 600)
+	}
+	n := newTestNode(t, "edge-1", origin, func(cfg *Config) {
+		cfg.DataFS = store.NewMemFS()
+		cfg.Cache.MaxEntries = 1
+	})
+	handle := func(method, u string) {
+		t.Helper()
+		if resp, _, err := n.Handle(httpmsg.MustRequest(method, u)); err != nil || resp.Status != 200 {
+			t.Fatalf("%s %s: %v, %v", method, u, resp, err)
+		}
+	}
+	for _, u := range []string{onDisk, kept, inMemory} {
+		handle("GET", u)
+	}
+	handle("POST", onDisk)
+	handle("POST", inMemory)
+	handle("OPTIONS", kept)
+	for _, u := range []string{onDisk, inMemory, kept} {
+		handle("GET", u)
+	}
+	for u, want := range map[string]int{onDisk: 2, inMemory: 2, kept: 1} {
+		// The POST is one hit of its own; OPTIONS too.
+		if got := origin.hitCount(u) - 1; got != want {
+			t.Errorf("origin GETs of %s = %d, want %d", u, got, want)
+		}
+	}
+}

@@ -30,13 +30,6 @@ import (
 	"nakika/internal/transport"
 )
 
-// PersistConfig tunes the node's hard-state log.
-type PersistConfig struct {
-	// CompactBytes is the log size that triggers the snapshot/truncate
-	// cycle; zero means the engine default (4 MiB).
-	CompactBytes int64
-}
-
 // Fetcher retrieves a resource from an upstream server. The default fetcher
 // uses net/http; tests and simulations inject in-process origins.
 type Fetcher interface {
@@ -149,8 +142,6 @@ type Config struct {
 	// with the process, and no disk tier. cmd/nakikad builds a DirFS from
 	// -data-dir; the cluster harness injects per-node in-memory filesystems.
 	DataFS store.FS
-	// Persist tunes the hard-state log; zero values mean defaults.
-	Persist PersistConfig
 	// LargeObjectThreshold, when positive, enables the chunked large-object
 	// tier: 200 responses at least this many bytes long are split into
 	// fixed-size content-addressed segments held in a disk slab and served
@@ -451,11 +442,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.EnableResources {
 		n.executor.Resources = n.res
 	}
-	if !cfg.NoObserve {
-		n.ids = nktrace.NewIDGen(cfg.Name)
-		n.ring = nktrace.NewRing(nktrace.DefaultRingSize)
-		n.buildRegistry()
-	}
 	// Load accounting is always on (it is a handful of atomic/mutex ops per
 	// request); the offload and hedging behaviours it feeds are opt-in via
 	// OffloadThreshold / HedgeAfter.
@@ -465,6 +451,11 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Ring != nil {
 		n.overlay = cfg.Ring.Join(cfg.Name, cfg.Region)
 		n.overlay.SetLoadGossip(n.LoadScore, n.view.Observe)
+	}
+	if !cfg.NoObserve {
+		n.ids = nktrace.NewIDGen(cfg.Name)
+		n.ring = nktrace.NewRing(nktrace.DefaultRingSize)
+		n.buildRegistry()
 	}
 	if cfg.Directory != nil {
 		cfg.Directory.Register(n)
@@ -523,10 +514,7 @@ func (n *Node) openStorage() (*store.Log, *cache.Disk, error) {
 	if fs == nil {
 		fs = store.NewMemFS()
 	}
-	kv, err := store.OpenLog(store.Sub(fs, "state"), store.LogConfig{
-		Quota:        state.DefaultQuota,
-		CompactBytes: n.cfg.Persist.CompactBytes,
-	})
+	kv, err := store.OpenLog(store.Sub(fs, "state"), store.LogConfig{Quota: state.DefaultQuota})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: open state log: %w", err)
 	}
@@ -628,18 +616,12 @@ func (n *Node) Recover() error {
 // Name returns the node's name.
 func (n *Node) Name() string { return n.cfg.Name }
 
-// Region returns the node's region.
-func (n *Node) Region() string { return n.cfg.Region }
-
 // Resources exposes the node's resource manager (benchmarks drive its
 // control loop directly; deployments run Manager.Run in a goroutine).
 func (n *Node) Resources() *resource.Manager { return n.res }
 
 // Cache exposes the node's proxy cache.
 func (n *Node) Cache() *cache.Cache { return n.cache }
-
-// AccessLog exposes the node's per-site access log.
-func (n *Node) AccessLog() *state.AccessLog { return n.log }
 
 // Loader exposes the stage loader (extensions inject generated stages with
 // it).
@@ -648,17 +630,6 @@ func (n *Node) Loader() *pipeline.Loader { return n.loader }
 // Overlay exposes the node's overlay membership (nil without a Ring); the
 // cluster harness uses it to drive maintenance and inspect routing state.
 func (n *Node) Overlay() *overlay.Node { return n.overlay }
-
-// SetResourceControls enables or disables congestion-based resource
-// controls at runtime (the Section 5.1 comparison).
-func (n *Node) SetResourceControls(on bool) {
-	n.res.SetEnabled(on)
-	if on {
-		n.executor.Resources = n.res
-	} else {
-		n.executor.Resources = nil
-	}
-}
 
 // Stats returns a snapshot of node counters.
 func (n *Node) Stats() Stats {
@@ -705,10 +676,6 @@ func (n *Node) Stats() Stats {
 // exponentially-decayed recent work): what the node gossips to peers and
 // compares against Config.OffloadThreshold.
 func (n *Node) LoadScore() float64 { return n.meter.Score() }
-
-// PeerLoadView returns the node's decayed last-known load score for each
-// peer it has observed (tests and debugging).
-func (n *Node) PeerLoadView() map[string]float64 { return n.view.Snapshot() }
 
 // Handle runs one request through the node: pipeline execution, caching, and
 // access logging. It is the programmatic entry point; ServeHTTP wraps it for
@@ -782,7 +749,9 @@ func (n *Node) handleLocal(req *httpmsg.Request) (*httpmsg.Response, *pipeline.T
 				trace.Segments, trace.SegmentsResident = p.Progress()
 			}
 		}
-		n.log.Append(req.SiteKey(), state.FormatAccess(req.ClientIP, req.Method, req.URL.String(), resp.Status, int(resp.TotalLen()), time.Since(start)))
+		if site := req.SiteKey(); n.log.Posting(site) {
+			n.log.Append(site, state.FormatAccess(req.ClientIP, req.Method, req.URL.String(), resp.Status, int(resp.TotalLen()), time.Since(start)))
+		}
 	}
 	n.observe(req, resp, trace, start)
 	return resp, trace, nil
@@ -822,8 +791,8 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// FlushLogs posts accumulated access-log entries to each site's configured
-// log URL through the upstream fetcher.
+// FlushLogs posts accumulated access-log entries to the URL each site's
+// script named with Log.postTo, through the upstream fetcher.
 func (n *Node) FlushLogs() error {
 	return n.log.Flush(func(site, postURL string, lines []string) error {
 		req, err := httpmsg.NewRequest(http.MethodPost, postURL)
@@ -842,9 +811,6 @@ func (n *Node) FlushLogs() error {
 		return nil
 	})
 }
-
-// SetLogPostURL configures where a site's access log entries are posted.
-func (n *Node) SetLogPostURL(site, url string) { n.log.SetPostURL(site, url) }
 
 // replica returns (creating on demand) the hard state replica for site.
 func (n *Node) replica(site string) *state.Replica {
@@ -920,9 +886,6 @@ func (n *Node) Usage(site, resourceName string) float64 {
 	}
 	return n.res.Usage(site, kind)
 }
-
-// Log appends a message to the site's access log.
-func (n *Node) Log(site, message string) { n.log.Append(site, message) }
 
 // StateGet reads site-partitioned hard state. With successor replication
 // enabled the read is routed to the key's acting owner and fails over to

@@ -33,7 +33,8 @@ func (h hostAdapter) CacheGet(key string) *httpmsg.Response       { return h.n.C
 func (h hostAdapter) CachePut(key string, resp *httpmsg.Response) { h.n.CachePut(key, resp) }
 func (h hostAdapter) IsLocalClient(ip string) bool                { return h.n.IsLocalClient(ip) }
 func (h hostAdapter) Usage(site, resource string) float64         { return h.n.Usage(site, resource) }
-func (h hostAdapter) Log(site, message string)                    { h.n.Log(site, message) }
+func (h hostAdapter) Log(site, message string)                    { h.n.log.Append(site, message) }
+func (h hostAdapter) SetLogURL(site, postURL string)              { h.n.log.SetPostURL(site, postURL) }
 func (h hostAdapter) Propagate(site, message string) error        { return h.n.Propagate(site, message) }
 func (h hostAdapter) NodeName() string                            { return h.n.NodeName() }
 func (h hostAdapter) Now() time.Time                              { return h.n.Now() }
@@ -231,6 +232,15 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_deploys_total", "", metrics.Labels{"outcome": "compile_error"}, cv(&n.deployCompErr))
 
 	r.GaugeFunc("nakika_load_score", "The node's load score (in-flight requests plus decayed recent work).", nil, n.LoadScore)
+
+	if ov := n.overlay; ov != nil {
+		r.CounterFunc("nakika_overlay_lookups_total", "Overlay routing lookups this node started.", nil,
+			func() float64 { return float64(ov.Stats().Lookups) })
+		r.CounterFunc("nakika_overlay_lookup_hops_total", "Remote routing hops those lookups took.", nil,
+			func() float64 { return float64(ov.Stats().TotalHops) })
+		r.GaugeFunc("nakika_overlay_index_keys", "Cache keys in this node's slice of the cooperative-cache index.", nil,
+			func() float64 { return float64(ov.Stats().IndexKeys) })
+	}
 
 	n.latency = r.NewHistogramSeries("nakika_request_seconds", "End-to-end request latency at this node.", nil, metrics.DefBuckets)
 	n.reg = r

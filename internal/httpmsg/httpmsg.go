@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"net/textproto"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -184,17 +183,6 @@ func (r *Request) Cookie(name string) (string, bool) {
 	return "", false
 }
 
-// SetCookie appends a cookie to the request's Cookie header.
-func (r *Request) SetCookie(name, value string) {
-	existing := r.Header.Get("Cookie")
-	pair := name + "=" + value
-	if existing == "" {
-		r.Header.Set("Cookie", pair)
-		return
-	}
-	r.Header.Set("Cookie", existing+"; "+pair)
-}
-
 // Query returns the named query parameter (first value).
 func (r *Request) Query(name string) string {
 	if r.URL == nil {
@@ -301,9 +289,6 @@ func (r *Response) Clone() *Response {
 	return cp
 }
 
-// Size returns the body length in bytes.
-func (r *Response) Size() int { return len(r.Body) }
-
 // ---------------------------------------------------------------------------
 // Cache-control helpers (expiration-based consistency, Section 3.3)
 // ---------------------------------------------------------------------------
@@ -391,9 +376,6 @@ func FreshFor(h http.Header, now time.Time) (fresh time.Duration, ok bool) {
 
 // Cacheable reports whether the response may be stored by a shared cache.
 func (r *Response) Cacheable() bool { return Storable(r.Status, r.Header) }
-
-// FreshFor is the package's FreshFor over the response's own headers.
-func (r *Response) FreshFor(now time.Time) (time.Duration, bool) { return FreshFor(r.Header, now) }
 
 // SetMaxAge sets the Cache-Control max-age directive in seconds.
 func (r *Response) SetMaxAge(seconds int) {
@@ -644,18 +626,3 @@ func cloneHeader(h http.Header) http.Header {
 }
 
 func readAll(r io.Reader) ([]byte, error) { return io.ReadAll(r) }
-
-// HeaderFingerprint returns a deterministic digest-friendly serialization of
-// selected headers; the integrity layer signs over it together with the body
-// hash.
-func HeaderFingerprint(h http.Header, names ...string) string {
-	sort.Strings(names)
-	var sb strings.Builder
-	for _, n := range names {
-		sb.WriteString(textproto.CanonicalMIMEHeaderKey(n))
-		sb.WriteString(":")
-		sb.WriteString(strings.Join(h.Values(n), ","))
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}

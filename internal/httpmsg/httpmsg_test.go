@@ -129,8 +129,7 @@ func TestCookies(t *testing.T) {
 	if _, ok := r.Cookie("session"); ok {
 		t.Error("unexpected cookie")
 	}
-	r.SetCookie("session", "abc123")
-	r.SetCookie("student", "42")
+	r.Header.Set("Cookie", "session=abc123; student=42")
 	if v, ok := r.Cookie("session"); !ok || v != "abc123" {
 		t.Errorf("session cookie = %q, %v", v, ok)
 	}
@@ -146,8 +145,8 @@ func TestResponseBodyAndContentType(t *testing.T) {
 	if r.ContentType() != "text/html" {
 		t.Errorf("ContentType = %q", r.ContentType())
 	}
-	if r.Size() != 13 {
-		t.Errorf("Size = %d", r.Size())
+	if len(r.Body) != 13 {
+		t.Errorf("body length = %d", len(r.Body))
 	}
 	if r.Header.Get("Content-Length") != "13" {
 		t.Errorf("Content-Length = %q", r.Header.Get("Content-Length"))
@@ -200,26 +199,26 @@ func TestCacheable(t *testing.T) {
 func TestFreshFor(t *testing.T) {
 	now := time.Now()
 	r := NewResponse(200)
-	if d, ok := r.FreshFor(now); d != 0 || ok {
+	if d, ok := FreshFor(r.Header, now); d != 0 || ok {
 		t.Errorf("no headers: FreshFor = %v, %v; want no freshness information", d, ok)
 	}
 	r.SetMaxAge(300)
-	if d, ok := r.FreshFor(now); d != 300*time.Second || !ok {
+	if d, ok := FreshFor(r.Header, now); d != 300*time.Second || !ok {
 		t.Errorf("max-age freshness = %v, %v", d, ok)
 	}
 	r2 := NewResponse(200)
 	r2.SetAbsoluteExpiry(now.Add(90 * time.Second))
-	if fresh, ok := r2.FreshFor(now); !ok || fresh < 85*time.Second || fresh > 95*time.Second {
+	if fresh, ok := FreshFor(r2.Header, now); !ok || fresh < 85*time.Second || fresh > 95*time.Second {
 		t.Errorf("Expires freshness = %v, %v", fresh, ok)
 	}
 	r3 := NewResponse(200)
 	r3.SetAbsoluteExpiry(now.Add(-10 * time.Second))
-	if d, ok := r3.FreshFor(now); d > 0 || !ok {
+	if d, ok := FreshFor(r3.Header, now); d > 0 || !ok {
 		t.Errorf("past Expires: FreshFor = %v, %v; want stale on arrival, not \"no information\"", d, ok)
 	}
 	r4 := NewResponse(200)
 	r4.Header.Set("Cache-Control", "public, s-maxage=120")
-	if d, ok := r4.FreshFor(now); d != 120*time.Second || !ok {
+	if d, ok := FreshFor(r4.Header, now); d != 120*time.Second || !ok {
 		t.Errorf("s-maxage freshness = %v, %v", d, ok)
 	}
 }
@@ -272,8 +271,8 @@ func TestSharedCachePolicy(t *testing.T) {
 			t.Errorf("%s: FreshFor = %v, %v; want %v, %v", c.name, got, known, c.fresh, c.known)
 		}
 		r := &Response{Status: c.status, Header: c.header}
-		if got, known := r.FreshFor(now); r.Cacheable() != c.storable || got != c.fresh || known != c.known {
-			t.Errorf("%s: the Response methods disagree with the functions", c.name)
+		if r.Cacheable() != c.storable {
+			t.Errorf("%s: Cacheable disagrees with Storable", c.name)
 		}
 	}
 }
@@ -314,7 +313,7 @@ func TestHTTPConversion(t *testing.T) {
 	if resp.Status != 200 || string(resp.Body) != "origin content" {
 		t.Errorf("resp = %d %q", resp.Status, resp.Body)
 	}
-	if fresh, _ := resp.FreshFor(time.Now()); fresh != 60*time.Second {
+	if fresh, _ := FreshFor(resp.Header, time.Now()); fresh != 60*time.Second {
 		t.Error("cache-control lost in conversion")
 	}
 }
@@ -363,21 +362,6 @@ func TestWriteTo(t *testing.T) {
 	}
 	if rec.Body.String() != "<p>created</p>" {
 		t.Errorf("body = %q", rec.Body.String())
-	}
-}
-
-func TestHeaderFingerprint(t *testing.T) {
-	h := make(http.Header)
-	h.Set("Cache-Control", "max-age=60")
-	h.Set("Expires", "Thu, 01 Jan 2026 00:00:00 GMT")
-	a := HeaderFingerprint(h, "Cache-Control", "Expires")
-	b := HeaderFingerprint(h, "Expires", "Cache-Control")
-	if a != b {
-		t.Error("fingerprint should be order-independent")
-	}
-	h.Set("Cache-Control", "max-age=120")
-	if HeaderFingerprint(h, "Cache-Control", "Expires") == a {
-		t.Error("fingerprint should change when header value changes")
 	}
 }
 

@@ -48,9 +48,6 @@ func (r *Response) rangeSpan() (from, to int64) {
 	return 0, r.TotalLen()
 }
 
-// Ranged reports whether ApplyRange narrowed this response to a byte range.
-func (r *Response) Ranged() bool { return r.ranged }
-
 // SetStream replaces the body with a lazily resolved stream and keeps
 // Content-Length consistent with the full instance length.
 func (r *Response) SetStream(s BodyStream) {

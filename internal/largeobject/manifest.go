@@ -289,9 +289,6 @@ func (b BitSet) Count() int {
 	return n
 }
 
-// Clone returns an independent copy.
-func (b BitSet) Clone() BitSet { return append(BitSet(nil), b...) }
-
 func appendBitSet(buf []byte, b BitSet) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(b)))
 	for _, w := range b {

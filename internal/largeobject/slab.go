@@ -250,14 +250,6 @@ func (s *Slab) putBuf(buf *[]byte) {
 	s.bufs.Put(buf)
 }
 
-// Contains reports residency without reading the record.
-func (s *Slab) Contains(id SegID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.log.Lookup(string(id[:]))
-	return ok
-}
-
 // Resident returns the bitmap of m's segments currently held by the slab.
 func (s *Slab) Resident(m *Manifest) BitSet {
 	s.mu.Lock()

@@ -142,7 +142,11 @@ func applyExOps(t *testing.T, ops []exOp) *exWorld {
 	t.Helper()
 	w := &exWorld{sessNode: make(map[string]int)}
 	for r := range w.stores {
-		w.stores[r] = state.NewStore(1 << 20)
+		kv, err := store.OpenLog(store.NewMemFS(), store.LogConfig{Quota: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.stores[r] = state.NewStoreBacked(kv)
 	}
 	for _, op := range ops {
 		switch op.Kind {
@@ -488,7 +492,7 @@ func TestLeaseExclusionReplay(t *testing.T) {
 		if len(log) == 0 || log[len(log)-1].token != 2 {
 			t.Fatalf("store %d admission log %v, want it to end at the heir's token 2", r, log)
 		}
-		token, holder := w.stores[r].FenceToken(exSite, lease.Key(exLease))
+		token, holder := w.stores[r].Backend().FenceToken(exSite, lease.Key(exLease))
 		if token != 2 {
 			t.Fatalf("store %d floor = (%d, %s), want the heir's token 2", r, token, holder)
 		}

@@ -20,8 +20,6 @@
 // is failure-detector-visible, and by lease expiry otherwise.
 package lease
 
-import "strings"
-
 // Record is the lease state stored (encoded, see Encode) as the value of a
 // replicated hard-state key. The zero Record is "never held".
 type Record struct {
@@ -96,7 +94,7 @@ func (o Outcome) String() string {
 // lapsed holdership must be distinguishable from the new one's at every
 // store.
 func Acquire(cur Record, holder string, now, ttl int64, holderDead bool) (Record, Outcome) {
-	if cur.Holder == holder && cur.Token > 0 && !cur.Released && now < cur.Expires {
+	if cur.Holder == holder && cur.Held(now) {
 		cur.Expires = now + ttl
 		return cur, Renewed
 	}
@@ -118,7 +116,7 @@ func Acquire(cur Record, holder string, now, ttl int64, holderDead bool) (Record
 // buffered from a deposed holdership cannot resurrect it. ok is false when
 // the caller no longer holds the lease.
 func Renew(cur Record, holder string, token uint64, now, ttl int64) (Record, bool) {
-	if cur.Holder != holder || cur.Token != token || token == 0 || cur.Released || now >= cur.Expires {
+	if cur.Holder != holder || cur.Token != token || !cur.Held(now) {
 		return cur, false
 	}
 	cur.Expires = now + ttl
@@ -146,14 +144,3 @@ const KeyPrefix = "\x00nk:lease:"
 
 // Key returns the hard-state key for the named per-site lease.
 func Key(name string) string { return KeyPrefix + name }
-
-// IsLeaseKey reports whether key is in the lease namespace.
-func IsLeaseKey(key string) bool { return strings.HasPrefix(key, KeyPrefix) }
-
-// Name returns the lease name behind a lease key.
-func Name(key string) (string, bool) {
-	if !IsLeaseKey(key) {
-		return "", false
-	}
-	return key[len(KeyPrefix):], true
-}

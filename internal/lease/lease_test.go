@@ -1,6 +1,10 @@
 package lease
 
-import "testing"
+import (
+	"testing"
+
+	"nakika/internal/state"
+)
 
 func TestAcquireLifecycle(t *testing.T) {
 	var rec Record
@@ -120,16 +124,12 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestKeyNamespace(t *testing.T) {
 	k := Key("ctr")
-	if !IsLeaseKey(k) {
-		t.Fatalf("Key output %q not recognized", k)
+	if k != KeyPrefix+"ctr" {
+		t.Fatalf("Key(%q) = %q", "ctr", k)
 	}
-	if name, ok := Name(k); !ok || name != "ctr" {
-		t.Fatalf("Name(%q) = %q, %v", k, name, ok)
-	}
-	if IsLeaseKey("ctr") || IsLeaseKey("\x00nk:other") && false {
-		t.Fatal("plain key recognized as lease key")
-	}
-	if _, ok := Name("plain"); ok {
-		t.Fatal("Name accepted a plain key")
+	// Lease records live in the internal namespace, which site scripts can
+	// neither read nor write through the State vocabulary.
+	if !state.IsInternalKey(k) {
+		t.Fatalf("lease key %q is outside the internal namespace", k)
 	}
 }

@@ -159,19 +159,6 @@ func (v *View) Observe(peer string, score float64) {
 	v.mu.Unlock()
 }
 
-// Score returns the decayed last-known load of peer; ok is false when the
-// peer has never been observed (callers treat unknown as cold — unknown
-// peers are worth exploring, not avoiding).
-func (v *View) Score(peer string) (float64, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	s, ok := v.peers[peer]
-	if !ok {
-		return 0, false
-	}
-	return v.decayed(s), true
-}
-
 // decayed applies the view's half-life to a sample's age. Caller holds
 // v.mu.
 func (v *View) decayed(s sample) float64 {
@@ -204,18 +191,6 @@ func (v *View) LeastLoaded(candidates []string) (name string, score float64, ok 
 		}
 	}
 	return name, score, true
-}
-
-// Snapshot returns a copy of the view's decayed scores (tests and
-// debugging).
-func (v *View) Snapshot() map[string]float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]float64, len(v.peers))
-	for name, s := range v.peers {
-		out[name] = v.decayed(s)
-	}
-	return out
 }
 
 // RTT keeps a per-peer exponentially-weighted moving average of RPC

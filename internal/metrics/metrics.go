@@ -1,13 +1,12 @@
 // Package metrics is a dependency-free metrics registry built for Na
-// Kika's hot path: counters and gauges are single atomic words,
-// histograms are fixed-bucket atomic arrays, and nothing on the
-// increment/observe path allocates or takes a lock. Rendering follows
-// the Prometheus text exposition format so any standard scraper can
-// consume the admin listener's /metrics endpoint.
+// Kika's hot path: histograms are fixed-bucket atomic arrays, and nothing
+// on the observe path allocates or takes a lock. Rendering follows the
+// Prometheus text exposition format so any standard scraper can consume
+// the admin listener's /metrics endpoint.
 //
-// Most node series are registered as CounterFunc/GaugeFunc callbacks
-// that read the node's existing atomic counters at scrape time, so
-// exporting them costs the hot path nothing at all.
+// Counters and gauges are CounterFunc/GaugeFunc callbacks that read the
+// node's existing atomic counters at scrape time, so exporting them costs
+// the hot path nothing at all.
 package metrics
 
 import (
@@ -19,30 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be >= 0 for the exposition to stay monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomic gauge.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket cumulative histogram. Observe is
 // lock-free and allocation-free: a linear scan over a small bound
@@ -93,33 +68,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Merge folds other into h. Both histograms must share bucket bounds.
-// It is safe against concurrent Observe calls on either side; the merge
-// is per-bucket atomic (a scrape racing a merge may see a partially
-// folded state, never a torn counter).
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(other.bounds) != len(h.bounds) {
-		return fmt.Errorf("metrics: merging histograms with %d vs %d buckets", len(other.bounds), len(h.bounds))
-	}
-	for i, b := range other.bounds {
-		if h.bounds[i] != b {
-			return fmt.Errorf("metrics: merging histograms with different bounds at %d: %g vs %g", i, h.bounds[i], b)
-		}
-	}
-	for i := range other.counts {
-		h.counts[i].Add(other.counts[i].Load())
-	}
-	h.count.Add(other.count.Load())
-	s := other.Sum()
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + s)
-		if h.sum.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
-}
 
 // series is one registered time series: a concrete metric or a
 // read-at-scrape callback.
@@ -183,20 +131,6 @@ func (r *Registry) add(name, help, typ string, s *series) {
 		r.fams = append(r.fams, f)
 	}
 	f.series = append(f.series, s)
-}
-
-// NewCounter registers and returns a counter series.
-func (r *Registry) NewCounter(name, help string, labels Labels) *Counter {
-	c := &Counter{}
-	r.add(name, help, "counter", &series{name: name, labels: renderLabels(labels), fn: func() float64 { return float64(c.Value()) }})
-	return c
-}
-
-// NewGauge registers and returns a gauge series.
-func (r *Registry) NewGauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.add(name, help, "gauge", &series{name: name, labels: renderLabels(labels), fn: func() float64 { return float64(g.Value()) }})
-	return g
 }
 
 // CounterFunc registers a counter whose value is read at scrape time —

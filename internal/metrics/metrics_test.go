@@ -4,20 +4,18 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("nakika_test_total", "test counter", Labels{"tier": "mem"})
-	g := r.NewGauge("nakika_test_gauge", "test gauge", nil)
-	c.Inc()
-	c.Add(4)
-	g.Set(7)
+	var c, g atomic.Int64
+	r.CounterFunc("nakika_test_total", "test counter", Labels{"tier": "mem"}, func() float64 { return float64(c.Load()) })
+	r.GaugeFunc("nakika_test_gauge", "test gauge", nil, func() float64 { return float64(g.Load()) })
+	c.Add(5)
+	g.Store(7)
 	g.Add(-2)
-	if c.Value() != 5 || g.Value() != 5 {
-		t.Fatalf("counter=%d gauge=%d, want 5 and 5", c.Value(), g.Value())
-	}
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -74,23 +72,14 @@ func TestHistogramBucketsAndExposition(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeRejectsMismatchedBounds(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	if err := a.Merge(NewHistogram([]float64{1, 3})); err == nil {
-		t.Fatal("merge of mismatched bounds succeeded")
-	}
-	if err := a.Merge(NewHistogram([]float64{1})); err == nil {
-		t.Fatal("merge of mismatched bucket count succeeded")
-	}
-}
-
 // TestRegistryConcurrentIncrements is the registry race test: counters,
 // gauges, and a histogram hammered from many goroutines while scrapes
 // render concurrently. Run under -race in CI.
 func TestRegistryConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("c_total", "c", nil)
-	g := r.NewGauge("g", "g", nil)
+	var c, g atomic.Int64
+	r.CounterFunc("c_total", "c", nil, func() float64 { return float64(c.Load()) })
+	r.GaugeFunc("g", "g", nil, func() float64 { return float64(g.Load()) })
 	h := r.NewHistogramSeries("h_seconds", "h", nil, DefBuckets)
 	const workers, per = 8, 5000
 	var wg sync.WaitGroup
@@ -99,7 +88,7 @@ func TestRegistryConcurrentIncrements(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc()
+				c.Add(1)
 				g.Add(1)
 				h.Observe(float64(i%100) / 1000)
 			}
@@ -126,49 +115,10 @@ func TestRegistryConcurrentIncrements(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	scrapers.Wait()
-	if c.Value() != workers*per || g.Value() != workers*per {
-		t.Fatalf("counter=%d gauge=%d, want %d", c.Value(), g.Value(), workers*per)
+	if c.Load() != workers*per || g.Load() != workers*per {
+		t.Fatalf("counter=%d gauge=%d, want %d", c.Load(), g.Load(), workers*per)
 	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count=%d, want %d", h.Count(), workers*per)
-	}
-}
-
-// TestHistogramConcurrentMerge races observers on shard histograms with
-// merges into an aggregate, asserting no observation is lost or torn.
-func TestHistogramConcurrentMerge(t *testing.T) {
-	const shards, per = 4, 4000
-	agg := NewHistogram(DefBuckets)
-	parts := make([]*Histogram, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		parts[s] = NewHistogram(DefBuckets)
-		wg.Add(1)
-		go func(h *Histogram) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(0.002)
-			}
-		}(parts[s])
-	}
-	// Merge a snapshot of each shard mid-flight (races Observe on
-	// purpose), then once more after quiescence for the exact total.
-	for _, p := range parts {
-		if err := agg.Merge(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	final := NewHistogram(DefBuckets)
-	for _, p := range parts {
-		if err := final.Merge(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if final.Count() != shards*per {
-		t.Fatalf("merged count = %d, want %d", final.Count(), shards*per)
-	}
-	if math.Abs(final.Sum()-float64(shards*per)*0.002) > 1e-6 {
-		t.Fatalf("merged sum = %g", final.Sum())
 	}
 }

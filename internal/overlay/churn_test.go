@@ -16,6 +16,23 @@ type member struct {
 	id   ID
 }
 
+// stabilizeAll runs rounds of maintenance across every local member in
+// sorted-name order: successor repair first, then finger repair.
+func stabilizeAll(r *Ring, rounds int) {
+	for i := 0; i < rounds; i++ {
+		for _, name := range r.Nodes() {
+			if n := r.NodeByName(name); n != nil && !n.remote {
+				n.Stabilize()
+			}
+		}
+		for _, name := range r.Nodes() {
+			if n := r.NodeByName(name); n != nil && !n.remote {
+				n.FixFingers()
+			}
+		}
+	}
+}
+
 func groundTruth(r *Ring) []member {
 	names := r.Nodes()
 	ms := make([]member, len(names))
@@ -63,8 +80,11 @@ func verifyConverged(t *testing.T, r *Ring, label string) {
 				t.Fatalf("%s: node %s succs[%d] = %s, want %s (full %v vs %v)", label, m.name, j, got[j], want[j], got, want)
 			}
 		}
-		if wantPred := ms[(pos-1+n)%n].name; node.Predecessor() != wantPred {
-			t.Fatalf("%s: node %s pred = %s, want %s", label, m.name, node.Predecessor(), wantPred)
+		node.mu.Lock()
+		pred := node.pred.name
+		node.mu.Unlock()
+		if wantPred := ms[(pos-1+n)%n].name; pred != wantPred {
+			t.Fatalf("%s: node %s pred = %s, want %s", label, m.name, pred, wantPred)
 		}
 		// Finger-table correctness: fingers[b] is the owner of id + 2^b.
 		node.mu.Lock()
@@ -130,7 +150,7 @@ func TestChurnRepair(t *testing.T) {
 					r.Leave(names[rng.Intn(len(names))])
 				}
 			}
-			r.StabilizeAll(tc.rounds)
+			stabilizeAll(r, tc.rounds)
 			verifyConverged(t, r, tc.name)
 		})
 	}
@@ -154,7 +174,7 @@ func TestChurnRepairDeterministic(t *testing.T) {
 				r.Leave(names[rng.Intn(len(names))])
 			}
 		}
-		r.StabilizeAll(6)
+		stabilizeAll(r, 6)
 		fp := fmt.Sprint(r.Nodes())
 		for i := 0; i < 10; i++ {
 			name, hops, err := r.NodeByName(r.Nodes()[0]).LookupName(fmt.Sprintf("det-key-%d", i))

@@ -104,7 +104,8 @@ type NodeStats struct {
 	IndexKeys int
 }
 
-// Stats returns a snapshot of the node's counters.
+// Stats returns a snapshot of the node's counters; the node's metrics
+// registry exports them.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -120,13 +121,6 @@ func (n *Node) Successors() []string {
 		out[i] = s.name
 	}
 	return out
-}
-
-// Predecessor returns the node's current predecessor name ("" if unknown).
-func (n *Node) Predecessor() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.pred.name
 }
 
 // SetChurnHook installs f as the node's churn notification: Stabilize

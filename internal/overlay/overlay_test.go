@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// lookup routes from n to the member responsible for key, returning it (nil
+// when routing fails) and the routing hop count.
+func lookup(n *Node, key string) (*Node, int) {
+	name, hops, err := n.LookupName(key)
+	if err != nil {
+		return nil, hops
+	}
+	return n.ring.NodeByName(name), hops
+}
+
 func TestJoinLeaveSize(t *testing.T) {
 	r := NewRing()
 	if r.Size() != 0 {
@@ -58,7 +68,7 @@ func TestSuccessorConsistency(t *testing.T) {
 		want := r.Successor(key)
 		for _, name := range r.Nodes() {
 			n := r.nodes[name]
-			got, _ := n.Lookup(key)
+			got, _ := lookup(n, key)
 			if got != want {
 				t.Fatalf("node %s resolves %q to %s, ring says %s", name, key, got.Name, want.Name)
 			}
@@ -139,7 +149,7 @@ func TestLookupHopsScaleLogarithmically(t *testing.T) {
 		}
 		maxHops := 0
 		for i := 0; i < 200; i++ {
-			_, hops := nodes[i%n].Lookup(fmt.Sprintf("key-%d", i))
+			_, hops := lookup(nodes[i%n], fmt.Sprintf("key-%d", i))
 			if hops > maxHops {
 				maxHops = hops
 			}
@@ -159,7 +169,7 @@ func TestNodeStats(t *testing.T) {
 	a := r.Join("node-a", "us-east")
 	r.Join("node-b", "us-west")
 	for i := 0; i < 5; i++ {
-		a.Lookup(fmt.Sprintf("k%d", i))
+		lookup(a, fmt.Sprintf("k%d", i))
 	}
 	st := a.Stats()
 	if st.Lookups != 5 {
@@ -170,7 +180,7 @@ func TestNodeStats(t *testing.T) {
 func TestSingleNodeRing(t *testing.T) {
 	r := NewRing()
 	a := r.Join("only", "r")
-	owner, hops := a.Lookup("anything")
+	owner, hops := lookup(a, "anything")
 	if owner != a || hops != 0 {
 		t.Errorf("single node ring: owner=%v hops=%d", owner.Name, hops)
 	}
@@ -186,7 +196,7 @@ func TestEmptyRingLookup(t *testing.T) {
 	r := NewRing()
 	n := r.Join("temp", "r")
 	r.Leave("temp")
-	owner, _ := n.Lookup("k")
+	owner, _ := lookup(n, "k")
 	if owner != nil {
 		t.Error("lookup on empty ring should return nil")
 	}

@@ -281,21 +281,6 @@ func (n *Node) lookupID(target ID, avoid map[string]bool) (string, int, error) {
 	return "", hops, fmt.Errorf("overlay: lookup did not converge after %d hops", hops)
 }
 
-// Lookup routes from the starting node to the node responsible for key,
-// returning the member and the routing hop count (remote messages taken).
-// It returns nil on an empty ring or when routing fails.
-func (n *Node) Lookup(key string) (*Node, int) {
-	name, hops, err := n.LookupName(key)
-	if err != nil || name == "" {
-		return nil, hops
-	}
-	r := n.ring
-	r.mu.RLock()
-	owner := r.nodes[name]
-	r.mu.RUnlock()
-	return owner, hops
-}
-
 // ---------------------------------------------------------------------------
 // Cooperative-cache index operations (owner-side state, reached by RPC)
 // ---------------------------------------------------------------------------
@@ -637,28 +622,5 @@ func (n *Node) FixFingers() {
 		}
 		n.fingers[b] = ref{name: owner, id: HashID(owner)}
 		n.mu.Unlock()
-	}
-}
-
-// StabilizeAll runs the given number of maintenance rounds across every
-// live local member in deterministic (sorted-name) order: successor repair
-// first, then finger repair. With the direct-call transport one round fully
-// converges a quiescent ring; under faults more rounds may be needed.
-func (r *Ring) StabilizeAll(rounds int) {
-	for i := 0; i < rounds; i++ {
-		for _, name := range r.Nodes() {
-			n := r.NodeByName(name)
-			if n == nil || n.remote {
-				continue
-			}
-			n.Stabilize()
-		}
-		for _, name := range r.Nodes() {
-			n := r.NodeByName(name)
-			if n == nil || n.remote {
-				continue
-			}
-			n.FixFingers()
-		}
 	}
 }

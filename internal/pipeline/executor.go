@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -506,17 +505,4 @@ func scriptObjectToResponse(obj *script.Object) *httpmsg.Response {
 		}
 	}
 	return resp
-}
-
-// SiteOf extracts the site (host without port) from a script URL; used by
-// callers that need to attribute dynamically scheduled stages to their
-// hosting site.
-func SiteOf(scriptURL string) string {
-	u := scriptURL
-	u = strings.TrimPrefix(u, "http://")
-	u = strings.TrimPrefix(u, "https://")
-	if i := strings.IndexAny(u, "/:"); i >= 0 {
-		u = u[:i]
-	}
-	return strings.ToLower(u)
 }

@@ -518,20 +518,6 @@ func TestStageCacheReuse(t *testing.T) {
 	if loads != 1 {
 		t.Errorf("site script fetched %d times, want 1 (stage cache)", loads)
 	}
-	// Invalidation forces a reload.
-	e.Loader.InvalidateStage("http://cached.example.org/nakika.js")
-	if _, _, err := e.Execute(httpmsg.MustRequest("GET", "http://cached.example.org/x")); err != nil {
-		t.Fatal(err)
-	}
-	loads = 0
-	for _, f := range h.fetches {
-		if strings.HasSuffix(f, "cached.example.org/nakika.js") {
-			loads++
-		}
-	}
-	if loads != 2 {
-		t.Errorf("after invalidation, fetch count = %d, want 2", loads)
-	}
 }
 
 func TestMaxStagesBound(t *testing.T) {
@@ -577,13 +563,10 @@ func TestResourceManagerIntegration(t *testing.T) {
 	if _, _, err := e.Execute(httpmsg.MustRequest("GET", "http://busy.example.org/x")); err != nil {
 		t.Fatal(err)
 	}
+	// The site consumed far more than 1000 CPU units, so after a control
+	// round it is congested and throttled: a throttled request comes back as
+	// server-busy (503).
 	mgr.ControlOnce()
-	// The site consumed far more than 1000 CPU units, so it is congested and
-	// should now be throttled.
-	if !mgr.Throttled("busy.example.org") {
-		t.Error("heavy site should be throttled after a control round")
-	}
-	// A throttled request comes back as server-busy (503).
 	sawBusy := false
 	for i := 0; i < 50; i++ {
 		resp, trace, err := e.Execute(httpmsg.MustRequest("GET", "http://busy.example.org/x"))
@@ -666,20 +649,6 @@ func TestPolicyInputClientHost(t *testing.T) {
 	}
 }
 
-func TestSiteOf(t *testing.T) {
-	cases := map[string]string{
-		"http://example.org/nakika.js":        "example.org",
-		"https://Services.Example.NET/a/b.js": "services.example.net",
-		"http://host:8080/x.js":               "host",
-		"bare-host/script.js":                 "bare-host",
-	}
-	for in, want := range cases {
-		if got := SiteOf(in); got != want {
-			t.Errorf("SiteOf(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestConcurrentPipelines(t *testing.T) {
 	h := newScriptHost()
 	h.origin["http://conc.example.org/x"] = "x"
@@ -719,10 +688,13 @@ func TestConcurrentPipelines(t *testing.T) {
 	}
 }
 
+// TestLoadSourceStage: a stage built from generated source text (the way
+// the deployment plane compiles a published bundle) registers its policies
+// like a fetched one.
 func TestLoadSourceStage(t *testing.T) {
 	h := newScriptHost()
 	loader := NewLoader(h, script.Limits{})
-	stage, err := loader.LoadSource("generated://blacklist", "nakika.net", `
+	stage, err := loader.Compile("generated://blacklist", "nakika.net", `
 		var p = new Policy();
 		p.url = [ "blocked.example.org" ];
 		p.onRequest = function() { Request.terminate(403); };
@@ -737,13 +709,5 @@ func TestLoadSourceStage(t *testing.T) {
 	in := policy.Input{Host: "blocked.example.org", Path: "/", Method: "GET"}
 	if stage.Match(in) == nil {
 		t.Error("generated stage should match the blacklisted host")
-	}
-	// Subsequent Load of the same URL hits the cache.
-	again, err := loader.Load("generated://blacklist", "nakika.net")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != stage {
-		t.Error("LoadSource result should be cached under its URL")
 	}
 }

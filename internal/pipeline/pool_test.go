@@ -16,6 +16,13 @@ const poolTestScript = `
 	p.register();
 `
 
+// forked returns how many pool contexts the stage has forked so far.
+func (s *Stage) forked() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.created
+}
+
 func poolTestLoader(poolSize int) *Loader {
 	l := NewLoader(vocab.NopHost{}, script.Limits{})
 	l.ContextPoolSize = poolSize
@@ -28,7 +35,7 @@ func poolTestLoader(poolSize int) *Loader {
 func TestPoolRunsHandlersInParallel(t *testing.T) {
 	const n = 4
 	l := poolTestLoader(n)
-	st, err := l.LoadSource("http://pool.example.org/nakika.js", "pool.example.org", poolTestScript)
+	st, err := l.Compile("http://pool.example.org/nakika.js", "pool.example.org", poolTestScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +68,8 @@ func TestPoolRunsHandlersInParallel(t *testing.T) {
 	if len(ctxs) != n {
 		t.Errorf("distinct contexts = %d, want %d", len(ctxs), n)
 	}
-	if st.PooledContexts() != n {
-		t.Errorf("forked contexts = %d, want %d", st.PooledContexts(), n)
+	if st.forked() != n {
+		t.Errorf("forked contexts = %d, want %d", st.forked(), n)
 	}
 }
 
@@ -70,7 +77,7 @@ func TestPoolRunsHandlersInParallel(t *testing.T) {
 // third concurrent run waits until a context is released.
 func TestPoolBoundBlocks(t *testing.T) {
 	l := poolTestLoader(2)
-	st, err := l.LoadSource("http://cap.example.org/nakika.js", "cap.example.org", poolTestScript)
+	st, err := l.Compile("http://cap.example.org/nakika.js", "cap.example.org", poolTestScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +116,8 @@ func TestPoolBoundBlocks(t *testing.T) {
 		t.Fatal("third run should proceed once a context is released")
 	}
 	wg.Wait()
-	if st.PooledContexts() > 2 {
-		t.Errorf("pool forked %d contexts, cap is 2", st.PooledContexts())
+	if st.forked() > 2 {
+		t.Errorf("pool forked %d contexts, cap is 2", st.forked())
 	}
 }
 
@@ -118,7 +125,7 @@ func TestPoolBoundBlocks(t *testing.T) {
 // copies of the stage's globals, not one shared heap.
 func TestPoolIsolatesScriptGlobals(t *testing.T) {
 	l := poolTestLoader(3)
-	st, err := l.LoadSource("http://iso.example.org/nakika.js", "iso.example.org", poolTestScript)
+	st, err := l.Compile("http://iso.example.org/nakika.js", "iso.example.org", poolTestScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +159,7 @@ func TestPoolIsolatesScriptGlobals(t *testing.T) {
 	close(release)
 	wg.Wait()
 	// The pristine context is never executed in; its globals stay untouched.
-	if v, _ := st.Context().Global("hits"); script.ToNumber(v) != 0 {
+	if v, _ := st.pristine.Global("hits"); script.ToNumber(v) != 0 {
 		t.Errorf("pristine hits = %v, want 0", v)
 	}
 }
@@ -167,7 +174,7 @@ func TestPoolForkChargesSite(t *testing.T) {
 		defer mu.Unlock()
 		charges[site] += heapBytes
 	}
-	st, err := l.LoadSource("http://charge.example.org/nakika.js", "charge.example.org", poolTestScript)
+	st, err := l.Compile("http://charge.example.org/nakika.js", "charge.example.org", poolTestScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +194,7 @@ func TestPoolForkChargesSite(t *testing.T) {
 func TestPoolInstanceRecoversAfterLimit(t *testing.T) {
 	l := NewLoader(vocab.NopHost{}, script.Limits{MaxSteps: 20_000})
 	l.ContextPoolSize = 1
-	st, err := l.LoadSource("http://limit.example.org/nakika.js", "limit.example.org", poolTestScript)
+	st, err := l.Compile("http://limit.example.org/nakika.js", "limit.example.org", poolTestScript)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,21 +105,6 @@ func (s *Stage) Policies() []*policy.Policy {
 	return s.tree.Policies()
 }
 
-// Context returns the stage's pristine scripting context (diagnostics,
-// tests). Executions never run in it directly; use WithRun.
-func (s *Stage) Context() *script.Context { return s.pristine }
-
-// PoolSize returns the stage's context pool bound (diagnostics, tests).
-func (s *Stage) PoolSize() int { return s.cap }
-
-// PooledContexts returns how many pool contexts have been forked so far
-// (diagnostics, tests).
-func (s *Stage) PooledContexts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.created
-}
-
 // Run is one checked-out pooled execution context. It is valid only for the
 // duration of the WithRun callback that produced it.
 type Run struct {
@@ -234,16 +219,9 @@ func NewLoader(host vocab.Host, limits script.Limits) *Loader {
 	return &Loader{
 		Host:    host,
 		Limits:  limits,
-		stages:  cache.NewMemo[*Stage](0, 4096),
-		missing: cache.NewMemo[*Stage](0, 4096),
+		stages:  cache.NewMemo[*Stage](4096),
+		missing: cache.NewMemo[*Stage](4096),
 	}
-}
-
-// InvalidateStage drops the cached stage for scriptURL, or the remembered
-// absence of one, so the next load re-fetches and re-evaluates it.
-func (l *Loader) InvalidateStage(scriptURL string) {
-	l.stages.Delete(scriptURL)
-	l.missing.Delete(scriptURL)
 }
 
 // Load returns the stage for scriptURL, charging it to site. A script the
@@ -308,18 +286,6 @@ func (l *Loader) cacheEmpty(scriptURL, site string) *Stage {
 	st := &Stage{URL: scriptURL, Site: site, Empty: true}
 	l.missing.Put(scriptURL, st)
 	return st
-}
-
-// LoadSource compiles a stage directly from source text; used by tests, by
-// Na Kika Pages, and by extensions that generate stage code dynamically (the
-// blacklist extension in Section 5.4).
-func (l *Loader) LoadSource(scriptURL, site, source string) (*Stage, error) {
-	st, err := l.compile(scriptURL, site, source)
-	if err != nil {
-		return nil, err
-	}
-	l.stages.Put(scriptURL, st)
-	return st, nil
 }
 
 // Compile builds a stage directly from source text WITHOUT touching the

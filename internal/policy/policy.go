@@ -312,42 +312,6 @@ func matchClientPattern(pattern, clientIP, clientHost string) (int, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Linear matcher (baseline)
-// ---------------------------------------------------------------------------
-
-// Set is a linear-scan matcher over a list of policies. It is the baseline
-// against which the decision tree is benchmarked.
-type Set struct {
-	Policies []*Policy
-}
-
-// Add appends a policy.
-func (s *Set) Add(p *Policy) { s.Policies = append(s.Policies, p) }
-
-// Len returns the number of registered policies.
-func (s *Set) Len() int { return len(s.Policies) }
-
-// Match returns the closest valid match among the registered policies, or
-// nil when none matches. Ties are broken in favour of the policy registered
-// last, matching the prototype's behaviour of later registrations refining
-// earlier ones.
-func (s *Set) Match(in Input) *Policy {
-	var best *Policy
-	var bestScore Score
-	for _, p := range s.Policies {
-		score, ok := p.Match(in)
-		if !ok {
-			continue
-		}
-		if best == nil || !score.Less(bestScore) {
-			best = p
-			bestScore = score
-		}
-	}
-	return best
-}
-
-// ---------------------------------------------------------------------------
 // Conversion from script policy objects
 // ---------------------------------------------------------------------------
 

@@ -9,6 +9,32 @@ import (
 	"nakika/internal/script"
 )
 
+// linearSet is the reference matcher the decision tree is checked and
+// benchmarked against: a linear scan over the registered policies. Ties
+// are broken in favour of the policy registered last, matching the
+// prototype's behaviour of later registrations refining earlier ones.
+type linearSet struct {
+	policies []*Policy
+}
+
+func (s *linearSet) Add(p *Policy) { s.policies = append(s.policies, p) }
+
+func (s *linearSet) Match(in Input) *Policy {
+	var best *Policy
+	var bestScore Score
+	for _, p := range s.policies {
+		score, ok := p.Match(in)
+		if !ok {
+			continue
+		}
+		if best == nil || !score.Less(bestScore) {
+			best = p
+			bestScore = score
+		}
+	}
+	return best
+}
+
 func input(host, path string) Input {
 	return Input{Host: host, Path: path, Method: "GET", Header: make(http.Header)}
 }
@@ -217,7 +243,7 @@ func TestSetClosestMatchPrecedence(t *testing.T) {
 	// URL specificity outranks client specificity (paper precedence order).
 	urlSpecific := &Policy{URLs: []string{"med.nyu.edu/simm/module1"}, Source: "url-specific"}
 	clientSpecific := &Policy{URLs: []string{"nyu.edu"}, Clients: []string{"10.0.0.0/8"}, Source: "client-specific"}
-	s := &Set{}
+	s := &linearSet{}
 	s.Add(clientSpecific)
 	s.Add(urlSpecific)
 	in := input("med.nyu.edu", "/simm/module1/page.html")
@@ -229,7 +255,7 @@ func TestSetClosestMatchPrecedence(t *testing.T) {
 }
 
 func TestSetNoMatch(t *testing.T) {
-	s := &Set{}
+	s := &linearSet{}
 	s.Add(&Policy{URLs: []string{"example.org"}})
 	if got := s.Match(input("other.org", "/")); got != nil {
 		t.Errorf("expected nil match, got %+v", got)
@@ -239,7 +265,7 @@ func TestSetNoMatch(t *testing.T) {
 func TestSetTieBreaksTowardLaterRegistration(t *testing.T) {
 	a := &Policy{URLs: []string{"example.org"}, Source: "first"}
 	b := &Policy{URLs: []string{"example.org"}, Source: "second"}
-	s := &Set{}
+	s := &linearSet{}
 	s.Add(a)
 	s.Add(b)
 	if got := s.Match(input("example.org", "/")); got.Source != "second" {
@@ -258,7 +284,7 @@ func TestTreeMatchesLinear(t *testing.T) {
 		{URLs: []string{"example.org"}, Methods: []string{"POST"}, Source: "posts"},
 		{URLs: []string{"example.org"}, Headers: map[string][]string{"User-Agent": {"(?i)nokia"}}, Source: "mobile"},
 	}
-	set := &Set{}
+	set := &linearSet{}
 	for _, p := range policies {
 		set.Add(p)
 	}
@@ -401,7 +427,7 @@ func TestPropertyTreeEquivalentToLinear(t *testing.T) {
 		{URLs: []string{"c.example.org", "d.example.org"}, Source: "cd"},
 		{Source: "wildcard"},
 	}
-	set := &Set{}
+	set := &linearSet{}
 	for _, p := range policies {
 		set.Add(p)
 	}
@@ -436,5 +462,40 @@ func TestPropertyMatchStableUnderUnrelatedAdditions(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Decision tree vs. linear scan over 100 policies.
+func buildAblationPolicies(n int) []*Policy {
+	out := make([]*Policy, 0, n+1)
+	for i := 0; i < n; i++ {
+		out = append(out, &Policy{URLs: []string{fmt.Sprintf("site-%d.example.net/path", i)}})
+	}
+	out = append(out, &Policy{URLs: []string{"target.example.org/app"}})
+	return out
+}
+
+var ablationInput = Input{Host: "target.example.org", Path: "/app/page.html", Method: "GET", Header: http.Header{}}
+
+func BenchmarkPolicyMatch_Tree(b *testing.B) {
+	tree := NewTree(buildAblationPolicies(100))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tree.Match(ablationInput) == nil {
+			b.Fatal("no match")
+		}
+	}
+}
+
+func BenchmarkPolicyMatch_Linear(b *testing.B) {
+	set := &linearSet{}
+	for _, p := range buildAblationPolicies(100) {
+		set.Add(p)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if set.Match(ablationInput) == nil {
+			b.Fatal("no match")
+		}
 	}
 }

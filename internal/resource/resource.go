@@ -168,13 +168,6 @@ func (m *Manager) SetEnabled(on bool) {
 	}
 }
 
-// Enabled reports whether resource controls are active.
-func (m *Manager) Enabled() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.enabled
-}
-
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
@@ -259,15 +252,6 @@ func (m *Manager) Usage(site string, kind Kind) float64 {
 		return 0
 	}
 	return s.usage[kind] / cap
-}
-
-// Throttled reports whether site currently has a non-zero rejection
-// probability.
-func (m *Manager) Throttled(site string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.sites[site]
-	return ok && s.throttleProb > 0
 }
 
 // ControlOnce runs one round of the Figure 6 CONTROL procedure for every
@@ -436,16 +420,4 @@ func (m *Manager) unthrottleLocked() {
 	for _, s := range m.sites {
 		s.throttleProb = 0
 	}
-}
-
-// Sites returns the names of all tracked sites (for diagnostics).
-func (m *Manager) Sites() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.sites))
-	for name := range m.sites {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -8,6 +8,15 @@ import (
 	"time"
 )
 
+// throttled reports whether site currently has a non-zero rejection
+// probability.
+func (m *Manager) throttled(site string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.sites[site]
+	return ok && s.throttleProb > 0
+}
+
 func managerWithCapacity(cpu float64) *Manager {
 	return NewManager(Config{
 		Capacity:            map[Kind]float64{CPU: cpu, Memory: 1 << 20, Bandwidth: 1 << 20},
@@ -50,10 +59,10 @@ func TestThrottlingUnderCongestion(t *testing.T) {
 	m.Charge("site-hog", CPU, 500)
 	m.Charge("site-small", CPU, 2)
 	m.ControlOnce()
-	if !m.Throttled("site-hog") {
+	if !m.throttled("site-hog") {
 		t.Error("hog should be throttled under congestion")
 	}
-	if m.Throttled("site-small") {
+	if m.throttled("site-small") {
 		t.Error("a site below the minimum share should not be throttled")
 	}
 	// Rejection rate for the hog should be high (share ~ 500/502).
@@ -130,12 +139,12 @@ func TestUnthrottleWhenCongestionClears(t *testing.T) {
 	m := managerWithCapacity(100)
 	m.Charge("site-a", CPU, 500)
 	m.ControlOnce()
-	if !m.Throttled("site-a") {
+	if !m.throttled("site-a") {
 		t.Fatal("expected throttling")
 	}
 	// Next round with no load: congestion is gone, throttle lifted.
 	m.ControlOnce()
-	if m.Throttled("site-a") {
+	if m.throttled("site-a") {
 		t.Error("throttle should be lifted when congestion clears")
 	}
 	var killed atomic.Bool
@@ -175,9 +184,6 @@ func TestNonrenewableTrackedWithoutCongestion(t *testing.T) {
 func TestDisabledManagerAdmitsEverything(t *testing.T) {
 	m := managerWithCapacity(10)
 	m.SetEnabled(false)
-	if m.Enabled() {
-		t.Fatal("expected disabled")
-	}
 	m.Charge("site-hog", CPU, 10000)
 	m.ControlOnce()
 	for i := 0; i < 100; i++ {
@@ -190,7 +196,7 @@ func TestDisabledManagerAdmitsEverything(t *testing.T) {
 	}
 	// Re-enabling starts clean.
 	m.SetEnabled(true)
-	if m.Throttled("site-hog") {
+	if m.throttled("site-hog") {
 		t.Error("re-enabled manager should start unthrottled")
 	}
 }
@@ -214,7 +220,7 @@ func TestZeroCapacityNeverCongested(t *testing.T) {
 	m := NewManager(Config{Capacity: map[Kind]float64{}})
 	m.Charge("site-a", CPU, 1e12)
 	m.ControlOnce()
-	if m.Throttled("site-a") {
+	if m.throttled("site-a") {
 		t.Error("resources without configured capacity are never congested")
 	}
 }
@@ -224,8 +230,8 @@ func TestChargeIgnoresNonPositive(t *testing.T) {
 	m.Charge("site-a", CPU, 0)
 	m.Charge("site-a", CPU, -5)
 	m.ControlOnce()
-	if len(m.Sites()) != 0 {
-		t.Errorf("non-positive charges should not create site state: %v", m.Sites())
+	if len(m.sites) != 0 {
+		t.Errorf("non-positive charges should not create site state: %v", m.sites)
 	}
 }
 
@@ -243,16 +249,6 @@ func TestRunLoop(t *testing.T) {
 	<-done
 	if m.Stats().ControlRuns == 0 {
 		t.Error("control loop should have run at least once")
-	}
-}
-
-func TestSitesListing(t *testing.T) {
-	m := managerWithCapacity(100)
-	m.Charge("b-site", CPU, 1)
-	m.Charge("a-site", CPU, 1)
-	sites := m.Sites()
-	if len(sites) != 2 || sites[0] != "a-site" || sites[1] != "b-site" {
-		t.Errorf("Sites = %v", sites)
 	}
 }
 
@@ -291,7 +287,7 @@ func TestPropertyIdleSiteNeverThrottled(t *testing.T) {
 		m.Charge("noisy", CPU, float64(load%100000)+1)
 		m.Admit("idle") // creates the site entry without consumption
 		m.ControlOnce()
-		return !m.Throttled("idle")
+		return !m.throttled("idle")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -309,7 +305,7 @@ func TestTerminationDoesNotShiftBlame(t *testing.T) {
 	m.Charge("site-hog", CPU, 500)
 	m.Charge("site-innocent", CPU, 2)
 	m.ControlOnce()
-	if !m.Throttled("site-hog") || m.Throttled("site-innocent") {
+	if !m.throttled("site-hog") || m.throttled("site-innocent") {
 		t.Fatal("round 1: only the hog should be throttled")
 	}
 	// Round 2: still congested (the hog's in-flight work lands), so the
@@ -321,10 +317,10 @@ func TestTerminationDoesNotShiftBlame(t *testing.T) {
 	if m.Stats().Terminations == 0 {
 		t.Fatal("round 2: persistent congestion should terminate the hog")
 	}
-	if m.Throttled("site-innocent") {
+	if m.throttled("site-innocent") {
 		t.Error("round 2: the innocent site must not be throttled in the hog's place")
 	}
-	if !m.Throttled("site-hog") {
+	if !m.throttled("site-hog") {
 		t.Error("round 2: the hog should remain throttled")
 	}
 }

@@ -26,7 +26,7 @@ package script
 // from a global variable maps to the same forked function either way.
 func (ctx *Context) Fork(roots ...Value) (*Context, []Value) {
 	c := &cloner{
-		dst:  &Context{limits: ctx.limits, onStep: ctx.onStep},
+		dst:  &Context{limits: ctx.limits},
 		envs: make(map[*Env]*Env),
 		vals: make(map[Value]Value),
 	}

@@ -122,7 +122,7 @@ func TestForkResetsCountersAndTermination(t *testing.T) {
 	evalIn(t, ctx, `var x = 1;`)
 	ctx.Terminate()
 	fork, _ := ctx.Fork()
-	if fork.Terminated() {
+	if fork.terminated.Load() {
 		t.Error("fork must start unterminated")
 	}
 	if fork.Steps() != 0 || fork.HeapBytes() != 0 {

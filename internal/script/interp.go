@@ -99,14 +99,6 @@ type Limits struct {
 	MaxHeapBytes int64
 }
 
-// Stats reports a context's resource consumption. All counters are
-// cumulative across every program and function run in the context.
-type Stats struct {
-	Steps       int64
-	HeapBytes   int64
-	Invocations int64
-}
-
 // Context is an isolated script execution context: its own global
 // environment (heap), step and memory accounting, and a termination flag. A
 // context corresponds to the per-pipeline scripting context described in
@@ -125,16 +117,11 @@ type Context struct {
 
 	steps      int64
 	heapBytes  int64
-	invoked    int64
 	terminated atomic.Bool
-
-	// onStep, when non-nil, is invoked every costPollInterval steps; the
-	// resource manager uses it to charge CPU to the owning site.
-	onStep func(steps int64)
 }
 
-// costPollInterval is how many steps elapse between onStep callbacks and
-// termination checks.
+// costPollInterval is how many steps elapse between termination and step
+// limit checks.
 const costPollInterval = 256
 
 // NewContext creates a fresh context with the standard built-in globals
@@ -158,21 +145,6 @@ func (ctx *Context) Reset() {
 // ErrTerminated. Safe to call from another goroutine.
 func (ctx *Context) Terminate() { ctx.terminated.Store(true) }
 
-// Terminated reports whether Terminate has been called since the last Reset.
-func (ctx *Context) Terminated() bool { return ctx.terminated.Load() }
-
-// SetStepHook registers a callback invoked periodically with the cumulative
-// step count; used for CPU accounting.
-func (ctx *Context) SetStepHook(fn func(steps int64)) { ctx.onStep = fn }
-
-// SetLimits replaces the context's resource limits.
-func (ctx *Context) SetLimits(l Limits) { ctx.limits = l }
-
-// Stats returns a snapshot of the context's consumption counters.
-func (ctx *Context) Stats() Stats {
-	return Stats{Steps: ctx.steps, HeapBytes: ctx.heapBytes, Invocations: ctx.invoked}
-}
-
 // charge adds one evaluation step and periodically checks limits and
 // termination.
 func (ctx *Context) charge() error {
@@ -183,9 +155,6 @@ func (ctx *Context) charge() error {
 		}
 		if ctx.limits.MaxSteps > 0 && ctx.steps > ctx.limits.MaxSteps {
 			return ErrStepLimit
-		}
-		if ctx.onStep != nil {
-			ctx.onStep(ctx.steps)
 		}
 	}
 	return nil
@@ -245,7 +214,6 @@ func (t throwSignal) Error() string  { return "uncaught exception: " + ToString(
 // the value of the last expression statement (useful for Na Kika Pages and
 // the REPL-style tests).
 func (ctx *Context) Run(prog *Program) (Value, error) {
-	ctx.invoked++
 	var last Value = Undefined{}
 	// Hoist function declarations.
 	for _, s := range prog.Body {
@@ -278,7 +246,6 @@ func (ctx *Context) RunSource(src, file string) (Value, error) {
 // arguments. It is the entry point used by the pipeline to run onRequest and
 // onResponse event handlers.
 func (ctx *Context) Call(fn Value, this Value, args ...Value) (Value, error) {
-	ctx.invoked++
 	v, err := ctx.callValue(fn, this, args, 0, 0)
 	if err != nil {
 		return nil, ctx.exportError(err)
@@ -1232,9 +1199,6 @@ func isNumericString(s string) bool {
 	return true
 }
 
-// Throw raises a script-level exception from native code; vocabularies use
-// this to signal errors scripts can catch.
-func Throw(v Value) error { return throwSignal{value: v} }
-
-// ThrowString raises a script-level string exception.
+// ThrowString raises a script-level string exception from native code;
+// vocabularies use it to signal errors scripts can catch.
 func ThrowString(msg string) error { return throwSignal{value: String(msg)} }

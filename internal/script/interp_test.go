@@ -505,24 +505,8 @@ func TestContextReuseAndStats(t *testing.T) {
 	if ToNumber(v) != 1 {
 		t.Fatalf("counter = %v, want 1", ToNumber(v))
 	}
-	st := ctx.Stats()
-	if st.Steps == 0 {
+	if ctx.Steps() == 0 {
 		t.Fatal("expected non-zero step count")
-	}
-	if st.Invocations != 3 {
-		t.Fatalf("invocations = %d, want 3", st.Invocations)
-	}
-}
-
-func TestStepHook(t *testing.T) {
-	ctx := NewContext(Limits{})
-	var calls int
-	ctx.SetStepHook(func(steps int64) { calls++ })
-	if _, err := ctx.RunSource(`var t = 0; for (var i = 0; i < 2000; i++) { t += i; }`, "x.js"); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("expected step hook to be invoked at least once")
 	}
 }
 
@@ -618,10 +602,6 @@ func TestObjectInsertionOrder(t *testing.T) {
 		if keys[i] != k {
 			t.Fatalf("keys = %v, want %v", keys, want)
 		}
-	}
-	sorted := obj.SortedKeys()
-	if sorted[0] != "a" || sorted[2] != "z" {
-		t.Fatalf("sorted keys = %v", sorted)
 	}
 }
 

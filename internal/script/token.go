@@ -23,7 +23,6 @@ const (
 	TokenString
 	TokenPunct
 	TokenKeyword
-	TokenRegex
 )
 
 // Keywords recognized by the lexer. NKScript reserves the JavaScript keywords

@@ -3,7 +3,6 @@ package script
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -101,14 +100,6 @@ func (o *Object) Get(name string) (Value, bool) {
 	return v, ok
 }
 
-// GetOr returns the named property, or def when absent.
-func (o *Object) GetOr(name string, def Value) Value {
-	if v, ok := o.props[name]; ok {
-		return v
-	}
-	return def
-}
-
 // Set stores a property, preserving first-insertion order for iteration.
 func (o *Object) Set(name string, v Value) {
 	if _, ok := o.props[name]; !ok {
@@ -140,15 +131,6 @@ func (o *Object) Keys() []string {
 
 // Len returns the number of properties.
 func (o *Object) Len() int { return len(o.keys) }
-
-// SortedKeys returns property names sorted lexicographically; used by
-// serialization helpers that need deterministic output independent of
-// insertion order.
-func (o *Object) SortedKeys() []string {
-	out := o.Keys()
-	sort.Strings(out)
-	return out
-}
 
 // Array is a mutable, growable sequence of values.
 type Array struct {
@@ -447,9 +429,6 @@ func Str(s string) Value { return String(s) }
 
 // Boolean wraps a bool as a Bool value.
 func Boolean(b bool) Value { return Bool(b) }
-
-// Undef returns the undefined value.
-func Undef() Value { return Undefined{} }
 
 // NullValue returns the null value.
 func NullValue() Value { return Null{} }

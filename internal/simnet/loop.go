@@ -70,14 +70,6 @@ func (l *Loop) At(t time.Duration, fn func(now time.Duration)) {
 	heap.Push(&l.agenda, &loopEvent{at: t, seq: l.seq, fn: fn})
 }
 
-// After schedules fn d after the current virtual time.
-func (l *Loop) After(d time.Duration, fn func(now time.Duration)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.seq++
-	heap.Push(&l.agenda, &loopEvent{at: l.now + d, seq: l.seq, fn: fn})
-}
-
 // AdvanceTo runs every event scheduled at or before t in order and leaves
 // the clock at t (or later, if a concurrent advance moved it further).
 func (l *Loop) AdvanceTo(t time.Duration) {
@@ -100,33 +92,4 @@ func (l *Loop) AdvanceTo(t time.Duration) {
 		l.mu.Unlock()
 		e.fn(now)
 	}
-}
-
-// Drain runs every scheduled event (including events scheduled by event
-// callbacks) and returns the final virtual time.
-func (l *Loop) Drain() time.Duration {
-	l.runMu.Lock()
-	defer l.runMu.Unlock()
-	for {
-		l.mu.Lock()
-		if len(l.agenda) == 0 {
-			now := l.now
-			l.mu.Unlock()
-			return now
-		}
-		e := heap.Pop(&l.agenda).(*loopEvent)
-		if e.at > l.now {
-			l.now = e.at
-		}
-		now := l.now
-		l.mu.Unlock()
-		e.fn(now)
-	}
-}
-
-// Pending returns the number of scheduled events.
-func (l *Loop) Pending() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.agenda)
 }

@@ -19,10 +19,10 @@ func TestLoopRunsEventsInTimeOrder(t *testing.T) {
 	if l.Now() != 15*time.Millisecond {
 		t.Errorf("now = %v", l.Now())
 	}
-	if l.Pending() != 2 {
-		t.Errorf("pending = %d", l.Pending())
+	if len(l.agenda) != 2 {
+		t.Errorf("pending = %d", len(l.agenda))
 	}
-	l.Drain()
+	l.AdvanceTo(30 * time.Millisecond)
 	if len(order) != 3 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("after drain: %v", order)
 	}
@@ -38,7 +38,7 @@ func TestLoopTieBreaksByInsertion(t *testing.T) {
 		i := i
 		l.At(time.Millisecond, func(now time.Duration) { order = append(order, i) })
 	}
-	l.Drain()
+	l.AdvanceTo(time.Millisecond)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie order = %v", order)
@@ -51,11 +51,11 @@ func TestLoopCallbacksMaySchedule(t *testing.T) {
 	var fired []time.Duration
 	l.At(time.Millisecond, func(now time.Duration) {
 		fired = append(fired, now)
-		l.After(time.Millisecond, func(now time.Duration) {
+		l.At(now+time.Millisecond, func(now time.Duration) {
 			fired = append(fired, now)
 		})
 	})
-	l.Drain()
+	l.AdvanceTo(2 * time.Millisecond)
 	if len(fired) != 2 || fired[0] != time.Millisecond || fired[1] != 2*time.Millisecond {
 		t.Errorf("fired = %v", fired)
 	}
@@ -66,7 +66,7 @@ func TestLoopPastEventsClampToPresent(t *testing.T) {
 	l.AdvanceTo(100 * time.Millisecond)
 	var at time.Duration
 	l.At(10*time.Millisecond, func(now time.Duration) { at = now })
-	l.Drain()
+	l.AdvanceTo(100 * time.Millisecond)
 	if at != 100*time.Millisecond {
 		t.Errorf("past event fired at %v", at)
 	}
@@ -92,7 +92,7 @@ func TestLoopConcurrentAdvance(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	l.Drain()
+	l.AdvanceTo(100 * time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
 	if count != 100 {

@@ -33,9 +33,6 @@ func (l Link) TransferTime(size int) time.Duration {
 	return d
 }
 
-// RTT returns the round-trip latency of the link (without payload).
-func (l Link) RTT() time.Duration { return 2 * l.Latency }
-
 // Station is a queueing resource with a fixed number of servers (for
 // example an origin web server with a worker pool, or an edge proxy).
 type Station struct {
@@ -44,17 +41,6 @@ type Station struct {
 
 	busy  int
 	queue []*jobVisit
-	// accumulated statistics
-	completed int64
-	busyTime  time.Duration
-	lastEvent time.Duration
-}
-
-// StationStats reports per-station results after a run.
-type StationStats struct {
-	Name        string
-	Completed   int64
-	Utilization float64
 }
 
 // Visit is one step of a job's route: a network delay (latency + transfer)
@@ -85,11 +71,10 @@ type JobResult struct {
 // each repeatedly wait ThinkTime, then issue a job whose route is produced
 // by Route.
 type Simulation struct {
-	stations []*Station
-	clients  int
-	think    time.Duration
-	route    Route
-	rng      *rand.Rand
+	clients int
+	think   time.Duration
+	route   Route
+	rng     *rand.Rand
 
 	loop    *Loop
 	now     time.Duration // the loop's clock while an event runs
@@ -109,9 +94,7 @@ func (s *Simulation) Station(name string, servers int) *Station {
 	if servers <= 0 {
 		servers = 1
 	}
-	st := &Station{Name: name, Servers: servers}
-	s.stations = append(s.stations, st)
-	return st
+	return &Station{Name: name, Servers: servers}
 }
 
 // SetClients configures the closed client population: count clients, each
@@ -197,7 +180,6 @@ func (s *Simulation) arriveAtStation(jv *jobVisit, st *Station) {
 		s.advance(jv)
 		return
 	}
-	st.accumulate(s.now)
 	if st.busy < st.Servers {
 		st.busy++
 		s.serve(jv, st)
@@ -207,8 +189,6 @@ func (s *Simulation) arriveAtStation(jv *jobVisit, st *Station) {
 }
 
 func (s *Simulation) finishService(jv *jobVisit, st *Station) {
-	st.accumulate(s.now)
-	st.completed++
 	st.busy--
 	if len(st.queue) > 0 {
 		next := st.queue[0]
@@ -220,13 +200,6 @@ func (s *Simulation) finishService(jv *jobVisit, st *Station) {
 	s.advance(jv)
 }
 
-func (st *Station) accumulate(now time.Duration) {
-	if now > st.lastEvent {
-		st.busyTime += time.Duration(st.busy) * (now - st.lastEvent) / time.Duration(max(st.Servers, 1))
-		st.lastEvent = now
-	}
-}
-
 func (s *Simulation) completeJob(jv *jobVisit) {
 	res := JobResult{Client: jv.client, Start: jv.start, End: s.now, Latency: s.now - jv.start}
 	if s.TagFn != nil {
@@ -235,20 +208,6 @@ func (s *Simulation) completeJob(jv *jobVisit) {
 	s.results = append(s.results, res)
 	// Closed loop: think, then next job.
 	s.startJob(s.now+s.think, &jobVisit{client: jv.client, iteration: jv.iteration + 1})
-}
-
-// StationStats returns utilization and completion counts for every station,
-// relative to the run duration.
-func (s *Simulation) StationStats(duration time.Duration) []StationStats {
-	out := make([]StationStats, 0, len(s.stations))
-	for _, st := range s.stations {
-		util := 0.0
-		if duration > 0 {
-			util = float64(st.busyTime) / float64(duration)
-		}
-		out = append(out, StationStats{Name: st.Name, Completed: st.completed, Utilization: util})
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -294,14 +253,6 @@ func Mean(latencies []time.Duration) time.Duration {
 		total += l
 	}
 	return total / time.Duration(len(latencies))
-}
-
-// Throughput returns completed jobs per second over the run duration.
-func Throughput(results []JobResult, duration time.Duration) float64 {
-	if duration <= 0 {
-		return 0
-	}
-	return float64(len(results)) / duration.Seconds()
 }
 
 // CDF returns (latency, cumulative fraction) pairs at the given probe

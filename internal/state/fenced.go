@@ -37,8 +37,3 @@ func (s *Store) FencedPutVersioned(rec Rec, guard, holder string, token uint64) 
 	}
 	return true, nil
 }
-
-// FenceToken reads the local fence floor for guard (token, then holder).
-func (s *Store) FenceToken(site, guard string) (uint64, string) {
-	return s.Backend().FenceToken(site, guard)
-}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFencedPutVersioned(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	guard := "\x00nk:lease:lock"
 
 	rec := Rec{Site: "s", Key: "k", Ver: 1, Origin: "node-a", Value: "v1"}
@@ -38,7 +38,7 @@ func TestFencedPutVersioned(t *testing.T) {
 }
 
 func TestFencedPutVersionedLWWLossStillRaisesFloor(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	guard := "\x00nk:lease:lock"
 
 	// An unfenced record already sits at a high version (e.g. repair
@@ -56,7 +56,7 @@ func TestFencedPutVersionedLWWLossStillRaisesFloor(t *testing.T) {
 	if _, _, _, v, _ := s.GetVersioned("s", "k"); v != "vz" {
 		t.Fatalf("LWW loser overwrote: %q", v)
 	}
-	if tok, holder := s.FenceToken("s", guard); tok != 5 || holder != "node-b" {
+	if tok, holder := s.Backend().FenceToken("s", guard); tok != 5 || holder != "node-b" {
 		t.Fatalf("floor = %d/%q, want 5/node-b", tok, holder)
 	}
 	older := Rec{Site: "s", Key: "k", Ver: 11, Origin: "node-a", Value: "va"}
@@ -77,7 +77,7 @@ func TestLeaseTombstoneRenewRace(t *testing.T) {
 	renew := Rec{Site: "s", Key: leaseKey, Ver: 4, Origin: "node-b", Value: "renewed-record"}
 
 	apply := func(first, second Rec) *Store {
-		s := NewStore(0)
+		s := newStore(0)
 		// The floor a prior holdership (token 3) established before the race.
 		if _, err := s.FencedPutVersioned(Rec{Site: "s", Key: "data", Ver: 1, Origin: "node-b", Value: "v"}, leaseKey, "node-b", 3); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestLeaseTombstoneRenewRace(t *testing.T) {
 	if _, err := a.PutVersioned(Rec{Site: "s", Key: leaseKey, Ver: 9, Origin: "node-c", Delete: true}); err != nil {
 		t.Fatal(err)
 	}
-	if tok, holder := a.FenceToken("s", leaseKey); tok != 3 || holder != "node-b" {
+	if tok, holder := a.Backend().FenceToken("s", leaseKey); tok != 3 || holder != "node-b" {
 		t.Fatalf("floor after tombstone = %d/%q, want 3/node-b", tok, holder)
 	}
 	if _, err := a.FencedPutVersioned(Rec{Site: "s", Key: "data", Ver: 2, Origin: "node-a", Value: "stale"}, leaseKey, "node-a", 2); err != store.ErrFencedStale {
@@ -119,7 +119,7 @@ func TestLeaseTombstoneRenewRace(t *testing.T) {
 }
 
 func TestInternalKeysHiddenFromEnumeration(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	if _, err := s.PutVersioned(Rec{Site: "s", Key: "visible", Ver: 1, Origin: "n", Value: "v"}); err != nil {
 		t.Fatal(err)
 	}

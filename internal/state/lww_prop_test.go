@@ -87,7 +87,7 @@ func applyOps(t *testing.T, ops []lwwOp) [lwwReplicas]*Store {
 	t.Helper()
 	var stores [lwwReplicas]*Store
 	for r := range stores {
-		stores[r] = NewStore(1 << 20)
+		stores[r] = newStore(1 << 20)
 		idx := make([]int, 0, len(ops))
 		for i, op := range ops {
 			if op.Delivery[r] >= 0 {

@@ -69,7 +69,7 @@ func TestSupersedesOrdering(t *testing.T) {
 }
 
 func TestPutVersionedLastWriterWins(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	put := func(ver uint64, origin, value string, deleted bool) bool {
 		applied, err := s.PutVersioned(Rec{Site: "s", Key: "k", Ver: ver, Origin: origin, Delete: deleted, Value: value})
 		if err != nil {
@@ -116,7 +116,7 @@ func TestPutVersionedLastWriterWins(t *testing.T) {
 }
 
 func TestVersionedRecordsFilterAndOrder(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	for i := 0; i < 5; i++ {
 		if _, err := s.PutVersioned(Rec{Site: "s", Key: fmt.Sprintf("k%d", i), Ver: 1, Origin: "n", Value: "v"}); err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestVersionedRecordsFilterAndOrder(t *testing.T) {
 // written while replication was disabled stays readable through the
 // versioned accessors and loses to any replicated write.
 func TestRawValuesReadableAsVersionZero(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	if err := s.Put("s", "old", "pre-replication"); err != nil {
 		t.Fatal(err)
 	}

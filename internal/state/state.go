@@ -7,7 +7,7 @@
 // provides the two substrates — Store (local storage with per-site
 // partitioning and storage quotas) and Bus (a reliable, in-order message
 // bus connecting the nodes' update channels) — plus the AccessLog that
-// batches log entries and posts them to producer-specified URLs.
+// batches log entries and posts them to the URLs site scripts name.
 package state
 
 import (
@@ -22,10 +22,6 @@ import (
 	"nakika/internal/store"
 )
 
-// ErrQuotaExceeded is returned when a site's persistent storage quota would
-// be exceeded by a put.
-var ErrQuotaExceeded = store.ErrQuotaExceeded
-
 // DefaultQuota is the per-site byte quota on a node's hard state: the
 // paper's resource constraint on persistent storage.
 const DefaultQuota = 16 << 20
@@ -39,19 +35,6 @@ const DefaultQuota = 16 << 20
 type Store struct {
 	mu sync.RWMutex
 	kv *store.Log
-}
-
-// NewStore returns a store on a fresh in-memory log with the given per-site
-// quota in bytes (zero means DefaultQuota).
-func NewStore(perSiteQuota int64) *Store {
-	if perSiteQuota <= 0 {
-		perSiteQuota = DefaultQuota
-	}
-	kv, err := store.OpenLog(store.NewMemFS(), store.LogConfig{Quota: perSiteQuota})
-	if err != nil {
-		panic(err) // an empty MemFS cannot fail to open
-	}
-	return &Store{kv: kv}
 }
 
 // NewStoreBacked returns a store over an already-opened log (which enforces
@@ -100,11 +83,6 @@ func (s *Store) Keys(site string) []string {
 	return s.Backend().Keys(site)
 }
 
-// Bytes returns the storage consumed by site.
-func (s *Store) Bytes(site string) int64 {
-	return s.Backend().Bytes(site)
-}
-
 // ---------------------------------------------------------------------------
 // Reliable message bus
 // ---------------------------------------------------------------------------
@@ -122,47 +100,17 @@ type Message struct {
 type Handler func(msg Message)
 
 // Bus is an in-process reliable messaging service (the JORAM substitute):
-// messages published for a site are delivered, in publication order, to
-// every subscribed node except the originator. Delivery is synchronous by
-// default; SetAsync switches to buffered asynchronous delivery, in which
-// case Flush waits for the queue to drain.
+// messages published for a site are delivered synchronously, in publication
+// order, to every subscribed node except the originator.
 type Bus struct {
 	mu          sync.Mutex
 	subscribers map[string]map[string]Handler // site -> node name -> handler
 	seq         int64
-	delivered   int64
-	async       bool
-	queue       chan Message
-	wg          sync.WaitGroup
-	senders     sync.WaitGroup // in-flight Publish enqueues
-	closed      bool
 }
 
-// NewBus returns a synchronous bus.
+// NewBus returns an empty bus.
 func NewBus() *Bus {
 	return &Bus{subscribers: make(map[string]map[string]Handler)}
-}
-
-// SetAsync switches the bus to asynchronous delivery with the given queue
-// depth. Must be called before any Publish.
-func (b *Bus) SetAsync(depth int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.async {
-		return
-	}
-	if depth <= 0 {
-		depth = 1024
-	}
-	b.async = true
-	b.queue = make(chan Message, depth)
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		for msg := range b.queue {
-			b.deliver(msg)
-		}
-	}()
 }
 
 // Subscribe registers node's handler for site's replication messages.
@@ -175,37 +123,14 @@ func (b *Bus) Subscribe(site, node string, h Handler) {
 	b.subscribers[site][node] = h
 }
 
-// Unsubscribe removes node's handler for site.
-func (b *Bus) Unsubscribe(site, node string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if subs, ok := b.subscribers[site]; ok {
-		delete(subs, node)
-	}
-}
-
 // Publish sends a replication message from origin for site. It returns the
 // message's sequence number.
 func (b *Bus) Publish(site, origin, payload string) int64 {
 	b.mu.Lock()
 	b.seq++
 	msg := Message{Site: site, Origin: origin, Payload: payload, Seq: b.seq, Sent: time.Now()}
-	async := b.async
-	queue := b.queue
-	closed := b.closed
-	if !closed {
-		b.senders.Add(1) // under b.mu, so Close cannot have started waiting
-	}
 	b.mu.Unlock()
-	if closed {
-		return msg.Seq
-	}
-	if async {
-		queue <- msg
-	} else {
-		b.deliver(msg)
-	}
-	b.senders.Done()
+	b.deliver(msg)
 	return msg.Seq
 }
 
@@ -228,34 +153,6 @@ func (b *Bus) deliver(msg Message) {
 	sort.Strings(names)
 	for _, n := range names {
 		handlers[n](msg)
-		b.mu.Lock()
-		b.delivered++
-		b.mu.Unlock()
-	}
-}
-
-// Delivered returns the total number of handler deliveries.
-func (b *Bus) Delivered() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.delivered
-}
-
-// Close shuts down asynchronous delivery and waits for the queue to drain.
-// In-flight Publish enqueues finish before the queue is closed.
-func (b *Bus) Close() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.closed = true
-	async := b.async
-	b.mu.Unlock()
-	b.senders.Wait()
-	if async {
-		close(b.queue)
-		b.wg.Wait()
 	}
 }
 
@@ -269,24 +166,24 @@ type LogEntry struct {
 	Message string
 }
 
-// Poster delivers a batch of log lines to a site's configured log URL; the
-// node wires its HTTP client in here.
+// Poster delivers a batch of log lines to a site's post URL; the node wires
+// its upstream fetcher in here.
 type Poster func(site, postURL string, lines []string) error
 
 // AccessLog collects per-site log entries and periodically posts them to the
-// URL each site's script configured (Section 3.3: "Periodically, each Na
-// Kika node scans its log, collects all entries for each specific site, and
-// posts those portions of the log to the specified URLs"). Entries are
-// buffered per site behind per-site locks: every proxied request appends a
-// line, so a single global lock here would serialize the whole request path.
-// Each buffer holds at most maxPendingLog entries: a site that configured no
-// post URL, or whose URL is down, loses its oldest entries instead of growing
-// the node's heap with every request it is served.
+// URL each site's script named (Section 3.3: "Periodically, each Na Kika node
+// scans its log, collects all entries for each specific site, and posts those
+// portions of the log to the specified URLs"). Only a site whose script named
+// a URL has a buffer: an entry for any other site could never be posted, so
+// it is not kept, and a node sent many distinct Host headers holds nothing
+// for them. Buffers are locked per site: every request to a posting site
+// appends a line, so a single global lock here would serialize the request
+// path. Each holds at most maxPendingLog entries: a site whose URL is down
+// loses its oldest entries instead of growing the node's heap with every
+// request it is served.
 type AccessLog struct {
-	mu      sync.RWMutex // guards the sites and urls maps, not the buffers
+	mu      sync.RWMutex // guards the sites map, not the buffers
 	sites   map[string]*siteLog
-	urls    map[string]string
-	posted  atomic.Int64
 	dropped atomic.Int64
 }
 
@@ -294,11 +191,12 @@ type AccessLog struct {
 // lines). A power of two times 16, so the doubling buffer lands on it.
 const maxPendingLog = 8192
 
-// siteLog is one site's independently locked entry buffer: a ring that
-// doubles until it holds maxPendingLog entries and then overwrites the
+// siteLog is one posting site's independently locked entry buffer: a ring
+// that doubles until it holds maxPendingLog entries and then overwrites the
 // oldest.
 type siteLog struct {
 	mu    sync.Mutex
+	url   string
 	ring  []LogEntry
 	start int // index in ring of the oldest entry
 	count int
@@ -342,39 +240,41 @@ func (s *siteLog) ordered(length int) []LogEntry {
 
 // NewAccessLog returns an empty access log.
 func NewAccessLog() *AccessLog {
-	return &AccessLog{sites: make(map[string]*siteLog), urls: make(map[string]string)}
+	return &AccessLog{sites: make(map[string]*siteLog)}
 }
 
-// site returns (creating on demand) the buffer for site.
-func (l *AccessLog) site(name string) *siteLog {
-	l.mu.RLock()
-	s, ok := l.sites[name]
-	l.mu.RUnlock()
-	if ok {
-		return s
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if s, ok := l.sites[name]; ok {
-		return s
-	}
-	s = &siteLog{}
-	l.sites[name] = s
-	return s
-}
-
-// SetPostURL records the URL to which site's log entries should be posted;
-// a site script calls this through the Log vocabulary.
+// SetPostURL records the URL to which site's log entries are posted, giving
+// the site a buffer; a site script names it through Log.postTo.
 func (l *AccessLog) SetPostURL(site, url string) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.urls[site] = url
+	s, ok := l.sites[site]
+	if !ok {
+		s = &siteLog{}
+		l.sites[site] = s
+	}
+	l.mu.Unlock()
+	s.mu.Lock()
+	s.url = url
+	s.mu.Unlock()
 }
 
-// Append records a log entry for site, dropping the site's oldest entry
-// when its buffer is full.
+// Posting reports whether site's script named a post URL: the one case in
+// which Append keeps an entry, so a caller can skip formatting one otherwise.
+func (l *AccessLog) Posting(site string) bool { return l.buffer(site) != nil }
+
+func (l *AccessLog) buffer(site string) *siteLog {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.sites[site]
+}
+
+// Append records a log entry for a posting site, dropping the site's oldest
+// entry when its buffer is full. For any other site it does nothing.
 func (l *AccessLog) Append(site, message string) {
-	s := l.site(site)
+	s := l.buffer(site)
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	dropped := s.push(LogEntry{Time: time.Now(), Message: message})
 	s.mu.Unlock()
@@ -383,69 +283,47 @@ func (l *AccessLog) Append(site, message string) {
 	}
 }
 
-// Pending returns the number of unposted entries for site.
-func (l *AccessLog) Pending(site string) int {
-	s := l.site(site)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Posted returns the total number of entries successfully posted.
-func (l *AccessLog) Posted() int64 { return l.posted.Load() }
-
 // Dropped returns the total number of entries overwritten unposted because
 // their site's buffer was full.
 func (l *AccessLog) Dropped() int64 { return l.dropped.Load() }
 
-// Flush posts every site's accumulated entries to its configured URL using
-// post. Sites without a configured URL retain their entries. Entries are
-// retained on post failure so the next flush retries them.
+// Flush posts every posting site's accumulated entries to its URL using post.
+// Entries are retained on post failure so the next flush retries them.
 func (l *AccessLog) Flush(post Poster) error {
-	type batch struct {
-		site, url string
-		buf       *siteLog
-		lines     []string
-	}
 	l.mu.RLock()
-	var batches []batch
+	sites := make(map[string]*siteLog, len(l.sites))
 	for site, buf := range l.sites {
-		url, ok := l.urls[site]
-		if !ok {
-			continue
-		}
-		batches = append(batches, batch{site: site, url: url, buf: buf})
+		sites[site] = buf
 	}
 	l.mu.RUnlock()
 
 	var firstErr error
-	for i := range batches {
-		bt := &batches[i]
-		bt.buf.mu.Lock()
-		entries := bt.buf.ordered(bt.buf.count)
-		end := bt.buf.removed + uint64(len(entries))
-		bt.buf.mu.Unlock()
+	for site, buf := range sites {
+		buf.mu.Lock()
+		url := buf.url
+		entries := buf.ordered(buf.count)
+		end := buf.removed + uint64(len(entries))
+		buf.mu.Unlock()
 		if len(entries) == 0 {
 			continue
 		}
-		bt.lines = make([]string, len(entries))
+		lines := make([]string, len(entries))
 		for j, e := range entries {
-			bt.lines[j] = e.Time.UTC().Format(time.RFC3339) + " " + e.Message
+			lines[j] = e.Time.UTC().Format(time.RFC3339) + " " + e.Message
 		}
-		if err := post(bt.site, bt.url, bt.lines); err != nil {
+		if err := post(site, url, lines); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		bt.buf.mu.Lock()
+		buf.mu.Lock()
 		// Drop exactly the entries we posted (less any the buffer overwrote
 		// meanwhile); new entries appended since the snapshot stay queued.
-		if end > bt.buf.removed {
-			bt.buf.pop(int(end - bt.buf.removed))
+		if end > buf.removed {
+			buf.pop(int(end - buf.removed))
 		}
-		bt.buf.mu.Unlock()
-		l.posted.Add(int64(len(entries)))
+		buf.mu.Unlock()
 	}
 	return firstErr
 }
@@ -493,11 +371,6 @@ type Replica struct {
 // Attach subscribes the replica to the bus.
 func (r *Replica) Attach() {
 	r.Bus.Subscribe(r.Site, r.Node, r.apply)
-}
-
-// Detach unsubscribes the replica.
-func (r *Replica) Detach() {
-	r.Bus.Unsubscribe(r.Site, r.Node)
 }
 
 // Put writes locally and propagates the update to other replicas.

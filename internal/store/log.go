@@ -285,30 +285,11 @@ func (l *Log) Keys(site string) []string {
 	return l.t.keys(site)
 }
 
-// Bytes returns the bytes site's keys and values occupy.
-func (l *Log) Bytes(site string) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.t.bytes[site]
-}
-
 // Range visits every pair in order; iteration stops when fn returns false.
 func (l *Log) Range(fn func(site, key, value string) bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.t.rangeAll(fn)
-}
-
-// Sync flushes every pending WAL record durably.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	wal := l.wal
-	l.mu.Unlock()
-	return wal.Sync()
 }
 
 // Close flushes pending records; the engine refuses further writes.

@@ -110,13 +110,6 @@ func parseSegName(name string) (uint64, bool) {
 	return id, err == nil
 }
 
-// IsSegment reports whether name is one a SegLog gives its files. A log owns
-// its directory: it removes every other file there when it opens.
-func IsSegment(name string) bool {
-	_, ok := parseSegName(name)
-	return ok
-}
-
 // FrameHead returns the frame header of the record whose payload is parts
 // laid end to end.
 func FrameHead(parts ...[]byte) (head [FrameHeader]byte) {

@@ -17,6 +17,12 @@ import (
 // test owner's payload is byte(len(key)) key body; a record with no body is
 // dead (a tombstone), and the owner word is the payload's length.
 
+// isSegment reports whether name is one a SegLog gives its files.
+func isSegment(name string) bool {
+	_, ok := parseSegName(name)
+	return ok
+}
+
 type logShape struct {
 	name   string
 	body   int   // bytes of body in each record
@@ -99,7 +105,7 @@ func logUsage(t testing.TB, fs FS) (files int, bytes int64) {
 		t.Fatal(err)
 	}
 	for _, name := range names {
-		if !IsSegment(name) {
+		if !isSegment(name) {
 			continue
 		}
 		data, err := ReadAll(fs, name)
@@ -391,7 +397,7 @@ func TestSegLogRemovesForeignFiles(t *testing.T) {
 		names, _ := fs.List("")
 		var others []string
 		for _, n := range names {
-			if !IsSegment(n) {
+			if !isSegment(n) {
 				others = append(others, n)
 			}
 		}

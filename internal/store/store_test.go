@@ -8,6 +8,13 @@ import (
 )
 
 // reopen closes l and opens a fresh engine over the same FS.
+// siteBytes returns the bytes site's keys and values occupy in l's table.
+func siteBytes(l *Log, site string) int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.t.bytes[site]
+}
+
 func reopen(t *testing.T, fs FS, l *Log, cfg LogConfig) *Log {
 	t.Helper()
 	if l != nil {
@@ -34,11 +41,11 @@ func TestMemQuota(t *testing.T) {
 	if err := m.Put("s", "k", "123456789"); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Bytes("s"); got != 10 {
+	if got := siteBytes(m, "s"); got != 10 {
 		t.Fatalf("bytes = %d", got)
 	}
 	m.Delete("s", "k")
-	if got := m.Bytes("s"); got != 0 {
+	if got := siteBytes(m, "s"); got != 0 {
 		t.Fatalf("bytes after delete = %d", got)
 	}
 }
@@ -79,7 +86,7 @@ func TestLogPutGetRecover(t *testing.T) {
 		t.Errorf("replayed = %d, want 52", st.Replayed)
 	}
 	// Byte accounting is rebuilt exactly.
-	if got := l.Bytes("site-b"); got != 2 {
+	if got := siteBytes(l, "site-b"); got != 2 {
 		t.Errorf("site-b bytes = %d, want 2", got)
 	}
 }

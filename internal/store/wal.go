@@ -169,16 +169,6 @@ func (w *WAL) flushLocked() {
 	w.cond.Broadcast()
 }
 
-// Append is Reserve + WaitDurable for callers that need no external
-// ordering.
-func (w *WAL) Append(payload []byte) error {
-	seq, err := w.Reserve(payload)
-	if err != nil {
-		return err
-	}
-	return w.WaitDurable(seq)
-}
-
 // Sync flushes every pending record durably.
 func (w *WAL) Sync() error {
 	w.mu.Lock()

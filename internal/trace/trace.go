@@ -138,14 +138,6 @@ func (a *Act) RecordFencedPut(token uint64, rejected bool) {
 	}
 }
 
-// Reset zeroes the record for reuse.
-func (a *Act) Reset() {
-	if a == nil {
-		return
-	}
-	*a = Act{}
-}
-
 // IDGen mints trace ids. Ids are a splitmix64 scramble of a seed hashed
 // from the node name plus a per-node counter, so they are unique across
 // a cluster in practice, well-distributed, and — critically for the

@@ -17,7 +17,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -105,18 +104,6 @@ func (l *Local) Unregister(name string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.handlers, name)
-}
-
-// Names returns the registered node names, sorted.
-func (l *Local) Names() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.handlers))
-	for n := range l.handlers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Call implements Transport.

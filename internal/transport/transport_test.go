@@ -39,8 +39,8 @@ func TestLocalCallAndErrors(t *testing.T) {
 	if _, err := l.Call("a", "b", Message{}); !errors.Is(err, ErrUnknownNode) {
 		t.Error("unregistered node should be unknown")
 	}
-	if names := l.Names(); len(names) != 1 || names[0] != "fail" {
-		t.Errorf("Names = %v", names)
+	if _, ok := l.handlers["fail"]; !ok || len(l.handlers) != 1 {
+		t.Errorf("handlers = %v, want only fail", l.handlers)
 	}
 }
 

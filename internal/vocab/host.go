@@ -10,6 +10,8 @@
 package vocab
 
 import (
+	"net/url"
+	"strings"
 	"sync"
 	"time"
 
@@ -38,8 +40,11 @@ type Host interface {
 	// the named resource ("cpu", "memory", "bandwidth", "running-time",
 	// "bytes-transferred"); scripts use it to adapt to congestion.
 	Usage(site, resource string) float64
-	// Log records a message in the site's edge-side access log.
+	// Log records a message in the site's edge-side access log, which keeps
+	// entries only for a site whose script named a post URL; SetLogURL names
+	// it (Log.postTo, which has checked that the URL is on the site's host).
 	Log(site, message string)
+	SetLogURL(site, postURL string)
 	// Hard state operations, partitioned by site. The leading act is the
 	// requesting pipeline's activity record (nil when no request is being
 	// traced): the host stamps hedged reads, RPC fan-out, and lease
@@ -95,6 +100,9 @@ func (NopHost) Usage(site, resource string) float64 { return 0 }
 
 // Log discards the message.
 func (NopHost) Log(site, message string) {}
+
+// SetLogURL discards the URL.
+func (NopHost) SetLogURL(site, postURL string) {}
 
 // StateGet always misses.
 func (NopHost) StateGet(act *trace.Act, site, key string) (string, bool) { return "", false }
@@ -444,6 +452,11 @@ func installLease(ctx *script.Context, host Host, site string) {
 	ctx.DefineGlobal("Lease", leaseObj)
 }
 
+// installLog binds the Log vocabulary: write adds a line to the site's
+// access log, and postTo names the URL the node periodically posts the
+// site's lines to (Section 3.3). Until a script names one, the node keeps no
+// lines for the site. A site may only have its log posted to its own host,
+// so a script cannot make the node send requests elsewhere on its behalf.
 func installLog(ctx *script.Context, host Host, site string) {
 	logObj := script.NewObject()
 	logObj.ClassName = "Log"
@@ -451,6 +464,18 @@ func installLog(ctx *script.Context, host Host, site string) {
 		if len(args) > 0 {
 			host.Log(site, script.ToString(args[0]))
 		}
+		return script.Undefined{}, nil
+	}})
+	logObj.Set("postTo", &script.Native{Name: "Log.postTo", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+		if len(args) == 0 {
+			return nil, script.ThrowString("Log.postTo: missing URL")
+		}
+		raw := script.ToString(args[0])
+		u, err := url.Parse(raw)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || !strings.EqualFold(u.Hostname(), site) {
+			return nil, script.ThrowString("Log.postTo: " + raw + " is not an http(s) URL on " + site)
+		}
+		host.SetLogURL(site, raw)
 		return script.Undefined{}, nil
 	}})
 	ctx.DefineGlobal("Log", logObj)

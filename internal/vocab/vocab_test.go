@@ -344,7 +344,7 @@ func TestBindRequest(t *testing.T) {
 	req := httpmsg.MustRequest("GET", "http://med.nyu.edu/simm/module1.html?student=42")
 	req.ClientIP = "192.168.1.10"
 	req.Header.Set("User-Agent", "Nokia6600")
-	req.SetCookie("session", "s-123")
+	req.Header.Set("Cookie", "session=s-123")
 	req.Body = []byte("post-data")
 	BindRequest(ctx, req)
 

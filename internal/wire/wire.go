@@ -9,17 +9,11 @@
 // Self-describing payloads produced by these codecs start with the Magic
 // byte; Payload is the one place that checks it, so every Decode* function
 // in the package's users opens its input the same way.
-//
-// The package also owns the buffer pool the hot path encodes into: GetBuf
-// returns a zero-length buffer with capacity, PutBuf recycles it. Buffers
-// are plain []byte so append idioms work unchanged; callers must not retain
-// a buffer after PutBuf.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
 	"time"
 )
 
@@ -196,31 +190,4 @@ func (r *Reader) Time() (time.Time, error) {
 		return time.Time{}, err
 	}
 	return time.Unix(0, nano), nil
-}
-
-// ---------------------------------------------------------------------------
-// Pooled encode buffers
-// ---------------------------------------------------------------------------
-
-// bufPool recycles encode buffers across requests. Buffers that grew beyond
-// maxPooledBuf are dropped instead of parked so one giant body cannot pin
-// megabytes in the pool forever.
-var bufPool = sync.Pool{
-	New: func() interface{} { b := make([]byte, 0, 1024); return &b },
-}
-
-// maxPooledBuf bounds the capacity of buffers returned to the pool (1 MiB).
-const maxPooledBuf = 1 << 20
-
-// GetBuf returns a zero-length pooled buffer.
-func GetBuf() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
-}
-
-// PutBuf recycles buf. The caller must not use buf afterwards.
-func PutBuf(buf []byte) {
-	if cap(buf) == 0 || cap(buf) > maxPooledBuf {
-		return
-	}
-	bufPool.Put(&buf)
 }

@@ -161,27 +161,6 @@ func TestPayload(t *testing.T) {
 	}
 }
 
-// TestPutBufDropsOversizedBuffers pins the pool's memory bound: a buffer
-// that grew past 1 MiB is left to the collector, so whatever GetBuf hands
-// out next is small.
-func TestPutBufDropsOversizedBuffers(t *testing.T) {
-	PutBuf(make([]byte, 0, maxPooledBuf+1))
-	PutBuf(nil)
-	for i := 0; i < 64; i++ {
-		buf := GetBuf()
-		if len(buf) != 0 || cap(buf) == 0 || cap(buf) > maxPooledBuf {
-			t.Fatalf("GetBuf returned len %d cap %d", len(buf), cap(buf))
-		}
-		defer PutBuf(buf) // hold all 64 until the end so each Get reaches deeper into the pool
-	}
-	// At the bound a buffer is kept (when the pool keeps anything at all:
-	// sync.Pool may drop any item, so only the negative above is exact).
-	PutBuf(make([]byte, 5, maxPooledBuf))
-	if buf := GetBuf(); len(buf) != 0 {
-		t.Errorf("recycled buffer came back with len %d", len(buf))
-	}
-}
-
 // FuzzReader drives every Reader method over arbitrary bytes in an order
 // the input picks: no panic, no offset outside the buffer, and no error
 // other than ErrMalformed.
