@@ -21,7 +21,7 @@ import (
 // proves the edge streams the object (cut-through) instead of buffering it;
 // the origin's fetch counters prove warm reads and warm ranges never touch
 // it again; and a SIGKILL of the serving node mid-stream proves a retried
-// range reader finishes from a surviving replica's segment index.
+// range reader finishes from a surviving holder the cooperative index names.
 
 const (
 	lobE2ESize     = 64 << 20 // the object
@@ -174,9 +174,9 @@ func TestLargeObjectClusterStreamsAndSurvivesCrash(t *testing.T) {
 		t.Fatalf("cold fetch origin counters = %+v, want exactly one full fetch", st)
 	}
 
-	// Give edge-0 a beat to publish its segment index into replicated hard
-	// state, then warm edge-1: it adopts the manifest from the index and
-	// pulls every segment from edge-0 — the origin sees nothing.
+	// Give edge-0 a beat to announce its copy in the cooperative index,
+	// then warm edge-1: it adopts the manifest from edge-0's cache.get reply
+	// and pulls every segment from edge-0 — the origin sees nothing.
 	time.Sleep(2 * time.Second)
 	resp, err = streamGet(httpAddr[1], originHost, "")
 	if err != nil {
@@ -219,7 +219,8 @@ func TestLargeObjectClusterStreamsAndSurvivesCrash(t *testing.T) {
 	// holder), edge-0 is SIGKILLed under it, and the client resumes the
 	// remainder of the range through edge-3 — which has never served the
 	// object and must find the surviving holder (edge-1) through the
-	// replicated segment index.
+	// cooperative index — kept at the key's owner and the owner's successor,
+	// so it survives edge-0 even when edge-0 is that owner.
 	const crashFrom = 1 << 20
 	resp, err = streamGet(httpAddr[0], originHost, fmt.Sprintf("bytes=%d-%d", crashFrom, lobE2ESize-1))
 	if err != nil {

@@ -70,7 +70,7 @@ func RunLease() (LeaseResult, error) {
 	res := LeaseResult{Nodes: leaseBenchNodes, Ops: leaseBenchOps}
 	c, err := cluster.New(cluster.Config{
 		N: leaseBenchNodes, Seed: leaseBenchSeed, Latency: time.Millisecond,
-		TTL: time.Hour, Manual: true, Persist: true,
+		Manual: true, Persist: true,
 	}, cluster.NewCountingOrigin())
 	if err != nil {
 		return res, err

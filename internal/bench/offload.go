@@ -76,7 +76,6 @@ func offBenchCluster(threshold float64, hedge time.Duration) (*cluster.Cluster, 
 		N:                offBenchNodes,
 		Seed:             offBenchSeed,
 		Latency:          time.Millisecond,
-		TTL:              time.Hour,
 		Manual:           true,
 		OffloadThreshold: threshold,
 		HedgeAfter:       hedge,

@@ -51,7 +51,7 @@ func RunReplicationCost(factors []int, writes int) ([]ReplicationResult, error) 
 	const site = "bench.example.org"
 	var out []ReplicationResult
 	for _, k := range factors {
-		c, err := cluster.New(cluster.Config{N: 8, Seed: 1, Latency: time.Millisecond, TTL: time.Hour, Manual: true, Replication: k}, cluster.NewCountingOrigin())
+		c, err := cluster.New(cluster.Config{N: 8, Seed: 1, Latency: time.Millisecond, Manual: true, Replication: k}, cluster.NewCountingOrigin())
 		if err != nil {
 			return nil, err
 		}

@@ -250,6 +250,25 @@ func (c *Cache) GetUntil(key string) (*httpmsg.Response, time.Time) {
 	return resp, expires
 }
 
+// Until reports whether key has a fresh entry and until when — the expiry
+// GetUntil would return — without reading or counting it: the memory entry's,
+// else the disk tier's.
+func (c *Cache) Until(key string) (time.Time, bool) {
+	now := c.cfg.Clock()
+	sh := c.shard(key)
+	sh.mu.Lock()
+	if e, ok := sh.entries[key]; ok && !expired(e.expires, now) {
+		expires := e.expires
+		sh.mu.Unlock()
+		return expires, true
+	}
+	sh.mu.Unlock()
+	if d := c.l2.Load(); d != nil {
+		return d.Until(key)
+	}
+	return time.Time{}, false
+}
+
 // getL2 consults the disk tier on a memory miss, promoting a hit back
 // into the memory LRU. The disk copy stays in place until it expires or
 // the disk budget evicts it, so the tier is inclusive: a later crash

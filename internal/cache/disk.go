@@ -153,6 +153,16 @@ func (d *Disk) Get(key string) (*httpmsg.Response, time.Time, bool) {
 	return nil, time.Time{}, false
 }
 
+// Until reports whether key's indexed record is fresh and until when, without
+// reading it.
+func (d *Disk) Until(key string) (time.Time, bool) {
+	d.mu.Lock()
+	ref, ok := d.log.Lookup(key)
+	d.mu.Unlock()
+	expires := time.Unix(0, ref.Word)
+	return expires, ok && !expired(expires, d.clock())
+}
+
 // read fetches the record ref points at, verified by the log, and decodes it
 // if it carries key.
 func (d *Disk) read(key string, ref store.SegRef) (*httpmsg.Response, error) {

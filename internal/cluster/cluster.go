@@ -31,8 +31,6 @@ type Config struct {
 	Latency time.Duration
 	// Regions are assigned round-robin; empty means three default regions.
 	Regions []string
-	// TTL overrides the overlay index TTL.
-	TTL time.Duration
 	// Manual switches the overlay to incremental maintenance
 	// (Stabilize/FixFingers) instead of instant convergence.
 	Manual bool
@@ -114,9 +112,6 @@ func New(cfg Config, origin core.Fetcher) (*Cluster, error) {
 	ring := overlay.NewRing()
 	ring.Transport = sim
 	ring.ManualMaintenance = cfg.Manual
-	if cfg.TTL > 0 {
-		ring.DefaultTTL = cfg.TTL
-	}
 	c := &Cluster{Sim: sim, Ring: ring, cfg: cfg, nodes: make(map[string]*core.Node), fss: make(map[string]*store.MemFS), resync: make(map[string]int64)}
 	for i := 0; i < cfg.N; i++ {
 		if _, err := c.boot(i, origin); err != nil {

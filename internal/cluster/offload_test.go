@@ -64,7 +64,6 @@ func bootOffload(t *testing.T, seed int64, threshold float64, hedge time.Duratio
 		N:                offNodes,
 		Seed:             seed,
 		Latency:          time.Millisecond,
-		TTL:              time.Hour,
 		Manual:           true,
 		OffloadThreshold: threshold,
 		HedgeAfter:       hedge,
@@ -332,7 +331,7 @@ func TestHedgingBeatsSlowOwnerBaseline(t *testing.T) {
 func TestOffloadPartitionFallsBackLocally(t *testing.T) {
 	seed := 51 + seedOffset()
 	c, err := New(Config{
-		N: 4, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Manual: true,
+		N: 4, Seed: seed, Latency: time.Millisecond, Manual: true,
 		OffloadThreshold: 0.5, LoadHalfLife: offHalfLife,
 	}, offOrigin())
 	if err != nil {
@@ -374,7 +373,7 @@ func TestOffloadPartitionFallsBackLocally(t *testing.T) {
 func TestOffloadDepthCapExecutesLocally(t *testing.T) {
 	seed := 52 + seedOffset()
 	c, err := New(Config{
-		N: 6, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Manual: true,
+		N: 6, Seed: seed, Latency: time.Millisecond, Manual: true,
 		OffloadThreshold: 0.25, LoadHalfLife: offHalfLife,
 	}, offOrigin())
 	if err != nil {
@@ -426,7 +425,7 @@ func TestHedgeFiresExactlyOnce(t *testing.T) {
 	// owner was never consulted on the hedged read.
 	var rec *recordingTransport
 	c, err := New(Config{
-		N: offNodes, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Manual: true,
+		N: offNodes, Seed: seed, Latency: time.Millisecond, Manual: true,
 		HedgeAfter: budget, LoadHalfLife: offHalfLife,
 		Mutate: func(i int, cfg *core.Config) {
 			if i == 0 {
@@ -593,7 +592,7 @@ func TestOffloadDisabledIsByteIdenticalToSeedBehavior(t *testing.T) {
 	origin := offOrigin()
 	recorders := make(map[int]*recordingTransport)
 	c, err := New(Config{
-		N: 6, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Manual: true,
+		N: 6, Seed: seed, Latency: time.Millisecond, Manual: true,
 		OffloadThreshold: 0, HedgeAfter: 0,
 		Mutate: func(i int, cfg *core.Config) {
 			rec := &recordingTransport{inner: cfg.Ring.Transport}
@@ -638,7 +637,7 @@ func TestOffloadDisabledIsByteIdenticalToSeedBehavior(t *testing.T) {
 // order-dependent.
 func TestStabilizeRoundsIsolatedAcrossHarnesses(t *testing.T) {
 	seed := 55 + seedOffset()
-	a, err := New(Config{N: 4, Seed: seed, Manual: true, TTL: time.Hour}, NewCountingOrigin())
+	a, err := New(Config{N: 4, Seed: seed, Manual: true}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +647,7 @@ func TestStabilizeRoundsIsolatedAcrossHarnesses(t *testing.T) {
 	}
 	// A second harness in the same process starts from zero, regardless of
 	// what ran before it.
-	b, err := New(Config{N: 4, Seed: seed, Manual: true, TTL: time.Hour}, NewCountingOrigin())
+	b, err := New(Config{N: 4, Seed: seed, Manual: true}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}

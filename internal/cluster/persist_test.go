@@ -51,7 +51,7 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 	// Owner-only placement, and only keys the victim owns: this scenario
 	// pins the single-node persistence contract (a node recovers exactly
 	// its own disk), which replicas would mask by serving the reads.
-	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Persist: true, Replication: 1,
+	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Persist: true, Replication: 1,
 		Mutate: func(i int, cfg *core.Config) {
 			cfg.Cache.MaxEntries = l1Cap
 		}}, origin)
@@ -209,7 +209,7 @@ func TestCrashWithoutPersistStillLosesState(t *testing.T) {
 	origin.AddPage(url, "<html>only</html>", 600)
 	// Owner-only placement and a key node-0 owns, so its store is the only
 	// copy there is.
-	c, err := New(Config{N: 3, Seed: 11, Latency: time.Millisecond, TTL: time.Hour, Replication: 1}, origin)
+	c, err := New(Config{N: 3, Seed: 11, Latency: time.Millisecond, Replication: 1}, origin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func burstVal(i int) string { return fmt.Sprintf("value-%04d-%s", i, strings.Rep
 // replication and converges its routing tables.
 func bootReplicated(t *testing.T, n int, seed int64, k int) *Cluster {
 	t.Helper()
-	c, err := New(Config{N: n, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Manual: true, Replication: k}, NewCountingOrigin())
+	c, err := New(Config{N: n, Seed: seed, Latency: time.Millisecond, Manual: true, Replication: k}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestReplicationFailoverDeterministic(t *testing.T) {
 // restarted owner reconciles to the same version on recovery.
 func TestOwnerDiesBetweenWALAppendAndReplicaAck(t *testing.T) {
 	seed := 31 + seedOffset()
-	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, TTL: time.Hour, Manual: true, Persist: true}, NewCountingOrigin())
+	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Manual: true, Persist: true}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}

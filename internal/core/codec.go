@@ -4,13 +4,15 @@ import (
 	"net/http"
 
 	"nakika/internal/httpmsg"
+	"nakika/internal/largeobject"
 	"nakika/internal/state"
 	"nakika/internal/wire"
 )
 
 // Binary codecs for the core RPC payloads (replication forwards, handoff
-// range streams, lease operations, offloaded requests). Encoders prefix
-// wire.Magic; decoders open their input with wire.Payload.
+// range streams, lease operations, offloaded requests, the manifest a
+// cache.get answers for a large object). Encoders prefix wire.Magic;
+// decoders open their input with wire.Payload.
 
 // encodeRepForward renders a rep.put / rep.del / rep.get body.
 func encodeRepForward(req repForward) []byte {
@@ -212,4 +214,18 @@ func decodeOffloadRequest(payload []byte) (*httpmsg.Request, error) {
 		req.Header = make(http.Header)
 	}
 	return req, nil
+}
+
+// encodeManifest renders the body of a cache.get "manifest" reply.
+func encodeManifest(m *largeobject.Manifest) []byte {
+	return largeobject.AppendManifest([]byte{wire.Magic}, m)
+}
+
+// decodeManifest parses a cache.get "manifest" reply body.
+func decodeManifest(payload []byte) (*largeobject.Manifest, error) {
+	r, err := wire.Payload(payload)
+	if err != nil {
+		return nil, err
+	}
+	return largeobject.ReadManifest(&r)
 }

@@ -88,6 +88,7 @@ func TestRPCDecodersRejectWhatIsNotAPayload(t *testing.T) {
 		"response":       func(b []byte) error { _, err := httpmsg.DecodeResponse(b); return err },
 		"leaseReq":       func(b []byte) error { _, err := decodeLeaseReq(b); return err },
 		"leaseFenced":    func(b []byte) error { _, err := decodeLeaseFenced(b); return err },
+		"manifest":       func(b []byte) error { _, err := decodeManifest(b); return err },
 	}
 	for name, decode := range decoders {
 		for _, c := range cases {

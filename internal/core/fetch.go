@@ -58,15 +58,21 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 	return resp, err
 }
 
-// invalidate drops the whole-body cache's copies, in memory and on disk, of
-// the URI a request with an unsafe method changed (RFC 9111 §4.4): the
-// responses stored for GET and HEAD of it. The large-object tier is not
-// consulted: its index is replicated hard state, which a local drop would
-// not reach.
+// invalidate drops this node's copies of the URI a request with an unsafe
+// method changed (RFC 9111 §4.4) — the responses stored for GET and HEAD of
+// it, in memory and on disk, and its large-object copy — and withdraws their
+// entries from the cooperative index.
 func (n *Node) invalidate(req *httpmsg.Request) {
 	target := strings.TrimPrefix(req.CacheKey(), req.Method+" ")
-	n.cache.Invalidate(http.MethodGet + " " + target)
-	n.cache.Invalidate(http.MethodHead + " " + target)
+	for _, key := range []string{http.MethodGet + " " + target, http.MethodHead + " " + target} {
+		n.cache.Invalidate(key)
+		if n.overlay != nil {
+			n.overlay.Unpublish(key)
+		}
+	}
+	if t := n.lobTier(); t != nil {
+		t.DeleteManifest(http.MethodGet + " " + target)
+	}
 }
 
 // flightKey names the flight a miss joins: the cache key plus the request
@@ -123,15 +129,12 @@ func (n *Node) fetchMiss(key string, req *httpmsg.Request) (*httpmsg.Response, e
 	return resp, nil
 }
 
-// peerCopy is the chain's peer step. A replica's index record may carry a
-// large object's manifest even though this node has never seen a byte of it:
-// adopt the manifest and stream, pulling segments from the advertised holders
-// (or the origin, by Range). Otherwise ask the overlay who holds a whole-body
-// copy and fetch it from that peer's cache over the transport.
+// peerCopy is the chain's peer step: ask the overlay who holds a copy of key
+// and fetch it from the first holder that answers. A whole body is stored
+// until the holder's expiry and announced. A large object's manifest is
+// adopted and streamed: its segments come from the holders as the client
+// reads, or from the origin by Range.
 func (n *Node) peerCopy(key string) *httpmsg.Response {
-	if resp := n.lobAdopt(key); resp != nil {
-		return resp
-	}
 	if n.overlay == nil || n.tr == nil {
 		return nil
 	}
@@ -140,15 +143,26 @@ func (n *Node) peerCopy(key string) *httpmsg.Response {
 		if holder == n.cfg.Name {
 			continue
 		}
-		resp, expires := n.peerFetch(holder, key)
-		if resp == nil {
+		reply, err := n.call(holder, transport.Message{Type: msgCacheGet, Key: key})
+		if err != nil || len(reply.Args) == 0 {
 			continue
 		}
-		resp.Via = holder
-		if n.cache.PutUntil(key, resp, expires) {
-			n.publish(key)
+		switch reply.Args[0] {
+		case "hit":
+			resp, expires := n.peerBody(reply)
+			if resp == nil {
+				continue
+			}
+			resp.Via = holder
+			if n.cache.PutUntil(key, resp, expires) {
+				n.publish(key)
+			}
+			return resp
+		case "manifest":
+			if resp := n.lobAdopt(key, reply.Body); resp != nil {
+				return resp
+			}
 		}
-		return resp
 	}
 	return nil
 }
@@ -165,9 +179,9 @@ func (n *Node) storeReply(key string, resp *httpmsg.Response) {
 		return
 	}
 	if t := n.lobTakes(key, resp.Status, resp.Header, int64(len(resp.Body))); t != nil {
-		if m, err := t.IngestBody(key, resp.Status, resp.Header, n.cache.Now(), resp.Body); err == nil {
+		if _, err := t.IngestBody(key, resp.Status, resp.Header, n.cache.Now(), resp.Body); err == nil {
 			n.lobWhole.Add(1)
-			n.publishLob(key, m)
+			n.publish(key)
 			return
 		}
 	}
@@ -197,6 +211,8 @@ func (n *Node) lobTakes(key string, status int, h http.Header, length int64) *la
 	return t
 }
 
+// publish announces this node's copy of key in the cooperative index, with
+// the copy's expiry (copyUntil).
 func (n *Node) publish(key string) {
 	if n.overlay == nil {
 		return
@@ -212,9 +228,29 @@ func (n *Node) publish(key string) {
 	}
 }
 
+// copyUntil is the overlay's view of this node's copies (overlay.Node's
+// SetCopies): a whole body until the cache's expiry for it, or a complete,
+// fresh large-object copy until the cache.Expiry of its manifest.
+func (n *Node) copyUntil(key string) (time.Time, bool) {
+	if expires, ok := n.cache.Until(key); ok {
+		return expires, true
+	}
+	t := n.lobTier()
+	if t == nil {
+		return time.Time{}, false
+	}
+	m, ok := t.Manifest(key)
+	if !ok || !m.Complete() {
+		return time.Time{}, false
+	}
+	expires := n.cache.Expiry(m.Header, m.Fetched)
+	return expires, expires.After(n.cache.Now())
+}
+
 // RepublishPending retries overlay publishes that failed while the index
-// owner was unreachable, dropping keys that have since left the local
-// cache. It returns the number of entries still pending afterwards.
+// owner was unreachable. A key whose copy has since left the cache or the
+// large-object tier announces nothing, and is dropped with the rest. It
+// returns the number of entries still pending afterwards.
 func (n *Node) RepublishPending() int {
 	if n.overlay == nil {
 		return 0
@@ -226,12 +262,6 @@ func (n *Node) RepublishPending() int {
 	}
 	n.pubMu.Unlock()
 	for _, key := range keys {
-		if n.cache.Get(key) == nil {
-			n.pubMu.Lock()
-			delete(n.pendingPub, key)
-			n.pubMu.Unlock()
-			continue
-		}
 		if _, err := n.overlay.Publish(key); err == nil {
 			n.pubMu.Lock()
 			delete(n.pendingPub, key)
@@ -244,20 +274,17 @@ func (n *Node) RepublishPending() int {
 }
 
 // ---------------------------------------------------------------------------
-// Peer RPC: cooperative cache fetches
+// Peer RPC: the cooperative-cache fetch
 // ---------------------------------------------------------------------------
 
-// peerFetch retrieves key from a peer's cache over the transport, with the
-// instant the holder's copy expires; a nil response means the peer is
-// unreachable, errored, or no longer holds the key. A copy must not outlive
-// the holder's, so the expiry travels with it. A reply without one (a peer
-// running the previous build) starts a new lifetime from now, as every copy
-// used to.
-func (n *Node) peerFetch(holder, key string) (*httpmsg.Response, time.Time) {
-	reply, err := n.call(holder, transport.Message{Type: "cache.get", Key: key})
-	if err != nil || len(reply.Args) == 0 || reply.Args[0] != "hit" {
-		return nil, time.Time{}
-	}
+// msgCacheGet is the one peer fetch, for both object kinds.
+const msgCacheGet = "cache.get"
+
+// peerBody decodes a whole-body "hit" reply into the copy and the instant the
+// holder's copy expires; a nil response means the reply does not decode. A
+// copy must not outlive the holder's, so the expiry travels with it. A reply
+// without one (a peer running an older build) starts a new lifetime from now.
+func (n *Node) peerBody(reply transport.Message) (*httpmsg.Response, time.Time) {
 	resp, err := httpmsg.DecodeResponse(reply.Body)
 	if err != nil {
 		return nil, time.Time{}
@@ -270,20 +297,36 @@ func (n *Node) peerFetch(holder, key string) (*httpmsg.Response, time.Time) {
 	return resp, n.cache.Expiry(resp.Header, n.cache.Now())
 }
 
-// serveCacheRPC answers peers' cooperative-cache fetches: "hit", the copy's
-// expiry in Unix nanoseconds, and the response in the httpmsg binary codec.
+// serveCacheRPC answers peers' cooperative-cache fetches.
+//
+//   - "cache.get key" answers a whole-body copy with "hit", the copy's expiry
+//     in Unix nanoseconds and the response in the httpmsg binary codec; a
+//     fresh, complete large-object copy with "manifest" and its manifest
+//     (encodeManifest); anything else with "miss".
+//   - "cache.get key ord" answers segment ord of the large-object copy with
+//     "hit" and the segment's bytes, or "miss".
 func (n *Node) serveCacheRPC(from string, msg transport.Message) (transport.Message, error) {
-	switch msg.Type {
-	case "cache.get":
-		resp, expires := n.cache.GetUntil(msg.Key)
-		if resp == nil {
-			return transport.Message{Args: []string{"miss"}}, nil
+	if msg.Type != msgCacheGet {
+		return transport.Message{}, fmt.Errorf("core: unknown cache message %q", msg.Type)
+	}
+	miss := transport.Message{Args: []string{"miss"}}
+	if len(msg.Args) > 0 {
+		data, ok := n.lobSegment(msg.Key, msg.Args[0])
+		if !ok {
+			return miss, nil
 		}
+		return transport.Message{Args: []string{"hit"}, Body: data}, nil
+	}
+	if resp, expires := n.cache.GetUntil(msg.Key); resp != nil {
 		return transport.Message{
 			Args: []string{"hit", strconv.FormatInt(expires.UnixNano(), 10)},
 			Body: httpmsg.EncodeResponse(resp),
 		}, nil
-	default:
-		return transport.Message{}, fmt.Errorf("core: unknown cache message %q", msg.Type)
 	}
+	if t := n.lobTier(); t != nil {
+		if m, ok := t.Manifest(msg.Key); ok && m.Complete() && !n.lobStale(m) {
+			return transport.Message{Args: []string{"manifest"}, Body: encodeManifest(m)}, nil
+		}
+	}
+	return miss, nil
 }

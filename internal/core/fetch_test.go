@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -183,17 +184,62 @@ func TestCacheGetReplyGolden(t *testing.T) {
 	}
 
 	// The previous build's reply: the same body, no expiry.
-	old := transport.NewLocal()
-	old.Register("edge-old", func(from string, msg transport.Message) (transport.Message, error) {
-		return transport.Message{Args: []string{"hit"}, Body: reply.Body}, nil
-	})
 	n := newTestNode(t, "edge-b", newMemOrigin(), func(cfg *Config) {
-		cfg.Transport = old
 		cfg.Cache.Clock = func() time.Time { return now }
 	})
-	resp, expires := n.peerFetch("edge-old", key)
+	resp, expires := n.peerBody(transport.Message{Args: []string{"hit"}, Body: reply.Body})
 	if resp == nil || !expires.Equal(now.Add(60*time.Second)) {
 		t.Errorf("reply without an expiry: %+v expiring %v, want a copy expiring 60 s from now", resp, expires)
+	}
+}
+
+// TestCacheGetLargeObjectGolden pins the two shapes cache.get gained when it
+// became the one peer fetch: for a fresh, complete large-object copy the
+// reply is "manifest" and the manifest (wire.Magic, then AppendManifest), and
+// "cache.get key ord" answers one segment's bytes, or "miss".
+func TestCacheGetLargeObjectGolden(t *testing.T) {
+	const (
+		url            = "http://big.example.org/parent"
+		goldenManifest = "00012147455420687474703a2f2f6269672e6578616d706c652e6f72672f706172656e74c801010d43616368652d436f6e74726f6c010b6d61782d6167653d363030b00980020336ba98b74342b80915e79c275a06c3ca55c2281f94dceaf9d450d65aa396870c8f983904725fe27f1813d78b132b7f5cc51293e5cc47a607129d593645dffe829d71ab04017d929b8c62633db3c3b642d0413a3e03872cd863f00fe088c947cb01808098bf84e1add731"
+	)
+	body := lobBody(600)
+	now := time.Unix(1_790_000_000, 0)
+	holder := newTestNodeUpstream(t, "edge-a", &rangeOrigin{url: url, body: body}, func(cfg *Config) {
+		lobConfig(256, 500)(cfg)
+		cfg.Cache.Clock = func() time.Time { return now }
+	})
+	if _, _, err := holder.Handle(httpmsg.MustRequest("GET", url)); err != nil {
+		t.Fatal(err)
+	}
+	get := func(args ...string) transport.Message {
+		t.Helper()
+		reply, err := holder.serveCacheRPC("edge-b", transport.Message{Type: "cache.get", Key: "GET " + url, Args: args})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	reply := get()
+	if want := []string{"manifest"}; !reflect.DeepEqual(reply.Args, want) {
+		t.Errorf("reply args = %q, want %q", reply.Args, want)
+	}
+	if got := hex.EncodeToString(reply.Body); got != goldenManifest {
+		t.Errorf("manifest = %s, want %s", got, goldenManifest)
+	}
+	if m, err := decodeManifest(reply.Body); err != nil || m.Key != "GET "+url || !m.Complete() || !m.Fetched.Equal(now) {
+		t.Errorf("the manifest decodes to %+v, %v", m, err)
+	}
+	if reply := get("2"); !reflect.DeepEqual(reply.Args, []string{"hit"}) || !bytes.Equal(reply.Body, body[512:]) {
+		t.Errorf("segment 2: %q with %d bytes, want a hit with the last 88", reply.Args, len(reply.Body))
+	}
+	for _, ord := range []string{"3", "-1", "x"} {
+		if reply := get(ord); !reflect.DeepEqual(reply.Args, []string{"miss"}) || reply.Body != nil {
+			t.Errorf("segment %q: %q", ord, reply.Args)
+		}
+	}
+	now = now.Add(601 * time.Second)
+	if reply := get(); !reflect.DeepEqual(reply.Args, []string{"miss"}) {
+		t.Errorf("a stale copy is answered with %q", reply.Args)
 	}
 }
 
@@ -456,4 +502,260 @@ func TestUnsafeMethodInvalidatesStoredCopies(t *testing.T) {
 			t.Errorf("origin GETs of %s = %d, want %d", u, got, want)
 		}
 	}
+}
+
+// indexKeys sums nakika_overlay_index_keys over the nodes' metrics.
+func indexKeys(t *testing.T, nodes ...*Node) int {
+	t.Helper()
+	total := 0
+	for _, n := range nodes {
+		var sb strings.Builder
+		if err := n.Metrics().WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "nakika_overlay_index_keys "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += int(f)
+			}
+		}
+	}
+	return total
+}
+
+// TestOverlayIndexHoldsOnlyLiveKeys: the cooperative index is bounded by live
+// entries, not by history. On a 2-node ring, 1 000 Locates of keys nobody
+// published, and 1 000 more of keys whose copies have expired, leave no key
+// behind: nakika_overlay_index_keys reads 0 after each, where it used to
+// read 1 000 and then 2 000.
+func TestOverlayIndexHoldsOnlyLiveKeys(t *testing.T) {
+	clock := newTestClock()
+	ring := overlay.NewRing()
+	ring.Clock = clock.Now
+	origin := newMemOrigin()
+	page := func(i int) string { return fmt.Sprintf("http://site.example.org/p%d", i) }
+	for i := 0; i < 1000; i++ {
+		origin.addText(page(i), "page", 60)
+	}
+	mutate := func(cfg *Config) {
+		cfg.Ring = ring
+		cfg.Cache.Clock = clock.Now
+	}
+	a := newTestNode(t, "edge-a", origin, mutate)
+	b := newTestNode(t, "edge-b", origin, mutate)
+
+	for i := 0; i < 1000; i++ {
+		b.Overlay().Locate(fmt.Sprintf("GET http://nobody.example.org/%d", i))
+	}
+	if got := indexKeys(t, a, b); got != 0 {
+		t.Errorf("index keys after 1000 Locates of unpublished keys = %d, want 0", got)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := a.Fetch(httpmsg.MustRequest("GET", page(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := indexKeys(t, a, b); got != 2000 {
+		t.Errorf("index keys with 1000 fresh copies = %d, want 2000 (each key at its owner and the owner's successor)", got)
+	}
+	clock.Advance(61 * time.Second)
+	for i := 0; i < 1000; i++ {
+		b.Overlay().Locate("GET " + page(i))
+	}
+	if got := indexKeys(t, a, b); got != 0 {
+		t.Errorf("index keys after 1000 Locates of expired copies = %d, want 0", got)
+	}
+}
+
+// TestHolderLocatedWhileCopyFresh: an index entry lives as long as the copy
+// it announces, not a fixed 60 s. 61 s of virtual time after a node fetched a
+// copy that is fresh for ten minutes, the overlay still locates it, and a
+// peer is served from it — for a whole body and a large object alike.
+func TestHolderLocatedWhileCopyFresh(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size int
+	}{{"whole body", 1000}, {"large object", 30_000}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const url = "http://big.example.org/fresh"
+			body := lobBody(tc.size)
+			origin := &rangeOrigin{url: url, body: body} // max-age=600
+			clock := newTestClock()
+			ring := overlay.NewRing()
+			ring.Clock = clock.Now
+			mutate := func(cfg *Config) {
+				lobConfig(4096, 10_000)(cfg)
+				cfg.Ring = ring
+				cfg.Cache.Clock = clock.Now
+			}
+			a := newTestNodeUpstream(t, "edge-a", origin, mutate)
+			b := newTestNodeUpstream(t, "edge-b", origin, mutate)
+			if _, err := a.Fetch(httpmsg.MustRequest("GET", url)); err != nil {
+				t.Fatal(err)
+			}
+			clock.Advance(61 * time.Second)
+			if holders, _ := b.Overlay().Locate("GET " + url); !reflect.DeepEqual(holders, []string{"edge-a"}) {
+				t.Errorf("holders located 61 s in = %v, want [edge-a]", holders)
+			}
+			resp, err := b.Fetch(httpmsg.MustRequest("GET", url))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resp.Materialize(); err != nil || !bytes.Equal(resp.Body, body) {
+				t.Fatalf("b's copy differs (%d bytes, %v)", len(resp.Body), err)
+			}
+			if full, ranged, _ := origin.counts(); full != 1 || ranged != 0 {
+				t.Errorf("origin fetches = %d full, %d range; want the first node's only", full, ranged)
+			}
+		})
+	}
+}
+
+// TestUnsafeMethodDropsLargeObjectCopy: a POST the origin accepts drops the
+// large-object copy of its URI as it drops a whole body (RFC 9111 §4.4), and
+// withdraws the node's entry from the cooperative index, so the next GET goes
+// back to the origin instead of streaming the old object.
+func TestUnsafeMethodDropsLargeObjectCopy(t *testing.T) {
+	const url = "http://big.example.org/doc"
+	body := lobBody(30_000)
+	origin := &rangeOrigin{url: url, body: body}
+	ring := overlay.NewRing()
+	mutate := func(cfg *Config) {
+		lobConfig(4096, 10_000)(cfg)
+		cfg.Ring = ring
+	}
+	a := newTestNodeUpstream(t, "edge-a", origin, mutate)
+	b := newTestNodeUpstream(t, "edge-b", origin, mutate)
+	handle := func(method string) *httpmsg.Response {
+		t.Helper()
+		resp, _, err := a.Handle(httpmsg.MustRequest(method, url))
+		if err != nil || resp.Status != 200 {
+			t.Fatalf("%s: %v, %v", method, resp, err)
+		}
+		return resp
+	}
+	handle("GET")
+	handle("POST")
+	resp := handle("GET")
+	if err := resp.Materialize(); err != nil || !bytes.Equal(resp.Body, body) {
+		t.Fatalf("GET after the POST: %d bytes, %v", len(resp.Body), err)
+	}
+	// The origin sees the first GET, the POST, and the GET after it.
+	if full, _, _ := origin.counts(); full != 3 {
+		t.Errorf("origin requests = %d, want 3: the GET after the POST was served the old copy", full)
+	}
+	if st := a.LargeObject(); st.WholeIngests != 2 {
+		t.Errorf("whole ingests = %d, want 2", st.WholeIngests)
+	}
+	handle("POST")
+	if holders, _ := b.Overlay().Locate("GET " + url); len(holders) != 0 {
+		t.Errorf("holders located after the POST = %v, want none", holders)
+	}
+}
+
+// oldPeer stands in for a node running the build before cache.get served
+// large objects: it answers every cache.get for its object with the whole
+// body, whatever the arguments, and claims to hold the object when asked.
+type oldPeer struct {
+	key  string
+	body []byte
+
+	mu       sync.Mutex
+	holding  bool
+	segAsked int
+}
+
+func (p *oldPeer) serve(from string, msg transport.Message) (transport.Message, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if msg.Key != p.key || !p.holding {
+		return transport.Message{Args: []string{"miss"}}, nil
+	}
+	switch msg.Type {
+	case "ov.locate":
+		return transport.Message{Args: []string{"edge-old"}}, nil
+	case "cache.get":
+		if len(msg.Args) > 0 {
+			p.segAsked++
+		}
+		resp := httpmsg.NewResponse(200)
+		resp.SetMaxAge(600)
+		resp.Body = p.body
+		return transport.Message{Args: []string{"hit"}, Body: httpmsg.EncodeResponse(resp)}, nil
+	}
+	return transport.Message{}, nil
+}
+
+// TestParentBuildPeers: in a ring that still has nodes of the build before
+// this wire, each mismatch ends at the origin and never serves wrong bytes.
+func TestParentBuildPeers(t *testing.T) {
+	t.Run("lob.seg is refused", func(t *testing.T) {
+		ring := overlay.NewRing()
+		newTestNodeUpstream(t, "edge-a", &rangeOrigin{}, func(cfg *Config) { cfg.Ring = ring })
+		_, err := ring.Transport.Call("edge-old", "edge-a", transport.Message{Type: "lob.seg", Key: "GET http://big.example.org/x", Args: []string{"0"}})
+		if err == nil {
+			t.Error("a lob.seg request was answered")
+		}
+	})
+	t.Run("a publish without an expiry is not recorded", func(t *testing.T) {
+		const url = "http://big.example.org/old"
+		origin := &rangeOrigin{url: url, body: lobBody(1000)}
+		ring := overlay.NewRing()
+		a := newTestNodeUpstream(t, "edge-a", origin, func(cfg *Config) { cfg.Ring = ring })
+		peer := &oldPeer{key: "GET " + url, body: []byte("not the object"), holding: true}
+		ring.Transport.Register("edge-old", peer.serve)
+		if _, err := ring.Transport.Call("edge-old", "edge-a", transport.Message{Type: "ov.publish", Key: "GET " + url}); err != nil {
+			t.Fatal(err)
+		}
+		if holders, _ := a.Overlay().Locate("GET " + url); len(holders) != 0 {
+			t.Fatalf("holders = %v, want none", holders)
+		}
+		resp, err := a.Fetch(httpmsg.MustRequest("GET", url))
+		if err != nil || !bytes.Equal(resp.Body, origin.body) {
+			t.Fatalf("served %q, %v", resp.Body, err)
+		}
+		if full, _, _ := origin.counts(); full != 1 {
+			t.Errorf("origin fetches = %d, want 1", full)
+		}
+	})
+	t.Run("a whole body answering a segment request fails the hash check", func(t *testing.T) {
+		// The old peer owns the object's index entry.
+		ring := overlay.NewRing()
+		ring.AddRemote("edge-old", "r")
+		body := lobBody(60_000)
+		origin := &rangeOrigin{body: body}
+		a := newTestNodeUpstream(t, "edge-a", origin, func(cfg *Config) {
+			lobConfig(4096, 10_000)(cfg)
+			cfg.LargeObjectCapacity = 5 * 4096 // the slab holds 5 of the 15 segments
+			cfg.Ring = ring
+		})
+		url := "http://big.example.org/seg"
+		for i := 0; ring.Successor("GET "+url).Name != "edge-old"; i++ {
+			url = fmt.Sprintf("http://big.example.org/seg-%d", i)
+		}
+		origin.url = url
+		peer := &oldPeer{key: "GET " + url, body: body}
+		ring.Transport.Register("edge-old", peer.serve)
+		if _, err := a.Fetch(httpmsg.MustRequest("GET", url)); err != nil {
+			t.Fatal(err)
+		}
+		peer.mu.Lock()
+		peer.holding = true
+		peer.mu.Unlock()
+		resp, err := a.Fetch(httpmsg.MustRequest("GET", url))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readStream(t, resp, 0, resp.TotalLen()); !bytes.Equal(got, body) {
+			t.Fatal("the object differs")
+		}
+		full, ranged, _ := origin.counts()
+		if st := a.LargeObject(); full != 1 || ranged == 0 || st.SegPeerFetches != 0 || peer.segAsked == 0 {
+			t.Errorf("%d full and %d range origin fetches, %d segments from peers, the old peer asked %d times; want the missing segments from the origin",
+				full, ranged, st.SegPeerFetches, peer.segAsked)
+		}
+	})
 }

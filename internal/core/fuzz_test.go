@@ -1,9 +1,12 @@
 package core
 
 import (
+	"net/http"
 	"testing"
+	"time"
 
 	"nakika/internal/httpmsg"
+	"nakika/internal/largeobject"
 	"nakika/internal/state"
 )
 
@@ -25,6 +28,11 @@ func FuzzRPCPayloads(f *testing.F) {
 		Guard: "\x00nk:lease:job", Holder: "node-1", Token: 7,
 		Rec: state.Rec{Site: "s", Key: "k", Ver: 3, Origin: "n1", Value: "v"},
 	}))
+	f.Add(encodeManifest(&largeobject.Manifest{
+		Key: "GET http://big.example.org/iso", Status: 200, Header: http.Header{"Etag": {`"v1"`}},
+		TotalLen: 600, SegSize: 256, Fetched: time.Unix(1_790_000_000, 0),
+		Segments: []largeobject.SegID{largeobject.HashSegment([]byte("a")), largeobject.HashSegment([]byte("b")), largeobject.HashSegment([]byte("c"))},
+	}))
 	f.Add([]byte("\x32\x7f\x03\x01\x01\x0arepForward")) // how a gob stream begins: no magic byte
 	f.Add([]byte{0})
 	f.Add([]byte{})
@@ -36,5 +44,6 @@ func FuzzRPCPayloads(f *testing.F) {
 		_, _ = httpmsg.DecodeResponse(data)
 		_, _ = decodeLeaseReq(data)
 		_, _ = decodeLeaseFenced(data)
+		_, _ = decodeManifest(data)
 	})
 }

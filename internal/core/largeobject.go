@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,22 +19,9 @@ import (
 // the node: responses above Config.LargeObjectThreshold are split into
 // content-addressed segments held in a disk slab, served back as lazy
 // BodyStreams (so header-only scripts and Range requests never buffer the
-// body), and advertised cluster-wide through one replicated hard-state index
-// record per object. Segment *bodies* stay node-local soft state; only the
-// small index (manifest + per-holder residency bitmaps) replicates.
-
-// lobSite is the internal hard-state site that holds large-object index
-// records, mirroring deploy.IndexSite for the deployment plane.
-const lobSite = "nk:lob"
-
-// lobStateKey returns the replicated-state key of cacheKey's index record.
-// The "\x00nk:" prefix puts it in the reserved internal namespace, so
-// scripts can neither read nor clobber it (state.IsInternalKey).
-func lobStateKey(cacheKey string) string { return "\x00nk:lob:" + cacheKey }
-
-// msgLobSeg is the peer RPC that fetches one segment body by cache key and
-// segment ordinal. The reply is "hit" plus the raw segment bytes, or "miss".
-const msgLobSeg = "lob.seg"
+// body), and announced in the overlay's cooperative index like any cached
+// copy. Everything here is node-local soft state: a peer learns the manifest
+// from a holder's cache.get reply and pulls the segments the same way.
 
 // Large-object defaults: segment size balances the waste of a short last
 // segment against per-segment overhead; capacity bounds the slab's disk
@@ -51,8 +37,8 @@ type LargeObjectStats struct {
 	// StreamedServes counts responses served as lazy segment streams;
 	// WholeIngests counts buffered bodies chunked into the tier after the
 	// fact, StreamIngests cold fetches chunked as they arrived from the
-	// origin. Adopted counts manifests learned from a replica's index
-	// record; SegPeerFetches/SegOriginFetches count individual segment
+	// origin. Adopted counts manifests learned from a holder's cache.get
+	// reply; SegPeerFetches/SegOriginFetches count individual segment
 	// bodies pulled from peers and from the origin (Range refetch).
 	StreamedServes   int64
 	WholeIngests     int64
@@ -151,8 +137,8 @@ func (n *Node) lobServe(key string, leader bool) *httpmsg.Response {
 }
 
 // lobStream builds the streamed response for a manifest. Missing segments
-// resolve lazily as the client reads: slab, then a holder from the
-// replicated index, then an origin Range refetch — each verified against the
+// resolve lazily as the client reads: slab, then a holder the overlay
+// locates, then an origin Range refetch — each verified against the
 // manifest's content address.
 func (n *Node) lobStream(t *largeobject.Tier, key string, m *largeobject.Manifest) *httpmsg.Response {
 	n.lobStreamed.Add(1)
@@ -210,7 +196,7 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 			return nil
 		}
 		result = &n.lobRevalSame
-		n.publishLob(key, refreshed)
+		n.publish(key)
 		return n.lobStream(t, key, refreshed)
 	}
 	t.DeleteManifest(key)
@@ -222,29 +208,26 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 	return resp
 }
 
-// lobAdopt learns key's manifest from the replicated index record (written
-// by whichever node ingested the object) and serves it as a stream. This is
-// how a node that never saw the object — or lost its soft state in a crash —
-// serves a range without refetching the whole body. A stale index manifest
-// is not adopted: the node fetches fresh from the origin instead of
-// resurrecting an expired copy cluster-wide.
-func (n *Node) lobAdopt(key string) *httpmsg.Response {
+// lobAdopt adopts the manifest a holder sent for key in a cache.get reply
+// and serves it as a stream. This is how a node that never saw the object —
+// or lost its soft state in a crash — serves a range without refetching the
+// whole body. Only a complete manifest of the same key that is not stale is
+// adopted: anything else would serve another object, a hole, or an expired
+// copy, so the node fetches from the origin instead.
+func (n *Node) lobAdopt(key string, body []byte) *httpmsg.Response {
 	t := n.lobTier()
 	if t == nil {
 		return nil
 	}
-	idx, ok := n.lobIndexGet(key)
-	if !ok || idx.Manifest == nil || !idx.Manifest.Complete() {
+	m, err := decodeManifest(body)
+	if err != nil || m.Key != key || !m.Complete() || n.lobStale(m) {
 		return nil
 	}
-	if n.lobStale(idx.Manifest) {
-		return nil
-	}
-	if err := t.PutManifest(idx.Manifest); err != nil {
+	if err := t.PutManifest(m); err != nil {
 		return nil
 	}
 	n.lobAdopted.Add(1)
-	return n.lobServe(key, false)
+	return n.lobStream(t, key, m)
 }
 
 // ---------------------------------------------------------------------------
@@ -373,7 +356,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 
 	// Large object: install the (incomplete, memory-only) manifest, start
 	// the background ingest, and hand the client a stream that rides it. The
-	// index record publishes when the ingest completes.
+	// copy is announced when the ingest completes.
 	m := &largeobject.Manifest{
 		Key:      key,
 		Status:   head.Status,
@@ -438,9 +421,7 @@ func (n *Node) lobIngestLoop(t *largeobject.Tier, key string, m *largeobject.Man
 		ing.advance(ord + 1)
 	}
 	ing.finish(nil)
-	if final, ok := t.Manifest(key); ok {
-		n.publishLob(key, final)
-	}
+	n.publish(key)
 }
 
 // ---------------------------------------------------------------------------
@@ -449,8 +430,8 @@ func (n *Node) lobIngestLoop(t *largeobject.Tier, key string, m *largeobject.Man
 
 // lobFetcher returns the tier stream's resolver for key's missing segments.
 // The slab was already consulted by the stream; here the order is: wait on
-// an in-flight ingest, then a holder from the replicated index, then an
-// origin Range refetch — each coalesced per (key, ordinal) so a thundering
+// an in-flight ingest, then a holder the overlay locates, then an origin
+// Range refetch — each coalesced per (key, ordinal) so a thundering
 // herd of readers costs one fetch per segment.
 func (n *Node) lobFetcher(key string) largeobject.Fetcher {
 	return func(m *largeobject.Manifest, ord int) ([]byte, error) {
@@ -501,30 +482,24 @@ func (n *Node) lobFetchSegment(key string, ord int) ([]byte, error) {
 	}
 	from, to := m.SegmentSpan(ord)
 
-	// Holders advertised in the replicated index, in sorted order for
-	// determinism. Only segments the holder claims resident are asked for.
-	if haveID && n.tr != nil {
-		if idx, ok := n.lobIndexGet(key); ok {
-			holders := make([]string, 0, len(idx.Holders))
-			for h := range idx.Holders {
-				if h != n.cfg.Name && idx.Holders[h].Has(ord) {
-					holders = append(holders, h)
-				}
+	// The holders the overlay locates, in sorted order for determinism. A
+	// reply is taken only if it hashes to the segment's id: anything else is
+	// a corrupt copy, or an older build's whole-body answer.
+	if haveID && n.overlay != nil && n.tr != nil {
+		holders, _ := n.overlay.Locate(key)
+		sort.Strings(holders)
+		for _, h := range holders {
+			if h == n.cfg.Name {
+				continue
 			}
-			sort.Strings(holders)
-			for _, h := range holders {
-				reply, err := n.call(h, transport.Message{Type: msgLobSeg, Key: key, Args: []string{strconv.Itoa(ord)}})
-				if err != nil || len(reply.Args) == 0 || reply.Args[0] != "hit" {
-					continue
-				}
-				if largeobject.HashSegment(reply.Body) != want {
-					continue // corrupt or stale peer copy; try the next
-				}
-				n.lobSegPeer.Add(1)
-				t.PutSegment(want, reply.Body)
-				n.lobMaybeAnnounce(t, key)
-				return reply.Body, nil
+			reply, err := n.call(h, transport.Message{Type: msgCacheGet, Key: key, Args: []string{strconv.Itoa(ord)}})
+			if err != nil || len(reply.Args) == 0 || reply.Args[0] != "hit" || largeobject.HashSegment(reply.Body) != want {
+				continue
 			}
+			n.lobSegPeer.Add(1)
+			t.PutSegment(want, reply.Body)
+			n.lobMaybeAnnounce(t, key)
+			return reply.Body, nil
 		}
 	}
 
@@ -574,105 +549,28 @@ func (n *Node) lobFetchSegment(key string, ord int) ([]byte, error) {
 	return data, nil
 }
 
-// serveLobRPC answers peers' segment fetches. Bodies are served only for
-// ordinals whose id the local manifest already records — an in-flight ingest
-// exposes exactly the segments it has durably chunked.
-func (n *Node) serveLobRPC(from string, msg transport.Message) (transport.Message, error) {
-	switch msg.Type {
-	case msgLobSeg:
-		t := n.lobTier()
-		if t == nil {
-			return transport.Message{Args: []string{"miss"}}, nil
-		}
-		m, ok := t.Manifest(msg.Key)
-		if !ok || len(msg.Args) == 0 {
-			return transport.Message{Args: []string{"miss"}}, nil
-		}
-		ord, err := strconv.Atoi(msg.Args[0])
-		if err != nil || ord < 0 || ord >= len(m.Segments) {
-			return transport.Message{Args: []string{"miss"}}, nil
-		}
-		data, ok := t.GetSegment(m.Segments[ord])
-		if !ok {
-			return transport.Message{Args: []string{"miss"}}, nil
-		}
-		return transport.Message{Args: []string{"hit"}, Body: data}, nil
-	default:
-		return transport.Message{}, fmt.Errorf("core: unknown lob message %q", msg.Type)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Replicated segment index (one hard-state record per object)
-// ---------------------------------------------------------------------------
-
-// lobIndexGet reads key's index record through the routed read (local when
-// replication is off) — the same contract as deploy records.
-func (n *Node) lobIndexGet(key string) (*largeobject.Index, bool) {
-	raw, ok := n.repGet(nil, lobSite, lobStateKey(key))
-	if !ok {
-		return nil, false
-	}
-	dec, err := base64.StdEncoding.DecodeString(raw)
-	if err != nil {
-		return nil, false
-	}
-	idx, err := largeobject.DecodeIndex(dec)
-	if err != nil {
-		return nil, false
-	}
-	return idx, true
-}
-
-// lobIndexPut writes key's index record through the routed owner write
-// (durable on the owner plus its successors when replication is on).
-func (n *Node) lobIndexPut(key string, idx *largeobject.Index) error {
-	value := base64.StdEncoding.EncodeToString(largeobject.EncodeIndex(idx))
-	return n.repWrite(nil, lobSite, lobStateKey(key), value, false)
-}
-
-// publishLob merges this node into key's replicated index record: installs
-// the manifest (first writer wins; the content address makes all complete
-// manifests for a key interchangeable) and records the local residency
-// bitmap. The read-modify-write is serialized per node by lobPubMu; losing
-// a cross-node race costs only staler holder hints, which readers treat as
-// best-effort anyway. Failures are non-fatal — the object still serves
-// locally, and the next announcement retries.
-func (n *Node) publishLob(key string, m *largeobject.Manifest) {
+// lobSegment returns segment ord of key's copy for a peer's cache.get. Only
+// an ordinal whose id the local manifest records is served, so an in-flight
+// ingest exposes exactly the segments it has chunked.
+func (n *Node) lobSegment(key, ord string) ([]byte, bool) {
 	t := n.lobTier()
-	if t == nil || m == nil || !m.Complete() {
-		return
+	if t == nil {
+		return nil, false
 	}
-	n.lobPubMu.Lock()
-	defer n.lobPubMu.Unlock()
-	idx, ok := n.lobIndexGet(key)
-	if !ok || idx.Manifest == nil || !idx.Manifest.Complete() ||
-		m.Fetched.After(idx.Manifest.Fetched) {
-		// First writer wins, except a strictly fresher manifest (a
-		// revalidation's renewed Fetched, or a re-ingest of changed content)
-		// replaces the record so replicas stop adopting the expired one.
-		if !ok {
-			idx = &largeobject.Index{}
-		}
-		idx.Manifest = m.Clone()
+	m, ok := t.Manifest(key)
+	i, err := strconv.Atoi(ord)
+	if !ok || err != nil || i < 0 || i >= len(m.Segments) {
+		return nil, false
 	}
-	if idx.Holders == nil {
-		idx.Holders = make(map[string]largeobject.BitSet)
-	}
-	idx.Holders[n.cfg.Name] = t.Resident(m)
-	_ = n.lobIndexPut(key, idx)
+	return t.GetSegment(m.Segments[i])
 }
 
-// lobMaybeAnnounce refreshes this node's holder bitmap in the index once it
-// holds a full copy of the object. Announcing per segment fetch would turn
-// every read into a replicated write; a complete copy is the one residency
-// transition worth advertising (it makes this node a full peer source).
+// lobMaybeAnnounce announces this node's copy of key once it holds every
+// segment. Announcing per segment fetch would turn every read into an index
+// update; a complete copy is the one residency transition worth advertising
+// (it makes this node a full peer source).
 func (n *Node) lobMaybeAnnounce(t *largeobject.Tier, key string) {
-	m, ok := t.Manifest(key)
-	if !ok || !m.Complete() {
-		return
-	}
-	if t.Resident(m).Count() == m.NumSegments() {
-		n.publishLob(key, m)
+	if m, ok := t.Manifest(key); ok && m.Complete() && t.Resident(m) == m.NumSegments() {
+		n.publish(key)
 	}
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,7 +21,6 @@ import (
 	"nakika/internal/metrics"
 	"nakika/internal/overlay"
 	"nakika/internal/store"
-	"nakika/internal/wire"
 )
 
 // segmentName matches the files a segment log keeps (seg-NNNNNNNNNN.log); it
@@ -223,9 +224,8 @@ func TestLargeObjectStreamingColdFetch(t *testing.T) {
 }
 
 // TestLargeObjectPeerSegments: node B, which never fetched the object,
-// adopts its manifest from the replicated index record and pulls segment
-// bodies from node A over the lob RPC — the origin is touched exactly once
-// cluster-wide.
+// adopts its manifest from A's cache.get reply and pulls segment bodies from
+// A the same way — the origin is touched exactly once cluster-wide.
 func TestLargeObjectPeerSegments(t *testing.T) {
 	body := lobBody(30_000)
 	origin := &rangeOrigin{url: "http://big.example.org/iso", body: body}
@@ -258,14 +258,12 @@ func TestLargeObjectPeerSegments(t *testing.T) {
 	if bs.Adopted != 1 || bs.SegPeerFetches == 0 {
 		t.Errorf("b lob stats = %+v", bs)
 	}
-	// B now holds a full copy and has announced itself; its residency must
-	// be in the index record.
-	idx, ok := b.lobIndexGet("GET http://big.example.org/iso")
-	if !ok {
-		t.Fatal("index record missing")
-	}
-	if got := idx.Holders["edge-b"].Count(); got != 8 {
-		t.Errorf("edge-b resident segments in index = %d, want 8", got)
+	// B now holds a full copy and has announced itself in the overlay's
+	// index, beside A.
+	holders, _ := a.Overlay().Locate("GET http://big.example.org/iso")
+	sort.Strings(holders)
+	if want := []string{"edge-a", "edge-b"}; !reflect.DeepEqual(holders, want) {
+		t.Errorf("holders located = %v, want %v", holders, want)
 	}
 }
 
@@ -302,68 +300,49 @@ func TestLargeObjectSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestLargeObjectParentDataDirectory: a data directory of the release that
-// kept one manifest file per object beside the slab's log — state/ with the
-// object's index record, and lob/ holding segment records and man-*.man
-// files — opens cleanly: the segments are indexed, the manifest files are
-// removed, and the object is re-adopted from its replicated index record and
-// served from the slab with no origin fetch.
+// The data directory the previous release left after ingesting lobBody(600)
+// from http://big.example.org/parent with 256-byte segments, a 500-byte
+// threshold and the cache clock at Unix 1 790 000 000, captured at its
+// Shutdown: state/ holds the object's replicated index record under the
+// nk:lob site, lob/ its three segments and its manifest record.
+const (
+	parentStateWAL = "00000140de2d7a0b50066e6b3a6c6f6229006e6b3a6c6f623a47455420687474703a2f2f6269672e6578616d706c652e6f72672f706172656e748c02006e6b7631203120656467652d312050414145685230565549476830644841364c793969615763755a586868625842735a533576636d6376634746795a5735307941454244554e685932686c4c554e76626e52796232774243323168654331685a3255394e6a417773416d4141674d327570693351304b344352586e6e4364614273504b5663496f4835546336766e55554e5a616f35614844492b594f515279582b4a2f4742505869784d7266317a464570506c7a45656d42784b6457545a46332f36436e584772424146396b70754d596d4d3973384f32517442424f6a344468797a59592f415034496a4a5238734267494359763454687264637841515a6c5a47646c4c54454242773d3d"
+	parentLobLog   = "00000120fba12b5e36ba98b74342b80915e79c275a06c3ca55c2281f94dceaf9d450d65aa396870c6161616161616162626262626262636363636363636464646464646465656565656565666666666666666767676767676768686868686868696969696969696a6a6a6a6a6a6a6b6b6b6b6b6b6b6c6c6c6c6c6c6c6d6d6d6d6d6d6d6e6e6e6e6e6e6e6f6f6f6f6f6f6f70707070707070717171717171717272727272727273737373737373747474747474747575757575757576767676767676777777777777776161616161616162626262626262636363636363636464646464646465656565656565666666666666666767676767676768686868686868696969696969696a6a6a6a6a6a6a6b6b6b6b6b6b6b6c6c6c6c6c6c6c6d6d6d6d6d6d6d6e6e6e6e000001207e3f8ad28f983904725fe27f1813d78b132b7f5cc51293e5cc47a607129d593645dffe826e6e6e6f6f6f6f6f6f6f70707070707070717171717171717272727272727273737373737373747474747474747575757575757576767676767676777777777777776161616161616162626262626262636363636363636464646464646465656565656565666666666666666767676767676768686868686868696969696969696a6a6a6a6a6a6a6b6b6b6b6b6b6b6c6c6c6c6c6c6c6d6d6d6d6d6d6d6e6e6e6e6e6e6e6f6f6f6f6f6f6f707070707070707171717171717172727272727272737373737373737474747474747475757575757575767676767676767777777777777761616161616161626262626262626363636363636364646464646464650000007835ce4cd79d71ab04017d929b8c62633db3c3b642d0413a3e03872cd863f00fe088c947cb656565656565666666666666666767676767676768686868686868696969696969696a6a6a6a6a6a6a6b6b6b6b6b6b6b6c6c6c6c6c6c6c6d6d6d6d6d6d6d6e6e6e6e6e6e6e6f6f6f6f6f6f6f707070707070707171717171000000f29cbfb1e900000000000000000000000000000000000000000000000000000000000000002147455420687474703a2f2f6269672e6578616d706c652e6f72672f706172656e74012147455420687474703a2f2f6269672e6578616d706c652e6f72672f706172656e74c801010d43616368652d436f6e74726f6c010b6d61782d6167653d363030b00980020336ba98b74342b80915e79c275a06c3ca55c2281f94dceaf9d450d65aa396870c8f983904725fe27f1813d78b132b7f5cc51293e5cc47a607129d593645dffe829d71ab04017d929b8c62633db3c3b642d0413a3e03872cd863f00fe088c947cb01808098bf84e1add731"
+)
+
+// TestLargeObjectParentDataDirectory: the previous release's data directory
+// opens. Its index record in state/ is replayed and left inert — nothing
+// reads the nk:lob site any more — and lob/ is read as it is, so after the
+// restart the object serves from the node's own segments and manifest record
+// with no origin fetch and no adoption.
 func TestLargeObjectParentDataDirectory(t *testing.T) {
 	const url = "http://big.example.org/parent"
-	body := lobBody(30_000)
-	origin := &rangeOrigin{url: url, body: body}
+	body := lobBody(600)
 	fs := store.NewMemFS()
-	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
-		lobConfig(4096, 10_000)(cfg)
-		cfg.DataFS = fs
-	})
-	if _, _, err := n.Handle(httpmsg.MustRequest("GET", url)); err != nil {
-		t.Fatal(err)
-	}
-	m, ok := n.lobTier().Manifest("GET " + url)
-	if !ok {
-		t.Fatal("the object was not ingested")
-	}
-	n.Crash()
-
-	// Rewrite lob/ the way that release left it: the same segment records,
-	// no manifest record, and the manifest in a file of its own.
-	for name := range lobFiles(t, fs) {
-		fs.Remove(name)
-	}
-	lob := store.Sub(fs, "lob")
-	slab, err := largeobject.NewSlab(lob, 4096, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ord := range m.Segments {
-		from, to := m.SegmentSpan(ord)
-		if err := slab.Put(m.Segments[ord], body[from:to]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slab.Close()
-	for _, name := range []string{"man-9c1d0e7f2a6b5c4d3e2f1a0b.man", "man-9c1d0e7f2a6b5c4d3e2f1a0b.man.tmp"} {
-		f, err := lob.Create(name)
+	for name, literal := range map[string]string{"state/wal-00000001.log": parentStateWAL, "lob/seg-0000000000.log": parentLobLog} {
+		raw, err := hex.DecodeString(literal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Write(largeobject.AppendManifest([]byte{wire.Magic}, m))
+		f, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(raw)
 		f.Close()
 	}
-
-	if err := n.Recover(); err != nil {
-		t.Fatal(err)
+	origin := &rangeOrigin{url: url, body: body}
+	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+		lobConfig(256, 500)(cfg)
+		cfg.DataFS = fs
+		cfg.Cache.Clock = func() time.Time { return time.Unix(1_790_000_060, 0) }
+	})
+	if st := n.StoreStats(); st.Replayed != 1 {
+		t.Errorf("replayed %d records from state/, want the index record", st.Replayed)
 	}
-	for name := range lobFiles(t, fs) {
-		if !segmentName.MatchString(strings.TrimPrefix(name, "lob/")) {
-			t.Errorf("%s survived the open", name)
-		}
+	if st := n.LargeObject().Tier; st.Manifests != 1 || st.Slab.Used != 3 {
+		t.Errorf("opened tier: %+v; want the manifest and its three segments", st)
 	}
-	if st := n.LargeObject().Tier; st.Manifests != 0 || st.Slab.Used != len(m.Segments) {
-		t.Errorf("reopened tier: %+v; want the %d segments indexed and no manifest", st, len(m.Segments))
-	}
-	full, ranged, _ := origin.counts()
 	resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
 	if err != nil {
 		t.Fatal(err)
@@ -371,9 +350,8 @@ func TestLargeObjectParentDataDirectory(t *testing.T) {
 	if got := readStream(t, resp, 0, resp.TotalLen()); !bytes.Equal(got, body) {
 		t.Fatal("the object differs after the open")
 	}
-	if f, r, _ := origin.counts(); f != full || r != ranged || n.LargeObject().Adopted != 1 {
-		t.Errorf("origin fetches after the open: %d full, %d range (%d, %d before), %d adopted; want none and one adoption",
-			f, r, full, ranged, n.LargeObject().Adopted)
+	if f, r, _ := origin.counts(); f != 0 || r != 0 || n.LargeObject().Adopted != 0 {
+		t.Errorf("after the open: %d full and %d range origin fetches, %d adoptions; want none", f, r, n.LargeObject().Adopted)
 	}
 }
 

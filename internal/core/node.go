@@ -361,14 +361,12 @@ type Node struct {
 
 	// Chunked large-object tier (see internal/core/largeobject.go): the
 	// tier handle (nil when disabled or crashed), the in-flight streaming
-	// ingests keyed by cache key, the per-(key,segment) fetch flights, the
-	// lock serializing this node's index read-modify-write cycles, and the
-	// tier counters.
+	// ingests keyed by cache key, the per-(key,segment) fetch flights, and
+	// the tier counters.
 	lobMu        sync.Mutex
 	lob          *largeobject.Tier
 	lobIngMu     sync.Mutex
 	lobIngests   map[string]*lobIngest
-	lobPubMu     sync.Mutex
 	segFlights   cache.Group[[]byte]
 	lobStreamed  atomic.Int64
 	lobWhole     atomic.Int64
@@ -451,6 +449,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Ring != nil {
 		n.overlay = cfg.Ring.Join(cfg.Name, cfg.Region)
 		n.overlay.SetLoadGossip(n.LoadScore, n.view.Observe)
+		n.overlay.SetCopies(n.copyUntil)
 	}
 	if !cfg.NoObserve {
 		n.ids = nktrace.NewIDGen(cfg.Name)
@@ -484,9 +483,10 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if n.tr != nil {
 		// One registered name serves every subsystem: overlay routing and
-		// index RPCs, cooperative cache fetches, replication pushes and
-		// handoff, offload, leases, deploys and large-object segments.
-		// This replaces the overlay-only handler Ring.Join registered.
+		// index RPCs, cooperative cache fetches (whole bodies, large-object
+		// manifests and segments), replication pushes and handoff, offload,
+		// leases and deploys. This replaces the overlay-only handler
+		// Ring.Join registered.
 		mux := transport.NewMux()
 		if n.overlay != nil {
 			mux.Route("ov.", n.overlay.ServeRPC)
@@ -496,7 +496,6 @@ func NewNode(cfg Config) (*Node, error) {
 		mux.Route("off.", n.serveOffloadRPC)
 		mux.Route("lease.", n.serveLeaseRPC)
 		mux.Route("deploy.", n.serveDeployRPC)
-		mux.Route("lob.", n.serveLobRPC)
 		n.tr.Register(cfg.Name, mux.Serve)
 	}
 	return n, nil

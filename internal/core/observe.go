@@ -167,7 +167,7 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_lob_streamed_total", "Responses served as lazy segment streams from the large-object tier.", nil, cv(&n.lobStreamed))
 	r.CounterFunc("nakika_lob_ingests_total", "Objects chunked into the large-object tier, by how the body arrived.", metrics.Labels{"mode": "stream"}, cv(&n.lobStreamIng))
 	r.CounterFunc("nakika_lob_ingests_total", "", metrics.Labels{"mode": "whole"}, cv(&n.lobWhole))
-	r.CounterFunc("nakika_lob_adopted_total", "Manifests learned from a replica's index record.", nil, cv(&n.lobAdopted))
+	r.CounterFunc("nakika_lob_adopted_total", "Manifests adopted from a holder's cache.get reply.", nil, cv(&n.lobAdopted))
 	r.CounterFunc("nakika_lob_segment_fetches_total", "Missing segment bodies pulled in, by source.", metrics.Labels{"source": "peer"}, cv(&n.lobSegPeer))
 	r.CounterFunc("nakika_lob_segment_fetches_total", "", metrics.Labels{"source": "origin"}, cv(&n.lobSegOrigin))
 	r.CounterFunc("nakika_lob_revalidations_total", "Conditional origin requests for a stale manifest, by how they ended.", metrics.Labels{"result": "not_modified"}, cv(&n.lobRevalSame))
@@ -238,7 +238,7 @@ func (n *Node) buildRegistry() {
 			func() float64 { return float64(ov.Stats().Lookups) })
 		r.CounterFunc("nakika_overlay_lookup_hops_total", "Remote routing hops those lookups took.", nil,
 			func() float64 { return float64(ov.Stats().TotalHops) })
-		r.GaugeFunc("nakika_overlay_index_keys", "Cache keys in this node's slice of the cooperative-cache index.", nil,
+		r.GaugeFunc("nakika_overlay_index_keys", "Cache keys with a live entry in this node's slice of the cooperative-cache index.", nil,
 			func() float64 { return float64(ov.Stats().IndexKeys) })
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -232,38 +233,64 @@ func TestRoute(t *testing.T) {
 	})
 }
 
-// TestLobIndexLandsOnItsReplicaSet is the large-object row of the cluster
-// suite's TestRecordLandsOnItsReplicaSet (the index key helper is not
-// exported): straight after a node publishes an object's index record, the
-// record sits on the acting owner of its replica key plus that owner's two
-// successors, and a node outside that set reads it back.
-func TestLobIndexLandsOnItsReplicaSet(t *testing.T) {
+// TestLargeObjectIndexSurvivesCrashes: on an 8-node ring one node ingests an
+// object and a second assembles a full copy from it, so the cooperative
+// index holds both. Then the key's index owner crashes — its first successor
+// keeps a copy of each entry — or, separately, the first holder does: either
+// way a node that never saw the object serves it from the survivor with zero
+// origin fetches.
+func TestLargeObjectIndexSurvivesCrashes(t *testing.T) {
 	const url = "http://big.example.org/iso"
-	origin := &rangeOrigin{url: url, body: lobBody(30_000)}
-	nodes, _, _ := routeRing(t, 8, origin, lobConfig(4096, 10_000))
-	if _, _, err := nodes[0].Handle(httpmsg.MustRequest("GET", url)); err != nil {
-		t.Fatal(err)
-	}
-	cacheKey := "GET " + url
-	order := successorOrder(nodes, lobSite, lobStateKey(cacheKey))
-	var holders []string
-	for _, n := range nodes {
-		if _, _, deleted, ok := n.LocalStateRecord(lobSite, lobStateKey(cacheKey)); ok && !deleted {
-			holders = append(holders, n.Name())
-		}
-	}
-	want := append([]string(nil), order[:3]...)
-	sort.Strings(want)
-	if !reflect.DeepEqual(holders, want) {
-		t.Fatalf("index record held by %v, want the owner and its two successors %v", holders, want)
-	}
-	for _, n := range nodes {
-		if n.Name() != order[3] {
-			continue
-		}
-		idx, ok := n.lobIndexGet(cacheKey)
-		if !ok || idx.Holders["edge-0"].Count() != 8 {
-			t.Fatalf("index read through %s = (%v, %v), want edge-0 holding 8 segments", n.Name(), idx, ok)
-		}
+	body := lobBody(30_000)
+	for _, crash := range []string{"index owner", "first holder"} {
+		t.Run(crash, func(t *testing.T) {
+			origin := &rangeOrigin{url: url, body: body}
+			nodes, sim, _ := routeRing(t, 8, origin, lobConfig(4096, 10_000))
+			owner, _, err := nodes[0].Overlay().LookupName("GET " + url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var others []*Node
+			var ownerNode *Node
+			for _, n := range nodes {
+				if n.Name() == owner {
+					ownerNode = n
+				} else {
+					others = append(others, n)
+				}
+			}
+			first, second, reader := others[0], others[1], others[2]
+			read := func(n *Node) {
+				t.Helper()
+				resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := resp.Materialize(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(resp.Body, body) {
+					t.Fatalf("%s served a body that differs", n.Name())
+				}
+			}
+			read(first)
+			read(second)
+			if st := second.LargeObject(); st.Adopted != 1 || st.SegPeerFetches != 8 {
+				t.Fatalf("%s did not assemble its copy from %s: %+v", second.Name(), first.Name(), st)
+			}
+			down := ownerNode
+			if crash == "first holder" {
+				down = first
+			}
+			sim.Crash(down.Name())
+			down.Crash()
+			read(reader)
+			if full, ranged, _ := origin.counts(); full != 1 || ranged != 0 {
+				t.Errorf("origin fetches = %d full, %d range; want only the first node's", full, ranged)
+			}
+			if st := reader.LargeObject(); st.Adopted != 1 || st.SegPeerFetches != 8 {
+				t.Errorf("%s did not serve from a surviving holder: %+v", reader.Name(), st)
+			}
+		})
 	}
 }

@@ -160,9 +160,9 @@ const parentManifestName = "man-5d4c6e0ab1f9a4e03c7f5a21.man"
 
 // TestParentSlotFilesAreDiscarded: a lob/ directory of that release holds
 // slot files and manifest files. Both are removed at the first open, not
-// read; the object comes back as the node re-adopts its manifest from the
-// replicated index (or refetches it once), each segment by one ranged
-// refetch the first time it is wanted; and the tier works from there.
+// read; the object comes back as the node adopts its manifest from a peer's
+// copy (or refetches it once), each segment by one ranged refetch the first
+// time it is wanted; and the tier works from there.
 func TestParentSlotFilesAreDiscarded(t *testing.T) {
 	fs := store.NewMemFS()
 	parent, err := hex.DecodeString(parentSlotHex)
@@ -185,11 +185,11 @@ func TestParentSlotFilesAreDiscarded(t *testing.T) {
 	if got, ok := tier.Manifest(m.Key); ok {
 		t.Fatalf("the parent's manifest file was read: %+v", got)
 	}
-	if err := tier.PutManifest(m); err != nil { // adopted from the replicated index
+	if err := tier.PutManifest(m); err != nil { // adopted from a peer's copy
 		t.Fatal(err)
 	}
 	got, _ := tier.Manifest(m.Key)
-	if data, ok := tier.GetSegment(id); ok || tier.Resident(got).Count() != 0 {
+	if data, ok := tier.GetSegment(id); ok || tier.Resident(got) != 0 {
 		t.Fatalf("a slot file was served: %q", data)
 	}
 	var fetched int

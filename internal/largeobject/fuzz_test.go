@@ -1,8 +1,9 @@
 package largeobject
 
 import (
-	"bytes"
+	"net/http"
 	"testing"
+	"time"
 
 	"nakika/internal/wire"
 )
@@ -10,15 +11,18 @@ import (
 // decodeManifest reads one AppendManifest encoding.
 func decodeManifest(p []byte) (*Manifest, error) { return ReadManifest(wire.NewReader(p)) }
 
-// FuzzManifestDecode throws arbitrary bytes at the manifest and index
-// decoders: they must never panic, and anything they accept must re-encode
-// decodable (and, for manifests, geometrically sane).
+// FuzzManifestDecode throws arbitrary bytes at the manifest decoder: it must
+// never panic, and anything it accepts must be geometrically sane and
+// re-encode decodable.
 func FuzzManifestDecode(f *testing.F) {
 	seed := &Manifest{Key: "GET http://example.org/big", Status: 200,
 		TotalLen: 3000, SegSize: 1024,
 		Segments: []SegID{HashSegment([]byte("a")), HashSegment([]byte("b")), HashSegment([]byte("c"))}}
 	f.Add(AppendManifest(nil, seed))
-	f.Add(EncodeIndex(&Index{Manifest: seed, Holders: map[string]BitSet{"n1": BitSet{}.Set(0).Set(2)}}))
+	// A partly ingested object with headers and a fetch time.
+	f.Add(AppendManifest(nil, &Manifest{Key: "GET http://example.org/part", Status: 200,
+		Header: http.Header{"Etag": {`"v1"`}}, TotalLen: 2500, SegSize: 1024,
+		Segments: seed.Segments[:1], Fetched: time.Unix(1754600000, 0)}))
 	f.Add([]byte{0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -32,16 +36,6 @@ func FuzzManifestDecode(f *testing.F) {
 			}
 			if re.Key != m.Key || re.TotalLen != m.TotalLen || len(re.Segments) != len(m.Segments) {
 				t.Fatal("re-encode not faithful")
-			}
-		}
-		if idx, err := DecodeIndex(payload); err == nil {
-			enc := EncodeIndex(idx)
-			re, err := DecodeIndex(enc)
-			if err != nil {
-				t.Fatalf("index re-decode failed: %v", err)
-			}
-			if !bytes.Equal(EncodeIndex(re), enc) {
-				t.Fatal("index encoding not canonical")
 			}
 		}
 	})

@@ -77,48 +77,6 @@ func TestManifestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestIndexCodecRoundTripDeterministic(t *testing.T) {
-	idx := &Index{
-		Manifest: &Manifest{Key: "k", Status: 200, TotalLen: 8, SegSize: 4,
-			Segments: []SegID{HashSegment([]byte("a")), HashSegment([]byte("b"))}},
-		Holders: map[string]BitSet{
-			"node-b": BitSet{}.Set(1),
-			"node-a": BitSet{}.Set(0).Set(1),
-		},
-	}
-	enc1 := EncodeIndex(idx)
-	enc2 := EncodeIndex(idx)
-	if !bytes.Equal(enc1, enc2) {
-		t.Fatal("index encoding not deterministic")
-	}
-	dec, err := DecodeIndex(enc1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Holders["node-a"].Has(1) || dec.Holders["node-b"].Has(0) {
-		t.Fatalf("holders mismatch: %+v", dec.Holders)
-	}
-	if dec.Manifest.Key != "k" {
-		t.Fatal("manifest lost")
-	}
-}
-
-func TestBitSet(t *testing.T) {
-	var b BitSet
-	b = b.Set(0).Set(63).Set(64).Set(130)
-	for _, i := range []int{0, 63, 64, 130} {
-		if !b.Has(i) {
-			t.Fatalf("bit %d not set", i)
-		}
-	}
-	if b.Has(1) || b.Has(129) || b.Has(10_000) {
-		t.Fatal("phantom bits")
-	}
-	if b.Count() != 4 {
-		t.Fatalf("Count = %d", b.Count())
-	}
-}
-
 func TestSlabPutGetEvict(t *testing.T) {
 	fs := store.NewMemFS()
 	slab, err := NewSlab(fs, 64, 3*64) // 3 slots
@@ -263,7 +221,7 @@ func TestTierIngestAndStream(t *testing.T) {
 	if !m.Complete() || m.NumSegments() != 10 {
 		t.Fatalf("manifest: %+v", m)
 	}
-	if got := tier.Resident(m).Count(); got != 10 {
+	if got := tier.Resident(m); got != 10 {
 		t.Fatalf("resident = %d", got)
 	}
 	stream := tier.NewStream(m, nil)

@@ -10,16 +10,15 @@
 // record of the same log, superseded when it is refreshed and tombstoned
 // when it is dropped. The tier's directory holds that log and nothing else.
 //
-// The tier itself is node-local. Replication of hot-segment *indexes* (who
-// holds which segments of which object — not the bodies) rides the overlay's
-// hard-state records; the Index codec here defines that record's payload.
+// The tier is node-local soft state. Peers find a copy through the overlay's
+// cooperative index and fetch its manifest (AppendManifest) and segments
+// from the holder.
 package largeobject
 
 import (
 	"crypto/sha256"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"nakika/internal/httpmsg"
@@ -103,8 +102,8 @@ func cloneHeader(h http.Header) http.Header {
 	return out
 }
 
-// manifestVersion is the first byte of every encoded manifest and index, so
-// the format can evolve without a flag day.
+// manifestVersion is the first byte of every encoded manifest, so the format
+// can evolve without a flag day.
 const manifestVersion = 1
 
 // maxManifestSegments bounds decoded segment lists: with the default 1 MiB
@@ -185,134 +184,4 @@ func ReadManifest(r *wire.Reader) (*Manifest, error) {
 		return nil, wire.ErrMalformed
 	}
 	return m, nil
-}
-
-// ---------------------------------------------------------------------------
-// Replicated segment index: manifest + who holds which segments
-// ---------------------------------------------------------------------------
-
-// Index is the hard-state record replicated through the overlay for one hot
-// object: the manifest plus, per node, a bitmap of the segments that node
-// held when it last published. Bodies never replicate — a range reader on
-// any replica uses the index to find a peer already holding segment N.
-type Index struct {
-	Manifest *Manifest
-	// Holders maps node name to the set of segment ordinals resident there.
-	Holders map[string]BitSet
-}
-
-// EncodeIndex renders idx deterministically (holders in sorted node order),
-// magic byte first, so LWW replicas converge to identical bytes.
-func EncodeIndex(idx *Index) []byte {
-	buf := make([]byte, 0, 256+len(idx.Manifest.Segments)*SegIDLen)
-	buf = append(buf, wire.Magic)
-	buf = AppendManifest(buf, idx.Manifest)
-	names := make([]string, 0, len(idx.Holders))
-	for n := range idx.Holders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	buf = wire.AppendUvarint(buf, uint64(len(names)))
-	for _, n := range names {
-		buf = wire.AppendString(buf, n)
-		buf = appendBitSet(buf, idx.Holders[n])
-	}
-	return buf
-}
-
-// DecodeIndex parses an EncodeIndex payload.
-func DecodeIndex(payload []byte) (*Index, error) {
-	r, err := wire.Payload(payload)
-	if err != nil {
-		return nil, err
-	}
-	m, err := ReadManifest(&r)
-	if err != nil {
-		return nil, err
-	}
-	idx := &Index{Manifest: m}
-	nholders, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nholders > uint64(r.Len()) {
-		return nil, wire.ErrMalformed
-	}
-	if nholders > 0 {
-		idx.Holders = make(map[string]BitSet, nholders)
-	}
-	for i := uint64(0); i < nholders; i++ {
-		name, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		bs, err := readBitSet(&r)
-		if err != nil {
-			return nil, err
-		}
-		idx.Holders[name] = bs
-	}
-	return idx, nil
-}
-
-// ---------------------------------------------------------------------------
-// BitSet: segment residency bitmap
-// ---------------------------------------------------------------------------
-
-// BitSet is a growable bitmap of segment ordinals.
-type BitSet []uint64
-
-// Set returns the bitset with bit i set (growing as needed).
-func (b BitSet) Set(i int) BitSet {
-	w := i >> 6
-	for len(b) <= w {
-		b = append(b, 0)
-	}
-	b[w] |= 1 << (uint(i) & 63)
-	return b
-}
-
-// Has reports whether bit i is set.
-func (b BitSet) Has(i int) bool {
-	w := i >> 6
-	return w < len(b) && b[w]&(1<<(uint(i)&63)) != 0
-}
-
-// Count returns the number of set bits.
-func (b BitSet) Count() int {
-	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-func appendBitSet(buf []byte, b BitSet) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(b)))
-	for _, w := range b {
-		buf = wire.AppendUvarint(buf, w)
-	}
-	return buf
-}
-
-func readBitSet(r *wire.Reader) (BitSet, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Len()) {
-		return nil, wire.ErrMalformed
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b := make(BitSet, n)
-	for i := range b {
-		if b[i], err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
 }

@@ -250,17 +250,17 @@ func (s *Slab) putBuf(buf *[]byte) {
 	s.bufs.Put(buf)
 }
 
-// Resident returns the bitmap of m's segments currently held by the slab.
-func (s *Slab) Resident(m *Manifest) BitSet {
+// Resident returns how many of m's segments the slab holds.
+func (s *Slab) Resident(m *Manifest) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var bs BitSet
+	n := 0
 	for i := range m.Segments {
 		if _, ok := s.log.Lookup(string(m.Segments[i][:])); ok {
-			bs = bs.Set(i)
+			n++
 		}
 	}
-	return bs
+	return n
 }
 
 // Close closes the log. The slab still serves what it holds afterwards but

@@ -17,7 +17,7 @@ import (
 // the table's lock, so the log's last word on a key is the table's and the
 // open's replay rebuilds the table. Manifests still being ingested live only
 // in memory — after a crash the object is simply refetched or adopted from a
-// replica's index record, which is cheaper than recovering torn ingests. Like
+// peer's copy, which is cheaper than recovering torn ingests. Like
 // a segment, a manifest record is carried forward when read while aging and
 // otherwise reclaimed.
 //
@@ -154,8 +154,8 @@ func (t *Tier) PutSegment(id SegID, data []byte) error { return t.slab.Put(id, d
 // owns (safe to share between goroutines and to hand to the transport).
 func (t *Tier) GetSegment(id SegID) ([]byte, bool) { return t.slab.Get(id) }
 
-// Resident returns the bitmap of m's segments currently in the slab.
-func (t *Tier) Resident(m *Manifest) BitSet { return t.slab.Resident(m) }
+// Resident returns how many of m's segments are in the slab.
+func (t *Tier) Resident(m *Manifest) int { return t.slab.Resident(m) }
 
 // IngestBody chunks a complete body into the tier: every segment is hashed
 // and stored, and the complete manifest is installed and appended. Used for
@@ -237,7 +237,7 @@ func (ss *segStream) TotalLen() int64 { return ss.m.TotalLen }
 // can see how much of a streamed response was served locally.
 func (ss *segStream) Progress() (segments, resident int) {
 	m := ss.current()
-	return m.NumSegments(), ss.t.Resident(m).Count()
+	return m.NumSegments(), ss.t.Resident(m)
 }
 
 func (ss *segStream) Range(from, to int64) (io.ReadCloser, error) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"nakika/internal/transport"
 )
@@ -279,6 +280,7 @@ func TestOverlayAcrossTCP(t *testing.T) {
 		}
 	}
 	// Publishing from process 1 stores the entry at process 2 over TCP.
+	holding(time.Now().Add(time.Hour), n1)
 	if _, err := n1.Publish(keyAt2); err != nil {
 		t.Fatal(err)
 	}

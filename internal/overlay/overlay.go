@@ -89,6 +89,9 @@ type Node struct {
 	// round changed this node's replication responsibilities: the
 	// predecessor died or the successor-list head changed.
 	churn func()
+	// copies reports whether the node holds a fresh copy of a key and until
+	// when (see SetCopies); Publish announces nothing without it.
+	copies func(key string) (time.Time, bool)
 	// loadLocal / loadObserve implement load gossip (see SetLoadGossip):
 	// maintenance RPCs piggyback the sender's current load score and report
 	// observed peer scores, so the offload layer holds a fresh load view of
@@ -97,7 +100,8 @@ type Node struct {
 	loadObserve func(peer string, load float64)
 }
 
-// NodeStats reports per-node overlay activity.
+// NodeStats reports per-node overlay activity. IndexKeys counts the keys of
+// this node's index slice that still have a live entry.
 type NodeStats struct {
 	Lookups   int64
 	TotalHops int64
@@ -109,7 +113,7 @@ type NodeStats struct {
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return NodeStats{Lookups: n.lookups, TotalHops: n.hops, IndexKeys: len(n.index)}
+	return NodeStats{Lookups: n.lookups, TotalHops: n.hops, IndexKeys: n.pruneLocked(n.ring.now())}
 }
 
 // Successors returns the names in the node's current successor list.
@@ -132,6 +136,16 @@ func (n *Node) SetChurnHook(f func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.churn = f
+}
+
+// SetCopies installs the node's view of its own cached copies: copies
+// reports whether the node holds a fresh copy of key, and until when. Publish
+// announces a copy with that expiry, so the index keeps the entry exactly as
+// long as the copy is fresh.
+func (n *Node) SetCopies(copies func(key string) (time.Time, bool)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.copies = copies
 }
 
 // SetLoadGossip installs the node's load gossip hooks: local reports this
@@ -231,8 +245,6 @@ type Ring struct {
 	// sorted node IDs for successor computation.
 	sorted []ID
 	byID   map[ID]*Node
-	// DefaultTTL governs how long index entries live; zero means 60 seconds.
-	DefaultTTL time.Duration
 	// Clock returns the current time; nil means time.Now.
 	Clock func() time.Time
 	// Transport carries all inter-node messages. NewRing installs the
@@ -261,13 +273,6 @@ func (r *Ring) now() time.Time {
 		return r.Clock()
 	}
 	return time.Now()
-}
-
-func (r *Ring) ttl() time.Duration {
-	if r.DefaultTTL > 0 {
-		return r.DefaultTTL
-	}
-	return 60 * time.Second
 }
 
 // Join adds a node with the given name and region to the overlay and
@@ -320,9 +325,8 @@ func (r *Ring) join(name, region string, remote bool) *Node {
 }
 
 // Leave removes a node from the overlay. Index entries owned by the
-// departed node become the responsibility of its successor on the next
-// publish; the expiration-based consistency model tolerates the transient
-// loss.
+// departed node are answered by its successor, which keeps a copy of each
+// (see Publish).
 func (r *Ring) Leave(name string) {
 	r.mu.Lock()
 	n, ok := r.nodes[name]

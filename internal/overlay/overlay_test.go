@@ -2,10 +2,13 @@ package overlay
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"nakika/internal/transport"
 )
 
 // lookup routes from n to the member responsible for key, returning it (nil
@@ -16,6 +19,14 @@ func lookup(n *Node, key string) (*Node, int) {
 		return nil, hops
 	}
 	return n.ring.NodeByName(name), hops
+}
+
+// holding makes each node report a copy of every key, fresh until until, so
+// its Publish announces the key.
+func holding(until time.Time, nodes ...*Node) {
+	for _, n := range nodes {
+		n.SetCopies(func(string) (time.Time, bool) { return until, true })
+	}
 }
 
 func TestJoinLeaveSize(t *testing.T) {
@@ -81,6 +92,7 @@ func TestPublishAndLocate(t *testing.T) {
 	a := r.Join("node-a", "us-east")
 	b := r.Join("node-b", "us-west")
 	r.Join("node-c", "asia")
+	holding(time.Now().Add(time.Hour), a, b)
 
 	key := "GET http://med.nyu.edu/simm/module1.html"
 	if _, err := a.Publish(key); err != nil {
@@ -118,24 +130,135 @@ func TestLocateMissingKey(t *testing.T) {
 	}
 }
 
+// TestIndexEntriesExpire: an entry lives exactly as long as the copy it
+// announces — past 60 s for a copy fresh for an hour, and not past the
+// copy's expiry.
 func TestIndexEntriesExpire(t *testing.T) {
 	now := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 	r := NewRing()
-	r.DefaultTTL = 30 * time.Second
 	r.Clock = func() time.Time { return now }
 	a := r.Join("node-a", "us-east")
 	b := r.Join("node-b", "us-west")
+	holding(now.Add(time.Hour), a)
 	key := "GET http://example.org/x"
 	if _, err := a.Publish(key); err != nil {
 		t.Fatal(err)
 	}
+	now = now.Add(61 * time.Second)
 	if found, _ := b.Locate(key); len(found) != 1 {
-		t.Fatal("entry should be fresh")
+		t.Fatalf("a copy fresh for an hour is not located after 61 s: %v", found)
 	}
-	now = now.Add(31 * time.Second)
+	now = now.Add(time.Hour)
 	if found, _ := b.Locate(key); len(found) != 0 {
-		t.Errorf("entry should have expired, got %v", found)
+		t.Errorf("entry should have expired with its copy, got %v", found)
 	}
+}
+
+// TestStabilizeDropsExpiredKeys: a key whose entries have all expired
+// leaves the index by the next Stabilize, without a Locate to find it.
+func TestStabilizeDropsExpiredKeys(t *testing.T) {
+	now := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
+	r := NewRing()
+	r.Clock = func() time.Time { return now }
+	a := r.Join("node-a", "us-east")
+	b := r.Join("node-b", "us-west")
+	holding(now.Add(time.Minute), a)
+	for i := 0; i < 1000; i++ {
+		if _, err := a.Publish(fmt.Sprintf("key-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now = now.Add(2 * time.Minute)
+	a.Stabilize()
+	b.Stabilize()
+	for _, n := range []*Node{a, b} {
+		n.mu.Lock()
+		if left := len(n.index); left != 0 {
+			t.Errorf("%s keeps %d keys after every entry expired and a Stabilize", n.Name, left)
+		}
+		n.mu.Unlock()
+	}
+}
+
+// TestEntryOutlivesItsOwner: the owner keeps a copy of each entry at its
+// first successor, and Locate asks that successor when the owner does not
+// answer.
+func TestEntryOutlivesItsOwner(t *testing.T) {
+	sim := transport.NewSim(transport.SimConfig{Seed: 1})
+	r := NewRing()
+	r.Transport = sim
+	var nodes []*Node
+	for i := 0; i < 5; i++ {
+		nodes = append(nodes, r.Join(fmt.Sprintf("node-%d", i), "r"))
+	}
+	holding(time.Now().Add(time.Hour), nodes...)
+	key := "GET http://example.org/kept"
+	owner := r.Successor(key)
+	var holder, reader *Node
+	for _, n := range nodes {
+		switch {
+		case n == owner:
+		case holder == nil:
+			holder = n
+		case reader == nil:
+			reader = n
+		}
+	}
+	if _, err := holder.Publish(key); err != nil {
+		t.Fatal(err)
+	}
+	sim.Crash(owner.Name)
+	found, _, err := reader.LocateErr(key)
+	if err != nil || len(found) != 1 || found[0] != holder.Name {
+		t.Fatalf("Locate with the owner down = %v, %v; want [%s]", found, err, holder.Name)
+	}
+	// Unpublish reaches the copy too: with the owner back, its successor has
+	// nothing left to answer for the holder either.
+	sim.Restart(owner.Name)
+	holder.Unpublish(key)
+	sim.Crash(owner.Name)
+	if found, _, err := reader.LocateErr(key); err != nil || len(found) != 0 {
+		t.Errorf("Locate after Unpublish with the owner down = %v, %v", found, err)
+	}
+}
+
+// TestPublishCarriesTheExpiry pins the announcement on the wire: ov.publish
+// with the copy's expiry in Unix nanoseconds, relayed by the owner to its
+// successor with the holder's name after it.
+func TestPublishCarriesTheExpiry(t *testing.T) {
+	rec := &recorder{Transport: transport.NewLocal()}
+	r := NewRing()
+	r.Transport = rec
+	a := r.Join("node-a", "r")
+	b := r.Join("node-b", "r")
+	holding(time.Unix(1780272060, 0), a)
+	key := "GET http://example.org/wire"
+	for i := 0; r.Successor(key) != b; i++ {
+		key = fmt.Sprintf("GET http://example.org/wire-%d", i)
+	}
+	if _, err := a.Publish(key); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"node-a>node-b ov.publish " + key + " [1780272060000000000]",
+		"node-b>node-a ov.publish " + key + " [1780272060000000000 node-a]",
+	}
+	if !reflect.DeepEqual(rec.sent, want) {
+		t.Errorf("sent %q, want %q", rec.sent, want)
+	}
+}
+
+// recorder logs the publishes sent through a transport.
+type recorder struct {
+	transport.Transport
+	sent []string
+}
+
+func (r *recorder) Call(from, to string, msg transport.Message) (transport.Message, error) {
+	if msg.Type == msgPublish {
+		r.sent = append(r.sent, fmt.Sprintf("%s>%s %s %s %v", from, to, msg.Type, msg.Key, msg.Args))
+	}
+	return r.Transport.Call(from, to, msg)
 }
 
 func TestLookupHopsScaleLogarithmically(t *testing.T) {
@@ -180,6 +303,7 @@ func TestNodeStats(t *testing.T) {
 func TestSingleNodeRing(t *testing.T) {
 	r := NewRing()
 	a := r.Join("only", "r")
+	holding(time.Now().Add(time.Hour), a)
 	owner, hops := lookup(a, "anything")
 	if owner != a || hops != 0 {
 		t.Errorf("single node ring: owner=%v hops=%d", owner.Name, hops)
@@ -195,6 +319,7 @@ func TestSingleNodeRing(t *testing.T) {
 func TestEmptyRingLookup(t *testing.T) {
 	r := NewRing()
 	n := r.Join("temp", "r")
+	holding(time.Now().Add(time.Hour), n)
 	r.Leave("temp")
 	owner, _ := lookup(n, "k")
 	if owner != nil {
@@ -243,6 +368,7 @@ func TestConcurrentPublishLocate(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		nodes = append(nodes, r.Join(fmt.Sprintf("n%d", i), "r"))
 	}
+	holding(time.Now().Add(time.Hour), nodes...)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

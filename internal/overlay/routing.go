@@ -2,8 +2,10 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"time"
 
 	"nakika/internal/transport"
 )
@@ -24,7 +26,6 @@ const (
 	msgFindSuccessor = "ov.find_successor"
 	msgPublish       = "ov.publish"
 	msgLocate        = "ov.locate"
-	msgUnpublish     = "ov.unpublish"
 	msgStabilize     = "ov.stab"
 	msgNotify        = "ov.notify"
 	msgPing          = "ov.ping"
@@ -285,19 +286,43 @@ func (n *Node) lookupID(target ID, avoid map[string]bool) (string, int, error) {
 // Cooperative-cache index operations (owner-side state, reached by RPC)
 // ---------------------------------------------------------------------------
 
-// Publish records that this node holds a cached copy of key. The record is
-// stored at the node responsible for the key (the DHT put) and expires
-// after the ring's TTL. The returned hop count covers the routing lookup.
+// Publish announces this node's copy of key in the cooperative index. The
+// entry carries the copy's expiry, from the node's copies hook (SetCopies),
+// and the index keeps it exactly that long; a key the node holds no fresh copy
+// of is not announced. The entry is stored at the node responsible for the
+// key (the DHT put), which keeps a copy of it at its first successor. The
+// returned hop count covers the routing lookup.
 func (n *Node) Publish(key string) (int, error) {
+	n.mu.Lock()
+	copies := n.copies
+	n.mu.Unlock()
+	if copies == nil {
+		return 0, nil
+	}
+	expires, ok := copies(key)
+	if !ok {
+		return 0, nil
+	}
+	return n.announce(key, expires)
+}
+
+// Unpublish removes this node's entry for key, for example once its copy is
+// invalidated: an announcement whose expiry has passed.
+func (n *Node) Unpublish(key string) { _, _ = n.announce(key, time.Unix(0, 0)) }
+
+// announce sends this node's entry for key, fresh until expires, to the key's
+// owner: an ov.publish whose one argument is the expiry in Unix nanoseconds.
+func (n *Node) announce(key string, expires time.Time) (int, error) {
 	owner, hops, err := n.LookupName(key)
 	if err != nil {
 		return hops, err
 	}
+	msg := transport.Message{Type: msgPublish, Key: key, Args: []string{strconv.FormatInt(expires.UnixNano(), 10)}}
 	if owner == n.Name {
-		n.applyPublish(n.Name, key)
+		n.applyPublish(n.Name, msg)
 		return hops, nil
 	}
-	if _, err := n.ring.call(n.Name, owner, transport.Message{Type: msgPublish, Key: key}); err != nil {
+	if _, err := n.ring.call(n.Name, owner, msg); err != nil {
 		return hops, fmt.Errorf("overlay: publish to %s: %w", owner, err)
 	}
 	return hops, nil
@@ -312,87 +337,90 @@ func (n *Node) Locate(key string) ([]string, int) {
 
 // LocateErr is Locate with the routing/transport error exposed, so callers
 // under fault injection can distinguish "no holders" from "index owner
-// unreachable".
+// unreachable". An owner that does not answer is asked again through its
+// first live successor, which keeps a copy of its entries.
 func (n *Node) LocateErr(key string) ([]string, int, error) {
 	owner, hops, err := n.LookupName(key)
 	if err != nil {
 		return nil, hops, err
 	}
-	if owner == n.Name {
-		return n.applyLocate(key), hops, nil
-	}
-	reply, err := n.ring.call(n.Name, owner, transport.Message{Type: msgLocate, Key: key})
+	holders, err := n.locateAt(owner, key)
 	if err != nil {
-		return nil, hops, fmt.Errorf("overlay: locate at %s: %w", owner, err)
+		next, more, lerr := n.LookupNameAvoid(key, map[string]bool{owner: true})
+		hops += more
+		if lerr != nil || next == owner {
+			return nil, hops, err
+		}
+		holders, err = n.locateAt(next, key)
 	}
-	return reply.Args, hops, nil
+	return holders, hops, err
 }
 
-// Unpublish removes this node's entry for key (for example after cache
-// eviction).
-func (n *Node) Unpublish(key string) {
-	owner, _, err := n.LookupName(key)
+// locateAt asks one node for the live holders of key in its index slice.
+func (n *Node) locateAt(node, key string) ([]string, error) {
+	if node == n.Name {
+		return n.applyLocate(key), nil
+	}
+	reply, err := n.ring.call(n.Name, node, transport.Message{Type: msgLocate, Key: key})
+	if err != nil {
+		return nil, fmt.Errorf("overlay: locate at %s: %w", node, err)
+	}
+	return reply.Args, nil
+}
+
+// applyPublish records an announcement in this node's slice of the index:
+// the holder's entry for the key now expires at the announced instant, and an
+// instant that has passed removes it. An announcement from the holder itself
+// is relayed to this node's first successor with the holder's name as a
+// second argument; that copy is what Locate finds when this node is gone. An
+// announcement without an expiry, as an older build sends, is not recorded.
+func (n *Node) applyPublish(from string, msg transport.Message) {
+	if len(msg.Args) == 0 {
+		return
+	}
+	ns, err := strconv.ParseInt(msg.Args[0], 10, 64)
 	if err != nil {
 		return
 	}
-	if owner == n.Name {
-		n.applyUnpublish(n.Name, key)
-		return
-	}
-	_, _ = n.ring.call(n.Name, owner, transport.Message{Type: msgUnpublish, Key: key})
-}
-
-// applyPublish refreshes or appends holder's entry for key in this node's
-// slice of the cooperative index, dropping expired entries as it goes.
-func (n *Node) applyPublish(holder, key string) {
+	holder, relay := from, ""
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	now := n.ring.now()
-	entries := n.index[key]
-	kept := entries[:0]
-	found := false
-	for _, e := range entries {
-		if e.Expires.Before(now) {
-			continue
-		}
-		if e.NodeName == holder {
-			e.Expires = now.Add(n.ring.ttl())
-			found = true
-		}
-		kept = append(kept, e)
+	if len(msg.Args) > 1 {
+		holder = msg.Args[1]
+	} else if len(n.succs) > 0 && n.succs[0].name != n.Name {
+		relay = n.succs[0].name
 	}
-	if !found {
-		kept = append(kept, Entry{NodeName: holder, Expires: now.Add(n.ring.ttl())})
+	entries := n.index[msg.Key]
+	i := slices.IndexFunc(entries, func(e Entry) bool { return e.NodeName == holder })
+	if i < 0 {
+		entries = append(entries, Entry{NodeName: holder})
+		i = len(entries) - 1
 	}
-	n.index[key] = kept
+	entries[i].Expires = time.Unix(0, ns)
+	n.keepLocked(msg.Key, entries, n.ring.now())
+	n.mu.Unlock()
+	if relay != "" {
+		_, _ = n.ring.call(n.Name, relay, transport.Message{Type: msgPublish, Key: msg.Key, Args: []string{msg.Args[0], holder}})
+	}
 }
 
 // applyLocate returns the live holders of key from this node's index slice.
 func (n *Node) applyLocate(key string) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	now := n.ring.now()
 	var out []string
-	kept := n.index[key][:0]
-	for _, e := range n.index[key] {
-		if e.Expires.Before(now) {
-			continue
-		}
-		kept = append(kept, e)
+	for _, e := range n.keepLocked(key, n.index[key], n.ring.now()) {
 		out = append(out, e.NodeName)
 	}
-	n.index[key] = kept
 	return out
 }
 
-// applyUnpublish removes holder's entry for key from this node's index.
-func (n *Node) applyUnpublish(holder, key string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	entries := n.index[key]
+// keepLocked stores the entries of key that are still fresh at now, and
+// forgets the key when none is, so the index holds live entries only. Caller
+// holds n.mu.
+func (n *Node) keepLocked(key string, entries []Entry, now time.Time) []Entry {
 	kept := entries[:0]
 	for _, e := range entries {
-		if e.NodeName != holder {
+		if e.Expires.After(now) {
 			kept = append(kept, e)
 		}
 	}
@@ -401,6 +429,17 @@ func (n *Node) applyUnpublish(holder, key string) {
 	} else {
 		n.index[key] = kept
 	}
+	return kept
+}
+
+// pruneLocked drops every expired entry, and every key left without one, from
+// this node's index slice, and returns the number of keys that remain. Caller
+// holds n.mu.
+func (n *Node) pruneLocked(now time.Time) int {
+	for key, entries := range n.index {
+		n.keepLocked(key, entries, now)
+	}
+	return len(n.index)
 }
 
 // ---------------------------------------------------------------------------
@@ -426,13 +465,10 @@ func (n *Node) ServeRPC(from string, msg transport.Message) (transport.Message, 
 		}
 		return transport.Message{Args: []string{dec.next, "forward"}}, nil
 	case msgPublish:
-		n.applyPublish(from, msg.Key)
+		n.applyPublish(from, msg)
 		return transport.Message{}, nil
 	case msgLocate:
 		return transport.Message{Args: n.applyLocate(msg.Key)}, nil
-	case msgUnpublish:
-		n.applyUnpublish(from, msg.Key)
-		return transport.Message{}, nil
 	case msgStabilize:
 		n.observeLoad(from, msg.Key)
 		n.mu.Lock()
@@ -473,10 +509,12 @@ func (n *Node) ServeRPC(from string, msg transport.Message) (transport.Message, 
 // replace it. When the round detects churn that changes this node's
 // replication responsibilities — the predecessor died, or the successor
 // list changed — the node's churn hook fires (see SetChurnHook), so the
-// layer above can promote replicas and re-replicate.
+// layer above can promote replicas and re-replicate. The round also drops
+// the index slice's expired entries, and the keys left without one.
 func (n *Node) Stabilize() {
 	r := n.ring
 	n.mu.Lock()
+	n.pruneLocked(r.now())
 	pred := n.pred
 	succs := append([]ref(nil), n.succs...)
 	oldList := fmt.Sprint(succs)

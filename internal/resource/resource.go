@@ -127,8 +127,6 @@ type siteState struct {
 	throttleProb float64
 	// terminators are callbacks that kill this site's active pipelines.
 	terminators map[int64]func()
-	// lastActive is used to expire idle sites from the table.
-	lastActive time.Time
 }
 
 // Manager is the per-node resource manager.
@@ -181,7 +179,6 @@ func (m *Manager) site(name string) *siteState {
 		s = &siteState{terminators: make(map[int64]func())}
 		m.sites[name] = s
 	}
-	s.lastActive = time.Now()
 	return s
 }
 
@@ -264,10 +261,8 @@ func (m *Manager) ControlOnce() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.enabled {
-		// Still drain windows so re-enabling starts from a clean slate.
-		for _, s := range m.sites {
-			s.window = [numKinds]float64{}
-		}
+		// Still end the round, so re-enabling starts from a clean slate.
+		m.endRoundLocked()
 		return
 	}
 	m.stats.ControlRuns++
@@ -331,9 +326,19 @@ func (m *Manager) ControlOnce() {
 		}
 	}
 
-	// Reset windows for the next interval.
-	for _, s := range m.sites {
+	m.endRoundLocked()
+}
+
+// endRoundLocked resets every site's window for the next interval and drops
+// the sites left with nothing for the manager to act on — no live pipeline,
+// no throttle and no usage — so the table holds the sites that are active,
+// not one entry for every Host header ever seen. Caller holds m.mu.
+func (m *Manager) endRoundLocked() {
+	for name, s := range m.sites {
 		s.window = [numKinds]float64{}
+		if len(s.terminators) == 0 && s.throttleProb == 0 && s.usage == [numKinds]float64{} {
+			delete(m.sites, name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package resource
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -38,6 +39,34 @@ func TestKindProperties(t *testing.T) {
 			t.Errorf("duplicate kind name %q", k)
 		}
 		seen[k.String()] = true
+	}
+}
+
+// TestSiteTableForgetsIdleSites: the table grows with the sites that are
+// active, not with every Host header ever admitted. A site with no live
+// pipeline, no throttle and no usage left is dropped at the end of a control
+// round; one with a live pipeline or a decaying usage is kept.
+func TestSiteTableForgetsIdleSites(t *testing.T) {
+	m := managerWithCapacity(1000)
+	for i := 0; i < 10_000; i++ {
+		m.Admit(fmt.Sprintf("site-%d.example.org", i))
+	}
+	id := m.RegisterPipeline("busy.example.org", func() {})
+	m.Charge("bytes.example.org", BytesTransferred, 100)
+	m.ControlOnce()
+	m.ControlOnce()
+	sites := func() int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return len(m.sites)
+	}
+	if got := sites(); got != 2 {
+		t.Fatalf("site table after 10 000 admitted sites and two control rounds = %d entries, want the 2 still active", got)
+	}
+	m.UnregisterPipeline("busy.example.org", id)
+	m.ControlOnce()
+	if got := sites(); got != 1 {
+		t.Errorf("site table with the pipeline gone = %d entries, want 1", got)
 	}
 }
 
