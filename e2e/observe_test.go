@@ -52,6 +52,7 @@ var requiredSeries = []string{
 	"nakika_store_fence_rejects_total",
 	"nakika_replication_forwarded_ops_total",
 	"nakika_replication_pushes_total",
+	"nakika_replication_unavailable_total",
 	"nakika_offload_executed_total",
 	"nakika_offload_forwarded_total",
 	"nakika_hedged_reads_total",

@@ -71,7 +71,9 @@ func TestRecordLandsOnItsReplicaSet(t *testing.T) {
 				if err := w.StatePut(site, key, "doomed"); err != nil {
 					t.Fatal(err)
 				}
-				w.StateDelete(site, key)
+				if err := w.StateDelete(site, key); err != nil {
+					t.Fatal(err)
+				}
 			},
 			read: func(t *testing.T, w, out *core.Node, site, key string) {
 				if v, ok := out.StateGet(site, key); ok {

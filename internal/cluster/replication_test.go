@@ -491,30 +491,64 @@ func TestAckedWriteSurvivesMixedStaleAcks(t *testing.T) {
 	}
 }
 
-// TestDeleteFallsBackToLocalTombstone: a delete issued while no acting
-// owner is reachable is recorded as a local tombstone and propagated by
-// repair after heal, instead of being silently dropped (the vocabulary
-// API has no error channel).
-func TestDeleteFallsBackToLocalTombstone(t *testing.T) {
+// TestIsolatedDeleteFailsAndChangesNothing: a delete issued while no
+// acting owner is reachable fails like a put does, and leaves no trace for
+// repair to spread; retried after heal, it goes through the owner and wins.
+func TestIsolatedDeleteFailsAndChangesNothing(t *testing.T) {
 	seed := 38 + seedOffset()
 	c := bootReplicated(t, 5, seed, 3)
 	entry := c.NodeByName("node-0")
 	if err := entry.StatePut(repSite, "orphan-del", "v"); err != nil {
 		t.Fatal(err)
 	}
-	// Isolate the deleting node: every forward fails, the tombstone lands
-	// locally only.
 	c.Partition([]string{"node-0"})
-	entry.StateDelete(repSite, "orphan-del")
-	if _, ok := entry.StateGet(repSite, "orphan-del"); ok {
-		t.Fatal("isolated node still reads the key it deleted")
+	if err := entry.StateDelete(repSite, "orphan-del"); err == nil {
+		t.Fatal("a delete with no reachable owner was acknowledged")
 	}
 	c.Heal()
 	c.StabilizeAll(6)
+	c.RepairAll()
+	for _, name := range c.Names() {
+		if got, ok := c.NodeByName(name).StateGet(repSite, "orphan-del"); !ok || got != "v" {
+			t.Fatalf("%s reads (%q, %v) after a failed delete, want \"v\"", name, got, ok)
+		}
+	}
+	if err := entry.StateDelete(repSite, "orphan-del"); err != nil {
+		t.Fatalf("delete retried after heal: %v", err)
+	}
 	for _, name := range c.Names() {
 		if _, ok := c.NodeByName(name).StateGet(repSite, "orphan-del"); ok {
-			t.Fatalf("delete was lost: %s still reads the key after heal + repair", name)
+			t.Fatalf("%s still reads the key after the retried delete", name)
 		}
+	}
+}
+
+// TestDeleteCannotEraseLaterPut: a delete that failed while its node was
+// partitioned must not come back after heal and erase a put acknowledged
+// after it.
+func TestDeleteCannotEraseLaterPut(t *testing.T) {
+	for seed := int64(38); seed <= 47; seed++ {
+		seed := seed + seedOffset()
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			c := bootReplicated(t, 5, seed, 3)
+			isolated := c.NodeByName("node-0")
+			if err := isolated.StatePut(repSite, "k", "old"); err != nil {
+				t.Fatal(err)
+			}
+			c.Partition([]string{"node-0"})
+			_ = isolated.StateDelete(repSite, "k")
+			c.Heal()
+			if err := c.NodeByName("node-2").StatePut(repSite, "k", "new"); err != nil {
+				t.Fatalf("put after heal: %v", err)
+			}
+			c.StabilizeAll(6)
+			c.RepairAll()
+			for _, name := range c.Names() {
+				if got, ok := c.NodeByName(name).StateGet(repSite, "k"); !ok || got != "new" {
+					t.Fatalf("%s reads (%q, %v), want the acknowledged \"new\"", name, got, ok)
+				}
+			}
+		})
 	}
 }
 
@@ -528,7 +562,9 @@ func TestReplicatedDeleteWins(t *testing.T) {
 	if err := entry.StatePut(repSite, "del-k", "doomed"); err != nil {
 		t.Fatal(err)
 	}
-	entry.StateDelete(repSite, "del-k")
+	if err := entry.StateDelete(repSite, "del-k"); err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range c.Names() {
 		if _, ok := c.NodeByName(n).StateGet(repSite, "del-k"); ok {
 			t.Fatalf("deleted key still readable from %s", n)

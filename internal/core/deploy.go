@@ -75,7 +75,10 @@ func (n *Node) Deploy(site, script, note string) (uint64, error) {
 	}
 	n.deployPubMu.Lock()
 	defer n.deployPubMu.Unlock()
-	st, _ := n.deployRecord(site)
+	st, _, err := n.deployRecord(site)
+	if err != nil {
+		return 0, fmt.Errorf("core: deploy %s: %w", site, err)
+	}
 	gen := st.NextGen()
 	st.Add(deploy.Bundle{Gen: gen, Script: script, Note: note})
 	st.Active = gen
@@ -100,7 +103,10 @@ func (n *Node) Rollback(site string, gen uint64) error {
 	site = strings.ToLower(strings.TrimSpace(site))
 	n.deployPubMu.Lock()
 	defer n.deployPubMu.Unlock()
-	st, ok := n.deployRecord(site)
+	st, ok, err := n.deployRecord(site)
+	if err != nil {
+		return fmt.Errorf("core: rollback %s: %w", site, err)
+	}
 	if !ok {
 		n.deployRej.Add(1)
 		return fmt.Errorf("core: rollback: site %q has no deployment record", site)
@@ -156,7 +162,7 @@ func (n *Node) Deployments() []deploy.Status {
 		if !ok {
 			// Applied here but record owned elsewhere (this node is not in
 			// the record's replica set): fetch the authoritative copy.
-			st, _ = n.deployRecord(site)
+			st, _, _ = n.deployRecord(site)
 		}
 		status := deploy.Status{Site: site, Active: st.Active, Applied: applied[site]}
 		for _, b := range st.Bundles {
@@ -186,7 +192,7 @@ func (n *Node) SyncDeployments() {
 	}
 	var indexed map[string]bool
 	if n.repEnabled() {
-		if v, ok := n.deployGet(deploy.IndexSite); ok {
+		if v, ok, _ := n.deployGet(deploy.IndexSite); ok {
 			if list, err := deploy.DecodeSites(v); err == nil {
 				indexed = make(map[string]bool, len(list))
 				for _, s := range list {
@@ -202,7 +208,7 @@ func (n *Node) SyncDeployments() {
 	}
 	sort.Strings(sorted)
 	for _, site := range sorted {
-		st, ok := n.deployRecord(site)
+		st, ok, _ := n.deployRecord(site)
 		if !ok {
 			continue
 		}
@@ -262,16 +268,20 @@ func (n *Node) AppliedGeneration(site string) uint64 {
 	return 0
 }
 
-// deployRecord reads site's deployment record: through the routed
-// replicated read when replication is on (authoritative under churn),
-// falling back to the local copy.
-func (n *Node) deployRecord(site string) (deploy.State, bool) {
-	if v, ok := n.deployGet(site); ok {
-		if st, err := deploy.Decode(v); err == nil {
-			return st, true
-		}
+// deployRecord reads site's deployment record through the routed
+// replicated read (local when replication is off). A read no owner
+// answered is an error, never an empty record: a caller that writes the
+// record back would otherwise replace the site's retained generations.
+func (n *Node) deployRecord(site string) (deploy.State, bool, error) {
+	v, ok, err := n.deployGet(site)
+	if err != nil || !ok {
+		return deploy.State{}, false, err
 	}
-	return deploy.State{}, false
+	st, err := deploy.Decode(v)
+	if err != nil {
+		return deploy.State{}, false, nil
+	}
+	return st, true, nil
 }
 
 // deployGet reads the raw record value under (site, deploy.StateKey)
@@ -279,7 +289,7 @@ func (n *Node) deployRecord(site string) (deploy.State, bool) {
 // replication is off). Replication RPCs do not filter the internal
 // namespace, so routed reads work for deploy records exactly as for lease
 // records.
-func (n *Node) deployGet(site string) (string, bool) {
+func (n *Node) deployGet(site string) (string, bool, error) {
 	return n.repGet(nil, site, deploy.StateKey)
 }
 
@@ -291,16 +301,15 @@ func (n *Node) deployPut(site, value string) error {
 }
 
 // indexAdd records site in the replicated deployment index so nodes
-// outside the record's replica set can discover it. Best-effort and
-// self-healing: SyncDeployments re-adds locally held sites the index
-// lost to a concurrent write.
+// outside the record's replica set can discover it. Self-healing:
+// SyncDeployments re-adds locally held sites the index lost to a
+// concurrent write. An index it could not read is left as it is.
 func (n *Node) indexAdd(site string) {
-	var sites []string
-	if v, ok := n.deployGet(deploy.IndexSite); ok {
-		if cur, err := deploy.DecodeSites(v); err == nil {
-			sites = cur
-		}
+	v, _, err := n.deployGet(deploy.IndexSite)
+	if err != nil {
+		return
 	}
+	sites, _ := deploy.DecodeSites(v) // nil for a missing or unreadable index
 	for _, s := range sites {
 		if s == site {
 			return
@@ -332,7 +341,7 @@ func (n *Node) broadcastDeploy(site string) {
 func (n *Node) serveDeployRPC(from string, msg transport.Message) (transport.Message, error) {
 	switch msg.Type {
 	case msgDeployApply:
-		if st, ok := n.deployRecord(msg.Key); ok {
+		if st, ok, _ := n.deployRecord(msg.Key); ok {
 			if err := n.applyDeploy(msg.Key, st); err != nil {
 				return transport.Message{}, err
 			}

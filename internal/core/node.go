@@ -276,12 +276,6 @@ type Node struct {
 	repFactor     int
 	repApplyMu    sync.Mutex
 	repairPending atomic.Bool
-	// pendingDel records deletes issued while no acting owner was
-	// reachable (the vocabulary API has no error channel); repair
-	// re-executes them through the owner path, which assigns a version
-	// current enough to win. Keyed by replica key.
-	delMu      sync.Mutex
-	pendingDel map[string]delIntent
 
 	// Load accounting and offload/hedging state: the node's own load meter,
 	// its view of peer loads (fed by gossip piggybacked on overlay
@@ -325,6 +319,9 @@ type Node struct {
 	repPushes     atomic.Int64
 	repFailovers  atomic.Int64
 	repApplied    atomic.Int64
+	unavailGet    atomic.Int64
+	unavailPut    atomic.Int64
+	unavailDel    atomic.Int64
 	offExecuted   atomic.Int64
 	offFwdOut     atomic.Int64
 	offRecvIn     atomic.Int64
@@ -405,7 +402,6 @@ func NewNode(cfg Config) (*Node, error) {
 		log:        state.NewAccessLog(),
 		replicas:   make(map[string]*state.Replica),
 		pendingPub: make(map[string]struct{}),
-		pendingDel: make(map[string]delIntent),
 		deployed:   make(map[string]*deployActive),
 	}
 	kv, disk, err := n.openStorage()
@@ -900,7 +896,10 @@ func (n *Node) stateGet(act *nktrace.Act, site, key string) (string, bool) {
 		return "", false
 	}
 	if n.repEnabled() {
-		return n.repGet(act, site, key)
+		// StateGet has no error channel, so a read no owner answered is a
+		// miss here; route has counted it as unavailable.
+		value, ok, _ := n.repGet(act, site, key)
+		return value, ok
 	}
 	return n.replica(site).Get(key)
 }
@@ -926,36 +925,24 @@ func (n *Node) statePut(act *nktrace.Act, site, key, value string) error {
 	return r.Put(key, value)
 }
 
-// StateDelete removes site-partitioned hard state (a versioned tombstone
-// under successor replication, so the removal wins on every replica).
-// The vocabulary API is void, so when no acting owner is reachable the
-// delete is not silently dropped: a local tombstone keeps the node
-// reading its own delete, the intent is queued, and the next repair pass
-// re-executes it through the owner path (which assigns a version current
-// enough to win), making the delete eventual rather than lost.
-func (n *Node) StateDelete(site, key string) { n.stateDelete(nil, site, key) }
+// StateDelete removes site-partitioned hard state. With successor
+// replication enabled the delete is a versioned tombstone written through
+// the same owner path as StatePut, and is acknowledged or fails exactly as
+// a put is; otherwise it deletes locally and propagates the removal when a
+// bus is configured.
+func (n *Node) StateDelete(site, key string) error { return n.stateDelete(nil, site, key) }
 
-func (n *Node) stateDelete(act *nktrace.Act, site, key string) {
+func (n *Node) stateDelete(act *nktrace.Act, site, key string) error {
 	if state.IsInternalKey(key) {
-		return
+		return fmt.Errorf("core: key %q is in the reserved internal namespace", key)
 	}
 	if n.repEnabled() {
-		if err := n.repWrite(act, site, key, "", true); err != nil {
-			// Best effort: the queued intent is what makes the delete happen.
-			_, _ = n.storeNext(state.Rec{Site: site, Key: key, Delete: true}, nil, 0)
-			n.delMu.Lock()
-			n.pendingDel[state.ReplicaKey(site, key)] = delIntent{site: site, key: key}
-			n.delMu.Unlock()
-			n.repairPending.Store(true)
-		}
-		return
+		return n.repWrite(act, site, key, "", true)
 	}
-	r := n.replica(site)
 	if n.bus == nil {
-		n.store.Delete(site, key)
-		return
+		return n.store.Delete(site, key)
 	}
-	r.Delete(key)
+	return n.replica(site).Delete(key)
 }
 
 // StateKeys lists a site's hard state keys. Under successor replication

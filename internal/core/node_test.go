@@ -492,7 +492,9 @@ func TestStatePartitioningAcrossSites(t *testing.T) {
 	if v, _ := n.StateGet("site-b.org", "k"); v != "vb" {
 		t.Errorf("site-b k = %q", v)
 	}
-	n.StateDelete("site-a.org", "k")
+	if err := n.StateDelete("site-a.org", "k"); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := n.StateGet("site-a.org", "k"); ok {
 		t.Error("delete failed")
 	}

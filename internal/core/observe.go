@@ -45,8 +45,8 @@ func (h hostAdapter) StateGet(act *nktrace.Act, site, key string) (string, bool)
 func (h hostAdapter) StatePut(act *nktrace.Act, site, key, value string) error {
 	return h.n.statePut(act, site, key, value)
 }
-func (h hostAdapter) StateDelete(act *nktrace.Act, site, key string) {
-	h.n.stateDelete(act, site, key)
+func (h hostAdapter) StateDelete(act *nktrace.Act, site, key string) error {
+	return h.n.stateDelete(act, site, key)
 }
 func (h hostAdapter) StateKeys(act *nktrace.Act, site string) []string {
 	return h.n.stateKeys(act, site)
@@ -208,6 +208,9 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_replication_pushes_total", "Records peers accepted from this node's replication and repair pushes.", nil, cv(&n.repPushes))
 	r.CounterFunc("nakika_replication_failover_reads_total", "Reads served by a successor after the routed owner was found dead.", nil, cv(&n.repFailovers))
 	r.CounterFunc("nakika_replication_applied_total", "Records applied from peers that superseded the local copy.", nil, cv(&n.repApplied))
+	r.CounterFunc("nakika_replication_unavailable_total", "State operations that failed because no owner or replica was reachable.", metrics.Labels{"op": "get"}, cv(&n.unavailGet))
+	r.CounterFunc("nakika_replication_unavailable_total", "", metrics.Labels{"op": "put"}, cv(&n.unavailPut))
+	r.CounterFunc("nakika_replication_unavailable_total", "", metrics.Labels{"op": "delete"}, cv(&n.unavailDel))
 
 	r.CounterFunc("nakika_offload_executed_total", "Requests run through this node's own pipeline.", nil, cv(&n.offExecuted))
 	r.CounterFunc("nakika_offload_forwarded_total", "Requests shed to a less-loaded replica.", nil, cv(&n.offFwdOut))

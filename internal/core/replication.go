@@ -135,7 +135,10 @@ func (n *Node) resolveActingOwner(rk string, probe func(string) bool) (string, e
 // operation's result, not a routing problem, so only transport failures
 // move on to the next successor. The routing key is always the replica key
 // of the record being read or written. via names who answered; failedOver
-// reports that at least one candidate before it was unreachable.
+// reports that at least one candidate before it was unreachable. When no
+// candidate answers, that error is the operation's result; for state
+// gets, puts and deletes it is counted in
+// nakika_replication_unavailable_total.
 func (n *Node) route(act *trace.Act, site, key string, msg transport.Message, local func() (transport.Message, error)) (reply transport.Message, via string, failedOver bool, err error) {
 	if !n.repEnabled() {
 		reply, err = local()
@@ -147,7 +150,8 @@ func (n *Node) route(act *trace.Act, site, key string, msg transport.Message, lo
 	for attempt := 0; attempt < n.repFactor+1; attempt++ {
 		owner, _, err := n.overlay.LookupNameAvoid(rk, avoid)
 		if err != nil {
-			return transport.Message{}, "", false, err
+			lastErr = err
+			break
 		}
 		if owner == n.cfg.Name {
 			reply, err := local()
@@ -159,6 +163,14 @@ func (n *Node) route(act *trace.Act, site, key string, msg transport.Message, lo
 		}
 		avoid[owner] = true
 		lastErr = err
+	}
+	switch msg.Type {
+	case msgRepGet:
+		n.unavailGet.Add(1)
+	case msgRepPut:
+		n.unavailPut.Add(1)
+	case msgRepDel:
+		n.unavailDel.Add(1)
 	}
 	return transport.Message{}, "", false, fmt.Errorf("core: %s %s/%s: no reachable owner: %w", msg.Type, site, key, lastErr)
 }
@@ -327,25 +339,27 @@ func (n *Node) applyPush(rec state.Rec, fence *leaseFenced) (transport.Message, 
 
 // repGet routes one client read to the acting owner. A reachable owner's
 // miss is authoritative; only transport failures fall through to the next
-// replica. With a hedge budget configured (Config.HedgeAfter), a read
+// replica, and when no replica answers the read fails rather than reading
+// as absent. With a hedge budget configured (Config.HedgeAfter), a read
 // whose owner is expected to be slow is hedged to the next replica first —
 // see hedgeRead.
-func (n *Node) repGet(act *trace.Act, site, key string) (value string, ok bool) {
+func (n *Node) repGet(act *trace.Act, site, key string) (value string, ok bool, err error) {
 	msg := transport.Message{Type: msgRepGet, Body: encodeRepForward(repForward{Site: site, Key: key})}
 	if value, ok, answered := n.hedgeRead(act, site, key, msg); answered {
-		return value, ok
+		return value, ok, nil
 	}
 	reply, via, failedOver, err := n.route(act, site, key, msg, func() (transport.Message, error) {
 		value, ok = n.localVersionedGet(site, key)
 		return transport.Message{}, nil
 	})
 	if err != nil || via == n.cfg.Name {
-		return value, ok
+		return value, ok, err
 	}
 	if failedOver {
 		n.repFailovers.Add(1)
 	}
-	return repGetReply(reply)
+	value, ok = repGetReply(reply)
+	return value, ok, nil
 }
 
 // repGetReply reads a rep.get reply: the record's value on a hit.
@@ -484,7 +498,6 @@ func (n *Node) RepairReplication() int {
 	if !n.repEnabled() {
 		return 0
 	}
-	n.retryPendingDeletes()
 	recs := n.store.VersionedRecords(nil)
 	if len(recs) == 0 {
 		return 0
@@ -533,38 +546,6 @@ func (n *Node) RepairIfNeeded() int {
 		return 0
 	}
 	return n.RepairReplication()
-}
-
-// delIntent is one queued delete awaiting a reachable acting owner.
-type delIntent struct {
-	site, key string
-}
-
-// retryPendingDeletes re-executes deletes that found no reachable owner,
-// through the normal owner path (a fallback tombstone alone could lose a
-// version tie against the put it is meant to remove). Successful deletes
-// leave the queue; failures stay for the next repair.
-func (n *Node) retryPendingDeletes() {
-	n.delMu.Lock()
-	rks := make([]string, 0, len(n.pendingDel))
-	for rk := range n.pendingDel {
-		rks = append(rks, rk)
-	}
-	n.delMu.Unlock()
-	sort.Strings(rks)
-	for _, rk := range rks {
-		n.delMu.Lock()
-		it, ok := n.pendingDel[rk]
-		n.delMu.Unlock()
-		if !ok {
-			continue
-		}
-		if err := n.repWrite(nil, it.site, it.key, "", true); err == nil {
-			n.delMu.Lock()
-			delete(n.pendingDel, rk)
-			n.delMu.Unlock()
-		}
-	}
 }
 
 // repKeyLess orders replica keys by (ring hash, key) — the deterministic

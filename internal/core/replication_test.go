@@ -7,9 +7,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nakika/internal/deploy"
 	"nakika/internal/httpmsg"
 	"nakika/internal/overlay"
 	"nakika/internal/state"
@@ -40,6 +42,21 @@ func (s *sentLog) take() []string {
 	out := s.sent
 	s.sent = nil
 	return out
+}
+
+// dropGets wraps a transport and, once on, fails every rep.get sent
+// through it while passing everything else: owners that cannot be read
+// but can still be written.
+type dropGets struct {
+	transport.Transport
+	on atomic.Bool
+}
+
+func (d *dropGets) Call(from, to string, msg transport.Message) (transport.Message, error) {
+	if d.on.Load() && msg.Type == msgRepGet {
+		return transport.Message{}, fmt.Errorf("rep.get to %s dropped", to)
+	}
+	return d.Transport.Call(from, to, msg)
 }
 
 // routeRing boots count nodes (edge-0..) with factor-3 replication on one
@@ -201,7 +218,9 @@ func TestRoute(t *testing.T) {
 		if v, ok := n.StateGet(site, "k"); !ok || v != "v1" {
 			t.Fatalf("get after put = (%q, %v)", v, ok)
 		}
-		n.StateDelete(site, "k")
+		if err := n.StateDelete(site, "k"); err != nil {
+			t.Fatal(err)
+		}
 		if v, ok := n.StateGet(site, "k"); ok {
 			t.Fatalf("get after delete = %q", v)
 		}
@@ -231,6 +250,89 @@ func TestRoute(t *testing.T) {
 			t.Fatalf("a node without replication sent %v", sent)
 		}
 	})
+}
+
+// TestDeployNeverOverwritesUnreadRecord: a deploy or rollback whose read
+// of the site's record no owner answered fails with that error and leaves
+// the record as it was, instead of writing one built from an empty record
+// (which would keep the new generation alone).
+func TestDeployNeverOverwritesUnreadRecord(t *testing.T) {
+	const site = "gens.example.org"
+	drop := &dropGets{}
+	nodes, _, _ := routeRing(t, 6, &memOrigin{}, func(cfg *Config) {
+		drop.Transport = cfg.Ring.Transport
+		cfg.Transport = drop
+	})
+	// Deploy from a node outside the record's replica set, so every read of
+	// the record is a rep.get.
+	order := successorOrder(nodes, site, deploy.StateKey)
+	var deployer *Node
+	for _, n := range nodes {
+		if n.Name() == order[len(order)-1] {
+			deployer = n
+		}
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := deployer.Deploy(site, fmt.Sprintf("onRequest = function () { return {status: 200, body: \"v%d\"}; };", i), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := func() []string {
+		var out []string
+		for _, n := range nodes {
+			ver, value, deleted, ok := n.LocalStateRecord(site, deploy.StateKey)
+			out = append(out, fmt.Sprintf("%s %d %v %v %q", n.Name(), ver, deleted, ok, value))
+		}
+		return out
+	}
+	before := records()
+	if st, _, err := deployer.deployRecord(site); err != nil || len(st.Bundles) != 3 {
+		t.Fatalf("record holds %d generations (err %v), want 3", len(st.Bundles), err)
+	}
+
+	drop.on.Store(true)
+	if _, err := deployer.Deploy(site, `onRequest = function () { return {status: 200, body: "v4"}; };`, ""); err == nil || !strings.Contains(err.Error(), "no reachable owner") {
+		t.Fatalf("deploy over an unread record = %v, want the read's error", err)
+	}
+	if after := records(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("deploy changed the record:\nbefore %v\nafter  %v", before, after)
+	}
+	if err := deployer.Rollback(site, 2); err == nil || !strings.Contains(err.Error(), "no reachable owner") {
+		t.Fatalf("rollback over an unread record = %v, want the read's error", err)
+	}
+	if after := records(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rollback changed the record:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// TestUnavailableCounted: a get, put and delete no candidate answers each
+// fail once in nakika_replication_unavailable_total under their op.
+func TestUnavailableCounted(t *testing.T) {
+	const site = "isolated.example.org"
+	nodes, sim, _ := routeRing(t, 6, &memOrigin{}, nil)
+	key, _ := keyWithSelfAt(t, nodes, site, "edge-0", 4, 5)
+	for _, n := range nodes[1:] {
+		sim.Crash(n.Name())
+	}
+	self := nodes[0]
+	if _, ok := self.StateGet(site, key); ok {
+		t.Fatal("an isolated get read a value")
+	}
+	if err := self.StatePut(site, key, "v"); err == nil {
+		t.Fatal("an isolated put was acknowledged")
+	}
+	if err := self.StateDelete(site, key); err == nil {
+		t.Fatal("an isolated delete was acknowledged")
+	}
+	var sb strings.Builder
+	if err := self.Metrics().WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"get", "put", "delete"} {
+		if line := fmt.Sprintf(`nakika_replication_unavailable_total{op=%q} 1`+"\n", op); !strings.Contains(sb.String(), line) {
+			t.Errorf("exposition lacks %q", line)
+		}
+	}
 }
 
 // TestLargeObjectIndexSurvivesCrashes: on an 8-node ring one node ingests an

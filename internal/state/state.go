@@ -70,12 +70,10 @@ func (s *Store) Put(site, key, value string) error {
 	return s.Backend().Put(site, key, value)
 }
 
-// Delete removes key from site's partition. Durability errors are not
-// surfaced here (the vocabulary API is void); a log whose WAL fails
-// abandons itself fail-stop, so a delete can never be silently half-applied
-// across a restart while the engine keeps serving.
-func (s *Store) Delete(site, key string) {
-	s.Backend().Delete(site, key)
+// Delete removes key from site's partition; it returns once the removal
+// is durable.
+func (s *Store) Delete(site, key string) error {
+	return s.Backend().Delete(site, key)
 }
 
 // Keys returns the keys in site's partition, sorted.
@@ -383,9 +381,12 @@ func (r *Replica) Put(key, value string) error {
 }
 
 // Delete removes locally and propagates the removal.
-func (r *Replica) Delete(key string) {
-	r.Store.Delete(r.Site, key)
+func (r *Replica) Delete(key string) error {
+	if err := r.Store.Delete(r.Site, key); err != nil {
+		return err
+	}
 	r.Bus.Publish(r.Site, r.Node, encodeUpdate("del", key, ""))
+	return nil
 }
 
 // Get reads from the local replica.
@@ -404,7 +405,7 @@ func (r *Replica) apply(msg Message) {
 			// node simply cannot hold it.
 			_ = r.Store.Put(r.Site, key, value)
 		case "del":
-			r.Store.Delete(r.Site, key)
+			_ = r.Store.Delete(r.Site, key)
 		}
 	}
 	if r.OnMessage != nil {

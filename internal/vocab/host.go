@@ -52,7 +52,7 @@ type Host interface {
 	// fans out into.
 	StateGet(act *trace.Act, site, key string) (string, bool)
 	StatePut(act *trace.Act, site, key, value string) error
-	StateDelete(act *trace.Act, site, key string)
+	StateDelete(act *trace.Act, site, key string) error
 	StateKeys(act *trace.Act, site string) []string
 	// Propagate sends a replication message to the site's update channel on
 	// other nodes via the reliable messaging layer.
@@ -111,7 +111,7 @@ func (NopHost) StateGet(act *trace.Act, site, key string) (string, bool) { retur
 func (NopHost) StatePut(act *trace.Act, site, key, value string) error { return nil }
 
 // StateDelete is a no-op.
-func (NopHost) StateDelete(act *trace.Act, site, key string) {}
+func (NopHost) StateDelete(act *trace.Act, site, key string) error { return nil }
 
 // StateKeys returns nothing.
 func (NopHost) StateKeys(act *trace.Act, site string) []string { return nil }
@@ -378,7 +378,9 @@ func installState(ctx *script.Context, host Host, site string) {
 	}})
 	state.Set("remove", &script.Native{Name: "State.remove", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
 		if len(args) > 0 {
-			host.StateDelete(actOf(c), site, script.ToString(args[0]))
+			if err := host.StateDelete(actOf(c), site, script.ToString(args[0])); err != nil {
+				return nil, script.ThrowString("State.remove: " + err.Error())
+			}
 		}
 		return script.Undefined{}, nil
 	}})

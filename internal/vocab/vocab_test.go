@@ -27,6 +27,7 @@ type recordingHost struct {
 	logs     []string
 	messages []string
 	usage    float64
+	delErr   error // StateDelete's answer
 }
 
 func newRecordingHost() *recordingHost {
@@ -77,10 +78,14 @@ func (h *recordingHost) StatePut(act *trace.Act, site, key, value string) error 
 	return nil
 }
 
-func (h *recordingHost) StateDelete(act *trace.Act, site, key string) {
+func (h *recordingHost) StateDelete(act *trace.Act, site, key string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.delErr != nil {
+		return h.delErr
+	}
 	delete(h.state, site+"/"+key)
+	return nil
 }
 
 func (h *recordingHost) StateKeys(act *trace.Act, site string) []string {
@@ -219,6 +224,25 @@ func TestStateVocabulary(t *testing.T) {
 	run(t, ctx, `State.propagate(JSON.stringify({ op: "put", key: "user:42" }))`)
 	if len(h.messages) != 1 {
 		t.Errorf("messages = %v", h.messages)
+	}
+}
+
+// TestStateRemoveThrows: a delete the host could not make is a script
+// error, as a failed put is, and try/catch sees it.
+func TestStateRemoveThrows(t *testing.T) {
+	h := newRecordingHost()
+	h.delErr = fmt.Errorf("no reachable owner")
+	ctx := newTestEnv(h)
+	if _, err := ctx.RunSource(`State.remove("k")`, "test.js"); err == nil || !strings.Contains(err.Error(), "State.remove: no reachable owner") {
+		t.Fatalf("uncaught remove = %v, want the host's error thrown", err)
+	}
+	v := run(t, ctx, `
+		var caught = "";
+		try { State.remove("k"); } catch (e) { caught = "" + e; }
+		caught
+	`)
+	if got := script.ToString(v); !strings.Contains(got, "State.remove: no reachable owner") {
+		t.Fatalf("caught %q, want the host's error", got)
 	}
 }
 
