@@ -30,7 +30,8 @@ import (
 
 // requiredSeries is the metric families every node's exposition must
 // cover: core request counters, both cache tiers, the large-object tier,
-// the store/WAL, replication, offload/hedging, leases, and the load view.
+// the store/WAL, replication, offload/hedging, leases, the load view, and
+// the Go runtime's collector.
 var requiredSeries = []string{
 	"nakika_requests_total",
 	"nakika_fetches_total",
@@ -59,6 +60,8 @@ var requiredSeries = []string{
 	"nakika_lease_acquired_total",
 	"nakika_lease_handovers_total",
 	"nakika_load_score",
+	"nakika_go_gc_cycles_total",
+	"nakika_go_heap_alloc_bytes_total",
 	"nakika_request_seconds",
 }
 

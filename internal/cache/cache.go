@@ -7,9 +7,10 @@
 //     request cache key, honouring the web's expiration-based consistency
 //     model (Section 3.3) with a configurable default TTL and LRU eviction.
 //     The cache is sharded by key hash so concurrent pipelines do not
-//     serialize on one lock, and response bodies are cloned outside the
-//     critical section. It owns the freshness decision (Expiry) for every
-//     tier of the node, the large-object tier included.
+//     serialize on one lock. A store copies the body once; a hit hands out
+//     a clone that shares the stored bytes until a script touches them
+//     (httpmsg.Response.Materialize). It owns the freshness decision
+//     (Expiry) for every tier of the node, the large-object tier included.
 //   - Memo: a small in-memory memoization cache used for parsed decision
 //     trees and reusable scripting contexts (the 4 microsecond / 3
 //     microsecond retrievals reported in Section 5.1). The pipeline's
@@ -223,9 +224,9 @@ func (c *Cache) Get(key string) *httpmsg.Response {
 }
 
 // GetUntil is Get that also returns the entry's expiry, so a copy handed to
-// a peer keeps the holder's deadline. The clone protects cached bodies from
-// mutation by pipeline scripts; it is taken outside the shard lock (cached
-// responses are immutable once stored).
+// a peer keeps the holder's deadline. The clone has its own headers and
+// shares the stored body, read-only until Materialize copies it; it is taken
+// outside the shard lock (cached responses are immutable once stored).
 func (c *Cache) GetUntil(key string) (*httpmsg.Response, time.Time) {
 	now := c.cfg.Clock()
 	sh := c.shard(key)
@@ -304,15 +305,21 @@ func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 // PutUntil is Put with the expiry decided by the caller: a copy fetched from
 // a peer's cache keeps the holder's deadline instead of starting a new one.
 // A response that is already past that deadline is reported unstored, so the
-// node neither holds nor publishes it. The stored clone is taken before the
-// shard lock is acquired. Streamed bodies never enter the whole-body cache —
-// the large-object tier owns them (storing one here would pin a lazy view,
-// not bytes).
+// node neither holds nor publishes it. The stored copy is taken before the
+// shard lock is acquired, and it is the one body copy a store makes: the
+// caller's response goes on into the pipeline, where a script may write into
+// its body. Streamed bodies never enter the whole-body cache — the
+// large-object tier owns them (storing one here would pin a lazy view, not
+// bytes).
 func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) bool {
 	if resp == nil || resp.Stream != nil || !resp.Cacheable() || expired(expires, c.cfg.Clock()) {
 		return false
 	}
-	return c.putEntry(key, resp.Clone(), expires)
+	stored := resp.Clone()
+	if err := stored.Materialize(); err != nil {
+		return false
+	}
+	return c.putEntry(key, stored, expires)
 }
 
 // Refresh revalidates the stored entry for key against a 304 Not Modified:

@@ -57,14 +57,24 @@ func TestGetMissThenHit(t *testing.T) {
 	}
 }
 
+// TestCachedBodyIsIsolated: a store copies the body once, a hit copies
+// nothing, and a hit's body is private once Materialize has run — which is
+// what every script access to a body goes through.
 func TestCachedBodyIsIsolated(t *testing.T) {
 	c := New(Config{})
-	c.Put("k", okResponse("original"))
-	a := c.Get("k")
+	put := okResponse("original")
+	c.Put("k", put)
+	put.Body[0] = 'P' // the caller's response goes on into a pipeline
+	a, b := c.Get("k"), c.Get("k")
+	if &a.Body[0] != &b.Body[0] {
+		t.Error("two hits should share the stored bytes until one is materialized")
+	}
+	if err := a.Materialize(); err != nil {
+		t.Fatal(err)
+	}
 	a.Body[0] = 'X'
-	b := c.Get("k")
-	if string(b.Body) != "original" {
-		t.Error("mutating a returned response must not affect the cached copy")
+	if got := c.Get("k"); string(got.Body) != "original" || string(b.Body) != "original" {
+		t.Errorf("a write after Materialize reached the cached copy or another hit: %q, %q", got.Body, b.Body)
 	}
 }
 

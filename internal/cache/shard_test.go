@@ -96,8 +96,9 @@ func TestOversizedEntryRejected(t *testing.T) {
 }
 
 // TestCloneHappensOutsideLock drives readers of one hot key concurrently
-// with writers replacing it and mutators scribbling on returned bodies. The
-// race detector proves the unlocked clone never aliases cache-owned memory.
+// with writers replacing it and mutators scribbling on returned bodies after
+// Materialize, as scripts do. The race detector proves that a materialized
+// hit never aliases cache-owned memory.
 func TestCloneHappensOutsideLock(t *testing.T) {
 	c := New(Config{})
 	body := strings.Repeat("x", 64<<10)
@@ -112,8 +113,13 @@ func TestCloneHappensOutsideLock(t *testing.T) {
 				if resp == nil {
 					continue
 				}
-				// Scripts mutate response bodies in place; that must never
-				// touch the cached copy or another reader's clone.
+				// Scripts mutate response bodies in place, after
+				// Materialize; that must never touch the cached copy or
+				// another reader's clone.
+				if err := resp.Materialize(); err != nil {
+					t.Error(err)
+					return
+				}
 				resp.Body[0] = 'Y'
 				resp.Body[len(resp.Body)-1] = 'Z'
 			}

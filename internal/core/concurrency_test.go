@@ -93,7 +93,8 @@ func TestColdCacheStampedeCoalesces(t *testing.T) {
 }
 
 // TestStampedeWaitersGetIndependentBodies checks that coalesced responses
-// are safe to mutate: every pipeline owns its copy.
+// are safe to mutate once materialized, as a script's body access does:
+// every pipeline then owns its copy.
 func TestStampedeWaitersGetIndependentBodies(t *testing.T) {
 	origin := newSlowCountingOrigin(10 * time.Millisecond)
 	node, err := NewNode(Config{Name: "fanout", Upstream: origin})
@@ -117,6 +118,10 @@ func TestStampedeWaitersGetIndependentBodies(t *testing.T) {
 			// Scribble over the whole body; any sharing between waiters (or
 			// with the cached copy) trips the race detector or the final
 			// content check.
+			if err := resp.Materialize(); err != nil {
+				t.Error(err)
+				return
+			}
 			for j := range resp.Body {
 				resp.Body[j] = '!'
 			}
@@ -130,6 +135,72 @@ func TestStampedeWaitersGetIndependentBodies(t *testing.T) {
 	}
 	if string(resp.Body) != "body of "+url {
 		t.Errorf("cached body corrupted by waiter mutation: %q", resp.Body)
+	}
+}
+
+// TestScriptCannotWriteThroughCachedBody: a cache hit shares the stored
+// bytes, so an untrusted script that writes into the body it is handed —
+// through Response.body(), Response.read() and a Fetch.get sub-fetch — must
+// write into a copy of its own. Every hit, from 8 goroutines at once, sees
+// the origin's bytes, and so does the cache afterwards.
+func TestScriptCannotWriteThroughCachedBody(t *testing.T) {
+	const (
+		page = "http://sec.example.org/doc"
+		side = "http://sec.example.org/side"
+		orig = "<p>origin bytes</p>"
+	)
+	origin := newMemOrigin()
+	origin.addText(page, orig, 300)
+	origin.addText(side, "side bytes", 300)
+	origin.addScript("http://sec.example.org/nakika.js", `
+		var p = new Policy();
+		p.url = [ "sec.example.org/doc" ];
+		p.onResponse = function() {
+			var f = Fetch.get("`+side+`");
+			var seenSide = f.body.toString();
+			f.body[0] = 90;
+			var b = Response.body();
+			var seen = b.toString();
+			b[0] = 88;
+			var c = Response.read();
+			c[1] = 89;
+			Response.write(seen + "|" + b.toString() + "|" + seenSide);
+		};
+		p.register();
+	`)
+	n := newTestNode(t, "edge-sec", origin, nil)
+	want := orig + "|XY" + orig[2:] + "|side bytes"
+
+	const goroutines, hits = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < hits; i++ {
+				resp, _, err := n.Handle(httpmsg.MustRequest("GET", page))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if string(resp.Body) != want {
+					t.Errorf("hit %d: body %q, want %q", i, resp.Body, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := origin.hitCount(page); got != 1 {
+		t.Errorf("origin served the page %d times; the hits should come from the cache", got)
+	}
+	for url, body := range map[string]string{page: orig, side: "side bytes"} {
+		got := n.cache.Get(httpmsg.MustRequest("GET", url).CacheKey())
+		if got == nil {
+			t.Errorf("%s is not cached", url)
+		} else if string(got.Body) != body {
+			t.Errorf("cache holds %q for %s, want the origin's %q", got.Body, url, body)
+		}
 	}
 }
 

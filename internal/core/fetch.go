@@ -50,9 +50,10 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 		n.coalesced.Add(1)
 	}
 	if shared && resp != nil {
-		// Each pipeline may mutate the body it is handed, so callers of a
-		// shared flight get independent copies; a leader nobody joined is the
-		// sole owner and skips the clone.
+		// Each pipeline may change the response it is handed, so callers of
+		// a shared flight get their own clones: own headers, and the one body
+		// read-only until a script's first touch copies it (Materialize). A
+		// leader nobody joined is the sole owner and skips the clone.
 		resp = resp.Clone()
 	}
 	return resp, err

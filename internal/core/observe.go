@@ -1,6 +1,7 @@
 package core
 
 import (
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -236,6 +237,13 @@ func (n *Node) buildRegistry() {
 
 	r.GaugeFunc("nakika_load_score", "The node's load score (in-flight requests plus decayed recent work).", nil, n.LoadScore)
 
+	// The Go runtime's own counters, process-wide: what the request path
+	// costs the collector.
+	r.CounterFunc("nakika_go_gc_cycles_total", "Garbage-collection cycles the process has completed.", nil,
+		runtimeCounter("/gc/cycles/total:gc-cycles"))
+	r.CounterFunc("nakika_go_heap_alloc_bytes_total", "Bytes the process has allocated on the heap.", nil,
+		runtimeCounter("/gc/heap/allocs:bytes"))
+
 	if ov := n.overlay; ov != nil {
 		r.CounterFunc("nakika_overlay_lookups_total", "Overlay routing lookups this node started.", nil,
 			func() float64 { return float64(ov.Stats().Lookups) })
@@ -247,4 +255,14 @@ func (n *Node) buildRegistry() {
 
 	n.latency = r.NewHistogramSeries("nakika_request_seconds", "End-to-end request latency at this node.", nil, metrics.DefBuckets)
 	n.reg = r
+}
+
+// runtimeCounter reads one cumulative uint64 metric of the Go runtime at
+// scrape time.
+func runtimeCounter(name string) func() float64 {
+	return func() float64 {
+		s := []rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(s)
+		return float64(s[0].Value.Uint64())
+	}
 }

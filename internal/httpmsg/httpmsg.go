@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/textproto"
 	"net/url"
@@ -197,7 +198,8 @@ type Response struct {
 	Status int
 	// Header holds the response headers in canonical form.
 	Header http.Header
-	// Body is the entire instance of the resource.
+	// Body is the entire instance of the resource. It may alias a cached
+	// copy (see Clone): call Materialize before writing into it.
 	Body []byte
 	// Generated marks responses created by scripts (rather than fetched from
 	// the origin or the cache); generated responses skip origin fetching.
@@ -218,6 +220,10 @@ type Response struct {
 	// when ranged is set. ApplyRange produces ranged (206) responses.
 	rangeFrom, rangeTo int64
 	ranged             bool
+	// shared marks a Body that aliases another response's bytes (a Clone's,
+	// which is how the cache hands out its copies). Such a Body is read-only
+	// until Materialize replaces it with a private copy.
+	shared bool
 }
 
 // NewResponse returns an empty response with the given status.
@@ -252,6 +258,7 @@ func (r *Response) SetBody(b []byte) {
 	r.Body = b
 	r.Stream = nil
 	r.ranged = false
+	r.shared = false
 	r.Header.Set("Content-Length", strconv.Itoa(len(b)))
 }
 
@@ -267,13 +274,19 @@ func (r *Response) ContentType() string {
 	return strings.TrimSpace(ct)
 }
 
-// Clone returns a deep copy of the response. A body stream is shared, not
-// copied: streams are read-only views over the segment tier, so sharing is
-// safe, and deep-copying one would defeat the point of streaming.
+// Clone returns a copy of the response with its own headers and the same
+// body bytes. The clone's Body is a full slice expression over r's, so an
+// append to it never writes into r's array, and it is marked shared: it is
+// read-only until Materialize, which every script access to a body goes
+// through, gives the clone a private copy. A cache hit therefore copies no
+// bytes unless a script touches them. A body stream is shared too: streams
+// are read-only views over the segment tier.
 func (r *Response) Clone() *Response {
-	cp := &Response{
+	n := len(r.Body)
+	return &Response{
 		Status:    r.Status,
 		Header:    cloneHeader(r.Header),
+		Body:      r.Body[:n:n],
 		Generated: r.Generated,
 		FromCache: r.FromCache,
 		Via:       r.Via,
@@ -282,11 +295,8 @@ func (r *Response) Clone() *Response {
 		rangeFrom: r.rangeFrom,
 		rangeTo:   r.rangeTo,
 		ranged:    r.ranged,
+		shared:    true,
 	}
-	if r.Body != nil {
-		cp.Body = append([]byte(nil), r.Body...)
-	}
-	return cp
 }
 
 // ---------------------------------------------------------------------------
@@ -406,6 +416,12 @@ func FromHTTPRequest(hr *http.Request, maxBody int64) (*Request, error) {
 
 // fillFromHTTPRequest populates req (whose Header map must be live) from an
 // inbound net/http request; shared by the allocating and pooled converters.
+//
+// A bodyless request (a server hands every GET http.NoBody) reads nothing
+// and leaves req.Body nil. Otherwise a declared length over maxBody is
+// refused before any byte is read, and the body is read through a limit of
+// maxBody+1 into a buffer that grows with the bytes that actually arrive:
+// a Content-Length header alone buys no allocation.
 func fillFromHTTPRequest(req *Request, hr *http.Request, maxBody int64) error {
 	req.Method = hr.Method
 	req.SetURLCopy(hr.URL)
@@ -421,34 +437,23 @@ func fillFromHTTPRequest(req *Request, hr *http.Request, maxBody int64) error {
 		host = host[:i]
 	}
 	req.ClientIP = strings.Trim(host, "[]")
-	if hr.Body != nil {
-		var body []byte
-		var err error
-		if maxBody > 0 {
-			body = make([]byte, 0, 4096)
-			buf := make([]byte, 32*1024)
-			var total int64
-			for {
-				n, rerr := hr.Body.Read(buf)
-				if n > 0 {
-					total += int64(n)
-					if total > maxBody {
-						return fmt.Errorf("httpmsg: request body exceeds %d bytes", maxBody)
-					}
-					body = append(body, buf[:n]...)
-				}
-				if rerr != nil {
-					break
-				}
-			}
-		} else {
-			body, err = readAll(hr.Body)
-			if err != nil {
-				return fmt.Errorf("httpmsg: read request body: %w", err)
-			}
-		}
-		req.Body = body
+	if hr.Body == nil || hr.Body == http.NoBody || hr.ContentLength == 0 {
+		return nil
 	}
+	if maxBody <= 0 {
+		maxBody = math.MaxInt64 - 1
+	}
+	if hr.ContentLength > maxBody {
+		return fmt.Errorf("httpmsg: request body exceeds %d bytes", maxBody)
+	}
+	body, err := io.ReadAll(io.LimitReader(hr.Body, maxBody+1))
+	if err != nil {
+		return fmt.Errorf("httpmsg: read request body: %w", err)
+	}
+	if int64(len(body)) > maxBody {
+		return fmt.Errorf("httpmsg: request body exceeds %d bytes", maxBody)
+	}
+	req.Body = body
 	return nil
 }
 
@@ -582,7 +587,7 @@ func FromHTTPResponse(hr *http.Response) (*Response, error) {
 		Fetched: time.Now(),
 	}
 	if hr.Body != nil {
-		body, err := readAll(hr.Body)
+		body, err := io.ReadAll(hr.Body)
 		if err != nil {
 			return nil, fmt.Errorf("httpmsg: read response body: %w", err)
 		}
@@ -624,5 +629,3 @@ func cloneHeader(h http.Header) http.Header {
 	}
 	return out
 }
-
-func readAll(r io.Reader) ([]byte, error) { return io.ReadAll(r) }

@@ -1,8 +1,12 @@
 package httpmsg
 
 import (
+	"bufio"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,20 +157,52 @@ func TestResponseBodyAndContentType(t *testing.T) {
 	}
 }
 
+// TestResponseClone pins the clone contract: own headers, the same body
+// bytes (read-only until Materialize), and no write that reaches the
+// original — not through Materialize's copy, not through append, not through
+// a range of the clone.
 func TestResponseClone(t *testing.T) {
 	r := NewTextResponse(200, "hello")
+	r.Body = append(make([]byte, 0, 64), r.Body...) // spare capacity an append could reach
 	r.Via = "node-1"
 	cp := r.Clone()
-	cp.Body[0] = 'X'
 	cp.Header.Set("X-New", "1")
-	if string(r.Body) != "hello" {
-		t.Error("clone body mutation leaked")
-	}
 	if r.Header.Get("X-New") != "" {
 		t.Error("clone header mutation leaked")
 	}
 	if cp.Via != "node-1" {
 		t.Error("Via not copied")
+	}
+	if &cp.Body[0] != &r.Body[0] || cap(cp.Body) != len(r.Body) {
+		t.Errorf("a clone's body is the original's bytes, capacity-limited; cap %d", cap(cp.Body))
+	}
+
+	// append to a clone copies out instead of writing into r's spare capacity.
+	grown := append(cp.Body, '!')
+	if r.Body[:len(grown)][len(r.Body)] != 0 {
+		t.Error("append to a clone wrote into the original's array")
+	}
+
+	// A range of a shared response is still shared: Materialize copies it.
+	get := MustRequest("GET", "http://example.org/")
+	get.Header.Set("Range", "bytes=1-3")
+	ranged := ApplyRange(get, r.Clone())
+	if string(ranged.Body) != "ell" || cap(ranged.Body) != len(ranged.Body) {
+		t.Fatalf("ranged body %q cap %d", ranged.Body, cap(ranged.Body))
+	}
+	for _, c := range []*Response{cp, ranged} {
+		if err := c.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		c.Body[0] = 'X'
+	}
+	if string(r.Body) != "hello" {
+		t.Errorf("a write after Materialize leaked: %q", r.Body)
+	}
+	// A body the response owns is not copied again.
+	owned := &cp.Body[0]
+	if err := cp.Materialize(); err != nil || &cp.Body[0] != owned {
+		t.Error("Materialize copied a body the response already owns")
 	}
 }
 
@@ -337,13 +373,107 @@ func TestFromHTTPRequest(t *testing.T) {
 	}
 }
 
-func TestFromHTTPRequestBodyLimit(t *testing.T) {
-	hr := httptest.NewRequest("POST", "http://site.example.org/upload", strings.NewReader(strings.Repeat("x", 1000)))
-	if _, err := FromHTTPRequest(hr, 100); err == nil {
-		t.Error("expected body limit error")
+// allocated returns the bytes f allocates on the heap, with the collector
+// held off so nothing is swept from under the count.
+func allocated(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// unreadBody fails the test if staging reads from it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the body was read; a declared length over the limit must be refused first")
+	return 0, io.EOF
+}
+
+// cutBody sends its bytes and then fails, as a server's body reader does
+// when the client closes before the declared length has arrived.
+type cutBody struct{ r io.Reader }
+
+func (b cutBody) Read(p []byte) (int, error) {
+	if n, _ := b.r.Read(p); n > 0 {
+		return n, nil
 	}
-	if _, err := FromHTTPRequest(httptest.NewRequest("POST", "http://x.org/", strings.NewReader("small")), 100); err != nil {
-		t.Errorf("small body should pass: %v", err)
+	return 0, io.ErrUnexpectedEOF
+}
+
+func TestFromHTTPRequestBodyLimit(t *testing.T) {
+	const limit = 100
+	for _, c := range []struct {
+		name    string
+		body    io.Reader
+		length  int64 // the declared Content-Length; -1 for a chunked body
+		max     int64
+		want    string // the accepted body; ignored when wantErr
+		wantErr bool
+		// maxAlloc bounds the bytes one staging may allocate (0: unchecked).
+		maxAlloc uint64
+	}{
+		{name: "declared over the limit", body: strings.NewReader(strings.Repeat("x", 1000)), length: 1000, max: limit, wantErr: true},
+		{name: "small", body: strings.NewReader("small"), length: 5, max: limit, want: "small"},
+		{name: "exactly the limit", body: strings.NewReader(strings.Repeat("x", limit)), length: limit, max: limit, want: strings.Repeat("x", limit)},
+		{name: "exactly the limit, chunked", body: strings.NewReader(strings.Repeat("y", limit)), length: -1, max: limit, want: strings.Repeat("y", limit)},
+		{name: "declared one over the limit is not read", body: unreadBody{t}, length: limit + 1, max: limit, wantErr: true},
+		{name: "chunked over the limit", body: strings.NewReader(strings.Repeat("x", limit+1)), length: -1, max: limit, wantErr: true},
+		{name: "declared 8 MiB, sends 10 bytes and closes", body: cutBody{strings.NewReader("0123456789")}, length: 8 << 20, max: 8 << 20, wantErr: true, maxAlloc: 4 << 10},
+		{name: "unlimited", body: strings.NewReader(strings.Repeat("z", 3*limit)), length: -1, max: 0, want: strings.Repeat("z", 3*limit)},
+	} {
+		hr := httptest.NewRequest("POST", "http://site.example.org/upload", nil)
+		hr.Body, hr.ContentLength = io.NopCloser(c.body), c.length
+		var req *Request
+		var err error
+		n := allocated(func() { req, err = FromHTTPRequest(hr, c.max) })
+		switch {
+		case c.wantErr && err == nil:
+			t.Errorf("%s: accepted a %d-byte body", c.name, len(req.Body))
+		case !c.wantErr && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case !c.wantErr && string(req.Body) != c.want:
+			t.Errorf("%s: body %q, want %q", c.name, req.Body, c.want)
+		}
+		if c.maxAlloc > 0 && n > c.maxAlloc {
+			t.Errorf("%s: staging allocated %d bytes, want at most %d", c.name, n, c.maxAlloc)
+		}
+	}
+}
+
+// TestBodylessStagingAllocatesNoBuffer: a request without a body — a GET,
+// which a server hands http.NoBody, or a POST with Content-Length: 0 —
+// stages with no read buffer at all.
+func TestBodylessStagingAllocatesNoBuffer(t *testing.T) {
+	for _, raw := range []string{
+		"GET /page.html HTTP/1.1\r\nHost: site.example.org\r\nUser-Agent: t\r\n\r\n",
+		"POST /form HTTP/1.1\r\nHost: site.example.org\r\nContent-Length: 0\r\n\r\n",
+	} {
+		hr, err := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.RemoteAddr = "192.0.2.1:40000"
+		const rounds = 100
+		var body []byte
+		per := allocated(func() {
+			for i := 0; i < rounds; i++ {
+				req, err := AcquireFromHTTPRequest(hr, 8<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body = req.Body
+				req.Release()
+			}
+		}) / rounds
+		if per >= 512 {
+			t.Errorf("%s: staging a bodyless request allocates %d bytes, want under 512", hr.Method, per)
+		}
+		if body != nil {
+			t.Errorf("%s: staged body %v, want nil", hr.Method, body)
+		}
 	}
 }
 
@@ -386,15 +516,30 @@ func TestPropertyCacheKeyDeterministic(t *testing.T) {
 	}
 }
 
+// TestPropertyCloneIndependence: whatever a holder of a clone does by the
+// contract — append to it, or Materialize and then overwrite it — the
+// original's bytes, spare capacity included, are unchanged.
 func TestPropertyCloneIndependence(t *testing.T) {
-	f := func(body []byte) bool {
+	f := func(body, extra []byte) bool {
 		r := NewResponse(200)
-		r.SetBody(append([]byte(nil), body...))
-		cp := r.Clone()
-		for i := range cp.Body {
-			cp.Body[i] = 0
+		r.SetBody(append(make([]byte, 0, len(body)+len(extra)), body...))
+		spare := r.Body[:cap(r.Body)]
+		for i := len(body); i < len(spare); i++ {
+			spare[i] = 0xAA
 		}
-		return string(r.Body) == string(body)
+		before := string(spare)
+
+		appended := r.Clone()
+		appended.Body = append(appended.Body, extra...)
+		written := r.Clone()
+		if err := written.Materialize(); err != nil {
+			return false
+		}
+		for i := range written.Body {
+			written.Body[i] = 0
+		}
+		return string(spare) == before && string(r.Body) == string(body) &&
+			string(appended.Body) == string(body)+string(extra)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package httpmsg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -54,14 +55,22 @@ func (r *Response) SetStream(s BodyStream) {
 	r.Body = nil
 	r.Stream = s
 	r.ranged = false
+	r.shared = false
 	r.Header.Set("Content-Length", strconv.FormatInt(s.TotalLen(), 10))
 }
 
-// Materialize resolves a streamed body into Body so whole-body consumers
-// (scripts, codecs) can operate on it. For a ranged response the active range
-// is materialized. No-op for whole-body responses.
+// Materialize gives the response a Body of its own before whole-body
+// consumers (scripts, codecs) operate on it. A streamed body is resolved into
+// memory; for a ranged response the active range is. A shared body (a
+// Clone's, aliasing a cached copy) is copied, so no write through it reaches
+// another response: this is the one place such a body is copied. No-op for a
+// body the response already owns.
 func (r *Response) Materialize() error {
 	if r.Stream == nil {
+		if r.shared {
+			r.Body = bytes.Clone(r.Body)
+			r.shared = false
+		}
 		return nil
 	}
 	from, to := r.rangeSpan()
@@ -77,6 +86,7 @@ func (r *Response) Materialize() error {
 	r.Body = b
 	r.Stream = nil
 	r.ranged = false
+	r.shared = false
 	return nil
 }
 
@@ -166,8 +176,9 @@ func NewRangeNotSatisfiable(total int64) *Response {
 //   - unsatisfiable range: a fresh 416 with Content-Range: bytes */total;
 //   - satisfiable range: a 206 view of resp with Content-Range and
 //     Content-Length set. The body is shared, not copied — a whole-body
-//     response is sliced, a streamed response stays lazy so only the
-//     segments covering the range are ever resolved.
+//     response is sliced (capacity-limited, and still shared if resp's
+//     body was), a streamed response stays lazy so only the segments
+//     covering the range are ever resolved.
 func ApplyRange(req *Request, resp *Response) *Response {
 	if resp.Status != http.StatusOK || resp.ranged {
 		return resp
@@ -200,7 +211,8 @@ func ApplyRange(req *Request, resp *Response) *Response {
 		out.rangeFrom, out.rangeTo = from, to
 		out.ranged = true
 	} else {
-		out.Body = resp.Body[from:to]
+		out.Body = resp.Body[from:to:to]
+		out.shared = resp.shared
 	}
 	out.Header.Set("Content-Range",
 		"bytes "+strconv.FormatInt(from, 10)+"-"+strconv.FormatInt(to-1, 10)+

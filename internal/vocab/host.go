@@ -486,6 +486,7 @@ func installLog(ctx *script.Context, host Host, site string) {
 // responseToScript converts a pipeline response into the plain script object
 // returned by Cache.get and Fetch.get: { status, headers, body, contentType }.
 // A streamed body is materialized: the script asked for the whole response.
+// So is a cached one, which makes the script's body a private copy.
 func responseToScript(resp *httpmsg.Response) *script.Object {
 	resp.Materialize()
 	o := script.NewObject()
@@ -496,7 +497,7 @@ func responseToScript(resp *httpmsg.Response) *script.Object {
 	}
 	o.Set("headers", headers)
 	o.Set("contentType", script.Str(resp.ContentType()))
-	o.Set("body", script.NewByteArray(append([]byte(nil), resp.Body...)))
+	o.Set("body", script.NewByteArray(resp.Body))
 	o.Set("fromCache", script.Boolean(resp.FromCache))
 	return o
 }
