@@ -13,6 +13,14 @@
 //	nakikad -listen :8080 -name edge-1 -rpc :9091 -peers edge-2=host2:9092
 //	nakikad -listen :8081 -name edge-2 -rpc :9092 -peers edge-1=host1:9091
 //
+// A cluster node keeps its overlay and its replica sets in shape with one
+// maintenance round, core.Node.Maintain, every 5 s: stabilization, a
+// pending catch-up, repair (a full pass on every sixth round, about every
+// 30 s, and whenever stabilization flags churn), publish retries, RTT
+// re-probes and a deployment sync. At boot it runs only the catch-up, the
+// pull of the key range it owns, since its peers may not listen yet; the
+// rounds retry the pull until it succeeds.
+//
 // With -data-dir the node persists its hard state through a write-ahead
 // log and keeps a disk cache tier, so a restart recovers both instead of
 // starting cold. SIGINT/SIGTERM trigger a graceful shutdown that drains
@@ -142,8 +150,8 @@ func main() {
 	}
 
 	// Background loops: congestion control (every control interval, until
-	// shutdown), access-log flushing, and (in cluster mode) retries of
-	// cooperative-cache publishes that failed while a peer was unreachable.
+	// shutdown), access-log flushing, and in cluster mode the maintenance
+	// round (Node.Maintain) every 5 s.
 	control, stopControl := context.WithCancel(context.Background())
 	go node.Resources().Run(control)
 	go func() {
@@ -156,50 +164,23 @@ func main() {
 	}()
 	if tcp != nil {
 		go func() {
-			// Boot-time resync: a node that just started (first boot, or a
-			// restart after a crash) streams the key range it owns from its
-			// successors, catching up on every write it missed while it was
-			// not running — the cluster harness drives the same pull from
-			// StabilizeAll. Retried until it succeeds once.
-			resynced := false
-			for tick := 1; ; tick++ {
-				if !resynced {
-					if _, err := node.PullOwnedRange(0); err == nil {
-						resynced = true
-						node.RepairReplication()
+			// Boot catch-up: stream the key range this node owns from its
+			// successors. Only the pull: a full round before the peers
+			// listen would find nothing answering and empty the successor
+			// list. Each round retries it until it succeeds.
+			if _, err := node.CatchUp(); err != nil {
+				log.Printf("nakikad: catch-up: %v (retried every maintenance round)", err)
+			}
+			caughtUp := false
+			for {
+				if !caughtUp {
+					if st := node.Stats().CatchUp; !st.Pending {
+						caughtUp = true
+						log.Printf("nakikad: caught up (pulls: %d, records applied: %d)", st.Attempts, st.Applied)
 					}
 				}
 				time.Sleep(5 * time.Second)
-				node.RepublishPending()
-				// Overlay maintenance plus its replication consequences:
-				// stabilization notices dead/joined peers, and when it flags
-				// churn the repair pass promotes replicas and re-replicates
-				// to restore the replication factor.
-				if ov := node.Overlay(); ov != nil {
-					ov.Stabilize()
-					ov.FixFingers()
-				}
-				// Re-probe peers whose RTT estimate exceeds the hedge
-				// budget, so reads stop hedging around a peer that has
-				// recovered (no-op with -hedge-after 0).
-				node.RefreshRTTs()
-				// Reconcile the pipeline with the replicated deployment
-				// records each tick: a node that missed a deploy nudge
-				// (crashed, partitioned, or just booted) converges as soon
-				// as replication or repair delivers the record.
-				node.SyncDeployments()
-				if tick%6 == 0 {
-					// Periodic anti-entropy: churn detection sees only what
-					// stabilization observes changing; a peer that died and
-					// returned between observations — or writes that failed
-					// over while routing still pointed at a dead owner —
-					// leave no flag behind. A full repair pass every ~30s
-					// re-establishes the replication invariant regardless
-					// (all pushes are idempotent last-writer-wins applies).
-					node.RepairReplication()
-				} else {
-					node.RepairIfNeeded()
-				}
+				node.Maintain()
 			}
 		}()
 	}

@@ -30,8 +30,8 @@ import (
 
 // requiredSeries is the metric families every node's exposition must
 // cover: core request counters, both cache tiers, the large-object tier,
-// the store/WAL, replication, offload/hedging, leases, the load view, and
-// the Go runtime's collector.
+// the store/WAL, replication, maintenance, offload/hedging, leases, the
+// load view, and the Go runtime's collector.
 var requiredSeries = []string{
 	"nakika_requests_total",
 	"nakika_fetches_total",
@@ -54,6 +54,10 @@ var requiredSeries = []string{
 	"nakika_replication_forwarded_ops_total",
 	"nakika_replication_pushes_total",
 	"nakika_replication_unavailable_total",
+	"nakika_replication_catchup_pending",
+	"nakika_replication_repairs_total",
+	"nakika_overlay_publishes_pending",
+	"nakika_maintenance_rounds_total",
 	"nakika_offload_executed_total",
 	"nakika_offload_forwarded_total",
 	"nakika_hedged_reads_total",

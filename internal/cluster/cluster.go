@@ -76,20 +76,13 @@ type Cluster struct {
 	// StabilizeAll. It is deliberately a per-Cluster field, never package
 	// state: a process runs many harnesses (repeat-run fingerprints,
 	// seed sweeps, interleaved scenarios in one test binary), and a shared
-	// counter would make any behaviour derived from it — resync-stall
-	// detection below, round-stamped diagnostics — depend on which tests
-	// ran first. TestStabilizeRoundsIsolatedAcrossHarnesses pins this.
+	// counter would make any behaviour derived from it depend on which
+	// tests ran first. TestStabilizeRoundsIsolatedAcrossHarnesses pins this.
 	rounds int64
-	// resync maps nodes that must pull their owned key range on the next
-	// StabilizeAll — restarted nodes catching up on writes they missed, and
-	// fresh joiners streaming the range they took over — to the round they
-	// were marked in, so a pull that keeps failing surfaces in Err instead
-	// of retrying silently forever.
-	resync map[string]int64
 	// bundles are the named script bundles the fault DSL's deploy directive
 	// references; pendingDeploys are deploy directives recorded inside the
 	// event loop (where sending messages is forbidden) awaiting execution
-	// from StabilizeAll — the same deferred-work pattern as resync.
+	// from StabilizeAll.
 	bundles        map[string]string
 	pendingDeploys []pendingDeploy
 }
@@ -99,9 +92,9 @@ type pendingDeploy struct {
 	node, site, bundle string
 }
 
-// resyncStallRounds is how many maintenance rounds a marked node may spend
-// failing its handoff pull before the harness reports it through Err.
-const resyncStallRounds = 64
+// catchUpStallRounds is how many maintenance rounds a node may spend
+// failing its catch-up pull before the harness reports it through Err.
+const catchUpStallRounds = 64
 
 // New boots the cluster with every node proxying for origin.
 func New(cfg Config, origin core.Fetcher) (*Cluster, error) {
@@ -112,7 +105,7 @@ func New(cfg Config, origin core.Fetcher) (*Cluster, error) {
 	ring := overlay.NewRing()
 	ring.Transport = sim
 	ring.ManualMaintenance = cfg.Manual
-	c := &Cluster{Sim: sim, Ring: ring, cfg: cfg, nodes: make(map[string]*core.Node), fss: make(map[string]*store.MemFS), resync: make(map[string]int64)}
+	c := &Cluster{Sim: sim, Ring: ring, cfg: cfg, nodes: make(map[string]*core.Node), fss: make(map[string]*store.MemFS)}
 	for i := 0; i < cfg.N; i++ {
 		if _, err := c.boot(i, origin); err != nil {
 			return nil, err
@@ -157,18 +150,16 @@ func (c *Cluster) boot(i int, origin core.Fetcher) (*core.Node, error) {
 }
 
 // AddNode boots one additional node (continuing the node-<i> sequence)
-// onto the running cluster's ring and returns its name. The joiner is
-// marked for handoff: the next StabilizeAll streams the key range it now
-// owns from its successor. The origin must be the same fetcher the
-// cluster was built with (it is per-node configuration).
+// onto the running cluster's ring and returns its name. Like any new node
+// it owes a catch-up, which its first maintenance round in StabilizeAll
+// runs: it streams the key range it now owns from its successor. The
+// origin must be the same fetcher the cluster was built with (it is
+// per-node configuration).
 func (c *Cluster) AddNode(origin core.Fetcher) (string, error) {
 	n, err := c.boot(len(c.names), origin)
 	if err != nil {
 		return "", err
 	}
-	c.errMu.Lock()
-	c.resync[n.Name()] = c.rounds
-	c.errMu.Unlock()
 	return n.Name(), nil
 }
 
@@ -213,24 +204,25 @@ func (c *Cluster) Crash(name string) {
 // it recovers from its preserved data directory (hard state replayed from
 // the log, disk cache rescanned); otherwise its engines reopen on a fresh
 // in-memory filesystem and it comes back empty-handed. A crashed node
-// refuses writes until Restart, in both modes. Either way the node is
-// marked for resync: the next StabilizeAll streams the key range it owns
-// back from its successors, catching it up on the writes it missed while
-// dead. (Restart may run from inside the simulated network's event loop,
-// where sending messages is forbidden, so the handoff itself is deferred
-// to StabilizeAll.)
+// refuses writes until Restart, in both modes. Either way Recover leaves a
+// catch-up pending, which the node's next maintenance round runs: it
+// streams the key range it owns back from its successors. (Restart may run
+// from inside the simulated network's event loop, where sending messages is
+// forbidden, so the pull itself waits for StabilizeAll.)
 func (c *Cluster) Restart(name string) {
 	c.Sim.Restart(name)
 	if n := c.nodes[name]; n != nil {
 		if err := n.Recover(); err != nil {
-			c.errMu.Lock()
-			c.errs = append(c.errs, fmt.Sprintf("restart %s: %v", name, err))
-			c.errMu.Unlock()
+			c.fail("restart %s: %v", name, err)
 		}
-		c.errMu.Lock()
-		c.resync[name] = c.rounds
-		c.errMu.Unlock()
 	}
+}
+
+// fail records a harness error for Err.
+func (c *Cluster) fail(format string, args ...any) {
+	c.errMu.Lock()
+	c.errs = append(c.errs, fmt.Sprintf(format, args...))
+	c.errMu.Unlock()
 }
 
 // Err reports failures from fault actions (a restart whose recovery
@@ -251,46 +243,26 @@ func (c *Cluster) DataFS(name string) *store.MemFS { return c.fss[name] }
 // Live reports whether the node is currently not crashed.
 func (c *Cluster) Live(name string) bool { return !c.Sim.Crashed(name) }
 
-// StabilizeAll runs overlay maintenance rounds across live nodes, and
-// after each round drives the replication consequences of whatever churn
-// the round uncovered: restarted/joining nodes marked for resync pull the
-// key range they own from their successors (chunked handoff streams), and
-// nodes whose stabilization flagged churn (dead predecessor, changed
-// successor head) run a repair pass that promotes replicas and
-// re-replicates to restore the replication factor. Everything runs in
-// deterministic (boot/sorted) order.
+// StabilizeAll runs maintenance rounds. Each round executes the fault
+// DSL's deferred deploys, then runs one core.Node.Maintain — the round
+// nakikad runs every 5 s — on every live node in name order. A crashed
+// process runs no maintenance: letting it would wipe the routing tables it
+// needs intact to rejoin on restart. A node whose catch-up has failed
+// catchUpStallRounds pulls is reported through Err.
 func (c *Cluster) StabilizeAll(rounds int) {
 	for i := 0; i < rounds; i++ {
 		c.errMu.Lock()
 		c.rounds++
 		c.errMu.Unlock()
-		// One maintenance round over live nodes only — a crashed process
-		// runs no maintenance, and letting it would wipe the routing
-		// tables it needs intact to rejoin on restart.
-		for _, name := range c.Ring.Nodes() {
-			if n := c.Ring.NodeByName(name); n != nil && c.Live(name) {
-				n.Stabilize()
-			}
-		}
-		for _, name := range c.Ring.Nodes() {
-			if n := c.Ring.NodeByName(name); n != nil && c.Live(name) {
-				n.FixFingers()
-			}
-		}
-		c.resyncPending()
 		c.deployPending()
 		for _, name := range c.Ring.Nodes() {
-			if n := c.nodes[name]; n != nil && c.Live(name) {
-				n.RepairIfNeeded()
-				// Re-probe peers whose RTT estimate exceeds the hedge
-				// budget, so a recovered peer stops being hedged around
-				// (no-op with hedging disabled).
-				n.RefreshRTTs()
-				// Reconcile the pipeline with the replicated deployment
-				// records — the harness's equivalent of the daemon's
-				// maintenance tick, so nodes that missed a deploy (crashed,
-				// partitioned) converge as repair restores their records.
-				n.SyncDeployments()
+			n := c.nodes[name]
+			if n == nil || !c.Live(name) {
+				continue
+			}
+			n.Maintain()
+			if st := n.Stats().CatchUp; st.Pending && st.Attempts == catchUpStallRounds {
+				c.fail("catch-up %s stalled for %d rounds", name, st.Attempts)
 			}
 		}
 	}
@@ -335,15 +307,11 @@ func (c *Cluster) deployPending() {
 	c.errMu.Unlock()
 	for _, p := range pending {
 		if !c.Live(p.node) || c.nodes[p.node] == nil {
-			c.errMu.Lock()
-			c.errs = append(c.errs, fmt.Sprintf("deploy %s via %s: node unavailable", p.site, p.node))
-			c.errMu.Unlock()
+			c.fail("deploy %s via %s: node unavailable", p.site, p.node)
 			continue
 		}
 		if _, err := c.Deploy(p.node, p.site, p.bundle); err != nil {
-			c.errMu.Lock()
-			c.errs = append(c.errs, fmt.Sprintf("deploy %s via %s: %v", p.site, p.node, err))
-			c.errMu.Unlock()
+			c.fail("deploy %s via %s: %v", p.site, p.node, err)
 		}
 	}
 }
@@ -366,43 +334,6 @@ func (c *Cluster) CheckDeployConvergence(site string, wantGen uint64) error {
 	return nil
 }
 
-// resyncPending runs the deferred handoff pulls; nodes whose pull fails
-// (for example no live successor yet) stay marked and retry next round. A
-// node that has been failing its pull for resyncStallRounds maintenance
-// rounds is reported through Err — a resync that silently never completes
-// is exactly the kind of order-dependent harness state tests must see.
-func (c *Cluster) resyncPending() {
-	c.errMu.Lock()
-	var names []string
-	for name := range c.resync {
-		names = append(names, name)
-	}
-	round := c.rounds
-	c.errMu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		if !c.Live(name) {
-			continue
-		}
-		if _, err := c.nodes[name].PullOwnedRange(0); err != nil {
-			c.errMu.Lock()
-			if round-c.resync[name] >= resyncStallRounds {
-				c.errs = append(c.errs, fmt.Sprintf("resync %s stalled for %d rounds: %v", name, round-c.resync[name], err))
-				c.resync[name] = round // re-arm so the stall reports again, not every round
-			}
-			c.errMu.Unlock()
-			continue
-		}
-		// A node that was away repairs unconditionally once caught up: the
-		// world changed while it was dead, and — unlike its neighbours —
-		// its own tables may look unchanged, so no churn flag would fire.
-		c.nodes[name].RepairReplication()
-		c.errMu.Lock()
-		delete(c.resync, name)
-		c.errMu.Unlock()
-	}
-}
-
 // Rounds returns how many maintenance rounds this cluster has driven.
 // The counter is per-Cluster (see the field comment): two harnesses in the
 // same process never share it, so scenario outcomes cannot depend on which
@@ -411,20 +342,6 @@ func (c *Cluster) Rounds() int64 {
 	c.errMu.Lock()
 	defer c.errMu.Unlock()
 	return c.rounds
-}
-
-// RepairAll runs an unconditional replication repair pass on every live
-// node in deterministic order, returning the number of records peers
-// accepted. Tests use it to force re-replication without waiting for a
-// churn flag.
-func (c *Cluster) RepairAll() int {
-	pushed := 0
-	for _, name := range c.Ring.Nodes() {
-		if n := c.nodes[name]; n != nil && c.Live(name) {
-			pushed += n.RepairReplication()
-		}
-	}
-	return pushed
 }
 
 // StateHolders returns the names of live nodes whose local store holds a
@@ -442,19 +359,6 @@ func (c *Cluster) StateHolders(site, key string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RepublishAll retries failed cooperative-cache publishes on every live
-// node and returns the number still pending.
-func (c *Cluster) RepublishAll() int {
-	pending := 0
-	for _, name := range c.names {
-		if !c.Live(name) {
-			continue
-		}
-		pending += c.nodes[name].RepublishPending()
-	}
-	return pending
 }
 
 // Owner returns the membership ground-truth owner of the cache key for a

@@ -70,12 +70,16 @@ func runDeployChurnScenario(t *testing.T, seed int64) string {
 	// Script the churn around the second deploy: the victim dies before v2
 	// is published (it misses the record entirely), v2 is published by the
 	// DSL while the victim is down, and the victim restarts empty-handed.
+	// The deploy runs at the start of the round after its directive fires,
+	// so the restart waits long enough for it: a deploy that races the
+	// restart of the record's owner reads the record from an owner that
+	// has not caught up yet, and assigns generation 1 again.
 	now := c.Sim.Now()
 	schedule := fmt.Sprintf(
 		"at %s crash %s\nat %s deploy %s %s v2\nat %s restart %s",
 		now+20*time.Millisecond, victim,
 		now+40*time.Millisecond, entry, deploySite,
-		now+60*time.Millisecond, victim,
+		now+400*time.Millisecond, victim,
 	)
 	if err := c.Schedule(schedule); err != nil {
 		t.Fatal(err)
@@ -180,9 +184,7 @@ func TestConcurrentDeploysConvergeLWW(t *testing.T) {
 	}
 
 	c.Heal()
-	c.StabilizeAll(4)
-	c.RepairAll()
-	c.StabilizeAll(2)
+	c.StabilizeAll(6)
 	if err := c.CheckDeployConvergence(deploySite, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func runOffloadScenario(t *testing.T, seed int64) string {
 	}
 
 	// The scenario asserts on metrics and latencies; a fault action that
-	// failed quietly (stalled resync, unexecuted directive) would make
+	// failed quietly (stalled catch-up, unexecuted directive) would make
 	// those assertions vacuous, so surface harness errors before
 	// fingerprinting.
 	if err := c.Err(); err != nil {

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/core"
 	"nakika/internal/state"
+	"nakika/internal/transport"
 )
 
 // seedOffset lets the nightly soak workflow sweep the deterministic
@@ -257,60 +259,80 @@ func TestOwnerDiesBetweenWALAppendAndReplicaAck(t *testing.T) {
 	}
 }
 
-// TestReplicaPromotedDuringHandoffStream: a joining node streams the key
-// range it now owns from its successor in chunks; the source crashes
-// mid-stream, promoting the next replica to acting owner, and the joiner
-// finishes the stream against that replica from the same cursor with
-// nothing lost.
+// crashOnFirstChunk is a joining node's transport: right after the first
+// rep.range reply reaches the joiner, it crashes the node that sent it.
+type crashOnFirstChunk struct {
+	transport.Transport
+	c      *Cluster
+	source string // the node crashed
+	chunks int    // rep.range replies received
+}
+
+func (w *crashOnFirstChunk) Call(from, to string, msg transport.Message) (transport.Message, error) {
+	reply, err := w.Transport.Call(from, to, msg)
+	if err == nil && msg.Type == "rep.range" {
+		if w.chunks++; w.source == "" {
+			w.source = to
+			w.c.Crash(to)
+		}
+	}
+	return reply, err
+}
+
+// TestReplicaPromotedDuringHandoffStream: a joining node's first
+// maintenance round streams the key range it now owns from its successor
+// in chunks; the source crashes right after its first chunk, promoting the
+// next replica to acting owner, and the joiner finishes the stream against
+// that replica from the same cursor with nothing lost.
 func TestReplicaPromotedDuringHandoffStream(t *testing.T) {
 	seed := 33 + seedOffset()
-	c := bootReplicated(t, 6, seed, 3)
+	w := &crashOnFirstChunk{}
+	c, err := New(Config{N: 6, Seed: seed, Latency: time.Millisecond, Manual: true, Replication: 3,
+		Mutate: func(i int, cfg *core.Config) {
+			if i == 6 { // the joiner
+				w.Transport = cfg.Ring.Transport
+				cfg.Transport = w
+			}
+		}}, NewCountingOrigin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.c = c
+	c.StabilizeAll(4)
 
-	// Write enough keys that the joiner's future range holds at least a
-	// few (the set is fixed by the hash, so this is deterministic).
+	// Enough keys that the joiner's future range spans at least three
+	// chunks (the set is fixed by the hash, so this is deterministic).
 	entry := c.NodeByName("node-0")
 	vals := make(map[string]string)
-	for i := 0; i < 120; i++ {
+	for i := 0; i < 1600; i++ {
 		k, v := burstKey(i), burstVal(i)
 		if err := entry.StatePut(repSite, k, v); err != nil {
 			t.Fatalf("write %s: %v", k, err)
 		}
 		vals[k] = v
 	}
-
 	joiner, err := c.AddNode(NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}
 	jn := c.NodeByName(joiner)
-	// Keys the joiner now owns per the membership ground truth.
-	var owned []string
-	for k := range vals {
-		if c.Ring.Successor(state.ReplicaKey(repSite, k)).Name == joiner {
-			owned = append(owned, k)
-		}
-	}
-	sort.Strings(owned)
-	if len(owned) < 3 {
-		t.Skipf("hash placement gave the joiner only %d keys; scenario needs a few to chunk", len(owned))
-	}
-	source := jn.Overlay().Successors()[0]
 
-	// Crash the handoff source inside the stream: with 2ms per chunk
-	// round-trip and small chunks, +3ms lands after the first chunk.
-	if err := c.Schedule(fmt.Sprintf("at %s crash %s", c.Sim.Now()+3*time.Millisecond, source)); err != nil {
-		t.Fatal(err)
+	c.StabilizeAll(1) // the joiner's first round runs its catch-up
+	if w.source == "" || c.Live(w.source) {
+		t.Fatalf("handoff source %q never crashed; stream was not interrupted", w.source)
 	}
-	applied, err := jn.PullOwnedRange(2)
-	if err != nil {
-		t.Fatalf("handoff pull: %v (applied %d)", err, applied)
+	if w.chunks < 3 {
+		t.Fatalf("handoff took %d chunks, want at least 3", w.chunks)
 	}
-	if c.Live(source) {
-		t.Fatal("handoff source never crashed; stream was not interrupted")
+	if jn.Stats().CatchUp.Pending {
+		t.Fatal("joiner still owes its catch-up after its first round")
 	}
-	for _, k := range owned {
-		_, val, deleted, ok := jn.LocalStateRecord(repSite, k)
-		if !ok || deleted || val != vals[k] {
+	expositionHas(t, jn, `nakika_replication_repairs_total{trigger="catchup"} 1`)
+	for k, v := range vals {
+		if c.Ring.Successor(state.ReplicaKey(repSite, k)).Name != joiner {
+			continue
+		}
+		if _, val, deleted, ok := jn.LocalStateRecord(repSite, k); !ok || deleted || val != v {
 			t.Fatalf("joiner missing owned key %s after interrupted handoff (ok=%v)", k, ok)
 		}
 	}
@@ -330,9 +352,8 @@ func TestReplicaPromotedDuringHandoffStream(t *testing.T) {
 	}
 }
 
-// TestJoinHandoffViaStabilize: the automatic path — AddNode marks the
-// joiner for resync and the next StabilizeAll streams its owned range
-// without any explicit pull.
+// TestJoinHandoffViaStabilize: a joiner owes a catch-up, and its first
+// maintenance round streams its owned range without any explicit pull.
 func TestJoinHandoffViaStabilize(t *testing.T) {
 	seed := 34 + seedOffset()
 	c := bootReplicated(t, 6, seed, 3)
@@ -358,6 +379,50 @@ func TestJoinHandoffViaStabilize(t *testing.T) {
 		if !ok || deleted || val != v {
 			t.Fatalf("joiner did not receive owned key %s through stabilization handoff", k)
 		}
+	}
+}
+
+// TestRestartedReplicaRefilledWithinSixRounds: a node that crashes and
+// restarts empty between two rounds leaves no churn flag, since no
+// neighbour saw it gone, and its own catch-up pulls only the range it owns.
+// The keys it replicates for its predecessors come back through the full
+// repair each node runs once in six rounds.
+func TestRestartedReplicaRefilledWithinSixRounds(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		seed := seed + seedOffset()
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			c := bootReplicated(t, 5, seed, 3)
+			entry := c.NodeByName("node-0")
+			for i := 0; i < 60; i++ {
+				if err := entry.StatePut(repSite, burstKey(i), burstVal(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Crash("node-3")
+			c.Restart("node-3")
+			restarted := c.NodeByName("node-3")
+			expositionHas(t, restarted, "nakika_replication_catchup_pending 1")
+			c.StabilizeAll(6)
+			if err := c.Err(); err != nil {
+				t.Fatal(err)
+			}
+			short := 0
+			for i := 0; i < 60; i++ {
+				if holders := c.StateHolders(repSite, burstKey(i)); len(holders) < 3 {
+					short++
+				}
+			}
+			if short > 0 {
+				t.Fatalf("%d of 60 keys have fewer than 3 holders after six rounds", short)
+			}
+			// Ten rounds since boot: one catch-up at boot and one after the
+			// restart, each followed by a full repair, and the periodic
+			// repair of round six.
+			expositionHas(t, restarted, "nakika_replication_catchup_pending 0")
+			expositionHas(t, restarted, "nakika_maintenance_rounds_total 10")
+			expositionHas(t, restarted, `nakika_replication_repairs_total{trigger="catchup"} 2`)
+			expositionHas(t, restarted, `nakika_replication_repairs_total{trigger="periodic"} 1`)
+		})
 	}
 }
 
@@ -423,7 +488,7 @@ func TestRecoveredOwnerRebasesAboveReplicas(t *testing.T) {
 	}
 
 	// Crash wipes the owner's store (no persistence); restart it and
-	// write again immediately — before any resync — so the owner assigns
+	// write again immediately — before any catch-up — so the owner assigns
 	// (ver 1, owner) again, exactly what the replicas already hold. The new
 	// value sorts below the old one, so the payload tie-break cannot accept
 	// it and the replicas must report it stale, forcing the rebase.
@@ -483,7 +548,6 @@ func TestAckedWriteSurvivesMixedStaleAcks(t *testing.T) {
 
 	// Repair must not resurrect the old value anywhere.
 	c.StabilizeAll(6)
-	c.RepairAll()
 	for _, name := range c.Names() {
 		if got, ok := c.NodeByName(name).StateGet(repSite, key); !ok || got != "aaa-new" {
 			t.Fatalf("%s reads (%q, %v): acked write lost to the pre-crash value", name, got, ok)
@@ -507,7 +571,6 @@ func TestIsolatedDeleteFailsAndChangesNothing(t *testing.T) {
 	}
 	c.Heal()
 	c.StabilizeAll(6)
-	c.RepairAll()
 	for _, name := range c.Names() {
 		if got, ok := c.NodeByName(name).StateGet(repSite, "orphan-del"); !ok || got != "v" {
 			t.Fatalf("%s reads (%q, %v) after a failed delete, want \"v\"", name, got, ok)
@@ -542,7 +605,6 @@ func TestDeleteCannotEraseLaterPut(t *testing.T) {
 				t.Fatalf("put after heal: %v", err)
 			}
 			c.StabilizeAll(6)
-			c.RepairAll()
 			for _, name := range c.Names() {
 				if got, ok := c.NodeByName(name).StateGet(repSite, "k"); !ok || got != "new" {
 					t.Fatalf("%s reads (%q, %v), want the acknowledged \"new\"", name, got, ok)

@@ -26,7 +26,7 @@ import (
 // fault-state changes (they never send messages), so they are safe to run
 // from inside the event loop — except deploy, which needs replication
 // RPCs; its action only records the intent, and StabilizeAll executes it
-// (the same deferred-work pattern restart resync uses).
+// at the start of its next round.
 
 // Event is one parsed schedule directive.
 type Event struct {

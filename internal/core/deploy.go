@@ -86,7 +86,7 @@ func (n *Node) Deploy(site, script, note string) (uint64, error) {
 		return 0, fmt.Errorf("core: deploy %s: %w", site, err)
 	}
 	// Best effort: a lost index entry is re-added by the next deploy of the
-	// site and repaired by SyncDeployments on any node holding the record.
+	// site and repaired by syncDeployments on any node holding the record.
 	n.indexAdd(site)
 	if err := n.applyDeploy(site, st); err != nil {
 		return 0, err
@@ -174,14 +174,14 @@ func (n *Node) Deployments() []deploy.Status {
 	return out
 }
 
-// SyncDeployments reconciles the local pipeline with every deployment
+// syncDeployments reconciles the local pipeline with every deployment
 // record reachable from this node: records held locally (replication and
 // repair deliver them to the site's replica set) plus the sites listed in
 // the replicated deployment index (for nodes outside a record's replica
-// set). The maintenance loop calls it periodically; it is how a node that
-// crashed or was partitioned during a deploy catches up, and it is
-// idempotent — applying an already-applied record is a no-op.
-func (n *Node) SyncDeployments() {
+// set). Maintain calls it every round; it is how a node that crashed or
+// was partitioned during a deploy catches up, and it is idempotent —
+// applying an already-applied record is a no-op.
+func (n *Node) syncDeployments() {
 	sites := make(map[string]bool)
 	for _, rec := range n.store.VersionedRecords(func(site, key string) bool {
 		return key == deploy.StateKey && site != deploy.IndexSite
@@ -302,7 +302,7 @@ func (n *Node) deployPut(site, value string) error {
 
 // indexAdd records site in the replicated deployment index so nodes
 // outside the record's replica set can discover it. Self-healing:
-// SyncDeployments re-adds locally held sites the index lost to a
+// syncDeployments re-adds locally held sites the index lost to a
 // concurrent write. An index it could not read is left as it is.
 func (n *Node) indexAdd(site string) {
 	v, _, err := n.deployGet(deploy.IndexSite)

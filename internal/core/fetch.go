@@ -221,7 +221,7 @@ func (n *Node) publish(key string) {
 	// Publication failures are not fatal — the local cache still has the
 	// copy — but under partitions they would silently shrink the
 	// cooperative index, so failed publishes are remembered and retried by
-	// RepublishPending after the network heals.
+	// Maintain after the network heals.
 	if _, err := n.overlay.Publish(key); err != nil {
 		n.pubMu.Lock()
 		n.pendingPub[key] = struct{}{}
@@ -248,13 +248,12 @@ func (n *Node) copyUntil(key string) (time.Time, bool) {
 	return expires, expires.After(n.cache.Now())
 }
 
-// RepublishPending retries overlay publishes that failed while the index
+// republishPending retries overlay publishes that failed while the index
 // owner was unreachable. A key whose copy has since left the cache or the
-// large-object tier announces nothing, and is dropped with the rest. It
-// returns the number of entries still pending afterwards.
-func (n *Node) RepublishPending() int {
+// large-object tier announces nothing, and is dropped with the rest.
+func (n *Node) republishPending() {
 	if n.overlay == nil {
-		return 0
+		return
 	}
 	n.pubMu.Lock()
 	keys := make([]string, 0, len(n.pendingPub))
@@ -269,6 +268,10 @@ func (n *Node) RepublishPending() int {
 			n.pubMu.Unlock()
 		}
 	}
+}
+
+// publishesPending counts the publishes awaiting a retry.
+func (n *Node) publishesPending() int {
 	n.pubMu.Lock()
 	defer n.pubMu.Unlock()
 	return len(n.pendingPub)

@@ -180,6 +180,16 @@ type Stats struct {
 	Replication      ReplicationStats
 	Offload          OffloadStats
 	Lease            LeaseStats
+	CatchUp          CatchUpStats
+}
+
+// CatchUpStats reports the pull of its owned key range that a new or
+// recovered node owes (see CatchUp): whether it is still pending, and how
+// many pulls have been tried and records applied since it was set.
+type CatchUpStats struct {
+	Pending  bool
+	Attempts int64
+	Applied  int64
 }
 
 // OffloadStats counts load-shedding and hedged-read activity (all zero when
@@ -267,7 +277,7 @@ type Node struct {
 	// internal/core/fetch.go).
 	flights cache.Group[*httpmsg.Response]
 	// pendingPub holds cache keys whose overlay publish failed (index owner
-	// partitioned or crashed); RepublishPending retries them after heal.
+	// partitioned or crashed); Maintain retries them after heal.
 	pubMu      sync.Mutex
 	pendingPub map[string]struct{}
 	// Successor-list replication state: the resolved factor (0 when
@@ -276,6 +286,16 @@ type Node struct {
 	repFactor     int
 	repApplyMu    sync.Mutex
 	repairPending atomic.Bool
+	// Maintenance (see Maintain): whether the owned-range pull is still
+	// owed, the pulls tried since it was set and the records they applied,
+	// the rounds run, and the full repairs by trigger.
+	catchUp         atomic.Bool
+	catchUpTries    atomic.Int64
+	catchUpApplied  atomic.Int64
+	maintRounds     atomic.Int64
+	repairsCatchUp  atomic.Int64
+	repairsChurn    atomic.Int64
+	repairsPeriodic atomic.Int64
 
 	// Load accounting and offload/hedging state: the node's own load meter,
 	// its view of peer loads (fed by gossip piggybacked on overlay
@@ -469,6 +489,7 @@ func NewNode(cfg Config) (*Node, error) {
 			n.repFactor = 3
 		}
 	}
+	n.catchUp.Store(n.repEnabled())
 	if n.repEnabled() || n.offloadEnabled() {
 		n.overlay.SetChurnHook(func() {
 			// Churn shifts both replication targets and offload candidate
@@ -567,7 +588,7 @@ func (n *Node) Crash() {
 	n.cache.SetL2(nil)
 	// The deployment table is soft state: a real crashed process loses its
 	// compiled stages and rebuilds them from the replicated records on the
-	// way back up (SyncDeployments).
+	// way back up (Maintain's syncDeployments).
 	n.deployMu.Lock()
 	n.deployed = make(map[string]*deployActive)
 	n.deployMu.Unlock()
@@ -597,7 +618,8 @@ func (n *Node) Crash() {
 // a data filesystem hard state is rebuilt by replaying the log (recovering
 // exactly the acknowledged writes), and the disk cache tier and the
 // large-object tier are rescanned so the node rewarms without touching the
-// origin; without one the node comes back empty-handed.
+// origin; without one the node comes back empty-handed. Either way it missed
+// the writes made while it was down, so a catch-up is pending again.
 func (n *Node) Recover() error {
 	kv, disk, err := n.openStorage()
 	if err != nil {
@@ -605,7 +627,60 @@ func (n *Node) Recover() error {
 	}
 	n.store.SetBackend(kv)
 	n.cache.SetL2(disk)
+	n.catchUpTries.Store(0)
+	n.catchUpApplied.Store(0)
+	n.catchUp.Store(n.repEnabled())
 	return nil
+}
+
+// periodicRepairRounds is how often, in rounds, Maintain runs a full repair
+// with no other trigger.
+const periodicRepairRounds = 6
+
+// Maintain runs one maintenance round. nakikad runs one every 5 s and the
+// cluster harness one per node in each StabilizeAll round, in this order:
+//  1. overlay Stabilize and FixFingers;
+//  2. a pending catch-up (CatchUp), followed, when the pull succeeds, by a
+//     full repair;
+//  3. otherwise a full repair on every sixth round of this node, or when
+//     stabilization flagged churn;
+//  4. a retry of the cooperative-cache publishes that failed;
+//  5. a re-probe of the peers slower than the hedge budget;
+//  6. a sync of the pipeline with the deployment records.
+//
+// Churn flags see only what stabilization observes changing: a peer that
+// died and came back between two rounds, or a write that failed over while
+// routing still pointed at a dead owner, leaves none. The periodic pass
+// restores the replication invariant regardless, so any six consecutive
+// rounds include a full repair on every live node.
+func (n *Node) Maintain() {
+	round := n.maintRounds.Add(1)
+	if n.overlay != nil {
+		n.overlay.Stabilize()
+		n.overlay.FixFingers()
+	}
+	churned := n.repairPending.Swap(false)
+	caughtUp := false
+	if n.catchUp.Load() {
+		_, err := n.CatchUp()
+		caughtUp = err == nil
+	}
+	var trigger *atomic.Int64
+	switch {
+	case caughtUp:
+		trigger = &n.repairsCatchUp
+	case round%periodicRepairRounds == 0:
+		trigger = &n.repairsPeriodic
+	case churned:
+		trigger = &n.repairsChurn
+	}
+	if trigger != nil && n.repEnabled() {
+		trigger.Add(1)
+		n.repairReplication()
+	}
+	n.republishPending()
+	n.refreshRTTs()
+	n.syncDeployments()
 }
 
 // Name returns the node's name.
@@ -623,7 +698,7 @@ func (n *Node) Cache() *cache.Cache { return n.cache }
 func (n *Node) Loader() *pipeline.Loader { return n.loader }
 
 // Overlay exposes the node's overlay membership (nil without a Ring); the
-// cluster harness uses it to drive maintenance and inspect routing state.
+// cluster harness uses it to inspect routing state.
 func (n *Node) Overlay() *overlay.Node { return n.overlay }
 
 // Stats returns a snapshot of node counters.
@@ -653,6 +728,11 @@ func (n *Node) Stats() Stats {
 			DepthCapHits: n.offDepthCap.Load(),
 			HedgedReads:  n.hedged.Load(),
 			HedgeHits:    n.hedgeHits.Load(),
+		},
+		CatchUp: CatchUpStats{
+			Pending:  n.catchUp.Load(),
+			Attempts: n.catchUpTries.Load(),
+			Applied:  n.catchUpApplied.Load(),
 		},
 		Lease: LeaseStats{
 			Acquired:        n.leaseAcquired.Load(),

@@ -213,6 +213,18 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_replication_unavailable_total", "", metrics.Labels{"op": "put"}, cv(&n.unavailPut))
 	r.CounterFunc("nakika_replication_unavailable_total", "", metrics.Labels{"op": "delete"}, cv(&n.unavailDel))
 
+	r.CounterFunc("nakika_maintenance_rounds_total", "Maintenance rounds this node has run (Node.Maintain).", nil, cv(&n.maintRounds))
+	r.GaugeFunc("nakika_replication_catchup_pending", "1 until this node's pull of its owned key range succeeds after boot or recovery, then 0.", nil,
+		func() float64 {
+			if n.catchUp.Load() {
+				return 1
+			}
+			return 0
+		})
+	r.CounterFunc("nakika_replication_repairs_total", "Full replication repair passes, by what triggered them.", metrics.Labels{"trigger": "catchup"}, cv(&n.repairsCatchUp))
+	r.CounterFunc("nakika_replication_repairs_total", "", metrics.Labels{"trigger": "churn"}, cv(&n.repairsChurn))
+	r.CounterFunc("nakika_replication_repairs_total", "", metrics.Labels{"trigger": "periodic"}, cv(&n.repairsPeriodic))
+
 	r.CounterFunc("nakika_offload_executed_total", "Requests run through this node's own pipeline.", nil, cv(&n.offExecuted))
 	r.CounterFunc("nakika_offload_forwarded_total", "Requests shed to a less-loaded replica.", nil, cv(&n.offFwdOut))
 	r.CounterFunc("nakika_offload_received_total", "Offloaded requests accepted from peers.", nil, cv(&n.offRecvIn))
@@ -251,6 +263,8 @@ func (n *Node) buildRegistry() {
 			func() float64 { return float64(ov.Stats().TotalHops) })
 		r.GaugeFunc("nakika_overlay_index_keys", "Cache keys with a live entry in this node's slice of the cooperative-cache index.", nil,
 			func() float64 { return float64(ov.Stats().IndexKeys) })
+		r.GaugeFunc("nakika_overlay_publishes_pending", "Cooperative-cache publishes that failed and await the next maintenance round's retry.", nil,
+			func() float64 { return float64(n.publishesPending()) })
 	}
 
 	n.latency = r.NewHistogramSeries("nakika_request_seconds", "End-to-end request latency at this node.", nil, metrics.DefBuckets)

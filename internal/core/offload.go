@@ -137,20 +137,17 @@ func (n *Node) offloadCandidates(site string) []string {
 // client-controlled Host headers).
 const maxCandCacheEntries = 4096
 
-// RefreshRTTs re-probes every peer whose round-trip estimate exceeds the
-// hedge budget and returns how many it probed. A peer that turned slow
-// stops being contacted by the hedged read path, so on a read-heavy
-// workload nothing would ever retrain its estimate downward once the
-// slowness passes — reads would hedge to one replica forever. Maintenance
-// loops (the cluster harness's StabilizeAll, nakikad's 5s tick) call this
-// so recovery is noticed at maintenance cadence without taxing any read.
-// The probe is a plain overlay ping issued through the RTT-observing call
-// path.
-func (n *Node) RefreshRTTs() int {
+// refreshRTTs re-probes every peer whose round-trip estimate exceeds the
+// hedge budget. A peer that turned slow stops being contacted by the hedged
+// read path, so on a read-heavy workload nothing would ever retrain its
+// estimate downward once the slowness passes — reads would hedge to one
+// replica forever. Maintain calls this so recovery is noticed at
+// maintenance cadence without taxing any read. The probe is a plain overlay
+// ping issued through the RTT-observing call path.
+func (n *Node) refreshRTTs() {
 	if n.cfg.HedgeAfter <= 0 || n.tr == nil {
-		return 0
+		return
 	}
-	probed := 0
 	for _, peer := range n.rtts.Slow(n.cfg.HedgeAfter) {
 		// A recovered peer's estimate converges below the budget within a
 		// few cheap pings; a still-slow peer pays a handful of real round
@@ -162,10 +159,8 @@ func (n *Node) RefreshRTTs() int {
 			if _, err := n.call(peer, transport.Message{Type: "ov.ping"}); err != nil {
 				break
 			}
-			probed++
 		}
 	}
-	return probed
 }
 
 // shedRequest decides whether to offload req and, when it does, executes

@@ -388,9 +388,9 @@ func repGetReply(reply transport.Message) (string, bool) {
 // just-acknowledged write the replica missed (acks need only one of the
 // K-1 replicas) until repair catches it up — the same class of staleness
 // the dead-owner failover read path already serves, and in-model for Na
-// Kika's optimistic last-writer-wins hard state. RefreshRTTs retrains a
-// recovered owner's estimate from the maintenance loops so reads return
-// to the owner instead of hedging forever. answered reports whether the
+// Kika's optimistic last-writer-wins hard state. Maintain's refreshRTTs
+// retrains a recovered owner's estimate so reads return to the owner
+// instead of hedging forever. answered reports whether the
 // hedge produced an authoritative result.
 func (n *Node) hedgeRead(act *trace.Act, site, key string, msg transport.Message) (value string, ok, answered bool) {
 	if n.cfg.HedgeAfter <= 0 || !n.repEnabled() {
@@ -486,21 +486,18 @@ func (n *Node) LocalStateRecord(site, key string) (ver uint64, value string, del
 // Churn: repair (re-replication, promotion) and handoff streams
 // ---------------------------------------------------------------------------
 
-// RepairReplication walks every replicated record this node holds and
+// repairReplication walks every replicated record this node holds and
 // restores the replication invariant around it: records this node is the
 // acting owner of (including replicas just promoted by an owner's death)
 // are pushed to the node's replica targets; records owned elsewhere are
 // pushed to their acting owner, so a newly responsible node receives keys
 // that rebalanced onto it. All pushes are idempotent last-writer-wins
-// applies, so repairing too eagerly is merely wasted traffic. It returns
-// the number of records accepted by a peer.
-func (n *Node) RepairReplication() int {
-	if !n.repEnabled() {
-		return 0
-	}
+// applies, so repairing too eagerly is merely wasted traffic. Maintain
+// runs it.
+func (n *Node) repairReplication() {
 	recs := n.store.VersionedRecords(nil)
 	if len(recs) == 0 {
-		return 0
+		return
 	}
 	liveness := make(map[string]bool)
 	probe := func(name string) bool {
@@ -511,7 +508,6 @@ func (n *Node) RepairReplication() int {
 		liveness[name] = alive
 		return alive
 	}
-	pushed := 0
 	for _, rec := range recs {
 		rk := state.ReplicaKey(rec.Site, rec.Key)
 		owner, err := n.resolveActingOwner(rk, probe)
@@ -530,22 +526,10 @@ func (n *Node) RepairReplication() int {
 		}
 		for _, t := range targets {
 			if _, err := n.call(t, msg); err == nil {
-				pushed++
 				n.repPushes.Add(1)
 			}
 		}
 	}
-	return pushed
-}
-
-// RepairIfNeeded runs RepairReplication when overlay stabilization flagged
-// churn (dead predecessor or changed successor head) since the last call.
-// It returns the number of records pushed (zero when no repair ran).
-func (n *Node) RepairIfNeeded() int {
-	if !n.repairPending.Swap(false) {
-		return 0
-	}
-	return n.RepairReplication()
 }
 
 // repKeyLess orders replica keys by (ring hash, key) — the deterministic
@@ -558,25 +542,38 @@ func repKeyLess(a, b string) bool {
 	return a < b
 }
 
-// PullOwnedRange streams the records of this node's owned key range
+// handoffChunk is how many records one rep.range reply carries.
+const handoffChunk = 64
+
+// CatchUp streams the records of this node's owned key range
 // (predecessor, self] from its successors, applying each record
-// last-writer-wins. It is the joining/recovering side of churn handoff:
-// a node that just joined (or restarted after a crash) calls it to catch
-// up on the range it now owns. The stream is chunked (chunk records per
-// RPC, default 64); if the source dies mid-stream, the pull continues
-// from the same cursor against the next successor — the replicas hold the
-// same records, and anything missed is restored by repair. It returns how
-// many records were applied.
-func (n *Node) PullOwnedRange(chunk int) (int, error) {
-	if !n.repEnabled() {
+// last-writer-wins, if a catch-up is pending: NewNode (with replication on)
+// and Recover set it, because a node that just joined or restarted has
+// missed the writes to the range it now owns. A successful pull clears it.
+// Maintain retries a pending catch-up every round and follows a successful
+// one with a full repair; nakikad also calls CatchUp alone at boot, before
+// its first round (see Maintain). It returns how many records were applied.
+func (n *Node) CatchUp() (int, error) {
+	if !n.catchUp.Load() {
 		return 0, nil
 	}
+	n.catchUpTries.Add(1)
+	applied, err := n.pullOwnedRange()
+	n.catchUpApplied.Add(int64(applied))
+	if err == nil {
+		n.catchUp.Store(false)
+	}
+	return applied, err
+}
+
+// pullOwnedRange is CatchUp's pull. The stream is chunked (handoffChunk
+// records per RPC); if the source dies mid-stream, the pull continues from
+// the same cursor against the next successor — the replicas hold the same
+// records, and anything missed is restored by repair.
+func (n *Node) pullOwnedRange() (int, error) {
 	from, to, ok := n.overlay.OwnedRange()
 	if !ok {
 		return 0, fmt.Errorf("core: %s: owned range unknown (no predecessor yet)", n.cfg.Name)
-	}
-	if chunk <= 0 {
-		chunk = 64
 	}
 	applied := 0
 	after := ""
@@ -594,7 +591,7 @@ func (n *Node) PullOwnedRange(chunk int) (int, error) {
 			si++
 			continue
 		}
-		body := encodeRepRangeReq(repRangeReq{From: uint64(from), To: uint64(to), After: after, Limit: chunk})
+		body := encodeRepRangeReq(repRangeReq{From: uint64(from), To: uint64(to), After: after, Limit: handoffChunk})
 		reply, err := n.call(src, transport.Message{Type: msgRepRange, Body: body})
 		if err != nil {
 			si++ // source died mid-stream: resume at the cursor from the next replica
@@ -676,7 +673,7 @@ func (n *Node) serveRepRPC(from string, msg transport.Message) (transport.Messag
 		})
 		limit := req.Limit
 		if limit <= 0 {
-			limit = 64
+			limit = handoffChunk
 		}
 		more := len(recs) > limit
 		if more {

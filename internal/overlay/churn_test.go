@@ -22,12 +22,12 @@ type member struct {
 func stabilizeAll(r *Ring, rounds int) {
 	for i := 0; i < rounds; i++ {
 		for _, name := range r.Nodes() {
-			if n := r.NodeByName(name); n != nil && !n.remote {
+			if n := byName(r, name); n != nil && !n.remote {
 				n.Stabilize()
 			}
 		}
 		for _, name := range r.Nodes() {
-			if n := r.NodeByName(name); n != nil && !n.remote {
+			if n := byName(r, name); n != nil && !n.remote {
 				n.FixFingers()
 			}
 		}
@@ -66,7 +66,7 @@ func verifyConverged(t *testing.T, r *Ring, label string) {
 		k = n - 1
 	}
 	for pos, m := range ms {
-		node := r.NodeByName(m.name)
+		node := byName(r, m.name)
 		// Successor list: the next k members around the ring.
 		want := make([]string, k)
 		for j := 1; j <= k; j++ {
@@ -103,7 +103,7 @@ func verifyConverged(t *testing.T, r *Ring, label string) {
 		key := fmt.Sprintf("churn-key-%d", i)
 		want := ownerOf(ms, HashID(key)).name
 		for _, m := range ms {
-			got, _, err := r.NodeByName(m.name).LookupName(key)
+			got, _, err := byName(r, m.name).LookupName(key)
 			if err != nil {
 				t.Fatalf("%s: lookup %q from %s: %v", label, key, m.name, err)
 			}
@@ -178,7 +178,7 @@ func TestChurnRepairDeterministic(t *testing.T) {
 		stabilizeAll(r, 6)
 		fp := fmt.Sprint(r.Nodes())
 		for i := 0; i < 10; i++ {
-			name, hops, err := r.NodeByName(r.Nodes()[0]).LookupName(fmt.Sprintf("det-key-%d", i))
+			name, hops, err := byName(r, r.Nodes()[0]).LookupName(fmt.Sprintf("det-key-%d", i))
 			fp += fmt.Sprintf("|%s/%d/%v", name, hops, err == nil)
 		}
 		return fp

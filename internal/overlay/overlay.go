@@ -371,14 +371,6 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// NodeByName returns the member (or remote stub) with the given name, or
-// nil.
-func (r *Ring) NodeByName(name string) *Node {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.nodes[name]
-}
-
 // successorLocked returns the node responsible for id per the membership
 // ground truth: the first node whose ID is >= id, wrapping around the ring.
 func (r *Ring) successorLocked(id ID) *Node {

@@ -18,7 +18,15 @@ func lookup(n *Node, key string) (*Node, int) {
 	if err != nil {
 		return nil, hops
 	}
-	return n.ring.NodeByName(name), hops
+	return byName(n.ring, name), hops
+}
+
+// byName returns the ring's member (or remote stub) with the given name, or
+// nil.
+func byName(r *Ring, name string) *Node {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.nodes[name]
 }
 
 // holding makes each node report a copy of every key, fresh until until, so
