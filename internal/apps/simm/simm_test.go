@@ -6,7 +6,9 @@ import (
 
 	"nakika/internal/core"
 	"nakika/internal/httpmsg"
+	"nakika/internal/pipeline"
 	"nakika/internal/script"
+	"nakika/internal/vocab"
 )
 
 func TestOriginServesRenderedHTML(t *testing.T) {
@@ -147,6 +149,61 @@ func TestEdgeScriptRendersOnNode(t *testing.T) {
 	}
 	if !m2.FromCache {
 		t.Error("second media access should come from the edge cache")
+	}
+}
+
+// pageHost answers the site script and the origin from memory, each
+// response built once, so counting a page's allocations counts the
+// pipeline, the script and its vocabularies, not the origin.
+type pageHost struct {
+	vocab.NopHost
+	origin *Origin
+	canned map[string]*httpmsg.Response
+}
+
+func (h *pageHost) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
+	key := req.URL.String()
+	if resp, ok := h.canned[key]; ok {
+		return resp, nil
+	}
+	resp, err := h.origin.Do(req)
+	if req.Path() == "/"+pipeline.SiteScriptName {
+		resp = httpmsg.NewTextResponse(200, EdgeScript(h.origin.Config().Host))
+		resp.SetMaxAge(300)
+	}
+	h.canned[key] = resp
+	return resp, err
+}
+
+// TestEdgePageAllocCeiling pins what one SIMM page costs the node in
+// allocations: the edge script fetches the student's XML, parses it and
+// renders HTML through pipeline.Executor. A regression on that path (the
+// XML vocabulary above all, which parses the document and walks its tree)
+// fails here on any host. The ceiling is the count measured on Go 1.24,
+// with or without -race: 418 since XML.parse scans straight into the
+// script's node objects and the walkers walk them in place, against 796
+// when XML.parse built a Go tree with encoding/xml and every walker
+// converted whole trees both ways.
+func TestEdgePageAllocCeiling(t *testing.T) {
+	host := &pageHost{origin: NewOrigin(Config{}), canned: make(map[string]*httpmsg.Response)}
+	ex := &pipeline.Executor{
+		Loader:      pipeline.NewLoader(host, script.Limits{MaxSteps: 50_000_000, MaxHeapBytes: 64 << 20}),
+		Host:        host,
+		FetchOrigin: host.Fetch,
+	}
+	page := func() {
+		req := httpmsg.MustRequest("GET", "http://simms.med.nyu.edu/module/3/section/2.html?student=maria")
+		resp, _, err := ex.Execute(req)
+		if err != nil || resp.Status != 200 || !strings.Contains(string(resp.Body), "<h1>Module 3, Part 2</h1>") {
+			t.Fatalf("page: %v, %v", resp, err)
+		}
+	}
+	for i := 0; i < 16; i++ { // load the stages and fill the pools
+		page()
+	}
+	const ceiling = 418
+	if allocs := testing.AllocsPerRun(50, page); allocs > ceiling {
+		t.Errorf("one SIMM page costs %.0f allocs, ceiling is %d", allocs, ceiling)
 	}
 }
 

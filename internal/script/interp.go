@@ -160,6 +160,11 @@ func (ctx *Context) charge() error {
 	return nil
 }
 
+// Charge adds one evaluation step, as evaluating a node of the script does:
+// a native that walks script data on the script's behalf charges each
+// element it visits, so MaxSteps and Terminate reach the walk too.
+func (ctx *Context) Charge() error { return ctx.charge() }
+
 // chargeHeap accounts for n bytes of script-visible allocation.
 func (ctx *Context) chargeHeap(n int) error {
 	ctx.heapBytes += int64(n)

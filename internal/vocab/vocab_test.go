@@ -643,12 +643,11 @@ func TestXMLVocabulary(t *testing.T) {
 		t.Errorf("sections = %v", script.ToNumber(v))
 	}
 	// Parse → serialize round trip preserves structure.
-	v = run(t, ctx, `XML.serialize(XML.parse(doc))`)
-	reparsed, err := ParseXML(script.ToString(v))
-	if err != nil {
-		t.Fatalf("serialized output does not reparse: %v", err)
-	}
-	if len(reparsed.FindAll("section")) != 2 || reparsed.Find("title").TextContent() != "Aortic Aneurysm" {
+	v = run(t, ctx, `
+		var again = XML.parse(XML.serialize(XML.parse(doc)));
+		XML.findAll(again, "section").length + ":" + XML.text(XML.find(again, "title"))
+	`)
+	if script.ToString(v) != "2:Aortic Aneurysm" {
 		t.Errorf("round trip lost structure: %q", script.ToString(v))
 	}
 	// Escaping.
@@ -667,25 +666,34 @@ func TestXMLVocabulary(t *testing.T) {
 }
 
 func TestParseXMLGo(t *testing.T) {
-	node, err := ParseXML(`<a x="1"><b>hi</b><b>there</b><c/></a>`)
+	node, err := parseXML("<p:a x=\"1\" p:y='&lt;2&#x3E;'>\r\n <b>hi</b><![CDATA[ & ]]><b>th<!-- c -->ere</b><c/>\r\n</p:a>")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node.Name != "a" || node.Attrs["x"] != "1" || len(node.Children) != 3 {
-		t.Errorf("node = %+v", node)
+	if got := strings.Join(node.Keys(), ","); got != "name,attrs,text,children" {
+		t.Errorf("node keys = %s", got)
 	}
-	if got := node.TextContent(); got != "hithere" {
-		t.Errorf("text = %q", got)
+	name, _ := node.Get("name")
+	attrs, _ := node.Get("attrs")
+	x, _ := attrs.(*script.Object).Get("x")
+	y, _ := attrs.(*script.Object).Get("y")
+	text, _ := node.Get("text")
+	children, _ := node.Get("children")
+	if script.ToString(name) != "a" || script.ToString(x) != "1" || script.ToString(y) != "<2>" ||
+		script.ToString(text) != " & " || children.(*script.Array).Len() != 3 {
+		t.Errorf("node = %s %s %s %q %d children", name, x, y, text, children.(*script.Array).Len())
 	}
-	if node.Find("missing") != nil {
-		t.Error("Find of missing element should be nil")
+	second, _ := children.(*script.Array).Elems[1].(*script.Object).Get("text")
+	if script.ToString(second) != "there" {
+		t.Errorf("text around a comment = %q", second)
 	}
-	if _, err := ParseXML("just text"); err == nil {
-		t.Error("expected error for document without element")
+	for _, doc := range []string{"just text", "<a>", "<a></b>", `<a x=1/>`, `<a x="<"/>`, "<1a/>", "<a>&nbsp;</a>", "<a>\x00</a>", "<a/><b>"} {
+		if _, err := parseXML(doc); err == nil {
+			t.Errorf("parseXML(%q) accepted", doc)
+		}
 	}
-	out := SerializeXML(node)
-	if !strings.Contains(out, `<a x="1">`) || !strings.Contains(out, "<c/>") {
-		t.Errorf("serialized = %q", out)
+	if _, err := parseXML("<a>\n<b></c></a>"); err == nil || !strings.HasPrefix(err.Error(), "line 2: ") {
+		t.Errorf("error = %v, want one on line 2", err)
 	}
 }
 

@@ -1,20 +1,28 @@
 package vocab
 
 import (
-	"encoding/xml"
-	"fmt"
+	"slices"
 	"strings"
 
 	"nakika/internal/script"
 )
 
+// maxXMLDepth bounds how deeply XML.parse nests elements and how deeply the
+// tree walkers recurse; it is encoding/xml's own Unmarshal limit. A script
+// can build a tree that is deeper, or cyclic, and a walker stops there.
+const maxXMLDepth = 10000
+
 // installXML defines the XML vocabulary: parse(text) returns a node tree,
-// serialize(node) renders it back, and render(node, template) performs the
-// simple stylesheet-style transformation the SIMM application relies on
-// (Section 5.2: customized content represented as XML and rendered as HTML
-// by a stylesheet that is the same for all students).
+// serialize(node) renders it back, and text/find/findAll read it, which is
+// what the SIMM application's rendering relies on (Section 5.2: customized
+// content represented as XML and rendered as HTML by a stylesheet that is
+// the same for all students).
 //
-// Node objects have the shape { name, attrs: {..}, children: [..], text }.
+// Node objects have the shape { name, attrs: {..}, text, children: [..] },
+// and they are the only tree: parse builds them in one pass, and the other
+// functions walk them in place, so find and findAll return the nodes in the
+// tree, not copies. Every node a walker visits costs the script one step,
+// and a tree deeper than maxXMLDepth (a cyclic one is) throws.
 func installXML(ctx *script.Context) {
 	x := script.NewObject()
 	x.ClassName = "XML"
@@ -30,11 +38,11 @@ func installXML(ctx *script.Context) {
 		default:
 			text = script.ToString(b)
 		}
-		node, err := ParseXML(text)
+		node, err := parseXML(text)
 		if err != nil {
 			return nil, script.ThrowString("XML.parse: " + err.Error())
 		}
-		return xmlNodeToScript(node), nil
+		return node, nil
 	}})
 
 	x.Set("serialize", &script.Native{Name: "XML.serialize", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
@@ -45,8 +53,11 @@ func installXML(ctx *script.Context) {
 		if !ok {
 			return nil, script.ThrowString("XML.serialize: expected a node object")
 		}
-		node := scriptToXMLNode(obj)
-		return script.Str(SerializeXML(node)), nil
+		var sb strings.Builder
+		if err := (xmlWalker{c, "XML.serialize"}).serialize(&sb, obj, 1); err != nil {
+			return nil, err
+		}
+		return script.Str(sb.String()), nil
 	}})
 
 	x.Set("text", &script.Native{Name: "XML.text", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
@@ -57,7 +68,23 @@ func installXML(ctx *script.Context) {
 		if !ok {
 			return script.Str(script.ToString(args[0])), nil
 		}
-		return script.Str(scriptToXMLNode(obj).TextContent()), nil
+		w := xmlWalker{c, "XML.text"}
+		if !hasNode(nodeChildren(obj)) {
+			// A leaf's text is its own string value, returned as it is.
+			if err := w.visit(1); err != nil {
+				return nil, err
+			}
+			if v, ok := obj.Get("text"); ok && v.Kind() == script.KindString {
+				return v, nil
+			}
+			return script.Str(nodeText(obj)), nil
+		}
+		var sb strings.Builder
+		_, err := w.each(obj, 1, func(n *script.Object) bool { sb.WriteString(nodeText(n)); return true })
+		if err != nil {
+			return nil, err
+		}
+		return script.Str(sb.String()), nil
 	}})
 
 	x.Set("find", &script.Native{Name: "XML.find", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
@@ -69,12 +96,18 @@ func installXML(ctx *script.Context) {
 			return script.NullValue(), nil
 		}
 		name := script.ToString(args[1])
-		node := scriptToXMLNode(obj)
-		found := node.Find(name)
-		if found == nil {
-			return script.NullValue(), nil
+		var found script.Value = script.NullValue()
+		_, err := (xmlWalker{c, "XML.find"}).each(obj, 1, func(n *script.Object) bool {
+			if nodeName(n) != name {
+				return true
+			}
+			found = n
+			return false
+		})
+		if err != nil {
+			return nil, err
 		}
-		return xmlNodeToScript(found), nil
+		return found, nil
 	}})
 
 	x.Set("findAll", &script.Native{Name: "XML.findAll", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
@@ -87,8 +120,14 @@ func installXML(ctx *script.Context) {
 			return arr, nil
 		}
 		name := script.ToString(args[1])
-		for _, n := range scriptToXMLNode(obj).FindAll(name) {
-			arr.Elems = append(arr.Elems, xmlNodeToScript(n))
+		_, err := (xmlWalker{c, "XML.findAll"}).each(obj, 1, func(n *script.Object) bool {
+			if nodeName(n) == name {
+				arr.Elems = append(arr.Elems, n)
+			}
+			return true
+		})
+		if err != nil {
+			return nil, err
 		}
 		return arr, nil
 	}})
@@ -103,202 +142,120 @@ func installXML(ctx *script.Context) {
 	ctx.DefineGlobal("XML", x)
 }
 
-// XMLNode is the Go-side representation of a parsed XML element.
-type XMLNode struct {
-	Name     string
-	Attrs    map[string]string
-	Children []*XMLNode
-	Text     string
+// xmlEscaper escapes the five predefined XML entities.
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&apos;")
+
+// EscapeXML escapes the five predefined XML entities.
+func EscapeXML(s string) string { return xmlEscaper.Replace(s) }
+
+// A script node tree is read the way scripts build it: a missing or empty
+// name reads as "node", a missing or nullish text as "", and a children
+// entry that is not an object is not a node.
+
+func nodeName(o *script.Object) string {
+	if v, ok := o.Get("name"); ok {
+		if name := script.ToString(v); name != "" {
+			return name
+		}
+	}
+	return "node"
 }
 
-// TextContent returns the concatenated text of the node and its descendants.
-func (n *XMLNode) TextContent() string {
-	var sb strings.Builder
-	sb.WriteString(n.Text)
-	for _, c := range n.Children {
-		sb.WriteString(c.TextContent())
+func nodeText(o *script.Object) string {
+	if v, ok := o.Get("text"); ok && !script.IsNullish(v) {
+		return script.ToString(v)
 	}
-	return sb.String()
+	return ""
 }
 
-// Find returns the first descendant (depth-first) with the given element
-// name, or the node itself if it matches.
-func (n *XMLNode) Find(name string) *XMLNode {
-	if n.Name == name {
-		return n
-	}
-	for _, c := range n.Children {
-		if found := c.Find(name); found != nil {
-			return found
+func nodeChildren(o *script.Object) []script.Value {
+	if v, ok := o.Get("children"); ok {
+		if arr, ok := v.(*script.Array); ok {
+			return arr.Elems
 		}
 	}
 	return nil
 }
 
-// FindAll returns every descendant (including the node itself) with the
-// given element name, in document order.
-func (n *XMLNode) FindAll(name string) []*XMLNode {
-	var out []*XMLNode
-	if n.Name == name {
-		out = append(out, n)
+func hasNode(children []script.Value) bool {
+	for _, c := range children {
+		if _, ok := c.(*script.Object); ok {
+			return true
+		}
 	}
-	for _, c := range n.Children {
-		out = append(out, c.FindAll(name)...)
-	}
-	return out
+	return false
 }
 
-// ParseXML parses a document into an XMLNode tree rooted at the document
-// element.
-func ParseXML(text string) (*XMLNode, error) {
-	dec := xml.NewDecoder(strings.NewReader(text))
-	var stack []*XMLNode
-	var root *XMLNode
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			if err.Error() == "EOF" {
-				break
-			}
-			if root != nil && len(stack) == 0 {
-				break
-			}
-			return nil, err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			node := &XMLNode{Name: t.Name.Local, Attrs: make(map[string]string)}
-			for _, a := range t.Attr {
-				node.Attrs[a.Name.Local] = a.Value
-			}
-			if len(stack) > 0 {
-				parent := stack[len(stack)-1]
-				parent.Children = append(parent.Children, node)
-			} else if root == nil {
-				root = node
-			}
-			stack = append(stack, node)
-		case xml.EndElement:
-			if len(stack) > 0 {
-				stack = stack[:len(stack)-1]
-			}
-		case xml.CharData:
-			if len(stack) > 0 {
-				text := string(t)
-				if strings.TrimSpace(text) != "" {
-					stack[len(stack)-1].Text += text
-				}
+// xmlWalker walks a script node tree in place for the XML function fn.
+type xmlWalker struct {
+	c  *script.Context
+	fn string
+}
+
+// visit accounts for one node at depth (the root's is 1): one script step,
+// so MaxSteps and Terminate reach a walk over shared subtrees, and the
+// depth bound, which stops a cyclic tree.
+func (w xmlWalker) visit(depth int) error {
+	if depth > maxXMLDepth {
+		return script.ThrowString(w.fn + ": node tree too deep or cyclic")
+	}
+	return w.c.Charge()
+}
+
+// each calls fn on o and on every node below it, depth first in document
+// order, for as long as fn returns true.
+func (w xmlWalker) each(o *script.Object, depth int, fn func(*script.Object) bool) (more bool, err error) {
+	if err := w.visit(depth); err != nil || !fn(o) {
+		return false, err
+	}
+	for _, c := range nodeChildren(o) {
+		if co, ok := c.(*script.Object); ok {
+			if more, err := w.each(co, depth+1, fn); !more || err != nil {
+				return false, err
 			}
 		}
 	}
-	if root == nil {
-		return nil, fmt.Errorf("no document element")
-	}
-	return root, nil
+	return true, nil
 }
 
-// SerializeXML renders a node tree back to markup.
-func SerializeXML(n *XMLNode) string {
-	var sb strings.Builder
-	serializeInto(&sb, n)
-	return sb.String()
-}
-
-func serializeInto(sb *strings.Builder, n *XMLNode) {
-	sb.WriteString("<")
-	sb.WriteString(n.Name)
-	// Deterministic attribute order.
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		keys = append(keys, k)
+// serialize renders o as markup, its attributes sorted by name.
+func (w xmlWalker) serialize(sb *strings.Builder, o *script.Object, depth int) error {
+	if err := w.visit(depth); err != nil {
+		return err
 	}
-	sortStrings(keys)
-	for _, k := range keys {
-		sb.WriteString(" ")
-		sb.WriteString(k)
-		sb.WriteString(`="`)
-		sb.WriteString(EscapeXML(n.Attrs[k]))
-		sb.WriteString(`"`)
+	name := nodeName(o)
+	sb.WriteByte('<')
+	sb.WriteString(name)
+	if v, ok := o.Get("attrs"); ok {
+		if attrs, ok := v.(*script.Object); ok {
+			keys := attrs.Keys()
+			slices.Sort(keys)
+			for _, k := range keys {
+				v, _ := attrs.Get(k)
+				sb.WriteByte(' ')
+				sb.WriteString(k)
+				sb.WriteString(`="`)
+				xmlEscaper.WriteString(sb, script.ToString(v))
+				sb.WriteByte('"')
+			}
+		}
 	}
-	if len(n.Children) == 0 && n.Text == "" {
+	text, children := nodeText(o), nodeChildren(o)
+	if text == "" && !hasNode(children) {
 		sb.WriteString("/>")
-		return
+		return nil
 	}
-	sb.WriteString(">")
-	sb.WriteString(EscapeXML(n.Text))
-	for _, c := range n.Children {
-		serializeInto(sb, c)
+	sb.WriteByte('>')
+	xmlEscaper.WriteString(sb, text)
+	for _, c := range children {
+		if co, ok := c.(*script.Object); ok {
+			if err := w.serialize(sb, co, depth+1); err != nil {
+				return err
+			}
+		}
 	}
 	sb.WriteString("</")
-	sb.WriteString(n.Name)
-	sb.WriteString(">")
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// EscapeXML escapes the five predefined XML entities.
-func EscapeXML(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&apos;")
-	return r.Replace(s)
-}
-
-// xmlNodeToScript converts an XMLNode into the script object shape.
-func xmlNodeToScript(n *XMLNode) *script.Object {
-	o := script.NewObject()
-	o.Set("name", script.Str(n.Name))
-	attrs := script.NewObject()
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	for _, k := range keys {
-		attrs.Set(k, script.Str(n.Attrs[k]))
-	}
-	o.Set("attrs", attrs)
-	o.Set("text", script.Str(n.Text))
-	children := script.NewArray()
-	for _, c := range n.Children {
-		children.Elems = append(children.Elems, xmlNodeToScript(c))
-	}
-	o.Set("children", children)
-	return o
-}
-
-// scriptToXMLNode converts a script node object back to an XMLNode.
-func scriptToXMLNode(o *script.Object) *XMLNode {
-	n := &XMLNode{Attrs: make(map[string]string)}
-	if v, ok := o.Get("name"); ok {
-		n.Name = script.ToString(v)
-	}
-	if n.Name == "" {
-		n.Name = "node"
-	}
-	if v, ok := o.Get("text"); ok && !script.IsNullish(v) {
-		n.Text = script.ToString(v)
-	}
-	if v, ok := o.Get("attrs"); ok {
-		if ao, ok := v.(*script.Object); ok {
-			for _, k := range ao.Keys() {
-				av, _ := ao.Get(k)
-				n.Attrs[k] = script.ToString(av)
-			}
-		}
-	}
-	if v, ok := o.Get("children"); ok {
-		if arr, ok := v.(*script.Array); ok {
-			for _, c := range arr.Elems {
-				if co, ok := c.(*script.Object); ok {
-					n.Children = append(n.Children, scriptToXMLNode(co))
-				}
-			}
-		}
-	}
-	return n
+	sb.WriteString(name)
+	sb.WriteByte('>')
+	return nil
 }
