@@ -24,13 +24,17 @@
 // With -data-dir the node persists its hard state through a write-ahead
 // log and keeps a disk cache tier, so a restart recovers both instead of
 // starting cold. SIGINT/SIGTERM trigger a graceful shutdown that drains
-// HTTP, closes the cluster transport, and flushes the store.
+// the client port, closes the cluster transport, and flushes the store.
+//
+// The client port speaks HTTP/1.1 through the node's own codec
+// (core.Node.Serve); the admin listener runs on net/http.
 package main
 
 import (
 	"context"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -185,11 +189,12 @@ func main() {
 		}()
 	}
 
-	// Graceful shutdown: on SIGINT/SIGTERM stop accepting traffic, close
-	// the cluster transport listener, flush the store durably, and only
-	// then exit. A node killed without -data-dir simply loses its state,
-	// as before; with it, the next boot replays the log.
-	srv := &http.Server{Addr: *listen, Handler: node}
+	// The client port: the node speaks HTTP/1.1 on it itself
+	// (core.Node.Serve).
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatalf("nakikad: %v", err)
+	}
 
 	// Optional admin listener: /metrics, /admin/traces, /admin/statusz and
 	// /debug/pprof on a port separate from client traffic. It drains on the
@@ -206,9 +211,16 @@ func main() {
 		}()
 	}
 
+	// Graceful shutdown: on SIGINT/SIGTERM stop accepting traffic, let the
+	// requests in flight finish (10 s at most) and close idle connections,
+	// close the cluster transport listener, flush the store durably, and
+	// only then exit. A node killed without -data-dir simply loses its
+	// state, as before; with it, the next boot replays the log.
+	drained := make(chan struct{})
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
+		defer close(drained)
 		sig := <-sigs
 		log.Printf("nakikad: %v: shutting down", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -218,15 +230,16 @@ func main() {
 				log.Printf("nakikad: admin shutdown: %v", err)
 			}
 		}
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("nakikad: http shutdown: %v", err)
+		if err := node.Drain(ctx); err != nil {
+			log.Printf("nakikad: client port drain: %v", err)
 		}
 	}()
 
-	log.Printf("nakikad: node %s (%s) listening on %s", *name, *region, *listen)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	log.Printf("nakikad: node %s (%s) listening on %s", *name, *region, ln.Addr())
+	if err := node.Serve(ln); err != nil {
 		log.Fatalf("nakikad: %v", err)
 	}
+	<-drained
 	stopControl()
 	if tcp != nil {
 		tcp.Close()

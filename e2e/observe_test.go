@@ -66,6 +66,8 @@ var requiredSeries = []string{
 	"nakika_load_score",
 	"nakika_go_gc_cycles_total",
 	"nakika_go_heap_alloc_bytes_total",
+	"nakika_ingress_rejected_total",
+	"nakika_ingress_panics_total",
 	"nakika_request_seconds",
 }
 

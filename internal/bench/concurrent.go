@@ -43,7 +43,7 @@ func warmNode(node *core.Node) error {
 // ConcurrentRequest builds a fresh request for the warm benchmark loops
 // (requests carry per-pipeline mutable state, so they are not reusable
 // across iterations). It stages the request in the httpmsg pool — the same
-// path the proxy's ServeHTTP boundary uses — so the warm benchmarks measure
+// path the proxy's client port uses — so the warm benchmarks measure
 // the server's steady-state allocation profile; release each request after
 // its response when the trace shows no handler ran.
 func ConcurrentRequest() *httpmsg.Request {

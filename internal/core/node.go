@@ -397,6 +397,10 @@ type Node struct {
 	lobRevalNew    atomic.Int64
 	lobRevalFailed atomic.Int64
 	lobIngWaits    atomic.Int64
+
+	// The client port's listeners, connections and counters (see
+	// internal/core/ingress.go).
+	ingress ingress
 }
 
 // NewNode builds a node from cfg.
@@ -753,10 +757,10 @@ func (n *Node) Stats() Stats {
 func (n *Node) LoadScore() float64 { return n.meter.Score() }
 
 // Handle runs one request through the node: pipeline execution, caching, and
-// access logging. It is the programmatic entry point; ServeHTTP wraps it for
-// real HTTP traffic. When the node is over its offload threshold the
-// request may instead be shed to a less-loaded replica of the site (see
-// internal/core/offload.go) and executed there.
+// access logging. It is the programmatic entry point; Serve and ServeHTTP
+// wrap it for real HTTP traffic. When the node is over its offload
+// threshold the request may instead be shed to a less-loaded replica of the
+// site (see internal/core/offload.go) and executed there.
 func (n *Node) Handle(req *httpmsg.Request) (*httpmsg.Response, *pipeline.Trace, error) {
 	n.requests.Add(1)
 	if n.ring != nil && req.TraceID == 0 {
@@ -791,8 +795,8 @@ func (n *Node) handleLocal(req *httpmsg.Request) (*httpmsg.Response, *pipeline.T
 	// The completed request's load cost: one unit, weighted up by the
 	// site's congestion share when the resource controller sees it burning
 	// CPU — an expensive pipeline heats the node faster than a cache hit.
-	// Deferred so a panic escaping the pipeline (recovered per-connection
-	// by net/http) cannot leave the in-flight count inflated forever.
+	// Deferred so a panic escaping the pipeline (recovered per connection
+	// by the client port) cannot leave the in-flight count inflated forever.
 	defer func() { n.meter.End(1 + n.res.Usage(req.SiteKey(), resource.CPU)) }()
 	start := time.Now()
 	resp, trace, err := n.executor.Execute(req)
@@ -830,40 +834,6 @@ func (n *Node) handleLocal(req *httpmsg.Request) (*httpmsg.Response, *pipeline.T
 	}
 	n.observe(req, resp, trace, start)
 	return resp, trace, nil
-}
-
-// ServeHTTP implements http.Handler so the node can serve as a real proxy.
-// Requests are staged in pooled httpmsg objects; a request is recycled only
-// when no script handler ran against it (a script could retain its bound
-// request, so touched requests are left to the garbage collector).
-func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	req, err := httpmsg.AcquireFromHTTPRequest(r, 8<<20)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Strip the .nakika.net suffix clients append for DNS redirection, so
-	// the origin host is recovered (Section 3).
-	if host := req.URL.Hostname(); strings.HasSuffix(host, ".nakika.net") {
-		req.URL.Host = strings.TrimSuffix(host, ".nakika.net")
-	}
-	resp, trace, err := n.Handle(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	// Range narrowing happens at the very edge, after every script saw the
-	// full 200: a satisfiable Range on a GET/HEAD becomes a 206 (lazy — a
-	// streamed body only reads the requested segments), an unsatisfiable
-	// one a 416. WriteToMethod suppresses the body on HEAD and on bodyless
-	// statuses (1xx/204/304) per RFC 7230 §3.3.3.
-	resp = httpmsg.ApplyRange(req, resp)
-	if err := resp.WriteToMethod(w, req.Method); err != nil {
-		n.errors.Add(1)
-	}
-	if trace != nil && !trace.RanHandlers() {
-		req.Release()
-	}
 }
 
 // FlushLogs posts accumulated access-log entries to the URL each site's

@@ -247,6 +247,15 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_deploys_total", "", metrics.Labels{"outcome": "rollback"}, cv(&n.deployRolled))
 	r.CounterFunc("nakika_deploys_total", "", metrics.Labels{"outcome": "compile_error"}, cv(&n.deployCompErr))
 
+	for reason := httpmsg.Reason(0); reason < httpmsg.NumReasons; reason++ {
+		help := ""
+		if reason == 0 {
+			help = "Client requests the HTTP/1.x ingress refused, by reason."
+		}
+		r.CounterFunc("nakika_ingress_rejected_total", help, metrics.Labels{"reason": reason.String()}, cv(&n.ingress.rejected[reason]))
+	}
+	r.CounterFunc("nakika_ingress_panics_total", "Panics recovered while serving a client connection; each closed its connection.", nil, cv(&n.ingress.panics))
+
 	r.GaugeFunc("nakika_load_score", "The node's load score (in-flight requests plus decayed recent work).", nil, n.LoadScore)
 
 	// The Go runtime's own counters, process-wide: what the request path

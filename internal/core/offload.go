@@ -266,7 +266,7 @@ func (n *Node) serveOffloadRPC(from string, msg transport.Message) (transport.Me
 		}
 		reply := transport.Message{Args: []string{loadview.FormatScore(n.meter.Score()), who}, Body: httpmsg.EncodeResponse(resp)}
 		// Recycle the staged request once the reply is encoded, unless a
-		// script handler saw it (same rule as ServeHTTP).
+		// script handler saw it (same rule as the client port's respond).
 		if trace == nil || !trace.RanHandlers() {
 			req.Release()
 		}

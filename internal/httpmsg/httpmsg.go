@@ -244,6 +244,14 @@ func NewTextResponse(status int, body string) *Response {
 	return r
 }
 
+// NewErrorResponse is the node's error reply, as http.Error writes one: the
+// message and a newline as text/plain, not to be sniffed.
+func NewErrorResponse(status int, msg string) *Response {
+	r := NewTextResponse(status, msg+"\n")
+	r.Header.Set("X-Content-Type-Options", "nosniff")
+	return r
+}
+
 // NewHTMLResponse builds a text/html response.
 func NewHTMLResponse(status int, body string) *Response {
 	r := NewResponse(status)
@@ -432,11 +440,7 @@ func fillFromHTTPRequest(req *Request, hr *http.Request, maxBody int64) error {
 		req.URL.Scheme = "http"
 	}
 	copyHeaderInto(req.Header, hr.Header)
-	host := hr.RemoteAddr
-	if i := strings.LastIndex(host, ":"); i > 0 {
-		host = host[:i]
-	}
-	req.ClientIP = strings.Trim(host, "[]")
+	req.ClientIP = ClientIP(hr.RemoteAddr)
 	if hr.Body == nil || hr.Body == http.NoBody || hr.ContentLength == 0 {
 		return nil
 	}
@@ -444,14 +448,14 @@ func fillFromHTTPRequest(req *Request, hr *http.Request, maxBody int64) error {
 		maxBody = math.MaxInt64 - 1
 	}
 	if hr.ContentLength > maxBody {
-		return fmt.Errorf("httpmsg: request body exceeds %d bytes", maxBody)
+		return bodyTooLarge(maxBody)
 	}
 	body, err := io.ReadAll(io.LimitReader(hr.Body, maxBody+1))
 	if err != nil {
 		return fmt.Errorf("httpmsg: read request body: %w", err)
 	}
 	if int64(len(body)) > maxBody {
-		return fmt.Errorf("httpmsg: request body exceeds %d bytes", maxBody)
+		return bodyTooLarge(maxBody)
 	}
 	req.Body = body
 	return nil
@@ -563,19 +567,30 @@ func (r *Request) ToHTTPRequest() (*http.Request, error) {
 // though they are not in the static RFC list.
 func connectionTokens(h http.Header) map[string]bool {
 	var named map[string]bool
-	for _, line := range h.Values("Connection") {
-		for _, tok := range strings.Split(line, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
+	anyListElement(h["Connection"], func(tok string) bool {
+		if named == nil {
+			named = make(map[string]bool, 2)
+		}
+		named[textproto.CanonicalMIMEHeaderKey(tok)] = true
+		return false
+	})
+	return named
+}
+
+// anyListElement calls f on each non-empty element of the comma-separated
+// lists in values, its blanks trimmed, and reports whether f returned true
+// for one; it stops there.
+func anyListElement(values []string, f func(elem string) bool) bool {
+	for _, v := range values {
+		for v != "" {
+			var elem string
+			elem, v, _ = strings.Cut(v, ",")
+			if elem = strings.Trim(elem, " \t"); elem != "" && f(elem) {
+				return true
 			}
-			if named == nil {
-				named = make(map[string]bool, 2)
-			}
-			named[textproto.CanonicalMIMEHeaderKey(tok)] = true
 		}
 	}
-	return named
+	return false
 }
 
 // FromHTTPResponse converts a net/http response into a pipeline Response,

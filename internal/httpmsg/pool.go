@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Pooled requests for the proxy hot path. The proxy boundary (ServeHTTP,
-// the offload executor, the benchmarks) allocates one Request per inbound
+// Pooled requests for the proxy hot path. The proxy boundary (the client
+// port, the offload executor, the benchmarks) allocates one Request per inbound
 // call; pooling them removes the request struct, its URL, and its header
 // map from the steady-state allocation profile.
 //
