@@ -68,6 +68,8 @@ var requiredSeries = []string{
 	"nakika_go_heap_alloc_bytes_total",
 	"nakika_ingress_rejected_total",
 	"nakika_ingress_panics_total",
+	"nakika_upstream_connections_total",
+	"nakika_upstream_idle_connections",
 	"nakika_request_seconds",
 }
 

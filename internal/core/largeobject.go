@@ -253,24 +253,6 @@ type StreamFetcher interface {
 	DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, error)
 }
 
-// DoStream implements StreamFetcher for the real HTTP client.
-func (f *HTTPFetcher) DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, error) {
-	client := f.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	hr, err := req.ToHTTPRequest()
-	if err != nil {
-		return StreamHead{}, nil, err
-	}
-	hresp, err := client.Do(hr)
-	if err != nil {
-		return StreamHead{}, nil, err
-	}
-	head := StreamHead{Status: hresp.StatusCode, Header: hresp.Header.Clone(), Length: hresp.ContentLength}
-	return head, hresp.Body, nil
-}
-
 // lobIngest tracks one in-flight streaming ingest so concurrent readers of
 // the same object can wait for the segment they need instead of refetching.
 type lobIngest struct {

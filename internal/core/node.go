@@ -31,7 +31,8 @@ import (
 )
 
 // Fetcher retrieves a resource from an upstream server. The default fetcher
-// uses net/http; tests and simulations inject in-process origins.
+// is HTTPFetcher (upstream.go); tests and simulations inject in-process
+// origins.
 type Fetcher interface {
 	Do(req *httpmsg.Request) (*httpmsg.Response, error)
 }
@@ -41,29 +42,6 @@ type FetcherFunc func(req *httpmsg.Request) (*httpmsg.Response, error)
 
 // Do implements Fetcher.
 func (f FetcherFunc) Do(req *httpmsg.Request) (*httpmsg.Response, error) { return f(req) }
-
-// HTTPFetcher fetches over real HTTP with net/http.
-type HTTPFetcher struct {
-	Client *http.Client
-}
-
-// Do implements Fetcher.
-func (f *HTTPFetcher) Do(req *httpmsg.Request) (*httpmsg.Response, error) {
-	client := f.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	hr, err := req.ToHTTPRequest()
-	if err != nil {
-		return nil, err
-	}
-	hresp, err := client.Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer hresp.Body.Close()
-	return httpmsg.FromHTTPResponse(hresp)
-}
 
 // Config configures an edge node.
 type Config struct {

@@ -256,6 +256,15 @@ func (n *Node) buildRegistry() {
 	}
 	r.CounterFunc("nakika_ingress_panics_total", "Panics recovered while serving a client connection; each closed its connection.", nil, cv(&n.ingress.panics))
 
+	up, _ := n.cfg.Upstream.(*HTTPFetcher)
+	if up == nil {
+		up = new(HTTPFetcher) // an injected upstream: the series read zero
+	}
+	r.CounterFunc("nakika_upstream_connections_total", "Origin connections by event: dialed, an idle one reused, a request sent again on a fresh one after a reused one failed.", metrics.Labels{"event": "dial"}, cv(&up.dials))
+	r.CounterFunc("nakika_upstream_connections_total", "", metrics.Labels{"event": "reuse"}, cv(&up.reuses))
+	r.CounterFunc("nakika_upstream_connections_total", "", metrics.Labels{"event": "retry"}, cv(&up.retries))
+	r.GaugeFunc("nakika_upstream_idle_connections", "Origin connections idle in the keep-alive pool.", nil, cv(&up.idleConns))
+
 	r.GaugeFunc("nakika_load_score", "The node's load score (in-flight requests plus decayed recent work).", nil, n.LoadScore)
 
 	// The Go runtime's own counters, process-wide: what the request path

@@ -102,6 +102,23 @@ var continueResponse = []byte("HTTP/1.1 100 Continue\r\n\r\n")
 // field is one header line's key and value, as offsets into the head.
 type field struct{ k0, k1, v0, v1 int }
 
+// msgReader is the reading half both sides of the codec share: a message
+// head and a body, over the connection's buffered reader. Reused across
+// messages: the head's bytes with line ends stripped, the [start, end) of
+// each of its lines, and the header fields.
+type msgReader struct {
+	br     *bufio.Reader
+	head   []byte
+	lines  []int
+	fields []field
+}
+
+// newMsgReader reads through a 4 KiB buffer, as net/http's server and
+// client both do.
+func newMsgReader(r io.Reader) msgReader {
+	return msgReader{br: bufio.NewReaderSize(r, 4<<10)}
+}
+
 // HTTP1Conn is the server side of one HTTP/1.x client connection. It is not
 // safe for concurrent use: a connection carries one request at a time, and
 // pipelined requests are read and answered in order.
@@ -112,30 +129,25 @@ type HTTP1Conn struct {
 	// caller clears it to close the connection after the next response.
 	KeepAlive bool
 
-	br       *bufio.Reader
+	msgReader
 	w        io.Writer
 	proto10  bool // the request being answered is HTTP/1.0
 	lastPOST bool // the previous request was a POST
 	served   bool // a request has been read
 
-	// Reused across requests: the head's bytes with line ends stripped, the
-	// [start, end) of each of its lines, the request line's method and
-	// target bounds, the header fields, the response head, the buffers of a
-	// response's one write, and the bytes a Content-Type is sniffed from.
-	head   []byte
-	lines  []int
+	// Reused across requests: the request line's method and target bounds,
+	// the response head, the buffers of a response's one write, and the
+	// bytes a Content-Type is sniffed from.
 	target [4]int
-	fields []field
 	out    []byte
 	bufs   [2][]byte
 	wbuf   net.Buffers
 	sniff  [512]byte
 }
 
-// NewHTTP1Conn returns the codec for a connection. It reads through a
-// 4 KiB buffer, as net/http's server does.
+// NewHTTP1Conn returns the codec for a connection.
 func NewHTTP1Conn(rw io.ReadWriter) *HTTP1Conn {
-	return &HTTP1Conn{br: bufio.NewReaderSize(rw, 4<<10), w: rw}
+	return &HTTP1Conn{msgReader: newMsgReader(rw), w: rw}
 }
 
 // Await blocks until the next request begins to arrive, and otherwise
@@ -173,7 +185,7 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 		c.br.Discard(leadingCRLF(peek))
 		c.lastPOST = false
 	}
-	if err := c.readHead(); err != nil {
+	if _, err := c.readHead(MaxHeaderBytes); err != nil {
 		return err
 	}
 	major, minor, err := c.scanRequestLine()
@@ -186,33 +198,17 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 	}
 	// One copy of the head; the method, target, keys and values are cut
 	// from it.
-	s := string(c.head)
+	h := req.Header
+	s := c.header(h)
 	req.Method = s[c.target[0]:c.target[1]]
 	if err := parseTarget(&req.urlBuf, req.Method, s[c.target[2]:c.target[3]]); err != nil {
 		return err
 	}
 	req.URL = &req.urlBuf
-	h := req.Header
-	if n := len(c.fields); n > 0 {
-		values := make([]string, n)
-		for i, f := range c.fields {
-			key := s[f.k0:f.k1]
-			values[i] = s[f.v0:f.v1]
-			if vs, ok := h[key]; ok {
-				h[key] = append(vs, values[i])
-			} else {
-				h[key] = values[i : i+1 : i+1]
-			}
-		}
-	}
 	if len(h["Host"]) > 1 {
 		return refuse(http.StatusBadRequest, ReasonHost, "too many Host headers")
 	}
-	if pragma := h["Pragma"]; len(pragma) > 0 && pragma[0] == "no-cache" {
-		if _, ok := h["Cache-Control"]; !ok {
-			h["Cache-Control"] = []string{"no-cache"}
-		}
-	}
+	fixPragma(h)
 	proto11 := major > 1 || major == 1 && minor >= 1
 	chunked := false
 	if te, ok := h["Transfer-Encoding"]; ok {
@@ -227,9 +223,12 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 			chunked = true
 		}
 	}
-	length, err := contentLength(h, chunked)
+	length, err := contentLength(h)
 	if err != nil {
 		return err
+	}
+	if chunked {
+		delete(h, "Content-Length")
 	}
 	if err := checkTrailer(h, chunked); err != nil {
 		return err
@@ -296,10 +295,11 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 	return nil
 }
 
-// readHead reads the request line and the header lines up to the blank
-// line that ends them into c.head, line ends stripped, and records each
-// line's bounds in c.lines. A line ends at "\n" or "\r\n".
-func (c *HTTP1Conn) readHead() error {
+// readHead reads the start line and the header lines up to the blank line
+// that ends them into c.head, line ends stripped, and records each line's
+// bounds in c.lines. A line ends at "\n" or "\r\n". It returns the bytes it
+// read, and refuses a head of more than limit of them.
+func (c *msgReader) readHead(limit int) (int, error) {
 	if cap(c.head) > 64<<10 {
 		c.head = nil // an outsized head does not stay with the connection
 	}
@@ -309,8 +309,8 @@ func (c *HTTP1Conn) readHead() error {
 		start := len(c.head)
 		for {
 			frag, err := c.br.ReadSlice('\n')
-			if read += len(frag); read > MaxHeaderBytes {
-				return refuse(http.StatusRequestHeaderFieldsTooLarge, ReasonHeaderTooLarge, "request header too large")
+			if read += len(frag); read > limit {
+				return read, refuse(http.StatusRequestHeaderFieldsTooLarge, ReasonHeaderTooLarge, "header too large")
 			}
 			c.head = append(c.head, frag...)
 			if err == nil {
@@ -320,7 +320,7 @@ func (c *HTTP1Conn) readHead() error {
 				if err == io.EOF && read > 0 {
 					err = io.ErrUnexpectedEOF
 				}
-				return err
+				return read, err
 			}
 		}
 		end := len(c.head) - 1
@@ -329,7 +329,7 @@ func (c *HTTP1Conn) readHead() error {
 		}
 		c.head = c.head[:end]
 		if end == start && len(c.lines) > 0 {
-			return nil
+			return read, nil
 		}
 		c.lines = append(c.lines, start, end)
 	}
@@ -367,7 +367,7 @@ func (c *HTTP1Conn) scanRequestLine() (major, minor int, err error) {
 // with a space in it passes here, as in net/textproto, and is reported in
 // badName for the caller to refuse after the checks net/http makes first.
 // Keys are canonicalized in place.
-func (c *HTTP1Conn) scanFields() (badName bool, err error) {
+func (c *msgReader) scanFields() (badName bool, err error) {
 	c.fields = c.fields[:0]
 	for i := 2; i < len(c.lines); i += 2 {
 		l0, l1 := c.lines[i], c.lines[i+1]
@@ -401,6 +401,35 @@ func (c *HTTP1Conn) scanFields() (badName bool, err error) {
 		c.fields = append(c.fields, field{l0, l0 + colon, v0, l1})
 	}
 	return badName, nil
+}
+
+// header copies the head into one string and cuts the header fields' keys
+// and values from it into h, values in order. It returns the string.
+func (c *msgReader) header(h http.Header) string {
+	s := string(c.head)
+	if n := len(c.fields); n > 0 {
+		values := make([]string, n)
+		for i, f := range c.fields {
+			key := s[f.k0:f.k1]
+			values[i] = s[f.v0:f.v1]
+			if vs, ok := h[key]; ok {
+				h[key] = append(vs, values[i])
+			} else {
+				h[key] = values[i : i+1 : i+1]
+			}
+		}
+	}
+	return s
+}
+
+// fixPragma adds Cache-Control: no-cache beside an HTTP/1.0 Pragma:
+// no-cache, as net/http does for requests and responses alike.
+func fixPragma(h http.Header) {
+	if pragma := h["Pragma"]; len(pragma) > 0 && pragma[0] == "no-cache" {
+		if _, ok := h["Cache-Control"]; !ok {
+			h["Cache-Control"] = []string{"no-cache"}
+		}
+	}
 }
 
 // parseTarget parses the request target into u: url.ParseRequestURI's
@@ -450,36 +479,30 @@ func originForm(u *url.URL, target string) bool {
 	return true
 }
 
-// contentLength applies net/http's framing rules to the Content-Length
-// lines: repeats must agree and collapse to one, the value is a decimal
-// number, and chunked framing drops the header. It returns -1 for a chunked
-// body, else the body's length.
-func contentLength(h http.Header, chunked bool) (int64, error) {
+// contentLength applies net/http's rules to the Content-Length lines:
+// repeats must agree and collapse to one, and the value is a decimal
+// number. It returns -1 when there is none; with chunked framing the caller
+// drops the header.
+func contentLength(h http.Header) (int64, error) {
 	cls := h["Content-Length"]
+	if len(cls) == 0 {
+		return -1, nil
+	}
+	v := textproto.TrimString(cls[0])
 	if len(cls) > 1 {
-		first := textproto.TrimString(cls[0])
-		for _, v := range cls[1:] {
-			if textproto.TrimString(v) != first {
+		for _, other := range cls[1:] {
+			if textproto.TrimString(other) != v {
 				return 0, badHeader("conflicting Content-Length")
 			}
 		}
-		cls = []string{first}
-		h["Content-Length"] = cls
+		h["Content-Length"] = []string{v}
 	}
-	var n uint64
-	if len(cls) > 0 {
-		v := textproto.TrimString(cls[0])
-		if v == "" {
-			return 0, badHeader("empty Content-Length")
-		}
-		var err error
-		if n, err = strconv.ParseUint(v, 10, 63); err != nil {
-			return 0, badHeader("bad Content-Length")
-		}
+	if v == "" {
+		return 0, badHeader("empty Content-Length")
 	}
-	if chunked {
-		delete(h, "Content-Length")
-		return -1, nil
+	n, err := strconv.ParseUint(v, 10, 63)
+	if err != nil {
+		return 0, badHeader("bad Content-Length")
 	}
 	return int64(n), nil
 }
@@ -507,7 +530,7 @@ func checkTrailer(h http.Header, chunked bool) error {
 // limits: a chunk-size line fits the read buffer, chunk extensions are
 // dropped, and the bytes spent on framing stay within 16 KiB plus twice
 // the data.
-func (c *HTTP1Conn) readChunked(maxBody int64) ([]byte, error) {
+func (c *msgReader) readChunked(maxBody int64) ([]byte, error) {
 	body := []byte{}
 	var excess int64
 	for {
@@ -560,12 +583,12 @@ func (c *HTTP1Conn) readChunked(maxBody int64) ([]byte, error) {
 	return body, c.skipTrailer()
 }
 
-// appendBody appends the next n bytes of the request to dst. The buffer
+// appendBody appends the next n bytes of the message to dst. The buffer
 // grows with the bytes that arrive, by at most what dst and the read
 // buffer already hold (512 bytes at first): a declared length alone buys
 // no allocation, and a client that declares 8 MiB and sends ten bytes
 // holds about half a kilobyte of the node's memory, not 8 MiB.
-func (c *HTTP1Conn) appendBody(dst []byte, n int64) ([]byte, error) {
+func (c *msgReader) appendBody(dst []byte, n int64) ([]byte, error) {
 	want := len(dst) + int(n)
 	for len(dst) < want {
 		if len(dst) == cap(dst) {
@@ -585,7 +608,7 @@ func (c *HTTP1Conn) appendBody(dst []byte, n int64) ([]byte, error) {
 // As net/http requires, a trailer must end within the read buffer, and its
 // lines pass net/textproto's checks (which, unlike the head's, allow
 // folding).
-func (c *HTTP1Conn) skipTrailer() error {
+func (c *msgReader) skipTrailer() error {
 	peek, err := c.br.Peek(2)
 	if len(peek) == 2 && peek[0] == '\r' && peek[1] == '\n' {
 		c.br.Discard(2)
@@ -629,7 +652,7 @@ func (c *HTTP1Conn) skipTrailer() error {
 
 // readLine reads one line, its line end stripped. A last line the
 // connection ends without a line end is a line, as in net/textproto.
-func (c *HTTP1Conn) readLine() ([]byte, error) {
+func (c *msgReader) readLine() ([]byte, error) {
 	var line []byte
 	for {
 		frag, err := c.br.ReadSlice('\n')

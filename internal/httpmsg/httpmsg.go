@@ -6,17 +6,17 @@
 // the paper) so that the resource can be correctly transcoded. The types here
 // are deliberately independent of net/http so they can flow between the
 // proxy, the cache, the script vocabularies, and the overlay without carrying
-// connection state; conversion helpers to and from net/http live at the
-// bottom of this file.
+// connection state. The node's own HTTP/1.x codec reads and writes them on
+// the wire: http1.go on the client port, client.go towards origins. The
+// conversions ServeHTTP still makes from and to net/http live at the bottom
+// of this file.
 package httpmsg
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"net/textproto"
 	"net/url"
 	"strconv"
 	"strings"
@@ -537,46 +537,6 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ToHTTPRequest converts a pipeline request to an outbound net/http request
-// for fetching from the origin.
-func (r *Request) ToHTTPRequest() (*http.Request, error) {
-	var body io.Reader
-	if len(r.Body) > 0 {
-		body = bytes.NewReader(r.Body)
-	}
-	hr, err := http.NewRequest(r.Method, r.URL.String(), body)
-	if err != nil {
-		return nil, fmt.Errorf("httpmsg: build outbound request: %w", err)
-	}
-	connNamed := connectionTokens(r.Header)
-	for k, vs := range r.Header {
-		// Hop-by-hop headers must not be forwarded (RFC 7230 §6.1) — both
-		// the static set and anything the Connection header names.
-		if isHopByHop(k) || connNamed[textproto.CanonicalMIMEHeaderKey(k)] {
-			continue
-		}
-		for _, v := range vs {
-			hr.Header.Add(k, v)
-		}
-	}
-	return hr, nil
-}
-
-// connectionTokens returns the set of header names (canonicalized) listed in
-// the Connection header; those headers are hop-by-hop for this message even
-// though they are not in the static RFC list.
-func connectionTokens(h http.Header) map[string]bool {
-	var named map[string]bool
-	anyListElement(h["Connection"], func(tok string) bool {
-		if named == nil {
-			named = make(map[string]bool, 2)
-		}
-		named[textproto.CanonicalMIMEHeaderKey(tok)] = true
-		return false
-	})
-	return named
-}
-
 // anyListElement calls f on each non-empty element of the comma-separated
 // lists in values, its blanks trimmed, and reports whether f returned true
 // for one; it stops there.
@@ -591,39 +551,6 @@ func anyListElement(values []string, f func(elem string) bool) bool {
 		}
 	}
 	return false
-}
-
-// FromHTTPResponse converts a net/http response into a pipeline Response,
-// reading the full body (the pipeline operates on complete instances).
-func FromHTTPResponse(hr *http.Response) (*Response, error) {
-	resp := &Response{
-		Status:  hr.StatusCode,
-		Header:  cloneHeader(hr.Header),
-		Fetched: time.Now(),
-	}
-	if hr.Body != nil {
-		body, err := io.ReadAll(hr.Body)
-		if err != nil {
-			return nil, fmt.Errorf("httpmsg: read response body: %w", err)
-		}
-		resp.Body = body
-	}
-	return resp, nil
-}
-
-var hopByHopHeaders = map[string]bool{
-	"Connection":          true,
-	"Keep-Alive":          true,
-	"Proxy-Authenticate":  true,
-	"Proxy-Authorization": true,
-	"Te":                  true,
-	"Trailer":             true,
-	"Transfer-Encoding":   true,
-	"Upgrade":             true,
-}
-
-func isHopByHop(name string) bool {
-	return hopByHopHeaders[textproto.CanonicalMIMEHeaderKey(name)]
 }
 
 // cloneHeader deep-copies a header in two allocations: the map and one flat

@@ -313,47 +313,6 @@ func TestSharedCachePolicy(t *testing.T) {
 	}
 }
 
-func TestHTTPConversion(t *testing.T) {
-	// Round-trip through net/http types using a live test server.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("X-Forwarded-Test") != "yes" {
-			t.Error("header not forwarded")
-		}
-		w.Header().Set("Content-Type", "text/plain")
-		w.Header().Set("Cache-Control", "max-age=60")
-		w.WriteHeader(200)
-		if _, err := w.Write([]byte("origin content")); err != nil {
-			t.Error(err)
-		}
-	}))
-	defer srv.Close()
-
-	req := MustRequest("GET", srv.URL+"/resource")
-	req.Header.Set("X-Forwarded-Test", "yes")
-	req.Header.Set("Connection", "keep-alive") // hop-by-hop: must be dropped
-	hr, err := req.ToHTTPRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr.Header.Get("Connection") != "" {
-		t.Error("hop-by-hop header should be dropped")
-	}
-	hresp, err := http.DefaultClient.Do(hr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := FromHTTPResponse(hresp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != 200 || string(resp.Body) != "origin content" {
-		t.Errorf("resp = %d %q", resp.Status, resp.Body)
-	}
-	if fresh, _ := FreshFor(resp.Header, time.Now()); fresh != 60*time.Second {
-		t.Error("cache-control lost in conversion")
-	}
-}
-
 func TestFromHTTPRequest(t *testing.T) {
 	hr := httptest.NewRequest("POST", "http://site.example.org/form", strings.NewReader("a=1&b=2"))
 	hr.RemoteAddr = "192.168.1.50:54321"

@@ -362,54 +362,6 @@ func TestCacheableRejects304(t *testing.T) {
 	}
 }
 
-func TestToHTTPRequestStripsConnectionTokens(t *testing.T) {
-	req := MustRequest("GET", "http://example.org/x")
-	req.Header.Set("Connection", "x-internal-token, close")
-	req.Header.Set("X-Internal-Token", "secret")
-	req.Header.Set("X-Forwarded-Ok", "yes")
-	req.Header.Set("Keep-Alive", "timeout=5")
-	hr, err := req.ToHTTPRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hr.Header.Get("X-Internal-Token"); got != "" {
-		t.Errorf("Connection-named header forwarded: %q", got)
-	}
-	if hr.Header.Get("Connection") != "" || hr.Header.Get("Keep-Alive") != "" {
-		t.Error("static hop-by-hop headers forwarded")
-	}
-	if hr.Header.Get("X-Forwarded-Ok") != "yes" {
-		t.Error("end-to-end header dropped")
-	}
-}
-
-func TestToHTTPRequestBody(t *testing.T) {
-	// Bodyless request: no reader at all, so net/http sends no
-	// Content-Length: 0 / chunked framing on GETs.
-	get := MustRequest("GET", "http://example.org/x")
-	hr, err := get.ToHTTPRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr.Body != nil {
-		t.Error("bodyless request got a body reader")
-	}
-
-	post := MustRequest("POST", "http://example.org/x")
-	post.Body = []byte("payload")
-	hr, err = post.ToHTTPRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr.ContentLength != 7 {
-		t.Errorf("ContentLength = %d", hr.ContentLength)
-	}
-	b, _ := io.ReadAll(hr.Body)
-	if string(b) != "payload" {
-		t.Errorf("body = %q", b)
-	}
-}
-
 func TestSetBodyDropsStream(t *testing.T) {
 	resp := NewResponse(200)
 	resp.SetStream(&memStream{data: []byte("streamed")})

@@ -41,7 +41,9 @@ type Fetcher = core.Fetcher
 // FetcherFunc adapts a function to the Fetcher interface.
 type FetcherFunc = core.FetcherFunc
 
-// HTTPFetcher is a Fetcher backed by net/http.
+// HTTPFetcher is the Fetcher a node uses when Config.Upstream is nil:
+// HTTP/1.1 with the node's own codec, connections kept alive per origin,
+// redirects relayed rather than followed.
 type HTTPFetcher = core.HTTPFetcher
 
 // Directory locates peer nodes for cooperative caching.
