@@ -1,8 +1,8 @@
 // Command nakika-bench does two jobs. It reproduces the figures of the
 // paper's Section 5 that no benchmark/ workload can show (Table 2, the
 // Section 5.1 cost breakdown and resource controls, Figure 7's wide-area
-// model, the Section 5.4 extension sizes), and it produces the deterministic
-// counts CI gates against bench/baseline. Timing, throughput and per-layer
+// model, the Section 5.4 extension sizes), and it writes the deterministic
+// results committed under bench/baseline. Timing, throughput and per-layer
 // cost are measured by benchmark/run.sh, not here.
 //
 // Alongside the human-readable tables, each experiment writes a
@@ -14,25 +14,23 @@
 //	nakika-bench -experiment all
 //	nakika-bench -experiment table2 -iterations 10
 //	nakika-bench -experiment figure7 -duration 60s -json results/
-//	nakika-bench -experiment replication -json out/ -baseline bench/baseline
+//	nakika-bench -experiment replication -json bench/baseline
 //
 // -experiment takes one name from the experiments table below, or all; any
 // other name exits 2.
 //
-// With -baseline, the freshly written BENCH_*.json files are compared
-// against the committed baselines after the run: any tracked metric more
-// than -regress-threshold above its baseline fails the process (exit 1) —
-// the CI bench-regression gate. Only virtual-clock, message-count,
-// allocation-count and fetch-count metrics are tracked, so the gate is
-// deterministic across machines.
+// Each bench/baseline/BENCH_<e>.json is a golden: TestGoldens runs
+// experiment <e> at the flags' defaults and requires the file it writes to
+// equal the committed one byte for byte. The last usage line above is how a
+// golden is rewritten, in the change that moves its numbers and says why.
+// The throughput and metrics experiments print allocation counts only;
+// their ceilings are tests in internal/state and internal/bench.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -55,7 +53,8 @@ type experiment struct {
 }
 
 // experiments is every experiment there is, in the order -experiment all
-// runs them: the paper's figures first, then the six CI gates.
+// runs them: the paper's figures first, then the message, allocation and
+// fetch counts.
 var experiments = []experiment{
 	{"table2", runTable2},
 	{"breakdown", runBreakdown},
@@ -94,17 +93,20 @@ func selectExperiments(name string) ([]experiment, error) {
 	return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", name, experimentNames())
 }
 
+// defaultOptions are the flags' defaults, the options the goldens are
+// written at.
+func defaultOptions() options {
+	return options{iterations: 10, duration: 30 * time.Second, loadDuration: 2 * time.Second}
+}
+
 func main() {
-	var o options
+	o := defaultOptions()
 	name := flag.String("experiment", "all", "experiment to run ("+experimentNames()+", all)")
-	flag.IntVar(&o.iterations, "iterations", 10, "iterations per micro-benchmark measurement")
-	flag.DurationVar(&o.duration, "duration", 30*time.Second, "virtual duration for the wide-area simulation")
-	flag.DurationVar(&o.loadDuration, "load-duration", 2*time.Second, "wall-clock duration of each resource-control load test")
-	flag.BoolVar(&o.cdf, "cdf", false, "print full CDF series for figure7")
+	flag.IntVar(&o.iterations, "iterations", o.iterations, "iterations per micro-benchmark measurement")
+	flag.DurationVar(&o.duration, "duration", o.duration, "virtual duration for the wide-area simulation")
+	flag.DurationVar(&o.loadDuration, "load-duration", o.loadDuration, "wall-clock duration of each resource-control load test")
+	flag.BoolVar(&o.cdf, "cdf", o.cdf, "print full CDF series for figure7")
 	jsonDir := flag.String("json", ".", "directory for machine-readable BENCH_*.json results (empty: disabled)")
-	baseline := flag.String("baseline", "", "baseline directory to gate the fresh BENCH_*.json results against (empty: no gate)")
-	threshold := flag.Float64("regress-threshold", 0.20, "fractional regression that fails the -baseline gate")
-	memprofile := flag.String("memprofile", "", "write a pprof allocation profile here after the experiments run (empty: disabled)")
 	flag.Parse()
 
 	selected, err := selectExperiments(*name)
@@ -128,36 +130,6 @@ func main() {
 			fmt.Printf("wrote %s\n", path)
 		}
 		fmt.Println()
-	}
-
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote allocation profile to %s\n", *memprofile)
-	}
-
-	// The bench-regression gate: compare whatever this run produced
-	// against the committed baselines and fail on a tracked-metric
-	// regression.
-	if *baseline != "" && *jsonDir != "" {
-		regs, notes, err := bench.CompareBenchDirs(*baseline, *jsonDir, *threshold)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench gate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatRegressions(regs, notes, *threshold))
-		if len(regs) > 0 {
-			os.Exit(1)
-		}
 	}
 }
 

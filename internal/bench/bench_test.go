@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -201,15 +200,32 @@ func TestRunSIMMMoreClientsMoreLatencyForSingleServer(t *testing.T) {
 	}
 }
 
-// TestFigure7Reproducible pins what makes BENCH_figure7.json comparable
-// between runs and hosts: the sweep is a function of its duration alone.
-func TestFigure7Reproducible(t *testing.T) {
-	a, b := RunFigure7(5*time.Second), RunFigure7(5*time.Second)
-	if len(a) != 9 {
-		t.Fatalf("figure 7 has %d curves, want 3 client counts x 3 modes", len(a))
+// TestReplicationCostDeterministic pins the property BENCH_replication.json
+// depends on: the experiment's rows are identical run to run (they are
+// virtual-clock and message-count derived, never wall clock).
+func TestReplicationCostDeterministic(t *testing.T) {
+	run := func() []ReplicationResult {
+		rows, err := RunReplicationCost([]int{1, 3}, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("two runs of the same sweep differ:\n%+v\nvs\n%+v", a, b)
+	a, b := run(), run()
+	if len(a) != 2 || len(a) != len(b) {
+		t.Fatalf("rows = %d/%d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("row %d diverged between runs:\n%+v\nvs\n%+v", i, a[i], b[i])
+		}
+	}
+	// Replication must cost messages: each extra copy is a push per write.
+	if a[1].WriteMsgsPerOp <= a[0].WriteMsgsPerOp {
+		t.Errorf("factor 3 writes (%v msgs/op) should cost more than factor 1 (%v)", a[1].WriteMsgsPerOp, a[0].WriteMsgsPerOp)
+	}
+	if a[1].FailoverReads == 0 || a[1].FailoverMsgsPerOp <= a[1].ReadMsgsPerOp {
+		t.Errorf("failover reads should pay a detour: %+v", a[1])
 	}
 }
 

@@ -9,18 +9,19 @@ import (
 
 // The metrics experiment: what the observability plane costs on the hot
 // path. The warm single-node proxy loop — the same loop the throughput
-// experiment gates — runs twice, once with the plane enabled (the
+// experiment measures — runs twice, once with the plane enabled (the
 // default: trace ids minted, the latency histogram observed, one sample
 // recorded into the trace ring per request) and once with
 // Config.NoObserve (no registry, no ring, no ids — the node behaves like
 // a build without the plane). The delta is the plane's whole price.
 //
-// Alloc counts are deterministic for a fixed Go toolchain, so both
-// sides' allocs/op and bytes/op are gated hard by the regression gate.
+// Alloc counts are deterministic for a fixed Go toolchain, so both sides'
+// allocs/op and bytes/op, and their difference, are tier-1 ceilings
+// (TestWarmProxyHitAllocBudget runs this experiment).
 // What the plane costs in time is benchmark/'s
 // observe.handle_delta_ns_per_req.
 
-// MetricsCostResult is the experiment payload written to
+// MetricsCostResult is the experiment's payload, written to
 // BENCH_metrics.json.
 type MetricsCostResult struct {
 	// Enabled is the warm proxy loop with the observability plane on —

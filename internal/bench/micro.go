@@ -7,11 +7,12 @@
 // wide-area SIMM model on the simnet simulator (RunFigure7), and the
 // Section 5.4 extension sizes (Extensions).
 //
-// And it produces the deterministic counts CI gates against
-// bench/baseline/BENCH_*.json (TrackedMetrics, CompareBenchDirs): message
-// counts and virtual time for replication, offload and leases, allocations
-// per warm request for the data plane and the observability plane, origin
-// fetch counts for the large-object tier.
+// And it produces deterministic counts, gated exactly in tier-1. Message
+// counts and virtual time for replication, offload and leases, origin fetch
+// counts for the large-object tier and Figure 7's curves are byte-exact
+// goldens (bench/baseline/BENCH_*.json, compared by cmd/nakika-bench's
+// TestGoldens). Allocations per warm request, for the data plane and the
+// observability plane, are ceilings (TestWarmProxyHitAllocBudget).
 //
 // Timing, throughput and per-layer cost are benchmark/'s job, not this
 // package's: nothing here that is gated reads the wall clock.
