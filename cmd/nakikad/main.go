@@ -14,10 +14,10 @@
 //	nakikad -listen :8081 -name edge-2 -rpc :9092 -peers edge-1=host1:9091
 //
 // A cluster node keeps its overlay and its replica sets in shape with one
-// maintenance round, core.Node.Maintain, every 5 s: stabilization, a
-// pending catch-up, repair (a full pass on every sixth round, about every
-// 30 s, and whenever stabilization flags churn), publish retries, RTT
-// re-probes and a deployment sync. At boot it runs only the catch-up, the
+// maintenance round, core.Node.Maintain, every 5 s: a ping round over its
+// ring neighbours, a pending catch-up, repair (a full pass on every sixth
+// round, about every 30 s, and whenever the pings change the node's
+// neighbours), publish retries, RTT re-probes and a deployment sync. At boot it runs only the catch-up, the
 // pull of the key range it owns, since its peers may not listen yet; the
 // rounds retry the pull until it succeeds.
 //

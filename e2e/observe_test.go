@@ -57,6 +57,7 @@ var requiredSeries = []string{
 	"nakika_replication_catchup_pending",
 	"nakika_replication_repairs_total",
 	"nakika_overlay_publishes_pending",
+	"nakika_overlay_view_digest",
 	"nakika_maintenance_rounds_total",
 	"nakika_offload_executed_total",
 	"nakika_offload_forwarded_total",
@@ -88,6 +89,20 @@ func adminGet(addr, path string) (int, string, error) {
 	return resp.StatusCode, string(body), nil
 }
 
+// viewDigest reads a node's nakika_overlay_view_digest sample.
+func viewDigest(addr string) (string, error) {
+	status, body, err := adminGet(addr, "/metrics")
+	if err != nil || status != 200 {
+		return "", fmt.Errorf("/metrics: status %d, err %v", status, err)
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "nakika_overlay_view_digest "); ok {
+			return v, nil
+		}
+	}
+	return "", fmt.Errorf("no nakika_overlay_view_digest sample")
+}
+
 // dumpTraces fetches and decodes a node's /admin/traces.
 func dumpTraces(addr string, n int) (admin.TraceDump, error) {
 	var dump admin.TraceDump
@@ -114,6 +129,32 @@ func TestAdminSurfaceOnLiveClusterMidBurst(t *testing.T) {
 	c := startCluster(t, 4, "-offload-threshold", "1.0")
 	nodes := len(c.nodes)
 	const ingress = 0
+
+	// After boot and before any kill, every node holds the same view: the
+	// same members and no suspect. A node whose first ping round ran before
+	// a peer listened suspects it until its next round, 5 s later, so the
+	// check polls across two rounds.
+	var digests []string
+	for deadline := time.Now().Add(12 * time.Second); ; time.Sleep(250 * time.Millisecond) {
+		digests = digests[:0]
+		for i := 0; i < nodes; i++ {
+			d, err := viewDigest(c.adminAddr[i])
+			if err != nil {
+				t.Fatalf("edge-%d: %v", i, err)
+			}
+			digests = append(digests, d)
+		}
+		agree := true
+		for _, d := range digests {
+			agree = agree && d == digests[0]
+		}
+		if agree {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("view digests differ after boot: %v", digests)
+		}
+	}
 
 	// The burst: concurrent clients hammering the one ingress node with
 	// registrations and profile reads — the flash crowd that drives its

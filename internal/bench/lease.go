@@ -70,7 +70,7 @@ func RunLease() (LeaseResult, error) {
 	res := LeaseResult{Nodes: leaseBenchNodes, Ops: leaseBenchOps}
 	c, err := cluster.New(cluster.Config{
 		N: leaseBenchNodes, Seed: leaseBenchSeed, Latency: time.Millisecond,
-		Manual: true, Persist: true,
+		Persist: true,
 	}, cluster.NewCountingOrigin())
 	if err != nil {
 		return res, err

@@ -76,7 +76,6 @@ func offBenchCluster(threshold float64, hedge time.Duration) (*cluster.Cluster, 
 		N:                offBenchNodes,
 		Seed:             offBenchSeed,
 		Latency:          time.Millisecond,
-		Manual:           true,
 		OffloadThreshold: threshold,
 		HedgeAfter:       hedge,
 		LoadHalfLife:     offBenchHalfLife,

@@ -43,7 +43,7 @@ type ReplicationResult struct {
 }
 
 // RunReplicationCost measures the replication-cost experiment for each
-// factor: boot a converged 8-node manual-maintenance ring over the
+// factor: boot an 8-node ring over the
 // deterministic simulated transport, run a write burst through one entry
 // node, read everything back, then crash one owner and read its keys
 // through failover.
@@ -51,7 +51,7 @@ func RunReplicationCost(factors []int, writes int) ([]ReplicationResult, error) 
 	const site = "bench.example.org"
 	var out []ReplicationResult
 	for _, k := range factors {
-		c, err := cluster.New(cluster.Config{N: 8, Seed: 1, Latency: time.Millisecond, Manual: true, Replication: k}, cluster.NewCountingOrigin())
+		c, err := cluster.New(cluster.Config{N: 8, Seed: 1, Latency: time.Millisecond, Replication: k}, cluster.NewCountingOrigin())
 		if err != nil {
 			return nil, err
 		}

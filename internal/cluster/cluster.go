@@ -31,9 +31,6 @@ type Config struct {
 	Latency time.Duration
 	// Regions are assigned round-robin; empty means three default regions.
 	Regions []string
-	// Manual switches the overlay to incremental maintenance
-	// (Stabilize/FixFingers) instead of instant convergence.
-	Manual bool
 	// Persist gives every node a persistent data directory — an in-memory
 	// store.FS keyed by node name, so the harness stays hermetic and
 	// deterministic — that survives crash/restart: a crashed node comes
@@ -104,7 +101,6 @@ func New(cfg Config, origin core.Fetcher) (*Cluster, error) {
 	sim := transport.NewSim(transport.SimConfig{Seed: cfg.Seed, DefaultLatency: cfg.Latency})
 	ring := overlay.NewRing()
 	ring.Transport = sim
-	ring.ManualMaintenance = cfg.Manual
 	c := &Cluster{Sim: sim, Ring: ring, cfg: cfg, nodes: make(map[string]*core.Node), fss: make(map[string]*store.MemFS)}
 	for i := 0; i < cfg.N; i++ {
 		if _, err := c.boot(i, origin); err != nil {
@@ -246,8 +242,8 @@ func (c *Cluster) Live(name string) bool { return !c.Sim.Crashed(name) }
 // StabilizeAll runs maintenance rounds. Each round executes the fault
 // DSL's deferred deploys, then runs one core.Node.Maintain — the round
 // nakikad runs every 5 s — on every live node in name order. A crashed
-// process runs no maintenance: letting it would wipe the routing tables it
-// needs intact to rejoin on restart. A node whose catch-up has failed
+// process runs no maintenance: its pings would fail and it would come back
+// suspecting every member. A node whose catch-up has failed
 // catchUpStallRounds pulls is reported through Err.
 func (c *Cluster) StabilizeAll(rounds int) {
 	for i := 0; i < rounds; i++ {
@@ -378,7 +374,7 @@ func (c *Cluster) CheckLookupConvergence(urls ...string) error {
 			if !c.Live(name) {
 				continue
 			}
-			got, _, err := c.nodes[name].Overlay().LookupName(key)
+			got, err := c.nodes[name].Overlay().LookupName(key)
 			if err != nil {
 				bad = append(bad, fmt.Sprintf("%s: lookup %q: %v", name, url, err))
 				continue
@@ -398,7 +394,7 @@ func (c *Cluster) CheckLookupConvergence(urls ...string) error {
 // of url, sorted.
 func (c *Cluster) Holders(node, url string) []string {
 	key := httpmsg.MustRequest("GET", url).CacheKey()
-	holders, _ := c.nodes[node].Overlay().Locate(key)
+	holders := c.nodes[node].Overlay().Locate(key)
 	sort.Strings(holders)
 	return holders
 }

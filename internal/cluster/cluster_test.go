@@ -310,3 +310,30 @@ func TestPartitionMidStampedeDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintenanceRoundMessageBudget pins what the overlay's maintenance
+// costs: on a converged ring, one Stabilize pings the node's predecessor and
+// its successors, each once, so a node sends at most min(N-1, 4+1) overlay
+// messages a round, whatever the ring's size.
+func TestMaintenanceRoundMessageBudget(t *testing.T) {
+	for _, n := range []int{3, 5, 8, 16} {
+		c, err := New(Config{N: n, Seed: 1, Latency: time.Millisecond}, NewCountingOrigin())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.StabilizeAll(2)
+		budget := min(n-1, 5)
+		total := int64(0)
+		for _, name := range c.Names() {
+			before := c.Sim.Stats()
+			c.NodeByName(name).Overlay().Stabilize()
+			after := c.Sim.Stats()
+			sent := after.Delivered + after.Dropped + after.Blocked - before.Delivered - before.Dropped - before.Blocked
+			if sent > int64(budget) {
+				t.Errorf("N=%d: %s sent %d overlay messages in one round, budget %d", n, name, sent, budget)
+			}
+			total += sent
+		}
+		t.Logf("N=%d: %.2f overlay messages per node per round (budget %d)", n, float64(total)/float64(n), budget)
+	}
+}

@@ -37,7 +37,7 @@ func deployBundle(marker string) string {
 }
 
 // runDeployChurnScenario is the deployment acceptance scenario: a 6-node
-// manual-maintenance ring with factor-3 replication serves scripted
+// ring with factor-3 replication serves scripted
 // traffic from a deployed bundle while the fault DSL crashes one node,
 // publishes a new script version mid-churn, and restarts the dead node.
 // Every response must come from exactly one script version (v1 or v2,
@@ -153,7 +153,7 @@ func TestDeployMidChurnConverges(t *testing.T) {
 //
 // The partition is cut along ring geometry (which depends only on node
 // names, never on the seed): the record's owner and its first successor on
-// one side, everything else on the other. With routing tables left intact
+// one side, everything else on the other. With every view left intact
 // (no maintenance runs while split), the owner's write acks on its in-side
 // replica, and the far side's owner-routing walks the successor order past
 // the two unreachable candidates to an acting owner whose own replica

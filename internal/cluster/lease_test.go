@@ -52,7 +52,7 @@ func pickNode(c *Cluster, avoid ...string) string {
 // fingerprint of every deterministic observable.
 func runLeaseHandoverScenario(t *testing.T, seed int64) string {
 	t.Helper()
-	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Manual: true, Persist: true}, NewCountingOrigin())
+	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Persist: true}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestLeaseHandoverDeterministic(t *testing.T) {
 // the same token, never two.
 func TestLeaseGrantOwnerDiesBeforeReplicaAck(t *testing.T) {
 	seed := 51 + seedOffset()
-	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Manual: true, Persist: true}, NewCountingOrigin())
+	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Persist: true}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}

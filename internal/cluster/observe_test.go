@@ -64,7 +64,7 @@ func leaseScriptOrigin() *CountingOrigin {
 // denial on the second (the lease is still held), and the release on the
 // third once the holder lets go.
 func TestScriptLeaseActivityLandsOnTraceSample(t *testing.T) {
-	c, err := New(Config{N: 5, Seed: 7, Latency: time.Millisecond, Manual: true}, leaseScriptOrigin())
+	c, err := New(Config{N: 5, Seed: 7, Latency: time.Millisecond}, leaseScriptOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func hedgeScriptOrigin() *CountingOrigin {
 // owner's round trip always exceeds: once the first read trains the RTT
 // estimate, subsequent requests' samples must record the hedged read.
 func TestScriptHedgedReadLandsOnTraceSample(t *testing.T) {
-	c, err := New(Config{N: 5, Seed: 11, Latency: time.Millisecond, Manual: true,
+	c, err := New(Config{N: 5, Seed: 11, Latency: time.Millisecond,
 		HedgeAfter: 10 * time.Microsecond}, hedgeScriptOrigin())
 	if err != nil {
 		t.Fatal(err)

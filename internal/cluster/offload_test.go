@@ -23,9 +23,9 @@ func newZipf(r *rand.Rand, s float64, imax uint64) func() uint64 {
 	return z.Uint64
 }
 
-// The offload acceptance scenario: a 16-node manual-maintenance ring with
-// load-aware offload and hedged reads enabled, zipf-skewed traffic all
-// arriving at one ingress node. Offload must spread execution so no node
+// The offload acceptance scenario: a 16-node ring with load-aware offload
+// and hedged reads enabled, zipf-skewed traffic all arriving at one
+// ingress node. Offload must spread execution so no node
 // runs more than twice the cluster-mean request count, and hedged reads
 // must bound the p99 virtual-clock read latency under one slow replica.
 // Everything runs on the simulated transport's virtual clock, so repeat
@@ -64,7 +64,6 @@ func bootOffload(t *testing.T, seed int64, threshold float64, hedge time.Duratio
 		N:                offNodes,
 		Seed:             seed,
 		Latency:          time.Millisecond,
-		Manual:           true,
 		OffloadThreshold: threshold,
 		HedgeAfter:       hedge,
 		LoadHalfLife:     offHalfLife,
@@ -331,7 +330,7 @@ func TestHedgingBeatsSlowOwnerBaseline(t *testing.T) {
 func TestOffloadPartitionFallsBackLocally(t *testing.T) {
 	seed := 51 + seedOffset()
 	c, err := New(Config{
-		N: 4, Seed: seed, Latency: time.Millisecond, Manual: true,
+		N: 4, Seed: seed, Latency: time.Millisecond,
 		OffloadThreshold: 0.5, LoadHalfLife: offHalfLife,
 	}, offOrigin())
 	if err != nil {
@@ -373,7 +372,7 @@ func TestOffloadPartitionFallsBackLocally(t *testing.T) {
 func TestOffloadDepthCapExecutesLocally(t *testing.T) {
 	seed := 52 + seedOffset()
 	c, err := New(Config{
-		N: 6, Seed: seed, Latency: time.Millisecond, Manual: true,
+		N: 6, Seed: seed, Latency: time.Millisecond,
 		OffloadThreshold: 0.25, LoadHalfLife: offHalfLife,
 	}, offOrigin())
 	if err != nil {
@@ -425,7 +424,7 @@ func TestHedgeFiresExactlyOnce(t *testing.T) {
 	// owner was never consulted on the hedged read.
 	var rec *recordingTransport
 	c, err := New(Config{
-		N: offNodes, Seed: seed, Latency: time.Millisecond, Manual: true,
+		N: offNodes, Seed: seed, Latency: time.Millisecond,
 		HedgeAfter: budget, LoadHalfLife: offHalfLife,
 		Mutate: func(i int, cfg *core.Config) {
 			if i == 0 {
@@ -592,7 +591,7 @@ func TestOffloadDisabledIsByteIdenticalToSeedBehavior(t *testing.T) {
 	origin := offOrigin()
 	recorders := make(map[int]*recordingTransport)
 	c, err := New(Config{
-		N: 6, Seed: seed, Latency: time.Millisecond, Manual: true,
+		N: 6, Seed: seed, Latency: time.Millisecond,
 		OffloadThreshold: 0, HedgeAfter: 0,
 		Mutate: func(i int, cfg *core.Config) {
 			rec := &recordingTransport{inner: cfg.Ring.Transport}
@@ -637,7 +636,7 @@ func TestOffloadDisabledIsByteIdenticalToSeedBehavior(t *testing.T) {
 // order-dependent.
 func TestStabilizeRoundsIsolatedAcrossHarnesses(t *testing.T) {
 	seed := 55 + seedOffset()
-	a, err := New(Config{N: 4, Seed: seed, Manual: true}, NewCountingOrigin())
+	a, err := New(Config{N: 4, Seed: seed}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +646,7 @@ func TestStabilizeRoundsIsolatedAcrossHarnesses(t *testing.T) {
 	}
 	// A second harness in the same process starts from zero, regardless of
 	// what ran before it.
-	b, err := New(Config{N: 4, Seed: seed, Manual: true}, NewCountingOrigin())
+	b, err := New(Config{N: 4, Seed: seed}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}

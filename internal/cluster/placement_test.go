@@ -179,7 +179,7 @@ func TestCheckpointCounterCountsAcrossNodes(t *testing.T) {
 	for s := 0; s < sites; s++ {
 		origin.AddPage("http://"+host(s)+"/nakika.js", specweb.EdgeScript(host(s)), 3600)
 	}
-	c, err := New(Config{N: 8, Seed: 1 + seedOffset(), Latency: time.Millisecond, Manual: true, Replication: 3}, origin)
+	c, err := New(Config{N: 8, Seed: 1 + seedOffset(), Latency: time.Millisecond, Replication: 3}, origin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,11 @@ const repSite = "app.example.org"
 func burstKey(i int) string { return fmt.Sprintf("burst-%04d", i) }
 func burstVal(i int) string { return fmt.Sprintf("value-%04d-%s", i, strings.Repeat("r", 64)) }
 
-// bootReplicated builds a manual-maintenance cluster with successor
-// replication and converges its routing tables.
+// bootReplicated builds a cluster with successor replication and runs
+// four maintenance rounds.
 func bootReplicated(t *testing.T, n int, seed int64, k int) *Cluster {
 	t.Helper()
-	c, err := New(Config{N: n, Seed: seed, Latency: time.Millisecond, Manual: true, Replication: k}, NewCountingOrigin())
+	c, err := New(Config{N: n, Seed: seed, Latency: time.Millisecond, Replication: k}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,12 @@ func bootReplicated(t *testing.T, n int, seed int64, k int) *Cluster {
 }
 
 // runReplicationFailoverScenario is the replication acceptance scenario:
-// an 8-node manual-maintenance ring with factor-3 successor replication,
+// an 8-node ring with factor-3 successor replication,
 // a hard-state write burst issued at one entry node, and the owner of the
 // burst's first forwarded key crashed at a virtual time that lands inside
 // the burst. Every write acknowledged before, during, or after the crash
 // must remain readable (reads failing over to replicas while the owner is
-// dead), stabilization-triggered repair must restore three live copies of
+// dead), churn-triggered repair must restore three live copies of
 // every key, and the restarted owner must stream its range back. Returns
 // a fingerprint of every deterministic observable.
 func runReplicationFailoverScenario(t *testing.T, seed int64) string {
@@ -128,7 +128,7 @@ func runReplicationFailoverScenario(t *testing.T, seed int64) string {
 		}
 	}
 
-	// Stabilization prunes the dead owner and triggers repair: every
+	// A ping round suspects the dead owner and triggers repair: every
 	// acknowledged key must be back to 3 live copies.
 	c.StabilizeAll(6)
 	for _, key := range ackedKeys {
@@ -197,7 +197,7 @@ func TestReplicationFailoverDeterministic(t *testing.T) {
 // restarted owner reconciles to the same version on recovery.
 func TestOwnerDiesBetweenWALAppendAndReplicaAck(t *testing.T) {
 	seed := 31 + seedOffset()
-	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Manual: true, Persist: true}, NewCountingOrigin())
+	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Persist: true}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func (w *crashOnFirstChunk) Call(from, to string, msg transport.Message) (transp
 func TestReplicaPromotedDuringHandoffStream(t *testing.T) {
 	seed := 33 + seedOffset()
 	w := &crashOnFirstChunk{}
-	c, err := New(Config{N: 6, Seed: seed, Latency: time.Millisecond, Manual: true, Replication: 3,
+	c, err := New(Config{N: 6, Seed: seed, Latency: time.Millisecond, Replication: 3,
 		Mutate: func(i int, cfg *core.Config) {
 			if i == 6 { // the joiner
 				w.Transport = cfg.Ring.Transport
@@ -451,7 +451,8 @@ func TestReplicationDegradesWhenKExceedsLiveNodes(t *testing.T) {
 		t.Fatalf("holders = %v, want both live nodes", holders)
 	}
 
-	// A ring of one: stabilization empties the successor list and writes
+	// A ring of one: the survivor suspects both peers, its successor list
+	// empties, and writes
 	// degrade to local-only durability instead of erroring forever.
 	c.Crash("node-2")
 	c.StabilizeAll(4)

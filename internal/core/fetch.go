@@ -139,7 +139,7 @@ func (n *Node) peerCopy(key string) *httpmsg.Response {
 	if n.overlay == nil || n.tr == nil {
 		return nil
 	}
-	holders, _ := n.overlay.Locate(key)
+	holders := n.overlay.Locate(key)
 	for _, holder := range holders {
 		if holder == n.cfg.Name {
 			continue

@@ -597,7 +597,7 @@ func TestHolderLocatedWhileCopyFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			clock.Advance(61 * time.Second)
-			if holders, _ := b.Overlay().Locate("GET " + url); !reflect.DeepEqual(holders, []string{"edge-a"}) {
+			if holders := b.Overlay().Locate("GET " + url); !reflect.DeepEqual(holders, []string{"edge-a"}) {
 				t.Errorf("holders located 61 s in = %v, want [edge-a]", holders)
 			}
 			resp, err := b.Fetch(httpmsg.MustRequest("GET", url))
@@ -651,7 +651,7 @@ func TestUnsafeMethodDropsLargeObjectCopy(t *testing.T) {
 		t.Errorf("whole ingests = %d, want 2", st.WholeIngests)
 	}
 	handle("POST")
-	if holders, _ := b.Overlay().Locate("GET " + url); len(holders) != 0 {
+	if holders := b.Overlay().Locate("GET " + url); len(holders) != 0 {
 		t.Errorf("holders located after the POST = %v, want none", holders)
 	}
 }
@@ -710,7 +710,7 @@ func TestParentBuildPeers(t *testing.T) {
 		if _, err := ring.Transport.Call("edge-old", "edge-a", transport.Message{Type: "ov.publish", Key: "GET " + url}); err != nil {
 			t.Fatal(err)
 		}
-		if holders, _ := a.Overlay().Locate("GET " + url); len(holders) != 0 {
+		if holders := a.Overlay().Locate("GET " + url); len(holders) != 0 {
 			t.Fatalf("holders = %v, want none", holders)
 		}
 		resp, err := a.Fetch(httpmsg.MustRequest("GET", url))

@@ -468,7 +468,7 @@ func (n *Node) lobFetchSegment(key string, ord int) ([]byte, error) {
 	// reply is taken only if it hashes to the segment's id: anything else is
 	// a corrupt copy, or an older build's whole-body answer.
 	if haveID && n.overlay != nil && n.tr != nil {
-		holders, _ := n.overlay.Locate(key)
+		holders := n.overlay.Locate(key)
 		sort.Strings(holders)
 		for _, h := range holders {
 			if h == n.cfg.Name {

@@ -260,7 +260,7 @@ func TestLargeObjectPeerSegments(t *testing.T) {
 	}
 	// B now holds a full copy and has announced itself in the overlay's
 	// index, beside A.
-	holders, _ := a.Overlay().Locate("GET http://big.example.org/iso")
+	holders := a.Overlay().Locate("GET http://big.example.org/iso")
 	sort.Strings(holders)
 	if want := []string{"edge-a", "edge-b"}; !reflect.DeepEqual(holders, want) {
 		t.Errorf("holders located = %v, want %v", holders, want)

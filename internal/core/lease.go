@@ -23,12 +23,12 @@ import (
 // race) and fencing enforcement (fenced writes carry the holdership's
 // token and are admitted against each store's durable floor, so a deposed
 // holder's late writes are rejected at the WAL even when every clock and
-// routing table is confused).
+// ring view is confused).
 //
 // Recovery is adaptive in the recoverable-mutual-exclusion style: an
 // acquire that would be denied probes the recorded holder once (the
-// overlay's O(1) ping — the same failure detector stabilization uses).
-// A dead holder is deposed immediately, so handover after a
+// overlay's O(1) ping — the same failure detector the maintenance round
+// uses). A dead holder is deposed immediately, so handover after a
 // detector-visible crash costs a constant number of messages; only an
 // unreachable-but-possibly-alive holder makes the heir wait out the TTL.
 //

@@ -621,7 +621,7 @@ const periodicRepairRounds = 6
 
 // Maintain runs one maintenance round. nakikad runs one every 5 s and the
 // cluster harness one per node in each StabilizeAll round, in this order:
-//  1. overlay Stabilize and FixFingers;
+//  1. overlay Stabilize, one ping round over the node's ring neighbours;
 //  2. a pending catch-up (CatchUp), followed, when the pull succeeds, by a
 //     full repair;
 //  3. otherwise a full repair on every sixth round of this node, or when
@@ -639,7 +639,6 @@ func (n *Node) Maintain() {
 	round := n.maintRounds.Add(1)
 	if n.overlay != nil {
 		n.overlay.Stabilize()
-		n.overlay.FixFingers()
 	}
 	churned := n.repairPending.Swap(false)
 	caughtUp := false
@@ -680,7 +679,7 @@ func (n *Node) Cache() *cache.Cache { return n.cache }
 func (n *Node) Loader() *pipeline.Loader { return n.loader }
 
 // Overlay exposes the node's overlay membership (nil without a Ring); the
-// cluster harness uses it to inspect routing state.
+// cluster harness uses it to inspect the node's view.
 func (n *Node) Overlay() *overlay.Node { return n.overlay }
 
 // Stats returns a snapshot of node counters.

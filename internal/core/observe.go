@@ -277,8 +277,8 @@ func (n *Node) buildRegistry() {
 	if ov := n.overlay; ov != nil {
 		r.CounterFunc("nakika_overlay_lookups_total", "Overlay routing lookups this node started.", nil,
 			func() float64 { return float64(ov.Stats().Lookups) })
-		r.CounterFunc("nakika_overlay_lookup_hops_total", "Remote routing hops those lookups took.", nil,
-			func() float64 { return float64(ov.Stats().TotalHops) })
+		r.GaugeFunc("nakika_overlay_view_digest", "FNV-1a hash of the ring's members and the members this node suspects; equal on two nodes that agree on every key's owner.", nil,
+			func() float64 { return float64(ov.ViewDigest()) })
 		r.GaugeFunc("nakika_overlay_index_keys", "Cache keys with a live entry in this node's slice of the cooperative-cache index.", nil,
 			func() float64 { return float64(ov.Stats().IndexKeys) })
 		r.GaugeFunc("nakika_overlay_publishes_pending", "Cooperative-cache publishes that failed and await the next maintenance round's retry.", nil,

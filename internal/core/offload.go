@@ -14,11 +14,10 @@ import (
 // Load-aware request offload. Every node meters its own load as a cheap
 // exponentially-decayed score — in-flight requests plus recently completed
 // work, weighted by the resource controller's CPU congestion share — and
-// gossips the score for free on the overlay's existing maintenance RPCs
-// (ping/stabilize/notify piggyback it; see overlay.SetLoadGossip), so each
-// node holds a fresh load view of its successors and predecessor. Offload
-// replies refresh the view too, which is what keeps it current for the
-// peers that matter mid-burst.
+// gossips the score for free on the overlay's existing maintenance pings
+// (see overlay.SetLoadGossip), so each node holds a fresh load view of its
+// successors and predecessor. Offload replies refresh the view too, which
+// is what keeps it current for the peers that matter mid-burst.
 //
 // When a request arrives at a node whose score exceeds OffloadThreshold,
 // the node forwards the whole request over the transport to the
@@ -109,8 +108,8 @@ func (n *Node) offloadCandidates(site string) []string {
 	avoid := make(map[string]bool)
 	var out []string
 	for len(avoid) < fanout {
-		owner, _, err := n.overlay.LookupNameAvoid(site, avoid)
-		if err != nil || owner == "" || avoid[owner] {
+		owner, err := n.overlay.LookupNameAvoid(site, avoid)
+		if err != nil {
 			break
 		}
 		avoid[owner] = true

@@ -81,8 +81,8 @@ func (n *Node) repEnabled() bool {
 
 // replicaTargets returns the successors this node pushes replicas to: the
 // first ReplicationFactor-1 distinct successor names. The list reflects
-// the node's current routing tables — stale entries cost a failed push,
-// missing entries cost a replica until repair.
+// the node's current view: a dead member not yet suspected costs a failed
+// push, a live one wrongly suspected costs a replica until repair.
 func (n *Node) replicaTargets() []string {
 	if n.repFactor <= 1 {
 		return nil
@@ -111,7 +111,7 @@ func (n *Node) resolveActingOwner(rk string, probe func(string) bool) (string, e
 	}
 	avoid := make(map[string]bool)
 	for attempt := 0; attempt < n.repFactor+1; attempt++ {
-		owner, _, err := n.overlay.LookupNameAvoid(rk, avoid)
+		owner, err := n.overlay.LookupNameAvoid(rk, avoid)
 		if err != nil {
 			return "", err
 		}
@@ -148,7 +148,7 @@ func (n *Node) route(act *trace.Act, site, key string, msg transport.Message, lo
 	avoid := make(map[string]bool)
 	var lastErr error
 	for attempt := 0; attempt < n.repFactor+1; attempt++ {
-		owner, _, err := n.overlay.LookupNameAvoid(rk, avoid)
+		owner, err := n.overlay.LookupNameAvoid(rk, avoid)
 		if err != nil {
 			lastErr = err
 			break
@@ -397,7 +397,7 @@ func (n *Node) hedgeRead(act *trace.Act, site, key string, msg transport.Message
 		return "", false, false
 	}
 	rk := state.ReplicaKey(site, key)
-	owner, _, err := n.overlay.LookupNameAvoid(rk, nil)
+	owner, err := n.overlay.LookupNameAvoid(rk, nil)
 	if err != nil || owner == n.cfg.Name {
 		return "", false, false
 	}
@@ -405,8 +405,8 @@ func (n *Node) hedgeRead(act *trace.Act, site, key string, msg transport.Message
 	if !known || expect <= n.cfg.HedgeAfter {
 		return "", false, false
 	}
-	alt, _, err := n.overlay.LookupNameAvoid(rk, map[string]bool{owner: true})
-	if err != nil || alt == owner {
+	alt, err := n.overlay.LookupNameAvoid(rk, map[string]bool{owner: true})
+	if err != nil {
 		return "", false, false
 	}
 	n.hedged.Add(1)

@@ -348,7 +348,7 @@ func TestLargeObjectIndexSurvivesCrashes(t *testing.T) {
 		t.Run(crash, func(t *testing.T) {
 			origin := &rangeOrigin{url: url, body: body}
 			nodes, sim, _ := routeRing(t, 8, origin, lobConfig(4096, 10_000))
-			owner, _, err := nodes[0].Overlay().LookupName("GET " + url)
+			owner, err := nodes[0].Overlay().LookupName("GET " + url)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,9 @@ package overlay
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -10,35 +12,21 @@ import (
 	"nakika/internal/transport"
 )
 
-// groundTruth computes the converged routing tables for every member
-// directly from the membership set, independently of the code under test.
+// member is one position of the membership ground truth, computed directly
+// from the member names, independently of the code under test.
 type member struct {
 	name string
 	id   ID
 }
 
-// stabilizeAll runs rounds of maintenance across every local member in
-// sorted-name order: successor repair first, then finger repair.
-func stabilizeAll(r *Ring, rounds int) {
-	for i := 0; i < rounds; i++ {
-		for _, name := range r.Nodes() {
-			if n := byName(r, name); n != nil && !n.remote {
-				n.Stabilize()
-			}
+// groundTruth returns the ring's members sorted by ID, without the names in
+// down.
+func groundTruth(r *Ring, down ...string) []member {
+	var ms []member
+	for _, n := range r.Nodes() {
+		if !slices.Contains(down, n) {
+			ms = append(ms, member{name: n, id: HashID(n)})
 		}
-		for _, name := range r.Nodes() {
-			if n := byName(r, name); n != nil && !n.remote {
-				n.FixFingers()
-			}
-		}
-	}
-}
-
-func groundTruth(r *Ring) []member {
-	names := r.Nodes()
-	ms := make([]member, len(names))
-	for i, n := range names {
-		ms[i] = member{name: n, id: HashID(n)}
 	}
 	sort.Slice(ms, func(i, j int) bool { return ms[i].id < ms[j].id })
 	return ms
@@ -52,72 +40,80 @@ func ownerOf(ms []member, id ID) member {
 	return ms[i]
 }
 
-// verifyConverged asserts that every node's successor list, predecessor,
-// finger table, and routed lookups match the membership ground truth.
-func verifyConverged(t *testing.T, r *Ring, label string) {
-	t.Helper()
-	ms := groundTruth(r)
+// roundAll runs one Stabilize on every member outside down, in name order.
+func roundAll(r *Ring, down ...string) {
+	for _, name := range r.Nodes() {
+		if !slices.Contains(down, name) {
+			byName(r, name).Stabilize()
+		}
+	}
+}
+
+// windowOf returns the names a member at position pos of ms pings in a round
+// when it suspects no one: its predecessor and its first succListLen
+// successors.
+func windowOf(ms []member, pos int) []string {
 	n := len(ms)
-	if n < 2 {
-		return
+	out := []string{ms[(pos-1+n)%n].name}
+	for j := 1; j <= succListLen && j < n; j++ {
+		out = append(out, ms[(pos+j)%n].name)
 	}
-	k := succListLen
-	if k > n-1 {
-		k = n - 1
-	}
+	return out
+}
+
+// verifyViews asserts that every member of ms sees exactly ms: its successor
+// list, its owned range, and its lookups (with the names in avoid passed
+// over) match the ground truth.
+func verifyViews(t *testing.T, r *Ring, ms []member, avoid map[string]bool, label string) {
+	t.Helper()
+	n := len(ms)
 	for pos, m := range ms {
 		node := byName(r, m.name)
-		// Successor list: the next k members around the ring.
-		want := make([]string, k)
-		for j := 1; j <= k; j++ {
-			want[j-1] = ms[(pos+j)%n].name
+		var want []string
+		for j := 1; j <= succListLen && j < n; j++ {
+			want = append(want, ms[(pos+j)%n].name)
 		}
-		got := node.Successors()
-		if len(got) < 1 || got[0] != want[0] {
-			t.Fatalf("%s: node %s succs = %v, want prefix %v", label, m.name, got, want)
+		if got := node.Successors(); !slices.Equal(got, want) {
+			t.Fatalf("%s: %s successors = %v, want %v", label, m.name, got, want)
 		}
-		for j := 0; j < len(got) && j < len(want); j++ {
-			if got[j] != want[j] {
-				t.Fatalf("%s: node %s succs[%d] = %s, want %s (full %v vs %v)", label, m.name, j, got[j], want[j], got, want)
-			}
+		from, to, ok := node.OwnedRange()
+		if wantFrom := ms[(pos-1+n)%n].id; n > 1 && (!ok || from != wantFrom || to != m.id) {
+			t.Fatalf("%s: %s owns (%x, %x] ok=%v, want (%x, %x]", label, m.name, from, to, ok, wantFrom, m.id)
 		}
-		node.mu.Lock()
-		pred := node.pred.name
-		node.mu.Unlock()
-		if wantPred := ms[(pos-1+n)%n].name; pred != wantPred {
-			t.Fatalf("%s: node %s pred = %s, want %s", label, m.name, pred, wantPred)
-		}
-		// Finger-table correctness: fingers[b] is the owner of id + 2^b.
-		node.mu.Lock()
-		fingers := append([]ref(nil), node.fingers...)
-		node.mu.Unlock()
-		for b, f := range fingers {
-			target := m.id + ID(uint64(1)<<uint(b))
-			if want := ownerOf(ms, target).name; f.name != want {
-				t.Fatalf("%s: node %s finger[%d] = %q, want %q", label, m.name, b, f.name, want)
-			}
-		}
-	}
-	// Routed lookups agree with the ground truth from every starting node.
-	for i := 0; i < 20; i++ {
-		key := fmt.Sprintf("churn-key-%d", i)
-		want := ownerOf(ms, HashID(key)).name
-		for _, m := range ms {
-			got, _, err := byName(r, m.name).LookupName(key)
-			if err != nil {
-				t.Fatalf("%s: lookup %q from %s: %v", label, key, m.name, err)
-			}
-			if got != want {
-				t.Fatalf("%s: lookup %q from %s = %s, want %s", label, key, m.name, got, want)
+		for i := 0; i < 20; i++ {
+			key := fmt.Sprintf("churn-key-%d", i)
+			got, err := node.LookupNameAvoid(key, avoid)
+			if want := ownerOf(ms, HashID(key)).name; err != nil || got != want {
+				t.Fatalf("%s: lookup %q from %s = %q, %v; want %s", label, key, m.name, got, err, want)
 			}
 		}
 	}
 }
 
-// TestChurnRepair drives randomized join/leave sequences with a fixed seed
-// in manual-maintenance mode and asserts that Stabilize/FixFingers rounds
-// repair every node's successor list and finger table to the membership
-// ground truth.
+// churnRing builds a ring from a seeded sequence of joins and leaves.
+func churnRing(seed int64, initial, ops int, joinBias float64) *Ring {
+	rng := rand.New(rand.NewSource(seed))
+	r := NewRing()
+	for i := 0; i < initial; i++ {
+		r.Join(fmt.Sprintf("seed-%02d", i), "r")
+	}
+	for op := 0; op < ops; op++ {
+		if rng.Float64() < joinBias || len(r.Nodes()) <= 3 {
+			r.Join(fmt.Sprintf("late-%02d", op), "r")
+		} else {
+			names := r.Nodes()
+			r.Leave(names[rng.Intn(len(names))])
+		}
+	}
+	return r
+}
+
+// TestChurnRepair drives seeded join/leave sequences, then crashes one member
+// by taking it off the transport (membership unchanged) and checks what one
+// ping round does: every live member whose window holds the crashed one
+// suspects it and no other member does; every live member's successors,
+// owned range and lookups then match the ground truth without it; and once
+// the member answers again, one round clears the suspicion.
 func TestChurnRepair(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -125,90 +121,185 @@ func TestChurnRepair(t *testing.T) {
 		initial  int
 		ops      int
 		joinBias float64 // probability an op is a join
-		rounds   int
 	}{
-		{name: "join-heavy", seed: 1, initial: 4, ops: 10, joinBias: 0.8, rounds: 6},
-		{name: "leave-heavy", seed: 2, initial: 12, ops: 10, joinBias: 0.2, rounds: 6},
-		{name: "balanced", seed: 3, initial: 8, ops: 16, joinBias: 0.5, rounds: 6},
-		{name: "mass-join", seed: 4, initial: 2, ops: 14, joinBias: 1.0, rounds: 6},
-		{name: "deep-churn", seed: 5, initial: 10, ops: 30, joinBias: 0.5, rounds: 8},
+		{name: "join-heavy", seed: 1, initial: 4, ops: 10, joinBias: 0.8},
+		{name: "leave-heavy", seed: 2, initial: 12, ops: 10, joinBias: 0.2},
+		{name: "balanced", seed: 3, initial: 8, ops: 16, joinBias: 0.5},
+		{name: "mass-join", seed: 4, initial: 2, ops: 14, joinBias: 1.0},
+		{name: "deep-churn", seed: 5, initial: 10, ops: 30, joinBias: 0.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(tc.seed))
-			r := NewRing()
-			for i := 0; i < tc.initial; i++ {
-				r.Join(fmt.Sprintf("seed-%02d", i), "r")
-			}
-			r.ManualMaintenance = true
-			next := 0
-			for op := 0; op < tc.ops; op++ {
-				if rng.Float64() < tc.joinBias || r.Size() <= 3 {
-					r.Join(fmt.Sprintf("late-%02d", next), "r")
-					next++
-				} else {
-					names := r.Nodes()
-					r.Leave(names[rng.Intn(len(names))])
+			r := churnRing(tc.seed, tc.initial, tc.ops, tc.joinBias)
+			all := groundTruth(r)
+			verifyViews(t, r, all, nil, "after churn")
+
+			pos := rand.New(rand.NewSource(tc.seed)).Intn(len(all))
+			crashed := byName(r, all[pos].name)
+			r.Transport.Unregister(crashed.Name)
+			roundAll(r, crashed.Name)
+			for i, m := range all {
+				if m.name == crashed.Name {
+					continue
+				}
+				want := slices.Contains(windowOf(all, i), crashed.Name)
+				if got := byName(r, m.name).suspects[crashed.Name]; got != want {
+					t.Fatalf("%s suspects %s = %v after one round, want %v", m.name, crashed.Name, got, want)
+				}
+				if len(byName(r, m.name).suspects) > 1 {
+					t.Fatalf("%s suspects %v, more than the crashed member", m.name, byName(r, m.name).suspects)
 				}
 			}
-			stabilizeAll(r, tc.rounds)
-			verifyConverged(t, r, tc.name)
+			verifyViews(t, r, groundTruth(r, crashed.Name), map[string]bool{crashed.Name: true}, "after crash")
+
+			r.Transport.Register(crashed.Name, crashed.ServeRPC)
+			roundAll(r, crashed.Name)
+			for _, m := range all {
+				if s := byName(r, m.name).suspects; len(s) != 0 {
+					t.Fatalf("%s still suspects %v one round after the restart", m.name, s)
+				}
+			}
+			verifyViews(t, r, all, nil, "after restart")
 		})
 	}
 }
 
-// TestChurnRepairDeterministic re-runs one churn case and checks the
-// surviving membership and every routing decision are identical run to run.
+// TestChurnRepairDeterministic re-runs one churn-and-crash case and checks the
+// surviving membership, every suspicion and every lookup are identical run
+// to run.
 func TestChurnRepairDeterministic(t *testing.T) {
 	run := func() string {
-		rng := rand.New(rand.NewSource(9))
-		r := NewRing()
-		for i := 0; i < 8; i++ {
-			r.Join(fmt.Sprintf("seed-%02d", i), "r")
-		}
-		r.ManualMaintenance = true
-		for op := 0; op < 20; op++ {
-			if rng.Float64() < 0.5 || r.Size() <= 3 {
-				r.Join(fmt.Sprintf("late-%02d", op), "r")
-			} else {
-				names := r.Nodes()
-				r.Leave(names[rng.Intn(len(names))])
-			}
-		}
-		stabilizeAll(r, 6)
+		r := churnRing(9, 8, 20, 0.5)
+		crashed := r.Nodes()[2]
+		r.Transport.Unregister(crashed)
+		roundAll(r, crashed)
 		fp := fmt.Sprint(r.Nodes())
+		for _, name := range r.Nodes() {
+			fp += fmt.Sprintf("|%s:%v", name, byName(r, name).suspects)
+		}
 		for i := 0; i < 10; i++ {
-			name, hops, err := byName(r, r.Nodes()[0]).LookupName(fmt.Sprintf("det-key-%d", i))
-			fp += fmt.Sprintf("|%s/%d/%v", name, hops, err == nil)
+			name, err := byName(r, r.Nodes()[0]).LookupName(fmt.Sprintf("det-key-%d", i))
+			fp += fmt.Sprintf("|%s/%v", name, err == nil)
 		}
 		return fp
 	}
 	first := run()
 	for i := 0; i < 2; i++ {
 		if again := run(); again != first {
-			t.Fatalf("churn repair not deterministic:\n%s\nvs\n%s", first, again)
+			t.Fatalf("view churn not deterministic:\n%s\nvs\n%s", first, again)
 		}
 	}
 }
 
-// TestAutoRebuildStaysConverged is the control: in the default maintenance
-// mode every membership change leaves tables exactly converged.
-func TestAutoRebuildStaysConverged(t *testing.T) {
+// TestChurnHookFollowsNeighbours: a round fires the churn hook exactly when
+// it leaves the node's predecessor or successor list different from the
+// last round's: once at the first round, then at no quiet round, at the
+// round that suspects a crashed neighbour, and at the round that clears it.
+func TestChurnHookFollowsNeighbours(t *testing.T) {
+	r := NewRing()
+	fired := make(map[string]int)
+	for i := 0; i < 8; i++ {
+		n := r.Join(fmt.Sprintf("hook-%d", i), "r")
+		n.SetChurnHook(func() { fired[n.Name]++ })
+	}
+	all := groundTruth(r)
+	round := func(want func(i int) bool, label string, down ...string) {
+		t.Helper()
+		clear(fired)
+		roundAll(r, down...)
+		for i, m := range all {
+			if slices.Contains(down, m.name) {
+				continue
+			}
+			if got := fired[m.name] == 1; got != want(i) {
+				t.Fatalf("%s: %s fired %d times", label, m.name, fired[m.name])
+			}
+		}
+	}
+	round(func(int) bool { return true }, "first round")
+	round(func(int) bool { return false }, "quiet round")
+	crashed := all[3].name
+	inWindow := func(i int) bool { return slices.Contains(windowOf(all, i), crashed) }
+	r.Transport.Unregister(crashed)
+	round(inWindow, "crash round", crashed)
+	round(func(int) bool { return false }, "quiet round after the crash", crashed)
+	r.Transport.Register(crashed, byName(r, crashed).ServeRPC)
+	round(inWindow, "restart round", crashed)
+}
+
+// TestViewDigest: the digest is FNV-1a over the sorted members, a NUL, and
+// the sorted suspects, so nodes agree on it exactly while they agree on the
+// view, a suspicion sets the suspecting node apart, and the round that
+// clears it brings the digests back together.
+func TestViewDigest(t *testing.T) {
+	r := NewRing()
+	for _, name := range []string{"d-2", "d-0", "d-1"} {
+		r.Join(name, "r")
+	}
+	h := fnv.New32a()
+	h.Write([]byte("d-0\nd-1\nd-2\x00"))
+	for _, name := range r.Nodes() {
+		if got := byName(r, name).ViewDigest(); got != h.Sum32() {
+			t.Fatalf("%s digest = %#x, want %#x", name, got, h.Sum32())
+		}
+	}
+	r.Transport.Unregister("d-1")
+	roundAll(r, "d-1")
+	h.Reset()
+	h.Write([]byte("d-0\nd-1\nd-2\x00d-1"))
+	for _, name := range []string{"d-0", "d-2"} {
+		if got := byName(r, name).ViewDigest(); got != h.Sum32() {
+			t.Fatalf("%s digest with d-1 suspected = %#x, want %#x", name, got, h.Sum32())
+		}
+	}
+	r.Transport.Register("d-1", byName(r, "d-1").ServeRPC)
+	roundAll(r, "d-1")
+	if a, b := byName(r, "d-0").ViewDigest(), byName(r, "d-1").ViewDigest(); a != b {
+		t.Fatalf("digests after the restart round differ: %#x vs %#x", a, b)
+	}
+}
+
+// TestViewsFollowMembership: every view sees a join or a leave at once, with
+// no maintenance round.
+func TestViewsFollowMembership(t *testing.T) {
 	r := NewRing()
 	for i := 0; i < 10; i++ {
 		r.Join(fmt.Sprintf("auto-%02d", i), "r")
 	}
-	verifyConverged(t, r, "after joins")
+	verifyViews(t, r, groundTruth(r), nil, "after joins")
 	r.Leave("auto-03")
 	r.Leave("auto-07")
-	verifyConverged(t, r, "after leaves")
+	verifyViews(t, r, groundTruth(r), nil, "after leaves")
 	r.Join("auto-late", "r")
-	verifyConverged(t, r, "after rejoin")
+	verifyViews(t, r, groundTruth(r), nil, "after rejoin")
 }
 
-// TestLookupRoutesAroundUnreachableNode checks the skip-set fallback: with
-// a node's transport registration gone but membership intact (a crash, not
-// a leave), lookups still converge by routing around it.
+// TestLookupSendsNoMessages: at every ring size a lookup is answered from
+// the node's own view, with no message on the transport.
+func TestLookupSendsNoMessages(t *testing.T) {
+	for _, n := range []int{2, 8, 32, 128} {
+		rec := &recorder{Transport: transport.NewLocal()}
+		r := NewRing()
+		r.Transport = rec
+		var nodes []*Node
+		for i := 0; i < n; i++ {
+			nodes = append(nodes, r.Join(fmt.Sprintf("node-%d", i), "r"))
+		}
+		for i := 0; i < 200; i++ {
+			key := fmt.Sprintf("key-%d", i)
+			if got := lookup(nodes[i%n], key); got != r.Successor(key) {
+				t.Fatalf("n=%d: lookup %q = %v, want %s", n, key, got, r.Successor(key).Name)
+			}
+		}
+		if rec.calls != 0 {
+			t.Errorf("n=%d: 200 lookups sent %d messages", n, rec.calls)
+		}
+	}
+}
+
+// TestLookupRoutesAroundUnreachableNode: with a node's transport
+// registration gone but membership intact (a crash, not a leave), every
+// other node still resolves each key it does not own to its owner.
 func TestLookupRoutesAroundUnreachableNode(t *testing.T) {
 	r := NewRing()
 	var nodes []*Node
@@ -230,7 +321,7 @@ func TestLookupRoutesAroundUnreachableNode(t *testing.T) {
 			if n == crashed {
 				continue
 			}
-			got, _, err := n.LookupName(key)
+			got, err := n.LookupName(key)
 			if err != nil {
 				t.Fatalf("lookup %q from %s with ra-3 down: %v", key, n.Name, err)
 			}
@@ -298,8 +389,8 @@ func TestOverlayAcrossTCP(t *testing.T) {
 	// Lookups agree on ownership from both processes.
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("agree-%d", i)
-		o1, _, err1 := n1.LookupName(k)
-		o2, _, err2 := n2.LookupName(k)
+		o1, err1 := n1.LookupName(k)
+		o2, err2 := n2.LookupName(k)
 		if err1 != nil || err2 != nil || o1 != o2 {
 			t.Fatalf("cross-process ownership of %q: %q/%v vs %q/%v", k, o1, err1, o2, err2)
 		}

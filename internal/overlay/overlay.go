@@ -3,10 +3,13 @@
 //
 // The paper treats the overlay largely as a black box provided by an
 // existing DHT (Coral in the prototype). This reproduction provides a
-// Chord-style consistent-hashing overlay with per-node routing state: node
-// and key identifiers are SHA-1 hashes on a 160-bit ring, each node
-// maintains a successor list and a finger table for O(log n) lookups, and
-// the key-to-node mapping is used for two purposes:
+// consistent-hashing overlay with one-hop ownership (Gupta, Liskov &
+// Rodrigues, "One Hop Lookups for Peer-to-Peer Overlays", HotOS 2003):
+// node and key identifiers are the first 64 bits of their SHA-1 hashes,
+// every process holds the ring's whole membership, and a node's view is
+// that membership minus the members it suspects. The owner of a key is the
+// first member of the view clockwise from the key's hash, found without a
+// message. The key-to-node mapping is used for two purposes:
 //
 //   - a cooperative cache index mapping resource cache keys to the nodes
 //     that hold cached copies, so one cached copy anywhere in the network is
@@ -14,9 +17,11 @@
 //   - a redirector that stands in for Coral's DNS redirection, returning a
 //     nearby node for a client region.
 //
-// All inter-node protocol traffic — iterative lookups, index
-// publish/locate, successor-list and finger maintenance — flows through a
-// transport.Transport. The default transport is direct in-process calls
+// Membership changes only through Join, Leave and AddRemote, and every view
+// sees a change at once. Suspicion comes from the pings of Stabilize, each
+// node's maintenance round over its predecessor, its successors and the
+// members it suspects. All inter-node protocol traffic — index
+// publish/locate and those pings — flows through a transport.Transport. The default transport is direct in-process calls
 // (the original single-process simulation); the same protocol code runs
 // over the TCP transport for real multi-process clusters and over the
 // fault-injecting simulated transport for partition/churn testing.
@@ -33,8 +38,8 @@ import (
 	"nakika/internal/transport"
 )
 
-// ID is a point on the 160-bit ring, truncated to 64 bits for arithmetic
-// convenience (collision probability is irrelevant at the scales involved).
+// ID is a point on the ring: the first 64 bits of a SHA-1 hash (collision
+// probability is irrelevant at the scales involved).
 type ID uint64
 
 // HashID maps an arbitrary string to a ring position.
@@ -61,33 +66,24 @@ type Entry struct {
 	Expires  time.Time
 }
 
-// ref names a node position on the ring; routing tables hold refs rather
-// than node pointers so the same tables describe in-process and remote
-// peers. A zero ref (empty name) means "unknown".
-type ref struct {
-	name string
-	id   ID
-}
-
 // Node is a member of the overlay.
 type Node struct {
 	Name   string
 	Region string
 	ID     ID
 
-	mu      sync.Mutex
-	ring    *Ring
-	index   map[string][]Entry // keys this node is responsible for
-	alive   bool
-	remote  bool // membership stub for a node served by another process
-	pred    ref
-	succs   []ref
-	fingers []ref // fingers[b] ~ successor(ID + 2^b)
+	mu    sync.Mutex
+	ring  *Ring
+	index map[string][]Entry // keys this node is responsible for
+	// suspects are the members whose last ping from this node failed; the
+	// node's view is the ring's membership without them.
+	suspects map[string]bool
+	// last is the predecessor and successor list the previous Stabilize
+	// left, so the next one can tell whether they changed.
+	last    string
 	lookups int64
-	hops    int64
 	// churn, when non-nil, is invoked (outside locks) by Stabilize when the
-	// round changed this node's replication responsibilities: the
-	// predecessor died or the successor-list head changed.
+	// round changed this node's predecessor or successor list.
 	churn func()
 	// copies reports whether the node holds a fresh copy of a key and until
 	// when (see SetCopies); Publish announces nothing without it.
@@ -104,7 +100,6 @@ type Node struct {
 // this node's index slice that still have a live entry.
 type NodeStats struct {
 	Lookups   int64
-	TotalHops int64
 	IndexKeys int
 }
 
@@ -113,23 +108,12 @@ type NodeStats struct {
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return NodeStats{Lookups: n.lookups, TotalHops: n.hops, IndexKeys: n.pruneLocked(n.ring.now())}
-}
-
-// Successors returns the names in the node's current successor list.
-func (n *Node) Successors() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, len(n.succs))
-	for i, s := range n.succs {
-		out[i] = s.name
-	}
-	return out
+	return NodeStats{Lookups: n.lookups, IndexKeys: n.pruneLocked(n.ring.now())}
 }
 
 // SetChurnHook installs f as the node's churn notification: Stabilize
-// invokes it (outside overlay locks) whenever a round detects a dead
-// predecessor or any successor-list change — the events that shift key
+// invokes it (outside overlay locks) whenever a round leaves the node's
+// predecessor or successor list changed — the events that shift key
 // ownership or replication targets onto or off this node. The replication
 // layer uses it to schedule replica promotion and re-replication.
 func (n *Node) SetChurnHook(f func()) {
@@ -151,8 +135,8 @@ func (n *Node) SetCopies(copies func(key string) (time.Time, bool)) {
 // SetLoadGossip installs the node's load gossip hooks: local reports this
 // node's current load score, observe is invoked (with overlay locks not
 // held on the maintenance paths) whenever a maintenance RPC carries a
-// peer's score. Scores piggyback on the existing ping/stabilize/notify
-// traffic — load accounting costs zero additional messages.
+// peer's score. Scores piggyback on the existing ping traffic — load
+// accounting costs zero additional messages.
 func (n *Node) SetLoadGossip(local func() float64, observe func(peer string, load float64)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -192,8 +176,8 @@ func (n *Node) observeLoad(peer, arg string) {
 
 // Ping reports whether peer currently answers overlay pings through the
 // transport. The replication repair path probes candidate owners with it
-// before trusting routing-table entries that may be stale under churn.
-// Pings carry load gossip both ways.
+// before trusting a view that may not yet suspect a dead member. Pings
+// carry load gossip both ways; Ping changes no view.
 func (n *Node) Ping(peer string) bool {
 	if peer == n.Name {
 		return true
@@ -204,19 +188,6 @@ func (n *Node) Ping(peer string) bool {
 	}
 	n.observeLoad(peer, reply.Key)
 	return true
-}
-
-// OwnedRange returns the half-open ring interval (from, to] of key IDs this
-// node believes it owns: everything between its known predecessor and
-// itself. ok is false while the predecessor is unknown (mid-bootstrap or
-// after its death), when the owned range cannot be bounded.
-func (n *Node) OwnedRange() (from, to ID, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.pred.name == "" {
-		return 0, 0, false
-	}
-	return n.pred.id, n.ID, true
 }
 
 // InInterval reports whether id lies in the half-open ring interval
@@ -233,12 +204,9 @@ func (n *Node) DropIndex() {
 }
 
 // Ring is the overlay membership authority: the set of member nodes plus
-// the ground-truth key-to-node mapping (what a perfectly converged network
-// would compute). Message traffic between nodes goes through Transport; the
-// per-node routing tables are either kept exactly converged on every
-// membership change (the default, matching the seed's instant-convergence
-// model) or repaired incrementally through Stabilize/FixFingers rounds when
-// ManualMaintenance is set. All methods are safe for concurrent use.
+// the ground-truth key-to-node mapping (what every view computes while it
+// suspects no one). Message traffic between nodes goes through Transport.
+// All methods are safe for concurrent use.
 type Ring struct {
 	mu    sync.RWMutex
 	nodes map[string]*Node
@@ -251,12 +219,6 @@ type Ring struct {
 	// direct-call transport; replace it (before the first Join) to run the
 	// overlay over TCP or the fault-injecting simulated network.
 	Transport transport.Transport
-	// ManualMaintenance, when set, stops the ring from rebuilding every
-	// node's routing tables on membership changes: a joining node is seeded
-	// with correct tables, but existing nodes only learn about joins,
-	// leaves, and failures through Stabilize/FixFingers rounds — the mode
-	// the churn tests and the cluster harness exercise.
-	ManualMaintenance bool
 }
 
 // NewRing returns an empty overlay using the in-process transport.
@@ -282,7 +244,7 @@ func (r *Ring) now() time.Time {
 // transport; a caller that serves several subsystems under one name (see
 // core.Node) re-registers a mux over it afterwards.
 func (r *Ring) Join(name, region string) *Node {
-	n := r.join(name, region, false)
+	n := r.AddRemote(name, region)
 	r.Transport.Register(name, n.ServeRPC)
 	return n
 }
@@ -291,36 +253,23 @@ func (r *Ring) Join(name, region string) *Node {
 // the TCP transport): it participates in the key-to-node mapping and can be
 // the target of calls, but no handler is registered locally.
 func (r *Ring) AddRemote(name, region string) *Node {
-	return r.join(name, region, true)
-}
-
-func (r *Ring) join(name, region string, remote bool) *Node {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if n, ok := r.nodes[name]; ok {
-		n.mu.Lock()
-		n.alive = true
-		n.mu.Unlock()
 		return n
 	}
 	n := &Node{
-		Name:   name,
-		Region: region,
-		ID:     HashID(name),
-		ring:   r,
-		index:  make(map[string][]Entry),
-		alive:  true,
-		remote: remote,
+		Name:     name,
+		Region:   region,
+		ID:       HashID(name),
+		ring:     r,
+		index:    make(map[string][]Entry),
+		suspects: make(map[string]bool),
 	}
 	r.nodes[name] = n
 	r.byID[n.ID] = n
 	r.sorted = append(r.sorted, n.ID)
 	sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i] < r.sorted[j] })
-	if r.ManualMaintenance {
-		r.seedRoutingLocked(n)
-	} else {
-		r.rebuildRoutingLocked()
-	}
 	return n
 }
 
@@ -334,9 +283,6 @@ func (r *Ring) Leave(name string) {
 		r.mu.Unlock()
 		return
 	}
-	n.mu.Lock()
-	n.alive = false
-	n.mu.Unlock()
 	delete(r.nodes, name)
 	delete(r.byID, n.ID)
 	for i, id := range r.sorted {
@@ -345,18 +291,8 @@ func (r *Ring) Leave(name string) {
 			break
 		}
 	}
-	if !r.ManualMaintenance {
-		r.rebuildRoutingLocked()
-	}
 	r.mu.Unlock()
 	r.Transport.Unregister(name)
-}
-
-// Size returns the number of live nodes.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
 }
 
 // Nodes returns the names of all live nodes, sorted.
@@ -385,7 +321,7 @@ func (r *Ring) successorLocked(id ID) *Node {
 }
 
 // Successor returns the node responsible for key per the membership ground
-// truth (what routing converges to).
+// truth (what a view that suspects no one computes).
 func (r *Ring) Successor(key string) *Node {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -11,14 +11,14 @@ import (
 	"nakika/internal/transport"
 )
 
-// lookup routes from n to the member responsible for key, returning it (nil
-// when routing fails) and the routing hop count.
-func lookup(n *Node, key string) (*Node, int) {
-	name, hops, err := n.LookupName(key)
+// lookup returns the member responsible for key in n's view (nil when the
+// lookup fails).
+func lookup(n *Node, key string) *Node {
+	name, err := n.LookupName(key)
 	if err != nil {
-		return nil, hops
+		return nil
 	}
-	return byName(n.ring, name), hops
+	return byName(n.ring, name)
 }
 
 // byName returns the ring's member (or remote stub) with the given name, or
@@ -39,26 +39,26 @@ func holding(until time.Time, nodes ...*Node) {
 
 func TestJoinLeaveSize(t *testing.T) {
 	r := NewRing()
-	if r.Size() != 0 {
+	if len(r.Nodes()) != 0 {
 		t.Fatal("new ring should be empty")
 	}
 	a := r.Join("node-a", "us-east")
 	r.Join("node-b", "us-west")
 	r.Join("node-c", "asia")
-	if r.Size() != 3 {
-		t.Errorf("size = %d", r.Size())
+	if len(r.Nodes()) != 3 {
+		t.Errorf("size = %d", len(r.Nodes()))
 	}
 	// Idempotent join.
 	a2 := r.Join("node-a", "us-east")
-	if a2 != a || r.Size() != 3 {
+	if a2 != a || len(r.Nodes()) != 3 {
 		t.Error("re-join should be idempotent")
 	}
 	r.Leave("node-b")
-	if r.Size() != 2 {
-		t.Errorf("size after leave = %d", r.Size())
+	if len(r.Nodes()) != 2 {
+		t.Errorf("size after leave = %d", len(r.Nodes()))
 	}
 	r.Leave("node-b") // double leave is a no-op
-	if r.Size() != 2 {
+	if len(r.Nodes()) != 2 {
 		t.Error("double leave changed size")
 	}
 	nodes := r.Nodes()
@@ -87,8 +87,7 @@ func TestSuccessorConsistency(t *testing.T) {
 		want := r.Successor(key)
 		for _, name := range r.Nodes() {
 			n := r.nodes[name]
-			got, _ := lookup(n, key)
-			if got != want {
+			if got := lookup(n, key); got != want {
 				t.Fatalf("node %s resolves %q to %s, ring says %s", name, key, got.Name, want.Name)
 			}
 		}
@@ -107,7 +106,7 @@ func TestPublishAndLocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Any node can locate the cached copy.
-	found, _ := b.Locate(key)
+	found := b.Locate(key)
 	if len(found) != 1 || found[0] != "node-a" {
 		t.Errorf("Locate = %v", found)
 	}
@@ -118,13 +117,13 @@ func TestPublishAndLocate(t *testing.T) {
 	if _, err := b.Publish(key); err != nil {
 		t.Fatal(err)
 	}
-	found, _ = a.Locate(key)
+	found = a.Locate(key)
 	if len(found) != 2 {
 		t.Errorf("Locate after second publish = %v", found)
 	}
 	// Unpublish removes only the named node's entry.
 	a.Unpublish(key)
-	found, _ = b.Locate(key)
+	found = b.Locate(key)
 	if len(found) != 1 || found[0] != "node-b" {
 		t.Errorf("Locate after unpublish = %v", found)
 	}
@@ -133,7 +132,7 @@ func TestPublishAndLocate(t *testing.T) {
 func TestLocateMissingKey(t *testing.T) {
 	r := NewRing()
 	a := r.Join("node-a", "us-east")
-	if found, _ := a.Locate("GET http://never-published.example.org/"); len(found) != 0 {
+	if found := a.Locate("GET http://never-published.example.org/"); len(found) != 0 {
 		t.Errorf("Locate of unpublished key = %v", found)
 	}
 }
@@ -153,11 +152,11 @@ func TestIndexEntriesExpire(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(61 * time.Second)
-	if found, _ := b.Locate(key); len(found) != 1 {
+	if found := b.Locate(key); len(found) != 1 {
 		t.Fatalf("a copy fresh for an hour is not located after 61 s: %v", found)
 	}
 	now = now.Add(time.Hour)
-	if found, _ := b.Locate(key); len(found) != 0 {
+	if found := b.Locate(key); len(found) != 0 {
 		t.Errorf("entry should have expired with its copy, got %v", found)
 	}
 }
@@ -256,43 +255,20 @@ func TestPublishCarriesTheExpiry(t *testing.T) {
 	}
 }
 
-// recorder logs the publishes sent through a transport.
+// recorder counts the messages sent through a transport and logs the
+// publishes.
 type recorder struct {
 	transport.Transport
-	sent []string
+	calls int
+	sent  []string
 }
 
 func (r *recorder) Call(from, to string, msg transport.Message) (transport.Message, error) {
+	r.calls++
 	if msg.Type == msgPublish {
 		r.sent = append(r.sent, fmt.Sprintf("%s>%s %s %s %v", from, to, msg.Type, msg.Key, msg.Args))
 	}
 	return r.Transport.Call(from, to, msg)
-}
-
-func TestLookupHopsScaleLogarithmically(t *testing.T) {
-	// With n nodes, lookups should take O(log n) hops, never more than
-	// log2(n)+1.
-	for _, n := range []int{2, 8, 32, 128} {
-		r := NewRing()
-		var nodes []*Node
-		for i := 0; i < n; i++ {
-			nodes = append(nodes, r.Join(fmt.Sprintf("node-%d", i), "r"))
-		}
-		maxHops := 0
-		for i := 0; i < 200; i++ {
-			_, hops := lookup(nodes[i%n], fmt.Sprintf("key-%d", i))
-			if hops > maxHops {
-				maxHops = hops
-			}
-		}
-		bound := 1
-		for s := n; s > 1; s >>= 1 {
-			bound++
-		}
-		if maxHops > bound {
-			t.Errorf("n=%d: max hops %d exceeds log bound %d", n, maxHops, bound)
-		}
-	}
 }
 
 func TestNodeStats(t *testing.T) {
@@ -312,14 +288,13 @@ func TestSingleNodeRing(t *testing.T) {
 	r := NewRing()
 	a := r.Join("only", "r")
 	holding(time.Now().Add(time.Hour), a)
-	owner, hops := lookup(a, "anything")
-	if owner != a || hops != 0 {
-		t.Errorf("single node ring: owner=%v hops=%d", owner.Name, hops)
+	if owner := lookup(a, "anything"); owner != a {
+		t.Errorf("single node ring: owner=%v", owner)
 	}
 	if _, err := a.Publish("k"); err != nil {
 		t.Fatal(err)
 	}
-	if found, _ := a.Locate("k"); len(found) != 1 {
+	if found := a.Locate("k"); len(found) != 1 {
 		t.Error("single node should locate its own entry")
 	}
 }
@@ -329,8 +304,7 @@ func TestEmptyRingLookup(t *testing.T) {
 	n := r.Join("temp", "r")
 	holding(time.Now().Add(time.Hour), n)
 	r.Leave("temp")
-	owner, _ := lookup(n, "k")
-	if owner != nil {
+	if owner := lookup(n, "k"); owner != nil {
 		t.Error("lookup on empty ring should return nil")
 	}
 	if _, err := n.Publish("k"); err == nil {

@@ -2,54 +2,26 @@ package overlay
 
 import (
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"nakika/internal/transport"
 )
 
-// idBits is the routing identifier width: fingers[b] targets ID + 2^b.
-const idBits = 64
-
-// succListLen is the successor-list length: how many successive node
-// failures routing survives under churn.
+// succListLen is the successor-list length: how many successors a node
+// pings each round and Successors returns.
 const succListLen = 4
-
-// maxLookupHops bounds an iterative lookup; a converged ring resolves in
-// O(log n) hops, so hitting this means routing state is badly broken.
-const maxLookupHops = 96
 
 // Overlay message types (the "ov." prefix is what transport.Mux routes on).
 const (
-	msgFindSuccessor = "ov.find_successor"
-	msgPublish       = "ov.publish"
-	msgLocate        = "ov.locate"
-	msgStabilize     = "ov.stab"
-	msgNotify        = "ov.notify"
-	msgPing          = "ov.ping"
+	msgPublish = "ov.publish"
+	msgLocate  = "ov.locate"
+	msgPing    = "ov.ping"
 )
-
-func fmtID(id ID) string { return strconv.FormatUint(uint64(id), 16) }
-
-func parseID(s string) (ID, error) {
-	v, err := strconv.ParseUint(s, 16, 64)
-	return ID(v), err
-}
-
-// skipList renders a skip set for the wire (sorted for determinism).
-func skipList(skip map[string]bool) []string {
-	if len(skip) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(skip))
-	for s := range skip {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // call sends an overlay RPC through the ring's transport.
 func (r *Ring) call(from, to string, msg transport.Message) (transport.Message, error) {
@@ -57,229 +29,222 @@ func (r *Ring) call(from, to string, msg transport.Message) (transport.Message, 
 }
 
 // ---------------------------------------------------------------------------
-// Routing-table construction
+// The view
 // ---------------------------------------------------------------------------
 
-// tablesFor computes the converged routing tables for position id given the
-// current membership. Caller holds r.mu.
-func (r *Ring) tablesFor(id ID) (pred ref, succs []ref, fingers []ref) {
-	n := len(r.sorted)
-	if n <= 1 {
-		return ref{}, nil, make([]ref, idBits)
-	}
-	pos := 0
-	for i, v := range r.sorted {
-		if v == id {
-			pos = i
-			break
+// walkLocked visits this node's view in ring order from position i of the
+// sorted membership, clockwise for step 1 and counter-clockwise for step -1:
+// every member the node does not suspect and avoid does not name, until
+// visit returns false. Caller holds r.mu (read) and n.mu.
+func (n *Node) walkLocked(i, step int, avoid map[string]bool, visit func(m *Node) bool) {
+	s := n.ring.sorted
+	for j := 0; j < len(s); j++ {
+		m := n.ring.byID[s[((i+j*step)%len(s)+len(s))%len(s)]]
+		if !n.suspects[m.Name] && !avoid[m.Name] && !visit(m) {
+			return
 		}
 	}
-	k := succListLen
-	if k > n-1 {
-		k = n - 1
-	}
-	for j := 1; j <= k; j++ {
-		s := r.byID[r.sorted[(pos+j)%n]]
-		succs = append(succs, ref{name: s.Name, id: s.ID})
-	}
-	p := r.byID[r.sorted[(pos-1+n)%n]]
-	pred = ref{name: p.Name, id: p.ID}
-	fingers = make([]ref, idBits)
-	for b := 0; b < idBits; b++ {
-		target := id + ID(uint64(1)<<uint(b)) // ring arithmetic wraps on uint64
-		f := r.successorLocked(target)
-		fingers[b] = ref{name: f.Name, id: f.ID}
-	}
-	return pred, succs, fingers
 }
 
-// rebuildRoutingLocked recomputes every member's routing tables from the
-// membership ground truth — the instant-convergence maintenance model.
-// Caller holds r.mu.
-func (r *Ring) rebuildRoutingLocked() {
-	for _, id := range r.sorted {
-		node := r.byID[id]
-		pred, succs, fingers := r.tablesFor(id)
-		node.mu.Lock()
-		node.pred, node.succs, node.fingers = pred, succs, fingers
-		node.mu.Unlock()
-	}
+// neighboursLocked derives this node's predecessor (nil when the node is
+// alone in its view) and its first succListLen successors from the view.
+// Caller holds r.mu (read) and n.mu.
+func (n *Node) neighboursLocked() (pred *Node, succs []*Node) {
+	pos := sort.Search(len(n.ring.sorted), func(i int) bool { return n.ring.sorted[i] >= n.ID })
+	n.walkLocked(pos, 1, nil, func(m *Node) bool {
+		if m != n {
+			succs = append(succs, m)
+		}
+		return len(succs) < succListLen
+	})
+	n.walkLocked(pos-1, -1, nil, func(m *Node) bool {
+		if m != n {
+			pred = m
+		}
+		return pred == nil
+	})
+	return pred, succs
 }
 
-// seedRoutingLocked gives a joining node correct initial tables (the "join
-// server" bootstrap) without touching anyone else's state; under
-// ManualMaintenance the rest of the ring learns about the newcomer through
-// stabilization. Caller holds r.mu.
-func (r *Ring) seedRoutingLocked(n *Node) {
-	pred, succs, fingers := r.tablesFor(n.ID)
-	n.mu.Lock()
-	n.pred, n.succs, n.fingers = pred, succs, fingers
-	n.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------------
-// Iterative lookup
-// ---------------------------------------------------------------------------
-
-// decision is one routing step's outcome: either the final owner of the
-// target, or the next node to ask.
-type decision struct {
-	owner string
-	final bool
-	next  string
-}
-
-// decide runs one Chord routing step against the node's own tables. Names
-// in skip are known-unreachable: they are never proposed as the next hop,
-// and when the nominal owner is skipped, ownership falls to the next live
-// successor (a dead node's keys belong to its first live successor).
-func (n *Node) decide(target ID, skip map[string]bool) decision {
+// Successors returns the names of the node's first succListLen successors
+// in its view.
+func (n *Node) Successors() []string {
+	n.ring.mu.RLock()
+	defer n.ring.mu.RUnlock()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.succs) == 0 {
-		// No successor state: alone on the ring (or still bootstrapping) —
-		// claim the key rather than fail.
-		return decision{owner: n.Name, final: true}
+	_, succs := n.neighboursLocked()
+	out := make([]string, len(succs))
+	for i, s := range succs {
+		out[i] = s.Name
 	}
-	if between(target, n.ID, n.succs[0].id) {
-		for _, s := range n.succs {
-			if !skip[s.name] {
-				return decision{owner: s.name, final: true}
-			}
-		}
-		return decision{owner: n.succs[0].name, final: true}
-	}
-	if n.pred.name != "" && between(target, n.pred.id, n.ID) {
-		// This node owns the target — unless the query skips it (a caller
-		// asking "who owns this besides me/besides the dead owner"), in
-		// which case ownership falls to the first non-skipped successor,
-		// exactly as it would after this node's death.
-		if !skip[n.Name] {
-			return decision{owner: n.Name, final: true}
-		}
-		for _, s := range n.succs {
-			if !skip[s.name] {
-				return decision{owner: s.name, final: true}
-			}
-		}
-		return decision{owner: n.succs[0].name, final: true}
-	}
-	if next := n.closestPrecedingLocked(target, skip); next != "" {
-		return decision{next: next}
-	}
-	for _, s := range n.succs {
-		if !skip[s.name] {
-			return decision{owner: s.name, final: true}
-		}
-	}
-	return decision{owner: n.succs[0].name, final: true}
+	return out
 }
 
-// closestPrecedingLocked returns the name of the node from this node's
-// tables (fingers, successors, predecessor) whose ID most closely precedes
-// target, excluding names in skip. Caller holds n.mu.
-func (n *Node) closestPrecedingLocked(target ID, skip map[string]bool) string {
-	best := ref{}
-	consider := func(c ref) {
-		if c.name == "" || c.name == n.Name || skip[c.name] {
-			return
-		}
-		// Candidate must lie between us and the target so every hop makes
-		// progress toward the owner.
-		if !between(c.id, n.ID, target) {
-			return
-		}
-		if best.name == "" || between(best.id, n.ID, c.id) {
-			best = c
-		}
-	}
-	for i := len(n.fingers) - 1; i >= 0; i-- {
-		consider(n.fingers[i])
-	}
-	for _, s := range n.succs {
-		consider(s)
-	}
-	consider(n.pred)
-	return best.name
-}
-
-// LookupName routes from this node to the node responsible for key,
-// returning the owner's name and the number of remote routing hops taken.
-// Unreachable hops are routed around using the rest of the node's tables.
-func (n *Node) LookupName(key string) (string, int, error) {
-	return n.lookupID(HashID(key), nil)
-}
-
-// LookupNameAvoid is LookupName with an initial set of names to treat as
-// unreachable. The replication layer uses it for failover: when the nominal
-// owner of a key is dead, looking the key up again with the dead node in
-// avoid yields the key's first live successor — the node that now serves
-// the key's replicas. avoid is not mutated.
-func (n *Node) LookupNameAvoid(key string, avoid map[string]bool) (string, int, error) {
-	return n.lookupID(HashID(key), avoid)
-}
-
-func (n *Node) lookupID(target ID, avoid map[string]bool) (string, int, error) {
-	r := n.ring
-	if r.Size() == 0 {
-		return "", 0, fmt.Errorf("overlay: empty ring")
-	}
+// OwnedRange returns the half-open ring interval (from, to] of key IDs this
+// node owns in its view: everything between its predecessor and itself. ok
+// is false while the node is alone in its view, when the owned range cannot
+// be bounded.
+func (n *Node) OwnedRange() (from, to ID, ok bool) {
+	n.ring.mu.RLock()
+	defer n.ring.mu.RUnlock()
 	n.mu.Lock()
-	n.lookups++
-	n.mu.Unlock()
-	hops := 0
-	defer func() {
-		n.mu.Lock()
-		n.hops += int64(hops)
-		n.mu.Unlock()
-	}()
+	defer n.mu.Unlock()
+	pred, _ := n.neighboursLocked()
+	if pred == nil {
+		return 0, 0, false
+	}
+	return pred.ID, n.ID, true
+}
 
-	skip := make(map[string]bool, len(avoid))
-	for name := range avoid {
-		skip[name] = true
+// LookupName returns the owner of key in this node's view: the first member
+// clockwise from the key's hash that the node does not suspect. It sends no
+// message.
+func (n *Node) LookupName(key string) (string, error) {
+	return n.LookupNameAvoid(key, nil)
+}
+
+// LookupNameAvoid is LookupName that also passes over the members in avoid.
+// The replication layer uses it for failover: when the owner of a key does
+// not answer, looking the key up again with that owner in avoid yields the
+// key's next live successor, the node that holds the next replica. avoid is
+// not mutated.
+func (n *Node) LookupNameAvoid(key string, avoid map[string]bool) (string, error) {
+	id := HashID(key)
+	r := n.ring
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(r.sorted) == 0 {
+		return "", fmt.Errorf("overlay: empty ring")
 	}
-	dec := n.decide(target, skip)
-	if dec.final {
-		return dec.owner, hops, nil
+	n.lookups++
+	owner := ""
+	n.walkLocked(sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i] >= id }), 1, avoid, func(m *Node) bool {
+		owner = m.Name
+		return false
+	})
+	if owner == "" {
+		return "", fmt.Errorf("overlay: no owner for %q outside %d avoided members", key, len(avoid))
 	}
-	cur := dec.next
-	var lastErr error
-	for hops < maxLookupHops {
-		reply, err := r.call(n.Name, cur, transport.Message{Type: msgFindSuccessor, Key: fmtID(target), Args: skipList(skip)})
-		hops++
-		if err != nil {
-			// Route around the dead/partitioned hop: restart the decision
-			// from our own tables with the dead hop excluded (the skip set
-			// travels with the query so later hops avoid it too).
-			skip[cur] = true
-			lastErr = err
-			dec := n.decide(target, skip)
-			if dec.final {
-				return dec.owner, hops, nil
+	return owner, nil
+}
+
+// ViewDigest is an FNV-1a 32-bit hash of the ring's members and of the
+// members this node suspects, each sorted: two nodes with equal digests
+// agree on who owns every key.
+func (n *Node) ViewDigest() uint32 {
+	n.ring.mu.RLock()
+	defer n.ring.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var members, suspects []string
+	for name := range n.ring.nodes {
+		members = append(members, name)
+		if n.suspects[name] {
+			suspects = append(suspects, name)
+		}
+	}
+	sort.Strings(members)
+	sort.Strings(suspects)
+	h := fnv.New32a()
+	h.Write([]byte(strings.Join(members, "\n") + "\x00" + strings.Join(suspects, "\n")))
+	return h.Sum32()
+}
+
+// ---------------------------------------------------------------------------
+// Maintenance
+// ---------------------------------------------------------------------------
+
+// window returns the members this node pings each round: its predecessor,
+// its successors, and every member it suspects, each once.
+func (n *Node) window() []string {
+	n.ring.mu.RLock()
+	defer n.ring.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	pred, succs := n.neighboursLocked()
+	var out []string
+	if pred != nil {
+		out = append(out, pred.Name)
+	}
+	for _, s := range succs {
+		if !slices.Contains(out, s.Name) {
+			out = append(out, s.Name)
+		}
+	}
+	var suspects []string
+	for name := range n.suspects {
+		if _, member := n.ring.nodes[name]; member {
+			suspects = append(suspects, name)
+		} else {
+			delete(n.suspects, name)
+		}
+	}
+	sort.Strings(suspects)
+	return append(out, suspects...)
+}
+
+// Stabilize runs one ping round over this node's window (see window): a
+// failed ping suspects the member and a successful one clears it, and every
+// ping carries load gossip both ways. A member that enters the window
+// because another became suspected is pinged in the same round, so the
+// round ends with every window member answered or suspected. When the
+// round leaves the node's predecessor or successor list different from the
+// last round's, the churn hook fires (see SetChurnHook), so the layer above
+// can promote replicas and re-replicate. The round also drops the index
+// slice's expired entries, and the keys left without one.
+func (n *Node) Stabilize() {
+	r := n.ring
+	n.mu.Lock()
+	n.pruneLocked(r.now())
+	n.mu.Unlock()
+	loadArg := n.localLoadArg()
+	pinged := make(map[string]bool)
+	for {
+		var todo []string
+		for _, p := range n.window() {
+			if !pinged[p] {
+				todo = append(todo, p)
 			}
-			if dec.next == "" || skip[dec.next] {
-				return "", hops, fmt.Errorf("overlay: lookup failed, no route to owner: %w", err)
+		}
+		if len(todo) == 0 {
+			break
+		}
+		for _, p := range todo {
+			pinged[p] = true
+			reply, err := r.call(n.Name, p, transport.Message{Type: msgPing, Key: loadArg})
+			n.mu.Lock()
+			if err != nil {
+				n.suspects[p] = true
+			} else {
+				delete(n.suspects, p)
 			}
-			cur = dec.next
-			continue
+			n.mu.Unlock()
+			if err == nil {
+				n.observeLoad(p, reply.Key)
+			}
 		}
-		if len(reply.Args) < 2 {
-			return "", hops, fmt.Errorf("overlay: malformed find_successor reply")
-		}
-		name, kind := reply.Args[0], reply.Args[1]
-		if kind == "final" {
-			return name, hops, nil
-		}
-		if name == cur || skip[name] {
-			// No progress: treat the hop's best guess as the owner.
-			return name, hops, nil
-		}
-		cur = name
 	}
-	if lastErr != nil {
-		return "", hops, fmt.Errorf("overlay: lookup did not converge: %w", lastErr)
+	r.mu.RLock()
+	n.mu.Lock()
+	pred, succs := n.neighboursLocked()
+	r.mu.RUnlock()
+	now := ""
+	if pred != nil {
+		now = pred.Name
 	}
-	return "", hops, fmt.Errorf("overlay: lookup did not converge after %d hops", hops)
+	for _, s := range succs {
+		now += " " + s.Name
+	}
+	changed := now != n.last
+	n.last = now
+	hook := n.churn
+	n.mu.Unlock()
+	if changed && hook != nil {
+		hook()
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -291,7 +256,7 @@ func (n *Node) lookupID(target ID, avoid map[string]bool) (string, int, error) {
 // and the index keeps it exactly that long; a key the node holds no fresh copy
 // of is not announced. The entry is stored at the node responsible for the
 // key (the DHT put), which keeps a copy of it at its first successor. The
-// returned hop count covers the routing lookup.
+// returned count is the overlay RPCs the call sent.
 func (n *Node) Publish(key string) (int, error) {
 	n.mu.Lock()
 	copies := n.copies
@@ -313,59 +278,61 @@ func (n *Node) Unpublish(key string) { _, _ = n.announce(key, time.Unix(0, 0)) }
 // announce sends this node's entry for key, fresh until expires, to the key's
 // owner: an ov.publish whose one argument is the expiry in Unix nanoseconds.
 func (n *Node) announce(key string, expires time.Time) (int, error) {
-	owner, hops, err := n.LookupName(key)
+	owner, err := n.LookupName(key)
 	if err != nil {
-		return hops, err
+		return 0, err
 	}
 	msg := transport.Message{Type: msgPublish, Key: key, Args: []string{strconv.FormatInt(expires.UnixNano(), 10)}}
 	if owner == n.Name {
-		n.applyPublish(n.Name, msg)
-		return hops, nil
+		return n.applyPublish(n.Name, msg), nil
 	}
 	if _, err := n.ring.call(n.Name, owner, msg); err != nil {
-		return hops, fmt.Errorf("overlay: publish to %s: %w", owner, err)
+		return 1, fmt.Errorf("overlay: publish to %s: %w", owner, err)
 	}
-	return hops, nil
+	return 1, nil
 }
 
-// Locate returns the names of nodes believed to hold cached copies of key,
-// together with the routing hop count. Expired entries are filtered out.
-func (n *Node) Locate(key string) ([]string, int) {
-	holders, hops, _ := n.LocateErr(key)
-	return holders, hops
+// Locate returns the names of nodes believed to hold cached copies of key.
+// Expired entries are filtered out.
+func (n *Node) Locate(key string) []string {
+	holders, _, _ := n.LocateErr(key)
+	return holders
 }
 
-// LocateErr is Locate with the routing/transport error exposed, so callers
-// under fault injection can distinguish "no holders" from "index owner
-// unreachable". An owner that does not answer is asked again through its
-// first live successor, which keeps a copy of its entries.
+// LocateErr is Locate with the transport error exposed, so callers under
+// fault injection can distinguish "no holders" from "index owner
+// unreachable", and with the count of overlay RPCs the call sent. An owner
+// that does not answer is asked again through its first live successor,
+// which keeps a copy of its entries.
 func (n *Node) LocateErr(key string) ([]string, int, error) {
-	owner, hops, err := n.LookupName(key)
+	owner, err := n.LookupName(key)
 	if err != nil {
-		return nil, hops, err
+		return nil, 0, err
 	}
-	holders, err := n.locateAt(owner, key)
+	holders, rpcs, err := n.locateAt(owner, key)
 	if err != nil {
-		next, more, lerr := n.LookupNameAvoid(key, map[string]bool{owner: true})
-		hops += more
-		if lerr != nil || next == owner {
-			return nil, hops, err
+		next, lerr := n.LookupNameAvoid(key, map[string]bool{owner: true})
+		if lerr != nil {
+			return nil, rpcs, err
 		}
-		holders, err = n.locateAt(next, key)
+		var more int
+		holders, more, err = n.locateAt(next, key)
+		rpcs += more
 	}
-	return holders, hops, err
+	return holders, rpcs, err
 }
 
-// locateAt asks one node for the live holders of key in its index slice.
-func (n *Node) locateAt(node, key string) ([]string, error) {
+// locateAt asks one node for the live holders of key in its index slice,
+// and reports the RPCs that took.
+func (n *Node) locateAt(node, key string) ([]string, int, error) {
 	if node == n.Name {
-		return n.applyLocate(key), nil
+		return n.applyLocate(key), 0, nil
 	}
 	reply, err := n.ring.call(n.Name, node, transport.Message{Type: msgLocate, Key: key})
 	if err != nil {
-		return nil, fmt.Errorf("overlay: locate at %s: %w", node, err)
+		return nil, 1, fmt.Errorf("overlay: locate at %s: %w", node, err)
 	}
-	return reply.Args, nil
+	return reply.Args, 1, nil
 }
 
 // applyPublish records an announcement in this node's slice of the index:
@@ -374,21 +341,22 @@ func (n *Node) locateAt(node, key string) ([]string, error) {
 // is relayed to this node's first successor with the holder's name as a
 // second argument; that copy is what Locate finds when this node is gone. An
 // announcement without an expiry, as an older build sends, is not recorded.
-func (n *Node) applyPublish(from string, msg transport.Message) {
+// It returns the RPCs it sent: one for a relay, else none.
+func (n *Node) applyPublish(from string, msg transport.Message) int {
 	if len(msg.Args) == 0 {
-		return
+		return 0
 	}
 	ns, err := strconv.ParseInt(msg.Args[0], 10, 64)
 	if err != nil {
-		return
+		return 0
 	}
 	holder, relay := from, ""
-	n.mu.Lock()
 	if len(msg.Args) > 1 {
 		holder = msg.Args[1]
-	} else if len(n.succs) > 0 && n.succs[0].name != n.Name {
-		relay = n.succs[0].name
+	} else if succs := n.Successors(); len(succs) > 0 {
+		relay = succs[0]
 	}
+	n.mu.Lock()
 	entries := n.index[msg.Key]
 	i := slices.IndexFunc(entries, func(e Entry) bool { return e.NodeName == holder })
 	if i < 0 {
@@ -398,9 +366,11 @@ func (n *Node) applyPublish(from string, msg transport.Message) {
 	entries[i].Expires = time.Unix(0, ns)
 	n.keepLocked(msg.Key, entries, n.ring.now())
 	n.mu.Unlock()
-	if relay != "" {
-		_, _ = n.ring.call(n.Name, relay, transport.Message{Type: msgPublish, Key: msg.Key, Args: []string{msg.Args[0], holder}})
+	if relay == "" {
+		return 0
 	}
+	_, _ = n.ring.call(n.Name, relay, transport.Message{Type: msgPublish, Key: msg.Key, Args: []string{msg.Args[0], holder}})
+	return 1
 }
 
 // applyLocate returns the live holders of key from this node's index slice.
@@ -450,215 +420,15 @@ func (n *Node) pruneLocked(now time.Time) int {
 // ring's transport at Join (possibly behind a mux).
 func (n *Node) ServeRPC(from string, msg transport.Message) (transport.Message, error) {
 	switch msg.Type {
-	case msgFindSuccessor:
-		target, err := parseID(msg.Key)
-		if err != nil {
-			return transport.Message{}, fmt.Errorf("overlay: bad target id %q", msg.Key)
-		}
-		skip := make(map[string]bool, len(msg.Args))
-		for _, s := range msg.Args {
-			skip[s] = true
-		}
-		dec := n.decide(target, skip)
-		if dec.final {
-			return transport.Message{Args: []string{dec.owner, "final"}}, nil
-		}
-		return transport.Message{Args: []string{dec.next, "forward"}}, nil
 	case msgPublish:
 		n.applyPublish(from, msg)
 		return transport.Message{}, nil
 	case msgLocate:
 		return transport.Message{Args: n.applyLocate(msg.Key)}, nil
-	case msgStabilize:
-		n.observeLoad(from, msg.Key)
-		n.mu.Lock()
-		args := []string{n.pred.name}
-		for _, s := range n.succs {
-			args = append(args, s.name)
-		}
-		n.mu.Unlock()
-		return transport.Message{Key: n.localLoadArg(), Args: args}, nil
-	case msgNotify:
-		if len(msg.Args) > 0 {
-			n.observeLoad(msg.Key, msg.Args[0])
-		}
-		cand := ref{name: msg.Key, id: HashID(msg.Key)}
-		n.mu.Lock()
-		if cand.name != n.Name && (n.pred.name == "" || between(cand.id, n.pred.id, n.ID)) {
-			n.pred = cand
-		}
-		n.mu.Unlock()
-		return transport.Message{}, nil
 	case msgPing:
 		n.observeLoad(from, msg.Key)
 		return transport.Message{Key: n.localLoadArg()}, nil
 	default:
 		return transport.Message{}, fmt.Errorf("overlay: unknown message type %q", msg.Type)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Incremental maintenance (Stabilize / FixFingers)
-// ---------------------------------------------------------------------------
-
-// Stabilize runs one round of successor-list repair through the transport:
-// dead successors are dropped, a closer live successor learned from the
-// current one is adopted, the successor list is refreshed from the live
-// successor's list, and the successor is notified of this node (updating
-// its predecessor pointer). A dead predecessor is cleared so notify can
-// replace it. When the round detects churn that changes this node's
-// replication responsibilities — the predecessor died, or the successor
-// list changed — the node's churn hook fires (see SetChurnHook), so the
-// layer above can promote replicas and re-replicate. The round also drops
-// the index slice's expired entries, and the keys left without one.
-func (n *Node) Stabilize() {
-	r := n.ring
-	n.mu.Lock()
-	n.pruneLocked(r.now())
-	pred := n.pred
-	succs := append([]ref(nil), n.succs...)
-	oldList := fmt.Sprint(succs)
-	n.mu.Unlock()
-	churned := false
-	defer func() {
-		n.mu.Lock()
-		newList := fmt.Sprint(n.succs)
-		hook := n.churn
-		n.mu.Unlock()
-		// Any successor-list change matters, not just the head: a node K-1
-		// places downstream replicates for this node, so its death or
-		// arrival anywhere in the list shifts replication targets.
-		if (churned || newList != oldList) && hook != nil {
-			hook()
-		}
-	}()
-
-	// Maintenance traffic doubles as load gossip: every ping/stabilize
-	// below carries this node's load score and reports the peer's back.
-	loadArg := n.localLoadArg()
-	if pred.name != "" {
-		if rep, err := r.call(n.Name, pred.name, transport.Message{Type: msgPing, Key: loadArg}); err != nil {
-			n.mu.Lock()
-			if n.pred == pred {
-				n.pred = ref{}
-				churned = true
-			}
-			n.mu.Unlock()
-		} else {
-			n.observeLoad(pred.name, rep.Key)
-		}
-	}
-
-	var live ref
-	var reply transport.Message
-	for len(succs) > 0 {
-		s := succs[0]
-		rep, err := r.call(n.Name, s.name, transport.Message{Type: msgStabilize, Key: loadArg})
-		if err != nil {
-			succs = succs[1:] // successor-list repair: skip the dead head
-			continue
-		}
-		n.observeLoad(s.name, rep.Key)
-		live, reply = s, rep
-		break
-	}
-	if live.name == "" {
-		// Every known successor is gone. Fall back to the first live finger
-		// (fingers cover the whole ring, so the lowest live one is a
-		// successor over-estimate that the adoption loop below walks back),
-		// or to the predecessor so a two-node ring can re-form.
-		n.mu.Lock()
-		fingers := append([]ref(nil), n.fingers...)
-		n.mu.Unlock()
-		for _, f := range fingers {
-			if f.name == "" || f.name == n.Name {
-				continue
-			}
-			if rep, err := r.call(n.Name, f.name, transport.Message{Type: msgStabilize, Key: loadArg}); err == nil {
-				n.observeLoad(f.name, rep.Key)
-				live, reply = f, rep
-				break
-			}
-		}
-		if live.name == "" {
-			// Nothing reachable anywhere. If the predecessor is still known
-			// (its ping succeeded above), fall back to it so a two-node ring
-			// can re-form; otherwise the node is fully isolated — clear the
-			// successor list so it stops addressing dead peers and serves
-			// alone until something reachable reappears (fingers are left in
-			// place as rejoin candidates for later rounds).
-			n.mu.Lock()
-			if n.pred.name != "" && n.pred.name != n.Name {
-				n.succs = []ref{n.pred}
-			} else {
-				n.succs = nil
-			}
-			n.mu.Unlock()
-			return
-		}
-	}
-
-	// Classic Chord stabilization, run to a fixpoint: while our successor's
-	// predecessor sits between us and it, that node is a closer successor —
-	// adopt it if reachable.
-	for i := 0; i < maxLookupHops; i++ {
-		sp := reply.Args[0]
-		if sp == "" || sp == n.Name {
-			break
-		}
-		spRef := ref{name: sp, id: HashID(sp)}
-		if !between(spRef.id, n.ID, live.id) || spRef.id == live.id {
-			break
-		}
-		rep, err := r.call(n.Name, sp, transport.Message{Type: msgStabilize, Key: loadArg})
-		if err != nil {
-			break
-		}
-		n.observeLoad(sp, rep.Key)
-		live, reply = spRef, rep
-	}
-
-	// Refresh the successor list: the live successor followed by its list.
-	newSuccs := []ref{live}
-	for _, name := range reply.Args[1:] {
-		if name == "" || name == n.Name || name == live.name {
-			continue
-		}
-		newSuccs = append(newSuccs, ref{name: name, id: HashID(name)})
-		if len(newSuccs) >= succListLen {
-			break
-		}
-	}
-	n.mu.Lock()
-	n.succs = newSuccs
-	n.mu.Unlock()
-	_, _ = r.call(n.Name, live.name, transport.Message{Type: msgNotify, Key: n.Name, Args: []string{loadArg}})
-}
-
-// FixFingers refreshes every finger by routing for its target; entries
-// whose lookups fail are left for the next round. A node with no
-// successor state skips the refresh entirely: its lookups resolve
-// everything to itself (the bootstrap rule), and overwriting the finger
-// table with self-entries would destroy the only routes it has left for
-// rejoining the ring.
-func (n *Node) FixFingers() {
-	n.mu.Lock()
-	isolated := len(n.succs) == 0
-	n.mu.Unlock()
-	if isolated {
-		return
-	}
-	for b := 0; b < idBits; b++ {
-		target := n.ID + ID(uint64(1)<<uint(b))
-		owner, _, err := n.lookupID(target, nil)
-		if err != nil || owner == "" {
-			continue
-		}
-		n.mu.Lock()
-		if n.fingers == nil {
-			n.fingers = make([]ref, idBits)
-		}
-		n.fingers[b] = ref{name: owner, id: HashID(owner)}
-		n.mu.Unlock()
 	}
 }

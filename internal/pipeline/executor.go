@@ -227,7 +227,7 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 			resp, err := e.runOnRequest(stage, pol, site, &killed, trace, req)
 			trace.Act.AddSpan(scriptURL, spanStart, time.Since(start)-spanStart)
 			if err != nil {
-				if errors.Is(err, script.ErrTerminated) || errors.Is(err, script.ErrStepLimit) || errors.Is(err, script.ErrMemoryLimit) {
+				if stopsPipeline(err) {
 					terminated = true
 					st.Err = err.Error()
 					trace.Stages = append(trace.Stages, st)
@@ -298,7 +298,7 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 		err := e.runOnResponse(ex.stage, ex.pol, site, &killed, trace, req, response)
 		trace.Act.AddSpan(ex.script, spanStart, time.Since(start)-spanStart)
 		if err != nil {
-			if errors.Is(err, script.ErrTerminated) || errors.Is(err, script.ErrStepLimit) || errors.Is(err, script.ErrMemoryLimit) {
+			if stopsPipeline(err) {
 				trace.Terminated = true
 				trace.Elapsed = time.Since(start)
 				e.charge(site, req, nil, trace)
@@ -315,6 +315,14 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 	trace.Elapsed = time.Since(start)
 	e.charge(site, req, response, trace)
 	return response, trace, nil
+}
+
+// stopsPipeline reports whether a handler's error is a kill or a sandbox
+// limit (steps, heap, call depth), which ends the request with a 503 and is
+// charged to the site, rather than failing one stage.
+func stopsPipeline(err error) bool {
+	return errors.Is(err, script.ErrTerminated) || errors.Is(err, script.ErrStepLimit) ||
+		errors.Is(err, script.ErrMemoryLimit) || errors.Is(err, script.ErrDepthLimit)
 }
 
 // withHandlerRun checks a pooled context out of the stage, registers it with

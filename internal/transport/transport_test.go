@@ -66,7 +66,7 @@ func TestMuxRoutesByPrefix(t *testing.T) {
 func TestWireCodecRoundTrip(t *testing.T) {
 	cases := []Message{
 		{},
-		{Type: "ov.find_successor", Key: "abc123", Args: []string{"one", "", "three"}, Body: []byte("payload")},
+		{Type: "ov.publish", Key: "abc123", Args: []string{"one", "", "three"}, Body: []byte("payload")},
 		{Type: strings.Repeat("t", 300), Key: strings.Repeat("k", 1000), Body: make([]byte, 100_000)},
 		{Type: "off.exec", Key: "req", Body: []byte("b"), Trace: 0xdeadbeefcafe},
 		{Type: "lease.acquire", Trace: 1},

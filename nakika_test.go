@@ -64,8 +64,8 @@ func TestPublicAPIOverlayAndBus(t *testing.T) {
 	if _, err := NewNode(Config{Name: "edge-b", Region: "asia", Upstream: origin, Ring: ring, Directory: dir, Bus: bus}); err != nil {
 		t.Fatal(err)
 	}
-	if ring.Size() != 2 {
-		t.Errorf("ring size = %d", ring.Size())
+	if len(ring.Nodes()) != 2 {
+		t.Errorf("ring size = %d", len(ring.Nodes()))
 	}
 	rd := NewRedirector(ring)
 	if rd.Pick("asia") != "edge-b" {
