@@ -1,6 +1,9 @@
 package simm
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -175,16 +178,24 @@ func (h *pageHost) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
 	return resp, err
 }
 
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
 // TestEdgePageAllocCeiling pins what one SIMM page costs the node in
-// allocations: the edge script fetches the student's XML, parses it and
-// renders HTML through pipeline.Executor. A regression on that path (the
-// XML vocabulary above all, which parses the document and walks its tree)
-// fails here on any host. The ceiling is the count measured on Go 1.24,
-// with or without -race: 418 since XML.parse scans straight into the
-// script's node objects and the walkers walk them in place, against 796
-// when XML.parse built a Go tree with encoding/xml and every walker
-// converted whole trees both ways.
+// allocations and in bytes allocated: the edge script fetches the student's
+// XML, parses it and renders HTML through pipeline.Executor. A regression on
+// that path (the interpreter's objects, scopes and strings, and the XML
+// vocabulary, which parses the document and walks its tree) fails here on
+// any host; GC cycles follow the bytes. The ceilings are what go1.24 amd64
+// measures without -race: 267 allocations and 18 904 B since objects and
+// scopes keep their bindings in a slice, string + extends its last result
+// in place and a context's Request and Response are made once (418 and
+// 32 936 B before; 796 allocations when XML.parse built a Go tree with
+// encoding/xml and every walker converted whole trees both ways).
 func TestEdgePageAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what the compiler can keep off the heap, so the ceilings do not apply")
+	}
 	host := &pageHost{origin: NewOrigin(Config{}), canned: make(map[string]*httpmsg.Response)}
 	ex := &pipeline.Executor{
 		Loader:      pipeline.NewLoader(host, script.Limits{MaxSteps: 50_000_000, MaxHeapBytes: 64 << 20}),
@@ -201,9 +212,27 @@ func TestEdgePageAllocCeiling(t *testing.T) {
 	for i := 0; i < 16; i++ { // load the stages and fill the pools
 		page()
 	}
-	const ceiling = 418
-	if allocs := testing.AllocsPerRun(50, page); allocs > ceiling {
-		t.Errorf("one SIMM page costs %.0f allocs, ceiling is %d", allocs, ceiling)
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, page)
+	// Bytes are read over a window of their own with the collector held
+	// off, the smaller of two passes: a collection mid-window empties the
+	// sync.Pools and charges their refill to the page.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	bytes := uint64(math.MaxUint64)
+	for pass := 0; pass < 2; pass++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			page()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	t.Logf("one SIMM page: %.0f allocs, %d B", allocs, bytes)
+	const ceiling, bytesCeiling = 267, 18904
+	if allocs > ceiling || bytes > bytesCeiling {
+		t.Errorf("one SIMM page costs %.0f allocs and %d B, ceiling %d and %d B", allocs, bytes, ceiling, bytesCeiling)
 	}
 }
 

@@ -248,7 +248,9 @@ type StreamHead struct {
 // first client reads — first byte reaches the client before the origin
 // finishes sending (cut-through, Section 2's bucket brigade at object
 // granularity). Fetchers that only implement Do still work; large objects
-// are then chunked after the buffered fetch completes.
+// are then chunked after the buffered fetch completes. The head's Header is
+// handed over: the fetcher keeps no reference to it, so the reply built
+// from it owns it.
 type StreamFetcher interface {
 	DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, error)
 }
@@ -329,8 +331,8 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 			return nil, fmt.Errorf("core: read origin body: %w", err)
 		}
 		resp := httpmsg.NewResponse(head.Status)
-		if h := head.Header.Clone(); h != nil {
-			resp.Header = h
+		if head.Header != nil {
+			resp.Header = head.Header
 		}
 		resp.Body = data
 		return resp, nil

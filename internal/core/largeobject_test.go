@@ -1111,3 +1111,48 @@ func newTestNodeUpstream(t *testing.T, name string, upstream Fetcher, mutate fun
 	}
 	return n
 }
+
+// TestSmallStreamedReplyOwnsItsHeader: a reply the tier does not take (every
+// SIMM XML fetch) comes through the streaming path byte for byte, with a
+// declared length or chunked, and its header is its own: the next reply on
+// the same keep-alive connection neither changes it nor shares its map.
+func TestSmallStreamedReplyOwnsItsHeader(t *testing.T) {
+	bodies := map[string]string{
+		"/declared": strings.Repeat("<p>declared length</p>\n", 40),
+		"/chunked":  strings.Repeat("<p>chunked</p>\n", 30),
+		"/empty":    "",
+	}
+	o := newScriptedOrigin(t, func(req *http.Request) (string, bool) {
+		body := bodies[req.URL.Path]
+		head := "HTTP/1.1 200 OK\r\nCache-Control: max-age=60\r\nX-Path: " + req.URL.Path + "\r\n"
+		if req.URL.Path == "/chunked" {
+			return head + fmt.Sprintf("Transfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", len(body), body), false
+		}
+		return head + fmt.Sprintf("Content-Length: %d\r\n\r\n%s", len(body), body), false
+	})
+	f := newFetcher(t)
+	n := newTestNodeUpstream(t, "small-reply", f, lobConfig(4<<10, 64<<10))
+	paths := []string{"/declared", "/chunked", "/empty"}
+	var replies []*httpmsg.Response
+	for _, path := range paths {
+		resp, _, err := n.Handle(httpmsg.MustRequest("GET", o.url(path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != 200 || resp.Stream != nil || string(resp.Body) != bodies[path] {
+			t.Fatalf("GET %s: %d, streamed %v, body %q", path, resp.Status, resp.Stream != nil, resp.Body)
+		}
+		replies = append(replies, resp)
+	}
+	for i, resp := range replies {
+		if got := resp.Header.Get("X-Path"); got != paths[i] {
+			t.Errorf("reply to %s reads X-Path %q after later replies", paths[i], got)
+		}
+		if i > 0 && reflect.ValueOf(resp.Header).UnsafePointer() == reflect.ValueOf(replies[i-1].Header).UnsafePointer() {
+			t.Errorf("replies to %s and %s share one header map", paths[i-1], paths[i])
+		}
+	}
+	if d := f.dials.Load(); d != 1 {
+		t.Errorf("%d connections dialed, want 1: each body is read to its end and the connection reused", d)
+	}
+}

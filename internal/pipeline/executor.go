@@ -350,16 +350,9 @@ func (e *Executor) withHandlerRun(stage *Stage, site string, killed *atomic.Bool
 func (e *Executor) runOnRequest(stage *Stage, pol *policy.Policy, site string, killed *atomic.Bool, trace *Trace, req *httpmsg.Request) (*httpmsg.Response, error) {
 	var produced *httpmsg.Response
 	err := e.withHandlerRun(stage, site, killed, func(run *Run) error {
-		ctx := run.Ctx
-		ctx.Act = &trace.Act
-		defer func() { ctx.Act = nil }()
-		vocab.BindRequest(ctx, req)
 		// Bind a fresh response the handler may choose to fill from scratch.
 		generated := vocab.NewGeneratedResponse()
-		vocab.BindResponse(ctx, generated)
-		beforeSteps, beforeHeap := ctx.Steps(), ctx.HeapBytes()
-		ret, err := ctx.Call(run.Handler(pol.OnRequest), script.Undefined{})
-		e.chargeSteps(stage.Site, ctx.Steps()-beforeSteps, ctx.HeapBytes()-beforeHeap)
+		ret, err := e.runHandler(run, stage, trace, pol.OnRequest, req, generated)
 		if err != nil {
 			return err
 		}
@@ -388,16 +381,28 @@ func (e *Executor) runOnRequest(stage *Stage, pol *policy.Policy, site string, k
 // runOnResponse executes a policy's onResponse handler against resp.
 func (e *Executor) runOnResponse(stage *Stage, pol *policy.Policy, site string, killed *atomic.Bool, trace *Trace, req *httpmsg.Request, resp *httpmsg.Response) error {
 	return e.withHandlerRun(stage, site, killed, func(run *Run) error {
-		ctx := run.Ctx
-		ctx.Act = &trace.Act
-		defer func() { ctx.Act = nil }()
-		vocab.BindRequest(ctx, req)
-		vocab.BindResponse(ctx, resp)
-		beforeSteps, beforeHeap := ctx.Steps(), ctx.HeapBytes()
-		_, err := ctx.Call(run.Handler(pol.OnResponse), script.Undefined{})
-		e.chargeSteps(stage.Site, ctx.Steps()-beforeSteps, ctx.HeapBytes()-beforeHeap)
+		_, err := e.runHandler(run, stage, trace, pol.OnResponse, req, resp)
 		return err
 	})
+}
+
+// runHandler calls one event handler in run's context with Request and
+// Response standing for req and resp, and charges the stage's site the
+// steps and heap bytes it took. The messages are cleared when it returns,
+// so a pooled context holds none between runs.
+func (e *Executor) runHandler(run *Run, stage *Stage, trace *Trace, handler script.Value, req *httpmsg.Request, resp *httpmsg.Response) (script.Value, error) {
+	ctx := run.Ctx
+	ctx.Act = &trace.Act
+	vocab.BindRequest(ctx, req)
+	vocab.BindResponse(ctx, resp)
+	defer func() {
+		ctx.Act = nil
+		vocab.ClearMessages(ctx)
+	}()
+	beforeSteps, beforeHeap := ctx.Steps(), ctx.HeapBytes()
+	ret, err := ctx.Call(run.Handler(handler), script.Undefined{})
+	e.chargeSteps(stage.Site, ctx.Steps()-beforeSteps, ctx.HeapBytes()-beforeHeap)
+	return ret, err
 }
 
 // chargeSteps reports the CPU and memory consumed by one handler execution

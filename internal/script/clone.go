@@ -53,14 +53,12 @@ func (c *cloner) cloneEnv(e *Env) *Env {
 	if dup, ok := c.envs[e]; ok {
 		return dup
 	}
-	dup := &Env{vars: make(map[string]Value, len(e.vars))}
+	dup := &Env{}
 	// Memoize before descending: closures routinely point back at the
 	// environment that defines them.
 	c.envs[e] = dup
 	dup.parent = c.cloneEnv(e.parent)
-	for k, v := range e.vars {
-		dup.vars[k] = c.cloneValue(v)
-	}
+	dup.vars = e.vars.cloneWith(c.cloneValue)
 	return dup
 }
 
@@ -93,15 +91,9 @@ func (c *cloner) cloneValue(v Value) Value {
 		if dup, ok := c.vals[v]; ok {
 			return dup
 		}
-		dup := &Object{
-			keys:      append([]string(nil), t.keys...),
-			props:     make(map[string]Value, len(t.props)),
-			ClassName: t.ClassName,
-		}
+		dup := &Object{ClassName: t.ClassName}
 		c.vals[v] = dup
-		for k, pv := range t.props {
-			dup.props[k] = c.cloneValue(pv)
-		}
+		dup.props = t.props.cloneWith(c.cloneValue)
 		return dup
 	case *Function:
 		if dup, ok := c.vals[v]; ok {

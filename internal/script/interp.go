@@ -61,20 +61,18 @@ func (e *RuntimeError) Error() string {
 
 // Env is a lexical environment: a chain of variable scopes.
 type Env struct {
-	vars   map[string]Value
+	vars   bindings
 	parent *Env
 }
 
 // NewEnv returns a child environment of parent (or a root when parent is
 // nil).
-func NewEnv(parent *Env) *Env {
-	return &Env{vars: make(map[string]Value), parent: parent}
-}
+func NewEnv(parent *Env) *Env { return &Env{parent: parent} }
 
 // Get resolves a name through the scope chain.
 func (e *Env) Get(name string) (Value, bool) {
 	for env := e; env != nil; env = env.parent {
-		if v, ok := env.vars[name]; ok {
+		if v, ok := env.vars.get(name); ok {
 			return v, true
 		}
 	}
@@ -82,7 +80,7 @@ func (e *Env) Get(name string) (Value, bool) {
 }
 
 // Define binds a name in this scope.
-func (e *Env) Define(name string, v Value) { e.vars[name] = v }
+func (e *Env) Define(name string, v Value) { e.vars.set(name, v) }
 
 // Set assigns an existing binding, walking the chain; if no binding exists
 // the name is created in the root (global) scope, mirroring JavaScript's
@@ -90,12 +88,12 @@ func (e *Env) Define(name string, v Value) { e.vars[name] = v }
 // (for example "onResponse = function() {...}").
 func (e *Env) Set(name string, v Value) {
 	for env := e; env != nil; env = env.parent {
-		if _, ok := env.vars[name]; ok {
-			env.vars[name] = v
+		if i := env.vars.find(name); i >= 0 {
+			env.vars.list[i].value = v
 			return
 		}
 		if env.parent == nil {
-			env.vars[name] = v
+			env.vars.set(name, v)
 			return
 		}
 	}
@@ -126,12 +124,22 @@ type Context struct {
 	// onto the right request). Scripts cannot observe it.
 	Act any
 
+	// Bindings is embedder data kept with the context for its whole life,
+	// across handler runs (the vocabulary keeps the context's Request and
+	// Response objects here). Reset keeps it; Fork does not copy it.
+	Bindings any
+
 	limits Limits
 
 	steps      int64
 	heapBytes  int64
 	depth      int // script function calls in progress
 	terminated atomic.Bool
+
+	// concatBufs are the buffers string + extends in place (concat.go);
+	// concatTick orders their use.
+	concatBufs [concatSlots]concatBuf
+	concatTick uint64
 }
 
 // costPollInterval is how many steps elapse between termination and step
@@ -153,6 +161,7 @@ func (ctx *Context) Reset() {
 	ctx.steps = 0
 	ctx.heapBytes = 0
 	ctx.Act = nil
+	ctx.concatBufs = [concatSlots]concatBuf{}
 }
 
 // Terminate requests that the running (or next) evaluation stop with
@@ -206,10 +215,7 @@ func (ctx *Context) Global(name string) (Value, bool) { return ctx.Globals.Get(n
 // validator uses it as the allowlist a bundle's FreeIdents must resolve
 // against.
 func (ctx *Context) GlobalNames() []string {
-	names := make([]string, 0, len(ctx.Globals.vars))
-	for name := range ctx.Globals.vars {
-		names = append(names, name)
-	}
+	names := ctx.Globals.vars.names()
 	sort.Strings(names)
 	return names
 }
@@ -296,7 +302,18 @@ func (ctx *Context) callValue(fn Value, this Value, args []Value, line, col int)
 		}
 		ctx.depth++
 		defer func() { ctx.depth-- }()
-		env := NewEnv(f.Env)
+		// The frame's parameters, arguments, this and top-level
+		// declarations fit its first allocation.
+		slots := len(f.Params) + 2
+		for _, s := range f.Body.Body {
+			switch st := s.(type) {
+			case *VarStmt:
+				slots += len(st.Names)
+			case *FunctionDecl:
+				slots++
+			}
+		}
+		env := &Env{parent: f.Env, vars: bindings{list: make([]binding, 0, slots)}}
 		for i, p := range f.Params {
 			if i < len(args) {
 				env.Define(p, args[i])
@@ -834,7 +851,7 @@ func (ctx *Context) applyBinary(op string, left, right Value, line, col int) (Va
 			left.Kind() == KindByteArray || right.Kind() == KindByteArray ||
 			left.Kind() == KindObject || right.Kind() == KindObject ||
 			left.Kind() == KindArray || right.Kind() == KindArray {
-			s := ToString(left) + ToString(right)
+			s := ctx.concat(ToString(left), ToString(right))
 			if err := ctx.chargeHeap(len(s)); err != nil {
 				return nil, err
 			}

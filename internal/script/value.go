@@ -79,58 +79,39 @@ func (String) Kind() Kind    { return KindString }
 // Object is a mutable property map. Property insertion order is preserved so
 // for-in iteration and policy-object introspection are deterministic.
 type Object struct {
-	keys  []string
-	props map[string]Value
+	props bindings
 	// ClassName is a debugging label set by native constructors (for example
 	// "Policy" or "ByteArray wrapper").
 	ClassName string
 }
 
 // NewObject returns an empty object.
-func NewObject() *Object {
-	return &Object{props: make(map[string]Value)}
-}
+func NewObject() *Object { return &Object{} }
 
 // Kind implements Value.
 func (o *Object) Kind() Kind { return KindObject }
 
 // Get returns the named property and whether it exists.
-func (o *Object) Get(name string) (Value, bool) {
-	v, ok := o.props[name]
-	return v, ok
-}
+func (o *Object) Get(name string) (Value, bool) { return o.props.get(name) }
 
 // Set stores a property, preserving first-insertion order for iteration.
-func (o *Object) Set(name string, v Value) {
-	if _, ok := o.props[name]; !ok {
-		o.keys = append(o.keys, name)
-	}
-	o.props[name] = v
-}
+func (o *Object) Set(name string, v Value) { o.props.set(name, v) }
 
 // Delete removes a property.
-func (o *Object) Delete(name string) {
-	if _, ok := o.props[name]; !ok {
-		return
-	}
-	delete(o.props, name)
-	for i, k := range o.keys {
-		if k == name {
-			o.keys = append(o.keys[:i], o.keys[i+1:]...)
-			break
-		}
-	}
+func (o *Object) Delete(name string) { o.props.remove(name) }
+
+// Clear removes every property, keeping the storage for the next ones.
+func (o *Object) Clear() {
+	clear(o.props.list)
+	o.props.list = o.props.list[:0]
+	o.props.index = nil
 }
 
 // Keys returns the property names in insertion order.
-func (o *Object) Keys() []string {
-	out := make([]string, len(o.keys))
-	copy(out, o.keys)
-	return out
-}
+func (o *Object) Keys() []string { return o.props.names() }
 
 // Len returns the number of properties.
-func (o *Object) Len() int { return len(o.keys) }
+func (o *Object) Len() int { return len(o.props.list) }
 
 // Array is a mutable, growable sequence of values.
 type Array struct {

@@ -13,40 +13,103 @@ import (
 // routing).
 const bodyChunkSize = 8 * 1024
 
+// messages is a context's Request and Response: the two script objects,
+// made at the context's first bind and kept for its life, and the run's
+// messages they stand for. Their natives are shared by every context and
+// reach the messages through the context they are called in, so a bind
+// re-points this struct and allocates no closure.
+type messages struct {
+	req      *httpmsg.Request
+	reqObj   *script.Object
+	reqRead  int // bytes of req.Body Request.read has handed out
+	resp     *httpmsg.Response
+	respObj  *script.Object
+	respRead int  // bytes of resp.Body Response.read has handed out
+	written  bool // whether Response.write replaced the body yet
+}
+
+// messagesOf returns ctx's messages, making them at the first call.
+func messagesOf(ctx *script.Context) *messages {
+	m, _ := ctx.Bindings.(*messages)
+	if m == nil {
+		m = &messages{}
+		ctx.Bindings = m
+	}
+	return m
+}
+
+// requestMethod makes the Request native name, which runs fn against the
+// request the calling context's Request stands for.
+func requestMethod(name string, fn func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error)) *script.Native {
+	return &script.Native{Name: "Request." + name, Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+		m, _ := c.Bindings.(*messages)
+		if m == nil || m.req == nil {
+			return nil, script.ThrowString("Request." + name + ": no request in this run")
+		}
+		return fn(m, m.req, args)
+	}}
+}
+
+// responseMethod makes the Response native name, which runs fn against the
+// response the calling context's Response stands for.
+func responseMethod(name string, fn func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error)) *script.Native {
+	return &script.Native{Name: "Response." + name, Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+		m, _ := c.Bindings.(*messages)
+		if m == nil || m.resp == nil {
+			return nil, script.ThrowString("Response." + name + ": no response in this run")
+		}
+		return fn(m, m.resp, args)
+	}}
+}
+
 // BindRequest exposes req to ctx as the global Request object. Mutations the
 // script performs through the vocabulary (setHeader, setURL, terminate) are
-// applied to req directly, so the pipeline observes them.
+// applied to req directly, so the pipeline observes them. A context keeps
+// one Request object: each bind re-points it at req and gives it back the
+// properties a fresh one has, so a script that kept Request in a global
+// sees the current run's request.
 func BindRequest(ctx *script.Context, req *httpmsg.Request) {
-	obj := script.NewObject()
-	obj.ClassName = "Request"
-
-	refresh := func() {
-		obj.Set("method", script.Str(req.Method))
-		obj.Set("url", script.Str(req.URL.String()))
-		obj.Set("host", script.Str(req.Host()))
-		obj.Set("path", script.Str(req.Path()))
-		obj.Set("query", script.Str(req.URL.RawQuery))
-		obj.Set("clientIP", script.Str(req.ClientIP))
+	m := messagesOf(ctx)
+	if m.reqObj == nil {
+		m.reqObj = script.NewObject()
+		m.reqObj.ClassName = "Request"
 	}
-	refresh()
+	m.req, m.reqRead = req, 0
+	m.reqObj.Clear()
+	refreshRequest(m)
+	for _, n := range requestNatives {
+		m.reqObj.Set(strings.TrimPrefix(n.Name, "Request."), n)
+	}
+	ctx.DefineGlobal("Request", m.reqObj)
+}
 
-	readOffset := 0
-	obj.Set("read", &script.Native{Name: "Request.read", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
-		if readOffset >= len(req.Body) {
+// refreshRequest sets Request's data properties from the bound request.
+func refreshRequest(m *messages) {
+	obj, req := m.reqObj, m.req
+	obj.Set("method", script.Str(req.Method))
+	obj.Set("url", script.Str(req.URL.String()))
+	obj.Set("host", script.Str(req.Host()))
+	obj.Set("path", script.Str(req.Path()))
+	obj.Set("query", script.Str(req.URL.RawQuery))
+	obj.Set("clientIP", script.Str(req.ClientIP))
+}
+
+// requestNatives are Request's methods, in the order a fresh Request lists
+// them after its data properties.
+var requestNatives = []*script.Native{
+	requestMethod("read", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
+		if m.reqRead >= len(req.Body) {
 			return script.NullValue(), nil
 		}
-		end := readOffset + bodyChunkSize
-		if end > len(req.Body) {
-			end = len(req.Body)
-		}
-		chunk := script.NewByteArray(req.Body[readOffset:end])
-		readOffset = end
+		end := min(m.reqRead+bodyChunkSize, len(req.Body))
+		chunk := script.NewByteArray(req.Body[m.reqRead:end])
+		m.reqRead = end
 		return chunk, nil
-	}})
-	obj.Set("body", &script.Native{Name: "Request.body", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	requestMethod("body", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
 		return script.NewByteArray(req.Body), nil
-	}})
-	obj.Set("getHeader", &script.Native{Name: "Request.getHeader", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	requestMethod("getHeader", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
 		if len(args) == 0 {
 			return script.NullValue(), nil
 		}
@@ -55,21 +118,21 @@ func BindRequest(ctx *script.Context, req *httpmsg.Request) {
 			return script.NullValue(), nil
 		}
 		return script.Str(v), nil
-	}})
-	obj.Set("setHeader", &script.Native{Name: "Request.setHeader", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	requestMethod("setHeader", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
 		if len(args) < 2 {
 			return script.Undefined{}, nil
 		}
 		req.Header.Set(script.ToString(args[0]), script.ToString(args[1]))
 		return script.Undefined{}, nil
-	}})
-	obj.Set("removeHeader", &script.Native{Name: "Request.removeHeader", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	requestMethod("removeHeader", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
 		if len(args) > 0 {
 			req.Header.Del(script.ToString(args[0]))
 		}
 		return script.Undefined{}, nil
-	}})
-	obj.Set("cookie", &script.Native{Name: "Request.cookie", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	requestMethod("cookie", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
 		if len(args) == 0 {
 			return script.NullValue(), nil
 		}
@@ -78,8 +141,8 @@ func BindRequest(ctx *script.Context, req *httpmsg.Request) {
 			return script.NullValue(), nil
 		}
 		return script.Str(v), nil
-	}})
-	obj.Set("param", &script.Native{Name: "Request.param", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	requestMethod("param", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
 		if len(args) == 0 {
 			return script.NullValue(), nil
 		}
@@ -88,26 +151,26 @@ func BindRequest(ctx *script.Context, req *httpmsg.Request) {
 			return script.NullValue(), nil
 		}
 		return script.Str(v), nil
-	}})
-	obj.Set("setURL", &script.Native{Name: "Request.setURL", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	requestMethod("setURL", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
 		if len(args) == 0 {
 			return nil, script.ThrowString("Request.setURL: missing URL")
 		}
 		if err := req.SetURL(script.ToString(args[0])); err != nil {
 			return nil, script.ThrowString("Request.setURL: " + err.Error())
 		}
-		refresh()
+		refreshRequest(m)
 		return script.Undefined{}, nil
-	}})
-	obj.Set("setMethod", &script.Native{Name: "Request.setMethod", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	requestMethod("setMethod", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
 		if len(args) == 0 {
 			return script.Undefined{}, nil
 		}
 		req.Method = strings.ToUpper(script.ToString(args[0]))
-		refresh()
+		refreshRequest(m)
 		return script.Undefined{}, nil
-	}})
-	obj.Set("terminate", &script.Native{Name: "Request.terminate", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	requestMethod("terminate", func(m *messages, req *httpmsg.Request, args []script.Value) (script.Value, error) {
 		status := 403
 		if len(args) > 0 {
 			status = script.ToInt(args[0])
@@ -117,73 +180,83 @@ func BindRequest(ctx *script.Context, req *httpmsg.Request) {
 			resp.SetBodyString(script.ToString(args[1]))
 		}
 		return script.Undefined{}, nil
-	}})
-	ctx.DefineGlobal("Request", obj)
+	}),
 }
 
 // BindResponse exposes resp to ctx as the global Response object. A script
 // that writes a body through Response.write replaces the instance; setHeader
-// and setStatus mutate resp directly.
+// and setStatus mutate resp directly. Like Request, a context keeps one
+// Response object and each bind re-points it.
 func BindResponse(ctx *script.Context, resp *httpmsg.Response) {
-	obj := script.NewObject()
-	obj.ClassName = "Response"
+	m := messagesOf(ctx)
+	if m.respObj == nil {
+		m.respObj = script.NewObject()
+		m.respObj.ClassName = "Response"
+	}
+	m.resp, m.respRead, m.written = resp, 0, false
+	obj := m.respObj
+	obj.Clear()
 	obj.Set("status", script.Int(resp.Status))
 	obj.Set("contentType", script.Str(resp.ContentType()))
-
-	readOffset := 0
-	written := false
-	// materialize pulls a streamed (chunked large-object) body into memory
-	// the moment a script actually touches it; header-only scripts never
-	// trigger this, which is what keeps large responses streaming.
-	materialize := func() error {
-		if err := resp.Materialize(); err != nil {
-			return script.ThrowString("Response: materialize body: " + err.Error())
-		}
-		return nil
+	for _, n := range responseNatives {
+		obj.Set(strings.TrimPrefix(n.Name, "Response."), n)
 	}
-	obj.Set("read", &script.Native{Name: "Response.read", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
-		if err := materialize(); err != nil {
+	ctx.DefineGlobal("Response", obj)
+}
+
+// materialize pulls a streamed (chunked large-object) body into memory the
+// moment a script actually touches it; header-only scripts never trigger
+// this, which is what keeps large responses streaming.
+func materialize(resp *httpmsg.Response) error {
+	if err := resp.Materialize(); err != nil {
+		return script.ThrowString("Response: materialize body: " + err.Error())
+	}
+	return nil
+}
+
+// responseNatives are Response's methods, in the order a fresh Response
+// lists them after its data properties.
+var responseNatives = []*script.Native{
+	responseMethod("read", func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error) {
+		if err := materialize(resp); err != nil {
 			return nil, err
 		}
-		if readOffset >= len(resp.Body) {
+		if m.respRead >= len(resp.Body) {
 			return script.NullValue(), nil
 		}
-		end := readOffset + bodyChunkSize
-		if end > len(resp.Body) {
-			end = len(resp.Body)
-		}
-		chunk := script.NewByteArray(resp.Body[readOffset:end])
-		readOffset = end
+		end := min(m.respRead+bodyChunkSize, len(resp.Body))
+		chunk := script.NewByteArray(resp.Body[m.respRead:end])
+		m.respRead = end
 		return chunk, nil
-	}})
-	obj.Set("body", &script.Native{Name: "Response.body", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
-		if err := materialize(); err != nil {
+	}),
+	responseMethod("body", func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error) {
+		if err := materialize(resp); err != nil {
 			return nil, err
 		}
 		return script.NewByteArray(resp.Body), nil
-	}})
-	obj.Set("write", &script.Native{Name: "Response.write", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	responseMethod("write", func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error) {
 		if len(args) == 0 {
 			return script.Undefined{}, nil
 		}
-		var data []byte
+		// The first write replaces the instance body with a copy; later
+		// ones append to it.
+		var body []byte
+		if m.written {
+			body = resp.Body
+		}
 		switch b := args[0].(type) {
 		case *script.ByteArray:
-			data = b.Data
+			body = append(body, b.Data...)
 		default:
-			data = []byte(script.ToString(b))
+			body = append(body, script.ToString(b)...)
 		}
-		if !written {
-			// First write replaces the instance body.
-			resp.SetBody(append([]byte(nil), data...))
-			written = true
-		} else {
-			resp.SetBody(append(resp.Body, data...))
-		}
+		resp.SetBody(body)
+		m.written = true
 		resp.Generated = true
 		return script.Undefined{}, nil
-	}})
-	obj.Set("getHeader", &script.Native{Name: "Response.getHeader", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	responseMethod("getHeader", func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error) {
 		if len(args) == 0 {
 			return script.NullValue(), nil
 		}
@@ -192,38 +265,54 @@ func BindResponse(ctx *script.Context, resp *httpmsg.Response) {
 			return script.NullValue(), nil
 		}
 		return script.Str(v), nil
-	}})
-	obj.Set("setHeader", &script.Native{Name: "Response.setHeader", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	responseMethod("setHeader", func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error) {
 		if len(args) < 2 {
 			return script.Undefined{}, nil
 		}
 		name := script.ToString(args[0])
 		resp.Header.Set(name, script.ToString(args[1]))
 		if strings.EqualFold(name, "Content-Type") {
-			obj.Set("contentType", script.Str(resp.ContentType()))
+			m.respObj.Set("contentType", script.Str(resp.ContentType()))
 		}
 		return script.Undefined{}, nil
-	}})
-	obj.Set("removeHeader", &script.Native{Name: "Response.removeHeader", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	responseMethod("removeHeader", func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error) {
 		if len(args) > 0 {
 			resp.Header.Del(script.ToString(args[0]))
 		}
 		return script.Undefined{}, nil
-	}})
-	obj.Set("setStatus", &script.Native{Name: "Response.setStatus", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	responseMethod("setStatus", func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error) {
 		if len(args) > 0 {
 			resp.Status = script.ToInt(args[0])
-			obj.Set("status", script.Int(resp.Status))
+			m.respObj.Set("status", script.Int(resp.Status))
 		}
 		return script.Undefined{}, nil
-	}})
-	obj.Set("setMaxAge", &script.Native{Name: "Response.setMaxAge", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
+	}),
+	responseMethod("setMaxAge", func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error) {
 		if len(args) > 0 {
 			resp.SetMaxAge(script.ToInt(args[0]))
 		}
 		return script.Undefined{}, nil
-	}})
-	ctx.DefineGlobal("Response", obj)
+	}),
+}
+
+// ClearMessages ends a run's hold on its messages: ctx's Request and
+// Response stand for nothing and keep no property until the next bind, so
+// a pooled context keeps no request or response alive between runs.
+func ClearMessages(ctx *script.Context) {
+	m, _ := ctx.Bindings.(*messages)
+	if m == nil {
+		return
+	}
+	m.req, m.resp = nil, nil
+	if m.reqObj != nil {
+		m.reqObj.Clear()
+	}
+	if m.respObj != nil {
+		m.respObj.Clear()
+	}
 }
 
 // NewGeneratedResponse builds an empty 200 response ready for a script's
