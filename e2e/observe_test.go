@@ -71,6 +71,11 @@ var requiredSeries = []string{
 	"nakika_ingress_panics_total",
 	"nakika_upstream_connections_total",
 	"nakika_upstream_idle_connections",
+	"nakika_transport_calls_in_flight",
+	"nakika_transport_call_timeouts_total",
+	"nakika_transport_dials_total",
+	"nakika_transport_frames_total",
+	"nakika_transport_writes_total",
 	"nakika_request_seconds",
 }
 
@@ -117,6 +122,62 @@ func dumpTraces(addr string, n int) (admin.TraceDump, error) {
 		return dump, fmt.Errorf("traces dump does not parse: %v", err)
 	}
 	return dump, nil
+}
+
+// scrapeSamples reads a node's /metrics and returns its unlabelled
+// samples by series name.
+func scrapeSamples(addr string) (map[string]float64, error) {
+	status, body, err := adminGet(addr, "/metrics")
+	if err != nil || status != 200 {
+		return nil, fmt.Errorf("/metrics: status %d, err %v", status, err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(body, "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(value, 64); err == nil {
+			out[name] = v
+		}
+	}
+	return out, nil
+}
+
+// TestTransportSeriesAfterReplicatedWrite reads the mux transport's series
+// on a 3-node cluster after a replicated write: a registration is a
+// State.put at the key's owner, pushed to both replicas over the mux. Every
+// frame goes out in some corked write, so frames >= writes, and the write
+// put frames on the wire, so writes > 0.
+func TestTransportSeriesAfterReplicatedWrite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-process e2e suite")
+	}
+	c := startCluster(t, 3)
+	status, body, err := proxyGet(c.httpAddr[0], c.originHost, "/cgi-bin/register?user=transport-user")
+	if err != nil || !edgeRegistered(status, body) {
+		t.Fatalf("register via edge-0: status %d, err %v, body %q", status, err, body)
+	}
+	var frames, writes float64
+	for i := range c.nodes {
+		m, err := scrapeSamples(c.adminAddr[i])
+		if err != nil {
+			t.Fatalf("edge-%d: %v", i, err)
+		}
+		f, w := m["nakika_transport_frames_total"], m["nakika_transport_writes_total"]
+		if f < w {
+			t.Errorf("edge-%d: %v frames in %v writes; every write carries at least one frame", i, f, w)
+		}
+		if m["nakika_transport_dials_total"] == 0 {
+			t.Errorf("edge-%d dialed no peer", i)
+		}
+		frames += f
+		writes += w
+	}
+	if writes == 0 || frames < writes {
+		t.Fatalf("cluster: %v frames in %v writes after a replicated write, want frames >= writes > 0", frames, writes)
+	}
+	t.Logf("cluster: %v frames in %v writes (%.2f frames per write)", frames, writes, frames/writes)
 }
 
 func TestAdminSurfaceOnLiveClusterMidBurst(t *testing.T) {

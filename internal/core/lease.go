@@ -182,9 +182,8 @@ func (n *Node) ownerFencedPut(req leaseFenced) error {
 		// back. The backend's FencedPut is still one atomic admit + write +
 		// floor-raise; only the versioned LWW wrapper is skipped. Fenced
 		// writes stay node-local in this mode (the bus carries no fences).
-		n.repApplyMu.Lock()
+		// No apply lock: nothing here reads before it writes.
 		err = n.store.Backend().FencedPut(req.Rec.Site, req.Rec.Key, req.Rec.Value, req.Guard, req.Holder, req.Token)
-		n.repApplyMu.Unlock()
 		if err == store.ErrFencedStale {
 			err = ErrFenced
 		}

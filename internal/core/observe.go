@@ -265,6 +265,26 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_upstream_connections_total", "", metrics.Labels{"event": "retry"}, cv(&up.retries))
 	r.GaugeFunc("nakika_upstream_idle_connections", "Origin connections idle in the keep-alive pool.", nil, cv(&up.idleConns))
 
+	mux := func(field func(transport.TCPStats) int64) func() float64 {
+		return func() float64 {
+			tcp, ok := n.tr.(*transport.TCP) // set after the registry is built
+			if !ok {
+				return 0 // no peer transport, or not the mux: the series read zero
+			}
+			return float64(field(tcp.Stats()))
+		}
+	}
+	r.GaugeFunc("nakika_transport_calls_in_flight", "Peer calls sent and not yet answered, failed or timed out.", nil,
+		mux(func(s transport.TCPStats) int64 { return s.CallsInFlight }))
+	r.CounterFunc("nakika_transport_call_timeouts_total", "Peer calls that ran out of the call timeout.", nil,
+		mux(func(s transport.TCPStats) int64 { return s.CallTimeouts }))
+	r.CounterFunc("nakika_transport_dials_total", "Connections dialed to peers, failed handshakes included.", nil,
+		mux(func(s transport.TCPStats) int64 { return s.Dials }))
+	r.CounterFunc("nakika_transport_frames_total", "Mux frames written to peers, requests and replies.", nil,
+		mux(func(s transport.TCPStats) int64 { return s.Frames }))
+	r.CounterFunc("nakika_transport_writes_total", "Socket writes that carried those frames; frames over writes is the corking batch size.", nil,
+		mux(func(s transport.TCPStats) int64 { return s.Writes }))
+
 	r.GaugeFunc("nakika_load_score", "The node's load score (in-flight requests plus decayed recent work).", nil, n.LoadScore)
 
 	// The Go runtime's own counters, process-wide: what the request path

@@ -57,6 +57,48 @@ func (n *Node) call(to string, msg transport.Message) (transport.Message, error)
 	return reply, err
 }
 
+// sendAhead is a transport that writes a call's request before the caller
+// waits for its reply (transport.TCP's Go).
+type sendAhead interface {
+	Go(from, to string, msg transport.Message) (wait func() (transport.Message, error))
+}
+
+// pendingCall is one call to a peer between send and collect.
+type pendingCall struct {
+	to    string
+	msg   transport.Message
+	start time.Duration
+	wait  func() (transport.Message, error) // nil: collect makes the whole call
+}
+
+// send starts one call to a peer. On a transport that sends ahead the
+// request is on the wire before send returns, so the caller can overlap its
+// own work with the round trip; on any other the whole call runs in
+// collect, exactly as call.
+func (n *Node) send(to string, msg transport.Message) pendingCall {
+	p := pendingCall{to: to, msg: msg}
+	if ahead, ok := n.tr.(sendAhead); ok {
+		p.start = n.loadNow()
+		p.wait = ahead.Go(n.cfg.Name, to, msg)
+	}
+	return p
+}
+
+// collect waits for a sent call's reply, which feeds the peer's RTT
+// estimate as call's does. A sent-ahead sample runs from the send to
+// collect's return, so it includes whatever the caller did meanwhile that
+// outlasted the reply.
+func (n *Node) collect(p pendingCall) (transport.Message, error) {
+	if p.wait == nil {
+		return n.call(p.to, p.msg)
+	}
+	reply, err := p.wait()
+	if err == nil || transport.IsRemote(err) {
+		n.rtts.Observe(p.to, n.loadNow()-p.start)
+	}
+	return reply, err
+}
+
 // loadNow reads the load clock: virtual under the cluster harness,
 // monotonic wall time since node construction in production — time.Since
 // keeps Go's monotonic reading, so an NTP step during an RPC cannot

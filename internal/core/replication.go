@@ -25,7 +25,8 @@ import (
 // passes are all idempotent last-writer-wins applies.
 //
 // Acknowledgement rule: an acting owner acknowledges a write once it is
-// durable locally AND at least one replica accepted it — unless the node's
+// durable locally AND at least one replica accepted it (a replica answers
+// "applied" only once the record is durable there) — unless the node's
 // successor list is empty (a ring of one, or K=1), in which case local
 // durability is all that exists and the write degrades gracefully to
 // local-only. A node whose replica pushes all fail (it crashed mid-write,
@@ -36,9 +37,11 @@ import (
 // Every operation on a replicated record — state puts, deletes and reads,
 // lease arbitration, fenced writes, deployment records, large-object
 // indexes — takes the one path written here: route finds the acting owner
-// and runs the operation there, ownerWrite makes the result durable on the
-// owner and pushes it with pushReplicas, applyPush stores it at each
-// replica. The record types are callers of that path, not copies of it.
+// and runs the operation there, ownerWrite admits the result on the owner,
+// sends it to the replicas with sendPushes, makes it durable locally while
+// the pushes are in flight and gathers their replies with collectPushes,
+// and applyPush stores it at each replica. The record types are callers of
+// that path, not copies of it.
 
 // Replication message types (the "rep." prefix is what transport.Mux
 // routes on).
@@ -204,52 +207,62 @@ func (n *Node) repWrite(act *trace.Act, site, key, value string, deleted bool) e
 	return err
 }
 
-// storeRec stores rec in the local store under last-writer-wins: through
-// the store's fence floor when the write carries a fence (a holdership the
-// floor has deposed is ErrFenced and changes nothing), plainly otherwise.
-// The caller holds repApplyMu.
-func (n *Node) storeRec(rec state.Rec, fence *leaseFenced) (applied bool, err error) {
+// storeRec applies rec to the local store under last-writer-wins and
+// enqueues it in the WAL: through the store's fence floor when the write
+// carries a fence (a holdership the floor has deposed is ErrFenced and
+// changes nothing), plainly otherwise. The caller holds repApplyMu, and
+// waits for the commit only after releasing it.
+func (n *Node) storeRec(rec state.Rec, fence *leaseFenced) (applied bool, c store.Commit, err error) {
 	if fence == nil {
 		return n.store.PutVersioned(rec)
 	}
-	applied, err = n.store.FencedPutVersioned(rec, fence.Guard, fence.Holder, fence.Token)
+	applied, c, err = n.store.FencedPutVersioned(rec, fence.Guard, fence.Holder, fence.Token)
 	if err == store.ErrFencedStale {
 		err = ErrFenced
 	}
-	return applied, err
+	return applied, c, err
 }
 
-// storeNext stores rec locally as this node's next version above both the
-// local copy and base, and returns it as stored.
-func (n *Node) storeNext(rec state.Rec, fence *leaseFenced, base uint64) (state.Rec, error) {
+// storeNext applies rec locally as this node's next version above both the
+// local copy and base, and returns it as stored with its pending commit.
+// The apply lock covers the version, the apply and the enqueue, not the
+// fsync, so the group commit can merge this write with others and with the
+// pushes this node applies meanwhile.
+func (n *Node) storeNext(rec state.Rec, fence *leaseFenced, base uint64) (state.Rec, store.Commit, error) {
 	n.repApplyMu.Lock()
 	defer n.repApplyMu.Unlock()
 	if cur, _, _, _, ok := n.store.GetVersioned(rec.Site, rec.Key); ok && cur > base {
 		base = cur
 	}
 	rec.Ver, rec.Origin = base+1, n.cfg.Name
-	_, err := n.storeRec(rec, fence)
-	return rec, err
+	_, c, err := n.storeRec(rec, fence)
+	return rec, c, err
 }
 
-// ownerWrite is the acting-owner mutation path: assign the next version,
-// make the record durable locally (admitted against the local fence floor
-// when the write carries a fence), then push it to the replica targets.
-// With no targets — replication off, K=1, a ring of one — that is a local
+// ownerWrite is the acting-owner mutation path: assign the next version
+// and admit the record locally (against the local fence floor when the
+// write carries a fence), send it to the replica targets, make it durable
+// locally while the pushes are in flight, then collect the replies. With
+// no targets — replication off, K=1, a ring of one — that is a local
 // versioned write. A fence floor that rejects the write, here or on any
 // replica it reaches, means the holdership is deposed: ErrFenced, never
-// acknowledged. (After a replica's rejection the local copy stays — this
-// store's own admission sequence is still clean — and last-writer-wins
-// repair from the newer holdership's records will supersede it.)
+// acknowledged. Nothing is pushed that the local floor refused. (After a
+// replica's rejection the local copy stays — this store's own admission
+// sequence is still clean — and last-writer-wins repair from the newer
+// holdership's records will supersede it.)
 func (n *Node) ownerWrite(rec state.Rec, fence *leaseFenced) error {
 	base := uint64(0)
 	for attempt := 0; attempt < 3; attempt++ {
-		stored, err := n.storeNext(rec, fence, base)
+		stored, commit, err := n.storeNext(rec, fence, base)
 		if err != nil {
 			return err
 		}
-		acks, attempts, staleVer, fenced := n.pushReplicas(stored, fence)
+		pushes := n.sendPushes(stored, fence)
+		durable := commit.Wait()
+		acks, staleVer, fenced := n.collectPushes(pushes)
 		switch {
+		case durable != nil:
+			return durable
 		case fenced:
 			return ErrFenced
 		case staleVer >= stored.Ver:
@@ -261,10 +274,10 @@ func (n *Node) ownerWrite(rec state.Rec, fence *leaseFenced) error {
 			// older value; so rebase above the reported version and retry
 			// until the client's write wins everywhere.
 			base = staleVer
-		case attempts == 0 || acks > 0:
+		case len(pushes) == 0 || acks > 0:
 			return nil
 		default:
-			return fmt.Errorf("core: write %s/%s durable locally but none of %d replicas acknowledged", rec.Site, rec.Key, attempts)
+			return fmt.Errorf("core: write %s/%s durable locally but none of %d replicas acknowledged", rec.Site, rec.Key, len(pushes))
 		}
 	}
 	return fmt.Errorf("core: write %s/%s: replicas kept superseding the write", rec.Site, rec.Key)
@@ -280,19 +293,28 @@ func pushMsg(rec state.Rec, fence *leaseFenced) transport.Message {
 	return transport.Message{Type: msgLeaseFStore, Body: body}
 }
 
-// pushReplicas pushes rec to this node's replica targets. It returns how
-// many replicas applied it, how many pushes were attempted, the newest
-// version a replica reported when rejecting the record as stale, and
-// whether any replica's fence floor rejected it.
-func (n *Node) pushReplicas(rec state.Rec, fence *leaseFenced) (acks, attempts int, staleVer uint64, fenced bool) {
+// sendPushes sends rec to each of this node's replica targets, in target
+// order. See send: over TCP every push is on the wire before sendPushes
+// returns; elsewhere each is delivered when collectPushes reaches it.
+func (n *Node) sendPushes(rec state.Rec, fence *leaseFenced) []pendingCall {
 	targets := n.replicaTargets()
 	if len(targets) == 0 {
-		return 0, 0, 0, false
+		return nil
 	}
 	msg := pushMsg(rec, fence)
-	for _, t := range targets {
-		attempts++
-		reply, err := n.call(t, msg)
+	pushes := make([]pendingCall, len(targets))
+	for i, t := range targets {
+		pushes[i] = n.send(t, msg)
+	}
+	return pushes
+}
+
+// collectPushes waits for every push's reply. It returns how many replicas
+// applied the record, the newest version a replica reported when rejecting
+// it as stale, and whether any replica's fence floor rejected it.
+func (n *Node) collectPushes(pushes []pendingCall) (acks int, staleVer uint64, fenced bool) {
+	for _, p := range pushes {
+		reply, err := n.collect(p)
 		if err != nil {
 			continue
 		}
@@ -310,17 +332,21 @@ func (n *Node) pushReplicas(rec state.Rec, fence *leaseFenced) (acks, attempts i
 			n.repPushes.Add(1)
 		}
 	}
-	return acks, attempts, staleVer, fenced
+	return acks, staleVer, fenced
 }
 
 // applyPush is the replica side of a push (and of a handoff record): store
 // rec under last-writer-wins, through the fence when it carries one, and
-// answer "applied", "stale <version held> <its origin>" or "fenced".
+// answer "applied" once it is durable, "stale <version held> <its origin>"
+// or "fenced". The apply lock is released before the fsync.
 func (n *Node) applyPush(rec state.Rec, fence *leaseFenced) (transport.Message, error) {
 	n.repApplyMu.Lock()
 	curVer, curOrigin, _, _, _ := n.store.GetVersioned(rec.Site, rec.Key)
-	applied, err := n.storeRec(rec, fence)
+	applied, commit, err := n.storeRec(rec, fence)
 	n.repApplyMu.Unlock()
+	if err == nil {
+		err = commit.Wait()
+	}
 	switch {
 	case err == ErrFenced:
 		return transport.Message{Args: []string{"fenced"}}, nil

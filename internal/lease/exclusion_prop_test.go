@@ -131,7 +131,7 @@ func putLease(t *testing.T, w *exWorld, op exOp, rec lease.Record) {
 		if op.Delivery[r] < 0 {
 			continue
 		}
-		if _, err := w.stores[r].PutVersioned(out); err != nil {
+		if _, err := putNow(w.stores[r], out); err != nil {
 			t.Fatalf("store %d lease put: %v", r, err)
 		}
 	}
@@ -216,7 +216,7 @@ func applyExOps(t *testing.T, ops []exOp) *exWorld {
 				if op.Delivery[r] < 0 {
 					continue
 				}
-				_, err := w.stores[r].FencedPutVersioned(rec, lease.Key(exLease), s.id, s.token)
+				_, err := fencedPutNow(w.stores[r], rec, lease.Key(exLease), s.id, s.token)
 				switch {
 				case err == nil:
 					w.admitted[r] = append(w.admitted[r], exAdmit{token: s.token, holder: s.id})
@@ -269,7 +269,7 @@ func exDivergence(t *testing.T, w *exWorld) string {
 					continue
 				}
 				for _, rec := range w.stores[src].VersionedRecords(nil) {
-					if _, err := w.stores[dst].PutVersioned(rec); err != nil {
+					if _, err := putNow(w.stores[dst], rec); err != nil {
 						t.Fatalf("repair %d->%d %v: %v", src, dst, rec, err)
 					}
 				}
@@ -497,4 +497,23 @@ func TestLeaseExclusionReplay(t *testing.T) {
 			t.Fatalf("store %d floor = (%d, %s), want the heir's token 2", r, token, holder)
 		}
 	}
+}
+
+// putNow is state.Store.PutVersioned followed by its commit's Wait.
+func putNow(s *state.Store, rec state.Rec) (bool, error) {
+	applied, c, err := s.PutVersioned(rec)
+	if err == nil {
+		err = c.Wait()
+	}
+	return applied, err
+}
+
+// fencedPutNow is state.Store.FencedPutVersioned followed by its commit's
+// Wait.
+func fencedPutNow(s *state.Store, rec state.Rec, guard, holder string, token uint64) (bool, error) {
+	applied, c, err := s.FencedPutVersioned(rec, guard, holder, token)
+	if err == nil {
+		err = c.Wait()
+	}
+	return applied, err
 }

@@ -1,6 +1,10 @@
 package state
 
-import "strings"
+import (
+	"strings"
+
+	"nakika/internal/store"
+)
 
 // internalPrefix marks hard-state keys owned by the system itself rather
 // than by site scripts — today the lease records ("\x00nk:lease:<name>").
@@ -19,21 +23,19 @@ func IsInternalKey(key string) bool { return strings.HasPrefix(key, internalPref
 // floor returns store.ErrFencedStale and changes nothing. When the write
 // clears the fence but loses the last-writer-wins race, the floor still
 // advances (the holdership demonstrably wrote here; older holderships must
-// stay fenced) while the value is left alone — applied is false, err nil.
-// Callers serialize read-modify-write cycles exactly as for PutVersioned.
-func (s *Store) FencedPutVersioned(rec Rec, guard, holder string, token uint64) (applied bool, err error) {
+// stay fenced) while the value is left alone — applied is false, err nil,
+// and the commit is the floor's. Either way the change is durable once the
+// commit's Wait returns nil. Callers serialize read-modify-write cycles
+// exactly as for PutVersioned.
+func (s *Store) FencedPutVersioned(rec Rec, guard, holder string, token uint64) (applied bool, c store.Commit, err error) {
 	if curVer, curOrigin, curDel, curVal, ok := s.GetVersioned(rec.Site, rec.Key); ok {
 		cur := Rec{Site: rec.Site, Key: rec.Key, Ver: curVer, Origin: curOrigin, Delete: curDel, Value: curVal}
 		if !rec.Supersedes(cur) {
-			if err := s.Backend().RaiseFence(rec.Site, guard, holder, token); err != nil {
-				return false, err
-			}
-			return false, nil
+			c, err = s.Backend().EnqueueRaiseFence(rec.Site, guard, holder, token)
+			return false, c, err
 		}
 	}
 	value := EncodeVersioned(rec.Ver, rec.Origin, rec.Delete, rec.Value)
-	if err := s.Backend().FencedPut(rec.Site, rec.Key, value, guard, holder, token); err != nil {
-		return false, err
-	}
-	return true, nil
+	c, err = s.Backend().EnqueueFencedPut(rec.Site, rec.Key, value, guard, holder, token)
+	return err == nil, c, err
 }

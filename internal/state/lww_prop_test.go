@@ -103,7 +103,7 @@ func applyOps(t *testing.T, ops []lwwOp) [lwwReplicas]*Store {
 			return a < b
 		})
 		for _, i := range idx {
-			if _, err := stores[r].PutVersioned(ops[i].Rec); err != nil {
+			if _, err := putNow(stores[r], ops[i].Rec); err != nil {
 				t.Fatalf("replica %d apply %v: %v", r, ops[i].Rec, err)
 			}
 		}
@@ -117,7 +117,7 @@ func applyOps(t *testing.T, ops []lwwOp) [lwwReplicas]*Store {
 					continue
 				}
 				for _, rec := range stores[src].VersionedRecords(nil) {
-					if _, err := stores[dst].PutVersioned(rec); err != nil {
+					if _, err := putNow(stores[dst], rec); err != nil {
 						t.Fatalf("repair %d->%d %v: %v", src, dst, rec, err)
 					}
 				}

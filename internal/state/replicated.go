@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"nakika/internal/store"
 )
 
 // Successor-list replication stores hard state as versioned records so that
@@ -125,20 +127,21 @@ func (s *Store) GetVersioned(site, key string) (ver uint64, origin string, delet
 
 // PutVersioned applies rec to the local store under last-writer-wins: the
 // record is stored only if it supersedes what is already present. It
-// returns whether the record was applied. Callers serialize their own
+// returns whether the record was applied and, when it was, the pending
+// commit: the record is in the index and enqueued in the WAL, and durable
+// once the commit's Wait returns nil. Callers serialize their own
 // read-modify-write cycles (the replication manager holds one apply lock
-// per node), so two racing applies cannot interleave here.
-func (s *Store) PutVersioned(rec Rec) (bool, error) {
+// per node, and releases it before waiting), so two racing applies cannot
+// interleave here.
+func (s *Store) PutVersioned(rec Rec) (applied bool, c store.Commit, err error) {
 	if curVer, curOrigin, curDel, curVal, ok := s.GetVersioned(rec.Site, rec.Key); ok {
 		cur := Rec{Site: rec.Site, Key: rec.Key, Ver: curVer, Origin: curOrigin, Delete: curDel, Value: curVal}
 		if !rec.Supersedes(cur) {
-			return false, nil
+			return false, store.Commit{}, nil
 		}
 	}
-	if err := s.Put(rec.Site, rec.Key, EncodeVersioned(rec.Ver, rec.Origin, rec.Delete, rec.Value)); err != nil {
-		return false, err
-	}
-	return true, nil
+	c, err = s.Backend().EnqueuePut(rec.Site, rec.Key, EncodeVersioned(rec.Ver, rec.Origin, rec.Delete, rec.Value))
+	return err == nil, c, err
 }
 
 // KeysVersioned lists site's keys whose current record is a live versioned

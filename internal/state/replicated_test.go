@@ -68,10 +68,20 @@ func TestSupersedesOrdering(t *testing.T) {
 	}
 }
 
+// putNow is PutVersioned followed by its commit's Wait: a versioned put
+// that returns once it is durable.
+func putNow(s *Store, rec Rec) (bool, error) {
+	applied, c, err := s.PutVersioned(rec)
+	if err == nil {
+		err = c.Wait()
+	}
+	return applied, err
+}
+
 func TestPutVersionedLastWriterWins(t *testing.T) {
 	s := newStore(0)
 	put := func(ver uint64, origin, value string, deleted bool) bool {
-		applied, err := s.PutVersioned(Rec{Site: "s", Key: "k", Ver: ver, Origin: origin, Delete: deleted, Value: value})
+		applied, err := putNow(s, Rec{Site: "s", Key: "k", Ver: ver, Origin: origin, Delete: deleted, Value: value})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +128,7 @@ func TestPutVersionedLastWriterWins(t *testing.T) {
 func TestVersionedRecordsFilterAndOrder(t *testing.T) {
 	s := newStore(0)
 	for i := 0; i < 5; i++ {
-		if _, err := s.PutVersioned(Rec{Site: "s", Key: fmt.Sprintf("k%d", i), Ver: 1, Origin: "n", Value: "v"}); err != nil {
+		if _, err := putNow(s, Rec{Site: "s", Key: fmt.Sprintf("k%d", i), Ver: 1, Origin: "n", Value: "v"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +171,7 @@ func TestRawValuesReadableAsVersionZero(t *testing.T) {
 	if got := s.KeysVersioned("s"); len(got) != 2 || got[0] != "old" || got[1] != "shape" {
 		t.Fatalf("KeysVersioned = %v", got)
 	}
-	applied, err := s.PutVersioned(Rec{Site: "s", Key: "old", Ver: 1, Origin: "n", Value: "migrated"})
+	applied, err := putNow(s, Rec{Site: "s", Key: "old", Ver: 1, Origin: "n", Value: "migrated"})
 	if err != nil || !applied {
 		t.Fatalf("replicated write must supersede a raw value (applied=%v err=%v)", applied, err)
 	}

@@ -83,77 +83,51 @@ func (l *Log) FenceToken(site, guard string) (uint64, string) {
 	return f.token, f.holder
 }
 
-// RaiseFence lifts the guard's floor to (token, holder) without writing a
-// value, for a fenced write admitted by the fence but superseded in the LWW
-// order; it returns ErrFencedStale when the pair is below the floor. The
-// raise is a WAL record of its own (op 'F'), so it survives a crash.
-func (l *Log) RaiseFence(site, guard, holder string, token uint64) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if !l.t.fenceAdmits(site, guard, holder, token) {
-		l.fenceRejs++
-		l.mu.Unlock()
-		return ErrFencedStale
-	}
-	if l.t.fence(site, guard).token == token {
-		// Same holdership re-asserting its own floor: nothing to persist.
-		l.mu.Unlock()
-		return nil
-	}
-	l.t.raiseFence(site, guard, holder, token)
-	wal := l.wal
-	seq, err := wal.Reserve(encodeFence(site, guard, holder, token))
-	l.appends++
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := wal.WaitDurable(seq); err != nil {
-		l.failStop(err)
-		return err
-	}
-	l.maybeCompact()
-	return nil
+// EnqueueRaiseFence lifts the guard's floor to (token, holder) without
+// writing a value, for a fenced write admitted by the fence but superseded
+// in the LWW order; it returns ErrFencedStale when the pair is below the
+// floor. The raise is a WAL record of its own (op 'F'), so it survives a
+// crash once the Commit's Wait returns nil.
+func (l *Log) EnqueueRaiseFence(site, guard, holder string, token uint64) (Commit, error) {
+	return l.enqueue(func() ([]byte, error) {
+		if !l.t.fenceAdmits(site, guard, holder, token) {
+			l.fenceRejs++
+			return nil, ErrFencedStale
+		}
+		if l.t.fence(site, guard).token == token {
+			// Same holdership re-asserting its own floor: nothing to persist.
+			return nil, nil
+		}
+		l.t.raiseFence(site, guard, holder, token)
+		return encodeFence(site, guard, holder, token), nil
+	})
 }
 
-// FencedPut writes key=value and raises the guard's floor to (token,
-// holder) in one WAL record (op 'G'), so recovery can never observe the
-// value without the floor that admitted it — and the log itself becomes an
-// audit trail of which holdership wrote what, in admission order. It
-// returns ErrFencedStale when the pair is below the floor: the write comes
-// from a deposed holdership and must not land.
+// FencedPut writes key=value under the guard's fence and returns once the
+// write is durable; see EnqueueFencedPut.
 func (l *Log) FencedPut(site, key, value, guard, holder string, token uint64) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if !l.t.fenceAdmits(site, guard, holder, token) {
-		l.fenceRejs++
-		l.mu.Unlock()
-		return ErrFencedStale
-	}
-	if err := l.t.put(site, key, value, l.cfg.Quota); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.t.raiseFence(site, guard, holder, token)
-	wal := l.wal
-	seq, err := wal.Reserve(encodeFencedPut(site, key, value, guard, holder, token))
-	l.appends++
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := wal.WaitDurable(seq); err != nil {
-		l.failStop(err)
-		return err
-	}
-	l.maybeCompact()
-	return nil
+	return wait(l.EnqueueFencedPut(site, key, value, guard, holder, token))
+}
+
+// EnqueueFencedPut writes key=value and raises the guard's floor to
+// (token, holder) in one WAL record (op 'G'), so recovery can never observe
+// the value without the floor that admitted it — and the log itself becomes
+// an audit trail of which holdership wrote what, in admission order. It
+// returns ErrFencedStale when the pair is below the floor: the write comes
+// from a deposed holdership and must not land. The write is durable once
+// the Commit's Wait returns nil.
+func (l *Log) EnqueueFencedPut(site, key, value, guard, holder string, token uint64) (Commit, error) {
+	return l.enqueue(func() ([]byte, error) {
+		if !l.t.fenceAdmits(site, guard, holder, token) {
+			l.fenceRejs++
+			return nil, ErrFencedStale
+		}
+		if err := l.t.put(site, key, value, l.cfg.Quota); err != nil {
+			return nil, err
+		}
+		l.t.raiseFence(site, guard, holder, token)
+		return encodeFencedPut(site, key, value, guard, holder, token), nil
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// RaiseFence is EnqueueRaiseFence followed by its commit's Wait: the
+// synchronous floor raise these tests and TestLogRecordGolden write with.
+// Production raises a floor only through state.Store.FencedPutVersioned,
+// which waits after releasing its caller's apply lock.
+func (l *Log) RaiseFence(site, guard, holder string, token uint64) error {
+	return wait(l.EnqueueRaiseFence(site, guard, holder, token))
+}
+
 func TestMemFenceAdmission(t *testing.T) {
 	m := memLog(t, 0)
 

@@ -213,34 +213,77 @@ func (l *Log) Get(site, key string) (string, bool) {
 	return l.t.get(site, key)
 }
 
-// Put stores key=value, refused with ErrQuotaExceeded before anything is
-// logged when the site's quota would be exceeded. The mutation is applied
-// to the index and enqueued in the WAL under one lock (so log order matches
-// apply order), then the caller waits for group commit to make it durable
-// before it is acknowledged.
-func (l *Log) Put(site, key, value string) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
+// Commit is one mutation applied to the index and enqueued in the WAL but
+// not yet durable. Wait makes it durable; until then nothing may
+// acknowledge it. The zero Commit has nothing to persist.
+type Commit struct {
+	l   *Log
+	wal *WAL
+	seq uint64
+}
+
+// Wait blocks until the record is durable, riding one group-commit fsync
+// with whatever else was enqueued meanwhile. A write or sync failure
+// abandons the engine (see failStop); a durable record may trigger the
+// snapshot/truncate cycle, inline on the caller's goroutine.
+func (c Commit) Wait() error {
+	if c.wal == nil {
+		return nil
 	}
-	if err := l.t.put(site, key, value, l.cfg.Quota); err != nil {
-		l.mu.Unlock()
+	if err := c.wal.WaitDurable(c.seq); err != nil {
+		c.l.failStop(err)
 		return err
 	}
-	wal := l.wal
-	seq, err := wal.Reserve(encodePut(site, key, value))
-	l.appends++
-	l.mu.Unlock()
+	c.l.maybeCompact()
+	return nil
+}
+
+// wait is enqueue-then-Wait: the synchronous form of every mutation.
+func wait(c Commit, err error) error {
 	if err != nil {
 		return err
 	}
-	if err := wal.WaitDurable(seq); err != nil {
-		l.failStop(err)
-		return err
+	return c.Wait()
+}
+
+// enqueue runs apply and, when it admits the mutation, reserves record in
+// the WAL under the same lock, so log order matches apply order. An error
+// from apply refuses the mutation before anything is logged; a nil record
+// means apply admitted it but there is nothing to persist.
+func (l *Log) enqueue(apply func() ([]byte, error)) (Commit, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return Commit{}, ErrClosed
 	}
-	l.maybeCompact()
-	return nil
+	record, err := apply()
+	if err != nil || record == nil {
+		return Commit{}, err
+	}
+	seq, err := l.wal.Reserve(record)
+	l.appends++
+	if err != nil {
+		return Commit{}, err
+	}
+	return Commit{l: l, wal: l.wal, seq: seq}, nil
+}
+
+// Put stores key=value and returns once it is durable; see EnqueuePut.
+func (l *Log) Put(site, key, value string) error {
+	return wait(l.EnqueuePut(site, key, value))
+}
+
+// EnqueuePut applies key=value to the index and enqueues its record,
+// refused with ErrQuotaExceeded before anything is logged when the site's
+// quota would be exceeded. The write is durable once the Commit's Wait
+// returns nil.
+func (l *Log) EnqueuePut(site, key, value string) (Commit, error) {
+	return l.enqueue(func() ([]byte, error) {
+		if err := l.t.put(site, key, value, l.cfg.Quota); err != nil {
+			return nil, err
+		}
+		return encodePut(site, key, value), nil
+	})
 }
 
 // failStop abandons the engine after a WAL write or sync failure: the
@@ -255,27 +298,13 @@ func (l *Log) failStop(err error) {
 	l.Abandon()
 }
 
-// Delete removes key from site's partition.
+// Delete removes key from site's partition and returns once the removal
+// is durable.
 func (l *Log) Delete(site, key string) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	l.t.del(site, key)
-	wal := l.wal
-	seq, err := wal.Reserve(encodeDelete(site, key))
-	l.appends++
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := wal.WaitDurable(seq); err != nil {
-		l.failStop(err)
-		return err
-	}
-	l.maybeCompact()
-	return nil
+	return wait(l.enqueue(func() ([]byte, error) {
+		l.t.del(site, key)
+		return encodeDelete(site, key), nil
+	}))
 }
 
 // Keys returns site's keys, sorted.

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nakika/internal/wire"
@@ -26,11 +28,14 @@ import (
 // as a failed dial.
 //
 // Outbound frames are corked: concurrent senders append complete frames to
-// a shared buffer and a single writer goroutine flushes each batch with one
-// Write call, so a burst of replication pushes or hedged reads costs one
-// syscall, not one per call. The reader goroutine demuxes replies to
-// waiting callers by request ID; per-call timeouts abandon only the call
-// (the ID's eventual reply is dropped), never the connection.
+// a shared buffer, and a sender that finds no write running writes the
+// whole buffer itself, so a burst of replication pushes or hedged reads
+// costs one syscall, not one per call, and no goroutine hand-off. The
+// reader goroutine demuxes replies to waiting callers by request ID;
+// per-call timeouts abandon only the call (the ID's eventual reply is
+// dropped), never the connection — unless the call's write itself missed
+// the deadline, which leaves a partial frame on the wire and so fails the
+// connection.
 const (
 	muxMagic    = 0x00
 	muxHello    = 0xF1
@@ -43,13 +48,14 @@ const (
 // client of some other protocol is refused at the first frame.
 var muxToken = []byte("nkmux1")
 
-// maxCork bounds the corked-write buffer: a sender that would push the
-// batch past this waits for the writer to drain, so one slow peer cannot
-// absorb unbounded memory. A single frame larger than the cap still passes
-// (the wait condition is on the buffered bytes, not the frame).
+// maxCork bounds the corked-write buffer: a sender that finds more than
+// this corked behind a running write waits for that write before corking
+// its own frame, so one slow peer cannot absorb unbounded memory. A single
+// frame larger than the cap still passes (the wait condition is on the
+// buffered bytes, not the frame).
 const maxCork = 4 << 20
 
-// errConnClosed reports an enqueue on a connection torn down by Close.
+// errConnClosed fails the connections Close tears down.
 var errConnClosed = errors.New("transport: connection closed")
 
 // errStaleConn reports a call that found its connection already dead before
@@ -106,91 +112,141 @@ func parseMuxFrame(payload []byte) (kind byte, id uint64, inner []byte, ok bool)
 // Corked writer
 // ---------------------------------------------------------------------------
 
-// corkedWriter batches outbound frames: senders cork complete frames into a
-// shared buffer, one writer goroutine flushes each batch in a single Write.
+// muxCounters is the mux's work, shared by every connection of one TCP.
+type muxCounters struct {
+	inFlight, timeouts, dials, frames, writes atomic.Int64
+}
+
+// corkedWriter batches outbound frames with no goroutine of its own: a
+// sender corks its frame into the shared buffer and, when no write is
+// running, writes the whole buffer itself, so every frame corked while the
+// previous write ran goes out in one Write. A sender whose frame is in
+// someone else's write, or behind it, waits for that write. Every wait and
+// every write is bounded by the sender's deadline; a write that misses it
+// fails the connection, because a partial frame cannot be resumed.
 type corkedWriter struct {
-	conn net.Conn
+	conn  net.Conn
+	stats *muxCounters
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []byte
-	err    error
-	closed bool
+	mu      sync.Mutex
+	buf     []byte        // frames corked for the next write
+	spare   []byte        // the last written batch, reused for the next
+	corked  uint64        // frames ever corked
+	written uint64        // frames ever written
+	writing bool          // a sender is inside Write
+	done    chan struct{} // closed when the running write returns; made by its first waiter
+	err     error         // the write error that failed the connection
 }
 
-func newCorkedWriter(conn net.Conn) *corkedWriter {
-	w := &corkedWriter{conn: conn, buf: make([]byte, 0, 4096)}
-	w.cond = sync.NewCond(&w.mu)
-	return w
+func newCorkedWriter(conn net.Conn, stats *muxCounters) *corkedWriter {
+	return &corkedWriter{conn: conn, stats: stats, buf: make([]byte, 0, 4096)}
 }
 
-// enqueue corks one frame (length header plus payload) into the next batch.
-// It blocks while the buffer is over the cork cap, and reports the write
-// error once the connection has failed.
-func (w *corkedWriter) enqueue(payload []byte) error {
+// send corks one frame (length header plus payload) and returns once it is
+// written. A connection that failed before the frame was corked reports
+// errStaleConn (the peer never saw it); one that fails while the frame is
+// corked or being written reports the write error, or errCallTimeout when
+// the deadline passed.
+func (w *corkedWriter) send(payload []byte, deadline time.Time) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("transport: frame too large (%d bytes)", len(payload))
 	}
 	w.mu.Lock()
-	for len(w.buf) > maxCork && w.err == nil && !w.closed {
-		w.cond.Wait()
+	defer w.mu.Unlock()
+	for w.err == nil && w.writing && len(w.buf) > maxCork {
+		if !w.await(deadline) {
+			return errCallTimeout
+		}
 	}
 	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	if w.closed {
-		w.mu.Unlock()
-		return errConnClosed
+		return errStaleConn
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	w.buf = append(w.buf, hdr[:]...)
 	w.buf = append(w.buf, payload...)
-	w.cond.Broadcast()
-	w.mu.Unlock()
+	w.corked++
+	mine := w.corked
+	for w.written < mine {
+		switch {
+		case w.err != nil:
+			if errors.Is(w.err, os.ErrDeadlineExceeded) {
+				return errCallTimeout
+			}
+			return w.err
+		case !w.writing:
+			w.write(deadline)
+		case !w.await(deadline):
+			return errCallTimeout
+		}
+	}
 	return nil
 }
 
-// run flushes batches until the connection fails or the writer is closed.
-func (w *corkedWriter) run() {
-	var batch []byte
-	for {
-		w.mu.Lock()
-		for len(w.buf) == 0 && w.err == nil && !w.closed {
-			w.cond.Wait()
-		}
-		if w.err != nil || w.closed {
-			w.mu.Unlock()
-			return
-		}
-		batch, w.buf = w.buf, batch[:0]
-		w.cond.Broadcast() // wake senders blocked on the cork cap
-		w.mu.Unlock()
-		if _, err := w.conn.Write(batch); err != nil {
-			w.fail(err)
-			return
-		}
+// write writes everything corked in one Write under deadline; called with
+// w.mu held and no write running, it releases the lock around the Write.
+func (w *corkedWriter) write(deadline time.Time) {
+	batch, target := w.buf, w.corked
+	w.buf, w.spare = w.spare[:0], nil
+	w.writing = true
+	w.mu.Unlock()
+	err := w.conn.SetWriteDeadline(deadline)
+	if err == nil {
+		_, err = w.conn.Write(batch)
+	}
+	w.mu.Lock()
+	w.writing = false
+	w.spare = batch
+	if err != nil {
+		w.failLocked(err)
+		return
+	}
+	w.stats.frames.Add(int64(target - w.written))
+	w.stats.writes.Add(1)
+	w.written = target
+	if w.done != nil {
+		close(w.done)
+		w.done = nil
 	}
 }
 
-// fail records the terminal error and wakes everyone.
+// await releases w.mu until the running write returns or the deadline
+// passes, and reports whether the write returned in time. Called with
+// w.mu held while w.writing.
+func (w *corkedWriter) await(deadline time.Time) bool {
+	if w.done == nil {
+		w.done = make(chan struct{})
+	}
+	done := w.done
+	w.mu.Unlock()
+	defer w.mu.Lock()
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case <-done:
+		return true
+	case <-timer.C:
+		return false
+	}
+}
+
+// fail records the terminal error, closes the connection, and wakes every
+// waiting sender.
 func (w *corkedWriter) fail(err error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.failLocked(err)
+}
+
+func (w *corkedWriter) failLocked(err error) {
 	if w.err == nil {
 		w.err = err
 	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// close wakes the writer goroutine and blocked senders for teardown.
-func (w *corkedWriter) close() {
-	w.mu.Lock()
-	w.closed = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
+	if w.done != nil {
+		close(w.done)
+		w.done = nil
+	}
+	w.conn.Close()
 }
 
 // ---------------------------------------------------------------------------
@@ -215,15 +271,19 @@ type muxConn struct {
 	dead    error
 }
 
-func newMuxConn(conn net.Conn) *muxConn {
-	return &muxConn{conn: conn, w: newCorkedWriter(conn), waiters: make(map[uint64]chan muxResult)}
+func newMuxConn(conn net.Conn, stats *muxCounters) *muxConn {
+	return &muxConn{conn: conn, w: newCorkedWriter(conn, stats), waiters: make(map[uint64]chan muxResult)}
 }
 
-// alive reports whether the connection can still carry calls.
+// alive reports whether the connection can still carry calls: neither the
+// reader nor a write has failed it.
 func (m *muxConn) alive() bool {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dead == nil
+	dead := m.dead
+	m.mu.Unlock()
+	m.w.mu.Lock()
+	defer m.w.mu.Unlock()
+	return dead == nil && m.w.err == nil
 }
 
 // fail marks the connection dead, tears down the socket, and delivers the
@@ -268,15 +328,14 @@ func (m *muxConn) readLoop() {
 	}
 }
 
-// roundTrip issues one call and waits for its reply payload under the
-// timeout. The request is encoded straight into a pooled frame buffer (one
-// copy into the cork batch, one syscall per batch). A timeout abandons only
-// this call; the connection stays up for the others in flight.
-func (m *muxConn) roundTrip(from, to string, msg Message, timeout time.Duration) ([]byte, error) {
+// start sends one call's request and returns its ID and the channel its
+// reply arrives on. The request is encoded straight into a pooled frame
+// buffer (one copy into the cork batch, one syscall per batch).
+func (m *muxConn) start(from, to string, msg Message, deadline time.Time) (uint64, chan muxResult, error) {
 	m.mu.Lock()
 	if m.dead != nil {
 		m.mu.Unlock()
-		return nil, errStaleConn
+		return 0, nil, errStaleConn
 	}
 	m.nextID++
 	id := m.nextID
@@ -287,32 +346,41 @@ func (m *muxConn) roundTrip(from, to string, msg Message, timeout time.Duration)
 	frame := framePool.Get().(*[]byte)
 	buf := appendMuxHeader((*frame)[:0], muxReq, id)
 	buf = appendRequest(buf, from, to, msg)
-	err := m.w.enqueue(buf)
+	err := m.w.send(buf, deadline)
 	*frame = buf
 	framePool.Put(frame)
 	if err != nil {
-		m.mu.Lock()
-		delete(m.waiters, id)
-		m.mu.Unlock()
-		if err != errConnClosed {
-			// The writer failed before flushing this frame: the peer never
-			// dispatched it, so the call is retryable.
-			err = errStaleConn
-		}
-		return nil, err
+		m.forget(id)
+		return 0, nil, err
 	}
+	return id, ch, nil
+}
 
-	timer := time.NewTimer(timeout)
+// await waits for the reply to call id until the deadline. A timeout
+// abandons only this call; the connection stays up for the others in
+// flight.
+func (m *muxConn) await(id uint64, ch chan muxResult, deadline time.Time) ([]byte, error) {
+	select {
+	case r := <-ch:
+		return r.payload, r.err
+	default:
+	}
+	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return r.payload, r.err
 	case <-timer.C:
-		m.mu.Lock()
-		delete(m.waiters, id)
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w after %s", errCallTimeout, timeout)
+		m.forget(id)
+		return nil, errCallTimeout
 	}
+}
+
+// forget drops the waiter for id; its reply, if one comes, is discarded.
+func (m *muxConn) forget(id uint64) {
+	m.mu.Lock()
+	delete(m.waiters, id)
+	m.mu.Unlock()
 }
 
 // framePool recycles the scratch buffers mux frames are assembled in before

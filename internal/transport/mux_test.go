@@ -222,6 +222,57 @@ func TestMuxCallTimeoutLeavesConnUsable(t *testing.T) {
 	}
 }
 
+// TestStalledPeerCallEndsWithinTimeout: a peer that completes the hello
+// and then never reads again fills the socket's buffers and then the cork
+// buffer. Every call to it must still end within CallTimeout — its wait for
+// room in the cork buffer, its write and its wait for the reply are all
+// bounded — and a write that times out takes the connection down with it,
+// so the next call dials a fresh one.
+func TestStalledPeerCallEndsWithinTimeout(t *testing.T) {
+	hold := make(chan struct{})
+	defer close(hold)
+	addr, accepts := fakeListener(t, func(conn net.Conn) {
+		if _, err := readFrame(conn); err != nil {
+			return
+		}
+		if err := writeFrame(conn, helloAckFrame()); err != nil {
+			return
+		}
+		<-hold // never read again
+	})
+	tr := NewTCP()
+	defer tr.Close()
+	tr.CallTimeout = 200 * time.Millisecond
+	tr.AddPeer("stalled", addr)
+
+	body := make([]byte, 1<<20)
+	const calls = 12
+	const bound = 2 * time.Second // the timeout plus a wide margin for the race detector
+	for i := 0; i < calls; i++ {
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() {
+			_, err := tr.Call("cli", "stalled", Message{Type: "echo", Body: body})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrUnreachable) {
+				t.Fatalf("call %d to a stalled peer = %v, want ErrUnreachable", i, err)
+			}
+		case <-time.After(bound):
+			t.Fatalf("call %d to a stalled peer still blocked after %v (CallTimeout %v)", i, time.Since(start), tr.CallTimeout)
+		}
+	}
+	st := tr.Stats()
+	if st.CallTimeouts != calls || st.CallsInFlight != 0 {
+		t.Errorf("stats after %d timed-out calls: %+v", calls, st)
+	}
+	if accepts.Load() < 2 || st.Dials != accepts.Load() {
+		t.Errorf("%d connections accepted, %d dialed: a write that timed out must fail its connection", accepts.Load(), st.Dials)
+	}
+}
+
 // TestMuxDialBackoff pins reconnect backoff: calls to a dead peer fail fast
 // once the backoff gate is set instead of re-dialing per call.
 func TestMuxDialBackoff(t *testing.T) {

@@ -14,13 +14,16 @@ import (
 //
 // Calls ride one persistent multiplexed connection per peer address (see
 // mux_conn.go): many calls in flight at once, outbound frames corked into
-// batched writes, replies demuxed by request ID, and reconnect-with-backoff
-// when the connection dies.
+// batched writes on the senders' own goroutines, replies demuxed by request
+// ID, and reconnect-with-backoff when the connection dies. Go sends a call
+// ahead of waiting for its reply; Call is Go's wait, invoked at once.
 type TCP struct {
 	// DialTimeout bounds connection establishment (and the mux handshake);
 	// zero means 5s.
 	DialTimeout time.Duration
-	// CallTimeout bounds one request/reply exchange; zero means 30s.
+	// CallTimeout bounds one request/reply exchange — every wait it makes:
+	// for room in the cork buffer, for its write, for the reply — and each
+	// reply a handler sends back; zero means 30s.
 	CallTimeout time.Duration
 
 	mu       sync.RWMutex
@@ -33,6 +36,34 @@ type TCP struct {
 
 	muxMu sync.Mutex
 	mux   map[string]*muxEntry // peer address -> persistent-connection state
+	stats muxCounters
+}
+
+// TCPStats counts a TCP transport's work since NewTCP; Frames over Writes
+// is how many frames one corked write carries.
+type TCPStats struct {
+	// CallsInFlight is remote calls sent and not yet answered, failed or
+	// timed out.
+	CallsInFlight int64
+	// CallTimeouts counts remote calls that ran out of CallTimeout.
+	CallTimeouts int64
+	// Dials counts connections dialed to peers, handshake failures included.
+	Dials int64
+	// Frames counts mux frames written, requests and replies.
+	Frames int64
+	// Writes counts the socket writes that carried them.
+	Writes int64
+}
+
+// Stats returns the transport's counters.
+func (t *TCP) Stats() TCPStats {
+	return TCPStats{
+		CallsInFlight: t.stats.inFlight.Load(),
+		CallTimeouts:  t.stats.timeouts.Load(),
+		Dials:         t.stats.dials.Load(),
+		Frames:        t.stats.frames.Load(),
+		Writes:        t.stats.writes.Load(),
+	}
 }
 
 // maxDialBackoff caps reconnect backoff after repeated dial failures.
@@ -181,17 +212,12 @@ func (t *TCP) serveConn(conn net.Conn) {
 }
 
 // serveMux runs the server half of one multiplexed connection: requests
-// dispatch to handler goroutines as they arrive (many in flight), replies
-// cork into batched writes in whatever order the handlers finish.
+// dispatch to handler goroutines as they arrive (many in flight), and each
+// handler corks its reply into a batched write in whatever order the
+// handlers finish.
 func (t *TCP) serveMux(conn net.Conn) {
-	w := newCorkedWriter(conn)
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		w.run()
-	}()
-	if err := w.enqueue(helloAckFrame()); err != nil {
-		w.close()
+	w := newCorkedWriter(conn, &t.stats)
+	if err := w.send(helloAckFrame(), time.Now().Add(t.callTimeout())); err != nil {
 		return
 	}
 	var handlers sync.WaitGroup
@@ -211,10 +237,11 @@ func (t *TCP) serveMux(conn net.Conn) {
 		}(id, inner)
 	}
 	handlers.Wait()
-	w.close()
 }
 
-// serveMuxRequest decodes, dispatches, and answers one mux request.
+// serveMuxRequest decodes, dispatches, and answers one mux request. The
+// reply's write is bounded by CallTimeout, so a handler answering a client
+// that stopped reading ends instead of waiting on it.
 func (t *TCP) serveMuxRequest(w *corkedWriter, id uint64, payload []byte) {
 	from, to, msg, err := decodeRequest(payload)
 	var reply Message
@@ -231,7 +258,7 @@ func (t *TCP) serveMuxRequest(w *corkedWriter, id uint64, payload []byte) {
 	frame := framePool.Get().(*[]byte)
 	buf := appendMuxHeader((*frame)[:0], muxReply, id)
 	buf = appendReply(buf, reply, err)
-	_ = w.enqueue(buf) // a dead connection drops the reply; the caller times out
+	_ = w.send(buf, time.Now().Add(t.callTimeout())) // a dead connection drops the reply; the caller times out
 	*frame = buf
 	framePool.Put(frame)
 }
@@ -241,42 +268,122 @@ func (t *TCP) serveMuxRequest(w *corkedWriter, id uint64, payload []byte) {
 // ---------------------------------------------------------------------------
 
 // Call implements Transport: local names are served directly; remote names
-// go over the peer's multiplexed connection.
+// go over the peer's multiplexed connection. It is Go's call, waited for at
+// once.
+func (t *TCP) Call(from, to string, msg Message) (Message, error) {
+	var c tcpCall
+	t.start(&c, from, to, msg)
+	return c.wait()
+}
+
+// Go sends a call ahead of waiting for its reply: a remote call's request
+// is written before Go returns, and wait, which the caller invokes exactly
+// once, collects the reply; a local name's handler runs inside wait.
+func (t *TCP) Go(from, to string, msg Message) (wait func() (Message, error)) {
+	c := new(tcpCall)
+	t.start(c, from, to, msg)
+	return c.wait
+}
+
+// start begins call c. CallTimeout runs from here, so every wait the call
+// makes — for room in the cork buffer, for its write, for the reply — ends
+// within it.
 //
 // Retry rule: a failure on a connection established by an earlier call (it
 // may have been dead since the peer restarted) retries on a fresh dial; a
 // failure on a freshly dialed connection reports the peer unreachable.
 // Timeouts never retry — the connection is healthy, the handler is just
 // slow, and a silent re-send could double a mutation.
-func (t *TCP) Call(from, to string, msg Message) (Message, error) {
+func (t *TCP) start(c *tcpCall, from, to string, msg Message) {
 	t.mu.RLock()
 	h, local := t.handlers[to]
 	addr, remote := t.peers[to]
 	t.mu.RUnlock()
-	if local {
-		reply, err := h(from, msg)
+	*c = tcpCall{t: t, from: from, to: to, msg: msg}
+	switch {
+	case local:
+		c.local = h
+	case !remote:
+		c.err = fmt.Errorf("%w: %s", ErrUnknownNode, to)
+	default:
+		c.addr, c.deadline = addr, time.Now().Add(t.callTimeout())
+		t.stats.inFlight.Add(1)
+		c.send()
+	}
+}
+
+// tcpCall is one call between its start and its wait.
+type tcpCall struct {
+	t        *TCP
+	from, to string
+	msg      Message
+	local    Handler // the handler of a name this transport serves itself
+	addr     string  // the peer's address, for a remote call
+	deadline time.Time
+
+	attempts int      // requests sent or tried
+	mc       *muxConn // the connection the request went out on
+	fresh    bool     // mc was dialed for this call
+	id       uint64
+	ch       chan muxResult
+	err      error // the call's failure, once it has failed
+}
+
+// send writes the request, redialing while it finds the connection dead,
+// until it is on the wire or the call has failed.
+func (c *tcpCall) send() {
+	for ; c.attempts < 3; c.attempts++ {
+		mc, fresh, err := c.t.getMux(c.addr)
+		if err != nil {
+			c.err = fmt.Errorf("%w: %s: %v", ErrUnreachable, c.to, err)
+			return
+		}
+		c.mc, c.fresh = mc, fresh
+		if c.id, c.ch, err = mc.start(c.from, c.to, c.msg, c.deadline); err == nil || c.failed(err) {
+			return
+		}
+	}
+	c.err = fmt.Errorf("%w: %s: connection kept dying", ErrUnreachable, c.to)
+}
+
+// failed applies the retry rule to err, recording the call's failure and
+// reporting true when err ends the call.
+func (c *tcpCall) failed(err error) bool {
+	timeout := errors.Is(err, errCallTimeout)
+	if !timeout && (!c.fresh || err == errStaleConn) {
+		return false
+	}
+	if timeout {
+		c.t.stats.timeouts.Add(1)
+	}
+	c.err = fmt.Errorf("%w: %s: %v", ErrUnreachable, c.to, err)
+	return true
+}
+
+// wait collects the reply, sending the request again when the connection
+// it went out on died and the retry rule allows.
+func (c *tcpCall) wait() (Message, error) {
+	if c.local != nil {
+		reply, err := c.local(c.from, c.msg)
 		if err != nil && !IsRemote(err) {
 			err = remoteError{msg: err.Error()}
 		}
 		return reply, err
 	}
-	if !remote {
-		return Message{}, fmt.Errorf("%w: %s", ErrUnknownNode, to)
+	if c.addr != "" {
+		defer c.t.stats.inFlight.Add(-1)
 	}
-	for attempt := 0; attempt < 3; attempt++ {
-		mc, fresh, err := t.getMux(addr)
-		if err != nil {
-			return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
-		}
-		payload, err := mc.roundTrip(from, to, msg, t.callTimeout())
+	for c.err == nil {
+		payload, err := c.mc.await(c.id, c.ch, c.deadline)
 		if err == nil {
 			return decodeReply(payload)
 		}
-		if errors.Is(err, errCallTimeout) || (fresh && err != errStaleConn) {
-			return Message{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
+		if !c.failed(err) {
+			c.attempts++
+			c.send()
 		}
 	}
-	return Message{}, fmt.Errorf("%w: %s: connection kept dying", ErrUnreachable, to)
+	return Message{}, c.err
 }
 
 // getMux returns the live multiplexed connection for addr, dialing and
@@ -302,6 +409,7 @@ func (t *TCP) getMux(addr string) (mc *muxConn, fresh bool, err error) {
 	if time.Now().Before(e.nextDialAt) {
 		return nil, false, fmt.Errorf("transport: dial backoff to %s", addr)
 	}
+	t.stats.dials.Add(1)
 	conn, err := t.dialMux(addr)
 	if err != nil {
 		// The gate opens a backoff after the failure is known: a dial or
@@ -312,7 +420,7 @@ func (t *TCP) getMux(addr string) (mc *muxConn, fresh bool, err error) {
 	}
 	e.backoff = 0
 	e.nextDialAt = time.Time{}
-	mc = newMuxConn(conn)
+	mc = newMuxConn(conn, &t.stats)
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -321,11 +429,7 @@ func (t *TCP) getMux(addr string) (mc *muxConn, fresh bool, err error) {
 	}
 	t.mu.Unlock()
 	e.mc = mc
-	t.wg.Add(2)
-	go func() {
-		defer t.wg.Done()
-		mc.w.run()
-	}()
+	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
 		mc.readLoop()
