@@ -54,6 +54,7 @@ var requiredSeries = []string{
 	"nakika_replication_forwarded_ops_total",
 	"nakika_replication_pushes_total",
 	"nakika_replication_unavailable_total",
+	"nakika_replication_version_ties_total",
 	"nakika_replication_catchup_pending",
 	"nakika_replication_repairs_total",
 	"nakika_overlay_publishes_pending",
@@ -148,7 +149,8 @@ func scrapeSamples(addr string) (map[string]float64, error) {
 // on a 3-node cluster after a replicated write: a registration is a
 // State.put at the key's owner, pushed to both replicas over the mux. Every
 // frame goes out in some corked write, so frames >= writes, and the write
-// put frames on the wire, so writes > 0.
+// put frames on the wire, so writes > 0. No node fails, so no two owners
+// write one version: every node counts 0 version ties.
 func TestTransportSeriesAfterReplicatedWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-process e2e suite")
@@ -170,6 +172,9 @@ func TestTransportSeriesAfterReplicatedWrite(t *testing.T) {
 		}
 		if m["nakika_transport_dials_total"] == 0 {
 			t.Errorf("edge-%d dialed no peer", i)
+		}
+		if v := m["nakika_replication_version_ties_total"]; v != 0 {
+			t.Errorf("edge-%d counted %v version ties in a run without failures, want 0", i, v)
 		}
 		frames += f
 		writes += w

@@ -7,10 +7,13 @@
 //     request cache key, honouring the web's expiration-based consistency
 //     model (Section 3.3) with a configurable default TTL and LRU eviction.
 //     The cache is sharded by key hash so concurrent pipelines do not
-//     serialize on one lock. A store copies the body once; a hit hands out
-//     a clone that shares the stored bytes until a script touches them
-//     (httpmsg.Response.Materialize). It owns the freshness decision
-//     (Expiry) for every tier of the node, the large-object tier included.
+//     serialize on one lock. A store keeps the reply's body array when the
+//     reply owns one no larger than the body needs (an origin reply read
+//     at its declared length), and copies the body once otherwise; the
+//     reply and every hit then share the stored bytes until a script
+//     touches them (httpmsg.Response.Materialize). It owns the freshness
+//     decision (Expiry) for every tier of the node, the large-object tier
+//     included.
 //   - Memo: a small in-memory memoization cache used for parsed decision
 //     trees and reusable scripting contexts (the 4 microsecond / 3
 //     microsecond retrievals reported in Section 5.1). The pipeline's
@@ -20,6 +23,7 @@ package cache
 import (
 	"container/list"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -306,27 +310,25 @@ func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 // a peer's cache keeps the holder's deadline instead of starting a new one.
 // A response that is already past that deadline is reported unstored, so the
 // node neither holds nor publishes it. The stored copy is taken before the
-// shard lock is acquired, and it is the one body copy a store makes: the
-// caller's response goes on into the pipeline, where a script may write into
-// its body. Streamed bodies never enter the whole-body cache — the
+// shard lock is acquired (httpmsg.Response.StoredCopy): it keeps the reply's
+// body array when the reply owns one of the body's size, and copies the body
+// once otherwise. Either way the caller's response goes on into the pipeline
+// as a hit does: a script that writes into its body writes into a copy
+// (Materialize). Streamed bodies never enter the whole-body cache — the
 // large-object tier owns them (storing one here would pin a lazy view, not
 // bytes).
 func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) bool {
 	if resp == nil || resp.Stream != nil || !resp.Cacheable() || expired(expires, c.cfg.Clock()) {
 		return false
 	}
-	stored := resp.Clone()
-	if err := stored.Materialize(); err != nil {
-		return false
-	}
-	return c.putEntry(key, stored, expires)
+	return c.putEntry(key, resp.StoredCopy(), expires)
 }
 
 // Refresh revalidates the stored entry for key against a 304 Not Modified:
-// the entry's expiry moves to the 304's Expiry. The 304 itself is never
-// stored — it has no body, so storing it would later serve an empty page; it
-// only renews the 200 it validates. Returns whether a stored entry was
-// refreshed.
+// when the 304 validates that entry (validates), the entry's expiry moves to
+// the 304's Expiry. The 304 itself is never stored — it has no body, so
+// storing it would later serve an empty page; it only renews the 200 it
+// validates. Returns whether a stored entry was refreshed.
 func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 	if resp == nil || resp.Status != http.StatusNotModified {
 		return false
@@ -336,12 +338,33 @@ func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.entries[key]
-	if !ok {
+	if !ok || !validates(resp.Header, e.resp.Header) {
 		return false
 	}
 	e.expires = expires
 	sh.lru.MoveToFront(e.elem)
 	return true
+}
+
+// validates reports whether a 304 with header nm selects the stored response
+// with header stored for update, as RFC 9111 §4.3.4 allows: by the 304's
+// entity tag, equal to the stored one (strong comparison for a strong tag,
+// weak for a weak one); without a tag, by the same Last-Modified; and with no
+// validator on either side, as the one response stored under the key. A 304
+// to a client's own conditional request that names another representation
+// renews nothing.
+func validates(nm, stored http.Header) bool {
+	if tag := nm.Get("Etag"); tag != "" {
+		have := stored.Get("Etag")
+		if weak, ok := strings.CutPrefix(tag, "W/"); ok {
+			return have != "" && strings.TrimPrefix(have, "W/") == weak
+		}
+		return have == tag
+	}
+	if lm := nm.Get("Last-Modified"); lm != "" {
+		return lm == stored.Get("Last-Modified")
+	}
+	return stored.Get("Etag") == "" && stored.Get("Last-Modified") == ""
 }
 
 func (c *Cache) putEntry(key string, resp *httpmsg.Response, expires time.Time) bool {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -57,14 +58,21 @@ func TestGetMissThenHit(t *testing.T) {
 	}
 }
 
-// TestCachedBodyIsIsolated: a store copies the body once, a hit copies
-// nothing, and a hit's body is private once Materialize has run — which is
-// what every script access to a body goes through.
+// TestCachedBodyIsIsolated: a store and a hit copy nothing, and the stored
+// response's body, like a hit's, is private once Materialize has run —
+// which is what every script access to a body goes through.
 func TestCachedBodyIsIsolated(t *testing.T) {
 	c := New(Config{})
 	put := okResponse("original")
 	c.Put("k", put)
-	put.Body[0] = 'P' // the caller's response goes on into a pipeline
+	if hit := c.Get("k"); &hit.Body[0] != &put.Body[0] {
+		t.Error("the store should keep the reply's array, not copy it")
+	}
+	// The caller's response goes on into a pipeline.
+	if err := put.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	put.Body[0] = 'P'
 	a, b := c.Get("k"), c.Get("k")
 	if &a.Body[0] != &b.Body[0] {
 		t.Error("two hits should share the stored bytes until one is materialized")
@@ -294,7 +302,9 @@ func Test304NeverBecomesServedBody(t *testing.T) {
 	if got := c.Get(key); got != nil {
 		t.Fatal("entry should have expired")
 	}
-	c.Put(key, okResponse("real content"))
+	validated := okResponse("real content")
+	validated.Header.Set("Etag", `"v1"`)
+	c.Put(key, validated)
 	clock.Advance(30 * time.Second)
 	if !c.Refresh(key, notModified) {
 		t.Fatal("Refresh failed on a stored entry")
@@ -311,6 +321,55 @@ func Test304NeverBecomesServedBody(t *testing.T) {
 	// Refresh must reject anything that is not a 304.
 	if c.Refresh(key, okResponse("x")) {
 		t.Fatal("Refresh accepted a 200")
+	}
+}
+
+// TestRefreshNeedsTheStoredValidator: a 304 renews the stored 200 only when
+// RFC 9111 §4.3.4 selects it for update — the 304's entity tag matches the
+// stored one, or without tags the Last-Modified dates are equal, or neither
+// side carries a validator. A 304 answering a client's conditional request
+// for another representation leaves the stored entry to expire.
+func TestRefreshNeedsTheStoredValidator(t *testing.T) {
+	const lm, otherLM = "Mon, 05 Oct 2026 10:00:00 GMT", "Tue, 06 Oct 2026 10:00:00 GMT"
+	for _, tc := range []struct {
+		name        string
+		stored, nm  http.Header
+		wantRenewed bool
+	}{
+		{"another entity tag", http.Header{"Etag": {`"a"`}}, http.Header{"Etag": {`"b"`}}, false},
+		{"the same entity tag", http.Header{"Etag": {`"a"`}}, http.Header{"Etag": {`"a"`}}, true},
+		{"a strong tag against a weak one", http.Header{"Etag": {`W/"a"`}}, http.Header{"Etag": {`"a"`}}, false},
+		{"a weak tag against the same weak one", http.Header{"Etag": {`W/"a"`}}, http.Header{"Etag": {`W/"a"`}}, true},
+		{"a tag the stored response lacks", http.Header{"Last-Modified": {lm}}, http.Header{"Etag": {`"a"`}}, false},
+		{"the same Last-Modified", http.Header{"Last-Modified": {lm}}, http.Header{"Last-Modified": {lm}}, true},
+		{"another Last-Modified", http.Header{"Last-Modified": {lm}}, http.Header{"Last-Modified": {otherLM}}, false},
+		{"no validator on either side", http.Header{}, http.Header{}, true},
+		{"no validator on the 304 only", http.Header{"Etag": {`"a"`}}, http.Header{}, false},
+	} {
+		clock := newFakeClock()
+		c := New(Config{Clock: clock.Now})
+		key := "GET http://example.org/page"
+		stored := okResponse("stored")
+		for k, v := range tc.stored {
+			stored.Header[k] = v
+		}
+		stored.SetMaxAge(10)
+		if !c.Put(key, stored) {
+			t.Fatalf("%s: the 200 was not stored", tc.name)
+		}
+		clock.Advance(5 * time.Second)
+		nm := httpmsg.NewResponse(http.StatusNotModified)
+		for k, v := range tc.nm {
+			nm.Header[k] = v
+		}
+		nm.SetMaxAge(600)
+		if got := c.Refresh(key, nm); got != tc.wantRenewed {
+			t.Errorf("%s: Refresh = %v, want %v", tc.name, got, tc.wantRenewed)
+		}
+		clock.Advance(10 * time.Second) // past the 200's own max-age
+		if hit := c.Get(key) != nil; hit != tc.wantRenewed {
+			t.Errorf("%s: a hit at +15 s is %v, want %v", tc.name, hit, tc.wantRenewed)
+		}
 	}
 }
 

@@ -309,7 +309,8 @@ func (n *Node) lobIngestFor(key string) *lobIngest {
 // upstream can stream and the tier wants the reply (lobTakes, asked of the
 // head before a body byte is read), the returned response streams the object
 // while a background goroutine ingests it. A reply the tier does not want is
-// buffered and returned for the store step to file like any other. (nil,
+// buffered as Upstream.Do buffers one (httpmsg.ReadWhole, at its declared
+// length) and returned for the store step to file like any other. (nil,
 // nil) means the caller should fetch through Upstream.Do itself.
 func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Response, error) {
 	sf, ok := n.cfg.Upstream.(StreamFetcher)
@@ -326,7 +327,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 	t := n.lobTakes(key, head.Status, head.Header, head.Length)
 	if t == nil {
 		defer body.Close()
-		data, err := io.ReadAll(body)
+		data, err := httpmsg.ReadWhole(body, head.Length)
 		if err != nil {
 			return nil, fmt.Errorf("core: read origin body: %w", err)
 		}

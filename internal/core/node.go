@@ -317,6 +317,7 @@ type Node struct {
 	repPushes     atomic.Int64
 	repFailovers  atomic.Int64
 	repApplied    atomic.Int64
+	repTies       atomic.Int64
 	unavailGet    atomic.Int64
 	unavailPut    atomic.Int64
 	unavailDel    atomic.Int64

@@ -209,6 +209,7 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_replication_pushes_total", "Records peers accepted from this node's replication and repair pushes.", nil, cv(&n.repPushes))
 	r.CounterFunc("nakika_replication_failover_reads_total", "Reads served by a successor after the routed owner was found dead.", nil, cv(&n.repFailovers))
 	r.CounterFunc("nakika_replication_applied_total", "Records applied from peers that superseded the local copy.", nil, cv(&n.repApplied))
+	r.CounterFunc("nakika_replication_version_ties_total", "Records from peers that tied the local record's version from another origin; last-writer-wins discards one of the two writes.", nil, cv(&n.repTies))
 	r.CounterFunc("nakika_replication_unavailable_total", "State operations that failed because no owner or replica was reachable.", metrics.Labels{"op": "get"}, cv(&n.unavailGet))
 	r.CounterFunc("nakika_replication_unavailable_total", "", metrics.Labels{"op": "put"}, cv(&n.unavailPut))
 	r.CounterFunc("nakika_replication_unavailable_total", "", metrics.Labels{"op": "delete"}, cv(&n.unavailDel))

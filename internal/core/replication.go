@@ -338,12 +338,19 @@ func (n *Node) collectPushes(pushes []pendingCall) (acks int, staleVer uint64, f
 // applyPush is the replica side of a push (and of a handoff record): store
 // rec under last-writer-wins, through the fence when it carries one, and
 // answer "applied" once it is durable, "stale <version held> <its origin>"
-// or "fenced". The apply lock is released before the fsync.
+// or "fenced". The apply lock is released before the fsync. Every remote
+// record comes through here (pushes, fenced pushes, catch-up pulls and
+// repairs), so here a version tie is counted: the local record has rec's
+// version and another origin, two owners wrote the one version, and
+// last-writer-wins discards one of the writes, whichever wins.
 func (n *Node) applyPush(rec state.Rec, fence *leaseFenced) (transport.Message, error) {
 	n.repApplyMu.Lock()
-	curVer, curOrigin, _, _, _ := n.store.GetVersioned(rec.Site, rec.Key)
+	curVer, curOrigin, _, _, held := n.store.GetVersioned(rec.Site, rec.Key)
 	applied, commit, err := n.storeRec(rec, fence)
 	n.repApplyMu.Unlock()
+	if err == nil && held && curVer == rec.Ver && curOrigin != rec.Origin {
+		n.repTies.Add(1)
+	}
 	if err == nil {
 		err = commit.Wait()
 	}

@@ -335,6 +335,48 @@ func TestUnavailableCounted(t *testing.T) {
 	}
 }
 
+// TestVersionTieCounted: a remote record with the local record's version
+// and another origin is a write last-writer-wins discards, and moves
+// nakika_replication_version_ties_total once, whichever of the two wins; a
+// record applied again, or superseding by version, is no tie.
+func TestVersionTieCounted(t *testing.T) {
+	n := newTestNode(t, "edge-tie", newMemOrigin(), nil)
+	ties := func() string {
+		var sb strings.Builder
+		if err := n.Metrics().WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "nakika_replication_version_ties_total "); ok {
+				return v
+			}
+		}
+		t.Fatal("exposition lacks nakika_replication_version_ties_total")
+		return ""
+	}
+	for _, step := range []struct {
+		rec  state.Rec
+		ties string
+	}{
+		{state.Rec{Ver: 3, Origin: "edge-b", Value: "b3"}, "0"},
+		{state.Rec{Ver: 3, Origin: "edge-b", Value: "b3"}, "0"}, // the same record again
+		{state.Rec{Ver: 4, Origin: "edge-b", Value: "b4"}, "0"},
+		{state.Rec{Ver: 4, Origin: "edge-a", Value: "a4"}, "1"}, // loses the tie
+		{state.Rec{Ver: 4, Origin: "edge-c", Value: "c4"}, "2"}, // wins it
+	} {
+		step.rec.Site, step.rec.Key = "tie.example.org", "k"
+		if _, err := n.applyPush(step.rec, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := ties(); got != step.ties {
+			t.Errorf("after %s's version %d: %s ties, want %s", step.rec.Origin, step.rec.Ver, got, step.ties)
+		}
+	}
+	if _, origin, _, v, _ := n.store.GetVersioned("tie.example.org", "k"); v != "c4" {
+		t.Errorf("the record is %s's %q; want the tie's winner, edge-c's c4", origin, v)
+	}
+}
+
 // TestLargeObjectIndexSurvivesCrashes: on an 8-node ring one node ingests an
 // object and a second assembles a full copy from it, so the cooperative
 // index holds both. Then the key's index owner crashes — its first successor

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,11 @@ func FuzzReadResponse(f *testing.F) {
 		f.Add([]byte(s), true)
 	}
 	f.Add([]byte("HTTP/1.1 200 OK\r\nX-Big: "+strings.Repeat("a", MaxHeaderBytes)+"\r\nContent-Length: 0\r\n\r\n"), false)
+	// Bodies past the length an exact buffer is made for (maxExactBody),
+	// whole and cut short.
+	long := strings.Repeat("0123456789", maxExactBody/10+1)
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: "+strconv.Itoa(len(long))+"\r\n\r\n"+long), false)
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: "+strconv.Itoa(len(long)+1)+"\r\n\r\n"+long), false)
 	f.Fuzz(func(t *testing.T, in []byte, head bool) {
 		method := http.MethodGet
 		if head {

@@ -13,6 +13,7 @@
 package httpmsg
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -221,8 +222,9 @@ type Response struct {
 	rangeFrom, rangeTo int64
 	ranged             bool
 	// shared marks a Body that aliases another response's bytes (a Clone's,
-	// which is how the cache hands out its copies). Such a Body is read-only
-	// until Materialize replaces it with a private copy.
+	// which is how the cache hands out its copies, or one whose array a
+	// store kept: StoredCopy). Such a Body is read-only until Materialize
+	// replaces it with a private copy.
 	shared bool
 }
 
@@ -305,6 +307,38 @@ func (r *Response) Clone() *Response {
 		ranged:    r.ranged,
 		shared:    true,
 	}
+}
+
+// StoredCopy returns the copy of r a cache keeps: a Clone whose body no
+// write through r can reach. When r owns its body's array (it is not
+// shared) and the array is no larger than the allocator makes for the body
+// (withinSizeClass), the copy keeps that array and r's body becomes shared:
+// read-only until Materialize, as a cache hit's is. A store then copies no
+// bytes. Otherwise the copy's body is one exact copy, so a stored body never
+// pins an array much larger than itself. (No response body aliases a pooled
+// buffer: ReadResponse copies a body out of its payload.)
+func (r *Response) StoredCopy() *Response {
+	c := r.Clone()
+	c.shared = false
+	if r.shared || !withinSizeClass(len(r.Body), cap(r.Body)) {
+		c.Body = bytes.Clone(r.Body)
+	} else {
+		r.shared = true
+	}
+	return c
+}
+
+// withinSizeClass reports whether an array of capacity c holding n bytes is
+// no larger than Go's allocator makes for n: it rounds a small request up
+// to a size class by at most an eighth, or 16 bytes among the smallest
+// classes, and one past 32 KiB up to whole 8 KiB pages. An exact-length
+// buffer (ReadWhole's) is always within it; one grown by doubling seldom is.
+func withinSizeClass(n, c int) bool {
+	slack := max(n/8, 16)
+	if n > 32<<10 {
+		slack = max(slack, 8<<10)
+	}
+	return c-n <= slack
 }
 
 // ---------------------------------------------------------------------------

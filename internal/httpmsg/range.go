@@ -62,9 +62,9 @@ func (r *Response) SetStream(s BodyStream) {
 // Materialize gives the response a Body of its own before whole-body
 // consumers (scripts, codecs) operate on it. A streamed body is resolved into
 // memory; for a ranged response the active range is. A shared body (a
-// Clone's, aliasing a cached copy) is copied, so no write through it reaches
-// another response: this is the one place such a body is copied. No-op for a
-// body the response already owns.
+// Clone's, aliasing a cached copy, or one a store has kept) is copied, so no
+// write through it reaches another response. No-op for a body the response
+// already owns.
 func (r *Response) Materialize() error {
 	if r.Stream == nil {
 		if r.shared {
