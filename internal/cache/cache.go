@@ -7,13 +7,17 @@
 //     request cache key, honouring the web's expiration-based consistency
 //     model (Section 3.3) with a configurable default TTL and LRU eviction.
 //     The cache is sharded by key hash so concurrent pipelines do not
-//     serialize on one lock. A store keeps the reply's body array when the
-//     reply owns one no larger than the body needs (an origin reply read
-//     at its declared length), and copies the body once otherwise; the
-//     reply and every hit then share the stored bytes until a script
-//     touches them (httpmsg.Response.Materialize). It owns the freshness
-//     decision (Expiry) for every tier of the node, the large-object tier
-//     included.
+//     serialize on one lock. An entry holds a response in the form the
+//     binary codec writes it (httpmsg.Stored): the header as AppendHeader's
+//     bytes in one string, the body, and the scalar fields, on an intrusive
+//     LRU list; a hit decodes the header into a map of its own, and the
+//     disk tier (Disk) writes and reads the same bytes. A store keeps the
+//     reply's body array when the reply owns one no larger than the body
+//     needs (an origin reply read at its declared length), and copies the
+//     body once otherwise; the reply and every hit then share the stored
+//     bytes until a script touches them (httpmsg.Response.Materialize). It
+//     owns the freshness decision (Expiry) for every tier of the node, the
+//     large-object tier included.
 //   - Memo: a small in-memory memoization cache used for parsed decision
 //     trees and reusable scripting contexts (the 4 microsecond / 3
 //     microsecond retrievals reported in Section 5.1). The pipeline's
@@ -21,7 +25,6 @@
 package cache
 
 import (
-	"container/list"
 	"net/http"
 	"strings"
 	"sync"
@@ -113,19 +116,22 @@ func shardCount(cfg Config) int {
 	return n
 }
 
+// entry is one cached response, in the form the codec writes it, on its
+// shard's LRU list. Only its list links change once it is stored, under the
+// shard lock: a hit builds its response from the rest outside the lock, and
+// a renewal swaps in a new entry.
 type entry struct {
-	key     string
-	resp    *httpmsg.Response
-	expires time.Time
-	size    int64
-	elem    *list.Element
+	httpmsg.Stored
+	key        string
+	expires    time.Time
+	prev, next *entry
 }
 
 // shard is one independently locked slice of the cache.
 type shard struct {
 	mu         sync.Mutex
 	entries    map[string]*entry
-	lru        *list.List // front = most recently used
+	lru        entry // sentinel of the LRU ring: lru.next is the most recently used entry
 	bytes      int64
 	maxEntries int
 	maxBytes   int64
@@ -133,7 +139,7 @@ type shard struct {
 
 // Cache is a concurrency-safe expiration-based response cache with LRU
 // eviction, sharded by key hash. Counters are atomics so the hot path never
-// takes a lock beyond its own shard, and cached responses are cloned outside
+// takes a lock beyond its own shard, and a hit decodes its response outside
 // the shard lock.
 type Cache struct {
 	cfg    Config
@@ -158,10 +164,10 @@ func New(cfg Config) *Cache {
 	for i := range cache.shards {
 		cache.shards[i] = &shard{
 			entries:    make(map[string]*entry),
-			lru:        list.New(),
 			maxEntries: c.MaxEntries / n,
 			maxBytes:   c.MaxBytes / int64(n),
 		}
+		cache.shards[i].clearLocked()
 	}
 	if c.L2 != nil {
 		cache.l2.Store(c.L2)
@@ -220,17 +226,18 @@ func (c *Cache) Stale(h http.Header, fetched time.Time) bool {
 	return expired(c.Expiry(h, fetched), c.cfg.Clock())
 }
 
-// Get returns a cached response clone for key, or nil when absent or
-// expired.
+// Get returns a fresh response for key built from its entry, or nil when
+// absent or expired.
 func (c *Cache) Get(key string) *httpmsg.Response {
 	resp, _ := c.GetUntil(key)
 	return resp
 }
 
 // GetUntil is Get that also returns the entry's expiry, so a copy handed to
-// a peer keeps the holder's deadline. The clone has its own headers and
-// shares the stored body, read-only until Materialize copies it; it is taken
-// outside the shard lock (cached responses are immutable once stored).
+// a peer keeps the holder's deadline. The response has a header map of its
+// own, decoded from the entry's header bytes, and shares the stored body,
+// read-only until Materialize copies it; it is built outside the shard lock
+// (entries are immutable once stored).
 func (c *Cache) GetUntil(key string) (*httpmsg.Response, time.Time) {
 	now := c.cfg.Clock()
 	sh := c.shard(key)
@@ -246,13 +253,17 @@ func (c *Cache) GetUntil(key string) (*httpmsg.Response, time.Time) {
 		c.expired.Add(1)
 		return c.getL2(key)
 	}
-	sh.lru.MoveToFront(e.elem)
-	cached, expires := e.resp, e.expires
+	sh.moveToFrontLocked(e)
 	sh.mu.Unlock()
 	c.hits.Add(1)
-	resp := cached.Clone()
+	return e.hit(), e.expires
+}
+
+// hit builds the response a cache hit serves from e.
+func (e *entry) hit() *httpmsg.Response {
+	resp := e.Response()
 	resp.FromCache = true
-	return resp, expires
+	return resp
 }
 
 // Until reports whether key has a fresh entry and until when — the expiry
@@ -275,25 +286,25 @@ func (c *Cache) Until(key string) (time.Time, bool) {
 }
 
 // getL2 consults the disk tier on a memory miss, promoting a hit back
-// into the memory LRU. The disk copy stays in place until it expires or
-// the disk budget evicts it, so the tier is inclusive: a later crash
-// still rewarms from it.
+// into the memory LRU. The record's header bytes become the entry's as they
+// are, and its body is copied out at its exact length. The disk copy stays
+// in place until it expires or the disk budget evicts it, so the tier is
+// inclusive: a later crash still rewarms from it.
 func (c *Cache) getL2(key string) (*httpmsg.Response, time.Time) {
 	d := c.l2.Load()
 	if d == nil {
 		c.misses.Add(1)
 		return nil, time.Time{}
 	}
-	resp, expires, ok := d.Get(key)
+	stored, expires, ok := d.get(key)
 	if !ok {
 		c.misses.Add(1)
 		return nil, time.Time{}
 	}
-	c.putEntry(key, resp, expires)
+	e := &entry{Stored: stored, key: key, expires: expires}
+	c.putEntry(e)
 	c.diskHits.Add(1)
-	out := resp.Clone()
-	out.FromCache = true
-	return out, expires
+	return e.hit(), expires
 }
 
 // Put stores a response under key if it is cacheable and not stale on
@@ -309,40 +320,62 @@ func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 // PutUntil is Put with the expiry decided by the caller: a copy fetched from
 // a peer's cache keeps the holder's deadline instead of starting a new one.
 // A response that is already past that deadline is reported unstored, so the
-// node neither holds nor publishes it. The stored copy is taken before the
-// shard lock is acquired (httpmsg.Response.StoredCopy): it keeps the reply's
-// body array when the reply owns one of the body's size, and copies the body
-// once otherwise. Either way the caller's response goes on into the pipeline
-// as a hit does: a script that writes into its body writes into a copy
-// (Materialize). Streamed bodies never enter the whole-body cache — the
-// large-object tier owns them (storing one here would pin a lazy view, not
-// bytes).
+// node neither holds nor publishes it. The entry is made before the shard
+// lock is acquired (httpmsg.Response.StoredForm): its header is encoded once,
+// and it keeps the reply's body array when the reply owns one of the body's
+// size, and copies the body once otherwise. Either way the caller's response
+// goes on into the pipeline as a hit does: a script that writes into its
+// body writes into a copy (Materialize). Streamed bodies never enter the
+// whole-body cache — the large-object tier owns them (storing one here would
+// pin a lazy view, not bytes).
 func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) bool {
 	if resp == nil || resp.Stream != nil || !resp.Cacheable() || expired(expires, c.cfg.Clock()) {
 		return false
 	}
-	return c.putEntry(key, resp.StoredCopy(), expires)
+	return c.putEntry(&entry{Stored: resp.StoredForm(), key: key, expires: expires})
 }
 
-// Refresh revalidates the stored entry for key against a 304 Not Modified:
-// when the 304 validates that entry (validates), the entry's expiry moves to
-// the 304's Expiry. The 304 itself is never stored — it has no body, so
-// storing it would later serve an empty page; it only renews the 200 it
-// validates. Returns whether a stored entry was refreshed.
+// Refresh revalidates the stored entry for key against a 304 Not Modified.
+// When the 304 validates that entry (validates), the entry is renewed as RFC
+// 9111 §4.3.4 asks, by the rules of §3.2: each header field the 304 carries
+// replaces the stored one of its name, Content-Length excepted; the renewed
+// response counts as fetched now, and its expiry is the updated header's
+// Expiry from now. A renewal that makes the response one a shared cache may
+// not store (the 304 says no-store) drops the entry instead. The renewed
+// entry is a new one swapped in under the shard lock, so a hit built outside
+// it never sees a half-updated header. The 304 itself is never stored — it
+// has no body, so storing it would later serve an empty page. Returns
+// whether a stored entry was renewed.
 func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 	if resp == nil || resp.Status != http.StatusNotModified {
 		return false
 	}
-	expires := c.Expiry(resp.Header, c.cfg.Clock())
+	now := c.cfg.Clock()
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.entries[key]
-	if !ok || !validates(resp.Header, e.resp.Header) {
+	if !ok {
 		return false
 	}
-	e.expires = expires
-	sh.lru.MoveToFront(e.elem)
+	h := httpmsg.DecodeHeader(e.Header)
+	if !validates(resp.Header, h) {
+		return false
+	}
+	for k, vs := range resp.Header {
+		if k != "Content-Length" {
+			h[k] = vs
+		}
+	}
+	if !httpmsg.Storable(e.Status, h) {
+		sh.removeLocked(e)
+		return false
+	}
+	renewed := &entry{Stored: e.Stored, key: key, expires: c.Expiry(h, now)}
+	renewed.Header = httpmsg.EncodeHeader(h)
+	renewed.Fetched = now
+	sh.removeLocked(e)
+	sh.insertLocked(renewed)
 	return true
 }
 
@@ -367,23 +400,19 @@ func validates(nm, stored http.Header) bool {
 	return stored.Get("Etag") == "" && stored.Get("Last-Modified") == ""
 }
 
-func (c *Cache) putEntry(key string, resp *httpmsg.Response, expires time.Time) bool {
-	size := int64(len(resp.Body))
-	sh := c.shard(key)
-	if size > sh.maxBytes {
+func (c *Cache) putEntry(e *entry) bool {
+	sh := c.shard(e.key)
+	if e.size() > sh.maxBytes {
 		// The response cannot survive in this shard's byte budget: storing
 		// it would only evict the shard and self-evict. Report it unstored
 		// so the node does not publish a copy it cannot hold.
 		return false
 	}
-	e := &entry{key: key, resp: resp, expires: expires, size: size}
 	sh.mu.Lock()
-	if old, ok := sh.entries[key]; ok {
+	if old, ok := sh.entries[e.key]; ok {
 		sh.removeLocked(old)
 	}
-	e.elem = sh.lru.PushFront(e)
-	sh.entries[key] = e
-	sh.bytes += size
+	sh.insertLocked(e)
 	evicted := sh.evictLocked()
 	sh.mu.Unlock()
 	c.stores.Add(1)
@@ -396,7 +425,8 @@ func (c *Cache) putEntry(key string, resp *httpmsg.Response, expires time.Time) 
 
 // demote hands evicted-but-fresh entries to the disk tier, outside any
 // shard lock. Responses a shared cache may not store (Cache-Control:
-// no-store / private) never entered the cache, and the tier re-checks.
+// no-store / private) never entered the cache, and a renewal that would make
+// one drops its entry, so the entry's bytes go to disk as they are.
 func (c *Cache) demote(evicted []*entry) {
 	d := c.l2.Load()
 	if d == nil {
@@ -407,7 +437,7 @@ func (c *Cache) demote(evicted []*entry) {
 		if expired(e.expires, now) {
 			continue
 		}
-		d.Put(e.key, e.resp, e.expires)
+		d.put(e.key, &e.Stored, e.expires)
 		c.demotions.Add(1)
 	}
 }
@@ -434,7 +464,7 @@ func (c *Cache) FlushToDisk() {
 		// Entries are immutable once stored, so writing them after the
 		// lock is released is safe.
 		for _, e := range fresh {
-			d.Put(e.key, e.resp, e.expires)
+			d.put(e.key, &e.Stored, e.expires)
 			c.demotions.Add(1)
 		}
 	}
@@ -463,9 +493,7 @@ func (c *Cache) Invalidate(key string) {
 func (c *Cache) Clear() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.entries = make(map[string]*entry)
-		sh.lru.Init()
-		sh.bytes = 0
+		sh.clearLocked()
 		sh.mu.Unlock()
 	}
 }
@@ -504,10 +532,41 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
+// size is what an entry counts against its shard's byte budget.
+func (e *entry) size() int64 { return int64(len(e.Body)) }
+
+// clearLocked empties the shard.
+func (sh *shard) clearLocked() {
+	sh.entries = make(map[string]*entry)
+	sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+	sh.bytes = 0
+}
+
+// insertLocked files e under its key as the most recently used entry.
+func (sh *shard) insertLocked(e *entry) {
+	sh.entries[e.key] = e
+	sh.pushFrontLocked(e)
+	sh.bytes += e.size()
+}
+
 func (sh *shard) removeLocked(e *entry) {
 	delete(sh.entries, e.key)
-	sh.lru.Remove(e.elem)
-	sh.bytes -= e.size
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	sh.bytes -= e.size()
+}
+
+func (sh *shard) pushFrontLocked(e *entry) {
+	e.prev, e.next = &sh.lru, sh.lru.next
+	e.next.prev = e
+	sh.lru.next = e
+}
+
+func (sh *shard) moveToFrontLocked(e *entry) {
+	if sh.lru.next != e {
+		e.prev.next, e.next.prev = e.next, e.prev
+		sh.pushFrontLocked(e)
+	}
 }
 
 // evictLocked evicts LRU entries until the shard is within budget and
@@ -515,12 +574,8 @@ func (sh *shard) removeLocked(e *entry) {
 // disk tier outside the lock.
 func (sh *shard) evictLocked() []*entry {
 	var evicted []*entry
-	for len(sh.entries) > sh.maxEntries || sh.bytes > sh.maxBytes {
-		back := sh.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry)
+	for (len(sh.entries) > sh.maxEntries || sh.bytes > sh.maxBytes) && sh.lru.prev != &sh.lru {
+		e := sh.lru.prev
 		sh.removeLocked(e)
 		evicted = append(evicted, e)
 	}

@@ -23,9 +23,12 @@ import (
 // replaying the segments at open, so a restarted node rewarms from disk
 // instead of hammering the origin.
 //
-// Promotion copies the entry up and leaves the record in place (an inclusive
-// hierarchy: the next crash still finds it), so the next demotion of an
-// unchanged entry writes nothing.
+// A record's response is the memory tier's entry as it is (httpmsg.Stored):
+// a demotion appends the entry's header bytes without re-encoding them, and
+// a promotion copies them out of the record as one string. Promotion copies
+// the entry up and leaves the record in place (an inclusive hierarchy: the
+// next crash still finds it), so the next demotion of an unchanged entry
+// writes nothing.
 type Disk struct {
 	clock func() time.Time
 
@@ -41,22 +44,20 @@ type Disk struct {
 
 var errDiskRecord = errors.New("cache: disk record does not match its index entry")
 
-// appendDiskPayload appends one record's payload: the uvarint-length-prefixed
-// key, the expiry (unix nanoseconds, big-endian) and the response as a
-// self-describing httpmsg payload. A nil resp makes a tombstone: expiry 0 and
-// nothing after it.
-func appendDiskPayload(buf []byte, key string, expires int64, resp *httpmsg.Response) []byte {
+// appendDiskKey appends the head of one record's payload: the
+// uvarint-length-prefixed key and the expiry (unix nanoseconds, big-endian).
+// A tombstone is that head alone, with expiry 0. A live record's head is
+// followed by the response as a self-describing httpmsg payload, which
+// httpmsg.AppendResponse writes for a response and httpmsg.AppendStored, the
+// same bytes, for an entry of the memory tier.
+func appendDiskKey(buf []byte, key string, expires int64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	buf = append(buf, key...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(expires))
-	if resp == nil {
-		return buf
-	}
-	return httpmsg.AppendResponse(append(buf, wire.Magic), resp)
+	return binary.BigEndian.AppendUint64(buf, uint64(expires))
 }
 
-// splitDiskPayload is appendDiskPayload's inverse; body is what
-// httpmsg.DecodeResponse takes, empty for a tombstone.
+// splitDiskPayload splits a record's payload; body is what
+// httpmsg.DecodeStored takes, empty for a tombstone.
 func splitDiskPayload(p []byte) (key []byte, expires int64, body []byte, ok bool) {
 	n, sz := binary.Uvarint(p)
 	if sz <= 0 || n > uint64(len(p)-sz) || len(p)-sz-int(n) < 8 {
@@ -88,7 +89,7 @@ func OpenDisk(fs store.FS, maxBytes int64, clock func() time.Time) (*Disk, error
 		}
 		live := !expired(time.Unix(0, expires), now)
 		if live {
-			_, err := httpmsg.DecodeResponse(body)
+			_, err := httpmsg.DecodeStored(body)
 			live = err == nil
 		}
 		return string(key), expires, live, true
@@ -109,10 +110,28 @@ func (d *Disk) Put(key string, resp *httpmsg.Response, expires time.Time) {
 	if resp == nil || resp.Stream != nil || !resp.Cacheable() || expired(expires, d.clock()) {
 		return
 	}
-	exp := expires.UnixNano()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.payload = appendDiskPayload(d.payload[:0], key, exp, resp)
+	d.payload = httpmsg.AppendResponse(append(appendDiskKey(d.payload[:0], key, expires.UnixNano()), wire.Magic), resp)
+	d.appendLocked(key, expires)
+}
+
+// put is Put for an entry of the memory tier, which a shared cache may
+// store by construction: its stored header goes into the record as it is.
+func (d *Disk) put(key string, s *httpmsg.Stored, expires time.Time) {
+	if expired(expires, d.clock()) {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.payload = httpmsg.AppendStored(append(appendDiskKey(d.payload[:0], key, expires.UnixNano()), wire.Magic), s)
+	d.appendLocked(key, expires)
+}
+
+// appendLocked appends the record built in d.payload for key, unless the one
+// on disk is the same and not aging.
+func (d *Disk) appendLocked(key string, expires time.Time) {
+	exp := expires.UnixNano()
 	head := store.FrameHead(d.payload)
 	if old, ok := d.log.Lookup(key); ok && old.Word == exp && old.Head == head && !d.log.Aging(old) {
 		d.clean.Add(1)
@@ -129,8 +148,19 @@ func (d *Disk) Put(key string, resp *httpmsg.Response, expires time.Time) {
 // Get returns the cached response and its expiry for key, or ok=false. It
 // reads exactly the indexed record and serves it only if its frame verifies
 // and it carries this key; anything else drops the entry and is a miss. The
-// caller owns the returned response (it is freshly decoded).
+// response is freshly decoded; its body is read-only until Materialize, as a
+// memory hit's is.
 func (d *Disk) Get(key string) (*httpmsg.Response, time.Time, bool) {
+	s, expires, ok := d.get(key)
+	if !ok {
+		return nil, time.Time{}, false
+	}
+	return s.Response(), expires, true
+}
+
+// get is Get in the form the memory tier keeps: the record's header bytes
+// copied out as one string, its body at its exact length.
+func (d *Disk) get(key string) (httpmsg.Stored, time.Time, bool) {
 	now := d.clock()
 	d.mu.Lock()
 	ref, ok := d.log.Lookup(key)
@@ -140,17 +170,17 @@ func (d *Disk) Get(key string) (*httpmsg.Response, time.Time, bool) {
 	}
 	d.mu.Unlock()
 	if ok {
-		resp, err := d.read(key, ref)
+		s, err := d.read(key, ref)
 		if err == nil {
 			d.hits.Add(1)
-			return resp, time.Unix(0, ref.Word), true
+			return s, time.Unix(0, ref.Word), true
 		}
 		d.mu.Lock()
 		d.log.Forget(key, ref)
 		d.mu.Unlock()
 	}
 	d.misses.Add(1)
-	return nil, time.Time{}, false
+	return httpmsg.Stored{}, time.Time{}, false
 }
 
 // Until reports whether key's indexed record is fresh and until when, without
@@ -165,16 +195,16 @@ func (d *Disk) Until(key string) (time.Time, bool) {
 
 // read fetches the record ref points at, verified by the log, and decodes it
 // if it carries key.
-func (d *Disk) read(key string, ref store.SegRef) (*httpmsg.Response, error) {
+func (d *Disk) read(key string, ref store.SegRef) (httpmsg.Stored, error) {
 	p, err := d.log.Read(ref, make([]byte, ref.Len()))
 	if err != nil {
-		return nil, err
+		return httpmsg.Stored{}, err
 	}
 	got, _, body, ok := splitDiskPayload(p)
 	if !ok || string(got) != key {
-		return nil, errDiskRecord
+		return httpmsg.Stored{}, errDiskRecord
 	}
-	return httpmsg.DecodeResponse(body)
+	return httpmsg.DecodeStored(body)
 }
 
 // Invalidate removes key from the disk tier, and appends a tombstone so the
@@ -182,7 +212,7 @@ func (d *Disk) read(key string, ref store.SegRef) (*httpmsg.Response, error) {
 func (d *Disk) Invalidate(key string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.payload = appendDiskPayload(d.payload[:0], key, 0, nil)
+	d.payload = appendDiskKey(d.payload[:0], key, 0)
 	d.log.Tombstone(key, store.FrameHead(d.payload), d.payload)
 }
 

@@ -438,6 +438,8 @@ func TestDiskTierOnMetricsAndShutdown(t *testing.T) {
 		"nakika_cache_disk_segments 1\n",
 		fmt.Sprintf("nakika_cache_disk_live_bytes %d\n", st.Disk.LiveBytes),
 		fmt.Sprintf(`nakika_cache_bytes{tier="disk"} %d`+"\n", st.Disk.Bytes),
+		fmt.Sprintf(`nakika_cache_entries{tier="memory"} %d`+"\n", st.Entries),
+		fmt.Sprintf(`nakika_cache_entries{tier="disk"} %d`+"\n", st.Disk.Entries),
 	} {
 		if !strings.Contains(sb.String(), line) {
 			t.Errorf("exposition lacks %q", line)

@@ -156,6 +156,10 @@ func (n *Node) buildRegistry() {
 		func() float64 { return float64(n.cache.Stats().Bytes) })
 	r.GaugeFunc("nakika_cache_bytes", "", metrics.Labels{"tier": "disk"},
 		func() float64 { return float64(n.cache.Stats().Disk.Bytes) })
+	r.GaugeFunc("nakika_cache_entries", "Entries held per tier; nakika_cache_bytes over this is what an entry holds.", metrics.Labels{"tier": "memory"},
+		func() float64 { return float64(n.cache.Stats().Entries) })
+	r.GaugeFunc("nakika_cache_entries", "", metrics.Labels{"tier": "disk"},
+		func() float64 { return float64(n.cache.Stats().Disk.Entries) })
 	r.CounterFunc("nakika_cache_demotions_total", "Entries handed to the disk tier: a record appended, or none because the one on disk was current.", metrics.Labels{"result": "written"},
 		func() float64 { return float64(n.cache.Stats().Disk.Stores) })
 	r.CounterFunc("nakika_cache_demotions_total", "", metrics.Labels{"result": "clean"},

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"net/http"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -136,4 +137,89 @@ func TestHeaderCodecDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(got, h) {
 		t.Fatalf("header round trip: got %v want %v", got, h)
 	}
+}
+
+// fuzzHeader builds a header from arbitrary bytes: a key count, then per key
+// a length-prefixed name and a value count, then per value a two-byte length
+// and its bytes, so values run past 127 bytes and their lengths take more
+// than one uvarint byte. Names are used as they come, canonical or not.
+func fuzzHeader(spec []byte) http.Header {
+	next := func(n int) []byte {
+		n = min(n, len(spec))
+		b := spec[:n]
+		spec = spec[n:]
+		return b
+	}
+	count := func() int {
+		if b := next(1); len(b) == 1 {
+			return int(b[0])
+		}
+		return 0
+	}
+	h := http.Header{}
+	for range count() % 24 {
+		k := string(next(count() % 32))
+		vs := []string{}
+		for range count() % 4 {
+			l := next(2)
+			n := 0
+			for _, b := range l {
+				n = n<<8 | int(b)
+			}
+			vs = append(vs, string(next(n%600)))
+		}
+		h[k] = vs
+	}
+	return h
+}
+
+// FuzzStoredHeader: the stored form of a response's header is AppendHeader's
+// bytes, DecodeStored finds the same bytes in the response's payload, and
+// every decode gives back an equal header with value slices of its own, so
+// a write into one hit's header never shows in the next. Arbitrary bytes
+// decode without a panic.
+func FuzzStoredHeader(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{1, 12, 'C', 'o', 'n', 't', 'e', 'n', 't', '-', 'T', 'y', 'p', 'e', 1, 0, 9, 't', 'e', 'x', 't', '/', 'h', 't', 'm', 'l'})
+	f.Add([]byte{2, 5, 'x', '-', 'a', 'b', 'C', 3, 0, 0, 0, 1, 'v', 0, 1, 'v', 3, 'E', 't', 'a', 'g', 0})
+	f.Add(append([]byte{1, 4, 'v', 'a', 'r', 'y', 2, 0, 200}, bytes.Repeat([]byte{'a'}, 200)...))
+	f.Fuzz(func(t *testing.T, spec []byte) {
+		DecodeHeader(string(spec))
+		h := fuzzHeader(spec)
+		r := &Response{Status: 200, Header: h, Body: []byte("body"), Via: "edge-1"}
+		s := r.StoredForm()
+		if want := string(AppendHeader(nil, h)); s.Header != want {
+			t.Fatalf("stored header %x, AppendHeader %x", s.Header, want)
+		}
+		decoded, err := DecodeStored(EncodeResponse(r))
+		if err != nil || decoded.Header != s.Header {
+			t.Fatalf("DecodeStored: header %x, %v; want %x", decoded.Header, err, s.Header)
+		}
+		a, b := s.Response(), s.Response()
+		for _, got := range []http.Header{a.Header, b.Header} {
+			if len(got) != len(h) {
+				t.Fatalf("decoded %d keys, want %d", len(got), len(h))
+			}
+			for k, vs := range h {
+				if !slices.Equal(got[k], vs) {
+					t.Fatalf("key %q decoded as %q, want %q", k, got[k], vs)
+				}
+			}
+		}
+		for k, vs := range a.Header {
+			for i := range vs {
+				vs[i] = "written"
+			}
+			a.Header[k] = append(vs, "appended")
+		}
+		for k, vs := range h {
+			if !slices.Equal(b.Header[k], vs) {
+				t.Fatalf("a write into one decode reached another: key %q reads %q, want %q", k, b.Header[k], vs)
+			}
+		}
+		if again := DecodeHeader(s.Header); len(again) != len(h) {
+			t.Fatalf("a write into a decode reached the stored bytes: %v", again)
+		}
+	})
 }

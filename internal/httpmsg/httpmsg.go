@@ -222,8 +222,8 @@ type Response struct {
 	rangeFrom, rangeTo int64
 	ranged             bool
 	// shared marks a Body that aliases another response's bytes (a Clone's,
-	// which is how the cache hands out its copies, or one whose array a
-	// store kept: StoredCopy). Such a Body is read-only until Materialize
+	// a cache hit's: Stored.Response, or one whose array a store kept:
+	// StoredForm). Such a Body is read-only until Materialize
 	// replaces it with a private copy.
 	shared bool
 }
@@ -309,23 +309,31 @@ func (r *Response) Clone() *Response {
 	}
 }
 
-// StoredCopy returns the copy of r a cache keeps: a Clone whose body no
-// write through r can reach. When r owns its body's array (it is not
-// shared) and the array is no larger than the allocator makes for the body
-// (withinSizeClass), the copy keeps that array and r's body becomes shared:
-// read-only until Materialize, as a cache hit's is. A store then copies no
-// bytes. Otherwise the copy's body is one exact copy, so a stored body never
-// pins an array much larger than itself. (No response body aliases a pooled
-// buffer: ReadResponse copies a body out of its payload.)
-func (r *Response) StoredCopy() *Response {
-	c := r.Clone()
-	c.shared = false
-	if r.shared || !withinSizeClass(len(r.Body), cap(r.Body)) {
-		c.Body = bytes.Clone(r.Body)
+// StoredForm returns the form a cache keeps r in (Stored): its header as
+// AppendHeader's bytes, its body and its scalar fields. When r owns its
+// body's array (it is not shared) and the array is no larger than the
+// allocator makes for the body (withinSizeClass), the stored form keeps that
+// array and r's body becomes shared: read-only until Materialize, as a cache
+// hit's is. A store then copies no bytes. Otherwise the stored body is one
+// exact copy, so it never pins an array much larger than itself and no write
+// through r can reach it. (No response body aliases a pooled buffer:
+// ReadResponse copies a body out of its payload.)
+func (r *Response) StoredForm() Stored {
+	body := r.Body
+	if r.shared || !withinSizeClass(len(body), cap(body)) {
+		body = bytes.Clone(body)
 	} else {
 		r.shared = true
 	}
-	return c
+	return Stored{
+		Status:    r.Status,
+		Header:    EncodeHeader(r.Header),
+		Body:      body[:len(body):len(body)],
+		Via:       r.Via,
+		Fetched:   r.Fetched,
+		Generated: r.Generated,
+		FromCache: r.FromCache,
+	}
 }
 
 // withinSizeClass reports whether an array of capacity c holding n bytes is
