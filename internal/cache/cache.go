@@ -70,8 +70,8 @@ type Config struct {
 	// consult the disk index before reporting a miss, so a restarted node
 	// rewarms from disk instead of refetching from the origin.
 	L2 *Disk
-	// Clock returns the current time; nil means time.Now. Tests and the
-	// simulator inject virtual clocks here.
+	// Clock returns the current time; nil means time.Now. A node passes its
+	// own clock (core.Config.Clock); tests inject virtual clocks here.
 	Clock func() time.Time
 }
 
@@ -195,10 +195,6 @@ func (c *Cache) shard(key string) *shard {
 	}
 	return c.shards[h&c.mask]
 }
-
-// Now returns the cache clock's time: the one clock every freshness
-// decision on the node is taken against.
-func (c *Cache) Now() time.Time { return c.cfg.Clock() }
 
 // Expiry returns the instant until which a shared cache may serve a response
 // that carried header h and was obtained at fetched: the header's own

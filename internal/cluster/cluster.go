@@ -48,8 +48,9 @@ type Config struct {
 	// (core.Config.HedgeAfter); zero keeps them disabled.
 	HedgeAfter time.Duration
 	// LoadHalfLife overrides the load-score decay half-life. The harness
-	// always wires core.Config.LoadClock to the simulated network's virtual
-	// clock, so load accounting is deterministic under seed.
+	// always wires core.Config.Clock, the node's one clock, to the simulated
+	// network's virtual clock, so load accounting, leases, and cache and
+	// index expiry are deterministic under seed.
 	LoadHalfLife time.Duration
 	// Mutate, when non-nil, adjusts each node's Config before boot.
 	Mutate func(i int, cfg *core.Config)
@@ -126,7 +127,7 @@ func (c *Cluster) boot(i int, origin core.Fetcher) (*core.Node, error) {
 		OffloadThreshold:  c.cfg.OffloadThreshold,
 		HedgeAfter:        c.cfg.HedgeAfter,
 		LoadHalfLife:      c.cfg.LoadHalfLife,
-		LoadClock:         c.Sim.Now,
+		Clock:             c.now,
 	}
 	if c.cfg.Persist {
 		fs := store.NewMemFS()
@@ -144,6 +145,11 @@ func (c *Cluster) boot(i int, origin core.Fetcher) (*core.Node, error) {
 	c.nodes[name] = n
 	return n, nil
 }
+
+// now is every node's clock: the simulated network's virtual time, counted
+// from the Unix epoch, so a lease timestamp in nanoseconds is the virtual
+// time itself.
+func (c *Cluster) now() time.Time { return time.Unix(0, int64(c.Sim.Now())) }
 
 // AddNode boots one additional node (continuing the node-<i> sequence)
 // onto the running cluster's ring and returns its name. Like any new node

@@ -54,6 +54,37 @@ func TestClusterBootAndBasicTraffic(t *testing.T) {
 	}
 }
 
+// TestCacheAndIndexExpireInVirtualTime: every node's cache and its slice of
+// the overlay index run on the cluster's virtual clock, so a max-age=60 page
+// expires 61 s of virtual time after its fetch, with no sleeping: the index
+// names no holder, and the next GET reaches the origin.
+func TestCacheAndIndexExpireInVirtualTime(t *testing.T) {
+	const url = "http://site.example.org/sixty.html"
+	origin := NewCountingOrigin()
+	origin.AddPage(url, "<html>sixty</html>", 60)
+	c := bootCluster(t, 3, origin)
+	if _, err := c.Handle("node-0", url); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Holders("node-5", url); len(got) != 1 || got[0] != "node-0" {
+		t.Fatalf("holders of a fresh copy = %v, want [node-0]", got)
+	}
+	if _, err := c.Handle("node-5", url); err != nil || c.NodeByName("node-5").Stats().PeerHits != 1 {
+		t.Fatalf("node-5 was not served from node-0's copy (err %v)", err)
+	}
+
+	c.Sim.Loop().AdvanceTo(c.Sim.Now() + 61*time.Second)
+	if got := c.Holders("node-5", url); len(got) != 0 {
+		t.Errorf("holders 61 s of virtual time after the fetch = %v, want none", got)
+	}
+	if _, err := c.Handle("node-5", url); err != nil {
+		t.Fatal(err)
+	}
+	if hits := origin.Hits(url); hits != 2 {
+		t.Errorf("origin hits = %d, want 2: the GET after expiry must reach the origin", hits)
+	}
+}
+
 func TestScheduleParsing(t *testing.T) {
 	events, err := ParseSchedule(`
 		# comment

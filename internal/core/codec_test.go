@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/hex"
 	"testing"
-	"time"
 
 	"nakika/internal/httpmsg"
 	"nakika/internal/state"
@@ -103,7 +102,6 @@ func TestOffloadRequestRoundTrip(t *testing.T) {
 	req := httpmsg.MustRequest("GET", "http://site.example/resource")
 	req.Header.Set("Accept", "text/html")
 	req.ClientIP = "192.0.2.1"
-	req.Received = time.Unix(0, 1754600000000000000)
 
 	got, err := decodeOffloadRequest(encodeOffloadRequest(req))
 	if err != nil {

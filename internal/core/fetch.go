@@ -19,7 +19,7 @@ import (
 //
 // Four decisions are taken on the way, each written once: whether a shared
 // cache may store a response (httpmsg.Storable), until when it is fresh
-// (cache.Expiry, against the cache clock), how concurrent misses coalesce
+// (cache.Expiry, against the node clock), how concurrent misses coalesce
 // (cache.Group) and where an origin reply is filed (storeReply). The
 // large-object half of each step lives in largeobject.go.
 
@@ -180,7 +180,7 @@ func (n *Node) storeReply(key string, resp *httpmsg.Response) {
 		return
 	}
 	if t := n.lobTakes(key, resp.Status, resp.Header, int64(len(resp.Body))); t != nil {
-		if _, err := t.IngestBody(key, resp.Status, resp.Header, n.cache.Now(), resp.Body); err == nil {
+		if _, err := t.IngestBody(key, resp.Status, resp.Header, n.clock(), resp.Body); err == nil {
 			n.lobWhole.Add(1)
 			n.publish(key)
 			return
@@ -206,7 +206,7 @@ func (n *Node) lobTakes(key string, status int, h http.Header, length int64) *la
 		!strings.HasPrefix(key, http.MethodGet+" ") || !httpmsg.Storable(status, h) {
 		return nil
 	}
-	if n.cache.Stale(h, n.cache.Now()) && h.Get("Etag") == "" && h.Get("Last-Modified") == "" {
+	if n.cache.Stale(h, n.clock()) && h.Get("Etag") == "" && h.Get("Last-Modified") == "" {
 		return nil
 	}
 	return t
@@ -245,7 +245,7 @@ func (n *Node) copyUntil(key string) (time.Time, bool) {
 		return time.Time{}, false
 	}
 	expires := n.cache.Expiry(m.Header, m.Fetched)
-	return expires, expires.After(n.cache.Now())
+	return expires, expires.After(n.clock())
 }
 
 // republishPending retries overlay publishes that failed while the index
@@ -298,7 +298,7 @@ func (n *Node) peerBody(reply transport.Message) (*httpmsg.Response, time.Time) 
 			return resp, time.Unix(0, ns)
 		}
 	}
-	return resp, n.cache.Expiry(resp.Header, n.cache.Now())
+	return resp, n.cache.Expiry(resp.Header, n.clock())
 }
 
 // serveCacheRPC answers peers' cooperative-cache fetches.

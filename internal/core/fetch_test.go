@@ -20,7 +20,7 @@ import (
 	"nakika/internal/transport"
 )
 
-// testClock is an injectable cache clock. It starts at wall time because
+// testClock is an injectable node clock. It starts at wall time because
 // httpmsg.NewResponse stamps Fetched with time.Now(); only the advances are
 // simulated.
 type testClock struct {
@@ -125,7 +125,7 @@ func TestPeerCopyExpiresWithTheHolders(t *testing.T) {
 	ring := overlay.NewRing()
 	mutate := func(cfg *Config) {
 		cfg.Ring = ring
-		cfg.Cache.Clock = clock.Now
+		cfg.Clock = clock.Now
 	}
 	a := newTestNode(t, "edge-a", origin, mutate)
 	b := newTestNode(t, "edge-b", origin, mutate)
@@ -163,7 +163,7 @@ func TestCacheGetReplyGolden(t *testing.T) {
 	ring := overlay.NewRing()
 	mutate := func(cfg *Config) {
 		cfg.Ring = ring
-		cfg.Cache.Clock = func() time.Time { return now }
+		cfg.Clock = func() time.Time { return now }
 	}
 	holder := newTestNode(t, "edge-a", newMemOrigin(), mutate)
 	holder.Cache().Put(key, &httpmsg.Response{
@@ -185,7 +185,7 @@ func TestCacheGetReplyGolden(t *testing.T) {
 
 	// The previous build's reply: the same body, no expiry.
 	n := newTestNode(t, "edge-b", newMemOrigin(), func(cfg *Config) {
-		cfg.Cache.Clock = func() time.Time { return now }
+		cfg.Clock = func() time.Time { return now }
 	})
 	resp, expires := n.peerBody(transport.Message{Args: []string{"hit"}, Body: reply.Body})
 	if resp == nil || !expires.Equal(now.Add(60*time.Second)) {
@@ -206,7 +206,7 @@ func TestCacheGetLargeObjectGolden(t *testing.T) {
 	now := time.Unix(1_790_000_000, 0)
 	holder := newTestNodeUpstream(t, "edge-a", &rangeOrigin{url: url, body: body}, func(cfg *Config) {
 		lobConfig(256, 500)(cfg)
-		cfg.Cache.Clock = func() time.Time { return now }
+		cfg.Clock = func() time.Time { return now }
 	})
 	if _, _, err := holder.Handle(httpmsg.MustRequest("GET", url)); err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 				clock := &testClock{now: base}
 				n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 					lobConfig(4096, threshold)(cfg)
-					cfg.Cache.Clock = clock.Now
+					cfg.Clock = clock.Now
 				})
 				get := func() {
 					t.Helper()
@@ -353,7 +353,7 @@ func TestRevalidationToSmallerBodyIsFiledNotRefetched(t *testing.T) {
 	clock := newTestClock()
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
-		cfg.Cache.Clock = clock.Now
+		cfg.Clock = clock.Now
 	})
 	get := func() *httpmsg.Response {
 		t.Helper()
@@ -536,7 +536,6 @@ func indexKeys(t *testing.T, nodes ...*Node) int {
 func TestOverlayIndexHoldsOnlyLiveKeys(t *testing.T) {
 	clock := newTestClock()
 	ring := overlay.NewRing()
-	ring.Clock = clock.Now
 	origin := newMemOrigin()
 	page := func(i int) string { return fmt.Sprintf("http://site.example.org/p%d", i) }
 	for i := 0; i < 1000; i++ {
@@ -544,7 +543,7 @@ func TestOverlayIndexHoldsOnlyLiveKeys(t *testing.T) {
 	}
 	mutate := func(cfg *Config) {
 		cfg.Ring = ring
-		cfg.Cache.Clock = clock.Now
+		cfg.Clock = clock.Now
 	}
 	a := newTestNode(t, "edge-a", origin, mutate)
 	b := newTestNode(t, "edge-b", origin, mutate)
@@ -587,11 +586,10 @@ func TestHolderLocatedWhileCopyFresh(t *testing.T) {
 			origin := &rangeOrigin{url: url, body: body} // max-age=600
 			clock := newTestClock()
 			ring := overlay.NewRing()
-			ring.Clock = clock.Now
 			mutate := func(cfg *Config) {
 				lobConfig(4096, 10_000)(cfg)
 				cfg.Ring = ring
-				cfg.Cache.Clock = clock.Now
+				cfg.Clock = clock.Now
 			}
 			a := newTestNodeUpstream(t, "edge-a", origin, mutate)
 			b := newTestNodeUpstream(t, "edge-b", origin, mutate)

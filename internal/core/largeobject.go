@@ -104,7 +104,7 @@ func (n *Node) lobTier() *largeobject.Tier {
 
 // lobStale reports whether m must be revalidated before it is served again:
 // the cache's Expiry for the manifest's headers and fetch time, against the
-// cache clock and by the cache's own predicate — the decision cache.Put takes
+// node clock and by the cache's own predicate — the decision cache.Put takes
 // for a buffered entry. A manifest whose headers made it stale on arrival is
 // therefore never served unrevalidated: it is kept for its validators alone.
 func (n *Node) lobStale(m *largeobject.Manifest) bool {
@@ -191,7 +191,7 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 		return nil
 	}
 	if resp.Status == http.StatusNotModified {
-		refreshed, ok := t.RefreshManifest(key, n.cache.Now(), resp.Header)
+		refreshed, ok := t.RefreshManifest(key, n.clock(), resp.Header)
 		if !ok {
 			return nil
 		}
@@ -348,7 +348,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 		Header:   head.Header.Clone(),
 		TotalLen: head.Length,
 		SegSize:  t.SegSize(),
-		Fetched:  n.cache.Now(),
+		Fetched:  n.clock(),
 	}
 	if err := t.PutManifest(m); err != nil {
 		body.Close()

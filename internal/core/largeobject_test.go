@@ -335,7 +335,7 @@ func TestLargeObjectParentDataDirectory(t *testing.T) {
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(256, 500)(cfg)
 		cfg.DataFS = fs
-		cfg.Cache.Clock = func() time.Time { return time.Unix(1_790_000_060, 0) }
+		cfg.Clock = func() time.Time { return time.Unix(1_790_000_060, 0) }
 	})
 	if st := n.StoreStats(); st.Replayed != 1 {
 		t.Errorf("replayed %d records from state/, want the index record", st.Replayed)
@@ -787,7 +787,7 @@ func TestLargeObjectStaleRevalidates(t *testing.T) {
 	var mu sync.Mutex
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
-		cfg.Cache.Clock = func() time.Time {
+		cfg.Clock = func() time.Time {
 			mu.Lock()
 			defer mu.Unlock()
 			return now
@@ -859,7 +859,7 @@ func TestLargeObjectStaleWithoutValidatorsRefetches(t *testing.T) {
 	var mu sync.Mutex
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
-		cfg.Cache.Clock = func() time.Time {
+		cfg.Clock = func() time.Time {
 			mu.Lock()
 			defer mu.Unlock()
 			return now
@@ -1059,7 +1059,7 @@ func TestLargeObjectLogOnMetrics(t *testing.T) {
 	reval := &revalOrigin{url: "http://big.example.org/rss", body: lobBody(40_000), etag: `"v1"`, maxAge: 100}
 	n = newTestNodeUpstream(t, "edge-2", reval, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
-		cfg.Cache.Clock = func() time.Time {
+		cfg.Clock = func() time.Time {
 			mu.Lock()
 			defer mu.Unlock()
 			return now

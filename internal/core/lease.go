@@ -32,8 +32,9 @@ import (
 // detector-visible crash costs a constant number of messages; only an
 // unreachable-but-possibly-alive holder makes the heir wait out the TTL.
 //
-// Clock contract: expiry runs on the lease clock (the simulated network's
-// virtual clock under the harness, wall time in production). Clock skew
+// Clock contract: expiry runs on the node's one clock (Config.Clock: the
+// simulated network's virtual clock under the harness, wall time in
+// production), the same clock cache and index freshness run on. Clock skew
 // can therefore only hurt liveness — a lease expiring late delays an
 // heir, never admits two — because safety rests on the fencing tokens,
 // which are checked against durable per-store floors with no clock
@@ -77,13 +78,8 @@ type LeaseStats struct {
 	FencedRejects int64
 }
 
-// leaseNow reads the lease clock in nanoseconds.
-func (n *Node) leaseNow() int64 {
-	if n.cfg.LoadClock != nil {
-		return int64(n.cfg.LoadClock())
-	}
-	return time.Now().UnixNano()
-}
+// leaseNow reads the node clock in nanoseconds.
+func (n *Node) leaseNow() int64 { return n.clock().UnixNano() }
 
 // leaseTTL resolves a caller-supplied TTL against the configured default.
 func (n *Node) leaseTTL(ttl time.Duration) int64 {

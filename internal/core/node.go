@@ -52,7 +52,8 @@ type Config struct {
 	Region string
 	// Upstream fetches from origin servers; nil means a real HTTP client.
 	Upstream Fetcher
-	// Cache configures the proxy cache.
+	// Cache configures the proxy cache. The node sets its L2 (the disk tier)
+	// and its Clock (Config.Clock).
 	Cache cache.Config
 	// ScriptLimits bounds every stage's scripting context; zero values mean
 	// 50M steps and 64 MiB of heap.
@@ -105,10 +106,13 @@ type Config struct {
 	// LeaseTTL is the default time-to-live of distributed leases taken
 	// without an explicit TTL (see internal/core/lease.go); zero means 30s.
 	LeaseTTL time.Duration
-	// LoadClock drives load-score decay and RTT measurement; nil means wall
-	// time. The cluster harness injects the simulated network's virtual
-	// clock so load and hedging behaviour is deterministic under seed.
-	LoadClock func() time.Duration
+	// Clock is the node's one time source; nil means time.Now. Cache
+	// freshness and the disk tier, the overlay index's entry expiry, load
+	// decay and RTTs, lease expiry, System.time, pipeline spans, request
+	// latency and the access log all read it. The cluster harness injects
+	// the simulated network's virtual clock, so a seeded run expires
+	// entries and leases in virtual time.
+	Clock func() time.Time
 	// LoadHalfLife is the decay half-life of the load score's work
 	// component; zero means the loadview default (2s).
 	LoadHalfLife time.Duration
@@ -239,6 +243,7 @@ func (d *Directory) Lookup(name string) *Node {
 // Node is one Na Kika edge node.
 type Node struct {
 	cfg      Config
+	clock    func() time.Time // Config.Clock, resolved
 	cache    *cache.Cache
 	loader   *pipeline.Loader
 	executor *pipeline.Executor
@@ -284,13 +289,11 @@ type Node struct {
 	rtts  *loadview.RTT
 	// cands caches per-site offload candidate sets; candGen is bumped by
 	// the overlay churn hook, and offloadCandidates rebuilds the map when
-	// its candMapGen trails it. wallStart anchors the monotonic fallback
-	// load clock.
+	// its candMapGen trails it.
 	candMu     sync.Mutex
 	cands      map[string][]string
 	candMapGen uint64
 	candGen    atomic.Uint64
-	wallStart  time.Time
 
 	// leaseMu serializes lease arbitration on this node (acting-owner
 	// decisions are read-decide-store cycles; see internal/core/lease.go).
@@ -399,10 +402,14 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.ScriptLimits.MaxHeapBytes == 0 {
 		cfg.ScriptLimits.MaxHeapBytes = 64 << 20
 	}
+	clock := cfg.Clock
+	if clock == nil {
+		clock = time.Now
+	}
 	n := &Node{
 		cfg:        cfg,
-		wallStart:  time.Now(),
-		log:        state.NewAccessLog(),
+		clock:      clock,
+		log:        state.NewAccessLog(clock),
 		replicas:   make(map[string]*state.Replica),
 		pendingPub: make(map[string]struct{}),
 		deployed:   make(map[string]*deployActive),
@@ -414,6 +421,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.store = state.NewStoreBacked(kv)
 	cacheCfg := cfg.Cache
 	cacheCfg.L2 = disk
+	cacheCfg.Clock = clock
 	n.cache = cache.New(cacheCfg)
 	for _, cidr := range cfg.LocalNetworks {
 		_, ipnet, err := net.ParseCIDR(cidr)
@@ -442,13 +450,15 @@ func NewNode(cfg Config) (*Node, error) {
 	// Load accounting is always on (it is a handful of atomic/mutex ops per
 	// request); the offload and hedging behaviours it feeds are opt-in via
 	// OffloadThreshold / HedgeAfter.
-	n.meter = loadview.NewMeter(cfg.LoadClock, cfg.LoadHalfLife)
-	n.view = loadview.NewView(cfg.LoadClock, cfg.LoadHalfLife)
+	born := clock()
+	since := func() time.Duration { return clock().Sub(born) }
+	n.meter = loadview.NewMeter(since, cfg.LoadHalfLife)
+	n.view = loadview.NewView(since, cfg.LoadHalfLife)
 	n.rtts = loadview.NewRTT(0)
 	if cfg.Ring != nil {
 		n.overlay = cfg.Ring.Join(cfg.Name, cfg.Region)
 		n.overlay.SetLoadGossip(n.LoadScore, n.view.Observe)
-		n.overlay.SetCopies(n.copyUntil)
+		n.overlay.SetCopies(n.copyUntil, clock)
 	}
 	if !cfg.NoObserve {
 		n.ids = nktrace.NewIDGen(cfg.Name)
@@ -520,7 +530,7 @@ func (n *Node) openStorage() (*store.Log, *cache.Disk, error) {
 	var disk *cache.Disk
 	if n.cfg.DataFS != nil {
 		// Zero bytes: the tier's 1 GiB default.
-		if disk, err = cache.OpenDisk(store.Sub(fs, "cache"), 0, n.cfg.Cache.Clock); err != nil {
+		if disk, err = cache.OpenDisk(store.Sub(fs, "cache"), 0, n.clock); err != nil {
 			err = fmt.Errorf("core: open disk cache: %w", err)
 		}
 	}
@@ -749,7 +759,7 @@ func (n *Node) Handle(req *httpmsg.Request) (*httpmsg.Response, *pipeline.Trace,
 	}
 	var start time.Time
 	if n.ring != nil {
-		start = time.Now()
+		start = n.clock()
 	}
 	if resp, who, err, shed := n.shedRequest(req, 0); shed {
 		trace := &pipeline.Trace{Offloaded: true, OffloadPeer: who}
@@ -776,7 +786,7 @@ func (n *Node) handleLocal(req *httpmsg.Request) (*httpmsg.Response, *pipeline.T
 	// Deferred so a panic escaping the pipeline (recovered per connection
 	// by the client port) cannot leave the in-flight count inflated forever.
 	defer func() { n.meter.End(1 + n.res.Usage(req.SiteKey(), resource.CPU)) }()
-	start := time.Now()
+	start := n.clock()
 	resp, trace, err := n.executor.Execute(req)
 	if err != nil {
 		n.errors.Add(1)
@@ -807,7 +817,7 @@ func (n *Node) handleLocal(req *httpmsg.Request) (*httpmsg.Response, *pipeline.T
 			}
 		}
 		if site := req.SiteKey(); n.log.Posting(site) {
-			n.log.Append(site, state.FormatAccess(req.ClientIP, req.Method, req.URL.String(), resp.Status, int(resp.TotalLen()), time.Since(start)))
+			n.log.Append(site, state.FormatAccess(req.ClientIP, req.Method, req.URL.String(), resp.Status, int(resp.TotalLen()), n.clock().Sub(start)))
 		}
 	}
 	n.observe(req, resp, trace, start)
@@ -998,5 +1008,5 @@ func (n *Node) Propagate(site, message string) error {
 // NodeName identifies the node to scripts.
 func (n *Node) NodeName() string { return n.cfg.Name }
 
-// Now returns the current time.
-func (n *Node) Now() time.Time { return time.Now() }
+// Now returns the node clock's time, which System.time reads.
+func (n *Node) Now() time.Time { return n.clock() }

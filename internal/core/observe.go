@@ -84,7 +84,7 @@ func (n *Node) observe(req *httpmsg.Request, resp *httpmsg.Response, trace *pipe
 	if n.ring == nil {
 		return
 	}
-	elapsed := time.Since(start)
+	elapsed := n.clock().Sub(start)
 	n.latency.Observe(elapsed.Seconds())
 	s := &nktrace.Sample{
 		TraceID: req.TraceID,

@@ -47,12 +47,14 @@ const offloadMaxDepth = 2
 // call sends one RPC to a peer through the node's transport, folding the
 // measured round trip into the per-peer RTT EWMA that hedge budgets are
 // compared against. Only completed round trips train the estimate — a
-// delivery failure says the peer is unreachable, not fast.
+// delivery failure says the peer is unreachable, not fast. The wall clock's
+// readings carry Go's monotonic reading, so an NTP step during an RPC cannot
+// corrupt the estimate.
 func (n *Node) call(to string, msg transport.Message) (transport.Message, error) {
-	start := n.loadNow()
+	start := n.clock()
 	reply, err := n.tr.Call(n.cfg.Name, to, msg)
 	if err == nil || transport.IsRemote(err) {
-		n.rtts.Observe(to, n.loadNow()-start)
+		n.rtts.Observe(to, n.clock().Sub(start))
 	}
 	return reply, err
 }
@@ -67,7 +69,7 @@ type sendAhead interface {
 type pendingCall struct {
 	to    string
 	msg   transport.Message
-	start time.Duration
+	start time.Time
 	wait  func() (transport.Message, error) // nil: collect makes the whole call
 }
 
@@ -78,7 +80,7 @@ type pendingCall struct {
 func (n *Node) send(to string, msg transport.Message) pendingCall {
 	p := pendingCall{to: to, msg: msg}
 	if ahead, ok := n.tr.(sendAhead); ok {
-		p.start = n.loadNow()
+		p.start = n.clock()
 		p.wait = ahead.Go(n.cfg.Name, to, msg)
 	}
 	return p
@@ -94,20 +96,9 @@ func (n *Node) collect(p pendingCall) (transport.Message, error) {
 	}
 	reply, err := p.wait()
 	if err == nil || transport.IsRemote(err) {
-		n.rtts.Observe(p.to, n.loadNow()-p.start)
+		n.rtts.Observe(p.to, n.clock().Sub(p.start))
 	}
 	return reply, err
-}
-
-// loadNow reads the load clock: virtual under the cluster harness,
-// monotonic wall time since node construction in production — time.Since
-// keeps Go's monotonic reading, so an NTP step during an RPC cannot
-// corrupt the RTT estimates that drive hedging.
-func (n *Node) loadNow() time.Duration {
-	if n.cfg.LoadClock != nil {
-		return n.cfg.LoadClock()
-	}
-	return time.Since(n.wallStart)
 }
 
 // offloadEnabled reports whether the load-shedding layer is active.

@@ -318,8 +318,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 
 // AppendRequest appends req's binary encoding (no magic byte):
 //
-//	str(method) str(url) header bytes(body) str(clientIP) time(received)
-//	bool(redirected)
+//	str(method) str(url) header bytes(body) str(clientIP) bool(redirected)
 //
 // The URL travels in its string form; script-private state (termination) is
 // deliberately not carried — an offloaded request runs the remote pipeline
@@ -334,7 +333,6 @@ func AppendRequest(buf []byte, req *Request) []byte {
 	buf = AppendHeader(buf, req.Header)
 	buf = wire.AppendBytes(buf, req.Body)
 	buf = wire.AppendString(buf, req.ClientIP)
-	buf = wire.AppendTime(buf, req.Received)
 	return wire.AppendBool(buf, req.Redirected)
 }
 
@@ -361,9 +359,6 @@ func ReadRequest(r *wire.Reader) (*Request, error) {
 		return nil, err
 	}
 	if req.ClientIP, err = r.String(); err != nil {
-		return nil, err
-	}
-	if req.Received, err = r.Time(); err != nil {
 		return nil, err
 	}
 	if req.Redirected, err = r.Bool(); err != nil {

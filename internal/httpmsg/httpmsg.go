@@ -36,8 +36,6 @@ type Request struct {
 	Body []byte
 	// ClientIP is the IP address of the originating client (without port).
 	ClientIP string
-	// Received is when the edge node accepted the request.
-	Received time.Time
 	// terminated, when non-nil, is a response produced by a script calling
 	// Request.terminate(status); the pipeline short-circuits to it.
 	terminated *Response
@@ -61,12 +59,7 @@ func NewRequest(method, rawURL string) (*Request, error) {
 	if u.Scheme == "" {
 		u.Scheme = "http"
 	}
-	return &Request{
-		Method:   method,
-		URL:      u,
-		Header:   make(http.Header),
-		Received: time.Now(),
-	}, nil
+	return &Request{Method: method, URL: u, Header: make(http.Header)}, nil
 }
 
 // MustRequest is NewRequest that panics on error; for tests and fixtures.
@@ -119,7 +112,6 @@ func (r *Request) Clone() *Request {
 		Method:     r.Method,
 		Header:     cloneHeader(r.Header),
 		ClientIP:   r.ClientIP,
-		Received:   r.Received,
 		Redirected: r.Redirected,
 		TraceID:    r.TraceID,
 	}
@@ -457,7 +449,7 @@ func (r *Response) SetAbsoluteExpiry(t time.Time) {
 // proxy listener) into a pipeline Request, reading at most maxBody bytes of
 // body. A maxBody of zero or less means unlimited.
 func FromHTTPRequest(hr *http.Request, maxBody int64) (*Request, error) {
-	req := &Request{Header: make(http.Header, len(hr.Header)), Received: time.Now()}
+	req := &Request{Header: make(http.Header, len(hr.Header))}
 	if err := fillFromHTTPRequest(req, hr, maxBody); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-	"time"
 )
 
 // Pooled requests for the proxy hot path. The proxy boundary (the client
@@ -22,15 +21,14 @@ var requestPool = sync.Pool{
 	New: func() interface{} { return new(Request) },
 }
 
-// AcquireRequest returns a zeroed pooled request with a live header map and
-// Received already stamped. Pair with Release on paths where no script saw
-// the request; dropping it on the floor is also fine (the GC reclaims it).
+// AcquireRequest returns a zeroed pooled request with a live header map. Pair
+// with Release on paths where no script saw the request; dropping it on the
+// floor is also fine (the GC reclaims it).
 func AcquireRequest() *Request {
 	r := requestPool.Get().(*Request)
 	if r.Header == nil {
 		r.Header = make(http.Header, 8)
 	}
-	r.Received = time.Now()
 	return r
 }
 

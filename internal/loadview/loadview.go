@@ -5,10 +5,11 @@
 // predecessors, and keeps a per-peer EWMA of RPC round-trip times that the
 // read path turns into hedge budgets.
 //
-// Everything in this package is driven by an injectable clock (wall time by
-// default, the simulated network's virtual clock under the deterministic
-// cluster harness), so load decay, view freshness, and RTT estimates are
-// bit-identical across seeded simulation runs.
+// Everything in this package is driven by the clock its owner passes in (the
+// node's clock: wall time in production, the simulated network's virtual
+// clock under the deterministic cluster harness), so load decay, view
+// freshness, and RTT estimates are bit-identical across seeded simulation
+// runs.
 package loadview
 
 import (
@@ -41,14 +42,9 @@ type Meter struct {
 	last     time.Duration
 }
 
-// NewMeter returns a meter decaying on the given clock; a nil clock means
-// wall time (monotonic since construction) and a zero halfLife means
-// DefaultHalfLife.
+// NewMeter returns a meter decaying on the given clock; a zero halfLife
+// means DefaultHalfLife.
 func NewMeter(clock func() time.Duration, halfLife time.Duration) *Meter {
-	if clock == nil {
-		start := time.Now()
-		clock = func() time.Duration { return time.Since(start) }
-	}
 	if halfLife <= 0 {
 		halfLife = DefaultHalfLife
 	}
@@ -136,13 +132,9 @@ type sample struct {
 	at    time.Duration
 }
 
-// NewView returns an empty view on the given clock (nil means wall time;
-// zero halfLife means DefaultHalfLife).
+// NewView returns an empty view on the given clock (zero halfLife means
+// DefaultHalfLife).
 func NewView(clock func() time.Duration, halfLife time.Duration) *View {
-	if clock == nil {
-		start := time.Now()
-		clock = func() time.Duration { return time.Since(start) }
-	}
 	if halfLife <= 0 {
 		halfLife = DefaultHalfLife
 	}

@@ -86,8 +86,11 @@ type Node struct {
 	// round changed this node's predecessor or successor list.
 	churn func()
 	// copies reports whether the node holds a fresh copy of a key and until
-	// when (see SetCopies); Publish announces nothing without it.
+	// when (see SetCopies); Publish announces nothing without it. clock is
+	// the time the node judges its index slice's entries by; nil means
+	// time.Now.
 	copies func(key string) (time.Time, bool)
+	clock  func() time.Time
 	// loadLocal / loadObserve implement load gossip (see SetLoadGossip):
 	// maintenance RPCs piggyback the sender's current load score and report
 	// observed peer scores, so the offload layer holds a fresh load view of
@@ -108,7 +111,7 @@ type NodeStats struct {
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return NodeStats{Lookups: n.lookups, IndexKeys: n.pruneLocked(n.ring.now())}
+	return NodeStats{Lookups: n.lookups, IndexKeys: n.pruneLocked(n.now())}
 }
 
 // SetChurnHook installs f as the node's churn notification: Stabilize
@@ -122,14 +125,23 @@ func (n *Node) SetChurnHook(f func()) {
 	n.churn = f
 }
 
-// SetCopies installs the node's view of its own cached copies: copies
-// reports whether the node holds a fresh copy of key, and until when. Publish
-// announces a copy with that expiry, so the index keeps the entry exactly as
-// long as the copy is fresh.
-func (n *Node) SetCopies(copies func(key string) (time.Time, bool)) {
+// SetCopies installs the node's view of its own cached copies, and the
+// clock it judges them by: copies reports whether the node holds a fresh copy
+// of key, and until when. Publish announces a copy with that expiry, and the
+// index slice this node holds drops an entry once clock passes it, so the
+// index keeps the entry exactly as long as the copy is fresh.
+func (n *Node) SetCopies(copies func(key string) (time.Time, bool), clock func() time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.copies = copies
+	n.copies, n.clock = copies, clock
+}
+
+// now reads the node's clock (see SetCopies).
+func (n *Node) now() time.Time {
+	if n.clock != nil {
+		return n.clock()
+	}
+	return time.Now()
 }
 
 // SetLoadGossip installs the node's load gossip hooks: local reports this
@@ -213,8 +225,6 @@ type Ring struct {
 	// sorted node IDs for successor computation.
 	sorted []ID
 	byID   map[ID]*Node
-	// Clock returns the current time; nil means time.Now.
-	Clock func() time.Time
 	// Transport carries all inter-node messages. NewRing installs the
 	// direct-call transport; replace it (before the first Join) to run the
 	// overlay over TCP or the fault-injecting simulated network.
@@ -228,13 +238,6 @@ func NewRing() *Ring {
 		byID:      make(map[ID]*Node),
 		Transport: transport.NewLocal(),
 	}
-}
-
-func (r *Ring) now() time.Time {
-	if r.Clock != nil {
-		return r.Clock()
-	}
-	return time.Now()
 }
 
 // Join adds a node with the given name and region to the overlay and

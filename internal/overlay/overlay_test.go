@@ -31,9 +31,12 @@ func byName(r *Ring, name string) *Node {
 
 // holding makes each node report a copy of every key, fresh until until, so
 // its Publish announces the key.
-func holding(until time.Time, nodes ...*Node) {
+func holding(until time.Time, nodes ...*Node) { holdingOn(nil, until, nodes...) }
+
+// holdingOn is holding with the nodes judging index entries by clock.
+func holdingOn(clock func() time.Time, until time.Time, nodes ...*Node) {
 	for _, n := range nodes {
-		n.SetCopies(func(string) (time.Time, bool) { return until, true })
+		n.SetCopies(func(string) (time.Time, bool) { return until, true }, clock)
 	}
 }
 
@@ -143,10 +146,9 @@ func TestLocateMissingKey(t *testing.T) {
 func TestIndexEntriesExpire(t *testing.T) {
 	now := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 	r := NewRing()
-	r.Clock = func() time.Time { return now }
 	a := r.Join("node-a", "us-east")
 	b := r.Join("node-b", "us-west")
-	holding(now.Add(time.Hour), a)
+	holdingOn(func() time.Time { return now }, now.Add(time.Hour), a, b)
 	key := "GET http://example.org/x"
 	if _, err := a.Publish(key); err != nil {
 		t.Fatal(err)
@@ -166,10 +168,9 @@ func TestIndexEntriesExpire(t *testing.T) {
 func TestStabilizeDropsExpiredKeys(t *testing.T) {
 	now := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 	r := NewRing()
-	r.Clock = func() time.Time { return now }
 	a := r.Join("node-a", "us-east")
 	b := r.Join("node-b", "us-west")
-	holding(now.Add(time.Minute), a)
+	holdingOn(func() time.Time { return now }, now.Add(time.Minute), a, b)
 	for i := 0; i < 1000; i++ {
 		if _, err := a.Publish(fmt.Sprintf("key-%d", i)); err != nil {
 			t.Fatal(err)

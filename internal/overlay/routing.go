@@ -198,7 +198,7 @@ func (n *Node) window() []string {
 func (n *Node) Stabilize() {
 	r := n.ring
 	n.mu.Lock()
-	n.pruneLocked(r.now())
+	n.pruneLocked(n.now())
 	n.mu.Unlock()
 	loadArg := n.localLoadArg()
 	pinged := make(map[string]bool)
@@ -364,7 +364,7 @@ func (n *Node) applyPublish(from string, msg transport.Message) int {
 		i = len(entries) - 1
 	}
 	entries[i].Expires = time.Unix(0, ns)
-	n.keepLocked(msg.Key, entries, n.ring.now())
+	n.keepLocked(msg.Key, entries, n.now())
 	n.mu.Unlock()
 	if relay == "" {
 		return 0
@@ -378,7 +378,7 @@ func (n *Node) applyLocate(key string) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out []string
-	for _, e := range n.keepLocked(key, n.index[key], n.ring.now()) {
+	for _, e := range n.keepLocked(key, n.index[key], n.now()) {
 		out = append(out, e.NodeName)
 	}
 	return out

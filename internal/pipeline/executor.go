@@ -33,7 +33,8 @@ type Executor struct {
 	// Loader resolves stage script URLs to loaded stages.
 	Loader *Loader
 	// Host provides vocabularies during handler execution (same host the
-	// loader uses).
+	// loader uses), and the clock (Host.Now) spans and Trace.Elapsed are
+	// timed on.
 	Host vocab.Host
 	// FetchOrigin retrieves the original resource when no onRequest handler
 	// generated a response; the proxy wires its cache + upstream client in
@@ -128,10 +129,13 @@ func (t *Trace) RanHandlers() bool {
 	return t.Generated
 }
 
+// since returns the host clock's time elapsed since start.
+func (e *Executor) since(start time.Time) time.Duration { return e.Host.Now().Sub(start) }
+
 // Execute runs the full pipeline of Figure 4 for req and returns the
 // response to deliver to the client together with an execution trace.
 func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, error) {
-	start := time.Now()
+	start := e.Host.Now()
 	trace := &Trace{}
 	trace.Stages = trace.stagesBuf[:0]
 	trace.Act.ID = req.TraceID
@@ -142,7 +146,7 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 	// early, before resources have been expended).
 	if e.Resources != nil && !e.Resources.Admit(site) {
 		trace.RejectedBusy = true
-		trace.Elapsed = time.Since(start)
+		trace.Elapsed = e.since(start)
 		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "server busy\n"), trace, nil
 	}
 
@@ -223,9 +227,9 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 
 		if pol != nil && pol.OnRequest != nil {
 			st.RanRequest = true
-			spanStart := time.Since(start)
+			spanStart := e.since(start)
 			resp, err := e.runOnRequest(stage, pol, site, &killed, trace, req)
-			trace.Act.AddSpan(scriptURL, spanStart, time.Since(start)-spanStart)
+			trace.Act.AddSpan(scriptURL, spanStart, e.since(start)-spanStart)
 			if err != nil {
 				if stopsPipeline(err) {
 					terminated = true
@@ -256,7 +260,7 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 
 	if terminated {
 		trace.Terminated = true
-		trace.Elapsed = time.Since(start)
+		trace.Elapsed = e.since(start)
 		e.charge(site, req, nil, trace)
 		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), trace, nil
 	}
@@ -266,9 +270,9 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 		if e.FetchOrigin == nil {
 			return nil, trace, fmt.Errorf("pipeline: no origin fetcher configured")
 		}
-		spanStart := time.Since(start)
+		spanStart := e.since(start)
 		resp, err := e.FetchOrigin(req)
-		trace.Act.AddSpan("origin", spanStart, time.Since(start)-spanStart)
+		trace.Act.AddSpan("origin", spanStart, e.since(start)-spanStart)
 		if err != nil {
 			resp = httpmsg.NewTextResponse(http.StatusBadGateway, "origin fetch failed: "+err.Error()+"\n")
 		}
@@ -278,7 +282,7 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 
 	if killed.Load() {
 		trace.Terminated = true
-		trace.Elapsed = time.Since(start)
+		trace.Elapsed = e.since(start)
 		e.charge(site, req, nil, trace)
 		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), trace, nil
 	}
@@ -294,13 +298,13 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 				trace.Stages[j].RanResponse = true
 			}
 		}
-		spanStart := time.Since(start)
+		spanStart := e.since(start)
 		err := e.runOnResponse(ex.stage, ex.pol, site, &killed, trace, req, response)
-		trace.Act.AddSpan(ex.script, spanStart, time.Since(start)-spanStart)
+		trace.Act.AddSpan(ex.script, spanStart, e.since(start)-spanStart)
 		if err != nil {
 			if stopsPipeline(err) {
 				trace.Terminated = true
-				trace.Elapsed = time.Since(start)
+				trace.Elapsed = e.since(start)
 				e.charge(site, req, nil, trace)
 				return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), trace, nil
 			}
@@ -312,7 +316,7 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 		}
 	}
 
-	trace.Elapsed = time.Since(start)
+	trace.Elapsed = e.since(start)
 	e.charge(site, req, response, trace)
 	return response, trace, nil
 }

@@ -91,7 +91,6 @@ type Message struct {
 	Origin  string // originating node name
 	Payload string
 	Seq     int64
-	Sent    time.Time
 }
 
 // Handler consumes replication messages delivered to a subscriber.
@@ -126,7 +125,7 @@ func (b *Bus) Subscribe(site, node string, h Handler) {
 func (b *Bus) Publish(site, origin, payload string) int64 {
 	b.mu.Lock()
 	b.seq++
-	msg := Message{Site: site, Origin: origin, Payload: payload, Seq: b.seq, Sent: time.Now()}
+	msg := Message{Site: site, Origin: origin, Payload: payload, Seq: b.seq}
 	b.mu.Unlock()
 	b.deliver(msg)
 	return msg.Seq
@@ -180,6 +179,7 @@ type Poster func(site, postURL string, lines []string) error
 // loses its oldest entries instead of growing the node's heap with every
 // request it is served.
 type AccessLog struct {
+	clock   func() time.Time
 	mu      sync.RWMutex // guards the sites map, not the buffers
 	sites   map[string]*siteLog
 	dropped atomic.Int64
@@ -236,9 +236,9 @@ func (s *siteLog) ordered(length int) []LogEntry {
 	return out
 }
 
-// NewAccessLog returns an empty access log.
-func NewAccessLog() *AccessLog {
-	return &AccessLog{sites: make(map[string]*siteLog)}
+// NewAccessLog returns an empty access log that stamps entries with clock.
+func NewAccessLog(clock func() time.Time) *AccessLog {
+	return &AccessLog{clock: clock, sites: make(map[string]*siteLog)}
 }
 
 // SetPostURL records the URL to which site's log entries are posted, giving
@@ -274,7 +274,7 @@ func (l *AccessLog) Append(site, message string) {
 		return
 	}
 	s.mu.Lock()
-	dropped := s.push(LogEntry{Time: time.Now(), Message: message})
+	dropped := s.push(LogEntry{Time: l.clock(), Message: message})
 	s.mu.Unlock()
 	if dropped {
 		l.dropped.Add(1)

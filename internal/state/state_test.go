@@ -266,7 +266,7 @@ func (l *AccessLog) pending(site string) int {
 }
 
 func TestAccessLog(t *testing.T) {
-	l := NewAccessLog()
+	l := NewAccessLog(time.Now)
 	l.SetPostURL("med.nyu.edu", "http://med.nyu.edu/logs/upload")
 	l.Append("med.nyu.edu", FormatAccess("10.0.0.1", "GET", "http://med.nyu.edu/m1.html", 200, 5120, 42*time.Millisecond))
 	l.Append("med.nyu.edu", FormatAccess("10.0.0.2", "GET", "http://med.nyu.edu/m2.html", 200, 1024, 7*time.Millisecond))
@@ -302,7 +302,7 @@ func TestAccessLog(t *testing.T) {
 // named no post URL could never be posted, so none is kept. A node sent
 // 10 000 distinct Host headers holds no buffer for any of them.
 func TestAccessLogKeepsNoBufferWithoutURL(t *testing.T) {
-	l := NewAccessLog()
+	l := NewAccessLog(time.Now)
 	for i := 0; i < 10000; i++ {
 		l.Append("site-"+strconv.Itoa(i)+".example", "10.0.0.1 GET / 200 512 1ms")
 	}
@@ -312,7 +312,7 @@ func TestAccessLogKeepsNoBufferWithoutURL(t *testing.T) {
 }
 
 func TestAccessLogRetriesOnFailure(t *testing.T) {
-	l := NewAccessLog()
+	l := NewAccessLog(time.Now)
 	l.SetPostURL("site", "http://site/logs")
 	l.Append("site", "entry-1")
 	attempts := 0
@@ -339,7 +339,7 @@ func TestAccessLogRetriesOnFailure(t *testing.T) {
 // oldest making way for the newest, and every entry lost is counted.
 func TestAccessLogBounded(t *testing.T) {
 	const overflow = 100
-	l := NewAccessLog()
+	l := NewAccessLog(time.Now)
 	l.SetPostURL("site", "http://site/logs")
 	for i := 0; i < maxPendingLog+overflow; i++ {
 		l.Append("site", strconv.Itoa(i))

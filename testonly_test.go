@@ -77,6 +77,93 @@ func TestTestOnlySurfaceFixture(t *testing.T) {
 	}
 }
 
+// TestOneClock fails when non-test code under internal/ reads the wall clock
+// on its own: a call of, or a reference to, time.Now, Since, Until,
+// NewTicker, NewTimer, AfterFunc, After or Tick. A node reads time through
+// its one clock, core.Config.Clock, so that the cluster harness can run it in
+// virtual time. The files in wallClockFiles read the wall clock on purpose,
+// each for the reason given; one that reads it no longer fails the check too,
+// so the list only shrinks.
+func TestOneClock(t *testing.T) {
+	problems, err := checkOneClock(".", "internal", wallClockFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// wallClockFiles are the non-test files under internal/ that may read the
+// wall clock, and why.
+var wallClockFiles = []struct{ file, reason string }{
+	{"internal/core/node.go", "NewNode: a nil Config.Clock means time.Now"},
+	{"internal/cache/cache.go", "cache.Config: a nil Clock means time.Now"},
+	{"internal/cache/disk.go", "OpenDisk: a nil clock means time.Now (benchmark/ opens a disk tier alone)"},
+	{"internal/overlay/overlay.go", "an overlay node without a clock (SetCopies) judges its index by time.Now"},
+	{"internal/vocab/host.go", "NopHost, the host of stand-alone pipelines and the benchmark's stub, has no node clock"},
+	{"internal/transport/tcp.go", "socket deadlines and dial backoff"},
+	{"internal/transport/mux_conn.go", "socket deadlines of mux calls"},
+	{"internal/core/ingress.go", "the drain's poll of open connections"},
+	{"internal/core/upstream.go", "the upstream pool's idle timers"},
+	{"internal/httpmsg/http1.go", "the Date header the client codec writes"},
+	{"internal/httpmsg/client.go", "the Fetched stamp of an upstream response"},
+	{"internal/httpmsg/httpmsg.go", "the Fetched stamp of NewResponse"},
+	{"internal/resource/resource.go", "the control loop's ticker; virtual time needs a service-time model (ROADMAP items 6 and 20)"},
+	{"internal/admin/admin.go", "the process uptime statusz reports"},
+	{"internal/bench/micro.go", "the paper's wall-clock figures"},
+	{"internal/apps/largefile/largefile.go", "the origin's pacing of a rate-limited body"},
+	{"internal/integrity/integrity.go", "not wired into the node yet (ROADMAP item 10)"},
+}
+
+// wallClockReads are the time package's functions that read the wall clock
+// or start a timer on it.
+var wallClockReads = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "NewTicker": true,
+	"NewTimer": true, "AfterFunc": true, "After": true, "Tick": true,
+}
+
+// checkOneClock returns every wall-clock read in the non-test files under
+// dir outside the allowed files, and every allowed file that has none, as
+// "file:line: message", sorted.
+func checkOneClock(root, dir string, allowed []struct{ file, reason string }) ([]string, error) {
+	l, all, err := loadModule(root, nil)
+	if err != nil {
+		return nil, err
+	}
+	allow := map[string]bool{}
+	for _, a := range allowed {
+		allow[a.file] = true
+	}
+	reads := map[string]bool{}
+	var problems []string
+	for _, p := range all {
+		if p.dir != dir && !strings.HasPrefix(p.dir, dir+"/") {
+			continue
+		}
+		for id, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !wallClockReads[fn.Name()] ||
+				fn.Type().(*types.Signature).Recv() != nil {
+				continue
+			}
+			pos := relPos(l.fset, root, id.Pos())
+			file, _, _ := strings.Cut(pos, ":")
+			reads[file] = true
+			if !allow[file] {
+				problems = append(problems, pos+": time."+fn.Name()+" reads the wall clock; read the node's clock (core.Config.Clock)")
+			}
+		}
+	}
+	for _, a := range allowed {
+		if !reads[a.file] {
+			problems = append(problems, a.file+": listed in wallClockFiles but reads no wall clock")
+		}
+	}
+	sort.Slice(problems, func(i, j int) bool { return lessPos(problems[i], problems[j]) })
+	return problems, nil
+}
+
 // surfaceSpec describes one module for checkTestOnlySurface. Directories are
 // slash-separated and relative to root.
 type surfaceSpec struct {
@@ -102,6 +189,7 @@ type surfacePkg struct {
 type surfaceLoader struct {
 	fset   *token.FileSet
 	root   string
+	module string
 	std    types.ImporterFrom
 	byPath map[string]string // import path → dir
 	pkgs   map[string]*surfacePkg
@@ -176,35 +264,46 @@ type surfaceDecl struct {
 	used   bool
 }
 
-// checkTestOnlySurface returns every finding and allowlist problem as
-// "file:line: message", sorted.
-func checkTestOnlySurface(spec surfaceSpec) ([]string, error) {
-	module, err := modulePath(filepath.Join(spec.root, "go.mod"))
+// loadModule type-checks the non-test files of every package of the module
+// at root, and of the nested modules in extra.
+func loadModule(root string, extra []string) (*surfaceLoader, []*surfacePkg, error) {
+	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fset := token.NewFileSet()
 	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	if !ok {
-		return nil, fmt.Errorf("source importer does not implement types.ImporterFrom")
+		return nil, nil, fmt.Errorf("source importer does not implement types.ImporterFrom")
 	}
-	l := &surfaceLoader{fset: fset, root: spec.root, std: std,
+	l := &surfaceLoader{fset: fset, root: root, module: module, std: std,
 		byPath: map[string]string{}, pkgs: map[string]*surfacePkg{}, busy: map[string]bool{}}
-	dirs, err := goDirs(spec.root)
+	dirs, err := goDirs(root)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, d := range dirs {
 		l.byPath[importPath(module, d)] = d
 	}
 	var all []*surfacePkg
-	for _, d := range append(dirs, spec.extra...) {
+	for _, d := range append(dirs, extra...) {
 		p, err := l.load(importPath(module, d), d)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		all = append(all, p)
 	}
+	return l, all, nil
+}
+
+// checkTestOnlySurface returns every finding and allowlist problem as
+// "file:line: message", sorted.
+func checkTestOnlySurface(spec surfaceSpec) ([]string, error) {
+	l, all, err := loadModule(spec.root, spec.extra)
+	if err != nil {
+		return nil, err
+	}
+	fset, module := l.fset, l.module
 	exempt := func(dir string) bool {
 		for _, e := range spec.exempt {
 			if dir == e || strings.HasPrefix(dir, e+"/") {
