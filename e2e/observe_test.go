@@ -40,6 +40,7 @@ var requiredSeries = []string{
 	"nakika_cache_misses_total",
 	"nakika_cache_bytes",
 	"nakika_cache_entries",
+	"nakika_cache_arena_bytes",
 	"nakika_cache_demotions_total",
 	"nakika_cache_disk_segments",
 	"nakika_cache_disk_live_bytes",

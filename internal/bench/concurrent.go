@@ -44,8 +44,9 @@ func warmNode(node *core.Node) error {
 // (requests carry per-pipeline mutable state, so they are not reusable
 // across iterations). It stages the request in the httpmsg pool — the same
 // path the proxy's client port uses — so the warm benchmarks measure
-// the server's steady-state allocation profile; release each request after
-// its response when the trace shows no handler ran.
+// the server's steady-state allocation profile; give each request the
+// loop's hit buffer (SetReplyBuffer), as a client connection does, and
+// release it after its response when the trace shows no handler ran.
 func ConcurrentRequest() *httpmsg.Request {
 	req := httpmsg.AcquireRequest()
 	req.Method = "GET"

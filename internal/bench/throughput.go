@@ -99,8 +99,11 @@ const proxyAllocOps = 5_000
 // experiment and the metrics-cost experiment (which runs it twice, with the
 // observability plane on and off).
 func measureProxyAllocs(node *core.Node) (ProxyAllocs, error) {
+	// reply is the hit buffer the loop reuses, as a client connection does.
+	var reply []byte
 	oneOp := func() error {
 		req := ConcurrentRequest()
+		req.SetReplyBuffer(&reply)
 		resp, trace, err := node.Handle(req)
 		if err != nil {
 			return err

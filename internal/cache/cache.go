@@ -11,13 +11,14 @@
 //     binary codec writes it (httpmsg.Stored): the header as AppendHeader's
 //     bytes in one string, the body, and the scalar fields, on an intrusive
 //     LRU list; a hit decodes the header into a map of its own, and the
-//     disk tier (Disk) writes and reads the same bytes. A store keeps the
-//     reply's body array when the reply owns one no larger than the body
-//     needs (an origin reply read at its declared length), and copies the
-//     body once otherwise; the reply and every hit then share the stored
-//     bytes until a script touches them (httpmsg.Response.Materialize). It
-//     owns the freshness decision (Expiry) for every tier of the node, the
-//     large-object tier included.
+//     disk tier (Disk) writes and reads the same bytes. The bodies live off
+//     the Go heap, in an arena of size-class slots the cache owns
+//     (arena.go): a store copies the body into a slot, and every reader
+//     copies it out, under the shard lock, into memory of its own. A client
+//     hit copies into the buffer its connection lends the request
+//     (httpmsg.Request.SetReplyBuffer), a peer's fetch into its encoded
+//     reply (Encoded). It owns the freshness decision (Expiry) for every tier of
+//     the node, the large-object tier included.
 //   - Memo: a small in-memory memoization cache used for parsed decision
 //     trees and reusable scripting contexts (the 4 microsecond / 3
 //     microsecond retrievals reported in Section 5.1). The pipeline's
@@ -49,6 +50,8 @@ type Stats struct {
 	Demotions int64
 	DiskHits  int64
 	Disk      DiskStats
+	// Arena is the body storage of the memory tier.
+	Arena ArenaStats
 }
 
 // Config controls cache behaviour.
@@ -117,18 +120,21 @@ func shardCount(cfg Config) int {
 }
 
 // entry is one cached response, in the form the codec writes it, on its
-// shard's LRU list. Only its list links change once it is stored, under the
-// shard lock: a hit builds its response from the rest outside the lock, and
-// a renewal swaps in a new entry.
+// shard's LRU list. Its Body is a slot of the cache's arena, in chunk (nil
+// for an empty body), read only under the shard lock. Only its list links
+// change once it is stored, under the shard lock: a renewal swaps in a new
+// entry, which takes over the slot.
 type entry struct {
 	httpmsg.Stored
 	key        string
 	expires    time.Time
+	chunk      *chunk
 	prev, next *entry
 }
 
 // shard is one independently locked slice of the cache.
 type shard struct {
+	arena      *arena
 	mu         sync.Mutex
 	entries    map[string]*entry
 	lru        entry // sentinel of the LRU ring: lru.next is the most recently used entry
@@ -139,13 +145,14 @@ type shard struct {
 
 // Cache is a concurrency-safe expiration-based response cache with LRU
 // eviction, sharded by key hash. Counters are atomics so the hot path never
-// takes a lock beyond its own shard, and a hit decodes its response outside
-// the shard lock.
+// takes a lock beyond its own shard and the arena's, and a hit decodes its
+// header outside the shard lock.
 type Cache struct {
 	cfg    Config
 	shards []*shard
 	mask   uint64
 	l2     atomic.Pointer[Disk]
+	arena  *arena
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -160,9 +167,10 @@ type Cache struct {
 func New(cfg Config) *Cache {
 	c := cfg.withDefaults()
 	n := shardCount(c)
-	cache := &Cache{cfg: c, shards: make([]*shard, n), mask: uint64(n - 1)}
+	cache := &Cache{cfg: c, shards: make([]*shard, n), mask: uint64(n - 1), arena: newArena()}
 	for i := range cache.shards {
 		cache.shards[i] = &shard{
+			arena:      cache.arena,
 			entries:    make(map[string]*entry),
 			maxEntries: c.MaxEntries / n,
 			maxBytes:   c.MaxBytes / int64(n),
@@ -222,48 +230,71 @@ func (c *Cache) Stale(h http.Header, fetched time.Time) bool {
 	return expired(c.Expiry(h, fetched), c.cfg.Clock())
 }
 
-// Get returns a fresh response for key built from its entry, or nil when
-// absent or expired.
-func (c *Cache) Get(key string) *httpmsg.Response {
-	resp, _ := c.GetUntil(key)
-	return resp
-}
+// Get returns a fresh response for key built from its entry, with a body
+// of its own, or nil when absent or expired.
+func (c *Cache) Get(key string) *httpmsg.Response { return c.GetFor(key, nil) }
 
-// GetUntil is Get that also returns the entry's expiry, so a copy handed to
-// a peer keeps the holder's deadline. The response has a header map of its
-// own, decoded from the entry's header bytes, and shares the stored body,
-// read-only until Materialize copies it; it is built outside the shard lock
-// (entries are immutable once stored).
-func (c *Cache) GetUntil(key string) (*httpmsg.Response, time.Time) {
-	now := c.cfg.Clock()
-	sh := c.shard(key)
-	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
-		return c.getL2(key)
+// GetFor is Get for a response served in reply to req: the body is copied
+// into the buffer req lends (httpmsg.Request.ReplyBuffer), so a warm hit on
+// a client connection allocates no body; a script that touches the body
+// gets a copy (Materialize). A nil req lends none.
+func (c *Cache) GetFor(key string, req *httpmsg.Request) *httpmsg.Response {
+	var hit httpmsg.Stored
+	var borrowed bool
+	if _, ok := c.read(key, func(s httpmsg.Stored) {
+		hit = s
+		hit.Body = nil
+		if len(s.Body) > 0 {
+			hit.Body, borrowed = req.ReplyBuffer(len(s.Body))
+			copy(hit.Body, s.Body)
+		}
+	}); !ok {
+		return nil
 	}
-	if expired(e.expires, now) {
-		sh.removeLocked(e)
-		sh.mu.Unlock()
-		c.expired.Add(1)
-		return c.getL2(key)
-	}
-	sh.moveToFrontLocked(e)
-	sh.mu.Unlock()
-	c.hits.Add(1)
-	return e.hit(), e.expires
-}
-
-// hit builds the response a cache hit serves from e.
-func (e *entry) hit() *httpmsg.Response {
-	resp := e.Response()
+	resp := hit.Response(borrowed)
 	resp.FromCache = true
 	return resp
 }
 
+// Encoded returns key's fresh entry as EncodeResponse encodes a hit of it,
+// and the entry's expiry, so a copy handed to a peer keeps the holder's
+// deadline: the cache.get reply, written from the stored bytes without a
+// response in between.
+func (c *Cache) Encoded(key string) ([]byte, time.Time, bool) {
+	var payload []byte
+	expires, ok := c.read(key, func(s httpmsg.Stored) {
+		s.FromCache = true
+		payload = httpmsg.EncodeStored(&s)
+	})
+	return payload, expires, ok
+}
+
+// read finds key's fresh entry, in memory or else promoted from the disk
+// tier, and hands its stored form to copyOut while the body cannot be
+// released: copyOut copies what it keeps of the body. It counts the hit or
+// the miss and returns the entry's expiry.
+func (c *Cache) read(key string, copyOut func(httpmsg.Stored)) (time.Time, bool) {
+	now := c.cfg.Clock()
+	sh := c.shard(key)
+	sh.mu.Lock()
+	e, ok := sh.entries[key]
+	if ok && !expired(e.expires, now) {
+		sh.moveToFrontLocked(e)
+		copyOut(e.Stored)
+		sh.mu.Unlock()
+		c.hits.Add(1)
+		return e.expires, true
+	}
+	if ok {
+		sh.dropLocked(e)
+		c.expired.Add(1)
+	}
+	sh.mu.Unlock()
+	return c.readL2(key, copyOut)
+}
+
 // Until reports whether key has a fresh entry and until when — the expiry
-// GetUntil would return — without reading or counting it: the memory entry's,
+// a read would return — without reading or counting it: the memory entry's,
 // else the disk tier's.
 func (c *Cache) Until(key string) (time.Time, bool) {
 	now := c.cfg.Clock()
@@ -281,26 +312,27 @@ func (c *Cache) Until(key string) (time.Time, bool) {
 	return time.Time{}, false
 }
 
-// getL2 consults the disk tier on a memory miss, promoting a hit back
-// into the memory LRU. The record's header bytes become the entry's as they
-// are, and its body is copied out at its exact length. The disk copy stays
-// in place until it expires or the disk budget evicts it, so the tier is
-// inclusive: a later crash still rewarms from it.
-func (c *Cache) getL2(key string) (*httpmsg.Response, time.Time) {
+// readL2 consults the disk tier on a memory miss, promoting a hit back into
+// the memory LRU. The reader copies from the record, and the entry takes the
+// record's header bytes as they are and its body into an arena slot. The
+// disk copy stays in place until it expires or the disk budget evicts it, so
+// the tier is inclusive: a later crash still rewarms from it.
+func (c *Cache) readL2(key string, copyOut func(httpmsg.Stored)) (time.Time, bool) {
 	d := c.l2.Load()
 	if d == nil {
 		c.misses.Add(1)
-		return nil, time.Time{}
+		return time.Time{}, false
 	}
-	stored, expires, ok := d.get(key)
+	expires, ok := d.get(key, func(s httpmsg.Stored, expires time.Time) {
+		copyOut(s)
+		c.putEntry(key, s, expires)
+	})
 	if !ok {
 		c.misses.Add(1)
-		return nil, time.Time{}
+		return time.Time{}, false
 	}
-	e := &entry{Stored: stored, key: key, expires: expires}
-	c.putEntry(e)
 	c.diskHits.Add(1)
-	return e.hit(), expires
+	return expires, true
 }
 
 // Put stores a response under key if it is cacheable and not stale on
@@ -317,18 +349,16 @@ func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 // a peer's cache keeps the holder's deadline instead of starting a new one.
 // A response that is already past that deadline is reported unstored, so the
 // node neither holds nor publishes it. The entry is made before the shard
-// lock is acquired (httpmsg.Response.StoredForm): its header is encoded once,
-// and it keeps the reply's body array when the reply owns one of the body's
-// size, and copies the body once otherwise. Either way the caller's response
-// goes on into the pipeline as a hit does: a script that writes into its
-// body writes into a copy (Materialize). Streamed bodies never enter the
+// lock is acquired: its header is encoded once (httpmsg.Response.StoredForm)
+// and its body copied into an arena slot, so the caller's response goes on
+// into the pipeline with the body it had. Streamed bodies never enter the
 // whole-body cache — the large-object tier owns them (storing one here would
 // pin a lazy view, not bytes).
 func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) bool {
 	if resp == nil || resp.Stream != nil || !resp.Cacheable() || expired(expires, c.cfg.Clock()) {
 		return false
 	}
-	return c.putEntry(&entry{Stored: resp.StoredForm(), key: key, expires: expires})
+	return c.putEntry(key, resp.StoredForm(), expires)
 }
 
 // Refresh revalidates the stored entry for key against a 304 Not Modified.
@@ -338,10 +368,10 @@ func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) 
 // response counts as fetched now, and its expiry is the updated header's
 // Expiry from now. A renewal that makes the response one a shared cache may
 // not store (the 304 says no-store) drops the entry instead. The renewed
-// entry is a new one swapped in under the shard lock, so a hit built outside
-// it never sees a half-updated header. The 304 itself is never stored — it
-// has no body, so storing it would later serve an empty page. Returns
-// whether a stored entry was renewed.
+// entry is a new one swapped in under the shard lock, which takes over the
+// old one's body slot, so a hit never sees a half-updated header. The 304
+// itself is never stored — it has no body, so storing it would later serve
+// an empty page. Returns whether a stored entry was renewed.
 func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 	if resp == nil || resp.Status != http.StatusNotModified {
 		return false
@@ -364,10 +394,10 @@ func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 		}
 	}
 	if !httpmsg.Storable(e.Status, h) {
-		sh.removeLocked(e)
+		sh.dropLocked(e)
 		return false
 	}
-	renewed := &entry{Stored: e.Stored, key: key, expires: c.Expiry(h, now)}
+	renewed := &entry{Stored: e.Stored, key: key, expires: c.Expiry(h, now), chunk: e.chunk}
 	renewed.Header = httpmsg.EncodeHeader(h)
 	renewed.Fetched = now
 	sh.removeLocked(e)
@@ -396,17 +426,27 @@ func validates(nm, stored http.Header) bool {
 	return stored.Get("Etag") == "" && stored.Get("Last-Modified") == ""
 }
 
-func (c *Cache) putEntry(e *entry) bool {
-	sh := c.shard(e.key)
-	if e.size() > sh.maxBytes {
+// putEntry files s under key, its body copied into an arena slot.
+func (c *Cache) putEntry(key string, s httpmsg.Stored, expires time.Time) bool {
+	sh := c.shard(key)
+	if int64(len(s.Body)) > sh.maxBytes {
 		// The response cannot survive in this shard's byte budget: storing
 		// it would only evict the shard and self-evict. Report it unstored
 		// so the node does not publish a copy it cannot hold.
 		return false
 	}
+	e := &entry{Stored: s, key: key, expires: expires}
+	if len(s.Body) > 0 {
+		if e.chunk, e.Body = c.arena.alloc(len(s.Body)); e.chunk == nil {
+			return false
+		}
+		copy(e.Body, s.Body)
+	} else {
+		e.Body = nil
+	}
 	sh.mu.Lock()
-	if old, ok := sh.entries[e.key]; ok {
-		sh.removeLocked(old)
+	if old, ok := sh.entries[key]; ok {
+		sh.dropLocked(old)
 	}
 	sh.insertLocked(e)
 	evicted := sh.evictLocked()
@@ -420,21 +460,19 @@ func (c *Cache) putEntry(e *entry) bool {
 }
 
 // demote hands evicted-but-fresh entries to the disk tier, outside any
-// shard lock. Responses a shared cache may not store (Cache-Control:
+// shard lock, and then releases their slots: no reader reaches an evicted
+// entry any more. Responses a shared cache may not store (Cache-Control:
 // no-store / private) never entered the cache, and a renewal that would make
 // one drops its entry, so the entry's bytes go to disk as they are.
 func (c *Cache) demote(evicted []*entry) {
 	d := c.l2.Load()
-	if d == nil {
-		return
-	}
 	now := c.cfg.Clock()
 	for _, e := range evicted {
-		if expired(e.expires, now) {
-			continue
+		if d != nil && !expired(e.expires, now) {
+			d.put(e.key, &e.Stored, e.expires)
+			c.demotions.Add(1)
 		}
-		d.put(e.key, &e.Stored, e.expires)
-		c.demotions.Add(1)
+		c.arena.free(e.chunk, e.Body)
 	}
 }
 
@@ -449,20 +487,16 @@ func (c *Cache) FlushToDisk() {
 	}
 	now := c.cfg.Clock()
 	for _, sh := range c.shards {
+		// The shard lock keeps each body's slot from being released while
+		// the disk tier writes it.
 		sh.mu.Lock()
-		fresh := make([]*entry, 0, len(sh.entries))
 		for _, e := range sh.entries {
 			if !expired(e.expires, now) {
-				fresh = append(fresh, e)
+				d.put(e.key, &e.Stored, e.expires)
+				c.demotions.Add(1)
 			}
 		}
 		sh.mu.Unlock()
-		// Entries are immutable once stored, so writing them after the
-		// lock is released is safe.
-		for _, e := range fresh {
-			d.put(e.key, &e.Stored, e.expires)
-			c.demotions.Add(1)
-		}
 	}
 }
 
@@ -479,13 +513,13 @@ func (c *Cache) Invalidate(key string) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.entries[key]; ok {
-		sh.removeLocked(e)
+		sh.dropLocked(e)
 	}
 }
 
-// Clear removes every memory entry without demoting anything. The disk
-// tier is untouched — it models a disk, which survives the events (crash,
-// test reset) that clear memory.
+// Clear removes every memory entry without demoting anything, and so gives
+// every arena chunk back. The disk tier is untouched — it models a disk,
+// which survives the events (crash, test reset) that clear memory.
 func (c *Cache) Clear() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -519,6 +553,7 @@ func (c *Cache) Stats() Stats {
 	if d := c.l2.Load(); d != nil {
 		s.Disk = d.Stats()
 	}
+	s.Arena = c.arena.stats()
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		s.Entries += len(sh.entries)
@@ -531,8 +566,11 @@ func (c *Cache) Stats() Stats {
 // size is what an entry counts against its shard's byte budget.
 func (e *entry) size() int64 { return int64(len(e.Body)) }
 
-// clearLocked empties the shard.
+// clearLocked empties the shard and releases every body.
 func (sh *shard) clearLocked() {
+	for _, e := range sh.entries {
+		sh.arena.free(e.chunk, e.Body)
+	}
 	sh.entries = make(map[string]*entry)
 	sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 	sh.bytes = 0
@@ -545,11 +583,19 @@ func (sh *shard) insertLocked(e *entry) {
 	sh.bytes += e.size()
 }
 
+// removeLocked takes e off the shard and leaves its body slot to the
+// caller: to release after a disk write, or to hand to a renewed entry.
 func (sh *shard) removeLocked(e *entry) {
 	delete(sh.entries, e.key)
 	e.prev.next, e.next.prev = e.next, e.prev
 	e.prev, e.next = nil, nil
 	sh.bytes -= e.size()
+}
+
+// dropLocked removes e and releases its body slot.
+func (sh *shard) dropLocked(e *entry) {
+	sh.removeLocked(e)
+	sh.arena.free(e.chunk, e.Body)
 }
 
 func (sh *shard) pushFrontLocked(e *entry) {
@@ -567,7 +613,7 @@ func (sh *shard) moveToFrontLocked(e *entry) {
 
 // evictLocked evicts LRU entries until the shard is within budget and
 // returns them (oldest last) so the caller can demote fresh ones to the
-// disk tier outside the lock.
+// disk tier outside the lock and then release their slots.
 func (sh *shard) evictLocked() []*entry {
 	var evicted []*entry
 	for (len(sh.entries) > sh.maxEntries || sh.bytes > sh.maxBytes) && sh.lru.prev != &sh.lru {

@@ -58,15 +58,16 @@ func TestGetMissThenHit(t *testing.T) {
 	}
 }
 
-// TestCachedBodyIsIsolated: a store and a hit copy nothing, and the stored
-// response's body, like a hit's, is private once Materialize has run —
-// which is what every script access to a body goes through.
+// TestCachedBodyIsIsolated: a store copies the body into the cache's arena
+// and every hit copies it out into a body of its own, so the stored
+// response, each hit and the cached copy never share bytes — whatever a
+// script writes, after Materialize as every script access to a body goes.
 func TestCachedBodyIsIsolated(t *testing.T) {
 	c := New(Config{})
 	put := okResponse("original")
 	c.Put("k", put)
-	if hit := c.Get("k"); &hit.Body[0] != &put.Body[0] {
-		t.Error("the store should keep the reply's array, not copy it")
+	if hit := c.Get("k"); &hit.Body[0] == &put.Body[0] {
+		t.Error("a hit should get a copy of its own, not the stored reply's array")
 	}
 	// The caller's response goes on into a pipeline.
 	if err := put.Materialize(); err != nil {
@@ -74,8 +75,8 @@ func TestCachedBodyIsIsolated(t *testing.T) {
 	}
 	put.Body[0] = 'P'
 	a, b := c.Get("k"), c.Get("k")
-	if &a.Body[0] != &b.Body[0] {
-		t.Error("two hits should share the stored bytes until one is materialized")
+	if &a.Body[0] == &b.Body[0] {
+		t.Error("two hits should each get a copy of their own")
 	}
 	if err := a.Materialize(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,10 +26,11 @@ import (
 //
 // A record's response is the memory tier's entry as it is (httpmsg.Stored):
 // a demotion appends the entry's header bytes without re-encoding them, and
-// a promotion copies them out of the record as one string. Promotion copies
-// the entry up and leaves the record in place (an inclusive hierarchy: the
-// next crash still finds it), so the next demotion of an unchanged entry
-// writes nothing.
+// a promotion reads the record into a pooled buffer, copies the header bytes
+// out of it as one string and the body straight into the memory tier's
+// arena. Promotion copies the entry up and leaves the record in place (an
+// inclusive hierarchy: the next crash still finds it), so the next demotion
+// of an unchanged entry writes nothing.
 type Disk struct {
 	clock func() time.Time
 
@@ -43,6 +45,12 @@ type Disk struct {
 }
 
 var errDiskRecord = errors.New("cache: disk record does not match its index entry")
+
+// records are the buffers promotions read records into; one that a record
+// larger than maxPooledRecord grew is left to the collector.
+var records = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledRecord = 1 << 20
 
 // appendDiskKey appends the head of one record's payload: the
 // uvarint-length-prefixed key and the expiry (unix nanoseconds, big-endian).
@@ -148,19 +156,24 @@ func (d *Disk) appendLocked(key string, expires time.Time) {
 // Get returns the cached response and its expiry for key, or ok=false. It
 // reads exactly the indexed record and serves it only if its frame verifies
 // and it carries this key; anything else drops the entry and is a miss. The
-// response is freshly decoded; its body is read-only until Materialize, as a
-// memory hit's is.
+// response is freshly decoded, with a body of its own.
 func (d *Disk) Get(key string) (*httpmsg.Response, time.Time, bool) {
-	s, expires, ok := d.get(key)
-	if !ok {
-		return nil, time.Time{}, false
-	}
-	return s.Response(), expires, true
+	var resp *httpmsg.Response
+	expires, ok := d.get(key, func(s httpmsg.Stored, _ time.Time) {
+		if len(s.Body) > 0 {
+			s.Body = bytes.Clone(s.Body)
+		} else {
+			s.Body = nil
+		}
+		resp = s.Response(false)
+	})
+	return resp, expires, ok
 }
 
-// get is Get in the form the memory tier keeps: the record's header bytes
-// copied out as one string, its body at its exact length.
-func (d *Disk) get(key string) (httpmsg.Stored, time.Time, bool) {
+// get is Get in the form the memory tier keeps: use sees the record's header
+// bytes copied out as one string, and its body in the read buffer, which is
+// reused once use returns.
+func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time)) (time.Time, bool) {
 	now := d.clock()
 	d.mu.Lock()
 	ref, ok := d.log.Lookup(key)
@@ -170,17 +183,27 @@ func (d *Disk) get(key string) (httpmsg.Stored, time.Time, bool) {
 	}
 	d.mu.Unlock()
 	if ok {
-		s, err := d.read(key, ref)
+		buf := records.Get().(*[]byte)
+		if cap(*buf) < ref.Len() {
+			*buf = make([]byte, ref.Len())
+		}
+		s, err := d.read(key, ref, (*buf)[:ref.Len()])
 		if err == nil {
 			d.hits.Add(1)
-			return s, time.Unix(0, ref.Word), true
+			use(s, time.Unix(0, ref.Word))
+		}
+		if cap(*buf) <= maxPooledRecord {
+			records.Put(buf)
+		}
+		if err == nil {
+			return time.Unix(0, ref.Word), true
 		}
 		d.mu.Lock()
 		d.log.Forget(key, ref)
 		d.mu.Unlock()
 	}
 	d.misses.Add(1)
-	return httpmsg.Stored{}, time.Time{}, false
+	return time.Time{}, false
 }
 
 // Until reports whether key's indexed record is fresh and until when, without
@@ -193,10 +216,10 @@ func (d *Disk) Until(key string) (time.Time, bool) {
 	return expires, ok && !expired(expires, d.clock())
 }
 
-// read fetches the record ref points at, verified by the log, and decodes it
-// if it carries key.
-func (d *Disk) read(key string, ref store.SegRef) (httpmsg.Stored, error) {
-	p, err := d.log.Read(ref, make([]byte, ref.Len()))
+// read fetches the record ref points at into buf, verified by the log, and
+// decodes it if it carries key; the body aliases buf.
+func (d *Disk) read(key string, ref store.SegRef, buf []byte) (httpmsg.Stored, error) {
+	p, err := d.log.Read(ref, buf)
 	if err != nil {
 		return httpmsg.Stored{}, err
 	}

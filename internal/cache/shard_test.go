@@ -97,8 +97,10 @@ func TestOversizedEntryRejected(t *testing.T) {
 
 // TestCloneHappensOutsideLock drives readers of one hot key concurrently
 // with writers replacing it and mutators scribbling on returned bodies after
-// Materialize, as scripts do. The race detector proves that a materialized
-// hit never aliases cache-owned memory.
+// Materialize, as scripts do. Each hit decodes its header outside the shard
+// lock and copies its body out of the arena under it; no write through a
+// hit reaches the cached copy. (The race detector does not see into the
+// arena; TestArenaLifetime poisons released slots instead.)
 func TestCloneHappensOutsideLock(t *testing.T) {
 	c := New(Config{})
 	body := strings.Repeat("x", 64<<10)

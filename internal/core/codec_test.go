@@ -98,6 +98,29 @@ func TestRPCDecodersRejectWhatIsNotAPayload(t *testing.T) {
 	}
 }
 
+// TestOffloadRequestInAnOlderFormatIsRefused: an off.exec request as a build
+// that still carried the request's receive time encodes it (a wire.AppendTime
+// after the client IP) must fail to decode. Read by this build's fields
+// alone, the time's presence byte is the Redirected flag and the rest
+// trails, so without the trailing-bytes check it decodes as a redirected
+// request its sender never redirected.
+func TestOffloadRequestInAnOlderFormatIsRefused(t *testing.T) {
+	older, err := hex.DecodeString("00034745541c687474703a2f2f736974652e6578616d706c652f7265736f7572636501064163636570740109746578742f68746d6c00093139322e302e322e31018080848d88d5a7df3100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req, err := decodeOffloadRequest(older); err == nil {
+		t.Fatalf("decoded %s %s with Redirected = %v; want an error", req.Method, req.URL, req.Redirected)
+	}
+	// The same request in this build's format decodes.
+	req := httpmsg.MustRequest("GET", "http://site.example/resource")
+	req.Header.Set("Accept", "text/html")
+	req.ClientIP = "192.0.2.1"
+	if got, err := decodeOffloadRequest(encodeOffloadRequest(req)); err != nil || got.Redirected {
+		t.Fatalf("this build's request: %+v, %v", got, err)
+	}
+}
+
 func TestOffloadRequestRoundTrip(t *testing.T) {
 	req := httpmsg.MustRequest("GET", "http://site.example/resource")
 	req.Header.Set("Accept", "text/html")

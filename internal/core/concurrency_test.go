@@ -138,10 +138,10 @@ func TestStampedeWaitersGetIndependentBodies(t *testing.T) {
 	}
 }
 
-// TestScriptCannotWriteThroughCachedBody: a cache hit shares the stored
-// bytes, so an untrusted script that writes into the body it is handed —
-// through Response.body(), Response.read() and a Fetch.get sub-fetch — must
-// write into a copy of its own. Every hit, from 8 goroutines at once, sees
+// TestScriptCannotWriteThroughCachedBody: an untrusted script that writes
+// into the body it is handed — through Response.body(), Response.read() and
+// a Fetch.get sub-fetch — writes into a copy of its own, never into the
+// cached bytes or another hit's. Every hit, from 8 goroutines at once, sees
 // the origin's bytes, and so does the cache afterwards.
 func TestScriptCannotWriteThroughCachedBody(t *testing.T) {
 	const (

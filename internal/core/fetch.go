@@ -37,7 +37,7 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 		return resp, err
 	}
 	key := req.CacheKey()
-	if resp := n.lookup(key, false); resp != nil {
+	if resp := n.lookup(key, req); resp != nil {
 		return resp, nil
 	}
 	// Coalesce: concurrent misses of one request share a single pass through
@@ -91,12 +91,16 @@ func flightKey(key string, h http.Header) string {
 // lookup is the chain's first step: the whole-body cache, then the
 // large-object tier, where a fresh manifest serves a lazy stream whose
 // segments resolve as the client reads. It runs twice per miss: before the
-// flight, and again by the flight's leader (a previous flight may have
-// stored the key in between), who alone revalidates a stale manifest.
-func (n *Node) lookup(key string, leader bool) *httpmsg.Response {
-	resp := n.cache.Get(key)
+// flight for req, whose buffer a hit's body is copied into
+// (httpmsg.Request.ReplyBuffer), and again by the flight's leader with a nil
+// req (a previous flight may have stored the key in between). The leader's
+// response may go to every caller of the flight, which outlive its request,
+// so its body is a fresh copy; and the leader alone revalidates a stale
+// manifest.
+func (n *Node) lookup(key string, req *httpmsg.Request) *httpmsg.Response {
+	resp := n.cache.GetFor(key, req)
 	if resp == nil {
-		resp = n.lobServe(key, leader)
+		resp = n.lobServe(key, req == nil)
 	}
 	if resp != nil {
 		n.cacheHits.Add(1)
@@ -106,7 +110,7 @@ func (n *Node) lookup(key string, leader bool) *httpmsg.Response {
 
 // fetchMiss is the flight leader's pass through the rest of the chain.
 func (n *Node) fetchMiss(key string, req *httpmsg.Request) (*httpmsg.Response, error) {
-	if resp := n.lookup(key, true); resp != nil {
+	if resp := n.lookup(key, nil); resp != nil {
 		return resp, nil
 	}
 	if resp := n.peerCopy(key); resp != nil {
@@ -321,11 +325,8 @@ func (n *Node) serveCacheRPC(from string, msg transport.Message) (transport.Mess
 		}
 		return transport.Message{Args: []string{"hit"}, Body: data}, nil
 	}
-	if resp, expires := n.cache.GetUntil(msg.Key); resp != nil {
-		return transport.Message{
-			Args: []string{"hit", strconv.FormatInt(expires.UnixNano(), 10)},
-			Body: httpmsg.EncodeResponse(resp),
-		}, nil
+	if body, expires, ok := n.cache.Encoded(msg.Key); ok {
+		return transport.Message{Args: []string{"hit", strconv.FormatInt(expires.UnixNano(), 10)}, Body: body}, nil
 	}
 	if t := n.lobTier(); t != nil {
 		if m, ok := t.Manifest(msg.Key); ok && m.Complete() && !n.lobStale(m) {

@@ -140,8 +140,8 @@ func TestPeerCopyExpiresWithTheHolders(t *testing.T) {
 	if err != nil || resp.Via != "edge-a" || b.Stats().PeerHits != 1 {
 		t.Fatalf("b did not fetch from its peer: %+v, %v", resp, err)
 	}
-	_, holderExpiry := a.Cache().GetUntil(key)
-	_, copyExpiry := b.Cache().GetUntil(key)
+	holderExpiry, _ := a.Cache().Until(key)
+	copyExpiry, _ := b.Cache().Until(key)
 	if !copyExpiry.Equal(holderExpiry) {
 		t.Errorf("copy expires %v, holder's %v", copyExpiry, holderExpiry)
 	}
@@ -398,9 +398,10 @@ func TestRevalidationToSmallerBodyIsFiledNotRefetched(t *testing.T) {
 
 // TestDiskTierOnMetricsAndShutdown: after demotions, promotions and a clean
 // re-demotion, the two nakika_cache_demotions_total series are the tier's own
-// Stores and Clean counters and the log gauges its Stats; Shutdown then
-// flushes what is not on disk yet and closes the tier, so a reopened tier
-// holds every page and nothing is written afterwards.
+// Stores and Clean counters, the log gauges its Stats and the arena gauges
+// the memory tier's body storage; Shutdown then flushes what is not on disk
+// yet and closes the tier, so a reopened tier holds every page and nothing is
+// written afterwards.
 func TestDiskTierOnMetricsAndShutdown(t *testing.T) {
 	origin := newMemOrigin()
 	urls := []string{"http://site.example.org/p1", "http://site.example.org/p2", "http://site.example.org/p3"}
@@ -425,6 +426,9 @@ func TestDiskTierOnMetricsAndShutdown(t *testing.T) {
 	if st.Disk.Stores != 3 || st.Disk.Clean < 1 || st.DiskHits != 3 || st.Demotions != st.Disk.Stores+st.Disk.Clean {
 		t.Fatalf("cache stats %+v: want each page written once, at least one clean demotion, three disk hits", st)
 	}
+	if st.Bytes == 0 || st.Arena.Live < st.Bytes || st.Arena.Carved < st.Arena.Live {
+		t.Fatalf("arena %+v for %d body bytes: want carved >= live >= the bodies", st.Arena, st.Bytes)
+	}
 	var sb strings.Builder
 	if err := n.Metrics().WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -440,6 +444,8 @@ func TestDiskTierOnMetricsAndShutdown(t *testing.T) {
 		fmt.Sprintf(`nakika_cache_bytes{tier="disk"} %d`+"\n", st.Disk.Bytes),
 		fmt.Sprintf(`nakika_cache_entries{tier="memory"} %d`+"\n", st.Entries),
 		fmt.Sprintf(`nakika_cache_entries{tier="disk"} %d`+"\n", st.Disk.Entries),
+		fmt.Sprintf(`nakika_cache_arena_bytes{state="carved"} %d`+"\n", st.Arena.Carved),
+		fmt.Sprintf(`nakika_cache_arena_bytes{state="live"} %d`+"\n", st.Arena.Live),
 	} {
 		if !strings.Contains(sb.String(), line) {
 			t.Errorf("exposition lacks %q", line)

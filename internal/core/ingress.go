@@ -25,6 +25,10 @@ import (
 // maxRequestBody bounds a client request's body at either entry point.
 const maxRequestBody = 8 << 20
 
+// maxReplyBuffer bounds the hit buffer a client connection keeps between
+// requests.
+const maxReplyBuffer = 64 << 10
+
 // redirectSuffix is what clients append to an origin's host name to reach
 // the node by DNS redirection (Section 3).
 const redirectSuffix = ".nakika.net"
@@ -194,11 +198,16 @@ func (n *Node) serveConn(rwc net.Conn) {
 
 	hc := httpmsg.NewHTTP1Conn(rwc)
 	clientIP := httpmsg.ClientIP(rwc.RemoteAddr().String())
+	// reply is the connection's buffer for the body of a cache hit
+	// (httpmsg.Request.SetReplyBuffer), reused from one response to the next.
+	// A script that reads a body in it reads a copy.
+	var reply []byte
 	for {
 		if hc.Await() != nil || !c.state.CompareAndSwap(connIdle, connActive) {
 			return
 		}
 		req := httpmsg.AcquireRequest()
+		req.SetReplyBuffer(&reply)
 		if err := hc.ReadRequest(req, maxRequestBody); err != nil {
 			req.Release()
 			var re *httpmsg.RequestError
@@ -230,6 +239,9 @@ func (n *Node) serveConn(rwc net.Conn) {
 		}
 		if release {
 			req.Release()
+		}
+		if cap(reply) > maxReplyBuffer {
+			reply = nil
 		}
 		if !hc.KeepAlive {
 			return

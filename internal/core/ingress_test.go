@@ -382,3 +382,65 @@ func TestServeHitAllocCeiling(t *testing.T) {
 		t.Errorf("origin fetched the page %d times, want 1 (every other request a cache hit)", hits)
 	}
 }
+
+// TestScriptCannotKeepTheConnectionsHitBuffer: a client connection copies
+// each cache hit's body into one buffer it reuses from request to request,
+// so a script that keeps the body it saw in a global must hold a copy of its
+// own, never that buffer. The site script keeps the body of the first hit on
+// a keep-alive connection (and writes into it) and reports it on every later
+// response; a later hit of another page, copied into the same buffer, must
+// not show through.
+func TestScriptCannotKeepTheConnectionsHitBuffer(t *testing.T) {
+	origin := newMemOrigin()
+	origin.addText("http://o.example/a", "aaaaaaaa", 3600)
+	origin.addText("http://o.example/b", "bbbbbbbb", 3600)
+	origin.addScript("http://o.example/nakika.js", `
+		var kept = null;
+		var p = new Policy();
+		p.url = [ "o.example/" ];
+		p.onResponse = function() {
+			var b = Response.body();
+			if (Request.getHeader("X-Keep")) { kept = b; }
+			if (kept != null) { Response.setHeader("X-Kept", kept.toString()); }
+			b[0] = 88;
+		};
+		p.register();
+	`)
+	n := newTestNode(t, "edge-kept", origin, nil)
+	for _, u := range []string{"http://o.example/a", "http://o.example/b"} {
+		if _, _, err := n.Handle(httpmsg.MustRequest("GET", u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := net.Dial("tcp", serveLoopback(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for i, c := range []struct{ path, keep, body, kept string }{
+		{"/a", "X-Keep: 1\r\n", "Xaaaaaaa", "aaaaaaaa"},
+		{"/b", "", "Xbbbbbbb", "Xaaaaaaa"},
+		{"/a", "", "Xaaaaaaa", "Xaaaaaaa"},
+		{"/b", "", "Xbbbbbbb", "Xaaaaaaa"},
+	} {
+		if _, err := io.WriteString(conn, "GET "+c.path+" HTTP/1.1\r\nHost: o.example\r\n"+c.keep+"\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != c.body || resp.Header.Get("X-Na-Kika-Node") == "" {
+			t.Fatalf("request %d, %s: %q, want %q", i, c.path, body, c.body)
+		}
+		if kept := resp.Header.Get("X-Kept"); kept != c.kept {
+			t.Errorf("request %d, %s: the body the script kept from the first hit reads %q, want %q", i, c.path, kept, c.kept)
+		}
+	}
+}

@@ -130,11 +130,11 @@ func TestLyingOriginCostsAtMostTheBound(t *testing.T) {
 	}
 }
 
-// TestStoredMissStaysIsolated: the cache keeps the buffer a miss's body was
-// read into, so the request that fetched and stored a page shares its bytes
-// with the cache until a script touches them. Its script writes into the
-// body from onResponse; the next request, a hit, serves the origin's bytes.
-// Through the streaming path (the large-object tier on) and through Do.
+// TestStoredMissStaysIsolated: the request that fetched and stored a page
+// goes on with the body it read, and the cache keeps a copy of its own. The
+// request's script writes into the body from onResponse; the next request, a
+// hit, serves the origin's bytes. Through the streaming path (the
+// large-object tier on) and through Do.
 func TestStoredMissStaysIsolated(t *testing.T) {
 	const page = "<p>origin bytes</p>"
 	const site = `

@@ -156,6 +156,10 @@ func (n *Node) buildRegistry() {
 		func() float64 { return float64(n.cache.Stats().Bytes) })
 	r.GaugeFunc("nakika_cache_bytes", "", metrics.Labels{"tier": "disk"},
 		func() float64 { return float64(n.cache.Stats().Disk.Bytes) })
+	r.GaugeFunc("nakika_cache_arena_bytes", "The memory tier's body storage, off the Go heap: slots carved from its chunks (what is resident) and slots in use; carved over live is fragmentation, live over the memory tier's nakika_cache_bytes size-class rounding.", metrics.Labels{"state": "carved"},
+		func() float64 { return float64(n.cache.Stats().Arena.Carved) })
+	r.GaugeFunc("nakika_cache_arena_bytes", "", metrics.Labels{"state": "live"},
+		func() float64 { return float64(n.cache.Stats().Arena.Live) })
 	r.GaugeFunc("nakika_cache_entries", "Entries held per tier; nakika_cache_bytes over this is what an entry holds.", metrics.Labels{"tier": "memory"},
 		func() float64 { return float64(n.cache.Stats().Entries) })
 	r.GaugeFunc("nakika_cache_entries", "", metrics.Labels{"tier": "disk"},

@@ -420,11 +420,10 @@ const maxExactBody = 64 << 10
 
 // ReadWhole reads a response body whole from r: length bytes, or all that r
 // holds up to io.EOF when length is -1 (unknown). A body declared no longer
-// than maxExactBody is read into one buffer of exactly its length, which a
-// cache keeps as it is (Response.StoredForm). A longer one, or one of
-// unknown length, is read into a buffer that grows with the bytes that
-// arrive, from maxExactBody or from 512 bytes. A body that ends before its
-// declared length is io.ErrUnexpectedEOF.
+// than maxExactBody is read into one buffer of exactly its length. A longer
+// one, or one of unknown length, is read into a buffer that grows with the
+// bytes that arrive, from maxExactBody or from 512 bytes. A body that ends
+// before its declared length is io.ErrUnexpectedEOF.
 func ReadWhole(r io.Reader, length int64) ([]byte, error) {
 	limit, size := length, min(length, maxExactBody)
 	if length < 0 {

@@ -88,18 +88,17 @@ func ReadResponse(r *wire.Reader) (*Response, error) {
 	if resp.Header, err = ReadHeader(r); err != nil {
 		return nil, err
 	}
-	if err := readResponseTail(r, &resp.Body, &resp.Generated, &resp.FromCache, &resp.Via, &resp.Fetched); err != nil {
+	if resp.Body, err = r.CopyBytes(); err != nil {
+		return nil, err
+	}
+	if err := readResponseFlags(r, &resp.Generated, &resp.FromCache, &resp.Via, &resp.Fetched); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
-// readResponseTail reads what follows the header in a response's encoding,
-// the body copied out of the reader's buffer at its exact length.
-func readResponseTail(r *wire.Reader, body *[]byte, generated, fromCache *bool, via *string, fetched *time.Time) (err error) {
-	if *body, err = r.CopyBytes(); err != nil {
-		return err
-	}
+// readResponseFlags reads what follows the body in a response's encoding.
+func readResponseFlags(r *wire.Reader, generated, fromCache *bool, via *string, fetched *time.Time) (err error) {
 	if *generated, err = r.Bool(); err != nil {
 		return err
 	}
@@ -133,18 +132,19 @@ type Stored struct {
 // Response decodes s into a fresh response: a new header map whose keys and
 // values are substrings of s.Header, with value slices of its own, so a
 // write into one response's header never shows in the next. The body is
-// s's, shared: read-only until Materialize copies it.
-func (s *Stored) Response() *Response {
-	n := len(s.Body)
+// s.Body, a copy nothing else holds: the response owns it, or, when it is
+// borrowed (a request's reply buffer, Request.ReplyBuffer), reads it until
+// Materialize copies it, as a Clone does.
+func (s *Stored) Response(borrowed bool) *Response {
 	return &Response{
 		Status:    s.Status,
 		Header:    DecodeHeader(s.Header),
-		Body:      s.Body[:n:n],
+		Body:      s.Body,
 		Generated: s.Generated,
 		FromCache: s.FromCache,
 		Via:       s.Via,
 		Fetched:   s.Fetched,
-		shared:    true,
+		shared:    borrowed,
 	}
 }
 
@@ -157,9 +157,16 @@ func AppendStored(buf []byte, s *Stored) []byte {
 	return appendResponseTail(buf, s.Body, s.Generated, s.FromCache, s.Via, s.Fetched)
 }
 
+// EncodeStored renders s as the self-describing payload EncodeResponse
+// writes for the response s was taken from.
+func EncodeStored(s *Stored) []byte {
+	buf := make([]byte, 0, 40+len(s.Header)+len(s.Body)+len(s.Via))
+	return AppendStored(append(buf, wire.Magic), s)
+}
+
 // DecodeStored parses an EncodeResponse payload into its stored form: the
-// header is checked and copied out as one string, the body at its exact
-// length, so the result keeps nothing of payload.
+// header is checked and copied out as one string, and the body aliases
+// payload, so a caller that keeps it past payload's reuse copies it.
 func DecodeStored(payload []byte) (Stored, error) {
 	r, err := wire.Payload(payload)
 	if err != nil {
@@ -175,10 +182,23 @@ func DecodeStored(payload []byte) (Stored, error) {
 		return Stored{}, err
 	}
 	s.Header = string(r.Buf[from:r.Off])
-	if err := readResponseTail(&r, &s.Body, &s.Generated, &s.FromCache, &s.Via, &s.Fetched); err != nil {
+	if s.Body, err = r.Bytes(); err != nil {
 		return Stored{}, err
 	}
-	return s, nil
+	if err := readResponseFlags(&r, &s.Generated, &s.FromCache, &s.Via, &s.Fetched); err != nil {
+		return Stored{}, err
+	}
+	return s, wholePayload(&r)
+}
+
+// wholePayload is the last check of every payload decoder: a payload the
+// decoder did not read to its end is not in this build's format, so it is
+// an error, never a silent misread.
+func wholePayload(r *wire.Reader) error {
+	if r.Len() != 0 {
+		return wire.ErrMalformed
+	}
+	return nil
 }
 
 // skipHeader reads past one AppendHeader-encoded header, checking that it is
@@ -313,7 +333,11 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ReadResponse(&r)
+	resp, err := ReadResponse(&r)
+	if err != nil {
+		return nil, err
+	}
+	return resp, wholePayload(&r)
 }
 
 // AppendRequest appends req's binary encoding (no magic byte):
@@ -381,5 +405,9 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ReadRequest(&r)
+	req, err := ReadRequest(&r)
+	if err != nil {
+		return nil, err
+	}
+	return req, wholePayload(&r)
 }

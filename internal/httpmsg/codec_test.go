@@ -76,6 +76,32 @@ func TestDecodeRejectsWhatIsNotAPayload(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingBytes: a payload with anything after its last
+// field is not in this build's format, so each decoder refuses it rather than
+// reading the fields it knows and dropping the rest.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	resp := &Response{Status: 200, Header: http.Header{"Etag": {`"v1"`}}, Body: []byte("body"), Via: "edge-1"}
+	req := MustRequest("GET", "http://site.example/resource")
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"DecodeResponse", EncodeResponse(resp), func(p []byte) error { _, err := DecodeResponse(p); return err }},
+		{"DecodeStored", EncodeResponse(resp), func(p []byte) error { _, err := DecodeStored(p); return err }},
+		{"DecodeRequest", EncodeRequest(req), func(p []byte) error { _, err := DecodeRequest(p); return err }},
+	} {
+		if err := c.decode(c.payload); err != nil {
+			t.Errorf("%s of a whole payload: %v", c.name, err)
+		}
+		for _, tail := range [][]byte{{0}, {1}, {0, 0, 0, 0}} {
+			if err := c.decode(append(bytes.Clone(c.payload), tail...)); err == nil {
+				t.Errorf("%s accepted a payload with % x after its last field", c.name, tail)
+			}
+		}
+	}
+}
+
 // TestResponseGolden pins the response encoding to bytes captured from the
 // build that still had the gob arm: its cache.get replies and its disk-cache
 // entries are read by this one.
@@ -192,7 +218,7 @@ func FuzzStoredHeader(f *testing.F) {
 		if err != nil || decoded.Header != s.Header {
 			t.Fatalf("DecodeStored: header %x, %v; want %x", decoded.Header, err, s.Header)
 		}
-		a, b := s.Response(), s.Response()
+		a, b := s.Response(true), s.Response(true)
 		for _, got := range []http.Header{a.Header, b.Header} {
 			if len(got) != len(h) {
 				t.Fatalf("decoded %d keys, want %d", len(got), len(h))

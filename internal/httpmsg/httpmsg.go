@@ -13,7 +13,6 @@
 package httpmsg
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -41,6 +40,8 @@ type Request struct {
 	terminated *Response
 	// Redirected records whether a script rewrote the URL.
 	Redirected bool
+	// replyLent says this request has lent its reply buffer (ReplyBuffer).
+	replyLent bool
 	// TraceID is the request's cross-node trace id (zero: untraced). The
 	// ingress node mints it; offload forwards carry it so both sides of a
 	// forwarded request record the same id.
@@ -48,6 +49,9 @@ type Request struct {
 	// urlBuf is the inline URL storage SetURLCopy points URL at, so pooled
 	// requests carry their URL without a per-request url.URL allocation.
 	urlBuf url.URL
+	// replyBuf is the buffer the request lends the body of a cache hit served
+	// in reply to it (ReplyBuffer), which its stager owns (SetReplyBuffer).
+	replyBuf *[]byte
 }
 
 // NewRequest builds a request for the given method and raw URL.
@@ -191,8 +195,8 @@ type Response struct {
 	Status int
 	// Header holds the response headers in canonical form.
 	Header http.Header
-	// Body is the entire instance of the resource. It may alias a cached
-	// copy (see Clone): call Materialize before writing into it.
+	// Body is the entire instance of the resource. It may alias another
+	// response's (see Clone): call Materialize before writing into it.
 	Body []byte
 	// Generated marks responses created by scripts (rather than fetched from
 	// the origin or the cache); generated responses skip origin fetching.
@@ -214,9 +218,8 @@ type Response struct {
 	rangeFrom, rangeTo int64
 	ranged             bool
 	// shared marks a Body that aliases another response's bytes (a Clone's,
-	// a cache hit's: Stored.Response, or one whose array a store kept:
-	// StoredForm). Such a Body is read-only until Materialize
-	// replaces it with a private copy.
+	// or a range of one) or a request's reply buffer (a cache hit's). Such a
+	// Body is read-only until Materialize replaces it with a private copy.
 	shared bool
 }
 
@@ -280,9 +283,9 @@ func (r *Response) ContentType() string {
 // body bytes. The clone's Body is a full slice expression over r's, so an
 // append to it never writes into r's array, and it is marked shared: it is
 // read-only until Materialize, which every script access to a body goes
-// through, gives the clone a private copy. A cache hit therefore copies no
-// bytes unless a script touches them. A body stream is shared too: streams
-// are read-only views over the segment tier.
+// through, gives the clone a private copy. The callers of one coalesced
+// fetch therefore share its bytes until a script touches them. A body stream
+// is shared too: streams are read-only views over the segment tier.
 func (r *Response) Clone() *Response {
 	n := len(r.Body)
 	return &Response{
@@ -302,43 +305,18 @@ func (r *Response) Clone() *Response {
 }
 
 // StoredForm returns the form a cache keeps r in (Stored): its header as
-// AppendHeader's bytes, its body and its scalar fields. When r owns its
-// body's array (it is not shared) and the array is no larger than the
-// allocator makes for the body (withinSizeClass), the stored form keeps that
-// array and r's body becomes shared: read-only until Materialize, as a cache
-// hit's is. A store then copies no bytes. Otherwise the stored body is one
-// exact copy, so it never pins an array much larger than itself and no write
-// through r can reach it. (No response body aliases a pooled buffer:
-// ReadResponse copies a body out of its payload.)
+// AppendHeader's bytes, and its body and scalar fields as they are. The body
+// is r's own: a cache copies it into storage of its own before r goes on.
 func (r *Response) StoredForm() Stored {
-	body := r.Body
-	if r.shared || !withinSizeClass(len(body), cap(body)) {
-		body = bytes.Clone(body)
-	} else {
-		r.shared = true
-	}
 	return Stored{
 		Status:    r.Status,
 		Header:    EncodeHeader(r.Header),
-		Body:      body[:len(body):len(body)],
+		Body:      r.Body,
 		Via:       r.Via,
 		Fetched:   r.Fetched,
 		Generated: r.Generated,
 		FromCache: r.FromCache,
 	}
-}
-
-// withinSizeClass reports whether an array of capacity c holding n bytes is
-// no larger than Go's allocator makes for n: it rounds a small request up
-// to a size class by at most an eighth, or 16 bytes among the smallest
-// classes, and one past 32 KiB up to whole 8 KiB pages. An exact-length
-// buffer (ReadWhole's) is always within it; one grown by doubling seldom is.
-func withinSizeClass(n, c int) bool {
-	slack := max(n/8, 16)
-	if n > 32<<10 {
-		slack = max(slack, 8<<10)
-	}
-	return c-n <= slack
 }
 
 // ---------------------------------------------------------------------------

@@ -41,6 +41,28 @@ func (r *Request) Release() {
 	requestPool.Put(r)
 }
 
+// SetReplyBuffer gives r a buffer to lend the body of a cache hit served in
+// reply to it (ReplyBuffer): *buf, grown as needed. The caller owns *buf and
+// gives it to its next request once the response to r is written; a body
+// in it is borrowed, read-only until Materialize copies it, so no script
+// keeps a hold on it. A connection of the client port keeps one such
+// buffer, so a warm hit allocates no body.
+func (r *Request) SetReplyBuffer(buf *[]byte) { r.replyBuf = buf }
+
+// ReplyBuffer returns n bytes for the body of a response served in reply to
+// r: the buffer SetReplyBuffer gave r, lent once, with borrowed set, or else
+// a fresh one the response may own (a nil r gets a fresh one too).
+func (r *Request) ReplyBuffer(n int) (b []byte, borrowed bool) {
+	if r == nil || r.replyBuf == nil || r.replyLent {
+		return make([]byte, n), false
+	}
+	r.replyLent = true
+	if cap(*r.replyBuf) < n {
+		*r.replyBuf = make([]byte, n)
+	}
+	return (*r.replyBuf)[:n:n], true
+}
+
 // SetURLCopy points the request at a copy of u stored inside the request's
 // own allocation, so pooled requests do not allocate a url.URL per call.
 func (r *Request) SetURLCopy(u *url.URL) {

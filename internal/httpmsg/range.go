@@ -62,7 +62,7 @@ func (r *Response) SetStream(s BodyStream) {
 // Materialize gives the response a Body of its own before whole-body
 // consumers (scripts, codecs) operate on it. A streamed body is resolved into
 // memory; for a ranged response the active range is. A shared body (a
-// Clone's, aliasing a cached copy, or one a store has kept) is copied, so no
+// Clone's, or a cache hit's in its request's reply buffer) is copied, so no
 // write through it reaches another response. No-op for a body the response
 // already owns.
 func (r *Response) Materialize() error {

@@ -160,10 +160,10 @@ func (n *Native) Kind() Kind { return KindNative }
 // ByteArray is NKScript's core binary data type, added (as in the paper's
 // SpiderMonkey modification) to avoid copying message bodies between the
 // runtime and the scripting engine. The underlying buffer is shared between
-// the host and the script. A body the cache owns is the exception: a cache
-// hit shares the stored bytes, so the vocabulary copies them
-// (httpmsg.Response.Materialize) before a script sees them, and a script's
-// writes reach only its own response.
+// the host and the script. A body another response shares is the exception:
+// the callers of one coalesced fetch share its bytes, so the vocabulary
+// copies them (httpmsg.Response.Materialize) before a script sees them, and
+// a script's writes reach only its own response.
 type ByteArray struct {
 	Data []byte
 }
