@@ -50,6 +50,7 @@ var requiredSeries = []string{
 	"nakika_lob_slab_segments",
 	"nakika_lob_slab_bytes",
 	"nakika_lob_slab_live_bytes",
+	"nakika_segment_index_bytes",
 	"nakika_store_wal_appends_total",
 	"nakika_store_fsync_batches_total",
 	"nakika_store_fence_rejects_total",

@@ -5,20 +5,22 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+
+	"nakika/internal/offheap"
 )
 
-// The memory tier keeps its bodies in an arena of its own, off the Go heap.
-// The collector neither scans those bytes nor counts them towards its heap
-// goal, which by default lets the heap grow to twice what is live; so a
+// The memory tier keeps its keys and bodies in an arena of its own, off the
+// Go heap. The collector neither scans those bytes nor counts them towards its
+// heap goal, which by default lets the heap grow to twice what is live; so a
 // cached byte costs one byte of memory, not two.
 //
-// A body is kept in a slot of its size class. A class rounds a length up by
-// less than an eighth (a body of at most 16 bytes takes 16). Slots are carved
+// A key or a body is kept in a slot of its size class. A class rounds a
+// length up by less than an eighth (at most 16 bytes take 16). Slots are carved
 // from chunks of 1 MiB, one class per chunk, or from a chunk of its own when
 // the slot is larger. A chunk is mapped from the operating system
-// (arena_unix.go; elsewhere it is a heap allocation, arena_other.go) and goes
-// back as soon as no slot of it is in use; a released slot is reused before a
-// new one is carved.
+// (offheap.Map; a heap allocation where there is no mmap) and goes back as
+// soon as no slot of it is in use; a released slot is reused before a new one
+// is carved.
 //
 // No slice of the arena leaves the package. A reader copies what it keeps
 // under the lock of the shard whose entry owns the slot, and a slot is
@@ -35,7 +37,7 @@ const (
 	numClasses   = 1 + (maxClassBits-4)*8
 )
 
-// slotClass returns the class of an n-byte body, n > 0, and its slot size.
+// slotClass returns the class of n bytes, n > 0, and its slot size.
 // Past 16 bytes a class is one of eight steps between two powers of two:
 // with 2^(b-1) < n <= 2^b, n rounds up to a multiple of 2^(b-4), which is
 // less than n/8.
@@ -64,7 +66,7 @@ type chunk struct {
 	listed     bool
 }
 
-// arena is the memory tier's body storage. Its counters are what Stats
+// arena is the memory tier's key and body storage. Its counters are what Stats
 // reports as ArenaStats.
 type arena struct {
 	mu        sync.Mutex
@@ -75,11 +77,11 @@ type arena struct {
 	onRelease func(slot []byte) // test hook: sees each slot as it is released
 }
 
-// ArenaStats reports the memory tier's body storage. Carved is the bytes of
-// slots ever handed out of the chunks mapped now, which is what the arena
-// holds resident; Live is the bytes of the slots in use. Live less the
-// cache's Bytes is what size classes round up; Carved less Live is released
-// slots waiting for reuse in chunks that still hold a live one.
+// ArenaStats reports the memory tier's key and body storage. Carved is the
+// bytes of slots ever handed out of the chunks mapped now, which is what the
+// arena holds resident; Live is the bytes of the slots in use. Live less the
+// cache's Bytes is the keys and what size classes round up; Carved less Live
+// is released slots waiting for reuse in chunks that still hold a live one.
 type ArenaStats struct {
 	Carved int64
 	Live   int64
@@ -94,7 +96,7 @@ func newArena() *arena {
 	return a
 }
 
-// alloc returns a slot for an n-byte body, n > 0, as the slice of its first
+// alloc returns a slot for n bytes, n > 0, as the slice of its first
 // n bytes and the chunk it lies in, or a nil chunk when no chunk could be
 // mapped. The slice's capacity runs to the chunk's end, which is how free
 // finds the slot again; nothing in the package appends to it.
@@ -104,7 +106,7 @@ func (a *arena) alloc(n int) (*chunk, []byte) {
 	defer a.mu.Unlock()
 	c := a.open[class]
 	if c == nil {
-		mem := mapChunk(max(chunkSize, size))
+		mem := offheap.Map(max(chunkSize, size))
 		if mem == nil {
 			return nil, nil
 		}
@@ -146,13 +148,19 @@ func (a *arena) free(c *chunk, b []byte) {
 		a.unlist(c)
 		a.carved -= int64(c.carved)
 		delete(a.chunks, c)
-		unmapChunk(c.mem)
+		offheap.Unmap(c.mem)
 		c.mem = nil
 		return
 	}
 	binary.LittleEndian.PutUint32(c.mem[off:], uint32(c.free))
 	c.free = off + 1
 	a.list(c)
+}
+
+// release frees e's key and body slots.
+func (a *arena) release(e *entry) {
+	a.free(e.keyChunk, e.key())
+	a.free(e.chunk, e.Body)
 }
 
 func (a *arena) list(c *chunk) {
@@ -192,6 +200,6 @@ func (a *arena) stats() ArenaStats {
 // unmapAll gives every chunk back; the finalizer of an arena nothing reaches.
 func (a *arena) unmapAll() {
 	for c := range a.chunks {
-		unmapChunk(c.mem)
+		offheap.Unmap(c.mem)
 	}
 }

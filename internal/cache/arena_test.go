@@ -159,31 +159,32 @@ func TestArenaLifetime(t *testing.T) {
 func TestArenaAccounting(t *testing.T) {
 	c := New(Config{})
 	_, slot := slotClass(1000)
+	_, keySlot := slotClass(len("k0")) // each key takes a slot of its own, in a chunk of the smallest class
 	for i := range 3 {
 		c.Put(fmt.Sprint("k", i), okResponse(string(bytes.Repeat([]byte{'x'}, 1000))))
 	}
-	if a := c.Stats().Arena; a != (ArenaStats{Carved: int64(3 * slot), Live: int64(3 * slot), Chunks: 1}) {
-		t.Fatalf("three 1000-byte bodies: %+v, want three %d-byte slots in one chunk", a, slot)
+	if a := c.Stats().Arena; a != (ArenaStats{Carved: int64(3 * (slot + keySlot)), Live: int64(3 * (slot + keySlot)), Chunks: 2}) {
+		t.Fatalf("three 1000-byte bodies: %+v, want three %d-byte slots in one chunk and their keys' in another", a, slot)
 	}
 	c.Invalidate("k1")
-	if a := c.Stats().Arena; a.Carved != int64(3*slot) || a.Live != int64(2*slot) {
+	if a := c.Stats().Arena; a.Carved != int64(3*(slot+keySlot)) || a.Live != int64(2*(slot+keySlot)) {
 		t.Fatalf("after one invalidation: %+v", a)
 	}
 	c.Put("k3", okResponse(string(bytes.Repeat([]byte{'y'}, 990))))
-	if a := c.Stats().Arena; a.Carved != int64(3*slot) || a.Live != int64(3*slot) {
+	if a := c.Stats().Arena; a.Carved != int64(3*(slot+keySlot)) || a.Live != int64(3*(slot+keySlot)) {
 		t.Fatalf("a body of the same class reuses the released slot: %+v", a)
 	}
 	if got := c.Get("k3"); got == nil || string(got.Body) != string(bytes.Repeat([]byte{'y'}, 990)) {
 		t.Fatalf("the reused slot reads %v", got)
 	}
 	c.Put("empty", okResponse(""))
-	if got := c.Get("empty"); got == nil || got.Body != nil || c.Stats().Arena.Live != int64(3*slot) {
-		t.Fatalf("an empty body takes no slot: %+v, %+v", got, c.Stats().Arena)
+	if got := c.Get("empty"); got == nil || got.Body != nil || c.Stats().Arena.Live != int64(3*(slot+keySlot)+keySlot) {
+		t.Fatalf("an empty body takes no slot, its key one: %+v, %+v", got, c.Stats().Arena)
 	}
-	for _, k := range []string{"k0", "k2", "k3"} {
+	for _, k := range []string{"k0", "k2", "k3", "empty"} {
 		c.Invalidate(k)
 	}
 	if a := c.Stats().Arena; a != (ArenaStats{}) {
-		t.Fatalf("with no body left the arena holds %+v", a)
+		t.Fatalf("with no entry left the arena holds %+v", a)
 	}
 }

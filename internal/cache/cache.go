@@ -11,10 +11,13 @@
 //     binary codec writes it (httpmsg.Stored): the header as AppendHeader's
 //     bytes in one string, the body, and the scalar fields, on an intrusive
 //     LRU list; a hit decodes the header into a map of its own, and the
-//     disk tier (Disk) writes and reads the same bytes. The bodies live off
-//     the Go heap, in an arena of size-class slots the cache owns
-//     (arena.go): a store copies the body into a slot, and every reader
-//     copies it out, under the shard lock, into memory of its own. A client
+//     disk tier (Disk) writes and reads the same bytes. Keys and bodies live
+//     off the Go heap, in an arena of size-class slots the cache owns
+//     (arena.go): a store copies the key and the body into a slot each, a
+//     shard files the entry under the key's seeded 64-bit hash (hashKey,
+//     the disk tier's too) and a lookup compares the key in its slot, so a
+//     key that shares another's hash is a miss; every reader copies the
+//     body out, under the shard lock, into memory of its own. A client
 //     hit copies into the buffer its connection lends the request
 //     (httpmsg.Request.SetReplyBuffer), a peer's fetch into its encoded
 //     reply (Encoded). It owns the freshness decision (Expiry) for every tier of
@@ -26,6 +29,7 @@
 package cache
 
 import (
+	"hash/maphash"
 	"net/http"
 	"strings"
 	"sync"
@@ -119,25 +123,46 @@ func shardCount(cfg Config) int {
 	return n
 }
 
+// keySeed seeds hashKey. It is the process's own, so no client can choose
+// keys that collide.
+var keySeed = maphash.MakeSeed()
+
+// hashKey is the hash both tiers file a key under: a memory entry demotes
+// under the hash it was stored with. Tests swap it to force collisions.
+var hashKey = func(key string) uint64 { return maphash.String(keySeed, key) }
+
 // entry is one cached response, in the form the codec writes it, on its
 // shard's LRU list. Its Body is a slot of the cache's arena, in chunk (nil
-// for an empty body), read only under the shard lock. Only its list links
-// change once it is stored, under the shard lock: a renewal swaps in a new
-// entry, which takes over the slot.
+// for an empty body), and its key another, at keyOff in keyChunk (nil for an
+// empty key); both are read only under the shard lock. The key has a slot of
+// its own because a body's length is often a class's slot size exactly
+// (SPECweb's 1 KiB and 10 KiB are), which a key beside it would take into
+// the next class. Only its list links change once it is stored, under the shard
+// lock: a renewal swaps in a new entry, which takes over the slots.
 type entry struct {
 	httpmsg.Stored
-	key        string
-	expires    time.Time
-	chunk      *chunk
-	prev, next *entry
+	hash           uint64
+	expires        time.Time
+	chunk          *chunk
+	keyChunk       *chunk
+	keyOff, keyLen uint32
+	prev, next     *entry
+}
+
+// key returns the entry's key, in its arena slot.
+func (e *entry) key() []byte {
+	if e.keyChunk == nil {
+		return nil
+	}
+	return e.keyChunk.mem[e.keyOff : e.keyOff+e.keyLen]
 }
 
 // shard is one independently locked slice of the cache.
 type shard struct {
 	arena      *arena
 	mu         sync.Mutex
-	entries    map[string]*entry
-	lru        entry // sentinel of the LRU ring: lru.next is the most recently used entry
+	entries    map[uint64]*entry // by hashKey
+	lru        entry             // sentinel of the LRU ring: lru.next is the most recently used entry
 	bytes      int64
 	maxEntries int
 	maxBytes   int64
@@ -171,7 +196,6 @@ func New(cfg Config) *Cache {
 	for i := range cache.shards {
 		cache.shards[i] = &shard{
 			arena:      cache.arena,
-			entries:    make(map[string]*entry),
 			maxEntries: c.MaxEntries / n,
 			maxBytes:   c.MaxBytes / int64(n),
 		}
@@ -190,18 +214,17 @@ func (c *Cache) L2() *Disk { return c.l2.Load() }
 // node swaps tiers across simulated crash/restart cycles.
 func (c *Cache) SetL2(d *Disk) { c.l2.Store(d) }
 
-// shard returns the shard owning key (FNV-1a over the key).
-func (c *Cache) shard(key string) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
+// shard returns the shard owning the key with hash h.
+func (c *Cache) shard(h uint64) *shard { return c.shards[h&c.mask] }
+
+// lookupLocked returns key's entry, which has hash h; an entry of another
+// key that shares the hash is not key's.
+func (sh *shard) lookupLocked(h uint64, key string) (*entry, bool) {
+	e, ok := sh.entries[h]
+	if !ok || string(e.key()) != key {
+		return nil, false
 	}
-	return c.shards[h&c.mask]
+	return e, true
 }
 
 // Expiry returns the instant until which a shared cache may serve a response
@@ -275,9 +298,10 @@ func (c *Cache) Encoded(key string) ([]byte, time.Time, bool) {
 // the miss and returns the entry's expiry.
 func (c *Cache) read(key string, copyOut func(httpmsg.Stored)) (time.Time, bool) {
 	now := c.cfg.Clock()
-	sh := c.shard(key)
+	h := hashKey(key)
+	sh := c.shard(h)
 	sh.mu.Lock()
-	e, ok := sh.entries[key]
+	e, ok := sh.lookupLocked(h, key)
 	if ok && !expired(e.expires, now) {
 		sh.moveToFrontLocked(e)
 		copyOut(e.Stored)
@@ -290,7 +314,7 @@ func (c *Cache) read(key string, copyOut func(httpmsg.Stored)) (time.Time, bool)
 		c.expired.Add(1)
 	}
 	sh.mu.Unlock()
-	return c.readL2(key, copyOut)
+	return c.readL2(h, key, copyOut)
 }
 
 // Until reports whether key has a fresh entry and until when — the expiry
@@ -298,9 +322,10 @@ func (c *Cache) read(key string, copyOut func(httpmsg.Stored)) (time.Time, bool)
 // else the disk tier's.
 func (c *Cache) Until(key string) (time.Time, bool) {
 	now := c.cfg.Clock()
-	sh := c.shard(key)
+	h := hashKey(key)
+	sh := c.shard(h)
 	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok && !expired(e.expires, now) {
+	if e, ok := sh.lookupLocked(h, key); ok && !expired(e.expires, now) {
 		expires := e.expires
 		sh.mu.Unlock()
 		return expires, true
@@ -317,7 +342,7 @@ func (c *Cache) Until(key string) (time.Time, bool) {
 // record's header bytes as they are and its body into an arena slot. The
 // disk copy stays in place until it expires or the disk budget evicts it, so
 // the tier is inclusive: a later crash still rewarms from it.
-func (c *Cache) readL2(key string, copyOut func(httpmsg.Stored)) (time.Time, bool) {
+func (c *Cache) readL2(h uint64, key string, copyOut func(httpmsg.Stored)) (time.Time, bool) {
 	d := c.l2.Load()
 	if d == nil {
 		c.misses.Add(1)
@@ -325,7 +350,7 @@ func (c *Cache) readL2(key string, copyOut func(httpmsg.Stored)) (time.Time, boo
 	}
 	expires, ok := d.get(key, func(s httpmsg.Stored, expires time.Time) {
 		copyOut(s)
-		c.putEntry(key, s, expires)
+		c.putEntry(h, key, s, expires)
 	})
 	if !ok {
 		c.misses.Add(1)
@@ -358,7 +383,7 @@ func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) 
 	if resp == nil || resp.Stream != nil || !resp.Cacheable() || expired(expires, c.cfg.Clock()) {
 		return false
 	}
-	return c.putEntry(key, resp.StoredForm(), expires)
+	return c.putEntry(hashKey(key), key, resp.StoredForm(), expires)
 }
 
 // Refresh revalidates the stored entry for key against a 304 Not Modified.
@@ -369,7 +394,7 @@ func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) 
 // Expiry from now. A renewal that makes the response one a shared cache may
 // not store (the 304 says no-store) drops the entry instead. The renewed
 // entry is a new one swapped in under the shard lock, which takes over the
-// old one's body slot, so a hit never sees a half-updated header. The 304
+// old one's slots, so a hit never sees a half-updated header. The 304
 // itself is never stored — it has no body, so storing it would later serve
 // an empty page. Returns whether a stored entry was renewed.
 func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
@@ -377,10 +402,11 @@ func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 		return false
 	}
 	now := c.cfg.Clock()
-	sh := c.shard(key)
+	hash := hashKey(key)
+	sh := c.shard(hash)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
+	e, ok := sh.lookupLocked(hash, key)
 	if !ok {
 		return false
 	}
@@ -397,11 +423,12 @@ func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 		sh.dropLocked(e)
 		return false
 	}
-	renewed := &entry{Stored: e.Stored, key: key, expires: c.Expiry(h, now), chunk: e.chunk}
+	renewed := *e
+	renewed.expires = c.Expiry(h, now)
 	renewed.Header = httpmsg.EncodeHeader(h)
 	renewed.Fetched = now
 	sh.removeLocked(e)
-	sh.insertLocked(renewed)
+	sh.insertLocked(&renewed)
 	return true
 }
 
@@ -426,26 +453,35 @@ func validates(nm, stored http.Header) bool {
 	return stored.Get("Etag") == "" && stored.Get("Last-Modified") == ""
 }
 
-// putEntry files s under key, its body copied into an arena slot.
-func (c *Cache) putEntry(key string, s httpmsg.Stored, expires time.Time) bool {
-	sh := c.shard(key)
+// putEntry files s under key, which has hash h, with the key and the body
+// copied into arena slots. It supersedes the entry filed under h, whether
+// key's or another's.
+func (c *Cache) putEntry(h uint64, key string, s httpmsg.Stored, expires time.Time) bool {
+	sh := c.shard(h)
 	if int64(len(s.Body)) > sh.maxBytes {
 		// The response cannot survive in this shard's byte budget: storing
 		// it would only evict the shard and self-evict. Report it unstored
 		// so the node does not publish a copy it cannot hold.
 		return false
 	}
-	e := &entry{Stored: s, key: key, expires: expires}
+	e := &entry{Stored: s, hash: h, expires: expires}
+	if len(key) > 0 {
+		kc, slot := c.arena.alloc(len(key))
+		if kc == nil {
+			return false
+		}
+		e.keyChunk, e.keyOff, e.keyLen = kc, uint32(len(kc.mem)-cap(slot)), uint32(copy(slot, key))
+	}
+	e.Body = nil
 	if len(s.Body) > 0 {
 		if e.chunk, e.Body = c.arena.alloc(len(s.Body)); e.chunk == nil {
+			c.arena.release(e)
 			return false
 		}
 		copy(e.Body, s.Body)
-	} else {
-		e.Body = nil
 	}
 	sh.mu.Lock()
-	if old, ok := sh.entries[key]; ok {
+	if old, ok := sh.entries[h]; ok {
 		sh.dropLocked(old)
 	}
 	sh.insertLocked(e)
@@ -469,10 +505,10 @@ func (c *Cache) demote(evicted []*entry) {
 	now := c.cfg.Clock()
 	for _, e := range evicted {
 		if d != nil && !expired(e.expires, now) {
-			d.put(e.key, &e.Stored, e.expires)
+			d.put(e.hash, e.key(), &e.Stored, e.expires)
 			c.demotions.Add(1)
 		}
-		c.arena.free(e.chunk, e.Body)
+		c.arena.release(e)
 	}
 }
 
@@ -492,7 +528,7 @@ func (c *Cache) FlushToDisk() {
 		sh.mu.Lock()
 		for _, e := range sh.entries {
 			if !expired(e.expires, now) {
-				d.put(e.key, &e.Stored, e.expires)
+				d.put(e.hash, e.key(), &e.Stored, e.expires)
 				c.demotions.Add(1)
 			}
 		}
@@ -509,10 +545,11 @@ func (c *Cache) Invalidate(key string) {
 	if d := c.l2.Load(); d != nil {
 		d.Invalidate(key)
 	}
-	sh := c.shard(key)
+	h := hashKey(key)
+	sh := c.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[key]; ok {
+	if e, ok := sh.lookupLocked(h, key); ok {
 		sh.dropLocked(e)
 	}
 }
@@ -566,36 +603,36 @@ func (c *Cache) Stats() Stats {
 // size is what an entry counts against its shard's byte budget.
 func (e *entry) size() int64 { return int64(len(e.Body)) }
 
-// clearLocked empties the shard and releases every body.
+// clearLocked empties the shard and releases every slot.
 func (sh *shard) clearLocked() {
 	for _, e := range sh.entries {
-		sh.arena.free(e.chunk, e.Body)
+		sh.arena.release(e)
 	}
-	sh.entries = make(map[string]*entry)
+	sh.entries = make(map[uint64]*entry)
 	sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 	sh.bytes = 0
 }
 
-// insertLocked files e under its key as the most recently used entry.
+// insertLocked files e under its hash as the most recently used entry.
 func (sh *shard) insertLocked(e *entry) {
-	sh.entries[e.key] = e
+	sh.entries[e.hash] = e
 	sh.pushFrontLocked(e)
 	sh.bytes += e.size()
 }
 
-// removeLocked takes e off the shard and leaves its body slot to the
-// caller: to release after a disk write, or to hand to a renewed entry.
+// removeLocked takes e off the shard and leaves its slots to the caller: to
+// release after a disk write, or to hand to a renewed entry.
 func (sh *shard) removeLocked(e *entry) {
-	delete(sh.entries, e.key)
+	delete(sh.entries, e.hash)
 	e.prev.next, e.next.prev = e.next, e.prev
 	e.prev, e.next = nil, nil
 	sh.bytes -= e.size()
 }
 
-// dropLocked removes e and releases its body slot.
+// dropLocked removes e and releases its slots.
 func (sh *shard) dropLocked(e *entry) {
 	sh.removeLocked(e)
-	sh.arena.free(e.chunk, e.Body)
+	sh.arena.release(e)
 }
 
 func (sh *shard) pushFrontLocked(e *entry) {

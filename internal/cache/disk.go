@@ -22,15 +22,18 @@ import (
 // (key, expiry, the response codec), expiry, and the rule that an entry
 // already on disk unchanged is not written again. The index is rebuilt by
 // replaying the segments at open, so a restarted node rewarms from disk
-// instead of hammering the origin.
+// instead of hammering the origin. It holds no key, only the key's hash
+// (hashKey, the memory tier's), so a read compares the key in the record:
+// two keys that share a hash share an index entry, the later one's, and a
+// read of the other is a miss that drops it.
 //
 // A record's response is the memory tier's entry as it is (httpmsg.Stored):
-// a demotion appends the entry's header bytes without re-encoding them, and
-// a promotion reads the record into a pooled buffer, copies the header bytes
-// out of it as one string and the body straight into the memory tier's
-// arena. Promotion copies the entry up and leaves the record in place (an
-// inclusive hierarchy: the next crash still finds it), so the next demotion
-// of an unchanged entry writes nothing.
+// a demotion appends the entry's key and header bytes without building a
+// string or re-encoding them, and a promotion reads the record into a pooled
+// buffer, copies the header bytes out of it as one string and the body
+// straight into the memory tier's arena. Promotion copies the entry up and
+// leaves the record in place (an inclusive hierarchy: the next crash still
+// finds it), so the next demotion of an unchanged entry writes nothing.
 type Disk struct {
 	clock func() time.Time
 
@@ -58,7 +61,7 @@ const maxPooledRecord = 1 << 20
 // followed by the response as a self-describing httpmsg payload, which
 // httpmsg.AppendResponse writes for a response and httpmsg.AppendStored, the
 // same bytes, for an entry of the memory tier.
-func appendDiskKey(buf []byte, key string, expires int64) []byte {
+func appendDiskKey[K string | []byte](buf []byte, key K, expires int64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	buf = append(buf, key...)
 	return binary.BigEndian.AppendUint64(buf, uint64(expires))
@@ -90,17 +93,17 @@ func OpenDisk(fs store.FS, maxBytes int64, clock func() time.Time) (*Disk, error
 		clock = time.Now
 	}
 	now := clock()
-	log, err := store.OpenSegLog(fs, maxBytes, func(p []byte) (string, int64, bool, bool) {
+	log, err := store.OpenSegLog(fs, maxBytes, func(p []byte) (uint64, int64, bool, bool) {
 		key, expires, body, ok := splitDiskPayload(p)
 		if !ok {
-			return "", 0, false, false
+			return 0, 0, false, false
 		}
 		live := !expired(time.Unix(0, expires), now)
 		if live {
 			_, err := httpmsg.DecodeStored(body)
 			live = err == nil
 		}
-		return string(key), expires, live, true
+		return hashKey(string(key)), expires, live, true
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cache: scan disk tier: %w", err)
@@ -121,29 +124,30 @@ func (d *Disk) Put(key string, resp *httpmsg.Response, expires time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.payload = httpmsg.AppendResponse(append(appendDiskKey(d.payload[:0], key, expires.UnixNano()), wire.Magic), resp)
-	d.appendLocked(key, expires)
+	d.appendLocked(hashKey(key), expires)
 }
 
 // put is Put for an entry of the memory tier, which a shared cache may
-// store by construction: its stored header goes into the record as it is.
-func (d *Disk) put(key string, s *httpmsg.Stored, expires time.Time) {
+// store by construction: its key, with the hash it has in both tiers, and
+// its stored header go into the record as they are.
+func (d *Disk) put(hash uint64, key []byte, s *httpmsg.Stored, expires time.Time) {
 	if expired(expires, d.clock()) {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.payload = httpmsg.AppendStored(append(appendDiskKey(d.payload[:0], key, expires.UnixNano()), wire.Magic), s)
-	d.appendLocked(key, expires)
+	d.appendLocked(hash, expires)
 }
 
-// appendLocked appends the record built in d.payload for key, unless the one
-// on disk is the same and not aging.
-func (d *Disk) appendLocked(key string, expires time.Time) {
+// appendLocked appends the record built in d.payload under hash, unless the
+// one on disk is the same and not aging.
+func (d *Disk) appendLocked(hash uint64, expires time.Time) {
 	exp := expires.UnixNano()
 	head := store.FrameHead(d.payload)
-	if old, ok := d.log.Lookup(key); ok && old.Word == exp && old.Head == head && !d.log.Aging(old) {
+	if old, ok := d.log.Lookup(hash); ok && old.Word == exp && old.Head == head && !d.log.Aging(old) {
 		d.clean.Add(1)
-	} else if d.log.Append(key, exp, head, d.payload) == nil {
+	} else if d.log.Append(hash, exp, head, d.payload) == nil {
 		d.stores.Add(1)
 	}
 	// Let go of a buffer that one unusually large entry grew, so the tier
@@ -175,10 +179,11 @@ func (d *Disk) Get(key string) (*httpmsg.Response, time.Time, bool) {
 // reused once use returns.
 func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time)) (time.Time, bool) {
 	now := d.clock()
+	hash := hashKey(key)
 	d.mu.Lock()
-	ref, ok := d.log.Lookup(key)
+	ref, ok := d.log.Lookup(hash)
 	if ok && expired(time.Unix(0, ref.Word), now) {
-		d.log.Forget(key, ref)
+		d.log.Forget(hash, ref)
 		ok = false
 	}
 	d.mu.Unlock()
@@ -199,7 +204,7 @@ func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time)) (t
 			return time.Unix(0, ref.Word), true
 		}
 		d.mu.Lock()
-		d.log.Forget(key, ref)
+		d.log.Forget(hash, ref)
 		d.mu.Unlock()
 	}
 	d.misses.Add(1)
@@ -207,10 +212,10 @@ func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time)) (t
 }
 
 // Until reports whether key's indexed record is fresh and until when, without
-// reading it.
+// reading it: so the record may be another key's that shares key's hash.
 func (d *Disk) Until(key string) (time.Time, bool) {
 	d.mu.Lock()
-	ref, ok := d.log.Lookup(key)
+	ref, ok := d.log.Lookup(hashKey(key))
 	d.mu.Unlock()
 	expires := time.Unix(0, ref.Word)
 	return expires, ok && !expired(expires, d.clock())
@@ -236,7 +241,7 @@ func (d *Disk) Invalidate(key string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.payload = appendDiskKey(d.payload[:0], key, 0)
-	d.log.Tombstone(key, store.FrameHead(d.payload), d.payload)
+	d.log.Tombstone(hashKey(key), store.FrameHead(d.payload), d.payload)
 }
 
 // Close closes the log. The tier still answers Get afterwards but stores

@@ -280,7 +280,7 @@ func TestExpiryInstantIsStaleInBothTiers(t *testing.T) {
 	now = expires
 	c2.Put("y", page("y")) // evicts x at its expiry instant
 	c2.FlushToDisk()
-	if _, ok := d.log.Lookup("x"); ok {
+	if _, ok := d.log.Lookup(hashKey("x")); ok {
 		t.Error("an entry evicted at its expiry instant was demoted")
 	}
 }
@@ -1049,7 +1049,7 @@ func FuzzDiskSegment(f *testing.F) {
 		for key := range keys {
 			if _, _, ok := d.Get(key); ok {
 				hits++
-			} else if _, still := d.log.Lookup(key); still {
+			} else if _, still := d.log.Lookup(hashKey(key)); still {
 				t.Errorf("%q: a miss, and still indexed", key)
 			}
 		}

@@ -44,14 +44,16 @@ func specwebReplies(n int) ([]byte, int) {
 // heap after a collection plus the arena's carved bytes, less the body
 // bytes, is divided among the entries. It counts the key, the entry with its
 // header bytes, the shard maps, and what the arena's size classes and chunk
-// bookkeeping add to the bodies. Measured on go1.24 amd64: 407 B (406 B when
-// the bodies were on the heap, 965 B when an entry held a cloned
+// bookkeeping add to the bodies. Measured on go1.24 amd64: 399 B, of which
+// 56 B is the key's arena slot and 343 B heap (407 B, all of it heap, when
+// the key was a string on the heap and the shard maps were keyed by it;
+// 406 B when the bodies were on the heap, 965 B when an entry held a cloned
 // *httpmsg.Response on a list element of its own).
 func TestMemoryTierBytesPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the tier's")
 	}
-	const n, ceiling = 4096, 420
+	const n, ceiling = 4096, 400
 	wire, bodies := specwebReplies(n)
 	now := time.Unix(1792238400, 0)
 	var before, after runtime.MemStats
@@ -88,6 +90,67 @@ func TestMemoryTierBytesPerEntry(t *testing.T) {
 	}
 	runtime.KeepAlive(c)
 	runtime.KeepAlive(wire)
+}
+
+// TestDiskIndexBytesPerEntry holds what the disk tier's index spends on one
+// entry: 8 192 entries under cache_churn-shaped keys (its 8 192 SPECweb
+// files, as a node's cache keys them) are demoted to a tier on real files, and
+// the live heap after a collection and the bytes the index maps are divided
+// among them. The heap is what the log keeps per record beside the index
+// (its segment's list of key hashes, for reclaiming); the mapped bytes are
+// the index's slots, which the collector does not see. Measured on go1.24
+// amd64: 8 to 9 B of heap, the 8-byte hash per record, and 80 B mapped (a Go
+// map from key strings to records, with each segment's list of those
+// strings, cost 191 B of heap). The ceilings are those plus about 5 %.
+func TestDiskIndexBytesPerEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the tier's")
+	}
+	const n, heapCeiling, mappedCeiling = 8192, 10, 84
+	now := time.Unix(1792238400, 0)
+	fs, err := store.NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte{'x'}, 1<<10)
+	stored := &httpmsg.Stored{Status: 200, Header: string(httpmsg.AppendHeader(nil, http.Header{
+		"Cache-Control":  {"max-age=3600"},
+		"Content-Length": {"1024"},
+		"Content-Type":   {"application/octet-stream"},
+		"Date":           {"Sat, 17 Oct 2026 12:00:00 GMT"},
+	})), Body: body, Fetched: now}
+	keys := make([][]byte, n)
+	for k := range keys {
+		keys[k] = []byte(fmt.Sprintf("GET http://127.0.0.1:40123/file_set/dir/class%d_%d?v=%d", k%5/2%2, k%9, k))
+	}
+	// Two collections: the first queues the finalizers of what earlier
+	// tests left (arenas, logs), the second frees what they held.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, err := OpenDisk(fs, 0, func() time.Time { return now })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		d.put(hashKey(string(key)), key, stored, now.Add(time.Hour))
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := d.Stats()
+	if st.Entries != n {
+		t.Fatalf("%d entries, want %d", st.Entries, n)
+	}
+	heap := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	mapped := st.IndexBytes / n
+	t.Logf("per disk entry: %d B of heap, %d B mapped (%d entries in %d segments)", heap, mapped, n, st.Segments)
+	if heap > heapCeiling || mapped > mappedCeiling {
+		t.Errorf("a disk entry costs %d B of heap (ceiling %d) and %d B mapped (ceiling %d)", heap, heapCeiling, mapped, mappedCeiling)
+	}
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(keys)
 }
 
 // TestPromotionAllocCeiling holds one client hit (Cache.GetFor on a pooled

@@ -398,8 +398,9 @@ func TestRevalidationToSmallerBodyIsFiledNotRefetched(t *testing.T) {
 
 // TestDiskTierOnMetricsAndShutdown: after demotions, promotions and a clean
 // re-demotion, the two nakika_cache_demotions_total series are the tier's own
-// Stores and Clean counters, the log gauges its Stats and the arena gauges
-// the memory tier's body storage; Shutdown then flushes what is not on disk
+// Stores and Clean counters, the log gauges its Stats (the index's mapped
+// bytes among them) and the arena gauges the memory tier's key and body
+// storage; Shutdown then flushes what is not on disk
 // yet and closes the tier, so a reopened tier holds every page and nothing is
 // written afterwards.
 func TestDiskTierOnMetricsAndShutdown(t *testing.T) {
@@ -429,6 +430,9 @@ func TestDiskTierOnMetricsAndShutdown(t *testing.T) {
 	if st.Bytes == 0 || st.Arena.Live < st.Bytes || st.Arena.Carved < st.Arena.Live {
 		t.Fatalf("arena %+v for %d body bytes: want carved >= live >= the bodies", st.Arena, st.Bytes)
 	}
+	if st.Disk.IndexBytes <= 0 {
+		t.Fatalf("disk stats %+v: want the index's mapped bytes", st.Disk)
+	}
 	var sb strings.Builder
 	if err := n.Metrics().WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -446,6 +450,7 @@ func TestDiskTierOnMetricsAndShutdown(t *testing.T) {
 		fmt.Sprintf(`nakika_cache_entries{tier="disk"} %d`+"\n", st.Disk.Entries),
 		fmt.Sprintf(`nakika_cache_arena_bytes{state="carved"} %d`+"\n", st.Arena.Carved),
 		fmt.Sprintf(`nakika_cache_arena_bytes{state="live"} %d`+"\n", st.Arena.Live),
+		fmt.Sprintf(`nakika_segment_index_bytes{log="cache"} %d`+"\n", st.Disk.IndexBytes),
 	} {
 		if !strings.Contains(sb.String(), line) {
 			t.Errorf("exposition lacks %q", line)

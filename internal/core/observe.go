@@ -156,7 +156,7 @@ func (n *Node) buildRegistry() {
 		func() float64 { return float64(n.cache.Stats().Bytes) })
 	r.GaugeFunc("nakika_cache_bytes", "", metrics.Labels{"tier": "disk"},
 		func() float64 { return float64(n.cache.Stats().Disk.Bytes) })
-	r.GaugeFunc("nakika_cache_arena_bytes", "The memory tier's body storage, off the Go heap: slots carved from its chunks (what is resident) and slots in use; carved over live is fragmentation, live over the memory tier's nakika_cache_bytes size-class rounding.", metrics.Labels{"state": "carved"},
+	r.GaugeFunc("nakika_cache_arena_bytes", "The memory tier's key and body storage, off the Go heap: slots carved from its chunks (what is resident) and slots in use; carved over live is fragmentation, live over the memory tier's nakika_cache_bytes the keys and size-class rounding.", metrics.Labels{"state": "carved"},
 		func() float64 { return float64(n.cache.Stats().Arena.Carved) })
 	r.GaugeFunc("nakika_cache_arena_bytes", "", metrics.Labels{"state": "live"},
 		func() float64 { return float64(n.cache.Stats().Arena.Live) })
@@ -201,6 +201,10 @@ func (n *Node) buildRegistry() {
 		func() float64 { return float64(n.LargeObject().Tier.Slab.Bytes) })
 	r.GaugeFunc("nakika_lob_slab_live_bytes", "Bytes of slab records the index points at; nakika_lob_slab_bytes over this is the log's space amplification.", nil,
 		func() float64 { return float64(n.LargeObject().Tier.Slab.LiveBytes) })
+	r.GaugeFunc("nakika_segment_index_bytes", "Memory each segment log's index maps, off the Go heap: the disk cache tier's and the large-object slab's.", metrics.Labels{"log": "cache"},
+		func() float64 { return float64(n.cache.Stats().Disk.IndexBytes) })
+	r.GaugeFunc("nakika_segment_index_bytes", "", metrics.Labels{"log": "lob"},
+		func() float64 { return float64(n.LargeObject().Tier.Slab.IndexBytes) })
 
 	r.CounterFunc("nakika_store_wal_appends_total", "Records appended to the hard-state WAL.", nil,
 		func() float64 { return float64(n.StoreStats().Appends) })

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -316,7 +317,9 @@ func TestReadRequestRefusals(t *testing.T) {
 // bytes that arrive, not with what the client declares. A client that
 // declares 8 MiB, by Content-Length or by a chunk size, and sends ten bytes
 // before closing costs at most 4 KiB; a body that does arrive is read
-// whole.
+// whole. The allocation count is the process's, so another goroutine's
+// allocations land in it too: each case is read five times and the least is
+// held to the bound.
 func TestReadRequestBodyGrowsWithArrival(t *testing.T) {
 	const head = "POST /upload HTTP/1.1\r\nHost: h\r\n"
 	big := strings.Repeat("0123456789abcdef", 20<<10) // 320 KiB, over many reads
@@ -331,14 +334,18 @@ func TestReadRequestBodyGrowsWithArrival(t *testing.T) {
 		{name: "declared and sent", in: head + "Content-Length: " + strconv.Itoa(len(big)) + "\r\n\r\n" + big, want: big},
 		{name: "chunked and sent", in: head + "Transfer-Encoding: chunked\r\n\r\n" + strconv.FormatInt(int64(len(big)-3), 16) + "\r\n" + big[3:] + "\r\n3\r\n" + big[:3] + "\r\n0\r\n\r\n", want: big[3:] + big[:3]},
 	} {
-		// A reader that hands out a few bytes at a time, as a socket does.
-		c1 := NewHTTP1Conn(struct {
-			io.Reader
-			io.Writer
-		}{iotest.HalfReader(strings.NewReader(c.in)), io.Discard})
-		req := &Request{Header: make(http.Header)}
+		var req *Request
 		var err error
-		n := allocated(func() { err = c1.ReadRequest(req, testMaxBody) })
+		n := uint64(math.MaxUint64)
+		for range 5 {
+			// A reader that hands out a few bytes at a time, as a socket does.
+			c1 := NewHTTP1Conn(struct {
+				io.Reader
+				io.Writer
+			}{iotest.HalfReader(strings.NewReader(c.in)), io.Discard})
+			req = &Request{Header: make(http.Header)}
+			n = min(n, allocated(func() { err = c1.ReadRequest(req, testMaxBody) }))
+		}
 		switch {
 		case c.want == "" && err == nil:
 			t.Errorf("%s: staged a %d-byte body", c.name, len(req.Body))

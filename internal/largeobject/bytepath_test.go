@@ -30,7 +30,7 @@ var raceEnabled bool
 func holds(s *Slab, id SegID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.log.Lookup(string(id[:]))
+	_, ok := s.log.Lookup(hashKey(id[:]))
 	return ok
 }
 
@@ -259,7 +259,7 @@ func FuzzSlabSegment(f *testing.F) {
 			if err != nil || m.Key != key || !m.Complete() || !bytes.Equal(AppendManifest(nil, re), AppendManifest(nil, m)) {
 				t.Errorf("%q: restored %+v, which does not re-encode (%v)", key, m, err)
 			}
-			if _, ok := tier.slab.log.Lookup(manifestKey(key)); !ok {
+			if _, ok := tier.slab.log.Lookup(manifestHash(key)); !ok {
 				t.Errorf("%q: restored, but its record is not indexed", key)
 			}
 		}

@@ -2,6 +2,7 @@ package largeobject
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"nakika/internal/store"
@@ -16,7 +17,13 @@ import (
 // corrupt record simply fails verification and is a miss.
 //
 // A tier's complete manifests are records of the same log, under the
-// reserved id manifestID, which Put refuses: a manifest by construction.
+// reserved id manifestID, which Put refuses: a manifest by construction. Its
+// owner word marks a manifest record (manifestWord; a segment's is 0).
+//
+// The log's index files a record under hashKey of its key and keeps no key,
+// so every read compares the id in the record: two keys that share a hash
+// share an index entry, the later one's, and a read of the other is a miss
+// that drops it.
 //
 // Space is reclaimed oldest segment file first. A segment that is read, or
 // put again, while its record is aging is appended afresh from the bytes in
@@ -41,9 +48,20 @@ type Slab struct {
 // manifestID stands where a segment record has its content address.
 var manifestID SegID
 
-// manifestKey is the log key of key's manifest record: the reserved id, then
-// the cache key, so it is longer than any segment's key.
-func manifestKey(key string) string { return string(manifestID[:]) + key }
+// manifestWord is the owner word of a manifest record.
+const manifestWord = 1
+
+// keySeed seeds hashKey; it is the process's own, so no client can choose
+// keys that collide.
+var keySeed = maphash.MakeSeed()
+
+// hashKey is the hash the log files a record's key under. Tests swap it to
+// force collisions.
+var hashKey = func(key []byte) uint64 { return maphash.Bytes(keySeed, key) }
+
+// manifestHash is the hash of the log key of key's manifest record: the
+// reserved id, then the cache key, so it is longer than any segment's key.
+func manifestHash(key string) uint64 { return hashKey(append(manifestID[:], key...)) }
 
 // appendManifestRecord appends the payload of key's manifest record: m's
 // encoding after the key, or nothing after it (a tombstone) when m is nil.
@@ -99,32 +117,32 @@ func openSlab(fs store.FS, segSize, capacity, spare int64) (*Slab, map[string]*M
 	}
 	manifests := make(map[string]*Manifest)
 	var err error
-	s.log, err = store.OpenSegLog(fs, (int64(s.slots)+spare)*recMax, func(p []byte) (string, int64, bool, bool) {
+	s.log, err = store.OpenSegLog(fs, (int64(s.slots)+spare)*recMax, func(p []byte) (uint64, int64, bool, bool) {
 		if len(p) < SegIDLen {
-			return "", 0, false, false
+			return 0, 0, false, false
 		}
 		if SegID(p) != manifestID {
 			if int64(len(p)) > SegIDLen+segSize {
-				return "", 0, false, false
+				return 0, 0, false, false
 			}
-			return string(p[:SegIDLen]), 0, true, true
+			return hashKey(p[:SegIDLen]), 0, true, true
 		}
 		key, m, ok := readManifestRecord(p)
 		if !ok {
-			return "", 0, false, false
+			return 0, 0, false, false
 		}
 		if m != nil {
 			manifests[key] = m
 		} else {
 			delete(manifests, key)
 		}
-		return manifestKey(key), 0, m != nil, true
+		return manifestHash(key), manifestWord, m != nil, true
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("largeobject: scan slab: %w", err)
 	}
 	for key := range manifests {
-		if _, ok := s.log.Lookup(manifestKey(key)); !ok {
+		if ref, ok := s.log.Lookup(manifestHash(key)); !ok || ref.Word != manifestWord {
 			delete(manifests, key) // reclaimed at the open
 		}
 	}
@@ -134,7 +152,8 @@ func openSlab(fs store.FS, segSize, capacity, spare int64) (*Slab, map[string]*M
 // Put stores data under its content address; the oldest segments make room.
 // Storing a segment larger than the slab's segment size, or under the
 // reserved id, is an error; storing an already resident segment writes
-// nothing unless its record is aging.
+// nothing unless its record is aging. A record of another key filed under
+// the same hash is superseded.
 func (s *Slab) Put(id SegID, data []byte) error {
 	if int64(len(data)) > s.segSize {
 		return fmt.Errorf("largeobject: segment %v len %d exceeds segment size %d", id, len(data), s.segSize)
@@ -142,17 +161,18 @@ func (s *Slab) Put(id SegID, data []byte) error {
 	if id == manifestID {
 		return fmt.Errorf("largeobject: segment id %v is reserved", id)
 	}
-	key := string(id[:])
+	key := hashKey(id[:])
+	head := store.FrameHead(id[:], data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ref, ok := s.log.Lookup(key); ok && !s.log.Aging(ref) {
+	if ref, ok := s.log.Lookup(key); ok && ref.Head == head && !s.log.Aging(ref) {
 		return nil
 	}
-	return s.write(key, store.FrameHead(id[:], data), id[:], data)
+	return s.write(key, head, id[:], data)
 }
 
-// write appends one record under s.mu and counts it.
-func (s *Slab) write(key string, head [store.FrameHeader]byte, parts ...[]byte) error {
+// write appends one segment record under s.mu and counts it.
+func (s *Slab) write(key uint64, head [store.FrameHeader]byte, parts ...[]byte) error {
 	if err := s.log.Append(key, 0, head, parts...); err != nil {
 		return fmt.Errorf("largeobject: write segment: %w", err)
 	}
@@ -169,13 +189,13 @@ func (s *Slab) putManifest(key string, m *Manifest) error {
 	var err error
 	if m != nil {
 		p := appendManifestRecord(nil, key, m)
-		if err = s.log.Append(manifestKey(key), 0, store.FrameHead(p), p); err == nil {
+		if err = s.log.Append(manifestHash(key), manifestWord, store.FrameHead(p), p); err == nil {
 			return nil
 		}
 		err = fmt.Errorf("largeobject: write manifest: %w", err)
 	}
 	p := appendManifestRecord(nil, key, nil)
-	s.log.Tombstone(manifestKey(key), store.FrameHead(p), p)
+	s.log.Tombstone(manifestHash(key), store.FrameHead(p), p)
 	return err
 }
 
@@ -183,7 +203,7 @@ func (s *Slab) putManifest(key string, m *Manifest) error {
 func (s *Slab) manifestAging(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, ok := s.log.Lookup(manifestKey(key))
+	ref, ok := s.log.Lookup(manifestHash(key))
 	return ok && s.log.Aging(ref)
 }
 
@@ -205,7 +225,7 @@ func (s *Slab) Get(id SegID) ([]byte, bool) {
 // be called exactly once. Views must not be shared between goroutines or
 // outlive their reader; everything else takes Get's owned copy.
 func (s *Slab) view(id SegID) (data []byte, release func(), ok bool) {
-	key := string(id[:])
+	key := hashKey(id[:])
 	s.mu.Lock()
 	ref, ok := s.log.Lookup(key)
 	if !ok {
@@ -256,7 +276,7 @@ func (s *Slab) Resident(m *Manifest) int {
 	defer s.mu.Unlock()
 	n := 0
 	for i := range m.Segments {
-		if _, ok := s.log.Lookup(string(m.Segments[i][:])); ok {
+		if _, ok := s.log.Lookup(hashKey(m.Segments[i][:])); ok {
 			n++
 		}
 	}
@@ -273,8 +293,8 @@ func (s *Slab) Close() error {
 
 // SlabStats is a point-in-time snapshot of slab telemetry beside its log's:
 // Slots is how many full segments the capacity holds, Used the segments
-// resident (not manifests), Puts the segment records appended (first stores
-// and carries forward).
+// resident (records whose owner word is not manifestWord), Puts the segment
+// records appended (first stores and carries forward).
 type SlabStats struct {
 	Slots, Used        int
 	Hits, Misses, Puts uint64
@@ -286,6 +306,6 @@ func (s *Slab) Stats() SlabStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	log := s.log.Stats()
-	used := s.log.Count(func(key string) bool { return len(key) == SegIDLen })
+	used := s.log.Count(func(word int64) bool { return word != manifestWord })
 	return SlabStats{Slots: s.slots, Used: used, Hits: s.hits, Misses: s.misses, Puts: s.puts, SegLogStats: log}
 }

@@ -1,12 +1,12 @@
 //go:build unix
 
-package cache
+package offheap
 
 import "syscall"
 
-// mapChunk maps size bytes of anonymous memory, which the collector does not
-// see, or returns nil when the system refuses.
-func mapChunk(size int) []byte {
+// Map maps size bytes of zeroed anonymous memory, or returns nil when the
+// system refuses.
+func Map(size int) []byte {
 	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		return nil
@@ -14,8 +14,8 @@ func mapChunk(size int) []byte {
 	return mem
 }
 
-// unmapChunk gives a mapChunk mapping back to the system.
-func unmapChunk(mem []byte) {
+// Unmap gives a Map mapping back to the system.
+func Unmap(mem []byte) {
 	if mem != nil {
 		// Munmap fails only for a range that is not a mapping, which mem is.
 		_ = syscall.Munmap(mem)

@@ -1,11 +1,14 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -15,11 +18,17 @@ import (
 // the WAL's frame (FrameHeader: length, CRC-32C) around a payload only the
 // owner can parse, appended to the newest seg-NNNNNNNNNN.log file and never
 // modified afterwards, so a reader is only ever sent to bytes that are
-// complete; every read verifies the frame. The index (key → segment, offset,
-// length, frame header and one word that is the owner's) is rebuilt by
-// replaying the segments at open. Space is reclaimed a whole segment at a
-// time, oldest first; superseded records, tombstones and dead entries go with
-// the segment that holds them. Nothing is fsynced.
+// complete; every read verifies the frame. The index files each record under
+// a 64-bit hash of its key that the owner computes, seeded so that no client
+// can choose keys that collide, and holds no key: per record only the
+// segment, offset, length, frame header and one word that is the owner's, in
+// a table off the Go heap (segIndex). Two keys with one hash share an entry,
+// so the later supersedes the earlier, which is then a miss: an owner
+// compares the key inside the record it reads, and serves another key's bytes
+// never. The index is rebuilt by replaying the segments at open. Space is
+// reclaimed a whole segment at a time, oldest first; superseded records,
+// tombstones and dead entries go with the segment that holds them. Nothing is
+// fsynced.
 //
 // A SegLog does not lock: its owner serialises every method but Read, which
 // touches only the filesystem.
@@ -28,8 +37,8 @@ type SegLog struct {
 	budget    int64
 	segTarget int64
 
-	index  map[string]SegRef
-	segs   []*logSegment // oldest first
+	index  segIndex
+	segs   []*logSegment // oldest first, by number
 	active File          // append handle on the last segment; nil until the first write, after a failed one and after Close
 	closed bool
 	nextID uint64
@@ -46,16 +55,17 @@ type SegLog struct {
 // by the SegLog that created it.
 type logSegment struct {
 	name string
-	base int64 // log position of the file's first byte
+	id   uint64 // the number in its name
+	base int64  // log position of the file's first byte
 	size int64
-	// keys names every record in the file that the index pointed at when
+	// keys hashes every record in the file that the index pointed at when
 	// it was written: the entries to drop when the file is reclaimed.
-	keys []string
+	keys []uint64
 }
 
 // SegRef locates one record. Word is the owner's (the disk tier's expiry);
-// Head is the record's frame header: two records under one key with the same
-// Head are the same bytes.
+// Head is the record's frame header: two records under one key hash with the
+// same Head are the same bytes.
 type SegRef struct {
 	seg    *logSegment
 	off, n uint32
@@ -70,9 +80,10 @@ func (r SegRef) Len() int { return int(r.n) }
 // SegLogStats is a snapshot of a log. Bytes is what the segment files occupy,
 // LiveBytes the part of it the index points at; their ratio is the log's
 // space amplification. Evictions counts entries lost to reclaimed segments.
+// IndexBytes is the memory the index maps.
 type SegLogStats struct {
-	Entries, Segments           int
-	Bytes, LiveBytes, Evictions int64
+	Entries, Segments                       int
+	Bytes, LiveBytes, Evictions, IndexBytes int64
 }
 
 const (
@@ -125,16 +136,19 @@ func FrameHead(parts ...[]byte) (head [FrameHeader]byte) {
 
 // OpenSegLog opens (or initializes) the log on fs, holding at most budget
 // bytes of segment files. Segments are replayed oldest first and each
-// payload is handed to parse, which answers the record's key and owner word,
-// whether it is live, and ok=false when it cannot tell (the record is then
-// skipped). A later record supersedes an earlier one under the same key, a
-// dead one deletes it, and a segment's scan stops at its first torn or
-// corrupt frame, keeping what came before. The oldest segments left with no
-// live record are removed, and so is every file on fs that is not a segment:
-// the log owns its directory, and what an earlier layout left there is soft
-// state too. No file is created until the first Append.
-func OpenSegLog(fs FS, budget int64, parse func(payload []byte) (key string, word int64, live, ok bool)) (*SegLog, error) {
-	l := &SegLog{fs: fs, budget: budget, segTarget: min(maxSegment, budget/8), index: make(map[string]SegRef)}
+// payload is handed to parse, which answers the hash of the record's key, its
+// owner word, whether it is live, and ok=false when it cannot tell (the
+// record is then skipped). A later record supersedes an earlier one under the
+// same hash, a dead one deletes it, and a segment's scan stops at its first
+// torn or corrupt frame, keeping what came before. The oldest segments left
+// with no live record are removed, and so is every file on fs that is not a
+// segment: the log owns its directory, and what an earlier layout left there
+// is soft state too. No file is created until the first Append.
+func OpenSegLog(fs FS, budget int64, parse func(payload []byte) (key uint64, word int64, live, ok bool)) (*SegLog, error) {
+	l := &SegLog{fs: fs, budget: budget, segTarget: min(maxSegment, budget/8)}
+	// Nothing but the log reaches its index, so the table goes back to the
+	// system with the log.
+	runtime.SetFinalizer(l, func(l *SegLog) { l.index.free() })
 	names, err := fs.List("")
 	if err != nil {
 		return nil, fmt.Errorf("store: scan segment log: %w", err)
@@ -151,7 +165,7 @@ func OpenSegLog(fs FS, budget int64, parse func(payload []byte) (key string, wor
 		if err != nil {
 			data = nil // an unreadable segment indexes nothing and is removed below
 		}
-		seg := &logSegment{name: name, size: int64(len(data))}
+		seg := &logSegment{name: name, id: id, size: int64(len(data))}
 		scanned = append(scanned, seg)
 		off := 0
 		ReplayFrames(data, func(p []byte) error {
@@ -163,16 +177,16 @@ func OpenSegLog(fs FS, budget int64, parse func(payload []byte) (key string, wor
 			}
 			l.forget(key)
 			if live {
-				l.index[key] = SegRef{seg: seg, off: uint32(start), n: uint32(off - start), Word: word,
-					Head: [FrameHeader]byte(data[start:])}
-				l.live += int64(off - start)
+				l.file(indexSlot{hash: key, seg: id, off: uint32(start), n: uint32(off - start), word: word,
+					head: [FrameHeader]byte(data[start:])})
 			}
 			return nil
 		})
 	}
-	for key, ref := range l.index {
-		ref.seg.keys = append(ref.seg.keys, key)
-	}
+	l.index.each(func(s indexSlot) {
+		seg := segmentNumbered(scanned, s.seg)
+		seg.keys = append(seg.keys, s.hash)
+	})
 	for _, seg := range scanned {
 		// With an older segment kept, one without a live record stays too: it
 		// may hold the tombstone, or the since-expired successor, of a record
@@ -190,10 +204,22 @@ func OpenSegLog(fs FS, budget int64, parse func(payload []byte) (key string, wor
 	return l, nil
 }
 
-// Lookup returns where key's record lies.
-func (l *SegLog) Lookup(key string) (SegRef, bool) {
-	ref, ok := l.index[key]
-	return ref, ok
+// segmentNumbered returns the segment of segs, which are in order, that an
+// index entry names by its number.
+func segmentNumbered(segs []*logSegment, id uint64) *logSegment {
+	i, _ := slices.BinarySearchFunc(segs, id, func(seg *logSegment, id uint64) int {
+		return cmp.Compare(seg.id, id)
+	})
+	return segs[i]
+}
+
+// Lookup returns where the record filed under hash, its key's, lies.
+func (l *SegLog) Lookup(hash uint64) (SegRef, bool) {
+	s, ok := l.index.get(hash)
+	if !ok {
+		return SegRef{}, false
+	}
+	return SegRef{seg: segmentNumbered(l.segs, s.seg), off: s.off, n: s.n, Word: s.word, Head: s.head}, true
 }
 
 // Aging reports whether ref's record sits in the oldest eighth of a full
@@ -207,47 +233,57 @@ func (l *SegLog) Aging(ref SegRef) bool {
 }
 
 // Append writes one record, its payload given in parts and head their
-// FrameHead, and points key at it; the record key had before is superseded.
-// The index moves only once the record is whole in the file, so no reader
-// can be sent to bytes that are not there, and before the log is brought
-// back within budget, so an entry carried forward out of the segment that
-// this append reclaims is not counted lost.
-func (l *SegLog) Append(key string, word int64, head [FrameHeader]byte, parts ...[]byte) error {
+// FrameHead, and files it under hash, its key's; the record filed there
+// before is superseded. The index moves only once the record is whole in the
+// file, so no reader can be sent to bytes that are not there, and before the
+// log is brought back within budget, so an entry carried forward out of the
+// segment that this append reclaims is not counted lost.
+func (l *SegLog) Append(hash uint64, word int64, head [FrameHeader]byte, parts ...[]byte) error {
 	seg, off, n, err := l.write(head, parts)
 	if err == nil {
-		l.forget(key)
-		l.index[key] = SegRef{seg: seg, off: uint32(off), n: uint32(n), Word: word, Head: head}
-		l.live += int64(n)
-		seg.keys = append(seg.keys, key)
+		l.forget(hash)
+		if l.file(indexSlot{hash: hash, seg: seg.id, off: uint32(off), n: uint32(n), word: word, head: head}) {
+			seg.keys = append(seg.keys, hash)
+		}
 	}
 	l.reclaim()
 	return err
 }
 
-// Tombstone forgets key and, if it was indexed, appends a record the owner's
-// parse will call dead, so the next open does not find the entry again.
-func (l *SegLog) Tombstone(key string, head [FrameHeader]byte, parts ...[]byte) {
-	if _, ok := l.index[key]; !ok {
+// file indexes one record, unless the index cannot grow: the record is then
+// a miss, as if it had been reclaimed.
+func (l *SegLog) file(s indexSlot) bool {
+	if !l.index.put(s) {
+		return false
+	}
+	l.live += int64(s.n)
+	return true
+}
+
+// Tombstone forgets hash and, if it was indexed, appends a record the
+// owner's parse will call dead, so the next open does not find the entry
+// again.
+func (l *SegLog) Tombstone(hash uint64, head [FrameHeader]byte, parts ...[]byte) {
+	if !l.forget(hash) {
 		return
 	}
-	l.forget(key)
 	l.write(head, parts)
 	l.reclaim()
 }
 
-// Forget drops key's index entry if it still is ref: what an owner does with
-// a record that failed its read or outlived its use.
-func (l *SegLog) Forget(key string, ref SegRef) {
-	if l.index[key] == ref {
-		l.forget(key)
+// Forget drops hash's index entry if it still is ref: what an owner does
+// with a record that failed its read or outlived its use.
+func (l *SegLog) Forget(hash uint64, ref SegRef) {
+	if cur, ok := l.Lookup(hash); ok && cur == ref {
+		l.forget(hash)
 	}
 }
 
-func (l *SegLog) forget(key string) {
-	if ref, ok := l.index[key]; ok {
-		delete(l.index, key)
-		l.live -= int64(ref.n)
-	}
+// forget drops hash's index entry and reports whether there was one.
+func (l *SegLog) forget(hash uint64) bool {
+	s, ok := l.index.del(hash)
+	l.live -= int64(s.n)
+	return ok
 }
 
 // write appends one whole record to the active segment, sealing the segment
@@ -280,7 +316,7 @@ func (l *SegLog) write(head [FrameHeader]byte, parts [][]byte) (*logSegment, int
 		}
 		l.nextID++
 		l.active = f
-		l.segs = append(l.segs, &logSegment{name: name, base: l.appended})
+		l.segs = append(l.segs, &logSegment{name: name, id: l.nextID - 1, base: l.appended})
 	}
 	var tail []byte
 	if last := len(parts) - 1; last >= 0 && len(parts[last]) > gatherMax {
@@ -340,7 +376,7 @@ func (l *SegLog) reclaim() {
 		l.fs.Remove(seg.name)
 		l.bytes -= seg.size
 		for _, key := range seg.keys {
-			if ref, ok := l.index[key]; ok && ref.seg == seg {
+			if s, ok := l.index.get(key); ok && s.seg == seg.id {
 				l.forget(key)
 				l.evictions++
 			}
@@ -382,26 +418,28 @@ func (l *SegLog) Read(ref SegRef, buf []byte) ([]byte, error) {
 	return nil, errSegRecord
 }
 
-// Close closes the active segment. The log still answers Read afterwards but
-// appends nothing more.
+// Close closes the active segment. The log still answers Lookup and Read
+// afterwards but appends nothing more.
 func (l *SegLog) Close() error {
 	l.closed = true
 	return l.seal()
 }
 
-// Count returns how many indexed keys match: what an owner that keeps two
-// kinds of record in one log uses to count one of them.
-func (l *SegLog) Count(match func(key string) bool) int {
+// Count returns how many indexed records carry an owner word that matches:
+// what an owner that keeps two kinds of record in one log uses to count one
+// of them.
+func (l *SegLog) Count(match func(word int64) bool) int {
 	n := 0
-	for key := range l.index {
-		if match(key) {
+	l.index.each(func(s indexSlot) {
+		if match(s.word) {
 			n++
 		}
-	}
+	})
 	return n
 }
 
 // Stats returns a snapshot of the log.
 func (l *SegLog) Stats() SegLogStats {
-	return SegLogStats{Entries: len(l.index), Segments: len(l.segs), Bytes: l.bytes, LiveBytes: l.live, Evictions: l.evictions}
+	return SegLogStats{Entries: l.index.count, Segments: len(l.segs), Bytes: l.bytes, LiveBytes: l.live,
+		Evictions: l.evictions, IndexBytes: l.index.bytes()}
 }

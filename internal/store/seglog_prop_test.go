@@ -69,7 +69,7 @@ func (m *logModel) reopen(budget int64) error {
 // observe checks one key against the model and folds what it saw back in.
 func (m *logModel) observe(k int) string {
 	key := logModelKey(k)
-	_, indexed := m.log.Lookup(key)
+	_, indexed := m.log.Lookup(logKey(key))
 	got, ok := logGet(m.log, key)
 	if !ok {
 		if indexed {
@@ -123,12 +123,12 @@ func (m *logModel) apply(op logOp) string {
 		// A cut write leaves a torn record no replay accepts and the entry it
 		// would have replaced where it was.
 	case 'F':
-		if ref, ok := m.log.Lookup(key); ok {
-			m.log.Forget(key, ref)
+		if ref, ok := m.log.Lookup(logKey(key)); ok {
+			m.log.Forget(logKey(key), ref)
 			m.dormant[k] = true
 		}
 	case 'T':
-		if _, ok := m.log.Lookup(key); ok {
+		if _, ok := m.log.Lookup(logKey(key)); ok {
 			logKill(m.log, key)
 			// Whichever record it buried, it is buried: until a tail is lost
 			// nothing may be served.
@@ -170,7 +170,7 @@ func (m *logModel) apply(op logOp) string {
 		files++
 		onDisk += int64(len(data))
 	}
-	if st := m.log.Stats(); st.Bytes != onDisk || st.Segments != files || st.Bytes > m.budget || st.LiveBytes > st.Bytes || st.LiveBytes < 0 || st.Entries != len(m.log.index) {
+	if st := m.log.Stats(); st.Bytes != onDisk || st.Segments != files || st.Bytes > m.budget || st.LiveBytes > st.Bytes || st.LiveBytes < 0 || st.Entries != m.log.index.count {
 		return fmt.Sprintf("stats %+v, budget %d; on disk %d bytes in %d files", st, m.budget, onDisk, files)
 	}
 	if m.mem.Syncs() != 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math/rand"
 	"strconv"
@@ -31,11 +32,23 @@ type logShape struct {
 
 var logShapes = []logShape{{"small", 100, 1 << 20}, {"256KiB", 256 << 10, 16 << 20}}
 
-func logParse(p []byte) (string, int64, bool, bool) {
+// logSplit reads the test owner's payload: its key, its word, and whether
+// it is live.
+func logSplit(p []byte) (string, int64, bool, bool) {
 	if len(p) < 1 || len(p) < 1+int(p[0]) {
 		return "", 0, false, false
 	}
 	return string(p[1 : 1+int(p[0])]), int64(len(p)), len(p) > 1+int(p[0]), true
+}
+
+// logSeed seeds logKey, the test owner's key hash.
+var logSeed = maphash.MakeSeed()
+
+func logKey(key string) uint64 { return maphash.String(logSeed, key) }
+
+func logParse(p []byte) (uint64, int64, bool, bool) {
+	key, word, live, ok := logSplit(p)
+	return logKey(key), word, live, ok
 }
 
 func logKeyPart(key string) []byte { return append([]byte{byte(len(key))}, key...) }
@@ -50,24 +63,24 @@ func logBody(key string, v, n int) []byte {
 
 func logPut(l *SegLog, key string, body []byte) error {
 	kp := logKeyPart(key)
-	return l.Append(key, int64(len(kp)+len(body)), FrameHead(kp, body), kp, body)
+	return l.Append(logKey(key), int64(len(kp)+len(body)), FrameHead(kp, body), kp, body)
 }
 
 func logKill(l *SegLog, key string) {
 	kp := logKeyPart(key)
-	l.Tombstone(key, FrameHead(kp), kp)
+	l.Tombstone(logKey(key), FrameHead(kp), kp)
 }
 
 // logGet is an owner's read: the record the index names, verified by the
 // log, accepted only under its own key, dropped when it fails.
 func logGet(l *SegLog, key string) ([]byte, bool) {
-	ref, ok := l.Lookup(key)
+	ref, ok := l.Lookup(logKey(key))
 	if !ok {
 		return nil, false
 	}
 	p, err := l.Read(ref, make([]byte, ref.Len()))
-	if got, word, live, ok := logParse(p); err != nil || !ok || !live || got != key || word != ref.Word {
-		l.Forget(key, ref)
+	if got, word, live, ok := logSplit(p); err != nil || !ok || !live || got != key || word != ref.Word {
+		l.Forget(logKey(key), ref)
 		return nil, false
 	}
 	return p[1+len(key):], true
@@ -122,7 +135,7 @@ func logUsage(t testing.TB, fs FS) (files int, bytes int64) {
 func wantLogAccounted(t *testing.T, l *SegLog, fs FS, when string) {
 	t.Helper()
 	files, onDisk := logUsage(t, fs)
-	if st := l.Stats(); st.Bytes != onDisk || st.Segments != files || st.Bytes > l.budget || st.LiveBytes > st.Bytes || st.LiveBytes < 0 || st.Entries != len(l.index) {
+	if st := l.Stats(); st.Bytes != onDisk || st.Segments != files || st.Bytes > l.budget || st.LiveBytes > st.Bytes || st.LiveBytes < 0 || st.Entries != l.index.count {
 		t.Fatalf("%s: stats %+v, budget %d; on disk %d bytes in %d files", when, st, l.budget, onDisk, files)
 	}
 }
@@ -318,7 +331,7 @@ func TestSegLogBudgetHolds(t *testing.T) {
 		}
 	}
 	l := openSegLog(t, NewMemFS(), 1<<30)
-	if err := l.Append("k", 0, [FrameHeader]byte{}, make([]byte, MaxRecord+1)); err == nil {
+	if err := l.Append(logKey("k"), 0, [FrameHeader]byte{}, make([]byte, MaxRecord+1)); err == nil {
 		t.Error("a record larger than MaxRecord was stored")
 	}
 }
@@ -335,11 +348,11 @@ func TestSegLogCarryForwardIsNotAnEviction(t *testing.T) {
 			key := "k" + strconv.Itoa(i)
 			logPut(l, key, logBody(key, 1, shape.body))
 		}
-		ref, _ := l.Lookup("k0")
+		ref, _ := l.Lookup(logKey("k0"))
 		if !l.Aging(ref) {
 			t.Fatalf("%s: the oldest record of a full log is not aging", shape.name)
 		}
-		if ref, _ := l.Lookup("k2"); l.Aging(ref) {
+		if ref, _ := l.Lookup(logKey("k2")); l.Aging(ref) {
 			t.Fatalf("%s: the third of eight records is aging", shape.name)
 		}
 		if err := logPut(l, "k0", logBody("k0", 1, shape.body)); err != nil {
@@ -405,7 +418,7 @@ func TestSegLogRemovesForeignFiles(t *testing.T) {
 			t.Errorf("%s: files %v, of which %v are not segments; want segments only (stats %+v)", name, names, others, l.Stats())
 		}
 		for i := 0; i < 60; i++ {
-			if _, ok := l.Lookup("k" + strconv.Itoa(i)); ok {
+			if _, ok := l.Lookup(logKey("k" + strconv.Itoa(i))); ok {
 				wantLogBody(t, l, "k"+strconv.Itoa(i), logBody("k", i, 100))
 			}
 		}
@@ -474,8 +487,8 @@ func TestSegLogReadFailsRatherThanGrows(t *testing.T) {
 	}
 	for i := 0; i < 120; i++ {
 		key := "k" + strconv.Itoa(i)
-		ref, ok := l.Lookup(key)
-		seqRef, seqOK := seq.Lookup(key)
+		ref, ok := l.Lookup(logKey(key))
+		seqRef, seqOK := seq.Lookup(logKey(key))
 		if ok != seqOK || ref.Len() != seqRef.Len() || ref.Word != seqRef.Word || ref.Head != seqRef.Head {
 			t.Fatalf("%s: replay indexed %+v (%v), the writer %+v (%v)", key, seqRef, seqOK, ref, ok)
 		}
@@ -549,7 +562,7 @@ func TestSegLogConcurrent(t *testing.T) {
 							last[k] = 0
 						default:
 							mu.Lock()
-							ref, ok := l.Lookup(key)
+							ref, ok := l.Lookup(logKey(key))
 							mu.Unlock()
 							if !ok {
 								continue
@@ -557,11 +570,11 @@ func TestSegLogConcurrent(t *testing.T) {
 							p, err := l.Read(ref, make([]byte, ref.Len()))
 							if err != nil { // its segment was reclaimed under the read
 								mu.Lock()
-								l.Forget(key, ref)
+								l.Forget(logKey(key), ref)
 								mu.Unlock()
 								continue
 							}
-							got, _, _, _ := logParse(p)
+							got, _, _, _ := logSplit(p)
 							body := p[1+len(got):]
 							if got != key || len(body) == 0 || !bytes.Equal(body, logBody(key, int(body[len(body)-1]), len(body))) {
 								t.Errorf("%s: served %.40q, which was never stored under it", key, p)
