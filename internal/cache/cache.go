@@ -20,8 +20,9 @@
 //     body out, under the shard lock, into memory of its own. A client
 //     hit copies into the buffer its connection lends the request
 //     (httpmsg.Request.SetReplyBuffer), a peer's fetch into its encoded
-//     reply (Encoded). It owns the freshness decision (Expiry) for every tier of
-//     the node, the large-object tier included.
+//     reply (Encoded). It owns the freshness decision (Expiry, Expired) and
+//     the 304 rule (Renew) for every tier of the node, the large-object tier
+//     included.
 //   - Memo: a small in-memory memoization cache used for parsed decision
 //     trees and reusable scripting contexts (the 4 microsecond / 3
 //     microsecond retrievals reported in Section 5.1). The pipeline's
@@ -228,30 +229,24 @@ func (sh *shard) lookupLocked(h uint64, key string) (*entry, bool) {
 }
 
 // Expiry returns the instant until which a shared cache may serve a response
-// that carried header h and was obtained at fetched: the header's own
-// freshness information, else the default TTL. A response whose headers say
-// it is stale already (max-age=0, an Expires that has passed) expires at
-// fetched, which no tier serves or stores. Put and Refresh file entries under
-// it, and the large-object tier judges its manifests by it.
-func (c *Cache) Expiry(h http.Header, fetched time.Time) time.Time {
-	ttl, ok := httpmsg.FreshFor(h, fetched)
+// that carried header h and was obtained at now: the header's own freshness
+// information, else the default TTL. A response whose headers say it is stale
+// already (max-age=0, an Expires that has passed) expires at now, which no
+// tier serves or stores. It is computed once, on the node clock, when a copy
+// is stored or renewed, and the copy keeps it: Put files whole-body entries
+// under it, and the large-object tier keeps it in its manifests.
+func (c *Cache) Expiry(h http.Header, now time.Time) time.Time {
+	ttl, ok := httpmsg.FreshFor(h, now)
 	if !ok {
 		ttl = c.cfg.DefaultTTL
 	}
-	return fetched.Add(max(ttl, 0))
+	return now.Add(max(ttl, 0))
 }
 
-// expired is the one freshness predicate of both tiers: an entry is fresh
-// only while now is before its expiry (RFC 9111: while its age is less than
-// its freshness lifetime), so at the expiry instant itself it is stale.
-func expired(expires, now time.Time) bool { return !expires.After(now) }
-
-// Stale reports whether a response that carried header h and was obtained at
-// fetched is past its Expiry now, by the predicate the cache judges its own
-// entries with; the large-object tier asks it of its manifests.
-func (c *Cache) Stale(h http.Header, fetched time.Time) bool {
-	return expired(c.Expiry(h, fetched), c.cfg.Clock())
-}
+// Expired is the one freshness predicate of every tier: a copy is fresh only
+// while now is before its expiry (RFC 9111: while its age is less than its
+// freshness lifetime), so at the expiry instant itself it is stale.
+func Expired(expires, now time.Time) bool { return !expires.After(now) }
 
 // Get returns a fresh response for key built from its entry, with a body
 // of its own, or nil when absent or expired.
@@ -302,7 +297,7 @@ func (c *Cache) read(key string, copyOut func(httpmsg.Stored)) (time.Time, bool)
 	sh := c.shard(h)
 	sh.mu.Lock()
 	e, ok := sh.lookupLocked(h, key)
-	if ok && !expired(e.expires, now) {
+	if ok && !Expired(e.expires, now) {
 		sh.moveToFrontLocked(e)
 		copyOut(e.Stored)
 		sh.mu.Unlock()
@@ -325,7 +320,7 @@ func (c *Cache) Until(key string) (time.Time, bool) {
 	h := hashKey(key)
 	sh := c.shard(h)
 	sh.mu.Lock()
-	if e, ok := sh.lookupLocked(h, key); ok && !expired(e.expires, now) {
+	if e, ok := sh.lookupLocked(h, key); ok && !Expired(e.expires, now) {
 		expires := e.expires
 		sh.mu.Unlock()
 		return expires, true
@@ -380,28 +375,63 @@ func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 // whole-body cache — the large-object tier owns them (storing one here would
 // pin a lazy view, not bytes).
 func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) bool {
-	if resp == nil || resp.Stream != nil || !resp.Cacheable() || expired(expires, c.cfg.Clock()) {
+	if resp == nil || resp.Stream != nil || !resp.Cacheable() || Expired(expires, c.cfg.Clock()) {
 		return false
 	}
 	return c.putEntry(hashKey(key), key, resp.StoredForm(), expires)
 }
 
-// Refresh revalidates the stored entry for key against a 304 Not Modified.
-// When the 304 validates that entry (validates), the entry is renewed as RFC
-// 9111 §4.3.4 asks, by the rules of §3.2: each header field the 304 carries
-// replaces the stored one of its name, Content-Length excepted; the renewed
-// response counts as fetched now, and its expiry is the updated header's
-// Expiry from now. A renewal that makes the response one a shared cache may
-// not store (the 304 says no-store) drops the entry instead. The renewed
-// entry is a new one swapped in under the shard lock, which takes over the
-// old one's slots, so a hit never sees a half-updated header. The 304
-// itself is never stored — it has no body, so storing it would later serve
-// an empty page. Returns whether a stored entry was renewed.
+// Renewal is what a 304 Not Modified does to the stored copy it answers
+// (Renew).
+type Renewal uint8
+
+const (
+	// NotSelected: the 304 validates another representation than the
+	// copy's, so it says nothing about the copy.
+	NotSelected Renewal = iota
+	// Unstorable: the updated header is one a shared cache may not store, so
+	// the copy is dropped.
+	Unstorable
+	// Renewed: the copy is fresh again, with the updated header, until the
+	// expiry Renew returns.
+	Renewed
+)
+
+// Renew is the one 304 rule of every tier: the whole-body entry a client's
+// conditional request renews (Refresh) and the manifest the large-object
+// tier revalidates are renewed by it alike. A stored copy with status status
+// and header stored is renewed by a 304 with header nm when the 304 selects
+// it for update (RFC 9111 §4.3.4, validates); then each header field the 304
+// carries replaces the stored one of its name, Content-Length excepted
+// (§3.2), in stored itself, which the caller owns. A copy whose updated
+// header a shared cache may not store is Unstorable; any other is Renewed
+// until the updated header's Expiry from now.
+func (c *Cache) Renew(status int, stored, nm http.Header) (Renewal, time.Time) {
+	if !validates(nm, stored) {
+		return NotSelected, time.Time{}
+	}
+	for k, vs := range nm {
+		if k != "Content-Length" {
+			stored[k] = vs
+		}
+	}
+	if !httpmsg.Storable(status, stored) {
+		return Unstorable, time.Time{}
+	}
+	return Renewed, c.Expiry(stored, c.cfg.Clock())
+}
+
+// Refresh renews the stored entry for key by a 304 Not Modified, as Renew
+// decides: a renewed entry takes the updated header and expiry, an
+// unstorable one is dropped, and one the 304 does not select is left as it
+// is. The renewed entry is a new one swapped in under the shard lock, which
+// takes over the old one's slots, so a hit never sees a half-updated header.
+// The 304 itself is never stored — it has no body, so storing it would later
+// serve an empty page. Returns whether a stored entry was renewed.
 func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 	if resp == nil || resp.Status != http.StatusNotModified {
 		return false
 	}
-	now := c.cfg.Clock()
 	hash := hashKey(key)
 	sh := c.shard(hash)
 	sh.mu.Lock()
@@ -411,22 +441,16 @@ func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 		return false
 	}
 	h := httpmsg.DecodeHeader(e.Header)
-	if !validates(resp.Header, h) {
-		return false
-	}
-	for k, vs := range resp.Header {
-		if k != "Content-Length" {
-			h[k] = vs
-		}
-	}
-	if !httpmsg.Storable(e.Status, h) {
+	renewal, expires := c.Renew(e.Status, h, resp.Header)
+	if renewal == Unstorable {
 		sh.dropLocked(e)
+	}
+	if renewal != Renewed {
 		return false
 	}
 	renewed := *e
-	renewed.expires = c.Expiry(h, now)
+	renewed.expires = expires
 	renewed.Header = httpmsg.EncodeHeader(h)
-	renewed.Fetched = now
 	sh.removeLocked(e)
 	sh.insertLocked(&renewed)
 	return true
@@ -437,8 +461,7 @@ func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
 // entity tag, equal to the stored one (strong comparison for a strong tag,
 // weak for a weak one); without a tag, by the same Last-Modified; and with no
 // validator on either side, as the one response stored under the key. A 304
-// to a client's own conditional request that names another representation
-// renews nothing.
+// that names another representation renews nothing.
 func validates(nm, stored http.Header) bool {
 	if tag := nm.Get("Etag"); tag != "" {
 		have := stored.Get("Etag")
@@ -504,7 +527,7 @@ func (c *Cache) demote(evicted []*entry) {
 	d := c.l2.Load()
 	now := c.cfg.Clock()
 	for _, e := range evicted {
-		if d != nil && !expired(e.expires, now) {
+		if d != nil && !Expired(e.expires, now) {
 			d.put(e.hash, e.key(), &e.Stored, e.expires)
 			c.demotions.Add(1)
 		}
@@ -527,7 +550,7 @@ func (c *Cache) FlushToDisk() {
 		// the disk tier writes it.
 		sh.mu.Lock()
 		for _, e := range sh.entries {
-			if !expired(e.expires, now) {
+			if !Expired(e.expires, now) {
 				d.put(e.hash, e.key(), &e.Stored, e.expires)
 				c.demotions.Add(1)
 			}

@@ -98,7 +98,7 @@ func OpenDisk(fs store.FS, maxBytes int64, clock func() time.Time) (*Disk, error
 		if !ok {
 			return 0, 0, false, false
 		}
-		live := !expired(time.Unix(0, expires), now)
+		live := !Expired(time.Unix(0, expires), now)
 		if live {
 			_, err := httpmsg.DecodeStored(body)
 			live = err == nil
@@ -118,7 +118,7 @@ func OpenDisk(fs store.FS, maxBytes int64, clock func() time.Time) (*Disk, error
 // it is appended afresh, so an entry that keeps being used is carried forward
 // instead of dying with its segment.
 func (d *Disk) Put(key string, resp *httpmsg.Response, expires time.Time) {
-	if resp == nil || resp.Stream != nil || !resp.Cacheable() || expired(expires, d.clock()) {
+	if resp == nil || resp.Stream != nil || !resp.Cacheable() || Expired(expires, d.clock()) {
 		return
 	}
 	d.mu.Lock()
@@ -131,7 +131,7 @@ func (d *Disk) Put(key string, resp *httpmsg.Response, expires time.Time) {
 // store by construction: its key, with the hash it has in both tiers, and
 // its stored header go into the record as they are.
 func (d *Disk) put(hash uint64, key []byte, s *httpmsg.Stored, expires time.Time) {
-	if expired(expires, d.clock()) {
+	if Expired(expires, d.clock()) {
 		return
 	}
 	d.mu.Lock()
@@ -182,7 +182,7 @@ func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time)) (t
 	hash := hashKey(key)
 	d.mu.Lock()
 	ref, ok := d.log.Lookup(hash)
-	if ok && expired(time.Unix(0, ref.Word), now) {
+	if ok && Expired(time.Unix(0, ref.Word), now) {
 		d.log.Forget(hash, ref)
 		ok = false
 	}
@@ -218,7 +218,7 @@ func (d *Disk) Until(key string) (time.Time, bool) {
 	ref, ok := d.log.Lookup(hashKey(key))
 	d.mu.Unlock()
 	expires := time.Unix(0, ref.Word)
-	return expires, ok && !expired(expires, d.clock())
+	return expires, ok && !Expired(expires, d.clock())
 }
 
 // read fetches the record ref points at into buf, verified by the log, and

@@ -384,17 +384,15 @@ func TestDiskSegmentGolden(t *testing.T) {
 	const (
 		keyA = "http://example.org/a"
 		keyB = "http://example.org/b"
-		// The first record's payload is, byte for byte, the entry file
-		// TestDiskEntryGolden holds minus that file's 4-byte checksum prefix
-		// (the frame carries the same CRC-32C): the release that kept one file
-		// per entry wrote the same payload.
+		// The previous release's segment, whose responses went on with a
+		// fetch time, is TestDiskEntryGolden's parentSegment.
 		golden = "" +
-			"00000076" + "7dee2fb8" + "14687474703a2f2f6578616d706c652e6f72672f61" + "17979d0c2e715800" +
-			"00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f" +
-			"00000075" + "8b3684e7" + "14687474703a2f2f6578616d706c652e6f72672f62" + "17979d0c2e715800" +
-			"00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0e3c68746d6c3e623c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f" +
-			"00000076" + "cd399479" + "14687474703a2f2f6578616d706c652e6f72672f61" + "17979d1a26b8b000" +
-			"00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e686f3c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f" +
+			"0000006c" + "a9a7e4d8" + "14687474703a2f2f6578616d706c652e6f72672f61" + "17979d0c2e715800" +
+			"00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000006656467652d31" +
+			"0000006b" + "8940f595" + "14687474703a2f2f6578616d706c652e6f72672f62" + "17979d0c2e715800" +
+			"00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0e3c68746d6c3e623c2f68746d6c3e000006656467652d31" +
+			"0000006c" + "1fbfcea0" + "14687474703a2f2f6578616d706c652e6f72672f61" + "17979d1a26b8b000" +
+			"00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e686f3c2f68746d6c3e000006656467652d31" +
 			"0000001d" + "959f5a55" + "14687474703a2f2f6578616d706c652e6f72672f62" + "0000000000000000"
 	)
 	now := time.Unix(1700000000, 0)
@@ -404,7 +402,7 @@ func TestDiskSegmentGolden(t *testing.T) {
 			Status: 200,
 			Header: http.Header{"Content-Type": {"text/html"}, "Cache-Control": {"max-age=60"}},
 			Body:   []byte(body),
-			Via:    "edge-1", Fetched: time.Unix(1700000000, 5),
+			Via:    "edge-1",
 		}
 	}
 	fs := store.NewMemFS()
@@ -429,7 +427,7 @@ func TestDiskSegmentGolden(t *testing.T) {
 	writeFile(t, old, "seg-0000000000.log", raw)
 	d2 := openDisk(t, old, 0, clock)
 	got, expires, ok := d2.Get(keyA)
-	if !ok || string(got.Body) != "<html>ho</html>" || got.Via != "edge-1" || !got.Fetched.Equal(time.Unix(1700000000, 5)) || !expires.Equal(now.Add(2*time.Minute)) {
+	if !ok || string(got.Body) != "<html>ho</html>" || got.Via != "edge-1" || !expires.Equal(now.Add(2*time.Minute)) {
 		t.Errorf("captured segment reads back as %+v, expires %v, ok %v", got, expires, ok)
 	}
 	wantMiss(t, d2, keyB)
@@ -446,30 +444,50 @@ func TestDiskSegmentGolden(t *testing.T) {
 	}
 }
 
-// TestDiskEntryGolden holds an entry file captured from the release that kept
-// one file per entry. That layout is not read any more: a cache directory it
-// left behind is emptied at the first open, without error, and the tier works
+// TestDiskEntryGolden holds what two earlier releases left in a cache
+// directory, and neither is read. The release that kept one file per entry
+// left an entry file, which is deleted at the first open, without error. The
+// release before this one left TestDiskSegmentGolden's segment with each
+// response ending in a fetch time this build's codec does not have: every
+// record is refused by the codec, not misread, so at the open each is a
+// miss and is dropped, and its segment with it. Either way the tier works
 // from there.
 func TestDiskEntryGolden(t *testing.T) {
 	const (
-		key        = "http://example.org/a"
-		goldenName = "6a2d6a47a2828fe021aefacd33629435.ent"
-		golden     = "7dee2fb814687474703a2f2f6578616d706c652e6f72672f6117979d0c2e71580000c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f"
+		key           = "http://example.org/a"
+		goldenName    = "6a2d6a47a2828fe021aefacd33629435.ent"
+		golden        = "7dee2fb814687474703a2f2f6578616d706c652e6f72672f6117979d0c2e71580000c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f"
+		parentSegment = "" +
+			"00000076" + "7dee2fb8" + "14687474703a2f2f6578616d706c652e6f72672f61" + "17979d0c2e715800" +
+			"00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f" +
+			"00000075" + "8b3684e7" + "14687474703a2f2f6578616d706c652e6f72672f62" + "17979d0c2e715800" +
+			"00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0e3c68746d6c3e623c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f" +
+			"00000076" + "cd399479" + "14687474703a2f2f6578616d706c652e6f72672f61" + "17979d1a26b8b000" +
+			"00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e686f3c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f" +
+			"0000001d" + "959f5a55" + "14687474703a2f2f6578616d706c652e6f72672f62" + "0000000000000000"
 	)
 	now := time.Unix(1700000000, 0)
 	clock := func() time.Time { return now }
-	fs := store.NewMemFS()
-	raw, _ := hex.DecodeString(golden)
-	writeFile(t, fs, goldenName, raw)
-	writeFile(t, fs, "seg-0000000001.log.tmp", nil)
-	d := openDisk(t, fs, 0, clock)
-	if names := listFiles(t, fs); len(names) != 0 || d.Len() != 0 {
-		t.Fatalf("after the open: files %v, %d entries; want the directory emptied", names, d.Len())
+	for name, files := range map[string]map[string]string{
+		"entry file":       {goldenName: golden, "seg-0000000001.log.tmp": ""},
+		"previous segment": {"seg-0000000000.log": parentSegment},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := store.NewMemFS()
+			for file, literal := range files {
+				raw, _ := hex.DecodeString(literal)
+				writeFile(t, fs, file, raw)
+			}
+			d := openDisk(t, fs, 0, clock)
+			if names := listFiles(t, fs); len(names) != 0 || d.Len() != 0 {
+				t.Fatalf("after the open: files %v, %d entries; want the directory emptied", names, d.Len())
+			}
+			wantMiss(t, d, key)
+			d.Put(key, page("refetched"), now.Add(time.Minute))
+			wantBody(t, d, key, "refetched")
+			wantBody(t, openDisk(t, fs, 0, clock), key, "refetched")
+		})
 	}
-	wantMiss(t, d, key)
-	d.Put(key, page("refetched"), now.Add(time.Minute))
-	wantBody(t, d, key, "refetched")
-	wantBody(t, openDisk(t, fs, 0, clock), key, "refetched")
 }
 
 // cutFS is a store.FS whose next append fails after writing only `keep` bytes.
@@ -503,6 +521,9 @@ func (f cutFile) Write(p []byte) (int, error) {
 // tier) leaves it: every earlier record is served, the torn one is a miss,
 // the next Put lands in a new segment, and a reopen agrees.
 func TestDiskTornTail(t *testing.T) {
+	// The torn record's body is long enough for the record to be 126 bytes,
+	// one subtest per cut, as it was when responses carried a fetch time.
+	const torn = "three, cut off"
 	now := time.Unix(1_800_000_000, 0)
 	clock := func() time.Time { return now }
 	exp := now.Add(time.Hour)
@@ -511,7 +532,7 @@ func TestDiskTornTail(t *testing.T) {
 	d.Put("k1", page("one"), exp)
 	d.Put("k2", page("two"), exp)
 	before := d.Stats().Bytes
-	d.Put("k3", page("three"), exp)
+	d.Put("k3", page(torn), exp)
 	data, _ := store.ReadAll(whole, segName(0))
 	if int64(len(data)) != d.Stats().Bytes || before == 0 {
 		t.Fatalf("segment is %d bytes, stats say %d (%d before the last record)", len(data), d.Stats().Bytes, before)
@@ -551,7 +572,7 @@ func TestDiskTornTail(t *testing.T) {
 			d.Put("k1", page("one"), exp)
 			d.Put("k2", page("two"), exp)
 			fs.keep = int(cut - before)
-			d.Put("k3", page("three"), exp)
+			d.Put("k3", page(torn), exp)
 			if st := d.Stats(); st.Bytes != cut || st.Stores != 2 {
 				t.Errorf("after the failed write: %+v, want %d bytes and 2 stores", st, cut)
 			}

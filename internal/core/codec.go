@@ -12,7 +12,8 @@ import (
 // Binary codecs for the core RPC payloads (replication forwards, handoff
 // range streams, lease operations, offloaded requests, the manifest a
 // cache.get answers for a large object). Encoders prefix wire.Magic;
-// decoders open their input with wire.Payload.
+// decoders open their input with wire.Payload and end with wire.Reader.End,
+// so a payload in another build's format is an error, never a misread.
 
 // encodeRepForward renders a rep.put / rep.del / rep.get body.
 func encodeRepForward(req repForward) []byte {
@@ -36,7 +37,9 @@ func decodeRepForward(payload []byte) (req repForward, err error) {
 	if req.Key, err = r.String(); err != nil {
 		return
 	}
-	req.Value, err = r.String()
+	if req.Value, err = r.String(); err == nil {
+		err = r.End()
+	}
 	return
 }
 
@@ -72,6 +75,7 @@ func decodeRepRangeReq(payload []byte) (req repRangeReq, err error) {
 		return
 	}
 	req.Limit = int(limit)
+	err = r.End()
 	return
 }
 
@@ -116,7 +120,9 @@ func decodeRepRangeResp(payload []byte) (resp repRangeResp, err error) {
 		}
 		resp.Recs = append(resp.Recs, rec)
 	}
-	resp.More, err = r.Bool()
+	if resp.More, err = r.Bool(); err == nil {
+		err = r.End()
+	}
 	return
 }
 
@@ -156,7 +162,9 @@ func decodeLeaseReq(payload []byte) (req leaseReq, err error) {
 	if req.Token, err = r.Uvarint(); err != nil {
 		return
 	}
-	req.TTL, err = r.Varint()
+	if req.TTL, err = r.Varint(); err == nil {
+		err = r.End()
+	}
 	return
 }
 
@@ -195,7 +203,9 @@ func decodeLeaseFenced(payload []byte) (req leaseFenced, err error) {
 	if req.Token, err = r.Uvarint(); err != nil {
 		return
 	}
-	req.Rec, err = state.ReadRec(&r)
+	if req.Rec, err = state.ReadRec(&r); err == nil {
+		err = r.End()
+	}
 	return
 }
 
@@ -227,5 +237,9 @@ func decodeManifest(payload []byte) (*largeobject.Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return largeobject.ReadManifest(&r)
+	m, err := largeobject.ReadManifest(&r)
+	if err == nil {
+		err = r.End()
+	}
+	return m, err
 }

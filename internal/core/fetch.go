@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"nakika/internal/cache"
 	"nakika/internal/httpmsg"
 	"nakika/internal/largeobject"
 	"nakika/internal/transport"
@@ -17,11 +18,12 @@ import (
 //
 //	lookup → coalesce → peer → origin → store
 //
-// Four decisions are taken on the way, each written once: whether a shared
+// Five decisions are taken on the way, each written once: whether a shared
 // cache may store a response (httpmsg.Storable), until when it is fresh
-// (cache.Expiry, against the node clock), how concurrent misses coalesce
-// (cache.Group) and where an origin reply is filed (storeReply). The
-// large-object half of each step lives in largeobject.go.
+// (cache.Expiry, computed on the node clock when a copy is stored or renewed,
+// and kept with the copy), what a 304 renews (cache.Renew), how concurrent
+// misses coalesce (cache.Group) and where an origin reply is filed
+// (storeReply). The large-object half of each step lives in largeobject.go.
 
 // fetchWithCache is the pipeline's origin fetcher and the entry to the
 // chain. Only GET and HEAD are cacheable; everything else goes straight to
@@ -183,8 +185,8 @@ func (n *Node) storeReply(key string, resp *httpmsg.Response) {
 		n.cache.Refresh(key, resp)
 		return
 	}
-	if t := n.lobTakes(key, resp.Status, resp.Header, int64(len(resp.Body))); t != nil {
-		if _, err := t.IngestBody(key, resp.Status, resp.Header, n.clock(), resp.Body); err == nil {
+	if t, expires := n.lobTakes(key, resp.Status, resp.Header, int64(len(resp.Body))); t != nil {
+		if _, err := t.IngestBody(key, resp.Status, resp.Header, expires, resp.Body); err == nil {
 			n.lobWhole.Add(1)
 			n.publish(key)
 			return
@@ -197,23 +199,26 @@ func (n *Node) storeReply(key string, resp *httpmsg.Response) {
 	}
 }
 
-// lobTakes returns the tier when it is the one to hold the object: the tier
-// is on, and the reply is a 200 to a GET, storable by a shared cache, and at
-// least LargeObjectThreshold bytes long. length is the body's length when it
-// is buffered, the declared Content-Length (-1 unknown) when it is about to
+// lobTakes returns the tier when it is the one to hold the object, and the
+// copy's expiry (cache.Expiry from now): the tier is on, and the reply is a
+// 200 to a GET, storable by a shared cache, and at least
+// LargeObjectThreshold bytes long. length is the body's length when it is
+// buffered, the declared Content-Length (-1 unknown) when it is about to
 // stream. A reply that is stale on arrival is never served from the copy, so
 // it is taken only for what a conditional request can save: when it carries a
 // validator.
-func (n *Node) lobTakes(key string, status int, h http.Header, length int64) *largeobject.Tier {
+func (n *Node) lobTakes(key string, status int, h http.Header, length int64) (*largeobject.Tier, time.Time) {
 	t := n.lobTier()
 	if t == nil || status != http.StatusOK || length < n.cfg.LargeObjectThreshold ||
 		!strings.HasPrefix(key, http.MethodGet+" ") || !httpmsg.Storable(status, h) {
-		return nil
+		return nil, time.Time{}
 	}
-	if n.cache.Stale(h, n.clock()) && h.Get("Etag") == "" && h.Get("Last-Modified") == "" {
-		return nil
+	now := n.clock()
+	expires := n.cache.Expiry(h, now)
+	if cache.Expired(expires, now) && h.Get("Etag") == "" && h.Get("Last-Modified") == "" {
+		return nil, time.Time{}
 	}
-	return t
+	return t, expires
 }
 
 // publish announces this node's copy of key in the cooperative index, with
@@ -235,7 +240,7 @@ func (n *Node) publish(key string) {
 
 // copyUntil is the overlay's view of this node's copies (overlay.Node's
 // SetCopies): a whole body until the cache's expiry for it, or a complete,
-// fresh large-object copy until the cache.Expiry of its manifest.
+// fresh large-object copy until its manifest's.
 func (n *Node) copyUntil(key string) (time.Time, bool) {
 	if expires, ok := n.cache.Until(key); ok {
 		return expires, true
@@ -248,8 +253,7 @@ func (n *Node) copyUntil(key string) (time.Time, bool) {
 	if !ok || !m.Complete() {
 		return time.Time{}, false
 	}
-	expires := n.cache.Expiry(m.Header, m.Fetched)
-	return expires, expires.After(n.clock())
+	return m.Expires, !n.lobStale(m)
 }
 
 // republishPending retries overlay publishes that failed while the index
@@ -289,20 +293,22 @@ func (n *Node) publishesPending() int {
 const msgCacheGet = "cache.get"
 
 // peerBody decodes a whole-body "hit" reply into the copy and the instant the
-// holder's copy expires; a nil response means the reply does not decode. A
-// copy must not outlive the holder's, so the expiry travels with it. A reply
-// without one (a peer running an older build) starts a new lifetime from now.
+// holder's copy expires; a nil response means the reply is not in this
+// build's format. A copy must not outlive the holder's, so the expiry travels
+// with it.
 func (n *Node) peerBody(reply transport.Message) (*httpmsg.Response, time.Time) {
+	if len(reply.Args) < 2 {
+		return nil, time.Time{}
+	}
+	ns, err := strconv.ParseInt(reply.Args[1], 10, 64)
+	if err != nil {
+		return nil, time.Time{}
+	}
 	resp, err := httpmsg.DecodeResponse(reply.Body)
 	if err != nil {
 		return nil, time.Time{}
 	}
-	if len(reply.Args) > 1 {
-		if ns, err := strconv.ParseInt(reply.Args[1], 10, 64); err == nil {
-			return resp, time.Unix(0, ns)
-		}
-	}
-	return resp, n.cache.Expiry(resp.Header, n.clock())
+	return resp, time.Unix(0, ns)
 }
 
 // serveCacheRPC answers peers' cooperative-cache fetches.

@@ -20,15 +20,14 @@ import (
 	"nakika/internal/transport"
 )
 
-// testClock is an injectable node clock. It starts at wall time because
-// httpmsg.NewResponse stamps Fetched with time.Now(); only the advances are
-// simulated.
+// testClock is an injectable node clock.
 type testClock struct {
 	mu  sync.Mutex
 	now time.Time
 }
 
-func newTestClock() *testClock { return &testClock{now: time.Now()} }
+// newTestClock returns a clock at a fixed epoch, a whole second.
+func newTestClock() *testClock { return &testClock{now: time.Unix(1_800_000_000, 0)} }
 
 func (c *testClock) Now() time.Time {
 	c.mu.Lock()
@@ -151,13 +150,15 @@ func TestPeerCopyExpiresWithTheHolders(t *testing.T) {
 	}
 }
 
-// TestCacheGetReplyGolden pins the one reply that changed on the wire: it
-// gained the holder's expiry as a second argument. A reply without it, as
-// the previous build sends, is still stored, with a lifetime starting now.
+// TestCacheGetReplyGolden pins a whole-body cache.get reply: "hit", the
+// holder's expiry, and the response in the httpmsg codec, which ends with its
+// Via. The previous build's reply went on with a fetch time, and a build
+// before that sent no expiry; neither is taken as a copy.
 func TestCacheGetReplyGolden(t *testing.T) {
 	const (
 		key        = "GET http://example.org/a"
-		goldenBody = "00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000106656467652d31018a80d0e2c6bfce972f"
+		goldenBody = "00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000106656467652d31"
+		parentBody = goldenBody + "018a80d0e2c6bfce972f"
 	)
 	now := time.Unix(1780272000, 0)
 	ring := overlay.NewRing()
@@ -170,7 +171,7 @@ func TestCacheGetReplyGolden(t *testing.T) {
 		Status: 200,
 		Header: http.Header{"Content-Type": {"text/html"}, "Cache-Control": {"max-age=60"}},
 		Body:   []byte("<html>hi</html>"),
-		Via:    "edge-1", Fetched: time.Unix(1700000000, 5),
+		Via:    "edge-1",
 	})
 	reply, err := holder.serveCacheRPC("edge-b", transport.Message{Type: "cache.get", Key: key})
 	if err != nil {
@@ -183,24 +184,32 @@ func TestCacheGetReplyGolden(t *testing.T) {
 		t.Errorf("reply body = %s, want %s", got, goldenBody)
 	}
 
-	// The previous build's reply: the same body, no expiry.
 	n := newTestNode(t, "edge-b", newMemOrigin(), func(cfg *Config) {
 		cfg.Clock = func() time.Time { return now }
 	})
-	resp, expires := n.peerBody(transport.Message{Args: []string{"hit"}, Body: reply.Body})
-	if resp == nil || !expires.Equal(now.Add(60*time.Second)) {
-		t.Errorf("reply without an expiry: %+v expiring %v, want a copy expiring 60 s from now", resp, expires)
+	if resp, expires := n.peerBody(reply); resp == nil || resp.Via != "edge-1" || !expires.Equal(now.Add(60*time.Second)) {
+		t.Errorf("the reply reads as %+v expiring %v, want the holder's copy and expiry", resp, expires)
+	}
+	parent, _ := hex.DecodeString(parentBody)
+	for name, old := range map[string]transport.Message{
+		"with a fetch time": {Args: reply.Args, Body: parent},
+		"without an expiry": {Args: []string{"hit"}, Body: reply.Body},
+	} {
+		if resp, _ := n.peerBody(old); resp != nil {
+			t.Errorf("a reply %s reads as %+v, want it refused", name, resp)
+		}
 	}
 }
 
 // TestCacheGetLargeObjectGolden pins the two shapes cache.get gained when it
 // became the one peer fetch: for a fresh, complete large-object copy the
 // reply is "manifest" and the manifest (wire.Magic, then AppendManifest), and
-// "cache.get key ord" answers one segment's bytes, or "miss".
+// "cache.get key ord" answers one segment's bytes, or "miss". The manifest's
+// time is its expiry, the holder's copy's max-age=600 from the ingest.
 func TestCacheGetLargeObjectGolden(t *testing.T) {
 	const (
 		url            = "http://big.example.org/parent"
-		goldenManifest = "00012147455420687474703a2f2f6269672e6578616d706c652e6f72672f706172656e74c801010d43616368652d436f6e74726f6c010b6d61782d6167653d363030b00980020336ba98b74342b80915e79c275a06c3ca55c2281f94dceaf9d450d65aa396870c8f983904725fe27f1813d78b132b7f5cc51293e5cc47a607129d593645dffe829d71ab04017d929b8c62633db3c3b642d0413a3e03872cd863f00fe088c947cb01808098bf84e1add731"
+		goldenManifest = "00012147455420687474703a2f2f6269672e6578616d706c652e6f72672f706172656e74c801010d43616368652d436f6e74726f6c010b6d61782d6167653d363030b00980020336ba98b74342b80915e79c275a06c3ca55c2281f94dceaf9d450d65aa396870c8f983904725fe27f1813d78b132b7f5cc51293e5cc47a607129d593645dffe829d71ab04017d929b8c62633db3c3b642d0413a3e03872cd863f00fe088c947cb0180c0e3ebfa83aed731"
 	)
 	body := lobBody(600)
 	now := time.Unix(1_790_000_000, 0)
@@ -226,7 +235,7 @@ func TestCacheGetLargeObjectGolden(t *testing.T) {
 	if got := hex.EncodeToString(reply.Body); got != goldenManifest {
 		t.Errorf("manifest = %s, want %s", got, goldenManifest)
 	}
-	if m, err := decodeManifest(reply.Body); err != nil || m.Key != "GET "+url || !m.Complete() || !m.Fetched.Equal(now) {
+	if m, err := decodeManifest(reply.Body); err != nil || m.Key != "GET "+url || !m.Complete() || !m.Expires.Equal(now.Add(600*time.Second)) {
 		t.Errorf("the manifest decodes to %+v, %v", m, err)
 	}
 	if reply := get("2"); !reflect.DeepEqual(reply.Args, []string{"hit"}) || !bytes.Equal(reply.Body, body[512:]) {
@@ -339,6 +348,127 @@ func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 				if fetches != 2 {
 					t.Errorf("still served at the instant of its expiry: %d origin fetches, want 2", fetches)
 				}
+			})
+		}
+	}
+}
+
+// TestBothTiersRenewAlike is the renewal table of both object models: a
+// stored 200 (ETag "v1", a Last-Modified, max-age=100) meets a 304 with each
+// row's header, and the one 304 rule (cache.Renew) decides for both arms
+// alike: renewed until the stated time after the renewal, not selected, or
+// unstorable. In the whole-body arm the 304 answers a client's conditional
+// request while the entry is fresh, and reaches the cache through the chain's
+// store step; in the tier arm it answers the node's own revalidation of the
+// expired manifest. Each decision has one action per arm:
+//
+//	decision      whole-body arm                       tier arm
+//	renewed       renewed                              renewed
+//	not selected  untouched: serves to its own expiry  dropped, and refetched
+//	unstorable    dropped                              dropped, and refetched
+//
+// It is the seed of the RFC 9111 oracle the renewal rule is to be fuzzed
+// against.
+func TestBothTiersRenewAlike(t *testing.T) {
+	const (
+		threshold = 10_000
+		lm        = "Mon, 05 Oct 2026 10:00:00 GMT"
+	)
+	base := time.Unix(1_800_000_000, 0)
+	stored := http.Header{"Etag": {`"v1"`}, "Last-Modified": {lm}, "Cache-Control": {"max-age=100"}}
+	for _, tc := range []struct {
+		name  string
+		nm    http.Header
+		want  cache.Renewal
+		until time.Duration // a renewed copy's lifetime from the renewal
+	}{
+		{"matching strong etag", http.Header{"Etag": {`"v1"`}}, cache.Renewed, 100 * time.Second},
+		{"matching weak etag", http.Header{"Etag": {`W/"v1"`}}, cache.Renewed, 100 * time.Second},
+		{"another etag", http.Header{"Etag": {`"v2"`}}, cache.NotSelected, 0},
+		{"last-modified only", http.Header{"Last-Modified": {lm}}, cache.Renewed, 100 * time.Second},
+		{"new max-age", http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=600"}}, cache.Renewed, 600 * time.Second},
+		{"private", http.Header{"Etag": {`"v1"`}, "Cache-Control": {"private, max-age=600"}}, cache.Unstorable, 0},
+		{"no-store", http.Header{"Etag": {`"v1"`}, "Cache-Control": {"no-store"}}, cache.Unstorable, 0},
+		{"no-cache", http.Header{"Etag": {`"v1"`}, "Cache-Control": {"no-cache"}}, cache.Unstorable, 0},
+		{"content-length 0", http.Header{"Etag": {`"v1"`}, "Content-Length": {"0"}}, cache.Renewed, 100 * time.Second},
+	} {
+		for arm, size := range map[string]int{"whole-body": threshold / 2, "tier": threshold * 2} {
+			t.Run(tc.name+"/"+arm, func(t *testing.T) {
+				var full, conditional int
+				body := lobBody(size)
+				origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
+					if req.Header.Get("If-None-Match") != "" || req.Header.Get("If-Modified-Since") != "" {
+						conditional++
+						nm := httpmsg.NewResponse(http.StatusNotModified)
+						nm.Header = tc.nm.Clone()
+						return nm, nil
+					}
+					full++
+					resp := httpmsg.NewResponse(200)
+					resp.Header = stored.Clone()
+					resp.Body = append([]byte(nil), body...)
+					return resp, nil
+				})
+				clock := &testClock{now: base}
+				n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+					lobConfig(4096, threshold)(cfg)
+					cfg.Clock = clock.Now
+				})
+				const url = "http://site.example.org/obj"
+				get := func(wantFull, wantConditional int) {
+					t.Helper()
+					resp, err := n.Fetch(httpmsg.MustRequest("GET", url))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cl := resp.Header.Get("Content-Length"); cl != "" && cl != strconv.Itoa(len(body)) {
+						t.Fatalf("served with Content-Length %s for a %d-byte body", cl, len(body))
+					}
+					if err := resp.Materialize(); err != nil || !bytes.Equal(resp.Body, body) {
+						t.Fatalf("body differs (%d bytes, want %d): %v", len(resp.Body), len(body), err)
+					}
+					if full != wantFull || conditional != wantConditional {
+						t.Fatalf("origin: %d full and %d conditional fetches, want %d and %d", full, conditional, wantFull, wantConditional)
+					}
+				}
+				if got, _ := n.cache.Renew(200, stored.Clone(), tc.nm); got != tc.want {
+					t.Fatalf("the rule decides %v, want %v", got, tc.want)
+				}
+				get(1, 0)
+				if arm == "whole-body" {
+					clock.Advance(50 * time.Second)
+					nm := httpmsg.NewResponse(http.StatusNotModified)
+					nm.Header = tc.nm.Clone()
+					n.storeReply("GET "+url, nm)
+					switch tc.want {
+					case cache.Renewed:
+						clock.Advance(tc.until - time.Nanosecond)
+						get(1, 0)
+						clock.Advance(time.Nanosecond)
+						get(2, 0)
+					case cache.NotSelected:
+						clock.Advance(50*time.Second - time.Nanosecond)
+						get(1, 0)
+						clock.Advance(time.Nanosecond)
+						get(2, 0)
+					case cache.Unstorable:
+						get(2, 0)
+					}
+					return
+				}
+				clock.Advance(100 * time.Second)
+				if tc.want != cache.Renewed {
+					get(2, 1)
+					if m, ok := n.lobTier().Manifest("GET " + url); !ok || m.Header.Get("Etag") != `"v1"` || len(m.Header["Cache-Control"]) != 1 || m.Header.Get("Cache-Control") != "max-age=100" {
+						t.Fatalf("after the refetch the tier holds %+v, want the refetched 200's manifest", m)
+					}
+					return
+				}
+				get(1, 1)
+				clock.Advance(tc.until - time.Nanosecond)
+				get(1, 1)
+				clock.Advance(time.Nanosecond)
+				get(1, 2)
 			})
 		}
 	}

@@ -13,7 +13,8 @@ import (
 // FuzzRPCPayloads throws arbitrary bytes at every RPC body decoder on the
 // node's transport surface. Each must fail cleanly on garbage: no panic,
 // no unbounded allocation — a peer (or an attacker on the RPC port)
-// controls these bytes.
+// controls these bytes. What a decoder accepts, it refuses once a byte
+// follows its encoding (endsWhole).
 func FuzzRPCPayloads(f *testing.F) {
 	f.Add(encodeRepForward(repForward{Site: "s", Key: "k", Value: "v"}))
 	f.Add(encodeRepRangeReq(repRangeReq{From: 1, To: 99, After: "user:a", Limit: 64}))
@@ -30,20 +31,36 @@ func FuzzRPCPayloads(f *testing.F) {
 	}))
 	f.Add(encodeManifest(&largeobject.Manifest{
 		Key: "GET http://big.example.org/iso", Status: 200, Header: http.Header{"Etag": {`"v1"`}},
-		TotalLen: 600, SegSize: 256, Fetched: time.Unix(1_790_000_000, 0),
+		TotalLen: 600, SegSize: 256, Expires: time.Unix(1_790_000_600, 0),
 		Segments: []largeobject.SegID{largeobject.HashSegment([]byte("a")), largeobject.HashSegment([]byte("b")), largeobject.HashSegment([]byte("c"))},
 	}))
+	f.Add(append(encodeRepForward(repForward{Site: "s", Key: "k", Value: "v"}), 0))
 	f.Add([]byte("\x32\x7f\x03\x01\x01\x0arepForward")) // how a gob stream begins: no magic byte
 	f.Add([]byte{0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeRepForward(data)
-		_, _ = decodeRepRangeReq(data)
-		_, _ = decodeRepRangeResp(data)
-		_, _ = decodeOffloadRequest(data)
-		_, _ = httpmsg.DecodeResponse(data)
-		_, _ = decodeLeaseReq(data)
-		_, _ = decodeLeaseFenced(data)
-		_, _ = decodeManifest(data)
+		endsWhole(t, "rep forward", data, decodeRepForward, encodeRepForward)
+		endsWhole(t, "rep.range request", data, decodeRepRangeReq, encodeRepRangeReq)
+		endsWhole(t, "rep.range chunk", data, decodeRepRangeResp, encodeRepRangeResp)
+		endsWhole(t, "off.exec request", data, decodeOffloadRequest, encodeOffloadRequest)
+		endsWhole(t, "response", data, httpmsg.DecodeResponse, httpmsg.EncodeResponse)
+		endsWhole(t, "lease request", data, decodeLeaseReq, encodeLeaseReq)
+		endsWhole(t, "fenced write", data, decodeLeaseFenced, encodeLeaseFenced)
+		endsWhole(t, "manifest", data, decodeManifest, encodeManifest)
 	})
+}
+
+// endsWhole decodes data and, when it decodes, checks that the value's
+// encoding with one byte after it does not: every payload decoder reads its
+// payload to the end, so another build's format is an error, never a
+// misread.
+func endsWhole[T any](t *testing.T, name string, data []byte, decode func([]byte) (T, error), encode func(T) []byte) {
+	t.Helper()
+	v, err := decode(data)
+	if err != nil {
+		return
+	}
+	if _, err := decode(append(encode(v), 0)); err == nil {
+		t.Errorf("%s: decoded with a byte after its encoding", name)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"nakika/internal/cache"
 	"nakika/internal/httpmsg"
 	"nakika/internal/largeobject"
 	"nakika/internal/store"
@@ -103,12 +104,12 @@ func (n *Node) lobTier() *largeobject.Tier {
 // ---------------------------------------------------------------------------
 
 // lobStale reports whether m must be revalidated before it is served again:
-// the cache's Expiry for the manifest's headers and fetch time, against the
-// node clock and by the cache's own predicate — the decision cache.Put takes
-// for a buffered entry. A manifest whose headers made it stale on arrival is
-// therefore never served unrevalidated: it is kept for its validators alone.
+// its expiry, which cache.Expiry gave it when it was stored or renewed,
+// against the node clock by the cache's own predicate, as a whole-body entry
+// is judged. A manifest whose headers made it stale on arrival is therefore
+// never served unrevalidated: it is kept for its validators alone.
 func (n *Node) lobStale(m *largeobject.Manifest) bool {
-	return n.cache.Stale(m.Header, m.Fetched)
+	return cache.Expired(m.Expires, n.clock())
 }
 
 // lobServe is the tier's half of the chain's lookup step: a streamed
@@ -146,20 +147,22 @@ func (n *Node) lobStream(t *largeobject.Tier, key string, m *largeobject.Manifes
 	for k, vs := range m.Header {
 		resp.Header[k] = append([]string(nil), vs...)
 	}
-	resp.Fetched = m.Fetched
 	resp.FromCache = true
 	resp.SetStream(t.NewStream(m, n.lobFetcher(key)))
 	return resp
 }
 
 // lobRevalidate refreshes a stale manifest with a conditional origin GET on
-// the stored validators and returns the response to serve. A 304 renews the
-// manifest — cache.Refresh semantics at the tier: freshness extends, segment
-// bodies are kept. Anything else means the old segments are dead: the
-// manifest is dropped, and a 200 goes through the chain's store step like
-// any other origin reply (re-ingested if it still qualifies for the tier,
-// filed in the whole-body cache if it shrank below the threshold) and is
-// served. Nil sends the caller on down the chain to refetch.
+// the stored validators and returns the response to serve. A 304 is judged
+// by the cache's one 304 rule (cache.Renew), as for a whole-body entry: one
+// that renews the manifest extends its freshness and keeps its segment
+// bodies; one that selects another representation, or makes the copy one a
+// shared cache may not store, drops it, and the request falls through to a
+// full fetch. Anything else means the old segments are dead: the manifest is
+// dropped, and a 200 goes through the chain's store step like any other
+// origin reply (re-ingested if it still qualifies for the tier, filed in the
+// whole-body cache if it shrank below the threshold) and is served. Nil sends
+// the caller on down the chain to refetch.
 func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Manifest) *httpmsg.Response {
 	// Counted once, by how it ends: failed unless a 304 or a 200 says otherwise.
 	result := &n.lobRevalFailed
@@ -167,12 +170,8 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 	etag := m.Header.Get("Etag")
 	lastMod := m.Header.Get("Last-Modified")
 	_, url, ok := strings.Cut(m.Key, " ")
-	if !ok || (etag == "" && lastMod == "") {
-		t.DeleteManifest(key)
-		return nil
-	}
 	req, err := httpmsg.NewRequest(http.MethodGet, url)
-	if err != nil {
+	if !ok || err != nil || (etag == "" && lastMod == "") {
 		t.DeleteManifest(key)
 		return nil
 	}
@@ -191,13 +190,14 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 		return nil
 	}
 	if resp.Status == http.StatusNotModified {
-		refreshed, ok := t.RefreshManifest(key, n.clock(), resp.Header)
-		if !ok {
-			return nil
+		h := m.Header.Clone()
+		if renewal, expires := n.cache.Renew(m.Status, h, resp.Header); renewal == cache.Renewed {
+			if refreshed, ok := t.RefreshManifest(key, h, expires); ok {
+				result = &n.lobRevalSame
+				n.publish(key)
+				return n.lobStream(t, key, refreshed)
+			}
 		}
-		result = &n.lobRevalSame
-		n.publish(key)
-		return n.lobStream(t, key, refreshed)
 	}
 	t.DeleteManifest(key)
 	if resp.Status != http.StatusOK {
@@ -213,7 +213,9 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 // or lost its soft state in a crash — serves a range without refetching the
 // whole body. Only a complete manifest of the same key that is not stale is
 // adopted: anything else would serve another object, a hole, or an expired
-// copy, so the node fetches from the origin instead.
+// copy, so the node fetches from the origin instead. The adopted manifest
+// keeps the holder's expiry, as a whole body copied from a peer does
+// (cache.PutUntil): a copy never outlives the one it was taken from.
 func (n *Node) lobAdopt(key string, body []byte) *httpmsg.Response {
 	t := n.lobTier()
 	if t == nil {
@@ -324,7 +326,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 		// its own error if it does not).
 		return nil, nil
 	}
-	t := n.lobTakes(key, head.Status, head.Header, head.Length)
+	t, expires := n.lobTakes(key, head.Status, head.Header, head.Length)
 	if t == nil {
 		defer body.Close()
 		data, err := httpmsg.ReadWhole(body, head.Length)
@@ -348,7 +350,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 		Header:   head.Header.Clone(),
 		TotalLen: head.Length,
 		SegSize:  t.SegSize(),
-		Fetched:  n.clock(),
+		Expires:  expires,
 	}
 	if err := t.PutManifest(m); err != nil {
 		body.Close()
@@ -366,7 +368,6 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 
 	resp := httpmsg.NewResponse(m.Status)
 	resp.Header = m.Header.Clone()
-	resp.Fetched = m.Fetched
 	resp.SetStream(t.NewStream(m, n.lobFetcher(key)))
 	return resp, nil
 }

@@ -312,9 +312,11 @@ const (
 
 // TestLargeObjectParentDataDirectory: the previous release's data directory
 // opens. Its index record in state/ is replayed and left inert — nothing
-// reads the nk:lob site any more — and lob/ is read as it is, so after the
-// restart the object serves from the node's own segments and manifest record
-// with no origin fetch and no adoption.
+// reads the nk:lob site any more — and lob/ is read as it is. Its manifest
+// record kept a fetch time where a manifest now keeps its expiry, so the
+// object reads as one that expired at the instant it was fetched: it is
+// revalidated once, which for this manifest, with no validator, is one
+// full origin fetch, and then serves from the tier again.
 func TestLargeObjectParentDataDirectory(t *testing.T) {
 	const url = "http://big.example.org/parent"
 	body := lobBody(600)
@@ -343,15 +345,21 @@ func TestLargeObjectParentDataDirectory(t *testing.T) {
 	if st := n.LargeObject().Tier; st.Manifests != 1 || st.Slab.Used != 3 {
 		t.Errorf("opened tier: %+v; want the manifest and its three segments", st)
 	}
-	resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
-	if err != nil {
-		t.Fatal(err)
+	t1 := n.lobTier()
+	if m, ok := t1.Manifest("GET " + url); !ok || !m.Expires.Equal(time.Unix(1_790_000_000, 0)) || !n.lobStale(m) {
+		t.Fatalf("the parent's manifest reads as %+v; want it expired at its fetch time", m)
 	}
-	if got := readStream(t, resp, 0, resp.TotalLen()); !bytes.Equal(got, body) {
-		t.Fatal("the object differs after the open")
-	}
-	if f, r, _ := origin.counts(); f != 0 || r != 0 || n.LargeObject().Adopted != 0 {
-		t.Errorf("after the open: %d full and %d range origin fetches, %d adoptions; want none", f, r, n.LargeObject().Adopted)
+	for i, wantFull := range []int{1, 1} {
+		resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Materialize(); err != nil || !bytes.Equal(resp.Body, body) {
+			t.Fatalf("request %d: the object differs after the open: %v", i, err)
+		}
+		if f, r, _ := origin.counts(); f != wantFull || r != 0 || n.LargeObject().Adopted != 0 {
+			t.Errorf("request %d: %d full and %d range origin fetches, %d adoptions; want %d, 0, 0", i, f, r, n.LargeObject().Adopted, wantFull)
+		}
 	}
 }
 
@@ -781,9 +789,7 @@ func (o *revalOrigin) Do(req *httpmsg.Request) (*httpmsg.Response, error) {
 func TestLargeObjectStaleRevalidates(t *testing.T) {
 	bodyV1 := lobBody(40_000)
 	origin := &revalOrigin{url: "http://big.example.org/rss", body: bodyV1, etag: `"v1"`, maxAge: 100}
-	// The fake clock starts at wall time because NewResponse stamps Fetched
-	// with time.Now(); only the advances are simulated.
-	now := time.Now()
+	now := time.Unix(1_800_000_000, 0)
 	var mu sync.Mutex
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
@@ -855,7 +861,7 @@ func TestLargeObjectStaleRevalidates(t *testing.T) {
 func TestLargeObjectStaleWithoutValidatorsRefetches(t *testing.T) {
 	body := lobBody(30_000)
 	origin := &rangeOrigin{url: "http://big.example.org/nv", body: body}
-	now := time.Now() // see TestLargeObjectStaleRevalidates on the base time
+	now := time.Unix(1_800_000_000, 0)
 	var mu sync.Mutex
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
@@ -1049,7 +1055,7 @@ func TestLargeObjectLogOnMetrics(t *testing.T) {
 		`nakika_lob_revalidations_total{result="not_modified"} 0`)
 
 	// Revalidations by how they ended: a 304, a new body, no usable answer.
-	now := time.Now()
+	now := time.Unix(1_800_000_000, 0)
 	var mu sync.Mutex
 	advance := func() {
 		mu.Lock()

@@ -13,7 +13,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // The client half of the HTTP/1.x codec: the node's requests to origins.
@@ -245,7 +244,7 @@ func (c *ClientConn) parseResponse(method string) (*Response, error) {
 	if _, err := c.scanFields(); err != nil {
 		return nil, err
 	}
-	resp := &Response{Status: status, Header: make(http.Header, len(c.fields)), Fetched: time.Now()}
+	resp := &Response{Status: status, Header: make(http.Header, len(c.fields))}
 	h := resp.Header
 	c.header(h)
 	fixPragma(h)

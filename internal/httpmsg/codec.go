@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"time"
 
 	"nakika/internal/wire"
 )
@@ -59,21 +58,20 @@ func ReadHeader(r *wire.Reader) (http.Header, error) {
 // AppendResponse appends resp's binary encoding (no magic byte):
 //
 //	uvarint(status) header bytes(body) bool(generated) bool(fromCache)
-//	str(via) time(fetched)
+//	str(via)
 func AppendResponse(buf []byte, resp *Response) []byte {
 	buf = wire.AppendUvarint(buf, uint64(resp.Status))
 	buf = AppendHeader(buf, resp.Header)
-	return appendResponseTail(buf, resp.Body, resp.Generated, resp.FromCache, resp.Via, resp.Fetched)
+	return appendResponseTail(buf, resp.Body, resp.Generated, resp.FromCache, resp.Via)
 }
 
 // appendResponseTail appends what follows the header in a response's
 // encoding.
-func appendResponseTail(buf, body []byte, generated, fromCache bool, via string, fetched time.Time) []byte {
+func appendResponseTail(buf, body []byte, generated, fromCache bool, via string) []byte {
 	buf = wire.AppendBytes(buf, body)
 	buf = wire.AppendBool(buf, generated)
 	buf = wire.AppendBool(buf, fromCache)
-	buf = wire.AppendString(buf, via)
-	return wire.AppendTime(buf, fetched)
+	return wire.AppendString(buf, via)
 }
 
 // ReadResponse reads one AppendResponse-encoded response. The body is
@@ -91,24 +89,21 @@ func ReadResponse(r *wire.Reader) (*Response, error) {
 	if resp.Body, err = r.CopyBytes(); err != nil {
 		return nil, err
 	}
-	if err := readResponseFlags(r, &resp.Generated, &resp.FromCache, &resp.Via, &resp.Fetched); err != nil {
+	if err := readResponseFlags(r, &resp.Generated, &resp.FromCache, &resp.Via); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
 // readResponseFlags reads what follows the body in a response's encoding.
-func readResponseFlags(r *wire.Reader, generated, fromCache *bool, via *string, fetched *time.Time) (err error) {
+func readResponseFlags(r *wire.Reader, generated, fromCache *bool, via *string) (err error) {
 	if *generated, err = r.Bool(); err != nil {
 		return err
 	}
 	if *fromCache, err = r.Bool(); err != nil {
 		return err
 	}
-	if *via, err = r.String(); err != nil {
-		return err
-	}
-	*fetched, err = r.Time()
+	*via, err = r.String()
 	return err
 }
 
@@ -124,7 +119,6 @@ type Stored struct {
 	Header    string // AppendHeader's bytes
 	Body      []byte
 	Via       string
-	Fetched   time.Time
 	Generated bool
 	FromCache bool
 }
@@ -143,7 +137,6 @@ func (s *Stored) Response(borrowed bool) *Response {
 		Generated: s.Generated,
 		FromCache: s.FromCache,
 		Via:       s.Via,
-		Fetched:   s.Fetched,
 		shared:    borrowed,
 	}
 }
@@ -154,7 +147,7 @@ func (s *Stored) Response(borrowed bool) *Response {
 func AppendStored(buf []byte, s *Stored) []byte {
 	buf = wire.AppendUvarint(buf, uint64(s.Status))
 	buf = append(buf, s.Header...)
-	return appendResponseTail(buf, s.Body, s.Generated, s.FromCache, s.Via, s.Fetched)
+	return appendResponseTail(buf, s.Body, s.Generated, s.FromCache, s.Via)
 }
 
 // EncodeStored renders s as the self-describing payload EncodeResponse
@@ -185,20 +178,10 @@ func DecodeStored(payload []byte) (Stored, error) {
 	if s.Body, err = r.Bytes(); err != nil {
 		return Stored{}, err
 	}
-	if err := readResponseFlags(&r, &s.Generated, &s.FromCache, &s.Via, &s.Fetched); err != nil {
+	if err := readResponseFlags(&r, &s.Generated, &s.FromCache, &s.Via); err != nil {
 		return Stored{}, err
 	}
-	return s, wholePayload(&r)
-}
-
-// wholePayload is the last check of every payload decoder: a payload the
-// decoder did not read to its end is not in this build's format, so it is
-// an error, never a silent misread.
-func wholePayload(r *wire.Reader) error {
-	if r.Len() != 0 {
-		return wire.ErrMalformed
-	}
-	return nil
+	return s, r.End()
 }
 
 // skipHeader reads past one AppendHeader-encoded header, checking that it is
@@ -337,7 +320,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resp, wholePayload(&r)
+	return resp, r.End()
 }
 
 // AppendRequest appends req's binary encoding (no magic byte):
@@ -409,5 +392,5 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return req, wholePayload(&r)
+	return req, r.End()
 }

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"nakika/internal/wire"
 )
@@ -21,7 +20,6 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 	resp.Generated = true
 	resp.FromCache = true
 	resp.Via = "edge-3"
-	resp.Fetched = time.Unix(0, 1754600000000000000)
 
 	got, err := DecodeResponse(EncodeResponse(resp))
 	if err != nil {
@@ -37,9 +35,6 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Header, resp.Header) {
 		t.Fatalf("header: got %v want %v", got.Header, resp.Header)
 	}
-	if got.Fetched.UnixNano() != resp.Fetched.UnixNano() {
-		t.Fatalf("fetched: got %v want %v", got.Fetched, resp.Fetched)
-	}
 }
 
 func TestResponseCodecEmptyFields(t *testing.T) {
@@ -48,7 +43,7 @@ func TestResponseCodecEmptyFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeResponse: %v", err)
 	}
-	if got.Status != 404 || got.Header != nil || got.Body != nil || !got.Fetched.IsZero() {
+	if got.Status != 404 || got.Header != nil || got.Body != nil {
 		t.Fatalf("empty round trip: got %+v", got)
 	}
 }
@@ -102,16 +97,21 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestResponseGolden pins the response encoding to bytes captured from the
-// build that still had the gob arm: its cache.get replies and its disk-cache
-// entries are read by this one.
+// TestResponseGolden pins the response encoding, the payload of cache.get
+// and off.exec replies and of disk-cache records. The response ends with its
+// Via; the previous format went on with a fetch time (a presence byte and
+// unix nanoseconds) that nothing decided on. A payload in that format, as a
+// node of the previous build sends it, is refused, never misread.
 func TestResponseGolden(t *testing.T) {
-	const golden = "00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000006656467652d31018a80d0e2c6bfce972f"
+	const (
+		golden       = "00c801020d43616368652d436f6e74726f6c010a6d61782d6167653d36300c436f6e74656e742d547970650109746578742f68746d6c0f3c68746d6c3e68693c2f68746d6c3e000006656467652d31"
+		parentGolden = golden + "018a80d0e2c6bfce972f"
+	)
 	resp := &Response{
 		Status: 200,
 		Header: http.Header{"Content-Type": {"text/html"}, "Cache-Control": {"max-age=60"}},
 		Body:   []byte("<html>hi</html>"),
-		Via:    "edge-1", Fetched: time.Unix(1700000000, 5),
+		Via:    "edge-1",
 	}
 	if got := hex.EncodeToString(EncodeResponse(resp)); got != golden {
 		t.Errorf("EncodeResponse = %s, want %s", got, golden)
@@ -119,8 +119,15 @@ func TestResponseGolden(t *testing.T) {
 	raw, _ := hex.DecodeString(golden)
 	got, err := DecodeResponse(raw)
 	if err != nil || got.Status != 200 || !reflect.DeepEqual(got.Header, resp.Header) ||
-		!bytes.Equal(got.Body, resp.Body) || got.Via != "edge-1" || !got.Fetched.Equal(resp.Fetched) {
+		!bytes.Equal(got.Body, resp.Body) || got.Via != "edge-1" {
 		t.Errorf("DecodeResponse(golden) = %+v, %v", got, err)
+	}
+	parent, _ := hex.DecodeString(parentGolden)
+	if got, err := DecodeResponse(parent); err == nil {
+		t.Errorf("DecodeResponse(the previous format) = %+v, want an error", got)
+	}
+	if got, err := DecodeStored(parent); err == nil {
+		t.Errorf("DecodeStored(the previous format) = %+v, want an error", got)
 	}
 }
 

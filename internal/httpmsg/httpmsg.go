@@ -206,8 +206,6 @@ type Response struct {
 	// Via records which node produced or forwarded the response (cooperative
 	// caching provenance).
 	Via string
-	// Fetched is when the response was obtained from its source.
-	Fetched time.Time
 	// Stream, when non-nil, provides the body as lazily resolved byte
 	// ranges instead of Body (which stays nil while streaming). The chunked
 	// large-object tier serves multi-MB instances this way so they are
@@ -225,11 +223,7 @@ type Response struct {
 
 // NewResponse returns an empty response with the given status.
 func NewResponse(status int) *Response {
-	return &Response{
-		Status:  status,
-		Header:  make(http.Header),
-		Fetched: time.Now(),
-	}
+	return &Response{Status: status, Header: make(http.Header)}
 }
 
 // NewTextResponse builds a text/plain response with the given status and
@@ -295,7 +289,6 @@ func (r *Response) Clone() *Response {
 		Generated: r.Generated,
 		FromCache: r.FromCache,
 		Via:       r.Via,
-		Fetched:   r.Fetched,
 		Stream:    r.Stream,
 		rangeFrom: r.rangeFrom,
 		rangeTo:   r.rangeTo,
@@ -313,7 +306,6 @@ func (r *Response) StoredForm() Stored {
 		Header:    EncodeHeader(r.Header),
 		Body:      r.Body,
 		Via:       r.Via,
-		Fetched:   r.Fetched,
 		Generated: r.Generated,
 		FromCache: r.FromCache,
 	}

@@ -204,7 +204,6 @@ func ApplyRange(req *Request, resp *Response) *Response {
 		Generated: resp.Generated,
 		FromCache: resp.FromCache,
 		Via:       resp.Via,
-		Fetched:   resp.Fetched,
 	}
 	if resp.Stream != nil {
 		out.Stream = resp.Stream

@@ -32,7 +32,7 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 		Header:   http.Header{"Etag": {`"v1"`}, "Content-Type": {"application/octet-stream"}},
 		TotalLen: 2_500_000,
 		SegSize:  1 << 20,
-		Fetched:  time.Unix(0, 1754600000000000000),
+		Expires:  time.Unix(0, 1754600000000000000),
 	}
 	for i := 0; i < m.NumSegments(); i++ {
 		m.Segments = append(m.Segments, HashSegment([]byte{byte(i)}))
@@ -46,7 +46,7 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	}
 	if dec.Key != m.Key || dec.TotalLen != m.TotalLen || dec.SegSize != m.SegSize ||
 		len(dec.Segments) != len(m.Segments) || dec.Segments[2] != m.Segments[2] ||
-		dec.Header.Get("Etag") != `"v1"` || !dec.Fetched.Equal(m.Fetched) {
+		dec.Header.Get("Etag") != `"v1"` || !dec.Expires.Equal(m.Expires) {
 		t.Fatalf("round trip mismatch: %+v", dec)
 	}
 }
@@ -282,9 +282,8 @@ func TestTierPersistsCompleteManifests(t *testing.T) {
 	}
 }
 
-// TestTierRefreshManifest: RefreshManifest renews Fetched and merges the
-// 304's headers without touching segment ids, and the renewal survives a
-// reopen.
+// TestTierRefreshManifest: RefreshManifest stores the header and expiry it is
+// given without touching segment ids, and the renewal survives a reopen.
 func TestTierRefreshManifest(t *testing.T) {
 	fs := store.NewMemFS()
 	tier, err := OpenTier(fs, 1024, 64*1024)
@@ -293,17 +292,17 @@ func TestTierRefreshManifest(t *testing.T) {
 	}
 	body := testBody(5_000)
 	hdr := http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=5"}}
-	fetched := time.Unix(0, 1754600000000000000).UTC()
-	m, err := tier.IngestBody("GET http://x/o", 200, hdr, fetched, body)
+	expires := time.Unix(0, 1754600000000000000).UTC()
+	m, err := tier.IngestBody("GET http://x/o", 200, hdr, expires, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	renewed := fetched.Add(time.Hour)
-	got, ok := tier.RefreshManifest("GET http://x/o", renewed, http.Header{"Cache-Control": {"max-age=90"}})
+	renewed := expires.Add(time.Hour)
+	got, ok := tier.RefreshManifest("GET http://x/o", http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=90"}}, renewed)
 	if !ok {
 		t.Fatal("refresh missed the manifest")
 	}
-	if !got.Fetched.Equal(renewed) || got.Header.Get("Cache-Control") != "max-age=90" ||
+	if !got.Expires.Equal(renewed) || got.Header.Get("Cache-Control") != "max-age=90" ||
 		got.Header.Get("Etag") != `"v1"` || len(got.Segments) != len(m.Segments) {
 		t.Fatalf("refreshed manifest = %+v", got)
 	}
@@ -312,10 +311,10 @@ func TestTierRefreshManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2, ok := tier2.Manifest("GET http://x/o")
-	if !ok || !m2.Fetched.Equal(renewed) || m2.Header.Get("Cache-Control") != "max-age=90" {
+	if !ok || !m2.Expires.Equal(renewed) || m2.Header.Get("Cache-Control") != "max-age=90" {
 		t.Fatalf("renewal not persisted: %+v", m2)
 	}
-	if _, ok := tier.RefreshManifest("GET http://x/none", renewed, nil); ok {
+	if _, ok := tier.RefreshManifest("GET http://x/none", nil, renewed); ok {
 		t.Fatal("refresh of a missing manifest reported ok")
 	}
 }
@@ -332,12 +331,12 @@ func TestTierReopenTable(t *testing.T) {
 		capacity = 8 * segSize
 		key      = "GET http://o/table"
 	)
-	fetched := time.Unix(0, 1754600000000000000).UTC()
-	renewed := fetched.Add(time.Hour)
+	expires := time.Unix(0, 1754600000000000000).UTC()
+	renewed := expires.Add(time.Hour)
 	body := testBody(3*segSize - 10)
 	ingest := func(t *testing.T, tier *Tier) {
 		t.Helper()
-		if _, err := tier.IngestBody(key, 200, http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=5"}}, fetched, body); err != nil {
+		if _, err := tier.IngestBody(key, 200, http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=5"}}, expires, body); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,10 +365,10 @@ func TestTierReopenTable(t *testing.T) {
 		wantCC string // the restored manifest's Cache-Control; "" wants none restored
 		wantAt time.Time
 	}{
-		{"complete", ingest, "max-age=5", fetched},
+		{"complete", ingest, "max-age=5", expires},
 		{"refreshed", func(t *testing.T, tier *Tier) {
 			ingest(t, tier)
-			if _, ok := tier.RefreshManifest(key, renewed, http.Header{"Cache-Control": {"max-age=90"}}); !ok {
+			if _, ok := tier.RefreshManifest(key, http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=90"}}, renewed); !ok {
 				t.Fatal("refresh missed the manifest")
 			}
 		}, "max-age=90", renewed},
@@ -391,7 +390,7 @@ func TestTierReopenTable(t *testing.T) {
 		{"served while aging", func(t *testing.T, tier *Tier) {
 			ingest(t, tier)
 			churn(t, tier, true)
-		}, "max-age=5", fetched},
+		}, "max-age=5", expires},
 		{"not served", func(t *testing.T, tier *Tier) {
 			ingest(t, tier)
 			churn(t, tier, false)
@@ -417,8 +416,8 @@ func TestTierReopenTable(t *testing.T) {
 				case row.wantCC == "":
 				case !ok:
 					t.Fatalf("reopen %d: no manifest restored", reopen)
-				case !m.Complete() || !m.Fetched.Equal(row.wantAt) || m.Header.Get("Cache-Control") != row.wantCC || m.Header.Get("Etag") != `"v1"`:
-					t.Fatalf("reopen %d: restored %+v, want Fetched %v and Cache-Control %q", reopen, m, row.wantAt, row.wantCC)
+				case !m.Complete() || !m.Expires.Equal(row.wantAt) || m.Header.Get("Cache-Control") != row.wantCC || m.Header.Get("Etag") != `"v1"`:
+					t.Fatalf("reopen %d: restored %+v, want Expires %v and Cache-Control %q", reopen, m, row.wantAt, row.wantCC)
 				}
 				if n := tier.Stats().Manifests; n > 1 || (n == 1) != ok {
 					t.Fatalf("reopen %d: %d manifests in the table", reopen, n)

@@ -58,8 +58,10 @@ type Manifest struct {
 	// Segments lists the content addresses of the ingested prefix, in
 	// order. len(Segments) == NumSegments() once ingest completes.
 	Segments []SegID
-	// Fetched is when the object was obtained from the origin.
-	Fetched time.Time
+	// Expires is the instant the copy stops being fresh: cache.Expiry of its
+	// header when it was stored or last renewed, or the holder's expiry for
+	// a manifest adopted from a peer.
+	Expires time.Time
 }
 
 // NumSegments returns the number of segments the complete object has.
@@ -114,7 +116,7 @@ const maxManifestSegments = 1 << 23
 // AppendManifest appends m's binary encoding (no magic byte):
 //
 //	byte(version) str(key) uvarint(status) header varint(totalLen)
-//	uvarint(segSize) uvarint(nsegs) raw32(segid)... time(fetched)
+//	uvarint(segSize) uvarint(nsegs) raw32(segid)... time(expires)
 func AppendManifest(buf []byte, m *Manifest) []byte {
 	buf = append(buf, manifestVersion)
 	buf = wire.AppendString(buf, m.Key)
@@ -126,7 +128,7 @@ func AppendManifest(buf []byte, m *Manifest) []byte {
 	for i := range m.Segments {
 		buf = wire.AppendRaw(buf, m.Segments[i][:])
 	}
-	return wire.AppendTime(buf, m.Fetched)
+	return wire.AppendTime(buf, m.Expires)
 }
 
 // ReadManifest reads one AppendManifest-encoded manifest and validates its
@@ -174,7 +176,7 @@ func ReadManifest(r *wire.Reader) (*Manifest, error) {
 		}
 		copy(m.Segments[i][:], raw)
 	}
-	if m.Fetched, err = r.Time(); err != nil {
+	if m.Expires, err = r.Time(); err != nil {
 		return nil, err
 	}
 	if m.Key == "" || m.Status == 0 || m.TotalLen < 0 || m.SegSize <= 0 {

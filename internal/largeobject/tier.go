@@ -108,12 +108,11 @@ func (t *Tier) AppendSegment(key string, ord int, id SegID) (*Manifest, error) {
 	return cp, nil
 }
 
-// RefreshManifest renews key's manifest after a successful revalidation:
-// Fetched moves to fetched and hdr's headers (the 304's updated metadata —
-// new Cache-Control, Expires, validators) overwrite the stored ones, per RFC
-// 9111 §3.2. Segment ids and bodies are untouched. Returns the refreshed
+// RefreshManifest installs a renewal of key's manifest: header and expires,
+// as the cache's one 304 rule (cache.Renew) made them, replace the stored
+// ones. Segment ids and bodies are untouched. Returns the refreshed
 // manifest, or false when key has no manifest.
-func (t *Tier) RefreshManifest(key string, fetched time.Time, hdr http.Header) (*Manifest, bool) {
+func (t *Tier) RefreshManifest(key string, header http.Header, expires time.Time) (*Manifest, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m, ok := t.manifests[key]
@@ -121,13 +120,7 @@ func (t *Tier) RefreshManifest(key string, fetched time.Time, hdr http.Header) (
 		return nil, false
 	}
 	cp := m.Clone()
-	cp.Fetched = fetched
-	if cp.Header == nil {
-		cp.Header = make(http.Header, len(hdr))
-	}
-	for k, vs := range hdr {
-		cp.Header[k] = append([]string(nil), vs...)
-	}
+	cp.Header, cp.Expires = cloneHeader(header), expires
 	t.manifests[key] = cp
 	if cp.Complete() {
 		// Recording the renewed expiry is best-effort; if the record cannot
@@ -158,17 +151,17 @@ func (t *Tier) GetSegment(id SegID) ([]byte, bool) { return t.slab.Get(id) }
 func (t *Tier) Resident(m *Manifest) int { return t.slab.Resident(m) }
 
 // IngestBody chunks a complete body into the tier: every segment is hashed
-// and stored, and the complete manifest is installed and appended. Used for
-// whole bodies already in memory; streaming ingest drives AppendSegment
-// instead.
-func (t *Tier) IngestBody(key string, status int, header http.Header, fetched time.Time, body []byte) (*Manifest, error) {
+// and stored, and the complete manifest, fresh until expires, is installed
+// and appended. Used for whole bodies already in memory; streaming ingest
+// drives AppendSegment instead.
+func (t *Tier) IngestBody(key string, status int, header http.Header, expires time.Time, body []byte) (*Manifest, error) {
 	m := &Manifest{
 		Key:      key,
 		Status:   status,
 		Header:   cloneHeader(header),
 		TotalLen: int64(len(body)),
 		SegSize:  t.segSize,
-		Fetched:  fetched,
+		Expires:  expires,
 	}
 	n := m.NumSegments()
 	m.Segments = make([]SegID, 0, n)

@@ -55,5 +55,9 @@ func DecodeRec(payload []byte) (Rec, error) {
 	if err != nil {
 		return Rec{}, err
 	}
-	return ReadRec(&r)
+	rec, err := ReadRec(&r)
+	if err != nil {
+		return Rec{}, err
+	}
+	return rec, r.End()
 }

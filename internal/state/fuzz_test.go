@@ -25,13 +25,22 @@ func FuzzRecRoundTrip(f *testing.F) {
 }
 
 // FuzzRecDecode feeds arbitrary bytes to the record decoder: it may reject
-// them, but must never panic or over-allocate its way to an OOM.
+// them, but must never panic or over-allocate its way to an OOM. A record it
+// accepts is refused once a byte follows its encoding: a payload in another
+// format is an error, never a misread.
 func FuzzRecDecode(f *testing.F) {
 	f.Add(EncodeRec(Rec{Site: "s", Key: "k", Ver: 1, Origin: "o", Value: "v"}))
+	f.Add(append(EncodeRec(Rec{Site: "s", Key: "k", Ver: 1, Origin: "o", Value: "v"}), 0))
 	f.Add([]byte{0})
 	f.Add([]byte{})
 	f.Add([]byte("\x49\x7f\x03\x01\x01\x03Rec")) // how a gob stream begins
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeRec(data)
+		rec, err := DecodeRec(data)
+		if err != nil {
+			return
+		}
+		if _, err := DecodeRec(append(EncodeRec(rec), 0)); err == nil {
+			t.Fatalf("%+v decoded with a byte after its encoding", rec)
+		}
 	})
 }

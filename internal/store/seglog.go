@@ -349,13 +349,16 @@ func (l *SegLog) write(head [FrameHeader]byte, parts [][]byte) (*logSegment, int
 // seal closes the active segment's handle; the file is never opened for
 // writing again. Nothing is buffered and the log does not fsync (it is soft
 // state, and every read is checksummed), so there is nothing a failed close
-// could lose that a crash could not.
+// could lose that a crash could not. The segment's key list grows no more,
+// so it gives back the room its appends left spare.
 func (l *SegLog) seal() error {
 	if l.active == nil {
 		return nil
 	}
 	err := l.active.Close()
 	l.active = nil
+	seg := l.segs[len(l.segs)-1]
+	seg.keys = slices.Clone(seg.keys)
 	return err
 }
 

@@ -97,6 +97,16 @@ func Payload(p []byte) (Reader, error) {
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.Buf) - r.Off }
 
+// End is the last check of every payload decoder: a payload the decoder did
+// not read to its end is not in this build's format, so it is an error,
+// never a silent misread.
+func (r *Reader) End() error {
+	if r.Len() != 0 {
+		return ErrMalformed
+	}
+	return nil
+}
+
 // Byte reads one byte.
 func (r *Reader) Byte() (byte, error) {
 	if r.Off >= len(r.Buf) {

@@ -107,8 +107,6 @@ var wallClockFiles = []struct{ file, reason string }{
 	{"internal/core/ingress.go", "the drain's poll of open connections"},
 	{"internal/core/upstream.go", "the upstream pool's idle timers"},
 	{"internal/httpmsg/http1.go", "the Date header the client codec writes"},
-	{"internal/httpmsg/client.go", "the Fetched stamp of an upstream response"},
-	{"internal/httpmsg/httpmsg.go", "the Fetched stamp of NewResponse"},
 	{"internal/resource/resource.go", "the control loop's ticker; virtual time needs a service-time model (ROADMAP items 6 and 20)"},
 	{"internal/admin/admin.go", "the process uptime statusz reports"},
 	{"internal/bench/micro.go", "the paper's wall-clock figures"},
