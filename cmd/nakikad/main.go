@@ -13,18 +13,22 @@
 //	nakikad -listen :8080 -name edge-1 -rpc :9091 -peers edge-2=host2:9092
 //	nakikad -listen :8081 -name edge-2 -rpc :9092 -peers edge-1=host1:9091
 //
-// A cluster node keeps its overlay and its replica sets in shape with one
-// maintenance round, core.Node.Maintain, every 5 s: a ping round over its
-// ring neighbours, a pending catch-up, repair (a full pass on every sixth
-// round, about every 30 s, and whenever the pings change the node's
-// neighbours), publish retries, RTT re-probes and a deployment sync. At boot it runs only the catch-up, the
-// pull of the key range it owns, since its peers may not listen yet; the
-// rounds retry the pull until it succeeds.
+// One wall-clock ticker at the resource manager's control interval drives
+// the node's periodic work: each beat starts a core.Node.Tick, which runs
+// what is due. That is the congestion control of the paper's Figure 6 every
+// control interval, an access-log flush every minute and, in a cluster, one
+// maintenance round (core.Node.Maintain) 5 s after the last: a ping round
+// over the node's ring neighbours, a pending catch-up, repair, publish
+// retries, RTT re-probes and a deployment sync. The first Tick runs only the
+// boot catch-up, the pull of the key range the node owns, since its peers
+// may not listen yet; the rounds retry the pull until it succeeds.
 //
 // With -data-dir the node persists its hard state through a write-ahead
 // log and keeps a disk cache tier, so a restart recovers both instead of
-// starting cold. SIGINT/SIGTERM trigger a graceful shutdown that drains
-// the client port, closes the cluster transport, and flushes the store.
+// starting cold. SIGINT/SIGTERM shut the admin listener down and then the
+// node, through core.Node.Stop: the client port drains, the cluster
+// transport closes, the access log is posted and the store flushed, all
+// within 15 s.
 //
 // The client port speaks HTTP/1.1 through the node's own codec
 // (core.Node.Serve); the admin listener runs on net/http.
@@ -71,7 +75,7 @@ func main() {
 	segmentSize := flag.Int64("segment-size", 256<<10, "segment size of the large-object tier")
 	largeCapacity := flag.Int64("large-capacity", 512<<20, "byte capacity of the large-object segment slab (oldest segments reclaimed beyond it, those in use carried forward)")
 	flag.Parse()
-	if *replication < 0 {
+	if *replication < 1 {
 		log.Printf("nakikad: -replication %d: want at least 1", *replication)
 		flag.Usage()
 		os.Exit(2)
@@ -153,42 +157,6 @@ func main() {
 		log.Printf("nakikad: cluster transport on %s (%d peers)", addr, peerCount)
 	}
 
-	// Background loops: congestion control (every control interval, until
-	// shutdown), access-log flushing, and in cluster mode the maintenance
-	// round (Node.Maintain) every 5 s.
-	control, stopControl := context.WithCancel(context.Background())
-	go node.Resources().Run(control)
-	go func() {
-		for {
-			time.Sleep(time.Minute)
-			if err := node.FlushLogs(); err != nil {
-				log.Printf("nakikad: log flush: %v", err)
-			}
-		}
-	}()
-	if tcp != nil {
-		go func() {
-			// Boot catch-up: stream the key range this node owns from its
-			// successors. Only the pull: a full round before the peers
-			// listen would find nothing answering and empty the successor
-			// list. Each round retries it until it succeeds.
-			if _, err := node.CatchUp(); err != nil {
-				log.Printf("nakikad: catch-up: %v (retried every maintenance round)", err)
-			}
-			caughtUp := false
-			for {
-				if !caughtUp {
-					if st := node.Stats().CatchUp; !st.Pending {
-						caughtUp = true
-						log.Printf("nakikad: caught up (pulls: %d, records applied: %d)", st.Attempts, st.Applied)
-					}
-				}
-				time.Sleep(5 * time.Second)
-				node.Maintain()
-			}
-		}()
-	}
-
 	// The client port: the node speaks HTTP/1.1 on it itself
 	// (core.Node.Serve).
 	ln, err := net.Listen("tcp", *listen)
@@ -211,52 +179,39 @@ func main() {
 		}()
 	}
 
-	// Graceful shutdown: on SIGINT/SIGTERM stop accepting traffic, let the
-	// requests in flight finish (10 s at most) and close idle connections,
-	// close the cluster transport listener, flush the store durably, and
-	// only then exit. A node killed without -data-dir simply loses its
-	// state, as before; with it, the next boot replays the log.
-	drained := make(chan struct{})
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+
+	// The node's periodic work: a Tick on every beat, each in a goroutine
+	// of its own, so a round or a log post blocked on the network never
+	// holds back the control procedure.
 	go func() {
-		defer close(drained)
-		sig := <-sigs
-		log.Printf("nakikad: %v: shutting down", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if adminSrv != nil {
-			if err := adminSrv.Shutdown(ctx); err != nil {
-				log.Printf("nakikad: admin shutdown: %v", err)
-			}
+		beat := time.NewTicker(node.Resources().ControlInterval())
+		for ; ; <-beat.C {
+			go node.Tick()
 		}
-		if err := node.Drain(ctx); err != nil {
-			log.Printf("nakikad: client port drain: %v", err)
+	}()
+	go func() {
+		log.Printf("nakikad: node %s (%s) listening on %s", *name, *region, ln.Addr())
+		if err := node.Serve(ln); err != nil {
+			log.Fatalf("nakikad: %v", err)
 		}
 	}()
 
-	log.Printf("nakikad: node %s (%s) listening on %s", *name, *region, ln.Addr())
-	if err := node.Serve(ln); err != nil {
-		log.Fatalf("nakikad: %v", err)
-	}
-	<-drained
-	stopControl()
-	if tcp != nil {
-		tcp.Close()
-	}
-	// Post what the access log still holds, so a restart loses no lines; an
-	// origin that does not answer in time keeps them from holding up the exit.
-	flushed := make(chan error, 1)
-	go func() { flushed <- node.FlushLogs() }()
-	select {
-	case err := <-flushed:
-		if err != nil {
-			log.Printf("nakikad: log flush: %v", err)
+	// Graceful shutdown: on SIGINT/SIGTERM the admin listener finishes its
+	// scrapes in flight, then the node stops (core.Node.Stop), within 10 s
+	// for the requests in flight and 5 s for the access log's post. A node
+	// killed without -data-dir simply loses its state; with it, the next
+	// boot replays the log.
+	log.Printf("nakikad: %v: shutting down", <-sigs)
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if adminSrv != nil {
+		if err := adminSrv.Shutdown(ctx); err != nil {
+			log.Printf("nakikad: admin shutdown: %v", err)
 		}
-	case <-time.After(5 * time.Second):
-		log.Printf("nakikad: log flush: no answer in 5s")
 	}
-	if err := node.Shutdown(); err != nil {
+	if err := node.Stop(ctx); err != nil {
 		log.Fatalf("nakikad: store shutdown: %v", err)
 	}
 	log.Printf("nakikad: store flushed, bye")

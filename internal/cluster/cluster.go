@@ -153,10 +153,10 @@ func (c *Cluster) now() time.Time { return time.Unix(0, int64(c.Sim.Now())) }
 
 // AddNode boots one additional node (continuing the node-<i> sequence)
 // onto the running cluster's ring and returns its name. Like any new node
-// it owes a catch-up, which its first maintenance round in StabilizeAll
-// runs: it streams the key range it now owns from its successor. The
-// origin must be the same fetcher the cluster was built with (it is
-// per-node configuration).
+// it owes a catch-up, which its first core.Node.Tick, or its first
+// maintenance round in StabilizeAll, runs: it streams the key range it now
+// owns from its successor. The origin must be the same fetcher the
+// cluster was built with (it is per-node configuration).
 func (c *Cluster) AddNode(origin core.Fetcher) (string, error) {
 	n, err := c.boot(len(c.names), origin)
 	if err != nil {
@@ -247,7 +247,7 @@ func (c *Cluster) Live(name string) bool { return !c.Sim.Crashed(name) }
 
 // StabilizeAll runs maintenance rounds. Each round executes the fault
 // DSL's deferred deploys, then runs one core.Node.Maintain — the round
-// nakikad runs every 5 s — on every live node in name order. A crashed
+// core.Node.Tick runs every 5 s — on every live node in name order. A crashed
 // process runs no maintenance: its pings would fail and it would come back
 // suspecting every member. A node whose catch-up has failed
 // catchUpStallRounds pulls is reported through Err.

@@ -456,12 +456,21 @@ func TestBothTiersRenewAlike(t *testing.T) {
 					}
 					return
 				}
+				// The revalidations by result: not_modified, refused,
+				// replaced, failed.
+				results := func(want [4]int64) {
+					t.Helper()
+					if got := [4]int64{n.lobRevalSame.Load(), n.lobRevalRefused.Load(), n.lobRevalNew.Load(), n.lobRevalFailed.Load()}; got != want {
+						t.Fatalf("revalidations by result %v, want %v", got, want)
+					}
+				}
 				clock.Advance(100 * time.Second)
 				if tc.want != cache.Renewed {
 					get(2, 1)
 					if m, ok := n.lobTier().Manifest("GET " + url); !ok || m.Header.Get("Etag") != `"v1"` || len(m.Header["Cache-Control"]) != 1 || m.Header.Get("Cache-Control") != "max-age=100" {
 						t.Fatalf("after the refetch the tier holds %+v, want the refetched 200's manifest", m)
 					}
+					results([4]int64{0, 1, 0, 0})
 					return
 				}
 				get(1, 1)
@@ -469,6 +478,7 @@ func TestBothTiersRenewAlike(t *testing.T) {
 				get(1, 1)
 				clock.Advance(time.Nanosecond)
 				get(1, 2)
+				results([4]int64{2, 0, 0, 0})
 			})
 		}
 	}

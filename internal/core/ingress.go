@@ -34,12 +34,13 @@ const maxReplyBuffer = 64 << 10
 const redirectSuffix = ".nakika.net"
 
 // ingress is Serve's bookkeeping: the listeners and connections a Drain
-// closes, and the counters of requests the codec refused and of panics
-// recovered while serving.
+// closes, the count of open connections it waits on, and the counters of
+// requests the codec refused and of panics recovered while serving.
 type ingress struct {
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[*ingressConn]struct{}
+	open      sync.WaitGroup
 	draining  atomic.Bool
 	rejected  [httpmsg.NumReasons]atomic.Int64
 	panics    atomic.Int64
@@ -47,7 +48,8 @@ type ingress struct {
 
 // ingressConn is one client connection. Its state moves idle → active
 // when a request's first byte arrives and back after the response; a Drain
-// closes it only from idle, so it never cuts a request in flight.
+// closes it only from idle, so it never cuts a request in flight. One that
+// finishes a request while the port drains closes itself instead.
 type ingressConn struct {
 	rwc   net.Conn
 	state atomic.Int32
@@ -184,6 +186,7 @@ func (n *Node) serveConn(rwc net.Conn) {
 		in.conns = make(map[*ingressConn]struct{})
 	}
 	in.conns[c] = struct{}{}
+	in.open.Add(1)
 	in.mu.Unlock()
 	defer func() {
 		if p := recover(); p != nil {
@@ -194,6 +197,7 @@ func (n *Node) serveConn(rwc net.Conn) {
 		in.mu.Lock()
 		delete(in.conns, c)
 		in.mu.Unlock()
+		in.open.Done()
 	}()
 
 	hc := httpmsg.NewHTTP1Conn(rwc)
@@ -246,7 +250,11 @@ func (n *Node) serveConn(rwc net.Conn) {
 		if !hc.KeepAlive {
 			return
 		}
-		c.state.Store(connIdle)
+		// A Drain that began after the check above found this connection
+		// active, so it is this connection's to close.
+		if c.state.Store(connIdle); in.draining.Load() {
+			return
+		}
 	}
 }
 
@@ -263,39 +271,32 @@ func lingerClose(rwc net.Conn) {
 
 // Drain stops the client port the way http.Server.Shutdown does: it closes
 // every listener Serve runs on and every idle connection, lets the requests
-// in flight finish, and returns once no connection is left. When ctx ends
-// first, the connections left are closed and ctx's error returned.
+// in flight finish, and returns once the last connection has left. When ctx
+// ends first, the connections left are closed and ctx's error returned.
 func (n *Node) Drain(ctx context.Context) error {
 	in := &n.ingress
 	in.mu.Lock()
-	in.draining.Store(true)
+	in.draining.Store(true) // from here on, no connection joins in.open
 	for ln := range in.listeners {
 		ln.Close()
 	}
+	for c := range in.conns {
+		if c.state.CompareAndSwap(connIdle, connClosed) {
+			c.rwc.Close()
+		}
+	}
 	in.mu.Unlock()
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
+	left := make(chan struct{})
+	go func() { in.open.Wait(); close(left) }()
+	select {
+	case <-left:
+		return nil
+	case <-ctx.Done():
 		in.mu.Lock()
 		for c := range in.conns {
-			if c.state.CompareAndSwap(connIdle, connClosed) {
-				c.rwc.Close()
-			}
+			c.rwc.Close()
 		}
-		left := len(in.conns)
 		in.mu.Unlock()
-		if left == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			in.mu.Lock()
-			for c := range in.conns {
-				c.rwc.Close()
-			}
-			in.mu.Unlock()
-			return ctx.Err()
-		case <-tick.C:
-		}
+		return ctx.Err()
 	}
 }

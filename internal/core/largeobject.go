@@ -164,7 +164,8 @@ func (n *Node) lobStream(t *largeobject.Tier, key string, m *largeobject.Manifes
 // whole-body cache if it shrank below the threshold) and is served. Nil sends
 // the caller on down the chain to refetch.
 func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Manifest) *httpmsg.Response {
-	// Counted once, by how it ends: failed unless a 304 or a 200 says otherwise.
+	// Counted once, by how it ends: failed unless the origin answered with a
+	// 304 (renewing or refused) or a 200.
 	result := &n.lobRevalFailed
 	defer func() { result.Add(1) }()
 	etag := m.Header.Get("Etag")
@@ -198,6 +199,7 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 				return n.lobStream(t, key, refreshed)
 			}
 		}
+		result = &n.lobRevalRefused
 	}
 	t.DeleteManifest(key)
 	if resp.Status != http.StatusOK {

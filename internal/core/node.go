@@ -109,9 +109,9 @@ type Config struct {
 	// Clock is the node's one time source; nil means time.Now. Cache
 	// freshness and the disk tier, the overlay index's entry expiry, load
 	// decay and RTTs, lease expiry, System.time, pipeline spans, request
-	// latency and the access log all read it. The cluster harness injects
-	// the simulated network's virtual clock, so a seeded run expires
-	// entries and leases in virtual time.
+	// latency, the access log and Tick's schedule all read it. The cluster
+	// harness injects the simulated network's virtual clock, so a seeded
+	// run expires entries and leases in virtual time.
 	Clock func() time.Time
 	// LoadHalfLife is the decay half-life of the load score's work
 	// component; zero means the loadview default (2s).
@@ -373,16 +373,23 @@ type Node struct {
 	lobAdopted   atomic.Int64
 	lobSegPeer   atomic.Int64
 	lobSegOrigin atomic.Int64
-	// Revalidations of a stale manifest by how they ended (304, a new 200,
-	// no usable answer), and segment reads that waited on an ingest.
-	lobRevalSame   atomic.Int64
-	lobRevalNew    atomic.Int64
-	lobRevalFailed atomic.Int64
-	lobIngWaits    atomic.Int64
+	// Revalidations of a stale manifest by how they ended (a 304 that renewed
+	// it, a 304 the renewal rule refused, a new 200, no usable answer), and
+	// segment reads that waited on an ingest.
+	lobRevalSame    atomic.Int64
+	lobRevalRefused atomic.Int64
+	lobRevalNew     atomic.Int64
+	lobRevalFailed  atomic.Int64
+	lobIngWaits     atomic.Int64
 
 	// The client port's listeners, connections and counters (see
 	// internal/core/ingress.go).
 	ingress ingress
+	// Tick's periodic work, laid out by the first Tick, and whether Stop
+	// has ended it (see internal/core/lifecycle.go).
+	schedMu sync.Mutex
+	jobs    []*job
+	stopped bool
 }
 
 // NewNode builds a node from cfg.
@@ -630,8 +637,9 @@ func (n *Node) Recover() error {
 // with no other trigger.
 const periodicRepairRounds = 6
 
-// Maintain runs one maintenance round. nakikad runs one every 5 s and the
-// cluster harness one per node in each StabilizeAll round, in this order:
+// Maintain runs one maintenance round. Tick runs one 5 s after the last
+// returns, and the cluster harness one per node in each StabilizeAll round,
+// in this order:
 //  1. overlay Stabilize, one ping round over the node's ring neighbours;
 //  2. a pending catch-up (CatchUp), followed, when the pull succeeds, by a
 //     full repair;
@@ -679,7 +687,7 @@ func (n *Node) Maintain() {
 func (n *Node) Name() string { return n.cfg.Name }
 
 // Resources exposes the node's resource manager (benchmarks drive its
-// control loop directly; deployments run Manager.Run in a goroutine).
+// control procedure directly; Tick runs it on the node clock).
 func (n *Node) Resources() *resource.Manager { return n.res }
 
 // Cache exposes the node's proxy cache.

@@ -180,6 +180,7 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_lob_segment_fetches_total", "Missing segment bodies pulled in, by source.", metrics.Labels{"source": "peer"}, cv(&n.lobSegPeer))
 	r.CounterFunc("nakika_lob_segment_fetches_total", "", metrics.Labels{"source": "origin"}, cv(&n.lobSegOrigin))
 	r.CounterFunc("nakika_lob_revalidations_total", "Conditional origin requests for a stale manifest, by how they ended.", metrics.Labels{"result": "not_modified"}, cv(&n.lobRevalSame))
+	r.CounterFunc("nakika_lob_revalidations_total", "", metrics.Labels{"result": "refused"}, cv(&n.lobRevalRefused))
 	r.CounterFunc("nakika_lob_revalidations_total", "", metrics.Labels{"result": "replaced"}, cv(&n.lobRevalNew))
 	r.CounterFunc("nakika_lob_revalidations_total", "", metrics.Labels{"result": "failed"}, cv(&n.lobRevalFailed))
 	r.CounterFunc("nakika_lob_ingest_waits_total", "Segment reads that waited on an ingest still in flight instead of fetching.", nil, cv(&n.lobIngWaits))

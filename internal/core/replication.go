@@ -584,8 +584,8 @@ const handoffChunk = 64
 // and Recover set it, because a node that just joined or restarted has
 // missed the writes to the range it now owns. A successful pull clears it.
 // Maintain retries a pending catch-up every round and follows a successful
-// one with a full repair; nakikad also calls CatchUp alone at boot, before
-// its first round (see Maintain). It returns how many records were applied.
+// one with a full repair; Tick also runs CatchUp alone at boot, before the
+// first round (see Maintain). It returns how many records were applied.
 func (n *Node) CatchUp() (int, error) {
 	if !n.catchUp.Load() {
 		return 0, nil

@@ -13,7 +13,6 @@
 package resource
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"sync"
@@ -342,19 +341,9 @@ func (m *Manager) endRoundLocked() {
 	}
 }
 
-// Run executes ControlOnce every ControlInterval until ctx is cancelled.
-func (m *Manager) Run(ctx context.Context) {
-	ticker := time.NewTicker(m.cfg.ControlInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			m.ControlOnce()
-		}
-	}
-}
+// ControlInterval is how often ControlOnce is meant to run (core.Node.Tick
+// runs it on that cadence).
+func (m *Manager) ControlInterval() time.Duration { return m.cfg.ControlInterval }
 
 // isCongestedLocked reports whether total windowed consumption of kind
 // exceeds the congestion threshold.

@@ -1,12 +1,10 @@
 package resource
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // throttled reports whether site currently has a non-zero rejection
@@ -261,23 +259,6 @@ func TestChargeIgnoresNonPositive(t *testing.T) {
 	m.ControlOnce()
 	if len(m.sites) != 0 {
 		t.Errorf("non-positive charges should not create site state: %v", m.sites)
-	}
-}
-
-func TestRunLoop(t *testing.T) {
-	m := NewManager(Config{
-		Capacity:        map[Kind]float64{CPU: 10},
-		ControlInterval: 5 * time.Millisecond,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { m.Run(ctx); close(done) }()
-	m.Charge("site-a", CPU, 100)
-	time.Sleep(40 * time.Millisecond)
-	cancel()
-	<-done
-	if m.Stats().ControlRuns == 0 {
-		t.Error("control loop should have run at least once")
 	}
 }
 

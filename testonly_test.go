@@ -104,10 +104,8 @@ var wallClockFiles = []struct{ file, reason string }{
 	{"internal/vocab/host.go", "NopHost, the host of stand-alone pipelines and the benchmark's stub, has no node clock"},
 	{"internal/transport/tcp.go", "socket deadlines and dial backoff"},
 	{"internal/transport/mux_conn.go", "socket deadlines of mux calls"},
-	{"internal/core/ingress.go", "the drain's poll of open connections"},
 	{"internal/core/upstream.go", "the upstream pool's idle timers"},
 	{"internal/httpmsg/http1.go", "the Date header the client codec writes"},
-	{"internal/resource/resource.go", "the control loop's ticker; virtual time needs a service-time model (ROADMAP items 6 and 20)"},
 	{"internal/admin/admin.go", "the process uptime statusz reports"},
 	{"internal/bench/micro.go", "the paper's wall-clock figures"},
 	{"internal/apps/largefile/largefile.go", "the origin's pacing of a rate-limited body"},
