@@ -25,13 +25,13 @@
 //
 // With -data-dir the node persists its hard state through a write-ahead
 // log and keeps a disk cache tier, so a restart recovers both instead of
-// starting cold. SIGINT/SIGTERM shut the admin listener down and then the
-// node, through core.Node.Stop: the client port drains, the cluster
-// transport closes, the access log is posted and the store flushed, all
-// within 15 s.
+// starting cold. SIGINT/SIGTERM shut the node down through core.Node.Stop:
+// the client and admin ports drain, the cluster transport closes, the
+// access log is posted and the store flushed, all within 15 s.
 //
-// The client port speaks HTTP/1.1 through the node's own codec
-// (core.Node.Serve); the admin listener runs on net/http.
+// Both ports speak HTTP/1.1 through the node's own codec: the client port
+// with core.Node.Serve, the admin port with core.Node.ServeAdmin. A listen
+// address that cannot be bound stops the start.
 package main
 
 import (
@@ -39,7 +39,6 @@ import (
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -69,7 +68,7 @@ func main() {
 	offloadThreshold := flag.Float64("offload-threshold", 0, "load score above which arriving requests are shed to the least-loaded replica of their site (cluster mode); 0 disables offload")
 	hedgeAfter := flag.Duration("hedge-after", 0, "latency budget for replicated hard-state reads: when the owner's EWMA round trip exceeds it the read is hedged to the next replica; 0 disables hedging")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "default time-to-live of distributed leases taken without an explicit TTL (Lease.acquire)")
-	adminAddr := flag.String("admin", "", "admin listener address serving /metrics, /admin/traces, /admin/statusz, and /debug/pprof; empty disables the listener")
+	adminAddr := flag.String("admin", "", "admin listener address serving /metrics, /admin/traces, /admin/statusz, /admin/deploy, /admin/rollback, /admin/deployments and /debug/pprof/ (no delta profiles: compare two with go tool pprof -base); empty disables the listener")
 	noObserve := flag.Bool("no-observe", false, "disable the observability plane (metrics registry, request tracing, trace-id propagation)")
 	largeThreshold := flag.Int64("large-threshold", 1<<20, "response size in bytes at which bodies are chunked into the content-addressed large-object tier and served as streams; 0 disables the tier")
 	segmentSize := flag.Int64("segment-size", 256<<10, "segment size of the large-object tier")
@@ -157,26 +156,26 @@ func main() {
 		log.Printf("nakikad: cluster transport on %s (%d peers)", addr, peerCount)
 	}
 
-	// The client port: the node speaks HTTP/1.1 on it itself
-	// (core.Node.Serve).
+	// The admin port, optional: /metrics, /admin/traces, /admin/statusz,
+	// the deployment API and /debug/pprof/ on a port separate from client
+	// traffic, served by the node's own ingress. Then the client port. Both
+	// drain on the same signal, so a scrape in flight at SIGTERM completes
+	// before the process exits.
+	if *adminAddr != "" {
+		adminLn, err := net.Listen("tcp", *adminAddr)
+		if err != nil {
+			log.Fatalf("nakikad: admin listener: %v", err)
+		}
+		log.Printf("nakikad: admin surface on %s", adminLn.Addr())
+		go func() {
+			if err := node.ServeAdmin(adminLn, admin.NewHandler(node)); err != nil {
+				log.Fatalf("nakikad: admin listener: %v", err)
+			}
+		}()
+	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("nakikad: %v", err)
-	}
-
-	// Optional admin listener: /metrics, /admin/traces, /admin/statusz and
-	// /debug/pprof on a port separate from client traffic. It drains on the
-	// same signal as the front server so a scrape in flight at SIGTERM
-	// completes before the process exits.
-	var adminSrv *http.Server
-	if *adminAddr != "" {
-		adminSrv = &http.Server{Addr: *adminAddr, Handler: admin.NewHandler(node)}
-		go func() {
-			log.Printf("nakikad: admin surface on %s", *adminAddr)
-			if err := adminSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("nakikad: admin listener: %v", err)
-			}
-		}()
 	}
 
 	sigs := make(chan os.Signal, 1)
@@ -198,19 +197,13 @@ func main() {
 		}
 	}()
 
-	// Graceful shutdown: on SIGINT/SIGTERM the admin listener finishes its
-	// scrapes in flight, then the node stops (core.Node.Stop), within 10 s
-	// for the requests in flight and 5 s for the access log's post. A node
-	// killed without -data-dir simply loses its state; with it, the next
-	// boot replays the log.
+	// Graceful shutdown: on SIGINT/SIGTERM the node stops (core.Node.Stop):
+	// the requests and scrapes in flight finish and the access log is
+	// posted, all within 15 s. A node killed without -data-dir simply loses
+	// its state; with it, the next boot replays the log.
 	log.Printf("nakikad: %v: shutting down", <-sigs)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if adminSrv != nil {
-		if err := adminSrv.Shutdown(ctx); err != nil {
-			log.Printf("nakikad: admin shutdown: %v", err)
-		}
-	}
 	if err := node.Stop(ctx); err != nil {
 		log.Fatalf("nakikad: store shutdown: %v", err)
 	}

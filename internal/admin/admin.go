@@ -1,22 +1,25 @@
 // Package admin serves a node's observability surface over HTTP: the
 // Prometheus /metrics exposition, the /admin/traces dump of the slowest
-// recent requests, a human-readable /admin/statusz, and net/http/pprof
-// under /debug/pprof/. It binds a separate listener from the proxy front
-// (cmd/nakikad's -admin flag) so operators can scrape and profile a node
-// without touching the client-facing port.
+// recent requests, a human-readable /admin/statusz, the deployment plane's
+// /admin/deploy, /admin/rollback and /admin/deployments, and the runtime's
+// profiles under /debug/pprof/. It binds a separate listener from the proxy
+// front (cmd/nakikad's -admin flag) so operators can scrape and profile a
+// node without touching the client-facing port. The node serves it with its
+// own HTTP/1 ingress (core.Node.ServeAdmin), not net/http's server.
 package admin
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
 	"nakika/internal/deploy"
+	"nakika/internal/httpmsg"
 	"nakika/internal/metrics"
 	"nakika/internal/trace"
 )
@@ -63,133 +66,127 @@ type rollbackRequest struct {
 // given.
 const DefaultTraceDump = 32
 
-// NewHandler returns the admin surface for node.
-func NewHandler(node Node) http.Handler {
-	mux := http.NewServeMux()
+// NewHandler returns the admin surface for node: a router from a request's
+// path to its endpoint. A path it does not serve is answered 404.
+func NewHandler(node Node) func(*httpmsg.Request) *httpmsg.Response {
 	start := time.Now()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		reg := node.Metrics()
-		if reg == nil {
-			http.Error(w, "metrics disabled on this node", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WriteText(w)
-	})
-	mux.HandleFunc("/admin/traces", func(w http.ResponseWriter, r *http.Request) {
-		ring := node.Traces()
-		if ring == nil {
-			http.Error(w, "tracing disabled on this node", http.StatusServiceUnavailable)
-			return
-		}
-		n := DefaultTraceDump
-		if v := r.URL.Query().Get("n"); v != "" {
-			if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-				n = parsed
+	dep, _ := node.(Deployer)
+	return func(req *httpmsg.Request) *httpmsg.Response {
+		path := req.URL.Path
+		switch {
+		case path == "/metrics":
+			return serveMetrics(node)
+		case path == "/admin/traces":
+			return serveTraces(node, req)
+		case path == "/admin/statusz":
+			var b bytes.Buffer
+			fmt.Fprintf(&b, "node:       %s\n", node.Name())
+			fmt.Fprintf(&b, "uptime:     %s\n", time.Since(start).Round(time.Second))
+			fmt.Fprintf(&b, "load score: %.3f\n", node.LoadScore())
+			fmt.Fprintf(&b, "goroutines: %d\n", runtime.NumGoroutine())
+			fmt.Fprintf(&b, "go:         %s %s/%s\n", runtime.Version(), runtime.GOOS, runtime.GOARCH)
+			fmt.Fprintf(&b, "endpoints:  /metrics /admin/traces /admin/statusz /admin/deploy /admin/rollback /admin/deployments /debug/pprof/\n")
+			return reply(http.StatusOK, "text/plain; charset=utf-8", b.Bytes())
+		case dep != nil && path == "/admin/deploy":
+			return serveDeploy(dep, req)
+		case dep != nil && path == "/admin/rollback":
+			return serveRollback(dep, req)
+		case dep != nil && path == "/admin/deployments":
+			statuses := dep.Deployments()
+			if statuses == nil {
+				statuses = []deploy.Status{}
 			}
+			return replyJSON(statuses)
+		case strings.HasPrefix(path, pprofPrefix):
+			return servePprof(req, path[len(pprofPrefix):])
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(dumpSamples(node.Name(), ring.Slowest(n)))
-	})
-	mux.HandleFunc("/admin/statusz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "node:       %s\n", node.Name())
-		fmt.Fprintf(w, "uptime:     %s\n", time.Since(start).Round(time.Second))
-		fmt.Fprintf(w, "load score: %.3f\n", node.LoadScore())
-		fmt.Fprintf(w, "goroutines: %d\n", runtime.NumGoroutine())
-		fmt.Fprintf(w, "go:         %s %s/%s\n", runtime.Version(), runtime.GOOS, runtime.GOARCH)
-		fmt.Fprintf(w, "endpoints:  /metrics /admin/traces /admin/statusz /admin/deploy /admin/rollback /admin/deployments /debug/pprof/\n")
-	})
-	if dep, ok := node.(Deployer); ok {
-		registerDeployEndpoints(mux, dep)
+		return httpmsg.NewErrorResponse(http.StatusNotFound, "404 page not found")
 	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
-// registerDeployEndpoints wires the deployment plane's admin API.
-func registerDeployEndpoints(mux *http.ServeMux, dep Deployer) {
-	mux.HandleFunc("/admin/deploy", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		var req deployRequest
-		if err := decodeJSONBody(w, r, &req); err != nil {
-			return
-		}
-		if req.Site == "" || req.Script == "" {
-			http.Error(w, "site and script are required", http.StatusBadRequest)
-			return
-		}
-		gen, err := dep.Deploy(req.Site, req.Script, req.Note)
-		if err != nil {
-			// Validation failures are the client's fault; anything past
-			// validation (storage, replication) is the server's.
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		writeJSON(w, map[string]any{"site": req.Site, "gen": gen})
-	})
-	mux.HandleFunc("/admin/rollback", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		var req rollbackRequest
-		if err := decodeJSONBody(w, r, &req); err != nil {
-			return
-		}
-		if req.Site == "" || req.Gen == 0 {
-			http.Error(w, "site and gen are required", http.StatusBadRequest)
-			return
-		}
-		if err := dep.Rollback(req.Site, req.Gen); err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		writeJSON(w, map[string]any{"site": req.Site, "gen": req.Gen})
-	})
-	mux.HandleFunc("/admin/deployments", func(w http.ResponseWriter, r *http.Request) {
-		statuses := dep.Deployments()
-		if statuses == nil {
-			statuses = []deploy.Status{}
-		}
-		writeJSON(w, statuses)
-	})
+func serveMetrics(node Node) *httpmsg.Response {
+	reg := node.Metrics()
+	if reg == nil {
+		return httpmsg.NewErrorResponse(http.StatusServiceUnavailable, "metrics disabled on this node")
+	}
+	var b bytes.Buffer
+	_ = reg.WriteText(&b)
+	return reply(http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", b.Bytes())
 }
 
-// decodeJSONBody parses a bounded JSON request body, writing the HTTP
-// error itself so handlers just return on failure.
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBundleBytes+1))
+func serveTraces(node Node, req *httpmsg.Request) *httpmsg.Response {
+	ring := node.Traces()
+	if ring == nil {
+		return httpmsg.NewErrorResponse(http.StatusServiceUnavailable, "tracing disabled on this node")
+	}
+	n := DefaultTraceDump
+	if parsed, err := strconv.Atoi(req.Query("n")); err == nil && parsed > 0 {
+		n = parsed
+	}
+	return replyJSON(dumpSamples(node.Name(), ring.Slowest(n)))
+}
+
+func serveDeploy(dep Deployer, req *httpmsg.Request) *httpmsg.Response {
+	var body deployRequest
+	if refused := decodeJSONBody(req, &body); refused != nil {
+		return refused
+	}
+	if body.Site == "" || body.Script == "" {
+		return httpmsg.NewErrorResponse(http.StatusBadRequest, "site and script are required")
+	}
+	gen, err := dep.Deploy(body.Site, body.Script, body.Note)
 	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-		return err
+		// Validation failures are the client's fault; anything past
+		// validation (storage, replication) is the server's.
+		return httpmsg.NewErrorResponse(http.StatusUnprocessableEntity, err.Error())
 	}
-	if len(body) > maxBundleBytes {
-		err := fmt.Errorf("body exceeds %d bytes", maxBundleBytes)
-		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		return err
+	return replyJSON(map[string]any{"site": body.Site, "gen": gen})
+}
+
+func serveRollback(dep Deployer, req *httpmsg.Request) *httpmsg.Response {
+	var body rollbackRequest
+	if refused := decodeJSONBody(req, &body); refused != nil {
+		return refused
 	}
-	if err := json.Unmarshal(body, v); err != nil {
-		http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest)
-		return err
+	if body.Site == "" || body.Gen == 0 {
+		return httpmsg.NewErrorResponse(http.StatusBadRequest, "site and gen are required")
+	}
+	if err := dep.Rollback(body.Site, body.Gen); err != nil {
+		return httpmsg.NewErrorResponse(http.StatusUnprocessableEntity, err.Error())
+	}
+	return replyJSON(map[string]any{"site": body.Site, "gen": body.Gen})
+}
+
+// decodeJSONBody parses a POSTed JSON body of at most maxBundleBytes into v,
+// and otherwise returns the refusal to send.
+func decodeJSONBody(req *httpmsg.Request, v any) *httpmsg.Response {
+	if req.Method != http.MethodPost {
+		return httpmsg.NewErrorResponse(http.StatusMethodNotAllowed, "POST required")
+	}
+	if len(req.Body) > maxBundleBytes {
+		return httpmsg.NewErrorResponse(http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", maxBundleBytes))
+	}
+	if err := json.Unmarshal(req.Body, v); err != nil {
+		return httpmsg.NewErrorResponse(http.StatusBadRequest, "bad JSON body: "+err.Error())
 	}
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+// reply is a whole-body response of the given type.
+func reply(status int, contentType string, body []byte) *httpmsg.Response {
+	r := httpmsg.NewResponse(status)
+	r.Header.Set("Content-Type", contentType)
+	r.SetBody(body)
+	return r
+}
+
+// replyJSON is a 200 carrying v as indented JSON.
+func replyJSON(v any) *httpmsg.Response {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+	return reply(http.StatusOK, "application/json", b.Bytes())
 }
 
 // TraceDump is the /admin/traces response shape.

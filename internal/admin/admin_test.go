@@ -2,14 +2,13 @@ package admin_test
 
 import (
 	"encoding/json"
-	"io"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"nakika/internal/admin"
 	"nakika/internal/core"
+	"nakika/internal/httpmsg"
 	"nakika/internal/metrics"
 	"nakika/internal/trace"
 )
@@ -39,23 +38,15 @@ func newFakeNode() *fakeNode {
 	return &fakeNode{reg: reg, ring: ring}
 }
 
-func get(t *testing.T, h *httptest.Server, path string) (int, string) {
+// get routes a GET for path through the admin surface of node.
+func get(t *testing.T, node admin.Node, path string) (int, string) {
 	t.Helper()
-	resp, err := h.Client().Get(h.URL + path)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(body)
+	resp := admin.NewHandler(node)(httpmsg.MustRequest("GET", "http://admin.test"+path))
+	return resp.Status, string(resp.Body)
 }
 
 func TestMetricsEndpointServesValidExposition(t *testing.T) {
-	srv := httptest.NewServer(admin.NewHandler(newFakeNode()))
-	defer srv.Close()
+	srv := newFakeNode()
 	code, body := get(t, srv, "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics returned %d", code)
@@ -73,8 +64,7 @@ func TestMetricsEndpointServesValidExposition(t *testing.T) {
 }
 
 func TestTracesEndpointDumpsSlowestFirst(t *testing.T) {
-	srv := httptest.NewServer(admin.NewHandler(newFakeNode()))
-	defer srv.Close()
+	srv := newFakeNode()
 	code, body := get(t, srv, "/admin/traces?n=2")
 	if code != 200 {
 		t.Fatalf("/admin/traces returned %d", code)
@@ -99,8 +89,7 @@ func TestTracesEndpointDumpsSlowestFirst(t *testing.T) {
 }
 
 func TestStatuszAndPprofRespond(t *testing.T) {
-	srv := httptest.NewServer(admin.NewHandler(newFakeNode()))
-	defer srv.Close()
+	srv := newFakeNode()
 	code, body := get(t, srv, "/admin/statusz")
 	if code != 200 || !strings.Contains(body, "test-node") {
 		t.Fatalf("/admin/statusz = %d\n%s", code, body)
@@ -108,11 +97,13 @@ func TestStatuszAndPprofRespond(t *testing.T) {
 	if code, _ := get(t, srv, "/debug/pprof/"); code != 200 {
 		t.Fatalf("/debug/pprof/ returned %d", code)
 	}
+	if code, _ := get(t, srv, "/nowhere"); code != 404 {
+		t.Fatalf("/nowhere returned %d, want 404", code)
+	}
 }
 
 func TestDisabledObservabilityDegradesTo503(t *testing.T) {
-	srv := httptest.NewServer(admin.NewHandler(&fakeNode{}))
-	defer srv.Close()
+	srv := &fakeNode{}
 	if code, _ := get(t, srv, "/metrics"); code != 503 {
 		t.Fatalf("/metrics without a registry returned %d, want 503", code)
 	}

@@ -3,7 +3,6 @@ package admin_test
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"runtime/debug"
@@ -62,12 +61,11 @@ func TestDeployRunawayScriptRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer node.Shutdown()
-		srv := httptest.NewServer(admin.NewHandler(node))
-		defer srv.Close()
+		addr := serveAdmin(t, node, admin.NewHandler(node))
 		deploy := func(script string) (int, string) {
 			t.Helper()
 			body := `{"site":"deep.example.org","script":` + strconv.Quote(script) + `}`
-			resp, err := srv.Client().Post(srv.URL+"/admin/deploy", "application/json", strings.NewReader(body))
+			resp, err := http.Post("http://"+addr+"/admin/deploy", "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,10 +17,12 @@ import (
 	"nakika/internal/httpmsg"
 )
 
-// This file is the node's client port: Serve speaks HTTP/1.1 on a listener
-// through httpmsg's codec, and ServeHTTP serves the node as an
+// This file is the node's HTTP/1 ingress: Serve speaks HTTP/1.1 on a client
+// listener through httpmsg's codec, and ServeHTTP serves the node as an
 // http.Handler (the in-process benchmark and the httptest-based tests use
-// it). After the codec the two are one path, respond.
+// it). After the codec the two are one path, respond. ServeAdmin runs the
+// same accept loop and connection code on the admin listener with a handler
+// of its own, so a daemon links one HTTP server.
 
 // maxRequestBody bounds a client request's body at either entry point.
 const maxRequestBody = 8 << 20
@@ -33,9 +35,10 @@ const maxReplyBuffer = 64 << 10
 // the node by DNS redirection (Section 3).
 const redirectSuffix = ".nakika.net"
 
-// ingress is Serve's bookkeeping: the listeners and connections a Drain
-// closes, the count of open connections it waits on, and the counters of
-// requests the codec refused and of panics recovered while serving.
+// ingress is the bookkeeping of Serve and ServeAdmin: the listeners and
+// connections a Drain closes, the count of open connections it waits on, and
+// the counters of requests the codec refused and of panics recovered while
+// serving, on either port.
 type ingress struct {
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -46,7 +49,7 @@ type ingress struct {
 	panics    atomic.Int64
 }
 
-// ingressConn is one client connection. Its state moves idle → active
+// ingressConn is one client or admin connection. Its state moves idle → active
 // when a request's first byte arrives and back after the response; a Drain
 // closes it only from idle, so it never cuts a request in flight. One that
 // finishes a request while the port drains closes itself instead.
@@ -120,7 +123,23 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ln is closed. A Drain closes it and makes Serve return nil; any other
 // close returns the listener's error. Serve may run on several listeners
 // at once.
-func (n *Node) Serve(ln net.Listener) error {
+func (n *Node) Serve(ln net.Listener) error { return n.serve(ln, n.respond) }
+
+// ServeAdmin serves the admin surface on ln as Serve serves the client port,
+// with handle in place of the node: its requests never reach Handle, so
+// admission, the access log, the trace ring and the request counters do not
+// see them. A Drain closes ln with the client listeners.
+func (n *Node) ServeAdmin(ln net.Listener, handle func(*httpmsg.Request) *httpmsg.Response) error {
+	return n.serve(ln, func(req *httpmsg.Request) (*httpmsg.Response, bool) { return handle(req), true })
+}
+
+// handler answers one request read off a connection; release reports
+// whether the request may go back to the pool once the response is written.
+type handler func(req *httpmsg.Request) (resp *httpmsg.Response, release bool)
+
+// serve is the accept loop of both ports: it serves each connection ln
+// accepts with handle.
+func (n *Node) serve(ln net.Listener, handle handler) error {
 	in := &n.ingress
 	in.mu.Lock()
 	if in.draining.Load() {
@@ -156,12 +175,12 @@ func (n *Node) Serve(ln net.Listener) error {
 			continue
 		}
 		backoff = 0
-		go n.serveConn(rwc)
+		go n.serveConn(rwc, handle)
 	}
 }
 
 // temporary reports whether an Accept error may clear by itself: the
-// process or the system out of file descriptors, or a timeout. Serve
+// process or the system out of file descriptors, or a timeout. serve
 // retries those and returns any other, as net/http's server does.
 func temporary(err error) bool {
 	var ne net.Error
@@ -173,7 +192,7 @@ func temporary(err error) bool {
 // panic while serving is recovered here, as net/http's server recovers
 // one: it is counted and logged, the connection closes, and the process
 // lives.
-func (n *Node) serveConn(rwc net.Conn) {
+func (n *Node) serveConn(rwc net.Conn, handle handler) {
 	in := &n.ingress
 	c := &ingressConn{rwc: rwc}
 	in.mu.Lock()
@@ -233,7 +252,7 @@ func (n *Node) serveConn(rwc net.Conn) {
 			resp = httpmsg.NewResponse(http.StatusOK)
 			hc.KeepAlive = hc.KeepAlive && len(req.Body) <= 4<<10
 		} else {
-			resp, release = n.respond(req)
+			resp, release = handle(req)
 		}
 		if in.draining.Load() {
 			hc.KeepAlive = false
@@ -269,10 +288,11 @@ func lingerClose(rwc net.Conn) {
 	}
 }
 
-// Drain stops the client port the way http.Server.Shutdown does: it closes
-// every listener Serve runs on and every idle connection, lets the requests
-// in flight finish, and returns once the last connection has left. When ctx
-// ends first, the connections left are closed and ctx's error returned.
+// Drain stops the client and admin ports the way http.Server.Shutdown does:
+// it closes every listener Serve and ServeAdmin run on and every idle
+// connection, lets the requests in flight finish, and returns once the last
+// connection has left. When ctx ends first, the connections left are closed
+// and ctx's error returned.
 func (n *Node) Drain(ctx context.Context) error {
 	in := &n.ingress
 	in.mu.Lock()

@@ -96,7 +96,7 @@ func (n *Node) layOut(now time.Time) []*job {
 }
 
 // Stop shuts the node down, in order:
-//  1. the client port drains (Drain);
+//  1. the client and admin ports drain (Drain);
 //  2. the schedule ends: no Tick starts a job again;
 //  3. the transport closes, if it has a Close;
 //  4. the access log's lines are posted (FlushLogs), so a restart loses none;
@@ -109,7 +109,7 @@ func (n *Node) layOut(now time.Time) []*job {
 // acknowledged.
 func (n *Node) Stop(ctx context.Context) error {
 	if err := n.Drain(ctx); err != nil {
-		log.Printf("core: client port drain: %v", err)
+		log.Printf("core: drain: %v", err)
 	}
 	n.schedMu.Lock()
 	n.stopped = true

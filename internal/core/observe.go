@@ -264,11 +264,11 @@ func (n *Node) buildRegistry() {
 	for reason := httpmsg.Reason(0); reason < httpmsg.NumReasons; reason++ {
 		help := ""
 		if reason == 0 {
-			help = "Client requests the HTTP/1.x ingress refused, by reason."
+			help = "Requests the HTTP/1.x ingress refused on the client or admin port, by reason."
 		}
 		r.CounterFunc("nakika_ingress_rejected_total", help, metrics.Labels{"reason": reason.String()}, cv(&n.ingress.rejected[reason]))
 	}
-	r.CounterFunc("nakika_ingress_panics_total", "Panics recovered while serving a client connection; each closed its connection.", nil, cv(&n.ingress.panics))
+	r.CounterFunc("nakika_ingress_panics_total", "Panics recovered while serving a client or admin connection; each closed its connection.", nil, cv(&n.ingress.panics))
 
 	up, _ := n.cfg.Upstream.(*HTTPFetcher)
 	if up == nil {

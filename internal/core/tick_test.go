@@ -313,3 +313,35 @@ func TestStopFinishesAStreamedGet(t *testing.T) {
 		t.Errorf("hard state after Stop and the loss of unsynced bytes: %q, %v", v, ok)
 	}
 }
+
+// TestConcurrentFlushesPostOnce: a flush that starts while another is held
+// posting a site's lines at the origin waits for it, and the lines reach the
+// origin once. Stop's flush overlaps a Tick's still in flight this way.
+func TestConcurrentFlushesPostOnce(t *testing.T) {
+	origin := newLogOrigin(nil)
+	n := newTestNodeUpstream(t, "edge-flush", origin, nil)
+	if resp, _, err := n.Handle(httpmsg.MustRequest("GET", logSite+"/page")); err != nil || resp.Status != 200 {
+		t.Fatalf("GET: %v, %v", resp, err)
+	}
+	origin.gate("/log")
+	flushed := make(chan error, 2)
+	go func() { flushed <- n.FlushLogs() }()
+	<-origin.held
+	go func() { flushed <- n.FlushLogs() }()
+	// A second flush that does not wait posts the same lines; the timeout
+	// bounds how long it has to show up at the gate.
+	select {
+	case <-origin.held:
+	case <-time.After(200 * time.Millisecond):
+	}
+	origin.release("/log")
+	for i := 0; i < 2; i++ {
+		if err := <-flushed; err != nil {
+			t.Fatal(err)
+		}
+	}
+	posts, posted := origin.posted()
+	if lines := strings.Count(posted, " "+logSite+"/page "); posts != 1 || lines != 1 {
+		t.Fatalf("two flushes at once made %d posts carrying the line %d times, want 1 and 1:\n%s", posts, lines, posted)
+	}
+}

@@ -193,11 +193,15 @@ const maxPendingLog = 8192
 // that doubles until it holds maxPendingLog entries and then overwrites the
 // oldest.
 type siteLog struct {
-	mu    sync.Mutex
-	url   string
-	ring  []LogEntry
-	start int // index in ring of the oldest entry
-	count int
+	// flushing is held through a flush of the site, post included, so two
+	// flushes at once post its entries once: the second waits for the first
+	// and posts what that one left.
+	flushing sync.Mutex
+	mu       sync.Mutex
+	url      string
+	ring     []LogEntry
+	start    int // index in ring of the oldest entry
+	count    int
 	// removed counts the entries ever taken off the front, posted or
 	// overwritten: the sequence number of the oldest entry still held, by
 	// which Flush finds what is left of a batch it posted.
@@ -286,7 +290,9 @@ func (l *AccessLog) Append(site, message string) {
 func (l *AccessLog) Dropped() int64 { return l.dropped.Load() }
 
 // Flush posts every posting site's accumulated entries to its URL using post.
-// Entries are retained on post failure so the next flush retries them.
+// Entries are retained on post failure so the next flush retries them. A
+// site's flush is single-flight: a Flush that finds another posting the site
+// waits for it, so no entry is posted twice.
 func (l *AccessLog) Flush(post Poster) error {
 	l.mu.RLock()
 	sites := make(map[string]*siteLog, len(l.sites))
@@ -297,33 +303,40 @@ func (l *AccessLog) Flush(post Poster) error {
 
 	var firstErr error
 	for site, buf := range sites {
-		buf.mu.Lock()
-		url := buf.url
-		entries := buf.ordered(buf.count)
-		end := buf.removed + uint64(len(entries))
-		buf.mu.Unlock()
-		if len(entries) == 0 {
-			continue
+		if err := buf.flush(site, post); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		lines := make([]string, len(entries))
-		for j, e := range entries {
-			lines[j] = e.Time.UTC().Format(time.RFC3339) + " " + e.Message
-		}
-		if err := post(site, url, lines); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		buf.mu.Lock()
-		// Drop exactly the entries we posted (less any the buffer overwrote
-		// meanwhile); new entries appended since the snapshot stay queued.
-		if end > buf.removed {
-			buf.pop(int(end - buf.removed))
-		}
-		buf.mu.Unlock()
 	}
 	return firstErr
+}
+
+// flush posts the site's entries once no other flush of it is in flight.
+func (s *siteLog) flush(site string, post Poster) error {
+	s.flushing.Lock()
+	defer s.flushing.Unlock()
+	s.mu.Lock()
+	url := s.url
+	entries := s.ordered(s.count)
+	end := s.removed + uint64(len(entries))
+	s.mu.Unlock()
+	if len(entries) == 0 {
+		return nil
+	}
+	lines := make([]string, len(entries))
+	for j, e := range entries {
+		lines[j] = e.Time.UTC().Format(time.RFC3339) + " " + e.Message
+	}
+	if err := post(site, url, lines); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	// Drop exactly the entries posted (less any the buffer overwrote
+	// meanwhile); new entries appended since the snapshot stay queued.
+	if end > s.removed {
+		s.pop(int(end - s.removed))
+	}
+	s.mu.Unlock()
+	return nil
 }
 
 // FormatAccess renders the standard access-log line the node writes for each
