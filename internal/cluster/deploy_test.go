@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/cluster/explore"
 	"nakika/internal/deploy"
 	"nakika/internal/overlay"
 	"nakika/internal/state"
@@ -135,7 +136,7 @@ func runDeployChurnScenario(t *testing.T, seed int64) string {
 // seeds and pins determinism: repeat runs fingerprint identically.
 func TestDeployMidChurnConverges(t *testing.T) {
 	for _, seed := range []int64{41, 42, 43} {
-		seed := seed + seedOffset()
+		seed := explore.Seed(seed)
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			first := runDeployChurnScenario(t, seed)
 			second := runDeployChurnScenario(t, seed)
@@ -159,7 +160,7 @@ func TestDeployMidChurnConverges(t *testing.T) {
 // the two unreachable candidates to an acting owner whose own replica
 // targets are in-side — so both deploys genuinely commit concurrently.
 func TestConcurrentDeploysConvergeLWW(t *testing.T) {
-	c := bootReplicated(t, 6, 51+seedOffset(), 0)
+	c := bootReplicated(t, 6, explore.Seed(51), 0)
 	c.DefineBundle("va", deployBundle("va"))
 	c.DefineBundle("vb", deployBundle("vb"))
 
@@ -218,7 +219,7 @@ func TestConcurrentDeploysConvergeLWW(t *testing.T) {
 // generations are rejected, retained ones re-activate cluster-wide, and
 // generation numbers never regress on the next deploy.
 func TestRollbackPastRetentionRejected(t *testing.T) {
-	c := bootReplicated(t, 4, 61+seedOffset(), 0)
+	c := bootReplicated(t, 4, explore.Seed(61), 0)
 	total := deploy.Retention + 2
 	lastGen := uint64(0)
 	for i := 1; i <= total; i++ {
@@ -277,7 +278,7 @@ func TestRollbackPastRetentionRejected(t *testing.T) {
 // back in sync: repair restores its copy of the deployment record, and its
 // sync pass compiles and swaps the active bundle.
 func TestCrashedNodeCatchesUpOnDeploy(t *testing.T) {
-	c := bootReplicated(t, 6, 71+seedOffset(), 0)
+	c := bootReplicated(t, 6, explore.Seed(71), 0)
 	c.DefineBundle("v1", deployBundle("v1"))
 	c.DefineBundle("v2", deployBundle("v2"))
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/cluster/explore"
 	"nakika/internal/core"
 	"nakika/internal/lease"
 	"nakika/internal/state"
@@ -224,7 +225,7 @@ func runLeaseHandoverScenario(t *testing.T, seed int64) string {
 // seeds.
 func TestLeaseHandoverDeterministic(t *testing.T) {
 	for _, seed := range []int64{41, 42, 43, 44, 45} {
-		seed := seed + seedOffset()
+		seed := explore.Seed(seed)
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			first := runLeaseHandoverScenario(t, seed)
 			if again := runLeaseHandoverScenario(t, seed); again != first {
@@ -241,7 +242,7 @@ func TestLeaseHandoverDeterministic(t *testing.T) {
 // on the replica — recovery must resolve to exactly one holdership with
 // the same token, never two.
 func TestLeaseGrantOwnerDiesBeforeReplicaAck(t *testing.T) {
-	seed := 51 + seedOffset()
+	seed := explore.Seed(51)
 	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Persist: true}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/cluster/explore"
 	"nakika/internal/state"
 )
 
@@ -42,7 +43,7 @@ func tickUntil(c *Cluster, due map[string]time.Duration, end time.Duration) {
 // with the catch-up already cleared, and no second pull.
 func TestJoinerCatchesUpBeforeItsFirstRound(t *testing.T) {
 	origin := NewCountingOrigin()
-	c, err := New(Config{N: 5, Seed: 41 + seedOffset(), Latency: time.Millisecond, Persist: true}, origin)
+	c, err := New(Config{N: 5, Seed: explore.Seed(41), Latency: time.Millisecond, Persist: true}, origin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/cluster/explore"
 	"nakika/internal/core"
 	"nakika/internal/state"
 	"nakika/internal/transport"
@@ -265,7 +266,7 @@ func percentile(samples []time.Duration, p float64) time.Duration {
 // identical fingerprint on repeat runs, across 5 seeds.
 func TestOffloadHedgeDeterministic(t *testing.T) {
 	for _, seed := range []int64{41, 42, 43, 44, 45} {
-		seed := seed + seedOffset()
+		seed := explore.Seed(seed)
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			first := runOffloadScenario(t, seed)
 			if again := runOffloadScenario(t, seed); again != first {
@@ -279,7 +280,7 @@ func TestOffloadHedgeDeterministic(t *testing.T) {
 // identically-seeded cluster with hedging disabled: the baseline pays the
 // slow owner's round trip at p99, the hedged cluster does not.
 func TestHedgingBeatsSlowOwnerBaseline(t *testing.T) {
-	seed := 46 + seedOffset()
+	seed := explore.Seed(46)
 	run := func(hedge time.Duration) time.Duration {
 		c := bootOffload(t, seed, 0, hedge) // offload off: isolate the read path
 		ingress := "node-0"
@@ -328,7 +329,7 @@ func TestHedgingBeatsSlowOwnerBaseline(t *testing.T) {
 // partition costs a request at most one failed hop, never a loop or a
 // lost response.
 func TestOffloadPartitionFallsBackLocally(t *testing.T) {
-	seed := 51 + seedOffset()
+	seed := explore.Seed(51)
 	c, err := New(Config{
 		N: 4, Seed: seed, Latency: time.Millisecond,
 		OffloadThreshold: 0.5, LoadHalfLife: offHalfLife,
@@ -370,7 +371,7 @@ func TestOffloadPartitionFallsBackLocally(t *testing.T) {
 // through forwards until the depth cap pins it to local execution — the
 // loop bound.
 func TestOffloadDepthCapExecutesLocally(t *testing.T) {
-	seed := 52 + seedOffset()
+	seed := explore.Seed(52)
 	c, err := New(Config{
 		N: 6, Seed: seed, Latency: time.Millisecond,
 		OffloadThreshold: 0.25, LoadHalfLife: offHalfLife,
@@ -414,7 +415,7 @@ func TestOffloadDepthCapExecutesLocally(t *testing.T) {
 // read after the EWMA crosses the budget hedges exactly once — one extra
 // RPC to the next replica, served by it, not a storm.
 func TestHedgeFiresExactlyOnce(t *testing.T) {
-	seed := 53 + seedOffset()
+	seed := explore.Seed(53)
 	// The write path trains the owner's EWMA to ~6ms of virtual time (2ms
 	// transit + two synchronous 2ms replica pushes inside the call), so an
 	// 8ms budget starts just above the estimate.
@@ -535,7 +536,7 @@ func (r *recordingTransport) count(prefix string) int {
 // RefreshRTTs re-probes exactly those peers, and reads must return to the
 // owner after it heals.
 func TestHedgeRetrainsAfterOwnerRecovers(t *testing.T) {
-	seed := 56 + seedOffset()
+	seed := explore.Seed(56)
 	c := bootOffload(t, seed, 0, offHedgeAfter)
 	ingress := "node-0"
 	key, victim := "", ""
@@ -587,7 +588,7 @@ func TestHedgeRetrainsAfterOwnerRecovers(t *testing.T) {
 // the wire, zero offload counters, and every request executed at the node
 // it arrived at.
 func TestOffloadDisabledIsByteIdenticalToSeedBehavior(t *testing.T) {
-	seed := 54 + seedOffset()
+	seed := explore.Seed(54)
 	origin := offOrigin()
 	recorders := make(map[int]*recordingTransport)
 	c, err := New(Config{
@@ -635,7 +636,7 @@ func TestOffloadDisabledIsByteIdenticalToSeedBehavior(t *testing.T) {
 // interleaving harnesses in one process cannot make scenarios
 // order-dependent.
 func TestStabilizeRoundsIsolatedAcrossHarnesses(t *testing.T) {
-	seed := 55 + seedOffset()
+	seed := explore.Seed(55)
 	a, err := New(Config{N: 4, Seed: seed}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/cluster/explore"
 	"nakika/internal/core"
 	"nakika/internal/state"
 	"nakika/internal/store"
@@ -191,7 +192,7 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 // produces an identical fingerprint on 5 repeated runs with the same
 // seed.
 func TestCrashRecoveryMidBurstDeterministic(t *testing.T) {
-	seed := 7 + seedOffset()
+	seed := explore.Seed(7)
 	first := runCrashRecoveryScenario(t, seed)
 	for run := 1; run < 5; run++ {
 		if again := runCrashRecoveryScenario(t, seed); again != first {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nakika/internal/apps/specweb"
+	"nakika/internal/cluster/explore"
 	"nakika/internal/core"
 	"nakika/internal/deploy"
 	"nakika/internal/lease"
@@ -144,7 +145,7 @@ func TestRecordLandsOnItsReplicaSet(t *testing.T) {
 	for _, row := range rows {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
-			c := bootReplicated(t, 8, 1+seedOffset(), 3)
+			c := bootReplicated(t, 8, explore.Seed(1), 3)
 			for i := 0; i < perRow; i++ {
 				site, key := row.record(i)
 				order := ringOrder(c, state.ReplicaKey(site, key))
@@ -179,7 +180,7 @@ func TestCheckpointCounterCountsAcrossNodes(t *testing.T) {
 	for s := 0; s < sites; s++ {
 		origin.AddPage("http://"+host(s)+"/nakika.js", specweb.EdgeScript(host(s)), 3600)
 	}
-	c, err := New(Config{N: 8, Seed: 1 + seedOffset(), Latency: time.Millisecond, Replication: 3}, origin)
+	c, err := New(Config{N: 8, Seed: explore.Seed(1), Latency: time.Millisecond, Replication: 3}, origin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,29 +2,16 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"nakika/internal/cluster/explore"
 	"nakika/internal/core"
 	"nakika/internal/state"
 	"nakika/internal/transport"
 )
-
-// seedOffset lets the nightly soak workflow sweep the deterministic
-// scenarios across fresh seeds (NAKIKA_SEED_OFFSET=n shifts every seeded
-// test by n); untouched, every run uses the fixed seeds committed here.
-func seedOffset() int64 {
-	if s := os.Getenv("NAKIKA_SEED_OFFSET"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return 0
-}
 
 const repSite = "app.example.org"
 
@@ -179,7 +166,7 @@ func runReplicationFailoverScenario(t *testing.T, seed int64) string {
 // produces an identical fingerprint on repeat runs, across 5 seeds.
 func TestReplicationFailoverDeterministic(t *testing.T) {
 	for _, seed := range []int64{21, 22, 23, 24, 25} {
-		seed := seed + seedOffset()
+		seed := explore.Seed(seed)
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			first := runReplicationFailoverScenario(t, seed)
 			if again := runReplicationFailoverScenario(t, seed); again != first {
@@ -196,7 +183,7 @@ func TestReplicationFailoverDeterministic(t *testing.T) {
 // yet the replica holds the record — an at-least-once surface the
 // restarted owner reconciles to the same version on recovery.
 func TestOwnerDiesBetweenWALAppendAndReplicaAck(t *testing.T) {
-	seed := 31 + seedOffset()
+	seed := explore.Seed(31)
 	c, err := New(Config{N: 5, Seed: seed, Latency: time.Millisecond, Persist: true}, NewCountingOrigin())
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +272,7 @@ func (w *crashOnFirstChunk) Call(from, to string, msg transport.Message) (transp
 // next replica to acting owner, and the joiner finishes the stream against
 // that replica from the same cursor with nothing lost.
 func TestReplicaPromotedDuringHandoffStream(t *testing.T) {
-	seed := 33 + seedOffset()
+	seed := explore.Seed(33)
 	w := &crashOnFirstChunk{}
 	c, err := New(Config{N: 6, Seed: seed, Latency: time.Millisecond, Replication: 3,
 		Mutate: func(i int, cfg *core.Config) {
@@ -355,7 +342,7 @@ func TestReplicaPromotedDuringHandoffStream(t *testing.T) {
 // TestJoinHandoffViaStabilize: a joiner owes a catch-up, and its first
 // maintenance round streams its owned range without any explicit pull.
 func TestJoinHandoffViaStabilize(t *testing.T) {
-	seed := 34 + seedOffset()
+	seed := explore.Seed(34)
 	c := bootReplicated(t, 6, seed, 3)
 	entry := c.NodeByName("node-0")
 	vals := make(map[string]string)
@@ -389,7 +376,7 @@ func TestJoinHandoffViaStabilize(t *testing.T) {
 // repair each node runs once in six rounds.
 func TestRestartedReplicaRefilledWithinSixRounds(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		seed := seed + seedOffset()
+		seed := explore.Seed(seed)
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			c := bootReplicated(t, 5, seed, 3)
 			entry := c.NodeByName("node-0")
@@ -430,7 +417,7 @@ func TestRestartedReplicaRefilledWithinSixRounds(t *testing.T) {
 // larger than the ring keeps as many copies as there are live nodes, and
 // keeps accepting writes all the way down to a ring of one.
 func TestReplicationDegradesWhenKExceedsLiveNodes(t *testing.T) {
-	seed := 35 + seedOffset()
+	seed := explore.Seed(35)
 	c := bootReplicated(t, 3, seed, 5)
 	entry := c.NodeByName("node-0")
 
@@ -474,7 +461,7 @@ func TestReplicationDegradesWhenKExceedsLiveNodes(t *testing.T) {
 // owner must rebase above the reported version and retry, so the client's
 // write still wins last-writer-wins everywhere.
 func TestRecoveredOwnerRebasesAboveReplicas(t *testing.T) {
-	seed := 37 + seedOffset()
+	seed := explore.Seed(37)
 	c := bootReplicated(t, 5, seed, 3)
 
 	// A key written at its own owner, so the first write is (ver 1, owner).
@@ -516,7 +503,7 @@ func TestRecoveredOwnerRebasesAboveReplicas(t *testing.T) {
 // owner must rebase above the stale report even though it got an ack, so
 // the client's new write wins everywhere.
 func TestAckedWriteSurvivesMixedStaleAcks(t *testing.T) {
-	seed := 39 + seedOffset()
+	seed := explore.Seed(39)
 	c := bootReplicated(t, 5, seed, 3)
 
 	// A key written at its own owner, whose replica set we can split.
@@ -560,7 +547,7 @@ func TestAckedWriteSurvivesMixedStaleAcks(t *testing.T) {
 // acting owner is reachable fails like a put does, and leaves no trace for
 // repair to spread; retried after heal, it goes through the owner and wins.
 func TestIsolatedDeleteFailsAndChangesNothing(t *testing.T) {
-	seed := 38 + seedOffset()
+	seed := explore.Seed(38)
 	c := bootReplicated(t, 5, seed, 3)
 	entry := c.NodeByName("node-0")
 	if err := entry.StatePut(repSite, "orphan-del", "v"); err != nil {
@@ -592,7 +579,7 @@ func TestIsolatedDeleteFailsAndChangesNothing(t *testing.T) {
 // after it.
 func TestDeleteCannotEraseLaterPut(t *testing.T) {
 	for seed := int64(38); seed <= 47; seed++ {
-		seed := seed + seedOffset()
+		seed := explore.Seed(seed)
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			c := bootReplicated(t, 5, seed, 3)
 			isolated := c.NodeByName("node-0")
@@ -619,7 +606,7 @@ func TestDeleteCannotEraseLaterPut(t *testing.T) {
 // versioned tombstone that beats the put on every replica, so the key
 // reads as absent from every node.
 func TestReplicatedDeleteWins(t *testing.T) {
-	seed := 36 + seedOffset()
+	seed := explore.Seed(36)
 	c := bootReplicated(t, 5, seed, 3)
 	entry := c.NodeByName("node-0")
 	if err := entry.StatePut(repSite, "del-k", "doomed"); err != nil {

@@ -19,10 +19,10 @@ import (
 //	lookup → coalesce → peer → origin → store
 //
 // Five decisions are taken on the way, each written once: whether a shared
-// cache may store a response (httpmsg.Storable), until when it is fresh
-// (cache.Expiry, computed on the node clock when a copy is stored or renewed,
-// and kept with the copy), what a 304 renews (cache.Renew), how concurrent
-// misses coalesce (cache.Group) and where an origin reply is filed
+// cache may store a response, and so share it (httpmsg.Shareable), until when
+// it is fresh (cache.Expiry, computed on the node clock when a copy is stored
+// or renewed, and kept with the copy), what a 304 renews (cache.Renew), how
+// concurrent misses coalesce (cache.Group) and where an origin reply is filed
 // (storeReply). The large-object half of each step lives in largeobject.go.
 
 // fetchWithCache is the pipeline's origin fetcher and the entry to the
@@ -44,14 +44,21 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 	}
 	// Coalesce: concurrent misses of one request share a single pass through
 	// the rest of the chain, so a cold-cache stampede costs one upstream
-	// request instead of N.
-	resp, joined, shared, err := n.flights.Do(flightKey(key, req.Header), func() (*httpmsg.Response, error) {
-		return n.fetchMiss(key, req)
+	// request instead of N. Only a reply a shared cache may reuse is shared:
+	// a joiner of a flight whose reply was for its leader alone (private, or
+	// to the leader's credentials) fetches for itself.
+	reply, joined, shared, err := n.flights.Do(flightKey(key, req.Header), func() (flightReply, error) {
+		resp, err := n.fetchMiss(key, req)
+		return flightReply{resp, resp != nil && httpmsg.Shareable(req, resp.Status, resp.Header)}, err
 	})
-	if joined {
+	resp := reply.resp
+	switch {
+	case joined && err == nil && !reply.shareable:
+		return n.fetchMiss(key, req)
+	case joined:
 		n.coalesced.Add(1)
 	}
-	if shared && resp != nil {
+	if shared && reply.shareable {
 		// Each pipeline may change the response it is handed, so callers of
 		// a shared flight get their own clones: own headers, and the one body
 		// read-only until a script's first touch copies it (Materialize). A
@@ -59,6 +66,13 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 		resp = resp.Clone()
 	}
 	return resp, err
+}
+
+// flightReply is what a flight's leader hands its joiners: its reply, and
+// whether they may have it.
+type flightReply struct {
+	resp      *httpmsg.Response
+	shareable bool
 }
 
 // invalidate drops this node's copies of the URI a request with an unsafe
@@ -131,7 +145,7 @@ func (n *Node) fetchMiss(key string, req *httpmsg.Request) (*httpmsg.Response, e
 		return nil, err
 	}
 	if resp.Stream == nil {
-		n.storeReply(key, resp)
+		n.storeReply(req, key, resp)
 	}
 	return resp, nil
 }
@@ -174,18 +188,21 @@ func (n *Node) peerCopy(key string) *httpmsg.Response {
 	return nil
 }
 
-// storeReply is the chain's last step: it files one buffered origin reply
-// where it belongs. A 304 renews the stored 200 it validates and is never
-// cached as a body; a storable 200 at or above the large-object threshold is
-// chunked into the tier (later requests stream it); anything else storable
+// storeReply is the chain's last step: it files one buffered origin reply to
+// req where it belongs. A 304 renews the stored 200 it validates and is never
+// cached as a body; a shareable 200 at or above the large-object threshold is
+// chunked into the tier (later requests stream it); anything else shareable
 // goes to the whole-body cache; the rest is filed nowhere. The caller still
 // serves the reply it has in hand.
-func (n *Node) storeReply(key string, resp *httpmsg.Response) {
+func (n *Node) storeReply(req *httpmsg.Request, key string, resp *httpmsg.Response) {
 	if resp.Status == http.StatusNotModified {
 		n.cache.Refresh(key, resp)
 		return
 	}
-	if t, expires := n.lobTakes(key, resp.Status, resp.Header, int64(len(resp.Body))); t != nil {
+	if !httpmsg.Shareable(req, resp.Status, resp.Header) {
+		return
+	}
+	if t, expires := n.lobTakes(req, key, resp.Status, resp.Header, int64(len(resp.Body))); t != nil {
 		if _, err := t.IngestBody(key, resp.Status, resp.Header, expires, resp.Body); err == nil {
 			n.lobWhole.Add(1)
 			n.publish(key)
@@ -201,16 +218,16 @@ func (n *Node) storeReply(key string, resp *httpmsg.Response) {
 
 // lobTakes returns the tier when it is the one to hold the object, and the
 // copy's expiry (cache.Expiry from now): the tier is on, and the reply is a
-// 200 to a GET, storable by a shared cache, and at least
+// 200 to a GET req, shareable (httpmsg.Shareable), and at least
 // LargeObjectThreshold bytes long. length is the body's length when it is
 // buffered, the declared Content-Length (-1 unknown) when it is about to
 // stream. A reply that is stale on arrival is never served from the copy, so
 // it is taken only for what a conditional request can save: when it carries a
 // validator.
-func (n *Node) lobTakes(key string, status int, h http.Header, length int64) (*largeobject.Tier, time.Time) {
+func (n *Node) lobTakes(req *httpmsg.Request, key string, status int, h http.Header, length int64) (*largeobject.Tier, time.Time) {
 	t := n.lobTier()
 	if t == nil || status != http.StatusOK || length < n.cfg.LargeObjectThreshold ||
-		!strings.HasPrefix(key, http.MethodGet+" ") || !httpmsg.Storable(status, h) {
+		!strings.HasPrefix(key, http.MethodGet+" ") || !httpmsg.Shareable(req, status, h) {
 		return nil, time.Time{}
 	}
 	now := n.clock()

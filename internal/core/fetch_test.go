@@ -113,6 +113,82 @@ func TestCoalescingKeepsSelectingHeadersApart(t *testing.T) {
 	}
 }
 
+// TestFlightSharesOnlyShareableReplies: two users' concurrent GETs of one URL
+// share a flight only when a shared cache may reuse the reply. A private
+// reply, or one to a request with Authorization that does not say it is for
+// everyone (RFC 9111 §3.5), goes to its own user alone: the joiner fetches
+// for itself.
+func TestFlightSharesOnlyShareableReplies(t *testing.T) {
+	const url = "http://site.example.org/account"
+	for _, tc := range []struct {
+		name, header, cacheControl string
+		coalesce                   bool
+	}{
+		{"private, by Authorization", "Authorization", "private, max-age=60", false},
+		{"private, by Cookie", "Cookie", "private, max-age=60", false},
+		{"max-age to Authorization", "Authorization", "max-age=60", false},
+		{"public to Authorization", "Authorization", "public, max-age=60", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			entered := make(chan struct{}, 2)
+			release := make(chan struct{})
+			origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
+				entered <- struct{}{}
+				<-release
+				resp := httpmsg.NewTextResponse(200, "page of "+req.Header.Get(tc.header))
+				resp.Header.Set("Cache-Control", tc.cacheControl)
+				return resp, nil
+			})
+			n := newTestNodeUpstream(t, "edge-1", origin, nil)
+			fetch := func(user string, out chan<- string) {
+				req := httpmsg.MustRequest("GET", url)
+				req.Header.Set(tc.header, user)
+				resp, err := n.Fetch(req)
+				if err != nil {
+					out <- err.Error()
+					return
+				}
+				out <- string(resp.Body)
+			}
+			alice, bob := make(chan string, 1), make(chan string, 1)
+			go fetch("alice", alice)
+			<-entered // alice leads the flight and is held at the origin
+			go fetch("bob", bob)
+			select {
+			case <-entered:
+				t.Fatal("bob went to the origin while alice's flight was open")
+			case <-time.After(200 * time.Millisecond):
+				// bob joined alice's flight.
+			}
+			close(release)
+			if got := <-alice; got != "page of alice" {
+				t.Errorf("alice got %q", got)
+			}
+			want, fetches := "page of bob", 2
+			if tc.coalesce {
+				want, fetches = "page of alice", 1
+			}
+			if got := <-bob; got != want {
+				t.Errorf("bob got %q, want %q", got, want)
+			}
+			if st := n.Stats(); st.OriginFetches != int64(fetches) || (st.CoalescedFetches == 1) != tc.coalesce {
+				t.Errorf("%d origin fetches and %d coalesced, want %d and coalescing %v",
+					st.OriginFetches, st.CoalescedFetches, fetches, tc.coalesce)
+			}
+			// The one rule decides storage too: only a shareable reply is
+			// there for a third user.
+			carol := make(chan string, 1)
+			fetch("carol", carol)
+			if want = "page of carol"; tc.coalesce {
+				want = "page of alice"
+			}
+			if got := <-carol; got != want {
+				t.Errorf("carol got %q, want %q", got, want)
+			}
+		})
+	}
+}
+
 // TestPeerCopyExpiresWithTheHolders: a copy taken from a peer's cache keeps
 // the holder's deadline instead of starting a new lifetime at the moment it
 // was copied.
@@ -439,7 +515,7 @@ func TestBothTiersRenewAlike(t *testing.T) {
 					clock.Advance(50 * time.Second)
 					nm := httpmsg.NewResponse(http.StatusNotModified)
 					nm.Header = tc.nm.Clone()
-					n.storeReply("GET "+url, nm)
+					n.storeReply(httpmsg.MustRequest("GET", url), "GET "+url, nm)
 					switch tc.want {
 					case cache.Renewed:
 						clock.Advance(tc.until - time.Nanosecond)

@@ -206,7 +206,7 @@ func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Man
 		return nil
 	}
 	result = &n.lobRevalNew
-	n.storeReply(key, resp)
+	n.storeReply(req, key, resp)
 	return resp
 }
 
@@ -328,7 +328,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 		// its own error if it does not).
 		return nil, nil
 	}
-	t, expires := n.lobTakes(key, head.Status, head.Header, head.Length)
+	t, expires := n.lobTakes(req, key, head.Status, head.Header, head.Length)
 	if t == nil {
 		defer body.Close()
 		data, err := httpmsg.ReadWhole(body, head.Length)

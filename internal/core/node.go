@@ -258,7 +258,7 @@ type Node struct {
 	repMu    sync.Mutex
 	// flights coalesces concurrent misses of one cacheable request (see
 	// internal/core/fetch.go).
-	flights cache.Group[*httpmsg.Response]
+	flights cache.Group[flightReply]
 	// pendingPub holds cache keys whose overlay publish failed (index owner
 	// partitioned or crashed); Maintain retries them after heal.
 	pubMu      sync.Mutex
@@ -879,16 +879,21 @@ func (n *Node) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
 	return n.fetchWithCache(req)
 }
 
-// CacheGet gives scripts read access to the proxy cache under script-chosen
-// keys (namespaced to avoid clashing with response cache keys).
-func (n *Node) CacheGet(key string) *httpmsg.Response {
-	return n.cache.Get("script:" + key)
+// CacheGet gives a site's scripts read access to the proxy cache under
+// script-chosen keys, namespaced apart from response cache keys and from
+// every other site's.
+func (n *Node) CacheGet(site, key string) *httpmsg.Response {
+	return n.cache.Get(scriptCacheKey(site, key))
 }
 
-// CachePut stores script-generated content in the proxy cache.
-func (n *Node) CachePut(key string, resp *httpmsg.Response) {
-	n.cache.Put("script:"+key, resp)
+// CachePut stores a site's script-generated content in the proxy cache.
+func (n *Node) CachePut(site, key string, resp *httpmsg.Response) {
+	n.cache.Put(scriptCacheKey(site, key), resp)
 }
+
+// scriptCacheKey files a script's key under its site. A site is a hostname,
+// which holds no NUL, so no two sites' keys meet.
+func scriptCacheKey(site, key string) string { return "script:" + site + "\x00" + key }
 
 // IsLocalClient reports whether ip falls in one of the node's configured
 // local networks (loopback always counts).

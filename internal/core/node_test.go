@@ -357,6 +357,56 @@ func TestScriptCacheVocabularyThroughNode(t *testing.T) {
 	}
 }
 
+// TestScriptCacheIsPartitionedBySite: a site's script neither reads nor
+// overwrites the Cache entries another site's script put under the same key,
+// in either direction.
+func TestScriptCacheIsPartitionedBySite(t *testing.T) {
+	origin := newMemOrigin()
+	sites := []string{"a.example.org", "b.example.org"}
+	for _, site := range sites {
+		origin.addScript("http://"+site+"/nakika.js", `
+			var p = new Policy();
+			p.onResponse = function() {
+				while (Response.read()) {}
+				if (Request.path.indexOf("/put/") == 0) {
+					Cache.put("shared", Request.path.substring(5), 300);
+					Response.write("stored");
+					return;
+				}
+				var cached = Cache.get("shared");
+				Response.write(cached == null ? "none" : cached.body);
+			};
+			p.register();
+		`)
+	}
+	n := newTestNode(t, "edge-1", origin, nil)
+	step := 0
+	do := func(site, path string) string {
+		step++
+		url := fmt.Sprintf("http://%s%s?step=%d", site, path, step)
+		origin.addText(url, "origin page", 0)
+		resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		return string(resp.Body)
+	}
+	for _, roles := range [][2]string{{sites[0], sites[1]}, {sites[1], sites[0]}} {
+		first, second := roles[0], roles[1]
+		do(first, "/put/secret-of-"+first)
+		if got := do(second, "/get"); got == "secret-of-"+first {
+			t.Errorf("%s read %s's Cache entry", second, first)
+		}
+		do(second, "/put/secret-of-"+second)
+		if got := do(first, "/get"); got != "secret-of-"+first {
+			t.Errorf("%s's Cache entry reads %q after %s put its own, want its own", first, got, second)
+		}
+	}
+}
+
 func TestResourceControlsThroughNode(t *testing.T) {
 	origin := newMemOrigin()
 	origin.addText("http://busy.example.org/x", "x", 0)

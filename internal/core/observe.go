@@ -30,15 +30,17 @@ type hostAdapter struct{ n *Node }
 func (h hostAdapter) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
 	return h.n.fetchWithCache(req)
 }
-func (h hostAdapter) CacheGet(key string) *httpmsg.Response       { return h.n.CacheGet(key) }
-func (h hostAdapter) CachePut(key string, resp *httpmsg.Response) { h.n.CachePut(key, resp) }
-func (h hostAdapter) IsLocalClient(ip string) bool                { return h.n.IsLocalClient(ip) }
-func (h hostAdapter) Usage(site, resource string) float64         { return h.n.Usage(site, resource) }
-func (h hostAdapter) Log(site, message string)                    { h.n.log.Append(site, message) }
-func (h hostAdapter) SetLogURL(site, postURL string)              { h.n.log.SetPostURL(site, postURL) }
-func (h hostAdapter) Propagate(site, message string) error        { return h.n.Propagate(site, message) }
-func (h hostAdapter) NodeName() string                            { return h.n.NodeName() }
-func (h hostAdapter) Now() time.Time                              { return h.n.Now() }
+func (h hostAdapter) CacheGet(site, key string) *httpmsg.Response { return h.n.CacheGet(site, key) }
+func (h hostAdapter) CachePut(site, key string, resp *httpmsg.Response) {
+	h.n.CachePut(site, key, resp)
+}
+func (h hostAdapter) IsLocalClient(ip string) bool         { return h.n.IsLocalClient(ip) }
+func (h hostAdapter) Usage(site, resource string) float64  { return h.n.Usage(site, resource) }
+func (h hostAdapter) Log(site, message string)             { h.n.log.Append(site, message) }
+func (h hostAdapter) SetLogURL(site, postURL string)       { h.n.log.SetPostURL(site, postURL) }
+func (h hostAdapter) Propagate(site, message string) error { return h.n.Propagate(site, message) }
+func (h hostAdapter) NodeName() string                     { return h.n.NodeName() }
+func (h hostAdapter) Now() time.Time                       { return h.n.Now() }
 
 func (h hostAdapter) StateGet(act *nktrace.Act, site, key string) (string, bool) {
 	return h.n.stateGet(act, site, key)

@@ -323,6 +323,10 @@ type cacheControl struct {
 	// noStore is set by no-store, private and no-cache alike: this cache has
 	// no revalidate-before-every-use mode, so it stores none of them.
 	noStore bool
+	// public and mustRevalidate are the directives that let a shared cache
+	// reuse a reply to a request that carried Authorization (RFC 9111 §3.5),
+	// as s-maxage does.
+	public, mustRevalidate bool
 	// maxAge and sMaxAge are -1 when the directive is absent or is not a
 	// whole number of seconds.
 	maxAge, sMaxAge time.Duration
@@ -338,6 +342,10 @@ func parseCacheControl(h http.Header) cacheControl {
 			switch {
 			case strings.EqualFold(name, "no-store"), strings.EqualFold(name, "private"), strings.EqualFold(name, "no-cache"):
 				cc.noStore = true
+			case strings.EqualFold(name, "public"):
+				cc.public = true
+			case strings.EqualFold(name, "must-revalidate"):
+				cc.mustRevalidate = true
 			case strings.EqualFold(name, "max-age"):
 				cc.maxAge = deltaSeconds(arg)
 			case strings.EqualFold(name, "s-maxage"):
@@ -367,6 +375,22 @@ func Storable(status int, h http.Header) bool {
 		return false
 	}
 	return !parseCacheControl(h).noStore
+}
+
+// Shareable reports whether a shared cache may keep a reply to req and hand
+// it to other requests: the one rule for what the node stores and for what a
+// flight of coalesced misses shares. The reply must be Storable, and a reply
+// to a request that carried Authorization must say it is for everyone
+// (RFC 9111 §3.5: public, s-maxage or must-revalidate).
+func Shareable(req *Request, status int, h http.Header) bool {
+	if !Storable(status, h) {
+		return false
+	}
+	if req.Header.Get("Authorization") == "" {
+		return true
+	}
+	cc := parseCacheControl(h)
+	return cc.public || cc.sMaxAge >= 0 || cc.mustRevalidate
 }
 
 // FreshFor returns how long a shared cache may serve a response carrying

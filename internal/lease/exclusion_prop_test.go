@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
+	"nakika/internal/cluster/explore"
 	"nakika/internal/lease"
 	"nakika/internal/state"
 	"nakika/internal/store"
@@ -89,15 +88,6 @@ const (
 	exDataKey = "critical"
 )
 
-func exSeedOffset() int64 {
-	if s := os.Getenv("NAKIKA_SEED_OFFSET"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return 0
-}
-
 func exNodeName(n int) string { return fmt.Sprintf("node-%d", n) }
 
 // readLease reads the lease record from one store's local copy, exactly as
@@ -117,8 +107,7 @@ func readLease(s *state.Store) lease.Record {
 // putLease stores rec as a versioned lease record, versioned against the
 // acting node's own copy (split-brain owners may assign colliding versions;
 // the LWW origin tie-break converges them), delivered per the op's mask.
-func putLease(t *testing.T, w *exWorld, op exOp, rec lease.Record) {
-	t.Helper()
+func putLease(w *exWorld, op exOp, rec lease.Record) {
 	ver, _, _, _, _ := w.stores[op.Node].GetVersioned(exSite, lease.Key(exLease))
 	out := state.Rec{
 		Site:   exSite,
@@ -132,19 +121,18 @@ func putLease(t *testing.T, w *exWorld, op exOp, rec lease.Record) {
 			continue
 		}
 		if _, err := putNow(w.stores[r], out); err != nil {
-			t.Fatalf("store %d lease put: %v", r, err)
+			panic(fmt.Sprintf("store %d lease put: %v", r, err))
 		}
 	}
 }
 
 // applyExOps plays a table from scratch and returns the resulting world.
-func applyExOps(t *testing.T, ops []exOp) *exWorld {
-	t.Helper()
+func applyExOps(ops []exOp) *exWorld {
 	w := &exWorld{sessNode: make(map[string]int)}
 	for r := range w.stores {
 		kv, err := store.OpenLog(store.NewMemFS(), store.LogConfig{Quota: 1 << 20})
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		w.stores[r] = state.NewStoreBacked(kv)
 	}
@@ -176,7 +164,7 @@ func applyExOps(t *testing.T, ops []exOp) *exWorld {
 			}
 			w.sessNode[id] = op.Node
 			w.sess[op.Node] = &exSession{id: id, token: rec.Token}
-			putLease(t, w, op, rec)
+			putLease(w, op, rec)
 		case 'N':
 			s := w.sess[op.Node]
 			if w.crashed[op.Node] || s == nil {
@@ -185,7 +173,7 @@ func applyExOps(t *testing.T, ops []exOp) *exWorld {
 			cur := readLease(w.stores[op.Node])
 			rec, ok := lease.Renew(cur, s.id, s.token, w.now, op.TTL)
 			if ok {
-				putLease(t, w, op, rec)
+				putLease(w, op, rec)
 			}
 		case 'D':
 			s := w.sess[op.Node]
@@ -195,7 +183,7 @@ func applyExOps(t *testing.T, ops []exOp) *exWorld {
 			cur := readLease(w.stores[op.Node])
 			rec, ok := lease.Release(cur, s.id, s.token)
 			if ok {
-				putLease(t, w, op, rec)
+				putLease(w, op, rec)
 			}
 			w.sess[op.Node] = nil
 		case 'W':
@@ -223,11 +211,11 @@ func applyExOps(t *testing.T, ops []exOp) *exWorld {
 				case errors.Is(err, store.ErrFencedStale):
 					// Fenced off: the deposed holdership's write was rejected.
 				default:
-					t.Fatalf("store %d fenced put: %v", r, err)
+					panic(fmt.Sprintf("store %d fenced put: %v", r, err))
 				}
 			}
 		default:
-			t.Fatalf("unknown op kind %q", op.Kind)
+			panic(fmt.Sprintf("unknown op kind %q", op.Kind))
 		}
 	}
 	return w
@@ -260,8 +248,7 @@ func exViolation(w *exWorld) string {
 // versioned record to every other, twice — what RepairReplication achieves
 // with the whole ring reachable) and reports the first key the stores then
 // disagree on, or "".
-func exDivergence(t *testing.T, w *exWorld) string {
-	t.Helper()
+func exDivergence(w *exWorld) string {
 	for round := 0; round < 2; round++ {
 		for src := range w.stores {
 			for dst := range w.stores {
@@ -270,7 +257,7 @@ func exDivergence(t *testing.T, w *exWorld) string {
 				}
 				for _, rec := range w.stores[src].VersionedRecords(nil) {
 					if _, err := putNow(w.stores[dst], rec); err != nil {
-						t.Fatalf("repair %d->%d %v: %v", src, dst, rec, err)
+						panic(fmt.Sprintf("repair %d->%d %v: %v", src, dst, rec, err))
 					}
 				}
 			}
@@ -298,13 +285,12 @@ func exDivergence(t *testing.T, w *exWorld) string {
 }
 
 // exFailure runs a table end to end and reports the first property failure.
-func exFailure(t *testing.T, ops []exOp) string {
-	t.Helper()
-	w := applyExOps(t, ops)
+func exFailure(ops []exOp) string {
+	w := applyExOps(ops)
 	if v := exViolation(w); v != "" {
 		return "exclusion: " + v
 	}
-	if d := exDivergence(t, w); d != "" {
+	if d := exDivergence(w); d != "" {
 		return "divergence: " + d
 	}
 	return ""
@@ -350,53 +336,23 @@ func genExOps(rnd *rand.Rand, n int) []exOp {
 	return ops
 }
 
-// shrinkExOps greedily removes ops while the failure reproduces.
-func shrinkExOps(t *testing.T, ops []exOp) []exOp {
-	t.Helper()
-	cur := append([]exOp(nil), ops...)
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(cur); i++ {
-			cand := append(append([]exOp(nil), cur[:i]...), cur[i+1:]...)
-			if exFailure(t, cand) != "" {
-				cur = cand
-				changed = true
-				i--
-			}
-		}
-	}
-	return cur
-}
-
-// formatExOps renders a table as a Go literal for the replay test.
-func formatExOps(ops []exOp) string {
-	var sb strings.Builder
-	sb.WriteString("[]exOp{\n")
-	for _, op := range ops {
-		fmt.Fprintf(&sb, "\t{Kind: '%c', Node: %d, TTL: %d, Dt: %d, Delivery: [%d]int{%d, %d, %d}},\n",
-			op.Kind, op.Node, op.TTL, op.Dt, exNodes, op.Delivery[0], op.Delivery[1], op.Delivery[2])
-	}
-	sb.WriteString("}")
-	return sb.String()
-}
-
 // TestLeaseExclusionProperty generates seeded random interleavings of
 // lease operations across three nodes and asserts the fenced-write
 // exclusion property plus post-repair convergence; a failure is shrunk to
 // a minimal table and printed as a replayable literal for
 // TestLeaseExclusionReplay.
 func TestLeaseExclusionProperty(t *testing.T) {
-	base := int64(11000) + exSeedOffset()
-	for iter := int64(0); iter < 64; iter++ {
-		seed := base + iter
-		rnd := rand.New(rand.NewSource(seed))
-		ops := genExOps(rnd, 8+rnd.Intn(60))
-		if f := exFailure(t, ops); f != "" {
-			minimal := shrinkExOps(t, ops)
-			t.Fatalf("seed %d failed: %s\nminimal failing table (replay via TestLeaseExclusionReplay):\n%s",
-				seed, f, formatExOps(minimal))
-		}
-	}
+	explore.Property[exOp]{
+		Seed: 11000, Runs: 64,
+		Gen:   func(rnd *rand.Rand) []exOp { return genExOps(rnd, 8+rnd.Intn(60)) },
+		Check: exFailure,
+		Type:  "exOp",
+		Print: func(op exOp) string {
+			return fmt.Sprintf("{Kind: '%c', Node: %d, TTL: %d, Dt: %d, Delivery: [%d]int{%d, %d, %d}}",
+				op.Kind, op.Node, op.TTL, op.Dt, exNodes, op.Delivery[0], op.Delivery[1], op.Delivery[2])
+		},
+		Replay: "TestLeaseExclusionReplay",
+	}.Run(t)
 }
 
 // TestLeaseExclusionReplay replays pinned tables through the same harness:
@@ -454,20 +410,13 @@ func TestLeaseExclusionReplay(t *testing.T) {
 			{Kind: 'W', Node: 1, Delivery: [3]int{0, 0, 0}},
 		},
 	}
-	for name, ops := range tables {
-		name, ops := name, ops
-		t.Run(name, func(t *testing.T) {
-			if f := exFailure(t, ops); f != "" {
-				t.Fatalf("pinned table failed: %s", f)
-			}
-		})
-	}
+	explore.Replay(t, tables, exFailure)
 
 	// The split-brain table's exact arbitration: both holderships hold
 	// token 1, and at every store exactly one of them is admitted — the
 	// first to write there — while the other is fenced despite carrying an
 	// equal token.
-	w := applyExOps(t, tables["split-brain-same-token"])
+	w := applyExOps(tables["split-brain-same-token"])
 	for r := range w.admitted {
 		if len(w.admitted[r]) == 0 {
 			t.Fatalf("store %d admitted no fenced writes", r)
@@ -486,7 +435,7 @@ func TestLeaseExclusionReplay(t *testing.T) {
 	// The deposed-late-write table: the heir's token 2 is the floor at
 	// every store, and node 0's late token-1 write was admitted nowhere
 	// after it.
-	w = applyExOps(t, tables["deposed-late-write"])
+	w = applyExOps(tables["deposed-late-write"])
 	for r := range w.admitted {
 		log := w.admitted[r]
 		if len(log) == 0 || log[len(log)-1].token != 2 {

@@ -201,12 +201,10 @@ type Loader struct {
 	// pristine context's heap size whenever a new pool context is forked, so
 	// the node can charge context replication to the site's resource budget.
 	ForkCharge func(site string, heapBytes int64)
-	// stages caches loaded stages by script URL.
+	// stages caches loaded stages by script URL, and for a script URL known
+	// not to exist the Empty stage every request for it shares, so the (very
+	// hot) no-script path costs one lookup and allocates nothing.
 	stages *cache.Memo[*Stage]
-	// missing caches the shared Empty stage for script URLs known not to
-	// exist, so the (very hot) no-script path returns the cached stage
-	// instead of allocating a fresh one per request.
-	missing *cache.Memo[*Stage]
 
 	// loads coalesces concurrent cold loads of one script URL so a stampede
 	// on a scripted site evaluates the script once instead of once per
@@ -217,10 +215,9 @@ type Loader struct {
 // NewLoader returns a loader backed by host.
 func NewLoader(host vocab.Host, limits script.Limits) *Loader {
 	return &Loader{
-		Host:    host,
-		Limits:  limits,
-		stages:  cache.NewMemo[*Stage](4096),
-		missing: cache.NewMemo[*Stage](4096),
+		Host:   host,
+		Limits: limits,
+		stages: cache.NewMemo[*Stage](4096),
 	}
 }
 
@@ -232,9 +229,6 @@ func (l *Loader) Load(scriptURL, site string) (*Stage, error) {
 	if st, ok := l.stages.Get(scriptURL); ok {
 		return st, nil
 	}
-	if st, ok := l.missing.Get(scriptURL); ok {
-		return st, nil
-	}
 	st, _, _, err := l.loads.Do(scriptURL, func() (*Stage, error) {
 		return l.loadSlow(scriptURL, site)
 	})
@@ -244,14 +238,11 @@ func (l *Loader) Load(scriptURL, site string) (*Stage, error) {
 // loadSlow fetches and compiles a stage (the cold path behind Load's caches
 // and coalescing).
 func (l *Loader) loadSlow(scriptURL, site string) (*Stage, error) {
-	// Re-check the memos: a previous flight may have completed between this
+	// Re-check the memo: a previous flight may have completed between this
 	// caller's miss and its flight winning the slot; without this the stage
 	// would be fetched and compiled a second time and replace the first
 	// stage's already-forked context pool.
 	if st, ok := l.stages.Get(scriptURL); ok {
-		return st, nil
-	}
-	if st, ok := l.missing.Get(scriptURL); ok {
 		return st, nil
 	}
 	req, err := httpmsg.NewRequest("GET", scriptURL)
@@ -284,7 +275,7 @@ func (l *Loader) loadSlow(scriptURL, site string) (*Stage, error) {
 // request populated the entry).
 func (l *Loader) cacheEmpty(scriptURL, site string) *Stage {
 	st := &Stage{URL: scriptURL, Site: site, Empty: true}
-	l.missing.Put(scriptURL, st)
+	l.stages.Put(scriptURL, st)
 	return st
 }
 

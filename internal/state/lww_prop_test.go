@@ -3,10 +3,10 @@ package state
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
+
+	"nakika/internal/cluster/explore"
 )
 
 // Property-based convergence test for the last-writer-wins merge rules:
@@ -34,17 +34,6 @@ const lwwReplicas = 3
 type lwwOp struct {
 	Rec      Rec
 	Delivery [lwwReplicas]int
-}
-
-// lwwSeedOffset mirrors the cluster harness's NAKIKA_SEED_OFFSET hook so
-// the nightly soak sweeps this property over fresh seeds too.
-func lwwSeedOffset() int64 {
-	if s := os.Getenv("NAKIKA_SEED_OFFSET"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return 0
 }
 
 // genOps builds a random operation table: a handful of keys, racing
@@ -83,8 +72,7 @@ func genOps(rnd *rand.Rand, n int) []lwwOp {
 // the ops delivered to it in priority order, then a full repair exchange
 // pushes every replica's current records to every other (exactly what
 // RepairReplication does with the whole ring reachable).
-func applyOps(t *testing.T, ops []lwwOp) [lwwReplicas]*Store {
-	t.Helper()
+func applyOps(ops []lwwOp) [lwwReplicas]*Store {
 	var stores [lwwReplicas]*Store
 	for r := range stores {
 		stores[r] = newStore(1 << 20)
@@ -104,7 +92,7 @@ func applyOps(t *testing.T, ops []lwwOp) [lwwReplicas]*Store {
 		})
 		for _, i := range idx {
 			if _, err := putNow(stores[r], ops[i].Rec); err != nil {
-				t.Fatalf("replica %d apply %v: %v", r, ops[i].Rec, err)
+				panic(fmt.Sprintf("replica %d apply %v: %v", r, ops[i].Rec, err))
 			}
 		}
 	}
@@ -118,7 +106,7 @@ func applyOps(t *testing.T, ops []lwwOp) [lwwReplicas]*Store {
 				}
 				for _, rec := range stores[src].VersionedRecords(nil) {
 					if _, err := putNow(stores[dst], rec); err != nil {
-						t.Fatalf("repair %d->%d %v: %v", src, dst, rec, err)
+						panic(fmt.Sprintf("repair %d->%d %v: %v", src, dst, rec, err))
 					}
 				}
 			}
@@ -162,53 +150,26 @@ func divergence(stores [lwwReplicas]*Store) string {
 	return ""
 }
 
-// shrink greedily removes ops while the table still diverges, returning a
-// minimal failing table.
-func shrink(t *testing.T, ops []lwwOp) []lwwOp {
-	t.Helper()
-	cur := append([]lwwOp(nil), ops...)
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(cur); i++ {
-			cand := append(append([]lwwOp(nil), cur[:i]...), cur[i+1:]...)
-			if divergence(applyOps(t, cand)) != "" {
-				cur = cand
-				changed = true
-				i--
-			}
-		}
-	}
-	return cur
-}
-
-// formatOps renders a table as a Go literal for the replay test.
-func formatOps(ops []lwwOp) string {
-	var sb strings.Builder
-	sb.WriteString("[]lwwOp{\n")
-	for _, op := range ops {
-		fmt.Fprintf(&sb, "\t{Rec: Rec{Site: %q, Key: %q, Ver: %d, Origin: %q, Delete: %v, Value: %q}, Delivery: [%d]int{%d, %d, %d}},\n",
-			op.Rec.Site, op.Rec.Key, op.Rec.Ver, op.Rec.Origin, op.Rec.Delete, op.Rec.Value,
-			lwwReplicas, op.Delivery[0], op.Delivery[1], op.Delivery[2])
-	}
-	sb.WriteString("}")
-	return sb.String()
-}
+// lwwFailure plays a table and describes where the replicas diverge, or
+// returns "".
+func lwwFailure(ops []lwwOp) string { return divergence(applyOps(ops)) }
 
 // TestLWWConvergenceProperty generates seeded random interleavings and
 // asserts three replicas always converge; a failure is shrunk to a minimal
 // table and printed as a replayable literal for TestLWWConvergenceReplay.
 func TestLWWConvergenceProperty(t *testing.T) {
-	base := int64(9000) + lwwSeedOffset()
-	for iter := int64(0); iter < 64; iter++ {
-		seed := base + iter
-		rnd := rand.New(rand.NewSource(seed))
-		ops := genOps(rnd, 3+rnd.Intn(40))
-		if d := divergence(applyOps(t, ops)); d != "" {
-			minimal := shrink(t, ops)
-			t.Fatalf("seed %d diverged: %s\nminimal failing table (replay via TestLWWConvergenceReplay):\n%s",
-				seed, d, formatOps(minimal))
-		}
-	}
+	explore.Property[lwwOp]{
+		Seed: 9000, Runs: 64,
+		Gen:   func(rnd *rand.Rand) []lwwOp { return genOps(rnd, 3+rnd.Intn(40)) },
+		Check: lwwFailure,
+		Type:  "lwwOp",
+		Print: func(op lwwOp) string {
+			return fmt.Sprintf("{Rec: Rec{Site: %q, Key: %q, Ver: %d, Origin: %q, Delete: %v, Value: %q}, Delivery: [%d]int{%d, %d, %d}}",
+				op.Rec.Site, op.Rec.Key, op.Rec.Ver, op.Rec.Origin, op.Rec.Delete, op.Rec.Value,
+				lwwReplicas, op.Delivery[0], op.Delivery[1], op.Delivery[2])
+		},
+		Replay: "TestLWWConvergenceReplay",
+	}.Run(t)
 }
 
 // TestLWWConvergenceReplay replays pinned tables through the same harness:
@@ -238,16 +199,9 @@ func TestLWWConvergenceReplay(t *testing.T) {
 			{Rec: Rec{Site: "prop.example.org", Key: "k2", Ver: 2, Origin: "node-a", Delete: true}, Delivery: [3]int{-1, -1, 1}},
 		},
 	}
-	for name, ops := range tables {
-		name, ops := name, ops
-		t.Run(name, func(t *testing.T) {
-			if d := divergence(applyOps(t, ops)); d != "" {
-				t.Fatalf("pinned table diverged: %s", d)
-			}
-		})
-	}
+	explore.Replay(t, tables, lwwFailure)
 	// The tie-broken-delete table must converge to the higher origin's put.
-	stores := applyOps(t, tables["tie-broken-delete"])
+	stores := applyOps(tables["tie-broken-delete"])
 	for r := range stores {
 		ver, origin, deleted, value, ok := stores[r].GetVersioned("prop.example.org", "k0")
 		if !ok || deleted || origin != "node-c" || ver != 2 || value != "live" {

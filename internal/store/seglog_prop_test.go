@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"strconv"
-	"strings"
 	"testing"
+
+	"nakika/internal/cluster/explore"
 )
 
 // A seeded model check of the segment log, in the lease suite's mold: a
@@ -222,47 +222,17 @@ func genLogOps(rnd *rand.Rand, n int) []logOp {
 	return ops
 }
 
-// shrinkLogOps greedily removes ops while the failure reproduces.
-func shrinkLogOps(ops []logOp) []logOp {
-	cur := append([]logOp(nil), ops...)
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(cur); i++ {
-			cand := append(append([]logOp(nil), cur[:i]...), cur[i+1:]...)
-			if logModelFailure(cand) != "" {
-				cur, changed = cand, true
-				i--
-			}
-		}
-	}
-	return cur
-}
-
-func formatLogOps(ops []logOp) string {
-	var sb strings.Builder
-	sb.WriteString("[]logOp{\n")
-	for _, op := range ops {
-		fmt.Fprintf(&sb, "\t{Kind: '%c', Key: %d, Size: %d, Arg: %d},\n", op.Kind, op.Key, op.Size, op.Arg)
-	}
-	sb.WriteString("}")
-	return sb.String()
-}
-
 func TestSegLogModelProperty(t *testing.T) {
-	base := int64(20000)
-	if s := os.Getenv("NAKIKA_SEED_OFFSET"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			base += v
-		}
-	}
-	for iter := int64(0); iter < 48; iter++ {
-		rnd := rand.New(rand.NewSource(base + iter))
-		ops := genLogOps(rnd, 20+rnd.Intn(180))
-		if f := logModelFailure(ops); f != "" {
-			t.Fatalf("seed %d failed: %s\nminimal failing table (replay via TestSegLogModelReplay):\n%s",
-				base+iter, f, formatLogOps(shrinkLogOps(ops)))
-		}
-	}
+	explore.Property[logOp]{
+		Seed: 20000, Runs: 48,
+		Gen:   func(rnd *rand.Rand) []logOp { return genLogOps(rnd, 20+rnd.Intn(180)) },
+		Check: logModelFailure,
+		Type:  "logOp",
+		Print: func(op logOp) string {
+			return fmt.Sprintf("{Kind: '%c', Key: %d, Size: %d, Arg: %d}", op.Kind, op.Key, op.Size, op.Arg)
+		},
+		Replay: "TestSegLogModelReplay",
+	}.Run(t)
 }
 
 // TestSegLogModelReplay replays pinned tables through the same harness: the
@@ -309,9 +279,5 @@ func TestSegLogModelReplay(t *testing.T) {
 			{Kind: 'A', Key: 7, Size: 100}, {Kind: 'C'}, {Kind: 'R', Key: 7}, {Kind: 'A', Key: 7, Size: 100},
 		},
 	}
-	for name, ops := range tables {
-		if f := logModelFailure(ops); f != "" {
-			t.Errorf("%s: %s", name, f)
-		}
-	}
+	explore.Replay(t, tables, logModelFailure)
 }

@@ -29,10 +29,10 @@ type Host interface {
 	// at the pipeline level, not here).
 	Fetch(req *httpmsg.Request) (*httpmsg.Response, error)
 	// CacheGet and CachePut give scripts access to the proxy cache, keyed by
-	// arbitrary strings (the image transcoding extension caches transformed
-	// content this way).
-	CacheGet(key string) *httpmsg.Response
-	CachePut(key string, resp *httpmsg.Response)
+	// arbitrary strings and partitioned by site (the image transcoding
+	// extension caches transformed content this way).
+	CacheGet(site, key string) *httpmsg.Response
+	CachePut(site, key string, resp *httpmsg.Response)
 	// IsLocalClient reports whether ip belongs to the node's hosting
 	// organization (System.isLocal in Figure 5).
 	IsLocalClient(ip string) bool
@@ -82,10 +82,10 @@ func (NopHost) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
 }
 
 // CacheGet always misses.
-func (NopHost) CacheGet(key string) *httpmsg.Response { return nil }
+func (NopHost) CacheGet(site, key string) *httpmsg.Response { return nil }
 
 // CachePut discards the response.
-func (NopHost) CachePut(key string, resp *httpmsg.Response) {}
+func (NopHost) CachePut(site, key string, resp *httpmsg.Response) {}
 
 // IsLocalClient treats loopback and RFC1918 prefixes as local.
 func (NopHost) IsLocalClient(ip string) bool {
@@ -209,7 +209,7 @@ func InstallPolicyConstructor(ctx *script.Context, reg *Registry) {
 // BindResponse since they change as the pipeline progresses.
 func Install(ctx *script.Context, host Host, site string) {
 	installSystem(ctx, host, site)
-	installCacheVocabulary(ctx, host)
+	installCacheVocabulary(ctx, host, site)
 	installFetch(ctx, host)
 	installState(ctx, host, site)
 	installLease(ctx, host, site)
@@ -271,14 +271,14 @@ func installSystem(ctx *script.Context, host Host, site string) {
 	ctx.DefineGlobal("System", sys)
 }
 
-func installCacheVocabulary(ctx *script.Context, host Host) {
+func installCacheVocabulary(ctx *script.Context, host Host, site string) {
 	cacheObj := script.NewObject()
 	cacheObj.ClassName = "Cache"
 	cacheObj.Set("get", &script.Native{Name: "Cache.get", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
 		if len(args) == 0 {
 			return script.NullValue(), nil
 		}
-		resp := host.CacheGet(script.ToString(args[0]))
+		resp := host.CacheGet(site, script.ToString(args[0]))
 		if resp == nil {
 			return script.NullValue(), nil
 		}
@@ -305,7 +305,7 @@ func installCacheVocabulary(ctx *script.Context, host Host) {
 			resp.Header.Set("Content-Type", script.ToString(args[3]))
 		}
 		resp.SetMaxAge(ttl)
-		host.CachePut(key, resp)
+		host.CachePut(site, key, resp)
 		return script.Boolean(true), nil
 	}})
 	ctx.DefineGlobal("Cache", cacheObj)

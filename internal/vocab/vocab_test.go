@@ -44,16 +44,16 @@ func (h *recordingHost) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
 	return httpmsg.NewTextResponse(200, "fetched "+req.URL.Path), nil
 }
 
-func (h *recordingHost) CacheGet(key string) *httpmsg.Response {
+func (h *recordingHost) CacheGet(site, key string) *httpmsg.Response {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.cache[key]
+	return h.cache[site+"\x00"+key]
 }
 
-func (h *recordingHost) CachePut(key string, resp *httpmsg.Response) {
+func (h *recordingHost) CachePut(site, key string, resp *httpmsg.Response) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.cache[key] = resp
+	h.cache[site+"\x00"+key] = resp
 }
 
 func (h *recordingHost) Usage(site, resource string) float64 { return h.usage }
@@ -703,7 +703,7 @@ func TestNopHost(t *testing.T) {
 	if err != nil || resp.Status != 502 {
 		t.Errorf("NopHost.Fetch = %v %v", resp, err)
 	}
-	if h.CacheGet("x") != nil {
+	if h.CacheGet("s", "x") != nil {
 		t.Error("NopHost cache should miss")
 	}
 	if !h.IsLocalClient("127.0.0.1") || h.IsLocalClient("203.0.113.8") {
