@@ -91,7 +91,6 @@ func (p Property[Op]) literal(ops []Op) string {
 func Replay[Op any](t *testing.T, tables map[string][]Op, check func([]Op) string) {
 	t.Helper()
 	for name, ops := range tables {
-		ops := ops
 		t.Run(name, func(t *testing.T) {
 			if f := check(ops); f != "" {
 				t.Fatalf("pinned table failed: %s", f)
