@@ -20,9 +20,13 @@
 //     body out, under the shard lock, into memory of its own. A client
 //     hit copies into the buffer its connection lends the request
 //     (httpmsg.Request.SetReplyBuffer), a peer's fetch into its encoded
-//     reply (Encoded). It owns the freshness decision (Expiry, Expired) and
-//     the 304 rule (Renew) for every tier of the node, the large-object tier
-//     included.
+//     reply (Encoded). It owns the freshness decision (Expiry, Expired),
+//     the rule that keeps an expired copy for its validators alone (Kept)
+//     and the 304 rule (Renew) for every tier of the node, the large-object
+//     tier included. A lookup answers fresh, stale or miss: Get and its
+//     kin serve fresh copies only, and Lookup also answers the stale copy a
+//     tier keeps, which the node's fetch chain revalidates and a 304 renews
+//     (Refresh).
 //   - Memo: a small in-memory memoization cache used for parsed decision
 //     trees and reusable scripting contexts (the 4 microsecond / 3
 //     microsecond retrievals reported in Section 5.1). The pipeline's
@@ -30,6 +34,7 @@
 package cache
 
 import (
+	"bytes"
 	"hash/maphash"
 	"net/http"
 	"strings"
@@ -248,6 +253,15 @@ func (c *Cache) Expiry(h http.Header, now time.Time) time.Time {
 // freshness lifetime), so at the expiry instant itself it is stale.
 func Expired(expires, now time.Time) bool { return !expires.After(now) }
 
+// Kept is the rule by which every tier keeps a copy with header h that
+// expires at expires: while it is fresh, and once it has expired only for its
+// validators (an ETag or a Last-Modified), by which the fetch chain's
+// revalidation step may renew it with a conditional request. A copy without
+// one is dropped. A reply stale on arrival is stored by the same rule.
+func Kept(h http.Header, expires, now time.Time) bool {
+	return !Expired(expires, now) || h.Get("Etag") != "" || h.Get("Last-Modified") != ""
+}
+
 // Get returns a fresh response for key built from its entry, with a body
 // of its own, or nil when absent or expired.
 func (c *Cache) Get(key string) *httpmsg.Response { return c.GetFor(key, nil) }
@@ -257,6 +271,21 @@ func (c *Cache) Get(key string) *httpmsg.Response { return c.GetFor(key, nil) }
 // a client connection allocates no body; a script that touches the body
 // gets a copy (Materialize). A nil req lends none.
 func (c *Cache) GetFor(key string, req *httpmsg.Request) *httpmsg.Response {
+	return c.get(key, req, nil)
+}
+
+// Lookup is Get with the third answer of the fetch chain's lookup, for a
+// flight's leader: for a key with no fresh copy, the expired copy a tier
+// keeps for its validators (Kept), which the chain's revalidation step may
+// renew; Stale is zero when no tier keeps one. A stale copy is never served.
+func (c *Cache) Lookup(key string) (*httpmsg.Response, Stale) {
+	var stale Stale
+	resp := c.get(key, nil, &stale)
+	return resp, stale
+}
+
+// get is GetFor, reporting a stale copy in stale when it is not nil.
+func (c *Cache) get(key string, req *httpmsg.Request, stale *Stale) *httpmsg.Response {
 	var hit httpmsg.Stored
 	var borrowed bool
 	if _, ok := c.read(key, func(s httpmsg.Stored) {
@@ -266,12 +295,23 @@ func (c *Cache) GetFor(key string, req *httpmsg.Request) *httpmsg.Response {
 			hit.Body, borrowed = req.ReplyBuffer(len(s.Body))
 			copy(hit.Body, s.Body)
 		}
-	}); !ok {
+	}, stale); !ok {
 		return nil
 	}
 	resp := hit.Response(borrowed)
 	resp.FromCache = true
 	return resp
+}
+
+// Stale is an expired copy a tier keeps for its validators (Kept): what the
+// fetch chain's revalidation step asks the origin with, and what a 304 then
+// renews (Refresh).
+type Stale struct {
+	// Tier names the tier that keeps the copy: "memory" or "disk" here, and
+	// "lob" for a large-object manifest; "" for no copy.
+	Tier string
+	// Header is the copy's header, which the caller only reads.
+	Header http.Header
 }
 
 // Encoded returns key's fresh entry as EncodeResponse encodes a hit of it,
@@ -283,15 +323,17 @@ func (c *Cache) Encoded(key string) ([]byte, time.Time, bool) {
 	expires, ok := c.read(key, func(s httpmsg.Stored) {
 		s.FromCache = true
 		payload = httpmsg.EncodeStored(&s)
-	})
+	}, nil)
 	return payload, expires, ok
 }
 
 // read finds key's fresh entry, in memory or else promoted from the disk
 // tier, and hands its stored form to copyOut while the body cannot be
 // released: copyOut copies what it keeps of the body. It counts the hit or
-// the miss and returns the entry's expiry.
-func (c *Cache) read(key string, copyOut func(httpmsg.Stored)) (time.Time, bool) {
+// the miss and returns the entry's expiry. An expired entry is dropped
+// unless it is Kept. A memory entry kept so is the newest copy, and the disk
+// tier is not asked; when stale is not nil it is reported there.
+func (c *Cache) read(key string, copyOut func(httpmsg.Stored), stale *Stale) (time.Time, bool) {
 	now := c.cfg.Clock()
 	h := hashKey(key)
 	sh := c.shard(h)
@@ -305,11 +347,19 @@ func (c *Cache) read(key string, copyOut func(httpmsg.Stored)) (time.Time, bool)
 		return e.expires, true
 	}
 	if ok {
-		sh.dropLocked(e)
 		c.expired.Add(1)
+		if hdr := httpmsg.DecodeHeader(e.Header); Kept(hdr, e.expires, now) {
+			sh.mu.Unlock()
+			c.misses.Add(1)
+			if stale != nil {
+				*stale = Stale{Tier: "memory", Header: hdr}
+			}
+			return time.Time{}, false
+		}
+		sh.dropLocked(e)
 	}
 	sh.mu.Unlock()
-	return c.readL2(h, key, copyOut)
+	return c.readL2(h, key, copyOut, stale)
 }
 
 // Until reports whether key has a fresh entry and until when — the expiry
@@ -336,18 +386,27 @@ func (c *Cache) Until(key string) (time.Time, bool) {
 // the memory LRU. The reader copies from the record, and the entry takes the
 // record's header bytes as they are and its body into an arena slot. The
 // disk copy stays in place until it expires or the disk budget evicts it, so
-// the tier is inclusive: a later crash still rewarms from it.
-func (c *Cache) readL2(h uint64, key string, copyOut func(httpmsg.Stored)) (time.Time, bool) {
-	d := c.l2.Load()
-	if d == nil {
-		c.misses.Add(1)
-		return time.Time{}, false
+// the tier is inclusive: a later crash still rewarms from it. When stale is
+// not nil, a stale record the tier keeps is reported there and promoted too,
+// as the stale entry a 304 then renews (Refresh).
+func (c *Cache) readL2(h uint64, key string, copyOut func(httpmsg.Stored), stale *Stale) (time.Time, bool) {
+	var expires time.Time
+	hit := false
+	if d := c.l2.Load(); d != nil {
+		d.get(key, func(s httpmsg.Stored, exp time.Time, staleHeader http.Header) {
+			switch {
+			case staleHeader == nil:
+				copyOut(s)
+				expires, hit = exp, true
+			case stale != nil:
+				*stale = Stale{Tier: "disk", Header: staleHeader}
+			default:
+				return
+			}
+			c.putEntry(h, key, s, exp)
+		})
 	}
-	expires, ok := d.get(key, func(s httpmsg.Stored, expires time.Time) {
-		copyOut(s)
-		c.putEntry(h, key, s, expires)
-	})
-	if !ok {
+	if !hit {
 		c.misses.Add(1)
 		return time.Time{}, false
 	}
@@ -355,9 +414,9 @@ func (c *Cache) readL2(h uint64, key string, copyOut func(httpmsg.Stored)) (time
 	return expires, true
 }
 
-// Put stores a response under key if it is cacheable and not stale on
-// arrival, until the Expiry its headers give it from now. It returns whether
-// the response was stored.
+// Put stores a response under key if it is cacheable and Kept, until the
+// Expiry its headers give it from now. It returns whether the response was
+// stored fresh.
 func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 	if resp == nil {
 		return false
@@ -367,18 +426,20 @@ func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 
 // PutUntil is Put with the expiry decided by the caller: a copy fetched from
 // a peer's cache keeps the holder's deadline instead of starting a new one.
-// A response that is already past that deadline is reported unstored, so the
-// node neither holds nor publishes it. The entry is made before the shard
+// A response that is already past that deadline is stored only if it is
+// Kept, for its validators, and is reported unstored either way, so the node
+// never publishes it. The entry is made before the shard
 // lock is acquired: its header is encoded once (httpmsg.Response.StoredForm)
 // and its body copied into an arena slot, so the caller's response goes on
 // into the pipeline with the body it had. Streamed bodies never enter the
 // whole-body cache — the large-object tier owns them (storing one here would
 // pin a lazy view, not bytes).
 func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) bool {
-	if resp == nil || resp.Stream != nil || !resp.Cacheable() || Expired(expires, c.cfg.Clock()) {
+	now := c.cfg.Clock()
+	if resp == nil || resp.Stream != nil || !resp.Cacheable() || !Kept(resp.Header, expires, now) {
 		return false
 	}
-	return c.putEntry(hashKey(key), key, resp.StoredForm(), expires)
+	return c.putEntry(hashKey(key), key, resp.StoredForm(), expires) && !Expired(expires, now)
 }
 
 // Renewal is what a 304 Not Modified does to the stored copy it answers
@@ -397,15 +458,14 @@ const (
 	Renewed
 )
 
-// Renew is the one 304 rule of every tier: the whole-body entry a client's
-// conditional request renews (Refresh) and the manifest the large-object
-// tier revalidates are renewed by it alike. A stored copy with status status
-// and header stored is renewed by a 304 with header nm when the 304 selects
-// it for update (RFC 9111 §4.3.4, validates); then each header field the 304
-// carries replaces the stored one of its name, Content-Length excepted
-// (§3.2), in stored itself, which the caller owns. A copy whose updated
-// header a shared cache may not store is Unstorable; any other is Renewed
-// until the updated header's Expiry from now.
+// Renew is the one 304 rule of every tier: the whole-body entry (Refresh)
+// and the large-object manifest a 304 answers are renewed by it alike. A
+// stored copy with status status and header stored is renewed by a 304 with
+// header nm when the 304 selects it for update (RFC 9111 §4.3.4, validates);
+// then each header field the 304 carries replaces the stored one of its name,
+// Content-Length excepted (§3.2), in stored itself, which the caller owns. A
+// copy whose updated header a shared cache may not store is Unstorable; any
+// other is Renewed until the updated header's Expiry from now.
 func (c *Cache) Renew(status int, stored, nm http.Header) (Renewal, time.Time) {
 	if !validates(nm, stored) {
 		return NotSelected, time.Time{}
@@ -421,39 +481,60 @@ func (c *Cache) Renew(status int, stored, nm http.Header) (Renewal, time.Time) {
 	return Renewed, c.Expiry(stored, c.cfg.Clock())
 }
 
-// Refresh renews the stored entry for key by a 304 Not Modified, as Renew
-// decides: a renewed entry takes the updated header and expiry, an
-// unstorable one is dropped, and one the 304 does not select is left as it
-// is. The renewed entry is a new one swapped in under the shard lock, which
-// takes over the old one's slots, so a hit never sees a half-updated header.
+// Refresh renews key's memory entry, fresh or kept stale (a stale disk
+// record is one once a lookup promoted it), by a 304 Not Modified, as Renew
+// decides, and returns the renewed copy with a body of its own, or nil. A
+// renewed entry takes the updated header and expiry and is served even if
+// that expiry has passed: the origin has just confirmed it. The renewal is a
+// new entry swapped in under the shard lock, which takes over the old one's
+// slots, so a hit never sees a half-updated header. An unstorable entry is
+// dropped from both tiers, and one the 304 does not select is left as it is.
 // The 304 itself is never stored — it has no body, so storing it would later
-// serve an empty page. Returns whether a stored entry was renewed.
-func (c *Cache) Refresh(key string, resp *httpmsg.Response) bool {
-	if resp == nil || resp.Status != http.StatusNotModified {
-		return false
+// serve an empty page.
+func (c *Cache) Refresh(key string, nm *httpmsg.Response) *httpmsg.Response {
+	if nm == nil || nm.Status != http.StatusNotModified {
+		return nil
 	}
 	hash := hashKey(key)
 	sh := c.shard(hash)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	e, ok := sh.lookupLocked(hash, key)
 	if !ok {
-		return false
+		sh.mu.Unlock()
+		return nil
 	}
 	h := httpmsg.DecodeHeader(e.Header)
-	renewal, expires := c.Renew(e.Status, h, resp.Header)
-	if renewal == Unstorable {
+	renewal, expires := c.Renew(e.Status, h, nm.Header)
+	var renewed *httpmsg.Response
+	switch renewal {
+	case Renewed:
+		r := *e
+		r.expires = expires
+		r.Header = httpmsg.EncodeHeader(h)
+		sh.removeLocked(e)
+		sh.insertLocked(&r)
+		renewed = ownCopy(r.Stored)
+	case Unstorable:
 		sh.dropLocked(e)
 	}
-	if renewal != Renewed {
-		return false
+	sh.mu.Unlock()
+	if d := c.l2.Load(); d != nil && renewal == Unstorable {
+		d.Invalidate(key)
 	}
-	renewed := *e
-	renewed.expires = expires
-	renewed.Header = httpmsg.EncodeHeader(h)
-	sh.removeLocked(e)
-	sh.insertLocked(&renewed)
-	return true
+	return renewed
+}
+
+// ownCopy is the response for a stored copy, served from the cache with a
+// body of its own (nil when empty).
+func ownCopy(s httpmsg.Stored) *httpmsg.Response {
+	if len(s.Body) > 0 {
+		s.Body = bytes.Clone(s.Body)
+	} else {
+		s.Body = nil
+	}
+	resp := s.Response(false)
+	resp.FromCache = true
+	return resp
 }
 
 // validates reports whether a 304 with header nm selects the stored response

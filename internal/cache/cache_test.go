@@ -292,7 +292,7 @@ func Test304NeverBecomesServedBody(t *testing.T) {
 	if got := c.Get(key); got != nil {
 		t.Fatalf("cache served a body for a 304: %q", got.Body)
 	}
-	if c.Refresh(key, notModified) {
+	if c.Refresh(key, notModified) != nil {
 		t.Fatal("Refresh with no stored entry reported success")
 	}
 
@@ -307,7 +307,7 @@ func Test304NeverBecomesServedBody(t *testing.T) {
 	validated.Header.Set("Etag", `"v1"`)
 	c.Put(key, validated)
 	clock.Advance(30 * time.Second)
-	if !c.Refresh(key, notModified) {
+	if c.Refresh(key, notModified) == nil {
 		t.Fatal("Refresh failed on a stored entry")
 	}
 	clock.Advance(45 * time.Second) // past the original expiry, inside the refreshed one
@@ -320,7 +320,7 @@ func Test304NeverBecomesServedBody(t *testing.T) {
 	}
 
 	// Refresh must reject anything that is not a 304.
-	if c.Refresh(key, okResponse("x")) {
+	if c.Refresh(key, okResponse("x")) != nil {
 		t.Fatal("Refresh accepted a 200")
 	}
 }
@@ -364,7 +364,7 @@ func TestRefreshNeedsTheStoredValidator(t *testing.T) {
 			nm.Header[k] = v
 		}
 		nm.SetMaxAge(600)
-		if got := c.Refresh(key, nm); got != tc.wantRenewed {
+		if got := c.Refresh(key, nm) != nil; got != tc.wantRenewed {
 			t.Errorf("%s: Refresh = %v, want %v", tc.name, got, tc.wantRenewed)
 		}
 		clock.Advance(10 * time.Second) // past the 200's own max-age

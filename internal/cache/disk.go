@@ -1,10 +1,10 @@
 package cache
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,8 +82,8 @@ func splitDiskPayload(p []byte) (key []byte, expires int64, body []byte, ok bool
 // maxBytes of segment files (zero means 1 GiB). The log removes every file
 // that is not a segment — the one-file-per-entry layout of earlier releases
 // included: the tier is soft state and refills from peers and the origin.
-// At the replay an expired record or a tombstone deletes the entry, and so
-// does a record whose body is not in the codec. No file is created until the
+// At the replay a tombstone, an expired record that is not Kept, or a record
+// whose body is not in the codec deletes the entry. No file is created until the
 // first Put.
 func OpenDisk(fs store.FS, maxBytes int64, clock func() time.Time) (*Disk, error) {
 	if maxBytes <= 0 {
@@ -98,11 +98,9 @@ func OpenDisk(fs store.FS, maxBytes int64, clock func() time.Time) (*Disk, error
 		if !ok {
 			return 0, 0, false, false
 		}
-		live := !Expired(time.Unix(0, expires), now)
-		if live {
-			_, err := httpmsg.DecodeStored(body)
-			live = err == nil
-		}
+		exp := time.Unix(0, expires)
+		s, err := httpmsg.DecodeStored(body)
+		live := err == nil && (!Expired(exp, now) || Kept(httpmsg.DecodeHeader(s.Header), exp, now))
 		return hashKey(string(key)), expires, live, true
 	})
 	if err != nil {
@@ -157,58 +155,66 @@ func (d *Disk) appendLocked(hash uint64, expires time.Time) {
 	}
 }
 
-// Get returns the cached response and its expiry for key, or ok=false. It
-// reads exactly the indexed record and serves it only if its frame verifies
-// and it carries this key; anything else drops the entry and is a miss. The
-// response is freshly decoded, with a body of its own.
+// Get returns the cached response and its expiry for key if its record is
+// fresh, or ok=false. It reads exactly the indexed record and serves it only
+// if its frame verifies and it carries this key; anything else that is not
+// Kept drops the entry and is a miss. The response is freshly decoded, with
+// a body of its own.
 func (d *Disk) Get(key string) (*httpmsg.Response, time.Time, bool) {
 	var resp *httpmsg.Response
-	expires, ok := d.get(key, func(s httpmsg.Stored, _ time.Time) {
-		if len(s.Body) > 0 {
-			s.Body = bytes.Clone(s.Body)
-		} else {
-			s.Body = nil
+	var expires time.Time
+	d.get(key, func(s httpmsg.Stored, exp time.Time, stale http.Header) {
+		if stale == nil {
+			resp, expires = ownCopy(s), exp
 		}
-		resp = s.Response(false)
 	})
-	return resp, expires, ok
+	return resp, expires, resp != nil
 }
 
-// get is Get in the form the memory tier keeps: use sees the record's header
-// bytes copied out as one string, and its body in the read buffer, which is
-// reused once use returns.
-func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time)) (time.Time, bool) {
+// get is Get in the form the memory tier keeps, for a record that is fresh
+// or, once expired, Kept: use sees the record's header bytes copied out as
+// one string, its body in the read buffer, which is reused once use returns,
+// and its expiry; for an expired record also its decoded header (nil when the
+// record is fresh). A record that is not Kept, or does not read back as key's,
+// is dropped. A fresh record counts as a hit, anything else as a miss.
+func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time, stale http.Header)) {
 	now := d.clock()
 	hash := hashKey(key)
 	d.mu.Lock()
 	ref, ok := d.log.Lookup(hash)
-	if ok && Expired(time.Unix(0, ref.Word), now) {
-		d.log.Forget(hash, ref)
-		ok = false
-	}
 	d.mu.Unlock()
-	if ok {
-		buf := records.Get().(*[]byte)
-		if cap(*buf) < ref.Len() {
-			*buf = make([]byte, ref.Len())
-		}
-		s, err := d.read(key, ref, (*buf)[:ref.Len()])
-		if err == nil {
-			d.hits.Add(1)
-			use(s, time.Unix(0, ref.Word))
-		}
-		if cap(*buf) <= maxPooledRecord {
-			records.Put(buf)
-		}
-		if err == nil {
-			return time.Unix(0, ref.Word), true
-		}
+	if !ok {
+		d.misses.Add(1)
+		return
+	}
+	expires := time.Unix(0, ref.Word)
+	buf := records.Get().(*[]byte)
+	if cap(*buf) < ref.Len() {
+		*buf = make([]byte, ref.Len())
+	}
+	s, err := d.read(key, ref, (*buf)[:ref.Len()])
+	kept := err == nil
+	var stale http.Header
+	if kept && Expired(expires, now) {
+		stale = httpmsg.DecodeHeader(s.Header)
+		kept = Kept(stale, expires, now)
+	}
+	if kept {
+		use(s, expires, stale)
+	}
+	if cap(*buf) <= maxPooledRecord {
+		records.Put(buf)
+	}
+	if !kept {
 		d.mu.Lock()
 		d.log.Forget(hash, ref)
 		d.mu.Unlock()
 	}
-	d.misses.Add(1)
-	return time.Time{}, false
+	if kept && stale == nil {
+		d.hits.Add(1)
+	} else {
+		d.misses.Add(1)
+	}
 }
 
 // Until reports whether key's indexed record is fresh and until when, without

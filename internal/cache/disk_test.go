@@ -1168,3 +1168,61 @@ func BenchmarkDiskRescan(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(len(listFiles(b, fs))), "files")
 }
+
+// TestExpiredCopyKeptForItsValidators: once expired, a copy with an ETag is
+// kept in either tier, across a reopen of the disk tier too, and so is a
+// reply stale on arrival with one; a copy without a validator is dropped. A
+// kept copy is never served, encoded for a peer or reported by Until; Lookup
+// alone answers it, with the tier that keeps it. That answer promotes a disk
+// record, so a 304 renews it and nothing is written or fetched again.
+func TestExpiredCopyKeptForItsValidators(t *testing.T) {
+	clock := newFakeClock()
+	fs := store.NewMemFS()
+	c, _ := newDiskCache(t, fs, 8, clock.Now)
+	reply := func(body string, maxAge int, etag bool) *httpmsg.Response {
+		r := page(body)
+		r.SetMaxAge(maxAge)
+		if etag {
+			r.Header.Set("Etag", `"`+body+`"`)
+		}
+		return r
+	}
+	c.Put("disk", reply("disk", 10, true))
+	c.FlushToDisk()
+	c.Clear()
+	c.Put("memory", reply("memory", 10, true))
+	c.Put("untagged", reply("untagged", 10, false))
+	if c.Put("arrived", reply("arrived", 0, true)) {
+		t.Error("a reply stale on arrival was reported stored")
+	}
+	clock.Advance(time.Hour)
+	d := openDisk(t, fs, 1<<20, clock.Now)
+	c.SetL2(d)
+	for key, tier := range map[string]string{"memory": "memory", "arrived": "memory", "disk": "disk", "untagged": ""} {
+		if c.Get(key) != nil {
+			t.Errorf("%s: an expired copy served", key)
+		}
+		if _, _, ok := c.Encoded(key); ok {
+			t.Errorf("%s: an expired copy encoded for a peer", key)
+		}
+		if _, ok := c.Until(key); ok {
+			t.Errorf("%s: Until reports an expired copy", key)
+		}
+		resp, stale := c.Lookup(key)
+		if resp != nil || stale.Tier != tier || (tier != "" && stale.Header.Get("Etag") != `"`+key+`"`) {
+			t.Errorf("%s: Lookup answers %v, %+v; want the %q tier's stale copy", key, resp, stale, tier)
+		}
+	}
+	if d.Len() != 1 || c.Len() != 3 {
+		t.Fatalf("%d disk and %d memory entries, want the disk record, promoted beside the two kept memory entries", d.Len(), c.Len())
+	}
+	writes := fs.Writes()
+	nm := httpmsg.NewResponse(http.StatusNotModified)
+	nm.Header.Set("Etag", `"disk"`)
+	if r := c.Refresh("disk", nm); r == nil || string(r.Body) != "disk" || c.Get("disk") == nil {
+		t.Errorf("the 304 did not renew the promoted record: %v", r)
+	}
+	if fs.Writes() != writes {
+		t.Error("the renewal wrote to disk")
+	}
+}

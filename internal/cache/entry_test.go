@@ -290,7 +290,7 @@ func TestRefreshUpdatesStoredHeader(t *testing.T) {
 	nm.Header.Set("Content-Length", "0")
 	nm.Header.Set("Date", "Mon, 01 Jun 2026 00:00:05 GMT")
 	nm.SetMaxAge(600)
-	if !c.Refresh(key, nm) {
+	if c.Refresh(key, nm) == nil {
 		t.Fatal("the 304 did not renew the stored 200")
 	}
 	check := func(where string, got *httpmsg.Response) {
@@ -332,7 +332,7 @@ func TestRefreshToUnstorableDropsEntry(t *testing.T) {
 	nm := httpmsg.NewResponse(http.StatusNotModified)
 	nm.Header.Set("Etag", `"a"`)
 	nm.Header.Set("Cache-Control", "no-store")
-	if c.Refresh(key, nm) {
+	if c.Refresh(key, nm) != nil {
 		t.Error("Refresh renewed an entry its 304 made unstorable")
 	}
 	if got := c.Get(key); got != nil {
@@ -382,7 +382,7 @@ func TestRenewalUnderConcurrentHits(t *testing.T) {
 		nm.Header.Set("Etag", `"a"`)
 		nm.Header.Set("X-Gen", strconv.Itoa(i))
 		nm.Header.Set("X-Gen-Copy", strconv.Itoa(i))
-		if !c.Refresh(key, nm) {
+		if c.Refresh(key, nm) == nil {
 			t.Fatalf("renewal %d failed", i)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -16,12 +17,13 @@ import (
 // This file is the node's fetch path, one explicit chain that the whole-body
 // cache and the large-object tier both hang off:
 //
-//	lookup → coalesce → peer → origin → store
+//	lookup → coalesce → (stale: conditional origin | miss: peer → origin) → store
 //
-// Five decisions are taken on the way, each written once: whether a shared
+// Six decisions are taken on the way, each written once: whether a shared
 // cache may store a response, and so share it (httpmsg.Shareable), until when
 // it is fresh (cache.Expiry, computed on the node clock when a copy is stored
-// or renewed, and kept with the copy), what a 304 renews (cache.Renew), how
+// or renewed, and kept with the copy), which expired copies are kept for
+// their validators (cache.Kept), what a 304 renews (cache.Renew), how
 // concurrent misses coalesce (cache.Group) and where an origin reply is filed
 // (storeReply). The large-object half of each step lives in largeobject.go.
 
@@ -39,7 +41,7 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 		return resp, err
 	}
 	key := req.CacheKey()
-	if resp := n.lookup(key, req); resp != nil {
+	if resp, _ := n.lookup(key, req); resp != nil {
 		return resp, nil
 	}
 	// Coalesce: concurrent misses of one request share a single pass through
@@ -104,50 +106,159 @@ func flightKey(key string, h http.Header) string {
 	return key + "\n" + rng + "\n" + inm + "\n" + ims
 }
 
-// lookup is the chain's first step: the whole-body cache, then the
-// large-object tier, where a fresh manifest serves a lazy stream whose
-// segments resolve as the client reads. It runs twice per miss: before the
-// flight for req, whose buffer a hit's body is copied into
-// (httpmsg.Request.ReplyBuffer), and again by the flight's leader with a nil
-// req (a previous flight may have stored the key in between). The leader's
-// response may go to every caller of the flight, which outlive its request,
-// so its body is a fresh copy; and the leader alone revalidates a stale
-// manifest.
-func (n *Node) lookup(key string, req *httpmsg.Request) *httpmsg.Response {
-	resp := n.cache.GetFor(key, req)
+// lookup is the chain's first step, in both object models: a fresh copy from
+// the whole-body cache, else a lazy stream of the large-object tier's fresh
+// manifest, whose segments resolve as the client reads; or else the stale
+// copy a tier keeps for its validators (cache.Stale), the whole-body cache's
+// before the tier's. It runs twice per miss: before the flight for req, whose
+// buffer a hit's body is copied into (httpmsg.Request.ReplyBuffer), and again
+// by the flight's leader with a nil req (a previous flight may have stored
+// the key in between). The leader's response may go to every caller of the
+// flight, which outlive its request, so its body is a fresh copy; and the
+// leader alone revalidates a stale copy (revalidate), so only its lookup
+// answers a stale whole body.
+func (n *Node) lookup(key string, req *httpmsg.Request) (*httpmsg.Response, cache.Stale) {
+	var resp *httpmsg.Response
+	var stale cache.Stale
+	if req != nil {
+		resp = n.cache.GetFor(key, req)
+	} else {
+		resp, stale = n.cache.Lookup(key)
+	}
 	if resp == nil {
-		resp = n.lobServe(key, req == nil)
+		var lob cache.Stale
+		if resp, lob = n.lobServe(key); stale.Header == nil {
+			stale = lob
+		}
 	}
 	if resp != nil {
 		n.cacheHits.Add(1)
 	}
-	return resp
+	return resp, stale
 }
 
-// fetchMiss is the flight leader's pass through the rest of the chain.
+// fetchMiss is the flight leader's pass through the rest of the chain. A
+// stale copy is revalidated on the leader's own request unless that request
+// carries a precondition of its own; a copy the origin's 304 does not renew
+// is gone, and the request goes on as a miss.
 func (n *Node) fetchMiss(key string, req *httpmsg.Request) (*httpmsg.Response, error) {
-	if resp := n.lookup(key, nil); resp != nil {
+	resp, stale := n.lookup(key, nil)
+	if resp != nil {
 		return resp, nil
+	}
+	if stale.Header != nil && req.Header.Get("If-None-Match") == "" && req.Header.Get("If-Modified-Since") == "" {
+		if resp, err := n.revalidate(key, req, stale); resp != nil || err != nil {
+			return resp, err
+		}
 	}
 	if resp := n.peerCopy(key); resp != nil {
 		n.peerHits.Add(1)
 		return resp, nil
 	}
+	resp, err := n.fetchOrigin(key, req)
+	if err == nil && resp.Stream == nil {
+		n.storeReply(req, key, resp)
+	}
+	return resp, err
+}
+
+// fetchOrigin is the chain's origin step. Through the streaming path when the
+// upstream supports it and the tier wants the object: a large 200 is then
+// chunked into segments as it arrives, and the tier owns it. Otherwise the
+// reply is buffered, for the caller to hand to the store step.
+func (n *Node) fetchOrigin(key string, req *httpmsg.Request) (*httpmsg.Response, error) {
 	n.originFetches.Add(1)
-	// Through the streaming path when the upstream supports it and the tier
-	// wants the object: a large 200 is then chunked into segments as it
-	// arrives, and the tier owns it. Otherwise the reply is buffered.
 	resp, err := n.lobStreamOrigin(key, req)
 	if resp == nil && err == nil {
 		resp, err = n.cfg.Upstream.Do(req)
 	}
+	return resp, err
+}
+
+// The labels of nakika_cache_revalidations_total: the tier that kept the
+// stale copy (cache.Stale.Tier), and how its conditional request ended.
+var (
+	revalTiers   = [...]string{"memory", "disk", "lob"}
+	revalResults = [...]string{"not_modified", "refused", "replaced", "failed"}
+)
+
+// revalidate is the chain's step for a stale copy: the leader's origin
+// request goes out conditional on the copy's validators (If-None-Match, else
+// If-Modified-Since), through the origin step like any other. It asks for the
+// whole object: a Range is cut from the copy at the edge, as from a hit.
+//
+//   - A 304 the one 304 rule renews the copy by (renew) serves the renewed
+//     copy, and no body is fetched. A 304 that names no validator (Python's
+//     http.server sends one) is taken to name the one the request sent.
+//   - A refused 304 drops the copy from every tier; revalidate returns nil and
+//     the caller fetches unconditionally.
+//   - A 200 replaces the copy: the copy is dropped, and the 200 is filed by
+//     the store step (a streamed one has replaced the tier's manifest
+//     already).
+//   - An origin error keeps the copy and is returned; any other reply is
+//     served and filed as usual.
+func (n *Node) revalidate(key string, req *httpmsg.Request, stale cache.Stale) (*httpmsg.Response, error) {
+	result := "failed"
+	defer func() {
+		n.revalidations[slices.Index(revalTiers[:], stale.Tier)][slices.Index(revalResults[:], result)].Add(1)
+	}()
+	validator, precondition := "Etag", "If-None-Match"
+	if stale.Header.Get(validator) == "" {
+		validator, precondition = "Last-Modified", "If-Modified-Since"
+	}
+	cond := req.Clone()
+	cond.Header.Del("Range")
+	cond.Header.Set(precondition, stale.Header.Get(validator))
+	resp, err := n.fetchOrigin(key, cond)
 	if err != nil {
 		return nil, err
 	}
+	switch resp.Status {
+	case http.StatusNotModified:
+		if resp.Header.Get("Etag") == "" && resp.Header.Get("Last-Modified") == "" {
+			// A 304 that names no validator answers the one this request
+			// sent (RFC 9110 §13.1), so it selects the copy.
+			resp.Header.Set(validator, stale.Header.Get(validator))
+		}
+		if renewed := n.renew(key, resp); renewed != nil {
+			result = "not_modified"
+			return renewed, nil
+		}
+		result = "refused"
+		n.dropCopies(key, true)
+		return nil, nil
+	case http.StatusOK:
+		result = "replaced"
+		n.dropCopies(key, resp.Stream == nil)
+	}
 	if resp.Stream == nil {
-		n.storeReply(req, key, resp)
+		n.storeReply(cond, key, resp)
 	}
 	return resp, nil
+}
+
+// dropCopies drops key's copies from both whole-body tiers, and with lob its
+// large-object manifest too.
+func (n *Node) dropCopies(key string, lob bool) {
+	n.cache.Invalidate(key)
+	if t := n.lobTier(); t != nil && lob {
+		t.DeleteManifest(key)
+	}
+}
+
+// renew applies a 304 to key's stored copy by the one 304 rule (cache.Renew):
+// a whole body, in memory or on disk, through Cache.Refresh, else a manifest
+// through Tier.RefreshManifest. It returns the renewed copy to serve, which is
+// announced again, or nil when the 304 renewed nothing.
+func (n *Node) renew(key string, nm *httpmsg.Response) *httpmsg.Response {
+	resp := n.cache.Refresh(key, nm)
+	if resp == nil {
+		resp = n.lobRenew(key, nm)
+	}
+	if resp != nil {
+		n.publish(key)
+	}
+	return resp
 }
 
 // peerCopy is the chain's peer step: ask the overlay who holds a copy of key
@@ -189,14 +300,14 @@ func (n *Node) peerCopy(key string) *httpmsg.Response {
 }
 
 // storeReply is the chain's last step: it files one buffered origin reply to
-// req where it belongs. A 304 renews the stored 200 it validates and is never
-// cached as a body; a shareable 200 at or above the large-object threshold is
-// chunked into the tier (later requests stream it); anything else shareable
-// goes to the whole-body cache; the rest is filed nowhere. The caller still
-// serves the reply it has in hand.
+// req where it belongs. A 304 renews the stored copy it validates (renew) and
+// is never cached as a body; a shareable 200 at or above the large-object
+// threshold is chunked into the tier (later requests stream it); anything else
+// shareable goes to the whole-body cache; the rest is filed nowhere. The
+// caller still serves the reply it has in hand.
 func (n *Node) storeReply(req *httpmsg.Request, key string, resp *httpmsg.Response) {
 	if resp.Status == http.StatusNotModified {
-		n.cache.Refresh(key, resp)
+		n.renew(key, resp)
 		return
 	}
 	if !httpmsg.Shareable(req, resp.Status, resp.Header) {
@@ -218,12 +329,10 @@ func (n *Node) storeReply(req *httpmsg.Request, key string, resp *httpmsg.Respon
 
 // lobTakes returns the tier when it is the one to hold the object, and the
 // copy's expiry (cache.Expiry from now): the tier is on, and the reply is a
-// 200 to a GET req, shareable (httpmsg.Shareable), and at least
-// LargeObjectThreshold bytes long. length is the body's length when it is
-// buffered, the declared Content-Length (-1 unknown) when it is about to
-// stream. A reply that is stale on arrival is never served from the copy, so
-// it is taken only for what a conditional request can save: when it carries a
-// validator.
+// 200 to a GET req, shareable (httpmsg.Shareable), at least
+// LargeObjectThreshold bytes long and Kept (cache.Kept). length is the body's
+// length when it is buffered, the declared Content-Length (-1 unknown) when it
+// is about to stream.
 func (n *Node) lobTakes(req *httpmsg.Request, key string, status int, h http.Header, length int64) (*largeobject.Tier, time.Time) {
 	t := n.lobTier()
 	if t == nil || status != http.StatusOK || length < n.cfg.LargeObjectThreshold ||
@@ -232,7 +341,7 @@ func (n *Node) lobTakes(req *httpmsg.Request, key string, status int, h http.Hea
 	}
 	now := n.clock()
 	expires := n.cache.Expiry(h, now)
-	if cache.Expired(expires, now) && h.Get("Etag") == "" && h.Get("Last-Modified") == "" {
+	if !cache.Kept(h, expires, now) {
 		return nil, time.Time{}
 	}
 	return t, expires

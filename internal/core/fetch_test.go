@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -399,12 +400,13 @@ func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 				get()
 				inCache := n.Cache().Len() == 1
 				inTier := n.LargeObject().Tier.Manifests == 1
-				// A storable reply that is stale on arrival leaves a manifest
-				// behind only when it has a validator to revalidate with; it
-				// is never served unrevalidated, which the second get shows
-				// (this origin answers a conditional request with a 200).
-				wantTier := arm == "tier" && (tc.ttl > 0 || (storable && tc.header.Get("Etag") != ""))
-				if inCache != (tc.ttl > 0 && arm == "whole-body") || inTier != wantTier {
+				// A storable reply that is stale on arrival leaves a copy
+				// behind, in either arm, only when it has a validator to
+				// revalidate with; it is never served unrevalidated, which
+				// the second get shows (this origin answers a conditional
+				// request with a 200).
+				kept := tc.ttl > 0 || (storable && tc.header.Get("Etag") != "")
+				if inCache != (kept && arm == "whole-body") || inTier != (kept && arm == "tier") {
 					t.Fatalf("in whole-body cache %v, in tier %v", inCache, inTier)
 				}
 				if tc.ttl == 0 {
@@ -430,18 +432,15 @@ func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 }
 
 // TestBothTiersRenewAlike is the renewal table of both object models: a
-// stored 200 (ETag "v1", a Last-Modified, max-age=100) meets a 304 with each
-// row's header, and the one 304 rule (cache.Renew) decides for both arms
-// alike: renewed until the stated time after the renewal, not selected, or
-// unstorable. In the whole-body arm the 304 answers a client's conditional
-// request while the entry is fresh, and reaches the cache through the chain's
-// store step; in the tier arm it answers the node's own revalidation of the
-// expired manifest. Each decision has one action per arm:
-//
-//	decision      whole-body arm                       tier arm
-//	renewed       renewed                              renewed
-//	not selected  untouched: serves to its own expiry  dropped, and refetched
-//	unstorable    dropped                              dropped, and refetched
+// stored 200 (ETag "v1", a Last-Modified, max-age=100) expires, the next GET
+// goes to the origin conditional on its validators, and the origin answers
+// with a 304 carrying each row's header. The one 304 rule (cache.Renew)
+// decides for both arms alike, and the chain's one revalidation step acts on
+// the decision alike: a renewed copy serves until the stated time after the
+// renewal with no body fetched; a 304 that selects another representation or
+// makes the copy unstorable drops it, and one unconditional fetch follows.
+// Both arms make the same origin requests and count the same revalidations,
+// under their own tier.
 //
 // It is the seed of the RFC 9111 oracle the renewal rule is to be fuzzed
 // against.
@@ -510,41 +509,31 @@ func TestBothTiersRenewAlike(t *testing.T) {
 				if got, _ := n.cache.Renew(200, stored.Clone(), tc.nm); got != tc.want {
 					t.Fatalf("the rule decides %v, want %v", got, tc.want)
 				}
-				get(1, 0)
-				if arm == "whole-body" {
-					clock.Advance(50 * time.Second)
-					nm := httpmsg.NewResponse(http.StatusNotModified)
-					nm.Header = tc.nm.Clone()
-					n.storeReply(httpmsg.MustRequest("GET", url), "GET "+url, nm)
-					switch tc.want {
-					case cache.Renewed:
-						clock.Advance(tc.until - time.Nanosecond)
-						get(1, 0)
-						clock.Advance(time.Nanosecond)
-						get(2, 0)
-					case cache.NotSelected:
-						clock.Advance(50*time.Second - time.Nanosecond)
-						get(1, 0)
-						clock.Advance(time.Nanosecond)
-						get(2, 0)
-					case cache.Unstorable:
-						get(2, 0)
-					}
-					return
-				}
-				// The revalidations by result: not_modified, refused,
-				// replaced, failed.
+				// The revalidations of the arm's tier by result: not_modified,
+				// refused, replaced, failed.
+				tier := map[string]int{"whole-body": 0, "tier": 2}[arm]
 				results := func(want [4]int64) {
 					t.Helper()
-					if got := [4]int64{n.lobRevalSame.Load(), n.lobRevalRefused.Load(), n.lobRevalNew.Load(), n.lobRevalFailed.Load()}; got != want {
-						t.Fatalf("revalidations by result %v, want %v", got, want)
+					var got [4]int64
+					for i := range got {
+						got[i] = n.revalidations[tier][i].Load()
+					}
+					if got != want {
+						t.Fatalf("%s revalidations by result %v, want %v", revalTiers[tier], got, want)
 					}
 				}
+				get(1, 0)
 				clock.Advance(100 * time.Second)
 				if tc.want != cache.Renewed {
 					get(2, 1)
-					if m, ok := n.lobTier().Manifest("GET " + url); !ok || m.Header.Get("Etag") != `"v1"` || len(m.Header["Cache-Control"]) != 1 || m.Header.Get("Cache-Control") != "max-age=100" {
-						t.Fatalf("after the refetch the tier holds %+v, want the refetched 200's manifest", m)
+					h := http.Header(nil)
+					if resp := n.cache.Get("GET " + url); resp != nil {
+						h = resp.Header
+					} else if m, ok := n.lobTier().Manifest("GET " + url); ok {
+						h = m.Header
+					}
+					if h.Get("Etag") != `"v1"` || len(h["Cache-Control"]) != 1 || h.Get("Cache-Control") != "max-age=100" {
+						t.Fatalf("after the refetch the node holds %v, want the refetched 200's header", h)
 					}
 					results([4]int64{0, 1, 0, 0})
 					return
@@ -557,6 +546,240 @@ func TestBothTiersRenewAlike(t *testing.T) {
 				results([4]int64{2, 0, 0, 0})
 			})
 		}
+	}
+}
+
+// validatingOrigin serves one body with ETag "v1": a request conditional on
+// that tag gets a 304, any other the 200, or the 206 its Range asks for. Each
+// carries header, and the origin counts full and conditional requests. A
+// bare origin's 304 names no validator, as Python's http.server's does.
+type validatingOrigin struct {
+	body              []byte
+	header            http.Header
+	bare              bool
+	full, conditional int
+}
+
+func (o *validatingOrigin) Do(req *httpmsg.Request) (*httpmsg.Response, error) {
+	resp := httpmsg.NewResponse(http.StatusOK)
+	resp.Header = o.header.Clone()
+	if inm := req.Header.Get("If-None-Match"); inm != "" {
+		o.conditional++
+	} else {
+		o.full++
+	}
+	if req.Header.Get("If-None-Match") == `"v1"` && o.header.Get("Etag") == "" {
+		resp.Status = http.StatusNotModified
+	} else {
+		resp.Body = append([]byte(nil), o.body...)
+	}
+	if resp.Header.Get("Etag") == "" && (!o.bare || resp.Status == http.StatusOK) {
+		resp.Header.Set("Etag", `"v1"`)
+	}
+	return httpmsg.ApplyRange(req, resp), nil
+}
+
+// revalidated reads n's revalidation counters for tier by result:
+// not_modified, refused, replaced, failed.
+func revalidated(n *Node, tier string) [4]int64 {
+	var got [4]int64
+	for i := range got {
+		got[i] = n.revalidations[slices.Index(revalTiers[:], tier)][i].Load()
+	}
+	return got
+}
+
+// TestStaleOnArrivalWholeBodyRevalidates: a whole body that is stale on
+// arrival (max-age=0) but carries an ETag is kept for it, so the next GET is
+// a conditional request, not a full fetch, and its 304 serves the copy, also
+// when the 304 names no validator of its own.
+func TestStaleOnArrivalWholeBodyRevalidates(t *testing.T) {
+	for _, bare := range []bool{false, true} {
+		t.Run(fmt.Sprintf("bare=%v", bare), func(t *testing.T) {
+			origin := &validatingOrigin{body: []byte("<html>feed</html>"), header: http.Header{"Cache-Control": {"max-age=0"}}, bare: bare}
+			n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) { cfg.Clock = newTestClock().Now })
+			for i, want := range [][2]int{{1, 0}, {1, 1}, {1, 2}} {
+				resp, err := n.Fetch(httpmsg.MustRequest("GET", "http://site.example.org/feed"))
+				if err != nil || resp.Status != http.StatusOK || !bytes.Equal(resp.Body, origin.body) {
+					t.Fatalf("GET %d: %+v, %v", i+1, resp, err)
+				}
+				if got := [2]int{origin.full, origin.conditional}; got != want {
+					t.Fatalf("after GET %d the origin saw %d full and %d conditional requests, want %v", i+1, got[0], got[1], want)
+				}
+			}
+			if got := revalidated(n, "memory"); got != [4]int64{2, 0, 0, 0} {
+				t.Errorf("memory revalidations by result %v, want two renewals", got)
+			}
+		})
+	}
+}
+
+// TestRangeRevalidatesStaleCopy: a Range request that finds only a stale
+// copy, a whole body or a manifest, revalidates it as a plain GET does, with
+// a conditional request for the whole object: a 304 renews the copy and the
+// range is cut from it. Once the object has changed (another ETag), the
+// origin's 200 replaces the copy, and the next range is served from it.
+func TestRangeRevalidatesStaleCopy(t *testing.T) {
+	const threshold = 10_000
+	for arm, size := range map[string]int{"whole-body": threshold / 2, "tier": threshold * 2} {
+		t.Run(arm, func(t *testing.T) {
+			origin := &validatingOrigin{body: lobBody(size), header: http.Header{"Cache-Control": {"max-age=100"}}}
+			clock := newTestClock()
+			n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+				lobConfig(4096, threshold)(cfg)
+				cfg.Clock = clock.Now
+			})
+			get := func(rng string) *httpmsg.Response {
+				t.Helper()
+				req := httpmsg.MustRequest("GET", "http://site.example.org/obj")
+				if rng != "" {
+					req.Header.Set("Range", rng)
+				}
+				resp, err := n.Fetch(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp = httpmsg.ApplyRange(req, resp)
+				if err := resp.Materialize(); err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			get("")
+			clock.Advance(100 * time.Second)
+			if resp := get("bytes=100-199"); resp.Status != http.StatusPartialContent || !bytes.Equal(resp.Body, origin.body[100:200]) {
+				t.Fatalf("the range after the renewal: %d, %d bytes", resp.Status, len(resp.Body))
+			}
+			if origin.full != 1 || origin.conditional != 1 {
+				t.Fatalf("the origin saw %d full and %d conditional requests, want 1 and 1", origin.full, origin.conditional)
+			}
+			tier := map[string]string{"whole-body": "memory", "tier": "lob"}[arm]
+			if got := revalidated(n, tier); got != [4]int64{1, 0, 0, 0} {
+				t.Errorf("revalidations by result %v, want one renewal", got)
+			}
+			clock.Advance(100 * time.Second)
+			origin.body = lobBody(size + 1)
+			origin.header.Set("Etag", `"v2"`)
+			for _, from := range []int{0, 10} {
+				rng := fmt.Sprintf("bytes=%d-%d", from, from+9)
+				if resp := get(rng); resp.Status != http.StatusPartialContent || !bytes.Equal(resp.Body, origin.body[from:from+10]) {
+					t.Fatalf("%s of the changed object: %d, %q", rng, resp.Status, resp.Body)
+				}
+			}
+			if origin.full != 1 || origin.conditional != 2 {
+				t.Errorf("the origin saw %d full and %d conditional requests, want 1 and 2", origin.full, origin.conditional)
+			}
+			if got := revalidated(n, tier); got != [4]int64{1, 0, 1, 0} {
+				t.Errorf("revalidations by result %v, want a renewal and a replacement", got)
+			}
+		})
+	}
+}
+
+// TestRestartRevalidatesExpiredDiskRecord: a node restarted from its data
+// directory, whose only copy of a page is a disk record that has expired
+// since, keeps the record for its ETag and renews it with one conditional
+// request, and no body comes from the origin. When the origin's 304 refuses
+// the copy instead (no-store), the key is left in neither tier, nor in the
+// disk tier's log on the next open.
+func TestRestartRevalidatesExpiredDiskRecord(t *testing.T) {
+	const url = "http://site.example.org/page"
+	for _, refuse := range []bool{false, true} {
+		t.Run(fmt.Sprintf("refused=%v", refuse), func(t *testing.T) {
+			origin := &validatingOrigin{body: []byte("<html>page</html>"), header: http.Header{"Cache-Control": {"max-age=100"}}}
+			fs := store.NewMemFS()
+			clock := newTestClock()
+			node := func() *Node {
+				return newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+					cfg.DataFS = fs
+					cfg.Clock = clock.Now
+				})
+			}
+			n := node()
+			if _, err := n.Fetch(httpmsg.MustRequest("GET", url)); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			clock.Advance(101 * time.Second)
+			n = node()
+			if n.Cache().Len() != 0 || n.Cache().L2().Len() != 1 {
+				t.Fatalf("restarted with %d memory and %d disk entries, want the expired disk record alone", n.Cache().Len(), n.Cache().L2().Len())
+			}
+			if refuse {
+				origin.header.Set("Cache-Control", "no-store")
+			}
+			resp, err := n.Fetch(httpmsg.MustRequest("GET", url))
+			if err != nil || resp.Status != http.StatusOK || !bytes.Equal(resp.Body, origin.body) {
+				t.Fatalf("GET after the restart: %+v, %v", resp, err)
+			}
+			want, wantReval := [2]int{1, 1}, [4]int64{1, 0, 0, 0}
+			if refuse {
+				want, wantReval = [2]int{2, 1}, [4]int64{0, 1, 0, 0}
+			}
+			if got := [2]int{origin.full, origin.conditional}; got != want {
+				t.Errorf("the origin saw %d full and %d conditional requests, want %v", got[0], got[1], want)
+			}
+			if got := revalidated(n, "disk"); got != wantReval {
+				t.Errorf("disk revalidations by result %v, want %v", got, wantReval)
+			}
+			if !refuse {
+				if n.Cache().Get("GET "+url) == nil {
+					t.Error("the renewed copy does not serve")
+				}
+				return
+			}
+			if n.Cache().Len() != 0 || n.Cache().L2().Len() != 0 {
+				t.Errorf("after the refused 304: %d memory and %d disk entries, want none", n.Cache().Len(), n.Cache().L2().Len())
+			}
+			if re, err := cache.OpenDisk(store.Sub(fs, "cache"), 0, clock.Now); err != nil || re.Len() != 0 {
+				t.Errorf("the reopened disk tier holds %d entries (%v), want none", re.Len(), err)
+			}
+		})
+	}
+}
+
+// TestStaleCopyIsNotAnnounced: an expired copy kept for its validators, a
+// whole body or a manifest, is no copy to a peer: cache.get answers "miss"
+// and copyUntil reports none. It is still kept, as the conditional request
+// the next GET makes shows.
+func TestStaleCopyIsNotAnnounced(t *testing.T) {
+	const threshold = 10_000
+	for arm, size := range map[string]int{"whole-body": threshold / 2, "tier": threshold * 2} {
+		t.Run(arm, func(t *testing.T) {
+			origin := &validatingOrigin{body: lobBody(size), header: http.Header{"Cache-Control": {"max-age=100"}}}
+			clock := newTestClock()
+			n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
+				lobConfig(4096, threshold)(cfg)
+				cfg.Clock = clock.Now
+			})
+			req := httpmsg.MustRequest("GET", "http://site.example.org/obj")
+			if _, err := n.Fetch(req); err != nil {
+				t.Fatal(err)
+			}
+			key := req.CacheKey()
+			if _, ok := n.copyUntil(key); !ok {
+				t.Fatal("the fresh copy is not reported")
+			}
+			clock.Advance(100 * time.Second)
+			if reply, err := n.serveCacheRPC("edge-2", transport.Message{Type: msgCacheGet, Key: key}); err != nil || reply.Args[0] != "miss" {
+				t.Errorf("cache.get of the stale copy answers %q, %v; want miss", reply.Args, err)
+			}
+			if until, ok := n.copyUntil(key); ok {
+				t.Errorf("copyUntil reports the stale copy until %v", until)
+			}
+			resp, err := n.Fetch(httpmsg.MustRequest("GET", "http://site.example.org/obj"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resp.Materialize(); err != nil || !bytes.Equal(resp.Body, origin.body) {
+				t.Fatalf("the renewed copy's body differs: %v", err)
+			}
+			if origin.full != 1 || origin.conditional != 1 {
+				t.Errorf("the origin saw %d full and %d conditional requests, want 1 and 1", origin.full, origin.conditional)
+			}
+		})
 	}
 }
 

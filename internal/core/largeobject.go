@@ -113,28 +113,26 @@ func (n *Node) lobStale(m *largeobject.Manifest) bool {
 }
 
 // lobServe is the tier's half of the chain's lookup step: a streamed
-// response for key if the tier holds a fresh manifest for it.
-//
-// A stale manifest is never served. The flight's leader revalidates it
-// against the origin with the stored validators; anyone else (the pre-flight
-// fast path) falls through to the flight, so a stampede on an expired object
-// still costs one conditional request.
-func (n *Node) lobServe(key string, leader bool) *httpmsg.Response {
+// response for key if the tier holds a fresh manifest for it, else the stale
+// manifest the tier keeps for its validators (cache.Kept), which the flight's
+// leader revalidates like a whole-body copy. A stale manifest without them is
+// dropped.
+func (n *Node) lobServe(key string) (*httpmsg.Response, cache.Stale) {
 	t := n.lobTier()
 	if t == nil {
-		return nil
+		return nil, cache.Stale{}
 	}
 	m, ok := t.Manifest(key)
-	if !ok {
-		return nil
+	switch {
+	case !ok:
+		return nil, cache.Stale{}
+	case !n.lobStale(m):
+		return n.lobStream(t, key, m), cache.Stale{}
+	case cache.Kept(m.Header, m.Expires, n.clock()):
+		return nil, cache.Stale{Tier: "lob", Header: m.Header}
 	}
-	if n.lobStale(m) {
-		if !leader {
-			return nil
-		}
-		return n.lobRevalidate(t, key, m)
-	}
-	return n.lobStream(t, key, m)
+	t.DeleteManifest(key)
+	return nil, cache.Stale{}
 }
 
 // lobStream builds the streamed response for a manifest. Missing segments
@@ -152,62 +150,25 @@ func (n *Node) lobStream(t *largeobject.Tier, key string, m *largeobject.Manifes
 	return resp
 }
 
-// lobRevalidate refreshes a stale manifest with a conditional origin GET on
-// the stored validators and returns the response to serve. A 304 is judged
-// by the cache's one 304 rule (cache.Renew), as for a whole-body entry: one
-// that renews the manifest extends its freshness and keeps its segment
-// bodies; one that selects another representation, or makes the copy one a
-// shared cache may not store, drops it, and the request falls through to a
-// full fetch. Anything else means the old segments are dead: the manifest is
-// dropped, and a 200 goes through the chain's store step like any other
-// origin reply (re-ingested if it still qualifies for the tier, filed in the
-// whole-body cache if it shrank below the threshold) and is served. Nil sends
-// the caller on down the chain to refetch.
-func (n *Node) lobRevalidate(t *largeobject.Tier, key string, m *largeobject.Manifest) *httpmsg.Response {
-	// Counted once, by how it ends: failed unless the origin answered with a
-	// 304 (renewing or refused) or a 200.
-	result := &n.lobRevalFailed
-	defer func() { result.Add(1) }()
-	etag := m.Header.Get("Etag")
-	lastMod := m.Header.Get("Last-Modified")
-	_, url, ok := strings.Cut(m.Key, " ")
-	req, err := httpmsg.NewRequest(http.MethodGet, url)
-	if !ok || err != nil || (etag == "" && lastMod == "") {
-		t.DeleteManifest(key)
+// lobRenew is renew for key's manifest: one the 304 renews (cache.Renew)
+// keeps its segment bodies, takes the updated header and expiry, and is
+// served as a stream; otherwise nil.
+func (n *Node) lobRenew(key string, nm *httpmsg.Response) *httpmsg.Response {
+	t := n.lobTier()
+	if t == nil {
 		return nil
 	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
-	if lastMod != "" {
-		req.Header.Set("If-Modified-Since", lastMod)
-	}
-	n.originFetches.Add(1)
-	resp, err := n.cfg.Upstream.Do(req)
-	if err != nil {
-		// Origin unreachable: keep the manifest (its validators stay usable
-		// for the next attempt) but never serve stale — the rest of the chain
-		// surfaces the fetch error, as the whole-body cache would.
+	m, ok := t.Manifest(key)
+	if !ok {
 		return nil
 	}
-	if resp.Status == http.StatusNotModified {
-		h := m.Header.Clone()
-		if renewal, expires := n.cache.Renew(m.Status, h, resp.Header); renewal == cache.Renewed {
-			if refreshed, ok := t.RefreshManifest(key, h, expires); ok {
-				result = &n.lobRevalSame
-				n.publish(key)
-				return n.lobStream(t, key, refreshed)
-			}
+	h := m.Header.Clone()
+	if renewal, expires := n.cache.Renew(m.Status, h, nm.Header); renewal == cache.Renewed {
+		if renewed, ok := t.RefreshManifest(key, h, expires); ok {
+			return n.lobStream(t, key, renewed)
 		}
-		result = &n.lobRevalRefused
 	}
-	t.DeleteManifest(key)
-	if resp.Status != http.StatusOK {
-		return nil
-	}
-	result = &n.lobRevalNew
-	n.storeReply(req, key, resp)
-	return resp
+	return nil
 }
 
 // lobAdopt adopts the manifest a holder sent for key in a cache.get reply

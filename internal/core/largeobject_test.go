@@ -1052,9 +1052,10 @@ func TestLargeObjectLogOnMetrics(t *testing.T) {
 		fmt.Sprintf("nakika_lob_slab_bytes %d", onDisk),
 		fmt.Sprintf("nakika_lob_slab_live_bytes %d", onDisk),
 		fmt.Sprintf("nakika_lob_ingest_waits_total %d", n.lobIngWaits.Load()),
-		`nakika_lob_revalidations_total{result="not_modified"} 0`)
+		`nakika_cache_revalidations_total{result="not_modified",tier="lob"} 0`)
 
-	// Revalidations by how they ended: a 304, a new body, no usable answer.
+	// Revalidations by how they ended: a 304, then a new body twice. A
+	// manifest with no validator is dropped at the lookup, not revalidated.
 	now := time.Unix(1_800_000_000, 0)
 	var mu sync.Mutex
 	advance := func() {
@@ -1091,11 +1092,11 @@ func TestLargeObjectLogOnMetrics(t *testing.T) {
 	advance()
 	get() // 200 again, by the validators of "v2"
 	advance()
-	get() // nothing to ask with: dropped and refetched
+	get() // nothing to ask with: dropped at the lookup and refetched, no revalidation
 	want(exposition(n),
-		`nakika_lob_revalidations_total{result="not_modified"} 1`,
-		`nakika_lob_revalidations_total{result="replaced"} 2`,
-		`nakika_lob_revalidations_total{result="failed"} 1`,
+		`nakika_cache_revalidations_total{result="not_modified",tier="lob"} 1`,
+		`nakika_cache_revalidations_total{result="replaced",tier="lob"} 2`,
+		`nakika_cache_revalidations_total{result="failed",tier="lob"} 0`,
 		"nakika_lob_ingest_waits_total 0")
 }
 

@@ -313,6 +313,8 @@ type Node struct {
 	peerHits      atomic.Int64
 	originFetches atomic.Int64
 	coalesced     atomic.Int64
+	// Revalidations of a stale copy, by revalTiers and revalResults.
+	revalidations [len(revalTiers)][len(revalResults)]atomic.Int64
 	generated     atomic.Int64
 	rejected      atomic.Int64
 	errors        atomic.Int64
@@ -373,14 +375,8 @@ type Node struct {
 	lobAdopted   atomic.Int64
 	lobSegPeer   atomic.Int64
 	lobSegOrigin atomic.Int64
-	// Revalidations of a stale manifest by how they ended (a 304 that renewed
-	// it, a 304 the renewal rule refused, a new 200, no usable answer), and
-	// segment reads that waited on an ingest.
-	lobRevalSame    atomic.Int64
-	lobRevalRefused atomic.Int64
-	lobRevalNew     atomic.Int64
-	lobRevalFailed  atomic.Int64
-	lobIngWaits     atomic.Int64
+	// Segment reads that waited on an ingest.
+	lobIngWaits atomic.Int64
 
 	// The client port's listeners, connections and counters (see
 	// internal/core/ingress.go).

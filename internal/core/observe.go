@@ -170,6 +170,13 @@ func (n *Node) buildRegistry() {
 		func() float64 { return float64(n.cache.Stats().Disk.Stores) })
 	r.CounterFunc("nakika_cache_demotions_total", "", metrics.Labels{"result": "clean"},
 		func() float64 { return float64(n.cache.Stats().Disk.Clean) })
+	help := "Conditional origin requests for a stale copy, by the tier that kept it and how they ended: a 304 that renewed it, a 304 the renewal rule refused, a new 200, no usable answer."
+	for i, tier := range revalTiers {
+		for j, result := range revalResults {
+			r.CounterFunc("nakika_cache_revalidations_total", help, metrics.Labels{"tier": tier, "result": result}, cv(&n.revalidations[i][j]))
+			help = ""
+		}
+	}
 	r.GaugeFunc("nakika_cache_disk_segments", "Segment files in the disk tier's log.", nil,
 		func() float64 { return float64(n.cache.Stats().Disk.Segments) })
 	r.GaugeFunc("nakika_cache_disk_live_bytes", "Bytes of disk-tier records the index points at; the disk tier's nakika_cache_bytes over this is the log's space amplification.", nil,
@@ -181,10 +188,6 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_lob_adopted_total", "Manifests adopted from a holder's cache.get reply.", nil, cv(&n.lobAdopted))
 	r.CounterFunc("nakika_lob_segment_fetches_total", "Missing segment bodies pulled in, by source.", metrics.Labels{"source": "peer"}, cv(&n.lobSegPeer))
 	r.CounterFunc("nakika_lob_segment_fetches_total", "", metrics.Labels{"source": "origin"}, cv(&n.lobSegOrigin))
-	r.CounterFunc("nakika_lob_revalidations_total", "Conditional origin requests for a stale manifest, by how they ended.", metrics.Labels{"result": "not_modified"}, cv(&n.lobRevalSame))
-	r.CounterFunc("nakika_lob_revalidations_total", "", metrics.Labels{"result": "refused"}, cv(&n.lobRevalRefused))
-	r.CounterFunc("nakika_lob_revalidations_total", "", metrics.Labels{"result": "replaced"}, cv(&n.lobRevalNew))
-	r.CounterFunc("nakika_lob_revalidations_total", "", metrics.Labels{"result": "failed"}, cv(&n.lobRevalFailed))
 	r.CounterFunc("nakika_lob_ingest_waits_total", "Segment reads that waited on an ingest still in flight instead of fetching.", nil, cv(&n.lobIngWaits))
 	r.CounterFunc("nakika_lob_slab_hits_total", "Slab reads that returned a verified segment.", nil,
 		func() float64 { return float64(n.LargeObject().Tier.Slab.Hits) })

@@ -1,8 +1,10 @@
 package state
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,13 +152,53 @@ func divergence(stores [lwwReplicas]*Store) string {
 	return ""
 }
 
+// lwwWinners is the oracle the merge rule must agree with, computed without
+// Supersedes: for each key, the greatest record delivered to any replica,
+// ordered by version, then origin, then a delete over a put, then value.
+func lwwWinners(ops []lwwOp) map[string]Rec {
+	win := make(map[string]Rec)
+	for _, op := range ops {
+		if slices.Max(op.Delivery[:]) < 0 {
+			continue // written nowhere
+		}
+		r := op.Rec
+		cur, ok := win[r.Site+"/"+r.Key]
+		if !ok || cmp.Or(cmp.Compare(r.Ver, cur.Ver), cmp.Compare(r.Origin, cur.Origin),
+			cmp.Compare(lwwDeletes(r), lwwDeletes(cur)), cmp.Compare(r.Value, cur.Value)) > 0 {
+			win[r.Site+"/"+r.Key] = r
+		}
+	}
+	return win
+}
+
+func lwwDeletes(r Rec) int {
+	if r.Delete {
+		return 1
+	}
+	return 0
+}
+
 // lwwFailure plays a table and describes where the replicas diverge, or
-// returns "".
-func lwwFailure(ops []lwwOp) string { return divergence(applyOps(ops)) }
+// where they agree on another record than the oracle's winner, or returns "".
+func lwwFailure(ops []lwwOp) string {
+	stores := applyOps(ops)
+	if d := divergence(stores); d != "" {
+		return d
+	}
+	for sk, want := range lwwWinners(ops) {
+		ver, origin, deleted, value, ok := stores[0].GetVersioned(want.Site, want.Key)
+		if got := (Rec{Site: want.Site, Key: want.Key, Ver: ver, Origin: origin, Delete: deleted, Value: value}); !ok || got != want {
+			return fmt.Sprintf("%s: the replicas hold (%d,%s,%v,%q,%v), the oracle's winner is (%d,%s,%v,%q)",
+				sk, ver, origin, deleted, value, ok, want.Ver, want.Origin, want.Delete, want.Value)
+		}
+	}
+	return ""
+}
 
 // TestLWWConvergenceProperty generates seeded random interleavings and
-// asserts three replicas always converge; a failure is shrunk to a minimal
-// table and printed as a replayable literal for TestLWWConvergenceReplay.
+// asserts three replicas always converge, on the winner the oracle
+// (lwwWinners) picks for each key; a failure is shrunk to a minimal table
+// and printed as a replayable literal for TestLWWConvergenceReplay.
 func TestLWWConvergenceProperty(t *testing.T) {
 	explore.Property[lwwOp]{
 		Seed: 9000, Runs: 64,
