@@ -57,8 +57,8 @@ func main() {
 	name := flag.String("name", "edge-1", "node name")
 	region := flag.String("region", "default", "node region (for client redirection)")
 	local := flag.String("local", "127.0.0.0/8", "comma-separated CIDR blocks considered local (System.isLocal)")
-	clientWall := flag.String("clientwall", "", "override URL of the client-side administrative control script")
-	serverWall := flag.String("serverwall", "", "override URL of the server-side administrative control script")
+	clientWall := flag.String("clientwall", "", "URL of the client-side administrative control script (empty: none)")
+	serverWall := flag.String("serverwall", "", "URL of the server-side administrative control script (empty: none)")
 	enableRes := flag.Bool("resource-controls", true, "enable congestion-based resource controls")
 	cpuCapacity := flag.Float64("cpu-capacity", 50_000_000, "CPU capacity (script steps) per control interval")
 	rpcAddr := flag.String("rpc", "", "TCP transport listen address for cluster traffic (empty: single-node)")

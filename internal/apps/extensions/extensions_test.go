@@ -36,7 +36,7 @@ func TestBlacklistExtensionEndToEnd(t *testing.T) {
 			return httpmsg.NewHTMLResponse(200, "served "+req.Host()+req.Path()), nil
 		}
 	})
-	node, err := core.NewNode(core.Config{Name: "blacklist-node", Upstream: origin})
+	node, err := core.NewNode(core.Config{Name: "blacklist-node", Upstream: origin, ClientWallURL: "http://nakika.net/clientwall.js"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func (o *lobStreamOrigin) DoStream(req *httpmsg.Request) (core.StreamHead, io.Re
 		return head, io.NopCloser(strings.NewReader(string(resp.Body))), nil
 	}
 	o.fullHits.Add(1)
-	h := make(http.Header)
+	var h httpmsg.Header
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("Cache-Control", "max-age=600")
 	h.Set("Accept-Ranges", "bytes")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nakika/internal/cluster"
+	"nakika/internal/core"
 	"nakika/internal/state"
 )
 
@@ -79,6 +80,12 @@ func offBenchCluster(threshold float64, hedge time.Duration) (*cluster.Cluster, 
 		OffloadThreshold: threshold,
 		HedgeAfter:       hedge,
 		LoadHalfLife:     offBenchHalfLife,
+		// The walls the committed figures were measured with; the origin
+		// answers 404 for both.
+		Mutate: func(_ int, cfg *core.Config) {
+			cfg.ClientWallURL = "http://nakika.net/clientwall.js"
+			cfg.ServerWallURL = "http://nakika.net/serverwall.js"
+		},
 	}, offBenchOrigin())
 	if err != nil {
 		return nil, err

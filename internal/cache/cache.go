@@ -8,13 +8,13 @@
 //     model (Section 3.3) with a configurable default TTL and LRU eviction.
 //     The cache is sharded by key hash so concurrent pipelines do not
 //     serialize on one lock. An entry holds a response in the form the
-//     binary codec writes it (httpmsg.Stored): the header as AppendHeader's
-//     bytes in one string, the body, and the scalar fields, on an intrusive
-//     LRU list; a hit decodes the header into a map of its own, and the
-//     disk tier (Disk) writes and reads the same bytes. Keys and bodies live
-//     off the Go heap, in an arena of size-class slots the cache owns
-//     (arena.go): a store copies the key and the body into a slot each, a
-//     shard files the entry under the key's seeded 64-bit hash (hashKey,
+//     binary codec writes it (httpmsg.Stored): the header, one immutable
+//     string, the body, and the scalar fields, on an intrusive LRU list; a
+//     hit serves the header as it is, and the disk tier (Disk) writes and
+//     reads the same bytes. Keys and bodies live off the Go heap, in an
+//     arena of size-class slots the cache owns (arena.go): a store copies
+//     the key and the body into a slot each, a shard files the entry
+//     under the key's seeded 64-bit hash (hashKey,
 //     the disk tier's too) and a lookup compares the key in its slot, so a
 //     key that shares another's hash is a miss; every reader copies the
 //     body out, under the shard lock, into memory of its own. A client
@@ -240,7 +240,7 @@ func (sh *shard) lookupLocked(h uint64, key string) (*entry, bool) {
 // tier serves or stores. It is computed once, on the node clock, when a copy
 // is stored or renewed, and the copy keeps it: Put files whole-body entries
 // under it, and the large-object tier keeps it in its manifests.
-func (c *Cache) Expiry(h http.Header, now time.Time) time.Time {
+func (c *Cache) Expiry(h httpmsg.Header, now time.Time) time.Time {
 	ttl, ok := httpmsg.FreshFor(h, now)
 	if !ok {
 		ttl = c.cfg.DefaultTTL
@@ -258,7 +258,7 @@ func Expired(expires, now time.Time) bool { return !expires.After(now) }
 // validators (an ETag or a Last-Modified), by which the fetch chain's
 // revalidation step may renew it with a conditional request. A copy without
 // one is dropped. A reply stale on arrival is stored by the same rule.
-func Kept(h http.Header, expires, now time.Time) bool {
+func Kept(h httpmsg.Header, expires, now time.Time) bool {
 	return !Expired(expires, now) || h.Get("Etag") != "" || h.Get("Last-Modified") != ""
 }
 
@@ -310,8 +310,8 @@ type Stale struct {
 	// Tier names the tier that keeps the copy: "memory" or "disk" here, and
 	// "lob" for a large-object manifest; "" for no copy.
 	Tier string
-	// Header is the copy's header, which the caller only reads.
-	Header http.Header
+	// Header is the copy's header.
+	Header httpmsg.Header
 }
 
 // Encoded returns key's fresh entry as EncodeResponse encodes a hit of it,
@@ -348,11 +348,11 @@ func (c *Cache) read(key string, copyOut func(httpmsg.Stored), stale *Stale) (ti
 	}
 	if ok {
 		c.expired.Add(1)
-		if hdr := httpmsg.DecodeHeader(e.Header); Kept(hdr, e.expires, now) {
+		if Kept(e.Header, e.expires, now) {
 			sh.mu.Unlock()
 			c.misses.Add(1)
 			if stale != nil {
-				*stale = Stale{Tier: "memory", Header: hdr}
+				*stale = Stale{Tier: "memory", Header: e.Header}
 			}
 			return time.Time{}, false
 		}
@@ -393,13 +393,13 @@ func (c *Cache) readL2(h uint64, key string, copyOut func(httpmsg.Stored), stale
 	var expires time.Time
 	hit := false
 	if d := c.l2.Load(); d != nil {
-		d.get(key, func(s httpmsg.Stored, exp time.Time, staleHeader http.Header) {
+		d.get(key, func(s httpmsg.Stored, exp time.Time, expired bool) {
 			switch {
-			case staleHeader == nil:
+			case !expired:
 				copyOut(s)
 				expires, hit = exp, true
 			case stale != nil:
-				*stale = Stale{Tier: "disk", Header: staleHeader}
+				*stale = Stale{Tier: "disk", Header: s.Header}
 			default:
 				return
 			}
@@ -428,12 +428,11 @@ func (c *Cache) Put(key string, resp *httpmsg.Response) bool {
 // a peer's cache keeps the holder's deadline instead of starting a new one.
 // A response that is already past that deadline is stored only if it is
 // Kept, for its validators, and is reported unstored either way, so the node
-// never publishes it. The entry is made before the shard
-// lock is acquired: its header is encoded once (httpmsg.Response.StoredForm)
-// and its body copied into an arena slot, so the caller's response goes on
-// into the pipeline with the body it had. Streamed bodies never enter the
-// whole-body cache — the large-object tier owns them (storing one here would
-// pin a lazy view, not bytes).
+// never publishes it. The entry is made before the shard lock is acquired
+// (httpmsg.Response.StoredForm): its body is copied into an arena slot, so
+// the caller's response goes on into the pipeline with the body it had.
+// Streamed bodies never enter the whole-body cache — the large-object tier
+// owns them (storing one here would pin a lazy view, not bytes).
 func (c *Cache) PutUntil(key string, resp *httpmsg.Response, expires time.Time) bool {
 	now := c.cfg.Clock()
 	if resp == nil || resp.Stream != nil || !resp.Cacheable() || !Kept(resp.Header, expires, now) {
@@ -463,22 +462,28 @@ const (
 // stored copy with status status and header stored is renewed by a 304 with
 // header nm when the 304 selects it for update (RFC 9111 §4.3.4, validates);
 // then each header field the 304 carries replaces the stored one of its name,
-// Content-Length excepted (§3.2), in stored itself, which the caller owns. A
-// copy whose updated header a shared cache may not store is Unstorable; any
-// other is Renewed until the updated header's Expiry from now.
-func (c *Cache) Renew(status int, stored, nm http.Header) (Renewal, time.Time) {
+// Content-Length excepted (§3.2), in the updated header Renew returns. A copy
+// whose updated header a shared cache may not store is Unstorable; any other
+// is Renewed until the updated header's Expiry from now.
+func (c *Cache) Renew(status int, stored, nm httpmsg.Header) (httpmsg.Header, Renewal, time.Time) {
 	if !validates(nm, stored) {
-		return NotSelected, time.Time{}
+		return stored, NotSelected, time.Time{}
 	}
-	for k, vs := range nm {
-		if k != "Content-Length" {
-			stored[k] = vs
+	prev := ""
+	nm.Each(func(k, v string) {
+		switch {
+		case k == "Content-Length":
+		case k != prev:
+			stored.Set(k, v)
+		default:
+			stored.Add(k, v)
 		}
-	}
+		prev = k
+	})
 	if !httpmsg.Storable(status, stored) {
-		return Unstorable, time.Time{}
+		return stored, Unstorable, time.Time{}
 	}
-	return Renewed, c.Expiry(stored, c.cfg.Clock())
+	return stored, Renewed, c.Expiry(stored, c.cfg.Clock())
 }
 
 // Refresh renews key's memory entry, fresh or kept stale (a stale disk
@@ -503,14 +508,13 @@ func (c *Cache) Refresh(key string, nm *httpmsg.Response) *httpmsg.Response {
 		sh.mu.Unlock()
 		return nil
 	}
-	h := httpmsg.DecodeHeader(e.Header)
-	renewal, expires := c.Renew(e.Status, h, nm.Header)
+	h, renewal, expires := c.Renew(e.Status, e.Header, nm.Header)
 	var renewed *httpmsg.Response
 	switch renewal {
 	case Renewed:
 		r := *e
 		r.expires = expires
-		r.Header = httpmsg.EncodeHeader(h)
+		r.Header = h
 		sh.removeLocked(e)
 		sh.insertLocked(&r)
 		renewed = ownCopy(r.Stored)
@@ -543,7 +547,7 @@ func ownCopy(s httpmsg.Stored) *httpmsg.Response {
 // weak for a weak one); without a tag, by the same Last-Modified; and with no
 // validator on either side, as the one response stored under the key. A 304
 // that names another representation renews nothing.
-func validates(nm, stored http.Header) bool {
+func validates(nm, stored httpmsg.Header) bool {
 	if tag := nm.Get("Etag"); tag != "" {
 		have := stored.Get("Etag")
 		if weak, ok := strings.CutPrefix(tag, "W/"); ok {

@@ -351,8 +351,8 @@ func TestRefreshNeedsTheStoredValidator(t *testing.T) {
 		c := New(Config{Clock: clock.Now})
 		key := "GET http://example.org/page"
 		stored := okResponse("stored")
-		for k, v := range tc.stored {
-			stored.Header[k] = v
+		for k, vs := range tc.stored {
+			stored.Header.Set(k, vs[0])
 		}
 		stored.SetMaxAge(10)
 		if !c.Put(key, stored) {
@@ -360,8 +360,8 @@ func TestRefreshNeedsTheStoredValidator(t *testing.T) {
 		}
 		clock.Advance(5 * time.Second)
 		nm := httpmsg.NewResponse(http.StatusNotModified)
-		for k, v := range tc.nm {
-			nm.Header[k] = v
+		for k, vs := range tc.nm {
+			nm.Header.Set(k, vs[0])
 		}
 		nm.SetMaxAge(600)
 		if got := c.Refresh(key, nm) != nil; got != tc.wantRenewed {

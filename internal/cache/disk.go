@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,9 +57,8 @@ const maxPooledRecord = 1 << 20
 // appendDiskKey appends the head of one record's payload: the
 // uvarint-length-prefixed key and the expiry (unix nanoseconds, big-endian).
 // A tombstone is that head alone, with expiry 0. A live record's head is
-// followed by the response as a self-describing httpmsg payload, which
-// httpmsg.AppendResponse writes for a response and httpmsg.AppendStored, the
-// same bytes, for an entry of the memory tier.
+// followed by the response's stored form as a self-describing httpmsg
+// payload (httpmsg.AppendStored).
 func appendDiskKey[K string | []byte](buf []byte, key K, expires int64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	buf = append(buf, key...)
@@ -100,7 +98,7 @@ func OpenDisk(fs store.FS, maxBytes int64, clock func() time.Time) (*Disk, error
 		}
 		exp := time.Unix(0, expires)
 		s, err := httpmsg.DecodeStored(body)
-		live := err == nil && (!Expired(exp, now) || Kept(httpmsg.DecodeHeader(s.Header), exp, now))
+		live := err == nil && (!Expired(exp, now) || Kept(s.Header, exp, now))
 		return hashKey(string(key)), expires, live, true
 	})
 	if err != nil {
@@ -116,18 +114,16 @@ func OpenDisk(fs store.FS, maxBytes int64, clock func() time.Time) (*Disk, error
 // it is appended afresh, so an entry that keeps being used is carried forward
 // instead of dying with its segment.
 func (d *Disk) Put(key string, resp *httpmsg.Response, expires time.Time) {
-	if resp == nil || resp.Stream != nil || !resp.Cacheable() || Expired(expires, d.clock()) {
+	if resp == nil || resp.Stream != nil || !resp.Cacheable() {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.payload = httpmsg.AppendResponse(append(appendDiskKey(d.payload[:0], key, expires.UnixNano()), wire.Magic), resp)
-	d.appendLocked(hashKey(key), expires)
+	s := resp.StoredForm()
+	d.put(hashKey(key), []byte(key), &s, expires)
 }
 
-// put is Put for an entry of the memory tier, which a shared cache may
-// store by construction: its key, with the hash it has in both tiers, and
-// its stored header go into the record as they are.
+// put is Put for a stored form, an entry of the memory tier's among them,
+// which a shared cache may store by construction: its key, with the hash it
+// has in both tiers, and its stored header go into the record as they are.
 func (d *Disk) put(hash uint64, key []byte, s *httpmsg.Stored, expires time.Time) {
 	if Expired(expires, d.clock()) {
 		return
@@ -163,8 +159,8 @@ func (d *Disk) appendLocked(hash uint64, expires time.Time) {
 func (d *Disk) Get(key string) (*httpmsg.Response, time.Time, bool) {
 	var resp *httpmsg.Response
 	var expires time.Time
-	d.get(key, func(s httpmsg.Stored, exp time.Time, stale http.Header) {
-		if stale == nil {
+	d.get(key, func(s httpmsg.Stored, exp time.Time, stale bool) {
+		if !stale {
 			resp, expires = ownCopy(s), exp
 		}
 	})
@@ -172,12 +168,11 @@ func (d *Disk) Get(key string) (*httpmsg.Response, time.Time, bool) {
 }
 
 // get is Get in the form the memory tier keeps, for a record that is fresh
-// or, once expired, Kept: use sees the record's header bytes copied out as
-// one string, its body in the read buffer, which is reused once use returns,
-// and its expiry; for an expired record also its decoded header (nil when the
-// record is fresh). A record that is not Kept, or does not read back as key's,
+// or, once expired, Kept: use sees the record's header copied out as one
+// string, its body in the read buffer, which is reused once use returns, its
+// expiry, and whether it has expired. A record that is not Kept, or does not read back as key's,
 // is dropped. A fresh record counts as a hit, anything else as a miss.
-func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time, stale http.Header)) {
+func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time, stale bool)) {
 	now := d.clock()
 	hash := hashKey(key)
 	d.mu.Lock()
@@ -194,10 +189,9 @@ func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time, sta
 	}
 	s, err := d.read(key, ref, (*buf)[:ref.Len()])
 	kept := err == nil
-	var stale http.Header
-	if kept && Expired(expires, now) {
-		stale = httpmsg.DecodeHeader(s.Header)
-		kept = Kept(stale, expires, now)
+	stale := kept && Expired(expires, now)
+	if stale {
+		kept = Kept(s.Header, expires, now)
 	}
 	if kept {
 		use(s, expires, stale)
@@ -210,7 +204,7 @@ func (d *Disk) get(key string, use func(s httpmsg.Stored, expires time.Time, sta
 		d.log.Forget(hash, ref)
 		d.mu.Unlock()
 	}
-	if kept && stale == nil {
+	if kept && !stale {
 		d.hits.Add(1)
 	} else {
 		d.misses.Add(1)

@@ -298,18 +298,18 @@ func TestStaleOnArrivalIsNotStored(t *testing.T) {
 		"Expires now":             {"Expires": {now.UTC().Format(http.TimeFormat)}},
 		"Expires: 0":              {"Expires": {"0"}},
 	} {
-		if got := c.Expiry(h, now); !got.Equal(now) {
+		if got := c.Expiry(httpmsg.FromHTTPHeader(h), now); !got.Equal(now) {
 			t.Errorf("%s: Expiry = fetched + %v, want fetched", name, got.Sub(now))
 		}
 		r := httpmsg.NewHTMLResponse(200, "x")
-		for k, v := range h {
-			r.Header[k] = v
+		for k, vs := range h {
+			r.Header.Set(k, vs[0])
 		}
 		if c.Put(name, r) || c.Len() != 0 {
 			t.Errorf("%s: stored", name)
 		}
 	}
-	if got := c.Expiry(http.Header{}, now); !got.Equal(now.Add(60 * time.Second)) {
+	if got := c.Expiry(httpmsg.Header{}, now); !got.Equal(now.Add(60 * time.Second)) {
 		t.Errorf("no freshness information: Expiry = fetched + %v, want the default TTL", got.Sub(now))
 	}
 }
@@ -400,7 +400,7 @@ func TestDiskSegmentGolden(t *testing.T) {
 	resp := func(body string) *httpmsg.Response {
 		return &httpmsg.Response{
 			Status: 200,
-			Header: http.Header{"Content-Type": {"text/html"}, "Cache-Control": {"max-age=60"}},
+			Header: httpmsg.FromHTTPHeader(http.Header{"Content-Type": {"text/html"}, "Cache-Control": {"max-age=60"}}),
 			Body:   []byte(body),
 			Via:    "edge-1",
 		}

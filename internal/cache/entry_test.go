@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -115,12 +114,12 @@ func TestDiskIndexBytesPerEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := bytes.Repeat([]byte{'x'}, 1<<10)
-	stored := &httpmsg.Stored{Status: 200, Header: string(httpmsg.AppendHeader(nil, http.Header{
+	stored := &httpmsg.Stored{Status: 200, Header: httpmsg.FromHTTPHeader(http.Header{
 		"Cache-Control":  {"max-age=3600"},
 		"Content-Length": {"1024"},
 		"Content-Type":   {"application/octet-stream"},
 		"Date":           {"Sat, 17 Oct 2026 12:00:00 GMT"},
-	})), Body: body}
+	}), Body: body}
 	keys := make([][]byte, n)
 	for k := range keys {
 		keys[k] = []byte(fmt.Sprintf("GET http://127.0.0.1:40123/file_set/dir/class%d_%d?v=%d", k%5/2%2, k%9, k))
@@ -176,12 +175,12 @@ func TestPromotionAllocCeiling(t *testing.T) {
 	d := openDisk(t, store.NewMemFS(), 0, clock)
 	resp := &httpmsg.Response{
 		Status: 200,
-		Header: http.Header{
+		Header: httpmsg.FromHTTPHeader(http.Header{
 			"Cache-Control":  {"max-age=3600"},
 			"Content-Length": {"1024"},
 			"Content-Type":   {"application/octet-stream"},
 			"Date":           {"Sat, 17 Oct 2026 12:00:00 GMT"},
-		},
+		}),
 		Body: bytes.Repeat([]byte{'x'}, 1024),
 		Via:  "edge-1",
 	}
@@ -198,7 +197,7 @@ func TestPromotionAllocCeiling(t *testing.T) {
 		req.SetReplyBuffer(&lent)
 		got := c.GetFor(keys[next], req)
 		next++
-		if got == nil || len(got.Body) != 1024 || len(got.Header) != 4 {
+		if got == nil || len(got.Body) != 1024 || got.Header != resp.Header {
 			t.Fatalf("promotion %d: %+v", next, got)
 		}
 		req.Release()
@@ -231,12 +230,12 @@ func TestDemotionWritesWhatDiskPutWrites(t *testing.T) {
 	for name, resp := range map[string]*httpmsg.Response{
 		"specweb": {
 			Status: 200,
-			Header: http.Header{"Cache-Control": {"max-age=60"}, "Content-Type": {"text/html"}, "Vary": {"Accept", "Accept-Encoding"}, "X-Empty": {""}},
+			Header: httpmsg.FromHTTPHeader(http.Header{"Cache-Control": {"max-age=60"}, "Content-Type": {"text/html"}, "Link": {"</a.css>", "</b.js>"}, "X-Empty": {""}}),
 			Body:   []byte("<html>hi</html>"),
 			Via:    "edge-1",
 		},
-		"flags and many keys": {Status: 200, Header: many, Body: bytes.Repeat([]byte{'b'}, 3000), Generated: true, FromCache: true},
-		"no body":             {Status: 200, Header: http.Header{"Cache-Control": {"max-age=60"}}},
+		"flags and many keys": {Status: 200, Header: httpmsg.FromHTTPHeader(many), Body: bytes.Repeat([]byte{'b'}, 3000), Generated: true, FromCache: true},
+		"no body":             {Status: 200, Header: httpmsg.FromHTTPHeader(http.Header{"Cache-Control": {"max-age=60"}})},
 	} {
 		const key = "GET http://example.org/a"
 		expires := now.Add(time.Minute)
@@ -248,7 +247,7 @@ func TestDemotionWritesWhatDiskPutWrites(t *testing.T) {
 		if !c.PutUntil(key, resp, expires) {
 			t.Fatalf("%s: not stored", name)
 		}
-		c.PutUntil("GET http://example.org/b", &httpmsg.Response{Status: 200, Header: http.Header{"Cache-Control": {"max-age=1"}}}, now.Add(time.Second))
+		c.PutUntil("GET http://example.org/b", &httpmsg.Response{Status: 200, Header: httpmsg.FromHTTPHeader(http.Header{"Cache-Control": {"max-age=1"}})}, now.Add(time.Second))
 		if st := c.Stats(); st.Demotions != 1 {
 			t.Fatalf("%s: stats %+v, want one demotion", name, st)
 		}
@@ -303,7 +302,7 @@ func TestRefreshUpdatesStoredHeader(t *testing.T) {
 			"Etag":           {`"a"`},
 			"X-Origin":       {"kept"},
 		}
-		if got == nil || string(got.Body) != "stored body" || !reflect.DeepEqual(got.Header, want) {
+		if got == nil || string(got.Body) != "stored body" || got.Header != httpmsg.FromHTTPHeader(want) {
 			t.Errorf("%s: %+v, want header %v", where, got, want)
 		}
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"net/http"
-
 	"nakika/internal/httpmsg"
 	"nakika/internal/largeobject"
 	"nakika/internal/state"
@@ -216,14 +214,7 @@ func encodeOffloadRequest(req *httpmsg.Request) []byte {
 
 // decodeOffloadRequest parses an off.exec body.
 func decodeOffloadRequest(payload []byte) (*httpmsg.Request, error) {
-	req, err := httpmsg.DecodeRequest(payload)
-	if err != nil {
-		return nil, err
-	}
-	if req.Header == nil {
-		req.Header = make(http.Header)
-	}
-	return req, nil
+	return httpmsg.DecodeRequest(payload)
 }
 
 // encodeManifest renders the body of a cache.get "manifest" reply.

@@ -84,8 +84,8 @@ func TestColdCacheStampedeCoalesces(t *testing.T) {
 		t.Errorf("origin fetched %d times for %d concurrent misses, want exactly 1", got, waiters)
 	}
 	st := node.Stats()
-	if st.OriginFetches != 1+3 { // the item plus the three script probes
-		t.Errorf("OriginFetches = %d, want 4 (item + clientwall + serverwall + nakika.js)", st.OriginFetches)
+	if st.OriginFetches != 1+1 { // the item plus the site script's probe; the node has no walls
+		t.Errorf("OriginFetches = %d, want 2 (item + nakika.js)", st.OriginFetches)
 	}
 	if st.CoalescedFetches < waiters-1 {
 		t.Errorf("CoalescedFetches = %d, want >= %d", st.CoalescedFetches, waiters-1)

@@ -162,7 +162,7 @@ func TestEndToEndAdminWall(t *testing.T) {
 		};
 		p.register();
 	`)
-	_, srv := newEdgeServer(t, origin, nil)
+	_, srv := newEdgeServer(t, origin, func(cfg *Config) { cfg.ClientWallURL = "http://nakika.net/clientwall.js" })
 	resp, body := get(t, srv, "http://guarded.example.org.nakika.net/file.pdf")
 	if resp.StatusCode != 200 || body != "PDF" {
 		t.Errorf("local client through wall = %d %q", resp.StatusCode, body)

@@ -98,7 +98,7 @@ func (n *Node) invalidate(req *httpmsg.Request) {
 // headers that select which response the origin sends and that are forwarded
 // to it. Identical requests still coalesce; a plain GET never joins a flight
 // whose leader will come back with a 206 or a 304.
-func flightKey(key string, h http.Header) string {
+func flightKey(key string, h httpmsg.Header) string {
 	rng, inm, ims := h.Get("Range"), h.Get("If-None-Match"), h.Get("If-Modified-Since")
 	if rng == "" && inm == "" && ims == "" {
 		return key
@@ -127,7 +127,7 @@ func (n *Node) lookup(key string, req *httpmsg.Request) (*httpmsg.Response, cach
 	}
 	if resp == nil {
 		var lob cache.Stale
-		if resp, lob = n.lobServe(key); stale.Header == nil {
+		if resp, lob = n.lobServe(key); stale.Tier == "" {
 			stale = lob
 		}
 	}
@@ -146,7 +146,7 @@ func (n *Node) fetchMiss(key string, req *httpmsg.Request) (*httpmsg.Response, e
 	if resp != nil {
 		return resp, nil
 	}
-	if stale.Header != nil && req.Header.Get("If-None-Match") == "" && req.Header.Get("If-Modified-Since") == "" {
+	if stale.Tier != "" && req.Header.Get("If-None-Match") == "" && req.Header.Get("If-Modified-Since") == "" {
 		if resp, err := n.revalidate(key, req, stale); resp != nil || err != nil {
 			return resp, err
 		}
@@ -314,7 +314,7 @@ func (n *Node) storeReply(req *httpmsg.Request, key string, resp *httpmsg.Respon
 		return
 	}
 	if t, expires := n.lobTakes(req, key, resp.Status, resp.Header, int64(len(resp.Body))); t != nil {
-		if _, err := t.IngestBody(key, resp.Status, resp.Header, expires, resp.Body); err == nil {
+		if _, err := t.Ingest(key, resp.Status, resp.Header, expires, resp.Body); err == nil {
 			n.lobWhole.Add(1)
 			n.publish(key)
 			return
@@ -333,7 +333,7 @@ func (n *Node) storeReply(req *httpmsg.Request, key string, resp *httpmsg.Respon
 // LargeObjectThreshold bytes long and Kept (cache.Kept). length is the body's
 // length when it is buffered, the declared Content-Length (-1 unknown) when it
 // is about to stream.
-func (n *Node) lobTakes(req *httpmsg.Request, key string, status int, h http.Header, length int64) (*largeobject.Tier, time.Time) {
+func (n *Node) lobTakes(req *httpmsg.Request, key string, status int, h httpmsg.Header, length int64) (*largeobject.Tier, time.Time) {
 	t := n.lobTier()
 	if t == nil || status != http.StatusOK || length < n.cfg.LargeObjectThreshold ||
 		!strings.HasPrefix(key, http.MethodGet+" ") || !httpmsg.Shareable(req, status, h) {

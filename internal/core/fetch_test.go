@@ -190,6 +190,42 @@ func TestFlightSharesOnlyShareableReplies(t *testing.T) {
 	}
 }
 
+// TestVaryReplyGoesToItsOwnRequest: a reply that varies with the Cookie
+// header is not stored, so the node does not hand one user's page to the
+// next user who asks for the same URL.
+func TestVaryReplyGoesToItsOwnRequest(t *testing.T) {
+	fetches := 0
+	origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
+		if req.Path() != "/home" {
+			return httpmsg.NewTextResponse(404, "not found"), nil
+		}
+		fetches++
+		user, _ := req.Cookie("user")
+		resp := httpmsg.NewHTMLResponse(200, "page for user="+user)
+		resp.SetMaxAge(60)
+		resp.Header.Set("Vary", "Cookie")
+		return resp, nil
+	})
+	n, err := NewNode(Config{Name: "edge-vary", Upstream: origin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []string{"alice", "bob", "alice"} {
+		req := httpmsg.MustRequest("GET", "http://site.example.org/home")
+		req.Header.Set("Cookie", "user="+user)
+		resp, _, err := n.Handle(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "page for user=" + user; string(resp.Body) != want {
+			t.Errorf("%s got %q, want %q", user, resp.Body, want)
+		}
+	}
+	if stored := n.Cache().Get("GET http://site.example.org/home"); fetches != 3 || stored != nil {
+		t.Errorf("%d origin fetches, stored %v; want 3 and none", fetches, stored)
+	}
+}
+
 // TestPeerCopyExpiresWithTheHolders: a copy taken from a peer's cache keeps
 // the holder's deadline instead of starting a new lifetime at the moment it
 // was copied.
@@ -246,7 +282,7 @@ func TestCacheGetReplyGolden(t *testing.T) {
 	holder := newTestNode(t, "edge-a", newMemOrigin(), mutate)
 	holder.Cache().Put(key, &httpmsg.Response{
 		Status: 200,
-		Header: http.Header{"Content-Type": {"text/html"}, "Cache-Control": {"max-age=60"}},
+		Header: httpmsg.FromHTTPHeader(http.Header{"Content-Type": {"text/html"}, "Cache-Control": {"max-age=60"}}),
 		Body:   []byte("<html>hi</html>"),
 		Via:    "edge-1",
 	})
@@ -364,7 +400,7 @@ func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 		{"expires now", http.Header{"Expires": {at(0)}}, 0},
 		{"max-age=0 with a validator", http.Header{"Cache-Control": {"max-age=0"}, "Etag": {`"v1"`}}, 0},
 	} {
-		storable := httpmsg.Storable(200, tc.header)
+		storable := httpmsg.Storable(200, httpmsg.FromHTTPHeader(tc.header))
 		if tc.ttl > 0 && !storable {
 			t.Errorf("%s: Storable = false for a response the table expects kept", tc.name)
 			continue
@@ -376,9 +412,7 @@ func TestBothTiersStoreAndExpireAlike(t *testing.T) {
 				origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
 					fetches++
 					resp := httpmsg.NewResponse(200)
-					for k, vs := range tc.header {
-						resp.Header[k] = vs
-					}
+					resp.Header = httpmsg.FromHTTPHeader(tc.header)
 					resp.Body = append([]byte(nil), body...)
 					return resp, nil
 				})
@@ -475,12 +509,12 @@ func TestBothTiersRenewAlike(t *testing.T) {
 					if req.Header.Get("If-None-Match") != "" || req.Header.Get("If-Modified-Since") != "" {
 						conditional++
 						nm := httpmsg.NewResponse(http.StatusNotModified)
-						nm.Header = tc.nm.Clone()
+						nm.Header = httpmsg.FromHTTPHeader(tc.nm)
 						return nm, nil
 					}
 					full++
 					resp := httpmsg.NewResponse(200)
-					resp.Header = stored.Clone()
+					resp.Header = httpmsg.FromHTTPHeader(stored)
 					resp.Body = append([]byte(nil), body...)
 					return resp, nil
 				})
@@ -506,7 +540,7 @@ func TestBothTiersRenewAlike(t *testing.T) {
 						t.Fatalf("origin: %d full and %d conditional fetches, want %d and %d", full, conditional, wantFull, wantConditional)
 					}
 				}
-				if got, _ := n.cache.Renew(200, stored.Clone(), tc.nm); got != tc.want {
+				if _, got, _ := n.cache.Renew(200, httpmsg.FromHTTPHeader(stored), httpmsg.FromHTTPHeader(tc.nm)); got != tc.want {
 					t.Fatalf("the rule decides %v, want %v", got, tc.want)
 				}
 				// The revalidations of the arm's tier by result: not_modified,
@@ -526,13 +560,13 @@ func TestBothTiersRenewAlike(t *testing.T) {
 				clock.Advance(100 * time.Second)
 				if tc.want != cache.Renewed {
 					get(2, 1)
-					h := http.Header(nil)
+					var h httpmsg.Header
 					if resp := n.cache.Get("GET " + url); resp != nil {
 						h = resp.Header
 					} else if m, ok := n.lobTier().Manifest("GET " + url); ok {
 						h = m.Header
 					}
-					if h.Get("Etag") != `"v1"` || len(h["Cache-Control"]) != 1 || h.Get("Cache-Control") != "max-age=100" {
+					if h.Get("Etag") != `"v1"` || len(h.Values("Cache-Control")) != 1 || h.Get("Cache-Control") != "max-age=100" {
 						t.Fatalf("after the refetch the node holds %v, want the refetched 200's header", h)
 					}
 					results([4]int64{0, 1, 0, 0})
@@ -562,7 +596,7 @@ type validatingOrigin struct {
 
 func (o *validatingOrigin) Do(req *httpmsg.Request) (*httpmsg.Response, error) {
 	resp := httpmsg.NewResponse(http.StatusOK)
-	resp.Header = o.header.Clone()
+	resp.Header = httpmsg.FromHTTPHeader(o.header)
 	if inm := req.Header.Get("If-None-Match"); inm != "" {
 		o.conditional++
 	} else {

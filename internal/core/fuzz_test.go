@@ -30,7 +30,7 @@ func FuzzRPCPayloads(f *testing.F) {
 		Rec: state.Rec{Site: "s", Key: "k", Ver: 3, Origin: "n1", Value: "v"},
 	}))
 	f.Add(encodeManifest(&largeobject.Manifest{
-		Key: "GET http://big.example.org/iso", Status: 200, Header: http.Header{"Etag": {`"v1"`}},
+		Key: "GET http://big.example.org/iso", Status: 200, Header: httpmsg.FromHTTPHeader(http.Header{"Etag": {`"v1"`}}),
 		TotalLen: 600, SegSize: 256, Expires: time.Unix(1_790_000_600, 0),
 		Segments: []largeobject.SegID{largeobject.HashSegment([]byte("a")), largeobject.HashSegment([]byte("b")), largeobject.HashSegment([]byte("c"))},
 	}))

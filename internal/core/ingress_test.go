@@ -366,8 +366,10 @@ func hitAllocs(t *testing.T, serve func(net.Listener), req string) float64 {
 // TestServeHitAllocCeiling gates the allocations of one keep-alive cache
 // hit through Node.Serve, the daemon's client port, and reports
 // ServeHTTP's count under net/http's server from the same loop beside it.
+// Measured on go1.24 amd64: 8 since a header is one string from the socket
+// to the store (13 when a hit decoded it into a map).
 func TestServeHitAllocCeiling(t *testing.T) {
-	const ceiling = 13
+	const ceiling = 8
 	origin := newMemOrigin()
 	origin.addText("http://o.example/page.html", strings.Repeat("<p>cached page</p>", 200), 3600)
 	n := newTestNode(t, "edge-allocs", origin, nil)

@@ -142,9 +142,7 @@ func (n *Node) lobServe(key string) (*httpmsg.Response, cache.Stale) {
 func (n *Node) lobStream(t *largeobject.Tier, key string, m *largeobject.Manifest) *httpmsg.Response {
 	n.lobStreamed.Add(1)
 	resp := httpmsg.NewResponse(m.Status)
-	for k, vs := range m.Header {
-		resp.Header[k] = append([]string(nil), vs...)
-	}
+	resp.Header = m.Header
 	resp.FromCache = true
 	resp.SetStream(t.NewStream(m, n.lobFetcher(key)))
 	return resp
@@ -162,8 +160,7 @@ func (n *Node) lobRenew(key string, nm *httpmsg.Response) *httpmsg.Response {
 	if !ok {
 		return nil
 	}
-	h := m.Header.Clone()
-	if renewal, expires := n.cache.Renew(m.Status, h, nm.Header); renewal == cache.Renewed {
+	if h, renewal, expires := n.cache.Renew(m.Status, m.Header, nm.Header); renewal == cache.Renewed {
 		if renewed, ok := t.RefreshManifest(key, h, expires); ok {
 			return n.lobStream(t, key, renewed)
 		}
@@ -203,7 +200,7 @@ func (n *Node) lobAdopt(key string, body []byte) *httpmsg.Response {
 // consumed: status, headers, and the declared content length (-1 unknown).
 type StreamHead struct {
 	Status int
-	Header http.Header
+	Header httpmsg.Header
 	Length int64
 }
 
@@ -297,9 +294,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 			return nil, fmt.Errorf("core: read origin body: %w", err)
 		}
 		resp := httpmsg.NewResponse(head.Status)
-		if head.Header != nil {
-			resp.Header = head.Header
-		}
+		resp.Header = head.Header
 		resp.Body = data
 		return resp, nil
 	}
@@ -310,7 +305,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 	m := &largeobject.Manifest{
 		Key:      key,
 		Status:   head.Status,
-		Header:   head.Header.Clone(),
+		Header:   head.Header,
 		TotalLen: head.Length,
 		SegSize:  t.SegSize(),
 		Expires:  expires,
@@ -330,7 +325,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 	go n.lobIngestLoop(t, key, m, ing, body)
 
 	resp := httpmsg.NewResponse(m.Status)
-	resp.Header = m.Header.Clone()
+	resp.Header = m.Header
 	resp.SetStream(t.NewStream(m, n.lobFetcher(key)))
 	return resp, nil
 }

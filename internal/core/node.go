@@ -62,8 +62,8 @@ type Config struct {
 	// it on (off matches the paper's "without resource controls" baseline).
 	Resources       resource.Config
 	EnableResources bool
-	// ClientWallURL and ServerWallURL override the administrative control
-	// script locations.
+	// ClientWallURL and ServerWallURL locate the administrative control
+	// scripts; an empty one means no such stage (pipeline.Executor).
 	ClientWallURL string
 	ServerWallURL string
 	// LocalNetworks lists CIDR blocks considered part of the node's hosting

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -153,8 +154,44 @@ func TestSiteScriptTransformsThroughNode(t *testing.T) {
 	if string(resp.Body) != "<html><h1>Aneurysm</h1></html>" {
 		t.Errorf("body = %q", resp.Body)
 	}
-	if len(trace.Stages) != 3 {
+	if len(trace.Stages) != 1 { // the site script: the node has no walls
 		t.Errorf("stages = %d", len(trace.Stages))
+	}
+}
+
+// TestNoWallsNoWallFetches: a node configured without walls runs the site
+// script alone and fetches no wall script. A node used to default to two
+// walls at nakika.net, which do not resolve, and asked for both on every
+// request before serving it without them.
+func TestNoWallsNoWallFetches(t *testing.T) {
+	wallFetches := 0
+	origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
+		switch {
+		case strings.HasSuffix(req.Path(), "wall.js"):
+			wallFetches++
+			return nil, errors.New("dial tcp: lookup " + req.Host() + ": no such host")
+		case req.Path() == "/nakika.js":
+			return httpmsg.NewTextResponse(404, "not found"), nil
+		}
+		resp := httpmsg.NewHTMLResponse(200, "<p>page</p>")
+		resp.SetMaxAge(600)
+		return resp, nil
+	})
+	n, err := NewNode(Config{Name: "no-walls", Upstream: origin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		resp, trace, err := n.Handle(httpmsg.MustRequest("GET", "http://site.example.org/page"))
+		if err != nil || resp.Status != 200 {
+			t.Fatalf("request %d: %v, %v", i, resp, err)
+		}
+		if len(trace.Stages) != 1 {
+			t.Fatalf("request %d ran %d stages, want the site script alone", i, len(trace.Stages))
+		}
+	}
+	if wallFetches != 0 {
+		t.Errorf("100 requests fetched %d wall scripts, want none", wallFetches)
 	}
 }
 
@@ -169,7 +206,7 @@ func TestAdminWallThroughNode(t *testing.T) {
 		};
 		p.register();
 	`)
-	n := newTestNode(t, "edge-1", origin, nil)
+	n := newTestNode(t, "edge-1", origin, func(cfg *Config) { cfg.ClientWallURL = "http://nakika.net/clientwall.js" })
 
 	outside := httpmsg.MustRequest("GET", "http://content.nejm.org/cgi/reprint/1.pdf")
 	outside.ClientIP = "203.0.113.4"

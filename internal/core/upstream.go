@@ -174,9 +174,7 @@ func replayable(req *httpmsg.Request) bool {
 	case "", http.MethodGet, http.MethodHead, http.MethodOptions, http.MethodTrace:
 		return true
 	}
-	_, key := req.Header["Idempotency-Key"]
-	_, xkey := req.Header["X-Idempotency-Key"]
-	return key || xkey
+	return req.Header.Has("Idempotency-Key") || req.Header.Has("X-Idempotency-Key")
 }
 
 // conn returns a connection to o, and whether it was idle: the most

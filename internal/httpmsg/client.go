@@ -99,22 +99,20 @@ func (c *ClientConn) WriteRequest(req *Request) error {
 	b = append(b, " HTTP/1.1\r\nHost: "...)
 	b = append(append(b, removeZone(host)...), "\r\n"...)
 	h := req.Header
-	if ua, ok := h["User-Agent"]; !ok {
+	if !h.Has("User-Agent") {
 		b = append(b, "User-Agent: "+userAgent+"\r\n"...)
-	} else if len(ua) > 0 && ua[0] != "" {
-		b = appendField(b, "User-Agent", ua[0])
+	} else if ua := h.Get("User-Agent"); ua != "" {
+		b = appendField(b, "User-Agent", ua)
 	}
 	if n := len(req.Body); n > 0 || method == http.MethodPost || method == http.MethodPut || method == http.MethodPatch {
 		b = strconv.AppendInt(append(b, "Content-Length: "...), int64(n), 10)
 		b = append(b, "\r\n"...)
 	}
-	for k, vs := range h {
+	h.Each(func(k, v string) {
 		if forwarded(h, k) {
-			for _, v := range vs {
-				b = appendField(b, k, v)
-			}
+			b = appendField(b, k, v)
 		}
-	}
+	})
 	b = append(b, "\r\n"...)
 	c.out = b
 
@@ -134,13 +132,13 @@ func (c *ClientConn) WriteRequest(req *Request) error {
 // forwarded reports whether WriteRequest sends header k of h: a valid name,
 // not one it writes itself, not hop-by-hop (RFC 9110 §7.6.1), and not named
 // by the Connection header.
-func forwarded(h http.Header, k string) bool {
+func forwarded(h Header, k string) bool {
 	switch textproto.CanonicalMIMEHeaderKey(k) {
 	case "Host", "User-Agent", "Content-Length",
 		"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade":
 		return false
 	}
-	return isToken(k) && !anyListElement(h["Connection"], func(name string) bool { return asciiEqualFold(name, k) })
+	return isToken(k) && !h.anyElement("Connection", func(name string) bool { return asciiEqualFold(name, k) })
 }
 
 // appendRequestURI appends u.RequestURI() without building the string.
@@ -244,28 +242,29 @@ func (c *ClientConn) parseResponse(method string) (*Response, error) {
 	if _, err := c.scanFields(); err != nil {
 		return nil, err
 	}
-	resp := &Response{Status: status, Header: make(http.Header, len(c.fields))}
-	h := resp.Header
-	c.header(h)
+	resp := &Response{Status: status}
+	h := &resp.Header
+	*h, _ = c.header()
 	fixPragma(h)
 
 	// Keep-alive, as net/http's shouldClose reads it.
 	closing := major < 1
-	if conn := h["Connection"]; !closing {
-		hasClose := anyListElement(conn, isClose)
+	if !closing {
+		hasClose := h.anyElement("Connection", isClose)
 		closing = hasClose
 		if major == 1 && minor == 0 {
-			closing = hasClose || !anyListElement(conn, isKeepAlive)
+			closing = hasClose || !h.anyElement("Connection", isKeepAlive)
 		} else if hasClose {
-			delete(h, "Connection")
+			h.Del("Connection")
 		}
 	}
 	if major == 0 && minor == 0 {
 		major, minor = 1, 1 // net/http frames an HTTP/0.0 message as HTTP/1.1's
 	}
 	chunked := false
-	if te, ok := h["Transfer-Encoding"]; ok {
-		delete(h, "Transfer-Encoding")
+	if h.Has("Transfer-Encoding") {
+		te := h.Values("Transfer-Encoding")
+		h.Del("Transfer-Encoding")
 		if major > 1 || major == 1 && minor >= 1 {
 			if len(te) != 1 || !asciiEqualFold(te[0], "chunked") {
 				return nil, fmt.Errorf("httpmsg: unsupported transfer encoding %q", te)
@@ -283,7 +282,7 @@ func (c *ClientConn) parseResponse(method string) (*Response, error) {
 	switch {
 	case method == http.MethodHead || bodyless(status):
 	case chunked:
-		delete(h, "Content-Length")
+		h.Del("Content-Length")
 		c.framing = chunkedBody
 	case length > 0:
 		c.framing, c.left = lengthBody, length

@@ -73,7 +73,7 @@ func codecResponse(in []byte, method string, stream bool) responseOutcome {
 		stricter := errors.As(err, &re) && (re.msg == errObsFold || re.msg == errChunkLineEnd || re.Reason == ReasonHeaderTooLarge)
 		return responseOutcome{refused: true, stricter: stricter}
 	}
-	return responseOutcome{status: resp.Status, header: resp.Header, body: body, keepAlive: c.KeepAlive}
+	return responseOutcome{status: resp.Status, header: httpHeader(resp.Header), body: body, keepAlive: c.KeepAlive}
 }
 
 // compareResponses checks the codec against the oracle on one input: both
@@ -238,9 +238,7 @@ func TestWriteRequest(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			req := MustRequest(tc.method, tc.url)
-			for k, vs := range tc.header {
-				req.Header[k] = vs
-			}
+			req.Header = FromHTTPHeader(tc.header)
 			req.Body = []byte(tc.body)
 			var wire bytes.Buffer
 			c := NewClientConn(struct {

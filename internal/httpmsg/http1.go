@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"nakika/internal/wire"
 )
 
 // The HTTP/1.x codec of the client port. A request is read in one pass
@@ -105,12 +107,13 @@ type field struct{ k0, k1, v0, v1 int }
 // msgReader is the reading half both sides of the codec share: a message
 // head and a body, over the connection's buffered reader. Reused across
 // messages: the head's bytes with line ends stripped, the [start, end) of
-// each of its lines, and the header fields.
+// each of its lines, the header fields, and the header's encoding.
 type msgReader struct {
 	br     *bufio.Reader
 	head   []byte
 	lines  []int
 	fields []field
+	enc    []byte
 }
 
 // newMsgReader reads through a 4 KiB buffer, as net/http's server and
@@ -164,8 +167,8 @@ func (c *HTTP1Conn) Await() error {
 	return err
 }
 
-// ReadRequest reads the next request into req, whose Header must be an
-// empty live map (AcquireRequest's is), with a body of at most maxBody
+// ReadRequest reads the next request into req, a zeroed one
+// (AcquireRequest's is), with a body of at most maxBody
 // bytes (zero or less: no limit). It returns io.EOF when the connection
 // closed before a request began, a *RequestError for a request the server
 // must refuse, and any other error when the client went away mid-request.
@@ -196,23 +199,32 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 	if err != nil {
 		return err
 	}
-	// One copy of the head; the method, target, keys and values are cut
-	// from it.
-	h := req.Header
-	s := c.header(h)
-	req.Method = s[c.target[0]:c.target[1]]
-	if err := parseTarget(&req.urlBuf, req.Method, s[c.target[2]:c.target[3]]); err != nil {
+	// One string holds the header, which Host leaves, the method, the
+	// target and the first Host.
+	hlo, hhi := c.span("Host")
+	var host []byte
+	if hlo < hhi {
+		host = c.head[c.fields[hlo].v0:c.fields[hlo].v1]
+	}
+	c.fields = slices.Delete(c.fields, hlo, hhi)
+	h := &req.Header
+	method, target := c.head[c.target[0]:c.target[1]], c.head[c.target[2]:c.target[3]]
+	var s string
+	*h, s = c.header(method, target, host)
+	req.Method = s[:len(method)]
+	if err := parseTarget(&req.urlBuf, req.Method, s[len(method):len(method)+len(target)]); err != nil {
 		return err
 	}
 	req.URL = &req.urlBuf
-	if len(h["Host"]) > 1 {
+	if hhi-hlo > 1 {
 		return refuse(http.StatusBadRequest, ReasonHost, "too many Host headers")
 	}
 	fixPragma(h)
 	proto11 := major > 1 || major == 1 && minor >= 1
 	chunked := false
-	if te, ok := h["Transfer-Encoding"]; ok {
-		delete(h, "Transfer-Encoding")
+	if h.Has("Transfer-Encoding") {
+		te := h.Values("Transfer-Encoding")
+		h.Del("Transfer-Encoding")
 		// HTTP/1.0 has no transfer codings: the header is dropped. net/http
 		// reads an HTTP/0.0 request's as HTTP/1.1's, and then refuses its
 		// version.
@@ -228,7 +240,7 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 		return err
 	}
 	if chunked {
-		delete(h, "Content-Length")
+		h.Del("Content-Length")
 	}
 	if err := checkTrailer(h, chunked); err != nil {
 		return err
@@ -236,17 +248,17 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 	if major != 1 {
 		return refuse(http.StatusHTTPVersionNotSupported, ReasonRequestLine, "unsupported protocol version")
 	}
-	hosts, haveHost := h["Host"]
+	haveHost := hlo < hhi
 	if proto11 && !haveHost && req.Method != http.MethodConnect {
 		return refuse(http.StatusBadRequest, ReasonHost, "missing required Host header")
 	}
 	if haveHost {
-		if !validHost(hosts[0]) {
+		hostValue := s[len(method)+len(target):]
+		if !validHost(hostValue) {
 			return refuse(http.StatusBadRequest, ReasonHost, "malformed Host header")
 		}
-		delete(h, "Host")
 		if req.URL.Host == "" {
-			req.URL.Host = hosts[0]
+			req.URL.Host = hostValue
 		}
 	}
 	if req.URL.Scheme == "" {
@@ -286,7 +298,7 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 	if proto11 {
 		// net/http closes on either reading of Connection: close, an
 		// element of any of its lines or a token in its first.
-		c.KeepAlive = !anyListElement(h["Connection"], isClose) && !hasToken(conn, "close")
+		c.KeepAlive = !h.anyElement("Connection", isClose) && !hasToken(conn, "close")
 	} else {
 		c.KeepAlive = hasToken(conn, "keep-alive")
 	}
@@ -301,7 +313,7 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 // read, and refuses a head of more than limit of them.
 func (c *msgReader) readHead(limit int) (int, error) {
 	if cap(c.head) > 64<<10 {
-		c.head = nil // an outsized head does not stay with the connection
+		c.head, c.enc = nil, nil // an outsized head does not stay with the connection
 	}
 	c.head, c.lines = c.head[:0], c.lines[:0]
 	read := 0
@@ -366,7 +378,8 @@ func (c *HTTP1Conn) scanRequestLine() (major, minor int, err error) {
 // trimmed. A line that begins with a blank (obs-fold) is refused. A name
 // with a space in it passes here, as in net/textproto, and is reported in
 // badName for the caller to refuse after the checks net/http makes first.
-// Keys are canonicalized in place.
+// Keys are canonicalized in place, and the fields sorted by key, each key's
+// values in the order they arrived.
 func (c *msgReader) scanFields() (badName bool, err error) {
 	c.fields = c.fields[:0]
 	for i := 2; i < len(c.lines); i += 2 {
@@ -400,35 +413,60 @@ func (c *msgReader) scanFields() (badName bool, err error) {
 		}
 		c.fields = append(c.fields, field{l0, l0 + colon, v0, l1})
 	}
+	slices.SortStableFunc(c.fields, func(a, b field) int {
+		return bytes.Compare(c.head[a.k0:a.k1], c.head[b.k0:b.k1])
+	})
 	return badName, nil
 }
 
-// header copies the head into one string and cuts the header fields' keys
-// and values from it into h, values in order. It returns the string.
-func (c *msgReader) header(h http.Header) string {
-	s := string(c.head)
-	if n := len(c.fields); n > 0 {
-		values := make([]string, n)
-		for i, f := range c.fields {
-			key := s[f.k0:f.k1]
-			values[i] = s[f.v0:f.v1]
-			if vs, ok := h[key]; ok {
-				h[key] = append(vs, values[i])
-			} else {
-				h[key] = values[i : i+1 : i+1]
-			}
+// header writes the header fields into one string, the bytes of each tail
+// after them. It returns the header and the rest of the string: the tails,
+// one after another.
+func (c *msgReader) header(tail ...[]byte) (Header, string) {
+	key := func(f field) []byte { return c.head[f.k0:f.k1] }
+	nkeys := 0
+	for i, f := range c.fields {
+		if i == 0 || !bytes.Equal(key(c.fields[i-1]), key(f)) {
+			nkeys++
 		}
 	}
-	return s
+	b := c.enc[:0]
+	if nkeys > 0 {
+		b = wire.AppendUvarint(b, uint64(nkeys))
+	}
+	for i, j := 0, 0; i < len(c.fields); i = j {
+		k := key(c.fields[i])
+		for j = i + 1; j < len(c.fields) && bytes.Equal(key(c.fields[j]), k); j++ {
+		}
+		b = wire.AppendUvarint(wire.AppendBytes(b, k), uint64(j-i))
+		for _, f := range c.fields[i:j] {
+			b = wire.AppendBytes(b, c.head[f.v0:f.v1])
+		}
+	}
+	n := len(b)
+	for _, t := range tail {
+		b = append(b, t...)
+	}
+	c.enc = b
+	s := string(b)
+	return Header{enc: s[:n]}, s[n:]
+}
+
+// span returns the bounds [lo, hi) of key's fields in c.fields.
+func (c *msgReader) span(key string) (lo, hi int) {
+	for lo < len(c.fields) && string(c.head[c.fields[lo].k0:c.fields[lo].k1]) != key {
+		lo++
+	}
+	for hi = lo; hi < len(c.fields) && string(c.head[c.fields[hi].k0:c.fields[hi].k1]) == key; hi++ {
+	}
+	return lo, hi
 }
 
 // fixPragma adds Cache-Control: no-cache beside an HTTP/1.0 Pragma:
 // no-cache, as net/http does for requests and responses alike.
-func fixPragma(h http.Header) {
-	if pragma := h["Pragma"]; len(pragma) > 0 && pragma[0] == "no-cache" {
-		if _, ok := h["Cache-Control"]; !ok {
-			h["Cache-Control"] = []string{"no-cache"}
-		}
+func fixPragma(h *Header) {
+	if h.Get("Pragma") == "no-cache" && !h.Has("Cache-Control") {
+		h.Set("Cache-Control", "no-cache")
 	}
 }
 
@@ -464,10 +502,8 @@ func originForm(u *url.URL, target string) bool {
 		return false
 	}
 	path, query, hasQuery := strings.Cut(target, "?")
-	for i := 0; i < len(path); i++ {
-		if !pathByte[path[i]] {
-			return false
-		}
+	if !allIn(path, &pathByte) {
+		return false
 	}
 	for i := 0; i < len(query); i++ {
 		if b := query[i]; b < ' ' || b == 0x7f {
@@ -483,19 +519,19 @@ func originForm(u *url.URL, target string) bool {
 // repeats must agree and collapse to one, and the value is a decimal
 // number. It returns -1 when there is none; with chunked framing the caller
 // drops the header.
-func contentLength(h http.Header) (int64, error) {
-	cls := h["Content-Length"]
-	if len(cls) == 0 {
+func contentLength(h *Header) (int64, error) {
+	c, nv, _ := h.seek("Content-Length")
+	if nv == 0 {
 		return -1, nil
 	}
-	v := textproto.TrimString(cls[0])
-	if len(cls) > 1 {
-		for _, other := range cls[1:] {
-			if textproto.TrimString(other) != v {
+	v := textproto.TrimString(c.str())
+	if nv > 1 {
+		for i := 1; i < nv; i++ {
+			if textproto.TrimString(c.str()) != v {
 				return 0, badHeader("conflicting Content-Length")
 			}
 		}
-		h["Content-Length"] = []string{v}
+		h.Set("Content-Length", v)
 	}
 	if v == "" {
 		return 0, badHeader("empty Content-Length")
@@ -509,12 +545,12 @@ func contentLength(h http.Header) (int64, error) {
 
 // checkTrailer drops a chunked request's Trailer header, refusing one that
 // names a framing field, as net/http does.
-func checkTrailer(h http.Header, chunked bool) error {
-	names, ok := h["Trailer"]
-	if !ok || !chunked {
+func checkTrailer(h *Header, chunked bool) error {
+	if !chunked || !h.Has("Trailer") {
 		return nil
 	}
-	delete(h, "Trailer")
+	names := h.Values("Trailer")
+	h.Del("Trailer")
 	for _, v := range names {
 		for _, name := range strings.Split(v, ",") {
 			switch textproto.CanonicalMIMEHeaderKey(textproto.TrimString(name)) {
@@ -729,34 +765,31 @@ func (r *Response) WriteHTTP1(c *HTTP1Conn, method string) error {
 		b = strconv.AppendInt(append(b, " status code "...), int64(r.Status), 10)
 	}
 	b = append(b, "\r\n"...)
-	for k, vs := range r.Header {
+	r.Header.Each(func(k, v string) {
 		switch k {
 		case "Content-Length", "Transfer-Encoding":
-			continue
+			return
 		case "Content-Type":
 			if r.Status == http.StatusNotModified {
-				continue
+				return
 			}
 		case "Connection":
 			if !c.KeepAlive {
-				continue
+				return
 			}
 		}
-		if !isToken(k) {
-			continue
-		}
-		for _, v := range vs {
+		if isToken(k) {
 			b = appendField(b, k, v)
 		}
-	}
+	})
 	if !noBody {
 		b = strconv.AppendInt(append(b, "Content-Length: "...), n, 10)
 		b = append(b, "\r\n"...)
 	}
-	if _, ok := r.Header["Content-Type"]; send && !ok && r.Header.Get("Content-Encoding") == "" {
+	if send && !r.Header.Has("Content-Type") && r.Header.Get("Content-Encoding") == "" {
 		b = appendField(b, "Content-Type", http.DetectContentType(prefix))
 	}
-	if _, ok := r.Header["Date"]; !ok {
+	if !r.Header.Has("Date") {
 		b = time.Now().UTC().AppendFormat(append(b, "Date: "...), http.TimeFormat)
 		b = append(b, "\r\n"...)
 	}
@@ -764,7 +797,7 @@ func (r *Response) WriteHTTP1(c *HTTP1Conn, method string) error {
 		if !c.proto10 {
 			b = append(b, "Connection: close\r\n"...)
 		}
-	} else if _, ok := r.Header["Connection"]; c.proto10 && !ok {
+	} else if c.proto10 && !r.Header.Has("Connection") {
 		b = append(b, "Connection: keep-alive\r\n"...)
 	}
 	b = append(b, "\r\n"...)
@@ -829,12 +862,14 @@ func ClientIP(remoteAddr string) string {
 
 // The byte sets the codec checks against: an RFC 7230 token (tchar); the
 // bytes url.URL keeps unescaped in a path (unreserved characters and the
-// reserved ones its path encoding leaves alone); and the bytes net/http
-// allows in a Host header. All three include the letters and digits.
+// reserved ones its path encoding leaves alone); the bytes net/http allows
+// in a Host header; and those of them url.URL writes unescaped in a host.
+// All four include the letters and digits.
 var (
-	tokenByte = byteSet("!#$%&'*+-.^_`|~")
-	pathByte  = byteSet("-_.~$&+,/:;=@")
-	hostByte  = byteSet("!$%&'()*+,-.:;=[]_~")
+	tokenByte   = byteSet("!#$%&'*+-.^_`|~")
+	pathByte    = byteSet("-_.~$&+,/:;=@")
+	hostByte    = byteSet("!$%&'()*+,-.:;=[]_~")
+	keyHostByte = byteSet("-.:[]_~")
 )
 
 func byteSet(punct string) (t [256]bool) {
@@ -845,6 +880,15 @@ func byteSet(punct string) (t [256]bool) {
 }
 
 func isOWS(b byte) bool { return b == ' ' || b == '\t' }
+
+func allIn(s string, set *[256]bool) bool {
+	for i := 0; i < len(s); i++ {
+		if !set[s[i]] {
+			return false
+		}
+	}
+	return true
+}
 
 func isToken[T string | []byte](b T) bool {
 	for i := 0; i < len(b); i++ {
@@ -879,14 +923,7 @@ func validValue(b []byte) bool {
 	return true
 }
 
-func validHost(h string) bool {
-	for i := 0; i < len(h); i++ {
-		if !hostByte[h[i]] {
-			return false
-		}
-	}
-	return true
-}
+func validHost(h string) bool { return allIn(h, &hostByte) }
 
 // canonicalizeKey rewrites a token in place in canonical MIME form: upper
 // case first and after each hyphen, lower case elsewhere.

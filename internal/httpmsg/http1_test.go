@@ -131,7 +131,7 @@ func readAll(in []byte) []outcome {
 	}{bytes.NewReader(in), &sink})
 	var outs []outcome
 	for c.Await() == nil {
-		req := &Request{Header: make(http.Header)}
+		req := &Request{}
 		err := c.ReadRequest(req, testMaxBody)
 		if err == io.EOF {
 			break
@@ -305,7 +305,7 @@ func TestReadRequestRefusals(t *testing.T) {
 			io.Reader
 			io.Writer
 		}{strings.NewReader(tc.in), io.Discard})
-		err := c.ReadRequest(&Request{Header: make(http.Header)}, testMaxBody)
+		err := c.ReadRequest(&Request{}, testMaxBody)
 		var re *RequestError
 		if !errors.As(err, &re) || re.Status != tc.status || re.Reason != tc.reason {
 			t.Errorf("%.60q: err %v, want %d %s", tc.in, err, tc.status, tc.reason)
@@ -343,7 +343,7 @@ func TestReadRequestBodyGrowsWithArrival(t *testing.T) {
 				io.Reader
 				io.Writer
 			}{iotest.HalfReader(strings.NewReader(c.in)), io.Discard})
-			req = &Request{Header: make(http.Header)}
+			req = &Request{}
 			n = min(n, allocated(func() { err = c1.ReadRequest(req, testMaxBody) }))
 		}
 		switch {
@@ -370,7 +370,7 @@ func TestHeadLimitBoundary(t *testing.T) {
 			io.Reader
 			io.Writer
 		}{strings.NewReader(in), io.Discard})
-		err := c.ReadRequest(&Request{Header: make(http.Header)}, testMaxBody)
+		err := c.ReadRequest(&Request{}, testMaxBody)
 		if (err == nil) != (extra == 0) {
 			t.Errorf("head of MaxHeaderBytes+%d: err %v", extra, err)
 		}
@@ -423,7 +423,7 @@ func TestWriteHTTP1MatchesWriteToMethod(t *testing.T) {
 	}
 	var current func() *Response
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		req := &Request{Method: r.Method, Header: r.Header}
+		req := &Request{Method: r.Method, Header: FromHTTPHeader(r.Header)}
 		ApplyRange(req, current()).WriteToMethod(w, r.Method)
 	}))
 	defer srv.Close()
@@ -438,7 +438,7 @@ func TestWriteHTTP1MatchesWriteToMethod(t *testing.T) {
 				io.Reader
 				io.Writer
 			}{strings.NewReader(in + "\r\n"), &wire})
-			req := &Request{Header: make(http.Header)}
+			req := &Request{}
 			if err := c.ReadRequest(req, testMaxBody); err != nil {
 				t.Fatal(err)
 			}
@@ -487,6 +487,34 @@ func TestWriteHTTP1MatchesWriteToMethod(t *testing.T) {
 	}
 }
 
+// TestWriteHTTP1HeaderOrder: one reply goes out with its fields in the same
+// order every time it is written.
+func TestWriteHTTP1HeaderOrder(t *testing.T) {
+	resp := NewResponse(200)
+	resp.Header.Set("Content-Type", "text/html")
+	resp.Header.Set("Cache-Control", "max-age=60")
+	resp.Header.Set("Etag", `"v1"`)
+	resp.Header.Set("Date", "Sat, 17 Oct 2026 12:00:00 GMT")
+	resp.Body = []byte("<p>hi</p>")
+	var first string
+	for i := 0; i < 20; i++ {
+		var wire bytes.Buffer
+		c := NewHTTP1Conn(struct {
+			io.Reader
+			io.Writer
+		}{strings.NewReader(""), &wire})
+		c.KeepAlive = true
+		if err := resp.WriteHTTP1(c, http.MethodGet); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = wire.String()
+		} else if wire.String() != first {
+			t.Fatalf("write %d:\n%s\nthe first:\n%s", i, wire.String(), first)
+		}
+	}
+}
+
 // TestWriteHTTP1ConnectionHeader: a closing HTTP/1.1 connection says so,
 // an HTTP/1.0 connection kept open says keep-alive, and a response's own
 // Connection: close closes the connection.
@@ -507,7 +535,7 @@ func TestWriteHTTP1ConnectionHeader(t *testing.T) {
 			io.Reader
 			io.Writer
 		}{strings.NewReader(tc.in), &wire})
-		req := &Request{Header: make(http.Header)}
+		req := &Request{}
 		if err := c.ReadRequest(req, testMaxBody); err != nil {
 			t.Fatal(err)
 		}

@@ -18,9 +18,12 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+
+	"nakika/internal/wire"
 )
 
 // Request is a complete HTTP request as seen by the pipeline.
@@ -30,7 +33,7 @@ type Request struct {
 	// URL is the absolute request URL.
 	URL *url.URL
 	// Header holds the request headers in canonical form.
-	Header http.Header
+	Header Header
 	// Body is the full request body (may be nil).
 	Body []byte
 	// ClientIP is the IP address of the originating client (without port).
@@ -63,7 +66,7 @@ func NewRequest(method, rawURL string) (*Request, error) {
 	if u.Scheme == "" {
 		u.Scheme = "http"
 	}
-	return &Request{Method: method, URL: u, Header: make(http.Header)}, nil
+	return &Request{Method: method, URL: u}, nil
 }
 
 // MustRequest is NewRequest that panics on error; for tests and fixtures.
@@ -99,9 +102,19 @@ func (r *Request) SiteKey() string {
 
 // CacheKey is the canonical key under which a response to this request is
 // cached and published in the cooperative cache index: method plus the URL
-// without fragment.
+// without fragment. A URL whose String would write its fields as they are,
+// as the client port's parse of an origin-form target gives, is written
+// from them in one allocation.
 func (r *Request) CacheKey() string {
 	u := r.URL
+	if u.Opaque == "" && u.User == nil && u.RawPath == "" && u.Scheme != "" && u.Host != "" &&
+		allIn(u.Host, &keyHostByte) && (u.Path == "" || u.Path[0] == '/') && allIn(u.Path, &pathByte) {
+		q := ""
+		if u.ForceQuery || u.RawQuery != "" {
+			q = "?"
+		}
+		return r.Method + " " + u.Scheme + "://" + u.Host + u.Path + q + u.RawQuery
+	}
 	if u.Fragment != "" || u.RawFragment != "" {
 		cp := *u
 		cp.Fragment, cp.RawFragment = "", ""
@@ -114,7 +127,7 @@ func (r *Request) CacheKey() string {
 func (r *Request) Clone() *Request {
 	cp := &Request{
 		Method:     r.Method,
-		Header:     cloneHeader(r.Header),
+		Header:     r.Header,
 		ClientIP:   r.ClientIP,
 		Redirected: r.Redirected,
 		TraceID:    r.TraceID,
@@ -170,11 +183,13 @@ func (r *Request) ClearTermination() { r.terminated = nil }
 
 // Cookie returns the named cookie value and whether it was present.
 func (r *Request) Cookie(name string) (string, bool) {
-	for _, line := range r.Header.Values("Cookie") {
-		for _, part := range strings.Split(line, ";") {
-			kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-			if len(kv) == 2 && kv[0] == name {
-				return kv[1], true
+	c, n, _ := r.Header.seek("Cookie")
+	for ; n > 0; n-- {
+		for line := c.str(); line != ""; {
+			var part string
+			part, line, _ = strings.Cut(line, ";")
+			if k, v, ok := strings.Cut(strings.TrimSpace(part), "="); ok && k == name {
+				return v, true
 			}
 		}
 	}
@@ -194,7 +209,7 @@ type Response struct {
 	// Status is the HTTP status code.
 	Status int
 	// Header holds the response headers in canonical form.
-	Header http.Header
+	Header Header
 	// Body is the entire instance of the resource. It may alias another
 	// response's (see Clone): call Materialize before writing into it.
 	Body []byte
@@ -223,7 +238,7 @@ type Response struct {
 
 // NewResponse returns an empty response with the given status.
 func NewResponse(status int) *Response {
-	return &Response{Status: status, Header: make(http.Header)}
+	return &Response{Status: status}
 }
 
 // NewTextResponse builds a text/plain response with the given status and
@@ -273,18 +288,19 @@ func (r *Response) ContentType() string {
 	return strings.TrimSpace(ct)
 }
 
-// Clone returns a copy of the response with its own headers and the same
-// body bytes. The clone's Body is a full slice expression over r's, so an
-// append to it never writes into r's array, and it is marked shared: it is
-// read-only until Materialize, which every script access to a body goes
-// through, gives the clone a private copy. The callers of one coalesced
-// fetch therefore share its bytes until a script touches them. A body stream
-// is shared too: streams are read-only views over the segment tier.
+// Clone returns a copy of the response with the same header, which a write
+// to either replaces, and the same body bytes. The clone's Body is a full
+// slice expression over r's, so an append to it never writes into r's array,
+// and it is marked shared: it is read-only until Materialize, which every
+// script access to a body goes through, gives the clone a private copy. The
+// callers of one coalesced fetch therefore share its bytes until a script
+// touches them. A body stream is shared too: streams are read-only views
+// over the segment tier.
 func (r *Response) Clone() *Response {
 	n := len(r.Body)
 	return &Response{
 		Status:    r.Status,
-		Header:    cloneHeader(r.Header),
+		Header:    r.Header,
 		Body:      r.Body[:n:n],
 		Generated: r.Generated,
 		FromCache: r.FromCache,
@@ -297,13 +313,13 @@ func (r *Response) Clone() *Response {
 	}
 }
 
-// StoredForm returns the form a cache keeps r in (Stored): its header as
-// AppendHeader's bytes, and its body and scalar fields as they are. The body
-// is r's own: a cache copies it into storage of its own before r goes on.
+// StoredForm returns the form a cache keeps r in (Stored): its header, body
+// and scalar fields as they are. The body is r's own: a cache copies it into
+// storage of its own before r goes on.
 func (r *Response) StoredForm() Stored {
 	return Stored{
 		Status:    r.Status,
-		Header:    EncodeHeader(r.Header),
+		Header:    r.Header,
 		Body:      r.Body,
 		Via:       r.Via,
 		Generated: r.Generated,
@@ -332,34 +348,44 @@ type cacheControl struct {
 	maxAge, sMaxAge time.Duration
 }
 
-func parseCacheControl(h http.Header) cacheControl {
+func parseCacheControl(h Header) cacheControl {
 	cc := cacheControl{maxAge: -1, sMaxAge: -1}
-	for _, line := range h.Values("Cache-Control") {
-		for line != "" {
-			var directive string
-			directive, line, _ = strings.Cut(line, ",")
-			name, arg, _ := strings.Cut(strings.TrimSpace(directive), "=")
-			switch {
-			case strings.EqualFold(name, "no-store"), strings.EqualFold(name, "private"), strings.EqualFold(name, "no-cache"):
-				cc.noStore = true
-			case strings.EqualFold(name, "public"):
-				cc.public = true
-			case strings.EqualFold(name, "must-revalidate"):
-				cc.mustRevalidate = true
-			case strings.EqualFold(name, "max-age"):
-				cc.maxAge = deltaSeconds(arg)
-			case strings.EqualFold(name, "s-maxage"):
-				cc.sMaxAge = deltaSeconds(arg)
-			}
+	h.anyElement("Cache-Control", func(directive string) bool {
+		name, arg, _ := strings.Cut(directive, "=")
+		switch {
+		case strings.EqualFold(name, "no-store"), strings.EqualFold(name, "private"), strings.EqualFold(name, "no-cache"):
+			cc.noStore = true
+		case strings.EqualFold(name, "public"):
+			cc.public = true
+		case strings.EqualFold(name, "must-revalidate"):
+			cc.mustRevalidate = true
+		case strings.EqualFold(name, "max-age"):
+			cc.maxAge = deltaSeconds(arg)
+		case strings.EqualFold(name, "s-maxage"):
+			cc.sMaxAge = deltaSeconds(arg)
 		}
-	}
+		return false
+	})
 	return cc
 }
 
+// maxDelta is what a delta-seconds value too large to represent reads as
+// (RFC 9111 §1.2.2): 2^31 seconds.
+const maxDelta = 1 << 31
+
+// deltaSeconds reads a delta-seconds value, a non-empty run of digits, or
+// returns -1. A value above maxDelta reads as maxDelta.
 func deltaSeconds(arg string) time.Duration {
-	secs, err := strconv.ParseUint(arg, 10, 31)
-	if err != nil {
+	if arg == "" {
 		return -1
+	}
+	secs := int64(0)
+	for i := 0; i < len(arg); i++ {
+		c := arg[i]
+		if c < '0' || c > '9' {
+			return -1
+		}
+		secs = min(secs*10+int64(c-'0'), maxDelta)
 	}
 	return time.Duration(secs) * time.Second
 }
@@ -370,11 +396,14 @@ func deltaSeconds(arg string) time.Duration {
 // head whose body has not been read yet. 304 Not Modified is deliberately not
 // storable as content: it carries no body, so storing it would later serve an
 // empty page. A 304 instead revalidates the stored 200 (see cache.Refresh).
-func Storable(status int, h http.Header) bool {
+// Nor is a reply that carries Vary: the node keys a copy by its URL alone,
+// so it could not tell which request a variant answers (RFC 9111 §4.1), and
+// such a reply passes through uncached.
+func Storable(status int, h Header) bool {
 	if status != http.StatusOK && status != http.StatusMovedPermanently && status != http.StatusNotFound {
 		return false
 	}
-	return !parseCacheControl(h).noStore
+	return !h.Has("Vary") && !parseCacheControl(h).noStore
 }
 
 // Shareable reports whether a shared cache may keep a reply to req and hand
@@ -382,7 +411,7 @@ func Storable(status int, h http.Header) bool {
 // flight of coalesced misses shares. The reply must be Storable, and a reply
 // to a request that carried Authorization must say it is for everyone
 // (RFC 9111 §3.5: public, s-maxage or must-revalidate).
-func Shareable(req *Request, status int, h http.Header) bool {
+func Shareable(req *Request, status int, h Header) bool {
 	if !Storable(status, h) {
 		return false
 	}
@@ -394,21 +423,23 @@ func Shareable(req *Request, status int, h http.Header) bool {
 }
 
 // FreshFor returns how long a shared cache may serve a response carrying
-// these headers without revalidation: s-maxage, else max-age, else the time
-// left until Expires. ok is false when the headers carry no freshness
-// information at all — the default TTL is then applied by the cache
-// (cache.Expiry), not here. With ok true a duration of zero or less means
-// the response is stale on arrival (max-age=0, s-maxage=0, an Expires that
-// is not in the future or is not a date: RFC 9111 section 5.3 reads an
+// these headers without revalidation: s-maxage, else max-age, less the Age
+// the reply arrived with (RFC 9111 §4.2.3), else the time left until
+// Expires, an absolute time no Age moves. ok is false when the headers carry
+// no freshness information at all — the default TTL is then applied by the
+// cache (cache.Expiry), not here. With ok true a duration of zero or less
+// means the response is stale on arrival (max-age=0, s-maxage=0, an Expires
+// that is not in the future or is not a date: RFC 9111 section 5.3 reads an
 // invalid Expires, "0" especially, as already expired) and must not be given
 // the default TTL.
-func FreshFor(h http.Header, now time.Time) (fresh time.Duration, ok bool) {
+func FreshFor(h Header, now time.Time) (fresh time.Duration, ok bool) {
 	cc := parseCacheControl(h)
-	if cc.sMaxAge >= 0 {
-		return cc.sMaxAge, true
+	lifetime := cc.sMaxAge
+	if lifetime < 0 {
+		lifetime = cc.maxAge
 	}
-	if cc.maxAge >= 0 {
-		return cc.maxAge, true
+	if lifetime >= 0 {
+		return lifetime - max(deltaSeconds(h.Get("Age")), 0), true
 	}
 	if exp := h.Get("Expires"); exp != "" {
 		t, err := http.ParseTime(exp)
@@ -443,15 +474,15 @@ func (r *Response) SetAbsoluteExpiry(t time.Time) {
 // proxy listener) into a pipeline Request, reading at most maxBody bytes of
 // body. A maxBody of zero or less means unlimited.
 func FromHTTPRequest(hr *http.Request, maxBody int64) (*Request, error) {
-	req := &Request{Header: make(http.Header, len(hr.Header))}
+	req := &Request{}
 	if err := fillFromHTTPRequest(req, hr, maxBody); err != nil {
 		return nil, err
 	}
 	return req, nil
 }
 
-// fillFromHTTPRequest populates req (whose Header map must be live) from an
-// inbound net/http request; shared by the allocating and pooled converters.
+// fillFromHTTPRequest populates req from an inbound net/http request;
+// shared by the allocating and pooled converters.
 //
 // A bodyless request (a server hands every GET http.NoBody) reads nothing
 // and leaves req.Body nil. Otherwise a declared length over maxBody is
@@ -467,7 +498,7 @@ func fillFromHTTPRequest(req *Request, hr *http.Request, maxBody int64) error {
 	if req.URL.Scheme == "" {
 		req.URL.Scheme = "http"
 	}
-	copyHeaderInto(req.Header, hr.Header)
+	req.Header = FromHTTPHeader(hr.Header)
 	req.ClientIP = ClientIP(hr.RemoteAddr)
 	if hr.Body == nil || hr.Body == http.NoBody || hr.ContentLength == 0 {
 		return nil
@@ -517,11 +548,7 @@ func bodyless(status int) bool {
 //     io.WriterTo) and flushed after each, so the first byte reaches the
 //     client before the stream finishes.
 func (r *Response) WriteToMethod(w http.ResponseWriter, method string) error {
-	for k, vs := range r.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
+	r.Header.Each(w.Header().Add)
 	if bodyless(r.Status) {
 		// No body, and no invented Content-Length: for a 304 the carried
 		// headers describe the validated representation, not this message.
@@ -565,37 +592,25 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// anyListElement calls f on each non-empty element of the comma-separated
-// lists in values, its blanks trimmed, and reports whether f returned true
-// for one; it stops there.
-func anyListElement(values []string, f func(elem string) bool) bool {
-	for _, v := range values {
-		for v != "" {
-			var elem string
-			elem, v, _ = strings.Cut(v, ",")
-			if elem = strings.Trim(elem, " \t"); elem != "" && f(elem) {
-				return true
-			}
+// FromHTTPHeader converts a net/http header: its keys as they are, in sorted
+// order, each with its values in order.
+func FromHTTPHeader(h http.Header) Header {
+	if len(h) == 0 {
+		return Header{}
+	}
+	var small [16]string // the keys of a usual header sort on the stack
+	keys := small[:0]
+	for k := range h {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var buf [512]byte // and a usual header encodes there
+	b := wire.AppendUvarint(buf[:0], uint64(len(keys)))
+	for _, k := range keys {
+		b = wire.AppendUvarint(wire.AppendString(b, k), uint64(len(h[k])))
+		for _, v := range h[k] {
+			b = wire.AppendString(b, v)
 		}
 	}
-	return false
-}
-
-// cloneHeader deep-copies a header in two allocations: the map and one flat
-// backing array all value slices are carved from (rather than one slice
-// allocation per key). Callers may append to a cloned key's values; append
-// sees the sub-slice at full length and copies out, so siblings are safe.
-func cloneHeader(h http.Header) http.Header {
-	out := make(http.Header, len(h))
-	n := 0
-	for _, vs := range h {
-		n += len(vs)
-	}
-	flat := make([]string, 0, n)
-	for k, vs := range h {
-		lo := len(flat)
-		flat = append(flat, vs...)
-		out[k] = flat[lo:len(flat):len(flat)]
-	}
-	return out
+	return Header{enc: string(b)}
 }

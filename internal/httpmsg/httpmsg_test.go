@@ -67,6 +67,28 @@ func TestCacheKey(t *testing.T) {
 	}
 }
 
+// TestCacheKeyMatchesURLString: the key CacheKey writes from a URL's
+// fields is the one url.URL.String gives, whatever the URL.
+func TestCacheKeyMatchesURLString(t *testing.T) {
+	for _, raw := range []string{
+		"http://example.org/a", "http://example.org", "http://example.org/a?x=1&y=%20", "http://example.org/a?",
+		"http://Example.ORG:8080/a/b;c=d/e@f$g", "http://example.org/a%20b", "http://example.org/a%2Fb",
+		"http://example.org/a b", "http://example.org/é", "http://[::1]:80/x", "http://[fe80::1%25en0]/x",
+		"http://user:pw@example.org/x", "mailto:someone@example.org", "https://example.org/a#frag",
+		"http://example.org/a?q#frag", "http://example.org/a//b/../c",
+	} {
+		r, err := NewRequest("GET", raw)
+		if err != nil {
+			continue
+		}
+		u := *r.URL
+		u.Fragment, u.RawFragment = "", ""
+		if got, want := r.CacheKey(), "GET "+u.String(); got != want {
+			t.Errorf("%s: CacheKey %q, want %q", raw, got, want)
+		}
+	}
+}
+
 func TestRequestClone(t *testing.T) {
 	r := MustRequest("POST", "http://example.org/submit")
 	r.Header.Set("X-Test", "1")
@@ -259,6 +281,70 @@ func TestFreshFor(t *testing.T) {
 	}
 }
 
+// TestFreshForSubtractsAge: a reply's Age is time it already spent in caches
+// on its way, so it counts against the lifetime max-age or s-maxage gives
+// (RFC 9111 §4.2.3). An Expires is an absolute time, which no Age moves.
+func TestFreshForSubtractsAge(t *testing.T) {
+	now := time.Unix(1792238400, 0)
+	for _, c := range []struct {
+		name, cc, age string
+		expires, want time.Duration
+	}{
+		{"max-age", "max-age=600", "590", 0, 10 * time.Second},
+		{"s-maxage", "max-age=60, s-maxage=600", "590", 0, 10 * time.Second},
+		{"an Age past the lifetime", "max-age=60", "120", 0, -60 * time.Second},
+		{"no Age", "max-age=600", "", 0, 600 * time.Second},
+		{"an unparsable Age", "max-age=600", "soon", 0, 600 * time.Second},
+		{"Expires", "", "590", 600 * time.Second, 600 * time.Second},
+	} {
+		r := NewResponse(200)
+		if c.cc != "" {
+			r.Header.Set("Cache-Control", c.cc)
+		}
+		if c.age != "" {
+			r.Header.Set("Age", c.age)
+		}
+		if c.expires != 0 {
+			r.SetAbsoluteExpiry(now.Add(c.expires))
+		}
+		if got, ok := FreshFor(r.Header, now); got != c.want || !ok {
+			t.Errorf("%s: FreshFor = %v, %v; want %v", c.name, got, ok, c.want)
+		}
+	}
+}
+
+// TestFreshForClampsLargeDeltas: a max-age or s-maxage too large to represent
+// reads as 2^31 seconds (RFC 9111 §1.2.2), not as absent.
+func TestFreshForClampsLargeDeltas(t *testing.T) {
+	now := time.Unix(1792238400, 0)
+	for cc, want := range map[string]time.Duration{
+		"max-age=2147483647":                        2147483647 * time.Second,
+		"max-age=2147483648":                        1 << 31 * time.Second,
+		"max-age=4294967296":                        1 << 31 * time.Second,
+		"s-maxage=99999999999999999999999":          1 << 31 * time.Second,
+		"max-age=60, s-maxage=18446744073709551616": 1 << 31 * time.Second,
+	} {
+		r := NewResponse(200)
+		r.Header.Set("Cache-Control", cc)
+		if got, ok := FreshFor(r.Header, now); got != want || !ok {
+			t.Errorf("%s: FreshFor = %v, %v; want %v", cc, got, ok, want)
+		}
+	}
+}
+
+// TestStorableRefusesVary: the node keys a stored reply by its URL alone, so
+// a reply that varies with a request header is not stored (RFC 9111 §4.1).
+func TestStorableRefusesVary(t *testing.T) {
+	for _, v := range []string{"Cookie", "Accept-Encoding", "*"} {
+		r := NewResponse(200)
+		r.SetMaxAge(60)
+		r.Header.Set("Vary", v)
+		if Storable(200, r.Header) || r.Cacheable() {
+			t.Errorf("a reply with Vary: %s is storable", v)
+		}
+	}
+}
+
 // TestSharedCachePolicy is the table for the one policy function pair:
 // Storable and FreshFor read the same directive list, token by token and
 // without regard to case. known separates "the headers say nothing" (the
@@ -300,13 +386,14 @@ func TestSharedCachePolicy(t *testing.T) {
 		{"304", 304, http.Header{"Cache-Control": {"max-age=60"}}, false, time.Minute, true},
 		{"500", 500, http.Header{}, false, 0, false},
 	} {
-		if got := Storable(c.status, c.header); got != c.storable {
+		h := FromHTTPHeader(c.header)
+		if got := Storable(c.status, h); got != c.storable {
 			t.Errorf("%s: Storable = %v, want %v", c.name, got, c.storable)
 		}
-		if got, known := FreshFor(c.header, now); got != c.fresh || known != c.known {
+		if got, known := FreshFor(h, now); got != c.fresh || known != c.known {
 			t.Errorf("%s: FreshFor = %v, %v; want %v, %v", c.name, got, known, c.fresh, c.known)
 		}
-		r := &Response{Status: c.status, Header: c.header}
+		r := &Response{Status: c.status, Header: h}
 		if r.Cacheable() != c.storable {
 			t.Errorf("%s: Cacheable disagrees with Storable", c.name)
 		}

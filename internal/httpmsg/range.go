@@ -200,7 +200,7 @@ func ApplyRange(req *Request, resp *Response) *Response {
 	}
 	out := &Response{
 		Status:    http.StatusPartialContent,
-		Header:    cloneHeader(resp.Header),
+		Header:    resp.Header,
 		Generated: resp.Generated,
 		FromCache: resp.FromCache,
 		Via:       resp.Via,

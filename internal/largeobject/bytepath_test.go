@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/httpmsg"
 	"nakika/internal/store"
 	"nakika/internal/wire"
 )
@@ -239,7 +240,7 @@ func FuzzSlabSegment(f *testing.F) {
 	f.Add(store.AppendFrame(nil, make([]byte, SegIDLen-1)))
 	f.Add(store.AppendFrame(nil, nil))
 	f.Add([]byte{})
-	manifest := &Manifest{Key: "GET http://o/fuzz", Status: 200, Header: http.Header{"Etag": {`"f"`}},
+	manifest := &Manifest{Key: "GET http://o/fuzz", Status: 200, Header: httpmsg.FromHTTPHeader(http.Header{"Etag": {`"f"`}}),
 		TotalLen: segSize + 5, SegSize: segSize, Segments: []SegID{HashSegment(goldenData), HashSegment([]byte("tail!"))}}
 	record := store.AppendFrame(nil, appendManifestRecord(nil, manifest.Key, manifest))
 	tombstone := store.AppendFrame(nil, appendManifestRecord(nil, manifest.Key, nil))

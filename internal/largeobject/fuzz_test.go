@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/httpmsg"
 	"nakika/internal/wire"
 )
 
@@ -21,7 +22,7 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add(AppendManifest(nil, seed))
 	// A partly ingested object with headers and a fetch time.
 	f.Add(AppendManifest(nil, &Manifest{Key: "GET http://example.org/part", Status: 200,
-		Header: http.Header{"Etag": {`"v1"`}}, TotalLen: 2500, SegSize: 1024,
+		Header: httpmsg.FromHTTPHeader(http.Header{"Etag": {`"v1"`}}), TotalLen: 2500, SegSize: 1024,
 		Segments: seed.Segments[:1], Expires: time.Unix(1754600000, 0)}))
 	f.Add([]byte{0})
 	f.Add([]byte{})

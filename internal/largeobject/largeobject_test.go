@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/httpmsg"
 	"nakika/internal/store"
 )
 
@@ -29,7 +30,7 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	m := &Manifest{
 		Key:      "GET http://example.org/big.bin",
 		Status:   200,
-		Header:   http.Header{"Etag": {`"v1"`}, "Content-Type": {"application/octet-stream"}},
+		Header:   httpmsg.FromHTTPHeader(http.Header{"Etag": {`"v1"`}, "Content-Type": {"application/octet-stream"}}),
 		TotalLen: 2_500_000,
 		SegSize:  1 << 20,
 		Expires:  time.Unix(0, 1754600000000000000),
@@ -298,7 +299,7 @@ func TestTierRefreshManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	renewed := expires.Add(time.Hour)
-	got, ok := tier.RefreshManifest("GET http://x/o", http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=90"}}, renewed)
+	got, ok := tier.RefreshManifest("GET http://x/o", httpmsg.FromHTTPHeader(http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=90"}}), renewed)
 	if !ok {
 		t.Fatal("refresh missed the manifest")
 	}
@@ -314,7 +315,7 @@ func TestTierRefreshManifest(t *testing.T) {
 	if !ok || !m2.Expires.Equal(renewed) || m2.Header.Get("Cache-Control") != "max-age=90" {
 		t.Fatalf("renewal not persisted: %+v", m2)
 	}
-	if _, ok := tier.RefreshManifest("GET http://x/none", nil, renewed); ok {
+	if _, ok := tier.RefreshManifest("GET http://x/none", httpmsg.Header{}, renewed); ok {
 		t.Fatal("refresh of a missing manifest reported ok")
 	}
 }
@@ -368,7 +369,7 @@ func TestTierReopenTable(t *testing.T) {
 		{"complete", ingest, "max-age=5", expires},
 		{"refreshed", func(t *testing.T, tier *Tier) {
 			ingest(t, tier)
-			if _, ok := tier.RefreshManifest(key, http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=90"}}, renewed); !ok {
+			if _, ok := tier.RefreshManifest(key, httpmsg.FromHTTPHeader(http.Header{"Etag": {`"v1"`}, "Cache-Control": {"max-age=90"}}), renewed); !ok {
 				t.Fatal("refresh missed the manifest")
 			}
 		}, "max-age=90", renewed},

@@ -18,7 +18,6 @@ package largeobject
 import (
 	"crypto/sha256"
 	"fmt"
-	"net/http"
 	"time"
 
 	"nakika/internal/httpmsg"
@@ -49,7 +48,7 @@ type Manifest struct {
 	Status int
 	// Header carries the origin response headers, including validators
 	// (ETag, Last-Modified) used for revalidation.
-	Header http.Header
+	Header httpmsg.Header
 	// TotalLen is the full instance length in bytes.
 	TotalLen int64
 	// SegSize is the segment size; every segment except the last is exactly
@@ -88,20 +87,8 @@ func (m *Manifest) SegmentSpan(i int) (from, to int64) {
 // Clone returns a deep copy of the manifest.
 func (m *Manifest) Clone() *Manifest {
 	cp := *m
-	cp.Header = cloneHeader(m.Header)
 	cp.Segments = append([]SegID(nil), m.Segments...)
 	return &cp
-}
-
-func cloneHeader(h http.Header) http.Header {
-	if h == nil {
-		return nil
-	}
-	out := make(http.Header, len(h))
-	for k, vs := range h {
-		out[k] = append([]string(nil), vs...)
-	}
-	return out
 }
 
 // manifestVersion is the first byte of every encoded manifest, so the format

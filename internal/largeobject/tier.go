@@ -112,7 +112,7 @@ func (t *Tier) AppendSegment(key string, ord int, id SegID) (*Manifest, error) {
 // as the cache's one 304 rule (cache.Renew) made them, replace the stored
 // ones. Segment ids and bodies are untouched. Returns the refreshed
 // manifest, or false when key has no manifest.
-func (t *Tier) RefreshManifest(key string, header http.Header, expires time.Time) (*Manifest, bool) {
+func (t *Tier) RefreshManifest(key string, header httpmsg.Header, expires time.Time) (*Manifest, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m, ok := t.manifests[key]
@@ -120,7 +120,7 @@ func (t *Tier) RefreshManifest(key string, header http.Header, expires time.Time
 		return nil, false
 	}
 	cp := m.Clone()
-	cp.Header, cp.Expires = cloneHeader(header), expires
+	cp.Header, cp.Expires = header, expires
 	t.manifests[key] = cp
 	if cp.Complete() {
 		// Recording the renewed expiry is best-effort; if the record cannot
@@ -150,15 +150,20 @@ func (t *Tier) GetSegment(id SegID) ([]byte, bool) { return t.slab.Get(id) }
 // Resident returns how many of m's segments are in the slab.
 func (t *Tier) Resident(m *Manifest) int { return t.slab.Resident(m) }
 
-// IngestBody chunks a complete body into the tier: every segment is hashed
-// and stored, and the complete manifest, fresh until expires, is installed
-// and appended. Used for whole bodies already in memory; streaming ingest
-// drives AppendSegment instead.
+// IngestBody is Ingest with a net/http header.
 func (t *Tier) IngestBody(key string, status int, header http.Header, expires time.Time, body []byte) (*Manifest, error) {
+	return t.Ingest(key, status, httpmsg.FromHTTPHeader(header), expires, body)
+}
+
+// Ingest chunks a complete body into the tier: every segment is hashed and
+// stored, and the complete manifest, fresh until expires, is installed and
+// appended. Used for whole bodies already in memory; streaming ingest
+// drives AppendSegment instead.
+func (t *Tier) Ingest(key string, status int, header httpmsg.Header, expires time.Time, body []byte) (*Manifest, error) {
 	m := &Manifest{
 		Key:      key,
 		Status:   status,
-		Header:   cloneHeader(header),
+		Header:   header,
 		TotalLen: int64(len(body)),
 		SegSize:  t.segSize,
 		Expires:  expires,

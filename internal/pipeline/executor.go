@@ -15,14 +15,9 @@ import (
 	"nakika/internal/vocab"
 )
 
-// Default well-known script locations (Section 3.1): administrative control
-// scripts come from the Na Kika site itself; the site-specific script is the
-// nakika.js resource at the site root.
-const (
-	DefaultClientWallURL = "http://nakika.net/clientwall.js"
-	DefaultServerWallURL = "http://nakika.net/serverwall.js"
-	SiteScriptName       = "nakika.js"
-)
+// SiteScriptName is the well-known location of the site-specific script
+// (Section 3.1): the nakika.js resource at the site root.
+const SiteScriptName = "nakika.js"
 
 // DefaultMaxStages bounds dynamically scheduled stages so a malicious script
 // cannot schedule stages forever.
@@ -43,9 +38,10 @@ type Executor struct {
 	// Resources, when non-nil, receives admission decisions, consumption
 	// charges, and termination registrations.
 	Resources *resource.Manager
-	// ClientWallURL and ServerWallURL override the administrative control
-	// script locations; node administrators may point these at their own,
-	// location-specific policies.
+	// ClientWallURL and ServerWallURL locate the administrative control
+	// scripts (Section 3.1), the first and the last stage of every pipeline;
+	// node administrators point these at their own, location-specific
+	// policies. An empty one means no such stage, and no fetch for it.
 	ClientWallURL string
 	ServerWallURL string
 	// MaxStages bounds the total number of stages per pipeline; zero means
@@ -174,11 +170,14 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 	// and dynamically scheduled stages just grow past the array.
 	var forwardBuf [8]string
 	siteScriptURL := e.siteScriptURL(req)
-	forward := append(forwardBuf[:0],
-		e.serverWallURL(),
-		siteScriptURL,
-		e.clientWallURL(),
-	)
+	forward := forwardBuf[:0]
+	if e.ServerWallURL != "" {
+		forward = append(forward, e.ServerWallURL)
+	}
+	forward = append(forward, siteScriptURL)
+	if e.ClientWallURL != "" {
+		forward = append(forward, e.ClientWallURL)
+	}
 
 	// Pin the site's deployed stage (if any) for the life of this request.
 	// The backward unwind reuses the *Stage pointers captured on the forward
@@ -457,20 +456,6 @@ func (e *Executor) policyInput(req *httpmsg.Request) policy.Input {
 		in.ClientHost = e.ClientHostLookup(req.ClientIP)
 	}
 	return in
-}
-
-func (e *Executor) clientWallURL() string {
-	if e.ClientWallURL != "" {
-		return e.ClientWallURL
-	}
-	return DefaultClientWallURL
-}
-
-func (e *Executor) serverWallURL() string {
-	if e.ServerWallURL != "" {
-		return e.ServerWallURL
-	}
-	return DefaultServerWallURL
 }
 
 // siteScriptURL returns the nakika.js location for the request's site,

@@ -50,14 +50,22 @@ func (h *scriptHost) Log(site, message string) {
 
 func (h *scriptHost) NodeName() string { return "pipeline-test-node" }
 
-// newExecutor wires a loader, host, and origin fetcher into an executor. The
-// origin fetcher serves from the host's origin map so tests can distinguish
-// script fetches from content fetches.
+// The walls the tests' executors run.
+const (
+	testClientWall = "http://nakika.net/clientwall.js"
+	testServerWall = "http://nakika.net/serverwall.js"
+)
+
+// newExecutor wires a loader, host, and origin fetcher into an executor with
+// both walls. The origin fetcher serves from the host's origin map so tests
+// can distinguish script fetches from content fetches.
 func newExecutor(h *scriptHost) *Executor {
 	loader := NewLoader(h, script.Limits{})
 	return &Executor{
-		Loader: loader,
-		Host:   h,
+		Loader:        loader,
+		Host:          h,
+		ClientWallURL: testClientWall,
+		ServerWallURL: testServerWall,
 		FetchOrigin: func(req *httpmsg.Request) (*httpmsg.Response, error) {
 			h.mu.Lock()
 			body, ok := h.origin[req.URL.String()]
@@ -82,18 +90,18 @@ func TestPlainPassThrough(t *testing.T) {
 	if resp.Status != 200 || string(resp.Body) != "<html>hello</html>" {
 		t.Errorf("resp = %d %q", resp.Status, resp.Body)
 	}
-	// The three default stages ran (clientwall, site script, serverwall),
-	// all empty, and the origin was fetched.
+	// The three stages ran (clientwall, site script, serverwall), all
+	// empty, and the origin was fetched.
 	if len(trace.Stages) != 3 {
 		t.Errorf("stages = %d, want 3", len(trace.Stages))
 	}
-	if trace.Stages[0].ScriptURL != DefaultClientWallURL {
+	if trace.Stages[0].ScriptURL != testClientWall {
 		t.Errorf("first stage = %s", trace.Stages[0].ScriptURL)
 	}
 	if trace.Stages[1].ScriptURL != "http://example.org/nakika.js" {
 		t.Errorf("second stage = %s", trace.Stages[1].ScriptURL)
 	}
-	if trace.Stages[2].ScriptURL != DefaultServerWallURL {
+	if trace.Stages[2].ScriptURL != testServerWall {
 		t.Errorf("third stage = %s", trace.Stages[2].ScriptURL)
 	}
 	if trace.Generated {
@@ -135,7 +143,7 @@ func TestOnRequestTerminates(t *testing.T) {
 	// Figure 5: block non-local clients from digital library URLs.
 	h := newScriptHost()
 	h.origin["http://content.nejm.org/cgi/reprint/1.pdf"] = "PDF-BYTES"
-	h.scripts[DefaultClientWallURL] = `
+	h.scripts[testClientWall] = `
 		var p = new Policy();
 		p.url = [ "bmj.bmjjournals.com/cgi/reprint", "content.nejm.org/cgi/reprint" ];
 		p.onRequest = function() {
@@ -323,10 +331,10 @@ func TestDynamicStagesRunBeforeAlreadyScheduled(t *testing.T) {
 		order = append(order, s.ScriptURL)
 	}
 	want := []string{
-		DefaultClientWallURL,
+		testClientWall,
 		"http://site.example.org/nakika.js",
 		"http://site.example.org/extra.js",
-		DefaultServerWallURL,
+		testServerWall,
 	}
 	for i := range want {
 		if order[i] != want[i] {
@@ -340,7 +348,7 @@ func TestOnResponseUnwindOrder(t *testing.T) {
 	// clientwall sees the final content last.
 	h := newScriptHost()
 	h.origin["http://site.example.org/x"] = "base"
-	h.scripts[DefaultClientWallURL] = `
+	h.scripts[testClientWall] = `
 		var p = new Policy();
 		p.onResponse = function() {
 			var b = new ByteArray(), c;
@@ -374,7 +382,7 @@ func TestServerWallBlocksEmission(t *testing.T) {
 	// the architecture.
 	h := newScriptHost()
 	h.origin["http://victim.example.org/search?q=huge"] = "results"
-	h.scripts[DefaultServerWallURL] = `
+	h.scripts[testServerWall] = `
 		var p = new Policy();
 		p.url = [ "victim.example.org" ];
 		p.onRequest = function() { Request.terminate(403); };

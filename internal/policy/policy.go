@@ -19,10 +19,11 @@ package policy
 import (
 	"fmt"
 	"net"
-	"net/http"
+	"net/textproto"
 	"regexp"
 	"strings"
 
+	"nakika/internal/httpmsg"
 	"nakika/internal/script"
 )
 
@@ -70,7 +71,7 @@ func (p *Policy) Compile() error {
 				p.compileErr = fmt.Errorf("policy: header %q pattern %q: %w", name, pat, err)
 				return p.compileErr
 			}
-			key := http.CanonicalHeaderKey(name)
+			key := textproto.CanonicalMIMEHeaderKey(name)
 			compiled[key] = append(compiled[key], re)
 		}
 	}
@@ -100,7 +101,7 @@ type Input struct {
 	// Method is the HTTP method.
 	Method string
 	// Header holds the request headers.
-	Header http.Header
+	Header httpmsg.Header
 }
 
 // Score is the match specificity, ordered lexicographically by the paper's

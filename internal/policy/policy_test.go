@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"net/http"
 	"testing"
 	"testing/quick"
 
@@ -36,7 +35,7 @@ func (s *linearSet) Match(in Input) *Policy {
 }
 
 func input(host, path string) Input {
-	return Input{Host: host, Path: path, Method: "GET", Header: make(http.Header)}
+	return Input{Host: host, Path: path, Method: "GET"}
 }
 
 func handler() script.Value {
@@ -475,7 +474,7 @@ func buildAblationPolicies(n int) []*Policy {
 	return out
 }
 
-var ablationInput = Input{Host: "target.example.org", Path: "/app/page.html", Method: "GET", Header: http.Header{}}
+var ablationInput = Input{Host: "target.example.org", Path: "/app/page.html", Method: "GET"}
 
 func BenchmarkPolicyMatch_Tree(b *testing.B) {
 	tree := NewTree(buildAblationPolicies(100))

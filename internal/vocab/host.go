@@ -492,9 +492,13 @@ func responseToScript(resp *httpmsg.Response) *script.Object {
 	o := script.NewObject()
 	o.Set("status", script.Int(resp.Status))
 	headers := script.NewObject()
-	for k := range resp.Header {
-		headers.Set(k, script.Str(resp.Header.Get(k)))
-	}
+	prev := ""
+	resp.Header.Each(func(k, v string) {
+		if k != prev {
+			headers.Set(k, script.Str(v))
+			prev = k
+		}
+	})
 	o.Set("headers", headers)
 	o.Set("contentType", script.Str(resp.ContentType()))
 	o.Set("body", script.NewByteArray(resp.Body))

@@ -160,6 +160,69 @@ func checkOneClock(root, dir string, allowed []struct{ file, reason string }) ([
 	return problems, nil
 }
 
+// TestOneHeaderType fails when non-test code under internal/ names
+// net/http.Header outside the files headerMapFiles lists. A message's header
+// is httpmsg.Header from the socket to the store; a net/http header map is
+// only where the module speaks net/http, each file for the reason given. A
+// listed file that no longer names it fails the check too, so the list only
+// shrinks.
+func TestOneHeaderType(t *testing.T) {
+	problems, err := checkOneHeaderType(".", "internal", headerMapFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// headerMapFiles are the non-test files under internal/ that may name
+// net/http.Header, and why.
+var headerMapFiles = []struct{ file, reason string }{
+	{"internal/httpmsg/httpmsg.go", "FromHTTPHeader, the conversion FromHTTPRequest makes for ServeHTTP"},
+	{"internal/largeobject/tier.go", "IngestBody's parameter, which benchmark/ calls"},
+}
+
+// checkOneHeaderType returns every reference to net/http.Header in the
+// non-test files under dir outside the allowed files, and every allowed file
+// that has none, as "file:line: message", sorted.
+func checkOneHeaderType(root, dir string, allowed []struct{ file, reason string }) ([]string, error) {
+	l, all, err := loadModule(root, nil)
+	if err != nil {
+		return nil, err
+	}
+	allow := map[string]bool{}
+	for _, a := range allowed {
+		allow[a.file] = true
+	}
+	names := map[string]bool{}
+	var problems []string
+	for _, p := range all {
+		if p.dir != dir && !strings.HasPrefix(p.dir, dir+"/") {
+			continue
+		}
+		for id, obj := range p.info.Uses {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.Pkg() == nil || tn.Pkg().Path() != "net/http" || tn.Name() != "Header" {
+				continue
+			}
+			pos := relPos(l.fset, root, id.Pos())
+			file, _, _ := strings.Cut(pos, ":")
+			names[file] = true
+			if !allow[file] {
+				problems = append(problems, pos+": net/http.Header is a second header type; use httpmsg.Header")
+			}
+		}
+	}
+	for _, a := range allowed {
+		if !names[a.file] {
+			problems = append(problems, a.file+": listed in headerMapFiles but names no net/http.Header")
+		}
+	}
+	sort.Slice(problems, func(i, j int) bool { return lessPos(problems[i], problems[j]) })
+	return problems, nil
+}
+
 // surfaceSpec describes one module for checkTestOnlySurface. Directories are
 // slash-separated and relative to root.
 type surfaceSpec struct {
