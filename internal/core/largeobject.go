@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"nakika/internal/cache"
 	"nakika/internal/httpmsg"
@@ -217,60 +216,10 @@ type StreamFetcher interface {
 	DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, error)
 }
 
-// lobIngest tracks one in-flight streaming ingest so concurrent readers of
-// the same object can wait for the segment they need instead of refetching.
-type lobIngest struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	appended int
-	done     bool
-	err      error
-}
-
-func newLobIngest() *lobIngest {
-	ing := &lobIngest{}
-	ing.cond = sync.NewCond(&ing.mu)
-	return ing
-}
-
-func (ing *lobIngest) advance(appended int) {
-	ing.mu.Lock()
-	ing.appended = appended
-	ing.mu.Unlock()
-	ing.cond.Broadcast()
-}
-
-func (ing *lobIngest) finish(err error) {
-	ing.mu.Lock()
-	ing.done = true
-	ing.err = err
-	ing.mu.Unlock()
-	ing.cond.Broadcast()
-}
-
-// waitFor blocks until segment ord has been appended or the ingest ended,
-// returning the ingest error (nil when ord is available or the ingest
-// completed, in which case the segment id is in the manifest).
-func (ing *lobIngest) waitFor(ord int) error {
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	for ing.appended <= ord && !ing.done {
-		ing.cond.Wait()
-	}
-	return ing.err
-}
-
-// lobIngestFor returns the in-flight ingest for key, if any.
-func (n *Node) lobIngestFor(key string) *lobIngest {
-	n.lobIngMu.Lock()
-	defer n.lobIngMu.Unlock()
-	return n.lobIngests[key]
-}
-
 // lobStreamOrigin is the streaming half of the chain's origin step. When the
 // upstream can stream and the tier wants the reply (lobTakes, asked of the
 // head before a body byte is read), the returned response streams the object
-// while a background goroutine ingests it. A reply the tier does not want is
+// while the tier ingests it in the background. A reply the tier does not want is
 // buffered as Upstream.Do buffers one (httpmsg.ReadWhole, at its declared
 // length) and returned for the store step to file like any other. (nil,
 // nil) means the caller should fetch through Upstream.Do itself.
@@ -299,102 +248,35 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 		return resp, nil
 	}
 
-	// Large object: install the (incomplete, memory-only) manifest, start
-	// the background ingest, and hand the client a stream that rides it. The
-	// copy is announced when the ingest completes.
-	m := &largeobject.Manifest{
-		Key:      key,
-		Status:   head.Status,
-		Header:   head.Header,
-		TotalLen: head.Length,
-		SegSize:  t.SegSize(),
-		Expires:  expires,
-	}
-	if err := t.PutManifest(m); err != nil {
-		body.Close()
+	// Large object: the tier installs the manifest and chunks the body in
+	// the background, and the client reads a stream that rides the ingest.
+	// The copy is announced when the ingest completes.
+	m, err := t.IngestStream(key, head.Status, head.Header, head.Length, expires, body, func(err error) {
+		if err == nil {
+			n.publish(key)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	ing := newLobIngest()
-	n.lobIngMu.Lock()
-	if n.lobIngests == nil {
-		n.lobIngests = make(map[string]*lobIngest)
-	}
-	n.lobIngests[key] = ing
-	n.lobIngMu.Unlock()
 	n.lobStreamIng.Add(1)
-	go n.lobIngestLoop(t, key, m, ing, body)
-
 	resp := httpmsg.NewResponse(m.Status)
 	resp.Header = m.Header
 	resp.SetStream(t.NewStream(m, n.lobFetcher(key)))
 	return resp, nil
 }
 
-// lobIngestLoop chunks the origin body into the tier. Segment ids become
-// visible to concurrent streams through AppendSegment; the ingest tracker
-// wakes readers blocked on a not-yet-arrived segment. A short or failed body
-// aborts the ingest and drops the manifest — readers see the error, and the
-// next request refetches.
-func (n *Node) lobIngestLoop(t *largeobject.Tier, key string, m *largeobject.Manifest, ing *lobIngest, body io.ReadCloser) {
-	defer body.Close()
-	defer func() {
-		n.lobIngMu.Lock()
-		delete(n.lobIngests, key)
-		n.lobIngMu.Unlock()
-	}()
-	buf := make([]byte, t.SegSize())
-	numSegs := m.NumSegments()
-	for ord := 0; ord < numSegs; ord++ {
-		from, to := m.SegmentSpan(ord)
-		chunk := buf[:to-from]
-		if _, err := io.ReadFull(body, chunk); err != nil {
-			t.DeleteManifest(key)
-			ing.finish(fmt.Errorf("core: ingest %q segment %d: %w", key, ord, err))
-			return
-		}
-		id := largeobject.HashSegment(chunk)
-		if err := t.PutSegment(id, chunk); err != nil {
-			t.DeleteManifest(key)
-			ing.finish(err)
-			return
-		}
-		if _, err := t.AppendSegment(key, ord, id); err != nil {
-			ing.finish(err)
-			return
-		}
-		ing.advance(ord + 1)
-	}
-	ing.finish(nil)
-	n.publish(key)
-}
-
 // ---------------------------------------------------------------------------
-// Segment resolution: slab -> in-flight ingest -> peer -> origin Range
+// Segment resolution: slab -> peer -> origin Range
 // ---------------------------------------------------------------------------
 
-// lobFetcher returns the tier stream's resolver for key's missing segments.
-// The slab was already consulted by the stream; here the order is: wait on
-// an in-flight ingest, then a holder the overlay locates, then an origin
-// Range refetch — each coalesced per (key, ordinal) so a thundering
-// herd of readers costs one fetch per segment.
+// lobFetcher returns the tier stream's resolver for the segments of key the
+// slab does not hold (the stream has consulted it, and waited on an ingest
+// in flight): a holder the overlay locates, then an origin Range refetch,
+// coalesced per (key, ordinal) so a thundering herd of readers costs one
+// fetch per segment.
 func (n *Node) lobFetcher(key string) largeobject.Fetcher {
 	return func(m *largeobject.Manifest, ord int) ([]byte, error) {
-		if ing := n.lobIngestFor(key); ing != nil {
-			n.lobIngWaits.Add(1)
-			if err := ing.waitFor(ord); err != nil {
-				return nil, err
-			}
-			// The ingest appended ord (or finished): its id is in the
-			// current manifest and the body should be in the slab. Fall
-			// through to the shared path if it was already evicted.
-			if t := n.lobTier(); t != nil {
-				if cur, ok := t.Manifest(key); ok && ord < len(cur.Segments) {
-					if data, ok := t.GetSegment(cur.Segments[ord]); ok {
-						return data, nil
-					}
-				}
-			}
-		}
 		// All callers share the returned bytes: segment buffers are
 		// read-only by contract (readers copy out of them).
 		data, _, _, err := n.segFlights.Do(key+"#"+strconv.Itoa(ord), func() ([]byte, error) {

@@ -574,6 +574,91 @@ func TestLargeObjectDeadIngestLeavesRecoveredManifest(t *testing.T) {
 	}
 }
 
+// shortOrigin declares its whole object on every streamed fetch, but
+// sends the first only up to its gate: it holds there until release is
+// closed and then ends the body early.
+type shortOrigin struct{ firstGated }
+
+func (o *shortOrigin) DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, error) {
+	head, body, err := o.firstGated.DoStream(req)
+	if gated, ok := body.(*gatedBody); ok {
+		body = shortBody{gated}
+	}
+	return head, body, err
+}
+
+type shortBody struct{ *gatedBody }
+
+func (b shortBody) Read(p []byte) (int, error) {
+	if b.off < b.o.gate {
+		return b.gatedBody.Read(p)
+	}
+	b.o.gateOnce.Do(func() { close(b.o.atGate) })
+	<-b.o.release
+	return 0, io.EOF
+}
+
+// TestLargeObjectShortBodyFailsParkedReader: an origin that declares 40 000
+// bytes and sends 3 × 4096 + 100 before its EOF fails the ingest. A reader
+// parked on a later segment gets the error instead of hanging, no manifest
+// is left, and the next GET streams the object again with one more origin
+// fetch.
+func TestLargeObjectShortBodyFailsParkedReader(t *testing.T) {
+	const url = "http://big.example.org/short"
+	body := lobBody(40_000)
+	origin := &shortOrigin{firstGated{gatedOrigin: newGatedOrigin(url, body, 3*4096+100)}}
+	n := newTestNodeUpstream(t, "edge-1", origin, lobConfig(4096, 10_000))
+	resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-origin.atGate // three segments in, the fourth short
+	read := make(chan error, 1)
+	go func() {
+		rc, err := resp.Stream.Range(5*4096, 6*4096)
+		if err == nil {
+			_, err = io.ReadAll(rc)
+			rc.Close()
+		}
+		read <- err
+	}()
+	for n.LargeObject().Tier.IngestWaits == 0 { // the reader is parked on the sixth segment
+		select {
+		case err := <-read:
+			t.Fatalf("the reader ended without waiting on the ingest: %v", err)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	close(origin.release)
+	select {
+	case err := <-read:
+		if err == nil {
+			t.Fatal("a reader parked on a segment the short body never sent read no error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a reader parked on a segment the short body never sent still waits")
+	}
+	<-origin.bodyClosed
+	if st := n.LargeObject().Tier; st.Manifests != 0 {
+		t.Fatalf("the failed ingest left %d manifests", st.Manifests)
+	}
+
+	_, _, streamed := origin.counts()
+	resp, _, err = n.Handle(httpmsg.MustRequest("GET", url))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stream == nil {
+		t.Fatal("the GET after the failed ingest did not stream")
+	}
+	if got := readStream(t, resp, 0, resp.TotalLen()); !bytes.Equal(got, body) {
+		t.Fatal("the object streamed after the failed ingest differs")
+	}
+	if f, r, s := origin.counts(); f != 0 || r != 0 || s != streamed+1 {
+		t.Errorf("origin fetches after the failed ingest = %d full, %d range, %d streamed; want 0, 0, %d", f, r, s, streamed+1)
+	}
+}
+
 // TestLargeObjectEvictedSegmentsRefetchByRange: a slab too small for the
 // object evicts segments; readers transparently refill them with origin
 // Range fetches — never a second full-body fetch.
@@ -1028,7 +1113,7 @@ func TestLargeObjectLogOnMetrics(t *testing.T) {
 		}
 		read <- got
 	}()
-	for n.lobIngWaits.Load() == 0 { // the reader has reached the third segment
+	for n.LargeObject().Tier.IngestWaits == 0 { // the reader has reached the third segment
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(origin.release)
@@ -1051,7 +1136,7 @@ func TestLargeObjectLogOnMetrics(t *testing.T) {
 		fmt.Sprintf("nakika_lob_slab_segments %d", files),
 		fmt.Sprintf("nakika_lob_slab_bytes %d", onDisk),
 		fmt.Sprintf("nakika_lob_slab_live_bytes %d", onDisk),
-		fmt.Sprintf("nakika_lob_ingest_waits_total %d", n.lobIngWaits.Load()),
+		fmt.Sprintf("nakika_lob_ingest_waits_total %d", n.LargeObject().Tier.IngestWaits),
 		`nakika_cache_revalidations_total{result="not_modified",tier="lob"} 0`)
 
 	// Revalidations by how they ended: a 304, then a new body twice. A

@@ -361,13 +361,10 @@ type Node struct {
 	deployCompErr atomic.Int64
 
 	// Chunked large-object tier (see internal/core/largeobject.go): the
-	// tier handle (nil when disabled or crashed), the in-flight streaming
-	// ingests keyed by cache key, the per-(key,segment) fetch flights, and
-	// the tier counters.
+	// tier handle (nil when disabled or crashed), the per-(key,segment)
+	// fetch flights, and the tier counters.
 	lobMu        sync.Mutex
 	lob          *largeobject.Tier
-	lobIngMu     sync.Mutex
-	lobIngests   map[string]*lobIngest
 	segFlights   cache.Group[[]byte]
 	lobStreamed  atomic.Int64
 	lobWhole     atomic.Int64
@@ -375,8 +372,6 @@ type Node struct {
 	lobAdopted   atomic.Int64
 	lobSegPeer   atomic.Int64
 	lobSegOrigin atomic.Int64
-	// Segment reads that waited on an ingest.
-	lobIngWaits atomic.Int64
 
 	// The client port's listeners, connections and counters (see
 	// internal/core/ingress.go).
@@ -589,23 +584,18 @@ func (n *Node) Crash() {
 	n.deployed = make(map[string]*deployActive)
 	n.deployMu.Unlock()
 	// The large-object tier handle is abandoned mid-flight too: the
-	// manifest table and ingest trackers die with the process, while
-	// persisted manifests and log segments stay on the data filesystem for
-	// Recover to replay (a torn record fails its checksum and ends its
-	// segment's scan). Its log is closed like the disk tier's, and for the
-	// same reason: an ingest that outlives the crash stores nothing more.
+	// manifest table dies with the process, while persisted manifests and
+	// log segments stay on the data filesystem for Recover to replay (a torn
+	// record fails its checksum and ends its segment's scan). Its log is
+	// closed like the disk tier's, and for the same reason: an ingest that
+	// outlives the crash stores nothing more. The close also ends the
+	// ingests in flight, so their readers stop waiting.
 	n.lobMu.Lock()
 	if n.lob != nil {
 		n.lob.Close()
 	}
 	n.lob = nil
 	n.lobMu.Unlock()
-	n.lobIngMu.Lock()
-	for _, ing := range n.lobIngests {
-		ing.finish(fmt.Errorf("core: node crashed"))
-	}
-	n.lobIngests = nil
-	n.lobIngMu.Unlock()
 	// Until Recover the abandoned log refuses every write with ErrClosed.
 	n.store.Backend().Abandon()
 }

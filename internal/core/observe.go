@@ -188,7 +188,8 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_lob_adopted_total", "Manifests adopted from a holder's cache.get reply.", nil, cv(&n.lobAdopted))
 	r.CounterFunc("nakika_lob_segment_fetches_total", "Missing segment bodies pulled in, by source.", metrics.Labels{"source": "peer"}, cv(&n.lobSegPeer))
 	r.CounterFunc("nakika_lob_segment_fetches_total", "", metrics.Labels{"source": "origin"}, cv(&n.lobSegOrigin))
-	r.CounterFunc("nakika_lob_ingest_waits_total", "Segment reads that waited on an ingest still in flight instead of fetching.", nil, cv(&n.lobIngWaits))
+	r.CounterFunc("nakika_lob_ingest_waits_total", "Segment reads that waited on an ingest still in flight instead of fetching.", nil,
+		func() float64 { return float64(n.LargeObject().Tier.IngestWaits) })
 	r.CounterFunc("nakika_lob_slab_hits_total", "Slab reads that returned a verified segment.", nil,
 		func() float64 { return float64(n.LargeObject().Tier.Slab.Hits) })
 	r.CounterFunc("nakika_lob_slab_misses_total", "Slab reads that found the segment absent or its record corrupt.", nil,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -601,5 +602,120 @@ func TestWarmRangeAllocationBudget(t *testing.T) {
 	t.Logf("%d bytes allocated per warm 1 MiB range", perRead)
 	if perRead >= 64<<10 {
 		t.Fatalf("warm 1 MiB range allocates %d bytes, budget is under %d", perRead, 64<<10)
+	}
+}
+
+// heldBody is a streamed origin body the test hands out one piece at a time
+// on feed; reading is closed when the ingest first reads it.
+type heldBody struct {
+	feed    chan []byte
+	reading chan struct{}
+	once    sync.Once
+	rest    []byte
+}
+
+func (b *heldBody) Read(p []byte) (int, error) {
+	b.once.Do(func() { close(b.reading) })
+	if len(b.rest) == 0 {
+		var ok bool
+		if b.rest, ok = <-b.feed; !ok {
+			return 0, io.EOF
+		}
+	}
+	n := copy(p, b.rest)
+	b.rest = b.rest[n:]
+	return n, nil
+}
+
+func (b *heldBody) Close() error { return nil }
+
+// TestColdRangeAllocationBudget: a reader ahead of a streamed ingest waits
+// in the tier and then reads each segment through the pooled view every
+// warm reader uses. Parked ahead of the held ingest on every segment of an
+// 8-segment object, it reads all 8 allocating under one segment (the
+// parent's waiting reader took an owned 256 KiB copy per segment, 2 MiB
+// here).
+func TestColdRangeAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	// One P, so the pool's one buffer is where every Get looks: a buffer
+	// put back on another P's private slot is not stolen, and would cost
+	// one reallocation that has nothing to do with the read.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const segSize, segs = 256 << 10, 8
+	fs, err := store.NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier, err := OpenTier(fs, segSize, 16*segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waits := func() uint64 {
+		tier.mu.Lock()
+		defer tier.mu.Unlock()
+		return tier.waits
+	}
+	body := testBody(segs * segSize)
+	runtime.GC()
+	// The pool gets its buffer from a read of another object.
+	warm, err := tier.IngestBody("GET http://o/warm", 200, nil, time.Now(), body[:segSize])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := tier.NewStream(warm, nil).Range(0, segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, rc)
+	rc.Close()
+
+	held := &heldBody{feed: make(chan []byte), reading: make(chan struct{})}
+	ingested := make(chan error, 1)
+	m, err := tier.IngestStream("GET http://o/cold", 200, httpmsg.Header{}, int64(len(body)), time.Now(), held, func(err error) { ingested <- err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held.reading // the ingest has its segment buffer and waits for the origin
+	read := make(chan error, 1)
+	go func() {
+		rc, err := tier.NewStream(m, nil).Range(0, int64(len(body)))
+		if err == nil {
+			var n int64
+			n, err = io.Copy(io.Discard, rc)
+			rc.Close()
+			if err == nil && n != int64(len(body)) {
+				err = fmt.Errorf("read %d bytes", n)
+			}
+		}
+		read <- err
+	}()
+	var before, after runtime.MemStats
+	for ord := 0; ord < segs; ord++ {
+		for waits() != uint64(ord+1) { // the reader is parked on segment ord
+			select {
+			case err := <-read:
+				t.Fatalf("the reader ended before waiting for segment %d: %v", ord, err)
+			default:
+				runtime.Gosched()
+			}
+		}
+		if ord == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		held.feed <- body[ord*segSize : (ord+1)*segSize]
+	}
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated reading %d segments, each waited for", alloc, segs)
+	if alloc >= segSize {
+		t.Fatalf("a reader ahead of the ingest allocates %d bytes for %d segments, budget is under %d", alloc, segs, segSize)
 	}
 }

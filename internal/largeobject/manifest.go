@@ -10,6 +10,15 @@
 // record of the same log, superseded when it is refreshed and tombstoned
 // when it is dropped. The tier's directory holds that log and nothing else.
 //
+// The tier owns ingest. One chunker cuts a body at the segment size,
+// hashes and stores each segment and appends its id to the manifest, for a
+// body still arriving from the origin (Tier.IngestStream) and for one
+// already in memory (Tier.Ingest, cut in place); the manifest's segment
+// list is the one record of its progress. A stream's reader ahead of the
+// ingest waits in the tier for its segment and then reads the same pooled
+// slab view a warm reader does, so its Fetcher is asked only for a segment
+// the slab does not hold.
+//
 // The tier is node-local soft state. Peers find a copy through the overlay's
 // cooperative index and fetch its manifest (AppendManifest) and segments
 // from the holder.

@@ -1,6 +1,8 @@
 package largeobject
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,15 +26,34 @@ import (
 // Manifests handed out by the tier are shared and must be treated as
 // immutable; every update goes through PutManifest/AppendSegment, which
 // replace the stored value wholesale.
+//
+// The tier also keeps the ingests in flight, one per key at most: a
+// manifest's segment list is the one record of an ingest's progress, and a
+// stream's read of a segment not yet appended waits on the key's ingest.
 type Tier struct {
 	slab    *Slab
 	segSize int64
 
-	// mu guards the table and is held across the slab calls that append or
-	// tombstone a manifest record, so it is always taken before the slab's.
+	// mu guards the table, the ingests in flight (nil once the tier is
+	// closed) and the wait count, and is held across the slab calls that
+	// append or tombstone a manifest record, so it is always taken before
+	// the slab's.
 	mu        sync.Mutex
 	manifests map[string]*Manifest
+	ingests   map[string]*ingest
+	waits     uint64
 }
+
+// ingest is one object being chunked into the tier. Its readers wait on
+// cond, under the tier's lock; err is its result once it has ended.
+type ingest struct {
+	m    *Manifest
+	cond *sync.Cond
+	err  error
+}
+
+// errClosed ends the ingests a tier's Close finds in flight.
+var errClosed = errors.New("largeobject: tier closed")
 
 // OpenTier opens (or creates) a tier on fs with the given segment size and
 // slab byte capacity, replaying the surviving segments and manifests. The
@@ -42,33 +63,38 @@ func OpenTier(fs store.FS, segSize, capacity int64) (*Tier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tier{slab: slab, segSize: segSize, manifests: manifests}, nil
+	return &Tier{slab: slab, segSize: segSize, manifests: manifests, ingests: make(map[string]*ingest)}, nil
 }
 
 // Close closes the slab's log, so after a crash nothing but the tier that
-// reopened the directory writes to it.
-func (t *Tier) Close() error { return t.slab.Close() }
-
-// SegSize returns the tier's segment size.
-func (t *Tier) SegSize() int64 { return t.segSize }
+// reopened the directory writes to it, and ends every ingest in flight with
+// an error: its readers stop waiting, and it stores nothing more.
+func (t *Tier) Close() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, in := range t.ingests {
+		in.err = errClosed
+		in.cond.Broadcast()
+	}
+	t.ingests = nil
+	return t.slab.Close()
+}
 
 // Manifest returns the current manifest for key, shared (do not mutate). A
 // manifest read while its record is aging is appended afresh.
 func (t *Tier) Manifest(key string) (*Manifest, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.manifest(key)
+}
+
+// manifest is Manifest under t.mu.
+func (t *Tier) manifest(key string) (*Manifest, bool) {
 	m, ok := t.manifests[key]
 	if ok && m.Complete() && t.slab.manifestAging(key) {
 		t.slab.putManifest(key, m) // carried forward; on failure the key's record is dropped
 	}
 	return m, ok
-}
-
-// Len returns the number of manifests in the table.
-func (t *Tier) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.manifests)
 }
 
 // PutManifest installs m (a private clone is stored). A complete manifest is
@@ -155,60 +181,164 @@ func (t *Tier) IngestBody(key string, status int, header http.Header, expires ti
 	return t.Ingest(key, status, httpmsg.FromHTTPHeader(header), expires, body)
 }
 
-// Ingest chunks a complete body into the tier: every segment is hashed and
-// stored, and the complete manifest, fresh until expires, is installed and
-// appended. Used for whole bodies already in memory; streaming ingest
-// drives AppendSegment instead.
+// Ingest chunks a complete body into the tier, in place, and returns the
+// complete manifest, fresh until expires.
 func (t *Tier) Ingest(key string, status int, header httpmsg.Header, expires time.Time, body []byte) (*Manifest, error) {
-	m := &Manifest{
-		Key:      key,
-		Status:   status,
-		Header:   header,
-		TotalLen: int64(len(body)),
-		SegSize:  t.segSize,
-		Expires:  expires,
+	in, err := t.begin(key, status, header, int64(len(body)), expires)
+	if err != nil {
+		return nil, err
 	}
-	n := m.NumSegments()
-	m.Segments = make([]SegID, 0, n)
-	for i := 0; i < n; i++ {
-		from, to := m.SegmentSpan(i)
-		seg := body[from:to]
-		id := HashSegment(seg)
-		if err := t.slab.Put(id, seg); err != nil {
-			return nil, err
-		}
-		m.Segments = append(m.Segments, id)
+	return t.chunk(in, bytes.NewBuffer(body))
+}
+
+// IngestStream chunks a body of length bytes still arriving: it returns the
+// installed manifest at once, before a byte is read, and chunks body in its
+// own goroutine, closing body and calling done with the result at the end.
+// A stream of the returned manifest serves segments as they are appended.
+func (t *Tier) IngestStream(key string, status int, header httpmsg.Header, length int64, expires time.Time, body io.ReadCloser, done func(error)) (*Manifest, error) {
+	in, err := t.begin(key, status, header, length, expires)
+	if err != nil {
+		body.Close()
+		return nil, err
 	}
+	go func() {
+		defer body.Close()
+		_, err := t.chunk(in, body)
+		done(err)
+	}()
+	return in.m, nil
+}
+
+// begin installs the manifest of a length-byte object, with no segment yet
+// (memory-only until it completes), and registers its ingest as key's in
+// flight. It replaces an ingest of key still in flight: readers already
+// waiting on that one wait for its end, later readers wait on this one.
+func (t *Tier) begin(key string, status int, header httpmsg.Header, length int64, expires time.Time) (*ingest, error) {
+	m := &Manifest{Key: key, Status: status, Header: header, TotalLen: length, SegSize: t.segSize, Expires: expires}
 	if err := t.PutManifest(m); err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ingests == nil {
+		return nil, errClosed
+	}
+	in := &ingest{m: m, cond: sync.NewCond(&t.mu)}
+	t.ingests[key] = in
+	return in, nil
+}
+
+// chunk is the tier's one chunker: it cuts body at the segment size, hashes
+// and stores each segment and appends its id to the manifest, waking the
+// readers waiting on the ingest at each step. A body that can hand out its
+// next bytes in place (a bytes.Buffer over a whole body) is not copied;
+// any other is read into one segment buffer. At the end the ingest leaves
+// the tier's table of ingests and wakes its readers with its result; a
+// short or failed body, or a segment the slab refuses, drops the manifest,
+// so the next request fetches the object afresh.
+func (t *Tier) chunk(in *ingest, body io.Reader) (*Manifest, error) {
+	m, key := in.m, in.m.Key
+	inPlace, _ := body.(interface{ Next(n int) []byte })
+	var buf []byte
+	if inPlace == nil {
+		buf = make([]byte, t.segSize)
+	}
+	var err error
+	for ord := 0; ord < in.m.NumSegments() && err == nil; ord++ {
+		from, to := in.m.SegmentSpan(ord)
+		var seg []byte
+		if inPlace != nil {
+			seg = inPlace.Next(int(to - from)) // as long as the manifest says
+		} else {
+			seg = buf[:to-from]
+			_, err = io.ReadFull(body, seg)
+		}
+		if err != nil {
+			err = fmt.Errorf("largeobject: ingest %q segment %d: %w", key, ord, err)
+			break
+		}
+		id := HashSegment(seg)
+		if err = t.slab.Put(id, seg); err == nil {
+			m, err = t.AppendSegment(key, ord, id)
+		}
+		in.cond.Broadcast()
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ingests[key] == in {
+		delete(t.ingests, key)
+		if err != nil {
+			delete(t.manifests, key)
+			t.slab.putManifest(key, nil)
+		}
+	}
+	if in.err == nil { // else Close has ended it
+		in.err = err
+	}
+	in.cond.Broadcast()
+	if err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Stats is a point-in-time snapshot of tier telemetry.
+// await returns the freshest manifest of key (m when the table has none)
+// once it records segment ord's id or no ingest of key is in flight. A read
+// that waits is counted, and one whose ingest ends in an error returns it.
+func (t *Tier) await(m *Manifest, ord int) (*Manifest, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for waited := false; ; waited = true {
+		cur, ok := t.manifest(m.Key)
+		if !ok {
+			cur = m
+		}
+		in := t.ingests[m.Key]
+		if ord < len(cur.Segments) || in == nil {
+			return cur, nil
+		}
+		if !waited {
+			t.waits++
+		}
+		in.cond.Wait()
+		if in.err != nil {
+			return nil, in.err
+		}
+	}
+}
+
+// Stats is a point-in-time snapshot of tier telemetry. IngestWaits counts
+// segment reads that waited on an ingest in flight.
 type Stats struct {
-	Manifests int
-	Slab      SlabStats
+	Manifests   int
+	IngestWaits uint64
+	Slab        SlabStats
 }
 
 // Stats returns current telemetry.
 func (t *Tier) Stats() Stats {
-	return Stats{Manifests: t.Len(), Slab: t.slab.Stats()}
+	t.mu.Lock()
+	st := Stats{Manifests: len(t.manifests), IngestWaits: t.waits}
+	t.mu.Unlock()
+	st.Slab = t.slab.Stats()
+	return st
 }
 
 // ---------------------------------------------------------------------------
 // Lazy segment stream
 // ---------------------------------------------------------------------------
 
-// Fetcher resolves a missing segment: given the manifest and a segment
-// ordinal, it returns the segment's bytes (typically after fetching them
-// from a peer or the origin and storing them in the slab).
+// Fetcher resolves a segment the slab does not hold: given the manifest and
+// a segment ordinal, it returns the segment's bytes (typically after
+// fetching them from a peer or the origin and storing them in the slab).
 type Fetcher func(m *Manifest, ord int) ([]byte, error)
 
 // NewStream returns a BodyStream over key's object. Reads resolve segments
-// lazily: the slab first (consulting the *current* manifest, so segments
-// ingested after the stream was created are visible), then fetch. A nil
-// fetch serves only resident segments and errors on a gap.
+// lazily from the *current* manifest, so segments ingested after the stream
+// was created are visible: a segment an ingest in flight has not appended
+// yet is waited for, then read from the slab; fetch is asked only for one
+// the slab does not hold. A nil fetch serves only resident segments and
+// errors on a gap.
 func (t *Tier) NewStream(m *Manifest, fetch Fetcher) httpmsg.BodyStream {
 	return &segStream{t: t, m: m, fetch: fetch}
 }
@@ -338,10 +468,14 @@ func (r *segReader) WriteTo(w io.Writer) (int64, error) {
 	}
 }
 
-// load returns segment ord's bytes: a slab view first (id known), then
-// fetch, whose bytes are an owned slice with no release.
+// load returns segment ord's bytes: a slab view once the manifest records
+// the segment's id (waiting for an ingest in flight to append it), else
+// fetch's, an owned slice with no release.
 func (r *segReader) load(ord int) ([]byte, func(), error) {
-	m := r.ss.current()
+	m, err := r.ss.t.await(r.ss.m, ord)
+	if err != nil {
+		return nil, nil, fmt.Errorf("largeobject: segment %d of %q: %w", ord, r.ss.m.Key, err)
+	}
 	if ord < len(m.Segments) {
 		if data, release, ok := r.ss.t.slab.view(m.Segments[ord]); ok {
 			return data, release, nil
