@@ -181,9 +181,8 @@ func BenchmarkCooperativeCache(b *testing.B) {
 	b.Run("with-overlay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ring := NewRing()
-			dir := NewDirectory()
-			a, _ := NewNode(Config{Name: "a", Upstream: origin, Ring: ring, Directory: dir})
-			c, _ := NewNode(Config{Name: "c", Upstream: origin, Ring: ring, Directory: dir})
+			a, _ := NewNode(Config{Name: "a", Upstream: origin, Ring: ring})
+			c, _ := NewNode(Config{Name: "c", Upstream: origin, Ring: ring})
 			_, _, _ = a.Handle(MustRequest("GET", "http://obj.example.org/x"))
 			_, _, _ = c.Handle(MustRequest("GET", "http://obj.example.org/x"))
 		}

@@ -325,3 +325,59 @@ func TestClusterSurvivesSigkillWithZeroAckedWriteLoss(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleNodeHardStateSurvivesSigkill: one nakikad, no peers, with a data
+// directory. It owns every key, so each registration its edge script
+// acknowledges is a versioned record in its own WAL, durable before the
+// acknowledgement. The node is SIGKILLed and restarted from the directory,
+// and every acknowledged profile is served again.
+func TestSingleNodeHardStateSurvivesSigkill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-process e2e suite")
+	}
+	dir := t.TempDir()
+	nakikadBin, originBin := buildBinaries(t, dir)
+	ports := freePorts(t, 2)
+	originHost := fmt.Sprintf("127.0.0.1:%d", ports[0])
+	nodeAddr := fmt.Sprintf("127.0.0.1:%d", ports[1])
+	spawn(t, dir, "origin", originBin, "-app", "specweb", "-listen", originHost, "-host", originHost)
+	waitOrigin(t, originHost, 30*time.Second)
+	args := []string{
+		"-listen", nodeAddr,
+		"-name", "edge-solo",
+		"-data-dir", filepath.Join(dir, "data"),
+		"-resource-controls=false",
+		"-clientwall", fmt.Sprintf("http://%s/clientwall.js", originHost),
+		"-serverwall", fmt.Sprintf("http://%s/serverwall.js", originHost),
+	}
+	node := spawn(t, dir, "edge-solo", nakikadBin, args...)
+	waitServing(t, nodeAddr, originHost, 30*time.Second)
+	waitRegistering(t, nodeAddr, originHost, "e2e-ready", 30*time.Second)
+
+	const users = 40
+	var acked []string
+	for u := 0; u < users; u++ {
+		user := fmt.Sprintf("e2e-solo-%03d", u)
+		status, body, err := proxyGet(nodeAddr, originHost, "/cgi-bin/register?user="+user)
+		if err != nil {
+			t.Fatalf("register %s: %v", user, err)
+		}
+		if edgeRegistered(status, body) {
+			acked = append(acked, user)
+		}
+	}
+	if len(acked) != users {
+		t.Fatalf("%d of %d registrations acked on a node without peers (log:\n%s)", len(acked), users, node.logTail(30))
+	}
+	node.sigkill(t)
+
+	node = spawn(t, dir, "edge-solo-restarted", nakikadBin, args...)
+	waitServing(t, nodeAddr, originHost, 30*time.Second)
+	for _, user := range acked {
+		status, body, err := proxyGet(nodeAddr, originHost, "/cgi-bin/profile?user="+user)
+		if err != nil || !edgeProfile(status, body) {
+			t.Fatalf("acked registration %s lost across SIGKILL (status %d, err %v, body %.120q)\nrestarted node log:\n%s",
+				user, status, err, body, node.logTail(30))
+		}
+	}
+}

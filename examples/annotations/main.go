@@ -37,7 +37,7 @@ func main() {
 		}
 	})
 
-	node, err := nakika.NewNode(nakika.Config{Name: "annotations-edge", Upstream: origin, Bus: nakika.NewBus()})
+	node, err := nakika.NewNode(nakika.Config{Name: "annotations-edge", Upstream: origin})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 
 	"nakika/internal/core"
 	"nakika/internal/httpmsg"
+	"nakika/internal/overlay"
 	"nakika/internal/script"
-	"nakika/internal/state"
 )
 
 // userCount returns the number of registered users.
@@ -83,20 +83,13 @@ func TestEdgeScriptHandlesDynamicRequestsAtEdge(t *testing.T) {
 		}
 		return origin.Do(req)
 	})
-	bus := state.NewBus()
-	nodeA, err := core.NewNode(core.Config{Name: "edge-a", Upstream: upstream, Bus: bus})
+	ring := overlay.NewRing()
+	nodeA, err := core.NewNode(core.Config{Name: "edge-a", Upstream: upstream, Ring: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodeB, err := core.NewNode(core.Config{Name: "edge-b", Upstream: upstream, Bus: bus})
+	nodeB, err := core.NewNode(core.Config{Name: "edge-b", Upstream: upstream, Ring: ring})
 	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm both nodes' replicas for the site (replica attachment is lazy).
-	if _, _, err := nodeA.Handle(httpmsg.MustRequest("GET", "http://"+host+"/cgi-bin/profile?user=warm")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := nodeB.Handle(httpmsg.MustRequest("GET", "http://"+host+"/cgi-bin/profile?user=warm")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,9 +125,8 @@ func TestEdgeScriptHandlesDynamicRequestsAtEdge(t *testing.T) {
 	// The lease-guarded checkpoint runs at the edge: each request takes the
 	// per-site lease, bumps the counter under its fencing token, and
 	// releases, so repeat requests advance the count exactly once each.
-	// (This shared-bus setup keeps fenced writes node-local; the
-	// cluster tests cover lease arbitration and fenced replication across
-	// nodes.)
+	// (The cluster tests cover lease arbitration and fenced replication
+	// under churn.)
 	for want := 1; want <= 2; want++ {
 		chk, trace, err := nodeA.Handle(httpmsg.MustRequest("GET", "http://"+host+"/cgi-bin/checkpoint"))
 		if err != nil {

@@ -29,8 +29,8 @@ func TestWarmProxyHitAllocBudget(t *testing.T) {
 		got     cost
 		ceiling cost
 	}{
-		{"plane on", on, cost{7, 1300}},
-		{"plane off", off, cost{6, 1044}},
+		{"plane on", on, cost{5, 1124}},
+		{"plane off", off, cost{4, 868}},
 		{"the plane's price", cost{on.allocs - off.allocs, on.bytes - off.bytes}, cost{1, 256}},
 	} {
 		if c.got.allocs > c.ceiling.allocs || c.got.bytes > c.ceiling.bytes {

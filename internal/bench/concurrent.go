@@ -45,7 +45,7 @@ func warmNode(node *core.Node) error {
 // across iterations). It stages the request in the httpmsg pool — the same
 // path the proxy's client port uses — so the warm benchmarks measure
 // the server's steady-state allocation profile; give each request the
-// loop's hit buffer (SetReplyBuffer), as a client connection does, and
+// loop's httpmsg.Reuse (SetReuse), as a client connection does, and
 // release it after its response when the trace shows no handler ran.
 func ConcurrentRequest() *httpmsg.Request {
 	req := httpmsg.AcquireRequest()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nakika/internal/core"
+	"nakika/internal/httpmsg"
 	"nakika/internal/state"
 )
 
@@ -99,11 +100,12 @@ const proxyAllocOps = 5_000
 // experiment and the metrics-cost experiment (which runs it twice, with the
 // observability plane on and off).
 func measureProxyAllocs(node *core.Node) (ProxyAllocs, error) {
-	// reply is the hit buffer the loop reuses, as a client connection does.
-	var reply []byte
+	// reuse is what the loop keeps from one request to the next, as a
+	// client connection does.
+	var reuse httpmsg.Reuse
 	oneOp := func() error {
 		req := ConcurrentRequest()
-		req.SetReplyBuffer(&reply)
+		req.SetReuse(&reuse)
 		resp, trace, err := node.Handle(req)
 		if err != nil {
 			return err

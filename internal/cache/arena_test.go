@@ -97,7 +97,7 @@ func TestArenaLifetime(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g) + 1))
-			var lent []byte
+			var lent httpmsg.Reuse
 			for range ops {
 				i := rng.Intn(keys)
 				key := "k" + strconv.Itoa(i)
@@ -106,7 +106,7 @@ func TestArenaLifetime(t *testing.T) {
 					c.Put(key, reply(i))
 				case op < 10:
 					req := httpmsg.AcquireRequest()
-					req.SetReplyBuffer(&lent)
+					req.SetReuse(&lent)
 					if resp := c.GetFor(key, req); resp != nil {
 						check("a client hit", i, resp.Body)
 					}

@@ -19,7 +19,7 @@
 //     key that shares another's hash is a miss; every reader copies the
 //     body out, under the shard lock, into memory of its own. A client
 //     hit copies into the buffer its connection lends the request
-//     (httpmsg.Request.SetReplyBuffer), a peer's fetch into its encoded
+//     (httpmsg.Request.SetReuse), a peer's fetch into its encoded
 //     reply (Encoded). It owns the freshness decision (Expiry, Expired),
 //     the rule that keeps an expired copy for its validators alone (Kept)
 //     and the 304 rule (Renew) for every tier of the node, the large-object

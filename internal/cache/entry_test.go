@@ -191,10 +191,10 @@ func TestPromotionAllocCeiling(t *testing.T) {
 	}
 	c := New(Config{MaxEntries: 2 * len(keys), Clock: clock, L2: d})
 	next := 0
-	var lent []byte
+	var lent httpmsg.Reuse
 	promote := func() {
 		req := httpmsg.AcquireRequest()
-		req.SetReplyBuffer(&lent)
+		req.SetReuse(&lent)
 		got := c.GetFor(keys[next], req)
 		next++
 		if got == nil || len(got.Body) != 1024 || got.Header != resp.Header {

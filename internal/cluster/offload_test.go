@@ -347,7 +347,7 @@ func TestOffloadPartitionFallsBackLocally(t *testing.T) {
 		if err != nil || resp.Status != 200 {
 			t.Fatalf("partitioned request %d = (%v, %v), want local 200", i, resp, err)
 		}
-		if got := resp.Header.Get("X-Na-Kika-Node"); got != ingress {
+		if got := resp.Stamp.Get("X-Na-Kika-Node"); got != ingress {
 			t.Fatalf("request %d executed on %s, want local %s", i, got, ingress)
 		}
 	}

@@ -221,16 +221,16 @@ func (n *Node) serveConn(rwc net.Conn, handle handler) {
 
 	hc := httpmsg.NewHTTP1Conn(rwc)
 	clientIP := httpmsg.ClientIP(rwc.RemoteAddr().String())
-	// reply is the connection's buffer for the body of a cache hit
-	// (httpmsg.Request.SetReplyBuffer), reused from one response to the next.
-	// A script that reads a body in it reads a copy.
-	var reply []byte
+	// reuse holds the connection's buffer for the body of a cache hit and
+	// its last site's nakika.js URL (httpmsg.Reuse), kept from one response
+	// to the next. A script that reads a body in it reads a copy.
+	var reuse httpmsg.Reuse
 	for {
 		if hc.Await() != nil || !c.state.CompareAndSwap(connIdle, connActive) {
 			return
 		}
 		req := httpmsg.AcquireRequest()
-		req.SetReplyBuffer(&reply)
+		req.SetReuse(&reuse)
 		if err := hc.ReadRequest(req, maxRequestBody); err != nil {
 			req.Release()
 			var re *httpmsg.RequestError
@@ -263,8 +263,8 @@ func (n *Node) serveConn(rwc net.Conn, handle handler) {
 		if release {
 			req.Release()
 		}
-		if cap(reply) > maxReplyBuffer {
-			reply = nil
+		if cap(reuse.Reply) > maxReplyBuffer {
+			reuse.Reply = nil
 		}
 		if !hc.KeepAlive {
 			return

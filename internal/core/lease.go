@@ -9,7 +9,6 @@ import (
 
 	"nakika/internal/lease"
 	"nakika/internal/state"
-	"nakika/internal/store"
 	"nakika/internal/trace"
 	"nakika/internal/transport"
 )
@@ -169,21 +168,7 @@ func (n *Node) ownerLeaseAcquire(req leaseReq) (transport.Message, error) {
 // with the fence, so the write is admitted against the local fence floor
 // and record and fence travel together to the replica targets.
 func (n *Node) ownerFencedPut(req leaseFenced) error {
-	var err error
-	if n.repEnabled() {
-		err = n.ownerWrite(state.Rec{Site: req.Rec.Site, Key: req.Rec.Key, Value: req.Rec.Value}, &req)
-	} else {
-		// Single-node (or shared-bus) mode stores plain values — the same
-		// encoding StatePut uses there, so State.get reads fenced writes
-		// back. The backend's FencedPut is still one atomic admit + write +
-		// floor-raise; only the versioned LWW wrapper is skipped. Fenced
-		// writes stay node-local in this mode (the bus carries no fences).
-		// No apply lock: nothing here reads before it writes.
-		err = n.store.Backend().FencedPut(req.Rec.Site, req.Rec.Key, req.Rec.Value, req.Guard, req.Holder, req.Token)
-		if err == store.ErrFencedStale {
-			err = ErrFenced
-		}
-	}
+	err := n.ownerWrite(state.Rec{Site: req.Rec.Site, Key: req.Rec.Key, Value: req.Rec.Value}, &req)
 	switch err {
 	case nil:
 		n.leaseFenced.Add(1)
@@ -202,9 +187,8 @@ func (n *Node) ownerFencedPut(req leaseFenced) error {
 // the owner-side code of an operation exists once, whoever the owner is.
 // Denials and fencing travel as reply values, never as errors.
 func (n *Node) leaseCall(act *trace.Act, site, key, msgType string, body []byte) (transport.Message, error) {
-	msg := transport.Message{Type: msgType, Body: body}
-	reply, _, _, err := n.route(act, site, key, msg, func() (transport.Message, error) {
-		return n.serveLeaseRPC(n.cfg.Name, msg)
+	reply, _, _, err := n.route(act, site, key, msgType, func() []byte { return body }, func() (transport.Message, error) {
+		return n.serveLeaseRPC(n.cfg.Name, transport.Message{Type: msgType, Body: body})
 	})
 	return reply, err
 }

@@ -69,7 +69,8 @@ type Config struct {
 	// LocalNetworks lists CIDR blocks considered part of the node's hosting
 	// organization for System.isLocal.
 	LocalNetworks []string
-	// Ring is the shared overlay; nil disables cooperative caching.
+	// Ring is the shared overlay; nil disables cooperative caching and
+	// makes the node the owner of every hard-state key.
 	Ring *overlay.Ring
 	// Transport carries peer-to-peer traffic (cooperative cache fetches,
 	// state replication, and — via the Ring — overlay routing). Nil means
@@ -77,13 +78,6 @@ type Config struct {
 	// by direct calls exactly as before; pass a TCP or simulated transport
 	// to run the same protocol across processes or under fault injection.
 	Transport transport.Transport
-	// Directory locates peer nodes in-process; retained for embedding
-	// API compatibility (peer cache fetches now ride the Transport).
-	Directory *Directory
-	// Bus is the shared in-process reliable messaging service: nodes
-	// without a Ring replicate hard state over it, and State.propagate
-	// publishes on it. Nil leaves both off.
-	Bus *state.Bus
 	// ReplicationFactor is the number of copies kept of every hard-state
 	// key when a Ring and Transport are configured: the ring owner of the
 	// key plus ReplicationFactor-1 of its successors, written
@@ -215,31 +209,6 @@ type ReplicationStats struct {
 	RecordsApplied int64
 }
 
-// Directory maps node names to live nodes so cooperative cache fetches can
-// be served in-process; it stands in for the peer-to-peer HTTP fetches a
-// distributed deployment would perform.
-type Directory struct {
-	mu    sync.RWMutex
-	nodes map[string]*Node
-}
-
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory { return &Directory{nodes: make(map[string]*Node)} }
-
-// Register adds a node.
-func (d *Directory) Register(n *Node) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.nodes[n.Name()] = n
-}
-
-// Lookup returns the named node, or nil.
-func (d *Directory) Lookup(name string) *Node {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.nodes[name]
-}
-
 // Node is one Na Kika edge node.
 type Node struct {
 	cfg      Config
@@ -252,10 +221,10 @@ type Node struct {
 	log      *state.AccessLog
 	overlay  *overlay.Node
 	tr       transport.Transport
-	bus      *state.Bus
 	localNet []*net.IPNet
-	replicas map[string]*state.Replica
-	repMu    sync.Mutex
+	// stamp is the X-Na-Kika-Node field every response this node serves
+	// goes out with (httpmsg.Response.Stamp), built once.
+	stamp httpmsg.Header
 	// flights coalesces concurrent misses of one cacheable request (see
 	// internal/core/fetch.go).
 	flights cache.Group[flightReply]
@@ -408,10 +377,10 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:        cfg,
 		clock:      clock,
 		log:        state.NewAccessLog(clock),
-		replicas:   make(map[string]*state.Replica),
 		pendingPub: make(map[string]struct{}),
 		deployed:   make(map[string]*deployActive),
 	}
+	n.stamp.Set("X-Na-Kika-Node", cfg.Name)
 	kv, disk, err := n.openStorage()
 	if err != nil {
 		return nil, err
@@ -463,14 +432,10 @@ func NewNode(cfg Config) (*Node, error) {
 		n.ring = nktrace.NewRing(nktrace.DefaultRingSize)
 		n.buildRegistry()
 	}
-	if cfg.Directory != nil {
-		cfg.Directory.Register(n)
-	}
 	n.tr = cfg.Transport
 	if n.tr == nil && cfg.Ring != nil {
 		n.tr = cfg.Ring.Transport
 	}
-	n.bus = cfg.Bus
 	// Successor-list replication of hard state: on (factor 3 by default)
 	// whenever the node has an overlay position and a transport to push
 	// replicas over.
@@ -797,12 +762,14 @@ func (n *Node) handleLocal(req *httpmsg.Request) (*httpmsg.Response, *pipeline.T
 		if resp.Via == "" {
 			resp.Via = n.cfg.Name
 		}
-		resp.Header.Set("X-Na-Kika-Node", n.cfg.Name)
+		resp.Stamp = &n.stamp
 		if trace.Generation != 0 {
 			// Tag the response with the one deployment generation its whole
 			// pipeline ran against, so clients (and the e2e harness) can
 			// verify no response mixes script versions across a deploy.
-			resp.Header.Set("X-Na-Kika-Gen", strconv.FormatUint(trace.Generation, 10))
+			stamp := n.stamp
+			stamp.Set("X-Na-Kika-Gen", strconv.FormatUint(trace.Generation, 10))
+			resp.Stamp = &stamp
 		}
 		if resp.Stream != nil {
 			trace.Streamed = true
@@ -837,21 +804,6 @@ func (n *Node) FlushLogs() error {
 		}
 		return nil
 	})
-}
-
-// replica returns (creating on demand) the hard state replica for site.
-func (n *Node) replica(site string) *state.Replica {
-	n.repMu.Lock()
-	defer n.repMu.Unlock()
-	if r, ok := n.replicas[site]; ok {
-		return r
-	}
-	r := &state.Replica{Site: site, Node: n.cfg.Name, Store: n.store, Bus: n.bus}
-	if n.bus != nil {
-		r.Attach()
-	}
-	n.replicas[site] = r
-	return r
 }
 
 // ---------------------------------------------------------------------------
@@ -919,90 +871,54 @@ func (n *Node) Usage(site, resourceName string) float64 {
 	return n.res.Usage(site, kind)
 }
 
-// StateGet reads site-partitioned hard state. With successor replication
-// enabled the read is routed to the key's acting owner and fails over to
-// the first live successor when the owner is dead; otherwise it reads the
-// local replica.
+// StateGet reads site-partitioned hard state: routed to the key's acting
+// owner, failing over to the first live successor when the owner is dead.
+// A node without peers owns every key and reads its own store.
 func (n *Node) StateGet(site, key string) (string, bool) { return n.stateGet(nil, site, key) }
 
 func (n *Node) stateGet(act *nktrace.Act, site, key string) (string, bool) {
 	if state.IsInternalKey(key) {
-		// The internal namespace (lease records) is invisible to scripts:
-		// reads miss, writes and deletes are refused. Lease state is
-		// reached through the Lease vocabulary instead.
+		// The internal namespace (lease and deploy records) is invisible to
+		// scripts: reads miss, writes and deletes are refused. Lease state
+		// is reached through the Lease vocabulary instead.
 		return "", false
 	}
-	if n.repEnabled() {
-		// StateGet has no error channel, so a read no owner answered is a
-		// miss here; route has counted it as unavailable.
-		value, ok, _ := n.repGet(act, site, key)
-		return value, ok
-	}
-	return n.replica(site).Get(key)
+	// StateGet has no error channel, so a read no owner answered is a miss
+	// here; route has counted it as unavailable.
+	value, ok, _ := n.repGet(act, site, key)
+	return value, ok
 }
 
-// StatePut writes site-partitioned hard state. With successor replication
-// enabled the write is routed to the key's acting owner, made durable
-// there, and synchronously pushed to the owner's successors before it is
-// acknowledged; otherwise it writes locally and propagates the update when
-// a bus is configured.
+// StatePut writes site-partitioned hard state as a versioned record: routed
+// to the key's acting owner, made durable there, and synchronously pushed
+// to the owner's successors before it is acknowledged. A node without
+// peers owns every key, so its write is a local versioned write.
 func (n *Node) StatePut(site, key, value string) error { return n.statePut(nil, site, key, value) }
 
 func (n *Node) statePut(act *nktrace.Act, site, key, value string) error {
 	if state.IsInternalKey(key) {
 		return fmt.Errorf("core: key %q is in the reserved internal namespace", key)
 	}
-	if n.repEnabled() {
-		return n.repWrite(act, site, key, value, false)
-	}
-	r := n.replica(site)
-	if n.bus == nil {
-		return n.store.Put(site, key, value)
-	}
-	return r.Put(key, value)
+	return n.repWrite(act, site, key, value, false)
 }
 
-// StateDelete removes site-partitioned hard state. With successor
-// replication enabled the delete is a versioned tombstone written through
-// the same owner path as StatePut, and is acknowledged or fails exactly as
-// a put is; otherwise it deletes locally and propagates the removal when a
-// bus is configured.
+// StateDelete removes site-partitioned hard state: a versioned tombstone
+// written through the same owner path as StatePut, acknowledged or failing
+// exactly as a put is.
 func (n *Node) StateDelete(site, key string) error { return n.stateDelete(nil, site, key) }
 
 func (n *Node) stateDelete(act *nktrace.Act, site, key string) error {
 	if state.IsInternalKey(key) {
 		return fmt.Errorf("core: key %q is in the reserved internal namespace", key)
 	}
-	if n.repEnabled() {
-		return n.repWrite(act, site, key, "", true)
-	}
-	if n.bus == nil {
-		return n.store.Delete(site, key)
-	}
-	return n.replica(site).Delete(key)
+	return n.repWrite(act, site, key, "", true)
 }
 
-// StateKeys lists a site's hard state keys. Under successor replication
-// the keys of a site span the whole ring, so the listing scatters to
-// every reachable member and merges (tombstones filtered) — keeping it
-// consistent with StateGet, which also routes cluster-wide.
-func (n *Node) StateKeys(site string) []string { return n.stateKeys(nil, site) }
-
-func (n *Node) stateKeys(act *nktrace.Act, site string) []string {
-	if n.repEnabled() {
-		return n.repKeys(act, site)
-	}
-	return n.store.Keys(site)
-}
-
-// Propagate sends an application-level replication message for site.
-func (n *Node) Propagate(site, message string) error {
-	if n.bus == nil {
-		return fmt.Errorf("core: no messaging service configured")
-	}
-	n.bus.Publish(site, n.cfg.Name, message)
-	return nil
-}
+// StateKeys lists a site's live hard state keys, internal ones hidden. The
+// keys of a site span the whole ring, so the listing scatters to every
+// reachable member and merges — keeping it consistent with StateGet, which
+// also routes cluster-wide.
+func (n *Node) StateKeys(site string) []string { return n.repKeys(nil, site) }
 
 // NodeName identifies the node to scripts.
 func (n *Node) NodeName() string { return n.cfg.Name }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +15,7 @@ import (
 	"nakika/internal/httpmsg"
 	"nakika/internal/overlay"
 	"nakika/internal/resource"
-	"nakika/internal/state"
+	"nakika/internal/store"
 	"nakika/internal/transport"
 )
 
@@ -115,7 +117,7 @@ func TestProxyPassThroughAndCaching(t *testing.T) {
 		if resp.Status != 200 || string(resp.Body) != "<html>hi</html>" {
 			t.Fatalf("resp = %d %q", resp.Status, resp.Body)
 		}
-		if resp.Header.Get("X-Na-Kika-Node") != "edge-1" {
+		if resp.Stamp.Get("X-Na-Kika-Node") != "edge-1" {
 			t.Error("node header missing")
 		}
 	}
@@ -232,11 +234,7 @@ func TestCooperativeCaching(t *testing.T) {
 	origin := newMemOrigin()
 	origin.addText("http://heavy.example.org/video.mp4", strings.Repeat("v", 10_000), 600)
 	ring := overlay.NewRing()
-	dir := NewDirectory()
-	mutate := func(cfg *Config) {
-		cfg.Ring = ring
-		cfg.Directory = dir
-	}
+	mutate := func(cfg *Config) { cfg.Ring = ring }
 	a := newTestNode(t, "edge-a", origin, mutate)
 	b := newTestNode(t, "edge-b", origin, mutate)
 
@@ -287,35 +285,64 @@ func TestHardStateReplicationAcrossNodes(t *testing.T) {
 		};
 		q.register();
 	`)
-	bus := state.NewBus()
-	mutate := func(cfg *Config) { cfg.Bus = bus }
+	ring := overlay.NewRing()
+	mutate := func(cfg *Config) { cfg.Ring = ring }
 	a := newTestNode(t, "edge-a", origin, mutate)
 	b := newTestNode(t, "edge-b", origin, mutate)
 
-	// Registration handled at node A...
-	resp, _, err := a.Handle(httpmsg.MustRequest("GET", "http://app.example.org/register?user=maria"))
-	if err != nil {
-		t.Fatal(err)
+	// Users registered at node A before B has touched the site...
+	for _, user := range []string{"maria", "amos", "li", "kofi"} {
+		resp, _, err := a.Handle(httpmsg.MustRequest("GET", "http://app.example.org/register?user="+user))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(resp.Body) != "registered "+user {
+			t.Fatalf("register = %q", resp.Body)
+		}
 	}
-	if string(resp.Body) != "registered maria" {
-		t.Fatalf("register = %q", resp.Body)
+	// ...read back at node B, whichever of the two owns each key.
+	for _, user := range []string{"maria", "amos", "li", "kofi"} {
+		resp, _, err := b.Handle(httpmsg.MustRequest("GET", "http://app.example.org/profile?user="+user))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(resp.Body) != "profile "+user {
+			t.Errorf("profile of %s at B = %q", user, resp.Body)
+		}
 	}
-	// ...but the replica is attached lazily at B on its first touch of the
-	// site, so warm B's replica and re-propagate from A.
-	if _, _, err := b.Handle(httpmsg.MustRequest("GET", "http://app.example.org/profile?user=warmup")); err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err = a.Handle(httpmsg.MustRequest("GET", "http://app.example.org/register?user=amos"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ...is visible at node B.
-	resp, _, err = b.Handle(httpmsg.MustRequest("GET", "http://app.example.org/profile?user=amos"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp.Body) != "profile amos" {
-		t.Errorf("profile at replica = %q", resp.Body)
+}
+
+// TestConcurrentPutsConvergeAcrossNodes: two in-process nodes sharing a Ring
+// put one key at once, again and again. Both writes go to the key's owner,
+// which orders them, so afterwards both nodes hold the same record and read
+// the same value.
+func TestConcurrentPutsConvergeAcrossNodes(t *testing.T) {
+	ring := overlay.NewRing()
+	mutate := func(cfg *Config) { cfg.Ring = ring }
+	nodes := []*Node{newTestNode(t, "edge-a", newMemOrigin(), mutate), newTestNode(t, "edge-b", newMemOrigin(), mutate)}
+	const site = "app.example.org"
+	for round := 0; round < 20; round++ {
+		key := fmt.Sprintf("counter-%d", round%4)
+		var wg sync.WaitGroup
+		for i, n := range nodes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := n.StatePut(site, key, fmt.Sprintf("%s-%d", n.Name(), round)); err != nil {
+					t.Errorf("put at node %d: %v", i, err)
+				}
+			}()
+		}
+		wg.Wait()
+		verA, valA, _, okA := nodes[0].LocalStateRecord(site, key)
+		verB, valB, _, okB := nodes[1].LocalStateRecord(site, key)
+		if !okA || !okB || verA != verB || valA != valB {
+			t.Fatalf("round %d: A holds (%d, %q, %v), B holds (%d, %q, %v)", round, verA, valA, okA, verB, valB, okB)
+		}
+		got, _ := nodes[0].StateGet(site, key)
+		if other, _ := nodes[1].StateGet(site, key); got != other || got != valA {
+			t.Fatalf("round %d: A reads %q, B reads %q, stored %q", round, got, other, valA)
+		}
 	}
 }
 
@@ -591,8 +618,167 @@ func TestStatePartitioningAcrossSites(t *testing.T) {
 	if len(n.StateKeys("site-b.org")) != 1 {
 		t.Error("StateKeys wrong")
 	}
-	if err := n.Propagate("site-a.org", "msg"); err == nil {
-		t.Error("propagate without a bus should error")
+}
+
+// stateKeysScript answers /keys with the site's State.keys() as JSON. On
+// /job it first takes the "job" lease and writes under it, so the node
+// holds a lease record for the site beside the script's key.
+const stateKeysScript = `
+	var p = new Policy();
+	p.url = [ "keys.example.org/" ];
+	p.onRequest = function() {
+		if (Request.path == "/job") {
+			var token = Lease.acquire("job");
+			Lease.put("a", "1", "job", token);
+		}
+		Response.setHeader("Content-Type", "text/plain");
+		Response.write(JSON.stringify(State.keys()));
+	};
+	p.register();
+`
+
+// TestSingleNodeKeysHideInternalRecords: a node without peers keeps its
+// lease and deployment records beside a site's own keys, and State.keys()
+// lists the site's keys alone, before the site is deployed and after.
+func TestSingleNodeKeysHideInternalRecords(t *testing.T) {
+	origin := newMemOrigin()
+	origin.addScript("http://keys.example.org/nakika.js", stateKeysScript)
+	n := newTestNode(t, "edge-1", origin, nil)
+	get := func(path string) string {
+		t.Helper()
+		resp, _, err := n.Handle(httpmsg.MustRequest("GET", "http://keys.example.org"+path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(resp.Body)
+	}
+	if got := get("/job"); got != `["a"]` {
+		t.Errorf("State.keys() after a lease = %s, want [\"a\"]", got)
+	}
+	if _, err := n.Deploy("keys.example.org", stateKeysScript, "same script, deployed"); err != nil {
+		t.Fatal(err)
+	}
+	if got := get("/keys"); got != `["a"]` {
+		t.Errorf("State.keys() after a deploy = %s, want [\"a\"]", got)
+	}
+	if n.AppliedGeneration("keys.example.org") != 1 {
+		t.Errorf("the deploy did not apply")
+	}
+}
+
+// parentSingleNodeWAL is state/wal-00000001.log as the previous release's
+// single node (no ring, a data directory) left it: raw puts of four keys of
+// shop.example.org, a delete record for one of them, the "job" lease's
+// versioned record, and a fenced put written under that lease as a raw
+// value.
+const parentSingleNodeWAL = "0000002ef8f4a57d501073686f702e6578616d706c652e6f72670a757365723a6d61726961107b226e616d65223a226d61726961227d0000002cfff9c21d501073686f702e6578616d706c652e6f726709757365723a616d6f730f7b226e616d65223a22616d6f73227d00000024a0be8698501073686f702e6578616d706c652e6f726709636172743a616d6f730733206974656d730000001c6bae8fa4501073686f702e6578616d706c652e6f726704676f6e6504736f6f6e000000179a3a56c1441073686f702e6578616d706c652e6f726704676f6e650000004490c1d945501073686f702e6578616d706c652e6f72670d006e6b3a6c656173653a6a6f6223006e6b7631203120656467652d3120500006656467652d3101f4f6b083ca8cf2df31000000003841d99ab9471073686f702e6578616d706c652e6f7267086a6f623a6c617374067374657020370d006e6b3a6c656173653a6a6f6206656467652d3101"
+
+// TestSingleNodeParentStateDirectory: the previous release's single-node
+// hard state opens. Its raw values read as version 0, through State.get and
+// State.keys, with the lease record hidden as before; a later put and
+// remove supersede them, and what they wrote is what the next open reads.
+func TestSingleNodeParentStateDirectory(t *testing.T) {
+	raw, err := hex.DecodeString(parentSingleNodeWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := store.NewMemFS()
+	f, err := fs.Create("state/wal-00000001.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(raw)
+	f.Close()
+	open := func() *Node { return newTestNode(t, "edge-1", newMemOrigin(), func(cfg *Config) { cfg.DataFS = fs }) }
+	const site = "shop.example.org"
+	check := func(n *Node, want map[string]string) {
+		t.Helper()
+		var keys []string
+		for k := range want {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := n.StateKeys(site); strings.Join(got, ",") != strings.Join(keys, ",") {
+			t.Errorf("State.keys = %q, want %q", got, keys)
+		}
+		for k, v := range want {
+			if got, ok := n.StateGet(site, k); !ok || got != v {
+				t.Errorf("State.get(%q) = (%q, %v), want %q", k, got, ok, v)
+			}
+		}
+	}
+	n := open()
+	if st := n.StoreStats(); st.Replayed != 7 {
+		t.Errorf("replayed %d records, want the parent's 7", st.Replayed)
+	}
+	check(n, map[string]string{
+		"user:maria": `{"name":"maria"}`,
+		"user:amos":  `{"name":"amos"}`,
+		"cart:amos":  "3 items",
+		"job:last":   "step 7",
+	})
+	if ver, _, _, ok := n.LocalStateRecord(site, "user:maria"); !ok || ver != 0 {
+		t.Errorf("a parent's raw value reads as version %d, want 0", ver)
+	}
+	if err := n.StatePut(site, "user:maria", `{"name":"maria","plan":"pro"}`); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.StateDelete(site, "cart:amos"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"user:maria": `{"name":"maria","plan":"pro"}`,
+		"user:amos":  `{"name":"amos"}`,
+		"job:last":   "step 7",
+	}
+	check(n, want)
+	if err := n.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	n = open()
+	check(n, want)
+	if _, ok := n.StateGet(site, "gone"); ok {
+		t.Error("the key the parent deleted reads back")
+	}
+}
+
+// TestStatePropagateThrowsOnEveryNode: State.propagate has no messaging
+// service behind it on any node. A script that calls it catches the same
+// error on a node without peers and on one sharing a Ring, and no node's
+// store changes, whatever the message says.
+func TestStatePropagateThrowsOnEveryNode(t *testing.T) {
+	origin := newMemOrigin()
+	origin.addScript("http://app.example.org/nakika.js", `
+		var p = new Policy();
+		p.url = [ "app.example.org/propagate" ];
+		p.onRequest = function() {
+			var caught = "none";
+			try { State.propagate("put 1 5 xhello"); } catch (e) { caught = "" + e; }
+			Response.setHeader("Content-Type", "text/plain");
+			Response.write(caught);
+		};
+		p.register();
+	`)
+	ring := overlay.NewRing()
+	single := newTestNode(t, "edge-solo", origin, nil)
+	a := newTestNode(t, "edge-a", origin, func(cfg *Config) { cfg.Ring = ring })
+	b := newTestNode(t, "edge-b", origin, func(cfg *Config) { cfg.Ring = ring })
+	for _, n := range []*Node{single, a} {
+		resp, _, err := n.Handle(httpmsg.MustRequest("GET", "http://app.example.org/propagate"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(resp.Body); !strings.Contains(got, "State.propagate: no messaging service configured") {
+			t.Errorf("%s: State.propagate caught %q", n.Name(), got)
+		}
+	}
+	for _, n := range []*Node{single, a, b} {
+		if _, _, _, ok := n.LocalStateRecord("app.example.org", "x"); ok {
+			t.Errorf("%s stored the propagated message", n.Name())
+		}
+		if keys := n.StateKeys("app.example.org"); len(keys) != 0 {
+			t.Errorf("%s lists keys %v", n.Name(), keys)
+		}
 	}
 }
 

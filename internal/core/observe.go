@@ -34,13 +34,12 @@ func (h hostAdapter) CacheGet(site, key string) *httpmsg.Response { return h.n.C
 func (h hostAdapter) CachePut(site, key string, resp *httpmsg.Response) {
 	h.n.CachePut(site, key, resp)
 }
-func (h hostAdapter) IsLocalClient(ip string) bool         { return h.n.IsLocalClient(ip) }
-func (h hostAdapter) Usage(site, resource string) float64  { return h.n.Usage(site, resource) }
-func (h hostAdapter) Log(site, message string)             { h.n.log.Append(site, message) }
-func (h hostAdapter) SetLogURL(site, postURL string)       { h.n.log.SetPostURL(site, postURL) }
-func (h hostAdapter) Propagate(site, message string) error { return h.n.Propagate(site, message) }
-func (h hostAdapter) NodeName() string                     { return h.n.NodeName() }
-func (h hostAdapter) Now() time.Time                       { return h.n.Now() }
+func (h hostAdapter) IsLocalClient(ip string) bool        { return h.n.IsLocalClient(ip) }
+func (h hostAdapter) Usage(site, resource string) float64 { return h.n.Usage(site, resource) }
+func (h hostAdapter) Log(site, message string)            { h.n.log.Append(site, message) }
+func (h hostAdapter) SetLogURL(site, postURL string)      { h.n.log.SetPostURL(site, postURL) }
+func (h hostAdapter) NodeName() string                    { return h.n.NodeName() }
+func (h hostAdapter) Now() time.Time                      { return h.n.Now() }
 
 func (h hostAdapter) StateGet(act *nktrace.Act, site, key string) (string, bool) {
 	return h.n.stateGet(act, site, key)
@@ -52,7 +51,7 @@ func (h hostAdapter) StateDelete(act *nktrace.Act, site, key string) error {
 	return h.n.stateDelete(act, site, key)
 }
 func (h hostAdapter) StateKeys(act *nktrace.Act, site string) []string {
-	return h.n.stateKeys(act, site)
+	return h.n.repKeys(act, site)
 }
 func (h hostAdapter) LeaseAcquire(act *nktrace.Act, site, name string, ttl time.Duration) (uint64, bool) {
 	return h.n.leaseAcquire(act, site, name, ttl)

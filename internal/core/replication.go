@@ -27,8 +27,8 @@ import (
 // Acknowledgement rule: an acting owner acknowledges a write once it is
 // durable locally AND at least one replica accepted it (a replica answers
 // "applied" only once the record is durable there) — unless the node's
-// successor list is empty (a ring of one, or K=1), in which case local
-// durability is all that exists and the write degrades gracefully to
+// successor list is empty (no ring, a ring of one, or K=1), in which case
+// local durability is all that exists and the write degrades gracefully to
 // local-only. A node whose replica pushes all fail (it crashed mid-write,
 // or it is partitioned from every successor) returns an error instead of
 // acknowledging: the write may exist locally but was never promised to
@@ -41,7 +41,9 @@ import (
 // sends it to the replicas with sendPushes, makes it durable locally while
 // the pushes are in flight and gathers their replies with collectPushes,
 // and applyPush stores it at each replica. The record types are callers of
-// that path, not copies of it.
+// that path, not copies of it. The path is the same on every node: one
+// without a ring owns every record, so route runs the operation locally and
+// ownerWrite has no replica to push to.
 
 // Replication message types (the "rep." prefix is what transport.Mux
 // routes on).
@@ -131,9 +133,10 @@ func (n *Node) resolveActingOwner(rk string, probe func(string) bool) (string, e
 // ---------------------------------------------------------------------------
 
 // route carries one operation on the record (site, key) to the pair's
-// acting owner: local runs it when that is this node — or when replication
-// is off, where every record is local — and msg is sent otherwise, failing
-// over in successor order while the routed owner is unreachable. An owner
+// acting owner: local runs it when that is this node — always on a node
+// without peers, which owns every record — and a message of type typ is
+// sent otherwise, its body built by body on the first send, failing over
+// in successor order while the routed owner is unreachable. An owner
 // that answers with an error (quota, replication failure) has given the
 // operation's result, not a routing problem, so only transport failures
 // move on to the next successor. The routing key is always the replica key
@@ -142,13 +145,14 @@ func (n *Node) resolveActingOwner(rk string, probe func(string) bool) (string, e
 // candidate answers, that error is the operation's result; for state
 // gets, puts and deletes it is counted in
 // nakika_replication_unavailable_total.
-func (n *Node) route(act *trace.Act, site, key string, msg transport.Message, local func() (transport.Message, error)) (reply transport.Message, via string, failedOver bool, err error) {
+func (n *Node) route(act *trace.Act, site, key, typ string, body func() []byte, local func() (transport.Message, error)) (reply transport.Message, via string, failedOver bool, err error) {
 	if !n.repEnabled() {
 		reply, err = local()
 		return reply, n.cfg.Name, false, err
 	}
 	rk := state.ReplicaKey(site, key)
 	avoid := make(map[string]bool)
+	msg := transport.Message{Type: typ}
 	var lastErr error
 	for attempt := 0; attempt < n.repFactor+1; attempt++ {
 		owner, err := n.overlay.LookupNameAvoid(rk, avoid)
@@ -160,6 +164,9 @@ func (n *Node) route(act *trace.Act, site, key string, msg transport.Message, lo
 			reply, err := local()
 			return reply, owner, len(avoid) > 0, err
 		}
+		if msg.Body == nil {
+			msg.Body = body()
+		}
 		reply, err := n.callT(act, owner, msg)
 		if err == nil || transport.IsRemote(err) {
 			return reply, owner, len(avoid) > 0, err
@@ -167,7 +174,7 @@ func (n *Node) route(act *trace.Act, site, key string, msg transport.Message, lo
 		avoid[owner] = true
 		lastErr = err
 	}
-	switch msg.Type {
+	switch typ {
 	case msgRepGet:
 		n.unavailGet.Add(1)
 	case msgRepPut:
@@ -175,7 +182,7 @@ func (n *Node) route(act *trace.Act, site, key string, msg transport.Message, lo
 	case msgRepDel:
 		n.unavailDel.Add(1)
 	}
-	return transport.Message{}, "", false, fmt.Errorf("core: %s %s/%s: no reachable owner: %w", msg.Type, site, key, lastErr)
+	return transport.Message{}, "", false, fmt.Errorf("core: %s %s/%s: no reachable owner: %w", typ, site, key, lastErr)
 }
 
 // replyStatus is the first argument of a reply ("hit", "applied", "stale",
@@ -194,11 +201,12 @@ func replyStatus(reply transport.Message) string {
 // repWrite routes one client put or delete (a versioned tombstone write)
 // to the acting owner's ownerWrite.
 func (n *Node) repWrite(act *trace.Act, site, key, value string, deleted bool) error {
-	msg := transport.Message{Type: msgRepPut, Body: encodeRepForward(repForward{Site: site, Key: key, Value: value})}
+	typ := msgRepPut
 	if deleted {
-		msg.Type = msgRepDel
+		typ = msgRepDel
 	}
-	_, via, _, err := n.route(act, site, key, msg, func() (transport.Message, error) {
+	body := func() []byte { return encodeRepForward(repForward{Site: site, Key: key, Value: value}) }
+	_, via, _, err := n.route(act, site, key, typ, body, func() (transport.Message, error) {
 		return transport.Message{}, n.ownerWrite(state.Rec{Site: site, Key: key, Delete: deleted, Value: value}, nil)
 	})
 	if err == nil && via != n.cfg.Name {
@@ -243,7 +251,7 @@ func (n *Node) storeNext(rec state.Rec, fence *leaseFenced, base uint64) (state.
 // and admit the record locally (against the local fence floor when the
 // write carries a fence), send it to the replica targets, make it durable
 // locally while the pushes are in flight, then collect the replies. With
-// no targets — replication off, K=1, a ring of one — that is a local
+// no targets — no ring, K=1, a ring of one — that is a local
 // versioned write. A fence floor that rejects the write, here or on any
 // replica it reaches, means the holdership is deposed: ErrFenced, never
 // acknowledged. Nothing is pushed that the local floor refused. (After a
@@ -377,11 +385,10 @@ func (n *Node) applyPush(rec state.Rec, fence *leaseFenced) (transport.Message, 
 // whose owner is expected to be slow is hedged to the next replica first —
 // see hedgeRead.
 func (n *Node) repGet(act *trace.Act, site, key string) (value string, ok bool, err error) {
-	msg := transport.Message{Type: msgRepGet, Body: encodeRepForward(repForward{Site: site, Key: key})}
-	if value, ok, answered := n.hedgeRead(act, site, key, msg); answered {
+	if value, ok, answered := n.hedgeRead(act, site, key); answered {
 		return value, ok, nil
 	}
-	reply, via, failedOver, err := n.route(act, site, key, msg, func() (transport.Message, error) {
+	reply, via, failedOver, err := n.route(act, site, key, msgRepGet, func() []byte { return repGetBody(site, key) }, func() (transport.Message, error) {
 		value, ok = n.localVersionedGet(site, key)
 		return transport.Message{}, nil
 	})
@@ -394,6 +401,9 @@ func (n *Node) repGet(act *trace.Act, site, key string) (value string, ok bool, 
 	value, ok = repGetReply(reply)
 	return value, ok, nil
 }
+
+// repGetBody is the body of a rep.get of (site, key).
+func repGetBody(site, key string) []byte { return encodeRepForward(repForward{Site: site, Key: key}) }
 
 // repGetReply reads a rep.get reply: the record's value on a hit.
 func repGetReply(reply transport.Message) (string, bool) {
@@ -425,7 +435,7 @@ func repGetReply(reply transport.Message) (string, bool) {
 // retrains a recovered owner's estimate so reads return to the owner
 // instead of hedging forever. answered reports whether the
 // hedge produced an authoritative result.
-func (n *Node) hedgeRead(act *trace.Act, site, key string, msg transport.Message) (value string, ok, answered bool) {
+func (n *Node) hedgeRead(act *trace.Act, site, key string) (value string, ok, answered bool) {
 	if n.cfg.HedgeAfter <= 0 || !n.repEnabled() {
 		return "", false, false
 	}
@@ -455,7 +465,7 @@ func (n *Node) hedgeRead(act *trace.Act, site, key string, msg transport.Message
 		}
 		return "", false, false
 	}
-	reply, err := n.callT(act, alt, msg)
+	reply, err := n.callT(act, alt, transport.Message{Type: msgRepGet, Body: repGetBody(site, key)})
 	if err != nil {
 		return "", false, false
 	}
@@ -471,8 +481,12 @@ func (n *Node) hedgeRead(act *trace.Act, site, key string, msg transport.Message
 // skipped — their keys are replicated on reachable successors). This
 // keeps the host API contract that State.keys() agrees with State.get():
 // keys span the ring, so enumeration must too. The scatter is O(members)
-// per call; site key sets and rings are small at this system's scale.
+// per call; site key sets and rings are small at this system's scale. A
+// node without peers holds every key, so it lists its own.
 func (n *Node) repKeys(act *trace.Act, site string) []string {
+	if !n.repEnabled() {
+		return n.store.KeysVersioned(site)
+	}
 	set := make(map[string]struct{})
 	for _, k := range n.store.KeysVersioned(site) {
 		set[k] = struct{}{}
@@ -497,8 +511,9 @@ func (n *Node) repKeys(act *trace.Act, site string) []string {
 	return out
 }
 
-// localVersionedGet reads (site, key) from the local store under
-// replication semantics: tombstones and non-versioned values are misses.
+// localVersionedGet reads (site, key) from the local store: a tombstone is
+// a miss, and a raw value an older single node wrote reads as itself
+// (GetVersioned's version 0).
 func (n *Node) localVersionedGet(site, key string) (string, bool) {
 	_, _, deleted, value, ok := n.store.GetVersioned(site, key)
 	if !ok || deleted {

@@ -122,7 +122,7 @@ func TestRoute(t *testing.T) {
 	// run routes msg for key from edge-0 with a local arm that only records
 	// that it ran.
 	run := func(self *Node, key string, msg transport.Message) (via string, failedOver, ranLocal bool, err error) {
-		_, via, failedOver, err = self.route(nil, site, key, msg, func() (transport.Message, error) {
+		_, via, failedOver, err = self.route(nil, site, key, msg.Type, func() []byte { return msg.Body }, func() (transport.Message, error) {
 			ranLocal = true
 			return transport.Message{}, nil
 		})

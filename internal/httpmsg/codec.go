@@ -151,10 +151,11 @@ func ReadHeader(r *wire.Reader) (Header, error) {
 	return Header{enc: string(r.Buf[from:r.Off])}, nil
 }
 
-// EncodeResponse renders resp as EncodeStored renders its stored form. A
-// streamed body is materialized first — the wire format carries complete
-// instances; if the stream cannot be read the peer gets a bodyless 502
-// rather than a truncated instance.
+// EncodeResponse renders resp as EncodeStored renders its stored form,
+// with resp's Stamp folded into the header. A streamed body is
+// materialized first — the wire format carries complete instances; if the
+// stream cannot be read the peer gets a bodyless 502 rather than a
+// truncated instance.
 func EncodeResponse(resp *Response) []byte {
 	if resp.Stream != nil {
 		if err := resp.Materialize(); err != nil {
@@ -162,6 +163,9 @@ func EncodeResponse(resp *Response) []byte {
 		}
 	}
 	s := resp.StoredForm()
+	if resp.Stamp != nil {
+		resp.Stamp.Each(s.Header.Set)
+	}
 	return EncodeStored(&s)
 }
 

@@ -69,6 +69,41 @@ func (h Header) Each(f func(key, value string)) {
 	}
 }
 
+// eachStamped calls f as Each does for the header h would be with stamp's
+// fields Set in it, without building that header: the keys of both in
+// ascending order, and for a key both have, stamp's values alone. A nil
+// stamp has no fields.
+func (h Header) eachStamped(stamp *Header, f func(key, value string)) {
+	var s hdrCursor
+	left := 0
+	if stamp != nil && stamp.enc != "" {
+		s.s = stamp.enc
+		left = s.uvarint()
+	}
+	// emit calls f with stamp's entries that sort before key (all that are
+	// left when all is set) and reports whether stamp's next key is key.
+	emit := func(key string, all bool) bool {
+		for ; left > 0; left-- {
+			at := s.off
+			k := s.str()
+			if !all && k >= key {
+				s.off = at
+				return k == key
+			}
+			for n := s.uvarint(); n > 0; n-- {
+				f(k, s.str())
+			}
+		}
+		return false
+	}
+	h.Each(func(k, v string) {
+		if !emit(k, false) {
+			f(k, v)
+		}
+	})
+	emit("", true)
+}
+
 // Set replaces the values of key with value.
 func (h *Header) Set(key, value string) { h.edit(key, value, editSet) }
 

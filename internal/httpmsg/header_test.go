@@ -135,3 +135,39 @@ func TestReadHeaderRefusesUnsortedKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestEachStampedIsEachOfTheStampedHeader: writing a header with a stamp
+// gives the fields, in the order, that writing the header with the stamp's
+// fields Set in it gives: a stamp key before, among, after and equal to the
+// header's keys, and either side empty.
+func TestEachStampedIsEachOfTheStampedHeader(t *testing.T) {
+	header := func(kv ...string) (h Header) {
+		for i := 0; i < len(kv); i += 2 {
+			h.Add(kv[i], kv[i+1])
+		}
+		return h
+	}
+	base := header("Cache-Control", "max-age=60", "Content-Type", "text/html", "Set-Cookie", "a=1", "Set-Cookie", "b=2", "Zz", "last")
+	for _, c := range []struct {
+		name          string
+		header, stamp Header
+	}{
+		{"empty both", Header{}, Header{}},
+		{"empty stamp", base, Header{}},
+		{"empty header", Header{}, header("X-Na-Kika-Node", "edge-1")},
+		{"among", base, header("X-Na-Kika-Node", "edge-1")},
+		{"two among", base, header("X-Na-Kika-Gen", "4", "X-Na-Kika-Node", "edge-1")},
+		{"before all", base, header("Accept-Ranges", "bytes")},
+		{"after all", base, header("Zzz", "after")},
+		{"replaces", base, header("Set-Cookie", "c=3", "Content-Type", "text/plain")},
+	} {
+		var got, want []string
+		c.header.eachStamped(&c.stamp, func(k, v string) { got = append(got, k+": "+v) })
+		stamped := c.header
+		c.stamp.Each(stamped.Set)
+		stamped.Each(func(k, v string) { want = append(want, k+": "+v) })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: eachStamped wrote %q, want %q", c.name, got, want)
+		}
+	}
+}

@@ -765,7 +765,7 @@ func (r *Response) WriteHTTP1(c *HTTP1Conn, method string) error {
 		b = strconv.AppendInt(append(b, " status code "...), int64(r.Status), 10)
 	}
 	b = append(b, "\r\n"...)
-	r.Header.Each(func(k, v string) {
+	r.Header.eachStamped(r.Stamp, func(k, v string) {
 		switch k {
 		case "Content-Length", "Transfer-Encoding":
 			return

@@ -52,9 +52,33 @@ type Request struct {
 	// urlBuf is the inline URL storage SetURLCopy points URL at, so pooled
 	// requests carry their URL without a per-request url.URL allocation.
 	urlBuf url.URL
-	// replyBuf is the buffer the request lends the body of a cache hit served
-	// in reply to it (ReplyBuffer), which its stager owns (SetReplyBuffer).
-	replyBuf *[]byte
+	// reuse is what its stager lends the request for the duration
+	// (SetReuse): a buffer for the body of a cache hit served in reply to it
+	// (ReplyBuffer), and the URL SiteURL built last.
+	reuse *Reuse
+}
+
+// SiteURL returns scheme://host/name for the request's URL, the scheme
+// "http" when the URL has none: the location of a file at the root of the
+// request's site, as a site's nakika.js is. A request given a Reuse
+// (SetReuse) returns the URL it holds when that is the one asked for and
+// leaves the one it builds there, so the requests a keep-alive client sends
+// to one site build it once.
+func (r *Request) SiteURL(name string) string {
+	scheme, host := r.URL.Scheme, r.URL.Host
+	if scheme == "" {
+		scheme = "http"
+	}
+	if r.reuse != nil {
+		if m := r.reuse.site; m.url != "" && m.url[:m.ls] == scheme && m.url[m.ls+3:m.ls+3+m.lh] == host && m.url[m.ls+4+m.lh:] == name {
+			return m.url
+		}
+	}
+	u := scheme + "://" + host + "/" + name
+	if r.reuse != nil {
+		r.reuse.site = siteURL{url: u, ls: len(scheme), lh: len(host)}
+	}
+	return u
 }
 
 // NewRequest builds a request for the given method and raw URL.
@@ -218,9 +242,26 @@ type Response struct {
 	Generated bool
 	// FromCache marks responses served from the local or cooperative cache.
 	FromCache bool
+	// ranged is set when rangeFrom and rangeTo bound the active byte range.
+	ranged bool
+	// shared marks a Body that aliases another response's bytes (a Clone's,
+	// or a range of one) or a request's reply buffer (a cache hit's). Such a
+	// Body is read-only until Materialize replaces it with a private copy.
+	// (The four flags sit together and Stamp is a pointer, so a Response
+	// fits the allocator's 112-byte class.)
+	shared bool
 	// Via records which node produced or forwarded the response (cooperative
 	// caching provenance).
 	Via string
+	// Stamp, when not nil, holds the fields the serving node adds to Header
+	// on the way out (its X-Na-Kika-Node and X-Na-Kika-Gen), kept apart so
+	// that a cache hit's stored Header goes out as stored instead of being
+	// rebuilt for them. WriteHTTP1 and WriteToMethod write Stamp's fields
+	// in their sorted places among Header's, a Stamp key replacing the same
+	// key of Header, and EncodeResponse folds them into the Header it
+	// sends. The node shares one Stamp among its responses: replace it,
+	// never write through it.
+	Stamp *Header
 	// Stream, when non-nil, provides the body as lazily resolved byte
 	// ranges instead of Body (which stays nil while streaming). The chunked
 	// large-object tier serves multi-MB instances this way so they are
@@ -229,11 +270,6 @@ type Response struct {
 	// rangeFrom/rangeTo bound the active byte range [rangeFrom, rangeTo)
 	// when ranged is set. ApplyRange produces ranged (206) responses.
 	rangeFrom, rangeTo int64
-	ranged             bool
-	// shared marks a Body that aliases another response's bytes (a Clone's,
-	// or a range of one) or a request's reply buffer (a cache hit's). Such a
-	// Body is read-only until Materialize replaces it with a private copy.
-	shared bool
 }
 
 // NewResponse returns an empty response with the given status.
@@ -305,6 +341,7 @@ func (r *Response) Clone() *Response {
 		Generated: r.Generated,
 		FromCache: r.FromCache,
 		Via:       r.Via,
+		Stamp:     r.Stamp,
 		Stream:    r.Stream,
 		rangeFrom: r.rangeFrom,
 		rangeTo:   r.rangeTo,
@@ -548,7 +585,7 @@ func bodyless(status int) bool {
 //     io.WriterTo) and flushed after each, so the first byte reaches the
 //     client before the stream finishes.
 func (r *Response) WriteToMethod(w http.ResponseWriter, method string) error {
-	r.Header.Each(w.Header().Add)
+	r.Header.eachStamped(r.Stamp, w.Header().Add)
 	if bodyless(r.Status) {
 		// No body, and no invented Content-Length: for a 304 the carried
 		// headers describe the validated representation, not this message.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -589,5 +590,36 @@ func TestPropertyCloneIndependence(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSiteURL: a request's SiteURL is scheme://host/name for whatever URL it
+// has now, whether or not its connection's Reuse holds one built for
+// another site, scheme or name, and one just built comes back without
+// being built again.
+func TestSiteURL(t *testing.T) {
+	req := &Request{}
+	var reuse Reuse
+	req.SetReuse(&reuse)
+	for _, c := range []struct{ url, name, want string }{
+		{"http://a.example/x?y", "nakika.js", "http://a.example/nakika.js"},
+		{"http://a.example/other", "nakika.js", "http://a.example/nakika.js"},
+		{"https://a.example/x", "nakika.js", "https://a.example/nakika.js"},
+		{"http://a.example:8080/x", "nakika.js", "http://a.example:8080/nakika.js"},
+		{"http://b.example/x", "nakika.js", "http://b.example/nakika.js"},
+		{"http://b.example/x", "robots.txt", "http://b.example/robots.txt"},
+		{"//c.example/x", "nakika.js", "http://c.example/nakika.js"},
+	} {
+		u, err := url.Parse(c.url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.URL = u
+		if got := req.SiteURL(c.name); got != c.want {
+			t.Errorf("SiteURL(%q) of %s = %q, want %q", c.name, c.url, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { req.SiteURL("nakika.js") }); n != 0 {
+		t.Errorf("SiteURL of the site it built last allocates %.0f times", n)
 	}
 }

@@ -33,26 +33,45 @@ func (r *Request) Release() {
 	requestPool.Put(r)
 }
 
-// SetReplyBuffer gives r a buffer to lend the body of a cache hit served in
-// reply to it (ReplyBuffer): *buf, grown as needed. The caller owns *buf and
-// gives it to its next request once the response to r is written; a body
-// in it is borrowed, read-only until Materialize copies it, so no script
-// keeps a hold on it. A connection of the client port keeps one such
-// buffer, so a warm hit allocates no body.
-func (r *Request) SetReplyBuffer(buf *[]byte) { r.replyBuf = buf }
+// Reuse is what a client connection keeps from one request to the next and
+// lends each request it stages (SetReuse): the buffer the body of a cache hit
+// is served in (ReplyBuffer), and the URL SiteURL built last, which a
+// keep-alive client's next request mostly asks for again. The connection
+// owns it and gives it to its next request once the response to the last
+// is written. A connection of the client port keeps one, so a warm hit
+// allocates neither a body nor its site's nakika.js URL.
+type Reuse struct {
+	// Reply is the hit buffer, grown as needed. A body in it is borrowed,
+	// read-only until Materialize copies it, so no script keeps a hold on
+	// it. The connection may drop it between requests to bound what it
+	// keeps.
+	Reply []byte
+	site  siteURL
+}
+
+// siteURL is one SiteURL result: url is scheme + "://" + host + "/" + name,
+// and scheme and host are its first ls and, after the "://", lh bytes.
+type siteURL struct {
+	url    string
+	ls, lh int
+}
+
+// SetReuse lends r the connection's u for as long as r is served.
+func (r *Request) SetReuse(u *Reuse) { r.reuse = u }
 
 // ReplyBuffer returns n bytes for the body of a response served in reply to
-// r: the buffer SetReplyBuffer gave r, lent once, with borrowed set, or else
-// a fresh one the response may own (a nil r gets a fresh one too).
+// r: the Reply buffer of the Reuse SetReuse gave r, lent once, with borrowed
+// set, or else a fresh one the response may own (a nil r gets a fresh one
+// too).
 func (r *Request) ReplyBuffer(n int) (b []byte, borrowed bool) {
-	if r == nil || r.replyBuf == nil || r.replyLent {
+	if r == nil || r.reuse == nil || r.replyLent {
 		return make([]byte, n), false
 	}
 	r.replyLent = true
-	if cap(*r.replyBuf) < n {
-		*r.replyBuf = make([]byte, n)
+	if cap(r.reuse.Reply) < n {
+		r.reuse.Reply = make([]byte, n)
 	}
-	return (*r.replyBuf)[:n:n], true
+	return r.reuse.Reply[:n:n], true
 }
 
 // SetURLCopy points the request at a copy of u stored inside the request's

@@ -204,6 +204,7 @@ func ApplyRange(req *Request, resp *Response) *Response {
 		Generated: resp.Generated,
 		FromCache: resp.FromCache,
 		Via:       resp.Via,
+		Stamp:     resp.Stamp,
 	}
 	if resp.Stream != nil {
 		out.Stream = resp.Stream

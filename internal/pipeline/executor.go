@@ -169,7 +169,9 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 	// arrays — the standard three-stage pipeline never spills to the heap,
 	// and dynamically scheduled stages just grow past the array.
 	var forwardBuf [8]string
-	siteScriptURL := e.siteScriptURL(req)
+	// The site's nakika.js, accessed relative to the server's domain
+	// (comparable to robots.txt).
+	siteScriptURL := req.SiteURL(SiteScriptName)
 	forward := forwardBuf[:0]
 	if e.ServerWallURL != "" {
 		forward = append(forward, e.ServerWallURL)
@@ -456,17 +458,6 @@ func (e *Executor) policyInput(req *httpmsg.Request) policy.Input {
 		in.ClientHost = e.ClientHostLookup(req.ClientIP)
 	}
 	return in
-}
-
-// siteScriptURL returns the nakika.js location for the request's site,
-// accessed relative to the server's domain (comparable to robots.txt).
-func (e *Executor) siteScriptURL(req *httpmsg.Request) string {
-	host := req.URL.Host
-	scheme := req.URL.Scheme
-	if scheme == "" {
-		scheme = "http"
-	}
-	return scheme + "://" + host + "/" + SiteScriptName
 }
 
 // scriptObjectToResponse converts a { status, headers, body } object returned

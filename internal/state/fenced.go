@@ -7,12 +7,13 @@ import (
 )
 
 // internalPrefix marks hard-state keys owned by the system itself rather
-// than by site scripts — today the lease records ("\x00nk:lease:<name>").
+// than by site scripts: the lease records ("\x00nk:lease:<name>") and the
+// deployment record ("\x00nk:deploy").
 // Internal keys replicate, repair, and hand off exactly like script data
 // (they are ordinary versioned records), but they are hidden from
 // script-facing enumeration and core refuses script reads and writes to
-// them, so a site script can neither shadow nor delete a lease record
-// through the State vocabulary.
+// them, so a site script can neither shadow nor delete one through the
+// State vocabulary.
 const internalPrefix = "\x00nk:"
 
 // IsInternalKey reports whether key is in the reserved internal namespace.

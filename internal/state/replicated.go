@@ -83,25 +83,27 @@ func EncodeVersioned(ver uint64, origin string, deleted bool, value string) stri
 }
 
 // DecodeVersioned parses an encoded versioned record. ok is false for
-// strings that were not produced by EncodeVersioned (for example raw
-// values written while replication was disabled).
+// strings that were not produced by EncodeVersioned (for example the raw
+// values an older single node wrote).
 func DecodeVersioned(s string) (ver uint64, origin string, deleted bool, value string, ok bool) {
-	if !strings.HasPrefix(s, versionedPrefix) {
+	rest, found := strings.CutPrefix(s, versionedPrefix)
+	if !found {
 		return 0, "", false, "", false
 	}
-	parts := strings.SplitN(s[len(versionedPrefix):], " ", 3)
-	if len(parts) != 3 || len(parts[2]) < 1 {
+	verStr, rest, _ := strings.Cut(rest, " ")
+	origin, rest, found = strings.Cut(rest, " ")
+	if !found || rest == "" {
 		return 0, "", false, "", false
 	}
-	v, err := strconv.ParseUint(parts[0], 10, 64)
+	v, err := strconv.ParseUint(verStr, 10, 64)
 	if err != nil {
 		return 0, "", false, "", false
 	}
-	switch parts[2][0] {
+	switch rest[0] {
 	case 'P':
-		return v, parts[1], false, parts[2][1:], true
+		return v, origin, false, rest[1:], true
 	case 'D':
-		return v, parts[1], true, parts[2][1:], true
+		return v, origin, true, rest[1:], true
 	}
 	return 0, "", false, "", false
 }
@@ -109,11 +111,11 @@ func DecodeVersioned(s string) (ver uint64, origin string, deleted bool, value s
 // GetVersioned reads the versioned record for (site, key) from the local
 // store. ok is false when the key is absent; tombstones are returned with
 // deleted=true (the caller decides whether a tombstone reads as a miss).
-// A raw value — what a single-node nakikad writes — reads as a version-0
-// record with no origin. That is a supported input, not a grace path: it is
-// how a data directory stays readable when -peers is added to the node that
-// wrote it. Any replicated write supersedes it, and repair migrates it to
-// the key's replica set.
+// A raw value — what a single nakikad wrote before every write became a
+// versioned record — reads as a version-0 record with no origin. That is a
+// supported input, not a grace path: it is how an older data directory
+// stays readable, with or without -peers. Any write supersedes it, and
+// repair migrates it to the key's replica set.
 func (s *Store) GetVersioned(site, key string) (ver uint64, origin string, deleted bool, value string, ok bool) {
 	raw, found := s.Get(site, key)
 	if !found {
@@ -144,10 +146,11 @@ func (s *Store) PutVersioned(rec Rec) (applied bool, c store.Commit, err error) 
 	return err == nil, c, err
 }
 
-// KeysVersioned lists site's keys whose current record is a live versioned
-// put — tombstones, non-versioned values, and internal-namespace keys
-// (lease records; see IsInternalKey) are filtered out. VersionedRecords
-// stays unfiltered: repair and handoff must carry internal keys.
+// KeysVersioned lists site's keys whose current record is live: a versioned
+// put, or a raw value, which GetVersioned reads as version 0. Tombstones and
+// internal-namespace keys (lease and deploy records; see IsInternalKey) are
+// filtered out. VersionedRecords stays unfiltered: repair and handoff must
+// carry internal keys.
 func (s *Store) KeysVersioned(site string) []string {
 	var out []string
 	for _, key := range s.Keys(site) {

@@ -134,7 +134,7 @@ func TestVersionedRecordsFilterAndOrder(t *testing.T) {
 	}
 	// A raw (non-versioned) value travels as a version-0 record, so
 	// repair migrates legacy data written before replication was enabled.
-	if err := s.Put("s", "legacy", "raw"); err != nil {
+	if err := s.Backend().Put("s", "legacy", "raw"); err != nil {
 		t.Fatal(err)
 	}
 	recs := s.VersionedRecords(func(site, key string) bool { return key != "k2" })
@@ -153,12 +153,12 @@ func TestVersionedRecordsFilterAndOrder(t *testing.T) {
 // versioned accessors and loses to any replicated write.
 func TestRawValuesReadableAsVersionZero(t *testing.T) {
 	s := newStore(0)
-	if err := s.Put("s", "old", "pre-replication"); err != nil {
+	if err := s.Backend().Put("s", "old", "pre-replication"); err != nil {
 		t.Fatal(err)
 	}
 	// A raw value that happens to look like the (pre-sentinel) encoding
 	// shape reads back verbatim, not as a parsed record.
-	if err := s.Put("s", "shape", "10 users Present"); err != nil {
+	if err := s.Backend().Put("s", "shape", "10 users Present"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, deleted, value, ok := s.GetVersioned("s", "shape"); !ok || deleted || value != "10 users Present" {

@@ -1,20 +1,18 @@
 // Package state implements Na Kika's hard state support (Section 3.3):
 // per-site edge-side access logs and replicated application state.
 //
-// Replication follows Gao et al.'s distributed-object approach as adopted by
-// the paper: a local store plus a reliable messaging service, with the
-// actual replication strategy implemented by regular scripts. The Go layer
-// provides the two substrates — Store (local storage with per-site
-// partitioning and storage quotas) and Bus (a reliable, in-order message
-// bus connecting the nodes' update channels) — plus the AccessLog that
+// The paper keeps hard state as a local store plus a messaging service.
+// Here the store is Store (a store.Log with per-site partitioning and
+// storage quotas), holding every value as a versioned record (Rec) that
+// converges by last-writer-wins however often and in whatever order it is
+// applied; the messaging is internal/core's successor-list replication,
+// which carries those records between nodes over the transport. A node
+// without peers owns every key and writes the same records. AccessLog
 // batches log entries and posts them to the URLs site scripts name.
 package state
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +27,7 @@ const DefaultQuota = 16 << 20
 // Store is a per-node key-value store partitioned by site, with per-site
 // byte quotas enforcing the paper's resource constraints on persistent
 // storage. Storage itself is one store.Log: on the node's data directory,
-// where every acknowledged put is on disk before Put returns and a crashed
+// where every acknowledged write is on disk before it returns and a crashed
 // node recovers its hard state exactly by replay, or on a private
 // in-memory filesystem, where the same writes die with the process.
 type Store struct {
@@ -50,9 +48,8 @@ func (s *Store) Backend() *store.Log {
 	return s.kv
 }
 
-// SetBackend swaps the log in place. Replicas hold the Store, not the log,
-// so a node recovering from a crash can reopen its log and swap it in
-// without rewiring subscribers.
+// SetBackend swaps the log in place, so a node recovering from a crash can
+// reopen its log and swap it in under everything that holds the Store.
 func (s *Store) SetBackend(kv *store.Log) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -64,93 +61,9 @@ func (s *Store) Get(site, key string) (string, bool) {
 	return s.Backend().Get(site, key)
 }
 
-// Put stores value under key in site's partition, enforcing the quota; it
-// returns once the write is durable.
-func (s *Store) Put(site, key, value string) error {
-	return s.Backend().Put(site, key, value)
-}
-
-// Delete removes key from site's partition; it returns once the removal
-// is durable.
-func (s *Store) Delete(site, key string) error {
-	return s.Backend().Delete(site, key)
-}
-
 // Keys returns the keys in site's partition, sorted.
 func (s *Store) Keys(site string) []string {
 	return s.Backend().Keys(site)
-}
-
-// ---------------------------------------------------------------------------
-// Reliable message bus
-// ---------------------------------------------------------------------------
-
-// Message is a replication update published by a node for a site.
-type Message struct {
-	Site    string
-	Origin  string // originating node name
-	Payload string
-	Seq     int64
-}
-
-// Handler consumes replication messages delivered to a subscriber.
-type Handler func(msg Message)
-
-// Bus is an in-process reliable messaging service (the JORAM substitute):
-// messages published for a site are delivered synchronously, in publication
-// order, to every subscribed node except the originator.
-type Bus struct {
-	mu          sync.Mutex
-	subscribers map[string]map[string]Handler // site -> node name -> handler
-	seq         int64
-}
-
-// NewBus returns an empty bus.
-func NewBus() *Bus {
-	return &Bus{subscribers: make(map[string]map[string]Handler)}
-}
-
-// Subscribe registers node's handler for site's replication messages.
-func (b *Bus) Subscribe(site, node string, h Handler) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.subscribers[site] == nil {
-		b.subscribers[site] = make(map[string]Handler)
-	}
-	b.subscribers[site][node] = h
-}
-
-// Publish sends a replication message from origin for site. It returns the
-// message's sequence number.
-func (b *Bus) Publish(site, origin, payload string) int64 {
-	b.mu.Lock()
-	b.seq++
-	msg := Message{Site: site, Origin: origin, Payload: payload, Seq: b.seq}
-	b.mu.Unlock()
-	b.deliver(msg)
-	return msg.Seq
-}
-
-// deliver invokes every subscriber for the message's site except the
-// originator.
-func (b *Bus) deliver(msg Message) {
-	b.mu.Lock()
-	handlers := make(map[string]Handler)
-	for node, h := range b.subscribers[msg.Site] {
-		if node != msg.Origin {
-			handlers[node] = h
-		}
-	}
-	b.mu.Unlock()
-	// Deterministic delivery order.
-	names := make([]string, 0, len(handlers))
-	for n := range handlers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		handlers[n](msg)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -357,93 +270,4 @@ func FormatAccess(clientIP, method, url string, status, bytes int, elapsed time.
 	b = append(b, ' ')
 	b = append(b, d...)
 	return string(b)
-}
-
-// ---------------------------------------------------------------------------
-// Replicated state: store + bus + script-defined strategy
-// ---------------------------------------------------------------------------
-
-// Replica ties a node's local store to the bus for one site, implementing
-// the default optimistic replication strategy (propagate every update to all
-// nodes, last-writer-wins). Sites that need different semantics implement
-// them in their scripts via the State vocabulary's propagate and the
-// onMessage hook; Replica is the building block those scripts run on.
-type Replica struct {
-	Site  string
-	Node  string
-	Store *Store
-	Bus   *Bus
-	// OnMessage, when non-nil, is invoked for every remote update after it
-	// has been applied locally; the node uses it to hand the message to the
-	// site's script.
-	OnMessage func(Message)
-}
-
-// Attach subscribes the replica to the bus.
-func (r *Replica) Attach() {
-	r.Bus.Subscribe(r.Site, r.Node, r.apply)
-}
-
-// Put writes locally and propagates the update to other replicas.
-func (r *Replica) Put(key, value string) error {
-	if err := r.Store.Put(r.Site, key, value); err != nil {
-		return err
-	}
-	r.Bus.Publish(r.Site, r.Node, encodeUpdate("put", key, value))
-	return nil
-}
-
-// Delete removes locally and propagates the removal.
-func (r *Replica) Delete(key string) error {
-	if err := r.Store.Delete(r.Site, key); err != nil {
-		return err
-	}
-	r.Bus.Publish(r.Site, r.Node, encodeUpdate("del", key, ""))
-	return nil
-}
-
-// Get reads from the local replica.
-func (r *Replica) Get(key string) (string, bool) {
-	return r.Store.Get(r.Site, key)
-}
-
-// apply handles a remote update.
-func (r *Replica) apply(msg Message) {
-	op, key, value, ok := decodeUpdate(msg.Payload)
-	if ok {
-		switch op {
-		case "put":
-			// Quota violations on replicated writes are dropped; the
-			// originating replica already accepted the write and the local
-			// node simply cannot hold it.
-			_ = r.Store.Put(r.Site, key, value)
-		case "del":
-			_ = r.Store.Delete(r.Site, key)
-		}
-	}
-	if r.OnMessage != nil {
-		r.OnMessage(msg)
-	}
-}
-
-// encodeUpdate and decodeUpdate use a trivial length-prefixed encoding so
-// keys and values may contain any characters.
-func encodeUpdate(op, key, value string) string {
-	return fmt.Sprintf("%s %d %d %s%s", op, len(key), len(value), key, value)
-}
-
-func decodeUpdate(s string) (op, key, value string, ok bool) {
-	parts := strings.SplitN(s, " ", 4)
-	if len(parts) != 4 {
-		return "", "", "", false
-	}
-	var klen, vlen int
-	if _, err := fmt.Sscanf(parts[1]+" "+parts[2], "%d %d", &klen, &vlen); err != nil {
-		return "", "", "", false
-	}
-	rest := parts[3]
-	if len(rest) < klen+vlen {
-		return "", "", "", false
-	}
-	return parts[0], rest[:klen], rest[klen : klen+vlen], true
 }

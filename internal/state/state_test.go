@@ -25,52 +25,77 @@ func newStore(quota int64) *Store {
 	return NewStoreBacked(kv)
 }
 
+// write stores value under key as the next version after the one s holds,
+// or a tombstone when deleted, as the key's owning node does.
+func write(s *Store, site, key, value string, deleted bool) error {
+	ver, _, _, _, _ := s.GetVersioned(site, key)
+	_, err := putNow(s, Rec{Site: site, Key: key, Ver: ver + 1, Origin: "n", Delete: deleted, Value: value})
+	return err
+}
+
+// readLive reads key's value; a tombstone reads as a miss.
+func readLive(s *Store, site, key string) (string, bool) {
+	_, _, deleted, value, ok := s.GetVersioned(site, key)
+	return value, ok && !deleted
+}
+
 func TestStorePutGetDelete(t *testing.T) {
 	s := newStore(0)
-	if _, ok := s.Get("siteA", "user:1"); ok {
+	if _, ok := readLive(s, "siteA", "user:1"); ok {
 		t.Error("unexpected hit")
 	}
-	if err := s.Put("siteA", "user:1", `{"name":"maria"}`); err != nil {
+	if err := write(s, "siteA", "user:1", `{"name":"maria"}`, false); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := s.Get("siteA", "user:1")
+	v, ok := readLive(s, "siteA", "user:1")
 	if !ok || v != `{"name":"maria"}` {
 		t.Errorf("got %q %v", v, ok)
 	}
 	// Partitioning: siteB cannot see siteA's keys.
-	if _, ok := s.Get("siteB", "user:1"); ok {
+	if _, ok := readLive(s, "siteB", "user:1"); ok {
 		t.Error("partitions must be isolated")
 	}
-	s.Delete("siteA", "user:1")
-	if _, ok := s.Get("siteA", "user:1"); ok {
-		t.Error("deleted key should be gone")
-	}
-	s.Delete("siteA", "never-existed") // no-op
-}
-
-func TestStoreQuota(t *testing.T) {
-	s := newStore(100)
-	if err := s.Put("site", "k1", strings.Repeat("x", 50)); err != nil {
+	if err := write(s, "siteA", "user:1", "", true); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("site", "k2", strings.Repeat("y", 60)); err != store.ErrQuotaExceeded {
+	if _, ok := readLive(s, "siteA", "user:1"); ok {
+		t.Error("deleted key should be gone")
+	}
+	if err := write(s, "siteA", "never-existed", "", true); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := readLive(s, "siteA", "never-existed"); ok {
+		t.Error("a tombstone alone must read as a miss")
+	}
+}
+
+// TestStoreQuota: the quota counts each record's key and stored encoding
+// (11 bytes of version, origin and op here, beside the value).
+func TestStoreQuota(t *testing.T) {
+	s := newStore(120)
+	if err := write(s, "site", "k1", strings.Repeat("x", 50), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := write(s, "site", "k2", strings.Repeat("y", 60), false); err != store.ErrQuotaExceeded {
 		t.Errorf("expected quota error, got %v", err)
 	}
 	// Overwriting within quota works (delta accounting).
-	if err := s.Put("site", "k1", strings.Repeat("z", 60)); err != nil {
+	if err := write(s, "site", "k1", strings.Repeat("z", 60), false); err != nil {
 		t.Errorf("overwrite within quota should succeed: %v", err)
 	}
 	// Another site has its own quota.
-	if err := s.Put("other", "k", strings.Repeat("w", 90)); err != nil {
+	if err := write(s, "other", "k", strings.Repeat("w", 90), false); err != nil {
 		t.Errorf("other site's quota is independent: %v", err)
 	}
-	// Deleting frees quota: a put that does not fit beside k1 fits once k1
-	// is gone.
-	if err := s.Put("site", "k3", strings.Repeat("v", 90)); err != store.ErrQuotaExceeded {
+	// A tombstone frees its value's bytes: a put that does not fit beside
+	// k1 fits once k1 is deleted.
+	if err := write(s, "site", "k3", strings.Repeat("v", 90), false); err != store.ErrQuotaExceeded {
 		t.Errorf("expected quota error beside k1, got %v", err)
 	}
-	s.Delete("site", "k1")
-	if err := s.Put("site", "k3", strings.Repeat("v", 90)); err != nil {
+	if err := write(s, "site", "k1", "", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := write(s, "site", "k3", strings.Repeat("v", 90), false); err != nil {
 		t.Errorf("put after delete should fit: %v", err)
 	}
 }
@@ -78,7 +103,7 @@ func TestStoreQuota(t *testing.T) {
 func TestStoreKeys(t *testing.T) {
 	s := newStore(0)
 	for _, k := range []string{"c", "a", "b"} {
-		if err := s.Put("site", k, "v"); err != nil {
+		if err := write(s, "site", k, "v", false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,157 +116,78 @@ func TestStoreKeys(t *testing.T) {
 	}
 }
 
-func TestBusSynchronousDelivery(t *testing.T) {
-	b := NewBus()
-	var got []string
-	b.Subscribe("site", "node-b", func(m Message) { got = append(got, "b:"+m.Payload) })
-	b.Subscribe("site", "node-c", func(m Message) { got = append(got, "c:"+m.Payload) })
-	seq1 := b.Publish("site", "node-a", "update-1")
-	seq2 := b.Publish("site", "node-a", "update-2")
-	if seq2 <= seq1 {
-		t.Error("sequence numbers should increase")
-	}
-	want := []string{"b:update-1", "c:update-1", "b:update-2", "c:update-2"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("delivery[%d] = %q, want %q", i, got[i], want[i])
+// TestReplicaPropagation: a record applied at every replica, as an owner
+// pushes it to its successors, reads the same at each, and so does the
+// tombstone a later owner writes over it (three nodes holding one site's
+// user registrations, as in SPECweb99).
+func TestReplicaPropagation(t *testing.T) {
+	stores := []*Store{newStore(0), newStore(0), newStore(0)}
+	push := func(rec Rec) {
+		for i, s := range stores {
+			if applied, err := putNow(s, rec); err != nil || !applied {
+				t.Fatalf("replica %d: %v applied=%v, %v", i, rec, applied, err)
+			}
 		}
 	}
-}
-
-func TestBusOriginatorExcluded(t *testing.T) {
-	b := NewBus()
-	var aGot, bGot int
-	b.Subscribe("site", "node-a", func(m Message) { aGot++ })
-	b.Subscribe("site", "node-b", func(m Message) { bGot++ })
-	b.Publish("site", "node-a", "x")
-	if aGot != 0 {
-		t.Error("originator must not receive its own message")
-	}
-	if bGot != 1 {
-		t.Error("other subscribers should receive the message")
-	}
-}
-
-func TestBusSiteIsolation(t *testing.T) {
-	b := NewBus()
-	var got int
-	b.Subscribe("site-one", "node-b", func(m Message) { got++ })
-	b.Publish("site-two", "node-a", "x")
-	if got != 0 {
-		t.Error("messages are per-site")
-	}
-}
-
-func TestReplicaPropagation(t *testing.T) {
-	// Three nodes replicating one site's user registrations (the SPECweb99
-	// workload's hard state).
-	bus := NewBus()
-	stores := []*Store{newStore(0), newStore(0), newStore(0)}
-	replicas := make([]*Replica, 3)
-	for i := range replicas {
-		replicas[i] = &Replica{Site: "specweb.example.org", Node: fmt.Sprintf("node-%d", i), Store: stores[i], Bus: bus}
-		replicas[i].Attach()
-	}
-	if err := replicas[0].Put("user:100", "profile-data"); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range replicas {
-		v, ok := r.Get("user:100")
-		if !ok || v != "profile-data" {
+	const site = "specweb.example.org"
+	push(Rec{Site: site, Key: "user:100", Ver: 1, Origin: "node-0", Value: "profile-data"})
+	for i, s := range stores {
+		if v, ok := readLive(s, site, "user:100"); !ok || v != "profile-data" {
 			t.Errorf("replica %d: got %q %v", i, v, ok)
 		}
 	}
-	// Deletion propagates too.
-	replicas[2].Delete("user:100")
-	for i, r := range replicas {
-		if _, ok := r.Get("user:100"); ok {
+	push(Rec{Site: site, Key: "user:100", Ver: 2, Origin: "node-2", Delete: true})
+	for i, s := range stores {
+		if _, ok := readLive(s, site, "user:100"); ok {
 			t.Errorf("replica %d still has the deleted key", i)
 		}
 	}
 }
 
-func TestReplicaOnMessageHook(t *testing.T) {
-	bus := NewBus()
-	var hookPayloads []string
-	a := &Replica{Site: "s", Node: "a", Store: newStore(0), Bus: bus}
-	b := &Replica{Site: "s", Node: "b", Store: newStore(0), Bus: bus, OnMessage: func(m Message) {
-		hookPayloads = append(hookPayloads, m.Payload)
-	}}
-	a.Attach()
-	b.Attach()
-	if err := a.Put("k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if len(hookPayloads) != 1 {
-		t.Fatalf("hook called %d times", len(hookPayloads))
-	}
-	op, key, value, ok := decodeUpdate(hookPayloads[0])
-	if !ok || op != "put" || key != "k" || value != "v" {
-		t.Errorf("decoded %q %q %q %v", op, key, value, ok)
-	}
-}
-
-func TestUpdateEncodingRoundTrip(t *testing.T) {
-	cases := []struct{ op, key, value string }{
-		{"put", "user:1", `{"a": "b c d"}`},
-		{"del", "user:2", ""},
-		{"put", "key with spaces", "value with  spaces"},
-		{"put", "", ""},
-	}
-	for _, c := range cases {
-		op, key, value, ok := decodeUpdate(encodeUpdate(c.op, c.key, c.value))
-		if !ok || op != c.op || key != c.key || value != c.value {
-			t.Errorf("round trip failed for %+v: got %q %q %q %v", c, op, key, value, ok)
-		}
-	}
-	if _, _, _, ok := decodeUpdate("garbage"); ok {
-		t.Error("garbage should not decode")
-	}
-	if _, _, _, ok := decodeUpdate("put x y z"); ok {
-		t.Error("non-numeric lengths should not decode")
-	}
-}
-
-func TestPropertyUpdateEncoding(t *testing.T) {
-	f := func(key, value string) bool {
-		op, k, v, ok := decodeUpdate(encodeUpdate("put", key, value))
-		return ok && op == "put" && k == key && v == value
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: after any sequence of replicated puts on random replicas, all
-// attached replicas converge to identical contents.
+// Property: after any sequence of puts on random replicas, each stamped as
+// the next version at the replica that takes it and pushed to the others
+// either at once or only at the end, newest first, all replicas converge to
+// identical contents.
 func TestPropertyReplicasConverge(t *testing.T) {
 	f := func(ops []struct {
 		Replica uint8
 		Key     uint8
 		Value   string
+		Late    bool
 	}) bool {
-		bus := NewBus()
-		replicas := make([]*Replica, 3)
-		for i := range replicas {
-			replicas[i] = &Replica{Site: "s", Node: fmt.Sprintf("n%d", i), Store: newStore(0), Bus: bus}
-			replicas[i].Attach()
-		}
+		stores := []*Store{newStore(0), newStore(0), newStore(0)}
+		var late []Rec
 		for _, op := range ops {
-			r := replicas[int(op.Replica)%3]
-			if err := r.Put(fmt.Sprintf("k%d", op.Key%16), op.Value); err != nil {
+			r := int(op.Replica) % 3
+			key := fmt.Sprintf("k%d", op.Key%16)
+			ver, _, _, _, _ := stores[r].GetVersioned("s", key)
+			rec := Rec{Site: "s", Key: key, Ver: ver + 1, Origin: fmt.Sprintf("n%d", r), Value: op.Value}
+			if _, err := putNow(stores[r], rec); err != nil {
 				return false
+			}
+			if op.Late {
+				late = append(late, rec)
+				continue
+			}
+			for _, s := range stores {
+				if _, err := putNow(s, rec); err != nil {
+					return false
+				}
+			}
+		}
+		for i := len(late) - 1; i >= 0; i-- {
+			for _, s := range stores {
+				if _, err := putNow(s, late[i]); err != nil {
+					return false
+				}
 			}
 		}
 		// Compare every replica's view of every key.
 		for k := 0; k < 16; k++ {
 			key := fmt.Sprintf("k%d", k)
-			v0, ok0 := replicas[0].Get(key)
+			v0, ok0 := readLive(stores[0], "s", key)
 			for i := 1; i < 3; i++ {
-				vi, oki := replicas[i].Get(key)
+				vi, oki := readLive(stores[i], "s", key)
 				if ok0 != oki || v0 != vi {
 					return false
 				}
@@ -381,11 +327,11 @@ func TestConcurrentStoreAccess(t *testing.T) {
 				key := fmt.Sprintf("k%d", i%20)
 				switch i % 3 {
 				case 0:
-					_ = s.Put(site, key, "value")
+					_ = write(s, site, key, "value", false)
 				case 1:
-					s.Get(site, key)
+					readLive(s, site, key)
 				default:
-					s.Delete(site, key)
+					_ = write(s, site, key, "", true)
 				}
 			}
 		}(g)

@@ -8,10 +8,10 @@ import (
 	"nakika/internal/wire"
 )
 
-// ErrFencedStale is returned by FencedPut and RaiseFence when the write's
-// (token, holder) pair is below the store's durable fence floor for that
-// guard: a newer holdership has already written here, so the caller is
-// deposed and its write must not land.
+// ErrFencedStale is returned by EnqueueFencedPut and EnqueueRaiseFence when
+// the write's (token, holder) pair is below the store's durable fence floor
+// for that guard: a newer holdership has already written here, so the
+// caller is deposed and its write must not land.
 var ErrFencedStale = errors.New("store: write fenced off by a newer token")
 
 // fenceFloor is the durable high-water mark for one guard at one store: the
@@ -101,12 +101,6 @@ func (l *Log) EnqueueRaiseFence(site, guard, holder string, token uint64) (Commi
 		l.t.raiseFence(site, guard, holder, token)
 		return encodeFence(site, guard, holder, token), nil
 	})
-}
-
-// FencedPut writes key=value under the guard's fence and returns once the
-// write is durable; see EnqueueFencedPut.
-func (l *Log) FencedPut(site, key, value, guard, holder string, token uint64) error {
-	return wait(l.EnqueueFencedPut(site, key, value, guard, holder, token))
 }
 
 // EnqueueFencedPut writes key=value and raises the guard's floor to

@@ -13,15 +13,34 @@ func (l *Log) RaiseFence(site, guard, holder string, token uint64) error {
 	return wait(l.EnqueueRaiseFence(site, guard, holder, token))
 }
 
+// fencedPut is EnqueueFencedPut followed by its commit's Wait. Production
+// writes a fenced value only through state.Store.FencedPutVersioned, as a
+// versioned record.
+func fencedPut(l *Log, site, key, value, guard, holder string, token uint64) error {
+	return wait(l.EnqueueFencedPut(site, key, value, guard, holder, token))
+}
+
+// encodeDelete and del write the delete record ('D') that no writer emits
+// any more: a data directory from before every write became a versioned
+// record holds them, and replay still reads them.
+func encodeDelete(site, key string) []byte { return encodeRecord(opDelete, 0, site, key) }
+
+func del(l *Log, site, key string) error {
+	return wait(l.enqueue(func() ([]byte, error) {
+		l.t.del(site, key)
+		return encodeDelete(site, key), nil
+	}))
+}
+
 func TestMemFenceAdmission(t *testing.T) {
 	m := memLog(t, 0)
 
 	// Token zero is never admitted, even against an empty floor.
-	if err := m.FencedPut("s", "k", "v", "lock", "node-a", 0); err != ErrFencedStale {
+	if err := fencedPut(m, "s", "k", "v", "lock", "node-a", 0); err != ErrFencedStale {
 		t.Fatalf("token 0 admitted: %v", err)
 	}
 
-	if err := m.FencedPut("s", "k", "v1", "lock", "node-a", 1); err != nil {
+	if err := fencedPut(m, "s", "k", "v1", "lock", "node-a", 1); err != nil {
 		t.Fatal(err)
 	}
 	if tok, holder := m.FenceToken("s", "lock"); tok != 1 || holder != "node-a" {
@@ -29,12 +48,12 @@ func TestMemFenceAdmission(t *testing.T) {
 	}
 
 	// The holdership that owns the floor keeps writing at the same token.
-	if err := m.FencedPut("s", "k", "v2", "lock", "node-a", 1); err != nil {
+	if err := fencedPut(m, "s", "k", "v2", "lock", "node-a", 1); err != nil {
 		t.Fatal(err)
 	}
 	// A different holder at the same token is a split-brain double-grant:
 	// node-a claimed token 1 here first, so node-b is fenced off.
-	if err := m.FencedPut("s", "k", "vx", "lock", "node-b", 1); err != ErrFencedStale {
+	if err := fencedPut(m, "s", "k", "vx", "lock", "node-b", 1); err != ErrFencedStale {
 		t.Fatalf("same-token other-holder admitted: %v", err)
 	}
 	if v, _ := m.Get("s", "k"); v != "v2" {
@@ -42,11 +61,11 @@ func TestMemFenceAdmission(t *testing.T) {
 	}
 
 	// A higher token always wins and deposes the old holdership...
-	if err := m.FencedPut("s", "k", "v3", "lock", "node-b", 2); err != nil {
+	if err := fencedPut(m, "s", "k", "v3", "lock", "node-b", 2); err != nil {
 		t.Fatal(err)
 	}
 	// ...after which the deposed holder's late writes are rejected.
-	if err := m.FencedPut("s", "k2", "late", "lock", "node-a", 1); err != ErrFencedStale {
+	if err := fencedPut(m, "s", "k2", "late", "lock", "node-a", 1); err != ErrFencedStale {
 		t.Fatalf("deposed write admitted: %v", err)
 	}
 	if _, ok := m.Get("s", "k2"); ok {
@@ -54,7 +73,7 @@ func TestMemFenceAdmission(t *testing.T) {
 	}
 
 	// Guards are independent: a different guard starts from an empty floor.
-	if err := m.FencedPut("s", "k3", "v", "other", "node-a", 1); err != nil {
+	if err := fencedPut(m, "s", "k3", "v", "other", "node-a", 1); err != nil {
 		t.Fatal(err)
 	}
 	// And RaiseFence advances the floor without touching any value.
@@ -71,7 +90,7 @@ func TestMemFenceAdmission(t *testing.T) {
 
 func TestLogFenceQuotaFailureLeavesFloor(t *testing.T) {
 	m := memLog(t, 8)
-	if err := m.FencedPut("s", "key-too-big", "a value far over quota", "lock", "node-a", 1); err != ErrQuotaExceeded {
+	if err := fencedPut(m, "s", "key-too-big", "a value far over quota", "lock", "node-a", 1); err != ErrQuotaExceeded {
 		t.Fatalf("err = %v", err)
 	}
 	// The floor must not advance for a write that never landed, or a
@@ -87,10 +106,10 @@ func TestLogFenceFloorSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.FencedPut("s", "k", "v1", "lock", "node-a", 1); err != nil {
+	if err := fencedPut(l, "s", "k", "v1", "lock", "node-a", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.FencedPut("s", "k", "v2", "lock", "node-b", 2); err != nil {
+	if err := fencedPut(l, "s", "k", "v2", "lock", "node-b", 2); err != nil {
 		t.Fatal(err)
 	}
 	// A floor raise without a value write (the LWW-superseded case) must
@@ -112,7 +131,7 @@ func TestLogFenceFloorSurvivesCrash(t *testing.T) {
 		t.Fatalf("recovered value = %q", v)
 	}
 	// The deposed holders stay deposed after recovery.
-	if err := nl.FencedPut("s", "k", "late", "lock", "node-a", 1); err != ErrFencedStale {
+	if err := fencedPut(nl, "s", "k", "late", "lock", "node-a", 1); err != ErrFencedStale {
 		t.Fatalf("deposed write admitted after recovery: %v", err)
 	}
 }
@@ -124,7 +143,7 @@ func TestLogFenceFloorSurvivesCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.FencedPut("s", "k", "v", "lock", "node-a", 7); err != nil {
+	if err := fencedPut(l, "s", "k", "v", "lock", "node-a", 7); err != nil {
 		t.Fatal(err)
 	}
 	// Churn plain writes until the WAL holding the fenced put is rolled
@@ -195,8 +214,8 @@ func TestDumpWALRecordsAdmissionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Put("s", "plain", "x")
-	l.FencedPut("s", "k", "v1", "lock", "node-a", 1)
-	l.FencedPut("s", "k", "v2", "lock", "node-a", 1)
+	fencedPut(l, "s", "k", "v1", "lock", "node-a", 1)
+	fencedPut(l, "s", "k", "v2", "lock", "node-a", 1)
 	l.RaiseFence("s", "lock", "node-b", 2)
 	l.Abandon()
 	// A second process generation appends to a fresh WAL file; DumpWAL
@@ -205,7 +224,7 @@ func TestDumpWALRecordsAdmissionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl.FencedPut("s", "k", "v3", "lock", "node-b", 2)
+	fencedPut(nl, "s", "k", "v3", "lock", "node-b", 2)
 	nl.Close()
 
 	recs, err := DumpWAL(fs)

@@ -101,7 +101,9 @@ func (t *table) rangeAll(fn func(site, key, value string) bool) {
 // Record ops. A log record is one mutation: op byte, then uvarint-length-
 // prefixed site, key, and (for puts) value; a fenced put adds guard and
 // holder, a fence raise carries site, guard and holder alone, and both end
-// with the uvarint token (see fence.go).
+// with the uvarint token (see fence.go). No writer emits a delete any more
+// (a delete is a versioned tombstone put); replay still reads the ones an
+// older data directory holds.
 const (
 	opPut       = 'P'
 	opDelete    = 'D'
@@ -129,8 +131,6 @@ func encodeRecord(op byte, token uint64, fields ...string) []byte {
 func encodePut(site, key, value string) []byte {
 	return encodeRecord(opPut, 0, site, key, value)
 }
-
-func encodeDelete(site, key string) []byte { return encodeRecord(opDelete, 0, site, key) }
 
 func encodeFencedPut(site, key, value, guard, holder string, token uint64) []byte {
 	return encodeRecord(opFencedPut, token, site, key, value, guard, holder)

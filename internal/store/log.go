@@ -192,7 +192,7 @@ func (l *Log) applyFrames(data []byte) int {
 			// Replay bypasses the quota: the record was accepted before
 			// the crash and must recover exactly.
 			l.t.put(rec.Site, rec.Key, rec.Value, 0)
-		case opDelete:
+		case opDelete: // written by older releases only
 			l.t.del(rec.Site, rec.Key)
 		case opFencedPut:
 			l.t.put(rec.Site, rec.Key, rec.Value, 0)
@@ -296,15 +296,6 @@ func (l *Log) failStop(err error) {
 		return // a crash/shutdown race, not a broken disk
 	}
 	l.Abandon()
-}
-
-// Delete removes key from site's partition and returns once the removal
-// is durable.
-func (l *Log) Delete(site, key string) error {
-	return wait(l.enqueue(func() ([]byte, error) {
-		l.t.del(site, key)
-		return encodeDelete(site, key), nil
-	}))
 }
 
 // Keys returns site's keys, sorted.

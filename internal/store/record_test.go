@@ -37,10 +37,10 @@ func TestLogRecordGolden(t *testing.T) {
 	if err := l.Put("site.example", "k", "v1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Delete("site.example", "gone"); err != nil {
+	if err := del(l, "site.example", "gone"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.FencedPut("site.example", "k", "v2", "lock", "node-a", 7); err != nil {
+	if err := fencedPut(l, "site.example", "k", "v2", "lock", "node-a", 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.RaiseFence("site.example", "lock", "node-b", 300); err != nil {

@@ -44,7 +44,7 @@ func TestMemQuota(t *testing.T) {
 	if got := siteBytes(m, "s"); got != 10 {
 		t.Fatalf("bytes = %d", got)
 	}
-	m.Delete("s", "k")
+	del(m, "s", "k")
 	if got := siteBytes(m, "s"); got != 0 {
 		t.Fatalf("bytes after delete = %d", got)
 	}
@@ -64,7 +64,7 @@ func TestLogPutGetRecover(t *testing.T) {
 	if err := l.Put("site-b", "x", "y"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Delete("site-a", "k00"); err != nil {
+	if err := del(l, "site-a", "k00"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -54,9 +54,6 @@ type Host interface {
 	StatePut(act *trace.Act, site, key, value string) error
 	StateDelete(act *trace.Act, site, key string) error
 	StateKeys(act *trace.Act, site string) []string
-	// Propagate sends a replication message to the site's update channel on
-	// other nodes via the reliable messaging layer.
-	Propagate(site, message string) error
 	// Distributed lease operations, partitioned by site (see
 	// internal/core/lease.go). LeaseAcquire takes or renews the named
 	// lease for this node (ttl <= 0 means the node default) and returns
@@ -115,9 +112,6 @@ func (NopHost) StateDelete(act *trace.Act, site, key string) error { return nil 
 
 // StateKeys returns nothing.
 func (NopHost) StateKeys(act *trace.Act, site string) []string { return nil }
-
-// Propagate discards the message.
-func (NopHost) Propagate(site, message string) error { return nil }
 
 // LeaseAcquire always grants token 1.
 func (NopHost) LeaseAcquire(act *trace.Act, site, name string, ttl time.Duration) (uint64, bool) {
@@ -391,14 +385,12 @@ func installState(ctx *script.Context, host Host, site string) {
 		}
 		return arr, nil
 	}})
+	// The paper's script-level messaging (propagate and onMessage) has no
+	// messaging service behind it: hard state replicates as versioned
+	// records in the node, below the scripts. The name stays bound so a
+	// script that calls it gets an error it can catch.
 	state.Set("propagate", &script.Native{Name: "State.propagate", Fn: func(c *script.Context, this script.Value, args []script.Value) (script.Value, error) {
-		if len(args) == 0 {
-			return script.Boolean(false), nil
-		}
-		if err := host.Propagate(site, script.ToString(args[0])); err != nil {
-			return nil, script.ThrowString("State.propagate: " + err.Error())
-		}
-		return script.Boolean(true), nil
+		return nil, script.ThrowString("State.propagate: no messaging service configured")
 	}})
 	ctx.DefineGlobal("State", state)
 }

@@ -19,15 +19,14 @@ import (
 // recordingHost is a Host that records interactions for assertions.
 type recordingHost struct {
 	NopHost
-	mu       sync.Mutex
-	fetches  []string
-	fetchFn  func(req *httpmsg.Request) (*httpmsg.Response, error)
-	cache    map[string]*httpmsg.Response
-	state    map[string]string
-	logs     []string
-	messages []string
-	usage    float64
-	delErr   error // StateDelete's answer
+	mu      sync.Mutex
+	fetches []string
+	fetchFn func(req *httpmsg.Request) (*httpmsg.Response, error)
+	cache   map[string]*httpmsg.Response
+	state   map[string]string
+	logs    []string
+	usage   float64
+	delErr  error // StateDelete's answer
 }
 
 func newRecordingHost() *recordingHost {
@@ -98,13 +97,6 @@ func (h *recordingHost) StateKeys(act *trace.Act, site string) []string {
 		}
 	}
 	return out
-}
-
-func (h *recordingHost) Propagate(site, message string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.messages = append(h.messages, message)
-	return nil
 }
 
 func (h *recordingHost) NodeName() string { return "test-node" }
@@ -221,9 +213,13 @@ func TestStateVocabulary(t *testing.T) {
 	if _, ok := h.state["example.org/user:42"]; ok {
 		t.Error("remove should delete the key")
 	}
-	run(t, ctx, `State.propagate(JSON.stringify({ op: "put", key: "user:42" }))`)
-	if len(h.messages) != 1 {
-		t.Errorf("messages = %v", h.messages)
+	// No messaging service stands behind State.propagate: every call is a
+	// script error, and the host's state is untouched.
+	if _, err := ctx.RunSource(`State.propagate("put 1 5 xhello")`, "test.js"); err == nil || !strings.Contains(err.Error(), "State.propagate: no messaging service configured") {
+		t.Errorf("State.propagate = %v, want the no-messaging error thrown", err)
+	}
+	if len(h.state) != 0 {
+		t.Errorf("State.propagate changed the host's state: %v", h.state)
 	}
 }
 

@@ -11,6 +11,12 @@
 //	node, _ := nakika.NewNode(nakika.Config{Name: "edge-1", Upstream: origin})
 //	resp, _, _ := node.Handle(nakika.MustRequest("GET", "http://site.org/"))
 //
+// Nodes given the same Ring cooperate: they share cached copies, and their
+// hard state (a site script's State.put and State.remove, leases, deployed
+// scripts) is written at each key's owner and replicated to its
+// successors. A node without a Ring owns every key and writes the same
+// versioned records to its own store.
+//
 // See the examples/ directory for runnable programs and DESIGN.md for the
 // system inventory and the mapping from the paper's evaluation to the
 // benchmark harness.
@@ -20,7 +26,6 @@ import (
 	"nakika/internal/core"
 	"nakika/internal/httpmsg"
 	"nakika/internal/overlay"
-	"nakika/internal/state"
 	"nakika/internal/store"
 )
 
@@ -46,9 +51,6 @@ type FetcherFunc = core.FetcherFunc
 // redirects relayed rather than followed.
 type HTTPFetcher = core.HTTPFetcher
 
-// Directory locates peer nodes for cooperative caching.
-type Directory = core.Directory
-
 // Stats aggregates node counters.
 type Stats = core.Stats
 
@@ -58,30 +60,24 @@ type Request = httpmsg.Request
 // Response is the pipeline's HTTP response representation.
 type Response = httpmsg.Response
 
-// Ring is the structured overlay shared by cooperating nodes.
+// Ring is the structured overlay shared by cooperating nodes. In-process
+// nodes sharing one replicate hard state over its transport: each key is
+// written at its owner and pushed to the owner's successors. A node
+// without a Ring owns every key.
 type Ring = overlay.Ring
 
 // Redirector picks nearby edge nodes for clients (the DNS-redirection
 // substitute).
 type Redirector = overlay.Redirector
 
-// Bus is the reliable messaging service used for hard state replication.
-type Bus = state.Bus
-
 // NewNode builds an edge node.
 func NewNode(cfg Config) (*Node, error) { return core.NewNode(cfg) }
-
-// NewDirectory returns an empty peer directory.
-func NewDirectory() *Directory { return core.NewDirectory() }
 
 // NewRing returns an empty overlay ring.
 func NewRing() *Ring { return overlay.NewRing() }
 
 // NewRedirector returns a redirector over ring.
 func NewRedirector(ring *Ring) *Redirector { return overlay.NewRedirector(ring) }
-
-// NewBus returns a synchronous replication message bus.
-func NewBus() *Bus { return state.NewBus() }
 
 // FS is the filesystem abstraction the node's storage runs on; set
 // Config.DataFS to make it durable (hard-state WAL, large-object tier and

@@ -45,10 +45,11 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestPublicAPIOverlayAndBus: two embedded nodes share a Ring, which is
+// both their overlay and the messaging service their hard state replicates
+// over: a key written at one reads back at the other.
 func TestPublicAPIOverlayAndBus(t *testing.T) {
 	ring := NewRing()
-	dir := NewDirectory()
-	bus := NewBus()
 	origin := FetcherFunc(func(req *Request) (*Response, error) {
 		if req.Path() == "/big" {
 			r := NewHTMLResponse(200, strings.Repeat("x", 5000))
@@ -57,11 +58,12 @@ func TestPublicAPIOverlayAndBus(t *testing.T) {
 		}
 		return NewTextResponse(404, "not found"), nil
 	})
-	a, err := NewNode(Config{Name: "edge-a", Region: "us-east", Upstream: origin, Ring: ring, Directory: dir, Bus: bus})
+	a, err := NewNode(Config{Name: "edge-a", Region: "us-east", Upstream: origin, Ring: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewNode(Config{Name: "edge-b", Region: "asia", Upstream: origin, Ring: ring, Directory: dir, Bus: bus}); err != nil {
+	b, err := NewNode(Config{Name: "edge-b", Region: "asia", Upstream: origin, Ring: ring})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ring.Nodes()) != 2 {
@@ -73,5 +75,11 @@ func TestPublicAPIOverlayAndBus(t *testing.T) {
 	}
 	if _, _, err := a.Handle(MustRequest("GET", "http://files.example.org/big")); err != nil {
 		t.Fatal(err)
+	}
+	if err := a.StatePut("files.example.org", "owner", "maria"); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := b.StateGet("files.example.org", "owner"); !ok || v != "maria" {
+		t.Errorf("hard state written at edge-a reads (%q, %v) at edge-b", v, ok)
 	}
 }
