@@ -1,7 +1,7 @@
 // Package cache implements the edge node's expiration-based caches.
 //
-// Two caches from the paper's prototype are provided, beside the
-// single-flight Group (flight.go) that their users coalesce misses through:
+// It provides the paper prototype's proxy cache, beside the single-flight
+// Group (flight.go) that its users coalesce misses through:
 //
 //   - Cache: the HTTP proxy cache holding complete responses keyed by
 //     request cache key, honouring the web's expiration-based consistency
@@ -27,10 +27,6 @@
 //     kin serve fresh copies only, and Lookup also answers the stale copy a
 //     tier keeps, which the node's fetch chain revalidates and a 304 renews
 //     (Refresh).
-//   - Memo: a small in-memory memoization cache used for parsed decision
-//     trees and reusable scripting contexts (the 4 microsecond / 3
-//     microsecond retrievals reported in Section 5.1). The pipeline's
-//     negative caching of missing nakika.js resources is a Memo.
 package cache
 
 import (
@@ -767,50 +763,4 @@ func (sh *shard) evictLocked() []*entry {
 		evicted = append(evicted, e)
 	}
 	return evicted
-}
-
-// ---------------------------------------------------------------------------
-// Memo: generic memoization cache for decision trees and script contexts
-// ---------------------------------------------------------------------------
-
-// Memo is a small concurrency-safe memoization cache. Unlike Cache it
-// stores arbitrary values (parsed decision trees, pooled scripting contexts)
-// and does not clone them; entries live until evicted. Reads take a shared
-// lock so the loader's stage lookups (three per request) scale across cores.
-type Memo[T any] struct {
-	mu      sync.RWMutex
-	maxSize int
-	items   map[string]T
-}
-
-// NewMemo returns a memo cache holding at most maxSize entries (zero means
-// 1024).
-func NewMemo[T any](maxSize int) *Memo[T] {
-	if maxSize <= 0 {
-		maxSize = 1024
-	}
-	return &Memo[T]{maxSize: maxSize, items: make(map[string]T)}
-}
-
-// Get returns the memoized value for key and whether it was present.
-func (m *Memo[T]) Get(key string) (T, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v, ok := m.items[key]
-	return v, ok
-}
-
-// Put stores value under key.
-func (m *Memo[T]) Put(key string, value T) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.items) >= m.maxSize {
-		// Simple random-ish eviction: drop an arbitrary entry. The memo
-		// cache is small and rebuilding an entry is cheap (microseconds).
-		for k := range m.items {
-			delete(m.items, k)
-			break
-		}
-	}
-	m.items[key] = value
 }

@@ -222,27 +222,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestMemo(t *testing.T) {
-	m := NewMemo[string](0)
-	if _, ok := m.Get("x"); ok {
-		t.Error("unexpected hit")
-	}
-	m.Put("x", "decision-tree")
-	if v, ok := m.Get("x"); !ok || v != "decision-tree" {
-		t.Errorf("got %q %v", v, ok)
-	}
-}
-
-func TestMemoBounded(t *testing.T) {
-	m := NewMemo[int](4)
-	for i := 0; i < 100; i++ {
-		m.Put(fmt.Sprintf("k%d", i), i)
-	}
-	if len(m.items) > 5 {
-		t.Errorf("memo grew to %d entries, want bounded", len(m.items))
-	}
-}
-
 func TestPropertyPutGetRoundTrip(t *testing.T) {
 	f := func(keys []string, body string) bool {
 		c := New(Config{MaxEntries: 10_000, MaxBytes: 1 << 30})

@@ -22,39 +22,19 @@ import (
 // that crashed during propagation catches up the moment repair restores
 // its record.
 //
-// The swap itself is atomic per request, not per node: the executor
-// resolves the site's deployed stage exactly once, before the first stage
-// runs, and the backward onResponse unwind reuses the *Stage pointers the
-// forward pass captured. In-flight requests finish on the generation they
-// started with; requests arriving after the swap see only the new one.
+// The compiled stages live in the pipeline's loader, which swaps a site's
+// deployed stage (pipeline.Loader.Deploy). The swap is atomic per request,
+// not per node: the executor resolves the site's deployed stage exactly
+// once, before the first stage runs, and the backward onResponse unwind
+// reuses the *Stage pointers the forward pass captured. In-flight requests
+// finish on the generation they started with; requests arriving after the
+// swap see only the new one.
 
 // msgDeployApply nudges a peer to re-sync one site's deployment now
 // instead of waiting for its next maintenance tick. Best-effort: the
 // record itself travels through replication, so a lost nudge only delays
 // convergence.
 const msgDeployApply = "deploy.apply"
-
-// deployActive is one site's live, swapped-in deployment: the compiled
-// stage the executor substitutes for the site's nakika.js, plus the
-// generation and script text it was built from (the content key that makes
-// applies idempotent).
-type deployActive struct {
-	gen    uint64
-	script string
-	stage  *pipeline.Stage
-}
-
-// siteDeployment is the pipeline.Executor hook: the one read per request
-// that pins the request's deployment generation.
-func (n *Node) siteDeployment(site string) (*pipeline.Stage, uint64) {
-	n.deployMu.Lock()
-	d := n.deployed[site]
-	n.deployMu.Unlock()
-	if d == nil {
-		return nil, 0
-	}
-	return d.stage, d.gen
-}
 
 // Deploy validates and publishes a new script version for site, returning
 // the generation it was assigned. The bundle is validated — parse, free
@@ -143,12 +123,7 @@ func (n *Node) Deployments() []deploy.Status {
 			recs[rec.Site] = st
 		}
 	}
-	applied := make(map[string]uint64)
-	n.deployMu.Lock()
-	for site, d := range n.deployed {
-		applied[site] = d.gen
-	}
-	n.deployMu.Unlock()
+	applied := n.loader.Generations()
 	sites := make(map[string]bool, len(recs)+len(applied))
 	for site := range recs {
 		sites[site] = true
@@ -223,11 +198,9 @@ func (n *Node) syncDeployments() {
 
 // applyDeploy makes the local pipeline serve st's active generation. It is
 // a pure function of the record's content: if the active bundle is already
-// what the pipeline serves, nothing happens, so re-applies from sync loops
-// and repair are free, and record convergence implies pipeline
-// convergence. The compile happens before the table swap; requests never
-// see a half-built stage, and a compile failure leaves the previous
-// generation serving.
+// what the pipeline serves, the loader compiles nothing, so re-applies from
+// sync loops and repair are free, and record convergence implies pipeline
+// convergence. A compile failure leaves the previous generation serving.
 func (n *Node) applyDeploy(site string, st deploy.State) error {
 	n.deployApplyMu.Lock()
 	defer n.deployApplyMu.Unlock()
@@ -238,34 +211,23 @@ func (n *Node) applyDeploy(site string, st deploy.State) error {
 	if !ok {
 		return fmt.Errorf("core: deploy %s: active generation %d not retained in record", site, st.Active)
 	}
-	n.deployMu.Lock()
-	cur := n.deployed[site]
-	n.deployMu.Unlock()
-	if cur != nil && cur.gen == st.Active && cur.script == b.Script {
-		return nil
-	}
-	stage, err := n.loader.Compile(deploy.StageURL(site, st.Active), site, b.Script)
+	swapped, err := n.loader.Deploy(site, st.Active, b.Script)
 	if err != nil {
 		n.deployCompErr.Add(1)
 		return fmt.Errorf("core: deploy %s gen %d: %w", site, st.Active, err)
 	}
-	n.deployMu.Lock()
-	n.deployed[site] = &deployActive{gen: st.Active, script: b.Script, stage: stage}
-	n.deployMu.Unlock()
-	n.deployApplied.Add(1)
-	n.registerDeployGauge(site)
+	if swapped {
+		n.deployApplied.Add(1)
+		n.registerDeployGauge(site)
+	}
 	return nil
 }
 
 // AppliedGeneration reports the deployment generation this node's pipeline
 // serves for site (0 when none) — the harness asserts convergence with it.
 func (n *Node) AppliedGeneration(site string) uint64 {
-	n.deployMu.Lock()
-	defer n.deployMu.Unlock()
-	if d := n.deployed[site]; d != nil {
-		return d.gen
-	}
-	return 0
+	_, gen := n.loader.Deployed(site)
+	return gen
 }
 
 // deployRecord reads site's deployment record through the routed
@@ -353,23 +315,15 @@ func (n *Node) serveDeployRPC(from string, msg transport.Message) (transport.Mes
 }
 
 // registerDeployGauge exports nakika_deploy_active_generation{site=...}
-// the first time a site gets a live deployment on this node. Registration
+// the first time a site gets a live deployment on this node; applyDeploy
+// calls it under deployApplyMu, which guards deployGauges. Registration
 // is scrape-safe at runtime (the registry serializes), and the callback
-// reads the deployment table so rollbacks move the gauge down too.
+// reads the loader so rollbacks move the gauge down too.
 func (n *Node) registerDeployGauge(site string) {
-	if n.reg == nil {
-		return
-	}
-	n.deployMu.Lock()
-	if n.deployGauges == nil {
-		n.deployGauges = make(map[string]bool)
-	}
-	if n.deployGauges[site] {
-		n.deployMu.Unlock()
+	if n.reg == nil || n.deployGauges[site] {
 		return
 	}
 	n.deployGauges[site] = true
-	n.deployMu.Unlock()
 	n.reg.GaugeFunc("nakika_deploy_active_generation", "Deployment generation the site's pipeline serves on this node.",
 		metrics.Labels{"site": site}, func() float64 { return float64(n.AppliedGeneration(site)) })
 }

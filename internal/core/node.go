@@ -311,18 +311,15 @@ type Node struct {
 	leaseFenced   atomic.Int64
 	leaseFenceRej atomic.Int64
 
-	// Live script deployment plane (see internal/core/deploy.go): the
-	// per-site table of compiled, swapped-in deployment stages; the set of
-	// sites whose per-site active-generation gauge has been registered; and
-	// the deploy outcome counters. deployMu guards only the table and gauge
-	// set (it sits on the request hot path); deployPubMu serializes this
-	// node's publish read-modify-write cycles; deployApplyMu serializes
-	// record-to-pipeline applies so a stale apply cannot land over a newer
-	// one.
-	deployMu      sync.Mutex
+	// Live script deployment plane (see internal/core/deploy.go; the
+	// deployed stages themselves live in the loader): deployPubMu
+	// serializes this node's publish read-modify-write cycles;
+	// deployApplyMu serializes record-to-pipeline applies, so a stale apply
+	// cannot land over a newer one, and guards deployGauges, the sites
+	// whose active-generation gauge has been registered; then the deploy
+	// outcome counters.
 	deployPubMu   sync.Mutex
 	deployApplyMu sync.Mutex
-	deployed      map[string]*deployActive
 	deployGauges  map[string]bool
 	deployApplied atomic.Int64
 	deployRej     atomic.Int64
@@ -374,11 +371,11 @@ func NewNode(cfg Config) (*Node, error) {
 		clock = time.Now
 	}
 	n := &Node{
-		cfg:        cfg,
-		clock:      clock,
-		log:        state.NewAccessLog(clock),
-		pendingPub: make(map[string]struct{}),
-		deployed:   make(map[string]*deployActive),
+		cfg:          cfg,
+		clock:        clock,
+		log:          state.NewAccessLog(clock),
+		pendingPub:   make(map[string]struct{}),
+		deployGauges: make(map[string]bool),
 	}
 	n.stamp.Set("X-Na-Kika-Node", cfg.Name)
 	kv, disk, err := n.openStorage()
@@ -404,12 +401,11 @@ func NewNode(cfg Config) (*Node, error) {
 		n.res.Charge(site, resource.Memory, float64(heapBytes))
 	}
 	n.executor = &pipeline.Executor{
-		Loader:         n.loader,
-		Host:           hostAdapter{n},
-		FetchOrigin:    n.fetchWithCache,
-		ClientWallURL:  cfg.ClientWallURL,
-		ServerWallURL:  cfg.ServerWallURL,
-		SiteDeployment: n.siteDeployment,
+		Loader:        n.loader,
+		Host:          hostAdapter{n},
+		FetchOrigin:   n.fetchWithCache,
+		ClientWallURL: cfg.ClientWallURL,
+		ServerWallURL: cfg.ServerWallURL,
 	}
 	if cfg.EnableResources {
 		n.executor.Resources = n.res
@@ -542,12 +538,10 @@ func (n *Node) Crash() {
 		d.Close()
 	}
 	n.cache.SetL2(nil)
-	// The deployment table is soft state: a real crashed process loses its
-	// compiled stages and rebuilds them from the replicated records on the
-	// way back up (Maintain's syncDeployments).
-	n.deployMu.Lock()
-	n.deployed = make(map[string]*deployActive)
-	n.deployMu.Unlock()
+	// Compiled stages are soft state: a real crashed process loses them,
+	// fetches its scripts again and rebuilds its deployed stages from the
+	// replicated records on the way back up (Maintain's syncDeployments).
+	n.loader.Reset()
 	// The large-object tier handle is abandoned mid-flight too: the
 	// manifest table dies with the process, while persisted manifests and
 	// log segments stay on the data filesystem for Recover to replay (a torn

@@ -50,14 +50,6 @@ type Executor struct {
 	// ClientHostLookup maps a client IP to a hostname for client predicates;
 	// nil means no hostname information.
 	ClientHostLookup func(ip string) string
-	// SiteDeployment, when non-nil, resolves a site to its live-deployed
-	// site-script stage and deployment generation. The executor consults it
-	// exactly once per request, before any stage runs: the whole pipeline —
-	// forward pass and backward unwind — executes against that one pinned
-	// stage even if a new generation is swapped in mid-request, so no
-	// response ever mixes script versions. A (nil, 0) return means no
-	// deployment for the site; the stage loads from the cache as usual.
-	SiteDeployment func(site string) (*Stage, uint64)
 }
 
 // StageTrace records one executed stage for diagnostics and benchmarks.
@@ -181,14 +173,13 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 		forward = append(forward, e.ClientWallURL)
 	}
 
-	// Pin the site's deployed stage (if any) for the life of this request.
-	// The backward unwind reuses the *Stage pointers captured on the forward
-	// pass, so resolving once here guarantees an atomic view of the
-	// deployment: a swap that lands mid-request affects only later requests.
-	var deployedStage *Stage
-	if e.SiteDeployment != nil {
-		deployedStage, trace.Generation = e.SiteDeployment(site)
-	}
+	// Pin the site's deployed stage (if any) for the life of this request:
+	// the whole pipeline, forward pass and backward unwind, runs on it even
+	// if a new generation is swapped in mid-request, so no response mixes
+	// script versions. The unwind reuses the *Stage pointers captured on
+	// the forward pass, so resolving once here is the whole pin.
+	deployedStage, gen := e.Loader.Deployed(site)
+	trace.Generation = gen
 	type executedStage struct {
 		stage  *Stage
 		pol    *policy.Policy

@@ -25,7 +25,7 @@ func (s *Stage) forked() int {
 
 func poolTestLoader(poolSize int) *Loader {
 	l := NewLoader(vocab.NopHost{}, script.Limits{})
-	l.ContextPoolSize = poolSize
+	l.poolSize = poolSize
 	return l
 }
 
@@ -193,7 +193,7 @@ func TestPoolForkChargesSite(t *testing.T) {
 // pool of one, the very next run draws the same instance and must succeed.
 func TestPoolInstanceRecoversAfterLimit(t *testing.T) {
 	l := NewLoader(vocab.NopHost{}, script.Limits{MaxSteps: 20_000})
-	l.ContextPoolSize = 1
+	l.poolSize = 1
 	st, err := l.Compile("http://limit.example.org/nakika.js", "limit.example.org", poolTestScript)
 	if err != nil {
 		t.Fatal(err)

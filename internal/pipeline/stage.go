@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"nakika/internal/cache"
+	"nakika/internal/deploy"
 	"nakika/internal/httpmsg"
 	"nakika/internal/policy"
 	"nakika/internal/script"
@@ -33,7 +34,8 @@ func DefaultContextPoolSize() int { return runtime.GOMAXPROCS(0) }
 type Stage struct {
 	// URL is the script URL this stage was loaded from.
 	URL string
-	// Site is the site the stage's resource consumption is charged to.
+	// Site is the site the stage was compiled for: its vocabulary reaches
+	// that site's partitions, and its resource consumption is charged to it.
 	Site string
 	// Empty marks a stage whose script does not exist (negative cache), for
 	// example a site without a nakika.js.
@@ -183,66 +185,98 @@ func (s *Stage) fork() *stageInstance {
 	return &stageInstance{ctx: ctx, handlers: handlers}
 }
 
-// Loader fetches stage scripts through the host (and therefore through the
-// proxy cache), evaluates them, and caches the resulting stages keyed by
-// script URL. This realizes the prototype's caching of decision trees and
-// scripting contexts as well as its negative caching of missing nakika.js
-// resources.
+// Loader is the one owner of a node's compiled stages. It fetches stage
+// scripts through the host (and therefore through the proxy cache),
+// evaluates them, and keeps the resulting stages, each keyed by the site it
+// runs for: a stage's vocabulary (State, Cache, Lease, Log) and the CPU,
+// memory and fork charges of its handlers are bound to one site when it is
+// compiled, so one script URL compiles once per site it serves. Beside the
+// fetched stages it keeps each site's deployed stage (see Deploy), the one
+// that serves the site's nakika.js while a deployment is active.
 type Loader struct {
 	// Host provides script fetching and the vocabularies installed into
 	// stage contexts.
 	Host vocab.Host
 	// Limits bounds each stage context.
 	Limits script.Limits
-	// ContextPoolSize bounds every stage's pool of ready contexts; zero
-	// means DefaultContextPoolSize().
-	ContextPoolSize int
 	// ForkCharge, when non-nil, is invoked with the stage's site and the
 	// pristine context's heap size whenever a new pool context is forked, so
 	// the node can charge context replication to the site's resource budget.
 	ForkCharge func(site string, heapBytes int64)
-	// stages caches loaded stages by script URL, and for a script URL known
-	// not to exist the Empty stage every request for it shares, so the (very
-	// hot) no-script path costs one lookup and allocates nothing.
-	stages *cache.Memo[*Stage]
+	// poolSize bounds every stage's pool of ready contexts; zero means
+	// DefaultContextPoolSize().
+	poolSize int
 
-	// loads coalesces concurrent cold loads of one script URL so a stampede
-	// on a scripted site evaluates the script once instead of once per
-	// request.
+	mu sync.RWMutex
+	// stages holds fetched stages by (site, script URL), and for a script
+	// URL known not to exist the Empty stage every request for it shares,
+	// so the (very hot) no-script path costs one lookup and allocates
+	// nothing. It holds at most maxStages entries.
+	stages map[stageKey]*Stage
+	// deployed holds each site's deployed stage; it is never evicted.
+	deployed map[string]deployment
+
+	// loads coalesces concurrent cold loads of one (site, script URL) so a
+	// stampede on a scripted site evaluates the script once instead of
+	// once per request.
 	loads cache.Group[*Stage]
+}
+
+// maxStages bounds the loader's fetched stages; past it, storing one drops
+// an arbitrary other (rebuilding a stage costs one fetch and compile).
+const maxStages = 4096
+
+// stageKey names a fetched stage: the script URL and the site it runs for.
+type stageKey struct{ site, url string }
+
+// deployment is one site's deployed stage with the generation and script
+// text it was built from, the content key that makes Deploy idempotent.
+type deployment struct {
+	gen    uint64
+	source string
+	stage  *Stage
 }
 
 // NewLoader returns a loader backed by host.
 func NewLoader(host vocab.Host, limits script.Limits) *Loader {
 	return &Loader{
-		Host:   host,
-		Limits: limits,
-		stages: cache.NewMemo[*Stage](4096),
+		Host:     host,
+		Limits:   limits,
+		stages:   make(map[stageKey]*Stage),
+		deployed: make(map[string]deployment),
 	}
 }
 
-// Load returns the stage for scriptURL, charging it to site. A script the
-// origin says is not there (a non-200 answer below 500) yields an Empty stage
-// that is negatively cached; a failed fetch or a 5xx yields one that is not.
-// Concurrent cold loads of the same URL coalesce into one fetch+compile.
+// Load returns site's stage for scriptURL. A script the origin says is not
+// there (a non-200 answer below 500) yields an Empty stage that is kept; a
+// failed fetch or a 5xx yields one that is not. Concurrent cold loads of
+// the same (site, URL) coalesce into one fetch+compile.
 func (l *Loader) Load(scriptURL, site string) (*Stage, error) {
-	if st, ok := l.stages.Get(scriptURL); ok {
+	if st := l.stage(stageKey{site, scriptURL}); st != nil {
 		return st, nil
 	}
-	st, _, _, err := l.loads.Do(scriptURL, func() (*Stage, error) {
+	st, _, _, err := l.loads.Do(site+"\x00"+scriptURL, func() (*Stage, error) {
 		return l.loadSlow(scriptURL, site)
 	})
 	return st, err
 }
 
-// loadSlow fetches and compiles a stage (the cold path behind Load's caches
+// stage returns the fetched stage kept under k, or nil.
+func (l *Loader) stage(k stageKey) *Stage {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.stages[k]
+}
+
+// loadSlow fetches and compiles a stage (the cold path behind Load's map
 // and coalescing).
 func (l *Loader) loadSlow(scriptURL, site string) (*Stage, error) {
-	// Re-check the memo: a previous flight may have completed between this
+	// Re-check the map: a previous flight may have completed between this
 	// caller's miss and its flight winning the slot; without this the stage
 	// would be fetched and compiled a second time and replace the first
 	// stage's already-forked context pool.
-	if st, ok := l.stages.Get(scriptURL); ok {
+	k := stageKey{site, scriptURL}
+	if st := l.stage(k); st != nil {
 		return st, nil
 	}
 	req, err := httpmsg.NewRequest("GET", scriptURL)
@@ -255,37 +289,86 @@ func (l *Loader) loadSlow(scriptURL, site string) (*Stage, error) {
 		// nothing remembered, so the next load asks again.
 		return &Stage{URL: scriptURL, Site: site, Empty: true}, nil
 	}
-	if resp.Status != 200 {
-		return l.cacheEmpty(scriptURL, site), nil
+	var st *Stage
+	if resp.Status == 200 {
+		st, err = l.Compile(scriptURL, site, string(resp.Body))
 	}
-	st, err := l.compile(scriptURL, site, string(resp.Body))
+	if st == nil {
+		// No script, or one that fails to parse or evaluate: it contributes
+		// no policies, and it must not take the node down. An error is
+		// reported so the trace can surface it.
+		st = &Stage{URL: scriptURL, Site: site, Empty: true}
+	}
+	l.put(k, st)
+	return st, err
+}
+
+// put stores a fetched stage, dropping an arbitrary other one when the map
+// is full.
+func (l *Loader) put(k stageKey, st *Stage) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.stages) >= maxStages {
+		for old := range l.stages {
+			delete(l.stages, old)
+			break
+		}
+	}
+	l.stages[k] = st
+}
+
+// Deploy makes the stage compiled from source, at generation gen, the one
+// that serves site's nakika.js, and reports whether it swapped one in. It
+// compiles only when (gen, source) differs from what the site's deployment
+// serves, so a re-apply is free. The stage is compiled before the swap: a
+// request never sees a half-built stage, and a compile failure leaves the
+// previous generation serving. Callers serialize the Deploys of one site.
+func (l *Loader) Deploy(site string, gen uint64, source string) (bool, error) {
+	l.mu.RLock()
+	cur, ok := l.deployed[site]
+	l.mu.RUnlock()
+	if ok && cur.gen == gen && cur.source == source {
+		return false, nil
+	}
+	st, err := l.Compile(deploy.StageURL(site, gen), site, source)
 	if err != nil {
-		// A script that fails to parse or evaluate contributes no policies;
-		// it must not take the node down. The error is reported so the trace
-		// can surface it.
-		return l.cacheEmpty(scriptURL, site), err
+		return false, err
 	}
-	l.stages.Put(scriptURL, st)
-	return st, nil
+	l.mu.Lock()
+	l.deployed[site] = deployment{gen: gen, source: source, stage: st}
+	l.mu.Unlock()
+	return true, nil
 }
 
-// cacheEmpty records and returns the shared negative-cache stage for a
-// script URL. Empty stages never run handlers or charge resources, so one
-// instance is safely shared by every request (the Site recorded is whichever
-// request populated the entry).
-func (l *Loader) cacheEmpty(scriptURL, site string) *Stage {
-	st := &Stage{URL: scriptURL, Site: site, Empty: true}
-	l.stages.Put(scriptURL, st)
-	return st
+// Deployed returns site's deployed stage and its generation, or (nil, 0)
+// when the site has none. The executor reads it once per request, which
+// pins the generation the whole request runs on.
+func (l *Loader) Deployed(site string) (*Stage, uint64) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	d := l.deployed[site]
+	return d.stage, d.gen
 }
 
-// Compile builds a stage directly from source text WITHOUT touching the
-// loader's URL-keyed caches. The deployment plane uses it to compile a
-// published bundle into the stage it atomically swaps in: the stage is owned
-// by the per-site deployment table, and cached stages for the same site's
-// regular nakika.js URL must not be replaced or evicted by a deploy.
-func (l *Loader) Compile(scriptURL, site, source string) (*Stage, error) {
-	return l.compile(scriptURL, site, source)
+// Generations returns the generation of every site's deployed stage.
+func (l *Loader) Generations() map[string]uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	gens := make(map[string]uint64, len(l.deployed))
+	for site, d := range l.deployed {
+		gens[site] = d.gen
+	}
+	return gens
+}
+
+// Reset drops every compiled stage, fetched and deployed, as a process that
+// dies loses them: the next request fetches its scripts again, and a
+// deployment serves again once it is re-applied from its record.
+func (l *Loader) Reset() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.stages = make(map[stageKey]*Stage)
+	l.deployed = make(map[string]deployment)
 }
 
 // Validate checks a script bundle before the deployment plane accepts it:
@@ -320,13 +403,16 @@ func Validate(site, source string, limits script.Limits) (err error) {
 		}
 	}()
 	canary := NewLoader(vocab.NopHost{}, limits)
-	if _, cerr := canary.compile("deploy://"+site+"/"+SiteScriptName, site, source); cerr != nil {
+	if _, cerr := canary.Compile("deploy://"+site+"/"+SiteScriptName, site, source); cerr != nil {
 		return fmt.Errorf("pipeline: validate %s: %w", site, cerr)
 	}
 	return nil
 }
 
-func (l *Loader) compile(scriptURL, site, source string) (*Stage, error) {
+// Compile builds site's stage from source text without keeping it: Load and
+// Deploy keep what they compile, and an extension that generates a stage
+// runs the one it gets.
+func (l *Loader) Compile(scriptURL, site, source string) (*Stage, error) {
 	ctx := script.NewContext(l.Limits)
 	reg := &vocab.Registry{}
 	vocab.InstallPolicyConstructor(ctx, reg)
@@ -365,5 +451,5 @@ func (l *Loader) compile(scriptURL, site, source string) (*Stage, error) {
 	if implicit.HasHandlers() {
 		policies = append(policies, implicit)
 	}
-	return newStage(scriptURL, site, ctx, policy.NewTree(policies), l.ContextPoolSize, l.ForkCharge), nil
+	return newStage(scriptURL, site, ctx, policy.NewTree(policies), l.poolSize, l.ForkCharge), nil
 }

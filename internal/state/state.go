@@ -31,30 +31,24 @@ const DefaultQuota = 16 << 20
 // node recovers its hard state exactly by replay, or on a private
 // in-memory filesystem, where the same writes die with the process.
 type Store struct {
-	mu sync.RWMutex
-	kv *store.Log
+	// kv is swapped only at Recover; every hard-state read loads it.
+	kv atomic.Pointer[store.Log]
 }
 
 // NewStoreBacked returns a store over an already-opened log (which enforces
 // its own quota).
 func NewStoreBacked(kv *store.Log) *Store {
-	return &Store{kv: kv}
+	s := &Store{}
+	s.kv.Store(kv)
+	return s
 }
 
 // Backend returns the current log.
-func (s *Store) Backend() *store.Log {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.kv
-}
+func (s *Store) Backend() *store.Log { return s.kv.Load() }
 
 // SetBackend swaps the log in place, so a node recovering from a crash can
 // reopen its log and swap it in under everything that holds the Store.
-func (s *Store) SetBackend(kv *store.Log) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.kv = kv
-}
+func (s *Store) SetBackend(kv *store.Log) { s.kv.Store(kv) }
 
 // Get returns the value for key in site's partition.
 func (s *Store) Get(site, key string) (string, bool) {
