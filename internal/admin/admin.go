@@ -241,7 +241,7 @@ func dumpSamples(node string, samples []*trace.Sample) TraceDump {
 			Start:         s.Start,
 			Elapsed:       int64(s.Elapsed),
 			Status:        s.Status,
-			Spans:         s.Spans,
+			Spans:         s.Spans[:s.NSpans],
 			SpansDropped:  s.SpansDropped,
 			Generated:     s.Generated,
 			FromCache:     s.FromCache,

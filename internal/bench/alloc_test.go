@@ -12,7 +12,10 @@ var raceEnabled bool
 // measurement. Each ceiling is the count measured on go1.24 amd64, truncated
 // to whole allocations and whole bytes per hit, so one more allocation, or
 // one more byte, fails. Another toolchain may move them; then the test says
-// by how much.
+// by how much. A warm hit allocates nothing since the loop lends it a
+// trace, a Response and a key buffer as a client connection does, and the
+// plane copies its sample into the ring (5 allocations and 1 124 B with the
+// plane on, 4 and 868 B off, before).
 func TestWarmProxyHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries on purpose, so pooled objects are reallocated")
@@ -29,9 +32,9 @@ func TestWarmProxyHitAllocBudget(t *testing.T) {
 		got     cost
 		ceiling cost
 	}{
-		{"plane on", on, cost{5, 1124}},
-		{"plane off", off, cost{4, 868}},
-		{"the plane's price", cost{on.allocs - off.allocs, on.bytes - off.bytes}, cost{1, 256}},
+		{"plane on", on, cost{0, 0}},
+		{"plane off", off, cost{0, 0}},
+		{"the plane's price", cost{on.allocs - off.allocs, on.bytes - off.bytes}, cost{0, 0}},
 	} {
 		if c.got.allocs > c.ceiling.allocs || c.got.bytes > c.ceiling.bytes {
 			t.Errorf("warm proxy hit, %s: %d allocs and %d B per op, ceiling %d and %d B",

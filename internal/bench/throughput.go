@@ -9,6 +9,7 @@ import (
 
 	"nakika/internal/core"
 	"nakika/internal/httpmsg"
+	"nakika/internal/pipeline"
 	"nakika/internal/state"
 )
 
@@ -100,20 +101,23 @@ const proxyAllocOps = 5_000
 // experiment and the metrics-cost experiment (which runs it twice, with the
 // observability plane on and off).
 func measureProxyAllocs(node *core.Node) (ProxyAllocs, error) {
-	// reuse is what the loop keeps from one request to the next, as a
-	// client connection does.
+	// reuse and trace are what the loop keeps from one request to the
+	// next, as a client connection does.
 	var reuse httpmsg.Reuse
+	var trace pipeline.Trace
 	oneOp := func() error {
 		req := ConcurrentRequest()
 		req.SetReuse(&reuse)
-		resp, trace, err := node.Handle(req)
+		resp, err := node.HandleInto(req, &trace)
 		if err != nil {
 			return err
 		}
 		if resp.Status != 200 {
 			return fmt.Errorf("bench: warm proxy status %d", resp.Status)
 		}
-		if trace != nil && !trace.RanHandlers() {
+		if trace.RanHandlers() {
+			reuse.Disown()
+		} else {
 			req.Release()
 		}
 		return nil

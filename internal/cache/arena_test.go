@@ -98,6 +98,7 @@ func TestArenaLifetime(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g) + 1))
 			var lent httpmsg.Reuse
+			var kb []byte
 			for range ops {
 				i := rng.Intn(keys)
 				key := "k" + strconv.Itoa(i)
@@ -107,7 +108,8 @@ func TestArenaLifetime(t *testing.T) {
 				case op < 10:
 					req := httpmsg.AcquireRequest()
 					req.SetReuse(&lent)
-					if resp := c.GetFor(key, req); resp != nil {
+					kb = append(kb[:0], key...)
+					if resp := c.GetFor(kb, req); resp != nil {
 						check("a client hit", i, resp.Body)
 					}
 					req.Release()

@@ -37,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"nakika/internal/httpmsg"
 )
@@ -260,14 +261,18 @@ func Kept(h httpmsg.Header, expires, now time.Time) bool {
 
 // Get returns a fresh response for key built from its entry, with a body
 // of its own, or nil when absent or expired.
-func (c *Cache) Get(key string) *httpmsg.Response { return c.GetFor(key, nil) }
+func (c *Cache) Get(key string) *httpmsg.Response { return c.get(key, nil, nil) }
 
-// GetFor is Get for a response served in reply to req: the body is copied
-// into the buffer req lends (httpmsg.Request.ReplyBuffer), so a warm hit on
-// a client connection allocates no body; a script that touches the body
-// gets a copy (Materialize). A nil req lends none.
-func (c *Cache) GetFor(key string, req *httpmsg.Request) *httpmsg.Response {
-	return c.get(key, req, nil)
+// GetFor is Get for a response served in reply to req, with the key given
+// by its bytes (httpmsg.Request.CacheKeyBytes): the body is copied into the
+// buffer req lends (httpmsg.Request.ReplyBuffer) and the response is the one
+// it lends (httpmsg.Stored.Response), so a warm hit on a client connection
+// allocates nothing; a script that touches the body gets a copy
+// (Materialize). A nil req lends none. The read keeps nothing of its key
+// (an entry stores a copy in the arena), so it reads key's bytes in place
+// rather than a string copied from them.
+func (c *Cache) GetFor(key []byte, req *httpmsg.Request) *httpmsg.Response {
+	return c.get(unsafe.String(unsafe.SliceData(key), len(key)), req, nil)
 }
 
 // Lookup is Get with the third answer of the fetch chain's lookup, for a
@@ -294,7 +299,7 @@ func (c *Cache) get(key string, req *httpmsg.Request, stale *Stale) *httpmsg.Res
 	}, stale); !ok {
 		return nil
 	}
-	resp := hit.Response(borrowed)
+	resp := hit.Response(req, borrowed)
 	resp.FromCache = true
 	return resp
 }
@@ -326,8 +331,9 @@ func (c *Cache) Encoded(key string) ([]byte, time.Time, bool) {
 // read finds key's fresh entry, in memory or else promoted from the disk
 // tier, and hands its stored form to copyOut while the body cannot be
 // released: copyOut copies what it keeps of the body. It counts the hit or
-// the miss and returns the entry's expiry. An expired entry is dropped
-// unless it is Kept. A memory entry kept so is the newest copy, and the disk
+// the miss and returns the entry's expiry. Neither read nor anything it
+// calls keeps key: GetFor's key is a view of bytes its caller reuses. An
+// expired entry is dropped unless it is Kept. A memory entry kept so is the newest copy, and the disk
 // tier is not asked; when stale is not nil it is reported there.
 func (c *Cache) read(key string, copyOut func(httpmsg.Stored), stale *Stale) (time.Time, bool) {
 	now := c.cfg.Clock()
@@ -532,7 +538,7 @@ func ownCopy(s httpmsg.Stored) *httpmsg.Response {
 	} else {
 		s.Body = nil
 	}
-	resp := s.Response(false)
+	resp := s.Response(nil, false)
 	resp.FromCache = true
 	return resp
 }

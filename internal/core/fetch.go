@@ -40,8 +40,19 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 		}
 		return resp, err
 	}
-	key := req.CacheKey()
-	if resp, _ := n.lookup(key, req); resp != nil {
+	// The request's own lookup reads the whole-body tiers by the key's
+	// bytes, in the buffer its connection lends, into the buffer and the
+	// Response it lends: a warm hit allocates nothing. The key string is
+	// made past a memory miss, for the rest of the chain.
+	kb := req.CacheKeyBytes()
+	resp := n.cache.GetFor(kb, req)
+	key := ""
+	if resp == nil {
+		key = string(kb)
+		resp, _ = n.lobServe(key)
+	}
+	if resp != nil {
+		n.cacheHits.Add(1)
 		return resp, nil
 	}
 	// Coalesce: concurrent misses of one request share a single pass through
@@ -53,7 +64,7 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 		resp, err := n.fetchMiss(key, req)
 		return flightReply{resp, resp != nil && httpmsg.Shareable(req, resp.Status, resp.Header)}, err
 	})
-	resp := reply.resp
+	resp = reply.resp
 	switch {
 	case joined && err == nil && !reply.shareable:
 		return n.fetchMiss(key, req)
@@ -106,25 +117,18 @@ func flightKey(key string, h httpmsg.Header) string {
 	return key + "\n" + rng + "\n" + inm + "\n" + ims
 }
 
-// lookup is the chain's first step, in both object models: a fresh copy from
-// the whole-body cache, else a lazy stream of the large-object tier's fresh
-// manifest, whose segments resolve as the client reads; or else the stale
-// copy a tier keeps for its validators (cache.Stale), the whole-body cache's
-// before the tier's. It runs twice per miss: before the flight for req, whose
-// buffer a hit's body is copied into (httpmsg.Request.ReplyBuffer), and again
-// by the flight's leader with a nil req (a previous flight may have stored
-// the key in between). The leader's response may go to every caller of the
-// flight, which outlive its request, so its body is a fresh copy; and the
-// leader alone revalidates a stale copy (revalidate), so only its lookup
-// answers a stale whole body.
-func (n *Node) lookup(key string, req *httpmsg.Request) (*httpmsg.Response, cache.Stale) {
-	var resp *httpmsg.Response
-	var stale cache.Stale
-	if req != nil {
-		resp = n.cache.GetFor(key, req)
-	} else {
-		resp, stale = n.cache.Lookup(key)
-	}
+// lookup is the flight leader's first step, in both object models: a fresh
+// copy from the whole-body cache, else a lazy stream of the large-object
+// tier's fresh manifest, whose segments resolve as the client reads; or else
+// the stale copy a tier keeps for its validators (cache.Stale), the
+// whole-body cache's before the tier's. A previous flight may have stored
+// the key since the request's own lookup in fetchWithCache, which reads the
+// same tiers without reporting a stale copy. The leader's response may go to
+// every caller of the flight, which outlive its request, so it is looked up
+// without the request: its body is a fresh copy, and nothing in it is lent
+// (httpmsg.Reuse). The leader alone revalidates a stale copy (revalidate).
+func (n *Node) lookup(key string) (*httpmsg.Response, cache.Stale) {
+	resp, stale := n.cache.Lookup(key)
 	if resp == nil {
 		var lob cache.Stale
 		if resp, lob = n.lobServe(key); stale.Tier == "" {
@@ -142,7 +146,7 @@ func (n *Node) lookup(key string, req *httpmsg.Request) (*httpmsg.Response, cach
 // carries a precondition of its own; a copy the origin's 304 does not renew
 // is gone, and the request goes on as a miss.
 func (n *Node) fetchMiss(key string, req *httpmsg.Request) (*httpmsg.Response, error) {
-	resp, stale := n.lookup(key, nil)
+	resp, stale := n.lookup(key)
 	if resp != nil {
 		return resp, nil
 	}

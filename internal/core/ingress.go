@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nakika/internal/httpmsg"
+	"nakika/internal/pipeline"
 )
 
 // This file is the node's HTTP/1 ingress: Serve speaks HTTP/1.1 on a client
@@ -65,13 +66,14 @@ const (
 )
 
 // respond is the one step both entry points run on a staged request: the
-// redirection suffix comes off the host, the node handles the request, and
-// a Range header narrows the reply. release reports whether req may go back
-// to the pool once the response is written: only when no script handler
-// saw it, since a script could keep its bound request.
-func (n *Node) respond(req *httpmsg.Request) (resp *httpmsg.Response, release bool) {
+// redirection suffix comes off the host, the node handles the request with
+// trace as its trace, and a Range header narrows the reply. release reports
+// whether req may go back to the pool once the response is written: only
+// when no script handler saw it, since a script could keep its bound
+// request.
+func (n *Node) respond(req *httpmsg.Request, trace *pipeline.Trace) (resp *httpmsg.Response, release bool) {
 	stripRedirectSuffix(req.URL)
-	resp, trace, err := n.Handle(req)
+	resp, err := n.HandleInto(req, trace)
 	if err != nil {
 		return httpmsg.NewErrorResponse(http.StatusInternalServerError, err.Error()), false
 	}
@@ -79,7 +81,7 @@ func (n *Node) respond(req *httpmsg.Request) (resp *httpmsg.Response, release bo
 	// full 200: a satisfiable Range on a GET/HEAD becomes a 206 (lazy — a
 	// streamed body only reads the requested segments), an unsatisfiable
 	// one a 416.
-	return httpmsg.ApplyRange(req, resp), trace != nil && !trace.RanHandlers()
+	return httpmsg.ApplyRange(req, resp), !trace.RanHandlers()
 }
 
 // stripRedirectSuffix recovers the origin's host from a redirected one:
@@ -110,7 +112,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp, release := n.respond(req)
+	resp, release := n.respond(req, new(pipeline.Trace))
 	if err := resp.WriteToMethod(w, req.Method); err != nil {
 		n.errors.Add(1)
 	}
@@ -130,12 +132,23 @@ func (n *Node) Serve(ln net.Listener) error { return n.serve(ln, n.respond) }
 // admission, the access log, the trace ring and the request counters do not
 // see them. A Drain closes ln with the client listeners.
 func (n *Node) ServeAdmin(ln net.Listener, handle func(*httpmsg.Request) *httpmsg.Response) error {
-	return n.serve(ln, func(req *httpmsg.Request) (*httpmsg.Response, bool) { return handle(req), true })
+	return n.serve(ln, func(req *httpmsg.Request, _ *pipeline.Trace) (*httpmsg.Response, bool) { return handle(req), true })
 }
 
-// handler answers one request read off a connection; release reports
-// whether the request may go back to the pool once the response is written.
-type handler func(req *httpmsg.Request) (resp *httpmsg.Response, release bool)
+// handler answers one request read off a connection, with the trace its
+// connection lends it; release reports whether the request may go back to
+// the pool once the response is written.
+type handler func(req *httpmsg.Request, trace *pipeline.Trace) (resp *httpmsg.Response, release bool)
+
+// connState is what a connection keeps from one request to the next and
+// lends the request it serves: what httpmsg.Reuse holds (the hit's body
+// buffer, Response and key buffer, and the site's nakika.js URL), and the
+// request's pipeline trace. It is the pool a warm hit draws its per-request
+// state from, so the hit allocates nothing.
+type connState struct {
+	reuse httpmsg.Reuse
+	trace pipeline.Trace
+}
 
 // serve is the accept loop of both ports: it serves each connection ln
 // accepts with handle.
@@ -221,16 +234,15 @@ func (n *Node) serveConn(rwc net.Conn, handle handler) {
 
 	hc := httpmsg.NewHTTP1Conn(rwc)
 	clientIP := httpmsg.ClientIP(rwc.RemoteAddr().String())
-	// reuse holds the connection's buffer for the body of a cache hit and
-	// its last site's nakika.js URL (httpmsg.Reuse), kept from one response
-	// to the next. A script that reads a body in it reads a copy.
-	var reuse httpmsg.Reuse
+	// st is kept from one response to the next (connState). A script that
+	// reads a body in its hit buffer reads a copy.
+	st := new(connState)
 	for {
 		if hc.Await() != nil || !c.state.CompareAndSwap(connIdle, connActive) {
 			return
 		}
 		req := httpmsg.AcquireRequest()
-		req.SetReuse(&reuse)
+		req.SetReuse(&st.reuse)
 		if err := hc.ReadRequest(req, maxRequestBody); err != nil {
 			req.Release()
 			var re *httpmsg.RequestError
@@ -252,7 +264,7 @@ func (n *Node) serveConn(rwc net.Conn, handle handler) {
 			resp = httpmsg.NewResponse(http.StatusOK)
 			hc.KeepAlive = hc.KeepAlive && len(req.Body) <= 4<<10
 		} else {
-			resp, release = handle(req)
+			resp, release = handle(req, &st.trace)
 		}
 		if in.draining.Load() {
 			hc.KeepAlive = false
@@ -262,9 +274,13 @@ func (n *Node) serveConn(rwc net.Conn, handle handler) {
 		}
 		if release {
 			req.Release()
+		} else {
+			// A script saw the request, and may have handed the Response
+			// it was lent on.
+			st.reuse.Disown()
 		}
-		if cap(reuse.Reply) > maxReplyBuffer {
-			reuse.Reply = nil
+		if cap(st.reuse.Reply) > maxReplyBuffer {
+			st.reuse.Reply = nil
 		}
 		if !hc.KeepAlive {
 			return

@@ -703,6 +703,16 @@ func (n *Node) LoadScore() float64 { return n.meter.Score() }
 // threshold the request may instead be shed to a less-loaded replica of the
 // site (see internal/core/offload.go) and executed there.
 func (n *Node) Handle(req *httpmsg.Request) (*httpmsg.Response, *pipeline.Trace, error) {
+	trace := new(pipeline.Trace)
+	resp, err := n.HandleInto(req, trace)
+	return resp, trace, err
+}
+
+// HandleInto is Handle with the trace's storage supplied by the caller,
+// which it resets and fills: the client port lends each request its
+// connection's, so a request allocates none. Nothing keeps trace once
+// HandleInto returns.
+func (n *Node) HandleInto(req *httpmsg.Request, trace *pipeline.Trace) (*httpmsg.Response, error) {
 	n.requests.Add(1)
 	if n.ring != nil && req.TraceID == 0 {
 		// Mint the request's cross-node trace id: it rides every RPC this
@@ -715,22 +725,22 @@ func (n *Node) Handle(req *httpmsg.Request) (*httpmsg.Response, *pipeline.Trace,
 		start = n.clock()
 	}
 	if resp, who, err, shed := n.shedRequest(req, 0); shed {
-		trace := &pipeline.Trace{Offloaded: true, OffloadPeer: who}
+		*trace = pipeline.Trace{Offloaded: true, OffloadPeer: who}
 		trace.Act.ID = req.TraceID
 		if err != nil {
 			n.errors.Add(1)
 			n.observe(req, nil, trace, start)
-			return nil, trace, err
+			return nil, err
 		}
 		n.observe(req, resp, trace, start)
-		return resp, trace, nil
+		return resp, nil
 	}
-	return n.handleLocal(req)
+	return n.handleLocal(req, trace)
 }
 
 // handleLocal executes one request on this node's own pipeline, metering
-// its load cost.
-func (n *Node) handleLocal(req *httpmsg.Request) (*httpmsg.Response, *pipeline.Trace, error) {
+// its load cost, and fills trace.
+func (n *Node) handleLocal(req *httpmsg.Request, trace *pipeline.Trace) (*httpmsg.Response, error) {
 	n.offExecuted.Add(1)
 	n.meter.Begin()
 	// The completed request's load cost: one unit, weighted up by the
@@ -740,11 +750,11 @@ func (n *Node) handleLocal(req *httpmsg.Request) (*httpmsg.Response, *pipeline.T
 	// by the client port) cannot leave the in-flight count inflated forever.
 	defer func() { n.meter.End(1 + n.res.Usage(req.SiteKey(), resource.CPU)) }()
 	start := n.clock()
-	resp, trace, err := n.executor.Execute(req)
+	resp, err := n.executor.ExecuteInto(req, trace)
 	if err != nil {
 		n.errors.Add(1)
 		n.observe(req, nil, trace, start)
-		return nil, trace, err
+		return nil, err
 	}
 	if trace.RejectedBusy {
 		n.rejected.Add(1)
@@ -776,7 +786,7 @@ func (n *Node) handleLocal(req *httpmsg.Request) (*httpmsg.Response, *pipeline.T
 		}
 	}
 	n.observe(req, resp, trace, start)
-	return resp, trace, nil
+	return resp, nil
 }
 
 // FlushLogs posts accumulated access-log entries to the URL each site's

@@ -79,15 +79,16 @@ func (n *Node) callT(act *nktrace.Act, to string, msg transport.Message) (transp
 }
 
 // observe records one finished request into the latency histogram and
-// the trace ring. Cost on the hot path: one small allocation (the
-// Sample), inline copies, and atomic adds; a no-op under NoObserve.
+// the trace ring. Cost on the hot path: the sample's copy into its ring
+// slot under the slot's lock, and atomic adds; no allocation, and a no-op
+// under NoObserve.
 func (n *Node) observe(req *httpmsg.Request, resp *httpmsg.Response, trace *pipeline.Trace, start time.Time) {
 	if n.ring == nil {
 		return
 	}
 	elapsed := n.clock().Sub(start)
 	n.latency.Observe(elapsed.Seconds())
-	s := &nktrace.Sample{
+	s := nktrace.Sample{
 		TraceID: req.TraceID,
 		Node:    n.cfg.Name,
 		Method:  req.Method,
@@ -111,7 +112,7 @@ func (n *Node) observe(req *httpmsg.Request, resp *httpmsg.Response, trace *pipe
 			s.TraceID = req.TraceID
 		}
 	}
-	n.ring.Record(s)
+	n.ring.Record(&s)
 }
 
 // Metrics returns the node's registry (nil under Config.NoObserve); the

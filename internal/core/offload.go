@@ -288,9 +288,9 @@ func (n *Node) serveOffloadRPC(from string, msg transport.Message) (transport.Me
 		// this node's execution joins the same cross-node trace.
 		req.TraceID = msg.Trace
 		resp, who, err, shed := n.shedRequest(req, depth)
-		var trace *pipeline.Trace
+		var trace pipeline.Trace
 		if !shed {
-			resp, trace, err = n.handleLocal(req)
+			resp, err = n.handleLocal(req, &trace)
 			who = n.cfg.Name
 		}
 		if err != nil {
@@ -299,7 +299,7 @@ func (n *Node) serveOffloadRPC(from string, msg transport.Message) (transport.Me
 		reply := transport.Message{Args: []string{loadview.FormatScore(n.meter.Score()), who}, Body: httpmsg.EncodeResponse(resp)}
 		// Recycle the staged request once the reply is encoded, unless a
 		// script handler saw it (same rule as the client port's respond).
-		if trace == nil || !trace.RanHandlers() {
+		if !trace.RanHandlers() {
 			req.Release()
 		}
 		return reply, nil

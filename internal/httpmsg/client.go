@@ -244,7 +244,8 @@ func (c *ClientConn) parseResponse(method string) (*Response, error) {
 	}
 	resp := &Response{Status: status}
 	h := &resp.Header
-	*h, _ = c.header()
+	n := c.header()
+	*h = Header{enc: string(c.enc[:n])}
 	fixPragma(h)
 
 	// Keep-alive, as net/http's shouldClose reads it.

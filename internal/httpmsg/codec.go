@@ -43,13 +43,16 @@ type Stored struct {
 	FromCache bool
 }
 
-// Response returns s as a fresh response with s's header, which a write
-// to the response's replaces, so it never shows in the next. The body is
-// s.Body, a copy nothing else holds: the response owns it, or, when it is
-// borrowed (a request's reply buffer, Request.ReplyBuffer), reads it until
-// Materialize copies it, as a Clone does.
-func (s *Stored) Response(borrowed bool) *Response {
-	return &Response{
+// Response returns s as a response in reply to req, with s's header, which
+// a write to the response's replaces, so it never shows in the next. The
+// response is the one req's Reuse lends (see Reuse), or a fresh one when req
+// is nil or has none. The body is s.Body, a copy nothing else holds: the
+// response owns it, or, when it is borrowed (a request's reply buffer,
+// Request.ReplyBuffer), reads it until Materialize copies it, as a Clone
+// does.
+func (s *Stored) Response(req *Request, borrowed bool) *Response {
+	resp := req.lentResponse()
+	*resp = Response{
 		Status:    s.Status,
 		Header:    s.Header,
 		Body:      s.Body,
@@ -58,6 +61,7 @@ func (s *Stored) Response(borrowed bool) *Response {
 		Via:       s.Via,
 		shared:    borrowed,
 	}
+	return resp
 }
 
 // AppendStored appends s's binary encoding (no magic byte), the encoding of
@@ -180,7 +184,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	if len(s.Body) == 0 {
 		s.Body = nil
 	}
-	return s.Response(false), nil
+	return s.Response(nil, false), nil
 }
 
 // EncodeRequest renders req as a self-describing payload (magic byte

@@ -237,7 +237,7 @@ func FuzzStoredHeader(f *testing.F) {
 				want[k] = vs
 			}
 		}
-		a, b := s.Response(true), s.Response(true)
+		a, b := s.Response(nil, true), s.Response(nil, true)
 		for _, got := range []Header{a.Header, b.Header} {
 			if got := httpHeader(got); !reflect.DeepEqual(got, want) {
 				t.Fatalf("decoded %v, want %v", got, want)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"nakika/internal/wire"
@@ -200,7 +202,8 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 		return err
 	}
 	// One string holds the header, which Host leaves, the method, the
-	// target and the first Host.
+	// target and the first Host: the string an earlier request with these
+	// bytes was read into, when requestHeads still holds it.
 	hlo, hhi := c.span("Host")
 	var host []byte
 	if hlo < hhi {
@@ -209,8 +212,9 @@ func (c *HTTP1Conn) ReadRequest(req *Request, maxBody int64) error {
 	c.fields = slices.Delete(c.fields, hlo, hhi)
 	h := &req.Header
 	method, target := c.head[c.target[0]:c.target[1]], c.head[c.target[2]:c.target[3]]
-	var s string
-	*h, s = c.header(method, target, host)
+	n := c.header(method, target, host)
+	s := requestHeads.string(c.enc)
+	*h, s = Header{enc: s[:n]}, s[n:]
 	req.Method = s[:len(method)]
 	if err := parseTarget(&req.urlBuf, req.Method, s[len(method):len(method)+len(target)]); err != nil {
 		return err
@@ -419,10 +423,10 @@ func (c *msgReader) scanFields() (badName bool, err error) {
 	return badName, nil
 }
 
-// header writes the header fields into one string, the bytes of each tail
-// after them. It returns the header and the rest of the string: the tails,
-// one after another.
-func (c *msgReader) header(tail ...[]byte) (Header, string) {
+// header writes the header fields' encoding into c.enc, the bytes of each
+// tail after them, and returns the encoding's length: c.enc holds the
+// header's bytes, and then the tails, one after another.
+func (c *msgReader) header(tail ...[]byte) int {
 	key := func(f field) []byte { return c.head[f.k0:f.k1] }
 	nkeys := 0
 	for i, f := range c.fields {
@@ -448,8 +452,60 @@ func (c *msgReader) header(tail ...[]byte) (Header, string) {
 		b = append(b, t...)
 	}
 	c.enc = b
+	return n
+}
+
+// requestHeads holds the strings recent request heads were read into
+// (ReadRequest: the header's encoding, the method, the target and the
+// Host), so a head whose bytes equal one of them is read into that string
+// and allocates nothing: a keep-alive client repeating its request, or any
+// client asking for a page another asked for lately. Strings are immutable,
+// so sharing one changes no lifetime. The node's clients share it; a head
+// it does not hold costs the one string it cost without it.
+var requestHeads = headTable{seed: maphash.MakeSeed()}
+
+// The head table's shape: headSets sets of headWays strings each, so it
+// holds the last 2 048 distinct heads at most, less where more than four
+// fall in one set. A head longer than maxSharedHead is never kept, so what
+// the table holds stays under 512 KiB.
+const (
+	headSets      = 512
+	headWays      = 4
+	maxSharedHead = 256
+)
+
+// headTable is a set-associative table of strings, each set under a lock
+// of its own.
+type headTable struct {
+	seed maphash.Seed
+	sets [headSets]headSet
+}
+
+// headSet is one set of the table, its most recently added string first.
+type headSet struct {
+	mu   sync.Mutex
+	ways [headWays]string
+}
+
+// string returns b as a string: one the table holds with b's bytes, or
+// else a new one, which the table then keeps in place of the oldest of its
+// set.
+func (t *headTable) string(b []byte) string {
+	if len(b) > maxSharedHead {
+		return string(b)
+	}
+	set := &t.sets[maphash.Bytes(t.seed, b)%headSets]
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	for _, s := range set.ways {
+		if s == string(b) {
+			return s
+		}
+	}
 	s := string(b)
-	return Header{enc: s[:n]}, s[n:]
+	copy(set.ways[1:], set.ways[:headWays-1])
+	set.ways[0] = s
+	return s
 }
 
 // span returns the bounds [lo, hi) of key's fields in c.fields.

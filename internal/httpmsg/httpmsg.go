@@ -43,8 +43,9 @@ type Request struct {
 	terminated *Response
 	// Redirected records whether a script rewrote the URL.
 	Redirected bool
-	// replyLent says this request has lent its reply buffer (ReplyBuffer).
-	replyLent bool
+	// replyLent and respLent say this request has lent its reply buffer
+	// (ReplyBuffer) and its hit Response (Stored.Response).
+	replyLent, respLent bool
 	// TraceID is the request's cross-node trace id (zero: untraced). The
 	// ingress node mints it; offload forwards carry it so both sides of a
 	// forwarded request record the same id.
@@ -54,7 +55,8 @@ type Request struct {
 	urlBuf url.URL
 	// reuse is what its stager lends the request for the duration
 	// (SetReuse): a buffer for the body of a cache hit served in reply to it
-	// (ReplyBuffer), and the URL SiteURL built last.
+	// (ReplyBuffer), the hit's Response, the buffer of its cache key
+	// (CacheKeyBytes), and the URL SiteURL built last.
 	reuse *Reuse
 }
 
@@ -130,21 +132,48 @@ func (r *Request) SiteKey() string {
 // as the client port's parse of an origin-form target gives, is written
 // from them in one allocation.
 func (r *Request) CacheKey() string {
+	var buf [128]byte
+	return string(r.appendCacheKey(buf[:0]))
+}
+
+// CacheKeyBytes is CacheKey written into the buffer r's Reuse lends (a
+// fresh one without): read-only, and valid until the key of the
+// connection's next request is asked for. The memory tier looks a key up by
+// its bytes (cache.Cache.GetFor), so a hit makes no key string. A buffer
+// grown past maxKeptKey is not kept, so one outsized URL does not stay with
+// the connection.
+func (r *Request) CacheKeyBytes() []byte {
+	if r.reuse == nil {
+		return r.appendCacheKey(nil)
+	}
+	b := r.appendCacheKey(r.reuse.key[:0])
+	if cap(b) <= maxKeptKey {
+		r.reuse.key = b
+	}
+	return b
+}
+
+// maxKeptKey bounds the key buffer a Reuse keeps between requests.
+const maxKeptKey = 8 << 10
+
+// appendCacheKey appends CacheKey's bytes to b.
+func (r *Request) appendCacheKey(b []byte) []byte {
 	u := r.URL
+	b = append(append(b, r.Method...), ' ')
 	if u.Opaque == "" && u.User == nil && u.RawPath == "" && u.Scheme != "" && u.Host != "" &&
 		allIn(u.Host, &keyHostByte) && (u.Path == "" || u.Path[0] == '/') && allIn(u.Path, &pathByte) {
-		q := ""
+		b = append(append(append(append(b, u.Scheme...), "://"...), u.Host...), u.Path...)
 		if u.ForceQuery || u.RawQuery != "" {
-			q = "?"
+			b = append(append(b, '?'), u.RawQuery...)
 		}
-		return r.Method + " " + u.Scheme + "://" + u.Host + u.Path + q + u.RawQuery
+		return b
 	}
 	if u.Fragment != "" || u.RawFragment != "" {
 		cp := *u
 		cp.Fragment, cp.RawFragment = "", ""
 		u = &cp
 	}
-	return r.Method + " " + u.String()
+	return append(b, u.String()...)
 }
 
 // Clone returns a deep copy of the request (headers and body included).

@@ -35,19 +35,33 @@ func (r *Request) Release() {
 
 // Reuse is what a client connection keeps from one request to the next and
 // lends each request it stages (SetReuse): the buffer the body of a cache hit
-// is served in (ReplyBuffer), and the URL SiteURL built last, which a
-// keep-alive client's next request mostly asks for again. The connection
-// owns it and gives it to its next request once the response to the last
-// is written. A connection of the client port keeps one, so a warm hit
-// allocates neither a body nor its site's nakika.js URL.
+// is served in (ReplyBuffer), the Response the hit fills (Stored.Response),
+// the buffer its cache key is written into (CacheKeyBytes), and the URL
+// SiteURL built last, which a keep-alive client's next request mostly asks
+// for again. The connection owns it and gives it to its next request once
+// the response to the last is written. A connection of the client port
+// keeps one, so a warm hit allocates no body, no Response, no key and not
+// its site's nakika.js URL.
+//
+// A lent Response goes back into the pipeline of its own request only: a
+// flight's leader looks the cache up without its request, so what it shares
+// with joiners is never lent, and the tiers store copies. A request a
+// script saw may have handed what it was lent on, so its connection gives
+// the Response up (Disown).
 type Reuse struct {
 	// Reply is the hit buffer, grown as needed. A body in it is borrowed,
 	// read-only until Materialize copies it, so no script keeps a hold on
 	// it. The connection may drop it between requests to bound what it
 	// keeps.
 	Reply []byte
+	resp  *Response
+	key   []byte
 	site  siteURL
 }
+
+// Disown gives up the Response u lent the last request: the next hit
+// fills a new one. A connection calls it when a script saw the request.
+func (u *Reuse) Disown() { u.resp = nil }
 
 // siteURL is one SiteURL result: url is scheme + "://" + host + "/" + name,
 // and scheme and host are its first ls and, after the "://", lh bytes.
@@ -72,6 +86,19 @@ func (r *Request) ReplyBuffer(n int) (b []byte, borrowed bool) {
 		r.reuse.Reply = make([]byte, n)
 	}
 	return r.reuse.Reply[:n:n], true
+}
+
+// lentResponse returns the Response the Reuse SetReuse gave r lends, once,
+// or else a fresh one the caller may keep (a nil r gets a fresh one too).
+func (r *Request) lentResponse() *Response {
+	if r == nil || r.reuse == nil || r.respLent {
+		return new(Response)
+	}
+	r.respLent = true
+	if r.reuse.resp == nil {
+		r.reuse.resp = new(Response)
+	}
+	return r.reuse.resp
 }
 
 // SetURLCopy points the request at a copy of u stored inside the request's

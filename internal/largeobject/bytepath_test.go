@@ -630,19 +630,18 @@ func (b *heldBody) Read(p []byte) (int, error) {
 func (b *heldBody) Close() error { return nil }
 
 // TestColdRangeAllocationBudget: a reader ahead of a streamed ingest waits
-// in the tier and then reads each segment through the pooled view every
+// in the tier and then reads each segment through the free-list view every
 // warm reader uses. Parked ahead of the held ingest on every segment of an
-// 8-segment object, it reads all 8 allocating under one segment (the
-// parent's waiting reader took an owned 256 KiB copy per segment, 2 MiB
-// here).
+// 8-segment object, it reads all 8 allocating under one segment (a waiting
+// reader that took an owned 256 KiB copy per segment allocated 2 MiB here).
+// It runs on two Ps: the free list is shared, so a buffer released on one P
+// serves a view on the other (a sync.Pool's per-P slot did not, and cost a
+// 256 KiB reallocation here).
 func TestColdRangeAllocationBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under the race detector")
+		t.Skip("the race detector's allocations are not the tier's")
 	}
-	// One P, so the pool's one buffer is where every Get looks: a buffer
-	// put back on another P's private slot is not stolen, and would cost
-	// one reallocation that has nothing to do with the read.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const segSize, segs = 256 << 10, 8
 	fs, err := store.NewDirFS(t.TempDir())
 	if err != nil {

@@ -3,6 +3,7 @@ package largeobject
 import (
 	"fmt"
 	"hash/maphash"
+	"runtime"
 	"sync"
 
 	"nakika/internal/store"
@@ -12,7 +13,7 @@ import (
 // Slab stores segments as records of a store.SegLog, the log the disk cache
 // tier keeps its entries in: a record's payload is the segment's id followed
 // by its bytes. The log frames, places, verifies and reclaims; what is the
-// slab's own is the content address as key, the pooled read buffers and its
+// slab's own is the content address as key, the free read buffers and its
 // counters. Segments are soft state: nothing is fsynced, and a torn or
 // corrupt record simply fails verification and is a miss.
 //
@@ -36,12 +37,17 @@ type Slab struct {
 	log                *store.SegLog
 	hits, misses, puts uint64
 
-	// bufs pools read buffers (*[]byte), each exactly one maximal record
-	// long and never grown. A buffer is out of the pool only while one reader
-	// holds a view of it.
-	bufs sync.Pool
+	// free holds the read buffers no reader holds a view of, each exactly
+	// one maximal record (recMax bytes) long and never grown: at most its
+	// capacity of them, GOMAXPROCS when the slab opened, as many as readers
+	// can run at once. A view takes one, or makes one when none is free;
+	// one released past the bound is left to the collector. Unlike a
+	// sync.Pool's per-P slots, a buffer released on one P serves a view on
+	// any other.
+	free   [][]byte
+	recMax int64
 	// onRelease, when set by a test, sees every buffer on its way back to
-	// the pool.
+	// the free list.
 	onRelease func(buf []byte)
 }
 
@@ -109,12 +115,8 @@ func openSlab(fs store.FS, segSize, capacity, spare int64) (*Slab, map[string]*M
 	if segSize <= 0 {
 		return nil, nil, fmt.Errorf("largeobject: segment size %d", segSize)
 	}
-	s := &Slab{segSize: segSize, slots: int(max(capacity/segSize, 1))}
 	recMax := store.FrameHeader + SegIDLen + segSize
-	s.bufs.New = func() any {
-		buf := make([]byte, recMax)
-		return &buf
-	}
+	s := &Slab{segSize: segSize, slots: int(max(capacity/segSize, 1)), free: make([][]byte, 0, runtime.GOMAXPROCS(0)), recMax: recMax}
 	manifests := make(map[string]*Manifest)
 	var err error
 	s.log, err = store.OpenSegLog(fs, (int64(s.slots)+spare)*recMax, func(p []byte) (uint64, int64, bool, bool) {
@@ -220,7 +222,7 @@ func (s *Slab) Get(id SegID) ([]byte, bool) {
 	return out, true
 }
 
-// view is Get without the copy: data aliases a pooled buffer that was read
+// view is Get without the copy: data aliases a free-list buffer that was read
 // and verified for this call alone, and is valid until release, which must
 // be called exactly once. Views must not be shared between goroutines or
 // outlive their reader; everything else takes Get's owned copy.
@@ -228,22 +230,27 @@ func (s *Slab) view(id SegID) (data []byte, release func(), ok bool) {
 	key := hashKey(id[:])
 	s.mu.Lock()
 	ref, ok := s.log.Lookup(key)
+	var buf []byte
 	if !ok {
 		s.misses++
+	} else if n := len(s.free); n > 0 {
+		buf, s.free = s.free[n-1], s.free[:n-1]
 	}
 	s.mu.Unlock()
 	if !ok {
 		return nil, nil, false
 	}
-	buf := s.bufs.Get().(*[]byte)
-	payload, err := s.log.Read(ref, *buf)
+	if buf == nil {
+		buf = make([]byte, s.recMax)
+	}
+	payload, err := s.log.Read(ref, buf)
 	if err == nil && (len(payload) < SegIDLen || SegID(payload) != id) {
 		err = fmt.Errorf("largeobject: record is not segment %v", id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		s.putBuf(buf)
+		s.putBufLocked(buf)
 		s.log.Forget(key, ref)
 		s.misses++
 		return nil, nil, false
@@ -258,16 +265,21 @@ func (s *Slab) view(id SegID) (data []byte, release func(), ok bool) {
 			panic("largeobject: segment buffer released twice")
 		}
 		released = true
-		s.putBuf(buf)
+		s.mu.Lock()
+		s.putBufLocked(buf)
+		s.mu.Unlock()
 	}, true
 }
 
-// putBuf is the one way a read buffer goes back to the pool.
-func (s *Slab) putBuf(buf *[]byte) {
+// putBufLocked is the one way a read buffer goes back to the free list. The
+// caller holds s.mu.
+func (s *Slab) putBufLocked(buf []byte) {
 	if s.onRelease != nil {
-		s.onRelease(*buf)
+		s.onRelease(buf)
 	}
-	s.bufs.Put(buf)
+	if len(s.free) < cap(s.free) {
+		s.free = append(s.free, buf)
+	}
 }
 
 // Resident returns how many of m's segments the slab holds.

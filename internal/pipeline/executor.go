@@ -100,10 +100,22 @@ type Trace struct {
 	SegmentsResident int
 
 	// stagesBuf is the inline backing array for Stages: the standard
-	// three-stage pipeline records its traces inside the Trace allocation
-	// itself instead of growing a separate slice per request.
+	// three-stage pipeline records its traces inside the Trace itself
+	// instead of growing a separate slice per request.
 	stagesBuf [4]StageTrace
+
+	// killed is the pipeline's kill flag, which the resource manager raises
+	// to end it between phases. It is registered for the request's life as
+	// a pointer into the Trace, so registering allocates nothing.
+	killed killFlag
 }
+
+// killFlag is a pipeline's kill flag, registered with the resource manager
+// as the pipeline's resource.Terminator.
+type killFlag struct{ atomic.Bool }
+
+// Terminate raises the flag.
+func (k *killFlag) Terminate() { k.Store(true) }
 
 // RanHandlers reports whether any stage executed a script handler. Callers
 // that pool requests use it as the safety gate: a request no script touched
@@ -121,10 +133,21 @@ func (t *Trace) RanHandlers() bool {
 func (e *Executor) since(start time.Time) time.Duration { return e.Host.Now().Sub(start) }
 
 // Execute runs the full pipeline of Figure 4 for req and returns the
-// response to deliver to the client together with an execution trace.
+// response to deliver to the client together with an execution trace of its
+// own.
 func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, error) {
+	trace := new(Trace)
+	resp, err := e.ExecuteInto(req, trace)
+	return resp, trace, err
+}
+
+// ExecuteInto is Execute with the trace's storage supplied by the caller,
+// which it resets and fills: a client connection keeps one Trace and lends
+// it to each request it serves, so a request allocates none. Nothing keeps
+// trace once ExecuteInto returns.
+func (e *Executor) ExecuteInto(req *httpmsg.Request, trace *Trace) (*httpmsg.Response, error) {
 	start := e.Host.Now()
-	trace := &Trace{}
+	*trace = Trace{}
 	trace.Stages = trace.stagesBuf[:0]
 	trace.Act.ID = req.TraceID
 	site := req.SiteKey()
@@ -135,19 +158,19 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 	if e.Resources != nil && !e.Resources.Admit(site) {
 		trace.RejectedBusy = true
 		trace.Elapsed = e.since(start)
-		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "server busy\n"), trace, nil
+		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "server busy\n"), nil
 	}
 
 	// The pipeline registers with the resource manager for its whole
-	// lifetime through a kill flag, so termination reaches pipelines that
+	// lifetime through its kill flag, so termination reaches pipelines that
 	// are between phases (for example waiting on the origin fetch), not
 	// just ones inside a handler. Handlers additionally register their
 	// pooled execution context for the duration of each call (see
 	// withHandlerRun) so a running script is interrupted mid-flight.
 	var terminated bool
-	var killed atomic.Bool
+	killed := &trace.killed
 	if e.Resources != nil {
-		id := e.Resources.RegisterPipeline(site, func() { killed.Store(true) })
+		id := e.Resources.RegisterPipeline(site, killed)
 		defer e.Resources.UnregisterPipeline(site, id)
 	}
 
@@ -220,7 +243,7 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 		if pol != nil && pol.OnRequest != nil {
 			st.RanRequest = true
 			spanStart := e.since(start)
-			resp, err := e.runOnRequest(stage, pol, site, &killed, trace, req)
+			resp, err := e.runOnRequest(stage, pol, site, killed, trace, req)
 			trace.Act.AddSpan(scriptURL, spanStart, e.since(start)-spanStart)
 			if err != nil {
 				if stopsPipeline(err) {
@@ -254,13 +277,13 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 		trace.Terminated = true
 		trace.Elapsed = e.since(start)
 		e.charge(site, req, nil, trace)
-		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), trace, nil
+		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), nil
 	}
 
 	// Fetch the original resource when no handler generated a response.
 	if response == nil {
 		if e.FetchOrigin == nil {
-			return nil, trace, fmt.Errorf("pipeline: no origin fetcher configured")
+			return nil, fmt.Errorf("pipeline: no origin fetcher configured")
 		}
 		spanStart := e.since(start)
 		resp, err := e.FetchOrigin(req)
@@ -276,7 +299,7 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 		trace.Terminated = true
 		trace.Elapsed = e.since(start)
 		e.charge(site, req, nil, trace)
-		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), trace, nil
+		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), nil
 	}
 
 	// Unwind: run onResponse handlers in reverse order of stage execution.
@@ -291,14 +314,14 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 			}
 		}
 		spanStart := e.since(start)
-		err := e.runOnResponse(ex.stage, ex.pol, site, &killed, trace, req, response)
+		err := e.runOnResponse(ex.stage, ex.pol, site, killed, trace, req, response)
 		trace.Act.AddSpan(ex.script, spanStart, e.since(start)-spanStart)
 		if err != nil {
 			if stopsPipeline(err) {
 				trace.Terminated = true
 				trace.Elapsed = e.since(start)
 				e.charge(site, req, nil, trace)
-				return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), trace, nil
+				return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), nil
 			}
 			for j := range trace.Stages {
 				if trace.Stages[j].ScriptURL == ex.script && trace.Stages[j].Err == "" {
@@ -310,7 +333,7 @@ func (e *Executor) Execute(req *httpmsg.Request) (*httpmsg.Response, *Trace, err
 
 	trace.Elapsed = e.since(start)
 	e.charge(site, req, response, trace)
-	return response, trace, nil
+	return response, nil
 }
 
 // stopsPipeline reports whether a handler's error is a kill or a sandbox
@@ -325,13 +348,13 @@ func stopsPipeline(err error) bool {
 // the resource manager for the duration of fn (so congestion control can
 // terminate the handler mid-flight), and runs fn. A pipeline whose kill
 // flag was already raised does not start another handler.
-func (e *Executor) withHandlerRun(stage *Stage, site string, killed *atomic.Bool, fn func(run *Run) error) error {
+func (e *Executor) withHandlerRun(stage *Stage, site string, killed *killFlag, fn func(run *Run) error) error {
 	if killed.Load() {
 		return script.ErrTerminated
 	}
 	return stage.WithRun(func(run *Run) error {
 		if e.Resources != nil {
-			id := e.Resources.RegisterPipeline(site, run.Ctx.Terminate)
+			id := e.Resources.RegisterPipeline(site, run.Ctx)
 			defer e.Resources.UnregisterPipeline(site, id)
 		}
 		if killed.Load() {
@@ -343,7 +366,7 @@ func (e *Executor) withHandlerRun(stage *Stage, site string, killed *atomic.Bool
 
 // runOnRequest executes a policy's onRequest handler against req and returns
 // the response it produced, if any.
-func (e *Executor) runOnRequest(stage *Stage, pol *policy.Policy, site string, killed *atomic.Bool, trace *Trace, req *httpmsg.Request) (*httpmsg.Response, error) {
+func (e *Executor) runOnRequest(stage *Stage, pol *policy.Policy, site string, killed *killFlag, trace *Trace, req *httpmsg.Request) (*httpmsg.Response, error) {
 	var produced *httpmsg.Response
 	err := e.withHandlerRun(stage, site, killed, func(run *Run) error {
 		// Bind a fresh response the handler may choose to fill from scratch.
@@ -375,7 +398,7 @@ func (e *Executor) runOnRequest(stage *Stage, pol *policy.Policy, site string, k
 }
 
 // runOnResponse executes a policy's onResponse handler against resp.
-func (e *Executor) runOnResponse(stage *Stage, pol *policy.Policy, site string, killed *atomic.Bool, trace *Trace, req *httpmsg.Request, resp *httpmsg.Response) error {
+func (e *Executor) runOnResponse(stage *Stage, pol *policy.Policy, site string, killed *killFlag, trace *Trace, req *httpmsg.Request, resp *httpmsg.Response) error {
 	return e.withHandlerRun(stage, site, killed, func(run *Run) error {
 		_, err := e.runHandler(run, stage, trace, pol.OnResponse, req, resp)
 		return err

@@ -18,7 +18,7 @@ package policy
 
 import (
 	"fmt"
-	"net"
+	"net/netip"
 	"net/textproto"
 	"regexp"
 	"strings"
@@ -239,7 +239,9 @@ func matchURLPattern(pattern, host, path string) (int, bool) {
 		if !pathPrefixMatch(path, patPath) {
 			return 0, false
 		}
-		pathSegments = len(splitSegments(patPath))
+		for seg, rest := nextSegment(patPath); seg != ""; seg, rest = nextSegment(rest) {
+			pathSegments++
+		}
 	}
 	return hostLabels + pathSegments, true
 }
@@ -260,14 +262,21 @@ func pathPrefixMatch(path, prefix string) bool {
 	return rest == "" || strings.HasPrefix(rest, "/") || strings.HasPrefix(rest, "?")
 }
 
-func splitSegments(p string) []string {
-	var out []string
-	for _, s := range strings.Split(p, "/") {
-		if s != "" {
-			out = append(out, s)
+// nextSegment returns the first non-empty slash-separated segment of p and
+// what follows it, or "" when p holds none. Called again on what it
+// returns, it yields p's segments in order, read in place.
+func nextSegment(p string) (seg, rest string) {
+	for p != "" {
+		i := strings.IndexByte(p, '/')
+		switch {
+		case i < 0:
+			return p, ""
+		case i > 0:
+			return p[:i], p[i+1:]
 		}
+		p = p[1:]
 	}
-	return out
+	return "", ""
 }
 
 // matchClientPattern matches a client predicate. CIDR patterns score by
@@ -279,24 +288,29 @@ func matchClientPattern(pattern, clientIP, clientHost string) (int, bool) {
 	if pattern == "" {
 		return 0, false
 	}
+	// netip parses without allocating; an IPv4 address or network written
+	// in IPv6 form is the IPv4 one, as the net package reads them.
 	if strings.Contains(pattern, "/") {
-		_, ipnet, err := net.ParseCIDR(pattern)
+		prefix, err := netip.ParsePrefix(pattern)
 		if err != nil {
 			return 0, false
 		}
-		ip := net.ParseIP(clientIP)
-		if ip == nil || !ipnet.Contains(ip) {
+		in := prefix
+		if a := prefix.Addr(); a.Is4In6() && prefix.Bits() >= 96 {
+			in = netip.PrefixFrom(a.Unmap(), prefix.Bits()-96)
+		}
+		client, ok := clientAddr(clientIP)
+		if !ok || !in.Contains(client) {
 			return 0, false
 		}
-		ones, _ := ipnet.Mask.Size()
-		return ones, true
+		return prefix.Bits(), true
 	}
-	if ip := net.ParseIP(pattern); ip != nil {
-		client := net.ParseIP(clientIP)
-		if client == nil || !client.Equal(ip) {
+	if ip, err := netip.ParseAddr(pattern); err == nil && ip.Zone() == "" {
+		client, ok := clientAddr(clientIP)
+		if !ok || client != ip.Unmap() {
 			return 0, false
 		}
-		if ip.To4() != nil {
+		if ip.Unmap().Is4() {
 			return 32, true
 		}
 		return 128, true
@@ -310,6 +324,17 @@ func matchClientPattern(pattern, clientIP, clientHost string) (int, bool) {
 		return strings.Count(pattern, ".") + 1, true
 	}
 	return 0, false
+}
+
+// clientAddr parses a client's IP address, unmapped from IPv6 form. A
+// missing one is no address, read without the allocation a parse error
+// costs.
+func clientAddr(ip string) (netip.Addr, bool) {
+	if ip == "" {
+		return netip.Addr{}, false
+	}
+	a, err := netip.ParseAddr(ip)
+	return a.Unmap(), err == nil && a.Zone() == ""
 }
 
 // ---------------------------------------------------------------------------

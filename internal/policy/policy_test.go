@@ -2,6 +2,9 @@ package policy
 
 import (
 	"fmt"
+	"net"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +151,56 @@ func TestMatchClientExactIPAndHostSuffix(t *testing.T) {
 	in.ClientHost = ""
 	if _, ok := suffix.Match(in); ok {
 		t.Error("empty client host cannot satisfy a hostname predicate")
+	}
+}
+
+// TestClientPatternAgreesWithNet: client predicates parse with net/netip,
+// which allocates nothing, and score and match as the net package's
+// ParseCIDR, ParseIP, Contains and Equal did, IPv4 in IPv6 form and zones
+// included.
+func TestClientPatternAgreesWithNet(t *testing.T) {
+	reference := func(pattern, clientIP, clientHost string) (int, bool) {
+		pattern = strings.TrimSpace(strings.ToLower(pattern))
+		if strings.Contains(pattern, "/") {
+			_, ipnet, err := net.ParseCIDR(pattern)
+			if err != nil {
+				return 0, false
+			}
+			ip := net.ParseIP(clientIP)
+			if ip == nil || !ipnet.Contains(ip) {
+				return 0, false
+			}
+			ones, _ := ipnet.Mask.Size()
+			return ones, true
+		}
+		if ip := net.ParseIP(pattern); ip != nil {
+			client := net.ParseIP(clientIP)
+			if client == nil || !client.Equal(ip) {
+				return 0, false
+			}
+			if ip.To4() != nil {
+				return 32, true
+			}
+			return 128, true
+		}
+		host := strings.ToLower(clientHost)
+		if host != "" && (host == pattern || strings.HasSuffix(host, "."+pattern)) {
+			return strings.Count(pattern, ".") + 1, true
+		}
+		return 0, false
+	}
+	patterns := []string{"192.168.0.0/16", "10.1.2.3/8", "2001:db8::/32", "::ffff:10.0.0.0/104", "10.1.2.3",
+		"::ffff:10.1.2.3", "2001:db8::1", "fe80::1%eth0", "nyu.edu", "bad/cidr", " 10.0.0.0/8 ",
+		"::ffff:0.0.0.0/80", "::ffff:10.1.2.3/100", "10.0.0.0/33", "0.0.0.0/0", "::/0", "10.1.2.3/32"}
+	clients := []string{"192.168.5.20", "10.1.2.3", "::ffff:10.1.2.3", "2001:db8::1", "fe80::1%eth0", "", "not-an-ip"}
+	for _, pattern := range patterns {
+		for _, ip := range clients {
+			ws, wok := reference(pattern, ip, "dialup.med.nyu.edu")
+			gs, gok := matchClientPattern(pattern, ip, "dialup.med.nyu.edu")
+			if ws != gs || wok != gok {
+				t.Errorf("pattern %q, client %q: %d %v, want %d %v", pattern, ip, gs, gok, ws, wok)
+			}
+		}
 	}
 }
 
@@ -334,6 +387,65 @@ func TestTreeDeepPathSelection(t *testing.T) {
 	}
 	if got := tree.Match(input("site.org", "/z")); got != nil {
 		t.Errorf("got %q, want nil", got.Source)
+	}
+}
+
+// TestTreeMatchAllocatesNothing: matching a request against a stage's tree
+// walks the host's labels and the path's segments in place, into a buffer
+// of Match's own, and client predicates parse without allocating, so a
+// match on a multi-label host and a deep path, and a miss past both,
+// allocate nothing.
+func TestTreeMatchAllocatesNothing(t *testing.T) {
+	tree := NewTree([]*Policy{
+		{URLs: []string{"shop.example.org"}, Source: "site"},
+		{URLs: []string{"www.shop.example.org/catalog/books/new"}, Source: "new-books"},
+		{URLs: []string{"www.shop.example.org/cgi-bin"}, Methods: []string{"POST"}, Source: "forms"},
+		{Clients: []string{"10.0.0.0/8"}, Source: "intranet"},
+	})
+	hit, miss := input("www.shop.example.org", "/catalog/books/new/page.html"), input("other.example.net", "/a/b/c")
+	hit.ClientIP, miss.ClientIP = "10.1.2.3", "192.0.2.7"
+	if got := tree.Match(hit); got == nil || got.Source != "new-books" {
+		t.Fatalf("matched %v, want new-books", got)
+	}
+	for _, c := range []struct {
+		name string
+		in   Input
+	}{{"match", hit}, {"miss", miss}} {
+		if allocs := testing.AllocsPerRun(100, func() { tree.Match(c.in) }); allocs != 0 {
+			t.Errorf("%s: Tree.Match allocates %.1f times, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestLabelAndSegmentWalks: the in-place walks read the labels and the
+// segments strings.Split reads, empty labels included and empty segments
+// skipped.
+func TestLabelAndSegmentWalks(t *testing.T) {
+	for _, host := range []string{"a", "www.shop.example.org", ".example.org", "a..b", "example."} {
+		var got []string
+		h := strings.TrimSuffix(host, ".")
+		for end := len(h); end >= 0 && h != ""; {
+			var label string
+			label, end = lastLabel(h, end)
+			got = append([]string{label}, got...)
+		}
+		if want := strings.Split(strings.TrimSuffix(host, "."), "."); !slices.Equal(got, want) {
+			t.Errorf("labels of %q: %q, want %q", host, got, want)
+		}
+	}
+	for _, path := range []string{"", "/", "/a", "//a//b/", "a/b/c", "/catalog/books/new/x.html"} {
+		var got, want []string
+		for seg, rest := nextSegment(path); seg != ""; seg, rest = nextSegment(rest) {
+			got = append(got, seg)
+		}
+		for _, s := range strings.Split(path, "/") {
+			if s != "" {
+				want = append(want, s)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("segments of %q: %q, want %q", path, got, want)
+		}
 	}
 }
 

@@ -65,16 +65,18 @@ func (t *Tree) Add(p *Policy) {
 		// Host labels are inserted from the rightmost label inward so that
 		// suffix patterns ("nyu.edu") sit on the prefix of more specific
 		// patterns ("med.nyu.edu").
-		labels := splitHostLabels(host)
-		for i := len(labels) - 1; i >= 0; i-- {
-			child, ok := node.hostChildren[labels[i]]
+		host = strings.TrimSuffix(host, ".")
+		for end := len(host); end >= 0 && host != ""; {
+			var label string
+			label, end = lastLabel(host, end)
+			child, ok := node.hostChildren[label]
 			if !ok {
 				child = newTreeNode()
-				node.hostChildren[labels[i]] = child
+				node.hostChildren[label] = child
 			}
 			node = child
 		}
-		for _, seg := range splitSegments(path) {
+		for seg, rest := nextSegment(path); seg != ""; seg, rest = nextSegment(rest) {
 			child, ok := node.pathChildren[seg]
 			if !ok {
 				child = newTreeNode()
@@ -93,12 +95,13 @@ func (t *Tree) Len() int { return len(t.all) }
 func (t *Tree) Policies() []*Policy { return t.all }
 
 // Match walks the tree for the request's host and path, gathers candidate
-// policies, and returns the closest valid match (or nil).
+// policies, and returns the closest valid match (or nil). It allocates
+// nothing unless more than maxInlineCandidates policies are candidates.
 func (t *Tree) Match(in Input) *Policy {
-	candidates := t.candidates(in.Host, in.Path)
+	var buf [maxInlineCandidates]*Policy
 	var best *Policy
 	var bestScore Score
-	for _, p := range candidates {
+	for _, p := range t.candidates(buf[:0], in.Host, in.Path) {
 		score, ok := p.Match(in)
 		if !ok {
 			continue
@@ -111,18 +114,24 @@ func (t *Tree) Match(in Input) *Policy {
 	return best
 }
 
-// candidates collects the policies attached to every node along the
-// host/path walk. Policies at deeper nodes have more specific URL patterns,
-// but the final specificity comparison is delegated to Policy.Match so the
-// tree and linear matchers agree exactly.
-func (t *Tree) candidates(host, path string) []*Policy {
-	out := append([]*Policy(nil), t.root.policies...)
-	labels := splitHostLabels(strings.ToLower(host))
+// maxInlineCandidates is how many candidates Match gathers without
+// allocating.
+const maxInlineCandidates = 16
+
+// candidates appends to out the policies attached to every node along the
+// host/path walk, which reads the host's labels and the path's segments in
+// place. Policies at deeper nodes have more specific URL patterns, but the
+// final specificity comparison is delegated to Policy.Match so the tree and
+// linear matchers agree exactly.
+func (t *Tree) candidates(out []*Policy, host, path string) []*Policy {
+	out = append(out, t.root.policies...)
 	node := t.root
 	// Walk host labels right to left; stop at the first missing edge.
-	i := len(labels) - 1
-	for ; i >= 0; i-- {
-		child, ok := node.hostChildren[labels[i]]
+	host = strings.TrimSuffix(strings.ToLower(host), ".")
+	for end := len(host); end >= 0 && host != ""; {
+		var label string
+		label, end = lastLabel(host, end)
+		child, ok := node.hostChildren[label]
 		if !ok {
 			break
 		}
@@ -130,7 +139,7 @@ func (t *Tree) candidates(host, path string) []*Policy {
 		out = append(out, node.policies...)
 	}
 	// Path segments only matter below the host node we stopped at.
-	for _, seg := range splitSegments(path) {
+	for seg, rest := nextSegment(path); seg != ""; seg, rest = nextSegment(rest) {
 		child, ok := node.pathChildren[seg]
 		if !ok {
 			break
@@ -155,10 +164,11 @@ func splitURLPattern(pattern string) (host, path string) {
 	return host, path
 }
 
-func splitHostLabels(host string) []string {
-	host = strings.TrimSuffix(host, ".")
-	if host == "" {
-		return nil
-	}
-	return strings.Split(host, ".")
+// lastLabel returns the rightmost dot-separated label of host[:end], and
+// the end of the labels left of it: -1 once the leftmost is returned. From
+// end = len(host) on, it yields host's labels right to left, as
+// strings.Split would give them (two dots in a row hold an empty label).
+func lastLabel(host string, end int) (label string, next int) {
+	i := strings.LastIndexByte(host[:end], '.')
+	return host[i+1 : end], i
 }

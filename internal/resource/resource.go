@@ -124,8 +124,8 @@ type siteState struct {
 	// throttleProb is the probability an incoming request for this site is
 	// rejected with a server-busy error.
 	throttleProb float64
-	// terminators are callbacks that kill this site's active pipelines.
-	terminators map[int64]func()
+	// terminators end this site's active pipelines.
+	terminators map[int64]Terminator
 }
 
 // Manager is the per-node resource manager.
@@ -175,7 +175,7 @@ func (m *Manager) Stats() Stats {
 func (m *Manager) site(name string) *siteState {
 	s, ok := m.sites[name]
 	if !ok {
-		s = &siteState{terminators: make(map[int64]func())}
+		s = &siteState{terminators: make(map[int64]Terminator)}
 		m.sites[name] = s
 	}
 	return s
@@ -191,15 +191,20 @@ func (m *Manager) Charge(site string, kind Kind, amount float64) {
 	m.site(site).window[kind] += amount
 }
 
-// RegisterPipeline registers a termination callback for an active pipeline
-// belonging to site and returns a handle to unregister it. The manager calls
-// the callback when it decides to terminate the site's pipelines.
-func (m *Manager) RegisterPipeline(site string, terminate func()) int64 {
+// Terminator is an active pipeline, or a handler run in one, that the
+// manager can end: Terminate raises its kill flag and returns at once.
+type Terminator interface{ Terminate() }
+
+// RegisterPipeline registers an active pipeline belonging to site and
+// returns a handle to unregister it. The manager calls t's Terminate when it
+// decides to terminate the site's pipelines. A pointer registered as t
+// costs the caller no allocation, where a closure would.
+func (m *Manager) RegisterPipeline(site string, t Terminator) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextID++
 	id := m.nextID
-	m.site(site).terminators[id] = terminate
+	m.site(site).terminators[id] = t
 	return id
 }
 
@@ -396,11 +401,10 @@ func (m *Manager) terminateLocked(site string) {
 	if !ok {
 		return
 	}
-	for id, kill := range s.terminators {
-		// Run callbacks outside the critical section? They are expected to
-		// be quick flag-sets (Context.Terminate), so invoking them inline
-		// keeps the control procedure simple.
-		kill()
+	for id, t := range s.terminators {
+		// Terminate only sets a flag (a pipeline's, or Context.Terminate),
+		// so calling it inline keeps the control procedure simple.
+		t.Terminate()
 		delete(s.terminators, id)
 	}
 	s.window = [numKinds]float64{}

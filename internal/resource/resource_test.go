@@ -49,7 +49,7 @@ func TestSiteTableForgetsIdleSites(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		m.Admit(fmt.Sprintf("site-%d.example.org", i))
 	}
-	id := m.RegisterPipeline("busy.example.org", func() {})
+	id := m.RegisterPipeline("busy.example.org", killFunc(func() {}))
 	m.Charge("bytes.example.org", BytesTransferred, 100)
 	m.ControlOnce()
 	m.ControlOnce()
@@ -137,8 +137,8 @@ func TestThrottleProportionalToShare(t *testing.T) {
 func TestTerminationOfTopOffenderAfterPersistentCongestion(t *testing.T) {
 	m := managerWithCapacity(100)
 	var hogKilled, smallKilled atomic.Bool
-	m.RegisterPipeline("site-hog", func() { hogKilled.Store(true) })
-	m.RegisterPipeline("site-small", func() { smallKilled.Store(true) })
+	m.RegisterPipeline("site-hog", killFunc(func() { hogKilled.Store(true) }))
+	m.RegisterPipeline("site-small", killFunc(func() { smallKilled.Store(true) }))
 
 	// Round 1: congestion appears, sites get throttled, kill deferred.
 	m.Charge("site-hog", CPU, 500)
@@ -175,7 +175,7 @@ func TestUnthrottleWhenCongestionClears(t *testing.T) {
 		t.Error("throttle should be lifted when congestion clears")
 	}
 	var killed atomic.Bool
-	m.RegisterPipeline("site-a", func() { killed.Store(true) })
+	m.RegisterPipeline("site-a", killFunc(func() { killed.Store(true) }))
 	m.ControlOnce()
 	if killed.Load() {
 		t.Error("no termination should happen after congestion clears")
@@ -231,7 +231,7 @@ func TestDisabledManagerAdmitsEverything(t *testing.T) {
 func TestUnregisterPipeline(t *testing.T) {
 	m := managerWithCapacity(10)
 	var killed atomic.Bool
-	id := m.RegisterPipeline("site-a", func() { killed.Store(true) })
+	id := m.RegisterPipeline("site-a", killFunc(func() { killed.Store(true) }))
 	m.UnregisterPipeline("site-a", id)
 	// Force two congested rounds to trigger termination.
 	m.Charge("site-a", CPU, 100)
@@ -272,8 +272,8 @@ func TestPropertyTerminationTargetsTopOffender(t *testing.T) {
 		}
 		m := managerWithCapacity(1) // tiny capacity: always congested
 		var killedA, killedB atomic.Bool
-		m.RegisterPipeline("a", func() { killedA.Store(true) })
-		m.RegisterPipeline("b", func() { killedB.Store(true) })
+		m.RegisterPipeline("a", killFunc(func() { killedA.Store(true) }))
+		m.RegisterPipeline("b", killFunc(func() { killedB.Store(true) }))
 		for round := 0; round < 2; round++ {
 			m.Charge("a", CPU, a)
 			m.Charge("b", CPU, b)
@@ -334,3 +334,8 @@ func TestTerminationDoesNotShiftBlame(t *testing.T) {
 		t.Error("round 2: the hog should remain throttled")
 	}
 }
+
+// killFunc registers a function as a pipeline's Terminator.
+type killFunc func()
+
+func (f killFunc) Terminate() { f() }

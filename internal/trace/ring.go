@@ -2,22 +2,20 @@ package trace
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // maxSampleURL bounds the URL bytes copied into a Sample. The copy is
-// inline (no allocation) because pooled request objects reuse their URL
-// backing store the moment the request is released; the bound is sized
-// so a Sample stays within one small allocation size class — the
-// throughput gate tracks hot-path bytes/op, and the Sample is the one
-// allocation tracing adds per request.
+// inline because pooled request objects reuse their URL backing store the
+// moment the request is released.
 const maxSampleURL = 64
 
-// Sample is one finished request, recorded into the ring. A Sample is
-// immutable once recorded, so ring readers may hold it without
-// synchronization. The span slice aliases the request's Act buffer —
-// safe because the trace that owns the Act is never reused.
+// Sample is one finished request, recorded into the ring. It holds no
+// reference into the request or its trace: the URL and the spans are
+// copied in, so the trace the request ran with may serve the connection's
+// next request while the ring keeps the sample.
 type Sample struct {
 	TraceID uint64
 	Node    string
@@ -29,7 +27,10 @@ type Sample struct {
 	Start   time.Time
 	Elapsed time.Duration
 
-	Spans        []Span
+	// Spans holds the first NSpans timed phases, copied from the request's
+	// Act; SpansDropped counts spans that did not fit.
+	Spans        [MaxSpans]Span
+	NSpans       int
 	SpansDropped int
 
 	Status       int
@@ -68,14 +69,14 @@ func (s *Sample) SetURL(host, path string) {
 // allocates, so it is for dump paths only.
 func (s *Sample) URL() string { return string(s.urlBuf[:s.urlLen]) }
 
-// FillFromAct copies an Act's recorded activity into the sample,
-// aliasing its span buffer.
+// FillFromAct copies an Act's recorded activity, its spans included, into
+// the sample.
 func (s *Sample) FillFromAct(a *Act) {
 	if a == nil {
 		return
 	}
 	s.TraceID = a.ID
-	s.Spans = a.Spans[:a.NSpans]
+	s.Spans, s.NSpans = a.Spans, a.NSpans
 	s.SpansDropped = a.SpansDropped
 	s.HedgedReads = a.HedgedReads
 	s.HedgeWins = a.HedgeWins
@@ -88,13 +89,22 @@ func (s *Sample) FillFromAct(a *Act) {
 	s.FenceToken = a.FenceToken
 }
 
-// Ring is a fixed-size lock-free buffer of the most recent Samples.
-// Writers claim slots with a single atomic add and publish with an
-// atomic pointer store; readers snapshot with atomic loads. No locks,
-// no blocking, safe under the race detector.
+// Ring is a fixed-size buffer of the most recent Samples, held by value in
+// slots allocated once. A writer claims a slot with one atomic add and
+// copies its sample in under the slot's lock; a reader copies each slot out
+// under the same lock. Recording allocates nothing, and no write blocks
+// another but for a reader copying the same slot.
 type Ring struct {
-	slots []atomic.Pointer[Sample]
+	slots []ringSlot
 	next  atomic.Uint64
+}
+
+// ringSlot is one place in the ring: the sample last recorded there, if
+// any.
+type ringSlot struct {
+	mu  sync.Mutex
+	s   Sample
+	set bool
 }
 
 // DefaultRingSize is the per-node sample capacity when none is
@@ -107,14 +117,16 @@ func NewRing(n int) *Ring {
 	if n <= 0 {
 		n = DefaultRingSize
 	}
-	return &Ring{slots: make([]atomic.Pointer[Sample], n)}
+	return &Ring{slots: make([]ringSlot, n)}
 }
 
-// Record publishes a finished sample, overwriting the oldest once the
-// ring is full. The sample must not be mutated after Record.
+// Record copies a finished sample into the ring, overwriting the oldest
+// once the ring is full. The ring keeps nothing of s itself.
 func (r *Ring) Record(s *Sample) {
-	i := r.next.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(s)
+	slot := &r.slots[(r.next.Add(1)-1)%uint64(len(r.slots))]
+	slot.mu.Lock()
+	slot.s, slot.set = *s, true
+	slot.mu.Unlock()
 }
 
 // Len returns how many samples the ring currently holds.
@@ -126,13 +138,20 @@ func (r *Ring) Len() int {
 	return int(n)
 }
 
-// Snapshot returns the current samples, unordered.
+// Snapshot returns copies of the current samples, unordered.
 func (r *Ring) Snapshot() []*Sample {
-	out := make([]*Sample, 0, len(r.slots))
+	copies := make([]Sample, 0, len(r.slots))
 	for i := range r.slots {
-		if s := r.slots[i].Load(); s != nil {
-			out = append(out, s)
+		slot := &r.slots[i]
+		slot.mu.Lock()
+		if slot.set {
+			copies = append(copies, slot.s)
 		}
+		slot.mu.Unlock()
+	}
+	out := make([]*Sample, len(copies))
+	for i := range copies {
+		out[i] = &copies[i]
 	}
 	return out
 }

@@ -9,7 +9,8 @@
 // Everything here is built for the hot path: an Act lives inline inside
 // the pipeline trace (no allocation), every recorder is nil-safe so
 // callers never branch on "is tracing on", and recording a finished
-// request into the ring costs exactly one allocation (the Sample).
+// request into the ring allocates nothing: the Sample is copied into a
+// slot the ring allocated once.
 package trace
 
 import (
