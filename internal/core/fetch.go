@@ -42,19 +42,20 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 	}
 	// The request's own lookup reads the whole-body tiers by the key's
 	// bytes, in the buffer its connection lends, into the buffer and the
-	// Response it lends: a warm hit allocates nothing. The key string is
-	// made past a memory miss, for the rest of the chain.
+	// Response it lends: a warm hit allocates nothing. The large-object
+	// tier is read by the same bytes, and the key string is made past a
+	// miss in all three, for the rest of the chain.
 	kb := req.CacheKeyBytes()
 	resp := n.cache.GetFor(kb, req)
-	key := ""
-	if resp == nil {
-		key = string(kb)
-		resp, _ = n.lobServe(key)
+	if t := n.lobTier(); resp == nil && t != nil {
+		m, ok := t.ManifestBytes(kb)
+		resp, _ = n.lobServeManifest(t, m, ok)
 	}
 	if resp != nil {
 		n.cacheHits.Add(1)
 		return resp, nil
 	}
+	key := string(kb)
 	// Coalesce: concurrent misses of one request share a single pass through
 	// the rest of the chain, so a cold-cache stampede costs one upstream
 	// request instead of N. Only a reply a shared cache may reuse is shared:

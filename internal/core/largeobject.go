@@ -85,6 +85,7 @@ func (n *Node) openLob(fs store.FS) error {
 	if err != nil {
 		return fmt.Errorf("core: open large-object tier: %w", err)
 	}
+	t.SetFetcher(n.lobFetch)
 	n.lobMu.Lock()
 	n.lob = t
 	n.lobMu.Unlock()
@@ -122,28 +123,33 @@ func (n *Node) lobServe(key string) (*httpmsg.Response, cache.Stale) {
 		return nil, cache.Stale{}
 	}
 	m, ok := t.Manifest(key)
+	return n.lobServeManifest(t, m, ok)
+}
+
+// lobServeManifest is lobServe of the manifest the tier looked up, if ok.
+func (n *Node) lobServeManifest(t *largeobject.Tier, m *largeobject.Manifest, ok bool) (*httpmsg.Response, cache.Stale) {
 	switch {
 	case !ok:
 		return nil, cache.Stale{}
 	case !n.lobStale(m):
-		return n.lobStream(t, key, m), cache.Stale{}
+		return n.lobStream(t, m), cache.Stale{}
 	case cache.Kept(m.Header, m.Expires, n.clock()):
 		return nil, cache.Stale{Tier: "lob", Header: m.Header}
 	}
-	t.DeleteManifest(key)
+	t.DeleteManifest(m.Key)
 	return nil, cache.Stale{}
 }
 
-// lobStream builds the streamed response for a manifest. Missing segments
-// resolve lazily as the client reads: slab, then a holder the overlay
-// locates, then an origin Range refetch — each verified against the
-// manifest's content address.
-func (n *Node) lobStream(t *largeobject.Tier, key string, m *largeobject.Manifest) *httpmsg.Response {
+// lobStream builds the streamed response for a manifest, on the stream the
+// tier keeps for it. Missing segments resolve lazily as the client reads:
+// slab, then a holder the overlay locates, then an origin Range refetch —
+// each verified against the manifest's content address (lobFetch).
+func (n *Node) lobStream(t *largeobject.Tier, m *largeobject.Manifest) *httpmsg.Response {
 	n.lobStreamed.Add(1)
 	resp := httpmsg.NewResponse(m.Status)
 	resp.Header = m.Header
 	resp.FromCache = true
-	resp.SetStream(t.NewStream(m, n.lobFetcher(key)))
+	resp.SetStream(t.NewStream(m, nil))
 	return resp
 }
 
@@ -161,7 +167,7 @@ func (n *Node) lobRenew(key string, nm *httpmsg.Response) *httpmsg.Response {
 	}
 	if h, renewal, expires := n.cache.Renew(m.Status, m.Header, nm.Header); renewal == cache.Renewed {
 		if renewed, ok := t.RefreshManifest(key, h, expires); ok {
-			return n.lobStream(t, key, renewed)
+			return n.lobStream(t, renewed)
 		}
 	}
 	return nil
@@ -188,7 +194,7 @@ func (n *Node) lobAdopt(key string, body []byte) *httpmsg.Response {
 		return nil
 	}
 	n.lobAdopted.Add(1)
-	return n.lobStream(t, key, m)
+	return n.lobStream(t, m)
 }
 
 // ---------------------------------------------------------------------------
@@ -262,7 +268,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 	n.lobStreamIng.Add(1)
 	resp := httpmsg.NewResponse(m.Status)
 	resp.Header = m.Header
-	resp.SetStream(t.NewStream(m, n.lobFetcher(key)))
+	resp.SetStream(t.NewStream(m, nil))
 	return resp, nil
 }
 
@@ -270,20 +276,19 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 // Segment resolution: slab -> peer -> origin Range
 // ---------------------------------------------------------------------------
 
-// lobFetcher returns the tier stream's resolver for the segments of key the
-// slab does not hold (the stream has consulted it, and waited on an ingest
-// in flight): a holder the overlay locates, then an origin Range refetch,
-// coalesced per (key, ordinal) so a thundering herd of readers costs one
-// fetch per segment.
-func (n *Node) lobFetcher(key string) largeobject.Fetcher {
-	return func(m *largeobject.Manifest, ord int) ([]byte, error) {
-		// All callers share the returned bytes: segment buffers are
-		// read-only by contract (readers copy out of them).
-		data, _, _, err := n.segFlights.Do(key+"#"+strconv.Itoa(ord), func() ([]byte, error) {
-			return n.lobFetchSegment(key, ord)
-		})
-		return data, err
-	}
+// lobFetch is the tier's resolver (Tier.SetFetcher) for the segments of m's
+// object the slab does not hold (the stream has consulted it, and waited on
+// an ingest in flight): a holder the overlay locates, then an origin Range
+// refetch, coalesced per (key, ordinal) so a thundering herd of readers
+// costs one fetch per segment.
+func (n *Node) lobFetch(m *largeobject.Manifest, ord int) ([]byte, error) {
+	key := m.Key
+	// All callers share the returned bytes: segment buffers are read-only by
+	// contract (readers copy out of them).
+	data, _, _, err := n.segFlights.Do(key+"#"+strconv.Itoa(ord), func() ([]byte, error) {
+		return n.lobFetchSegment(key, ord)
+	})
+	return data, err
 }
 
 // lobFetchSegment is the single-flight leader path for one missing segment.

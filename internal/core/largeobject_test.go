@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"sort"
@@ -169,7 +170,11 @@ func TestLargeObjectIngestAndStream(t *testing.T) {
 	if ranged.Status != http.StatusPartialContent {
 		t.Fatalf("range status = %d", ranged.Status)
 	}
-	if cr := ranged.Header.Get("Content-Range"); cr != "bytes 5000-9191/40000" {
+	rec := httptest.NewRecorder()
+	if err := ranged.WriteToMethod(rec, http.MethodHead); err != nil {
+		t.Fatal(err)
+	}
+	if cr := rec.Header().Get("Content-Range"); cr != "bytes 5000-9191/40000" {
 		t.Errorf("Content-Range = %q", cr)
 	}
 	if err := ranged.Materialize(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 
 	"nakika/internal/wire"
 )
@@ -156,9 +157,10 @@ func ReadHeader(r *wire.Reader) (Header, error) {
 }
 
 // EncodeResponse renders resp as EncodeStored renders its stored form,
-// with resp's Stamp folded into the header. A streamed body is
-// materialized first — the wire format carries complete instances; if the
-// stream cannot be read the peer gets a bodyless 502 rather than a
+// with a ranged response's range fields (Accept-Ranges, Content-Length,
+// Content-Range) and resp's Stamp folded into the header. A streamed body
+// is materialized first — the wire format carries complete instances; if
+// the stream cannot be read the peer gets a bodyless 502 rather than a
 // truncated instance.
 func EncodeResponse(resp *Response) []byte {
 	if resp.Stream != nil {
@@ -167,6 +169,11 @@ func EncodeResponse(resp *Response) []byte {
 		}
 	}
 	s := resp.StoredForm()
+	if resp.ranged {
+		s.Header.Set("Accept-Ranges", "bytes")
+		s.Header.Set("Content-Length", strconv.FormatInt(resp.BodyLen(), 10))
+		s.Header.Set("Content-Range", string(resp.appendContentRange(nil)))
+	}
 	if resp.Stamp != nil {
 		resp.Stamp.Each(s.Header.Set)
 	}

@@ -148,11 +148,14 @@ type HTTP1Conn struct {
 	bufs   [2][]byte
 	wbuf   net.Buffers
 	sniff  [512]byte
+	hf     headFirst
 }
 
 // NewHTTP1Conn returns the codec for a connection.
 func NewHTTP1Conn(rw io.ReadWriter) *HTTP1Conn {
-	return &HTTP1Conn{msgReader: newMsgReader(rw), w: rw}
+	c := &HTTP1Conn{msgReader: newMsgReader(rw), w: rw}
+	c.hf.c = c
+	return c
 }
 
 // Await blocks until the next request begins to arrive, and otherwise
@@ -774,9 +777,13 @@ func (c *msgReader) readLine() ([]byte, error) {
 // connection closes after the response, HTTP/1.1 says Connection: close;
 // an HTTP/1.0 connection kept open says Connection: keep-alive.
 //
+// A ranged response (ApplyRange's 206) has its Accept-Ranges and
+// Content-Range written in their sorted places among the header's.
+//
 // A whole body goes out with the head in one write. A streamed body follows
 // the head a segment per write, each on its way to the client before the
-// next is resolved.
+// next is resolved; a stream that writes its own ranges (RangeWriter) sends
+// its first segment with the head, unless a Content-Type is to be sniffed.
 func (r *Response) WriteHTTP1(c *HTTP1Conn, method string) error {
 	noBody := bodyless(r.Status)
 	var n int64
@@ -784,14 +791,18 @@ func (r *Response) WriteHTTP1(c *HTTP1Conn, method string) error {
 		n = r.BodyLen()
 	}
 	send := !noBody && method != http.MethodHead && n > 0
+	sniff := send && !r.Header.Has("Content-Type") && r.Header.Get("Content-Encoding") == ""
 	if r.Header.Get("Connection") == "close" {
 		c.KeepAlive = false
 	}
 	var prefix []byte
 	var rc io.ReadCloser
+	var rw RangeWriter
 	if send {
 		prefix = r.Body
-		if r.Stream != nil {
+		if w, ok := r.Stream.(RangeWriter); ok && !sniff {
+			rw = w
+		} else if r.Stream != nil {
 			from, to := r.rangeSpan()
 			var err error
 			if rc, err = r.Stream.Range(from, to); err != nil {
@@ -821,7 +832,17 @@ func (r *Response) WriteHTTP1(c *HTTP1Conn, method string) error {
 		b = strconv.AppendInt(append(b, " status code "...), int64(r.Status), 10)
 	}
 	b = append(b, "\r\n"...)
+	ranges := len(rangeFields) // the range fields written, all of them when there are none
+	if r.ranged {
+		ranges = 0
+	}
 	r.Header.eachStamped(r.Stamp, func(k, v string) {
+		for ; ranges < len(rangeFields) && rangeFields[ranges] <= k; ranges++ {
+			b = r.appendRangeField(b, ranges)
+		}
+		if r.ranged && (k == rangeFields[0] || k == rangeFields[1]) {
+			return
+		}
 		switch k {
 		case "Content-Length", "Transfer-Encoding":
 			return
@@ -838,11 +859,14 @@ func (r *Response) WriteHTTP1(c *HTTP1Conn, method string) error {
 			b = appendField(b, k, v)
 		}
 	})
+	for ; ranges < len(rangeFields); ranges++ {
+		b = r.appendRangeField(b, ranges)
+	}
 	if !noBody {
 		b = strconv.AppendInt(append(b, "Content-Length: "...), n, 10)
 		b = append(b, "\r\n"...)
 	}
-	if send && !r.Header.Has("Content-Type") && r.Header.Get("Content-Encoding") == "" {
+	if sniff {
 		b = appendField(b, "Content-Type", http.DetectContentType(prefix))
 	}
 	if !r.Header.Has("Date") {
@@ -863,6 +887,14 @@ func (r *Response) WriteHTTP1(c *HTTP1Conn, method string) error {
 	switch {
 	case !send:
 		_, err = c.w.Write(b)
+	case rw != nil:
+		c.hf.head = b
+		from, to := r.rangeSpan()
+		var wrote int64
+		if wrote, err = rw.WriteRange(&c.hf, from, to); err == nil && wrote != n {
+			err = fmt.Errorf("httpmsg: body stream gave %d of %d bytes", wrote, n)
+		}
+		c.hf.head = nil
 	case rc == nil:
 		c.wbuf = append(net.Buffers(c.bufs[:0]), b, r.Body)
 		_, err = c.wbuf.WriteTo(c.w)
@@ -880,6 +912,41 @@ func (r *Response) WriteHTTP1(c *HTTP1Conn, method string) error {
 		c.KeepAlive = false
 	}
 	return err
+}
+
+// rangeFields are the fields a ranged response's writers add, in order;
+// Content-Length is the third, which WriteHTTP1 writes after the others.
+var rangeFields = [2]string{"Accept-Ranges", "Content-Range"}
+
+// appendRangeField appends a ranged response's rangeFields[i].
+func (r *Response) appendRangeField(b []byte, i int) []byte {
+	b = append(append(b, rangeFields[i]...), ": "...)
+	if i == 0 {
+		b = append(b, "bytes"...)
+	} else {
+		b = r.appendContentRange(b)
+	}
+	return append(b, "\r\n"...)
+}
+
+// headFirst is the writer a RangeWriter writes a response body through: its
+// first Write sends the response head, still pending, with the bytes in one
+// write; the rest go straight to the connection.
+type headFirst struct {
+	c    *HTTP1Conn
+	head []byte
+}
+
+func (h *headFirst) Write(p []byte) (int, error) {
+	if h.head == nil {
+		return h.c.w.Write(p)
+	}
+	c := h.c
+	c.wbuf = append(net.Buffers(c.bufs[:0]), h.head, p)
+	n, err := c.wbuf.WriteTo(c.w)
+	n -= int64(len(h.head))
+	h.head = nil
+	return int(max(n, 0)), err
 }
 
 // appendField appends "key: value\r\n", the value trimmed and its line

@@ -400,6 +400,13 @@ func TestWriteHTTP1MatchesWriteToMethod(t *testing.T) {
 		r.SetStream(&memStream{data: large})
 		return r
 	}
+	writing := func() *Response {
+		r := NewResponse(200)
+		r.Header.Set("Content-Type", "application/octet-stream")
+		r.Header.Set("Accept-Ranges", "none")
+		r.SetStream(&writingStream{memStream{data: large}})
+		return r
+	}
 	notModified := func() *Response {
 		r := NewResponse(304)
 		r.Header.Set("Content-Length", "22")
@@ -419,6 +426,8 @@ func TestWriteHTTP1MatchesWriteToMethod(t *testing.T) {
 		{"416", "GET", "bytes=100-", html},
 		{"streamed large object", "GET", "", streamed},
 		{"streamed 206", "GET", "bytes=1000000-2000000", streamed},
+		{"206 a stream writes", "GET", "bytes=1000000-2000000", writing},
+		{"stream writes itself", "GET", "", writing},
 		{"HEAD streamed", "HEAD", "", streamed},
 	}
 	var current func() *Response
@@ -511,6 +520,50 @@ func TestWriteHTTP1HeaderOrder(t *testing.T) {
 			first = wire.String()
 		} else if wire.String() != first {
 			t.Fatalf("write %d:\n%s\nthe first:\n%s", i, wire.String(), first)
+		}
+	}
+}
+
+// TestWriteHTTP1RangeFieldsInPlace: a 206's range fields go out where they
+// sort among the header's, byte for byte as if they had been set in the
+// header (the header's own Accept-Ranges replaced), for a whole body and
+// for a stream that writes its own range.
+func TestWriteHTTP1RangeFieldsInPlace(t *testing.T) {
+	body := []byte("0123456789abcdefghij")
+	base := func() *Response {
+		r := NewResponse(200)
+		r.Header.Set("Accept-Ranges", "none")
+		r.Header.Set("Cache-Control", "max-age=60")
+		r.Header.Set("Content-Type", "text/plain")
+		r.Header.Set("Date", "Sat, 17 Oct 2026 12:00:00 GMT")
+		r.Header.Set("X-Edge", "1")
+		return r
+	}
+	write := func(resp *Response) string {
+		var wire bytes.Buffer
+		c := NewHTTP1Conn(struct {
+			io.Reader
+			io.Writer
+		}{strings.NewReader(""), &wire})
+		c.KeepAlive = true
+		if err := resp.WriteHTTP1(c, http.MethodGet); err != nil {
+			t.Fatal(err)
+		}
+		return wire.String()
+	}
+	want := NewResponse(206)
+	want.Header = base().Header
+	want.Header.Set("Accept-Ranges", "bytes")
+	want.Header.Set("Content-Range", "bytes 5-11/20")
+	want.Body = body[5:12]
+	req := MustRequest("GET", "http://example.org/x")
+	req.Header.Set("Range", "bytes=5-11")
+	whole, streamed := base(), base()
+	whole.Body = body
+	streamed.SetStream(&writingStream{memStream{data: body}})
+	for name, resp := range map[string]*Response{"whole body": whole, "stream": streamed} {
+		if got := write(ApplyRange(req, resp)); got != write(want) {
+			t.Errorf("%s:\n%q\nwant\n%q", name, got, write(want))
 		}
 	}
 }

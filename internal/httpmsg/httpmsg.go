@@ -43,9 +43,10 @@ type Request struct {
 	terminated *Response
 	// Redirected records whether a script rewrote the URL.
 	Redirected bool
-	// replyLent and respLent say this request has lent its reply buffer
-	// (ReplyBuffer) and its hit Response (Stored.Response).
-	replyLent, respLent bool
+	// replyLent, respLent and partialLent say this request has lent its
+	// reply buffer (ReplyBuffer), its hit Response (Stored.Response) and its
+	// 206 (ApplyRange).
+	replyLent, respLent, partialLent bool
 	// TraceID is the request's cross-node trace id (zero: untraced). The
 	// ingress node mints it; offload forwards carry it so both sides of a
 	// forwarded request record the same id.
@@ -271,7 +272,8 @@ type Response struct {
 	Generated bool
 	// FromCache marks responses served from the local or cooperative cache.
 	FromCache bool
-	// ranged is set when rangeFrom and rangeTo bound the active byte range.
+	// ranged marks a 206 ApplyRange made, whose range fields (see
+	// contentRange) the writers put on the wire.
 	ranged bool
 	// shared marks a Body that aliases another response's bytes (a Clone's,
 	// or a range of one) or a request's reply buffer (a cache hit's). Such a
@@ -296,9 +298,11 @@ type Response struct {
 	// large-object tier serves multi-MB instances this way so they are
 	// never buffered whole; scripts that need the bytes call Materialize.
 	Stream BodyStream
-	// rangeFrom/rangeTo bound the active byte range [rangeFrom, rangeTo)
-	// when ranged is set. ApplyRange produces ranged (206) responses.
-	rangeFrom, rangeTo int64
+	// rangeFrom is the first byte of a ranged response's range, and
+	// rangeBound the one number of its Content-Range the body does not
+	// give: the range's end for a Stream, whose length is the instance's,
+	// or the instance's length for a Body, which holds the range alone.
+	rangeFrom, rangeBound int64
 }
 
 // NewResponse returns an empty response with the given status.
@@ -364,18 +368,18 @@ func (r *Response) ContentType() string {
 func (r *Response) Clone() *Response {
 	n := len(r.Body)
 	return &Response{
-		Status:    r.Status,
-		Header:    r.Header,
-		Body:      r.Body[:n:n],
-		Generated: r.Generated,
-		FromCache: r.FromCache,
-		Via:       r.Via,
-		Stamp:     r.Stamp,
-		Stream:    r.Stream,
-		rangeFrom: r.rangeFrom,
-		rangeTo:   r.rangeTo,
-		ranged:    r.ranged,
-		shared:    true,
+		Status:     r.Status,
+		Header:     r.Header,
+		Body:       r.Body[:n:n],
+		Generated:  r.Generated,
+		FromCache:  r.FromCache,
+		Via:        r.Via,
+		Stamp:      r.Stamp,
+		Stream:     r.Stream,
+		rangeFrom:  r.rangeFrom,
+		rangeBound: r.rangeBound,
+		ranged:     r.ranged,
+		shared:     true,
 	}
 }
 
@@ -615,6 +619,10 @@ func bodyless(status int) bool {
 //     client before the stream finishes.
 func (r *Response) WriteToMethod(w http.ResponseWriter, method string) error {
 	r.Header.eachStamped(r.Stamp, w.Header().Add)
+	if r.ranged {
+		w.Header().Set("Accept-Ranges", "bytes")
+		w.Header().Set("Content-Range", string(r.appendContentRange(nil)))
+	}
 	if bodyless(r.Status) {
 		// No body, and no invented Content-Length: for a 304 the carried
 		// headers describe the validated representation, not this message.

@@ -36,12 +36,13 @@ func (r *Request) Release() {
 // Reuse is what a client connection keeps from one request to the next and
 // lends each request it stages (SetReuse): the buffer the body of a cache hit
 // is served in (ReplyBuffer), the Response the hit fills (Stored.Response),
-// the buffer its cache key is written into (CacheKeyBytes), and the URL
-// SiteURL built last, which a keep-alive client's next request mostly asks
-// for again. The connection owns it and gives it to its next request once
-// the response to the last is written. A connection of the client port
-// keeps one, so a warm hit allocates no body, no Response, no key and not
-// its site's nakika.js URL.
+// the 206 a Range narrows a reply into (ApplyRange), the buffer its cache
+// key is written into (CacheKeyBytes), and the URL SiteURL built last,
+// which a keep-alive client's next request mostly asks for again. The
+// connection owns it and gives it to its next request once the response to
+// the last is written. A connection of the client port keeps one, so a warm
+// hit allocates no body, no Response, no key and not its site's nakika.js
+// URL, and a warm range no 206.
 //
 // A lent Response goes back into the pipeline of its own request only: a
 // flight's leader looks the cache up without its request, so what it shares
@@ -55,8 +56,11 @@ type Reuse struct {
 	// keeps.
 	Reply []byte
 	resp  *Response
-	key   []byte
-	site  siteURL
+	// partial is the 206 ApplyRange fills. Ranges narrow a reply after
+	// every script ran, so no script ever holds it, and Disown keeps it.
+	partial *Response
+	key     []byte
+	site    siteURL
 }
 
 // Disown gives up the Response u lent the last request: the next hit
@@ -99,6 +103,19 @@ func (r *Request) lentResponse() *Response {
 		r.reuse.resp = new(Response)
 	}
 	return r.reuse.resp
+}
+
+// lentPartial is lentResponse for the 206 ApplyRange makes in reply to r,
+// from the Reuse's partial slot.
+func (r *Request) lentPartial() *Response {
+	if r == nil || r.reuse == nil || r.partialLent {
+		return new(Response)
+	}
+	r.partialLent = true
+	if r.reuse.partial == nil {
+		r.reuse.partial = new(Response)
+	}
+	return r.reuse.partial
 }
 
 // SetURLCopy points the request at a copy of u stored inside the request's

@@ -22,49 +22,85 @@ type BodyStream interface {
 	Range(from, to int64) (io.ReadCloser, error)
 }
 
-// TotalLen returns the full instance length in bytes: the stream's length
-// when the body is streamed, len(Body) otherwise. For a ranged (206)
-// response this is still the length of the complete representation, matching
-// the total in Content-Range.
+// RangeWriter is a BodyStream that can write a range to w itself, as the
+// WriteTo of a Range reader would, with no reader to allocate. WriteHTTP1
+// serves a stream that implements it this way.
+type RangeWriter interface {
+	WriteRange(w io.Writer, from, to int64) (int64, error)
+}
+
+// TotalLen returns the full instance length in bytes: the total in
+// Content-Range for a ranged (206) response, the stream's length when the
+// body is streamed, len(Body) otherwise.
 func (r *Response) TotalLen() int64 {
-	if r.Stream != nil {
+	switch {
+	case r.ranged:
+		_, _, total := r.contentRange()
+		return total
+	case r.Stream != nil:
 		return r.Stream.TotalLen()
 	}
 	return int64(len(r.Body))
 }
 
 // BodyLen returns the number of body bytes this response will actually
-// transmit: the active range span for ranged responses, the full instance
-// length otherwise.
+// transmit: the range's for a ranged response, the full instance length
+// otherwise.
 func (r *Response) BodyLen() int64 {
-	from, to := r.rangeSpan()
-	return to - from
+	if r.ranged {
+		from, to, _ := r.contentRange()
+		return to - from
+	}
+	return r.TotalLen()
 }
 
-// rangeSpan returns the active byte range [from, to) of the body to send.
+// rangeSpan returns the byte range [from, to) of the stream to send.
 func (r *Response) rangeSpan() (from, to int64) {
 	if r.ranged {
-		return r.rangeFrom, r.rangeTo
+		from, to, _ = r.contentRange()
+		return from, to
 	}
-	return 0, r.TotalLen()
+	return 0, r.Stream.TotalLen()
+}
+
+// contentRange returns a ranged response's range [from, to) of its
+// total-byte instance.
+func (r *Response) contentRange() (from, to, total int64) {
+	if r.Stream != nil {
+		return r.rangeFrom, r.rangeBound, r.Stream.TotalLen()
+	}
+	return r.rangeFrom, r.rangeFrom + int64(len(r.Body)), r.rangeBound
+}
+
+// appendContentRange appends a ranged response's Content-Range value.
+func (r *Response) appendContentRange(b []byte) []byte {
+	from, to, total := r.contentRange()
+	b = strconv.AppendInt(append(b, "bytes "...), from, 10)
+	b = strconv.AppendInt(append(b, '-'), to-1, 10)
+	return strconv.AppendInt(append(b, '/'), total, 10)
 }
 
 // SetStream replaces the body with a lazily resolved stream and keeps
-// Content-Length consistent with the full instance length.
+// Content-Length consistent with the full instance length, for the scripts
+// that read it: the header is rewritten only when it says otherwise (the
+// writers put the length on the wire themselves).
 func (r *Response) SetStream(s BodyStream) {
 	r.Body = nil
 	r.Stream = s
 	r.ranged = false
 	r.shared = false
-	r.Header.Set("Content-Length", strconv.FormatInt(s.TotalLen(), 10))
+	var buf [20]byte
+	if n := strconv.AppendInt(buf[:0], s.TotalLen(), 10); r.Header.Get("Content-Length") != string(n) {
+		r.Header.Set("Content-Length", string(n))
+	}
 }
 
 // Materialize gives the response a Body of its own before whole-body
 // consumers (scripts, codecs) operate on it. A streamed body is resolved into
-// memory; for a ranged response the active range is. A shared body (a
-// Clone's, or a cache hit's in its request's reply buffer) is copied, so no
-// write through it reaches another response. No-op for a body the response
-// already owns.
+// memory; for a ranged response the range is, and the response stays the
+// 206 it was. A shared body (a Clone's, or a cache hit's in its request's
+// reply buffer) is copied, so no write through it reaches another response.
+// No-op for a body the response already owns.
 func (r *Response) Materialize() error {
 	if r.Stream == nil {
 		if r.shared {
@@ -83,9 +119,11 @@ func (r *Response) Materialize() error {
 	if _, err := io.ReadFull(rc, b); err != nil {
 		return fmt.Errorf("httpmsg: materialize body: %w", err)
 	}
+	if r.ranged {
+		r.rangeBound = r.Stream.TotalLen()
+	}
 	r.Body = b
 	r.Stream = nil
-	r.ranged = false
 	r.shared = false
 	return nil
 }
@@ -174,11 +212,14 @@ func NewRangeNotSatisfiable(total int64) *Response {
 //     unchanged (a script-ranged or upstream-206 response is passed through);
 //   - malformed or multi-range header: resp unchanged (full 200);
 //   - unsatisfiable range: a fresh 416 with Content-Range: bytes */total;
-//   - satisfiable range: a 206 view of resp with Content-Range and
-//     Content-Length set. The body is shared, not copied — a whole-body
-//     response is sliced (capacity-limited, and still shared if resp's
-//     body was), a streamed response stays lazy so only the segments
-//     covering the range are ever resolved.
+//   - satisfiable range: a 206 view of resp, in the Response req's Reuse
+//     lends for it (see Reuse) or a fresh one, whose Content-Range,
+//     Content-Length and Accept-Ranges the writers (WriteHTTP1,
+//     WriteToMethod, EncodeResponse) put in their places among resp's
+//     header, which is not rewritten for them. The body is shared, not
+//     copied — a whole-body response is sliced (capacity-limited, and
+//     still shared if resp's body was), a streamed response stays lazy so
+//     only the segments covering the range are ever resolved.
 func ApplyRange(req *Request, resp *Response) *Response {
 	if resp.Status != http.StatusOK || resp.ranged {
 		return resp
@@ -198,26 +239,22 @@ func ApplyRange(req *Request, resp *Response) *Response {
 		}
 		return resp
 	}
-	out := &Response{
+	out := req.lentPartial()
+	*out = Response{
 		Status:    http.StatusPartialContent,
 		Header:    resp.Header,
 		Generated: resp.Generated,
 		FromCache: resp.FromCache,
 		Via:       resp.Via,
 		Stamp:     resp.Stamp,
+		ranged:    true,
+		rangeFrom: from,
 	}
 	if resp.Stream != nil {
-		out.Stream = resp.Stream
-		out.rangeFrom, out.rangeTo = from, to
-		out.ranged = true
+		out.Stream, out.rangeBound = resp.Stream, to
 	} else {
-		out.Body = resp.Body[from:to:to]
+		out.Body, out.rangeBound = resp.Body[from:to:to], total
 		out.shared = resp.shared
 	}
-	out.Header.Set("Content-Range",
-		"bytes "+strconv.FormatInt(from, 10)+"-"+strconv.FormatInt(to-1, 10)+
-			"/"+strconv.FormatInt(total, 10))
-	out.Header.Set("Content-Length", strconv.FormatInt(to-from, 10))
-	out.Header.Set("Accept-Ranges", "bytes")
 	return out
 }

@@ -22,6 +22,17 @@ func (m *memStream) Range(from, to int64) (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(m.data[from:to])), nil
 }
 
+// writingStream is a memStream that writes its own ranges (RangeWriter).
+type writingStream struct{ memStream }
+
+func (m *writingStream) WriteRange(w io.Writer, from, to int64) (int64, error) {
+	rc, err := m.Range(from, to)
+	if err != nil {
+		return 0, err
+	}
+	return io.Copy(w, rc)
+}
+
 func TestWriteToMethodTable(t *testing.T) {
 	body := []byte("hello, range world")
 	cases := []struct {
@@ -407,4 +418,26 @@ func FuzzRangeParse(f *testing.F) {
 			t.Fatalf("ParseRange(%q, %d) = [%d,%d): out of bounds", spec, total, from, to)
 		}
 	})
+}
+
+// TestEncodeResponseFoldsRangeFields: a 206 travels to a peer with the
+// range fields its writers put on the wire folded into its header, for a
+// whole body and a stream alike, and its body is the range.
+func TestEncodeResponseFoldsRangeFields(t *testing.T) {
+	body := []byte("0123456789abcdefghij")
+	req := MustRequest("GET", "http://example.org/x")
+	req.Header.Set("Range", "bytes=5-11")
+	whole, streamed := NewResponse(200), NewResponse(200)
+	whole.SetBody(body)
+	streamed.SetStream(&memStream{data: body})
+	for name, resp := range map[string]*Response{"whole body": whole, "stream": streamed} {
+		got, err := DecodeResponse(EncodeResponse(ApplyRange(req, resp)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != 206 || string(got.Body) != "56789ab" || got.Header.Get("Content-Range") != "bytes 5-11/20" ||
+			got.Header.Get("Content-Length") != "7" || got.Header.Get("Accept-Ranges") != "bytes" {
+			t.Errorf("%s: %d %q, header %q", name, got.Status, got.Body, got.Header.enc)
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -256,7 +257,8 @@ func FuzzSlabSegment(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for key, m := range tier.manifests {
+		for key, e := range tier.manifests {
+			m := e.m
 			re, err := decodeManifest(AppendManifest(nil, m))
 			if err != nil || m.Key != key || !m.Complete() || !bytes.Equal(AppendManifest(nil, re), AppendManifest(nil, m)) {
 				t.Errorf("%q: restored %+v, which does not re-encode (%v)", key, m, err)
@@ -410,8 +412,8 @@ func TestSlabViewCorruption(t *testing.T) {
 			}
 			writeFile(t, fs, "seg-0000000000.log", file)
 
-			if data, release, ok := slab.view(id); ok {
-				release()
+			if data, buf, ok := slab.view(&id); ok {
+				slab.release(buf)
 				t.Fatalf("view served %d bytes from a bad record", len(data))
 			}
 			if returned != 1 {
@@ -450,17 +452,18 @@ func TestSlabViewDoubleReleasePanics(t *testing.T) {
 	if err := slab.Put(HashSegment(seg), seg); err != nil {
 		t.Fatal(err)
 	}
-	_, release, ok := slab.view(HashSegment(seg))
+	id := HashSegment(seg)
+	_, buf, ok := slab.view(&id)
 	if !ok {
 		t.Fatal("view missed")
 	}
-	release()
+	slab.release(buf)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second release did not panic")
 		}
 	}()
-	release()
+	slab.release(buf)
 }
 
 var errStopWriting = errors.New("writer stopped")
@@ -557,12 +560,18 @@ func TestViewBuffersAreNeverRecycledUnderAReader(t *testing.T) {
 }
 
 // TestWarmRangeAllocationBudget: a warm unaligned 1 MiB range over real
-// files, copied the way the node copies it, allocates under 64 KiB (the
-// parent allocated 7 MiB: a grown slice, a copy and a bounce buffer per
-// 256 KiB segment).
+// files, five segments, allocates nothing when the stream writes it
+// (httpmsg.RangeWriter, as the client port serves a range) and one reader
+// when it is copied through Range, as a materialized range is. The segment
+// files are read through the handles their log keeps, each view's buffer
+// goes back to the slab's free list, and the manifest's record hash is kept
+// with its table entry. Measured on go1.24 amd64: 0 B written, 96 B read
+// (about 2.1 KB while each read opened its segment file and each view made
+// a release closure and each manifest lookup a key; 7 MiB while a range
+// cost a grown slice, a copy and a bounce buffer per 256 KiB segment).
 func TestWarmRangeAllocationBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under the race detector")
+		t.Skip("the race detector's allocations are not the tier's")
 	}
 	const segSize = 256 << 10
 	fs, err := store.NewDirFS(t.TempDir())
@@ -579,29 +588,98 @@ func TestWarmRangeAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := tier.NewStream(m, nil)
+	const from, to = 100_003, 100_003 + 1<<20
+	write := func() {
+		n, err := stream.(httpmsg.RangeWriter).WriteRange(io.Discard, from, to)
+		if err != nil || n != to-from {
+			t.Fatalf("wrote %d bytes: %v", n, err)
+		}
+	}
 	read := func() {
-		rc, err := stream.Range(100_003, 100_003+1<<20)
+		rc, err := stream.Range(from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n, err := io.Copy(io.Discard, rc)
 		rc.Close()
-		if err != nil || n != 1<<20 {
+		if err != nil || n != to-from {
 			t.Fatalf("read %d bytes: %v", n, err)
 		}
 	}
-	read() // warm-up: the pool gets its buffer
-	const reads = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < reads; i++ {
-		read()
+	// The ceilings are what is measured; the process's other goroutines
+	// may add a few bytes per range, never a whole allocation more.
+	for _, c := range []struct {
+		name     string
+		copy     func()
+		measured uint64
+	}{{"written", write, 0}, {"read", read, 96}} {
+		c.copy() // warm-up: the free list gets its buffer
+		const reads = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reads; i++ {
+			c.copy()
+		}
+		runtime.ReadMemStats(&after)
+		perRead := (after.TotalAlloc - before.TotalAlloc) / reads
+		t.Logf("%s: %d bytes allocated per warm 1 MiB range", c.name, perRead)
+		if perRead >= c.measured+8 {
+			t.Errorf("%s: a warm 1 MiB range allocates %d bytes, want %d", c.name, perRead, c.measured)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	perRead := (after.TotalAlloc - before.TotalAlloc) / reads
-	t.Logf("%d bytes allocated per warm 1 MiB range", perRead)
-	if perRead >= 64<<10 {
-		t.Fatalf("warm 1 MiB range allocates %d bytes, budget is under %d", perRead, 64<<10)
+}
+
+// TestAppendSegmentAllocatesLinearly: an ingest's manifest grows by one id
+// per segment without copying the list it extends, so appending n segments
+// allocates O(n) bytes: 2 048 appends cost about twice what 1 024 do, and
+// stay under 1 MiB (cloning the whole list on each append costs 67 MB for
+// 2 048). Every manifest handed out along the way still reads exactly
+// the prefix it was handed out with.
+func TestAppendSegmentAllocatesLinearly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the tier's")
+	}
+	const segSize = 64 << 10
+	ingest := func(n int) (uint64, []*Manifest) {
+		tier, err := OpenTier(store.NewMemFS(), segSize, int64(n)*segSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := "GET http://o/linear" + strconv.Itoa(n)
+		if err := tier.PutManifest(&Manifest{Key: key, Status: 200, TotalLen: int64(n) * segSize, SegSize: segSize}); err != nil {
+			t.Fatal(err)
+		}
+		taken := make([]*Manifest, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for ord := 0; ord < n; ord++ {
+			m, err := tier.AppendSegment(key, ord, SegID{byte(ord), byte(ord >> 8)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			taken[ord] = m
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, taken
+	}
+	half, _ := ingest(1024)
+	full, taken := ingest(2048)
+	t.Logf("appending 1 024 segments allocates %d bytes, 2 048 %d", half, full)
+	if full > 1<<20 || full > 3*half {
+		t.Errorf("appending 2 048 segments allocates %d bytes (1 024: %d), want under 1 MiB and about twice", full, half)
+	}
+	for k, m := range taken {
+		if len(m.Segments) != k+1 {
+			t.Fatalf("the manifest taken after append %d lists %d segments", k, len(m.Segments))
+		}
+		for ord, id := range m.Segments {
+			if id != (SegID{byte(ord), byte(ord >> 8)}) {
+				t.Fatalf("the manifest taken after append %d reads %v at %d", k, id, ord)
+			}
+		}
+	}
+	if !taken[len(taken)-1].Complete() {
+		t.Error("the last manifest is not complete")
 	}
 }
 

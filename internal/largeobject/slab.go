@@ -183,54 +183,63 @@ func (s *Slab) write(key uint64, head [store.FrameHeader]byte, parts ...[]byte) 
 }
 
 // putManifest appends key's manifest record: complete manifest m, or a
-// tombstone when m is nil. An append that fails tombstones the key instead,
-// so an older manifest the caller's table has left does not come back.
+// tombstone when m is nil. It is writeManifest under the hash it computes.
 func (s *Slab) putManifest(key string, m *Manifest) error {
+	return s.writeManifest(manifestHash(key), key, m)
+}
+
+// writeManifest appends key's manifest record, filed under hash, its
+// manifestHash: complete manifest m, or a tombstone when m is nil. An append
+// that fails tombstones the key instead, so an older manifest the caller's
+// table has left does not come back.
+func (s *Slab) writeManifest(hash uint64, key string, m *Manifest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var err error
 	if m != nil {
 		p := appendManifestRecord(nil, key, m)
-		if err = s.log.Append(manifestHash(key), manifestWord, store.FrameHead(p), p); err == nil {
+		if err = s.log.Append(hash, manifestWord, store.FrameHead(p), p); err == nil {
 			return nil
 		}
 		err = fmt.Errorf("largeobject: write manifest: %w", err)
 	}
 	p := appendManifestRecord(nil, key, nil)
-	s.log.Tombstone(manifestHash(key), store.FrameHead(p), p)
+	s.log.Tombstone(hash, store.FrameHead(p), p)
 	return err
 }
 
-// manifestAging reports whether key's manifest record is indexed and aging.
-func (s *Slab) manifestAging(key string) bool {
+// manifestAging reports whether the manifest record filed under hash is
+// indexed and aging.
+func (s *Slab) manifestAging(hash uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, ok := s.log.Lookup(manifestHash(key))
+	ref, ok := s.log.Lookup(hash)
 	return ok && s.log.Aging(ref)
 }
 
 // Get returns the segment's bytes if resident and intact; the caller owns
 // them. A corrupt record is dropped and reported as a miss.
 func (s *Slab) Get(id SegID) ([]byte, bool) {
-	data, release, ok := s.view(id)
+	data, buf, ok := s.view(&id)
 	if !ok {
 		return nil, false
 	}
 	out := make([]byte, len(data))
 	copy(out, data)
-	release()
+	s.release(buf)
 	return out, true
 }
 
-// view is Get without the copy: data aliases a free-list buffer that was read
-// and verified for this call alone, and is valid until release, which must
-// be called exactly once. Views must not be shared between goroutines or
-// outlive their reader; everything else takes Get's owned copy.
-func (s *Slab) view(id SegID) (data []byte, release func(), ok bool) {
+// view is Get without the copy: data aliases buf, a free-list buffer that
+// was read and verified for this call alone, and is valid until buf goes
+// back through release, exactly once. Views must not be shared between
+// goroutines or outlive their reader; everything else takes Get's owned
+// copy. The id is taken by pointer, so one in a manifest's segment list is
+// hashed where it lies instead of being copied to the heap for hashKey.
+func (s *Slab) view(id *SegID) (data, buf []byte, ok bool) {
 	key := hashKey(id[:])
 	s.mu.Lock()
 	ref, ok := s.log.Lookup(key)
-	var buf []byte
 	if !ok {
 		s.misses++
 	} else if n := len(s.free); n > 0 {
@@ -244,8 +253,8 @@ func (s *Slab) view(id SegID) (data []byte, release func(), ok bool) {
 		buf = make([]byte, s.recMax)
 	}
 	payload, err := s.log.Read(ref, buf)
-	if err == nil && (len(payload) < SegIDLen || SegID(payload) != id) {
-		err = fmt.Errorf("largeobject: record is not segment %v", id)
+	if err == nil && (len(payload) < SegIDLen || SegID(payload) != *id) {
+		err = fmt.Errorf("largeobject: record is not segment %v", *id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -259,16 +268,20 @@ func (s *Slab) view(id SegID) (data []byte, release func(), ok bool) {
 	if cur, ok := s.log.Lookup(key); ok && cur == ref && s.log.Aging(ref) {
 		s.write(key, ref.Head, payload) // carried forward; on failure the old record serves until reclaimed
 	}
-	released := false
-	return payload[SegIDLen:], func() {
-		if released {
+	return payload[SegIDLen:], buf, true
+}
+
+// release returns a view's buffer to the free list. Returning one that is
+// already there would let two readers share it: it is a bug, and it panics.
+func (s *Slab) release(buf []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, f := range s.free {
+		if &f[0] == &buf[0] {
 			panic("largeobject: segment buffer released twice")
 		}
-		released = true
-		s.mu.Lock()
-		s.putBufLocked(buf)
-		s.mu.Unlock()
-	}, true
+	}
+	s.putBufLocked(buf)
 }
 
 // putBufLocked is the one way a read buffer goes back to the free list. The

@@ -24,8 +24,11 @@ import (
 // otherwise reclaimed.
 //
 // Manifests handed out by the tier are shared and must be treated as
-// immutable; every update goes through PutManifest/AppendSegment, which
-// replace the stored value wholesale.
+// immutable; every update goes through PutManifest, AppendSegment or
+// RefreshManifest, which publish a new value. AppendSegment's shares the
+// segment list's backing array with the one it follows: the list is only
+// ever appended to, under the tier's lock, and only the table's latest
+// manifest is, so what an earlier value sees of it never changes.
 //
 // The tier also keeps the ingests in flight, one per key at most: a
 // manifest's segment list is the one record of an ingest's progress, and a
@@ -39,9 +42,22 @@ type Tier struct {
 	// append or tombstone a manifest record, so it is always taken before
 	// the slab's.
 	mu        sync.Mutex
-	manifests map[string]*Manifest
+	manifests map[string]*entry
 	ingests   map[string]*ingest
 	waits     uint64
+	// fetch is the resolver of the streams NewStream makes for a nil
+	// Fetcher (SetFetcher).
+	fetch Fetcher
+}
+
+// entry is one key's row of the tier's table: its manifest, the hash its
+// manifest record is filed under in the slab's log (manifestHash, computed
+// once per key), and the stream NewStream hands out for the manifest with
+// the tier's own fetcher, made at the first ask.
+type entry struct {
+	m      *Manifest
+	hash   uint64
+	stream *segStream
 }
 
 // ingest is one object being chunked into the tier. Its readers wait on
@@ -63,7 +79,33 @@ func OpenTier(fs store.FS, segSize, capacity int64) (*Tier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tier{slab: slab, segSize: segSize, manifests: manifests, ingests: make(map[string]*ingest)}, nil
+	t := &Tier{slab: slab, segSize: segSize, manifests: make(map[string]*entry, len(manifests)), ingests: make(map[string]*ingest)}
+	for key, m := range manifests {
+		t.manifests[key] = &entry{m: m, hash: manifestHash(key)}
+	}
+	return t, nil
+}
+
+// SetFetcher sets the resolver of the streams NewStream makes for a nil
+// Fetcher: the one a node asks for the segments its slab does not hold,
+// set once, before the tier serves. Without it such a stream serves only
+// resident segments.
+func (t *Tier) SetFetcher(fetch Fetcher) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.fetch = fetch
+}
+
+// install publishes m as key's manifest, keeping the key's entry and with
+// it the hash of its record.
+func (t *Tier) install(key string, m *Manifest) *entry {
+	e, ok := t.manifests[key]
+	if !ok {
+		e = &entry{hash: manifestHash(key)}
+		t.manifests[key] = e
+	}
+	e.m = m
+	return e
 }
 
 // Close closes the slab's log, so after a crash nothing but the tier that
@@ -85,16 +127,27 @@ func (t *Tier) Close() error {
 func (t *Tier) Manifest(key string) (*Manifest, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.manifest(key)
+	return t.manifest(t.manifests[key])
 }
 
-// manifest is Manifest under t.mu.
-func (t *Tier) manifest(key string) (*Manifest, bool) {
-	m, ok := t.manifests[key]
-	if ok && m.Complete() && t.slab.manifestAging(key) {
-		t.slab.putManifest(key, m) // carried forward; on failure the key's record is dropped
+// ManifestBytes is Manifest for a key held as bytes, as a request's cache
+// key buffer holds it (httpmsg.Request.CacheKeyBytes): the lookup makes no
+// key string.
+func (t *Tier) ManifestBytes(key []byte) (*Manifest, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.manifest(t.manifests[string(key)])
+}
+
+// manifest is Manifest of e, the table's entry for a key or nil, under t.mu.
+func (t *Tier) manifest(e *entry) (*Manifest, bool) {
+	if e == nil {
+		return nil, false
 	}
-	return m, ok
+	if e.m.Complete() && t.slab.manifestAging(e.hash) {
+		t.slab.writeManifest(e.hash, e.m.Key, e.m) // carried forward; on failure the key's record is dropped
+	}
+	return e.m, true
 }
 
 // PutManifest installs m (a private clone is stored). A complete manifest is
@@ -104,34 +157,37 @@ func (t *Tier) PutManifest(m *Manifest) error {
 	cp := m.Clone()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.manifests[cp.Key] = cp
+	e := t.install(cp.Key, cp)
 	if !cp.Complete() {
-		t.slab.putManifest(cp.Key, nil)
+		t.slab.writeManifest(e.hash, cp.Key, nil)
 		return nil
 	}
-	return t.slab.putManifest(cp.Key, cp)
+	return t.slab.writeManifest(e.hash, cp.Key, cp)
 }
 
 // AppendSegment records id as the next ingested segment of key's manifest,
 // returning the updated manifest. It is a no-op if ord is not the next
-// segment ordinal (concurrent ingests race benignly).
+// segment ordinal (concurrent ingests race benignly). The new manifest's
+// segment list extends the old one's in place when its array has room, so
+// an ingest copies each id a constant number of times, not once per later
+// segment.
 func (t *Tier) AppendSegment(key string, ord int, id SegID) (*Manifest, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m, ok := t.manifests[key]
+	e, ok := t.manifests[key]
 	if !ok {
 		return nil, fmt.Errorf("largeobject: append segment: no manifest for %q", key)
 	}
-	if ord != len(m.Segments) {
-		return m, nil
+	if ord != len(e.m.Segments) {
+		return e.m, nil
 	}
-	cp := m.Clone()
-	cp.Segments = append(cp.Segments, id)
-	t.manifests[key] = cp
+	cp := *e.m
+	cp.Segments = append(e.m.Segments, id)
+	e.m = &cp
 	if cp.Complete() {
-		return cp, t.slab.putManifest(key, cp)
+		return e.m, t.slab.writeManifest(e.hash, key, e.m)
 	}
-	return cp, nil
+	return e.m, nil
 }
 
 // RefreshManifest installs a renewal of key's manifest: header and expires,
@@ -141,19 +197,19 @@ func (t *Tier) AppendSegment(key string, ord int, id SegID) (*Manifest, error) {
 func (t *Tier) RefreshManifest(key string, header httpmsg.Header, expires time.Time) (*Manifest, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m, ok := t.manifests[key]
+	e, ok := t.manifests[key]
 	if !ok {
 		return nil, false
 	}
-	cp := m.Clone()
+	cp := *e.m
 	cp.Header, cp.Expires = header, expires
-	t.manifests[key] = cp
+	e.m = &cp
 	if cp.Complete() {
 		// Recording the renewed expiry is best-effort; if the record cannot
 		// be appended the key's is dropped, and a crash costs one refetch.
-		t.slab.putManifest(key, cp)
+		t.slab.writeManifest(e.hash, key, e.m)
 	}
-	return cp, true
+	return e.m, true
 }
 
 // DeleteManifest drops key's manifest from the table and tombstones its
@@ -162,8 +218,17 @@ func (t *Tier) RefreshManifest(key string, header httpmsg.Header, expires time.T
 func (t *Tier) DeleteManifest(key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.manifests, key)
-	t.slab.putManifest(key, nil)
+	t.drop(key)
+}
+
+// drop removes key's entry and tombstones its record, under t.mu.
+func (t *Tier) drop(key string) {
+	hash := manifestHash(key)
+	if e, ok := t.manifests[key]; ok {
+		hash = e.hash
+		delete(t.manifests, key)
+	}
+	t.slab.writeManifest(hash, key, nil)
 }
 
 // PutSegment stores one segment body in the slab.
@@ -268,8 +333,7 @@ func (t *Tier) chunk(in *ingest, body io.Reader) (*Manifest, error) {
 	if t.ingests[key] == in {
 		delete(t.ingests, key)
 		if err != nil {
-			delete(t.manifests, key)
-			t.slab.putManifest(key, nil)
+			t.drop(key)
 		}
 	}
 	if in.err == nil { // else Close has ended it
@@ -289,7 +353,7 @@ func (t *Tier) await(m *Manifest, ord int) (*Manifest, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for waited := false; ; waited = true {
-		cur, ok := t.manifest(m.Key)
+		cur, ok := t.manifest(t.manifests[m.Key])
 		if !ok {
 			cur = m
 		}
@@ -333,16 +397,32 @@ func (t *Tier) Stats() Stats {
 // fetching them from a peer or the origin and storing them in the slab).
 type Fetcher func(m *Manifest, ord int) ([]byte, error)
 
-// NewStream returns a BodyStream over key's object. Reads resolve segments
+// NewStream returns a BodyStream over m's object. Reads resolve segments
 // lazily from the *current* manifest, so segments ingested after the stream
 // was created are visible: a segment an ingest in flight has not appended
 // yet is waited for, then read from the slab; fetch is asked only for one
-// the slab does not hold. A nil fetch serves only resident segments and
-// errors on a gap.
+// the slab does not hold. A nil fetch is the tier's own (SetFetcher), and
+// the stream of the table's manifest for m's key with it is made once and
+// shared by every request for that manifest; without one, only resident
+// segments are served and a gap is an error.
 func (t *Tier) NewStream(m *Manifest, fetch Fetcher) httpmsg.BodyStream {
-	return &segStream{t: t, m: m, fetch: fetch}
+	if fetch != nil {
+		return &segStream{t: t, m: m, fetch: fetch}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.manifests[m.Key]
+	if !ok || e.m != m {
+		return &segStream{t: t, m: m, fetch: t.fetch}
+	}
+	if e.stream == nil || e.stream.m != m {
+		e.stream = &segStream{t: t, m: m, fetch: t.fetch}
+	}
+	return e.stream
 }
 
+// segStream is immutable once made, so one serves any number of readers at
+// once.
 type segStream struct {
 	t     *Tier
 	m     *Manifest
@@ -368,22 +448,42 @@ func (ss *segStream) Progress() (segments, resident int) {
 	return m.NumSegments(), ss.t.Resident(m)
 }
 
-func (ss *segStream) Range(from, to int64) (io.ReadCloser, error) {
+// check refuses a range outside the object.
+func (ss *segStream) check(from, to int64) error {
 	if from < 0 || to > ss.m.TotalLen || from > to {
-		return nil, fmt.Errorf("largeobject: range [%d,%d) outside %d-byte object", from, to, ss.m.TotalLen)
+		return fmt.Errorf("largeobject: range [%d,%d) outside %d-byte object", from, to, ss.m.TotalLen)
+	}
+	return nil
+}
+
+func (ss *segStream) Range(from, to int64) (io.ReadCloser, error) {
+	if err := ss.check(from, to); err != nil {
+		return nil, err
 	}
 	return &segReader{ss: ss, pos: from, end: to}, nil
 }
 
+// WriteRange implements httpmsg.RangeWriter: it writes [from, to) to w as
+// the WriteTo of Range's reader does, through a reader that lives for the
+// call alone, so a range served this way allocates no reader.
+func (ss *segStream) WriteRange(w io.Writer, from, to int64) (int64, error) {
+	if err := ss.check(from, to); err != nil {
+		return 0, err
+	}
+	r := segReader{ss: ss, pos: from, end: to}
+	defer r.Close()
+	return r.WriteTo(w)
+}
+
 // segReader reads [pos, end), pulling one segment at a time. It is the only
-// holder of slab views: at most one at a time, released when the reader
-// moves to the next segment, reaches end and on Close. A reader is used by
-// one goroutine.
+// holder of slab views: at most one at a time, whose buffer goes back to the
+// slab when the reader moves to the next segment, reaches end and on Close.
+// A reader is used by one goroutine.
 type segReader struct {
 	ss       *segStream
 	pos, end int64
 	cur      []byte // bytes of the segment containing pos, full segment
-	release  func() // returns cur's pooled buffer; nil when cur is an owned slice
+	buf      []byte // the slab view's buffer cur aliases; nil when cur is an owned slice
 	curOrd   int
 	closed   bool
 }
@@ -400,11 +500,11 @@ func (r *segReader) next() ([]byte, error) {
 	ord := int(r.pos / r.ss.m.SegSize)
 	if r.cur == nil || ord != r.curOrd {
 		r.drop()
-		data, release, err := r.load(ord)
+		data, buf, err := r.load(ord)
 		if err != nil {
 			return nil, err
 		}
-		r.cur, r.release, r.curOrd = data, release, ord
+		r.cur, r.buf, r.curOrd = data, buf, ord
 	}
 	segStart := int64(ord) * r.ss.m.SegSize
 	off := r.pos - segStart
@@ -429,9 +529,9 @@ func (r *segReader) advance(n int) {
 
 // drop lets go of the current segment, returning a view's buffer.
 func (r *segReader) drop() {
-	if r.release != nil {
-		r.release()
-		r.release = nil
+	if r.buf != nil {
+		r.ss.t.slab.release(r.buf)
+		r.buf = nil
 	}
 	r.cur = nil
 }
@@ -468,23 +568,23 @@ func (r *segReader) WriteTo(w io.Writer) (int64, error) {
 	}
 }
 
-// load returns segment ord's bytes: a slab view once the manifest records
-// the segment's id (waiting for an ingest in flight to append it), else
-// fetch's, an owned slice with no release.
-func (r *segReader) load(ord int) ([]byte, func(), error) {
+// load returns segment ord's bytes: a slab view and its buffer once the
+// manifest records the segment's id (waiting for an ingest in flight to
+// append it), else fetch's, an owned slice with no buffer.
+func (r *segReader) load(ord int) (data, buf []byte, err error) {
 	m, err := r.ss.t.await(r.ss.m, ord)
 	if err != nil {
 		return nil, nil, fmt.Errorf("largeobject: segment %d of %q: %w", ord, r.ss.m.Key, err)
 	}
 	if ord < len(m.Segments) {
-		if data, release, ok := r.ss.t.slab.view(m.Segments[ord]); ok {
-			return data, release, nil
+		if data, buf, ok := r.ss.t.slab.view(&m.Segments[ord]); ok {
+			return data, buf, nil
 		}
 	}
 	if r.ss.fetch == nil {
 		return nil, nil, fmt.Errorf("largeobject: segment %d of %q not resident", ord, m.Key)
 	}
-	data, err := r.ss.fetch(m, ord)
+	data, err = r.ss.fetch(m, ord)
 	if err != nil {
 		return nil, nil, fmt.Errorf("largeobject: fetch segment %d of %q: %w", ord, m.Key, err)
 	}

@@ -208,19 +208,9 @@ func (p *Policy) Match(in Input) (Score, bool) {
 // host and path. The returned score is the number of host labels plus path
 // segments covered by the pattern, so deeper (more specific) patterns win.
 func matchURLPattern(pattern, host, path string) (int, bool) {
-	pattern = strings.TrimSpace(strings.ToLower(pattern))
-	pattern = strings.TrimPrefix(pattern, "http://")
-	pattern = strings.TrimPrefix(pattern, "https://")
-	if pattern == "" {
+	patHost, patPath, ok := splitURLPattern(pattern)
+	if !ok {
 		return 0, false
-	}
-	patHost, patPath := pattern, ""
-	if i := strings.Index(pattern, "/"); i >= 0 {
-		patHost, patPath = pattern[:i], pattern[i:]
-	}
-	// Strip a port from the pattern host if present.
-	if i := strings.Index(patHost, ":"); i >= 0 {
-		patHost = patHost[:i]
 	}
 	host = strings.ToLower(host)
 	hostLabels := 0

@@ -610,3 +610,31 @@ func BenchmarkPolicyMatch_Linear(b *testing.B) {
 		}
 	}
 }
+
+// TestURLPatternPathKeepsItsCase: a url pattern's scheme and host are read
+// without regard to case and its path as it is written, as URL paths are
+// case-sensitive. Both matchers agree: a mixed-case path matches its own
+// case only.
+func TestURLPatternPathKeepsItsCase(t *testing.T) {
+	for _, pattern := range []string{"Shop.Example.org/Catalog", "HTTP://SHOP.example.ORG:8080/Catalog"} {
+		p := &Policy{URLs: []string{pattern}, Source: pattern}
+		tree := NewTree([]*Policy{p})
+		for _, c := range []struct {
+			host, path string
+			want       bool
+		}{
+			{"shop.example.org", "/Catalog/a.html", true},
+			{"SHOP.EXAMPLE.ORG", "/Catalog", true},
+			{"shop.example.org", "/catalog/a.html", false},
+			{"shop.example.org", "/CATALOG/a.html", false},
+		} {
+			in := input(c.host, c.path)
+			if _, ok := p.Match(in); ok != c.want {
+				t.Errorf("%q, linear: %s%s matched %v, want %v", pattern, c.host, c.path, ok, c.want)
+			}
+			if got := tree.Match(in); (got == p) != c.want {
+				t.Errorf("%q, tree: %s%s matched %v, want %v", pattern, c.host, c.path, got == p, c.want)
+			}
+		}
+	}
+}

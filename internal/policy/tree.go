@@ -60,7 +60,7 @@ func (t *Tree) Add(p *Policy) {
 		return
 	}
 	for _, pattern := range p.URLs {
-		host, path := splitURLPattern(pattern)
+		host, path, _ := splitURLPattern(pattern)
 		node := t.root
 		// Host labels are inserted from the rightmost label inward so that
 		// suffix patterns ("nyu.edu") sit on the prefix of more specific
@@ -150,18 +150,27 @@ func (t *Tree) candidates(out []*Policy, host, path string) []*Policy {
 	return out
 }
 
-func splitURLPattern(pattern string) (host, path string) {
-	pattern = strings.TrimSpace(strings.ToLower(pattern))
-	pattern = strings.TrimPrefix(pattern, "http://")
-	pattern = strings.TrimPrefix(pattern, "https://")
+// splitURLPattern splits a url pattern, "[scheme://]host[:port][/path]",
+// into its host, lower-cased and without the port, and its path as it is
+// written: host names and schemes are case-insensitive, URL paths are not.
+// ok is false for a pattern with nothing after the scheme, which matches
+// nothing.
+func splitURLPattern(pattern string) (host, path string, ok bool) {
+	pattern = strings.TrimSpace(pattern)
+	for _, scheme := range [...]string{"http://", "https://"} {
+		if len(pattern) >= len(scheme) && strings.EqualFold(pattern[:len(scheme)], scheme) {
+			pattern = pattern[len(scheme):]
+			break
+		}
+	}
 	host, path = pattern, ""
-	if i := strings.Index(pattern, "/"); i >= 0 {
+	if i := strings.IndexByte(pattern, '/'); i >= 0 {
 		host, path = pattern[:i], pattern[i:]
 	}
-	if i := strings.Index(host, ":"); i >= 0 {
+	if i := strings.IndexByte(host, ':'); i >= 0 {
 		host = host[:i]
 	}
-	return host, path
+	return strings.ToLower(host), path, pattern != ""
 }
 
 // lastLabel returns the rightmost dot-separated label of host[:end], and

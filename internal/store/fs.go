@@ -66,6 +66,11 @@ func ReadAll(fs FS, name string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return readAll(f)
+}
+
+// readAll is ReadAll on an opened handle, read from where it stands.
+func readAll(f io.Reader) ([]byte, error) {
 	buf := make([]byte, max(sizeHint(f), 511)+1)
 	n := 0
 	for {
@@ -349,12 +354,17 @@ func (h *memHandle) Sync() error {
 
 func (h *memHandle) Close() error { return nil }
 
-// Create implements FS.
+// Create implements FS. An existing file is truncated in place, as O_TRUNC
+// does: a handle opened on it before reads the new bytes.
 func (m *MemFS) Create(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := &memFile{}
-	m.files[name] = f
+	f, ok := m.files[name]
+	if !ok {
+		f = &memFile{}
+		m.files[name] = f
+	}
+	f.data, f.synced = nil, 0
 	return &memHandle{fs: m, file: f}, nil
 }
 
@@ -383,13 +393,15 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 
 // memReader is a read handle on the file itself, not on a copy: like a
 // descriptor it sees bytes appended after Open, ends where a truncation
-// (DropUnsynced) left the file, and keeps reading a file that was removed
-// or renamed over. Every read is taken under the filesystem's lock and
-// bounded by the file's length at that moment.
+// (DropUnsynced, Create) left the file, keeps reading a file that was
+// removed or renamed over, and reads nothing once closed (os.ErrClosed).
+// Every read is taken under the filesystem's lock and bounded by the file's
+// length at that moment.
 type memReader struct {
-	fs   *MemFS
-	file *memFile
-	off  int
+	fs     *MemFS
+	file   *memFile
+	off    int
+	closed bool
 }
 
 func (r *memReader) Read(p []byte) (int, error) {
@@ -408,6 +420,9 @@ func (r *memReader) ReadAt(p []byte, off int64) (int, error) {
 	}
 	r.fs.mu.Lock()
 	defer r.fs.mu.Unlock()
+	if r.closed {
+		return 0, os.ErrClosed
+	}
 	n := 0
 	if off < int64(len(r.file.data)) {
 		n = copy(p, r.file.data[off:])
@@ -425,7 +440,12 @@ func (r *memReader) Len() int {
 	return max(len(r.file.data)-r.off, 0)
 }
 
-func (*memReader) Close() error { return nil }
+func (r *memReader) Close() error {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	r.closed = true
+	return nil
+}
 
 // List implements FS.
 func (m *MemFS) List(prefix string) ([]string, error) {

@@ -210,3 +210,34 @@ func TestMemFSReadHandleIsADescriptor(t *testing.T) {
 		})
 	}
 }
+
+// TestCreateTruncatesInPlace: Create on a file that exists truncates it, as
+// O_TRUNC does, so a read handle opened before sees the bytes written after,
+// on both filesystems. A closed read handle reads nothing (os.ErrClosed).
+func TestCreateTruncatesInPlace(t *testing.T) {
+	dir, err := NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fs := range map[string]FS{"MemFS": NewMemFS(), "DirFS": dir} {
+		t.Run(name, func(t *testing.T) {
+			mustWrite(t, fs, "f", []byte("old bytes"))
+			r, err := fs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ra := r.(io.ReaderAt)
+			mustWrite(t, fs, "f", []byte("NEW"))
+			at := make([]byte, 9)
+			if n, err := ra.ReadAt(at, 0); n != 3 || err != io.EOF || string(at[:n]) != "NEW" {
+				t.Errorf("a handle opened before Create reads %q, n=%d, %v; want \"NEW\" and io.EOF", at[:n], n, err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ra.ReadAt(at, 0); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("ReadAt on a closed handle: %v, want os.ErrClosed", err)
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"runtime"
 	"slices"
 	"strconv"
@@ -30,8 +31,15 @@ import (
 // tombstones and dead entries go with the segment that holds them. Nothing is
 // fsynced.
 //
+// Each segment file keeps one read handle from the moment it is created or
+// replayed, before any index entry points into it, until it is reclaimed or
+// the log closes, so a read is one positional read on a handle the log
+// already holds. A read that finds its handle closed opens the file by name,
+// which fails once the file is removed: a reader sent to a reclaimed segment
+// gets its record's bytes or an error, never another record's.
+//
 // A SegLog does not lock: its owner serialises every method but Read, which
-// touches only the filesystem.
+// touches only the filesystem and the handle its segment was given at birth.
 type SegLog struct {
 	fs        FS
 	budget    int64
@@ -61,6 +69,45 @@ type logSegment struct {
 	// keys hashes every record in the file that the index pointed at when
 	// it was written: the entries to drop when the file is reclaimed.
 	keys []uint64
+	// rd is the file's read handle, set before the segment is published and
+	// never reassigned, closed when the file is reclaimed or the log closes.
+	// nil when the FS's handle cannot read at an offset, or the open failed:
+	// every Read of the segment then opens the file.
+	rd readerAtCloser
+}
+
+// readerAtCloser is a read handle a segment keeps.
+type readerAtCloser interface {
+	io.ReaderAt
+	io.Closer
+}
+
+// openReader opens the segment's read handle, if the FS hands out one that
+// reads at an offset; any other is closed again. It returns what it read of
+// the file when whole is set (the replay's scan), nil otherwise.
+func (seg *logSegment) openReader(fs FS, whole bool) ([]byte, error) {
+	f, err := fs.Open(seg.name)
+	if err != nil {
+		return nil, err
+	}
+	var data []byte
+	if whole {
+		data, err = readAll(f)
+	}
+	if rd, ok := f.(readerAtCloser); ok && err == nil {
+		seg.rd = rd
+	} else {
+		f.Close()
+	}
+	return data, err
+}
+
+// closeReader closes the segment's read handle; a Read already under way on
+// it finishes, one that starts later opens the file by name.
+func (seg *logSegment) closeReader() {
+	if seg.rd != nil {
+		seg.rd.Close()
+	}
 }
 
 // SegRef locates one record. Word is the owner's (the disk tier's expiry);
@@ -161,11 +208,12 @@ func OpenSegLog(fs FS, budget int64, parse func(payload []byte) (key uint64, wor
 			continue
 		}
 		l.nextID = max(l.nextID, id+1)
-		data, err := ReadAll(fs, name)
+		seg := &logSegment{name: name, id: id}
+		data, err := seg.openReader(fs, true)
 		if err != nil {
 			data = nil // an unreadable segment indexes nothing and is removed below
 		}
-		seg := &logSegment{name: name, id: id, size: int64(len(data))}
+		seg.size = int64(len(data))
 		scanned = append(scanned, seg)
 		off := 0
 		ReplayFrames(data, func(p []byte) error {
@@ -193,6 +241,7 @@ func OpenSegLog(fs FS, budget int64, parse func(payload []byte) (key uint64, wor
 		// in that older one, which the next open would otherwise bring back.
 		if len(seg.keys) == 0 && len(l.segs) == 0 {
 			fs.Remove(seg.name)
+			seg.closeReader()
 			continue
 		}
 		seg.base = l.appended
@@ -316,7 +365,9 @@ func (l *SegLog) write(head [FrameHeader]byte, parts [][]byte) (*logSegment, int
 		}
 		l.nextID++
 		l.active = f
-		l.segs = append(l.segs, &logSegment{name: name, id: l.nextID - 1, base: l.appended})
+		seg := &logSegment{name: name, id: l.nextID - 1, base: l.appended}
+		seg.openReader(l.fs, false) // without a handle, each Read opens the file
+		l.segs = append(l.segs, seg)
 	}
 	var tail []byte
 	if last := len(parts) - 1; last >= 0 && len(parts[last]) > gatherMax {
@@ -377,6 +428,7 @@ func (l *SegLog) reclaim() {
 		// A file that cannot be removed now is found, and counted, at the
 		// next open.
 		l.fs.Remove(seg.name)
+		seg.closeReader()
 		l.bytes -= seg.size
 		for _, key := range seg.keys {
 			if s, ok := l.index.get(key); ok && s.seg == seg.id {
@@ -390,27 +442,22 @@ func (l *SegLog) reclaim() {
 // Read fetches ref's record into buf, which must be at least ref.Len() long
 // and is never grown, verifies its frame and returns the payload, which
 // aliases buf. The owner still has to compare the key inside the payload with
-// the one it asked for. A handle that can read at an offset (a real file,
-// MemFS's reader) is asked for exactly the record; FS promises only
-// sequential reads, so any other handle is read forward to the record, at
+// the one it asked for. The record is read at its offset through the
+// segment's handle; a segment without one (FS promises only sequential
+// reads) or whose handle is closed has its file opened for this read, and a
+// handle that cannot read at an offset is read forward to the record, at
 // most one segment's worth.
 func (l *SegLog) Read(ref SegRef, buf []byte) ([]byte, error) {
 	if len(buf) < int(ref.n) {
 		return nil, io.ErrShortBuffer
 	}
-	f, err := l.fs.Open(ref.seg.name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	rec := buf[:ref.n]
-	if ra, ok := f.(io.ReaderAt); ok {
-		var n int
-		if n, err = ra.ReadAt(rec, int64(ref.off)); n == len(rec) {
-			err = nil // a record that ends the file may come with io.EOF
-		}
-	} else if _, err = io.CopyN(io.Discard, f, int64(ref.off)); err == nil {
-		_, err = io.ReadFull(f, rec)
+	err := os.ErrClosed
+	if rd := ref.seg.rd; rd != nil {
+		err = readAt(rd, rec, int64(ref.off))
+	}
+	if errors.Is(err, os.ErrClosed) {
+		err = l.readOpening(ref, rec)
 	}
 	if err != nil {
 		return nil, err
@@ -421,10 +468,45 @@ func (l *SegLog) Read(ref SegRef, buf []byte) ([]byte, error) {
 	return nil, errSegRecord
 }
 
-// Close closes the active segment. The log still answers Lookup and Read
-// afterwards but appends nothing more.
+// readAt fills rec from off; a record that ends the file may come with
+// io.EOF.
+func readAt(ra io.ReaderAt, rec []byte, off int64) error {
+	n, err := ra.ReadAt(rec, off)
+	if n == len(rec) {
+		return nil
+	}
+	return err
+}
+
+// readOpening is Read on a handle of its own: a segment without a kept
+// handle, or one read after the log closed.
+func (l *SegLog) readOpening(ref SegRef, rec []byte) error {
+	f, err := l.fs.Open(ref.seg.name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if ra, ok := f.(io.ReaderAt); ok {
+		return readAt(ra, rec, int64(ref.off))
+	}
+	if _, err = io.CopyN(io.Discard, f, int64(ref.off)); err != nil {
+		return err
+	}
+	_, err = io.ReadFull(f, rec)
+	return err
+}
+
+// Close closes the active segment and every segment's read handle. The log
+// still answers Lookup and Read afterwards, opening a segment per read, but
+// appends nothing more.
 func (l *SegLog) Close() error {
+	if l.closed {
+		return nil
+	}
 	l.closed = true
+	for _, seg := range l.segs {
+		seg.closeReader()
+	}
 	return l.seal()
 }
 

@@ -7,8 +7,10 @@ import (
 	"hash/maphash"
 	"io"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -589,6 +591,202 @@ func TestSegLogConcurrent(t *testing.T) {
 			wantLogAccounted(t, l, fs, "after the run")
 			if l.Stats().Evictions == 0 {
 				t.Errorf("no segment was reclaimed: %+v", l.Stats())
+			}
+		})
+	}
+}
+
+// handleFS counts the read handles its FS hands out: how many were opened
+// and how many are open now.
+type handleFS struct {
+	FS
+	mu           sync.Mutex
+	opened, open int
+}
+
+type countedHandle struct {
+	io.ReadCloser
+	fs     *handleFS
+	closed bool
+}
+
+func (h *handleFS) Open(name string) (io.ReadCloser, error) {
+	rc, err := h.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.opened++
+	h.open++
+	return &countedHandle{ReadCloser: rc, fs: h}, nil
+}
+
+func (h *handleFS) counts() (opened, open int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.opened, h.open
+}
+
+func (c *countedHandle) ReadAt(p []byte, off int64) (int, error) {
+	return c.ReadCloser.(io.ReaderAt).ReadAt(p, off)
+}
+
+func (c *countedHandle) Close() error {
+	c.fs.mu.Lock()
+	if !c.closed {
+		c.closed = true
+		c.fs.open--
+	}
+	c.fs.mu.Unlock()
+	return c.ReadCloser.Close()
+}
+
+// TestSegLogHoldsOneHandlePerSegment: the log keeps one read handle per
+// segment file, on both filesystems. Through appends that reclaim, the
+// handles open are the segments live; reading every live record opens
+// nothing; a reopen holds one per replayed segment; and after Close none
+// are open, while a read still opens its file and closes it again.
+func TestSegLogHoldsOneHandlePerSegment(t *testing.T) {
+	dir, err := NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, base := range map[string]FS{"MemFS": NewMemFS(), "DirFS": dir} {
+		t.Run(name, func(t *testing.T) {
+			fs := &handleFS{FS: base}
+			wantOpen := func(l *SegLog, when string) {
+				t.Helper()
+				if _, open := fs.counts(); open != l.Stats().Segments {
+					t.Fatalf("%s: %d read handles open, %d segments", when, open, l.Stats().Segments)
+				}
+			}
+			l := openSegLog(t, fs, 8<<10)
+			for i := 0; i < 200; i++ {
+				if err := logPut(l, "k"+strconv.Itoa(i%40), logBody("k", i, 200)); err != nil {
+					t.Fatal(err)
+				}
+				wantOpen(l, "append "+strconv.Itoa(i))
+			}
+			if l.Stats().Evictions == 0 {
+				t.Fatal("no segment was reclaimed")
+			}
+			opened, _ := fs.counts()
+			read := 0
+			for i := 160; i < 200; i++ {
+				if _, ok := l.Lookup(logKey("k" + strconv.Itoa(i%40))); ok {
+					wantLogBody(t, l, "k"+strconv.Itoa(i%40), logBody("k", i, 200))
+					read++
+				}
+			}
+			if now, _ := fs.counts(); read == 0 || now != opened {
+				t.Errorf("%d reads opened %d handles, want none", read, now-opened)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, open := fs.counts(); open != 0 {
+				t.Errorf("%d read handles open after Close, want 0", open)
+			}
+			wantLogBody(t, l, "k39", logBody("k", 199, 200)) // a read after Close opens its file
+			if _, open := fs.counts(); open != 0 {
+				t.Errorf("%d read handles open after a read past Close, want 0", open)
+			}
+
+			l = openSegLog(t, fs, 8<<10)
+			wantOpen(l, "reopen")
+			wantLogBody(t, l, "k39", logBody("k", 199, 200))
+			l.Close()
+		})
+	}
+}
+
+// TestSegLogReadRacesReclaim: readers take a ref under the owner's lock and
+// read it outside, while the owner appends and reclaims the segments those
+// refs point into and closes their handles. Each read returns the record the
+// ref named, byte for byte, or an error: never another record's bytes.
+func TestSegLogReadRacesReclaim(t *testing.T) {
+	dir, err := NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fs := range map[string]FS{"MemFS": NewMemFS(), "DirFS": dir} {
+		t.Run(name, func(t *testing.T) {
+			const keys, bodyLen = 8, 300
+			var mu sync.Mutex // the owner's lock
+			// Room for six records of eight keys, one to a segment: every
+			// append reclaims the segment of a record a reader may hold.
+			l := openSegLog(t, fs, 2<<10)
+			version := make([]int, keys)
+			put := func(k, v int) {
+				key := "k" + strconv.Itoa(k)
+				if err := logPut(l, key, logBody(key, v, bodyLen)); err != nil {
+					t.Error(err)
+				}
+				version[k] = v
+			}
+			for k := 0; k < keys; k++ {
+				put(k, 0)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			var tries, hits, errs, other atomic.Int64
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					buf := make([]byte, 1<<10)
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						tries.Add(1)
+						k := (g + i) % keys
+						key := "k" + strconv.Itoa(k)
+						mu.Lock()
+						ref, ok := l.Lookup(logKey(key))
+						v := version[k]
+						mu.Unlock()
+						if !ok {
+							continue
+						}
+						runtime.Gosched() // let appends reclaim the ref's segment
+						p, err := l.Read(ref, buf)
+						if err != nil {
+							errs.Add(1)
+							continue
+						}
+						if want := append(logKeyPart(key), logBody(key, v, bodyLen)...); !bytes.Equal(p, want) {
+							if other.Add(1) == 1 {
+								t.Errorf("a read of %s version %d returned %d other bytes", key, v, len(p))
+							}
+							continue
+						}
+						hits.Add(1)
+					}
+				}(g)
+			}
+			// The appends begin once the readers are reading, and go on past
+			// 1 000 until the readers have tried 1 000 reads, however the
+			// scheduler runs them.
+			for tries.Load() < 4 {
+				runtime.Gosched()
+			}
+			for i := 1; i <= 1000 || tries.Load() < 1000; i++ {
+				mu.Lock()
+				put(i%keys, i)
+				mu.Unlock()
+			}
+			close(stop)
+			wg.Wait()
+			if l.Stats().Evictions == 0 {
+				t.Fatal("no segment was reclaimed")
+			}
+			t.Logf("%d reads returned their record, %d an error, %d another's bytes", hits.Load(), errs.Load(), other.Load())
+			if hits.Load() == 0 {
+				t.Error("no read returned a record")
 			}
 		})
 	}
