@@ -58,7 +58,7 @@ func arenaBody(key string) []byte {
 // 32-entry cache whose evictions demote to a disk tier and whose misses
 // promote from it; every key has one body, derived from the key, and every
 // released slot is poisoned at once, so a read of a released slot shows as a
-// wrong byte. Clear then gives every chunk back.
+// wrong byte. Invalidating every key then gives every chunk back.
 func TestArenaLifetime(t *testing.T) {
 	clock := newFakeClock()
 	d := openDisk(t, store.NewMemFS(), 0, clock.Now)
@@ -149,9 +149,11 @@ func TestArenaLifetime(t *testing.T) {
 			check("a last Get", i, resp.Body)
 		}
 	}
-	c.Clear()
+	for i := range keys {
+		c.Invalidate("k" + strconv.Itoa(i))
+	}
 	if a := c.Stats().Arena; a != (ArenaStats{}) {
-		t.Errorf("after Clear the arena holds %+v, want nothing", a)
+		t.Errorf("with every key invalidated the arena holds %+v, want nothing", a)
 	}
 }
 

@@ -179,7 +179,7 @@ type Cache struct {
 	cfg    Config
 	shards []*shard
 	mask   uint64
-	l2     atomic.Pointer[Disk]
+	l2     *Disk
 	arena  *arena
 
 	hits      atomic.Int64
@@ -195,27 +195,22 @@ type Cache struct {
 func New(cfg Config) *Cache {
 	c := cfg.withDefaults()
 	n := shardCount(c)
-	cache := &Cache{cfg: c, shards: make([]*shard, n), mask: uint64(n - 1), arena: newArena()}
+	cache := &Cache{cfg: c, shards: make([]*shard, n), mask: uint64(n - 1), l2: c.L2, arena: newArena()}
 	for i := range cache.shards {
-		cache.shards[i] = &shard{
+		sh := &shard{
 			arena:      cache.arena,
 			maxEntries: c.MaxEntries / n,
 			maxBytes:   c.MaxBytes / int64(n),
+			entries:    make(map[uint64]*entry),
 		}
-		cache.shards[i].clearLocked()
-	}
-	if c.L2 != nil {
-		cache.l2.Store(c.L2)
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		cache.shards[i] = sh
 	}
 	return cache
 }
 
 // L2 returns the attached disk tier, or nil.
-func (c *Cache) L2() *Disk { return c.l2.Load() }
-
-// SetL2 attaches (or with nil detaches) the disk tier at runtime; the
-// node swaps tiers across simulated crash/restart cycles.
-func (c *Cache) SetL2(d *Disk) { c.l2.Store(d) }
+func (c *Cache) L2() *Disk { return c.l2 }
 
 // shard returns the shard owning the key with hash h.
 func (c *Cache) shard(h uint64) *shard { return c.shards[h&c.mask] }
@@ -378,8 +373,8 @@ func (c *Cache) Until(key string) (time.Time, bool) {
 		return expires, true
 	}
 	sh.mu.Unlock()
-	if d := c.l2.Load(); d != nil {
-		return d.Until(key)
+	if c.l2 != nil {
+		return c.l2.Until(key)
 	}
 	return time.Time{}, false
 }
@@ -394,8 +389,8 @@ func (c *Cache) Until(key string) (time.Time, bool) {
 func (c *Cache) readL2(h uint64, key string, copyOut func(httpmsg.Stored), stale *Stale) (time.Time, bool) {
 	var expires time.Time
 	hit := false
-	if d := c.l2.Load(); d != nil {
-		d.get(key, func(s httpmsg.Stored, exp time.Time, expired bool) {
+	if c.l2 != nil {
+		c.l2.get(key, func(s httpmsg.Stored, exp time.Time, expired bool) {
 			switch {
 			case !expired:
 				copyOut(s)
@@ -524,8 +519,8 @@ func (c *Cache) Refresh(key string, nm *httpmsg.Response) *httpmsg.Response {
 		sh.dropLocked(e)
 	}
 	sh.mu.Unlock()
-	if d := c.l2.Load(); d != nil && renewal == Unstorable {
-		d.Invalidate(key)
+	if c.l2 != nil && renewal == Unstorable {
+		c.l2.Invalidate(key)
 	}
 	return renewed
 }
@@ -611,7 +606,7 @@ func (c *Cache) putEntry(h uint64, key string, s httpmsg.Stored, expires time.Ti
 // no-store / private) never entered the cache, and a renewal that would make
 // one drops its entry, so the entry's bytes go to disk as they are.
 func (c *Cache) demote(evicted []*entry) {
-	d := c.l2.Load()
+	d := c.l2
 	now := c.cfg.Clock()
 	for _, e := range evicted {
 		if d != nil && !Expired(e.expires, now) {
@@ -627,7 +622,7 @@ func (c *Cache) demote(evicted []*entry) {
 // boot rewarms the whole working set, not just what eviction happened to
 // demote. A no-op without an attached tier.
 func (c *Cache) FlushToDisk() {
-	d := c.l2.Load()
+	d := c.l2
 	if d == nil {
 		return
 	}
@@ -652,8 +647,8 @@ func (c *Cache) FlushToDisk() {
 // Get that already read the disk entry can still repopulate — callers
 // needing exactness must serialize invalidation with traffic).
 func (c *Cache) Invalidate(key string) {
-	if d := c.l2.Load(); d != nil {
-		d.Invalidate(key)
+	if c.l2 != nil {
+		c.l2.Invalidate(key)
 	}
 	h := hashKey(key)
 	sh := c.shard(h)
@@ -661,17 +656,6 @@ func (c *Cache) Invalidate(key string) {
 	defer sh.mu.Unlock()
 	if e, ok := sh.lookupLocked(h, key); ok {
 		sh.dropLocked(e)
-	}
-}
-
-// Clear removes every memory entry without demoting anything, and so gives
-// every arena chunk back. The disk tier is untouched — it models a disk,
-// which survives the events (crash, test reset) that clear memory.
-func (c *Cache) Clear() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.clearLocked()
-		sh.mu.Unlock()
 	}
 }
 
@@ -697,8 +681,8 @@ func (c *Cache) Stats() Stats {
 		Demotions: c.demotions.Load(),
 		DiskHits:  c.diskHits.Load(),
 	}
-	if d := c.l2.Load(); d != nil {
-		s.Disk = d.Stats()
+	if c.l2 != nil {
+		s.Disk = c.l2.Stats()
 	}
 	s.Arena = c.arena.stats()
 	for _, sh := range c.shards {
@@ -712,16 +696,6 @@ func (c *Cache) Stats() Stats {
 
 // size is what an entry counts against its shard's byte budget.
 func (e *entry) size() int64 { return int64(len(e.Body)) }
-
-// clearLocked empties the shard and releases every slot.
-func (sh *shard) clearLocked() {
-	for _, e := range sh.entries {
-		sh.arena.release(e)
-	}
-	sh.entries = make(map[uint64]*entry)
-	sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
-	sh.bytes = 0
-}
 
 // insertLocked files e under its hash as the most recently used entry.
 func (sh *shard) insertLocked(e *entry) {

@@ -168,7 +168,7 @@ func TestEvictionByBytes(t *testing.T) {
 	}
 }
 
-func TestInvalidateAndClear(t *testing.T) {
+func TestInvalidate(t *testing.T) {
 	c := New(Config{})
 	c.Put("a", okResponse("1"))
 	c.Put("b", okResponse("2"))
@@ -179,9 +179,9 @@ func TestInvalidateAndClear(t *testing.T) {
 	if c.Get("b") == nil {
 		t.Error("b should remain after invalidating a")
 	}
-	c.Clear()
+	c.Invalidate("b")
 	if c.Len() != 0 {
-		t.Error("Clear should remove everything")
+		t.Error("invalidating every key should remove everything")
 	}
 }
 

@@ -1178,7 +1178,6 @@ func BenchmarkDiskRescan(b *testing.B) {
 func TestExpiredCopyKeptForItsValidators(t *testing.T) {
 	clock := newFakeClock()
 	fs := store.NewMemFS()
-	c, _ := newDiskCache(t, fs, 8, clock.Now)
 	reply := func(body string, maxAge int, etag bool) *httpmsg.Response {
 		r := page(body)
 		r.SetMaxAge(maxAge)
@@ -1187,17 +1186,17 @@ func TestExpiredCopyKeptForItsValidators(t *testing.T) {
 		}
 		return r
 	}
-	c.Put("disk", reply("disk", 10, true))
-	c.FlushToDisk()
-	c.Clear()
+	first, _ := newDiskCache(t, fs, 8, clock.Now)
+	first.Put("disk", reply("disk", 10, true))
+	first.FlushToDisk()
+	clock.Advance(time.Hour)
+	c, d := newDiskCache(t, fs, 8, clock.Now) // reopens the disk tier, its record expired
 	c.Put("memory", reply("memory", 10, true))
 	c.Put("untagged", reply("untagged", 10, false))
 	if c.Put("arrived", reply("arrived", 0, true)) {
 		t.Error("a reply stale on arrival was reported stored")
 	}
 	clock.Advance(time.Hour)
-	d := openDisk(t, fs, 1<<20, clock.Now)
-	c.SetL2(d)
 	for key, tier := range map[string]string{"memory": "memory", "arrived": "memory", "disk": "disk", "untagged": ""} {
 		if c.Get(key) != nil {
 			t.Errorf("%s: an expired copy served", key)

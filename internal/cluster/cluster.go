@@ -5,6 +5,13 @@
 // distributed invariants — lookup convergence after churn, at-most-one
 // origin fetch per contested key, no lost cooperative-cache publishes after
 // a partition heals.
+//
+// A crash is a process death and a restart is a new process: Crash drops
+// the node's *core.Node and revokes its view of its data filesystem, and
+// Restart builds the node again with core.NewNode from the same Config.
+// Every volatile structure a node holds starts again from its initial
+// value, and only the data filesystem survives (the crash model of the
+// recoverable-mutual-exclusion literature).
 package cluster
 
 import (
@@ -31,11 +38,12 @@ type Config struct {
 	Latency time.Duration
 	// Regions are assigned round-robin; empty means three default regions.
 	Regions []string
-	// Persist gives every node a persistent data directory — an in-memory
-	// store.FS keyed by node name, so the harness stays hermetic and
-	// deterministic — that survives crash/restart: a crashed node comes
-	// back with its hard state replayed from the log and its disk cache
-	// tier intact, instead of empty-handed.
+	// Persist gives every node a persistent data directory — a store.MemFS
+	// keyed by node name, so the harness stays hermetic and deterministic —
+	// that outlives its processes: each incarnation of the node runs on its
+	// own revocable view of it, and a restarted node comes back with its
+	// hard state replayed from the log and its disk cache and large-object
+	// tiers intact, instead of empty-handed.
 	Persist bool
 	// Replication overrides every node's core.Config.ReplicationFactor:
 	// zero keeps the node default (successor replication with factor 3)
@@ -63,10 +71,10 @@ type Cluster struct {
 
 	cfg   Config
 	names []string
-	nodes map[string]*core.Node
-	// fss holds each node's data filesystem (Persist mode); keyed by node
-	// name, preserved across crash/restart like a real disk.
-	fss map[string]*store.MemFS
+	// mu guards members and their processes: the fault DSL's crashes and
+	// restarts run on whichever goroutine advances the virtual clock.
+	mu      sync.Mutex
+	members map[string]*member
 
 	errMu sync.Mutex
 	errs  []string
@@ -83,6 +91,17 @@ type Cluster struct {
 	// from StabilizeAll.
 	bundles        map[string]string
 	pendingDeploys []pendingDeploy
+}
+
+// member is one node: the Config every process of it is built from, its
+// data filesystem (Persist mode), which outlives its processes as a disk
+// does, and the running process with its view of that filesystem (nil
+// while crashed).
+type member struct {
+	cfg  core.Config
+	fs   *store.MemFS
+	view *store.MemView
+	node *core.Node
 }
 
 // pendingDeploy is one DSL deploy directive awaiting execution.
@@ -102,7 +121,7 @@ func New(cfg Config, origin core.Fetcher) (*Cluster, error) {
 	sim := transport.NewSim(transport.SimConfig{Seed: cfg.Seed, DefaultLatency: cfg.Latency})
 	ring := overlay.NewRing()
 	ring.Transport = sim
-	c := &Cluster{Sim: sim, Ring: ring, cfg: cfg, nodes: make(map[string]*core.Node), fss: make(map[string]*store.MemFS)}
+	c := &Cluster{Sim: sim, Ring: ring, cfg: cfg, members: make(map[string]*member)}
 	for i := 0; i < cfg.N; i++ {
 		if _, err := c.boot(i, origin); err != nil {
 			return nil, err
@@ -129,21 +148,44 @@ func (c *Cluster) boot(i int, origin core.Fetcher) (*core.Node, error) {
 		LoadHalfLife:      c.cfg.LoadHalfLife,
 		Clock:             c.now,
 	}
-	if c.cfg.Persist {
-		fs := store.NewMemFS()
-		c.fss[name] = fs
-		nodeCfg.DataFS = fs
-	}
 	if c.cfg.Mutate != nil {
 		c.cfg.Mutate(i, &nodeCfg)
 	}
-	n, err := core.NewNode(nodeCfg)
+	m := &member{cfg: nodeCfg}
+	if c.cfg.Persist {
+		m.fs = store.NewMemFS()
+	}
+	n, err := c.start(name, m)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: boot %s: %w", name, err)
 	}
 	c.names = append(c.names, name)
-	c.nodes[name] = n
 	return n, nil
+}
+
+// start runs a new process of the named member: core.NewNode with its
+// Config, over a fresh view of its data filesystem in Persist mode.
+func (c *Cluster) start(name string, m *member) (*core.Node, error) {
+	cfg := m.cfg
+	var view *store.MemView
+	if m.fs != nil {
+		view = m.fs.View()
+		cfg.DataFS = view
+	}
+	n, err := core.NewNode(cfg)
+	if err == nil {
+		c.mu.Lock()
+		c.members[name], m.node, m.view = m, n, view
+		c.mu.Unlock()
+	}
+	return n, err
+}
+
+// member returns the named member, or nil.
+func (c *Cluster) member(name string) *member {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.members[name]
 }
 
 // now is every node's clock: the simulated network's virtual time, counted
@@ -168,17 +210,27 @@ func (c *Cluster) AddNode(origin core.Fetcher) (string, error) {
 // Names returns the node names in boot order.
 func (c *Cluster) Names() []string { return append([]string(nil), c.names...) }
 
-// Node returns the i-th node.
-func (c *Cluster) Node(i int) *core.Node { return c.nodes[c.names[i]] }
+// Node returns the i-th node's running process, or nil while it is
+// crashed.
+func (c *Cluster) Node(i int) *core.Node { return c.NodeByName(c.names[i]) }
 
-// NodeByName returns the named node, or nil.
-func (c *Cluster) NodeByName(name string) *core.Node { return c.nodes[name] }
+// NodeByName returns the named node's running process, or nil when the
+// node is unknown or crashed. A restart runs a new process, so a test that
+// holds one across a restart holds the dead one.
+func (c *Cluster) NodeByName(name string) *core.Node {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m := c.members[name]; m != nil {
+		return m.node
+	}
+	return nil
+}
 
 // Handle runs one GET through the named node.
 func (c *Cluster) Handle(node, url string) (*httpmsg.Response, error) {
-	n := c.nodes[node]
+	n := c.NodeByName(node)
 	if n == nil {
-		return nil, fmt.Errorf("cluster: unknown node %s", node)
+		return nil, fmt.Errorf("cluster: node %s is unknown or crashed", node)
 	}
 	resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
 	return resp, err
@@ -191,33 +243,47 @@ func (c *Cluster) Partition(groups ...[]string) { c.Sim.Partition(groups...) }
 // Heal removes every partition.
 func (c *Cluster) Heal() { c.Sim.Heal() }
 
-// Crash makes a node unreachable and kills its process state: soft state
-// (overlay index slice, memory cache) is discarded and the storage engine
-// is abandoned without flushing. In Persist mode the node's data
-// filesystem — like a real disk — keeps every byte already written.
+// Crash kills a node's process. Its network endpoint goes down; its view
+// of its data filesystem is revoked, so every operation the dead process
+// still runs through it fails, as a dead process's descriptors do; and the
+// harness drops its *core.Node, with every volatile structure in it. In
+// Persist mode the data filesystem keeps every byte already written, as a
+// disk does when only the process dies. Losing the unsynced bytes too is a
+// power loss (store.MemFS.DropUnsynced), which tests inject themselves.
 func (c *Cluster) Crash(name string) {
 	c.Sim.Crash(name)
-	if n := c.nodes[name]; n != nil {
-		n.Crash()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m := c.members[name]; m != nil {
+		if m.view != nil {
+			m.view.Revoke()
+		}
+		m.node, m.view = nil, nil
 	}
 }
 
-// Restart brings a crashed node back through Node.Recover. In Persist mode
-// it recovers from its preserved data directory (hard state replayed from
-// the log, disk cache rescanned); otherwise its engines reopen on a fresh
-// in-memory filesystem and it comes back empty-handed. A crashed node
-// refuses writes until Restart, in both modes. Either way Recover leaves a
-// catch-up pending, which the node's next maintenance round runs: it
-// streams the key range it owns back from its successors. (Restart may run
-// from inside the simulated network's event loop, where sending messages is
-// forbidden, so the pull itself waits for StabilizeAll.)
+// Restart starts a new process for a node, killing the running one first if
+// there is one: core.NewNode with the node's Config under the same name. The
+// old member leaves the ring first, since Ring.Join would hand back its
+// overlay node. In Persist mode the process opens the preserved data
+// directory through a fresh view (hard state replayed from the log, disk
+// cache and large-object tiers rescanned); otherwise it comes back
+// empty-handed. Either way it owes a catch-up, which its next maintenance
+// round runs: it streams the key range it owns back from its successors.
+// (Restart may run from inside the simulated network's event loop, where
+// sending messages is forbidden, so the pull itself waits for StabilizeAll.)
 func (c *Cluster) Restart(name string) {
-	c.Sim.Restart(name)
-	if n := c.nodes[name]; n != nil {
-		if err := n.Recover(); err != nil {
-			c.fail("restart %s: %v", name, err)
-		}
+	c.Crash(name)
+	m := c.member(name)
+	if m == nil {
+		return
 	}
+	c.Ring.Leave(name)
+	if _, err := c.start(name, m); err != nil {
+		c.fail("restart %s: %v", name, err)
+		return
+	}
+	c.Sim.Restart(name)
 }
 
 // fail records a harness error for Err.
@@ -227,8 +293,8 @@ func (c *Cluster) fail(format string, args ...any) {
 	c.errMu.Unlock()
 }
 
-// Err reports failures from fault actions (a restart whose recovery
-// failed); tests check it after driving a schedule.
+// Err reports failures from fault actions (a restart whose new process
+// failed to open its storage); tests check it after driving a schedule.
 func (c *Cluster) Err() error {
 	c.errMu.Lock()
 	defer c.errMu.Unlock()
@@ -240,7 +306,12 @@ func (c *Cluster) Err() error {
 
 // DataFS returns the named node's preserved data filesystem (nil outside
 // Persist mode).
-func (c *Cluster) DataFS(name string) *store.MemFS { return c.fss[name] }
+func (c *Cluster) DataFS(name string) *store.MemFS {
+	if m := c.member(name); m != nil {
+		return m.fs
+	}
+	return nil
+}
 
 // Live reports whether the node is currently not crashed.
 func (c *Cluster) Live(name string) bool { return !c.Sim.Crashed(name) }
@@ -258,7 +329,7 @@ func (c *Cluster) StabilizeAll(rounds int) {
 		c.errMu.Unlock()
 		c.deployPending()
 		for _, name := range c.Ring.Nodes() {
-			n := c.nodes[name]
+			n := c.NodeByName(name)
 			if n == nil || !c.Live(name) {
 				continue
 			}
@@ -286,9 +357,9 @@ func (c *Cluster) DefineBundle(name, script string) {
 // call it between traffic phases, never from inside the event loop (the
 // DSL's deploy directive defers here via StabilizeAll).
 func (c *Cluster) Deploy(node, site, bundle string) (uint64, error) {
-	n := c.nodes[node]
+	n := c.NodeByName(node)
 	if n == nil {
-		return 0, fmt.Errorf("cluster: unknown node %s", node)
+		return 0, fmt.Errorf("cluster: node %s is unknown or crashed", node)
 	}
 	c.errMu.Lock()
 	script, ok := c.bundles[bundle]
@@ -308,7 +379,7 @@ func (c *Cluster) deployPending() {
 	c.pendingDeploys = nil
 	c.errMu.Unlock()
 	for _, p := range pending {
-		if !c.Live(p.node) || c.nodes[p.node] == nil {
+		if !c.Live(p.node) || c.NodeByName(p.node) == nil {
 			c.fail("deploy %s via %s: node unavailable", p.site, p.node)
 			continue
 		}
@@ -323,10 +394,11 @@ func (c *Cluster) deployPending() {
 func (c *Cluster) CheckDeployConvergence(site string, wantGen uint64) error {
 	var bad []string
 	for _, name := range c.names {
-		if !c.Live(name) {
+		n := c.NodeByName(name)
+		if n == nil || !c.Live(name) {
 			continue
 		}
-		if got := c.nodes[name].AppliedGeneration(site); got != wantGen {
+		if got := n.AppliedGeneration(site); got != wantGen {
 			bad = append(bad, fmt.Sprintf("%s serves gen %d for %s, want %d", name, got, site, wantGen))
 		}
 	}
@@ -352,10 +424,11 @@ func (c *Cluster) Rounds() int64 {
 func (c *Cluster) StateHolders(site, key string) []string {
 	var out []string
 	for _, name := range c.names {
-		if !c.Live(name) {
+		n := c.NodeByName(name)
+		if n == nil || !c.Live(name) {
 			continue
 		}
-		if _, _, deleted, ok := c.nodes[name].LocalStateRecord(site, key); ok && !deleted {
+		if _, _, deleted, ok := n.LocalStateRecord(site, key); ok && !deleted {
 			out = append(out, name)
 		}
 	}
@@ -377,10 +450,11 @@ func (c *Cluster) CheckLookupConvergence(urls ...string) error {
 		key := httpmsg.MustRequest("GET", url).CacheKey()
 		want := c.Ring.Successor(key).Name
 		for _, name := range c.names {
-			if !c.Live(name) {
+			n := c.NodeByName(name)
+			if n == nil || !c.Live(name) {
 				continue
 			}
-			got, err := c.nodes[name].Overlay().LookupName(key)
+			got, err := n.Overlay().LookupName(key)
 			if err != nil {
 				bad = append(bad, fmt.Sprintf("%s: lookup %q: %v", name, url, err))
 				continue
@@ -400,7 +474,7 @@ func (c *Cluster) CheckLookupConvergence(urls ...string) error {
 // of url, sorted.
 func (c *Cluster) Holders(node, url string) []string {
 	key := httpmsg.MustRequest("GET", url).CacheKey()
-	holders := c.nodes[node].Overlay().Locate(key)
+	holders := c.NodeByName(node).Overlay().Locate(key)
 	sort.Strings(holders)
 	return holders
 }

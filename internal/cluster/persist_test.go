@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"nakika/internal/cluster/explore"
 	"nakika/internal/core"
+	"nakika/internal/httpmsg"
 	"nakika/internal/state"
 	"nakika/internal/store"
 )
@@ -97,7 +99,8 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 	// key, so a put is a local WAL append that sends nothing; each one is
 	// charged 100µs of virtual time, which is what carries the burst into
 	// the scheduled crash. Writes issued after the crash must fail (the
-	// engine is gone); everything acknowledged before it must survive.
+	// dead process's data filesystem handle is revoked); everything
+	// acknowledged before it must survive.
 	if err := c.Schedule(fmt.Sprintf("at %s crash %s", c.Sim.Now()+10*time.Millisecond, victim)); err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +108,8 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 	burstVal := func(i int) string { return fmt.Sprintf("value-%04d-%s", i, strings.Repeat("x", 512)) }
 	for i, key := range keysOwnedBy(c, site, victim, "burst", maxPuts) {
 		if err := node.StatePut(site, key, burstVal(i)); err != nil {
-			if err != store.ErrClosed {
-				t.Fatalf("write %d failed with %v, want ErrClosed after crash", i, err)
+			if c.Live(victim) {
+				t.Fatalf("write %d failed before the crash: %v", i, err)
 			}
 			break
 		}
@@ -120,11 +123,12 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) string {
 		t.Fatalf("crash did not land mid-burst: %d/%d writes acknowledged", len(acked), maxPuts)
 	}
 
-	// Restart from the preserved data directory.
+	// Restart from the preserved data directory: a new process.
 	c.Restart(victim)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
+	node = c.NodeByName(victim)
 
 	// Hard state recovers exactly: every acknowledged write is present
 	// with its value, and nothing unacknowledged appears. The victim's own
@@ -230,6 +234,7 @@ func TestCrashWithoutPersistStillLosesState(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
+	node = c.NodeByName("node-0")
 	if got := node.Cache().Stats(); got.Entries != 0 {
 		t.Fatalf("crashed node kept %d cache entries", got.Entries)
 	}
@@ -243,5 +248,99 @@ func TestCrashWithoutPersistStillLosesState(t *testing.T) {
 	}
 	if hits := origin.Hits(url); hits != 2 {
 		t.Fatalf("origin hits after lossy restart = %d, want 2 (refetch)", hits)
+	}
+}
+
+// TestDeadProcessWritesNothing: a crash revokes the dead process's view of
+// its data directory. A write, create or remove it still makes fails, and
+// the new process's files under state/, cache/ and lob/ are exactly as they
+// were.
+func TestDeadProcessWritesNothing(t *testing.T) {
+	const (
+		name = "node-0"
+		site = "site.example.org"
+	)
+	url := func(path string) string { return "http://" + site + path }
+	origin := NewCountingOrigin()
+	origin.AddPage(url("/a"), "<html>a</html>", 600)
+	origin.AddPage(url("/b"), "<html>b</html>", 600)
+	origin.AddPage(url("/blob"), strings.Repeat("a large object ", 2000), 600)
+	c, err := New(Config{N: 1, Seed: 1, Latency: time.Millisecond, Persist: true, Mutate: func(_ int, cfg *core.Config) {
+		cfg.Cache.MaxEntries = 1 // each page evicts the last: a demotion to cache/
+		cfg.LargeObjectThreshold = 10_000
+		cfg.LargeObjectSegment = 4096
+	}}, origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, deadView := c.NodeByName(name), c.members[name].view
+	if err := dead.StatePut(site, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/a", "/b", "/blob"} {
+		if _, err := c.Handle(name, url(path)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c.Crash(name)
+	c.Restart(name)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	fs := c.DataFS(name)
+	files := func() map[string]string {
+		t.Helper()
+		names, err := fs.List("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string)
+		for _, n := range names {
+			data, err := store.ReadAll(fs, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[n] = string(data)
+		}
+		return out
+	}
+	before := files()
+
+	// The dead process's own paths: a hard-state write, and cache stores
+	// that demote to the disk tier.
+	if err := dead.StatePut(site, "late", "v"); err == nil {
+		t.Error("the dead process acknowledged a hard-state write")
+	}
+	for _, path := range []string{"/late-1", "/late-2"} {
+		dead.Cache().Put("GET "+url(path), httpmsg.NewHTMLResponse(200, "late"))
+	}
+	// And the filesystem operations under every engine.
+	for _, dir := range []string{"state/", "cache/", "lob/"} {
+		existing := ""
+		for n := range before {
+			if strings.HasPrefix(n, dir) {
+				existing = n
+				break
+			}
+		}
+		if existing == "" {
+			t.Fatalf("the new process has no file under %s: %v", dir, before)
+		}
+		if _, err := deadView.Create(dir + "late"); err == nil {
+			t.Errorf("the dead process created a file under %s", dir)
+		}
+		if err := deadView.Remove(existing); err == nil {
+			t.Errorf("the dead process removed %s", existing)
+		}
+		if err := deadView.Rename(existing, dir+"moved"); err == nil {
+			t.Errorf("the dead process renamed %s", existing)
+		}
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Errorf("the dead process changed the data directory:\n before %q\n after  %q", before, after)
+	}
+	if v, ok := c.NodeByName(name).StateGet(site, "k"); !ok || v != "v" {
+		t.Errorf("the new process reads k as %q (ok=%v), want the acknowledged v", v, ok)
 	}
 }

@@ -402,12 +402,12 @@ func TestRestartedReplicaRefilledWithinSixRounds(t *testing.T) {
 			if short > 0 {
 				t.Fatalf("%d of 60 keys have fewer than 3 holders after six rounds", short)
 			}
-			// Ten rounds since boot: one catch-up at boot and one after the
-			// restart, each followed by a full repair, and the periodic
-			// repair of round six.
+			// Six rounds since the restart, whose new process counts from
+			// zero: its catch-up, followed by a full repair, and the
+			// periodic repair of its round six.
 			expositionHas(t, restarted, "nakika_replication_catchup_pending 0")
-			expositionHas(t, restarted, "nakika_maintenance_rounds_total 10")
-			expositionHas(t, restarted, `nakika_replication_repairs_total{trigger="catchup"} 2`)
+			expositionHas(t, restarted, "nakika_maintenance_rounds_total 6")
+			expositionHas(t, restarted, `nakika_replication_repairs_total{trigger="catchup"} 1`)
 			expositionHas(t, restarted, `nakika_replication_repairs_total{trigger="periodic"} 1`)
 		})
 	}
@@ -482,6 +482,7 @@ func TestRecoveredOwnerRebasesAboveReplicas(t *testing.T) {
 	// it and the replicas must report it stale, forcing the rebase.
 	c.Crash(owner)
 	c.Restart(owner)
+	on = c.NodeByName(owner)
 	if err := on.StatePut(repSite, key, "again"); err != nil {
 		t.Fatalf("write from history-less owner must rebase, not fail: %v", err)
 	}
@@ -530,6 +531,7 @@ func TestAckedWriteSurvivesMixedStaleAcks(t *testing.T) {
 	// version: replica one reports it stale while replica two accepts it.
 	c.Crash(owner)
 	c.Restart(owner)
+	on = c.NodeByName(owner)
 	if err := on.StatePut(repSite, key, "aaa-new"); err != nil {
 		t.Fatalf("reissued write must rebase and succeed: %v", err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"nakika/internal/cache"
 	"nakika/internal/httpmsg"
-	"nakika/internal/largeobject"
 	"nakika/internal/transport"
 )
 
@@ -47,9 +46,8 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 	// miss in all three, for the rest of the chain.
 	kb := req.CacheKeyBytes()
 	resp := n.cache.GetFor(kb, req)
-	if t := n.lobTier(); resp == nil && t != nil {
-		m, ok := t.ManifestBytes(kb)
-		resp, _ = n.lobServeManifest(t, m, ok)
+	if resp == nil && n.lob != nil {
+		resp, _ = n.lobServeManifest(n.lob.ManifestBytes(kb))
 	}
 	if resp != nil {
 		n.cacheHits.Add(1)
@@ -101,8 +99,8 @@ func (n *Node) invalidate(req *httpmsg.Request) {
 			n.overlay.Unpublish(key)
 		}
 	}
-	if t := n.lobTier(); t != nil {
-		t.DeleteManifest(http.MethodGet + " " + target)
+	if n.lob != nil {
+		n.lob.DeleteManifest(http.MethodGet + " " + target)
 	}
 }
 
@@ -246,8 +244,8 @@ func (n *Node) revalidate(key string, req *httpmsg.Request, stale cache.Stale) (
 // large-object manifest too.
 func (n *Node) dropCopies(key string, lob bool) {
 	n.cache.Invalidate(key)
-	if t := n.lobTier(); t != nil && lob {
-		t.DeleteManifest(key)
+	if n.lob != nil && lob {
+		n.lob.DeleteManifest(key)
 	}
 }
 
@@ -318,8 +316,8 @@ func (n *Node) storeReply(req *httpmsg.Request, key string, resp *httpmsg.Respon
 	if !httpmsg.Shareable(req, resp.Status, resp.Header) {
 		return
 	}
-	if t, expires := n.lobTakes(req, key, resp.Status, resp.Header, int64(len(resp.Body))); t != nil {
-		if _, err := t.Ingest(key, resp.Status, resp.Header, expires, resp.Body); err == nil {
+	if expires, ok := n.lobTakes(req, key, resp.Status, resp.Header, int64(len(resp.Body))); ok {
+		if _, err := n.lob.Ingest(key, resp.Status, resp.Header, expires, resp.Body); err == nil {
 			n.lobWhole.Add(1)
 			n.publish(key)
 			return
@@ -332,24 +330,20 @@ func (n *Node) storeReply(req *httpmsg.Request, key string, resp *httpmsg.Respon
 	}
 }
 
-// lobTakes returns the tier when it is the one to hold the object, and the
+// lobTakes reports whether the tier is the one to hold the object, with the
 // copy's expiry (cache.Expiry from now): the tier is on, and the reply is a
 // 200 to a GET req, shareable (httpmsg.Shareable), at least
 // LargeObjectThreshold bytes long and Kept (cache.Kept). length is the body's
 // length when it is buffered, the declared Content-Length (-1 unknown) when it
 // is about to stream.
-func (n *Node) lobTakes(req *httpmsg.Request, key string, status int, h httpmsg.Header, length int64) (*largeobject.Tier, time.Time) {
-	t := n.lobTier()
-	if t == nil || status != http.StatusOK || length < n.cfg.LargeObjectThreshold ||
+func (n *Node) lobTakes(req *httpmsg.Request, key string, status int, h httpmsg.Header, length int64) (time.Time, bool) {
+	if n.lob == nil || status != http.StatusOK || length < n.cfg.LargeObjectThreshold ||
 		!strings.HasPrefix(key, http.MethodGet+" ") || !httpmsg.Shareable(req, status, h) {
-		return nil, time.Time{}
+		return time.Time{}, false
 	}
 	now := n.clock()
 	expires := n.cache.Expiry(h, now)
-	if !cache.Kept(h, expires, now) {
-		return nil, time.Time{}
-	}
-	return t, expires
+	return expires, cache.Kept(h, expires, now)
 }
 
 // publish announces this node's copy of key in the cooperative index, with
@@ -376,7 +370,7 @@ func (n *Node) copyUntil(key string) (time.Time, bool) {
 	if expires, ok := n.cache.Until(key); ok {
 		return expires, true
 	}
-	t := n.lobTier()
+	t := n.lob
 	if t == nil {
 		return time.Time{}, false
 	}
@@ -465,8 +459,8 @@ func (n *Node) serveCacheRPC(from string, msg transport.Message) (transport.Mess
 	if body, expires, ok := n.cache.Encoded(msg.Key); ok {
 		return transport.Message{Args: []string{"hit", strconv.FormatInt(expires.UnixNano(), 10)}, Body: body}, nil
 	}
-	if t := n.lobTier(); t != nil {
-		if m, ok := t.Manifest(msg.Key); ok && m.Complete() && !n.lobStale(m) {
+	if n.lob != nil {
+		if m, ok := n.lob.Manifest(msg.Key); ok && m.Complete() && !n.lobStale(m) {
 			return transport.Message{Args: []string{"manifest"}, Body: encodeManifest(m)}, nil
 		}
 	}

@@ -563,7 +563,7 @@ func TestBothTiersRenewAlike(t *testing.T) {
 					var h httpmsg.Header
 					if resp := n.cache.Get("GET " + url); resp != nil {
 						h = resp.Header
-					} else if m, ok := n.lobTier().Manifest("GET " + url); ok {
+					} else if m, ok := n.lob.Manifest("GET " + url); ok {
 						h = m.Header
 					}
 					if h.Get("Etag") != `"v1"` || len(h.Values("Cache-Control")) != 1 || h.Get("Cache-Control") != "max-age=100" {

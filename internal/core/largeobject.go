@@ -59,18 +59,16 @@ func (n *Node) LargeObject() LargeObjectStats {
 		SegPeerFetches:   n.lobSegPeer.Load(),
 		SegOriginFetches: n.lobSegOrigin.Load(),
 	}
-	if t := n.lobTier(); t != nil {
-		st.Tier = t.Stats()
+	if n.lob != nil {
+		st.Tier = n.lob.Stats()
 	}
 	return st
 }
 
-// lobEnabled reports whether the node runs a large-object tier.
-func (n *Node) lobEnabled() bool { return n.cfg.LargeObjectThreshold > 0 }
-
-// openLob opens the tier on fs (see openStorage).
+// openLob opens the tier on fs (see openStorage), when the node runs one;
+// from then on the tier is on exactly when n.lob is set.
 func (n *Node) openLob(fs store.FS) error {
-	if !n.lobEnabled() {
+	if n.cfg.LargeObjectThreshold <= 0 {
 		return nil
 	}
 	segSize := n.cfg.LargeObjectSegment
@@ -86,17 +84,8 @@ func (n *Node) openLob(fs store.FS) error {
 		return fmt.Errorf("core: open large-object tier: %w", err)
 	}
 	t.SetFetcher(n.lobFetch)
-	n.lobMu.Lock()
 	n.lob = t
-	n.lobMu.Unlock()
 	return nil
-}
-
-// lobTier returns the current tier handle (nil when disabled or crashed).
-func (n *Node) lobTier() *largeobject.Tier {
-	n.lobMu.Lock()
-	defer n.lobMu.Unlock()
-	return n.lob
 }
 
 // ---------------------------------------------------------------------------
@@ -118,25 +107,23 @@ func (n *Node) lobStale(m *largeobject.Manifest) bool {
 // leader revalidates like a whole-body copy. A stale manifest without them is
 // dropped.
 func (n *Node) lobServe(key string) (*httpmsg.Response, cache.Stale) {
-	t := n.lobTier()
-	if t == nil {
+	if n.lob == nil {
 		return nil, cache.Stale{}
 	}
-	m, ok := t.Manifest(key)
-	return n.lobServeManifest(t, m, ok)
+	return n.lobServeManifest(n.lob.Manifest(key))
 }
 
 // lobServeManifest is lobServe of the manifest the tier looked up, if ok.
-func (n *Node) lobServeManifest(t *largeobject.Tier, m *largeobject.Manifest, ok bool) (*httpmsg.Response, cache.Stale) {
+func (n *Node) lobServeManifest(m *largeobject.Manifest, ok bool) (*httpmsg.Response, cache.Stale) {
 	switch {
 	case !ok:
 		return nil, cache.Stale{}
 	case !n.lobStale(m):
-		return n.lobStream(t, m), cache.Stale{}
+		return n.lobStream(m), cache.Stale{}
 	case cache.Kept(m.Header, m.Expires, n.clock()):
 		return nil, cache.Stale{Tier: "lob", Header: m.Header}
 	}
-	t.DeleteManifest(m.Key)
+	n.lob.DeleteManifest(m.Key)
 	return nil, cache.Stale{}
 }
 
@@ -144,12 +131,12 @@ func (n *Node) lobServeManifest(t *largeobject.Tier, m *largeobject.Manifest, ok
 // tier keeps for it. Missing segments resolve lazily as the client reads:
 // slab, then a holder the overlay locates, then an origin Range refetch —
 // each verified against the manifest's content address (lobFetch).
-func (n *Node) lobStream(t *largeobject.Tier, m *largeobject.Manifest) *httpmsg.Response {
+func (n *Node) lobStream(m *largeobject.Manifest) *httpmsg.Response {
 	n.lobStreamed.Add(1)
 	resp := httpmsg.NewResponse(m.Status)
 	resp.Header = m.Header
 	resp.FromCache = true
-	resp.SetStream(t.NewStream(m, nil))
+	resp.SetStream(n.lob.NewStream(m, nil))
 	return resp
 }
 
@@ -157,17 +144,16 @@ func (n *Node) lobStream(t *largeobject.Tier, m *largeobject.Manifest) *httpmsg.
 // keeps its segment bodies, takes the updated header and expiry, and is
 // served as a stream; otherwise nil.
 func (n *Node) lobRenew(key string, nm *httpmsg.Response) *httpmsg.Response {
-	t := n.lobTier()
-	if t == nil {
+	if n.lob == nil {
 		return nil
 	}
-	m, ok := t.Manifest(key)
+	m, ok := n.lob.Manifest(key)
 	if !ok {
 		return nil
 	}
 	if h, renewal, expires := n.cache.Renew(m.Status, m.Header, nm.Header); renewal == cache.Renewed {
-		if renewed, ok := t.RefreshManifest(key, h, expires); ok {
-			return n.lobStream(t, renewed)
+		if renewed, ok := n.lob.RefreshManifest(key, h, expires); ok {
+			return n.lobStream(renewed)
 		}
 	}
 	return nil
@@ -182,19 +168,18 @@ func (n *Node) lobRenew(key string, nm *httpmsg.Response) *httpmsg.Response {
 // keeps the holder's expiry, as a whole body copied from a peer does
 // (cache.PutUntil): a copy never outlives the one it was taken from.
 func (n *Node) lobAdopt(key string, body []byte) *httpmsg.Response {
-	t := n.lobTier()
-	if t == nil {
+	if n.lob == nil {
 		return nil
 	}
 	m, err := decodeManifest(body)
 	if err != nil || m.Key != key || !m.Complete() || n.lobStale(m) {
 		return nil
 	}
-	if err := t.PutManifest(m); err != nil {
+	if err := n.lob.PutManifest(m); err != nil {
 		return nil
 	}
 	n.lobAdopted.Add(1)
-	return n.lobStream(t, m)
+	return n.lobStream(m)
 }
 
 // ---------------------------------------------------------------------------
@@ -231,7 +216,7 @@ type StreamFetcher interface {
 // nil) means the caller should fetch through Upstream.Do itself.
 func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Response, error) {
 	sf, ok := n.cfg.Upstream.(StreamFetcher)
-	if !ok || n.lobTier() == nil || req.Method != http.MethodGet {
+	if !ok || n.lob == nil || req.Method != http.MethodGet {
 		return nil, nil
 	}
 	head, body, err := sf.DoStream(req)
@@ -241,8 +226,8 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 		// its own error if it does not).
 		return nil, nil
 	}
-	t, expires := n.lobTakes(req, key, head.Status, head.Header, head.Length)
-	if t == nil {
+	expires, ok := n.lobTakes(req, key, head.Status, head.Header, head.Length)
+	if !ok {
 		defer body.Close()
 		data, err := httpmsg.ReadWhole(body, head.Length)
 		if err != nil {
@@ -257,7 +242,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 	// Large object: the tier installs the manifest and chunks the body in
 	// the background, and the client reads a stream that rides the ingest.
 	// The copy is announced when the ingest completes.
-	m, err := t.IngestStream(key, head.Status, head.Header, head.Length, expires, body, func(err error) {
+	m, err := n.lob.IngestStream(key, head.Status, head.Header, head.Length, expires, body, func(err error) {
 		if err == nil {
 			n.publish(key)
 		}
@@ -268,7 +253,7 @@ func (n *Node) lobStreamOrigin(key string, req *httpmsg.Request) (*httpmsg.Respo
 	n.lobStreamIng.Add(1)
 	resp := httpmsg.NewResponse(m.Status)
 	resp.Header = m.Header
-	resp.SetStream(t.NewStream(m, nil))
+	resp.SetStream(n.lob.NewStream(m, nil))
 	return resp, nil
 }
 
@@ -293,10 +278,7 @@ func (n *Node) lobFetch(m *largeobject.Manifest, ord int) ([]byte, error) {
 
 // lobFetchSegment is the single-flight leader path for one missing segment.
 func (n *Node) lobFetchSegment(key string, ord int) ([]byte, error) {
-	t := n.lobTier()
-	if t == nil {
-		return nil, fmt.Errorf("core: large-object tier unavailable")
-	}
+	t := n.lob
 	m, ok := t.Manifest(key)
 	if !ok {
 		return nil, fmt.Errorf("core: no manifest for %q", key)
@@ -329,7 +311,7 @@ func (n *Node) lobFetchSegment(key string, ord int) ([]byte, error) {
 			}
 			n.lobSegPeer.Add(1)
 			t.PutSegment(want, reply.Body)
-			n.lobMaybeAnnounce(t, key)
+			n.lobMaybeAnnounce(key)
 			return reply.Body, nil
 		}
 	}
@@ -376,7 +358,7 @@ func (n *Node) lobFetchSegment(key string, ord int) ([]byte, error) {
 		id = largeobject.HashSegment(data)
 	}
 	t.PutSegment(id, data)
-	n.lobMaybeAnnounce(t, key)
+	n.lobMaybeAnnounce(key)
 	return data, nil
 }
 
@@ -384,24 +366,23 @@ func (n *Node) lobFetchSegment(key string, ord int) ([]byte, error) {
 // an ordinal whose id the local manifest records is served, so an in-flight
 // ingest exposes exactly the segments it has chunked.
 func (n *Node) lobSegment(key, ord string) ([]byte, bool) {
-	t := n.lobTier()
-	if t == nil {
+	if n.lob == nil {
 		return nil, false
 	}
-	m, ok := t.Manifest(key)
+	m, ok := n.lob.Manifest(key)
 	i, err := strconv.Atoi(ord)
 	if !ok || err != nil || i < 0 || i >= len(m.Segments) {
 		return nil, false
 	}
-	return t.GetSegment(m.Segments[i])
+	return n.lob.GetSegment(m.Segments[i])
 }
 
 // lobMaybeAnnounce announces this node's copy of key once it holds every
 // segment. Announcing per segment fetch would turn every read into an index
 // update; a complete copy is the one residency transition worth advertising
 // (it makes this node a full peer source).
-func (n *Node) lobMaybeAnnounce(t *largeobject.Tier, key string) {
-	if m, ok := t.Manifest(key); ok && m.Complete() && t.Resident(m) == m.NumSegments() {
+func (n *Node) lobMaybeAnnounce(key string) {
+	if m, ok := n.lob.Manifest(key); ok && m.Complete() && n.lob.Resident(m) == m.NumSegments() {
 		n.publish(key)
 	}
 }

@@ -281,15 +281,12 @@ func TestLargeObjectSurvivesCrash(t *testing.T) {
 	fs := store.NewMemFS()
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
-		cfg.DataFS = fs
+		cfg.DataFS = fs.View()
 	})
 	if _, _, err := n.Handle(httpmsg.MustRequest("GET", "http://big.example.org/db")); err != nil {
 		t.Fatal(err)
 	}
-	n.Crash()
-	if err := n.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	n = restart(t, n, fs)
 	resp, _, err := n.Handle(httpmsg.MustRequest("GET", "http://big.example.org/db"))
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +347,7 @@ func TestLargeObjectParentDataDirectory(t *testing.T) {
 	if st := n.LargeObject().Tier; st.Manifests != 1 || st.Slab.Used != 3 {
 		t.Errorf("opened tier: %+v; want the manifest and its three segments", st)
 	}
-	t1 := n.lobTier()
+	t1 := n.lob
 	if m, ok := t1.Manifest("GET " + url); !ok || !m.Expires.Equal(time.Unix(1_790_000_000, 0)) || !n.lobStale(m) {
 		t.Fatalf("the parent's manifest reads as %+v; want it expired at its fetch time", m)
 	}
@@ -437,11 +434,12 @@ func lobFiles(t *testing.T, fs store.FS) map[string]int {
 }
 
 // TestLargeObjectIngestOutlivingCrashStoresNothing: a streamed ingest whose
-// origin is still sending when the node crashes holds the dead tier. Crash
-// closed that tier's log, so once the origin sends the rest the ingest fails
-// at its next segment instead of writing into the directory the recovered
-// tier has taken over: the files under lob/ are exactly what they were. The
-// recovered node then fetches and serves the object as if for the first time.
+// origin is still sending when the node crashes holds the dead tier. The
+// crash revoked that incarnation's view of the data directory, so once the
+// origin sends the rest the ingest fails at its next segment and ends,
+// instead of writing into the directory the recovered tier has taken over:
+// the files under lob/ are exactly what they were. The recovered node then
+// fetches and serves the object as if for the first time.
 func TestLargeObjectIngestOutlivingCrashStoresNothing(t *testing.T) {
 	const url = "http://big.example.org/slow"
 	body := lobBody(40_000)
@@ -449,7 +447,7 @@ func TestLargeObjectIngestOutlivingCrashStoresNothing(t *testing.T) {
 	fs := store.NewMemFS()
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
-		cfg.DataFS = fs
+		cfg.DataFS = fs.View()
 	})
 	resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
 	if err != nil {
@@ -464,12 +462,9 @@ func TestLargeObjectIngestOutlivingCrashStoresNothing(t *testing.T) {
 		t.Fatalf("files under lob/ at the crash = %v, want the one log segment", atCrash)
 	}
 
-	n.Crash()
-	if err := n.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	n = restart(t, n, fs)
 	close(origin.release)
-	<-origin.bodyClosed // the ingest has given up, or finished
+	<-origin.bodyClosed // the dead incarnation's ingest has ended
 	if after := lobFiles(t, fs); !reflect.DeepEqual(after, atCrash) {
 		t.Fatalf("the ingest that outlived the crash changed lob/:\n at the crash %v\n afterwards   %v", atCrash, after)
 	}
@@ -492,10 +487,10 @@ func TestLargeObjectIngestOutlivingCrashStoresNothing(t *testing.T) {
 	if err := n.Shutdown(); err != nil {
 		t.Errorf("Shutdown: %v", err)
 	}
-	if _, ok := n.lobTier().GetSegment(largeobject.HashSegment(body[:4096])); !ok {
+	if _, ok := n.lob.GetSegment(largeobject.HashSegment(body[:4096])); !ok {
 		t.Error("a closed tier does not read")
 	}
-	if err := n.lobTier().PutSegment(largeobject.HashSegment([]byte("late")), []byte("late")); err == nil {
+	if err := n.lob.PutSegment(largeobject.HashSegment([]byte("late")), []byte("late")); err == nil {
 		t.Error("a tier closed by Shutdown still stores")
 	}
 }
@@ -523,11 +518,11 @@ func (o *firstGated) DoStream(req *httpmsg.Request) (StreamHead, io.ReadCloser, 
 
 // TestLargeObjectDeadIngestLeavesRecoveredManifest: an ingest that outlives
 // a crash fails at its next segment on the dead tier and drops its manifest
-// there. The dead tier's log was closed by Crash, so that drop appends no
-// tombstone — lob/ is byte for byte what the recovered tier left, manifest
-// record included, after it wrote its own copy of the same object. The proof
-// is one more crash: the object then serves from lob/ with no further origin
-// fetch.
+// there. The dead incarnation's view of the data directory was revoked, so
+// that drop appends no tombstone — lob/ is byte for byte what the recovered
+// tier left, manifest record included, after it wrote its own copy of the
+// same object. The proof is one more crash: the object then serves from lob/
+// with no further origin fetch.
 func TestLargeObjectDeadIngestLeavesRecoveredManifest(t *testing.T) {
 	const url = "http://big.example.org/twice"
 	body := lobBody(40_000)
@@ -535,7 +530,7 @@ func TestLargeObjectDeadIngestLeavesRecoveredManifest(t *testing.T) {
 	fs := store.NewMemFS()
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
-		cfg.DataFS = fs
+		cfg.DataFS = fs.View()
 	})
 	fetch := func(what string) {
 		t.Helper()
@@ -552,10 +547,7 @@ func TestLargeObjectDeadIngestLeavesRecoveredManifest(t *testing.T) {
 	}
 	<-origin.atGate // three segments in, the fourth on its way
 
-	n.Crash()
-	if err := n.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	n = restart(t, n, fs)
 	fetch("the recovered node's own ingest")
 	before := lobFiles(t, fs)
 	close(origin.release)
@@ -565,10 +557,7 @@ func TestLargeObjectDeadIngestLeavesRecoveredManifest(t *testing.T) {
 	}
 
 	full, ranged, streamed := origin.counts()
-	n.Crash()
-	if err := n.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	n = restart(t, n, fs)
 	if st := n.LargeObject().Tier; st.Manifests != 1 {
 		t.Fatalf("the second recovery restored %d manifests, want 1", st.Manifests)
 	}
@@ -1099,7 +1088,7 @@ func TestLargeObjectLogOnMetrics(t *testing.T) {
 	fs := store.NewMemFS()
 	n := newTestNodeUpstream(t, "edge-1", origin, func(cfg *Config) {
 		lobConfig(4096, 10_000)(cfg)
-		cfg.DataFS = fs
+		cfg.DataFS = fs.View()
 	})
 	resp, _, err := n.Handle(httpmsg.MustRequest("GET", url))
 	if err != nil {

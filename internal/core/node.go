@@ -116,7 +116,8 @@ type Config struct {
 	// demote to a disk tier the node rewarms from after restart. Nil runs
 	// the same log and tier on a private in-memory filesystem that dies
 	// with the process, and no disk tier. cmd/nakikad builds a DirFS from
-	// -data-dir; the cluster harness injects per-node in-memory filesystems.
+	// -data-dir; the cluster harness gives each process of a node a
+	// revocable view (store.MemView) of the node's in-memory filesystem.
 	DataFS store.FS
 	// LargeObjectThreshold, when positive, enables the chunked large-object
 	// tier: 200 responses at least this many bytes long are split into
@@ -327,9 +328,8 @@ type Node struct {
 	deployCompErr atomic.Int64
 
 	// Chunked large-object tier (see internal/core/largeobject.go): the
-	// tier handle (nil when disabled or crashed), the per-(key,segment)
-	// fetch flights, and the tier counters.
-	lobMu        sync.Mutex
+	// tier (nil when disabled), the per-(key,segment) fetch flights, and the
+	// tier counters.
 	lob          *largeobject.Tier
 	segFlights   cache.Group[[]byte]
 	lobStreamed  atomic.Int64
@@ -378,15 +378,9 @@ func NewNode(cfg Config) (*Node, error) {
 		deployGauges: make(map[string]bool),
 	}
 	n.stamp.Set("X-Na-Kika-Node", cfg.Name)
-	kv, disk, err := n.openStorage()
-	if err != nil {
+	if err := n.openStorage(); err != nil {
 		return nil, err
 	}
-	n.store = state.NewStoreBacked(kv)
-	cacheCfg := cfg.Cache
-	cacheCfg.L2 = disk
-	cacheCfg.Clock = clock
-	n.cache = cache.New(cacheCfg)
 	for _, cidr := range cfg.LocalNetworks {
 		_, ipnet, err := net.ParseCIDR(cidr)
 		if err != nil {
@@ -470,26 +464,27 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// openStorage opens (or reopens after a crash) the node's engines on one
-// filesystem: cfg.DataFS, or a fresh in-memory one when the node has no data
-// directory, which is why such a node comes back from a crash empty-handed.
-// The hard-state log lives under state/, the large-object tier under lob/,
-// and the disk cache tier under cache/. The disk tier alone needs a data
-// directory: on a MemFS it would hold the memory cache's evictions in RAM a
-// second time.
-func (n *Node) openStorage() (*store.Log, *cache.Disk, error) {
+// openStorage opens the node's engines — hard state, the proxy cache and
+// the large-object tier — on one filesystem: cfg.DataFS, or a fresh
+// in-memory one when the node has no data directory, which is why such a
+// node comes back from a crash empty-handed. The hard-state log lives under
+// state/, the large-object tier under lob/, and the disk cache tier under
+// cache/. The disk tier alone needs a data directory: on a MemFS it would
+// hold the memory cache's evictions in RAM a second time.
+func (n *Node) openStorage() error {
 	fs := n.cfg.DataFS
 	if fs == nil {
 		fs = store.NewMemFS()
 	}
 	kv, err := store.OpenLog(store.Sub(fs, "state"), store.LogConfig{Quota: state.DefaultQuota})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: open state log: %w", err)
+		return fmt.Errorf("core: open state log: %w", err)
 	}
-	var disk *cache.Disk
+	cacheCfg := n.cfg.Cache
+	cacheCfg.Clock = n.clock
 	if n.cfg.DataFS != nil {
 		// Zero bytes: the tier's 1 GiB default.
-		if disk, err = cache.OpenDisk(store.Sub(fs, "cache"), 0, n.clock); err != nil {
+		if cacheCfg.L2, err = cache.OpenDisk(store.Sub(fs, "cache"), 0, n.clock); err != nil {
 			err = fmt.Errorf("core: open disk cache: %w", err)
 		}
 	}
@@ -498,9 +493,11 @@ func (n *Node) openStorage() (*store.Log, *cache.Disk, error) {
 	}
 	if err != nil {
 		kv.Close()
-		return nil, nil, err
+		return err
 	}
-	return kv, disk, nil
+	n.store = state.NewStoreBacked(kv)
+	n.cache = cache.New(cacheCfg)
+	return nil
 }
 
 // StoreStats returns the hard-state log's counters.
@@ -514,68 +511,10 @@ func (n *Node) Shutdown() error {
 	if d := n.cache.L2(); d != nil {
 		err = d.Close()
 	}
-	if t := n.lobTier(); t != nil {
-		err = errors.Join(err, t.Close())
+	if n.lob != nil {
+		err = errors.Join(err, n.lob.Close())
 	}
 	return errors.Join(n.store.Backend().Close(), err)
-}
-
-// Crash simulates an abrupt process death for the fault-injection
-// harness: all soft state is discarded (overlay index slice, memory
-// cache) and the storage engine is abandoned mid-flight without flushing
-// — unacknowledged writes are lost, exactly as a real crash would lose
-// them, while the data filesystem keeps every byte already written.
-func (n *Node) Crash() {
-	if n.overlay != nil {
-		n.overlay.DropIndex()
-	}
-	n.cache.Clear()
-	// The disk tier is abandoned like the WAL below. It buffers nothing, so
-	// closing its segment handle loses what the process death would, which
-	// is nothing, and a request still in flight can no longer append to a
-	// log the recovered tier has taken over.
-	if d := n.cache.L2(); d != nil {
-		d.Close()
-	}
-	n.cache.SetL2(nil)
-	// Compiled stages are soft state: a real crashed process loses them,
-	// fetches its scripts again and rebuilds its deployed stages from the
-	// replicated records on the way back up (Maintain's syncDeployments).
-	n.loader.Reset()
-	// The large-object tier handle is abandoned mid-flight too: the
-	// manifest table dies with the process, while persisted manifests and
-	// log segments stay on the data filesystem for Recover to replay (a torn
-	// record fails its checksum and ends its segment's scan). Its log is
-	// closed like the disk tier's, and for the same reason: an ingest that
-	// outlives the crash stores nothing more. The close also ends the
-	// ingests in flight, so their readers stop waiting.
-	n.lobMu.Lock()
-	if n.lob != nil {
-		n.lob.Close()
-	}
-	n.lob = nil
-	n.lobMu.Unlock()
-	// Until Recover the abandoned log refuses every write with ErrClosed.
-	n.store.Backend().Abandon()
-}
-
-// Recover reopens the node's engines after a Crash (see openStorage). With
-// a data filesystem hard state is rebuilt by replaying the log (recovering
-// exactly the acknowledged writes), and the disk cache tier and the
-// large-object tier are rescanned so the node rewarms without touching the
-// origin; without one the node comes back empty-handed. Either way it missed
-// the writes made while it was down, so a catch-up is pending again.
-func (n *Node) Recover() error {
-	kv, disk, err := n.openStorage()
-	if err != nil {
-		return err
-	}
-	n.store.SetBackend(kv)
-	n.cache.SetL2(disk)
-	n.catchUpTries.Store(0)
-	n.catchUpApplied.Store(0)
-	n.catchUp.Store(n.repEnabled())
-	return nil
 }
 
 // periodicRepairRounds is how often, in rounds, Maintain runs a full repair

@@ -86,6 +86,33 @@ func newTestNode(t *testing.T, name string, origin *memOrigin, mutate func(*Conf
 	return n
 }
 
+// restart ends n as its process dies and builds the next incarnation from
+// the same Config, as the cluster harness's Crash and Restart do. A node
+// with a data directory must run on a view of disk (disk.View()): the view
+// is revoked, so whatever the dead incarnation still runs reaches no file,
+// and the next one opens disk through a fresh view. Without a data
+// directory (disk nil) the node comes back empty-handed.
+func restart(t *testing.T, n *Node, disk *store.MemFS) *Node {
+	t.Helper()
+	cfg := n.cfg
+	if disk != nil {
+		view, ok := cfg.DataFS.(*store.MemView)
+		if !ok {
+			t.Fatalf("restart: %s's data directory is not a view of a MemFS", cfg.Name)
+		}
+		view.Revoke()
+		cfg.DataFS = disk.View()
+	}
+	if cfg.Ring != nil {
+		cfg.Ring.Leave(cfg.Name) // Join would hand back the dead overlay node
+	}
+	next, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
 func TestNodeRequiresName(t *testing.T) {
 	if _, err := NewNode(Config{}); err == nil {
 		t.Error("expected error for missing name")

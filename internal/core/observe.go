@@ -330,10 +330,11 @@ func (n *Node) buildRegistry() {
 }
 
 // runtimeCounter reads one cumulative uint64 metric of the Go runtime at
-// scrape time.
+// scrape time, into a sample it keeps: the registry renders one scrape at a
+// time, so the sample is never read twice at once.
 func runtimeCounter(name string) func() float64 {
+	s := []rtmetrics.Sample{{Name: name}}
 	return func() float64 {
-		s := []rtmetrics.Sample{{Name: name}}
 		rtmetrics.Read(s)
 		return float64(s[0].Value.Uint64())
 	}

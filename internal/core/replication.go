@@ -595,8 +595,8 @@ const handoffChunk = 64
 
 // CatchUp streams the records of this node's owned key range
 // (predecessor, self] from its successors, applying each record
-// last-writer-wins, if a catch-up is pending: NewNode (with replication on)
-// and Recover set it, because a node that just joined or restarted has
+// last-writer-wins, if a catch-up is pending: NewNode sets it (with
+// replication on), because a node that just joined or restarted has
 // missed the writes to the range it now owns. A successful pull clears it.
 // Maintain retries a pending catch-up every round and follows a successful
 // one with a full repair; Tick also runs CatchUp alone at boot, before the

@@ -427,7 +427,6 @@ func TestLargeObjectIndexSurvivesCrashes(t *testing.T) {
 				down = first
 			}
 			sim.Crash(down.Name())
-			down.Crash()
 			read(reader)
 			if full, ranged, _ := origin.counts(); full != 1 || ranged != 0 {
 				t.Errorf("origin fetches = %d full, %d range; want only the first node's", full, ranged)

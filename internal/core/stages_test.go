@@ -101,9 +101,9 @@ func TestWallChargedToTheSiteItServes(t *testing.T) {
 }
 
 // TestRecoveredNodeRunsRepublishedScript: a crash loses every compiled
-// stage, as a dead process does. A site that republishes its nakika.js
-// while the node is down is served by the new script on the first request
-// after Recover.
+// stage, as a dead process does. A site that republishes its nakika.js,
+// which the running node would not fetch again, is served by the new script
+// on the first request after a restart.
 func TestRecoveredNodeRunsRepublishedScript(t *testing.T) {
 	const site = "republish.example.org"
 	script := func(version string) string {
@@ -117,15 +117,12 @@ func TestRecoveredNodeRunsRepublishedScript(t *testing.T) {
 		t.Fatalf("before the crash the page ran script %q, want v1", got)
 	}
 
-	n.Crash()
 	origin.mu.Lock()
 	origin.addScript("http://"+site+"/nakika.js", script("v2"))
 	origin.mu.Unlock()
-	if err := n.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	n = restart(t, n, nil)
 	if got := handleGet(t, n, "http://"+site+"/page").Header.Get("X-Script"); got != "v2" {
-		t.Errorf("the first request after Recover ran script %q, want the republished v2", got)
+		t.Errorf("the first request after the restart ran script %q, want the republished v2", got)
 	}
 }
 

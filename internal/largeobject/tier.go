@@ -2,7 +2,6 @@ package largeobject
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,10 +36,9 @@ type Tier struct {
 	slab    *Slab
 	segSize int64
 
-	// mu guards the table, the ingests in flight (nil once the tier is
-	// closed) and the wait count, and is held across the slab calls that
-	// append or tombstone a manifest record, so it is always taken before
-	// the slab's.
+	// mu guards the table, the ingests in flight and the wait count, and is
+	// held across the slab calls that append or tombstone a manifest
+	// record, so it is always taken before the slab's.
 	mu        sync.Mutex
 	manifests map[string]*entry
 	ingests   map[string]*ingest
@@ -67,9 +65,6 @@ type ingest struct {
 	cond *sync.Cond
 	err  error
 }
-
-// errClosed ends the ingests a tier's Close finds in flight.
-var errClosed = errors.New("largeobject: tier closed")
 
 // OpenTier opens (or creates) a tier on fs with the given segment size and
 // slab byte capacity, replaying the surviving segments and manifests. The
@@ -108,17 +103,11 @@ func (t *Tier) install(key string, m *Manifest) *entry {
 	return e
 }
 
-// Close closes the slab's log, so after a crash nothing but the tier that
-// reopened the directory writes to it, and ends every ingest in flight with
-// an error: its readers stop waiting, and it stores nothing more.
+// Close closes the slab's log: an ingest still in flight fails at its next
+// segment, and the tier stores nothing more.
 func (t *Tier) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, in := range t.ingests {
-		in.err = errClosed
-		in.cond.Broadcast()
-	}
-	t.ingests = nil
 	return t.slab.Close()
 }
 
@@ -285,9 +274,6 @@ func (t *Tier) begin(key string, status int, header httpmsg.Header, length int64
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.ingests == nil {
-		return nil, errClosed
-	}
 	in := &ingest{m: m, cond: sync.NewCond(&t.mu)}
 	t.ingests[key] = in
 	return in, nil
@@ -336,9 +322,7 @@ func (t *Tier) chunk(in *ingest, body io.Reader) (*Manifest, error) {
 			t.drop(key)
 		}
 	}
-	if in.err == nil { // else Close has ended it
-		in.err = err
-	}
+	in.err = err
 	in.cond.Broadcast()
 	if err != nil {
 		return nil, err

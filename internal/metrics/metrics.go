@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,13 +70,14 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// series is one registered time series: a concrete metric or a
-// read-at-scrape callback.
+// series is one registered time series: a read-at-scrape callback or a
+// histogram. lines are its sample lines up to their values, rendered at
+// registration: `name{k="v",...}` for a callback, and for a histogram one
+// per bucket (+Inf last), then _sum's and _count's.
 type series struct {
-	name   string
-	labels string // pre-rendered `{k="v",...}` or ""
-	fn     func() float64
-	hist   *Histogram
+	lines []string
+	fn    func() float64
+	hist  *Histogram
 }
 
 // family groups the series sharing one metric name.
@@ -91,6 +93,14 @@ type Registry struct {
 	mu    sync.Mutex
 	fams  []*family
 	byKey map[string]*family
+	// size bounds the exposition's length: every line's fixed bytes and
+	// the longest value appendValue writes (-2.2250738585072014e-308, 24
+	// bytes), summed as series register.
+	size int
+	// textMu serializes scrapes over text, the buffer they render into,
+	// allocated at size.
+	textMu sync.Mutex
+	text   []byte
 }
 
 // NewRegistry returns an empty registry.
@@ -129,92 +139,101 @@ func (r *Registry) add(name, help, typ string, s *series) {
 		f = &family{name: name, help: help, typ: typ}
 		r.byKey[name] = f
 		r.fams = append(r.fams, f)
+		r.size += len("# HELP  \n# TYPE  \n") + 2*len(name) + len(help) + len(typ)
 	}
 	f.series = append(f.series, s)
+	for _, line := range s.lines {
+		r.size += len(line) + 1 + 24 + 1 // a space, the value, a newline
+	}
 }
 
 // CounterFunc registers a counter whose value is read at scrape time —
 // the zero-hot-path-cost way to export an existing atomic.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	r.add(name, help, "counter", &series{name: name, labels: renderLabels(labels), fn: fn})
+	r.add(name, help, "counter", &series{lines: []string{name + renderLabels(labels)}, fn: fn})
 }
 
 // GaugeFunc registers a gauge whose value is read at scrape time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.add(name, help, "gauge", &series{name: name, labels: renderLabels(labels), fn: fn})
+	r.add(name, help, "gauge", &series{lines: []string{name + renderLabels(labels)}, fn: fn})
 }
 
 // NewHistogramSeries registers and returns a histogram series.
 func (r *Registry) NewHistogramSeries(name, help string, labels Labels, bounds []float64) *Histogram {
 	h := NewHistogram(bounds)
-	r.add(name, help, "histogram", &series{name: name, labels: renderLabels(labels), hist: h})
+	l := renderLabels(labels)
+	le := "{le=" // the bucket label spliced into the others
+	if l != "" {
+		le = l[:len(l)-1] + ",le="
+	}
+	s := &series{hist: h}
+	for _, b := range h.bounds {
+		s.lines = append(s.lines, fmt.Sprintf("%s_bucket%s%q}", name, le, appendValue(nil, b)))
+	}
+	s.lines = append(s.lines, name+"_bucket"+le+`"+Inf"}`, name+"_sum"+l, name+"_count"+l)
+	r.add(name, help, "histogram", s)
 	return h
 }
 
 // WriteText renders every registered family in Prometheus text
-// exposition format.
+// exposition format into a buffer the registry keeps between scrapes, and
+// writes it to w in one Write. The buffer is allocated once, at the bound
+// registration keeps, so a scrape allocates nothing of its own.
 func (r *Registry) WriteText(w io.Writer) error {
+	r.textMu.Lock()
+	defer r.textMu.Unlock()
 	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
+	fams, size := r.fams[:len(r.fams):len(r.fams)], r.size // append-only: the prefix is stable
 	r.mu.Unlock()
+	if cap(r.text) < size {
+		r.text = make([]byte, 0, size)
+	}
+	b := r.text[:0]
 	for _, f := range fams {
 		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-				return err
-			}
+			b = appendStrings(b, "# HELP ", f.name, " ", f.help, "\n")
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
-			return err
-		}
-		for _, s := range f.series {
-			if s.hist != nil {
-				if err := writeHistogram(w, s); err != nil {
-					return err
-				}
+		b = appendStrings(b, "# TYPE ", f.name, " ", f.typ, "\n")
+		r.mu.Lock()
+		series := f.series
+		r.mu.Unlock()
+		for _, s := range series {
+			if s.hist == nil {
+				b = appendSample(b, s.lines[0], s.fn())
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", s.name, s.labels, formatValue(s.fn())); err != nil {
-				return err
+			// Cumulative bucket counts, per the exposition format.
+			h, cum := s.hist, uint64(0)
+			for i := range h.counts {
+				cum += h.counts[i].Load()
+				b = appendSample(b, s.lines[i], float64(cum))
 			}
+			b = appendSample(b, s.lines[len(h.counts)], h.Sum())
+			b = appendSample(b, s.lines[len(h.counts)+1], float64(h.Count()))
 		}
 	}
-	return nil
-}
-
-func writeHistogram(w io.Writer, s *series) error {
-	h := s.hist
-	// Cumulative bucket counts, per the exposition format.
-	var cum uint64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", s.name, withLabel(s.labels, "le", formatValue(bound)), cum); err != nil {
-			return err
-		}
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", s.name, withLabel(s.labels, "le", "+Inf"), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", s.name, s.labels, formatValue(h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", s.name, s.labels, h.Count())
+	r.text = b
+	_, err := w.Write(b)
 	return err
 }
 
-// withLabel splices one extra label into a pre-rendered label block.
-func withLabel(labels, key, value string) string {
-	extra := fmt.Sprintf("%s=%q", key, value)
-	if labels == "" {
-		return "{" + extra + "}"
+// appendStrings appends every string of ss.
+func appendStrings(b []byte, ss ...string) []byte {
+	for _, s := range ss {
+		b = append(b, s...)
 	}
-	return labels[:len(labels)-1] + "," + extra + "}"
+	return b
 }
 
-func formatValue(v float64) string {
+// appendSample appends one sample line: its rendered start, a space and v.
+func appendSample(b []byte, line string, v float64) []byte {
+	return append(appendValue(append(append(b, line...), ' '), v), '\n')
+}
+
+// appendValue appends v as an integer when it is one, else in %g's form.
+func appendValue(b []byte, v float64) []byte {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.AppendInt(b, int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -207,14 +207,6 @@ func (n *Node) Ping(peer string) bool {
 // ring position (replication handoff streams key ranges between nodes).
 func InInterval(id, from, to ID) bool { return between(id, from, to) }
 
-// DropIndex discards the node's cooperative-cache index, simulating the
-// loss of soft state when a node crashes.
-func (n *Node) DropIndex() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.index = make(map[string][]Entry)
-}
-
 // Ring is the overlay membership authority: the set of member nodes plus
 // the ground-truth key-to-node mapping (what every view computes while it
 // suspects no one). Message traffic between nodes goes through Transport.

@@ -210,8 +210,4 @@ func TestLoaderDeployCompilesOnChange(t *testing.T) {
 	if st, gen := l.Deployed(site); st == first || gen != 2 || st.Site != site {
 		t.Errorf("after generation 2: stage %p (first %p), generation %d", st, first, gen)
 	}
-	l.Reset()
-	if st, gen := l.Deployed(site); st != nil || gen != 0 {
-		t.Errorf("Reset kept the deployed stage at generation %d", gen)
-	}
 }

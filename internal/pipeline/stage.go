@@ -361,16 +361,6 @@ func (l *Loader) Generations() map[string]uint64 {
 	return gens
 }
 
-// Reset drops every compiled stage, fetched and deployed, as a process that
-// dies loses them: the next request fetches its scripts again, and a
-// deployment serves again once it is re-applied from its record.
-func (l *Loader) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.stages = make(map[stageKey]*Stage)
-	l.deployed = make(map[string]deployment)
-}
-
 // Validate checks a script bundle before the deployment plane accepts it:
 // the script must parse, every free identifier must resolve against the
 // installed vocabulary, and a canary compile over no-op host operations must

@@ -117,7 +117,7 @@ func TestLogFenceFloorSurvivesCrash(t *testing.T) {
 	if err := l.RaiseFence("s", "lock", "node-c", 3); err != nil {
 		t.Fatal(err)
 	}
-	l.Abandon() // crash
+	l.abandon() // crash
 
 	nl, err := OpenLog(fs, LogConfig{})
 	if err != nil {
@@ -156,7 +156,7 @@ func TestLogFenceFloorSurvivesCompaction(t *testing.T) {
 	if l.Stats().Compactions == 0 {
 		t.Fatal("no compaction happened; raise the churn")
 	}
-	l.Abandon()
+	l.abandon()
 
 	nl, err := OpenLog(fs, cfg)
 	if err != nil {
@@ -217,7 +217,7 @@ func TestDumpWALRecordsAdmissionOrder(t *testing.T) {
 	fencedPut(l, "s", "k", "v1", "lock", "node-a", 1)
 	fencedPut(l, "s", "k", "v2", "lock", "node-a", 1)
 	l.RaiseFence("s", "lock", "node-b", 2)
-	l.Abandon()
+	l.abandon()
 	// A second process generation appends to a fresh WAL file; DumpWAL
 	// must stitch the files in order.
 	nl, err := OpenLog(fs, LogConfig{})

@@ -13,6 +13,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // FS is the narrow filesystem surface the engine runs on. Production nodes
@@ -285,7 +287,8 @@ func (d *DirFS) SyncDir(name string) error {
 // provides: bytes written survive a process crash (they reached the "page
 // cache"), while DropUnsynced simulates a power failure that loses
 // everything not yet fsynced. The cluster harness keeps one MemFS per node
-// name so crash/restart preserves the node's data directory.
+// name, so crash/restart preserves the node's data directory, and gives each
+// process of the node its own View of it.
 type MemFS struct {
 	mu     sync.Mutex
 	files  map[string]*memFile
@@ -301,6 +304,60 @@ type memFile struct {
 // NewMemFS returns an empty in-memory filesystem.
 func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memFile)}
+}
+
+// errRevoked is what every operation through a revoked MemView returns.
+var errRevoked = errors.New("store: filesystem view revoked")
+
+// MemView is one process's view of a MemFS: the same files, until Revoke.
+// From then on every create, open, remove and rename through the view, and
+// every write, sync and read through a handle it opened, fails, as a dead
+// process's descriptors do, while the MemFS keeps every byte written and
+// serves the next process's view. (List and SyncDir, which change nothing,
+// pass through.) It is the refuse-after-a-point fault of ROADMAP item 2's
+// FaultFS in its smallest form.
+type MemView struct {
+	*MemFS
+	revoked atomic.Bool
+}
+
+// View returns a new live view of m.
+func (m *MemFS) View() *MemView { return &MemView{MemFS: m} }
+
+// Revoke makes every later operation through the view and its handles fail.
+func (v *MemView) Revoke() { v.revoked.Store(true) }
+
+// err is errRevoked once v (nil: the MemFS itself) is revoked.
+func (v *MemView) err() error {
+	if v != nil && v.revoked.Load() {
+		return errRevoked
+	}
+	return nil
+}
+
+// Create implements FS.
+func (v *MemView) Create(name string) (File, error) { return v.open(name, true, v) }
+
+// OpenAppend implements FS.
+func (v *MemView) OpenAppend(name string) (File, error) { return v.open(name, false, v) }
+
+// Open implements FS.
+func (v *MemView) Open(name string) (io.ReadCloser, error) { return v.read(name, v) }
+
+// Remove implements FS.
+func (v *MemView) Remove(name string) error {
+	if err := v.err(); err != nil {
+		return err
+	}
+	return v.MemFS.Remove(name)
+}
+
+// Rename implements FS.
+func (v *MemView) Rename(oldName, newName string) error {
+	if err := v.err(); err != nil {
+		return err
+	}
+	return v.MemFS.Rename(oldName, newName)
 }
 
 // Writes returns the number of Write calls observed (bench/test telemetry).
@@ -331,12 +388,17 @@ func (m *MemFS) DropUnsynced() {
 	}
 }
 
+// memHandle is a write handle, opened through view (nil: the MemFS itself).
 type memHandle struct {
 	fs   *MemFS
 	file *memFile
+	view *MemView
 }
 
 func (h *memHandle) Write(p []byte) (int, error) {
+	if err := h.view.err(); err != nil {
+		return 0, err
+	}
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	h.file.data = append(h.file.data, p...)
@@ -345,6 +407,9 @@ func (h *memHandle) Write(p []byte) (int, error) {
 }
 
 func (h *memHandle) Sync() error {
+	if err := h.view.err(); err != nil {
+		return err
+	}
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	h.file.synced = len(h.file.data)
@@ -352,24 +417,21 @@ func (h *memHandle) Sync() error {
 	return nil
 }
 
-func (h *memHandle) Close() error { return nil }
+func (h *memHandle) Close() error { return h.view.err() }
 
 // Create implements FS. An existing file is truncated in place, as O_TRUNC
 // does: a handle opened on it before reads the new bytes.
-func (m *MemFS) Create(name string) (File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok {
-		f = &memFile{}
-		m.files[name] = f
-	}
-	f.data, f.synced = nil, 0
-	return &memHandle{fs: m, file: f}, nil
-}
+func (m *MemFS) Create(name string) (File, error) { return m.open(name, true, nil) }
 
 // OpenAppend implements FS.
-func (m *MemFS) OpenAppend(name string) (File, error) {
+func (m *MemFS) OpenAppend(name string) (File, error) { return m.open(name, false, nil) }
+
+// open opens name for writing through view, creating it if missing and
+// emptying it when trunc is set.
+func (m *MemFS) open(name string, trunc bool, view *MemView) (File, error) {
+	if err := view.err(); err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f, ok := m.files[name]
@@ -377,29 +439,39 @@ func (m *MemFS) OpenAppend(name string) (File, error) {
 		f = &memFile{}
 		m.files[name] = f
 	}
-	return &memHandle{fs: m, file: f}, nil
+	if trunc {
+		f.data, f.synced = nil, 0
+	}
+	return &memHandle{fs: m, file: f, view: view}, nil
 }
 
 // Open implements FS.
-func (m *MemFS) Open(name string) (io.ReadCloser, error) {
+func (m *MemFS) Open(name string) (io.ReadCloser, error) { return m.read(name, nil) }
+
+// read opens name for reading through view.
+func (m *MemFS) read(name string, view *MemView) (io.ReadCloser, error) {
+	if err := view.err(); err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f, ok := m.files[name]
 	if !ok {
 		return nil, fmt.Errorf("store: open %s: %w", name, os.ErrNotExist)
 	}
-	return &memReader{fs: m, file: f}, nil
+	return &memReader{fs: m, file: f, view: view}, nil
 }
 
 // memReader is a read handle on the file itself, not on a copy: like a
 // descriptor it sees bytes appended after Open, ends where a truncation
 // (DropUnsynced, Create) left the file, keeps reading a file that was
-// removed or renamed over, and reads nothing once closed (os.ErrClosed).
-// Every read is taken under the filesystem's lock and bounded by the file's
-// length at that moment.
+// removed or renamed over, and reads nothing once closed (os.ErrClosed) or
+// once its view is revoked. Every read is taken under the filesystem's lock
+// and bounded by the file's length at that moment.
 type memReader struct {
 	fs     *MemFS
 	file   *memFile
+	view   *MemView
 	off    int
 	closed bool
 }
@@ -417,6 +489,9 @@ func (r *memReader) Read(p []byte) (int, error) {
 func (r *memReader) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("store: read at negative offset %d", off)
+	}
+	if err := r.view.err(); err != nil {
+		return 0, err
 	}
 	r.fs.mu.Lock()
 	defer r.fs.mu.Unlock()

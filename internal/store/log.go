@@ -295,7 +295,7 @@ func (l *Log) failStop(err error) {
 	if err == ErrClosed {
 		return // a crash/shutdown race, not a broken disk
 	}
-	l.Abandon()
+	l.abandon()
 }
 
 // Keys returns site's keys, sorted.
@@ -325,11 +325,10 @@ func (l *Log) Close() error {
 	return wal.Close()
 }
 
-// Abandon drops the engine without flushing, as an abrupt process death
-// would: unacknowledged records are lost, in-flight writers fail with
-// ErrClosed, the in-memory index is discarded, and the files keep exactly
-// the bytes already written. The cluster harness calls this on crash.
-func (l *Log) Abandon() {
+// abandon drops the engine without flushing: unacknowledged records are
+// lost, in-flight writers fail with ErrClosed, the in-memory index is
+// discarded, and the files keep exactly the bytes already written.
+func (l *Log) abandon() {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

@@ -123,7 +123,7 @@ func TestLogAbandonLosesNothingAcknowledged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l.Abandon()
+	l.abandon()
 	if err := l.Put("s", "after", "crash"); err != ErrClosed {
 		t.Fatalf("put after abandon = %v, want ErrClosed", err)
 	}
@@ -186,7 +186,7 @@ func TestLogRecoverAcrossCompactionCrash(t *testing.T) {
 	l.Put("s", "b", "2")
 	l.maybeCompactForce(t)
 	l.Put("s", "a", "3")
-	l.Abandon()
+	l.abandon()
 
 	nl, err := OpenLog(fs, LogConfig{CompactBytes: -1})
 	if err != nil {
@@ -300,7 +300,7 @@ func TestPowerFailureLosesOnlyUnsynced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l.Abandon()
+	l.abandon()
 	fs.DropUnsynced()
 	nl, err := OpenLog(fs, LogConfig{})
 	if err != nil {

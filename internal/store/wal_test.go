@@ -105,7 +105,7 @@ func TestTornTailEngineRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l.Abandon()
+	l.abandon()
 	walFile := walName(1)
 	full, err := ReadAll(fs, walFile)
 	if err != nil {
