@@ -109,9 +109,7 @@ func serveMetrics(node Node) *httpmsg.Response {
 	if reg == nil {
 		return httpmsg.NewErrorResponse(http.StatusServiceUnavailable, "metrics disabled on this node")
 	}
-	var b bytes.Buffer
-	_ = reg.WriteText(&b)
-	return reply(http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", b.Bytes())
+	return reply(http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", reg.Text())
 }
 
 func serveTraces(node Node, req *httpmsg.Request) *httpmsg.Response {

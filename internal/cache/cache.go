@@ -245,6 +245,11 @@ func (c *Cache) Expiry(h httpmsg.Header, now time.Time) time.Time {
 // freshness lifetime), so at the expiry instant itself it is stale.
 func Expired(expires, now time.Time) bool { return !expires.After(now) }
 
+// StaleIfError is how long past its expiry a copy whose refetch failed may
+// still serve: RFC 5861 §4's stale-if-error, as one node constant. The
+// pipeline's stages serve their last good script by it.
+const StaleIfError = 5 * time.Minute
+
 // Kept is the rule by which every tier keeps a copy with header h that
 // expires at expires: while it is fresh, and once it has expired only for its
 // validators (an ETag or a Last-Modified), by which the fetch chain's

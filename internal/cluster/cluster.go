@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nakika/internal/core"
@@ -95,13 +96,43 @@ type Cluster struct {
 
 // member is one node: the Config every process of it is built from, its
 // data filesystem (Persist mode), which outlives its processes as a disk
-// does, and the running process with its view of that filesystem (nil
-// while crashed).
+// does, and the running process with its view of that filesystem and its
+// handle on the network (nil while crashed).
 type member struct {
 	cfg  core.Config
 	fs   *store.MemFS
 	view *store.MemView
+	tr   *procTransport
 	node *core.Node
+}
+
+// procTransport is one process's handle on the network: the transport its
+// Config names (the Sim, unless a test wraps it), until Crash revokes it.
+// Then every call the dead process still makes fails as its sockets would,
+// and it can no longer register or unregister the name a new process of
+// the node serves.
+type procTransport struct {
+	transport.Transport
+	dead atomic.Bool
+}
+
+func (p *procTransport) Call(from, to string, msg transport.Message) (transport.Message, error) {
+	if p.dead.Load() {
+		return transport.Message{}, fmt.Errorf("%w: %s is a dead process", transport.ErrUnreachable, from)
+	}
+	return p.Transport.Call(from, to, msg)
+}
+
+func (p *procTransport) Register(name string, h transport.Handler) {
+	if !p.dead.Load() {
+		p.Transport.Register(name, h)
+	}
+}
+
+func (p *procTransport) Unregister(name string) {
+	if !p.dead.Load() {
+		p.Transport.Unregister(name)
+	}
 }
 
 // pendingDeploy is one DSL deploy directive awaiting execution.
@@ -164,7 +195,8 @@ func (c *Cluster) boot(i int, origin core.Fetcher) (*core.Node, error) {
 }
 
 // start runs a new process of the named member: core.NewNode with its
-// Config, over a fresh view of its data filesystem in Persist mode.
+// Config, on a handle of its own on the network and, in Persist mode, over
+// a fresh view of its data filesystem.
 func (c *Cluster) start(name string, m *member) (*core.Node, error) {
 	cfg := m.cfg
 	var view *store.MemView
@@ -172,10 +204,15 @@ func (c *Cluster) start(name string, m *member) (*core.Node, error) {
 		view = m.fs.View()
 		cfg.DataFS = view
 	}
+	tr := &procTransport{Transport: cfg.Transport}
+	if tr.Transport == nil {
+		tr.Transport = c.Ring.Transport
+	}
+	cfg.Transport = tr
 	n, err := core.NewNode(cfg)
 	if err == nil {
 		c.mu.Lock()
-		c.members[name], m.node, m.view = m, n, view
+		c.members[name], m.node, m.view, m.tr = m, n, view, tr
 		c.mu.Unlock()
 	}
 	return n, err
@@ -243,10 +280,12 @@ func (c *Cluster) Partition(groups ...[]string) { c.Sim.Partition(groups...) }
 // Heal removes every partition.
 func (c *Cluster) Heal() { c.Sim.Heal() }
 
-// Crash kills a node's process. Its network endpoint goes down; its view
-// of its data filesystem is revoked, so every operation the dead process
-// still runs through it fails, as a dead process's descriptors do; and the
-// harness drops its *core.Node, with every volatile structure in it. In
+// Crash kills a node's process. Its network endpoint goes down; its
+// handle on the network and its view of its data filesystem are revoked,
+// so every call and every file operation the dead process still runs
+// through them fails, as a dead process's sockets and descriptors do, even
+// once the name is restarted; and the harness drops its *core.Node, with
+// every volatile structure in it. In
 // Persist mode the data filesystem keeps every byte already written, as a
 // disk does when only the process dies. Losing the unsynced bytes too is a
 // power loss (store.MemFS.DropUnsynced), which tests inject themselves.
@@ -258,7 +297,10 @@ func (c *Cluster) Crash(name string) {
 		if m.view != nil {
 			m.view.Revoke()
 		}
-		m.node, m.view = nil, nil
+		if m.tr != nil {
+			m.tr.dead.Store(true)
+		}
+		m.node, m.view, m.tr = nil, nil, nil
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"nakika/internal/core"
 	"nakika/internal/resource"
+	"nakika/internal/transport"
 )
 
 // A crash is a process death and a restart a new process: nothing a node
@@ -130,5 +132,36 @@ func TestRestartDropsSiteThrottles(t *testing.T) {
 	}
 	if got := admitted(res); got != 100 {
 		t.Errorf("the restarted node admitted %d of 100 requests of the site, want every one", got)
+	}
+}
+
+// TestDeadProcessReachesNoReplica: a test that holds a node's process
+// across a restart holds a dead one, and the restarted name does not revive
+// it: the dead process's handle on the network was revoked with it, so its
+// writes fail as unreachable and reach no replica.
+func TestDeadProcessReachesNoReplica(t *testing.T) {
+	c, err := New(Config{N: 4, Seed: 1, Latency: time.Millisecond, Replication: 3}, NewCountingOrigin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.StabilizeAll(4)
+	const site, name = "dead.example.org", "node-0"
+	dead := c.NodeByName(name)
+	c.Restart(name)
+	c.StabilizeAll(4)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		key := fmt.Sprintf("k-%d", i)
+		err := dead.StatePut(site, key, "from the dead")
+		if !errors.Is(err, transport.ErrUnreachable) {
+			t.Errorf("the dead process's write of %s: %v, want %v", key, err, transport.ErrUnreachable)
+		}
+		for _, n := range c.Names() {
+			if _, v, _, ok := c.NodeByName(n).LocalStateRecord(site, key); ok {
+				t.Errorf("the dead process's write of %s reached %s: %q", key, n, v)
+			}
+		}
 	}
 }

@@ -128,8 +128,11 @@ func TestRedirectSuffixKeepsPortAndIgnoresCase(t *testing.T) {
 // request's connection and is counted; the next connection is served.
 func TestServeRecoversUpstreamPanic(t *testing.T) {
 	upstream := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
-		if req.URL.Path == "/boom" {
+		switch req.URL.Path {
+		case "/boom":
 			panic("upstream exploded")
+		case "/nakika.js":
+			return httpmsg.NewTextResponse(404, "no script"), nil
 		}
 		return httpmsg.NewTextResponse(200, "fine"), nil
 	})
@@ -186,8 +189,11 @@ func TestServeRefusesMalformed(t *testing.T) {
 func TestDrainFinishesInFlightAndClosesIdle(t *testing.T) {
 	release := make(chan struct{})
 	upstream := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
-		if req.URL.Path == "/slow" {
+		switch req.URL.Path {
+		case "/slow":
 			<-release
+		case "/nakika.js":
+			return httpmsg.NewTextResponse(404, "no script"), nil
 		}
 		return httpmsg.NewTextResponse(200, "done"), nil
 	})

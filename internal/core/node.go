@@ -391,6 +391,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.res = resource.NewManager(cfg.Resources)
 	n.res.SetEnabled(cfg.EnableResources)
 	n.loader = pipeline.NewLoader(hostAdapter{n}, cfg.ScriptLimits)
+	n.loader.Expiry = n.cache.Expiry
 	n.loader.ForkCharge = func(site string, heapBytes int64) {
 		n.res.Charge(site, resource.Memory, float64(heapBytes))
 	}

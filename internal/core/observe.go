@@ -267,6 +267,16 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_deploys_total", "", metrics.Labels{"outcome": "rollback"}, cv(&n.deployRolled))
 	r.CounterFunc("nakika_deploys_total", "", metrics.Labels{"outcome": "compile_error"}, cv(&n.deployCompErr))
 
+	help = "Stage script fetches by outcome: a new stage compiled, the served one kept for unchanged bytes, a missing script (4xx), the last good stage kept serving past a failure, a failure with no stage to serve."
+	for _, result := range pipeline.LoadResults {
+		r.CounterFunc("nakika_stage_loads_total", help, metrics.Labels{"result": result}, func() float64 { return float64(n.loader.Loads(result)) })
+		help = ""
+	}
+	r.CounterFunc("nakika_stage_refusals_total", "Requests refused with a 503 because a stage failed to load with no good stage to serve, by the stage's kind.", metrics.Labels{"kind": "wall"},
+		func() float64 { wall, _ := n.executor.Refusals(); return float64(wall) })
+	r.CounterFunc("nakika_stage_refusals_total", "", metrics.Labels{"kind": "site"},
+		func() float64 { _, site := n.executor.Refusals(); return float64(site) })
+
 	for reason := httpmsg.Reason(0); reason < httpmsg.NumReasons; reason++ {
 		help := ""
 		if reason == 0 {

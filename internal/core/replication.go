@@ -267,7 +267,7 @@ func (n *Node) ownerWrite(rec state.Rec, fence *leaseFenced) error {
 		}
 		pushes := n.sendPushes(stored, fence)
 		durable := commit.Wait()
-		acks, staleVer, fenced := n.collectPushes(pushes)
+		acks, staleVer, fenced, pushErr := n.collectPushes(pushes)
 		switch {
 		case durable != nil:
 			return durable
@@ -285,7 +285,7 @@ func (n *Node) ownerWrite(rec state.Rec, fence *leaseFenced) error {
 		case len(pushes) == 0 || acks > 0:
 			return nil
 		default:
-			return fmt.Errorf("core: write %s/%s durable locally but none of %d replicas acknowledged", rec.Site, rec.Key, len(pushes))
+			return fmt.Errorf("core: write %s/%s durable locally but none of %d replicas acknowledged: %w", rec.Site, rec.Key, len(pushes), pushErr)
 		}
 	}
 	return fmt.Errorf("core: write %s/%s: replicas kept superseding the write", rec.Site, rec.Key)
@@ -319,11 +319,13 @@ func (n *Node) sendPushes(rec state.Rec, fence *leaseFenced) []pendingCall {
 
 // collectPushes waits for every push's reply. It returns how many replicas
 // applied the record, the newest version a replica reported when rejecting
-// it as stale, and whether any replica's fence floor rejected it.
-func (n *Node) collectPushes(pushes []pendingCall) (acks int, staleVer uint64, fenced bool) {
+// it as stale, whether any replica's fence floor rejected it, and the last
+// push that failed to deliver.
+func (n *Node) collectPushes(pushes []pendingCall) (acks int, staleVer uint64, fenced bool, err error) {
 	for _, p := range pushes {
-		reply, err := n.collect(p)
-		if err != nil {
+		reply, perr := n.collect(p)
+		if perr != nil {
+			err = perr
 			continue
 		}
 		switch replyStatus(reply) {
@@ -340,7 +342,7 @@ func (n *Node) collectPushes(pushes []pendingCall) (acks int, staleVer uint64, f
 			n.repPushes.Add(1)
 		}
 	}
-	return acks, staleVer, fenced
+	return acks, staleVer, fenced, err
 }
 
 // applyPush is the replica side of a push (and of a handoff record): store

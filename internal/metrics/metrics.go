@@ -10,6 +10,7 @@
 package metrics
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -182,6 +183,21 @@ func (r *Registry) NewHistogramSeries(name, help string, labels Labels, bounds [
 func (r *Registry) WriteText(w io.Writer) error {
 	r.textMu.Lock()
 	defer r.textMu.Unlock()
+	_, err := w.Write(r.render())
+	return err
+}
+
+// Text returns the exposition WriteText writes in a slice of its own, for
+// a caller that keeps it past the scrape: one allocation of its length.
+func (r *Registry) Text() []byte {
+	r.textMu.Lock()
+	defer r.textMu.Unlock()
+	return bytes.Clone(r.render())
+}
+
+// render renders the exposition into the kept buffer and returns it; the
+// caller holds textMu.
+func (r *Registry) render() []byte {
 	r.mu.Lock()
 	fams, size := r.fams[:len(r.fams):len(r.fams)], r.size // append-only: the prefix is stable
 	r.mu.Unlock()
@@ -213,8 +229,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	r.text = b
-	_, err := w.Write(b)
-	return err
+	return b
 }
 
 // appendStrings appends every string of ss.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -50,6 +51,17 @@ type Executor struct {
 	// ClientHostLookup maps a client IP to a hostname for client predicates;
 	// nil means no hostname information.
 	ClientHostLookup func(ip string) string
+
+	// refusals counts the requests refused because a wall (0) or another
+	// stage (1) failed to load with no stage to serve.
+	refusals [2]atomic.Int64
+}
+
+// Refusals returns how many requests were refused (503, Retry-After)
+// because a stage failed to load with no good stage to serve: a wall, or a
+// site's script or a stage it scheduled.
+func (e *Executor) Refusals() (wall, site int64) {
+	return e.refusals[0].Load(), e.refusals[1].Load()
 }
 
 // StageTrace records one executed stage for diagnostics and benchmarks.
@@ -228,10 +240,17 @@ func (e *Executor) ExecuteInto(req *httpmsg.Request, trace *Trace) (*httpmsg.Res
 		if deployedStage != nil && scriptURL == siteScriptURL {
 			stage = deployedStage
 		} else {
-			stage, err = e.Loader.Load(scriptURL, site)
+			stage, err = e.Loader.load(scriptURL, site, start)
 		}
 		if err != nil {
 			st.Err = err.Error()
+		}
+		if stage == nil {
+			// The stage failed to load and has no good stage to serve: a wall
+			// or a site script may be an access control, so the request fails
+			// closed instead of running without it.
+			trace.Stages = append(trace.Stages, st)
+			return e.refuse(site, scriptURL, req, trace, start), nil
 		}
 		pol := stage.Match(e.policyInput(req))
 		if pol != nil {
@@ -334,6 +353,21 @@ func (e *Executor) ExecuteInto(req *httpmsg.Request, trace *Trace) (*httpmsg.Res
 	trace.Elapsed = e.since(start)
 	e.charge(site, req, response, trace)
 	return response, nil
+}
+
+// refuse answers a request whose stage at scriptURL failed to load: 503,
+// with Retry-After at the loader's back-off.
+func (e *Executor) refuse(site, scriptURL string, req *httpmsg.Request, trace *Trace, start time.Time) *httpmsg.Response {
+	if scriptURL == e.ClientWallURL || scriptURL == e.ServerWallURL {
+		e.refusals[0].Add(1)
+	} else {
+		e.refusals[1].Add(1)
+	}
+	trace.Elapsed = e.since(start)
+	e.charge(site, req, nil, trace)
+	resp := httpmsg.NewTextResponse(http.StatusServiceUnavailable, "stage unavailable\n")
+	resp.Header.Set("Retry-After", strconv.Itoa(int(failBackoff/time.Second)))
+	return resp
 }
 
 // stopsPipeline reports whether a handler's error is a kill or a sandbox

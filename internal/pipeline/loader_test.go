@@ -55,7 +55,7 @@ func TestLoaderStampedeCompilesOnce(t *testing.T) {
 	close(h.release)
 
 	first := <-stages
-	if first == nil || first.Empty {
+	if first == nil || len(first.Policies()) == 0 {
 		t.Fatalf("stage = %+v, want the compiled script", first)
 	}
 	for i := 1; i < callers; i++ {
@@ -69,10 +69,11 @@ func TestLoaderStampedeCompilesOnce(t *testing.T) {
 }
 
 // firstAnswerHost gives the first fetch first's answer, and serves every
-// later one from the script host.
+// later one from the script host, on a clock the test sets.
 type firstAnswerHost struct {
 	*scriptHost
 	first func() (*httpmsg.Response, error)
+	now   time.Time
 }
 
 func (h *firstAnswerHost) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
@@ -83,38 +84,51 @@ func (h *firstAnswerHost) Fetch(req *httpmsg.Request) (*httpmsg.Response, error)
 	return h.scriptHost.Fetch(req)
 }
 
+func (h *firstAnswerHost) Now() time.Time { return h.now }
+
 // TestLoaderRemembersOnlyNoScript: a node that boots before its origin sees
-// its first nakika.js fetch fail. That is not an answer: the load serves no
-// stage, remembers nothing, and the next load fetches and compiles the
-// script. The same goes for a 5xx. A 404 is an answer — the site has no
-// script — and is remembered without a second fetch.
+// its first nakika.js fetch fail. That is not an answer, and the script may
+// be an access control: the load fails closed (no stage), and holds that
+// failure for the back-off without another fetch. Once the back-off ends the
+// next load fetches and compiles the script. The same goes for a 5xx. A 404
+// is an answer — the site has no script — and is remembered without a
+// second fetch.
 func TestLoaderRemembersOnlyNoScript(t *testing.T) {
 	const url = "http://late.example.org/nakika.js"
 	for _, c := range []struct {
-		name    string
-		first   func() (*httpmsg.Response, error)
-		retried bool
+		name   string
+		first  func() (*httpmsg.Response, error)
+		failed bool
 	}{
 		{"fetch error", func() (*httpmsg.Response, error) { return nil, errors.New("dial tcp: connection refused") }, true},
 		{"503", func() (*httpmsg.Response, error) { return httpmsg.NewTextResponse(503, "origin starting"), nil }, true},
 		{"404", func() (*httpmsg.Response, error) { return httpmsg.NewTextResponse(404, "not found"), nil }, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			h := &firstAnswerHost{scriptHost: newScriptHost(), first: c.first}
+			h := &firstAnswerHost{scriptHost: newScriptHost(), first: c.first, now: time.Unix(1e9, 0)}
 			h.scripts[url] = `var p = new Policy(); p.onResponse = function() {}; p.register();`
 			l := NewLoader(h, script.Limits{})
-			if st, err := l.Load(url, "late.example.org"); err != nil || !st.Empty {
-				t.Fatalf("first load: %+v, %v; want the empty stage", st, err)
-			}
 			st, err := l.Load(url, "late.example.org")
+			if c.failed && (st != nil || err == nil) {
+				t.Fatalf("first load: %+v, %v; want no stage and the failure", st, err)
+			}
+			if !c.failed && (st == nil || len(st.Policies()) != 0 || err != nil) {
+				t.Fatalf("first load: %+v, %v; want the missing script's stage", st, err)
+			}
+			h.now = h.now.Add(failBackoff - time.Millisecond)
+			if again, _ := l.Load(url, "late.example.org"); again != st || len(h.fetches) != 0 {
+				t.Errorf("a load within the back-off: %+v after %d more fetches; want the first answer, remembered", again, len(h.fetches))
+			}
+			h.now = h.now.Add(time.Millisecond)
+			st, err = l.Load(url, "late.example.org")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.retried && (st.Empty || len(h.fetches) != 1) {
-				t.Errorf("second load: empty %v after %d fetches of the served script; want it compiled", st.Empty, len(h.fetches))
+			if c.failed && (st == nil || len(st.Policies()) != 1 || len(h.fetches) != 1) {
+				t.Errorf("the load after the back-off: %+v after %d fetches of the served script; want it compiled", st, len(h.fetches))
 			}
-			if !c.retried && (!st.Empty || len(h.fetches) != 0) {
-				t.Errorf("second load: empty %v after %d more fetches; want the remembered empty stage", st.Empty, len(h.fetches))
+			if !c.failed && (len(st.Policies()) != 0 || len(h.fetches) != 0) {
+				t.Errorf("the load after the back-off: %+v after %d more fetches; want the remembered missing script", st, len(h.fetches))
 			}
 		})
 	}
@@ -149,7 +163,7 @@ func TestLoaderKeysStagesBySite(t *testing.T) {
 	close(h.release)
 	for site, ch := range stages {
 		st := <-ch
-		if st == nil || st.Empty || st.Site != site {
+		if st == nil || len(st.Policies()) == 0 || st.Site != site {
 			t.Fatalf("the load for %s got %+v, want a stage compiled for it", site, st)
 		}
 		if again, _ := l.Load(url, site); again != st {

@@ -435,20 +435,32 @@ func TestClosestMatchWithinStage(t *testing.T) {
 	}
 }
 
+// TestBrokenScriptDoesNotBreakPipeline: a site script that does not compile
+// fails its site's requests closed, with a 503 and Retry-After and the
+// compile error in the trace, instead of serving the origin's body without
+// the script; other sites on the same executor are served as before.
 func TestBrokenScriptDoesNotBreakPipeline(t *testing.T) {
 	h := newScriptHost()
-	h.origin["http://broken.example.org/x"] = "still served"
+	h.origin["http://broken.example.org/x"] = "not without the script"
+	h.origin["http://fine.example.org/x"] = "still served"
 	h.scripts["http://broken.example.org/nakika.js"] = `this is not valid javascript ((`
 	e := newExecutor(h)
 	resp, trace, err := e.Execute(httpmsg.MustRequest("GET", "http://broken.example.org/x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 200 || string(resp.Body) != "still served" {
-		t.Errorf("resp = %d %q", resp.Status, resp.Body)
+	if resp.Status != 503 || resp.Header.Get("Retry-After") != "1" || string(resp.Body) == "not without the script" {
+		t.Errorf("resp = %d %q, Retry-After %q; want 503 and a retry after the back-off", resp.Status, resp.Body, resp.Header.Get("Retry-After"))
 	}
-	if trace.Stages[1].Err == "" {
-		t.Error("trace should record the script error")
+	if len(trace.Stages) != 2 || trace.Stages[1].Err == "" {
+		t.Errorf("stages %+v: the trace should record the script error", trace.Stages)
+	}
+	if wall, site := e.Refusals(); wall != 0 || site != 1 {
+		t.Errorf("refusals: wall %d, site %d; want one site refusal", wall, site)
+	}
+	resp, _, err = e.Execute(httpmsg.MustRequest("GET", "http://fine.example.org/x"))
+	if err != nil || resp.Status != 200 || string(resp.Body) != "still served" {
+		t.Errorf("another site: %+v, %v", resp, err)
 	}
 }
 
@@ -711,7 +723,7 @@ func TestLoadSourceStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stage.Empty || len(stage.Policies()) != 1 {
+	if len(stage.Policies()) != 1 {
 		t.Fatalf("stage = %+v", stage)
 	}
 	in := policy.Input{Host: "blocked.example.org", Path: "/", Method: "GET"}

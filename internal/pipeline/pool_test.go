@@ -219,10 +219,10 @@ func TestPoolInstanceRecoversAfterLimit(t *testing.T) {
 	}
 }
 
-// TestEmptyStageHasNoRun verifies that negative-cached stages report a usable
-// error instead of handing out a nil context.
+// TestEmptyStageHasNoRun verifies that a missing script's stage, which has
+// no policies, reports a usable error instead of handing out a nil context.
 func TestEmptyStageHasNoRun(t *testing.T) {
-	st := &Stage{URL: "http://none.example.org/nakika.js", Empty: true}
+	st := &Stage{URL: "http://none.example.org/nakika.js"}
 	if err := st.WithRun(func(run *Run) error { return nil }); err == nil {
 		t.Error("empty stage should refuse to run handlers")
 	}

@@ -6,10 +6,14 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"nakika/internal/cache"
 	"nakika/internal/deploy"
@@ -37,9 +41,6 @@ type Stage struct {
 	// Site is the site the stage was compiled for: its vocabulary reaches
 	// that site's partitions, and its resource consumption is charged to it.
 	Site string
-	// Empty marks a stage whose script does not exist (negative cache), for
-	// example a site without a nakika.js.
-	Empty bool
 
 	pristine *script.Context
 	tree     *policy.Tree
@@ -91,9 +92,10 @@ func newStage(url, site string, pristine *script.Context, tree *policy.Tree, poo
 	return s
 }
 
-// Match returns the closest valid policy for the input, or nil.
+// Match returns the closest valid policy for the input, or nil. A stage
+// without a tree, a missing script's, matches nothing.
 func (s *Stage) Match(in policy.Input) *policy.Policy {
-	if s.Empty || s.tree == nil {
+	if s.tree == nil {
 		return nil
 	}
 	return s.tree.Match(in)
@@ -193,6 +195,17 @@ func (s *Stage) fork() *stageInstance {
 // compiled, so one script URL compiles once per site it serves. Beside the
 // fetched stages it keeps each site's deployed stage (see Deploy), the one
 // that serves the site's nakika.js while a deployment is active.
+//
+// A fetched stage is a web object and lives by the HTTP rules of every
+// cached copy: it is fresh until its script's answer expires (Expiry), then
+// the next Load fetches the script again. Every entry, fetched, missing,
+// failed or deployed, changes by one rule (swap): a new stage is compiled
+// only when the script text differs from what the entry serves, before the
+// swap, and a compile that fails leaves the old stage serving. A load that
+// gets no usable answer keeps the last good stage serving for
+// cache.StaleIfError past its expiry; with none it fails closed, and the
+// executor refuses the request with a 503. Either failure is held for
+// failBackoff, so a dead script URL costs one fetch per back-off.
 type Loader struct {
 	// Host provides script fetching and the vocabularies installed into
 	// stage contexts.
@@ -203,160 +216,259 @@ type Loader struct {
 	// pristine context's heap size whenever a new pool context is forked, so
 	// the node can charge context replication to the site's resource budget.
 	ForkCharge func(site string, heapBytes int64)
+	// Expiry returns the instant a script's answer with header h, obtained
+	// at now, stops being fresh; the node hands it its cache's
+	// (cache.Cache.Expiry), so a stage expires as a cached copy of its
+	// script does. Nil keeps a fetched stage until the loader drops it.
+	Expiry func(h httpmsg.Header, now time.Time) time.Time
 	// poolSize bounds every stage's pool of ready contexts; zero means
 	// DefaultContextPoolSize().
 	poolSize int
 
 	mu sync.RWMutex
-	// stages holds fetched stages by (site, script URL), and for a script
-	// URL known not to exist the Empty stage every request for it shares,
-	// so the (very hot) no-script path costs one lookup and allocates
-	// nothing. It holds at most maxStages entries.
-	stages map[stageKey]*Stage
-	// deployed holds each site's deployed stage; it is never evicted.
-	deployed map[string]deployment
+	// stages holds an entry per fetched (site, script URL), and each site's
+	// deployed stage under (site, ""). It holds at most maxStages fetched
+	// entries.
+	stages map[stageKey]*entry
 
-	// loads coalesces concurrent cold loads of one (site, script URL) so a
-	// stampede on a scripted site evaluates the script once instead of
-	// once per request.
+	// loads coalesces concurrent loads of one (site, script URL) so a
+	// stampede on a scripted site fetches and evaluates the script once
+	// instead of once per request.
 	loads cache.Group[*Stage]
+	// results counts the loads that fetched a script, by LoadResults.
+	results [len(LoadResults)]atomic.Int64
 }
 
 // maxStages bounds the loader's fetched stages; past it, storing one drops
 // an arbitrary other (rebuilding a stage costs one fetch and compile).
 const maxStages = 4096
 
-// stageKey names a fetched stage: the script URL and the site it runs for.
+// failBackoff is how long a load that got no usable answer is held before
+// the script is fetched again.
+const failBackoff = time.Second
+
+// forever is the expiry of an entry that never expires: a deployed stage,
+// or a fetched one when the loader has no Expiry.
+var forever = time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// LoadResults names how a load that fetched a script ended (see
+// Loader.Loads): a new stage compiled, the served stage kept because the
+// script was unchanged, the script missing (a 4xx), the last good stage kept
+// serving past a failure, or a failure with no stage to serve.
+var LoadResults = [...]string{"compiled", "revalidated", "missing", "stale", "failed"}
+
+// errUnavailable is the error of a load that failed with no stage to serve.
+var errUnavailable = errors.New("pipeline: stage unavailable")
+
+// stageKey names an entry: the script URL and the site it runs for, with an
+// empty URL for the site's deployed stage.
 type stageKey struct{ site, url string }
 
-// deployment is one site's deployed stage with the generation and script
-// text it was built from, the content key that makes Deploy idempotent.
-type deployment struct {
-	gen    uint64
+// entry is what the loader keeps under one stageKey, in one shape for every
+// kind of stage.
+type entry struct {
+	// stage is nil after a load that failed with no good stage to serve; a
+	// missing script's stage has no policies.
+	stage *Stage
+	// source and gen are what stage was built from: the script text and the
+	// deployment generation (0 for a fetched script), compared by swap.
 	source string
-	stage  *Stage
+	gen    uint64
+	// expires is when Load fetches the script again: its answer's expiry, a
+	// failure's back-off, or forever. staleUntil bounds how long stage
+	// serves on across failed fetches: its answer's expiry plus
+	// cache.StaleIfError.
+	expires, staleUntil time.Time
+}
+
+// served returns what the entry serves: its stage, or errUnavailable.
+func (e *entry) served() (*Stage, error) {
+	if e.stage == nil {
+		return nil, errUnavailable
+	}
+	return e.stage, nil
 }
 
 // NewLoader returns a loader backed by host.
 func NewLoader(host vocab.Host, limits script.Limits) *Loader {
 	return &Loader{
-		Host:     host,
-		Limits:   limits,
-		stages:   make(map[stageKey]*Stage),
-		deployed: make(map[string]deployment),
+		Host:   host,
+		Limits: limits,
+		stages: make(map[stageKey]*entry),
 	}
 }
 
-// Load returns site's stage for scriptURL. A script the origin says is not
-// there (a non-200 answer below 500) yields an Empty stage that is kept; a
-// failed fetch or a 5xx yields one that is not. Concurrent cold loads of
-// the same (site, URL) coalesce into one fetch+compile.
+// Load returns site's stage for scriptURL, fetching the script when the
+// stage kept for it has expired (see Loader). It returns a nil stage when
+// the load failed with no good stage to serve; an error with a stage
+// reports a failure the stage serves on through. Concurrent loads of the
+// same (site, URL) coalesce into one fetch and compile.
 func (l *Loader) Load(scriptURL, site string) (*Stage, error) {
-	if st := l.stage(stageKey{site, scriptURL}); st != nil {
-		return st, nil
+	return l.load(scriptURL, site, l.Host.Now())
+}
+
+// load is Load at now, the instant the executor read when its request
+// began, so a fresh stage costs one compare and no clock read.
+func (l *Loader) load(scriptURL, site string, now time.Time) (*Stage, error) {
+	k := stageKey{site, scriptURL}
+	if e := l.entry(k); e != nil && now.Before(e.expires) {
+		return e.served()
 	}
 	st, _, _, err := l.loads.Do(site+"\x00"+scriptURL, func() (*Stage, error) {
-		return l.loadSlow(scriptURL, site)
+		return l.refresh(k, now)
 	})
 	return st, err
 }
 
-// stage returns the fetched stage kept under k, or nil.
-func (l *Loader) stage(k stageKey) *Stage {
+// entry returns the entry kept under k, or nil.
+func (l *Loader) entry(k stageKey) *entry {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.stages[k]
 }
 
-// loadSlow fetches and compiles a stage (the cold path behind Load's map
-// and coalescing).
-func (l *Loader) loadSlow(scriptURL, site string) (*Stage, error) {
-	// Re-check the map: a previous flight may have completed between this
-	// caller's miss and its flight winning the slot; without this the stage
-	// would be fetched and compiled a second time and replace the first
-	// stage's already-forked context pool.
-	k := stageKey{site, scriptURL}
-	if st := l.stage(k); st != nil {
-		return st, nil
+// refresh fetches k's script and swaps what it answers into k's entry (the
+// slow path behind load's freshness check and coalescing).
+func (l *Loader) refresh(k stageKey, now time.Time) (*Stage, error) {
+	// Re-check: a previous flight may have refreshed the entry between this
+	// caller's check and its flight winning the slot.
+	cur := l.entry(k)
+	if cur != nil && now.Before(cur.expires) {
+		return cur.served()
 	}
-	req, err := httpmsg.NewRequest("GET", scriptURL)
+	req, err := httpmsg.NewRequest("GET", k.url)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: stage url %q: %w", scriptURL, err)
+		return l.fail(k, cur, now, fmt.Errorf("pipeline: stage url %q: %w", k.url, err))
 	}
 	resp, err := l.Host.Fetch(req)
-	if err != nil || resp == nil || resp.Status >= 500 {
-		// No answer (the origin may not be up yet): no stage this time, and
-		// nothing remembered, so the next load asks again.
-		return &Stage{URL: scriptURL, Site: site, Empty: true}, nil
+	if err == nil && resp.Status >= 500 {
+		err = fmt.Errorf("pipeline: stage %s: origin answered %d", k.url, resp.Status)
 	}
-	var st *Stage
+	if err != nil {
+		return l.fail(k, cur, now, err)
+	}
+	expires := forever
+	if l.Expiry != nil {
+		expires = l.Expiry(resp.Header, now)
+	}
+	// Any other answer is one: a 200 carries the script, and the rest say
+	// the site has none, a stage with no policies.
+	source := ""
 	if resp.Status == 200 {
-		st, err = l.Compile(scriptURL, site, string(resp.Body))
+		source = string(resp.Body)
 	}
-	if st == nil {
-		// No script, or one that fails to parse or evaluate: it contributes
-		// no policies, and it must not take the node down. An error is
-		// reported so the trace can surface it.
-		st = &Stage{URL: scriptURL, Site: site, Empty: true}
+	st, compiled, err := l.swap(k, k.url, cur, 0, source, expires)
+	switch {
+	case err != nil:
+		return l.fail(k, cur, now, err)
+	case resp.Status != 200:
+		l.result("missing").Add(1)
+	case compiled:
+		l.result("compiled").Add(1)
+	default:
+		l.result("revalidated").Add(1)
 	}
-	l.put(k, st)
-	return st, err
+	return st, nil
 }
 
-// put stores a fetched stage, dropping an arbitrary other one when the map
-// is full.
-func (l *Loader) put(k stageKey, st *Stage) {
+// swap is the one rule by which an entry changes, for a deploy and a
+// refetch alike: it builds a stage only when (gen, source) differs from what
+// cur serves, so an unchanged script keeps its compiled stage and context
+// pool; it compiles before the swap, so a request never sees a half-built
+// stage; and a compile that fails changes nothing. An empty source is a
+// stage with no policies, built without a compile.
+func (l *Loader) swap(k stageKey, url string, cur *entry, gen uint64, source string, expires time.Time) (st *Stage, built bool, err error) {
+	switch {
+	case cur != nil && cur.stage != nil && cur.gen == gen && cur.source == source:
+		st = cur.stage
+	case source == "":
+		st, built = &Stage{URL: url, Site: k.site}, true
+	default:
+		if st, err = l.Compile(url, k.site, source); err != nil {
+			return nil, false, err
+		}
+		built = true
+	}
+	l.put(k, &entry{stage: st, source: source, gen: gen, expires: expires, staleUntil: expires.Add(cache.StaleIfError)})
+	return st, built, nil
+}
+
+// fail holds a load that got no usable answer (no reply, a 5xx, a script
+// that does not compile) for failBackoff. The last good stage serves on
+// while the stale-if-error window after its answer's expiry lasts; without
+// one the entry serves nothing, and the load fails closed.
+func (l *Loader) fail(k stageKey, cur *entry, now time.Time, cause error) (*Stage, error) {
+	retry := now.Add(failBackoff)
+	if cur != nil && cur.stage != nil && now.Before(cur.staleUntil) {
+		l.result("stale").Add(1)
+		stale := *cur
+		stale.expires = retry
+		if cur.staleUntil.Before(retry) {
+			stale.expires = cur.staleUntil
+		}
+		l.put(k, &stale)
+		return cur.stage, cause
+	}
+	l.result("failed").Add(1)
+	l.put(k, &entry{expires: retry})
+	return nil, fmt.Errorf("%w: %w", errUnavailable, cause)
+}
+
+// put stores k's entry, dropping an arbitrary fetched one when the map is
+// full (a deployed stage is never dropped).
+func (l *Loader) put(k stageKey, e *entry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.stages) >= maxStages {
+	if _, ok := l.stages[k]; !ok && len(l.stages) >= maxStages {
 		for old := range l.stages {
-			delete(l.stages, old)
-			break
+			if old.url != "" {
+				delete(l.stages, old)
+				break
+			}
 		}
 	}
-	l.stages[k] = st
+	l.stages[k] = e
+}
+
+// Loads returns how many loads ended as result, one of LoadResults.
+func (l *Loader) Loads(result string) int64 { return l.result(result).Load() }
+
+// result is the counter of the loads that ended as result.
+func (l *Loader) result(result string) *atomic.Int64 {
+	return &l.results[slices.Index(LoadResults[:], result)]
 }
 
 // Deploy makes the stage compiled from source, at generation gen, the one
 // that serves site's nakika.js, and reports whether it swapped one in. It
-// compiles only when (gen, source) differs from what the site's deployment
-// serves, so a re-apply is free. The stage is compiled before the swap: a
-// request never sees a half-built stage, and a compile failure leaves the
-// previous generation serving. Callers serialize the Deploys of one site.
+// swaps by the loader's one rule: a re-apply of the (gen, source) the site
+// serves is free, and a compile failure leaves the previous generation
+// serving. A deployed stage never expires. Callers serialize the Deploys of
+// one site.
 func (l *Loader) Deploy(site string, gen uint64, source string) (bool, error) {
-	l.mu.RLock()
-	cur, ok := l.deployed[site]
-	l.mu.RUnlock()
-	if ok && cur.gen == gen && cur.source == source {
-		return false, nil
-	}
-	st, err := l.Compile(deploy.StageURL(site, gen), site, source)
-	if err != nil {
-		return false, err
-	}
-	l.mu.Lock()
-	l.deployed[site] = deployment{gen: gen, source: source, stage: st}
-	l.mu.Unlock()
-	return true, nil
+	k := stageKey{site: site}
+	_, swapped, err := l.swap(k, deploy.StageURL(site, gen), l.entry(k), gen, source, forever)
+	return swapped, err
 }
 
 // Deployed returns site's deployed stage and its generation, or (nil, 0)
 // when the site has none. The executor reads it once per request, which
 // pins the generation the whole request runs on.
 func (l *Loader) Deployed(site string) (*Stage, uint64) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	d := l.deployed[site]
-	return d.stage, d.gen
+	if e := l.entry(stageKey{site: site}); e != nil {
+		return e.stage, e.gen
+	}
+	return nil, 0
 }
 
 // Generations returns the generation of every site's deployed stage.
 func (l *Loader) Generations() map[string]uint64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	gens := make(map[string]uint64, len(l.deployed))
-	for site, d := range l.deployed {
-		gens[site] = d.gen
+	gens := make(map[string]uint64)
+	for k, e := range l.stages {
+		if k.url == "" {
+			gens[k.site] = e.gen
+		}
 	}
 	return gens
 }
