@@ -10,10 +10,16 @@
 package nakika
 
 import (
+	"bufio"
+	"bytes"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"nakika/internal/bench"
+	"nakika/internal/core"
 	"nakika/internal/httpmsg"
 	"nakika/internal/script"
 )
@@ -197,58 +203,141 @@ func BenchmarkCooperativeCache(b *testing.B) {
 	})
 }
 
-// Script interpreter throughput on the Figure 2 workload shape.
-func BenchmarkScriptPipelineStage(b *testing.B) {
-	node, err := bench.NewConcurrentNode(bench.ConfigMatch1)
+// --- nakikad's node through its client port ---------------------------------
+// --- Run the Concurrent family with -cpu 1,2,4,8 to see scaling. -------------
+
+// daemonPage is the page every request below asks for: 2 096 bytes, the
+// size of Table 2's static page.
+const daemonPage = "http://static.example.org/index.html"
+
+// servedDaemon starts the node nakikad builds at its default flags
+// (core.ParseDaemon) on a loopback port, in front of an origin that serves
+// daemonPage and, with match1, a site nakika.js whose one policy matches it
+// and runs an empty onRequest and onResponse (Table 2's Match-1). The walls
+// are set and answer 404. It returns the client port's address with the
+// page cached and the site's stages loaded.
+func servedDaemon(b *testing.B, match1 bool) string {
+	b.Helper()
+	origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
+		switch {
+		case req.URL.String() == daemonPage:
+			r := NewHTMLResponse(200, strings.Repeat("<p>static page</p>", 116))
+			r.SetMaxAge(600)
+			return r, nil
+		case match1 && req.Path() == "/nakika.js":
+			r := NewTextResponse(200, `var p = new Policy(); p.url = [ "static.example.org" ];
+				p.onRequest = function() { }; p.onResponse = function() { }; p.register();`)
+			r.SetMaxAge(600)
+			return r, nil
+		}
+		return NewTextResponse(404, "not found"), nil
+	})
+	d, err := core.ParseDaemon([]string{"-clientwall", "http://nakika.net/clientwall.js", "-serverwall", "http://nakika.net/serverwall.js"}, io.Discard)
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := MustRequest("GET", "http://static.example.org/index.html")
-	req.ClientIP = "10.0.0.1"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := node.Handle(req.Clone()); err != nil {
-			b.Fatal(err)
+	d.Config.Upstream = origin
+	node, err := core.NewNode(d.Config)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go node.Serve(ln)
+	b.Cleanup(func() { ln.Close() })
+	newPageClient(b, ln.Addr().String()).get(b)
+	return ln.Addr().String()
+}
+
+// pageClient asks for daemonPage on one keep-alive connection, reading each
+// reply into a buffer it reuses.
+type pageClient struct {
+	conn net.Conn
+	br   *bufio.Reader
+	body []byte
+}
+
+func newPageClient(b *testing.B, addr string) *pageClient {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { conn.Close() })
+	return &pageClient{conn: conn, br: bufio.NewReaderSize(conn, 16<<10), body: make([]byte, 16<<10)}
+}
+
+// pageGet asks for daemonPage in origin form, as a client that reaches the
+// node by name sends it.
+var pageGet = []byte("GET /index.html HTTP/1.1\r\nHost: static.example.org\r\n\r\n")
+
+// get sends one request and reads its 200 reply; it reports a failure
+// with b.Error, so it may run on a RunParallel goroutine.
+func (c *pageClient) get(b *testing.B) bool {
+	if _, err := c.conn.Write(pageGet); err != nil {
+		b.Error(err)
+		return false
+	}
+	first, ok, length := true, false, -1
+	for {
+		line, err := c.br.ReadSlice('\n')
+		if err != nil {
+			b.Error(err)
+			return false
+		}
+		switch {
+		case first:
+			first, ok = false, bytes.HasPrefix(line, []byte("HTTP/1.1 200 "))
+		case len(line) <= 2:
+			if !ok || length < 0 || length > len(c.body) {
+				b.Errorf("a reply other than 200, or with Content-Length %d", length)
+				return false
+			}
+			if _, err := io.ReadFull(c.br, c.body[:length]); err != nil {
+				b.Error(err)
+				return false
+			}
+			return true
+		case bytes.HasPrefix(line, []byte("Content-Length: ")):
+			length = 0
+			for _, d := range bytes.TrimSpace(line[len("Content-Length: "):]) {
+				length = length*10 + int(d-'0')
+			}
 		}
 	}
 }
 
-// --- Concurrency family: pooled stage contexts, sharded cache. ------------
-// --- Run with -cpu 1,2,4,8 to see scaling. ---------------------------------
-
-func benchmarkConcurrentHandle(b *testing.B, cfg bench.MicroConfig) {
-	b.Helper()
-	node, err := bench.NewConcurrentNode(cfg)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkScriptPipelineStage is one client's warm Match-1 page: the site
+// stage's onRequest and onResponse run on every request, in a pooled stage
+// context.
+func BenchmarkScriptPipelineStage(b *testing.B) {
+	c := newPageClient(b, servedDaemon(b, true))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N && c.get(b); i++ {
 	}
+}
+
+// benchmarkConcurrentGets runs one keep-alive client per RunParallel
+// goroutine against one node.
+func benchmarkConcurrentGets(b *testing.B, match1 bool) {
+	addr := servedDaemon(b, match1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			resp, _, err := node.Handle(bench.ConcurrentRequest())
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if resp.Status != 200 {
-				b.Errorf("status = %d", resp.Status)
-				return
-			}
+		c := newPageClient(b, addr)
+		for pb.Next() && c.get(b) {
 		}
 	})
 }
 
-// BenchmarkConcurrentProxyWarm is the warm proxy path: cache hits only, no
-// script handlers. Throughput should scale with -cpu since no request takes
+// BenchmarkConcurrentProxyWarm is the warm proxy path: cache hits, no
+// script handler. Throughput should scale with -cpu since no request takes
 // a global lock.
-func BenchmarkConcurrentProxyWarm(b *testing.B) {
-	benchmarkConcurrentHandle(b, bench.ConfigProxy)
-}
+func BenchmarkConcurrentProxyWarm(b *testing.B) { benchmarkConcurrentGets(b, false) }
 
 // BenchmarkConcurrentMatch1 adds one matching policy whose onRequest and
 // onResponse handlers execute in pooled per-stage contexts; before the pool
 // existed every request serialized on the stage's single context mutex.
-func BenchmarkConcurrentMatch1(b *testing.B) {
-	benchmarkConcurrentHandle(b, bench.ConfigMatch1)
-}
+func BenchmarkConcurrentMatch1(b *testing.B) { benchmarkConcurrentGets(b, true) }

@@ -23,8 +23,6 @@
 // experiment <e> at the flags' defaults and requires the file it writes to
 // equal the committed one byte for byte. The last usage line above is how a
 // golden is rewritten, in the change that moves its numbers and says why.
-// The throughput and metrics experiments print allocation counts only;
-// their ceilings are tests in internal/state and internal/bench.
 package main
 
 import (
@@ -53,8 +51,7 @@ type experiment struct {
 }
 
 // experiments is every experiment there is, in the order -experiment all
-// runs them: the paper's figures first, then the message, allocation and
-// fetch counts.
+// runs them: the paper's figures first, then the message and fetch counts.
 var experiments = []experiment{
 	{"table2", runTable2},
 	{"breakdown", runBreakdown},
@@ -64,8 +61,6 @@ var experiments = []experiment{
 	{"replication", runReplication},
 	{"offload", runOffload},
 	{"lease", runLease},
-	{"throughput", runThroughput},
-	{"metrics", runMetrics},
 	{"largeobject", runLargeObject},
 }
 
@@ -225,24 +220,6 @@ func runLease(options) (interface{}, error) {
 		return nil, err
 	}
 	fmt.Print(bench.FormatLease(r))
-	return r, nil
-}
-
-func runThroughput(options) (interface{}, error) {
-	r, err := bench.RunThroughput()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Print(bench.FormatThroughput(r))
-	return r, nil
-}
-
-func runMetrics(options) (interface{}, error) {
-	r, err := bench.RunMetricsCost()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Print(bench.FormatMetricsCost(r))
 	return r, nil
 }
 

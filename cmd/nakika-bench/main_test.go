@@ -31,7 +31,7 @@ func TestSelectExperiments(t *testing.T) {
 		}
 	}
 	// A misspelt name, and one that used to exist, run nothing and say so.
-	for _, name := range []string{"replicaton", "capacity", ""} {
+	for _, name := range []string{"replicaton", "capacity", "throughput", "metrics", ""} {
 		got, err := selectExperiments(name)
 		if err == nil || got != nil {
 			t.Errorf("selecting %q gave %v, want an error", name, got)

@@ -32,128 +32,54 @@
 // Both ports speak HTTP/1.1 through the node's own codec: the client port
 // with core.Node.Serve, the admin port with core.Node.ServeAdmin. A listen
 // address that cannot be bound stops the start.
+//
+// The flags and the node's configuration are core.ParseDaemon's: the one
+// function that builds what this command runs, which internal/core's tests
+// call with an argument list to measure the daemon's own node. A flag error
+// prints the usage and exits with status 2; -h exits 0.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"log"
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"nakika"
 	"nakika/internal/admin"
-	"nakika/internal/resource"
-	"nakika/internal/store"
-	"nakika/internal/transport"
+	"nakika/internal/core"
 )
 
 func main() {
-	listen := flag.String("listen", ":8080", "address to listen on")
-	name := flag.String("name", "edge-1", "node name")
-	region := flag.String("region", "default", "node region (for client redirection)")
-	local := flag.String("local", "127.0.0.0/8", "comma-separated CIDR blocks considered local (System.isLocal)")
-	clientWall := flag.String("clientwall", "", "URL of the client-side administrative control script (empty: none)")
-	serverWall := flag.String("serverwall", "", "URL of the server-side administrative control script (empty: none)")
-	enableRes := flag.Bool("resource-controls", true, "enable congestion-based resource controls")
-	cpuCapacity := flag.Float64("cpu-capacity", 50_000_000, "CPU capacity (script steps) per control interval")
-	rpcAddr := flag.String("rpc", "", "TCP transport listen address for cluster traffic (empty: single-node)")
-	peers := flag.String("peers", "", "comma-separated name=host:port pairs of cluster peers")
-	dataDir := flag.String("data-dir", "", "directory for the persistent store (WAL + segments + disk cache tier); empty keeps all state in memory")
-	replication := flag.Int("replication", 3, "copies kept of each hard-state key in cluster mode (ring owner + successors, written synchronously); 1 keeps owner-only placement")
-	offloadThreshold := flag.Float64("offload-threshold", 0, "load score above which arriving requests are shed to the least-loaded replica of their site (cluster mode); 0 disables offload")
-	hedgeAfter := flag.Duration("hedge-after", 0, "latency budget for replicated hard-state reads: when the owner's EWMA round trip exceeds it the read is hedged to the next replica; 0 disables hedging")
-	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "default time-to-live of distributed leases taken without an explicit TTL (Lease.acquire)")
-	adminAddr := flag.String("admin", "", "admin listener address serving /metrics, /admin/traces, /admin/statusz, /admin/deploy, /admin/rollback, /admin/deployments and /debug/pprof/ (no delta profiles: compare two with go tool pprof -base); empty disables the listener")
-	noObserve := flag.Bool("no-observe", false, "disable the observability plane (metrics registry, request tracing, trace-id propagation)")
-	largeThreshold := flag.Int64("large-threshold", 1<<20, "response size in bytes at which bodies are chunked into the content-addressed large-object tier and served as streams; 0 disables the tier")
-	segmentSize := flag.Int64("segment-size", 256<<10, "segment size of the large-object tier")
-	largeCapacity := flag.Int64("large-capacity", 512<<20, "byte capacity of the large-object segment slab (oldest segments reclaimed beyond it, those in use carried forward)")
-	flag.Parse()
-	if *replication < 1 {
-		log.Printf("nakikad: -replication %d: want at least 1", *replication)
-		flag.Usage()
+	d, err := core.ParseDaemon(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.Is(err, core.ErrUsage):
 		os.Exit(2)
+	case err != nil:
+		log.Fatalf("nakikad: %v", err)
 	}
 
-	cfg := nakika.Config{
-		Name:                 *name,
-		Region:               *region,
-		ClientWallURL:        *clientWall,
-		ServerWallURL:        *serverWall,
-		ReplicationFactor:    *replication,
-		OffloadThreshold:     *offloadThreshold,
-		HedgeAfter:           *hedgeAfter,
-		LeaseTTL:             *leaseTTL,
-		NoObserve:            *noObserve,
-		EnableResources:      *enableRes,
-		LargeObjectThreshold: *largeThreshold,
-		LargeObjectSegment:   *segmentSize,
-		LargeObjectCapacity:  *largeCapacity,
-		Resources: resource.Config{
-			Capacity: map[resource.Kind]float64{
-				resource.CPU:    *cpuCapacity,
-				resource.Memory: 256 << 20,
-			},
-		},
-	}
-	for _, cidr := range strings.Split(*local, ",") {
-		if cidr = strings.TrimSpace(cidr); cidr != "" {
-			cfg.LocalNetworks = append(cfg.LocalNetworks, cidr)
-		}
-	}
-	if *dataDir != "" {
-		fs, err := store.NewDirFS(*dataDir)
-		if err != nil {
-			log.Fatalf("nakikad: %v", err)
-		}
-		cfg.DataFS = fs
-	}
-
-	// Cluster mode: an overlay ring over the TCP wire transport. This
-	// process serves its own node; peers are remote membership stubs
-	// reached through the address book.
-	var tcp *transport.TCP
-	peerCount := 0
-	if *rpcAddr != "" {
-		tcp = transport.NewTCP()
-		ring := nakika.NewRing()
-		ring.Transport = tcp
-		cfg.Ring = ring
-		cfg.Transport = tcp
-		for _, pair := range strings.Split(*peers, ",") {
-			if pair = strings.TrimSpace(pair); pair == "" {
-				continue
-			}
-			nameAddr := strings.SplitN(pair, "=", 2)
-			if len(nameAddr) != 2 {
-				log.Fatalf("nakikad: bad -peers entry %q (want name=host:port)", pair)
-			}
-			ring.AddRemote(nameAddr[0], "remote")
-			tcp.AddPeer(nameAddr[0], nameAddr[1])
-			peerCount++
-		}
-	}
-
-	node, err := nakika.NewNode(cfg)
+	node, err := core.NewNode(d.Config)
 	if err != nil {
 		log.Fatalf("nakikad: %v", err)
 	}
-	if *dataDir != "" {
+	if d.DataDir != "" {
 		st := node.StoreStats()
 		log.Printf("nakikad: persistent store in %s (replayed %d records, disk cache %d entries)",
-			*dataDir, st.Replayed, node.Cache().Stats().Disk.Entries)
+			d.DataDir, st.Replayed, node.Cache().Stats().Disk.Entries)
 	}
-	if tcp != nil {
-		addr, err := tcp.Listen(*rpcAddr)
+	if d.TCP != nil {
+		addr, err := d.TCP.Listen(d.RPC)
 		if err != nil {
 			log.Fatalf("nakikad: rpc listen: %v", err)
 		}
-		log.Printf("nakikad: cluster transport on %s (%d peers)", addr, peerCount)
+		log.Printf("nakikad: cluster transport on %s (%d peers)", addr, len(d.Config.Ring.Nodes())-1)
 	}
 
 	// The admin port, optional: /metrics, /admin/traces, /admin/statusz,
@@ -161,8 +87,8 @@ func main() {
 	// traffic, served by the node's own ingress. Then the client port. Both
 	// drain on the same signal, so a scrape in flight at SIGTERM completes
 	// before the process exits.
-	if *adminAddr != "" {
-		adminLn, err := net.Listen("tcp", *adminAddr)
+	if d.Admin != "" {
+		adminLn, err := net.Listen("tcp", d.Admin)
 		if err != nil {
 			log.Fatalf("nakikad: admin listener: %v", err)
 		}
@@ -173,7 +99,7 @@ func main() {
 			}
 		}()
 	}
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", d.Listen)
 	if err != nil {
 		log.Fatalf("nakikad: %v", err)
 	}
@@ -191,7 +117,7 @@ func main() {
 		}
 	}()
 	go func() {
-		log.Printf("nakikad: node %s (%s) listening on %s", *name, *region, ln.Addr())
+		log.Printf("nakikad: node %s (%s) listening on %s", d.Config.Name, d.Config.Region, ln.Addr())
 		if err := node.Serve(ln); err != nil {
 			log.Fatalf("nakikad: %v", err)
 		}

@@ -547,9 +547,20 @@ func NewCountingOrigin() *CountingOrigin {
 	}
 }
 
-// AddPage serves body at url with the given freshness lifetime.
+// AddPage serves body at url as HTML, with the given freshness lifetime.
 func (o *CountingOrigin) AddPage(url, body string, maxAge int) {
-	r := httpmsg.NewHTMLResponse(200, body)
+	o.add(url, httpmsg.NewHTMLResponse(200, body), maxAge)
+}
+
+// AddScript serves src at url as JavaScript, with the given freshness
+// lifetime: a stage script, which a node does not read from an HTML page.
+func (o *CountingOrigin) AddScript(url, src string, maxAge int) {
+	r := httpmsg.NewTextResponse(200, src)
+	r.Header.Set("Content-Type", "application/javascript")
+	o.add(url, r, maxAge)
+}
+
+func (o *CountingOrigin) add(url string, r *httpmsg.Response, maxAge int) {
 	if maxAge > 0 {
 		r.SetMaxAge(maxAge)
 	}

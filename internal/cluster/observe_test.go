@@ -40,7 +40,7 @@ const leaseSite = "lease-site.example.org"
 func leaseScriptOrigin() *CountingOrigin {
 	origin := NewCountingOrigin()
 	origin.AddPage("http://"+leaseSite+"/page", "lease page body", 3600)
-	origin.AddPage("http://"+leaseSite+"/nakika.js", `
+	origin.AddScript("http://"+leaseSite+"/nakika.js", `
 		var p = new Policy();
 		p.url = [ "`+leaseSite+`" ];
 		p.onRequest = function() {
@@ -145,7 +145,7 @@ func TestScriptLeaseActivityLandsOnTraceSample(t *testing.T) {
 func hedgeScriptOrigin() *CountingOrigin {
 	origin := NewCountingOrigin()
 	origin.AddPage("http://"+leaseSite+"/page", "hedge page body", 3600)
-	origin.AddPage("http://"+leaseSite+"/nakika.js", `
+	origin.AddScript("http://"+leaseSite+"/nakika.js", `
 		var p = new Policy();
 		p.url = [ "`+leaseSite+`" ];
 		p.onRequest = function() { State.get("hot"); };

@@ -178,7 +178,7 @@ func TestCheckpointCounterCountsAcrossNodes(t *testing.T) {
 	origin := NewCountingOrigin()
 	host := func(s int) string { return fmt.Sprintf("specweb-%02d.example.org", s) }
 	for s := 0; s < sites; s++ {
-		origin.AddPage("http://"+host(s)+"/nakika.js", specweb.EdgeScript(host(s)), 3600)
+		origin.AddScript("http://"+host(s)+"/nakika.js", specweb.EdgeScript(host(s)), 3600)
 	}
 	c, err := New(Config{N: 8, Seed: explore.Seed(1), Latency: time.Millisecond, Replication: 3}, origin)
 	if err != nil {

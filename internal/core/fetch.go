@@ -381,6 +381,17 @@ func (n *Node) copyUntil(key string) (time.Time, bool) {
 	return m.Expires, !n.lobStale(m)
 }
 
+// stageExpiry is the loader's Expiry: a stage expires with the fetch
+// chain's copy of its script (copyUntil), so a script a second site loads
+// from the cache keeps the copy's remaining lifetime instead of a new one;
+// a reply no tier kept fresh expires by its header from now.
+func (n *Node) stageExpiry(req *httpmsg.Request, h httpmsg.Header, now time.Time) time.Time {
+	if until, ok := n.copyUntil(req.CacheKey()); ok {
+		return until
+	}
+	return n.cache.Expiry(h, now)
+}
+
 // republishPending retries overlay publishes that failed while the index
 // owner was unreachable. A key whose copy has since left the cache or the
 // large-object tier announces nothing, and is dropped with the rest.

@@ -134,8 +134,9 @@ type Config struct {
 	// NoObserve disables the node's observability plane: no metrics
 	// registry, no request latency histogram, no trace ids minted, and no
 	// samples recorded — requests and RPC frames are byte-identical to a
-	// build without the plane. The bench harness uses it to measure the
-	// plane's hot-path cost.
+	// build without the plane. nakikad's -no-observe sets it, and
+	// TestWarmProxyHitAllocBudget holds the plane's hot-path cost to 0
+	// with it.
 	NoObserve bool
 }
 
@@ -391,7 +392,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.res = resource.NewManager(cfg.Resources)
 	n.res.SetEnabled(cfg.EnableResources)
 	n.loader = pipeline.NewLoader(hostAdapter{n}, cfg.ScriptLimits)
-	n.loader.Expiry = n.cache.Expiry
+	n.loader.Expiry = n.stageExpiry
 	n.loader.ForkCharge = func(site string, heapBytes int64) {
 		n.res.Charge(site, resource.Memory, float64(heapBytes))
 	}

@@ -267,7 +267,7 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_deploys_total", "", metrics.Labels{"outcome": "rollback"}, cv(&n.deployRolled))
 	r.CounterFunc("nakika_deploys_total", "", metrics.Labels{"outcome": "compile_error"}, cv(&n.deployCompErr))
 
-	help = "Stage script fetches by outcome: a new stage compiled, the served one kept for unchanged bytes, a missing script (4xx), the last good stage kept serving past a failure, a failure with no stage to serve."
+	help = "Stage script fetches by outcome: a new stage compiled, the served one kept for unchanged bytes, a missing script (a 4xx, or a page where a site script was asked for), the last good stage kept serving past a failure, a failure with no stage to serve."
 	for _, result := range pipeline.LoadResults {
 		r.CounterFunc("nakika_stage_loads_total", help, metrics.Labels{"result": result}, func() float64 { return float64(n.loader.Loads(result)) })
 		help = ""

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -17,11 +18,15 @@ import (
 	"nakika/internal/store"
 )
 
-// rangeAllocs reports the allocations and bytes allocated per keep-alive
+// serveCost reports the allocations and bytes allocated per keep-alive
 // round trip through a server started on a pipe listener, client included.
 // The client sends reqs in turn, each answered by a body of at most bodyMax
-// bytes.
-func rangeAllocs(t *testing.T, serve func(net.Listener), bodyMax int, reqs []string) (allocs, bytes float64) {
+// bytes. It counts runs round trips with the collector held off (a
+// collection empties the pools, and their refill would be charged to the
+// window), three times, and keeps the smallest count: a one-time growth, a
+// buffer's doubling or a map's, or the runtime's own work on another
+// goroutine, lands in one pass, not in all.
+func serveCost(t *testing.T, serve func(net.Listener), bodyMax, runs int, reqs []string) (allocs, bytes float64) {
 	l := newPipeListener()
 	go serve(l)
 	defer l.Close()
@@ -31,22 +36,33 @@ func rangeAllocs(t *testing.T, serve func(net.Listener), bodyMax int, reqs []str
 	}
 	defer c.conn.Close()
 	c.br = bufio.NewReaderSize(c.conn, 64<<10)
-	for i := 0; i < 2*len(reqs); i++ {
+	for i := 0; i < 2*len(reqs)+20; i++ {
 		c.roundTrip(t)
 	}
-	const runs = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		c.roundTrip(t)
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for pass := 0; pass < 3; pass++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			c.roundTrip(t)
+		}
+		runtime.ReadMemStats(&after)
+		a, b := float64(after.Mallocs-before.Mallocs)/float64(runs), float64(after.TotalAlloc-before.TotalAlloc)/float64(runs)
+		if pass == 0 || a < allocs {
+			allocs = a
+		}
+		if pass == 0 || b < bytes {
+			bytes = b
+		}
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	return allocs, bytes
 }
 
 // TestDaemonShapeRangeAllocCeiling drives warm 1 MiB ranges through
-// Node.Serve as nakikad serves large_range: the large-object tier on a data
-// directory, resource controls and both walls on (their URLs answer 404),
+// Node.Serve on the node nakikad builds (ParseDaemon) as benchmark/ starts
+// it for large_range: the large-object tier at its defaults on a data
+// directory, resource controls on and both walls set (their URLs answer 404),
 // the largefile origin's nakika.js with its header-only onResponse, and a
 // keep-alive client asking for unaligned ranges of a slab-resident object,
 // each spanning five 256 KiB segments. The node's side of a range, the loop's
@@ -78,21 +94,14 @@ func TestDaemonShapeRangeAllocCeiling(t *testing.T) {
 	host := srv.Listener.Addr().String()
 	srv.Config.Handler = largefile.NewOrigin(largefile.Config{Host: host, Size: size})
 	defer srv.Close()
-	dir, err := store.NewDirFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := &openCountingFS{FS: dir}
-	n := newTestNodeUpstream(t, "edge-range-shape", newFetcher(t), func(cfg *Config) {
-		cfg.EnableResources = true
-		cfg.ClientWallURL = "http://" + host + "/clientwall.js"
-		cfg.ServerWallURL = "http://" + host + "/serverwall.js"
+	var fs *openCountingFS
+	n := daemonNode(t, func(cfg *Config) {
+		cfg.Upstream = newFetcher(t)
+		fs = &openCountingFS{FS: cfg.DataFS}
 		cfg.DataFS = fs
-		cfg.LargeObjectThreshold = 1 << 20
-		cfg.LargeObjectSegment = 256 << 10
-	})
-	if n.ring == nil {
-		t.Fatal("the observability plane is off")
+	}, "-data-dir", t.TempDir(), "-clientwall", "http://"+host+"/clientwall.js", "-serverwall", "http://"+host+"/serverwall.js")
+	if n.ring == nil || !n.cfg.EnableResources || n.cfg.LargeObjectThreshold != 1<<20 || n.cfg.LargeObjectSegment != 256<<10 {
+		t.Fatal("nakikad's defaults no longer run the plane, the resource controls and the large-object tier at 1 MiB in 256 KiB segments")
 	}
 	resp, trace, err := n.Handle(httpmsg.MustRequest("GET", "http://"+host+"/blob"))
 	if err != nil || resp.Status != http.StatusOK || resp.Stream == nil {
@@ -111,9 +120,9 @@ func TestDaemonShapeRangeAllocCeiling(t *testing.T) {
 	}
 	body := make([]byte, rangeLen)
 	canned := []byte("HTTP/1.1 206 Partial Content\r\nContent-Length: " + strconv.Itoa(rangeLen) + "\r\n\r\n" + string(body))
-	clientAllocs, clientBytes := rangeAllocs(t, func(l net.Listener) { cannedServe(l, canned) }, rangeLen, reqs)
+	clientAllocs, clientBytes := serveCost(t, func(l net.Listener) { cannedServe(l, canned) }, rangeLen, 200, reqs)
 	opened := fs.opens.Load()
-	serveAllocs, serveBytes := rangeAllocs(t, func(l net.Listener) { n.Serve(l) }, rangeLen, reqs)
+	serveAllocs, serveBytes := serveCost(t, func(l net.Listener) { n.Serve(l) }, rangeLen, 200, reqs)
 	if opens := fs.opens.Load() - opened; opens != 0 {
 		t.Errorf("warm ranges opened %d files, want none", opens)
 	}

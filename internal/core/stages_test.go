@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -513,5 +514,120 @@ func TestDeadScriptURLFetchedOncePerBackoff(t *testing.T) {
 	}
 	if wall, site := n.executor.Refusals(); wall != 0 || site != 30 {
 		t.Errorf("refusals: wall %d, site %d; want 0 and 30", wall, site)
+	}
+}
+
+// TestSharedWallExpiresWithItsCachedCopy: one max-age=300 wall serves two
+// sites. Site a loads it at 0 s; site b loads it at 200 s from the node's
+// cache, just as the origin republishes it. Both stages expire with the one
+// cached copy, at 300 s, so past that both sites run the republished wall.
+// A lifetime counted again from b's load would keep b on the old wall until
+// 500 s.
+func TestSharedWallExpiresWithItsCachedCopy(t *testing.T) {
+	const wall, a, b = "http://nakika.net/clientwall.js", "http://a.example.org/x", "http://b.example.org/x"
+	version := func(v string) string {
+		return `onResponse = function() { Response.setHeader("X-Wall", "` + v + `"); };`
+	}
+	origin := newScriptOrigin()
+	origin.addScript(wall, version("v1"))
+	origin.addText(a, "a", 3600)
+	origin.addText(b, "b", 3600)
+	n, clock := stageNode(t, origin, func(cfg *Config) { cfg.ClientWallURL = wall })
+	ran := func(url string) string { return handleGet(t, n, url).Header.Get("X-Wall") }
+
+	if got := ran(a); got != "v1" {
+		t.Fatalf("site a at 0 s ran wall %q, want v1", got)
+	}
+	clock.Advance(200 * time.Second)
+	origin.set(wall, func() { origin.addScript(wall, version("v2")) })
+	if got := ran(b); got != "v1" {
+		t.Fatalf("site b at 200 s ran wall %q, want the cached v1", got)
+	}
+	clock.Advance(101 * time.Second)
+	for _, url := range []string{a, b} {
+		if got := ran(url); got != "v2" {
+			t.Errorf("%s at 301 s ran wall %q, want the republished v2: the cached copy expired at 300 s", url, got)
+		}
+	}
+	if got := origin.hitCount(wall); got != 2 {
+		t.Errorf("the origin saw %d fetches of the wall, want 2", got)
+	}
+}
+
+// TestCatchAllOriginServesWithoutScript: an origin that answers every path
+// with a page answers the site's nakika.js with one too. That says the site
+// has no script, as a 404 does: its requests are served, not refused, and
+// the load counts as missing.
+func TestCatchAllOriginServesWithoutScript(t *testing.T) {
+	origin := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
+		r := httpmsg.NewHTMLResponse(200, "<html><body>app shell for "+req.Path()+"</body></html>")
+		r.SetMaxAge(60)
+		return r, nil
+	})
+	n := newTestNodeUpstream(t, "edge-1", origin, nil)
+	for i := 0; i < 3; i++ {
+		resp := handleGet(t, n, "http://spa.example.org/route/"+strconv.Itoa(i))
+		if resp.Status != 200 || !strings.Contains(string(resp.Body), "app shell") {
+			t.Fatalf("request %d: %d %q, want the origin's page", i, resp.Status, resp.Body)
+		}
+	}
+	if missing, failed := n.loader.Loads("missing"), n.loader.Loads("failed"); missing != 1 || failed != 0 {
+		t.Errorf("stage loads: %d missing, %d failed; want 1 and 0", missing, failed)
+	}
+	if wall, site := n.executor.Refusals(); wall != 0 || site != 0 {
+		t.Errorf("refusals: wall %d, site %d; want none", wall, site)
+	}
+}
+
+// TestSiteScriptMediaTypes: a site script is read by its reply's media
+// type. An HTML one (text/html or application/xhtml+xml, with parameters, in
+// any case) is no script, even when its bytes would compile; any other, and
+// none, is compiled.
+func TestSiteScriptMediaTypes(t *testing.T) {
+	const src = `onResponse = function() { Response.setHeader("X-Script", "ran"); };`
+	for _, tc := range []struct {
+		contentType string
+		runs        bool
+	}{
+		{"text/html; charset=utf-8", false},
+		{"Application/XHTML+XML", false},
+		{"application/javascript", true},
+		{"text/plain; charset=utf-8", true},
+		{"", true},
+	} {
+		const site = "typed.example.org"
+		origin := newScriptOrigin()
+		origin.addText("http://"+site+"/page", "page", 60)
+		origin.addScript("http://"+site+"/nakika.js", src)
+		if tc.contentType == "" {
+			origin.resources["http://"+site+"/nakika.js"].Header.Del("Content-Type")
+		} else {
+			origin.resources["http://"+site+"/nakika.js"].Header.Set("Content-Type", tc.contentType)
+		}
+		n, _ := stageNode(t, origin, nil)
+		resp := handleGet(t, n, "http://"+site+"/page")
+		if ran := resp.Header.Get("X-Script") == "ran"; resp.Status != 200 || ran != tc.runs {
+			t.Errorf("nakika.js as %q: %d, script ran %v; want 200 and %v", tc.contentType, resp.Status, ran, tc.runs)
+		}
+	}
+}
+
+// TestWallServedAsPageRefuses: a wall whose URL answers with an HTML page
+// is not read as a missing wall, which would let every request through
+// unchecked: it fails to compile, and the node refuses with a 503.
+func TestWallServedAsPageRefuses(t *testing.T) {
+	origin := newScriptOrigin()
+	origin.addText(reprintURL, "PDF", 60)
+	origin.addText(adminWallURL, "<html><body>not found</body></html>", 60)
+	n, _ := stageNode(t, origin, func(cfg *Config) { cfg.ClientWallURL = adminWallURL })
+	resp := handleFrom(t, n, reprintURL, outsideIP)
+	if resp.Status != 503 || resp.Header.Get("Retry-After") != "1" || string(resp.Body) == "PDF" {
+		t.Errorf("behind a wall served as a page: %d %q, want 503 with Retry-After 1", resp.Status, resp.Body)
+	}
+	if wall, _ := n.executor.Refusals(); wall != 1 {
+		t.Errorf("%d wall refusals, want 1", wall)
+	}
+	if failed, missing := n.loader.Loads("failed"), n.loader.Loads("missing"); failed != 1 || missing != 0 {
+		t.Errorf("stage loads: %d failed, %d missing; want the wall's 1 and 0", failed, missing)
 	}
 }

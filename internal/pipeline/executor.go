@@ -240,7 +240,7 @@ func (e *Executor) ExecuteInto(req *httpmsg.Request, trace *Trace) (*httpmsg.Res
 		if deployedStage != nil && scriptURL == siteScriptURL {
 			stage = deployedStage
 		} else {
-			stage, err = e.Loader.load(scriptURL, site, start)
+			stage, err = e.Loader.load(scriptURL, site, start, e.isWall(scriptURL))
 		}
 		if err != nil {
 			st.Err = err.Error()
@@ -355,10 +355,15 @@ func (e *Executor) ExecuteInto(req *httpmsg.Request, trace *Trace) (*httpmsg.Res
 	return response, nil
 }
 
+// isWall reports whether scriptURL is one of the node's walls.
+func (e *Executor) isWall(scriptURL string) bool {
+	return scriptURL == e.ClientWallURL || scriptURL == e.ServerWallURL
+}
+
 // refuse answers a request whose stage at scriptURL failed to load: 503,
 // with Retry-After at the loader's back-off.
 func (e *Executor) refuse(site, scriptURL string, req *httpmsg.Request, trace *Trace, start time.Time) *httpmsg.Response {
-	if scriptURL == e.ClientWallURL || scriptURL == e.ServerWallURL {
+	if e.isWall(scriptURL) {
 		e.refusals[0].Add(1)
 	} else {
 		e.refusals[1].Add(1)

@@ -216,11 +216,13 @@ type Loader struct {
 	// pristine context's heap size whenever a new pool context is forked, so
 	// the node can charge context replication to the site's resource budget.
 	ForkCharge func(site string, heapBytes int64)
-	// Expiry returns the instant a script's answer with header h, obtained
-	// at now, stops being fresh; the node hands it its cache's
-	// (cache.Cache.Expiry), so a stage expires as a cached copy of its
-	// script does. Nil keeps a fetched stage until the loader drops it.
-	Expiry func(h httpmsg.Header, now time.Time) time.Time
+	// Expiry returns the instant the script req fetched, answered with
+	// header h at now, stops being fresh. The node answers from its fetch
+	// chain's copy of the script, as stored, renewed or found there, so a
+	// stage expires with that copy however late it was loaded, and from h
+	// at now (cache.Cache.Expiry) when no fresh copy is kept. Nil keeps a
+	// fetched stage until the loader drops it.
+	Expiry func(req *httpmsg.Request, h httpmsg.Header, now time.Time) time.Time
 	// poolSize bounds every stage's pool of ready contexts; zero means
 	// DefaultContextPoolSize().
 	poolSize int
@@ -253,8 +255,9 @@ var forever = time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // LoadResults names how a load that fetched a script ended (see
 // Loader.Loads): a new stage compiled, the served stage kept because the
-// script was unchanged, the script missing (a 4xx), the last good stage kept
-// serving past a failure, or a failure with no stage to serve.
+// script was unchanged, the script missing (a 4xx, or a page for a site
+// stage), the last good stage kept serving past a failure, or a failure
+// with no stage to serve.
 var LoadResults = [...]string{"compiled", "revalidated", "missing", "stale", "failed"}
 
 // errUnavailable is the error of a load that failed with no stage to serve.
@@ -298,24 +301,26 @@ func NewLoader(host vocab.Host, limits script.Limits) *Loader {
 	}
 }
 
-// Load returns site's stage for scriptURL, fetching the script when the
-// stage kept for it has expired (see Loader). It returns a nil stage when
-// the load failed with no good stage to serve; an error with a stage
-// reports a failure the stage serves on through. Concurrent loads of the
-// same (site, URL) coalesce into one fetch and compile.
+// Load returns site's stage for scriptURL, a site stage (not a wall),
+// fetching the script when the stage kept for it has expired (see Loader).
+// It returns a nil stage when the load failed with no good stage to serve;
+// an error with a stage reports a failure the stage serves on through.
+// Concurrent loads of the same (site, URL) coalesce into one fetch and
+// compile.
 func (l *Loader) Load(scriptURL, site string) (*Stage, error) {
-	return l.load(scriptURL, site, l.Host.Now())
+	return l.load(scriptURL, site, l.Host.Now(), false)
 }
 
 // load is Load at now, the instant the executor read when its request
-// began, so a fresh stage costs one compare and no clock read.
-func (l *Loader) load(scriptURL, site string, now time.Time) (*Stage, error) {
+// began, so a fresh stage costs one compare and no clock read; wall says
+// the script is one of the node's walls (see refresh).
+func (l *Loader) load(scriptURL, site string, now time.Time, wall bool) (*Stage, error) {
 	k := stageKey{site, scriptURL}
 	if e := l.entry(k); e != nil && now.Before(e.expires) {
 		return e.served()
 	}
 	st, _, _, err := l.loads.Do(site+"\x00"+scriptURL, func() (*Stage, error) {
-		return l.refresh(k, now)
+		return l.refresh(k, now, wall)
 	})
 	return st, err
 }
@@ -329,7 +334,14 @@ func (l *Loader) entry(k stageKey) *entry {
 
 // refresh fetches k's script and swaps what it answers into k's entry (the
 // slow path behind load's freshness check and coalescing).
-func (l *Loader) refresh(k stageKey, now time.Time) (*Stage, error) {
+//
+// A 200 carries the script, except that for a site stage (the site's
+// nakika.js, or a stage a script schedules) a 200 whose Content-Type is an
+// HTML page's (isPage) says, as a 404 does, that the site has no script
+// there: an origin that answers every path with a page answers this one too.
+// A wall's page is compiled like any other reply, and fails closed, since a
+// missing wall would fail open. Any other Content-Type, or none, is compiled.
+func (l *Loader) refresh(k stageKey, now time.Time, wall bool) (*Stage, error) {
 	// Re-check: a previous flight may have refreshed the entry between this
 	// caller's check and its flight winning the slot.
 	cur := l.entry(k)
@@ -349,19 +361,20 @@ func (l *Loader) refresh(k stageKey, now time.Time) (*Stage, error) {
 	}
 	expires := forever
 	if l.Expiry != nil {
-		expires = l.Expiry(resp.Header, now)
+		expires = l.Expiry(req, resp.Header, now)
 	}
-	// Any other answer is one: a 200 carries the script, and the rest say
-	// the site has none, a stage with no policies.
+	// Any other answer is one: a script, or no script, a stage with no
+	// policies.
+	script := resp.Status == 200 && (wall || !isPage(resp))
 	source := ""
-	if resp.Status == 200 {
+	if script {
 		source = string(resp.Body)
 	}
 	st, compiled, err := l.swap(k, k.url, cur, 0, source, expires)
 	switch {
 	case err != nil:
 		return l.fail(k, cur, now, err)
-	case resp.Status != 200:
+	case !script:
 		l.result("missing").Add(1)
 	case compiled:
 		l.result("compiled").Add(1)
@@ -369,6 +382,13 @@ func (l *Loader) refresh(k stageKey, now time.Time) (*Stage, error) {
 		l.result("revalidated").Add(1)
 	}
 	return st, nil
+}
+
+// isPage reports whether resp's Content-Type, without its parameters and
+// in any case, is an HTML page's: text/html or application/xhtml+xml.
+func isPage(resp *httpmsg.Response) bool {
+	ct := resp.ContentType()
+	return strings.EqualFold(ct, "text/html") || strings.EqualFold(ct, "application/xhtml+xml")
 }
 
 // swap is the one rule by which an entry changes, for a deploy and a
