@@ -492,53 +492,63 @@ func TestDaemonShapeHitAllocatesNothing(t *testing.T) {
 // the node nakikad builds (ParseDaemon) with both walls set (their URLs
 // answer 404) and no site script, to what it allocates: nothing, neither an
 // allocation nor a byte, with the observability plane on (the default) and
-// with -no-observe, so the plane costs nothing. The node's side is the
-// loop's count less the same client's against a canned server. Measured on
-// go1.24 amd64: 0 and 0 B, as Node.Handle's loop read before it. A hit
-// allocated 5 times and 1 124 B with the plane on, 4 and 868 B off, while it
-// made its own trace, Response, key and sample.
+// with -no-observe, so the plane costs nothing. It does so for an
+// origin-form target and for the absolute form a client that uses the node
+// as its proxy sends (curl -x). The node's side is the loop's count less
+// the same client's against a canned server. Measured on go1.24 amd64: 0
+// and 0 B, as Node.Handle's loop read before it. A hit allocated 5 times
+// and 1 124 B with the plane on, 4 and 868 B off, while it made its own
+// trace, Response, key and sample; an absolute-form hit allocated once,
+// 144 B, while url.ParseRequestURI parsed its target.
 func TestWarmProxyHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries on purpose, so pooled objects are reallocated")
 	}
 	const page = "http://static.example.org/index.html"
-	origin := newMemOrigin()
-	body := strings.Repeat("<p>static page</p>", 116)
-	origin.addText(page, body, 600)
-	reqs := []string{"GET /index.html HTTP/1.1\r\nHost: static.example.org\r\nUser-Agent: alloc-test\r\nAccept: */*\r\n\r\n"}
-	canned := []byte("HTTP/1.1 200 OK\r\nContent-Length: " + strconv.Itoa(len(body)) + "\r\n\r\n" + body)
-	clientAllocs, clientBytes := serveCost(t, func(l net.Listener) { cannedServe(l, canned) }, len(body), 1000, reqs)
-	type cost struct{ allocs, bytes int64 }
-	var on, off cost
-	for _, side := range []struct {
-		flags []string
-		got   *cost
-	}{{nil, &on}, {[]string{"-no-observe"}, &off}} {
-		n := daemonNode(t, func(cfg *Config) { cfg.Upstream = origin },
-			append(side.flags, "-clientwall", "http://nakika.net/clientwall.js", "-serverwall", "http://nakika.net/serverwall.js")...)
-		if (n.ring == nil) != (side.flags != nil) {
-			t.Fatalf("%q: the observability plane on is %v", side.flags, n.ring != nil)
-		}
-		allocs, bytes := serveCost(t, func(l net.Listener) { n.Serve(l) }, len(body), 1000, reqs)
-		// Truncated to whole allocations and bytes per hit.
-		*side.got = cost{int64(allocs - clientAllocs), int64(bytes - clientBytes)}
-		t.Logf("%q: the node %d allocations and %d B per warm hit (Node.Serve loop %.2f, %.0f B; the client alone %.2f, %.0f B)",
-			side.flags, side.got.allocs, side.got.bytes, allocs, bytes, clientAllocs, clientBytes)
-	}
-	for _, c := range []struct {
-		name string
-		got  cost
-	}{
-		{"plane on", on},
-		{"plane off", off},
-		{"the plane's price", cost{on.allocs - off.allocs, on.bytes - off.bytes}},
+	for _, form := range []struct{ name, target string }{
+		{"origin-form", "/index.html"},
+		{"absolute-form", page},
 	} {
-		if c.got.allocs > 0 || c.got.bytes > 0 {
-			t.Errorf("warm proxy hit, %s: %d allocs and %d B per hit, ceiling 0 and 0 B", c.name, c.got.allocs, c.got.bytes)
-		}
-	}
-	if hits := origin.hitCount(page); hits != 2 {
-		t.Errorf("origin fetched the page %d times, want once per node", hits)
+		t.Run(form.name, func(t *testing.T) {
+			origin := newMemOrigin()
+			body := strings.Repeat("<p>static page</p>", 116)
+			origin.addText(page, body, 600)
+			reqs := []string{"GET " + form.target + " HTTP/1.1\r\nHost: static.example.org\r\nUser-Agent: alloc-test\r\nAccept: */*\r\n\r\n"}
+			canned := []byte("HTTP/1.1 200 OK\r\nContent-Length: " + strconv.Itoa(len(body)) + "\r\n\r\n" + body)
+			clientAllocs, clientBytes := serveCost(t, func(l net.Listener) { cannedServe(l, canned) }, len(body), 1000, reqs)
+			type cost struct{ allocs, bytes int64 }
+			var on, off cost
+			for _, side := range []struct {
+				flags []string
+				got   *cost
+			}{{nil, &on}, {[]string{"-no-observe"}, &off}} {
+				n := daemonNode(t, func(cfg *Config) { cfg.Upstream = origin },
+					append(side.flags, "-clientwall", "http://nakika.net/clientwall.js", "-serverwall", "http://nakika.net/serverwall.js")...)
+				if (n.ring == nil) != (side.flags != nil) {
+					t.Fatalf("%q: the observability plane on is %v", side.flags, n.ring != nil)
+				}
+				allocs, bytes := serveCost(t, func(l net.Listener) { n.Serve(l) }, len(body), 1000, reqs)
+				// Truncated to whole allocations and bytes per hit.
+				*side.got = cost{int64(allocs - clientAllocs), int64(bytes - clientBytes)}
+				t.Logf("%q: the node %d allocations and %d B per warm hit (Node.Serve loop %.2f, %.0f B; the client alone %.2f, %.0f B)",
+					side.flags, side.got.allocs, side.got.bytes, allocs, bytes, clientAllocs, clientBytes)
+			}
+			for _, c := range []struct {
+				name string
+				got  cost
+			}{
+				{"plane on", on},
+				{"plane off", off},
+				{"the plane's price", cost{on.allocs - off.allocs, on.bytes - off.bytes}},
+			} {
+				if c.got.allocs > 0 || c.got.bytes > 0 {
+					t.Errorf("warm proxy hit, %s: %d allocs and %d B per hit, ceiling 0 and 0 B", c.name, c.got.allocs, c.got.bytes)
+				}
+			}
+			if hits := origin.hitCount(page); hits != 2 {
+				t.Errorf("origin fetched the page %d times, want once per node", hits)
+			}
+		})
 	}
 }
 

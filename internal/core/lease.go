@@ -197,38 +197,26 @@ func (n *Node) leaseCall(act *trace.Act, site, key, msgType string, body []byte)
 // ttl <= 0 means the configured default. It returns the holdership's
 // fencing token; ok is false when a live holder already has the lease or
 // no owner was reachable.
-func (n *Node) LeaseAcquire(site, name string, ttl time.Duration) (uint64, bool) {
-	return n.leaseAcquire(nil, site, name, ttl)
-}
-
-func (n *Node) leaseAcquire(act *trace.Act, site, name string, ttl time.Duration) (uint64, bool) {
-	body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: n.cfg.Name, TTL: n.leaseTTL(ttl)})
-	token, ok := parseLeaseAcquireReply(n.leaseCall(act, site, lease.Key(name), msgLeaseAcquire, body))
+func (h nodeHost) LeaseAcquire(act *trace.Act, site, name string, ttl time.Duration) (uint64, bool) {
+	body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: h.n.cfg.Name, TTL: h.n.leaseTTL(ttl)})
+	token, ok := parseLeaseAcquireReply(h.n.leaseCall(act, site, lease.Key(name), msgLeaseAcquire, body))
 	act.RecordLeaseAcquire(ok, token)
 	return token, ok
 }
 
 // LeaseRenew extends this node's holdership before it expires.
-func (n *Node) LeaseRenew(site, name string, token uint64, ttl time.Duration) bool {
-	return n.leaseRenew(nil, site, name, token, ttl)
-}
-
-func (n *Node) leaseRenew(act *trace.Act, site, name string, token uint64, ttl time.Duration) bool {
-	body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: n.cfg.Name, Token: token, TTL: n.leaseTTL(ttl)})
-	reply, err := n.leaseCall(act, site, lease.Key(name), msgLeaseRenew, body)
+func (h nodeHost) LeaseRenew(act *trace.Act, site, name string, token uint64, ttl time.Duration) bool {
+	body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: h.n.cfg.Name, Token: token, TTL: h.n.leaseTTL(ttl)})
+	reply, err := h.n.leaseCall(act, site, lease.Key(name), msgLeaseRenew, body)
 	ok := err == nil && replyStatus(reply) == "ok"
 	act.RecordLeaseRenew(ok)
 	return ok
 }
 
 // LeaseRelease gives this node's holdership up early.
-func (n *Node) LeaseRelease(site, name string, token uint64) bool {
-	return n.leaseRelease(nil, site, name, token)
-}
-
-func (n *Node) leaseRelease(act *trace.Act, site, name string, token uint64) bool {
-	body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: n.cfg.Name, Token: token})
-	reply, err := n.leaseCall(act, site, lease.Key(name), msgLeaseRelease, body)
+func (h nodeHost) LeaseRelease(act *trace.Act, site, name string, token uint64) bool {
+	body := encodeLeaseReq(leaseReq{Site: site, Name: name, Holder: h.n.cfg.Name, Token: token})
+	reply, err := h.n.leaseCall(act, site, lease.Key(name), msgLeaseRelease, body)
 	ok := err == nil && replyStatus(reply) == "ok"
 	if ok {
 		act.RecordLeaseRelease()
@@ -242,16 +230,12 @@ func (n *Node) leaseRelease(act *trace.Act, site, name string, token uint64) boo
 // admitted against the durable fence floors there and on every replica it
 // reaches, and rejected with ErrFenced anywhere a newer holdership has
 // already written. Scripts reach it as Lease.put.
-func (n *Node) FencedStatePut(site, key, value, name string, token uint64) error {
-	return n.fencedStatePut(nil, site, key, value, name, token)
-}
-
-func (n *Node) fencedStatePut(act *trace.Act, site, key, value, name string, token uint64) error {
-	if state.IsInternalKey(key) {
-		return fmt.Errorf("core: key %q is in the reserved internal namespace", key)
+func (h nodeHost) FencedStatePut(act *trace.Act, site, key, value, name string, token uint64) error {
+	if err := reserved(key); err != nil {
+		return err
 	}
-	reply, err := n.leaseCall(act, site, key, msgLeaseFPut, encodeLeaseFenced(leaseFenced{
-		Guard: lease.Key(name), Holder: n.cfg.Name, Token: token,
+	reply, err := h.n.leaseCall(act, site, key, msgLeaseFPut, encodeLeaseFenced(leaseFenced{
+		Guard: lease.Key(name), Holder: h.n.cfg.Name, Token: token,
 		Rec: state.Rec{Site: site, Key: key, Value: value},
 	}))
 	if err != nil {
@@ -263,6 +247,21 @@ func (n *Node) fencedStatePut(act *trace.Act, site, key, value, name string, tok
 		return ErrFenced
 	}
 	return nil
+}
+
+// LeaseAcquire, LeaseRenew, LeaseRelease and FencedStatePut are the
+// harness's direct lease operations, untraced.
+func (n *Node) LeaseAcquire(site, name string, ttl time.Duration) (uint64, bool) {
+	return nodeHost{n}.LeaseAcquire(nil, site, name, ttl)
+}
+func (n *Node) LeaseRenew(site, name string, token uint64, ttl time.Duration) bool {
+	return nodeHost{n}.LeaseRenew(nil, site, name, token, ttl)
+}
+func (n *Node) LeaseRelease(site, name string, token uint64) bool {
+	return nodeHost{n}.LeaseRelease(nil, site, name, token)
+}
+func (n *Node) FencedStatePut(site, key, value, name string, token uint64) error {
+	return nodeHost{n}.FencedStatePut(nil, site, key, value, name, token)
 }
 
 func parseLeaseAcquireReply(reply transport.Message, err error) (uint64, bool) {

@@ -391,14 +391,14 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.res = resource.NewManager(cfg.Resources)
 	n.res.SetEnabled(cfg.EnableResources)
-	n.loader = pipeline.NewLoader(hostAdapter{n}, cfg.ScriptLimits)
+	n.loader = pipeline.NewLoader(nodeHost{n}, cfg.ScriptLimits)
 	n.loader.Expiry = n.stageExpiry
 	n.loader.ForkCharge = func(site string, heapBytes int64) {
 		n.res.Charge(site, resource.Memory, float64(heapBytes))
 	}
 	n.executor = &pipeline.Executor{
 		Loader:        n.loader,
-		Host:          hostAdapter{n},
+		Host:          nodeHost{n},
 		FetchOrigin:   n.fetchWithCache,
 		ClientWallURL: cfg.ClientWallURL,
 		ServerWallURL: cfg.ServerWallURL,
@@ -752,8 +752,7 @@ func (n *Node) FlushLogs() error {
 }
 
 // ---------------------------------------------------------------------------
-// Host surface (the pipeline reaches these through hostAdapter, which
-// threads the per-request trace act in; see internal/core/observe.go)
+// Host surface
 // ---------------------------------------------------------------------------
 
 // Fetch retrieves a resource on behalf of a script (and of the stage
@@ -761,22 +760,6 @@ func (n *Node) FlushLogs() error {
 func (n *Node) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
 	return n.fetchWithCache(req)
 }
-
-// CacheGet gives a site's scripts read access to the proxy cache under
-// script-chosen keys, namespaced apart from response cache keys and from
-// every other site's.
-func (n *Node) CacheGet(site, key string) *httpmsg.Response {
-	return n.cache.Get(scriptCacheKey(site, key))
-}
-
-// CachePut stores a site's script-generated content in the proxy cache.
-func (n *Node) CachePut(site, key string, resp *httpmsg.Response) {
-	n.cache.Put(scriptCacheKey(site, key), resp)
-}
-
-// scriptCacheKey files a script's key under its site. A site is a hostname,
-// which holds no NUL, so no two sites' keys meet.
-func scriptCacheKey(site, key string) string { return "script:" + site + "\x00" + key }
 
 // IsLocalClient reports whether ip falls in one of the node's configured
 // local networks (loopback always counts).
@@ -796,41 +779,71 @@ func (n *Node) IsLocalClient(ip string) bool {
 	return false
 }
 
-// Usage exposes a site's normalized congestion contribution to scripts.
-func (n *Node) Usage(site, resourceName string) float64 {
-	var kind resource.Kind
-	switch resourceName {
-	case "cpu":
-		kind = resource.CPU
-	case "memory":
-		kind = resource.Memory
-	case "bandwidth":
-		kind = resource.Bandwidth
-	case "running-time":
-		kind = resource.RunningTime
-	case "bytes-transferred":
-		kind = resource.BytesTransferred
-	default:
-		return 0
+// nodeHost is the vocab.Host the pipeline sees, and the one implementation
+// of each site operation. Each state and lease operation takes the trace
+// act of the handler run it serves, so hedged reads, lease outcomes and
+// fenced writes land on the request's activity record and the request's
+// trace id rides any RPC they fan out into. The harness's direct calls
+// (Node.StateGet and its kin) pass a nil act.
+type nodeHost struct{ n *Node }
+
+func (h nodeHost) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
+	return h.n.fetchWithCache(req)
+}
+func (h nodeHost) IsLocalClient(ip string) bool   { return h.n.IsLocalClient(ip) }
+func (h nodeHost) Log(site, message string)       { h.n.log.Append(site, message) }
+func (h nodeHost) SetLogURL(site, postURL string) { h.n.log.SetPostURL(site, postURL) }
+func (h nodeHost) NodeName() string               { return h.n.cfg.Name }
+func (h nodeHost) Now() time.Time                 { return h.n.clock() }
+
+// CacheGet and CachePut give a site's scripts the proxy cache under
+// script-chosen keys, filed apart from response cache keys and from every
+// other site's: a site is a hostname, which holds no NUL, so no two sites'
+// keys meet.
+func (h nodeHost) CacheGet(site, key string) *httpmsg.Response {
+	return h.n.cache.Get(scriptCacheKey(site, key))
+}
+func (h nodeHost) CachePut(site, key string, resp *httpmsg.Response) {
+	h.n.cache.Put(scriptCacheKey(site, key), resp)
+}
+func scriptCacheKey(site, key string) string { return "script:" + site + "\x00" + key }
+
+// Usage is a site's normalized congestion contribution to the resource
+// whose resource.Kind has that name; 0 for a name that is none.
+func (h nodeHost) Usage(site, name string) float64 {
+	for _, k := range resource.Kinds {
+		if k.String() == name {
+			return h.n.res.Usage(site, k)
+		}
 	}
-	return n.res.Usage(site, kind)
+	return 0
+}
+
+// errReserved refuses a site's write or delete of a key in the internal
+// namespace, where its lease and deploy records live: scripts reach those
+// only through the Lease vocabulary and the deployment plane.
+var errReserved = errors.New("core: key is in the reserved internal namespace")
+
+// reserved is the one guard of the internal namespace, for every door to a
+// site's hard state.
+func reserved(key string) error {
+	if state.IsInternalKey(key) {
+		return errReserved
+	}
+	return nil
 }
 
 // StateGet reads site-partitioned hard state: routed to the key's acting
 // owner, failing over to the first live successor when the owner is dead.
-// A node without peers owns every key and reads its own store.
-func (n *Node) StateGet(site, key string) (string, bool) { return n.stateGet(nil, site, key) }
-
-func (n *Node) stateGet(act *nktrace.Act, site, key string) (string, bool) {
-	if state.IsInternalKey(key) {
-		// The internal namespace (lease and deploy records) is invisible to
-		// scripts: reads miss, writes and deletes are refused. Lease state
-		// is reached through the Lease vocabulary instead.
+// A node without peers owns every key and reads its own store. A reserved
+// key misses.
+func (h nodeHost) StateGet(act *nktrace.Act, site, key string) (string, bool) {
+	if reserved(key) != nil {
 		return "", false
 	}
 	// StateGet has no error channel, so a read no owner answered is a miss
 	// here; route has counted it as unavailable.
-	value, ok, _ := n.repGet(act, site, key)
+	value, ok, _ := h.n.repGet(act, site, key)
 	return value, ok
 }
 
@@ -838,35 +851,42 @@ func (n *Node) stateGet(act *nktrace.Act, site, key string) (string, bool) {
 // to the key's acting owner, made durable there, and synchronously pushed
 // to the owner's successors before it is acknowledged. A node without
 // peers owns every key, so its write is a local versioned write.
-func (n *Node) StatePut(site, key, value string) error { return n.statePut(nil, site, key, value) }
-
-func (n *Node) statePut(act *nktrace.Act, site, key, value string) error {
-	if state.IsInternalKey(key) {
-		return fmt.Errorf("core: key %q is in the reserved internal namespace", key)
+func (h nodeHost) StatePut(act *nktrace.Act, site, key, value string) error {
+	if err := reserved(key); err != nil {
+		return err
 	}
-	return n.repWrite(act, site, key, value, false)
+	return h.n.repWrite(act, site, key, value, false)
 }
 
 // StateDelete removes site-partitioned hard state: a versioned tombstone
 // written through the same owner path as StatePut, acknowledged or failing
 // exactly as a put is.
-func (n *Node) StateDelete(site, key string) error { return n.stateDelete(nil, site, key) }
-
-func (n *Node) stateDelete(act *nktrace.Act, site, key string) error {
-	if state.IsInternalKey(key) {
-		return fmt.Errorf("core: key %q is in the reserved internal namespace", key)
+func (h nodeHost) StateDelete(act *nktrace.Act, site, key string) error {
+	if err := reserved(key); err != nil {
+		return err
 	}
-	return n.repWrite(act, site, key, "", true)
+	return h.n.repWrite(act, site, key, "", true)
 }
 
 // StateKeys lists a site's live hard state keys, internal ones hidden. The
 // keys of a site span the whole ring, so the listing scatters to every
 // reachable member and merges — keeping it consistent with StateGet, which
 // also routes cluster-wide.
-func (n *Node) StateKeys(site string) []string { return n.repKeys(nil, site) }
+func (h nodeHost) StateKeys(act *nktrace.Act, site string) []string {
+	return h.n.repKeys(act, site)
+}
 
-// NodeName identifies the node to scripts.
-func (n *Node) NodeName() string { return n.cfg.Name }
-
-// Now returns the node clock's time, which System.time reads.
-func (n *Node) Now() time.Time { return n.clock() }
+// StateGet, StatePut, StateDelete and StateKeys are the harness's direct
+// hard-state operations, untraced.
+func (n *Node) StateGet(site, key string) (string, bool) {
+	return nodeHost{n}.StateGet(nil, site, key)
+}
+func (n *Node) StatePut(site, key, value string) error {
+	return nodeHost{n}.StatePut(nil, site, key, value)
+}
+func (n *Node) StateDelete(site, key string) error {
+	return nodeHost{n}.StateDelete(nil, site, key)
+}
+func (n *Node) StateKeys(site string) []string {
+	return nodeHost{n}.StateKeys(nil, site)
+}

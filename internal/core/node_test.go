@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/deploy"
 	"nakika/internal/httpmsg"
+	"nakika/internal/lease"
 	"nakika/internal/overlay"
 	"nakika/internal/resource"
 	"nakika/internal/store"
@@ -693,6 +695,94 @@ func TestSingleNodeKeysHideInternalRecords(t *testing.T) {
 	}
 }
 
+// reservedScript tries every script door to the site's hard state on the
+// reserved key the request's path names, /lease or /deploy, and answers
+// what each did: "miss" or the value read, "ok" or the error thrown.
+const reservedScript = `
+	var keys = { "/lease": "\x00nk:lease:job", "/deploy": "\x00nk:deploy" };
+	var p = new Policy();
+	p.url = [ "reserved.example.org/" ];
+	p.onRequest = function() {
+		var key = keys[Request.path];
+		var v = State.get(key);
+		var out = [ v === null ? "miss" : v ];
+		try { State.put(key, "x"); out.push("ok"); } catch (e) { out.push("" + e); }
+		try { State.remove(key); out.push("ok"); } catch (e) { out.push("" + e); }
+		try { Lease.put(key, "x", "job", 1); out.push("ok"); } catch (e) { out.push("" + e); }
+		Response.setHeader("Content-Type", "text/plain");
+		Response.write(out.join("|"));
+	};
+	p.register();
+`
+
+// TestReservedNamespaceRefusedAtEveryDoor: a site's lease and deploy
+// records live in its own hard-state partition under "\x00nk:" keys, and
+// no door to that partition reaches them. Through the site's deployed
+// script State.get misses and State.put, State.remove and Lease.put throw;
+// through the node StateGet misses and StatePut, StateDelete and
+// FencedStatePut return errReserved. The site's deploy record, its applied
+// generation and its lease record are unchanged afterwards.
+func TestReservedNamespaceRefusedAtEveryDoor(t *testing.T) {
+	const site = "reserved.example.org"
+	n := newTestNode(t, "edge-1", newMemOrigin(), nil)
+	if _, err := n.Deploy(site, reservedScript, "tries its own records"); err != nil {
+		t.Fatal(err)
+	}
+	token, ok := n.LeaseAcquire(site, "job", time.Hour)
+	if !ok {
+		t.Fatal("the job lease was not granted")
+	}
+	record := func(key string) string {
+		ver, value, deleted, ok := n.LocalStateRecord(site, key)
+		return fmt.Sprintf("v%d %q deleted=%v ok=%v", ver, value, deleted, ok)
+	}
+	keys := []struct{ path, key string }{
+		{"/lease", lease.Key("job")},
+		{"/deploy", deploy.StateKey},
+	}
+	before := map[string]string{}
+	for _, k := range keys {
+		if before[k.key] = record(k.key); !strings.Contains(before[k.key], "ok=true") {
+			t.Fatalf("%q holds no record: %s", k.key, before[k.key])
+		}
+	}
+	refused := func(door string, err error) {
+		t.Helper()
+		if !errors.Is(err, errReserved) {
+			t.Errorf("%s: %v, want %v", door, err, errReserved)
+		}
+	}
+	for _, k := range keys {
+		resp, _, err := n.Handle(httpmsg.MustRequest("GET", "http://"+site+k.path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doors := strings.Split(string(resp.Body), "|")
+		if len(doors) != 4 || doors[0] != "miss" {
+			t.Fatalf("%s: the script read %q, want a miss and three refusals", k.path, resp.Body)
+		}
+		for i, door := range []string{"State.put", "State.remove", "Lease.put"} {
+			if want := door + ": " + errReserved.Error(); !strings.Contains(doors[i+1], want) {
+				t.Errorf("%s: %s gave %q, want it to throw %q", k.path, door, doors[i+1], want)
+			}
+		}
+		if _, ok := n.StateGet(site, k.key); ok {
+			t.Errorf("Node.StateGet(%q) read the record", k.key)
+		}
+		refused("Node.StatePut("+k.path+")", n.StatePut(site, k.key, "x"))
+		refused("Node.StateDelete("+k.path+")", n.StateDelete(site, k.key))
+		refused("Node.FencedStatePut("+k.path+")", n.FencedStatePut(site, k.key, "x", "job", token))
+	}
+	for _, k := range keys {
+		if after := record(k.key); after != before[k.key] {
+			t.Errorf("%q changed: %s, was %s", k.key, after, before[k.key])
+		}
+	}
+	if gen := n.AppliedGeneration(site); gen != 1 {
+		t.Errorf("AppliedGeneration = %d, want 1", gen)
+	}
+}
+
 // parentSingleNodeWAL is state/wal-00000001.log as the previous release's
 // single node (no ring, a data directory) left it: raw puts of four keys of
 // shop.example.org, a delete record for one of them, the "job" lease's
@@ -809,18 +899,38 @@ func TestStatePropagateThrowsOnEveryNode(t *testing.T) {
 	}
 }
 
+// TestNodeTimeAndUsage reads the node's host as System.time, System.usage
+// and System.nodeName do: usage by every resource.Kind's name reads the
+// site's charge, and an unknown site or name reads 0.
 func TestNodeTimeAndUsage(t *testing.T) {
-	n := newTestNode(t, "edge-1", newMemOrigin(), nil)
-	if n.Now().After(time.Now().Add(time.Second)) {
+	capacity := map[resource.Kind]float64{}
+	for _, k := range resource.Kinds {
+		capacity[k] = 1000
+	}
+	n := newTestNode(t, "edge-1", newMemOrigin(), func(cfg *Config) {
+		cfg.Resources.Capacity, cfg.EnableResources = capacity, true
+	})
+	h := nodeHost{n}
+	if h.Now().After(time.Now().Add(time.Second)) {
 		t.Error("Now should be close to wall clock")
 	}
-	if n.Usage("unknown.site", "cpu") != 0 {
+	const site = "charged.example.org"
+	for _, k := range resource.Kinds {
+		n.res.Charge(site, k, capacity[k]) // congested, so renewable usage folds in too
+	}
+	n.res.ControlOnce()
+	for _, k := range resource.Kinds {
+		if got := h.Usage(site, k.String()); got <= 0 {
+			t.Errorf("Usage(%q, %q) = %v after a charge, want above 0", site, k, got)
+		}
+	}
+	if h.Usage("unknown.site", "cpu") != 0 {
 		t.Error("unknown site usage should be zero")
 	}
-	if n.Usage("unknown.site", "bogus-resource") != 0 {
+	if h.Usage(site, "bogus-resource") != 0 {
 		t.Error("unknown resource usage should be zero")
 	}
-	if n.NodeName() != "edge-1" {
+	if h.NodeName() != "edge-1" {
 		t.Error("identity accessors wrong")
 	}
 }

@@ -12,59 +12,10 @@ import (
 	"nakika/internal/transport"
 )
 
-// This file is the node's observability plane: the vocab.Host adapter
-// that threads each request's trace act into the state and lease paths,
-// the traced RPC helper, per-request sample recording, and the metrics
-// registry the admin listener scrapes. Everything here is disabled as a
-// unit by Config.NoObserve.
-
-// hostAdapter is the vocab.Host the pipeline sees. It forwards every
-// host call to the node, passing the per-handler-run trace act into the
-// state and lease paths so hedged reads, lease outcomes, and fenced
-// writes land on the requesting pipeline's activity record — and so the
-// request's trace id rides any RPC those operations fan out into.
-// Node's own public methods keep their act-free signatures for
-// embedders, the harness, and tests.
-type hostAdapter struct{ n *Node }
-
-func (h hostAdapter) Fetch(req *httpmsg.Request) (*httpmsg.Response, error) {
-	return h.n.fetchWithCache(req)
-}
-func (h hostAdapter) CacheGet(site, key string) *httpmsg.Response { return h.n.CacheGet(site, key) }
-func (h hostAdapter) CachePut(site, key string, resp *httpmsg.Response) {
-	h.n.CachePut(site, key, resp)
-}
-func (h hostAdapter) IsLocalClient(ip string) bool        { return h.n.IsLocalClient(ip) }
-func (h hostAdapter) Usage(site, resource string) float64 { return h.n.Usage(site, resource) }
-func (h hostAdapter) Log(site, message string)            { h.n.log.Append(site, message) }
-func (h hostAdapter) SetLogURL(site, postURL string)      { h.n.log.SetPostURL(site, postURL) }
-func (h hostAdapter) NodeName() string                    { return h.n.NodeName() }
-func (h hostAdapter) Now() time.Time                      { return h.n.Now() }
-
-func (h hostAdapter) StateGet(act *nktrace.Act, site, key string) (string, bool) {
-	return h.n.stateGet(act, site, key)
-}
-func (h hostAdapter) StatePut(act *nktrace.Act, site, key, value string) error {
-	return h.n.statePut(act, site, key, value)
-}
-func (h hostAdapter) StateDelete(act *nktrace.Act, site, key string) error {
-	return h.n.stateDelete(act, site, key)
-}
-func (h hostAdapter) StateKeys(act *nktrace.Act, site string) []string {
-	return h.n.repKeys(act, site)
-}
-func (h hostAdapter) LeaseAcquire(act *nktrace.Act, site, name string, ttl time.Duration) (uint64, bool) {
-	return h.n.leaseAcquire(act, site, name, ttl)
-}
-func (h hostAdapter) LeaseRenew(act *nktrace.Act, site, name string, token uint64, ttl time.Duration) bool {
-	return h.n.leaseRenew(act, site, name, token, ttl)
-}
-func (h hostAdapter) LeaseRelease(act *nktrace.Act, site, name string, token uint64) bool {
-	return h.n.leaseRelease(act, site, name, token)
-}
-func (h hostAdapter) FencedStatePut(act *nktrace.Act, site, key, value, name string, token uint64) error {
-	return h.n.fencedStatePut(act, site, key, value, name, token)
-}
+// This file is the node's observability plane: the traced RPC helper,
+// per-request sample recording, and the metrics registry the admin
+// listener scrapes. Everything here is disabled as a unit by
+// Config.NoObserve.
 
 // callT is the traced variant of call: when the operation runs on behalf
 // of a traced request the request's id rides the RPC frame, so the peer

@@ -25,8 +25,10 @@ const (
 
 	// IndexSite is the reserved site name whose StateKey record holds the
 	// list of sites with deployments — the catalogue a node syncs from.
-	// The ':' guarantees it can never collide with a real site (sites are
-	// hostnames, which cannot contain ':').
+	// No site can reach it: core.Node.Deploy refuses a site with a ':', so
+	// no site is deployed under this name, and StateKey is in the internal
+	// namespace, which no script can read or write. (A request can still
+	// name it: http://[nk:deploys]/x has the host name "nk:deploys".)
 	IndexSite = "nk:deploys"
 
 	// Retention bounds how many script versions a site's record keeps.

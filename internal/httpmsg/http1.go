@@ -531,13 +531,17 @@ func fixPragma(h *Header) {
 
 // parseTarget parses the request target into u: url.ParseRequestURI's
 // result, or for CONNECT's authority form the authority alone, as net/http
-// reads them. The common origin form is parsed here without allocating.
+// reads them. The common origin form, and the absolute form a client that
+// uses the node as its proxy sends, are parsed here without allocating.
 func parseTarget(u *url.URL, method, target string) error {
 	*u = url.URL{}
 	if originForm(u, target) {
 		return nil
 	}
 	authority := method == http.MethodConnect && !strings.HasPrefix(target, "/")
+	if !authority && absoluteForm(u, target) {
+		return nil
+	}
 	if authority {
 		target = "http://" + target
 	}
@@ -571,6 +575,27 @@ func originForm(u *url.URL, target string) bool {
 	}
 	u.Path, u.RawQuery = path, query
 	u.ForceQuery = hasQuery && query == ""
+	return true
+}
+
+// absoluteForm parses an absolute-form target into u when
+// url.ParseRequestURI would keep its bytes as they are: a lowercase http or
+// https scheme, a plain host (letters, digits, '.' and '-') with an optional
+// numeric port, then what originForm accepts. It reports false for anything
+// else: user info, a bracketed or escaped host, an empty path.
+func absoluteForm(u *url.URL, target string) bool {
+	scheme, rest, _ := strings.Cut(target, "://")
+	slash := strings.IndexByte(rest, '/')
+	if scheme != "http" && scheme != "https" || slash < 0 {
+		return false
+	}
+	host := rest[:slash]
+	name, port, hasPort := strings.Cut(host, ":")
+	if name == "" || !allIn(name, &plainHostByte) || hasPort && (port == "" || strings.TrimLeft(port, "0123456789") != "") ||
+		!originForm(u, rest[slash:]) {
+		return false
+	}
+	u.Scheme, u.Host = scheme, host
 	return true
 }
 
@@ -986,13 +1011,14 @@ func ClientIP(remoteAddr string) string {
 // The byte sets the codec checks against: an RFC 7230 token (tchar); the
 // bytes url.URL keeps unescaped in a path (unreserved characters and the
 // reserved ones its path encoding leaves alone); the bytes net/http allows
-// in a Host header; and those of them url.URL writes unescaped in a host.
-// All four include the letters and digits.
+// in a Host header; those of them url.URL writes unescaped in a host; and a
+// plain host name's. All five include the letters and digits.
 var (
-	tokenByte   = byteSet("!#$%&'*+-.^_`|~")
-	pathByte    = byteSet("-_.~$&+,/:;=@")
-	hostByte    = byteSet("!$%&'()*+,-.:;=[]_~")
-	keyHostByte = byteSet("-.:[]_~")
+	tokenByte     = byteSet("!#$%&'*+-.^_`|~")
+	pathByte      = byteSet("-_.~$&+,/:;=@")
+	hostByte      = byteSet("!$%&'()*+,-.:;=[]_~")
+	keyHostByte   = byteSet("-.:[]_~")
+	plainHostByte = byteSet("-.")
 )
 
 func byteSet(punct string) (t [256]bool) {

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
@@ -211,6 +212,7 @@ var requestSeeds = []string{
 	"GET /old HTTP/1.0\r\nConnection: keep-alive\r\n\r\nGET /again HTTP/1.0\r\nConnection: Keep-Alive\r\nHost: h\r\n\r\n",
 	"GET /old HTTP/1.0\r\nConnection: foo keep-alive\r\n\r\n",
 	// Absolute-form targets.
+	"GET http://shop.example.org:8080/a/b?q=1 HTTP/1.1\r\nHost: shop.example.org:8080\r\n\r\n",
 	"GET http://Shop.Example.org:8080/x%20y?q#f HTTP/1.1\r\nHost: other\r\n\r\n",
 	"GET https://user:pw@h/p HTTP/1.1\r\nHost: h\r\n\r\n",
 	"CONNECT h:443 HTTP/1.1\r\nHost: h:443\r\n\r\n",
@@ -274,6 +276,66 @@ func FuzzReadRequest(f *testing.F) {
 		}
 		compareOutcomes(t, in, want, readAll(in))
 	})
+}
+
+// TestAbsoluteFormMatchesParseRequestURI holds the absolute-form fast path
+// to url.ParseRequestURI: every target it takes parses to the URL that
+// function returns, on the table's cases and on every FuzzReadRequest
+// seed's request lines, and it takes the table's plain targets.
+func TestAbsoluteFormMatchesParseRequestURI(t *testing.T) {
+	cases := []struct {
+		target string
+		fast   bool
+	}{
+		{"http://static.example.org/index.html", true},
+		{"https://Shop.Example.org:8080/a/b?q=1&r", true},
+		{"http://h/a?", true},
+		{"http://h-1.x/", true},
+		{"http://127.0.0.1:9090/module/1/section/2.html?student=alice", true},
+		{"HTTP://h/", false},
+		{"ftp://h/", false},
+		{"http://h", false},
+		{"http://h?q", false},
+		{"http:///p", false},
+		{"http://h:/p", false},
+		{"http://h:8x/p", false},
+		{"http://user@h/p", false},
+		{"http://[::1]:80/p", false},
+		{"http://[nk:deploys]/x", false},
+		{"http://h%41/p", false},
+		{"http://h_1/p", false},
+		{"http://h/x%20y", false},
+		{"http://h/é", false},
+		{"http://h/a b", false},
+		{"http://h/#f", false},
+	}
+	targets := map[string]bool{}
+	for _, c := range cases {
+		targets[c.target] = true
+		var u url.URL
+		if got := absoluteForm(&u, c.target); got != c.fast {
+			t.Errorf("absoluteForm(%q) = %v, want %v", c.target, got, c.fast)
+		}
+	}
+	for _, seed := range requestSeeds {
+		for _, line := range strings.Split(seed, "\n") {
+			if f := strings.Fields(line); len(f) == 3 {
+				targets[f[1]] = true
+			}
+		}
+	}
+	for target := range targets {
+		var u url.URL
+		if !absoluteForm(&u, target) {
+			continue
+		}
+		want, err := url.ParseRequestURI(target)
+		if err != nil {
+			t.Errorf("absoluteForm took %q, which url.ParseRequestURI refuses: %v", target, err)
+		} else if u != *want {
+			t.Errorf("absoluteForm(%q) = %#v, url.ParseRequestURI reads %#v", target, u, *want)
+		}
+	}
 }
 
 func TestReadRequestRefusals(t *testing.T) {

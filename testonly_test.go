@@ -160,6 +160,100 @@ func checkOneClock(root, dir string, allowed []struct{ file, reason string }) ([
 	return problems, nil
 }
 
+// TestOneSiteBinding fails when a site can reach its space by more than one
+// way from a script. Every vocab.Host method that reaches a site's space
+// takes a site parameter, and non-test code under internal/ calls or refers
+// to those only in internal/vocab/site.go, where Install binds the site a
+// script runs as once for all its natives. siteFreeHostMethods are the Host
+// methods that take no site, each for the reason given; a listed name that
+// is gone or now takes a site fails the check too, so the list only shrinks.
+func TestOneSiteBinding(t *testing.T) {
+	problems, err := checkOneSiteBinding(".", "internal", "internal/vocab/site.go", siteFreeHostMethods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// siteFreeHostMethods are the vocab.Host methods that take no site, and why.
+var siteFreeHostMethods = []struct{ method, reason string }{
+	{"Fetch", "a fetch names its resource by URL, and the server wall interposes on it at the pipeline level"},
+	{"IsLocalClient", "a question about the client's address, asked of the node's configured networks"},
+	{"NodeName", "the node's identity, the same for every site"},
+	{"Now", "the node's one clock, the same for every site"},
+}
+
+// checkOneSiteBinding returns every vocab.Host method without a site
+// parameter that free does not list, every listed name that is no such
+// method, and every reference to a site-taking Host method in the non-test
+// files under dir outside file, as "file:line: message", sorted.
+func checkOneSiteBinding(root, dir, file string, free []struct{ method, reason string }) ([]string, error) {
+	l, all, err := loadModule(root, nil)
+	if err != nil {
+		return nil, err
+	}
+	vocab, ok := l.pkgs[importPath(l.module, "internal/vocab")]
+	if !ok {
+		return nil, fmt.Errorf("no package internal/vocab")
+	}
+	tn, ok := vocab.pkg.Scope().Lookup("Host").(*types.TypeName)
+	if !ok {
+		return nil, fmt.Errorf("no type vocab.Host")
+	}
+	host, ok := tn.Type().Underlying().(*types.Interface)
+	if !ok {
+		return nil, fmt.Errorf("vocab.Host is not an interface")
+	}
+	listed := map[string]bool{}
+	for _, f := range free {
+		listed[f.method] = true
+	}
+	var problems []string
+	siteTaking := map[types.Object]bool{}
+	for i := 0; i < host.NumMethods(); i++ {
+		m := host.Method(i)
+		params := m.Type().(*types.Signature).Params()
+		takesSite := false
+		for j := 0; j < params.Len(); j++ {
+			takesSite = takesSite || params.At(j).Name() == "site"
+		}
+		pos := relPos(l.fset, root, m.Pos())
+		switch {
+		case takesSite && listed[m.Name()]:
+			problems = append(problems, pos+": vocab.Host."+m.Name()+" takes a site but is listed in siteFreeHostMethods")
+		case !takesSite && !listed[m.Name()]:
+			problems = append(problems, pos+": vocab.Host."+m.Name()+" takes no site parameter; a method that reaches a site's space takes one")
+		}
+		if takesSite {
+			siteTaking[m] = true
+		}
+		delete(listed, m.Name())
+	}
+	for _, f := range free {
+		if listed[f.method] {
+			problems = append(problems, "testonly_test.go: "+f.method+" is listed in siteFreeHostMethods but is no vocab.Host method")
+		}
+	}
+	for _, p := range all {
+		if p.dir != dir && !strings.HasPrefix(p.dir, dir+"/") {
+			continue
+		}
+		for id, obj := range p.info.Uses {
+			if !siteTaking[obj] {
+				continue
+			}
+			pos := relPos(l.fset, root, id.Pos())
+			if f, _, _ := strings.Cut(pos, ":"); f != file {
+				problems = append(problems, pos+": vocab.Host."+obj.Name()+" takes a site; only "+file+" binds one")
+			}
+		}
+	}
+	sort.Slice(problems, func(i, j int) bool { return lessPos(problems[i], problems[j]) })
+	return problems, nil
+}
+
 // TestOneHeaderType fails when non-test code under internal/ names
 // net/http.Header outside the files headerMapFiles lists. A message's header
 // is httpmsg.Header from the socket to the store; a net/http header map is
