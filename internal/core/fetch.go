@@ -47,7 +47,8 @@ func (n *Node) fetchWithCache(req *httpmsg.Request) (*httpmsg.Response, error) {
 	kb := req.CacheKeyBytes()
 	resp := n.cache.GetFor(kb, req)
 	if resp == nil && n.lob != nil {
-		resp, _ = n.lobServeManifest(n.lob.ManifestBytes(kb))
+		m, ok := n.lob.ManifestBytes(kb)
+		resp, _ = n.lobServeManifest(req, m, ok)
 	}
 	if resp != nil {
 		n.cacheHits.Add(1)

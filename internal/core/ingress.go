@@ -67,21 +67,20 @@ const (
 
 // respond is the one step both entry points run on a staged request: the
 // redirection suffix comes off the host, the node handles the request with
-// trace as its trace, and a Range header narrows the reply. release reports
-// whether req may go back to the pool once the response is written: only
-// when no script handler saw it, since a script could keep its bound
-// request.
-func (n *Node) respond(req *httpmsg.Request, trace *pipeline.Trace) (resp *httpmsg.Response, release bool) {
+// trace as its trace, and a Range header narrows the reply. The request
+// goes back to the pool once the response is written (httpmsg.Release's
+// safety rule).
+func (n *Node) respond(req *httpmsg.Request, trace *pipeline.Trace) *httpmsg.Response {
 	stripRedirectSuffix(req.URL)
 	resp, err := n.HandleInto(req, trace)
 	if err != nil {
-		return httpmsg.NewErrorResponse(http.StatusInternalServerError, err.Error()), false
+		return httpmsg.NewErrorResponse(http.StatusInternalServerError, err.Error())
 	}
 	// Range narrowing happens at the very edge, after every script saw the
 	// full 200: a satisfiable Range on a GET/HEAD becomes a 206 (lazy — a
 	// streamed body only reads the requested segments), an unsatisfiable
 	// one a 416.
-	return httpmsg.ApplyRange(req, resp), !trace.RanHandlers()
+	return httpmsg.ApplyRange(req, resp)
 }
 
 // stripRedirectSuffix recovers the origin's host from a redirected one:
@@ -101,7 +100,7 @@ func stripRedirectSuffix(u *url.URL) {
 }
 
 // ServeHTTP implements http.Handler. Requests are staged in pooled httpmsg
-// objects and released under respond's rule.
+// objects and released once their response is written.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req, err := httpmsg.AcquireFromHTTPRequest(r, maxRequestBody)
 	if err != nil {
@@ -112,13 +111,11 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp, release := n.respond(req, new(pipeline.Trace))
+	resp := n.respond(req, new(pipeline.Trace))
 	if err := resp.WriteToMethod(w, req.Method); err != nil {
 		n.errors.Add(1)
 	}
-	if release {
-		req.Release()
-	}
+	req.Release()
 }
 
 // Serve accepts client connections on ln and serves HTTP/1.1 on each until
@@ -132,13 +129,12 @@ func (n *Node) Serve(ln net.Listener) error { return n.serve(ln, n.respond) }
 // admission, the access log, the trace ring and the request counters do not
 // see them. A Drain closes ln with the client listeners.
 func (n *Node) ServeAdmin(ln net.Listener, handle func(*httpmsg.Request) *httpmsg.Response) error {
-	return n.serve(ln, func(req *httpmsg.Request, _ *pipeline.Trace) (*httpmsg.Response, bool) { return handle(req), true })
+	return n.serve(ln, func(req *httpmsg.Request, _ *pipeline.Trace) *httpmsg.Response { return handle(req) })
 }
 
 // handler answers one request read off a connection, with the trace its
-// connection lends it; release reports whether the request may go back to
-// the pool once the response is written.
-type handler func(req *httpmsg.Request, trace *pipeline.Trace) (resp *httpmsg.Response, release bool)
+// connection lends it.
+type handler func(req *httpmsg.Request, trace *pipeline.Trace) *httpmsg.Response
 
 // connState is what a connection keeps from one request to the next and
 // lends the request it serves: what httpmsg.Reuse holds (the hit's body
@@ -255,7 +251,6 @@ func (n *Node) serveConn(rwc net.Conn, handle handler) {
 		}
 		req.ClientIP = clientIP
 		var resp *httpmsg.Response
-		release := true
 		if req.Method == http.MethodOptions && req.URL.Path == "*" {
 			// A request about the server itself, which net/http's server
 			// answers without a handler: so does the node. Like net/http,
@@ -264,7 +259,7 @@ func (n *Node) serveConn(rwc net.Conn, handle handler) {
 			resp = httpmsg.NewResponse(http.StatusOK)
 			hc.KeepAlive = hc.KeepAlive && len(req.Body) <= 4<<10
 		} else {
-			resp, release = handle(req, &st.trace)
+			resp = handle(req, &st.trace)
 		}
 		if in.draining.Load() {
 			hc.KeepAlive = false
@@ -272,13 +267,7 @@ func (n *Node) serveConn(rwc net.Conn, handle handler) {
 		if err := resp.WriteHTTP1(hc, req.Method); err != nil {
 			n.errors.Add(1)
 		}
-		if release {
-			req.Release()
-		} else {
-			// A script saw the request, and may have handed the Response
-			// it was lent on.
-			st.reuse.Disown()
-		}
+		req.Release()
 		if cap(st.reuse.Reply) > maxReplyBuffer {
 			st.reuse.Reply = nil
 		}

@@ -110,16 +110,18 @@ func (n *Node) lobServe(key string) (*httpmsg.Response, cache.Stale) {
 	if n.lob == nil {
 		return nil, cache.Stale{}
 	}
-	return n.lobServeManifest(n.lob.Manifest(key))
+	m, ok := n.lob.Manifest(key)
+	return n.lobServeManifest(nil, m, ok)
 }
 
-// lobServeManifest is lobServe of the manifest the tier looked up, if ok.
-func (n *Node) lobServeManifest(m *largeobject.Manifest, ok bool) (*httpmsg.Response, cache.Stale) {
+// lobServeManifest is lobServe of the manifest the tier looked up, if ok,
+// in reply to req (nil: to no request in particular; see lobStream).
+func (n *Node) lobServeManifest(req *httpmsg.Request, m *largeobject.Manifest, ok bool) (*httpmsg.Response, cache.Stale) {
 	switch {
 	case !ok:
 		return nil, cache.Stale{}
 	case !n.lobStale(m):
-		return n.lobStream(m), cache.Stale{}
+		return n.lobStream(req, m), cache.Stale{}
 	case cache.Kept(m.Header, m.Expires, n.clock()):
 		return nil, cache.Stale{Tier: "lob", Header: m.Header}
 	}
@@ -128,12 +130,14 @@ func (n *Node) lobServeManifest(m *largeobject.Manifest, ok bool) (*httpmsg.Resp
 }
 
 // lobStream builds the streamed response for a manifest, on the stream the
-// tier keeps for it. Missing segments resolve lazily as the client reads:
-// slab, then a holder the overlay locates, then an origin Range refetch —
-// each verified against the manifest's content address (lobFetch).
-func (n *Node) lobStream(m *largeobject.Manifest) *httpmsg.Response {
+// tier keeps for it, in the Response req's connection lends (a fresh one
+// for a nil req: a flight's leader shares its response with the joiners).
+// Missing segments resolve lazily as the client reads: slab, then a holder
+// the overlay locates, then an origin Range refetch — each verified against
+// the manifest's content address (lobFetch).
+func (n *Node) lobStream(req *httpmsg.Request, m *largeobject.Manifest) *httpmsg.Response {
 	n.lobStreamed.Add(1)
-	resp := httpmsg.NewResponse(m.Status)
+	resp := httpmsg.ResponseTo(req, m.Status)
 	resp.Header = m.Header
 	resp.FromCache = true
 	resp.SetStream(n.lob.NewStream(m, nil))
@@ -153,7 +157,7 @@ func (n *Node) lobRenew(key string, nm *httpmsg.Response) *httpmsg.Response {
 	}
 	if h, renewal, expires := n.cache.Renew(m.Status, m.Header, nm.Header); renewal == cache.Renewed {
 		if renewed, ok := n.lob.RefreshManifest(key, h, expires); ok {
-			return n.lobStream(renewed)
+			return n.lobStream(nil, renewed)
 		}
 	}
 	return nil
@@ -179,7 +183,7 @@ func (n *Node) lobAdopt(key string, body []byte) *httpmsg.Response {
 		return nil
 	}
 	n.lobAdopted.Add(1)
-	return n.lobStream(m)
+	return n.lobStream(nil, m)
 }
 
 // ---------------------------------------------------------------------------

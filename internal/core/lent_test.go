@@ -2,6 +2,9 @@ package core
 
 import (
 	"bufio"
+	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -136,5 +139,74 @@ func TestRetainedSampleOutlivesItsConnection(t *testing.T) {
 	if retained.TraceID != id || retained.URL() != "o.example/first" || strings.Join(spans(retained), ",") != want {
 		t.Errorf("the retained sample of /first after 300 more hits on its connection: id %x, URL %q, spans %v; want %x, o.example/first, %s",
 			retained.TraceID, retained.URL(), spans(retained), id, want)
+	}
+}
+
+// TestScriptKeepsNoLentMemory: a request goes back to the pool once its
+// response is written, handlers or not, and its connection keeps the
+// Response it lent for the next request, so nothing a script keeps past
+// its run may reach either. The site's script keeps its Request, its
+// Response, the ByteArray Request.body() gives it and a function that
+// calls Request.getHeader in globals, and answers every request with what
+// they read. Each later request, on the same keep-alive connection and on
+// another one, reads its own method, path, header and content type through
+// them, and the kept ByteArray still reads the first request's body: each
+// body is read into a buffer of its own.
+func TestScriptKeepsNoLentMemory(t *testing.T) {
+	origin := newMemOrigin()
+	origin.addScript("http://o.example/nakika.js", `
+		var kept = null;
+		onRequest = function () {
+			if (kept == null) {
+				kept = { req: Request, resp: Response, body: Request.body(),
+					tag: function () { return Request.getHeader("X-Tag"); } };
+			}
+			Response.setHeader("Content-Type", "text/" + Request.getHeader("X-Tag"));
+			Response.write(kept.req.method + " " + kept.req.path + " " + kept.tag() + " " +
+				kept.resp.contentType + " " + kept.body.toString());
+		};
+	`)
+	n := newTestNode(t, "edge-kept", origin, nil)
+	l := newPipeListener()
+	go n.Serve(l)
+	defer l.Close()
+	type conn struct {
+		c  io.ReadWriteCloser
+		br *bufio.Reader
+	}
+	dial := func() *conn {
+		c := l.dial()
+		return &conn{c, bufio.NewReader(c)}
+	}
+	roundTrip := func(c *conn, method, path, tag, body string) string {
+		t.Helper()
+		fmt.Fprintf(c.c, "%s %s HTTP/1.1\r\nHost: o.example\r\nX-Tag: %s\r\nContent-Length: %d\r\n\r\n%s", method, path, tag, len(body), body)
+		resp, err := http.ReadResponse(c.br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d, %q, %v", method, path, resp.StatusCode, got, err)
+		}
+		return string(got)
+	}
+	first, other := dial(), dial()
+	defer first.c.Close()
+	defer other.c.Close()
+	for i, r := range []struct {
+		c                       *conn
+		method, path, tag, body string
+	}{
+		{first, "POST", "/one", "one", "body-of-the-first-request"},
+		{first, "PUT", "/two", "two", "body-of-the-other-request"},
+		{first, "POST", "/three", "three", "body-of-a-third--request"},
+		{other, "POST", "/four", "four", "body-of-the-forth-request"},
+		{first, "GET", "/five", "five", ""},
+	} {
+		want := r.method + " " + r.path + " " + r.tag + " text/" + r.tag + " body-of-the-first-request"
+		if got := roundTrip(r.c, r.method, r.path, r.tag, r.body); got != want {
+			t.Errorf("request %d read %q through what the script kept, want %q", i+1, got, want)
+		}
 	}
 }

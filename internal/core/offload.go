@@ -297,11 +297,8 @@ func (n *Node) serveOffloadRPC(from string, msg transport.Message) (transport.Me
 			return transport.Message{}, err
 		}
 		reply := transport.Message{Args: []string{loadview.FormatScore(n.meter.Score()), who}, Body: httpmsg.EncodeResponse(resp)}
-		// Recycle the staged request once the reply is encoded, unless a
-		// script handler saw it (same rule as the client port's respond).
-		if !trace.RanHandlers() {
-			req.Release()
-		}
+		// Recycle the staged request once the reply is encoded.
+		req.Release()
 		return reply, nil
 	default:
 		return transport.Message{}, fmt.Errorf("core: unknown offload message %q", msg.Type)

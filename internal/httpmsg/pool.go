@@ -11,27 +11,59 @@ import (
 // call; pooling them removes the request struct and its URL from the
 // steady-state allocation profile.
 //
-// Safety rule: a request may only be released when no pipeline script
-// handler ran against it (pipeline.Trace.RanHandlers reports this). A
-// script could stash its bound request wrapper in a global and alias a
-// later request after reuse; requests that scripts touched are therefore
-// left to the garbage collector.
+// Safety rule: a request goes back to the pool once its response is
+// written, script handlers or not. A script's Request and Response stand
+// for a message only while its handler runs: their natives throw and their
+// data properties read undefined after it (vocab.ClearMessages). What a
+// script can keep of a request past its run is the strings it read, which
+// are immutable, and a ByteArray over a body, which is read into a buffer
+// of its own for each request and never lent.
 
 var requestPool = sync.Pool{
 	New: func() interface{} { return new(Request) },
 }
 
-// AcquireRequest returns a zeroed pooled request. Pair with Release on paths
-// where no script saw the request; dropping it on the floor is also fine
-// (the GC reclaims it).
-func AcquireRequest() *Request { return requestPool.Get().(*Request) }
+// AcquireRequest returns a zeroed pooled request. Pair with Release once
+// its response is written; dropping it on the floor is also fine (the GC
+// reclaims it).
+func AcquireRequest() *Request {
+	r := requestPool.Get().(*Request)
+	if poison {
+		*r = Request{}
+	}
+	return r
+}
 
 // Release zeroes the request and returns it to the pool. The caller must not
-// touch the request afterwards.
+// touch the request afterwards. Built with the nakika_poison tag, Release
+// overwrites the request instead, and the Response its connection lent it,
+// so whatever still reads them reads garbage (AcquireRequest zeroes it).
 func (r *Request) Release() {
-	*r = Request{}
+	if poison {
+		r.poison()
+	} else {
+		*r = Request{}
+	}
 	requestPool.Put(r)
 }
+
+// poison overwrites r and the Response it was lent.
+func (r *Request) poison() {
+	if r.respLent && r.reuse != nil && r.reuse.resp != nil {
+		*r.reuse.resp = Response{Status: 599, Header: poisonHeader}
+	}
+	*r = Request{Method: "POISONED", URL: &poisonURL, Header: poisonHeader, ClientIP: "poisoned"}
+}
+
+// poisonURL and poisonHeader are what poison leaves in a request and a
+// response.
+var (
+	poisonURL    = url.URL{Scheme: "http", Host: "poisoned.invalid", Path: "/poisoned"}
+	poisonHeader = func() (h Header) {
+		h.Set("Poisoned", "given back")
+		return h
+	}()
+)
 
 // Reuse is what a client connection keeps from one request to the next and
 // lends each request it stages (SetReuse): the buffer the body of a cache hit
@@ -46,9 +78,8 @@ func (r *Request) Release() {
 //
 // A lent Response goes back into the pipeline of its own request only: a
 // flight's leader looks the cache up without its request, so what it shares
-// with joiners is never lent, and the tiers store copies. A request a
-// script saw may have handed what it was lent on, so its connection gives
-// the Response up (Disown).
+// with joiners is never lent, and the tiers store copies. A script bound to
+// it holds it only while its handler runs.
 type Reuse struct {
 	// Reply is the hit buffer, grown as needed. A body in it is borrowed,
 	// read-only until Materialize copies it, so no script keeps a hold on
@@ -57,15 +88,11 @@ type Reuse struct {
 	Reply []byte
 	resp  *Response
 	// partial is the 206 ApplyRange fills. Ranges narrow a reply after
-	// every script ran, so no script ever holds it, and Disown keeps it.
+	// every script ran, so no script ever holds it.
 	partial *Response
 	key     []byte
 	site    siteURL
 }
-
-// Disown gives up the Response u lent the last request: the next hit
-// fills a new one. A connection calls it when a script saw the request.
-func (u *Reuse) Disown() { u.resp = nil }
 
 // siteURL is one SiteURL result: url is scheme + "://" + host + "/" + name,
 // and scheme and host are its first ls and, after the "://", lh bytes.
@@ -90,6 +117,15 @@ func (r *Request) ReplyBuffer(n int) (b []byte, borrowed bool) {
 		r.reuse.Reply = make([]byte, n)
 	}
 	return r.reuse.Reply[:n:n], true
+}
+
+// ResponseTo returns a response with status in reply to req: the Response
+// req's Reuse lends (see Reuse), once, or else a fresh one, as NewResponse
+// makes (a nil req gets a fresh one too).
+func ResponseTo(req *Request, status int) *Response {
+	resp := req.lentResponse()
+	*resp = Response{Status: status}
+	return resp
 }
 
 // lentResponse returns the Response the Reuse SetReuse gave r lends, once,

@@ -129,18 +129,6 @@ type killFlag struct{ atomic.Bool }
 // Terminate raises the flag.
 func (k *killFlag) Terminate() { k.Store(true) }
 
-// RanHandlers reports whether any stage executed a script handler. Callers
-// that pool requests use it as the safety gate: a request no script touched
-// cannot have been captured by one.
-func (t *Trace) RanHandlers() bool {
-	for i := range t.Stages {
-		if t.Stages[i].RanRequest || t.Stages[i].RanResponse {
-			return true
-		}
-	}
-	return t.Generated
-}
-
 // since returns the host clock's time elapsed since start.
 func (e *Executor) since(start time.Time) time.Duration { return e.Host.Now().Sub(start) }
 

@@ -61,10 +61,12 @@ type Stage struct {
 }
 
 // stageInstance is one pooled execution context plus the translation from
-// pristine handler values to this fork's copies.
+// pristine handler values to this fork's copies, and the Run WithRun lends
+// each checkout of it.
 type stageInstance struct {
 	ctx      *script.Context
 	handlers map[script.Value]script.Value
+	run      Run
 }
 
 // newStage builds a runnable stage around a pristine post-evaluation context.
@@ -110,7 +112,8 @@ func (s *Stage) Policies() []*policy.Policy {
 }
 
 // Run is one checked-out pooled execution context. It is valid only for the
-// duration of the WithRun callback that produced it.
+// duration of the WithRun callback that produced it: its instance lends the
+// same Run to every checkout.
 type Run struct {
 	// Ctx is the scripting context the caller may bind messages into and run
 	// handlers in; it is owned exclusively by this run until WithRun returns.
@@ -140,7 +143,7 @@ func (s *Stage) WithRun(fn func(run *Run) error) error {
 		return err
 	}
 	defer s.release(inst)
-	return fn(&Run{Ctx: inst.ctx, inst: inst})
+	return fn(&inst.run)
 }
 
 func (s *Stage) acquire() (*stageInstance, error) {
@@ -184,7 +187,9 @@ func (s *Stage) fork() *stageInstance {
 	if s.forkCharge != nil {
 		s.forkCharge(s.Site, s.pristine.HeapBytes())
 	}
-	return &stageInstance{ctx: ctx, handlers: handlers}
+	inst := &stageInstance{ctx: ctx, handlers: handlers}
+	inst.run = Run{Ctx: ctx, inst: inst}
+	return inst
 }
 
 // Loader is the one owner of a node's compiled stages. It fetches stage

@@ -174,12 +174,14 @@ type Ident struct {
 type NumberLit struct {
 	pos
 	Value float64
+	val   Value // Value as a script value, boxed once by the parser
 }
 
 // StringLit is a string literal.
 type StringLit struct {
 	pos
 	Value string
+	val   Value // Value as a script value, boxed once by the parser
 }
 
 // BoolLit is true or false.
@@ -216,6 +218,14 @@ type FunctionLit struct {
 	Name   string // optional, for named function expressions
 	Params []string
 	Body   *BlockStmt
+	// slots is how many bindings a call's frame holds in its first
+	// allocation: the parameters, arguments, this and the body's top-level
+	// declarations.
+	slots int
+	// closes says the body creates a function, which may close over the
+	// call's frame, and namesArguments that it names arguments. A call of a
+	// function with neither runs in a frame its context keeps (frame).
+	closes, namesArguments bool
 }
 
 // UnaryExpr is Op X (prefix) such as !x, -x, typeof x, delete x.

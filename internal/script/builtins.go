@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -257,10 +258,10 @@ func installBuiltins(ctx *Context) {
 				}
 				return &Array{Elems: elems}, nil
 			}
-			return NewArray(args...), nil
+			return NewArray(slices.Clone(args)...), nil
 		},
 		Fn: func(c *Context, this Value, args []Value) (Value, error) {
-			return NewArray(args...), nil
+			return NewArray(slices.Clone(args)...), nil
 		},
 	})
 	g.Define("Object", &Native{

@@ -99,7 +99,7 @@ func (c *cloner) cloneValue(v Value) Value {
 		if dup, ok := c.vals[v]; ok {
 			return dup
 		}
-		dup := &Function{Name: t.Name, Params: t.Params, Body: t.Body, Ctx: c.dst}
+		dup := &Function{Lit: t.Lit, Ctx: c.dst}
 		c.vals[v] = dup
 		dup.Env = c.cloneEnv(t.Env)
 		return dup

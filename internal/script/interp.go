@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -140,7 +141,19 @@ type Context struct {
 	// concatTick orders their use.
 	concatBufs [concatSlots]concatBuf
 	concatTick uint64
+
+	// args is the stack a call's arguments are evaluated onto: a call
+	// passes its callee the top of it and pops it at return, so the
+	// callee, a native included, may read its args only until it returns.
+	args []Value
+	// frames are call frames kept for reuse (frame, release).
+	frames []*Env
 }
+
+// maxFrames bounds the frames a context keeps for reuse: as deep as the
+// calls of a handler nest, beyond which a deeper recursion's frames are
+// left to the collector.
+const maxFrames = 64
 
 // costPollInterval is how many steps elapse between termination and step
 // limit checks.
@@ -243,7 +256,7 @@ func (ctx *Context) Run(prog *Program) (Value, error) {
 	// Hoist function declarations.
 	for _, s := range prog.Body {
 		if fd, ok := s.(*FunctionDecl); ok {
-			ctx.Globals.Define(fd.Name, &Function{Name: fd.Name, Params: fd.Fn.Params, Body: fd.Fn.Body, Env: ctx.Globals, Ctx: ctx})
+			ctx.Globals.Define(fd.Name, &Function{Lit: fd.Fn, Env: ctx.Globals, Ctx: ctx})
 		}
 	}
 	for _, s := range prog.Body {
@@ -302,47 +315,54 @@ func (ctx *Context) callValue(fn Value, this Value, args []Value, line, col int)
 		}
 		ctx.depth++
 		defer func() { ctx.depth-- }()
-		// The frame's parameters, arguments, this and top-level
-		// declarations fit its first allocation.
-		slots := len(f.Params) + 2
-		for _, s := range f.Body.Body {
-			switch st := s.(type) {
-			case *VarStmt:
-				slots += len(st.Names)
-			case *FunctionDecl:
-				slots++
-			}
+		lit := f.Lit
+		// A function that creates no closure and never names arguments
+		// leaves nothing that can reach its frame once it returns, so the
+		// frame is the context's to reuse.
+		kept := !lit.closes && !lit.namesArguments
+		var env *Env
+		if kept {
+			env = ctx.frame(f.Env, lit.slots)
+		} else {
+			env = &Env{parent: f.Env, vars: bindings{list: make([]binding, 0, lit.slots)}}
 		}
-		env := &Env{parent: f.Env, vars: bindings{list: make([]binding, 0, slots)}}
-		for i, p := range f.Params {
+		for i, p := range lit.Params {
 			if i < len(args) {
 				env.Define(p, args[i])
 			} else {
 				env.Define(p, Undefined{})
 			}
 		}
-		argArr := NewArray(args...)
-		env.Define("arguments", argArr)
+		if lit.namesArguments {
+			// args is the caller's stack, valid until the call returns.
+			env.Define("arguments", NewArray(slices.Clone(args)...))
+		}
 		if this == nil {
 			this = Undefined{}
 		}
 		env.Define("this", this)
 		// Hoist nested function declarations.
-		for _, s := range f.Body.Body {
+		for _, s := range lit.Body.Body {
 			if fd, ok := s.(*FunctionDecl); ok {
-				env.Define(fd.Name, &Function{Name: fd.Name, Params: fd.Fn.Params, Body: fd.Fn.Body, Env: env, Ctx: ctx})
+				env.Define(fd.Name, &Function{Lit: fd.Fn, Env: env, Ctx: ctx})
 			}
 		}
-		for _, s := range f.Body.Body {
-			_, err := ctx.execStmt(s, env)
-			if err != nil {
+		var ret Value = Undefined{}
+		var err error
+		for _, s := range lit.Body.Body {
+			if _, err = ctx.execStmt(s, env); err != nil {
 				if rs, ok := err.(returnSignal); ok {
-					return rs.value, nil
+					ret, err = rs.value, nil
+				} else {
+					ret = nil
 				}
-				return nil, err
+				break
 			}
 		}
-		return Undefined{}, nil
+		if kept {
+			ctx.release(env)
+		}
+		return ret, err
 	case *Native:
 		if this == nil {
 			this = Undefined{}
@@ -378,7 +398,7 @@ func (ctx *Context) execStmt(s Stmt, env *Env) (Value, error) {
 		}
 		return nil, nil
 	case *FunctionDecl:
-		env.Define(st.Name, &Function{Name: st.Name, Params: st.Fn.Params, Body: st.Fn.Body, Env: env, Ctx: ctx})
+		env.Define(st.Name, &Function{Lit: st.Fn, Env: env, Ctx: ctx})
 		return nil, nil
 	case *ExprStmt:
 		return ctx.eval(st.X, env)
@@ -603,7 +623,7 @@ func (ctx *Context) execBlock(b *BlockStmt, env *Env) (Value, error) {
 	// Hoist function declarations within the block.
 	for _, s := range b.Body {
 		if fd, ok := s.(*FunctionDecl); ok {
-			env.Define(fd.Name, &Function{Name: fd.Name, Params: fd.Fn.Params, Body: fd.Fn.Body, Env: env, Ctx: ctx})
+			env.Define(fd.Name, &Function{Lit: fd.Fn, Env: env, Ctx: ctx})
 		}
 	}
 	var last Value
@@ -629,12 +649,12 @@ func (ctx *Context) eval(e Expr, env *Env) (Value, error) {
 	}
 	switch x := e.(type) {
 	case *NumberLit:
-		return Number(x.Value), nil
+		return x.val, nil
 	case *StringLit:
 		if err := ctx.chargeHeap(len(x.Value)); err != nil {
 			return nil, err
 		}
-		return String(x.Value), nil
+		return x.val, nil
 	case *BoolLit:
 		return Bool(x.Value), nil
 	case *NullLit:
@@ -678,7 +698,7 @@ func (ctx *Context) eval(e Expr, env *Env) (Value, error) {
 		}
 		return obj, nil
 	case *FunctionLit:
-		return &Function{Name: x.Name, Params: x.Params, Body: x.Body, Env: env, Ctx: ctx}, nil
+		return &Function{Lit: x, Env: env, Ctx: ctx}, nil
 	case *UnaryExpr:
 		return ctx.evalUnary(x, env)
 	case *UpdateExpr:
@@ -1028,15 +1048,52 @@ func (ctx *Context) evalCall(x *CallExpr, env *Env) (Value, error) {
 			return nil, err
 		}
 	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
+	base := len(ctx.args)
+	for _, a := range x.Args {
 		v, err := ctx.eval(a, env)
 		if err != nil {
+			ctx.popArgs(base)
 			return nil, err
 		}
-		args[i] = v
+		ctx.args = append(ctx.args, v)
 	}
-	return ctx.callValue(fn, this, args, x.Line, x.Col)
+	// The callee's args end where they do, so a native that appends to
+	// them copies instead of writing over the caller's stack.
+	n := len(ctx.args)
+	v, err := ctx.callValue(fn, this, ctx.args[base:n:n], x.Line, x.Col)
+	ctx.popArgs(base)
+	return v, err
+}
+
+// popArgs pops the argument stack down to base.
+func (ctx *Context) popArgs(base int) {
+	clear(ctx.args[base:])
+	ctx.args = ctx.args[:base]
+}
+
+// frame returns a call frame under parent for a call of a function that
+// creates no closure and never names arguments, from the frames the context
+// keeps if it has one. Nothing holds such a frame once its call returns, so
+// release takes it back then.
+func (ctx *Context) frame(parent *Env, slots int) *Env {
+	if n := len(ctx.frames); n > 0 {
+		env := ctx.frames[n-1]
+		ctx.frames = ctx.frames[:n-1]
+		env.parent = parent
+		return env
+	}
+	return &Env{parent: parent, vars: bindings{list: make([]binding, 0, slots)}}
+}
+
+// release clears a frame whose call returned and keeps it for the next.
+func (ctx *Context) release(env *Env) {
+	clear(env.vars.list)
+	env.vars.list = env.vars.list[:0]
+	env.vars.index = nil
+	env.parent = nil
+	if len(ctx.frames) < maxFrames {
+		ctx.frames = append(ctx.frames, env)
+	}
 }
 
 func (ctx *Context) evalNew(x *NewExpr, env *Env) (Value, error) {
@@ -1069,7 +1126,7 @@ func (ctx *Context) evalNew(x *NewExpr, env *Env) (Value, error) {
 		return ret, nil
 	case *Function:
 		obj := NewObject()
-		obj.ClassName = f.Name
+		obj.ClassName = f.Lit.Name
 		ret, err := ctx.callValue(f, obj, args, x.Line, x.Col)
 		if err != nil {
 			return nil, err

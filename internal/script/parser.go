@@ -8,6 +8,8 @@ type Parser struct {
 	toks []Token
 	pos  int
 	file string
+	// fns are the function literals being parsed, innermost last.
+	fns []*FunctionLit
 }
 
 // Parse parses src into a Program. The file name is used in error messages.
@@ -49,6 +51,13 @@ func (p *Parser) expectPunct(lit string) error {
 	}
 	p.next()
 	return nil
+}
+
+// names records that the function being parsed refers to name.
+func (p *Parser) names(name string) {
+	if name == "arguments" && len(p.fns) > 0 {
+		p.fns[len(p.fns)-1].namesArguments = true
+	}
 }
 
 func (p *Parser) posOf(t Token) pos { return pos{Line: t.Line, Col: t.Col} }
@@ -190,6 +199,9 @@ func (p *Parser) parseFunctionDecl() (Stmt, error) {
 // optional name have been consumed.
 func (p *Parser) parseFunctionRest(name string, at pos) (*FunctionLit, error) {
 	fn := &FunctionLit{pos: at, Name: name}
+	if len(p.fns) > 0 {
+		p.fns[len(p.fns)-1].closes = true
+	}
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
@@ -203,11 +215,22 @@ func (p *Parser) parseFunctionRest(name string, at pos) (*FunctionLit, error) {
 		}
 	}
 	p.next() // )
+	p.fns = append(p.fns, fn)
 	body, err := p.parseBlock()
+	p.fns = p.fns[:len(p.fns)-1]
 	if err != nil {
 		return nil, err
 	}
 	fn.Body = body
+	fn.slots = len(fn.Params) + 2
+	for _, s := range body.Body {
+		switch st := s.(type) {
+		case *VarStmt:
+			fn.slots += len(st.Names)
+		case *FunctionDecl:
+			fn.slots++
+		}
+	}
 	return fn, nil
 }
 
@@ -308,6 +331,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	}
 	if p.cur().Type == TokenIdent && p.peekAhead(1).Type == TokenKeyword && p.peekAhead(1).Literal == "in" {
 		name := p.next().Literal
+		p.names(name)
 		p.next() // in
 		obj, err := p.parseExpression()
 		if err != nil {
@@ -767,12 +791,13 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.Type == TokenNumber:
 		p.next()
-		return &NumberLit{pos: p.posOf(t), Value: t.Num}, nil
+		return &NumberLit{pos: p.posOf(t), Value: t.Num, val: Number(t.Num)}, nil
 	case t.Type == TokenString:
 		p.next()
-		return &StringLit{pos: p.posOf(t), Value: t.Literal}, nil
+		return &StringLit{pos: p.posOf(t), Value: t.Literal, val: String(t.Literal)}, nil
 	case t.Type == TokenIdent:
 		p.next()
+		p.names(t.Literal)
 		return &Ident{pos: p.posOf(t), Name: t.Literal}, nil
 	case p.atKeyword("true"):
 		p.next()

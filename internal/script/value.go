@@ -91,8 +91,15 @@ func NewObject() *Object { return &Object{} }
 // Kind implements Value.
 func (o *Object) Kind() Kind { return KindObject }
 
-// Get returns the named property and whether it exists.
-func (o *Object) Get(name string) (Value, bool) { return o.props.get(name) }
+// Get returns the named property and whether it exists. A Getter's
+// property reads as what the Getter returns.
+func (o *Object) Get(name string) (Value, bool) {
+	v, ok := o.props.get(name)
+	if g, isGetter := v.(Getter); isGetter {
+		return g(), true
+	}
+	return v, ok
+}
 
 // Set stores a property, preserving first-insertion order for iteration.
 func (o *Object) Set(name string, v Value) { o.props.set(name, v) }
@@ -113,6 +120,16 @@ func (o *Object) Keys() []string { return o.props.names() }
 // Len returns the number of properties.
 func (o *Object) Len() int { return len(o.props.list) }
 
+// Getter is a property computed when it is read: Object.Get, and so a
+// script's read of the property, returns what it returns, and never the
+// Getter itself. A vocabulary binds a host object's fields this way, so a
+// field costs nothing until a script reads it. Assigning the property
+// replaces the Getter with the value.
+type Getter func() Value
+
+// Kind implements Value; no script sees a Getter.
+func (Getter) Kind() Kind { return KindUndefined }
+
 // Array is a mutable, growable sequence of values.
 type Array struct {
 	Elems []Value
@@ -130,11 +147,9 @@ func (a *Array) Len() int { return len(a.Elems) }
 // Function is a script-defined function closing over its defining
 // environment.
 type Function struct {
-	Name   string
-	Params []string
-	Body   *BlockStmt
-	Env    *Env
-	Ctx    *Context // the context the function was created in
+	Lit *FunctionLit // the parsed function: name, parameters and body
+	Env *Env
+	Ctx *Context // the context the function was created in
 }
 
 // Kind implements Value.
@@ -272,8 +287,8 @@ func ToString(v Value) string {
 	case *Object:
 		return "[object Object]"
 	case *Function:
-		if t.Name != "" {
-			return "function " + t.Name + "() { ... }"
+		if t.Lit.Name != "" {
+			return "function " + t.Lit.Name + "() { ... }"
 		}
 		return "function () { ... }"
 	case *Native:

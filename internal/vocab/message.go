@@ -13,11 +13,13 @@ import (
 // routing).
 const bodyChunkSize = 8 * 1024
 
-// messages is a context's Request and Response: the two script objects,
-// made at the context's first bind and kept for its life, and the run's
-// messages they stand for. Their natives are shared by every context and
-// reach the messages through the context they are called in, so a bind
-// re-points this struct and allocates no closure.
+// messages is a context's Request and Response: the two script objects
+// and the Getters of their data properties, made at the context's first
+// bind and kept for its life, and the run's messages they stand for. Their
+// natives are shared by every context and reach the messages through the
+// context they are called in, and a data property is read from the message
+// when a script reads it, so a bind re-points this struct and allocates
+// nothing.
 type messages struct {
 	req      *httpmsg.Request
 	reqObj   *script.Object
@@ -26,14 +28,60 @@ type messages struct {
 	respObj  *script.Object
 	respRead int  // bytes of resp.Body Response.read has handed out
 	written  bool // whether Response.write replaced the body yet
+	// reqProps are Request's data properties, and status and contentType
+	// Response's: Getters made with the messages, which read the bound
+	// message when a script reads them (undefined with none bound).
+	reqProps            []property
+	status, contentType script.Getter
+}
+
+// property is a data property of Request: its name and its Getter.
+type property struct {
+	name string
+	get  script.Getter
 }
 
 // messagesOf returns ctx's messages, making them at the first call.
 func messagesOf(ctx *script.Context) *messages {
-	m, _ := ctx.Bindings.(*messages)
-	if m == nil {
-		m = &messages{}
-		ctx.Bindings = m
+	if m, ok := ctx.Bindings.(*messages); ok {
+		return m
+	}
+	m := newMessages()
+	ctx.Bindings = m
+	return m
+}
+
+// newMessages makes a context's messages, with the Getters of their data
+// properties.
+func newMessages() *messages {
+	m := &messages{}
+	req := func(get func(r *httpmsg.Request) string) script.Getter {
+		return func() script.Value {
+			if m.req == nil {
+				return script.Undefined{}
+			}
+			return script.Str(get(m.req))
+		}
+	}
+	m.reqProps = []property{
+		{"method", req(func(r *httpmsg.Request) string { return r.Method })},
+		{"url", req(func(r *httpmsg.Request) string { return r.URL.String() })},
+		{"host", req((*httpmsg.Request).Host)},
+		{"path", req((*httpmsg.Request).Path)},
+		{"query", req(func(r *httpmsg.Request) string { return r.URL.RawQuery })},
+		{"clientIP", req(func(r *httpmsg.Request) string { return r.ClientIP })},
+	}
+	m.status = func() script.Value {
+		if m.resp == nil {
+			return script.Undefined{}
+		}
+		return script.Int(m.resp.Status)
+	}
+	m.contentType = func() script.Value {
+		if m.resp == nil {
+			return script.Undefined{}
+		}
+		return script.Str(m.resp.ContentType())
 	}
 	return m
 }
@@ -67,7 +115,8 @@ func responseMethod(name string, fn func(m *messages, resp *httpmsg.Response, ar
 // applied to req directly, so the pipeline observes them. A context keeps
 // one Request object: each bind re-points it at req and gives it back the
 // properties a fresh one has, so a script that kept Request in a global
-// sees the current run's request.
+// sees the current run's request. Its data properties (method, url, host,
+// path, query, clientIP) are read from req when the script reads them.
 func BindRequest(ctx *script.Context, req *httpmsg.Request) {
 	m := messagesOf(ctx)
 	if m.reqObj == nil {
@@ -83,15 +132,12 @@ func BindRequest(ctx *script.Context, req *httpmsg.Request) {
 	ctx.DefineGlobal("Request", m.reqObj)
 }
 
-// refreshRequest sets Request's data properties from the bound request.
+// refreshRequest binds Request's data properties to their Getters, in
+// place of what a script assigned to them.
 func refreshRequest(m *messages) {
-	obj, req := m.reqObj, m.req
-	obj.Set("method", script.Str(req.Method))
-	obj.Set("url", script.Str(req.URL.String()))
-	obj.Set("host", script.Str(req.Host()))
-	obj.Set("path", script.Str(req.Path()))
-	obj.Set("query", script.Str(req.URL.RawQuery))
-	obj.Set("clientIP", script.Str(req.ClientIP))
+	for _, p := range m.reqProps {
+		m.reqObj.Set(p.name, p.get)
+	}
 }
 
 // requestNatives are Request's methods, in the order a fresh Request lists
@@ -186,7 +232,8 @@ var requestNatives = []*script.Native{
 // BindResponse exposes resp to ctx as the global Response object. A script
 // that writes a body through Response.write replaces the instance; setHeader
 // and setStatus mutate resp directly. Like Request, a context keeps one
-// Response object and each bind re-points it.
+// Response object and each bind re-points it, and its data properties
+// (status, contentType) are read from resp when the script reads them.
 func BindResponse(ctx *script.Context, resp *httpmsg.Response) {
 	m := messagesOf(ctx)
 	if m.respObj == nil {
@@ -196,8 +243,8 @@ func BindResponse(ctx *script.Context, resp *httpmsg.Response) {
 	m.resp, m.respRead, m.written = resp, 0, false
 	obj := m.respObj
 	obj.Clear()
-	obj.Set("status", script.Int(resp.Status))
-	obj.Set("contentType", script.Str(resp.ContentType()))
+	obj.Set("status", m.status)
+	obj.Set("contentType", m.contentType)
 	for _, n := range responseNatives {
 		obj.Set(strings.TrimPrefix(n.Name, "Response."), n)
 	}
@@ -273,7 +320,7 @@ var responseNatives = []*script.Native{
 		name := script.ToString(args[0])
 		resp.Header.Set(name, script.ToString(args[1]))
 		if strings.EqualFold(name, "Content-Type") {
-			m.respObj.Set("contentType", script.Str(resp.ContentType()))
+			m.respObj.Set("contentType", m.contentType)
 		}
 		return script.Undefined{}, nil
 	}),
@@ -286,7 +333,7 @@ var responseNatives = []*script.Native{
 	responseMethod("setStatus", func(m *messages, resp *httpmsg.Response, args []script.Value) (script.Value, error) {
 		if len(args) > 0 {
 			resp.Status = script.ToInt(args[0])
-			m.respObj.Set("status", script.Int(resp.Status))
+			m.respObj.Set("status", m.status)
 		}
 		return script.Undefined{}, nil
 	}),
@@ -299,8 +346,10 @@ var responseNatives = []*script.Native{
 }
 
 // ClearMessages ends a run's hold on its messages: ctx's Request and
-// Response stand for nothing and keep no property until the next bind, so
-// a pooled context keeps no request or response alive between runs.
+// Response stand for nothing and keep no property until the next bind, and
+// their natives throw until then, so a pooled context keeps no request or
+// response alive between runs, and a native or object a script kept cannot
+// reach a message after its run (the request may be back in its pool).
 func ClearMessages(ctx *script.Context) {
 	m, _ := ctx.Bindings.(*messages)
 	if m == nil {

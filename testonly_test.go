@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -418,8 +419,36 @@ type surfaceDecl struct {
 }
 
 // loadModule type-checks the non-test files of every package of the module
-// at root, and of the nested modules in extra.
+// at root, and of the nested modules in extra. A load takes seconds, the
+// standard library's type-check most of them, and the lints only read what
+// it returns, so each (root, extra) is loaded once per test binary.
 func loadModule(root string, extra []string) (*surfaceLoader, []*surfacePkg, error) {
+	modules.mu.Lock()
+	defer modules.mu.Unlock()
+	key := root + "\x00" + strings.Join(extra, "\x00")
+	m, ok := modules.loaded[key]
+	if !ok {
+		m.l, m.all, m.err = typeCheckModule(root, extra)
+		modules.loaded[key] = m
+	}
+	return m.l, m.all, m.err
+}
+
+// modules are the loads loadModule made, by root and extra.
+var modules = struct {
+	mu     sync.Mutex
+	loaded map[string]loadedModule
+}{loaded: map[string]loadedModule{}}
+
+// loadedModule is one load's result.
+type loadedModule struct {
+	l   *surfaceLoader
+	all []*surfacePkg
+	err error
+}
+
+// typeCheckModule is loadModule's load.
+func typeCheckModule(root string, extra []string) (*surfaceLoader, []*surfacePkg, error) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, nil, err
