@@ -246,15 +246,26 @@ func (c *Cache) Expiry(h httpmsg.Header, now time.Time) time.Time {
 func Expired(expires, now time.Time) bool { return !expires.After(now) }
 
 // StaleIfError is how long past its expiry a copy whose refetch failed may
-// still serve: RFC 5861 §4's stale-if-error, as one node constant. The
-// pipeline's stages serve their last good script by it.
+// still serve when its header names no stale-if-error of its own.
 const StaleIfError = 5 * time.Minute
+
+// ServesStale is the one rule for a copy whose refetch failed (no reply, or a
+// 5xx): a copy with header h that expired at expires may serve at now while
+// its stale-if-error window lasts (RFC 5861 §4), StaleIfError when the header
+// names none, and never when it says must-revalidate, proxy-revalidate or
+// s-maxage (httpmsg.StaleWindow). Like freshness, the window ends at its
+// last instant exclusive.
+func ServesStale(h httpmsg.Header, expires, now time.Time) bool {
+	window, ok := httpmsg.StaleWindow(h, StaleIfError)
+	return ok && !Expired(expires.Add(window), now)
+}
 
 // Kept is the rule by which every tier keeps a copy with header h that
 // expires at expires: while it is fresh, and once it has expired only for its
 // validators (an ETag or a Last-Modified), by which the fetch chain's
-// revalidation step may renew it with a conditional request. A copy without
-// one is dropped. A reply stale on arrival is stored by the same rule.
+// revalidation step may renew it with a conditional request, or serve it
+// stale when that fails (ServesStale). A copy without one is dropped. A
+// reply stale on arrival is stored by the same rule.
 func Kept(h httpmsg.Header, expires, now time.Time) bool {
 	return !Expired(expires, now) || h.Get("Etag") != "" || h.Get("Last-Modified") != ""
 }
@@ -278,7 +289,8 @@ func (c *Cache) GetFor(key []byte, req *httpmsg.Request) *httpmsg.Response {
 // Lookup is Get with the third answer of the fetch chain's lookup, for a
 // flight's leader: for a key with no fresh copy, the expired copy a tier
 // keeps for its validators (Kept), which the chain's revalidation step may
-// renew; Stale is zero when no tier keeps one. A stale copy is never served.
+// renew, or serve by ServesStale when the revalidation fails (GetStale);
+// Stale is zero when no tier keeps one.
 func (c *Cache) Lookup(key string) (*httpmsg.Response, Stale) {
 	var stale Stale
 	resp := c.get(key, nil, &stale)
@@ -305,14 +317,36 @@ func (c *Cache) get(key string, req *httpmsg.Request, stale *Stale) *httpmsg.Res
 }
 
 // Stale is an expired copy a tier keeps for its validators (Kept): what the
-// fetch chain's revalidation step asks the origin with, and what a 304 then
-// renews (Refresh).
+// fetch chain's revalidation step asks the origin with, what a 304 then
+// renews (Refresh), and what serves on when the origin fails and ServesStale
+// allows it.
 type Stale struct {
 	// Tier names the tier that keeps the copy: "memory" or "disk" here, and
 	// "lob" for a large-object manifest; "" for no copy.
 	Tier string
-	// Header is the copy's header.
-	Header httpmsg.Header
+	// Header is the copy's header, and Expires the instant it expired.
+	Header  httpmsg.Header
+	Expires time.Time
+}
+
+// GetStale returns key's copy, fresh or kept stale, with a body of its own,
+// or nil: the copy the fetch chain serves when ServesStale lets it outlive a
+// failed revalidation. It reads the memory tier, else the disk tier, whose
+// stale record Lookup promoted unless the memory tier refused it (a body
+// past the shard's byte budget).
+func (c *Cache) GetStale(key string) *httpmsg.Response {
+	h := hashKey(key)
+	sh := c.shard(h)
+	var resp *httpmsg.Response
+	sh.mu.Lock()
+	if e, ok := sh.lookupLocked(h, key); ok {
+		resp = ownCopy(e.Stored)
+	}
+	sh.mu.Unlock()
+	if resp == nil && c.l2 != nil {
+		c.l2.get(key, func(s httpmsg.Stored, _ time.Time, _ bool) { resp = ownCopy(s) })
+	}
+	return resp
 }
 
 // Encoded returns key's fresh entry as EncodeResponse encodes a hit of it,
@@ -354,7 +388,7 @@ func (c *Cache) read(key string, copyOut func(httpmsg.Stored), stale *Stale) (ti
 			sh.mu.Unlock()
 			c.misses.Add(1)
 			if stale != nil {
-				*stale = Stale{Tier: "memory", Header: e.Header}
+				*stale = Stale{Tier: "memory", Header: e.Header, Expires: e.expires}
 			}
 			return time.Time{}, false
 		}
@@ -401,7 +435,7 @@ func (c *Cache) readL2(h uint64, key string, copyOut func(httpmsg.Stored), stale
 				copyOut(s)
 				expires, hit = exp, true
 			case stale != nil:
-				*stale = Stale{Tier: "disk", Header: s.Header}
+				*stale = Stale{Tier: "disk", Header: s.Header, Expires: exp}
 			default:
 				return
 			}

@@ -103,6 +103,42 @@ func TestExpiration(t *testing.T) {
 	}
 }
 
+// TestStaleIfErrorRule is the table of the one rule for a copy whose refetch
+// failed (ServesStale): its own stale-if-error window, else StaleIfError,
+// and never for a copy that must be revalidated. A window ends at its last
+// instant exclusive, as freshness does.
+func TestStaleIfErrorRule(t *testing.T) {
+	expires := time.Unix(1_800_000_000, 0)
+	for _, tc := range []struct {
+		name, cacheControl string
+		window             time.Duration // 0: never served stale
+	}{
+		{"no directive", "max-age=60", 5 * time.Minute},
+		{"stale-if-error", "max-age=60, stale-if-error=30", 30 * time.Second},
+		{"upper case", "max-age=60, STALE-IF-ERROR=30", 30 * time.Second},
+		{"malformed stale-if-error", "max-age=60, stale-if-error=x", StaleIfError},
+		{"must-revalidate", "max-age=60, must-revalidate, stale-if-error=30", 0},
+		{"proxy-revalidate", "max-age=60, proxy-revalidate", 0},
+		{"s-maxage", "s-maxage=60", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := httpmsg.FromHTTPHeader(http.Header{"Cache-Control": {tc.cacheControl}})
+			if tc.window == 0 {
+				if ServesStale(h, expires, expires.Add(time.Nanosecond)) {
+					t.Error("served stale")
+				}
+				return
+			}
+			if !ServesStale(h, expires, expires.Add(tc.window-time.Nanosecond)) {
+				t.Errorf("not served a nanosecond before the end of its %v window", tc.window)
+			}
+			if ServesStale(h, expires, expires.Add(tc.window)) {
+				t.Errorf("served at the end of its %v window", tc.window)
+			}
+		})
+	}
+}
+
 func TestMaxAgeRespected(t *testing.T) {
 	clock := newFakeClock()
 	c := New(Config{DefaultTTL: 1 * time.Second, Clock: clock.Now})

@@ -1225,3 +1225,35 @@ func TestExpiredCopyKeptForItsValidators(t *testing.T) {
 		t.Error("the renewal wrote to disk")
 	}
 }
+
+// TestGetStaleReadsTheDiskTier: GetStale hands back a stale disk record's
+// whole body whether or not Lookup could promote the record into memory. A
+// body past the shard's byte budget stays on disk alone and is read from
+// there.
+func TestGetStaleReadsTheDiskTier(t *testing.T) {
+	body := strings.Repeat("b", 1024)
+	for _, tc := range []struct {
+		name     string
+		maxBytes int64
+		promoted int
+	}{{"promoted", 1 << 20, 1}, {"past the memory budget", 64, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := newFakeClock()
+			d := openDisk(t, store.NewMemFS(), 1<<20, clock.Now)
+			c := New(Config{MaxBytes: tc.maxBytes, Clock: clock.Now, L2: d})
+			r := page(body)
+			r.Header.Set("Etag", `"v1"`)
+			d.Put("k", r, clock.Now().Add(time.Minute))
+			clock.Advance(time.Hour)
+			if _, stale := c.Lookup("k"); stale.Tier != "disk" {
+				t.Fatalf("Lookup reports %+v, want the disk tier's stale copy", stale)
+			}
+			if c.Len() != tc.promoted {
+				t.Fatalf("%d memory entries after Lookup, want %d", c.Len(), tc.promoted)
+			}
+			if got := c.GetStale("k"); got == nil || string(got.Body) != body || got.Header.Get("Etag") != `"v1"` {
+				t.Errorf("GetStale: %v, want the disk record's copy", got)
+			}
+		})
+	}
+}

@@ -18,11 +18,12 @@ import (
 //
 //	lookup → coalesce → (stale: conditional origin | miss: peer → origin) → store
 //
-// Six decisions are taken on the way, each written once: whether a shared
+// Seven decisions are taken on the way, each written once: whether a shared
 // cache may store a response, and so share it (httpmsg.Shareable), until when
 // it is fresh (cache.Expiry, computed on the node clock when a copy is stored
 // or renewed, and kept with the copy), which expired copies are kept for
-// their validators (cache.Kept), what a 304 renews (cache.Renew), how
+// their validators (cache.Kept), what a 304 renews (cache.Renew), how long a
+// kept copy outlives a failed revalidation (cache.ServesStale), how
 // concurrent misses coalesce (cache.Group) and where an origin reply is filed
 // (storeReply). The large-object half of each step lives in largeobject.go.
 
@@ -183,7 +184,7 @@ func (n *Node) fetchOrigin(key string, req *httpmsg.Request) (*httpmsg.Response,
 // stale copy (cache.Stale.Tier), and how its conditional request ended.
 var (
 	revalTiers   = [...]string{"memory", "disk", "lob"}
-	revalResults = [...]string{"not_modified", "refused", "replaced", "failed"}
+	revalResults = [...]string{"not_modified", "refused", "replaced", "failed", "stale_served"}
 )
 
 // revalidate is the chain's step for a stale copy: the leader's origin
@@ -199,8 +200,10 @@ var (
 //   - A 200 replaces the copy: the copy is dropped, and the 200 is filed by
 //     the store step (a streamed one has replaced the tier's manifest
 //     already).
-//   - An origin error keeps the copy and is returned; any other reply is
-//     served and filed as usual.
+//   - No reply, or a 500, 502, 503 or 504, serves the copy stale while the
+//     one stale rule allows it (staleCopy); else the error is returned, and
+//     the copy is kept.
+//   - Any other reply is served and filed as usual.
 func (n *Node) revalidate(key string, req *httpmsg.Request, stale cache.Stale) (*httpmsg.Response, error) {
 	result := "failed"
 	defer func() {
@@ -214,8 +217,14 @@ func (n *Node) revalidate(key string, req *httpmsg.Request, stale cache.Stale) (
 	cond.Header.Del("Range")
 	cond.Header.Set(precondition, stale.Header.Get(validator))
 	resp, err := n.fetchOrigin(key, cond)
-	if err != nil {
-		return nil, err
+	if err != nil || resp.Status == 500 || resp.Status >= 502 && resp.Status <= 504 {
+		if served := n.staleCopy(key, stale); served != nil {
+			result = "stale_served"
+			return served, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	switch resp.Status {
 	case http.StatusNotModified:
@@ -239,6 +248,26 @@ func (n *Node) revalidate(key string, req *httpmsg.Request, stale cache.Stale) (
 		n.storeReply(cond, key, resp)
 	}
 	return resp, nil
+}
+
+// staleCopy serves the copy stale names past its expiry, when the one stale
+// rule (cache.ServesStale) lets it outlive a failed revalidation: a whole
+// body, which Lookup left in memory, or the manifest as its stream. It is
+// marked Stale, and nil when the rule refuses or the copy has gone.
+func (n *Node) staleCopy(key string, stale cache.Stale) *httpmsg.Response {
+	if !cache.ServesStale(stale.Header, stale.Expires, n.clock()) {
+		return nil
+	}
+	var resp *httpmsg.Response
+	if stale.Tier != "lob" {
+		resp = n.cache.GetStale(key)
+	} else if m, ok := n.lob.Manifest(key); ok {
+		resp = n.lobStream(nil, m)
+	}
+	if resp != nil {
+		resp.Stale = true
+	}
+	return resp
 }
 
 // dropCopies drops key's copies from both whole-body tiers, and with lob its

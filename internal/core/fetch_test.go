@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -814,6 +815,88 @@ func TestStaleCopyIsNotAnnounced(t *testing.T) {
 				t.Errorf("the origin saw %d full and %d conditional requests, want 1 and 1", origin.full, origin.conditional)
 			}
 		})
+	}
+}
+
+// TestOriginOutageServesStaleCopy: an expired copy with a validator, kept
+// in memory, on disk (a restarted node's only copy) or as a large-object
+// manifest, outlives its origin's outage by the one stale rule
+// (cache.ServesStale): while the window lasts, a revalidation that gets no
+// reply, or a 503, serves the copy, marked Stale, with a Range cut from it
+// at the edge, and counts stale_served; past the window the failure is the
+// client's.
+func TestOriginOutageServesStaleCopy(t *testing.T) {
+	const threshold, url = 10_000, "http://site.example.org/obj"
+	for _, tier := range []struct{ name, label string }{{"memory", "memory"}, {"disk", "disk"}, {"large object", "lob"}} {
+		for _, outage := range []string{"transport error", "503"} {
+			t.Run(tier.name+"/"+outage, func(t *testing.T) {
+				size := threshold / 2
+				if tier.label == "lob" {
+					size = threshold * 2
+				}
+				origin := &validatingOrigin{body: lobBody(size), header: http.Header{"Cache-Control": {"max-age=100"}}}
+				down := false
+				upstream := FetcherFunc(func(req *httpmsg.Request) (*httpmsg.Response, error) {
+					switch {
+					case !down:
+						return origin.Do(req)
+					case outage == "503":
+						return httpmsg.NewTextResponse(503, "origin down"), nil
+					}
+					return nil, errors.New("dial tcp: connection refused")
+				})
+				fs, clock := store.NewMemFS(), newTestClock()
+				node := func() *Node {
+					return newTestNodeUpstream(t, "edge-1", upstream, func(cfg *Config) {
+						lobConfig(4096, threshold)(cfg)
+						cfg.DataFS = fs
+						cfg.Clock = clock.Now
+					})
+				}
+				n := node()
+				// get returns the response the chain served, whether it was
+				// stale, and the range the edge cut from it.
+				get := func(rng string) (*httpmsg.Response, bool, error) {
+					req := httpmsg.MustRequest("GET", url)
+					if rng != "" {
+						req.Header.Set("Range", rng)
+					}
+					resp, err := n.Fetch(req)
+					if err != nil {
+						return nil, false, err
+					}
+					stale := resp.Stale
+					resp = httpmsg.ApplyRange(req, resp)
+					return resp, stale, resp.Materialize()
+				}
+				if _, _, err := get(""); err != nil {
+					t.Fatal(err)
+				}
+				if tier.label == "disk" {
+					if err := n.Shutdown(); err != nil {
+						t.Fatal(err)
+					}
+					n = node()
+				}
+				clock.Advance(100 * time.Second)
+				down = true
+				resp, stale, err := get("bytes=100-199")
+				if err != nil || !stale || resp.Status != http.StatusPartialContent || !bytes.Equal(resp.Body, origin.body[100:200]) {
+					t.Fatalf("in the outage: %+v (stale %v), %v; want the stale copy's range", resp, stale, err)
+				}
+				clock.Advance(cache.StaleIfError)
+				if resp, _, err := get("bytes=100-199"); err == nil && resp.Status != 503 {
+					t.Errorf("past the stale window: %d, want the outage's failure", resp.Status)
+				}
+				// The disk record served from memory once the outage's first
+				// lookup promoted it.
+				served := n.revalidations[slices.Index(revalTiers[:], tier.label)][slices.Index(revalResults[:], "stale_served")].Load()
+				failed := revalidated(n, "memory")[3] + revalidated(n, "lob")[3]
+				if served != 1 || failed != 1 {
+					t.Errorf("%d %s revalidations stale_served and %d failed, want 1 and 1", served, tier.label, failed)
+				}
+			})
+		}
 	}
 }
 

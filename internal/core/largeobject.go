@@ -123,7 +123,7 @@ func (n *Node) lobServeManifest(req *httpmsg.Request, m *largeobject.Manifest, o
 	case !n.lobStale(m):
 		return n.lobStream(req, m), cache.Stale{}
 	case cache.Kept(m.Header, m.Expires, n.clock()):
-		return nil, cache.Stale{Tier: "lob", Header: m.Header}
+		return nil, cache.Stale{Tier: "lob", Header: m.Header, Expires: m.Expires}
 	}
 	n.lob.DeleteManifest(m.Key)
 	return nil, cache.Stale{}

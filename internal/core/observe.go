@@ -121,7 +121,7 @@ func (n *Node) buildRegistry() {
 		func() float64 { return float64(n.cache.Stats().Disk.Stores) })
 	r.CounterFunc("nakika_cache_demotions_total", "", metrics.Labels{"result": "clean"},
 		func() float64 { return float64(n.cache.Stats().Disk.Clean) })
-	help := "Conditional origin requests for a stale copy, by the tier that kept it and how they ended: a 304 that renewed it, a 304 the renewal rule refused, a new 200, no usable answer."
+	help := "Conditional origin requests for a stale copy, by the tier that kept it and how they ended: a 304 that renewed it, a 304 the renewal rule refused, a new 200, no usable answer and no copy to serve, no usable answer and the copy served stale."
 	for i, tier := range revalTiers {
 		for j, result := range revalResults {
 			r.CounterFunc("nakika_cache_revalidations_total", help, metrics.Labels{"tier": tier, "result": result}, cv(&n.revalidations[i][j]))
@@ -218,7 +218,7 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_deploys_total", "", metrics.Labels{"outcome": "rollback"}, cv(&n.deployRolled))
 	r.CounterFunc("nakika_deploys_total", "", metrics.Labels{"outcome": "compile_error"}, cv(&n.deployCompErr))
 
-	help = "Stage script fetches by outcome: a new stage compiled, the served one kept for unchanged bytes, a missing script (a 4xx, or a page where a site script was asked for), the last good stage kept serving past a failure, a failure with no stage to serve."
+	help = "Stage script fetches by outcome: a new stage compiled, the served one kept for unchanged bytes, a missing script (a 4xx, or a page where a site script was asked for), a stage kept by the stale rule past a failed refetch (a stale copy of the script the fetch chain served, or a missing script kept over its 404), a failure with no stage to serve."
 	for _, result := range pipeline.LoadResults {
 		r.CounterFunc("nakika_stage_loads_total", help, metrics.Labels{"result": result}, func() float64 { return float64(n.loader.Loads(result)) })
 		help = ""

@@ -334,6 +334,8 @@ func TestWallServesStaleWithinWindow(t *testing.T) {
 	origin := newScriptOrigin()
 	origin.addText(reprintURL, "PDF", 60)
 	origin.addScript(adminWallURL, adminWall)
+	// The cache keeps an expired copy only for its validators (cache.Kept).
+	origin.resources[adminWallURL].Header.Set("Etag", `"wall-v1"`)
 	n, clock := stageNode(t, origin, func(cfg *Config) { cfg.ClientWallURL = adminWallURL })
 	if resp := handleFrom(t, n, reprintURL, outsideIP); resp.Status != 401 {
 		t.Fatalf("the refused client got %d, want 401", resp.Status)
@@ -358,6 +360,93 @@ func TestWallServesStaleWithinWindow(t *testing.T) {
 	}
 	if stale, failed := n.loader.Loads("stale"), n.loader.Loads("failed"); stale != 2 || failed != 1 {
 		t.Errorf("stage loads: %d stale, %d failed; want 2 and 1", stale, failed)
+	}
+}
+
+// refusedPastExpiry loads a site script the origin serves with header,
+// then fails every fetch of it with err (a nil err: a 503) from the
+// script's expiry on, and checks that the site's next request is refused
+// with a 503 instead of running the expired script.
+func refusedPastExpiry(t *testing.T, header map[string]string, err error) {
+	t.Helper()
+	const site = "strict.example.org"
+	url := "http://" + site + "/nakika.js"
+	origin := newScriptOrigin()
+	origin.addText("http://"+site+"/page", "page", 3600)
+	origin.addScript(url, `onResponse = function() { Response.setHeader("X-Script", "ran"); };`)
+	for k, v := range header {
+		origin.resources[url].Header.Set(k, v)
+	}
+	n, clock := stageNode(t, origin, nil)
+	if got := handleGet(t, n, "http://"+site+"/page").Header.Get("X-Script"); got != "ran" {
+		t.Fatalf("the fresh script did not run: X-Script %q", got)
+	}
+	origin.failNext(url, 1<<30, err)
+	clock.Advance(300 * time.Second)
+	resp := handleGet(t, n, "http://"+site+"/page")
+	if resp.Status != 503 || resp.Header.Get("X-Script") != "" {
+		t.Errorf("past the script's expiry with its origin failing: %d, X-Script %q; want 503 and no run", resp.Status, resp.Header.Get("X-Script"))
+	}
+	if stale, failed := n.loader.Loads("stale"), n.loader.Loads("failed"); stale != 0 || failed != 1 {
+		t.Errorf("stage loads: %d stale, %d failed; want 0 and 1", stale, failed)
+	}
+	if _, refused := n.executor.Refusals(); refused != 1 {
+		t.Errorf("%d site refusals, want 1", refused)
+	}
+}
+
+// TestMustRevalidateScriptNeverRunsStale: a script whose answer says
+// must-revalidate may not be used once it is stale without a successful
+// revalidation (RFC 9111 §5.2.2.2), though it has a validator and names a
+// stale-if-error window: when its origin answers 503, the site is refused.
+func TestMustRevalidateScriptNeverRunsStale(t *testing.T) {
+	refusedPastExpiry(t, map[string]string{"Cache-Control": "max-age=300, must-revalidate, stale-if-error=600", "Etag": `"s1"`}, nil)
+}
+
+// TestValidatorlessScriptFailsClosedPastExpiry: the cache keeps no expired
+// copy without a validator (cache.Kept), so a script with neither an ETag
+// nor a Last-Modified has no stale copy to run once it expires: when its
+// origin cannot be reached, the site is refused.
+func TestValidatorlessScriptFailsClosedPastExpiry(t *testing.T) {
+	refusedPastExpiry(t, nil, errors.New("dial tcp: connection refused"))
+}
+
+// TestScriptlessSiteRidesOutAnOutage: a site with no nakika.js keeps its
+// missing-script stage through an origin outage by the cache's one stale
+// rule over the 404's header, though the 404 has no validator and so no
+// kept copy: past the 404's 60 s default TTL the site's fresh cached page
+// still serves, the script is fetched once per back-off, and only past
+// cache.StaleIfError after the 404's expiry is the site refused.
+func TestScriptlessSiteRidesOutAnOutage(t *testing.T) {
+	const site = "plain.example.org"
+	page, scriptURL := "http://"+site+"/page", "http://"+site+"/nakika.js"
+	origin := newScriptOrigin()
+	origin.addText(page, "page", 3600)
+	n, clock := stageNode(t, origin, nil)
+	if resp := handleGet(t, n, page); resp.Status != 200 || string(resp.Body) != "page" {
+		t.Fatalf("the site's page: %d %q, want 200", resp.Status, resp.Body)
+	}
+	down := errors.New("dial tcp: connection refused")
+	origin.failNext(scriptURL, 1<<30, down)
+	origin.failNext(page, 1<<30, down)
+	clock.Advance(61 * time.Second) // past the 404's default TTL
+	for i := 0; i < 3; i++ {
+		if resp := handleGet(t, n, page); resp.Status != 200 || string(resp.Body) != "page" {
+			t.Fatalf("request %d past the 404's expiry: %d %q, want the cached page", i, resp.Status, resp.Body)
+		}
+	}
+	if got := origin.hitCount(scriptURL); got != 2 {
+		t.Errorf("nakika.js was fetched %d times, want once, then once more past its 404's expiry", got)
+	}
+	clock.Advance(cache.StaleIfError)
+	if resp := handleGet(t, n, page); resp.Status != 503 {
+		t.Errorf("past the stale window: %d %q, want 503", resp.Status, resp.Body)
+	}
+	if missing, stale, failed := n.loader.Loads("missing"), n.loader.Loads("stale"), n.loader.Loads("failed"); missing != 1 || stale != 1 || failed != 1 {
+		t.Errorf("stage loads: %d missing, %d stale, %d failed; want 1, 1 and 1", missing, stale, failed)
+	}
+	if got := origin.hitCount(page); got != 1 {
+		t.Errorf("the page was fetched %d times, want once", got)
 	}
 }
 

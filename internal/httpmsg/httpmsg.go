@@ -272,13 +272,16 @@ type Response struct {
 	Generated bool
 	// FromCache marks responses served from the local or cooperative cache.
 	FromCache bool
+	// Stale marks a cached copy the fetch chain served past its expiry
+	// because its revalidation failed (cache.ServesStale).
+	Stale bool
 	// ranged marks a 206 ApplyRange made, whose range fields (see
 	// contentRange) the writers put on the wire.
 	ranged bool
 	// shared marks a Body that aliases another response's bytes (a Clone's,
 	// or a range of one) or a request's reply buffer (a cache hit's). Such a
 	// Body is read-only until Materialize replaces it with a private copy.
-	// (The four flags sit together and Stamp is a pointer, so a Response
+	// (The five flags sit together and Stamp is a pointer, so a Response
 	// fits the allocator's 112-byte class.)
 	shared bool
 	// Via records which node produced or forwarded the response (cooperative
@@ -373,6 +376,7 @@ func (r *Response) Clone() *Response {
 		Body:       r.Body[:n:n],
 		Generated:  r.Generated,
 		FromCache:  r.FromCache,
+		Stale:      r.Stale,
 		Via:        r.Via,
 		Stamp:      r.Stamp,
 		Stream:     r.Stream,
@@ -413,13 +417,15 @@ type cacheControl struct {
 	// reuse a reply to a request that carried Authorization (RFC 9111 §3.5),
 	// as s-maxage does.
 	public, mustRevalidate bool
-	// maxAge and sMaxAge are -1 when the directive is absent or is not a
-	// whole number of seconds.
-	maxAge, sMaxAge time.Duration
+	// proxyRevalidate is must-revalidate for a shared cache alone.
+	proxyRevalidate bool
+	// maxAge, sMaxAge and staleIfError are -1 when the directive is absent
+	// or is not a whole number of seconds.
+	maxAge, sMaxAge, staleIfError time.Duration
 }
 
 func parseCacheControl(h Header) cacheControl {
-	cc := cacheControl{maxAge: -1, sMaxAge: -1}
+	cc := cacheControl{maxAge: -1, sMaxAge: -1, staleIfError: -1}
 	h.anyElement("Cache-Control", func(directive string) bool {
 		name, arg, _ := strings.Cut(directive, "=")
 		switch {
@@ -429,6 +435,10 @@ func parseCacheControl(h Header) cacheControl {
 			cc.public = true
 		case strings.EqualFold(name, "must-revalidate"):
 			cc.mustRevalidate = true
+		case strings.EqualFold(name, "proxy-revalidate"):
+			cc.proxyRevalidate = true
+		case strings.EqualFold(name, "stale-if-error"):
+			cc.staleIfError = deltaSeconds(arg)
 		case strings.EqualFold(name, "max-age"):
 			cc.maxAge = deltaSeconds(arg)
 		case strings.EqualFold(name, "s-maxage"):
@@ -519,6 +529,23 @@ func FreshFor(h Header, now time.Time) (fresh time.Duration, ok bool) {
 		return t.Sub(now), true
 	}
 	return 0, false
+}
+
+// StaleWindow returns how long past its expiry a shared cache may serve a
+// copy with these headers when its refetch failed: never (ok false) when it
+// says must-revalidate, proxy-revalidate or s-maxage, which implies
+// proxy-revalidate for a shared cache (RFC 9111 §5.2.2.10); else its
+// stale-if-error (RFC 5861 §4), or fallback when that is absent or
+// malformed.
+func StaleWindow(h Header, fallback time.Duration) (window time.Duration, ok bool) {
+	cc := parseCacheControl(h)
+	if cc.mustRevalidate || cc.proxyRevalidate || cc.sMaxAge >= 0 {
+		return 0, false
+	}
+	if cc.staleIfError < 0 {
+		return fallback, true
+	}
+	return cc.staleIfError, true
 }
 
 // Cacheable reports whether the response may be stored by a shared cache.

@@ -223,20 +223,16 @@ func (e *Executor) ExecuteInto(req *httpmsg.Request, trace *Trace) (*httpmsg.Res
 		stagesRun++
 
 		st := StageTrace{ScriptURL: scriptURL}
-		var stage *Stage
+		stage := deployedStage
 		var err error
-		if deployedStage != nil && scriptURL == siteScriptURL {
-			stage = deployedStage
-		} else {
+		if stage == nil || scriptURL != siteScriptURL {
 			stage, err = e.Loader.load(scriptURL, site, start, e.isWall(scriptURL))
-		}
-		if err != nil {
-			st.Err = err.Error()
 		}
 		if stage == nil {
 			// The stage failed to load and has no good stage to serve: a wall
 			// or a site script may be an access control, so the request fails
 			// closed instead of running without it.
+			st.Err = err.Error()
 			trace.Stages = append(trace.Stages, st)
 			return e.refuse(site, scriptURL, req, trace, start), nil
 		}
@@ -280,15 +276,8 @@ func (e *Executor) ExecuteInto(req *httpmsg.Request, trace *Trace) (*httpmsg.Res
 		trace.Stages = append(trace.Stages, st)
 	}
 
-	if terminated {
-		trace.Terminated = true
-		trace.Elapsed = e.since(start)
-		e.charge(site, req, nil, trace)
-		return httpmsg.NewTextResponse(http.StatusServiceUnavailable, "pipeline terminated\n"), nil
-	}
-
 	// Fetch the original resource when no handler generated a response.
-	if response == nil {
+	if response == nil && !terminated {
 		if e.FetchOrigin == nil {
 			return nil, fmt.Errorf("pipeline: no origin fetcher configured")
 		}
@@ -302,7 +291,7 @@ func (e *Executor) ExecuteInto(req *httpmsg.Request, trace *Trace) (*httpmsg.Res
 		trace.FromCache = resp.FromCache
 	}
 
-	if killed.Load() {
+	if terminated || killed.Load() {
 		trace.Terminated = true
 		trace.Elapsed = e.since(start)
 		e.charge(site, req, nil, trace)

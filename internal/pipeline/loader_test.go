@@ -86,6 +86,38 @@ func (h *firstAnswerHost) Fetch(req *httpmsg.Request) (*httpmsg.Response, error)
 
 func (h *firstAnswerHost) Now() time.Time { return h.now }
 
+// TestLoaderCompilesAStaleCopy: a node with no stage for a script (a
+// restarted one) whose fetch chain answers with its stale copy of the
+// script compiles it and counts the load stale. The stage is held for the
+// back-off, not for the copy's header, and the script is fetched again
+// after it.
+func TestLoaderCompilesAStaleCopy(t *testing.T) {
+	const url, src = "http://stale.example.org/nakika.js", `var p = new Policy(); p.onResponse = function() {}; p.register();`
+	h := &firstAnswerHost{scriptHost: newScriptHost(), now: time.Unix(1e9, 0), first: func() (*httpmsg.Response, error) {
+		resp := httpmsg.NewTextResponse(200, src)
+		resp.SetMaxAge(300)
+		resp.Stale = true
+		return resp, nil
+	}}
+	h.scripts[url] = src
+	l := NewLoader(h, script.Limits{})
+	l.Expiry = func(req *httpmsg.Request, hdr httpmsg.Header, now time.Time) time.Time { return now.Add(time.Hour) }
+	st, err := l.Load(url, "stale.example.org")
+	if err != nil || st == nil || len(st.Policies()) != 1 {
+		t.Fatalf("load of the stale copy: %+v, %v; want the compiled script", st, err)
+	}
+	if stale, compiled := l.Loads("stale"), l.Loads("compiled"); stale != 1 || compiled != 0 {
+		t.Errorf("loads: %d stale, %d compiled; want 1 and 0", stale, compiled)
+	}
+	h.now = h.now.Add(failBackoff)
+	if again, err := l.Load(url, "stale.example.org"); again != st || err != nil || len(h.fetches) != 1 {
+		t.Errorf("the load after the back-off: %+v, %v after %d fetches; want the same stage, fetched once more", again, err, len(h.fetches))
+	}
+	if got := l.Loads("revalidated"); got != 1 {
+		t.Errorf("%d revalidated loads, want 1", got)
+	}
+}
+
 // TestLoaderRemembersOnlyNoScript: a node that boots before its origin sees
 // its first nakika.js fetch fail. That is not an answer, and the script may
 // be an access control: the load fails closed (no stage), and holds that

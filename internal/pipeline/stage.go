@@ -6,6 +6,7 @@
 package pipeline
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -206,11 +207,15 @@ func (s *Stage) fork() *stageInstance {
 // the next Load fetches the script again. Every entry, fetched, missing,
 // failed or deployed, changes by one rule (swap): a new stage is compiled
 // only when the script text differs from what the entry serves, before the
-// swap, and a compile that fails leaves the old stage serving. A load that
-// gets no usable answer keeps the last good stage serving for
-// cache.StaleIfError past its expiry; with none it fails closed, and the
-// executor refuses the request with a 503. Either failure is held for
-// failBackoff, so a dead script URL costs one fetch per back-off.
+// swap. How long a stage outlives a failed refetch is the cache's one stale
+// rule (cache.ServesStale), as for every cached copy: a reply marked Stale
+// is the fetch chain's kept copy, which keeps (or compiles) the stage for
+// failBackoff, and a missing script's stage, whose 404 the cache may keep
+// no copy of, is kept by the same rule over the 404's header. A load that
+// gets no usable answer (no reply, a 5xx, a script that does not compile)
+// otherwise fails closed, held for failBackoff too, so a dead script URL
+// costs one fetch per back-off, and the executor refuses the request with a
+// 503.
 type Loader struct {
 	// Host provides script fetching and the vocabularies installed into
 	// stage contexts.
@@ -261,8 +266,9 @@ var forever = time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
 // LoadResults names how a load that fetched a script ended (see
 // Loader.Loads): a new stage compiled, the served stage kept because the
 // script was unchanged, the script missing (a 4xx, or a page for a site
-// stage), the last good stage kept serving past a failure, or a failure
-// with no stage to serve.
+// stage), a stage kept by the stale rule past a failed refetch (the fetch
+// chain's stale copy of the script, or a missing script kept over its 404),
+// or a failure with no stage to serve.
 var LoadResults = [...]string{"compiled", "revalidated", "missing", "stale", "failed"}
 
 // errUnavailable is the error of a load that failed with no stage to serve.
@@ -278,15 +284,19 @@ type entry struct {
 	// stage is nil after a load that failed with no good stage to serve; a
 	// missing script's stage has no policies.
 	stage *Stage
-	// source and gen are what stage was built from: the script text and the
-	// deployment generation (0 for a fetched script), compared by swap.
-	source string
+	// digest and gen are what stage was built from: the SHA-256 of the
+	// script text and the deployment generation (0 for a fetched script),
+	// compared by swap.
+	digest [sha256.Size]byte
 	gen    uint64
 	// expires is when Load fetches the script again: its answer's expiry, a
-	// failure's back-off, or forever. staleUntil bounds how long stage
-	// serves on across failed fetches: its answer's expiry plus
-	// cache.StaleIfError.
-	expires, staleUntil time.Time
+	// stale answer's or a failure's back-off, or forever.
+	expires time.Time
+	// missing is a missing script's answer, its header and expiry, by which
+	// fail keeps the stage through a failed refetch (cache.ServesStale): the
+	// cache keeps no expired copy of a 404 without a validator, so the fetch
+	// chain has none to serve stale. It is nil for any other entry.
+	missing *cache.Stale
 }
 
 // served returns what the entry serves: its stage, or errUnavailable.
@@ -308,10 +318,8 @@ func NewLoader(host vocab.Host, limits script.Limits) *Loader {
 
 // Load returns site's stage for scriptURL, a site stage (not a wall),
 // fetching the script when the stage kept for it has expired (see Loader).
-// It returns a nil stage when the load failed with no good stage to serve;
-// an error with a stage reports a failure the stage serves on through.
-// Concurrent loads of the same (site, URL) coalesce into one fetch and
-// compile.
+// It returns a nil stage and an error when the load failed. Concurrent
+// loads of the same (site, URL) coalesce into one fetch and compile.
 func (l *Loader) Load(scriptURL, site string) (*Stage, error) {
 	return l.load(scriptURL, site, l.Host.Now(), false)
 }
@@ -364,9 +372,12 @@ func (l *Loader) refresh(k stageKey, now time.Time, wall bool) (*Stage, error) {
 	if err != nil {
 		return l.fail(k, cur, now, err)
 	}
-	expires := forever
-	if l.Expiry != nil {
-		expires = l.Expiry(req, resp.Header, now)
+	next := entry{expires: forever}
+	switch {
+	case resp.Stale:
+		next.expires = now.Add(failBackoff)
+	case l.Expiry != nil:
+		next.expires = l.Expiry(req, resp.Header, now)
 	}
 	// Any other answer is one: a script, or no script, a stage with no
 	// policies.
@@ -374,11 +385,16 @@ func (l *Loader) refresh(k stageKey, now time.Time, wall bool) (*Stage, error) {
 	source := ""
 	if script {
 		source = string(resp.Body)
+	} else if !resp.Stale {
+		next.missing = &cache.Stale{Header: resp.Header, Expires: next.expires}
 	}
-	st, compiled, err := l.swap(k, k.url, cur, 0, source, expires)
+	st, compiled, err := l.swap(k, k.url, cur, next, source)
 	switch {
 	case err != nil:
-		return l.fail(k, cur, now, err)
+		// A script that does not compile fails closed, whatever was served.
+		return l.fail(k, nil, now, err)
+	case resp.Stale:
+		l.result("stale").Add(1)
 	case !script:
 		l.result("missing").Add(1)
 	case compiled:
@@ -397,14 +413,16 @@ func isPage(resp *httpmsg.Response) bool {
 }
 
 // swap is the one rule by which an entry changes, for a deploy and a
-// refetch alike: it builds a stage only when (gen, source) differs from what
-// cur serves, so an unchanged script keeps its compiled stage and context
-// pool; it compiles before the swap, so a request never sees a half-built
-// stage; and a compile that fails changes nothing. An empty source is a
-// stage with no policies, built without a compile.
-func (l *Loader) swap(k stageKey, url string, cur *entry, gen uint64, source string, expires time.Time) (st *Stage, built bool, err error) {
+// refetch alike: it puts next, serving cur's stage when (next.gen, source's
+// digest) is what cur serves, so an unchanged script keeps its compiled
+// stage and context pool; else it builds a stage, compiled before the swap,
+// so a request never sees a half-built stage, and a compile that fails
+// changes nothing. An empty source is a stage with no policies, built
+// without a compile.
+func (l *Loader) swap(k stageKey, url string, cur *entry, next entry, source string) (st *Stage, built bool, err error) {
+	next.digest = sha256.Sum256([]byte(source))
 	switch {
-	case cur != nil && cur.stage != nil && cur.gen == gen && cur.source == source:
+	case cur != nil && cur.stage != nil && cur.gen == next.gen && cur.digest == next.digest:
 		st = cur.stage
 	case source == "":
 		st, built = &Stage{URL: url, Site: k.site}, true
@@ -414,28 +432,23 @@ func (l *Loader) swap(k stageKey, url string, cur *entry, gen uint64, source str
 		}
 		built = true
 	}
-	l.put(k, &entry{stage: st, source: source, gen: gen, expires: expires, staleUntil: expires.Add(cache.StaleIfError)})
+	next.stage = st
+	l.put(k, &next)
 	return st, built, nil
 }
 
 // fail holds a load that got no usable answer (no reply, a 5xx, a script
-// that does not compile) for failBackoff. The last good stage serves on
-// while the stale-if-error window after its answer's expiry lasts; without
-// one the entry serves nothing, and the load fails closed.
+// that does not compile) for failBackoff. A missing script's stage cur
+// serves on while the stale rule allows it over its 404; otherwise the
+// entry serves nothing, and the load fails closed.
 func (l *Loader) fail(k stageKey, cur *entry, now time.Time, cause error) (*Stage, error) {
-	retry := now.Add(failBackoff)
-	if cur != nil && cur.stage != nil && now.Before(cur.staleUntil) {
+	if cur != nil && cur.missing != nil && cache.ServesStale(cur.missing.Header, cur.missing.Expires, now) {
 		l.result("stale").Add(1)
-		stale := *cur
-		stale.expires = retry
-		if cur.staleUntil.Before(retry) {
-			stale.expires = cur.staleUntil
-		}
-		l.put(k, &stale)
-		return cur.stage, cause
+		st, _, _ := l.swap(k, k.url, cur, entry{expires: now.Add(failBackoff), missing: cur.missing}, "")
+		return st, nil
 	}
 	l.result("failed").Add(1)
-	l.put(k, &entry{expires: retry})
+	l.put(k, &entry{expires: now.Add(failBackoff)})
 	return nil, fmt.Errorf("%w: %w", errUnavailable, cause)
 }
 
@@ -471,7 +484,7 @@ func (l *Loader) result(result string) *atomic.Int64 {
 // one site.
 func (l *Loader) Deploy(site string, gen uint64, source string) (bool, error) {
 	k := stageKey{site: site}
-	_, swapped, err := l.swap(k, deploy.StageURL(site, gen), l.entry(k), gen, source, forever)
+	_, swapped, err := l.swap(k, deploy.StageURL(site, gen), l.entry(k), entry{gen: gen, expires: forever}, source)
 	return swapped, err
 }
 
