@@ -40,6 +40,14 @@ type ReplicationResult struct {
 	// reads that had to route around the dead owner to a replica.
 	FailoverMsgsPerOp    float64
 	FailoverVirtualPerOp time.Duration
+	// RepairMsgs is the messages six maintenance rounds deliver on a ring
+	// that has converged after the burst: each node runs its one periodic
+	// repair among them, so this is what keeping the replicas in step
+	// costs when nothing diverged.
+	RepairMsgs int64
+	// CatchUpRecords is the records a node's catch-up moves when it
+	// restarts on its own data after missing Writes/10 writes.
+	CatchUpRecords int64
 }
 
 // RunReplicationCost measures the replication-cost experiment for each
@@ -116,9 +124,55 @@ func RunReplicationCost(factors []int, writes int) ([]ReplicationResult, error) 
 			r.FailoverMsgsPerOp = float64(msgs4-msgs3) / float64(failovers)
 			r.FailoverVirtualPerOp = (t4 - t3) / time.Duration(failovers)
 		}
+		if r.RepairMsgs, r.CatchUpRecords, err = repairAndCatchUp(k, writes); err != nil {
+			return nil, err
+		}
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// repairAndCatchUp measures maintenance on a persisted 8-node ring at
+// factor k: the messages six rounds deliver once a burst of writes has
+// converged, then the records a node's catch-up moves when it restarts on
+// its own data after the ring took writes/10 more writes without it.
+func repairAndCatchUp(k, writes int) (repairMsgs, catchUpRecords int64, err error) {
+	const site = "bench.example.org"
+	c, err := cluster.New(cluster.Config{N: 8, Seed: 1, Latency: time.Millisecond, Replication: k, Persist: true}, cluster.NewCountingOrigin())
+	if err != nil {
+		return 0, 0, err
+	}
+	c.StabilizeAll(4)
+	entry := c.Node(0)
+	put := func(i int) error {
+		if err := entry.StatePut(site, fmt.Sprintf("rep-%05d", i), fmt.Sprintf("value-%05d", i)); err != nil {
+			return fmt.Errorf("bench: maintenance write k=%d: %w", k, err)
+		}
+		return nil
+	}
+	for i := 0; i < writes; i++ {
+		if err := put(i); err != nil {
+			return 0, 0, err
+		}
+	}
+	msgs0 := c.Sim.Stats().Delivered
+	c.StabilizeAll(6)
+	repairMsgs = c.Sim.Stats().Delivered - msgs0
+
+	const victim = "node-3"
+	c.Crash(victim)
+	c.StabilizeAll(1) // the ring suspects the victim, so writes route around it
+	for i := writes; i < writes+writes/10; i++ {
+		if err := put(i); err != nil {
+			return 0, 0, err
+		}
+	}
+	c.Restart(victim)
+	n := c.NodeByName(victim)
+	if _, err := n.CatchUp(); err != nil {
+		return 0, 0, fmt.Errorf("bench: catch-up k=%d: %w", k, err)
+	}
+	return repairMsgs, n.Stats().Replication.SyncRecords, c.Err()
 }
 
 // FormatReplication renders the replication-cost table.

@@ -209,6 +209,9 @@ type ReplicationStats struct {
 	// RecordsApplied counts records this node applied from peers (pushes
 	// and handoff streams) that superseded its local copy.
 	RecordsApplied int64
+	// SyncRecords counts the records this node's range syncs carried, in
+	// either direction.
+	SyncRecords int64
 }
 
 // Node is one Na Kika edge node.
@@ -294,6 +297,7 @@ type Node struct {
 	repFailovers  atomic.Int64
 	repApplied    atomic.Int64
 	repTies       atomic.Int64
+	syncRecords   atomic.Int64
 	unavailGet    atomic.Int64
 	unavailPut    atomic.Int64
 	unavailDel    atomic.Int64
@@ -605,6 +609,7 @@ func (n *Node) Stats() Stats {
 			ReplicaPushes:  n.repPushes.Load(),
 			FailoverReads:  n.repFailovers.Load(),
 			RecordsApplied: n.repApplied.Load(),
+			SyncRecords:    n.syncRecords.Load(),
 		},
 		Offload: OffloadStats{
 			Executed:     n.offExecuted.Load(),

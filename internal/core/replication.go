@@ -651,6 +651,7 @@ func (n *Node) pullOwnedRange() (int, error) {
 		if err != nil {
 			return applied, err
 		}
+		n.syncRecords.Add(int64(len(resp.Recs)))
 		for _, rec := range resp.Recs {
 			if reply, err := n.applyPush(rec, nil); err == nil && replyStatus(reply) == "applied" {
 				applied++
