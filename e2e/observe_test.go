@@ -60,6 +60,8 @@ var requiredSeries = []string{
 	"nakika_replication_version_ties_total",
 	"nakika_replication_catchup_pending",
 	"nakika_replication_repairs_total",
+	"nakika_replication_sync_records_total",
+	"nakika_replication_sync_buckets_differing_total",
 	"nakika_overlay_publishes_pending",
 	"nakika_overlay_view_digest",
 	"nakika_maintenance_rounds_total",

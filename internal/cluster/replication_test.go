@@ -247,17 +247,17 @@ func TestOwnerDiesBetweenWALAppendAndReplicaAck(t *testing.T) {
 }
 
 // crashOnFirstChunk is a joining node's transport: right after the first
-// rep.range reply reaches the joiner, it crashes the node that sent it.
+// rep.sync reply reaches the joiner, it crashes the node that sent it.
 type crashOnFirstChunk struct {
 	transport.Transport
 	c      *Cluster
 	source string // the node crashed
-	chunks int    // rep.range replies received
+	chunks int    // rep.sync replies received
 }
 
 func (w *crashOnFirstChunk) Call(from, to string, msg transport.Message) (transport.Message, error) {
 	reply, err := w.Transport.Call(from, to, msg)
-	if err == nil && msg.Type == "rep.range" {
+	if err == nil && msg.Type == "rep.sync" {
 		if w.chunks++; w.source == "" {
 			w.source = to
 			w.c.Crash(to)
@@ -267,10 +267,10 @@ func (w *crashOnFirstChunk) Call(from, to string, msg transport.Message) (transp
 }
 
 // TestReplicaPromotedDuringHandoffStream: a joining node's first
-// maintenance round streams the key range it now owns from its successor
-// in chunks; the source crashes right after its first chunk, promoting the
-// next replica to acting owner, and the joiner finishes the stream against
-// that replica from the same cursor with nothing lost.
+// maintenance round syncs the key range it now owns with its successor, a
+// chunk of records per exchange; the source crashes right after its first
+// reply, promoting the next replica to acting owner, and the joiner syncs
+// the range with that replica instead, with nothing lost.
 func TestReplicaPromotedDuringHandoffStream(t *testing.T) {
 	seed := explore.Seed(33)
 	w := &crashOnFirstChunk{}

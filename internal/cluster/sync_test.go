@@ -2,12 +2,35 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"nakika/internal/cluster/explore"
+	"nakika/internal/core"
 	"nakika/internal/state"
 )
+
+// counterValue reads an unlabelled counter from n's metrics exposition.
+func counterValue(t *testing.T, n *core.Node, name string) int64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := n.Metrics().WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			got, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return got
+		}
+	}
+	t.Fatalf("exposition has no %s", name)
+	return 0
+}
 
 // TestQuietRepairCostIsFlat: on a converged 5-node, factor-3 ring, six
 // maintenance rounds (each node runs its one periodic repair among them)
@@ -81,7 +104,7 @@ func TestCatchUpMovesWhatWasMissed(t *testing.T) {
 				t.Fatalf("k=%d: catch-up did not bring missed write %s", k, key)
 			}
 		}
-		return n.Stats().Replication.SyncRecords, held
+		return counterValue(t, n, "nakika_replication_sync_records_total"), held
 	}
 	small, held := moved(10)
 	large, _ := moved(100)

@@ -7,11 +7,13 @@ import (
 	"nakika/internal/wire"
 )
 
-// Binary codecs for the core RPC payloads (replication forwards, handoff
-// range streams, lease operations, offloaded requests, the manifest a
+// Binary codecs for the core RPC payloads (replication forwards, range
+// syncs, lease operations, offloaded requests, the manifest a
 // cache.get answers for a large object). Encoders prefix wire.Magic;
 // decoders open their input with wire.Payload and end with wire.Reader.End,
-// so a payload in another build's format is an error, never a misread.
+// so a payload in another build's format is an error, never a misread. (The
+// rep.sync bodies end in a list that runs to the end of the payload, so
+// they read it to its end without a count.)
 
 // encodeRepForward renders a rep.put / rep.del / rep.get body.
 func encodeRepForward(req repForward) []byte {
@@ -41,19 +43,21 @@ func decodeRepForward(payload []byte) (req repForward, err error) {
 	return
 }
 
-// encodeRepRangeReq renders a rep.range request body.
-func encodeRepRangeReq(req repRangeReq) []byte {
-	buf := make([]byte, 0, 32+len(req.After))
-	buf = append(buf, wire.Magic)
-	buf = wire.AppendUvarint(buf, req.From)
-	buf = wire.AppendUvarint(buf, req.To)
-	buf = wire.AppendString(buf, req.After)
-	buf = wire.AppendUvarint(buf, uint64(req.Limit))
+// encodeSyncReq renders a rep.sync request body; the non-zero digests
+// follow the asked set as (bucket, digest) pairs to the end of the body.
+func encodeSyncReq(req syncReq) []byte {
+	buf := wire.AppendUvarint(wire.AppendUvarint([]byte{wire.Magic}, req.From), req.To)
+	buf = appendBucketSet(buf, &req.Ask)
+	for b, sum := range req.Sums {
+		if sum != 0 {
+			buf = wire.AppendUvarint(wire.AppendUvarint(buf, uint64(b)), sum)
+		}
+	}
 	return buf
 }
 
-// decodeRepRangeReq parses a rep.range request.
-func decodeRepRangeReq(payload []byte) (req repRangeReq, err error) {
+// decodeSyncReq parses a rep.sync request.
+func decodeSyncReq(payload []byte) (req syncReq, err error) {
 	r, err := wire.Payload(payload)
 	if err != nil {
 		return
@@ -64,64 +68,62 @@ func decodeRepRangeReq(payload []byte) (req repRangeReq, err error) {
 	if req.To, err = r.Uvarint(); err != nil {
 		return
 	}
-	if req.After, err = r.String(); err != nil {
-		return
+	err = readBucketSet(&r, &req.Ask)
+	for err == nil && r.Len() > 0 {
+		b, berr := r.Uvarint()
+		if berr != nil || b >= syncBuckets {
+			return req, wire.ErrMalformed
+		}
+		req.Sums[b], err = r.Uvarint()
 	}
-	limit, err2 := r.Uvarint()
-	if err2 != nil {
-		err = err2
-		return
-	}
-	req.Limit = int(limit)
-	err = r.End()
 	return
 }
 
-// encodeRepRangeResp renders one handoff chunk.
-func encodeRepRangeResp(resp repRangeResp) []byte {
-	size := 16
-	for i := range resp.Recs {
-		rec := &resp.Recs[i]
-		size += 32 + len(rec.Site) + len(rec.Key) + len(rec.Origin) + len(rec.Value)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, wire.Magic)
-	buf = wire.AppendUvarint(buf, uint64(len(resp.Recs)))
+// encodeSyncResp renders a rep.sync reply body; the records run to its
+// end.
+func encodeSyncResp(resp syncResp) []byte {
+	buf := appendBucketSet(appendBucketSet([]byte{wire.Magic}, &resp.Covered), &resp.Left)
 	for _, rec := range resp.Recs {
 		buf = state.AppendRec(buf, rec)
 	}
-	return wire.AppendBool(buf, resp.More)
+	return buf
 }
 
-// decodeRepRangeResp parses one handoff chunk.
-func decodeRepRangeResp(payload []byte) (resp repRangeResp, err error) {
+// decodeSyncResp parses a rep.sync reply.
+func decodeSyncResp(payload []byte) (resp syncResp, err error) {
 	r, err := wire.Payload(payload)
 	if err != nil {
 		return
 	}
-	nrecs, err2 := r.Uvarint()
-	if err2 != nil {
-		err = err2
-		return
+	if err = readBucketSet(&r, &resp.Covered); err == nil {
+		err = readBucketSet(&r, &resp.Left)
 	}
-	if nrecs > uint64(r.Len()) { // cheap sanity bound before allocating
-		err = wire.ErrMalformed
-		return
-	}
-	if nrecs > 0 {
-		resp.Recs = make([]state.Rec, 0, nrecs)
-	}
-	for i := uint64(0); i < nrecs; i++ {
+	for err == nil && r.Len() > 0 {
 		var rec state.Rec
-		if rec, err = state.ReadRec(&r); err != nil {
-			return
+		if rec, err = state.ReadRec(&r); err == nil {
+			resp.Recs = append(resp.Recs, rec)
 		}
-		resp.Recs = append(resp.Recs, rec)
-	}
-	if resp.More, err = r.Bool(); err == nil {
-		err = r.End()
 	}
 	return
+}
+
+// appendBucketSet appends s up to its last non-empty byte.
+func appendBucketSet(buf []byte, s *bucketSet) []byte {
+	n := len(s)
+	for n > 0 && s[n-1] == 0 {
+		n--
+	}
+	return wire.AppendBytes(buf, s[:n])
+}
+
+// readBucketSet reads an appendBucketSet set.
+func readBucketSet(r *wire.Reader, s *bucketSet) error {
+	b, err := r.Bytes()
+	if err == nil && len(b) > len(s) {
+		err = wire.ErrMalformed
+	}
+	copy(s[:], b)
+	return err
 }
 
 // leaseReq is the body of lease.acquire / lease.renew / lease.release.

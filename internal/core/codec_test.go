@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"nakika/internal/httpmsg"
@@ -26,39 +27,42 @@ func TestRepForwardRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRepRangeRoundTrip(t *testing.T) {
-	req := repRangeReq{From: 12, To: 1 << 62, After: "s/k", Limit: 64}
-	gotReq, err := decodeRepRangeReq(encodeRepRangeReq(req))
-	if err != nil {
-		t.Fatalf("decodeRepRangeReq: %v", err)
-	}
-	if gotReq != req {
-		t.Fatalf("range req round trip: got %+v want %+v", gotReq, req)
+func TestRepSyncRoundTrip(t *testing.T) {
+	req := syncReq{From: 12, To: 1 << 62}
+	req.Sums[3], req.Sums[syncBuckets-1] = 1<<64-1, 9
+	req.Ask.add(0)
+	req.Ask.add(syncBuckets - 1)
+	for _, req := range []syncReq{req, {}} {
+		got, err := decodeSyncReq(encodeSyncReq(req))
+		if err != nil {
+			t.Fatalf("decodeSyncReq: %v", err)
+		}
+		if got != req {
+			t.Fatalf("sync req round trip: got %+v want %+v", got, req)
+		}
 	}
 
-	resp := repRangeResp{
-		Recs: []state.Rec{
-			{Site: "a", Key: "k1", Ver: 1, Origin: "n1", Value: "v1"},
-			{Site: "b", Key: "k2", Ver: 2, Origin: "n2", Delete: true},
-		},
-		More: true,
-	}
-	gotResp, err := decodeRepRangeResp(encodeRepRangeResp(resp))
-	if err != nil {
-		t.Fatalf("decodeRepRangeResp: %v", err)
-	}
-	if gotResp.More != resp.More || len(gotResp.Recs) != len(resp.Recs) {
-		t.Fatalf("range resp round trip: got %+v want %+v", gotResp, resp)
-	}
-	for i := range resp.Recs {
-		if gotResp.Recs[i] != resp.Recs[i] {
-			t.Fatalf("rec %d: got %+v want %+v", i, gotResp.Recs[i], resp.Recs[i])
+	resp := syncResp{Recs: []state.Rec{
+		{Site: "a", Key: "k1", Ver: 1, Origin: "n1", Value: "v1"},
+		{Site: "b", Key: "k2", Ver: 2, Origin: "n2", Delete: true},
+	}}
+	resp.Covered.add(1)
+	resp.Left.add(7)
+	resp.Left.add(syncBuckets - 1)
+	for _, resp := range []syncResp{resp, {}} {
+		got, err := decodeSyncResp(encodeSyncResp(resp))
+		if err != nil {
+			t.Fatalf("decodeSyncResp: %v", err)
+		}
+		if !reflect.DeepEqual(got, resp) {
+			t.Fatalf("sync resp round trip: got %+v want %+v", got, resp)
 		}
 	}
 }
 
 // Payloads as the gob encoder wrote them for the release that shipped gob
-// bodies: a repForward, a repRangeReq, a repRangeResp and the off.exec
+// bodies: a repForward, the two bodies of the range stream that rep.sync
+// replaced (a request and a chunk) and the off.exec
 // request struct.
 var gobPayloads = []string{
 	"327f0301010a726570466f727761726401ff80000103010453697465010c0001034b6579010c00010556616c7565010c0000000cff8001017301016b01017600",
@@ -81,8 +85,8 @@ func TestRPCDecodersRejectWhatIsNotAPayload(t *testing.T) {
 	}
 	decoders := map[string]func([]byte) error{
 		"repForward":     func(b []byte) error { _, err := decodeRepForward(b); return err },
-		"repRangeReq":    func(b []byte) error { _, err := decodeRepRangeReq(b); return err },
-		"repRangeResp":   func(b []byte) error { _, err := decodeRepRangeResp(b); return err },
+		"syncReq":        func(b []byte) error { _, err := decodeSyncReq(b); return err },
+		"syncResp":       func(b []byte) error { _, err := decodeSyncResp(b); return err },
 		"offloadRequest": func(b []byte) error { _, err := decodeOffloadRequest(b); return err },
 		"response":       func(b []byte) error { _, err := httpmsg.DecodeResponse(b); return err },
 		"leaseReq":       func(b []byte) error { _, err := decodeLeaseReq(b); return err },

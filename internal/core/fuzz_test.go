@@ -17,10 +17,11 @@ import (
 // follows its encoding (endsWhole).
 func FuzzRPCPayloads(f *testing.F) {
 	f.Add(encodeRepForward(repForward{Site: "s", Key: "k", Value: "v"}))
-	f.Add(encodeRepRangeReq(repRangeReq{From: 1, To: 99, After: "user:a", Limit: 64}))
-	f.Add(encodeRepRangeResp(repRangeResp{
-		Recs: []state.Rec{{Site: "s", Key: "k", Ver: 3, Origin: "n1", Value: "v"}},
-		More: true,
+	f.Add(encodeSyncReq(syncReq{From: 1, To: 99}))
+	f.Add(encodeSyncResp(syncResp{
+		Covered: bucketSet{0x80},
+		Left:    bucketSet{0, 0x02},
+		Recs:    []state.Rec{{Site: "s", Key: "k", Ver: 3, Origin: "n1", Value: "v"}},
 	}))
 	f.Add(encodeOffloadRequest(httpmsg.MustRequest("GET", "http://match.example.org/find?q=1")))
 	f.Add(httpmsg.EncodeResponse(httpmsg.NewTextResponse(200, "ok")))
@@ -40,8 +41,8 @@ func FuzzRPCPayloads(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		endsWhole(t, "rep forward", data, decodeRepForward, encodeRepForward)
-		endsWhole(t, "rep.range request", data, decodeRepRangeReq, encodeRepRangeReq)
-		endsWhole(t, "rep.range chunk", data, decodeRepRangeResp, encodeRepRangeResp)
+		endsWhole(t, "rep.sync request", data, decodeSyncReq, encodeSyncReq)
+		endsWhole(t, "rep.sync reply", data, decodeSyncResp, encodeSyncResp)
 		endsWhole(t, "off.exec request", data, decodeOffloadRequest, encodeOffloadRequest)
 		endsWhole(t, "response", data, httpmsg.DecodeResponse, httpmsg.EncodeResponse)
 		endsWhole(t, "lease request", data, decodeLeaseReq, encodeLeaseReq)

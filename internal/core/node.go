@@ -161,9 +161,9 @@ type Stats struct {
 	CatchUp          CatchUpStats
 }
 
-// CatchUpStats reports the pull of its owned key range that a new or
+// CatchUpStats reports the sync of its owned key range that a new or
 // recovered node owes (see CatchUp): whether it is still pending, and how
-// many pulls have been tried and records applied since it was set.
+// many catch-ups have been tried and records applied since it was set.
 type CatchUpStats struct {
 	Pending  bool
 	Attempts int64
@@ -207,7 +207,7 @@ type ReplicationStats struct {
 	// owner was found dead.
 	FailoverReads int64
 	// RecordsApplied counts records this node applied from peers (pushes
-	// and handoff streams) that superseded its local copy.
+	// and range syncs) that superseded its local copy.
 	RecordsApplied int64
 	// SyncRecords counts the records this node's range syncs carried, in
 	// either direction.
@@ -243,8 +243,8 @@ type Node struct {
 	repFactor     int
 	repApplyMu    sync.Mutex
 	repairPending atomic.Bool
-	// Maintenance (see Maintain): whether the owned-range pull is still
-	// owed, the pulls tried since it was set and the records they applied,
+	// Maintenance (see Maintain): whether the owned-range catch-up is still
+	// owed, the catch-ups tried since it was set and the records they applied,
 	// the rounds run, and the full repairs by trigger.
 	catchUp         atomic.Bool
 	catchUpTries    atomic.Int64
@@ -298,6 +298,7 @@ type Node struct {
 	repApplied    atomic.Int64
 	repTies       atomic.Int64
 	syncRecords   atomic.Int64
+	syncDiffering atomic.Int64
 	unavailGet    atomic.Int64
 	unavailPut    atomic.Int64
 	unavailDel    atomic.Int64
@@ -531,7 +532,7 @@ const periodicRepairRounds = 6
 // returns, and the cluster harness one per node in each StabilizeAll round,
 // in this order:
 //  1. overlay Stabilize, one ping round over the node's ring neighbours;
-//  2. a pending catch-up (CatchUp), followed, when the pull succeeds, by a
+//  2. a pending catch-up (CatchUp), followed, when its sync completes, by a
 //     full repair;
 //  3. otherwise a full repair on every sixth round of this node, or when
 //     stabilization flagged churn;
@@ -566,7 +567,7 @@ func (n *Node) Maintain() {
 	}
 	if trigger != nil && n.repEnabled() {
 		trigger.Add(1)
-		n.repairReplication()
+		n.repairRanges()
 	}
 	n.republishPending()
 	n.refreshRTTs()

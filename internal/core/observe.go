@@ -185,7 +185,7 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_replication_unavailable_total", "", metrics.Labels{"op": "delete"}, cv(&n.unavailDel))
 
 	r.CounterFunc("nakika_maintenance_rounds_total", "Maintenance rounds this node has run (Node.Maintain).", nil, cv(&n.maintRounds))
-	r.GaugeFunc("nakika_replication_catchup_pending", "1 until this node's pull of its owned key range succeeds after boot or recovery, then 0.", nil,
+	r.GaugeFunc("nakika_replication_catchup_pending", "1 until this node's sync of its owned key range completes after boot or recovery, then 0.", nil,
 		func() float64 {
 			if n.catchUp.Load() {
 				return 1
@@ -195,6 +195,8 @@ func (n *Node) buildRegistry() {
 	r.CounterFunc("nakika_replication_repairs_total", "Full replication repair passes, by what triggered them.", metrics.Labels{"trigger": "catchup"}, cv(&n.repairsCatchUp))
 	r.CounterFunc("nakika_replication_repairs_total", "", metrics.Labels{"trigger": "churn"}, cv(&n.repairsChurn))
 	r.CounterFunc("nakika_replication_repairs_total", "", metrics.Labels{"trigger": "periodic"}, cv(&n.repairsPeriodic))
+	r.CounterFunc("nakika_replication_sync_records_total", "Records this node's range syncs carried, in either direction.", nil, cv(&n.syncRecords))
+	r.CounterFunc("nakika_replication_sync_buckets_differing_total", "Buckets whose digests differed in the range syncs this node answered.", nil, cv(&n.syncDiffering))
 
 	r.CounterFunc("nakika_offload_executed_total", "Requests run through this node's own pipeline.", nil, cv(&n.offExecuted))
 	r.CounterFunc("nakika_offload_forwarded_total", "Requests shed to a less-loaded replica.", nil, cv(&n.offFwdOut))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha1"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -21,8 +23,8 @@ import (
 // when the owner is unreachable they fail over, in successor order, to the
 // first live replica, which acts as owner (accepting writes, serving
 // reads) until routing converges. Records are versioned (see
-// state.Rec) so replication pushes, churn handoff streams, and repair
-// passes are all idempotent last-writer-wins applies.
+// state.Rec) so replication pushes and the range syncs of repair and
+// catch-up are all idempotent last-writer-wins applies.
 //
 // Acknowledgement rule: an acting owner acknowledges a write once it is
 // durable locally AND at least one replica accepted it (a replica answers
@@ -52,7 +54,7 @@ const (
 	msgRepDel   = "rep.del"   // forward a client delete to the (acting) owner
 	msgRepGet   = "rep.get"   // read a record from the (acting) owner or a replica
 	msgRepStore = "rep.store" // owner → replica push of one versioned record
-	msgRepRange = "rep.range" // handoff: stream a key range, chunked
+	msgRepSync  = "rep.sync"  // compare a range's bucket digests; answer with the records of those that differ
 	msgRepKeys  = "rep.keys"  // list a site's live keys held locally (for scatter enumeration)
 )
 
@@ -61,20 +63,21 @@ type repForward struct {
 	Site, Key, Value string
 }
 
-// repRangeReq asks for the versioned records whose replica-key hash lies
-// in the ring interval (From, To], in (hash, key) order, starting strictly
-// after the After cursor, at most Limit records.
-type repRangeReq struct {
+// syncReq is a rep.sync request: the requester's digest of each bucket of
+// the ring interval (From, To], and the buckets it asks about (every one
+// when Ask is empty).
+type syncReq struct {
 	From, To uint64
-	After    string // replica-key cursor ("" = start)
-	Limit    int
+	Sums     [syncBuckets]uint64
+	Ask      bucketSet
 }
 
-// repRangeResp is one handoff chunk; More reports records remaining past
-// the last one returned.
-type repRangeResp struct {
-	Recs []state.Rec
-	More bool
+// syncResp answers a syncReq: the asked buckets whose digests differ, split
+// into those Recs holds the answering node's records of, whole and in
+// (bucket, site, key) order, and those Left for another round.
+type syncResp struct {
+	Covered, Left bucketSet
+	Recs          []state.Rec
 }
 
 // repEnabled reports whether successor-list replication is active: it
@@ -85,42 +88,29 @@ func (n *Node) repEnabled() bool {
 }
 
 // replicaTargets returns the successors this node pushes replicas to: the
-// first ReplicationFactor-1 distinct successor names. The list reflects
-// the node's current view: a dead member not yet suspected costs a failed
-// push, a live one wrongly suspected costs a replica until repair.
+// first ReplicationFactor-1 successors in its view, which are distinct and
+// never the node itself. The list reflects the node's current view: a dead
+// member not yet suspected costs a failed push, a live one wrongly
+// suspected costs a replica until repair.
 func (n *Node) replicaTargets() []string {
 	if n.repFactor <= 1 {
 		return nil
 	}
-	var out []string
-	for _, s := range n.overlay.Successors() {
-		if s == "" || s == n.cfg.Name {
-			continue
-		}
-		out = append(out, s)
-		if len(out) >= n.repFactor-1 {
-			break
-		}
-	}
-	return out
+	succ := n.overlay.Successors()
+	return succ[:min(len(succ), n.repFactor-1)]
 }
 
 // resolveActingOwner finds the node currently responsible for rk: the
 // routed owner, or — when that node does not answer a ping — the first
-// live successor, probing through at most the replica set. probe lets
-// repair passes cache liveness across many keys; nil probes every
-// candidate fresh.
-func (n *Node) resolveActingOwner(rk string, probe func(string) bool) (string, error) {
-	if probe == nil {
-		probe = n.overlay.Ping
-	}
+// live successor, probing through at most the replica set.
+func (n *Node) resolveActingOwner(rk string) (string, error) {
 	avoid := make(map[string]bool)
 	for attempt := 0; attempt < n.repFactor+1; attempt++ {
 		owner, err := n.overlay.LookupNameAvoid(rk, avoid)
 		if err != nil {
 			return "", err
 		}
-		if owner == n.cfg.Name || probe(owner) {
+		if owner == n.cfg.Name || n.overlay.Ping(owner) {
 			return owner, nil
 		}
 		avoid[owner] = true
@@ -345,7 +335,7 @@ func (n *Node) collectPushes(pushes []pendingCall) (acks int, staleVer uint64, f
 	return acks, staleVer, fenced, err
 }
 
-// applyPush is the replica side of a push (and of a handoff record): store
+// applyPush is the replica side of a push (and of a synced record): store
 // rec under last-writer-wins, through the fence when it carries one, and
 // answer "applied" once it is durable, "stale <version held> <its origin>"
 // or "fenced". The apply lock is released before the fsync. Every remote
@@ -533,138 +523,202 @@ func (n *Node) LocalStateRecord(site, key string) (ver uint64, value string, del
 }
 
 // ---------------------------------------------------------------------------
-// Churn: repair (re-replication, promotion) and handoff streams
+// Churn: range syncs (repair, catch-up)
 // ---------------------------------------------------------------------------
 
-// repairReplication walks every replicated record this node holds and
-// restores the replication invariant around it: records this node is the
-// acting owner of (including replicas just promoted by an owner's death)
-// are pushed to the node's replica targets; records owned elsewhere are
-// pushed to their acting owner, so a newly responsible node receives keys
-// that rebalanced onto it. All pushes are idempotent last-writer-wins
-// applies, so repairing too eagerly is merely wasted traffic. Maintain
-// runs it.
-func (n *Node) repairReplication() {
-	recs := n.store.VersionedRecords(nil)
-	if len(recs) == 0 {
-		return
+// One operation, syncRange, brings two nodes into step on the records of a
+// ring interval; repair and catch-up are both runs of it. The records fall
+// into syncBuckets fixed buckets by a hash of their replica key, and a
+// bucket's digest is the wrapping sum of a hash of each of its records
+// (recDigest), so it does not depend on the order records are summed in.
+// Both sides compute their digests from a scan of their store when the sync
+// runs: nothing is kept between syncs and a write costs nothing extra.
+//
+// The requester sends its digests and the buckets it asks about; the peer
+// answers with the asked buckets whose digests differ and its records of as
+// many of them as fit in handoffChunk records, whole buckets in (bucket,
+// site, key) order. The requester applies them last-writer-wins with
+// applyPush, pushes its own newer records of those buckets with rep.store,
+// and asks about the buckets left, until none is. Every round exchanges at
+// least one bucket in full, so a converged range costs one exchange and a
+// diverged one a round per handoffChunk records that differ.
+
+// syncBuckets is how many buckets a range sync digests a range into.
+const syncBuckets = 1024
+
+// handoffChunk is how many records one rep.sync reply carries at most,
+// unless the first bucket it covers alone holds more: a bucket is never
+// split across replies.
+const handoffChunk = 64
+
+// bucketSet is a set of sync buckets.
+type bucketSet [syncBuckets / 8]byte
+
+func (s *bucketSet) add(b int)      { s[b/8] |= 1 << (b % 8) }
+func (s *bucketSet) has(b int) bool { return s[b/8]&(1<<(b%8)) != 0 }
+
+// syncBucket is the bucket of replica key rk: bits of its SHA-1 past the 64
+// that place it on the ring, so the records of any arc spread over every
+// bucket.
+func syncBucket(rk string) int {
+	sum := sha1.Sum([]byte(rk))
+	return int(binary.BigEndian.Uint16(sum[8:]) % syncBuckets)
+}
+
+// recDigest hashes what every replica of rec must agree on: its replica key,
+// version, origin and whether it is a tombstone (its stored encoding, with
+// the replica key in place of the value). Two records that differ only in
+// value carry one version an owner reissued after losing its history, which
+// the write path's rebase resolves.
+func recDigest(rec state.Rec) uint64 {
+	sum := sha1.Sum([]byte(state.EncodeVersioned(rec.Ver, rec.Origin, rec.Delete, state.ReplicaKey(rec.Site, rec.Key))))
+	return binary.BigEndian.Uint64(sum[:])
+}
+
+// rangeRecords scans the store for the records whose replica key lies in
+// the ring interval (from, to], by bucket and within one in the store's
+// deterministic (site, key) order, and sums their digests by bucket.
+func (n *Node) rangeRecords(from, to overlay.ID) (recs [][]state.Rec, sums [syncBuckets]uint64) {
+	recs = make([][]state.Rec, syncBuckets)
+	for _, rec := range n.store.VersionedRecords(func(site, key string) bool {
+		return overlay.InInterval(overlay.HashID(state.ReplicaKey(site, key)), from, to)
+	}) {
+		b := syncBucket(state.ReplicaKey(rec.Site, rec.Key))
+		recs[b] = append(recs[b], rec)
+		sums[b] += recDigest(rec)
 	}
-	liveness := make(map[string]bool)
-	probe := func(name string) bool {
-		if alive, ok := liveness[name]; ok {
-			return alive
-		}
-		alive := n.overlay.Ping(name)
-		liveness[name] = alive
-		return alive
-	}
-	for _, rec := range recs {
-		rk := state.ReplicaKey(rec.Site, rec.Key)
-		owner, err := n.resolveActingOwner(rk, probe)
+	return recs, sums
+}
+
+// syncRange brings this node and peer into step on the records whose
+// replica key lies in (from, to] (see above) and returns how many of the
+// peer's records superseded a local copy. A nil error means every bucket
+// that differed was exchanged in full; the sync fails when the peer does,
+// or when a round leaves as many buckets as it asked about.
+func (n *Node) syncRange(from, to overlay.ID, peer string) (applied int, err error) {
+	for ask := (bucketSet{}); ; {
+		recs, sums := n.rangeRecords(from, to)
+		body := encodeSyncReq(syncReq{From: uint64(from), To: uint64(to), Sums: sums, Ask: ask})
+		reply, err := n.call(peer, transport.Message{Type: msgRepSync, Body: body})
 		if err != nil {
-			continue
+			return applied, err
 		}
-		msg := pushMsg(rec, nil)
-		targets := []string{owner}
-		if owner == n.cfg.Name {
-			targets = targets[:0]
-			for _, t := range n.replicaTargets() {
-				if probe(t) {
-					targets = append(targets, t)
+		resp, err := decodeSyncResp(reply.Body)
+		if err != nil {
+			return applied, err
+		}
+		theirs := make(map[string]state.Rec, len(resp.Recs))
+		for _, rec := range resp.Recs {
+			theirs[state.ReplicaKey(rec.Site, rec.Key)] = rec
+			if reply, err := n.applyPush(rec, nil); err == nil && replyStatus(reply) == "applied" {
+				applied++
+			}
+		}
+		n.syncRecords.Add(int64(len(resp.Recs)))
+		for b, bucket := range recs {
+			for _, rec := range bucket {
+				if cur, ok := theirs[state.ReplicaKey(rec.Site, rec.Key)]; !resp.Covered.has(b) || ok && !rec.Supersedes(cur) {
+					continue
+				}
+				reply, err := n.call(peer, pushMsg(rec, nil))
+				if err != nil {
+					return applied, err
+				}
+				n.syncRecords.Add(1)
+				if replyStatus(reply) == "applied" {
+					n.repPushes.Add(1)
 				}
 			}
 		}
-		for _, t := range targets {
-			if _, err := n.call(t, msg); err == nil {
-				n.repPushes.Add(1)
-			}
+		switch {
+		case resp.Left == bucketSet{}:
+			return applied, nil
+		case resp.Left == ask:
+			return applied, fmt.Errorf("core: sync with %s exchanged no bucket", peer)
+		}
+		ask = resp.Left
+	}
+}
+
+// answerSync is the peer's side of a sync: the asked buckets whose digests
+// differ from this node's, and this node's records of those that fit. Each
+// differing bucket is counted once, in the reply that carries it.
+func (n *Node) answerSync(req syncReq) (resp syncResp) {
+	recs, sums := n.rangeRecords(overlay.ID(req.From), overlay.ID(req.To))
+	for b := range recs {
+		switch {
+		case req.Ask != (bucketSet{}) && !req.Ask.has(b) || sums[b] == req.Sums[b]:
+		case len(resp.Recs)+len(recs[b]) <= handoffChunk || resp.Covered == bucketSet{}:
+			resp.Covered.add(b)
+			n.syncDiffering.Add(1)
+			resp.Recs = append(resp.Recs, recs[b]...)
+		default:
+			resp.Left.add(b)
+		}
+	}
+	return resp
+}
+
+// repairRanges restores the replication invariant around every record this
+// node holds, a range at a time: each arc of the ring membership it holds a
+// record in is synced with the arc's acting owner or, for an arc this node
+// acts as owner of (a replica just promoted by an owner's death included),
+// with each of its replica targets. A range that rebalanced onto another node
+// reaches it, and a converged range costs one exchange per peer whatever it
+// holds. Maintain runs it.
+func (n *Node) repairRanges() {
+	var held []string // a replica key in each arc
+	seen := make(map[overlay.ID]bool)
+	n.store.Backend().Range(func(site, key, _ string) bool {
+		rk := state.ReplicaKey(site, key)
+		if _, to := n.cfg.Ring.Arc(rk); !seen[to] {
+			seen[to] = true
+			held = append(held, rk)
+		}
+		return true
+	})
+	for _, rk := range held {
+		owner, err := n.resolveActingOwner(rk)
+		if err != nil {
+			continue
+		}
+		peers := []string{owner}
+		if owner == n.cfg.Name {
+			peers = n.replicaTargets()
+		}
+		from, to := n.cfg.Ring.Arc(rk)
+		for _, p := range peers {
+			_, _ = n.syncRange(from, to, p) // a failed sync is tried again at the next repair
 		}
 	}
 }
 
-// repKeyLess orders replica keys by (ring hash, key) — the deterministic
-// total order handoff streams are paginated in, identical on every node.
-func repKeyLess(a, b string) bool {
-	ha, hb := overlay.HashID(a), overlay.HashID(b)
-	if ha != hb {
-		return ha < hb
-	}
-	return a < b
-}
-
-// handoffChunk is how many records one rep.range reply carries.
-const handoffChunk = 64
-
-// CatchUp streams the records of this node's owned key range
-// (predecessor, self] from its successors, applying each record
-// last-writer-wins, if a catch-up is pending: NewNode sets it (with
-// replication on), because a node that just joined or restarted has
-// missed the writes to the range it now owns. A successful pull clears it.
-// Maintain retries a pending catch-up every round and follows a successful
-// one with a full repair; Tick also runs CatchUp alone at boot, before the
-// first round (see Maintain). It returns how many records were applied.
+// CatchUp syncs this node's owned key range (predecessor, self] with its
+// successors, in order, until one sync completes, if a catch-up is pending:
+// NewNode sets it (with replication on), because a node that just joined or
+// restarted has missed the writes to the range it now owns. A completed
+// sync clears it. Maintain retries a pending catch-up every round and
+// follows a successful one with a full repair; Tick also runs CatchUp alone
+// at boot, before the first round (see Maintain). It returns how many
+// records were applied.
 func (n *Node) CatchUp() (int, error) {
 	if !n.catchUp.Load() {
 		return 0, nil
 	}
 	n.catchUpTries.Add(1)
-	applied, err := n.pullOwnedRange()
+	from, to, _ := n.overlay.OwnedRange() // unknown only while the node is alone in its view, with no successor
+	applied, err := 0, fmt.Errorf("core: %s: no successor to sync its range with", n.cfg.Name)
+	for _, peer := range n.overlay.Successors() {
+		got, serr := n.syncRange(from, to, peer)
+		if applied, err = applied+got, serr; err == nil {
+			break
+		}
+	}
 	n.catchUpApplied.Add(int64(applied))
 	if err == nil {
 		n.catchUp.Store(false)
 	}
 	return applied, err
-}
-
-// pullOwnedRange is CatchUp's pull. The stream is chunked (handoffChunk
-// records per RPC); if the source dies mid-stream, the pull continues from
-// the same cursor against the next successor — the replicas hold the same
-// records, and anything missed is restored by repair.
-func (n *Node) pullOwnedRange() (int, error) {
-	from, to, ok := n.overlay.OwnedRange()
-	if !ok {
-		return 0, fmt.Errorf("core: %s: owned range unknown (no predecessor yet)", n.cfg.Name)
-	}
-	applied := 0
-	after := ""
-	sources := n.overlay.Successors()
-	si := 0
-	for {
-		if si >= len(sources) {
-			if applied == 0 && len(sources) == 0 {
-				return 0, nil // alone on the ring: nothing to pull
-			}
-			return applied, fmt.Errorf("core: %s: handoff sources exhausted after %d records", n.cfg.Name, applied)
-		}
-		src := sources[si]
-		if src == n.cfg.Name {
-			si++
-			continue
-		}
-		body := encodeRepRangeReq(repRangeReq{From: uint64(from), To: uint64(to), After: after, Limit: handoffChunk})
-		reply, err := n.call(src, transport.Message{Type: msgRepRange, Body: body})
-		if err != nil {
-			si++ // source died mid-stream: resume at the cursor from the next replica
-			continue
-		}
-		resp, err := decodeRepRangeResp(reply.Body)
-		if err != nil {
-			return applied, err
-		}
-		n.syncRecords.Add(int64(len(resp.Recs)))
-		for _, rec := range resp.Recs {
-			if reply, err := n.applyPush(rec, nil); err == nil && replyStatus(reply) == "applied" {
-				applied++
-			}
-			after = state.ReplicaKey(rec.Site, rec.Key)
-		}
-		if !resp.More {
-			return applied, nil
-		}
-		if len(resp.Recs) == 0 {
-			return applied, fmt.Errorf("core: %s: empty handoff chunk claiming more", n.cfg.Name)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -702,35 +756,12 @@ func (n *Node) serveRepRPC(from string, msg transport.Message) (transport.Messag
 		return n.applyPush(rec, nil)
 	case msgRepKeys:
 		return transport.Message{Args: n.store.KeysVersioned(msg.Key)}, nil
-	case msgRepRange:
-		req, err := decodeRepRangeReq(msg.Body)
+	case msgRepSync:
+		req, err := decodeSyncReq(msg.Body)
 		if err != nil {
 			return transport.Message{}, err
 		}
-		// Each chunk rescans the store, so a stream over R records in a
-		// store of S costs O(R/chunk * S). Deliberate: keeping per-stream
-		// server state would have to survive requester retries against
-		// other replicas mid-crash, and stores here are far too small for
-		// the rescan to matter.
-		recs := n.store.VersionedRecords(func(site, key string) bool {
-			rk := state.ReplicaKey(site, key)
-			if !overlay.InInterval(overlay.HashID(rk), overlay.ID(req.From), overlay.ID(req.To)) {
-				return false
-			}
-			return req.After == "" || repKeyLess(req.After, rk)
-		})
-		sort.Slice(recs, func(i, j int) bool {
-			return repKeyLess(state.ReplicaKey(recs[i].Site, recs[i].Key), state.ReplicaKey(recs[j].Site, recs[j].Key))
-		})
-		limit := req.Limit
-		if limit <= 0 {
-			limit = handoffChunk
-		}
-		more := len(recs) > limit
-		if more {
-			recs = recs[:limit]
-		}
-		return transport.Message{Body: encodeRepRangeResp(repRangeResp{Recs: recs, More: more})}, nil
+		return transport.Message{Body: encodeSyncResp(n.answerSync(req))}, nil
 	default:
 		return transport.Message{}, fmt.Errorf("core: unknown replication message %q", msg.Type)
 	}

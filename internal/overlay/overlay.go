@@ -204,7 +204,7 @@ func (n *Node) Ping(peer string) bool {
 
 // InInterval reports whether id lies in the half-open ring interval
 // (from, to], with wraparound. Exported for layers that partition keys by
-// ring position (replication handoff streams key ranges between nodes).
+// ring position (replication syncs key ranges between nodes).
 func InInterval(id, from, to ID) bool { return between(id, from, to) }
 
 // Ring is the overlay membership authority: the set of member nodes plus
@@ -321,6 +321,22 @@ func (r *Ring) Successor(key string) *Node {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.successorLocked(HashID(key))
+}
+
+// Arc returns the arc (from, to] of the ring's membership that holds key's
+// hash: to is the ID of the member that owns key when no member is
+// suspected, from the ID of the member before it. Every view's owner of a
+// key owns its whole arc, since a view that suspects members only merges
+// arcs. With one member the arc is the whole ring (from == to).
+func (r *Ring) Arc(key string) (from, to ID) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.sorted) == 0 {
+		return 0, 0
+	}
+	id := HashID(key)
+	i := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i] >= id }) % len(r.sorted)
+	return r.sorted[(i+len(r.sorted)-1)%len(r.sorted)], r.sorted[i]
 }
 
 // ---------------------------------------------------------------------------

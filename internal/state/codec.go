@@ -3,9 +3,9 @@ package state
 import "nakika/internal/wire"
 
 // Binary wire codec for versioned hard-state records, the one state type
-// that crosses the transport (rep.store pushes, handoff streams, range
-// replies). The encoder is append-style so callers compose it into pooled
-// buffers; the self-describing Encode/Decode pair prefixes wire.Magic.
+// that crosses the transport (rep.store pushes, range-sync replies). The
+// encoder is append-style so callers compose it into pooled buffers; the
+// self-describing Encode/Decode pair prefixes wire.Magic.
 
 // AppendRec appends rec's binary encoding (no magic byte):
 //

@@ -10,7 +10,7 @@ import (
 
 // Successor-list replication stores hard state as versioned records so that
 // writes replicated to several nodes, re-replicated after churn, and
-// streamed by handoff all converge by last-writer-wins no matter how often
+// synced by catch-up all converge by last-writer-wins no matter how often
 // or in what order they are applied. The version layer lives here, below
 // the transport: a record is (version, origin, tombstone?, value), encoded
 // into the plain string value the store.Log already persists — the WAL,
@@ -25,7 +25,7 @@ import (
 // and keeping them makes every apply idempotent.
 
 // Rec is one versioned hard-state record as it travels between replicas:
-// in rep.store pushes, handoff streams, and failover reads.
+// in rep.store pushes, range syncs, and failover reads.
 type Rec struct {
 	Site   string
 	Key    string
@@ -149,7 +149,7 @@ func (s *Store) PutVersioned(rec Rec) (applied bool, c store.Commit, err error) 
 // KeysVersioned lists site's keys whose current record is live: a versioned
 // put, or a raw value, which GetVersioned reads as version 0. Tombstones and
 // internal-namespace keys (lease and deploy records; see IsInternalKey) are
-// filtered out. VersionedRecords stays unfiltered: repair and handoff must
+// filtered out. VersionedRecords stays unfiltered: repair and catch-up must
 // carry internal keys.
 func (s *Store) KeysVersioned(site string) []string {
 	var out []string
@@ -165,7 +165,7 @@ func (s *Store) KeysVersioned(site string) []string {
 }
 
 // VersionedRecords scans the whole local store and returns every record
-// (tombstones included — repair and handoff must propagate them) for
+// (tombstones included — repair and catch-up must propagate them) for
 // which keep returns true. A nil keep returns everything. Raw
 // single-node values travel as version-0 records (see GetVersioned), so
 // repair migrates them into the replica set. Records come out in the

@@ -23,7 +23,7 @@ import (
 
 // Message is one request or reply between nodes. Type selects the operation
 // (namespaced by subsystem: "ov.lookup" overlay routing, "cache.get"
-// cooperative cache, "rep.put"/"rep.get"/"rep.store"/"rep.range"
+// cooperative cache, "rep.put"/"rep.get"/"rep.store"/"rep.sync"
 // successor-list replication of hard state), Key
 // carries the primary argument, Args carries auxiliary strings, and Body
 // carries an opaque payload.
